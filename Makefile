@@ -2,11 +2,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
+.PHONY: verify build test bench bench-no-run bench-check bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
-verify: fmt build test clippy lint bench-no-run recovery-smoke chaos-smoke session-smoke examples
+verify: fmt build test clippy lint bench-no-run bench-check recovery-smoke chaos-smoke session-smoke examples
 
 build:
 	$(CARGO) build --release
@@ -22,6 +22,13 @@ bench:
 
 bench-no-run:
 	$(CARGO) bench --no-run
+
+# The repo benchmark (BENCHMARK.json) is a package outside the workspace,
+# so nothing above notices when a crate's public API breaks it. Builds it
+# against the current crates and runs its tests, which include a smoke pass
+# of all four workloads with their oracles.
+bench-check:
+	$(CARGO) test -q --manifest-path benchmark/Cargo.toml
 
 # Quick end-to-end runs of the perf benches (small corpora, few reps):
 # prove the morsel-parallel, durable-recovery, vector-search, paged

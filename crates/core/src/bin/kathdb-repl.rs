@@ -460,9 +460,16 @@ fn main() {
                         } else {
                             String::new()
                         };
+                        let reused = if t.reused { "  [reused]" } else { "" };
                         println!(
-                            "  {:<28} {:>9.2} ms  {:>6} rows  {:>4} batches{}{}",
-                            t.func_id, t.elapsed_ms, t.rows_out, t.batches_out, parallel, compiled
+                            "  {:<28} {:>9.2} ms  {:>6} rows  {:>4} batches{}{}{}",
+                            t.func_id,
+                            t.elapsed_ms,
+                            t.rows_out,
+                            t.batches_out,
+                            parallel,
+                            compiled,
+                            reused
                         );
                     }
                     if !result.exec.repairs.is_empty() {

@@ -198,6 +198,8 @@ pub struct KathDB {
     ctx: ExecContext,
     registry: FunctionRegistry,
     last_plan: Option<PhysicalPlan>,
+    /// Function ids of the nodes of `last_plan` that were reused, not run.
+    last_reused: Vec<String>,
     /// Compiler options used for subsequent queries (exposed so examples and
     /// benches can inject faults or disable rewrites).
     pub compile_options: CompileOptions,
@@ -258,6 +260,7 @@ impl KathDB {
             ctx: ExecContext::new(SimLlm::new(seed, meter)),
             registry: FunctionRegistry::new(),
             last_plan: None,
+            last_reused: Vec::new(),
             compile_options: CompileOptions::default(),
             semantic_checks: true,
             pinned_exec_mode: None,
@@ -982,6 +985,7 @@ impl KathDB {
         let exec_report = exec_report?;
 
         self.last_plan = Some(compile_report.physical.clone());
+        self.last_reused = exec_report.reused_nodes().map(str::to_string).collect();
         // Compilation and self-repair may have added function versions;
         // make the registry durable before acknowledging the query.
         self.log_registry_if_changed()?;
@@ -1000,7 +1004,8 @@ impl KathDB {
     pub fn explain(&self, question: &str) -> Result<String, KathError> {
         let plan = self.last_plan.as_ref().ok_or(KathError::NoQueryRun)?;
         let snapshot = self.ctx.catalog.snapshot();
-        let explainer = Explainer::new(plan, &self.registry, &self.ctx.lineage, &snapshot);
+        let explainer = Explainer::new(plan, &self.registry, &self.ctx.lineage, &snapshot)
+            .with_reused(&self.last_reused);
         Ok(explainer.answer(question))
     }
 

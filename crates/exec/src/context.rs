@@ -1,11 +1,63 @@
 //! The execution context: catalog + media + models + lineage.
 
-use crate::ExecError;
+use crate::{ExecError, ExecOutcome};
+use kath_fao::FunctionBody;
 use kath_lineage::{DataKind, LineageStore};
-use kath_media::MediaRegistry;
+use kath_media::{MediaKind, MediaRegistry};
 use kath_model::SimLlm;
 use kath_storage::{CompileMode, ExecMode, GuardSpec, SharedCatalog, Table, VectorMode};
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// A table a node published, with its table-level lid.
+#[derive(Debug, Clone)]
+pub struct Published {
+    /// The table as the catalog holds it.
+    pub table: Arc<Table>,
+    /// Its table-level lid.
+    pub lid: i64,
+}
+
+/// What one node's last clean run read and published: the record a later
+/// question checks before running the node again (docs/execution.md,
+/// "Incremental re-execution"). Tables are compared by identity — the
+/// record keeps each `Arc`, so an address cannot be reused while it is
+/// compared — never by content. In memory only.
+#[derive(Debug)]
+pub struct Materialization {
+    func_id: String,
+    body: FunctionBody,
+    /// The tables `body.inputs()` named, in that order.
+    inputs: Vec<Arc<Table>>,
+    /// The media collection the body reads and its stamp after the run (a
+    /// repairing view population replaces images while it runs).
+    media: Option<(MediaKind, u64)>,
+    /// Tables the run published besides its output (a view population's
+    /// views).
+    side_outputs: Vec<Published>,
+    output: Published,
+    rows_in: usize,
+}
+
+impl Materialization {
+    /// Every table the node published, its own output last.
+    pub fn outputs(&self) -> impl Iterator<Item = &Published> {
+        self.side_outputs.iter().chain([&self.output])
+    }
+
+    /// The recorded output, as the outcome of a node that did not run.
+    pub(crate) fn outcome(&self) -> ExecOutcome {
+        ExecOutcome {
+            side_outputs: self.side_outputs.clone(),
+            reused: true,
+            ..ExecOutcome::serial(
+                Arc::clone(&self.output.table),
+                self.output.lid,
+                self.rows_in,
+            )
+        }
+    }
+}
 
 /// Everything a function body needs at runtime.
 pub struct ExecContext {
@@ -56,6 +108,8 @@ pub struct ExecContext {
     /// the deadline restarts per statement while the cancel token is shared
     /// with whoever holds a handle to it.
     pub limits: GuardSpec,
+    /// One record per node output, keyed by the output's name.
+    materializations: HashMap<String, Materialization>,
 }
 
 impl ExecContext {
@@ -72,6 +126,7 @@ impl ExecContext {
             vector_mode: VectorMode::default(),
             compile: CompileMode::from_env(),
             limits: GuardSpec::default(),
+            materializations: HashMap::new(),
         }
     }
 
@@ -94,11 +149,105 @@ impl ExecContext {
         Ok(lid)
     }
 
-    /// Registers (or replaces) a materialized intermediate with its lid.
-    pub fn materialize(&mut self, table: Table, lid: i64) {
+    /// Registers (or replaces) a materialized intermediate with its lid and
+    /// returns it as the catalog holds it.
+    pub fn materialize(&mut self, table: Table, lid: i64) -> Arc<Table> {
         let name = table.name().to_string();
-        self.catalog.register_or_replace(table);
         self.table_lids.insert(name, lid);
+        self.catalog.register_or_replace(table)
+    }
+
+    /// Publishes a table another context materialized, under the same name
+    /// and lid, without copying it.
+    pub fn adopt(&mut self, published: &Published) {
+        self.table_lids
+            .insert(published.table.name().to_string(), published.lid);
+        self.catalog.swap_in_identical(Arc::clone(&published.table));
+    }
+
+    /// The record of `output`, if running `func_id` with `body` now would
+    /// repeat the run that made it: the same body, every table the body
+    /// reads still the table that run read, the media collection it reads
+    /// unchanged, and every table it published still in the catalog under
+    /// the lid it was given.
+    pub fn reusable(
+        &self,
+        func_id: &str,
+        body: &FunctionBody,
+        output: &str,
+    ) -> Option<&Materialization> {
+        let record = self.materializations.get(output)?;
+        if record.func_id != func_id || record.body != *body {
+            return None;
+        }
+        let snapshot = self.catalog.snapshot();
+        let current = |table: &Arc<Table>| {
+            snapshot
+                .get(table.name())
+                .is_ok_and(|now| Arc::ptr_eq(&now, table))
+        };
+        let valid = record.inputs.iter().all(current)
+            && record.media == self.media_identity(body)
+            && record
+                .outputs()
+                .all(|p| current(&p.table) && self.table_lid(p.table.name()) == Some(p.lid));
+        valid.then_some(record)
+    }
+
+    /// The media collection `body` reads directly, with its current stamp.
+    fn media_identity(&self, body: &FunctionBody) -> Option<(MediaKind, u64)> {
+        let kind = match body {
+            FunctionBody::ViewPopulate { modality, .. } if modality == "text" => {
+                MediaKind::Documents
+            }
+            FunctionBody::ViewPopulate { .. } | FunctionBody::VisualClassify { .. } => {
+                MediaKind::Images
+            }
+            _ => return None,
+        };
+        Some((kind, self.media.stamp(kind)))
+    }
+
+    /// Forgets the record of `output` and returns the tables `body` is
+    /// about to read — as they are *before* the run, so that a table
+    /// replaced while the node runs (by the node itself or by a concurrent
+    /// session) can only make the record fail to validate, never validate
+    /// wrongly. `None` if one of them does not exist.
+    pub(crate) fn begin_node(
+        &mut self,
+        body: &FunctionBody,
+        output: &str,
+    ) -> Option<Vec<Arc<Table>>> {
+        self.materializations.remove(output);
+        let snapshot = self.catalog.snapshot();
+        body.inputs()
+            .iter()
+            .map(|name| snapshot.get(name).ok())
+            .collect()
+    }
+
+    /// Records the clean run of `body` over `inputs` that ended in `outcome`.
+    pub(crate) fn record_node(
+        &mut self,
+        func_id: &str,
+        body: &FunctionBody,
+        output: &str,
+        inputs: Vec<Arc<Table>>,
+        outcome: &ExecOutcome,
+    ) {
+        let record = Materialization {
+            func_id: func_id.to_string(),
+            body: body.clone(),
+            inputs,
+            media: self.media_identity(body),
+            side_outputs: outcome.side_outputs.clone(),
+            output: Published {
+                table: Arc::clone(&outcome.table),
+                lid: outcome.output_lid,
+            },
+            rows_in: outcome.rows_in,
+        };
+        self.materializations.insert(output.to_string(), record);
     }
 
     /// The table-level lid of a materialized table, if known.

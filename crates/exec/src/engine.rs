@@ -5,6 +5,7 @@ use crate::{AnomalyEvent, ExecContext, ExecError, Monitor, RepairEvent};
 use kath_fao::{FunctionBody, FunctionRegistry};
 use kath_model::UserChannel;
 use kath_storage::Table;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One node of the physical plan: a function to execute (its active version
@@ -55,6 +56,9 @@ pub struct NodeTiming {
     /// Milliseconds spent compiling the node's kernels (0.0 when
     /// interpreted).
     pub compile_ms: f64,
+    /// Whether the node did not run: its output was still the one an
+    /// earlier question on this context materialized.
+    pub reused: bool,
 }
 
 /// The engine's report for one query.
@@ -68,6 +72,18 @@ pub struct ExecReport {
     pub anomalies: Vec<AnomalyEvent>,
     /// Per-node timings.
     pub timings: Vec<NodeTiming>,
+}
+
+impl ExecReport {
+    /// Function ids of the nodes that did not run: their function and
+    /// inputs were unchanged since an earlier question on the same context,
+    /// so the monitor served the outputs that question materialized.
+    pub fn reused_nodes(&self) -> impl Iterator<Item = &str> {
+        self.timings
+            .iter()
+            .filter(|t| t.reused)
+            .map(|t| t.func_id.as_str())
+    }
 }
 
 /// The execution engine.
@@ -107,23 +123,16 @@ impl ExecutionEngine {
         let mut repairs = Vec::new();
         let mut anomalies = Vec::new();
         let mut timings = Vec::new();
-        let mut final_table: Option<Table> = None;
+        let mut final_table: Option<Arc<Table>> = None;
 
         for node in &plan.nodes {
             let started = Instant::now(); // lint: nondet-ok — per-node timing telemetry in the run report; results never depend on it
-            let (outcome, node_repairs) =
+            let (mut outcome, node_repairs) =
                 monitor.execute_with_repair(ctx, registry, &node.func_id, &node.output)?;
             repairs.extend(node_repairs);
-            let mut rows_out = outcome.table.len();
-            let mut batches_out = outcome.batches_out;
-            let mut workers = outcome.workers;
-            let mut worker_ms = outcome.worker_ms;
-            let mut merge_ms = outcome.merge_ms;
-            let mut compiled = outcome.compiled;
-            let mut compile_ms = outcome.compile_ms;
-            let mut table = outcome.table;
 
-            if self.semantic_checks && is_join_sql(registry, &node.func_id) {
+            // A reused join output was checked when it was produced.
+            if self.semantic_checks && !outcome.reused && is_join_sql(registry, &node.func_id) {
                 if let Some((event, reexec)) = monitor.check_fanout(
                     ctx,
                     registry,
@@ -133,14 +142,7 @@ impl ExecutionEngine {
                 )? {
                     anomalies.push(event);
                     if let Some(fixed) = reexec {
-                        rows_out = fixed.table.len();
-                        batches_out = fixed.batches_out;
-                        workers = fixed.workers;
-                        worker_ms = fixed.worker_ms;
-                        merge_ms = fixed.merge_ms;
-                        compiled = fixed.compiled;
-                        compile_ms = fixed.compile_ms;
-                        table = fixed.table;
+                        outcome = fixed;
                     }
                 }
             }
@@ -148,20 +150,21 @@ impl ExecutionEngine {
             timings.push(NodeTiming {
                 func_id: node.func_id.clone(),
                 elapsed_ms: started.elapsed().as_secs_f64() * 1000.0,
-                rows_out,
-                batches_out,
-                workers,
-                worker_ms,
-                merge_ms,
-                compiled,
-                compile_ms,
+                rows_out: outcome.table.len(),
+                batches_out: outcome.batches_out,
+                workers: outcome.workers,
+                worker_ms: outcome.worker_ms,
+                merge_ms: outcome.merge_ms,
+                compiled: outcome.compiled,
+                compile_ms: outcome.compile_ms,
+                reused: outcome.reused,
             });
-            final_table = Some(table);
+            final_table = Some(outcome.table);
         }
 
         let final_table = final_table.ok_or_else(|| ExecError::Sql("empty plan".into()))?;
         Ok(ExecReport {
-            final_table,
+            final_table: Arc::unwrap_or_clone(final_table),
             repairs,
             anomalies,
             timings,

@@ -6,21 +6,25 @@
 //! with a fresh `lid` whose parent is the input tuple's `lid`; wide bodies
 //! record table-level edges only.
 
-use crate::{id_from_uri, ExecContext, ExecError};
+use crate::{id_from_uri, ExecContext, ExecError, Published};
 use kath_fao::{FunctionBody, VisionImpl};
 use kath_lineage::DataKind;
 use kath_media::{Image, MediaFormat};
 use kath_model::{SimOcr, SimVlm, VlmCascade};
 use kath_multimodal::{populate_document, populate_image, SceneGraphViews, TextGraphViews};
 use kath_storage::{Column, DataType, Row, Schema, Table, Value};
+use std::sync::Arc;
 
 /// The result of executing one function body.
 #[derive(Debug)]
 pub struct ExecOutcome {
-    /// The materialized output (already registered in the catalog).
-    pub table: Table,
+    /// The materialized output, as the catalog holds it.
+    pub table: Arc<Table>,
     /// Table-level lid of the output.
     pub output_lid: i64,
+    /// Tables the body published besides its output (a view population's
+    /// views; empty for every other body).
+    pub side_outputs: Vec<Published>,
     /// Per-row failures: `(row description, error)`. Unaffected tuples have
     /// already flowed into `table` (§5: "tuples unaffected by the error
     /// continue through the old function definition").
@@ -43,6 +47,30 @@ pub struct ExecOutcome {
     /// Milliseconds spent compiling the pipeline's kernels (0.0 when
     /// interpreted).
     pub compile_ms: f64,
+    /// Whether the body did not run: the monitor served the output an
+    /// earlier question materialized (see [`crate::ExecContext::reusable`]).
+    pub reused: bool,
+}
+
+impl ExecOutcome {
+    /// The outcome of a body that drove no relational pipeline (or did not
+    /// run at all): no failed rows, no side outputs, no batch statistics.
+    pub(crate) fn serial(table: Arc<Table>, output_lid: i64, rows_in: usize) -> Self {
+        Self {
+            table,
+            output_lid,
+            side_outputs: Vec::new(),
+            failed_rows: Vec::new(),
+            rows_in,
+            batches_out: 0,
+            workers: 1,
+            worker_ms: Vec::new(),
+            merge_ms: 0.0,
+            compiled: false,
+            compile_ms: 0.0,
+            reused: false,
+        }
+    }
 }
 
 /// Executes `body` as function `func_id` version `ver_id`, materializing
@@ -294,10 +322,10 @@ fn exec_sql(
         ctx.lineage
             .record(output_lid, None, None, func_id, ver_id, DataKind::Table)?;
     }
-    ctx.materialize(table.clone(), output_lid);
     Ok(ExecOutcome {
-        table,
+        table: ctx.materialize(table, output_lid),
         output_lid,
+        side_outputs: Vec::new(),
         failed_rows: Vec::new(),
         rows_in,
         batches_out: stats.batches,
@@ -306,6 +334,7 @@ fn exec_sql(
         merge_ms: stats.merge_ms,
         compiled: stats.compiled,
         compile_ms: stats.compile_ms,
+        reused: false,
     })
 }
 
@@ -386,19 +415,10 @@ fn narrow_transform(
         ver_id,
         DataKind::Table,
     )?;
-    ctx.materialize(out.clone(), output_lid);
+    // Narrow transforms run row-at-a-time so lineage stays row-accurate.
     Ok(ExecOutcome {
-        table: out,
-        output_lid,
         failed_rows,
-        rows_in,
-        // Narrow transforms run row-at-a-time so lineage stays row-accurate.
-        batches_out: 0,
-        workers: 1,
-        worker_ms: Vec::new(),
-        merge_ms: 0.0,
-        compiled: false,
-        compile_ms: 0.0,
+        ..ExecOutcome::serial(ctx.materialize(out, output_lid), output_lid, rows_in)
     })
 }
 
@@ -416,14 +436,17 @@ fn exec_view_populate(
         output_name,
         Schema::of(&[("view", DataType::Str), ("rows", DataType::Int)]),
     );
+    let mut views_out = Vec::new();
     let rows_in;
+    // The collections as they are now (shared, not copied): the scene half
+    // replaces images in `ctx.media` while it walks them.
+    let media = ctx.media.clone();
 
     match modality {
         "text" => {
             let root = ctx.ingest_media_root("collection://documents")?;
             let mut views = TextGraphViews::empty();
-            let docs: Vec<kath_media::Document> =
-                ctx.media.documents().into_iter().cloned().collect();
+            let docs = media.documents();
             rows_in = docs.len();
             let llm = ctx.llm.clone();
             for (i, doc) in docs.iter().enumerate() {
@@ -452,7 +475,10 @@ fn exec_view_populate(
                     Value::Str(table.name().to_string()),
                     Value::Int(table.len() as i64),
                 ])?;
-                ctx.materialize(table, lid);
+                views_out.push(Published {
+                    table: ctx.materialize(table, lid),
+                    lid,
+                });
             }
         }
         "scene" => {
@@ -466,7 +492,7 @@ fn exec_view_populate(
                 // accurate VLM is the reference implementation.
                 _ => SimVlm::accurate(seed, meter),
             };
-            let images: Vec<Image> = ctx.media.images().into_iter().cloned().collect();
+            let images = media.images();
             rows_in = images.len();
             for (i, image) in images.iter().enumerate() {
                 let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
@@ -505,7 +531,10 @@ fn exec_view_populate(
                     Value::Str(table.name().to_string()),
                     Value::Int(table.len() as i64),
                 ])?;
-                ctx.materialize(table, lid);
+                views_out.push(Published {
+                    table: ctx.materialize(table, lid),
+                    lid,
+                });
             }
         }
         other => {
@@ -518,18 +547,10 @@ fn exec_view_populate(
     let output_lid = ctx.lineage.alloc_lid();
     ctx.lineage
         .record(output_lid, None, None, func_id, ver_id, DataKind::Table)?;
-    ctx.materialize(summary.clone(), output_lid);
     Ok(ExecOutcome {
-        table: summary,
-        output_lid,
+        side_outputs: views_out,
         failed_rows,
-        rows_in,
-        batches_out: 0,
-        workers: 1,
-        worker_ms: Vec::new(),
-        merge_ms: 0.0,
-        compiled: false,
-        compile_ms: 0.0,
+        ..ExecOutcome::serial(ctx.materialize(summary, output_lid), output_lid, rows_in)
     })
 }
 

@@ -14,7 +14,7 @@ mod error;
 mod interp;
 mod monitor;
 
-pub use context::{id_from_uri, ExecContext};
+pub use context::{id_from_uri, ExecContext, Materialization, Published};
 pub use engine::{ExecReport, ExecutionEngine, NodeTiming, PhysicalNode, PhysicalPlan};
 pub use error::ExecError;
 pub use interp::{execute_body, visual_interest, ExecOutcome};

@@ -6,6 +6,11 @@
 //! flowed through the old definition. Semantic anomalies (a join fanning one
 //! poster out to several movies) are explained to the user, who chooses to
 //! accept, adjust, or rewrite.
+//!
+//! Every node passes through [`run_node`] here, which is also where a
+//! follow-up question is spared the nodes it shares with an earlier one: a
+//! node whose body, inputs and outputs are still those of its last clean
+//! run returns that run's output instead of running again.
 
 use crate::{execute_body, ExecContext, ExecError, ExecOutcome};
 use kath_fao::{FunctionBody, FunctionRegistry};
@@ -44,6 +49,30 @@ pub struct AnomalyEvent {
     pub patched: bool,
 }
 
+/// Runs one node: returns the output of its last clean run when that run
+/// would only be repeated ([`ExecContext::reusable`]) — no model call, no
+/// lineage rows, no catalog write — and otherwise executes the body,
+/// recording the run if no row failed. Because a reused producer leaves
+/// its output table in place and a re-executed one publishes a new table,
+/// reuse and re-execution both cascade to consumers by themselves.
+fn run_node(
+    ctx: &mut ExecContext,
+    func_id: &str,
+    ver_id: u32,
+    body: &FunctionBody,
+    output_name: &str,
+) -> Result<ExecOutcome, ExecError> {
+    if let Some(record) = ctx.reusable(func_id, body, output_name) {
+        return Ok(record.outcome());
+    }
+    let inputs = ctx.begin_node(body, output_name);
+    let outcome = execute_body(ctx, func_id, ver_id, body, output_name)?;
+    if let (Some(inputs), true) = (inputs, outcome.failed_rows.is_empty()) {
+        ctx.record_node(func_id, body, output_name, inputs, &outcome);
+    }
+    Ok(outcome)
+}
+
 /// The execution monitor.
 pub struct Monitor<'a> {
     channel: &'a dyn UserChannel,
@@ -77,7 +106,7 @@ impl<'a> Monitor<'a> {
                 let v = entry.active_version();
                 (v.ver_id, v.body.clone())
             };
-            let result = execute_body(ctx, func_id, ver_id, &body, output_name);
+            let result = run_node(ctx, func_id, ver_id, &body, output_name);
             let (error_text, unaffected, failed) = match result {
                 Ok(outcome) if outcome.failed_rows.is_empty() => {
                     return Ok((outcome, repairs));
@@ -203,7 +232,7 @@ impl<'a> Monitor<'a> {
         )?;
         let entry = registry.get(func_id)?;
         let v = entry.version(to_ver).expect("just added").body.clone();
-        let outcome = execute_body(ctx, func_id, to_ver, &v, output_name)?;
+        let outcome = run_node(ctx, func_id, to_ver, &v, output_name)?;
         Ok(Some((
             AnomalyEvent {
                 func_id: func_id.to_string(),
@@ -275,6 +304,7 @@ mod tests {
     use kath_media::{BBox, Color, Image, ImageObject, MediaFormat};
     use kath_model::{ScriptedChannel, SilentChannel, SimLlm, TokenMeter};
     use kath_storage::{DataType, Schema, Table};
+    use std::sync::Arc;
 
     fn ctx_with_posters() -> ExecContext {
         let mut ctx = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
@@ -484,5 +514,97 @@ mod tests {
             .check_fanout(&mut ctx, &mut registry, "f", "o", "id")
             .unwrap();
         assert!(result.is_none());
+    }
+
+    /// `copy_t` reads `t` and writes `o`; returns whether the run was reused.
+    fn run_copy(ctx: &mut ExecContext, registry: &mut FunctionRegistry) -> bool {
+        let monitor = Monitor::new(&SilentChannel);
+        let (outcome, repairs) = monitor
+            .execute_with_repair(ctx, registry, "copy_t", "o")
+            .unwrap();
+        assert!(repairs.is_empty());
+        assert_eq!(outcome.table.len(), 2);
+        outcome.reused
+    }
+
+    fn two_rows(name: &str) -> Table {
+        Table::from_rows(
+            name,
+            Schema::of(&[("id", DataType::Int)]),
+            vec![vec![1i64.into()], vec![2i64.into()]],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn reuse_is_keyed_on_table_identity_not_content() {
+        let mut ctx = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
+        ctx.ingest_table(two_rows("t"), "u").unwrap();
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            FunctionSignature::new("copy_t", "copy", vec!["t".into()], "o"),
+            FunctionBody::Sql {
+                query: "SELECT * FROM t".into(),
+                dedup_key: None,
+            },
+            "initial",
+        );
+        assert!(!run_copy(&mut ctx, &mut registry));
+        let lineage_rows = ctx.lineage.len();
+        let output = ctx.catalog.get("o").unwrap();
+        assert!(run_copy(&mut ctx, &mut registry));
+        assert_eq!(ctx.lineage.len(), lineage_rows);
+        assert!(Arc::ptr_eq(&output, &ctx.catalog.get("o").unwrap()));
+
+        // The same rows in a new table are a new input.
+        ctx.catalog.register_or_replace(two_rows("t"));
+        assert!(!run_copy(&mut ctx, &mut registry));
+        assert!(run_copy(&mut ctx, &mut registry));
+
+        // A dropped input that comes back is not the table the run read.
+        ctx.catalog.drop_table("t").unwrap();
+        ctx.catalog.register(two_rows("t")).unwrap();
+        assert!(!run_copy(&mut ctx, &mut registry));
+
+        // Nor is a dropped output that comes back the table the run wrote.
+        let old_output = ctx.catalog.get("o").unwrap();
+        ctx.catalog.drop_table("o").unwrap();
+        ctx.catalog.register(Table::clone(&old_output)).unwrap();
+        assert!(!run_copy(&mut ctx, &mut registry));
+        assert!(run_copy(&mut ctx, &mut registry));
+    }
+
+    #[test]
+    fn a_run_with_failed_rows_is_recorded_only_after_its_repair() {
+        let mut ctx = ctx_with_posters();
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            FunctionSignature::new("classify_boring", "flag", vec!["posters".into()], "flagged"),
+            FunctionBody::VisualClassify {
+                input: "posters".into(),
+                uri_column: "poster_uri".into(),
+                output_column: "boring".into(),
+                implementation: VisionImpl::VlmAccurate,
+                threshold: 0.4,
+                convert_unsupported: false,
+            },
+            "initial",
+        );
+        let monitor = Monitor::new(&SilentChannel);
+        let mut run = |registry: &mut FunctionRegistry| {
+            monitor
+                .execute_with_repair(&mut ctx, registry, "classify_boring", "flagged")
+                .unwrap()
+        };
+        let (first, repairs) = run(&mut registry);
+        assert_eq!((first.reused, repairs.len()), (false, 1));
+        let (second, repairs) = run(&mut registry);
+        assert_eq!((second.reused, repairs.len()), (true, 0));
+        assert_eq!(second.table.len(), 3);
+        // Back on the version that cannot read HEIC, the node runs (and is
+        // repaired) again: the record is of the repaired body.
+        registry.rollback("classify_boring", 1).unwrap();
+        let (third, repairs) = run(&mut registry);
+        assert_eq!((third.reused, repairs.len()), (false, 1));
     }
 }

@@ -23,6 +23,9 @@ pub struct Explainer<'a> {
     pub lineage: &'a LineageStore,
     /// The catalog with all materialized intermediates.
     pub catalog: &'a Catalog,
+    /// Function ids of the plan nodes that did not run for this query: their
+    /// outputs were still the ones an earlier question materialized.
+    pub reused: &'a [String],
 }
 
 impl<'a> Explainer<'a> {
@@ -38,7 +41,15 @@ impl<'a> Explainer<'a> {
             registry,
             lineage,
             catalog,
+            reused: &[],
         }
+    }
+
+    /// Names the nodes the engine served from an earlier question
+    /// (`NodeTiming::reused`), so the pipeline overview can say so.
+    pub fn with_reused(mut self, reused: &'a [String]) -> Self {
+        self.reused = reused;
+        self
     }
 
     /// Coarse-grained mode (Fig. 5 left): a numbered overview of every
@@ -56,12 +67,18 @@ impl<'a> Explainer<'a> {
                     } else {
                         String::new()
                     };
+                    let reuse_note = if self.reused.contains(&node.func_id) {
+                        " [reused: function and inputs unchanged since an earlier question]"
+                    } else {
+                        ""
+                    };
                     format!(
-                        "{}: {} — {}{}\n",
+                        "{}: {} — {}{}{}\n",
                         i + 1,
                         node.func_id,
                         v.body.summarize(),
-                        version_note
+                        version_note,
+                        reuse_note
                     )
                 }
                 Err(_) => format!("{}: {} (unregistered)\n", i + 1, node.func_id),

@@ -51,6 +51,19 @@ pub struct FunctionVersion {
     pub profile: Option<ProfileStats>,
 }
 
+impl FunctionVersion {
+    /// An unprofiled version, its dependency pattern classified from the body.
+    fn new(ver_id: u32, body: FunctionBody, note: String) -> Self {
+        Self {
+            ver_id,
+            dependency: body.dependency_pattern(),
+            body,
+            note,
+            profile: None,
+        }
+    }
+}
+
 /// A function: its signature plus all versions ever generated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionEntry {
@@ -123,47 +136,42 @@ impl FunctionRegistry {
     }
 
     /// Registers a signature with its first implementation; returns ver 1.
-    /// Re-registering the same name adds a new version instead.
+    /// Re-registering a name activates the version whose body is
+    /// structurally equal, if there is one — `ver_id` only moves for a *new*
+    /// implementation (§4), so asking the same question again leaves the
+    /// registry as it was — and adds a new version otherwise. The stored
+    /// signature follows the inputs of the latest registration.
     pub fn register(
         &mut self,
         signature: FunctionSignature,
         body: FunctionBody,
         note: impl Into<String>,
     ) -> u32 {
-        let name = signature.name.clone();
-        match self.functions.get_mut(&name) {
-            Some(entry) => {
+        let Some(entry) = self.functions.get_mut(&signature.name) else {
+            self.functions.insert(
+                signature.name.clone(),
+                FunctionEntry {
+                    signature,
+                    versions: vec![FunctionVersion::new(1, body, note.into())],
+                    active: 1,
+                },
+            );
+            return 1;
+        };
+        if entry.signature.inputs != signature.inputs {
+            entry.signature = signature;
+        }
+        entry.active = match entry.versions.iter().find(|v| v.body == body) {
+            Some(existing) => existing.ver_id,
+            None => {
                 let ver_id = entry.latest() + 1;
-                let dependency = body.dependency_pattern();
-                entry.versions.push(FunctionVersion {
-                    ver_id,
-                    body,
-                    note: note.into(),
-                    dependency,
-                    profile: None,
-                });
-                entry.active = ver_id;
+                entry
+                    .versions
+                    .push(FunctionVersion::new(ver_id, body, note.into()));
                 ver_id
             }
-            None => {
-                let dependency = body.dependency_pattern();
-                self.functions.insert(
-                    name,
-                    FunctionEntry {
-                        signature,
-                        versions: vec![FunctionVersion {
-                            ver_id: 1,
-                            body,
-                            note: note.into(),
-                            dependency,
-                            profile: None,
-                        }],
-                        active: 1,
-                    },
-                );
-                1
-            }
-        }
+        };
+        entry.active
     }
 
     /// Adds a new version for an existing function (repair/alternative);
@@ -179,14 +187,9 @@ impl FunctionRegistry {
             .get_mut(name)
             .ok_or_else(|| RegistryError::UnknownFunction(name.to_string()))?;
         let ver_id = entry.latest() + 1;
-        let dependency = body.dependency_pattern();
-        entry.versions.push(FunctionVersion {
-            ver_id,
-            body,
-            note: note.into(),
-            dependency,
-            profile: None,
-        });
+        entry
+            .versions
+            .push(FunctionVersion::new(ver_id, body, note.into()));
         entry.active = ver_id;
         Ok(ver_id)
     }
@@ -436,6 +439,31 @@ mod tests {
         let v = reg.register(sig("f"), body("2"), "again");
         assert_eq!(v, 2);
         assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn re_register_of_a_known_body_reactivates_its_version() {
+        let mut reg = FunctionRegistry::new();
+        reg.register(sig("f"), body("1"), "initial");
+        reg.register(sig("f"), body("2"), "again");
+        let before = reg.clone();
+        // Same question asked again: nothing is minted, nothing changes.
+        assert_eq!(reg.register(sig("f"), body("2"), "third time"), 2);
+        assert_eq!(reg, before);
+        // An earlier body comes back as the version it already is.
+        assert_eq!(reg.register(sig("f"), body("1"), "back"), 1);
+        let entry = reg.get("f").unwrap();
+        assert_eq!((entry.active, entry.versions.len()), (1, 2));
+        assert_eq!(entry.version(1).unwrap().note, "initial");
+    }
+
+    #[test]
+    fn re_register_refreshes_a_signature_whose_inputs_moved() {
+        let mut reg = FunctionRegistry::new();
+        reg.register(sig("f"), body("1"), "initial");
+        let rewired = FunctionSignature::new("f", "does f", vec!["a".into(), "b".into()], "out");
+        reg.register(rewired.clone(), body("2"), "rewired");
+        assert_eq!(reg.get("f").unwrap().signature, rewired);
     }
 
     #[test]

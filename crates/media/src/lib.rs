@@ -19,7 +19,7 @@ mod video;
 
 pub use doc::{split_sentences, Document};
 pub use image::{BBox, Color, Image, ImageObject};
-pub use registry::MediaRegistry;
+pub use registry::{MediaKind, MediaRegistry};
 pub use video::Video;
 
 use std::fmt;

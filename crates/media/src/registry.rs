@@ -3,16 +3,75 @@
 //! KathDB stores media by "a file path to the image stored on disk" (§1);
 //! the relational views carry URIs and the execution engine resolves them
 //! here when a function body needs the underlying content.
+//!
+//! Each collection sits behind one `Arc` and is copied on write, so cloning
+//! a registry (the optimizer does it once per profiled candidate) copies no
+//! descriptor.
 
 use crate::{Document, Image, MediaError, Video};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The three media collections of a registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MediaKind {
+    /// Poster images.
+    Images,
+    /// Text documents (plots).
+    Documents,
+    /// Videos.
+    Videos,
+}
+
+/// Source of collection stamps. Process-wide, so one stamp never names two
+/// different contents, even across registries.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// One collection: its entries by URI and the identity of its contents.
+#[derive(Debug, Clone)]
+struct Collection<T> {
+    items: Arc<HashMap<String, T>>,
+    /// 0 for the empty collection a registry starts with; every mutation
+    /// takes a fresh value. A clone keeps the stamp: same contents.
+    stamp: u64,
+}
+
+impl<T> Default for Collection<T> {
+    fn default() -> Self {
+        Self {
+            items: Arc::default(),
+            stamp: 0,
+        }
+    }
+}
+
+impl<T: Clone> Collection<T> {
+    fn items_mut(&mut self) -> &mut HashMap<String, T> {
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — only the uniqueness of the value matters; no memory is published under it
+        Arc::make_mut(&mut self.items)
+    }
+
+    fn get(&self, uri: &str) -> Result<&T, MediaError> {
+        self.items
+            .get(uri)
+            .ok_or_else(|| MediaError::NotFound(uri.to_string()))
+    }
+
+    /// Entries sorted by URI for deterministic iteration.
+    fn sorted(&self, uri: impl Fn(&T) -> &str) -> Vec<&T> {
+        let mut v: Vec<&T> = self.items.values().collect();
+        v.sort_by(|a, b| uri(a).cmp(uri(b)));
+        v
+    }
+}
 
 /// In-memory registry of all media known to a KathDB instance.
 #[derive(Debug, Clone, Default)]
 pub struct MediaRegistry {
-    images: HashMap<String, Image>,
-    documents: HashMap<String, Document>,
-    videos: HashMap<String, Video>,
+    images: Collection<Image>,
+    documents: Collection<Document>,
+    videos: Collection<Video>,
 }
 
 impl MediaRegistry {
@@ -24,69 +83,73 @@ impl MediaRegistry {
     /// Registers an image under its URI (replaces any previous entry —
     /// the repair loop re-registers converted images).
     pub fn add_image(&mut self, image: Image) {
-        self.images.insert(image.uri.clone(), image);
+        self.images.items_mut().insert(image.uri.clone(), image);
     }
 
     /// Registers a document under its URI.
     pub fn add_document(&mut self, doc: Document) {
-        self.documents.insert(doc.uri.clone(), doc);
+        self.documents.items_mut().insert(doc.uri.clone(), doc);
     }
 
     /// Registers a video under its URI.
     pub fn add_video(&mut self, video: Video) {
-        self.videos.insert(video.uri.clone(), video);
+        self.videos.items_mut().insert(video.uri.clone(), video);
     }
 
     /// Removes an image by URI (e.g. after converting it to a new format).
     pub fn remove_image(&mut self, uri: &str) -> Option<Image> {
-        self.images.remove(uri)
+        self.images.items_mut().remove(uri)
+    }
+
+    /// The identity of one collection's current contents: equal stamps mean
+    /// the same entries, and every add or remove takes a stamp no
+    /// collection has had before. What an execution record compares to
+    /// decide whether a media-reading node has to run again.
+    pub fn stamp(&self, kind: MediaKind) -> u64 {
+        match kind {
+            MediaKind::Images => self.images.stamp,
+            MediaKind::Documents => self.documents.stamp,
+            MediaKind::Videos => self.videos.stamp,
+        }
     }
 
     /// Looks up an image.
     pub fn image(&self, uri: &str) -> Result<&Image, MediaError> {
-        self.images
-            .get(uri)
-            .ok_or_else(|| MediaError::NotFound(uri.to_string()))
+        self.images.get(uri)
     }
 
     /// Looks up a document.
     pub fn document(&self, uri: &str) -> Result<&Document, MediaError> {
-        self.documents
-            .get(uri)
-            .ok_or_else(|| MediaError::NotFound(uri.to_string()))
+        self.documents.get(uri)
     }
 
     /// Looks up a video.
     pub fn video(&self, uri: &str) -> Result<&Video, MediaError> {
-        self.videos
-            .get(uri)
-            .ok_or_else(|| MediaError::NotFound(uri.to_string()))
+        self.videos.get(uri)
     }
 
     /// All images, sorted by URI for deterministic iteration.
     pub fn images(&self) -> Vec<&Image> {
-        let mut v: Vec<&Image> = self.images.values().collect();
-        v.sort_by(|a, b| a.uri.cmp(&b.uri));
-        v
+        self.images.sorted(|i| &i.uri)
     }
 
     /// All documents, sorted by URI.
     pub fn documents(&self) -> Vec<&Document> {
-        let mut v: Vec<&Document> = self.documents.values().collect();
-        v.sort_by(|a, b| a.uri.cmp(&b.uri));
-        v
+        self.documents.sorted(|d| &d.uri)
     }
 
     /// All videos, sorted by URI.
     pub fn videos(&self) -> Vec<&Video> {
-        let mut v: Vec<&Video> = self.videos.values().collect();
-        v.sort_by(|a, b| a.uri.cmp(&b.uri));
-        v
+        self.videos.sorted(|v| &v.uri)
     }
 
     /// Counts: (images, documents, videos).
     pub fn counts(&self) -> (usize, usize, usize) {
-        (self.images.len(), self.documents.len(), self.videos.len())
+        (
+            self.images.items.len(),
+            self.documents.items.len(),
+            self.videos.items.len(),
+        )
     }
 }
 
@@ -122,5 +185,38 @@ mod tests {
         r.add_image(Image::new("a", MediaFormat::Png));
         let uris: Vec<&str> = r.images().iter().map(|i| i.uri.as_str()).collect();
         assert_eq!(uris, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn clones_share_entries_until_one_side_writes() {
+        let mut a = MediaRegistry::new();
+        a.add_image(Image::new("a", MediaFormat::Png));
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.image("a").unwrap(), b.image("a").unwrap()));
+        b.add_image(Image::new("b", MediaFormat::Png));
+        assert_eq!((a.counts().0, b.counts().0), (1, 2));
+        assert!(a.image("b").is_err());
+    }
+
+    #[test]
+    fn stamps_follow_contents_per_collection() {
+        let mut r = MediaRegistry::new();
+        assert_eq!(
+            r.stamp(MediaKind::Images),
+            MediaRegistry::new().stamp(MediaKind::Images)
+        );
+        r.add_image(Image::new("a", MediaFormat::Heic));
+        r.add_document(Document::new("d", "text"));
+        let (images, documents) = (r.stamp(MediaKind::Images), r.stamp(MediaKind::Documents));
+        assert_eq!(r.clone().stamp(MediaKind::Images), images);
+        // Replacing an image (the HEIC repair) leaves the documents alone.
+        r.remove_image("a");
+        r.add_image(Image::new("a", MediaFormat::Png));
+        assert_ne!(r.stamp(MediaKind::Images), images);
+        assert_eq!(r.stamp(MediaKind::Documents), documents);
+        // Equal contents reached by different registries are still distinct.
+        let mut other = MediaRegistry::new();
+        other.add_document(Document::new("d", "text"));
+        assert_ne!(other.stamp(MediaKind::Documents), documents);
     }
 }

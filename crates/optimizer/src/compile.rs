@@ -10,6 +10,7 @@ use kath_lineage::{LineagePolicy, LineageStore};
 use kath_model::Verdict;
 use kath_parser::{LogicalPlan, StepTag};
 use kath_storage::Table;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Compiler options.
@@ -112,28 +113,34 @@ pub fn compile(
                     implementation: VisionImpl::VlmAccurate,
                     convert_unsupported: false,
                 };
+                let output = format!("{modality}_views");
                 let sig = FunctionSignature::new(
                     func,
                     format!("{} ({modality} half)", node.signature.description),
                     vec![],
-                    format!("{modality}_views"),
+                    output.clone(),
                 );
                 if !registry.contains(func) {
                     registry.register(sig, body.clone(), "pre-written (§6)");
                 }
-                let ver = registry.get(func)?.active;
-                // Materialize sampled views so downstream coding can read
-                // their schemas.
-                let _ = execute_body(
-                    &mut sample_ctx,
-                    func,
-                    ver,
-                    &body,
-                    &format!("{modality}_views"),
-                );
+                let active = registry.get(func)?.active_version();
+                // Downstream coding reads the views' schemas. When the
+                // caller's context still holds the views the engine is about
+                // to reuse, the sample context shares those tables;
+                // otherwise it populates its own from the full media store.
+                match ctx.reusable(func, &active.body, &output) {
+                    Some(record) => {
+                        for published in record.outputs() {
+                            sample_ctx.adopt(published);
+                        }
+                    }
+                    None => {
+                        let _ = execute_body(&mut sample_ctx, func, active.ver_id, &body, &output);
+                    }
+                }
                 physical.nodes.push(PhysicalNode {
                     func_id: func.into(),
-                    output: format!("{modality}_views"),
+                    output,
                 });
             }
             continue;
@@ -150,7 +157,8 @@ pub fn compile(
         assert!(!candidates.is_empty(), "coder produced no candidates");
 
         // Profile every candidate on a fork of the sample context.
-        let mut profiled: Vec<(FunctionBody, String, ProfileStats, Option<Table>)> = Vec::new();
+        let mut profiled: Vec<(FunctionBody, String, ProfileStats, Option<Arc<Table>>)> =
+            Vec::new();
         for (body, note) in &candidates {
             let mut fork = fork_ctx(&sample_ctx);
             let tokens_before = fork.llm.meter().usage().total();
@@ -241,7 +249,16 @@ pub fn compile(
             });
         }
         let ver = registry.register(node.signature.clone(), body.clone(), note);
-        registry.set_profile(&func_id, ver, stats)?;
+        // A re-activated version keeps the profile it was selected with:
+        // wall-clock jitter on a four-row sample is no new information, and
+        // an unchanged registry is not logged again.
+        if registry
+            .get(&func_id)?
+            .version(ver)
+            .is_some_and(|v| v.profile.is_none())
+        {
+            registry.set_profile(&func_id, ver, stats)?;
+        }
 
         // Materialize the winner's sample output for downstream nodes.
         let mut active_body = body;
@@ -576,6 +593,40 @@ mod tests {
         // OCR agrees too rarely with the reference to pass the floor.
         assert_ne!(*implementation, VisionImpl::Ocr);
         let _ = report;
+    }
+
+    #[test]
+    fn a_second_compile_shares_the_views_the_engine_left() {
+        let mut ctx = full_ctx();
+        let (logical, clars) = flagship_logical(&ctx);
+        let mut registry = FunctionRegistry::new();
+        let opts = CompileOptions::default();
+        let compile_calls = |ctx: &ExecContext, registry: &mut FunctionRegistry| {
+            let before = ctx.llm.meter().usage().calls;
+            let report = compile(&logical, ctx, registry, &clars, &opts).unwrap();
+            (report.physical, ctx.llm.meter().usage().calls - before)
+        };
+
+        let (plan, first) = compile_calls(&ctx, &mut registry);
+        kath_exec::ExecutionEngine::new()
+            .run(&mut ctx, &mut registry, &plan, &kath_model::SilentChannel)
+            .unwrap();
+        let registered = registry.clone();
+
+        // Nothing changed: both halves' views are adopted, not populated
+        // again (one model call per image; the text half calls no metered
+        // model), and the registry is left exactly as it was, versions and
+        // profiles.
+        let (again, second) = compile_calls(&ctx, &mut registry);
+        assert_eq!(again, plan);
+        assert_eq!(registry, registered);
+        assert_eq!(first - second, 3);
+
+        // A new image: only the scene half is populated on the sample again.
+        ctx.media
+            .add_image(Image::new("file://posters/9.png", MediaFormat::Png));
+        let (_, third) = compile_calls(&ctx, &mut registry);
+        assert_eq!(third - second, 4);
     }
 
     #[test]
