@@ -32,18 +32,21 @@ bench-check:
 
 # Quick end-to-end runs of the perf benches (small corpora, few reps):
 # prove the morsel-parallel, durable-recovery, vector-search, paged
-# out-of-core storage, compiled-pipeline, and concurrent-transaction
-# paths still run and refresh BENCH_parallel.json / BENCH_recovery.json /
-# BENCH_vector.json / BENCH_storage.json / BENCH_compiled.json /
-# BENCH_txn.json's schemas without the full sweeps.
+# out-of-core storage, compiled-pipeline, fault-guard and
+# concurrent-transaction paths still run and still emit their JSON. The
+# smoke results land under target/bench-smoke/, so the committed
+# BENCH_*.json baselines change only when someone runs a full bench on
+# purpose.
+BENCH_SMOKE := target/bench-smoke
 bench-smoke:
-	$(CARGO) run -q --release -p kath_bench --bin parallel_bench -- --quick
-	$(CARGO) run -q --release -p kath_bench --bin recovery_bench -- --quick
-	$(CARGO) run -q --release -p kath_bench --bin vector_bench -- --quick
-	$(CARGO) run -q --release -p kath_bench --bin storage_bench -- --quick
-	$(CARGO) run -q --release -p kath_bench --bin compiled_bench -- --quick
-	$(CARGO) run -q --release -p kath_bench --bin fault_bench -- --quick
-	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick
+	mkdir -p $(BENCH_SMOKE)
+	$(CARGO) run -q --release -p kath_bench --bin parallel_bench -- --quick --out $(BENCH_SMOKE)/BENCH_parallel.json
+	$(CARGO) run -q --release -p kath_bench --bin recovery_bench -- --quick --out $(BENCH_SMOKE)/BENCH_recovery.json
+	$(CARGO) run -q --release -p kath_bench --bin vector_bench -- --quick --out $(BENCH_SMOKE)/BENCH_vector.json
+	$(CARGO) run -q --release -p kath_bench --bin storage_bench -- --quick --out $(BENCH_SMOKE)/BENCH_storage.json
+	$(CARGO) run -q --release -p kath_bench --bin compiled_bench -- --quick --out $(BENCH_SMOKE)/BENCH_compiled.json
+	$(CARGO) run -q --release -p kath_bench --bin fault_bench -- --quick --out $(BENCH_SMOKE)/BENCH_faults.json
+	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick --out $(BENCH_SMOKE)/BENCH_txn.json
 
 # Crash-recovery smoke: a child process populates a durable DB (WAL-logged
 # inserts around a checkpoint) and dies via abort(); the parent reopens and

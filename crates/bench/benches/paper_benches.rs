@@ -229,14 +229,24 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
     )
     .expect("bench query parses");
     let mode = kath_storage::ExecMode::Batched(DEFAULT_BATCH_SIZE);
-    g.bench_function("serial_batched", |b| {
-        b.iter(|| kath_sql::run_select_with(&catalog, &select, "out", mode).unwrap())
-    });
+    // One thread is the serial operator tree; more pick the morsel drive.
+    let run = |threads: usize| {
+        kath_sql::run_select_auto_guarded(
+            &catalog,
+            &select,
+            "out",
+            mode,
+            threads,
+            kath_storage::VectorMode::Auto,
+            kath_storage::CompileMode::Off,
+            &kath_storage::QueryGuard::unlimited(),
+        )
+        .unwrap()
+    };
+    g.bench_function("serial_batched", |b| b.iter(|| run(1)));
     for threads in [2usize, 4, 8] {
         g.bench_function(BenchmarkId::new("threads", threads), |b| {
-            b.iter(|| {
-                kath_sql::run_select_parallel(&catalog, &select, "out", mode, threads).unwrap()
-            })
+            b.iter(|| run(threads))
         });
     }
     g.finish();

@@ -23,10 +23,10 @@
 //! the `speedup` field is interpreted-median over compiled-median.
 
 use kath_json::{to_string_pretty, Json, JsonMap};
-use kath_sql::{parse_select, run_select_auto};
+use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
-    host_parallelism, Catalog, CompileMode, DataType, ExecMode, Schema, Table, Value, VectorMode,
-    DEFAULT_PAGE_ROWS,
+    host_parallelism, Catalog, CompileMode, DataType, ExecMode, QueryGuard, Schema, Table, Value,
+    VectorMode, DEFAULT_PAGE_ROWS,
 };
 use std::time::Instant;
 
@@ -76,7 +76,7 @@ fn run_once(
     compile: CompileMode,
 ) -> (Table, bool, f64) {
     let started = Instant::now();
-    let (table, stats) = run_select_auto(
+    let (table, stats) = run_select_auto_guarded(
         catalog,
         select,
         "out",
@@ -84,6 +84,7 @@ fn run_once(
         1,
         VectorMode::Off,
         compile,
+        &QueryGuard::unlimited(),
     )
     .expect("bench query runs");
     let ms = started.elapsed().as_secs_f64() * 1000.0;

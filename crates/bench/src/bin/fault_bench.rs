@@ -24,7 +24,7 @@
 //! thresholds are targets, not assertions (CI machines jitter).
 
 use kath_json::{to_string_pretty, Json, JsonMap};
-use kath_sql::{parse_select, run_select_auto, run_select_auto_guarded};
+use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
     BufferPool, Catalog, CompileMode, DataType, Durability, ExecMode, FaultKind, FaultPlan, Io,
     QueryGuard, Schema, Table, Value, VectorMode, WalRecord,
@@ -78,31 +78,20 @@ fn guard_overhead(rows: usize, reps: usize) -> (f64, f64, usize) {
         .with_timeout(Duration::from_secs(3600))
         .with_row_budget(u64::MAX / 2)
         .with_byte_budget(u64::MAX / 2);
+    let unlimited = QueryGuard::unlimited();
     let run = |guard: Option<&QueryGuard>| {
         let started = Instant::now();
-        let (table, stats) = match guard {
-            Some(g) => run_select_auto_guarded(
-                &catalog,
-                &select,
-                "out",
-                ExecMode::Batched(1024),
-                1,
-                VectorMode::Auto,
-                CompileMode::On,
-                g,
-            )
-            .expect("guarded run succeeds"),
-            None => run_select_auto(
-                &catalog,
-                &select,
-                "out",
-                ExecMode::Batched(1024),
-                1,
-                VectorMode::Auto,
-                CompileMode::On,
-            )
-            .expect("unguarded run succeeds"),
-        };
+        let (table, stats) = run_select_auto_guarded(
+            &catalog,
+            &select,
+            "out",
+            ExecMode::Batched(1024),
+            1,
+            VectorMode::Auto,
+            CompileMode::On,
+            guard.unwrap_or(&unlimited),
+        )
+        .expect("bench query succeeds");
         assert!(stats.compiled, "bench query must take the compiled drive");
         (table, started.elapsed().as_secs_f64() * 1000.0)
     };

@@ -21,8 +21,8 @@
 
 use kath_data::{generate_corpus, CorpusSpec};
 use kath_json::{to_string_pretty, Json, JsonMap};
-use kath_sql::{parse_select, run_select_parallel, run_select_with};
-use kath_storage::{host_parallelism, Catalog, ExecMode};
+use kath_sql::{parse_select, run_select_auto_guarded};
+use kath_storage::{host_parallelism, Catalog, CompileMode, ExecMode, QueryGuard, VectorMode};
 use std::time::Instant;
 
 const QUERY: &str = "SELECT year, COUNT(*) AS n, AVG(id) AS avg_id FROM movie_table \
@@ -80,15 +80,20 @@ fn main() {
             let mut check_rows = 0usize;
             for _ in 0..reps {
                 let started = Instant::now();
-                let table = if threads == 1 {
-                    run_select_with(&catalog, &select, "out", mode)
-                        .expect("serial bench query runs")
-                        .0
-                } else {
-                    run_select_parallel(&catalog, &select, "out", mode, threads)
-                        .expect("parallel bench query runs")
-                        .0
-                };
+                // One thread is the serial operator tree; more pick the
+                // morsel drive.
+                let table = run_select_auto_guarded(
+                    &catalog,
+                    &select,
+                    "out",
+                    mode,
+                    threads,
+                    VectorMode::Auto,
+                    CompileMode::Off,
+                    &QueryGuard::unlimited(),
+                )
+                .expect("bench query runs")
+                .0;
                 samples.push(started.elapsed().as_secs_f64() * 1000.0);
                 check_rows = table.len();
             }

@@ -21,9 +21,10 @@
 
 use kath_data::{generate_corpus, CorpusSpec};
 use kath_json::{to_string_pretty, Json, JsonMap};
-use kath_sql::{parse_select, run_select_with};
+use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
-    encode_page, page_encoding_name, BufferPool, Catalog, Durability, ExecMode, Table, Value,
+    encode_page, page_encoding_name, BufferPool, Catalog, CompileMode, Durability, ExecMode,
+    QueryGuard, Table, Value, VectorMode,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,9 +71,20 @@ fn time_query(catalog: &Catalog, reps: usize) -> (f64, Table) {
     let mut result = None;
     for _ in 0..reps {
         let started = Instant::now();
-        let table = run_select_with(catalog, &select, "out", ExecMode::Batched(1024))
-            .expect("bench query runs")
-            .0;
+        // Serial and interpreted: the series compares page backings, not
+        // drives.
+        let table = run_select_auto_guarded(
+            catalog,
+            &select,
+            "out",
+            ExecMode::Batched(1024),
+            1,
+            VectorMode::Auto,
+            CompileMode::Off,
+            &QueryGuard::unlimited(),
+        )
+        .expect("bench query runs")
+        .0;
         samples.push(started.elapsed().as_secs_f64() * 1000.0);
         result = Some(table);
     }

@@ -21,8 +21,10 @@
 //! ```
 
 use kath_json::{to_string_pretty, Json, JsonMap};
-use kath_sql::{execute, parse_select, run_select_opt};
-use kath_storage::{encode_embedding, Catalog, ExecMode, Value, VectorMode, VectorStrategy};
+use kath_sql::{execute, parse_select, run_select_auto_guarded};
+use kath_storage::{
+    encode_embedding, Catalog, CompileMode, ExecMode, QueryGuard, Value, VectorMode, VectorStrategy,
+};
 use kath_vector::{default_lexicon, embed_query, DIM};
 use std::time::Instant;
 
@@ -148,14 +150,25 @@ fn main() {
                 let sql =
                     format!("SELECT id FROM docs ORDER BY SIMILARITY(emb, '{q}') DESC LIMIT {K}");
                 let select = parse_select(&sql).expect("bench query parses");
+                // Serial, so the ratio isolates the access path.
+                let run = || {
+                    run_select_auto_guarded(
+                        &catalog,
+                        &select,
+                        "out",
+                        ExecMode::default(),
+                        1,
+                        mode,
+                        CompileMode::Off,
+                        &QueryGuard::unlimited(),
+                    )
+                    .expect("bench query runs")
+                };
                 // Warm up (builds IVF lists on first approximate query).
-                run_select_opt(&catalog, &select, "out", ExecMode::default(), mode)
-                    .expect("bench query runs");
+                run();
                 for _ in 0..reps {
                     let started = Instant::now();
-                    let (t, _) =
-                        run_select_opt(&catalog, &select, "out", ExecMode::default(), mode)
-                            .expect("bench query runs");
+                    let (t, _) = run();
                     samples.push(started.elapsed().as_secs_f64() * 1000.0);
                     assert_eq!(t.len(), K.min(rows));
                 }

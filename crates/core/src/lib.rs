@@ -54,7 +54,7 @@ use kath_optimizer::{compile, preferred_exec_mode, CompileOptions, CompileReport
 use kath_parser::{
     generate_logical_plan, LogicalPlan, NlParser, ParseOutcome, PlanVerifier, VerifierReport,
 };
-use kath_sql::{SqlError, Statement};
+use kath_sql::SqlError;
 use kath_storage::{
     CompileMode, Durability, DurabilityStatus, ExecMode, PoolStatus, StorageError, Table, Value,
     VectorMode, WalRecord, DEFAULT_PAGE_ROWS,
@@ -375,61 +375,14 @@ impl KathDB {
     /// Inside [`KathDB::begin`]…[`KathDB::commit`] mutations stage locally
     /// instead and hit the log as one framed transaction at commit.
     pub fn sql(&mut self, sql: &str) -> Result<Table, KathError> {
-        let stmt = kath_sql::parse_statement(sql).map_err(|e| KathError::Sql(e.into()))?;
-        match stmt {
-            Statement::Select(select) => {
-                let mode = self.exec_mode();
-                let threads = self.threads();
-                // Each statement mints a fresh guard: the deadline restarts
-                // here, while the cancel token is the session's shared one.
-                let guard = self.ctx.limits.guard();
-                // One snapshot per statement: the whole SELECT reads a
-                // single catalog version even while other sessions commit.
-                let result = match &self.txn {
-                    Some(txn) => kath_sql::run_select_auto_guarded(
-                        txn.working(),
-                        &select,
-                        "sql_result",
-                        mode,
-                        threads,
-                        self.ctx.vector_mode,
-                        self.ctx.compile,
-                        &guard,
-                    ),
-                    None => {
-                        let snapshot = self.ctx.catalog.snapshot();
-                        kath_sql::run_select_auto_guarded(
-                            &snapshot,
-                            &select,
-                            "sql_result",
-                            mode,
-                            threads,
-                            self.ctx.vector_mode,
-                            self.ctx.compile,
-                            &guard,
-                        )
-                    }
-                };
-                self.rearm_cancel();
-                let (table, _stats) = result?;
-                Ok(table)
-            }
-            stmt => {
-                if let Some(txn) = &mut self.txn {
-                    return Ok(txn.mutate(&stmt)?);
-                }
-                let snapshot = self.ctx.catalog.snapshot();
-                let record = kath_sql::plan_mutation(&snapshot, &stmt)?;
-                drop(snapshot);
-                let records = [record];
-                Ok(self
-                    .ctx
-                    .catalog
-                    .submit::<Table, SqlError>(&records, false, |c| {
-                        kath_sql::apply_mutation(c, &records[0], "sql_result")
-                    })?)
-            }
-        }
+        let settings = session::SqlSettings {
+            limits: &self.ctx.limits,
+            pinned_exec_mode: self.pinned_exec_mode,
+            pinned_threads: self.pinned_threads,
+            vector_mode: self.ctx.vector_mode,
+            compile: self.ctx.compile,
+        };
+        session::run_statement(&self.ctx.catalog, &mut self.txn, settings, sql)
     }
 
     /// Opens an explicit transaction on this facade: subsequent mutations
@@ -694,14 +647,6 @@ impl KathDB {
         self.ctx.limits.cancel.clone()
     }
 
-    /// Re-arms the session cancel token after a statement settles, so a
-    /// fired token cancels exactly one statement.
-    fn rearm_cancel(&self) {
-        if self.ctx.limits.cancel.is_cancelled() {
-            self.ctx.limits.cancel.clear();
-        }
-    }
-
     /// Installs a fault-injection plan on this database's I/O seam: every
     /// subsequent file operation (WAL appends, checkpoint writes, page
     /// reads) consults the plan and may fail with the injected error.
@@ -783,24 +728,17 @@ impl KathDB {
     /// cardinalities; the per-query decision uses the compiled plan's own
     /// input cardinality.
     pub fn threads(&self) -> usize {
-        self.pinned_threads.unwrap_or_else(|| {
-            let max_rows = self.max_catalog_rows();
-            match self.exec_mode() {
-                ExecMode::Volcano => 1,
-                batched => kath_optimizer::preferred_parallelism(max_rows, batched),
-            }
-        })
+        self.sql_strategy().1
     }
 
-    fn max_catalog_rows(&self) -> usize {
-        self.ctx
-            .catalog
-            .table_names()
-            .iter()
-            .filter_map(|n| self.ctx.catalog.get(n).ok())
-            .map(|t| t.len())
-            .max()
-            .unwrap_or(0)
+    /// The `(mode, threads)` a SQL statement issued now would run with:
+    /// the same rule [`KathDB::sql`] and every [`Session`] apply.
+    fn sql_strategy(&self) -> (ExecMode, usize) {
+        session::pick_strategy(
+            &self.ctx.catalog.snapshot(),
+            self.pinned_exec_mode,
+            self.pinned_threads,
+        )
     }
 
     /// Degree-of-parallelism selection for one compiled plan: the pinned
@@ -832,8 +770,7 @@ impl KathDB {
     /// cardinalities; the per-query decision additionally weighs the
     /// compiled plan's own cost estimates (see [`KathDB::query`]).
     pub fn exec_mode(&self) -> ExecMode {
-        self.pinned_exec_mode
-            .unwrap_or_else(|| preferred_exec_mode(self.max_catalog_rows()))
+        self.sql_strategy().0
     }
 
     /// Physical execution-mode selection for one compiled plan: compares
@@ -981,7 +918,7 @@ impl KathDB {
             &compile_report.physical,
             channel,
         );
-        self.rearm_cancel();
+        session::rearm_cancel(&self.ctx.limits);
         let exec_report = exec_report?;
 
         self.last_plan = Some(compile_report.physical.clone());

@@ -101,6 +101,108 @@ impl TxnStage {
     }
 }
 
+/// What a handle — the [`KathDB`] facade or a [`Session`] — brings to one
+/// SQL statement besides its catalog and open transaction.
+///
+/// [`KathDB`]: crate::KathDB
+pub(crate) struct SqlSettings<'a> {
+    /// Each statement mints a fresh guard from this: the deadline restarts
+    /// per statement, while the cancel token is the handle's shared one.
+    pub limits: &'a GuardSpec,
+    pub pinned_exec_mode: Option<ExecMode>,
+    pub pinned_threads: Option<usize>,
+    pub vector_mode: VectorMode,
+    pub compile: CompileMode,
+}
+
+/// Mode + parallelism for one statement: the handle's pins, or the cost
+/// model's choice from the largest cardinality in `catalog`.
+pub(crate) fn pick_strategy(
+    catalog: &Catalog,
+    pinned_exec_mode: Option<ExecMode>,
+    pinned_threads: Option<usize>,
+) -> (ExecMode, usize) {
+    let max_rows = catalog
+        .table_names()
+        .iter()
+        .filter_map(|n| catalog.get(n).ok())
+        .map(|t| t.len())
+        .max()
+        .unwrap_or(0);
+    let mode = pinned_exec_mode.unwrap_or_else(|| preferred_exec_mode(max_rows));
+    let threads = pinned_threads.unwrap_or_else(|| match mode {
+        ExecMode::Volcano => 1,
+        batched => preferred_parallelism(max_rows, batched),
+    });
+    (mode, threads)
+}
+
+/// Re-arms a handle's cancel token after a statement settles, so a fired
+/// token cancels exactly one statement.
+pub(crate) fn rearm_cancel(limits: &GuardSpec) {
+    if limits.cancel.is_cancelled() {
+        limits.cancel.clear();
+    }
+}
+
+/// Runs one SQL statement for a handle: the routine behind both
+/// [`KathDB::sql`] and [`Session::sql`]. A SELECT executes against one
+/// frozen catalog snapshot — a single version even while other sessions
+/// commit — or against the open transaction's working state
+/// (read-your-writes), under the strategy [`pick_strategy`] derives from
+/// that same catalog. CREATE TABLE / INSERT / DROP TABLE stage when a
+/// transaction is open; otherwise they autocommit: validated against a
+/// snapshot, made durable through the group-commit WAL when a directory
+/// is open, and only then published.
+///
+/// [`KathDB::sql`]: crate::KathDB::sql
+pub(crate) fn run_statement(
+    shared: &SharedCatalog,
+    txn: &mut Option<TxnStage>,
+    settings: SqlSettings<'_>,
+    sql: &str,
+) -> Result<Table, KathError> {
+    let stmt = kath_sql::parse_statement(sql).map_err(|e| KathError::Sql(e.into()))?;
+    let select = match stmt {
+        Statement::Select(select) => select,
+        stmt => {
+            if let Some(txn) = txn {
+                return Ok(txn.mutate(&stmt)?);
+            }
+            let snapshot = shared.snapshot();
+            let record = kath_sql::plan_mutation(&snapshot, &stmt)?;
+            drop(snapshot);
+            let records = [record];
+            return Ok(shared.submit::<Table, SqlError>(&records, false, |c| {
+                kath_sql::apply_mutation(c, &records[0], "sql_result")
+            })?);
+        }
+    };
+    let snapshot;
+    let catalog: &Catalog = match txn {
+        Some(txn) => txn.working(),
+        None => {
+            snapshot = shared.snapshot();
+            &snapshot
+        }
+    };
+    let (mode, threads) =
+        pick_strategy(catalog, settings.pinned_exec_mode, settings.pinned_threads);
+    let result = kath_sql::run_select_auto_guarded(
+        catalog,
+        &select,
+        "sql_result",
+        mode,
+        threads,
+        settings.vector_mode,
+        settings.compile,
+        &settings.limits.guard(),
+    );
+    rearm_cancel(settings.limits);
+    let (table, _stats) = result?;
+    Ok(table)
+}
+
 /// One concurrent session over a shared catalog. See the module docs.
 pub struct Session {
     shared: SharedCatalog,
@@ -132,81 +234,14 @@ impl Session {
     /// the open transaction's working state); mutations autocommit
     /// durably, or stage when a transaction is open.
     pub fn sql(&mut self, sql: &str) -> Result<Table, KathError> {
-        let stmt = kath_sql::parse_statement(sql).map_err(|e| KathError::Sql(e.into()))?;
-        match stmt {
-            Statement::Select(select) => {
-                let guard = self.limits.guard();
-                let result = match &self.txn {
-                    Some(txn) => {
-                        let work = txn.working();
-                        let (mode, threads) = self.pick_strategy(work);
-                        kath_sql::run_select_auto_guarded(
-                            work,
-                            &select,
-                            "sql_result",
-                            mode,
-                            threads,
-                            self.vector_mode,
-                            self.compile,
-                            &guard,
-                        )
-                    }
-                    None => {
-                        let snapshot = self.shared.snapshot();
-                        let (mode, threads) = self.pick_strategy(&snapshot);
-                        kath_sql::run_select_auto_guarded(
-                            &snapshot,
-                            &select,
-                            "sql_result",
-                            mode,
-                            threads,
-                            self.vector_mode,
-                            self.compile,
-                            &guard,
-                        )
-                    }
-                };
-                if self.limits.cancel.is_cancelled() {
-                    self.limits.cancel.clear();
-                }
-                let (table, _stats) = result?;
-                Ok(table)
-            }
-            stmt => {
-                if let Some(txn) = &mut self.txn {
-                    return Ok(txn.mutate(&stmt)?);
-                }
-                let snapshot = self.shared.snapshot();
-                let record = kath_sql::plan_mutation(&snapshot, &stmt)?;
-                drop(snapshot);
-                let records = [record];
-                Ok(self
-                    .shared
-                    .submit::<Table, SqlError>(&records, false, |c| {
-                        kath_sql::apply_mutation(c, &records[0], "sql_result")
-                    })?)
-            }
-        }
-    }
-
-    /// Mode + parallelism for one statement: the session's pins, or the
-    /// cost model's choice from the snapshot's largest cardinality.
-    fn pick_strategy(&self, catalog: &Catalog) -> (ExecMode, usize) {
-        let max_rows = catalog
-            .table_names()
-            .iter()
-            .filter_map(|n| catalog.get(n).ok())
-            .map(|t| t.len())
-            .max()
-            .unwrap_or(0);
-        let mode = self
-            .pinned_exec_mode
-            .unwrap_or_else(|| preferred_exec_mode(max_rows));
-        let threads = self.pinned_threads.unwrap_or_else(|| match mode {
-            ExecMode::Volcano => 1,
-            batched => preferred_parallelism(max_rows, batched),
-        });
-        (mode, threads)
+        let settings = SqlSettings {
+            limits: &self.limits,
+            pinned_exec_mode: self.pinned_exec_mode,
+            pinned_threads: self.pinned_threads,
+            vector_mode: self.vector_mode,
+            compile: self.compile,
+        };
+        run_statement(&self.shared, &mut self.txn, settings, sql)
     }
 
     /// Opens an explicit transaction (errors if one is already open).

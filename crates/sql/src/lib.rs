@@ -11,10 +11,16 @@
 //! ([`plan_mutation`] / [`apply_mutation`]) so the durability layer can
 //! log them write-ahead.
 //!
+//! There is one way to run a SELECT: [`run_select_auto_guarded`] plans the
+//! statement once and picks the drive — serial operator tree, morsel
+//! drive, or compiled fused drive — from `(mode, threads, compile)` and
+//! the plan's shape (docs/execution.md, "One plan, three drives").
+//! [`execute`] is the convenience for statement text with defaults.
+//!
 //! The `ORDER BY SIMILARITY(col, 'query') DESC LIMIT k` shape is
 //! recognized as the paper's §2.2 similarity search and lowered to a top-k
 //! vector-scan operator whose Flat/IVF implementation the cost model picks
-//! per query ([`vector_plan_choice`]).
+//! per query from the table's cardinality.
 
 #![warn(missing_docs)]
 
@@ -27,8 +33,5 @@ pub use ast::{AggCall, JoinClause, OrderKey, Select, SelectItem, SqlBinOp, SqlEx
 pub use lexer::{tokenize, LexError, Token};
 pub use parser::{parse_expr, parse_select, parse_statement, SqlParseError};
 pub use plan::{
-    apply_mutation, execute, execute_with, plan_mutation, run_select, run_select_auto,
-    run_select_auto_guarded, run_select_opt, run_select_opt_guarded, run_select_parallel,
-    run_select_parallel_opt, run_select_parallel_opt_guarded, run_select_with, to_expr,
-    vector_plan_choice, vector_topk_pattern, SelectStats, SqlError, VectorPattern,
+    apply_mutation, execute, plan_mutation, run_select_auto_guarded, to_expr, SelectStats, SqlError,
 };

@@ -2,18 +2,26 @@
 //!
 //! This is the interpreter behind FAO bodies of kind `Sql` (§4: "a function
 //! can contain a SQL query over a table").
+//!
+//! A SELECT is lowered exactly once, by `plan_select`, into a flat
+//! `SelectPlan`; [`run_select_auto_guarded`] then picks one of three
+//! drives that read it — the serial operator tree, the morsel drive, or the
+//! compiled fused drive (docs/execution.md, "One plan, three drives").
 
 use crate::ast::*;
 use crate::parser::{parse_statement, SqlParseError};
 use kath_storage::{
-    collect_batched_guarded, collect_guarded, compile_pays_off, merge_top_k,
-    preferred_vector_strategy, top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column,
-    CompileMode, CompiledPipeline, DataType, Distinct, ExecMode, Expr, Filter, HashAggregate,
-    HashJoin, IndexScan, JoinKind, Limit, Operator, Project, QueryGuard, Schema, Sort, SortKey,
-    StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK, WalRecord,
+    collect_batched_guarded, collect_guarded, compile_pays_off, merge_sorted_runs, merge_top_k,
+    preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded, sort_rows, top_k_entries,
+    AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, CompiledPipeline, DataType, Distinct,
+    ExecMode, Expr, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel,
+    MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row, RowBatch, Schema, Sort,
+    SortKey, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK,
+    WalRecord,
 };
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Errors from SQL execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,23 +60,23 @@ impl From<StorageError> for SqlError {
 
 /// Executes one SQL statement against the catalog. SELECT returns the result
 /// table (named `output_name`); CREATE/INSERT mutate the catalog and return
-/// an empty/affected summary table. SELECTs run batch-at-a-time with the
-/// default batch size; use [`execute_with`] to pick the execution mode.
+/// an empty/affected summary table. SELECTs run serially on the interpreted
+/// operators, batch-at-a-time with the default batch size; callers that
+/// choose a strategy or need a guard parse the statement themselves and
+/// call [`run_select_auto_guarded`].
 pub fn execute(catalog: &mut Catalog, sql: &str, output_name: &str) -> Result<Table, SqlError> {
-    execute_with(catalog, sql, output_name, ExecMode::default())
-}
-
-/// [`execute`] with an explicit execution mode for SELECTs.
-pub fn execute_with(
-    catalog: &mut Catalog,
-    sql: &str,
-    output_name: &str,
-    mode: ExecMode,
-) -> Result<Table, SqlError> {
     match parse_statement(sql)? {
-        Statement::Select(select) => {
-            run_select_with(catalog, &select, output_name, mode).map(|(table, _batches)| table)
-        }
+        Statement::Select(select) => run_select_auto_guarded(
+            catalog,
+            &select,
+            output_name,
+            ExecMode::default(),
+            1,
+            VectorMode::Auto,
+            CompileMode::Off,
+            &QueryGuard::unlimited(),
+        )
+        .map(|(table, _stats)| table),
         stmt => {
             let record = plan_mutation(catalog, &stmt)?;
             apply_mutation(catalog, &record, output_name)
@@ -170,155 +178,6 @@ pub fn apply_mutation(
     }
 }
 
-/// Runs a SELECT and materializes the result under `output_name`
-/// (batch-at-a-time with the default batch size).
-pub fn run_select(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-) -> Result<Table, SqlError> {
-    run_select_with(catalog, select, output_name, ExecMode::default()).map(|(t, _)| t)
-}
-
-/// Runs a SELECT in the given execution mode, returning the result table
-/// and the number of batches the root operator produced (0 in Volcano
-/// mode). When the catalog carries a hash index matching an equality
-/// conjunct of the WHERE clause on the FROM table, the leading scan reads
-/// only the index's candidate positions instead of the whole table; the
-/// full predicate is still applied, so results are identical to a scan.
-/// The top-k vector pattern (see [`run_select_opt`]) lowers to the vector
-/// scan under cost-model (`Auto`) strategy selection.
-pub fn run_select_with(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-) -> Result<(Table, usize), SqlError> {
-    run_select_opt(catalog, select, output_name, mode, VectorMode::Auto)
-}
-
-/// [`run_select_with`] with an explicit vector access-path mode.
-///
-/// When `vector` permits it and the query matches the top-k vector-search
-/// pattern — `SELECT ... FROM t ORDER BY SIMILARITY(col, 'query') DESC
-/// LIMIT k` with no joins, WHERE, grouping, or DISTINCT — the plan lowers
-/// to a [`VectorTopK`] scan instead of scoring every row and fully sorting.
-/// The physical implementation (exact Flat vs approximate IVF) follows the
-/// cost model's per-query choice from catalog cardinality (§4), unless the
-/// mode forces one. `VectorMode::Off` keeps the classical full-sort plan,
-/// which returns identical rows (the parity contract the proptest suite
-/// pins).
-pub fn run_select_opt(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-    vector: VectorMode,
-) -> Result<(Table, usize), SqlError> {
-    run_select_opt_guarded(
-        catalog,
-        select,
-        output_name,
-        mode,
-        vector,
-        &QueryGuard::unlimited(),
-    )
-}
-
-/// [`run_select_opt`] under a [`QueryGuard`]: the guard is attached to the
-/// leading scan (periodic deadline/cancel checks as rows stream) and to the
-/// root drain (row/byte budget charges on produced output), so a tripped
-/// guard aborts mid-scan with a typed [`StorageError::Cancelled`] or
-/// [`StorageError::Budget`] instead of running to completion.
-pub fn run_select_opt_guarded(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-    vector: VectorMode,
-    guard: &QueryGuard,
-) -> Result<(Table, usize), SqlError> {
-    if let Some((pattern, strategy)) = vector_plan_choice(catalog, select, vector) {
-        return run_vector_topk(
-            catalog,
-            select,
-            &pattern,
-            strategy,
-            output_name,
-            mode,
-            guard,
-        );
-    }
-    let mut op: Box<dyn Operator> = leading_scan(catalog, select, mode, guard)?;
-
-    // Joins, in order.
-    for j in &select.joins {
-        let right = catalog.get(&j.table)?;
-        let right_schema = right.schema().clone();
-        let rscan: Box<dyn Operator> = Box::new(TableScan::new(right));
-        // The ON pair may be written either way round; figure out which side
-        // belongs to the accumulated left pipeline.
-        let (lcol, rcol) = orient_on(op.schema(), &right_schema, &j.on_left, &j.on_right)?;
-        let kind = if j.left_outer {
-            JoinKind::Left
-        } else {
-            JoinKind::Inner
-        };
-        op = Box::new(HashJoin::new(op, rscan, &lcol, &rcol, kind)?);
-    }
-
-    // WHERE.
-    if let Some(w) = &select.where_clause {
-        let pred = to_expr(w, op.schema())?;
-        op = Box::new(Filter::new(op, pred));
-    }
-
-    // Aggregation vs plain projection.
-    let has_agg = select_has_agg(select);
-
-    if has_agg || !select.group_by.is_empty() {
-        let sort_keys = plain_sort_keys(select).ok_or_else(|| {
-            SqlError::Unsupported("expression ORDER BY keys with aggregation".into())
-        })?;
-        op = plan_aggregate(op, select)?;
-        if !sort_keys.is_empty() {
-            op = Box::new(Sort::new(op, sort_keys)?);
-        }
-    } else if let Some(sort_keys) = plain_sort_keys(select) {
-        if let Some(outputs) = projection_outputs(select, op.schema())? {
-            // ORDER BY may reference input columns the projection drops; in
-            // that case sort before projecting (standard SQL behaviour).
-            let sort_before = sort_before_project(&sort_keys, &outputs);
-            if sort_before {
-                op = Box::new(Sort::new(op, sort_keys.clone())?);
-            }
-            op = Box::new(Project::new(op, outputs)?);
-            if !sort_before && !sort_keys.is_empty() {
-                op = Box::new(Sort::new(op, sort_keys)?);
-            }
-        } else if !sort_keys.is_empty() {
-            op = Box::new(Sort::new(op, sort_keys)?);
-        }
-    } else {
-        // At least one ORDER BY key is a computed expression (e.g. the
-        // SIMILARITY fallback plan): sort on hidden computed columns.
-        op = plan_expression_sort(op, select)?;
-    }
-
-    if select.distinct {
-        op = Box::new(Distinct::new(op));
-    }
-
-    if let Some(n) = select.limit {
-        op = Box::new(Limit::new(op, n));
-    }
-
-    match mode {
-        ExecMode::Volcano => Ok((collect_guarded(output_name, op, guard)?, 0)),
-        ExecMode::Batched(_) => Ok(collect_batched_guarded(output_name, op, guard)?),
-    }
-}
-
 /// Execution statistics of one (possibly parallel) SELECT.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SelectStats {
@@ -352,177 +211,165 @@ impl SelectStats {
             compile_ms: 0.0,
         }
     }
+
+    /// Stats of an interpreted morsel run: one `worker_ms` entry per worker.
+    fn morsels(batches: usize, worker_ms: Vec<f64>, merge_ms: f64) -> Self {
+        Self {
+            batches,
+            workers: worker_ms.len(),
+            worker_ms,
+            merge_ms,
+            compiled: false,
+            compile_ms: 0.0,
+        }
+    }
 }
 
-/// One pre-built hash-join stage of a parallel pipeline: the shared build
-/// side plus how the streaming (left) side probes it.
-struct JoinStage {
-    build: Arc<kath_storage::JoinBuild>,
+/// Runs `f` and returns its result with the wall-clock milliseconds it
+/// took. The only clock read in this file: it feeds
+/// [`SelectStats::merge_ms`] and [`SelectStats::compile_ms`], never a row.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed().as_secs_f64() * 1000.0)
+}
+
+/// How the FROM table is read.
+enum Access {
+    /// Every row. On a join-free plan the sargable WHERE conjuncts ride
+    /// along, so a paged scan can skip whole pages by zone map (see
+    /// [`prune_conjuncts`]).
+    Scan {
+        prune_hints: Vec<(String, BinOp, Value)>,
+    },
+    /// The candidate positions of a hash-index hit on an equality conjunct
+    /// of the WHERE clause. They are a superset of the matches, so the full
+    /// predicate still applies.
+    Index(Arc<Vec<usize>>),
+}
+
+/// One step of the join chain, oriented: `left_col` belongs to the rows
+/// accumulated so far, `right_col` to the table this step builds on.
+struct JoinStep {
+    right: Arc<Table>,
     left_col: String,
+    /// Ordinal of `left_col` in the accumulated left row.
+    left_key: usize,
+    right_col: String,
     kind: JoinKind,
 }
 
-/// Runs a SELECT with morsel-driven intra-query parallelism over `threads`
-/// workers, returning results **identical to serial execution** (same rows,
-/// same order; see below).
-///
-/// The plan is broken at its pipeline breakers:
-///
-/// - Hash-join **build** sides are materialized once, serially, and shared
-///   (`Arc<JoinBuild>`) across workers.
-/// - The **streaming phase** — scan → join probes → filter → projection —
-///   runs per worker: workers claim fixed-size morsels from an atomic
-///   cursor ([`MorselSource`]) and drive an independent operator pipeline
-///   over each claimed range.
-/// - **Aggregation** keeps one thread-local [`PartialAggregate`] per
-///   morsel; partials merge in morsel order, reproducing the serial group
-///   order. **Sorts** become per-morsel sorted runs joined by a stable
-///   k-way merge ([`kath_storage::merge_sorted_runs`]). DISTINCT and LIMIT
-///   finish serially on the merged stream.
-///
-/// Because every merge step consumes per-morsel outputs in scan order, the
-/// result is independent of worker count and scheduling. Falls back to
-/// serial execution when there is nothing to win: one thread, Volcano
-/// mode, a source smaller than two morsels — or a lazy `LIMIT` plan (no
-/// aggregate/sort), where serial short-circuit evaluation is part of the
-/// observable semantics.
-pub fn run_select_parallel(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-    threads: usize,
-) -> Result<(Table, SelectStats), SqlError> {
-    run_select_parallel_opt(
-        catalog,
-        select,
-        output_name,
-        mode,
-        threads,
-        VectorMode::Auto,
-    )
+/// What becomes of the joined, filtered rows.
+enum Shape {
+    /// GROUP BY / aggregate calls: the one pipeline breaker, whose output
+    /// the plain sort keys then order.
+    Aggregate(AggSpec),
+    /// Plain rows through the optional projection. The sort runs before
+    /// the projection when a key names an input column the projection
+    /// drops (standard SQL behaviour), after it otherwise.
+    Rows { sort_before: bool },
+    /// At least one ORDER BY key is a computed expression: rows are
+    /// extended to `ext` (the input columns plus one hidden column per
+    /// computed key), sorted on the plan's sort keys, and projected `back`
+    /// to the requested outputs. This is the general-sort fallback the
+    /// vector top-k path is benchmarked against — and the semantics it
+    /// must reproduce exactly.
+    ExprSort {
+        ext: Vec<(String, Expr)>,
+        back: Vec<(String, Expr)>,
+    },
 }
 
-/// [`run_select_parallel`] with an explicit vector access-path mode. The
-/// top-k vector pattern takes its own parallel drive (per-morsel top-k
-/// heaps over the index entries, merged deterministically); all other
-/// plans run the general morsel pipeline.
-pub fn run_select_parallel_opt(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-    threads: usize,
-    vector: VectorMode,
-) -> Result<(Table, SelectStats), SqlError> {
-    run_select_parallel_opt_guarded(
-        catalog,
-        select,
-        output_name,
-        mode,
-        threads,
-        vector,
-        &QueryGuard::unlimited(),
-    )
+/// The top-k vector access path: `SELECT ... FROM t ORDER BY
+/// SIMILARITY(column, 'query') DESC LIMIT k` with no joins, WHERE,
+/// grouping, aggregation, or DISTINCT, served from the table's derived
+/// vector index instead of scoring and fully sorting every row.
+struct VectorTopk {
+    /// The embedding (BLOB) or text (STR) column being searched.
+    column: String,
+    /// The query text (embedded through the canonical shared embedder).
+    query: String,
+    k: usize,
+    /// Exact (Flat) or approximate (IVF): forced by the [`VectorMode`], or
+    /// the cost model's choice from the table's cardinality (§4).
+    strategy: VectorStrategy,
 }
 
-/// [`run_select_parallel_opt`] under a [`QueryGuard`]: workers re-check the
-/// guard between morsels, so cancellation and deadlines stop the whole
-/// sweep at morsel granularity and the earliest-morsel rule reports a
-/// deterministic typed error (see [`kath_storage::run_morsels_guarded`]).
-pub fn run_select_parallel_opt_guarded(
+/// A SELECT lowered against one catalog snapshot: everything the three
+/// drives need and nothing materialized. Join build sides, vector-index
+/// handles and compiled kernels are made by the drive that uses them, so a
+/// statement that ends up on the serial drive never pays for state only
+/// another drive would have shared.
+///
+/// The subset has no subqueries, so a statement is exactly one scan, a
+/// join chain, an optional filter, one optional breaker, DISTINCT and
+/// LIMIT — a flat struct holds it; there is no operator tree to walk.
+struct SelectPlan {
+    table: Arc<Table>,
+    access: Access,
+    joins: Vec<JoinStep>,
+    /// Schema of the rows after the join chain; `filter`, `outputs` and
+    /// the aggregate spec resolve against it.
+    joined: Schema,
+    filter: Option<Expr>,
+    shape: Shape,
+    /// The SELECT list as projection outputs; `None` for a bare `SELECT *`
+    /// and for aggregates (whose output is group keys then aggregates).
+    outputs: Option<Vec<(String, Expr)>>,
+    /// ORDER BY as plain column keys, over whichever schema `shape` sorts
+    /// (hidden column names for [`Shape::ExprSort`]); empty = no sort.
+    sort_keys: Vec<SortKey>,
+    /// Schema of the result rows.
+    out_schema: Schema,
+    distinct: bool,
+    limit: Option<usize>,
+    /// Set when the statement matches the vector pattern and the mode
+    /// permits the vector path; `shape` then holds the classical plan the
+    /// drives do not run.
+    vector: Option<VectorTopk>,
+}
+
+/// Lowers `select` against `catalog`. Every planning error a SELECT can
+/// raise is raised here, once, in the order the serial operator tree would
+/// meet it — FROM table, joins left to right, WHERE, then the shape — so a
+/// statement fails the same way whichever drive would have run it.
+fn plan_select(
     catalog: &Catalog,
     select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-    threads: usize,
     vector: VectorMode,
-    guard: &QueryGuard,
-) -> Result<(Table, SelectStats), SqlError> {
-    use kath_storage::{
-        merge_sorted_runs, resolve_sort_keys, run_morsels_guarded, sort_rows, JoinBuild, Morsel,
-        MorselSource, PartialAggregate, Row,
-    };
-    use std::time::Instant;
-
-    if let Some((pattern, strategy)) = vector_plan_choice(catalog, select, vector) {
-        return run_vector_topk_parallel(
-            catalog,
-            select,
-            &pattern,
-            strategy,
-            output_name,
-            mode,
-            threads,
-            guard,
-        );
-    }
-
-    let serial = |catalog: &Catalog| -> Result<(Table, SelectStats), SqlError> {
-        let (t, batches) =
-            run_select_opt_guarded(catalog, select, output_name, mode, vector, guard)?;
-        Ok((t, SelectStats::serial(batches)))
-    };
-
-    let Some(batch) = mode.batch_size() else {
-        return serial(catalog); // Volcano is the serial baseline by definition.
-    };
-    let has_agg = select_has_agg(select);
-    let Some(sort_keys) = plain_sort_keys(select) else {
-        // Computed ORDER BY keys outside the vector pattern sort on hidden
-        // columns; that plan has no parallel driver — run it serially.
-        return serial(catalog);
-    };
-    let blocking = has_agg || !select.group_by.is_empty() || !sort_keys.is_empty();
-    // A lazy LIMIT plan must not evaluate rows past the limit (an erroring
-    // expression beyond it stays unreached); only a blocking operator, which
-    // consumes everything anyway, makes eager parallel evaluation safe.
-    if threads <= 1 || (select.limit.is_some() && !blocking) {
-        return serial(catalog);
-    }
-
-    // The morsel source: the FROM table's row range, or the candidate
-    // positions of an index hit (same access-path rule as serial planning).
+) -> Result<SelectPlan, SqlError> {
     let table = catalog.get(&select.from)?;
-    let positions: Option<Arc<Vec<usize>>> = select
-        .where_clause
-        .as_ref()
+    let predicate = select.where_clause.as_ref();
+    let index_hit = predicate
         .and_then(|w| equality_target(w, &select.from, table.schema()))
         .and_then(|(column, value)| {
-            catalog
-                .index_on(&select.from, &column)
-                .map(|ix| (ix, value))
-        })
-        .map(|(ix, value)| Arc::new(ix.lookup(&value).to_vec()));
-    let total = positions.as_ref().map(|p| p.len()).unwrap_or(table.len());
-    // Full scans of a paged table align morsels to page boundaries so no
-    // two workers decode the same column page.
-    let source = match table.paged() {
-        Some(pt) if positions.is_none() => {
-            MorselSource::with_batch_size_aligned(total, batch, pt.page_rows())
-        }
-        _ => MorselSource::with_batch_size(total, batch),
+            let index = catalog.index_on(&select.from, &column)?;
+            Some(Arc::new(index.lookup(&value).to_vec()))
+        });
+    let access = match (index_hit, predicate) {
+        (Some(positions), _) => Access::Index(positions),
+        (None, Some(w)) if select.joins.is_empty() => Access::Scan {
+            prune_hints: prune_conjuncts(w, &select.from, table.schema()),
+        },
+        (None, _) => Access::Scan {
+            prune_hints: Vec::new(),
+        },
     };
-    if source.morsel_count() < 2 {
-        return serial(catalog); // Not enough work to split.
-    }
 
-    // Pipeline breakers first: materialize every join build side once.
-    let mut left_schema = table.schema().clone();
-    let mut stages: Vec<JoinStage> = Vec::new();
+    let mut joined = table.schema().clone();
+    let mut joins = Vec::with_capacity(select.joins.len());
     for j in &select.joins {
         let right = catalog.get(&j.table)?;
-        let right_schema = right.schema().clone();
-        let (left_col, right_col) =
-            orient_on(&left_schema, &right_schema, &j.on_left, &j.on_right)?;
-        let build = Arc::new(JoinBuild::build(
-            Box::new(TableScan::new(right)),
-            &right_col,
-        )?);
-        left_schema = left_schema.join(&right_schema, "right");
-        stages.push(JoinStage {
-            build,
+        // The ON pair may be written either way round; figure out which
+        // side belongs to the accumulated left rows.
+        let (left_col, right_col) = orient_on(&joined, right.schema(), &j.on_left, &j.on_right)?;
+        let left_key = joined.resolve(&left_col)?;
+        joined = joined.join(right.schema(), "right");
+        joins.push(JoinStep {
+            right,
             left_col,
+            left_key,
+            right_col,
             kind: if j.left_outer {
                 JoinKind::Left
             } else {
@@ -530,265 +377,266 @@ pub fn run_select_parallel_opt_guarded(
             },
         });
     }
-    let pred: Option<Expr> = select
-        .where_clause
-        .as_ref()
-        .map(|w| to_expr(w, &left_schema))
-        .transpose()?;
-    // Zone-map prune hints, join-free plans only (see `prune_conjuncts`).
-    let prune_hints: Vec<(String, BinOp, Value)> = match &select.where_clause {
-        Some(w) if select.joins.is_empty() => prune_conjuncts(w, &select.from, table.schema()),
-        _ => Vec::new(),
+    let filter = predicate.map(|w| to_expr(w, &joined)).transpose()?;
+
+    let grouped = select_has_agg(select) || !select.group_by.is_empty();
+    let (shape, outputs, sort_keys, out_schema) = match plain_sort_keys(select) {
+        None if grouped => {
+            return Err(SqlError::Unsupported(
+                "expression ORDER BY keys with aggregation".into(),
+            ))
+        }
+        Some(sort_keys) if grouped => {
+            let spec = aggregate_spec(select)?;
+            let out_schema =
+                PartialAggregate::new(&joined, &spec.group_names, spec.aggregates.clone())?
+                    .schema()
+                    .clone();
+            resolve_sort_keys(&out_schema, &sort_keys)?;
+            (Shape::Aggregate(spec), None, sort_keys, out_schema)
+        }
+        Some(sort_keys) => {
+            let outputs = projection_outputs(select, &joined)?;
+            let sort_before = outputs
+                .as_ref()
+                .is_some_and(|outs| sort_before_project(&sort_keys, outs));
+            if sort_before {
+                resolve_sort_keys(&joined, &sort_keys)?;
+            }
+            let out_schema = match &outputs {
+                Some(outs) => Project::output_schema(&joined, outs)?,
+                None => joined.clone(),
+            };
+            if !sort_before {
+                resolve_sort_keys(&out_schema, &sort_keys)?;
+            }
+            (Shape::Rows { sort_before }, outputs, sort_keys, out_schema)
+        }
+        None => {
+            let outputs = projection_outputs(select, &joined)?;
+            let (shape, sort_keys, out_schema) =
+                plan_expression_sort(select, &joined, outputs.as_deref())?;
+            (shape, outputs, sort_keys, out_schema)
+        }
     };
 
-    // The streaming pipeline one worker drives over one claimed morsel.
-    let make_stream = |m: Morsel| -> Result<Box<dyn Operator>, StorageError> {
-        let mut op: Box<dyn Operator> = match &positions {
-            Some(pos) => Box::new(
-                IndexScan::new(Arc::clone(&table), pos[m.start..m.end].to_vec())
-                    .with_batch_size(batch),
-            ),
-            None => Box::new(
-                TableScan::new(Arc::clone(&table))
-                    .with_range(m.start, m.end)
-                    .with_prune_hint(&prune_hints)
-                    .with_batch_size(batch),
-            ),
+    let vector = vector_choice(select, &table, vector);
+    Ok(SelectPlan {
+        table,
+        access,
+        joins,
+        joined,
+        filter,
+        shape,
+        outputs,
+        sort_keys,
+        out_schema,
+        distinct: select.distinct,
+        limit: select.limit,
+        vector,
+    })
+}
+
+impl SelectPlan {
+    /// Plans only the serial operator tree can run: an expression sort has
+    /// no morsel drive; an approximate (IVF) vector probe is already
+    /// sublinear and not worth splitting; and a lazy `LIMIT` — one with no
+    /// aggregate or sort beneath it — must not evaluate rows past the
+    /// limit (an erroring expression beyond it stays unreached), which
+    /// only a blocking operator, consuming everything anyway, makes safe
+    /// to do eagerly.
+    fn serial_only(&self) -> bool {
+        match (&self.vector, &self.shape) {
+            (Some(v), _) => v.strategy != VectorStrategy::Flat,
+            (None, Shape::ExprSort { .. }) => true,
+            (None, Shape::Aggregate(_)) => false,
+            (None, Shape::Rows { .. }) => self.limit.is_some() && self.sort_keys.is_empty(),
+        }
+    }
+
+    /// Plans the compiled fused drive can run: a streaming scan → probe →
+    /// filter → project pipeline. Blocking operators, DISTINCT and lazy
+    /// `LIMIT` stay on the interpreted operators; an index hit is already
+    /// sub-linear. Whether every expression compiles is the compiler's
+    /// call ([`CompiledPipeline::compile`]), made by the drive.
+    fn compilable(&self) -> bool {
+        matches!(self.access, Access::Scan { .. })
+            && matches!(self.shape, Shape::Rows { .. })
+            && self.sort_keys.is_empty()
+            && !self.distinct
+            && self.limit.is_none()
+    }
+
+    /// How many source rows the access path yields: the FROM table's row
+    /// range, or the candidate positions of an index hit.
+    fn source_rows(&self) -> usize {
+        match &self.access {
+            Access::Scan { .. } => self.table.len(),
+            Access::Index(positions) => positions.len(),
+        }
+    }
+
+    /// The source rows as morsels for a drive that splits them among
+    /// workers. Full scans of a paged table align morsels to page
+    /// boundaries so no two workers decode the same column page.
+    fn morsel_source(&self, batch: usize) -> MorselSource {
+        match (&self.access, self.table.paged()) {
+            (Access::Scan { .. }, Some(pt)) => {
+                MorselSource::with_batch_size_aligned(self.source_rows(), batch, pt.page_rows())
+            }
+            _ => MorselSource::with_batch_size(self.source_rows(), batch),
+        }
+    }
+
+    /// Materializes every join's build side (the hash table over its right
+    /// table): the pipeline breaker a drive pays before it streams.
+    fn build_joins(&self) -> Result<Vec<Arc<JoinBuild>>, StorageError> {
+        self.joins
+            .iter()
+            .map(|j| {
+                let right = Box::new(TableScan::new(Arc::clone(&j.right)));
+                Ok(Arc::new(JoinBuild::build(right, &j.right_col)?))
+            })
+            .collect()
+    }
+
+    /// A scan of rows `[start, end)` of the FROM table with the prune
+    /// hints attached. `batch` is the mode's batch size, which pass-through
+    /// operators inherit (`None` = Volcano: the scan keeps its default).
+    fn table_scan(
+        &self,
+        prune_hints: &[(String, BinOp, Value)],
+        (start, end): (usize, usize),
+        batch: Option<usize>,
+        guard: QueryGuard,
+    ) -> TableScan {
+        let scan = TableScan::new(Arc::clone(&self.table))
+            .with_range(start, end)
+            .with_prune_hint(prune_hints)
+            .with_guard(guard);
+        match batch {
+            Some(n) => scan.with_batch_size(n),
+            None => scan,
+        }
+    }
+
+    /// The streaming phase over source rows `[start, end)`: access path →
+    /// join probes against `builds` → filter.
+    fn stream(
+        &self,
+        (start, end): (usize, usize),
+        batch: Option<usize>,
+        builds: &[Arc<JoinBuild>],
+        guard: QueryGuard,
+    ) -> Result<Box<dyn Operator>, StorageError> {
+        let mut op: Box<dyn Operator> = match &self.access {
+            Access::Scan { prune_hints } => {
+                Box::new(self.table_scan(prune_hints, (start, end), batch, guard))
+            }
+            Access::Index(positions) => {
+                let scan = IndexScan::new(Arc::clone(&self.table), positions[start..end].to_vec())
+                    .with_guard(guard);
+                match batch {
+                    Some(n) => Box::new(scan.with_batch_size(n)),
+                    None => Box::new(scan),
+                }
+            }
         };
-        for s in &stages {
+        for (j, build) in self.joins.iter().zip(builds) {
             op = Box::new(HashJoin::from_build(
                 op,
-                Arc::clone(&s.build),
-                &s.left_col,
-                s.kind,
+                Arc::clone(build),
+                &j.left_col,
+                j.kind,
             )?);
         }
-        if let Some(p) = &pred {
-            op = Box::new(Filter::new(op, p.clone()));
+        if let Some(pred) = &self.filter {
+            op = Box::new(Filter::new(op, pred.clone()));
         }
         Ok(op)
-    };
-    // Workers charge budgets per produced batch so a tripped budget aborts
-    // mid-scan; the uncharged variant serves legs whose serial tail charges
-    // the same rows again at the root.
-    let drain_uncharged = |op: &mut dyn Operator| -> Result<(Vec<Row>, usize), StorageError> {
-        let mut rows = Vec::new();
-        let mut batches = 0;
-        while let Some(b) = op.next_batch()? {
-            batches += 1;
-            rows.extend(b.into_rows());
-        }
-        Ok((rows, batches))
-    };
-    let drain = |op: &mut dyn Operator| -> Result<(Vec<Row>, usize), StorageError> {
-        let mut rows = Vec::new();
-        let mut batches = 0;
-        while let Some(b) = op.next_batch()? {
-            batches += 1;
-            guard.charge_batch(&b)?;
-            rows.extend(b.into_rows());
-        }
-        Ok((rows, batches))
-    };
-
-    let (schema, mut rows, batches, run_stats) = if has_agg || !select.group_by.is_empty() {
-        // Pipeline breaker: aggregation. One thread-local partial per
-        // morsel, merged in morsel order.
-        let spec = aggregate_spec(select)?;
-        let run = run_morsels_guarded(&source, threads, guard, |m| {
-            let mut op = make_stream(m)?;
-            let mut partial =
-                PartialAggregate::new(op.schema(), &spec.group_names, spec.aggregates.clone())?;
-            let batches = partial.consume(op.as_mut())?;
-            Ok((partial, batches))
-        })
-        .map_err(SqlError::Storage)?;
-        let worker_ms = run.worker_ms.clone();
-        let merge_started = Instant::now();
-        let mut outputs = run.outputs.into_iter();
-        let (mut acc, mut batches) = outputs.next().expect("at least two morsels");
-        for (partial, b) in outputs {
-            acc.merge(partial);
-            batches += b;
-        }
-        let (schema, mut rows) = acc.finish();
-        // Aggregation's root-level output is the merged group rows.
-        for row in &rows {
-            guard.charge_row(row)?;
-        }
-        if !sort_keys.is_empty() {
-            let key_idx = resolve_sort_keys(&schema, &sort_keys)?;
-            sort_rows(&mut rows, &key_idx);
-        }
-        (schema, rows, batches, (worker_ms, merge_started))
-    } else if let Some(outputs) = projection_outputs(select, &left_schema)? {
-        let out_schema = kath_storage::Project::output_schema(&left_schema, &outputs)?;
-        if sort_before_project(&sort_keys, &outputs) {
-            // ORDER BY needs columns the projection drops: sorted runs are
-            // built pre-projection, merged, then projected serially in
-            // sorted order (exactly the serial operator order).
-            let key_idx = resolve_sort_keys(&left_schema, &sort_keys)?;
-            let run = run_morsels_guarded(&source, threads, guard, |m| {
-                let mut op = make_stream(m)?;
-                let (mut rows, batches) = drain_uncharged(op.as_mut())?;
-                sort_rows(&mut rows, &key_idx);
-                Ok((rows, batches))
-            })
-            .map_err(SqlError::Storage)?;
-            let worker_ms = run.worker_ms.clone();
-            let merge_started = Instant::now();
-            let mut batches = 0;
-            let mut runs = Vec::with_capacity(run.outputs.len());
-            for (rows, b) in run.outputs {
-                batches += b;
-                runs.push(rows);
-            }
-            let merged = merge_sorted_runs(runs, &key_idx);
-            let sorted = Table::from_rows("sorted", left_schema.clone(), merged)
-                .map_err(SqlError::Storage)?;
-            // The projection comes AFTER the blocking sort here, so under a
-            // LIMIT the serial drive evaluates it only for the first rows
-            // (Limit's lazy row-wise tail). Run the identical operator tail
-            // — Project → Distinct → Limit — instead of projecting
-            // everything eagerly, and return directly: distinct/limit are
-            // already applied.
-            let mut tail: Box<dyn Operator> = Box::new(Project::new(
-                Box::new(TableScan::new(Arc::new(sorted)).with_batch_size(batch)),
-                outputs,
-            )?);
-            if select.distinct {
-                tail = Box::new(Distinct::new(tail));
-            }
-            if let Some(n) = select.limit {
-                tail = Box::new(Limit::new(tail, n));
-            }
-            let (out, tail_batches) =
-                collect_batched_guarded(output_name, tail, guard).map_err(SqlError::Storage)?;
-            let stats = SelectStats {
-                batches: batches + tail_batches,
-                workers: worker_ms.len(),
-                worker_ms,
-                merge_ms: merge_started.elapsed().as_secs_f64() * 1000.0,
-                compiled: false,
-                compile_ms: 0.0,
-            };
-            return Ok((out, stats));
-        } else {
-            // Projection is streaming; an ORDER BY over projected columns
-            // sorts per-morsel runs merged stably.
-            let key_idx = resolve_sort_keys(&out_schema, &sort_keys)?;
-            let run = run_morsels_guarded(&source, threads, guard, |m| {
-                let op = make_stream(m)?;
-                let mut op: Box<dyn Operator> = Box::new(Project::new(op, outputs.clone())?);
-                let (mut rows, batches) = drain(op.as_mut())?;
-                if !key_idx.is_empty() {
-                    sort_rows(&mut rows, &key_idx);
-                }
-                Ok((rows, batches))
-            })
-            .map_err(SqlError::Storage)?;
-            let worker_ms = run.worker_ms.clone();
-            let merge_started = Instant::now();
-            let mut batches = 0;
-            let mut runs = Vec::with_capacity(run.outputs.len());
-            for (rows, b) in run.outputs {
-                batches += b;
-                runs.push(rows);
-            }
-            let rows = if key_idx.is_empty() {
-                runs.into_iter().flatten().collect()
-            } else {
-                merge_sorted_runs(runs, &key_idx)
-            };
-            (out_schema, rows, batches, (worker_ms, merge_started))
-        }
-    } else {
-        // Bare SELECT *: stream rows through, optionally via sorted runs.
-        let key_idx = resolve_sort_keys(&left_schema, &sort_keys)?;
-        let run = run_morsels_guarded(&source, threads, guard, |m| {
-            let mut op = make_stream(m)?;
-            let (mut rows, batches) = drain(op.as_mut())?;
-            if !key_idx.is_empty() {
-                sort_rows(&mut rows, &key_idx);
-            }
-            Ok((rows, batches))
-        })
-        .map_err(SqlError::Storage)?;
-        let worker_ms = run.worker_ms.clone();
-        let merge_started = Instant::now();
-        let mut batches = 0;
-        let mut runs = Vec::with_capacity(run.outputs.len());
-        for (rows, b) in run.outputs {
-            batches += b;
-            runs.push(rows);
-        }
-        let rows = if key_idx.is_empty() {
-            runs.into_iter().flatten().collect()
-        } else {
-            merge_sorted_runs(runs, &key_idx)
-        };
-        (left_schema, rows, batches, (worker_ms, merge_started))
-    };
-
-    let (worker_ms, merge_started) = run_stats;
-    if select.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|row| seen.insert(row.clone()));
     }
-    if let Some(n) = select.limit {
-        rows.truncate(n);
+
+    /// `op` under the SELECT list's projection (untouched for `SELECT *`).
+    fn project(&self, op: Box<dyn Operator>) -> Result<Box<dyn Operator>, StorageError> {
+        Ok(match &self.outputs {
+            Some(outs) => Box::new(Project::new(op, outs.clone())?),
+            None => op,
+        })
     }
-    let out = Table::from_rows(output_name, schema, rows).map_err(SqlError::Storage)?;
-    let stats = SelectStats {
-        batches,
-        workers: worker_ms.len(),
-        worker_ms,
-        merge_ms: merge_started.elapsed().as_secs_f64() * 1000.0,
-        compiled: false,
-        compile_ms: 0.0,
-    };
-    Ok((out, stats))
+
+    /// The root of an operator tree: DISTINCT, LIMIT, then the guarded
+    /// drain into the result table. Returns the batches the root produced
+    /// (0 in Volcano mode, which drains row-at-a-time).
+    fn finish(
+        &self,
+        mut op: Box<dyn Operator>,
+        output_name: &str,
+        mode: ExecMode,
+        guard: &QueryGuard,
+    ) -> Result<(Table, usize), StorageError> {
+        if self.distinct {
+            op = Box::new(Distinct::new(op));
+        }
+        if let Some(n) = self.limit {
+            op = Box::new(Limit::new(op, n));
+        }
+        match mode {
+            ExecMode::Volcano => Ok((collect_guarded(output_name, op, guard)?, 0)),
+            ExecMode::Batched(_) => collect_batched_guarded(output_name, op, guard),
+        }
+    }
+
+    /// [`SelectPlan::finish`] for rows a morsel merge already holds.
+    fn finish_rows(&self, mut rows: Vec<Row>, output_name: &str) -> Result<Table, StorageError> {
+        if self.distinct {
+            let mut seen = std::collections::HashSet::new();
+            rows.retain(|row| seen.insert(row.clone()));
+        }
+        if let Some(n) = self.limit {
+            rows.truncate(n);
+        }
+        Table::from_rows(output_name, self.out_schema.clone(), rows)
+    }
 }
 
 /// Runs a SELECT under the engine's full physical strategy — the
-/// `(mode, dop, compiled)` triple: vector access path first, then the
-/// compiled fused drive when `compile` selects it and the plan is
-/// eligible, otherwise the interpreted serial or morsel-parallel drive.
+/// `(mode, dop, compiled)` triple — and under a [`QueryGuard`]. This is
+/// the one way to run a SELECT: the facade, sessions and the SQL nodes of
+/// an NL plan all come through here.
 ///
-/// [`CompileMode::Auto`] consults the shared break-even rule
-/// ([`kath_storage::compile_pays_off`]) on the FROM table's cardinality,
-/// so tiny tables stay interpreted — the same rule the optimizer's
-/// strategy choice prices. Whatever the mode, pipelines the compiler does
-/// not support (aggregation, sorting, DISTINCT/LIMIT, index access paths,
-/// model-backed expressions like `SIMILARITY`) fall back per-query to the
-/// interpreted operators, producing identical rows and the canonical
-/// errors. `stats.compiled` reports which drive actually ran.
-pub fn run_select_auto(
-    catalog: &Catalog,
-    select: &Select,
-    output_name: &str,
-    mode: ExecMode,
-    threads: usize,
-    vector: VectorMode,
-    compile: CompileMode,
-) -> Result<(Table, SelectStats), SqlError> {
-    run_select_auto_guarded(
-        catalog,
-        select,
-        output_name,
-        mode,
-        threads,
-        vector,
-        compile,
-        &QueryGuard::unlimited(),
-    )
-}
-
-/// [`run_select_auto`] under a [`QueryGuard`], the facade's entry point for
-/// `\timeout`, `cancel()`, and row/byte budgets. Whichever drive the
-/// strategy triple selects — Volcano, batched, morsel-parallel, or the
-/// compiled fused loop — checks the same guard as it streams, so a tripped
-/// guard surfaces the identical typed error on every drive.
+/// The statement is planned once; predicates on the plan then pick the
+/// drive, in this order:
+///
+/// 1. the **compiled fused drive**, when `mode` is batched, `compile`
+///    selects it ([`CompileMode::Auto`] consults the shared break-even
+///    rule [`kath_storage::compile_pays_off`] on the FROM table's
+///    cardinality — the same rule the optimizer's strategy choice prices)
+///    and the plan is a streaming scan → probe → filter → project pipeline
+///    whose expressions all compile;
+/// 2. the **morsel drive**, when `mode` is batched, `threads > 1`, the
+///    plan is not serial-only (expression sort, lazy `LIMIT`, IVF probe)
+///    and its source splits into at least two morsels;
+/// 3. the **serial operator tree** otherwise — always in
+///    [`ExecMode::Volcano`], the row-at-a-time reference.
+///
+/// Every drive returns the rows, in the order, of the serial operator
+/// tree, with one exception: a float `SUM`/`AVG` on the morsel drive adds
+/// per-morsel partial sums, so it can differ from the serial sum in its
+/// last bits (within a relative 1e-9). The morsel partition depends on the
+/// batch size, not on `threads`, so the result is the same bits at every
+/// worker count ≥ 2. The top-k vector pattern (`ORDER BY SIMILARITY(col,
+/// 'q') DESC LIMIT k`) is an access path of the serial and morsel drives;
+/// `VectorMode::Off` keeps the classical full-sort plan, which returns
+/// identical rows for the exact (Flat) strategy.
+///
+/// Planning errors come from the plan, so they are the same on every
+/// drive; a tripped guard surfaces the identical typed error
+/// ([`StorageError::Cancelled`] / [`StorageError::Budget`]) on every
+/// drive: the leading scan checks deadline and cancellation as rows
+/// stream, workers re-check between morsels (the earliest morsel's error
+/// wins, see [`kath_storage::run_morsels_guarded`]), and produced output
+/// is charged against the row/byte budgets. `stats` reports which drive
+/// actually ran.
 #[allow(clippy::too_many_arguments)]
 pub fn run_select_auto_guarded(
     catalog: &Catalog,
@@ -800,209 +648,335 @@ pub fn run_select_auto_guarded(
     compile: CompileMode,
     guard: &QueryGuard,
 ) -> Result<(Table, SelectStats), SqlError> {
-    let attempt = match compile {
-        CompileMode::Off => false,
-        CompileMode::On => true,
-        CompileMode::Auto => catalog
-            .get(&select.from)
-            .map(|t| compile_pays_off(t.len()))
-            .unwrap_or(false),
-    };
+    let plan = plan_select(catalog, select, vector)?;
     if let Some(batch) = mode.batch_size() {
-        if attempt && vector_plan_choice(catalog, select, vector).is_none() {
-            if let Some(result) =
-                run_select_compiled(catalog, select, output_name, batch, threads, guard)?
-            {
-                return Ok(result);
-            }
-        }
-    }
-    if threads > 1 {
-        run_select_parallel_opt_guarded(catalog, select, output_name, mode, threads, vector, guard)
-    } else {
-        let (t, batches) =
-            run_select_opt_guarded(catalog, select, output_name, mode, vector, guard)?;
-        Ok((t, SelectStats::serial(batches)))
-    }
-}
-
-/// A SELECT lowered to the compiled fused drive: shared join build sides
-/// with plan-time probe ordinals, the compiled filter→project pipeline,
-/// and the scan's column/prune hints.
-struct CompiledSelect {
-    table: Arc<Table>,
-    /// Per join stage: the shared build side, the probe key's ordinal in
-    /// the accumulated left row, and the join kind.
-    stages: Vec<(Arc<kath_storage::JoinBuild>, usize, JoinKind)>,
-    /// Arity of the fully-joined row (scan + all build sides).
-    joined_arity: usize,
-    pipeline: CompiledPipeline,
-    out_schema: Schema,
-    /// Full-table ordinals the scan must produce, when column pruning
-    /// applies (join-free plans whose projection drops columns).
-    scan_columns: Option<Vec<usize>>,
-    prune_hints: Vec<(String, BinOp, Value)>,
-    compile_ms: f64,
-}
-
-/// Lowers an eligible SELECT to a [`CompiledSelect`], or `None` when any
-/// part is outside the compilable subset. `None` is never an error: the
-/// interpreted drive runs instead and reports the canonical error if the
-/// query is genuinely invalid.
-fn compile_select(catalog: &Catalog, select: &Select) -> Option<CompiledSelect> {
-    use std::time::Instant;
-
-    // Shape gates: only streaming scan → probe → filter → project
-    // pipelines compile. Blocking operators and lazy-LIMIT semantics stay
-    // on the interpreted operators.
-    if select_has_agg(select)
-        || !select.group_by.is_empty()
-        || !select.order_by.is_empty()
-        || select.distinct
-        || select.limit.is_some()
-    {
-        return None;
-    }
-    let table = catalog.get(&select.from).ok()?;
-    // An index hit reads candidate positions instead of scanning; that
-    // access path stays interpreted (it is already sub-linear).
-    if let Some(w) = &select.where_clause {
-        if let Some((column, _)) = equality_target(w, &select.from, table.schema()) {
-            if catalog.index_on(&select.from, &column).is_some() {
-                return None;
-            }
-        }
-    }
-
-    // Resolve the joined schema and per-stage probe columns without yet
-    // materializing any build side (compilation may still bail).
-    let mut left_schema = table.schema().clone();
-    let mut join_specs = Vec::with_capacity(select.joins.len());
-    for j in &select.joins {
-        let right = catalog.get(&j.table).ok()?;
-        let right_schema = right.schema().clone();
-        let (left_col, right_col) =
-            orient_on(&left_schema, &right_schema, &j.on_left, &j.on_right).ok()?;
-        let key_idx = left_schema.resolve(&left_col).ok()?;
-        let kind = if j.left_outer {
-            JoinKind::Left
-        } else {
-            JoinKind::Inner
+        let attempt = match compile {
+            CompileMode::Off => false,
+            CompileMode::On => true,
+            CompileMode::Auto => compile_pays_off(plan.table.len()),
         };
-        left_schema = left_schema.join(&right_schema, "right");
-        join_specs.push((right, right_col, key_idx, kind));
-    }
-    let pred: Option<Expr> = match &select.where_clause {
-        Some(w) => Some(to_expr(w, &left_schema).ok()?),
-        None => None,
-    };
-    let outputs = projection_outputs(select, &left_schema).ok()?;
-
-    // Column pruning: on join-free plans with an explicit projection, the
-    // scan only materializes the columns the predicate and outputs read —
-    // on a paged table, unread columns' pages are never decoded. The
-    // pipeline then compiles against the pruned schema.
-    let mut scan_columns = None;
-    let mut compile_schema = left_schema.clone();
-    if select.joins.is_empty() {
-        if let Some(outs) = &outputs {
-            let mut needed: Vec<usize> = outs
-                .iter()
-                .flat_map(|(_, e)| e.referenced_columns())
-                .chain(pred.iter().flat_map(Expr::referenced_columns))
-                .filter_map(|name| left_schema.index_of(&name))
-                .collect();
-            needed.sort_unstable();
-            needed.dedup();
-            if !needed.is_empty() && needed.len() < left_schema.arity() {
-                compile_schema = left_schema.project(&needed);
-                scan_columns = Some(needed);
+        if attempt && plan.compilable() {
+            if let Some(done) = drive_compiled(&plan, output_name, batch, threads, guard)? {
+                return Ok(done);
+            }
+        }
+        if threads > 1 && !plan.serial_only() {
+            if let Some(done) = drive_morsels(catalog, &plan, output_name, batch, threads, guard)? {
+                return Ok(done);
             }
         }
     }
-
-    let compile_started = Instant::now();
-    let pipeline = CompiledPipeline::compile(&compile_schema, pred.as_ref(), outputs.as_deref())?;
-    let compile_ms = compile_started.elapsed().as_secs_f64() * 1000.0;
-
-    let out_schema = match &outputs {
-        Some(outs) => Project::output_schema(&compile_schema, outs).ok()?,
-        None => left_schema.clone(),
-    };
-    // Only now pay for the build sides: the pipeline is known compilable.
-    let mut stages = Vec::with_capacity(join_specs.len());
-    for (right, right_col, key_idx, kind) in join_specs {
-        let build = Arc::new(
-            kath_storage::JoinBuild::build(Box::new(TableScan::new(right)), &right_col).ok()?,
-        );
-        stages.push((build, key_idx, kind));
-    }
-    let prune_hints = match &select.where_clause {
-        Some(w) if select.joins.is_empty() => prune_conjuncts(w, &select.from, table.schema()),
-        _ => Vec::new(),
-    };
-    Some(CompiledSelect {
-        table,
-        stages,
-        joined_arity: left_schema.arity(),
-        pipeline,
-        out_schema,
-        scan_columns,
-        prune_hints,
-        compile_ms,
-    })
+    drive_serial(catalog, &plan, output_name, mode, guard)
 }
 
-/// The compiled fused drive of an eligible SELECT: each morsel runs one
-/// tight loop — zone-map-pruned page-range scan, hash-join probes against
-/// shared build sides, then the fused filter→project pipeline — with no
-/// per-operator `next_batch` dispatch between them. Returns `Ok(None)`
-/// when the plan is not compilable (the caller falls back to interpreted
-/// execution); results are otherwise identical to the interpreted drives,
-/// serial and parallel (morsel outputs concatenate in scan order).
-fn run_select_compiled(
+/// The serial operator tree: one pull-based pipeline, drained row- or
+/// batch-at-a-time as `mode` says. The guard rides on the leading scan
+/// (periodic deadline/cancel checks as rows stream) and on the root drain
+/// (row/byte budget charges on produced output).
+fn drive_serial(
     catalog: &Catalog,
-    select: &Select,
+    plan: &SelectPlan,
+    output_name: &str,
+    mode: ExecMode,
+    guard: &QueryGuard,
+) -> Result<(Table, SelectStats), SqlError> {
+    let batch = mode.batch_size();
+    let sort = |op: Box<dyn Operator>| -> Result<Box<dyn Operator>, StorageError> {
+        Ok(if plan.sort_keys.is_empty() {
+            op
+        } else {
+            Box::new(Sort::new(op, plan.sort_keys.clone())?)
+        })
+    };
+    let op: Box<dyn Operator> = if let Some(v) = &plan.vector {
+        let index = catalog.vector_index_for(plan.table.name(), &v.column)?;
+        let query = kath_vector::embed_query(&v.query);
+        let table = Arc::clone(&plan.table);
+        plan.project(Box::new(VectorTopK::new(
+            table, &index, &query, v.k, v.strategy, batch,
+        )))?
+    } else {
+        let builds = plan.build_joins()?;
+        let op = plan.stream((0, plan.source_rows()), batch, &builds, guard.clone())?;
+        match &plan.shape {
+            Shape::Aggregate(spec) => sort(Box::new(HashAggregate::new(
+                op,
+                spec.group_names.clone(),
+                spec.aggregates.clone(),
+            )?))?,
+            Shape::Rows { sort_before: true } => plan.project(sort(op)?)?,
+            Shape::Rows { sort_before: false } => sort(plan.project(op)?)?,
+            Shape::ExprSort { ext, back } => {
+                let extended = Box::new(Project::new(op, ext.clone())?);
+                Box::new(Project::new(sort(extended)?, back.clone())?)
+            }
+        }
+    };
+    let (out, batches) = plan.finish(op, output_name, mode, guard)?;
+    Ok((out, SelectStats::serial(batches)))
+}
+
+/// Sums the batch counts of per-morsel row runs and joins the runs, which
+/// arrive in scan order: concatenated, or — when the workers sorted them —
+/// merged by the stable k-way merge that reproduces a serial stable sort.
+fn merge_runs(outputs: Vec<(Vec<Row>, usize)>, key_idx: &[(usize, bool)]) -> (Vec<Row>, usize) {
+    let mut batches = 0;
+    let mut runs = Vec::with_capacity(outputs.len());
+    for (rows, b) in outputs {
+        batches += b;
+        runs.push(rows);
+    }
+    let rows = if key_idx.is_empty() {
+        runs.into_iter().flatten().collect()
+    } else {
+        merge_sorted_runs(runs, key_idx)
+    };
+    (rows, batches)
+}
+
+/// The morsel drive: intra-query parallelism over `threads` workers, or
+/// `None` when the source has fewer than two morsels to hand out (the
+/// caller runs the serial tree instead).
+///
+/// The plan is broken at its pipeline breakers. Hash-join **build** sides
+/// are materialized once and shared (`Arc<JoinBuild>`). The **streaming
+/// phase** — scan → join probes → filter → projection — runs per worker:
+/// workers claim fixed-size morsels from an atomic cursor
+/// ([`MorselSource`]) and drive an independent operator pipeline over each
+/// claimed range. **Aggregation** keeps one [`PartialAggregate`] per
+/// morsel, merged in morsel order, which reproduces the serial group
+/// order. **Sorts** become per-morsel sorted runs joined by a stable k-way
+/// merge. DISTINCT and LIMIT finish serially on the merged stream. The
+/// **vector pattern** splits the index's scored entries instead:
+/// per-morsel top-k heaps merge deterministically (score descending, then
+/// row position), and every global winner survives its own morsel's local
+/// top-k, so the merged result is bit-identical to the serial scan.
+///
+/// Every merge step consumes per-morsel outputs in scan order, so the
+/// result is independent of worker count and scheduling.
+fn drive_morsels(
+    catalog: &Catalog,
+    plan: &SelectPlan,
     output_name: &str,
     batch: usize,
     threads: usize,
     guard: &QueryGuard,
 ) -> Result<Option<(Table, SelectStats)>, SqlError> {
-    use kath_storage::{run_morsels_guarded, MorselSource, Row};
-    use std::time::Instant;
+    let mode = ExecMode::Batched(batch);
+    if let Some(v) = &plan.vector {
+        let index = catalog.vector_index_for(plan.table.name(), &v.column)?;
+        let entries = index.entries();
+        let source = MorselSource::with_batch_size(entries.len(), batch);
+        if source.morsel_count() < 2 {
+            return Ok(None);
+        }
+        let query = kath_vector::embed_query(&v.query);
+        let run = run_morsels_guarded(&source, threads, guard, |m| {
+            Ok(top_k_entries(&entries[m.start..m.end], &query, v.k))
+        })?;
+        let (tail, merge_ms) = timed(|| -> Result<(Table, usize), StorageError> {
+            let candidates: Vec<(usize, f32)> = run.outputs.into_iter().flatten().collect();
+            let mut positions: Vec<usize> = merge_top_k(candidates, v.k)
+                .into_iter()
+                .map(|(pos, _)| pos)
+                .collect();
+            if positions.len() < v.k {
+                // Pad with unscored rows in row order, exactly like the
+                // serial search (and the full-sort fallback's NULL-score
+                // tail).
+                let missing = v.k - positions.len();
+                positions.extend(index.unscored().iter().copied().take(missing));
+            }
+            // The serial tail over k rows: rank-order scan → projection →
+            // limit.
+            let scan = IndexScan::new(Arc::clone(&plan.table), positions).with_batch_size(batch);
+            plan.finish(plan.project(Box::new(scan))?, output_name, mode, guard)
+        });
+        let (out, batches) = tail?;
+        return Ok(Some((
+            out,
+            SelectStats::morsels(batches, run.worker_ms, merge_ms),
+        )));
+    }
 
-    let Some(plan) = compile_select(catalog, select) else {
+    let source = plan.morsel_source(batch);
+    if source.morsel_count() < 2 {
+        return Ok(None);
+    }
+    let builds = plan.build_joins()?;
+    // Workers carry no guard on their scans: `run_morsels_guarded` checks
+    // it between morsels.
+    let stream = |m: Morsel| {
+        plan.stream(
+            (m.start, m.end),
+            Some(batch),
+            &builds,
+            QueryGuard::unlimited(),
+        )
+    };
+    let (worker_ms, (merged, merge_ms)) = match &plan.shape {
+        Shape::Aggregate(spec) => {
+            let partial =
+                || PartialAggregate::new(&plan.joined, &spec.group_names, spec.aggregates.clone());
+            let run = run_morsels_guarded(&source, threads, guard, |m| {
+                let mut op = stream(m)?;
+                let mut partial = partial()?;
+                let batches = partial.consume(op.as_mut())?;
+                Ok((partial, batches))
+            })?;
+            let merge = || -> Result<(Table, usize), StorageError> {
+                let (mut acc, mut batches) = (partial()?, 0);
+                for (later, b) in run.outputs {
+                    acc.merge(later);
+                    batches += b;
+                }
+                let (schema, mut rows) = acc.finish();
+                // Aggregation's root-level output is the merged group rows.
+                for row in &rows {
+                    guard.charge_row(row)?;
+                }
+                if !plan.sort_keys.is_empty() {
+                    sort_rows(&mut rows, &resolve_sort_keys(&schema, &plan.sort_keys)?);
+                }
+                Ok((plan.finish_rows(rows, output_name)?, batches))
+            };
+            (run.worker_ms, timed(merge))
+        }
+        Shape::Rows { sort_before } => {
+            // Workers project as they stream — unless ORDER BY needs
+            // columns the projection drops: then the sorted runs stay
+            // unprojected and the merged rows are projected in sorted
+            // order (exactly the serial operator order).
+            let run_schema = if *sort_before {
+                &plan.joined
+            } else {
+                &plan.out_schema
+            };
+            let key_idx = resolve_sort_keys(run_schema, &plan.sort_keys)?;
+            let run = run_morsels_guarded(&source, threads, guard, |m| {
+                let mut op = stream(m)?;
+                if !*sort_before {
+                    op = plan.project(op)?;
+                }
+                let (mut rows, mut batches) = (Vec::new(), 0);
+                while let Some(b) = op.next_batch()? {
+                    batches += 1;
+                    // Budgets are charged per produced batch so a tripped
+                    // budget aborts mid-scan — except here, where the
+                    // serial tail below charges the same rows at the root.
+                    if !*sort_before {
+                        guard.charge_batch(&b)?;
+                    }
+                    rows.extend(b.into_rows());
+                }
+                if !key_idx.is_empty() {
+                    sort_rows(&mut rows, &key_idx);
+                }
+                Ok((rows, batches))
+            })?;
+            let merge = || -> Result<(Table, usize), StorageError> {
+                let (rows, batches) = merge_runs(run.outputs, &key_idx);
+                if !*sort_before {
+                    return Ok((plan.finish_rows(rows, output_name)?, batches));
+                }
+                // The projection comes AFTER the blocking sort here, so
+                // under a LIMIT the serial drive evaluates it only for the
+                // first rows (Limit's lazy row-wise tail). Run the
+                // identical operator tail — Project → Distinct → Limit —
+                // instead of projecting everything eagerly.
+                let sorted = Table::from_rows("sorted", plan.joined.clone(), rows)?;
+                let scan = TableScan::new(Arc::new(sorted)).with_batch_size(batch);
+                let (out, tail_batches) =
+                    plan.finish(plan.project(Box::new(scan))?, output_name, mode, guard)?;
+                Ok((out, batches + tail_batches))
+            };
+            (run.worker_ms, timed(merge))
+        }
+        // Serial only (see `SelectPlan::serial_only`).
+        Shape::ExprSort { .. } => return Ok(None),
+    };
+    let (out, batches) = merged?;
+    Ok(Some((
+        out,
+        SelectStats::morsels(batches, worker_ms, merge_ms),
+    )))
+}
+
+/// The compiled fused drive: each morsel runs one tight loop —
+/// zone-map-pruned page-range scan, hash-join probes against shared build
+/// sides, then the fused filter→project pipeline — with no per-operator
+/// `next_batch` dispatch between them. `None` when an expression is
+/// outside the compilable subset (never an error: the caller runs an
+/// interpreted drive over the same plan). Results are identical to the
+/// interpreted drives, serial and parallel (morsel outputs concatenate in
+/// scan order).
+fn drive_compiled(
+    plan: &SelectPlan,
+    output_name: &str,
+    batch: usize,
+    threads: usize,
+    guard: &QueryGuard,
+) -> Result<Option<(Table, SelectStats)>, SqlError> {
+    let Access::Scan { prune_hints } = &plan.access else {
         return Ok(None);
     };
-    let table = &plan.table;
-    let total = table.len();
+    // Column pruning: on join-free plans with an explicit projection, the
+    // scan only materializes the columns the predicate and outputs read —
+    // on a paged table, unread columns' pages are never decoded. The
+    // pipeline then compiles against the pruned schema.
+    let mut scan_columns = None;
+    let mut compile_schema = plan.joined.clone();
+    if plan.joins.is_empty() {
+        if let Some(outs) = &plan.outputs {
+            let mut needed: Vec<usize> = outs
+                .iter()
+                .flat_map(|(_, e)| e.referenced_columns())
+                .chain(plan.filter.iter().flat_map(Expr::referenced_columns))
+                .filter_map(|name| plan.joined.index_of(&name))
+                .collect();
+            needed.sort_unstable();
+            needed.dedup();
+            if !needed.is_empty() && needed.len() < plan.joined.arity() {
+                compile_schema = plan.joined.project(&needed);
+                scan_columns = Some(needed);
+            }
+        }
+    }
+    let (pipeline, compile_ms) = timed(|| {
+        CompiledPipeline::compile(
+            &compile_schema,
+            plan.filter.as_ref(),
+            plan.outputs.as_deref(),
+        )
+    });
+    let Some(pipeline) = pipeline else {
+        return Ok(None);
+    };
+    // Only now pay for the build sides: the pipeline is known compilable.
+    let builds = plan.build_joins()?;
 
     // One worker's fused loop over one claimed row range. The guard rides
     // on the scan (checked once per fused-loop iteration, i.e. per input
     // batch) and is charged for every output batch the pipeline emits.
     let work = |start: usize, end: usize| -> Result<(Vec<Row>, usize), StorageError> {
-        let mut scan = TableScan::new(Arc::clone(table))
-            .with_range(start, end)
-            .with_prune_hint(&plan.prune_hints)
-            .with_batch_size(batch)
-            .with_guard(guard.clone());
-        if let Some(cols) = &plan.scan_columns {
+        let mut scan = plan.table_scan(prune_hints, (start, end), Some(batch), guard.clone());
+        if let Some(cols) = &scan_columns {
             scan = scan.with_columns(cols);
         }
         let mut rows: Vec<Row> = Vec::new();
         let mut batches = 0usize;
         while let Some(b) = scan.next_batch()? {
-            let b = if plan.stages.is_empty() {
+            let b = if plan.joins.is_empty() {
                 b
             } else {
                 // Row-wise probes, forward match order — exactly the
                 // interpreted HashJoin's output order and NULL handling
                 // (NULL keys never match; LEFT pads the build arity).
                 let mut cur: Vec<Row> = b.into_rows();
-                for (build, key_idx, kind) in &plan.stages {
+                for (j, build) in plan.joins.iter().zip(&builds) {
                     let mut next = Vec::with_capacity(cur.len());
                     for lrow in cur {
-                        match build.matches(&lrow[*key_idx]) {
+                        match build.matches(&lrow[j.left_key]) {
                             Some(rrows) => {
                                 for rrow in rrows {
                                     let mut joined = lrow.clone();
@@ -1011,7 +985,7 @@ fn run_select_compiled(
                                 }
                             }
                             None => {
-                                if *kind == JoinKind::Left {
+                                if j.kind == JoinKind::Left {
                                     let mut joined = lrow;
                                     joined.extend(std::iter::repeat_n(
                                         Value::Null,
@@ -1027,9 +1001,9 @@ fn run_select_compiled(
                 if cur.is_empty() {
                     continue;
                 }
-                kath_storage::RowBatch::from_rows(plan.joined_arity, cur)
+                RowBatch::from_rows(plan.joined.arity(), cur)
             };
-            if let Some(out) = plan.pipeline.process(b)? {
+            if let Some(out) = pipeline.process(b)? {
                 guard.charge_batch(&out)?;
                 batches += 1;
                 rows.extend(out.into_rows());
@@ -1037,50 +1011,27 @@ fn run_select_compiled(
         }
         Ok((rows, batches))
     };
-
-    // Morsel-parallel drive when there is enough work to split; morsels of
-    // a paged table align to page boundaries so no two workers decode the
-    // same column page.
-    if threads > 1 {
-        let source = match table.paged() {
-            Some(pt) => MorselSource::with_batch_size_aligned(total, batch, pt.page_rows()),
-            None => MorselSource::with_batch_size(total, batch),
-        };
-        if source.morsel_count() >= 2 {
-            let run = run_morsels_guarded(&source, threads, guard, |m| work(m.start, m.end))
-                .map_err(SqlError::Storage)?;
-            let worker_ms = run.worker_ms.clone();
-            let merge_started = Instant::now();
-            let mut rows = Vec::new();
-            let mut batches = 0;
-            for (r, b) in run.outputs {
-                batches += b;
-                rows.extend(r);
-            }
-            let out =
-                Table::from_rows(output_name, plan.out_schema, rows).map_err(SqlError::Storage)?;
-            let stats = SelectStats {
-                batches,
-                workers: worker_ms.len(),
-                worker_ms,
-                merge_ms: merge_started.elapsed().as_secs_f64() * 1000.0,
-                compiled: true,
-                compile_ms: plan.compile_ms,
-            };
-            return Ok(Some((out, stats)));
-        }
-    }
-    let (rows, batches) = work(0, total).map_err(SqlError::Storage)?;
-    let out = Table::from_rows(output_name, plan.out_schema, rows).map_err(SqlError::Storage)?;
-    let stats = SelectStats {
-        batches,
-        workers: 1,
-        worker_ms: Vec::new(),
-        merge_ms: 0.0,
+    let compiled = |stats: SelectStats| SelectStats {
         compiled: true,
-        compile_ms: plan.compile_ms,
+        compile_ms,
+        ..stats
     };
-    Ok(Some((out, stats)))
+
+    // Morsel-parallel when there is enough work to split.
+    let source = plan.morsel_source(batch);
+    if threads > 1 && source.morsel_count() >= 2 {
+        let run = run_morsels_guarded(&source, threads, guard, |m| work(m.start, m.end))?;
+        let (merged, merge_ms) = timed(|| {
+            let (rows, batches) = merge_runs(run.outputs, &[]);
+            Table::from_rows(output_name, plan.out_schema.clone(), rows).map(|out| (out, batches))
+        });
+        let (out, batches) = merged?;
+        let stats = SelectStats::morsels(batches, run.worker_ms, merge_ms);
+        return Ok(Some((out, compiled(stats))));
+    }
+    let (rows, batches) = work(0, plan.source_rows())?;
+    let out = Table::from_rows(output_name, plan.out_schema.clone(), rows)?;
+    Ok(Some((out, compiled(SelectStats::serial(batches)))))
 }
 
 /// Whether any SELECT item carries an aggregate call.
@@ -1117,33 +1068,32 @@ fn hidden_sort_name(schema: &Schema, i: usize) -> String {
     name
 }
 
-/// Plans ORDER BY with computed (non-column) keys: the input schema is
-/// extended with one hidden column per expression key, sorted on those,
-/// then projected down to the requested outputs (dropping the hidden
-/// keys). This is the general-sort fallback the vector top-k operator is
-/// benchmarked against — and the semantics it must reproduce exactly.
-fn plan_expression_sort(
-    op: Box<dyn Operator>,
-    select: &Select,
-) -> Result<Box<dyn Operator>, SqlError> {
-    let base = op.schema().clone();
-    let outputs = match projection_outputs(select, &base)? {
-        Some(outputs) => outputs,
-        // SELECT *: project the base columns back out after the sort.
-        None => base
-            .names()
-            .iter()
-            .map(|n| (n.to_string(), Expr::col(*n)))
-            .collect(),
-    };
-    let mut ext: Vec<(String, Expr)> = base
+/// Every column of `schema` passed through under its own name.
+fn passthrough(schema: &Schema) -> Vec<(String, Expr)> {
+    schema
         .names()
         .iter()
         .map(|n| (n.to_string(), Expr::col(*n)))
-        .collect();
+        .collect()
+}
+
+/// Plans ORDER BY with computed (non-column) keys as a
+/// [`Shape::ExprSort`], returning it with the sort keys over the extended
+/// schema and the result schema. `outputs` is the SELECT list (`None` for
+/// `SELECT *`, which projects the input columns back out after the sort).
+fn plan_expression_sort(
+    select: &Select,
+    base: &Schema,
+    outputs: Option<&[(String, Expr)]>,
+) -> Result<(Shape, Vec<SortKey>, Schema), SqlError> {
+    let back = match outputs {
+        Some(outs) => outs.to_vec(),
+        None => passthrough(base),
+    };
+    let mut ext = passthrough(base);
     let mut sort_keys = Vec::with_capacity(select.order_by.len());
     let mut hidden = |expr: Expr, i: usize, desc: bool, sort_keys: &mut Vec<SortKey>| {
-        let name = hidden_sort_name(&base, i);
+        let name = hidden_sort_name(base, i);
         ext.push((name.clone(), expr));
         sort_keys.push(SortKey { column: name, desc });
     };
@@ -1153,42 +1103,35 @@ fn plan_expression_sort(
             // the plain sort-after-project path (for a pass-through column
             // the aliased expression computes the identical value) — or an
             // input column the projection drops.
-            Some(c) => match outputs.iter().find(|(n, _)| n == c) {
+            Some(c) => match back.iter().find(|(n, _)| n == c) {
                 Some((_, aliased)) => hidden(aliased.clone(), i, key.desc, &mut sort_keys),
                 None => sort_keys.push(SortKey {
                     column: c.to_string(),
                     desc: key.desc,
                 }),
             },
-            None => hidden(to_expr(&key.expr, &base)?, i, key.desc, &mut sort_keys),
+            None => hidden(to_expr(&key.expr, base)?, i, key.desc, &mut sort_keys),
         }
     }
-    let op = Box::new(Project::new(op, ext)?);
-    let op = Box::new(Sort::new(op, sort_keys)?);
-    Ok(Box::new(Project::new(op, outputs)?))
+    let ext_schema = Project::output_schema(base, &ext)?;
+    resolve_sort_keys(&ext_schema, &sort_keys)?;
+    let out_schema = Project::output_schema(&ext_schema, &back)?;
+    Ok((Shape::ExprSort { ext, back }, sort_keys, out_schema))
 }
 
-/// A detected top-k vector-search pattern: `SELECT ... FROM table ORDER BY
-/// SIMILARITY(column, 'query') DESC LIMIT k` with no joins, WHERE,
-/// grouping, aggregation, or DISTINCT.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VectorPattern {
-    /// The FROM table.
-    pub table: String,
-    /// The embedding (BLOB) or text (STR) column being searched.
-    pub column: String,
-    /// The query text (embedded through the canonical shared embedder).
-    pub query: String,
-    /// LIMIT — the k of top-k.
-    pub k: usize,
-}
-
-/// Detects the top-k vector-search pattern, if this SELECT matches it and
-/// the FROM table exists with the named column. Queries outside the
-/// pattern (extra sort keys, ASC order, WHERE clauses, joins, DISTINCT)
-/// keep the classical plan — the similarity expression still evaluates
-/// there via the scalar/batched kernels.
-pub fn vector_topk_pattern(catalog: &Catalog, select: &Select) -> Option<VectorPattern> {
+/// The vector access path for this SELECT, if it matches the top-k pattern
+/// (see [`VectorTopk`]), names a column of the FROM table, and `vector`
+/// permits it. Queries outside the pattern (extra sort keys, ASC order,
+/// WHERE clauses, joins, DISTINCT) keep the classical plan — the
+/// similarity expression still evaluates there via the scalar/batched
+/// kernels.
+fn vector_choice(select: &Select, table: &Table, vector: VectorMode) -> Option<VectorTopk> {
+    let strategy = match vector {
+        VectorMode::Off => return None,
+        VectorMode::Flat => VectorStrategy::Flat,
+        VectorMode::Ivf => VectorStrategy::Ivf,
+        VectorMode::Auto => preferred_vector_strategy(table.len()),
+    };
     if !select.joins.is_empty()
         || select.where_clause.is_some()
         || !select.group_by.is_empty()
@@ -1219,150 +1162,13 @@ pub fn vector_topk_pattern(catalog: &Catalog, select: &Select) -> Option<VectorP
     let SqlExpr::Str(query) = &args[1] else {
         return None;
     };
-    let table = catalog.get(&select.from).ok()?;
     table.schema().index_of(column)?;
-    Some(VectorPattern {
-        table: select.from.clone(),
+    Some(VectorTopk {
         column: column.clone(),
         query: query.clone(),
         k,
-    })
-}
-
-/// The physical plan the optimizer picks for this SELECT's vector
-/// pattern: `None` when the pattern does not apply (or the mode forbids
-/// the vector path), otherwise the detected pattern with its Flat/IVF
-/// choice — forced by the mode, or made by the cost model from the
-/// table's cardinality (§4's exact-vs-approximate trade for the same
-/// logical operator). Exposed so the facade, EXPLAIN surfaces, and tests
-/// can inspect the physical choice without executing.
-pub fn vector_plan_choice(
-    catalog: &Catalog,
-    select: &Select,
-    vector: VectorMode,
-) -> Option<(VectorPattern, VectorStrategy)> {
-    if vector == VectorMode::Off {
-        return None;
-    }
-    let pattern = vector_topk_pattern(catalog, select)?;
-    let strategy = match vector {
-        VectorMode::Flat => VectorStrategy::Flat,
-        VectorMode::Ivf => VectorStrategy::Ivf,
-        VectorMode::Auto | VectorMode::Off => {
-            let rows = catalog.get(&pattern.table).ok()?.len();
-            preferred_vector_strategy(rows)
-        }
-    };
-    Some((pattern, strategy))
-}
-
-/// Lowers a detected vector pattern to the physical plan
-/// `VectorTopK → [Project] → Limit` and runs it.
-fn run_vector_topk(
-    catalog: &Catalog,
-    select: &Select,
-    pattern: &VectorPattern,
-    strategy: VectorStrategy,
-    output_name: &str,
-    mode: ExecMode,
-    guard: &QueryGuard,
-) -> Result<(Table, usize), SqlError> {
-    let table = catalog.get(&pattern.table)?;
-    let index = catalog.vector_index_for(&pattern.table, &pattern.column)?;
-    let query = kath_vector::embed_query(&pattern.query);
-    let mut op: Box<dyn Operator> = Box::new(VectorTopK::new(
-        Arc::clone(&table),
-        &index,
-        &query,
-        pattern.k,
         strategy,
-        mode.batch_size(),
-    ));
-    if let Some(outputs) = projection_outputs(select, op.schema())? {
-        op = Box::new(Project::new(op, outputs)?);
-    }
-    op = Box::new(Limit::new(op, pattern.k));
-    match mode {
-        ExecMode::Volcano => Ok((collect_guarded(output_name, op, guard)?, 0)),
-        ExecMode::Batched(_) => Ok(collect_batched_guarded(output_name, op, guard)?),
-    }
-}
-
-/// The morsel-parallel drive of the vector pattern: workers claim ranges
-/// of the index's scored entries, compute thread-local top-k heaps, and
-/// the candidates merge deterministically (score descending, then row
-/// position) — every global winner survives its own morsel's local top-k,
-/// so the merged result is bit-identical to the serial scan at any worker
-/// count. Falls back to serial when parallelism cannot help: Volcano mode,
-/// one thread, fewer than two morsels, or the IVF strategy (already
-/// sublinear — its probe set is not worth splitting).
-#[allow(clippy::too_many_arguments)]
-fn run_vector_topk_parallel(
-    catalog: &Catalog,
-    select: &Select,
-    pattern: &VectorPattern,
-    strategy: VectorStrategy,
-    output_name: &str,
-    mode: ExecMode,
-    threads: usize,
-    guard: &QueryGuard,
-) -> Result<(Table, SelectStats), SqlError> {
-    use kath_storage::{run_morsels_guarded, MorselSource};
-    use std::time::Instant;
-
-    let serial = || {
-        run_vector_topk(catalog, select, pattern, strategy, output_name, mode, guard)
-            .map(|(t, batches)| (t, SelectStats::serial(batches)))
-    };
-    let Some(batch) = mode.batch_size() else {
-        return serial();
-    };
-    if threads <= 1 || strategy != VectorStrategy::Flat {
-        return serial();
-    }
-    let table = catalog.get(&pattern.table)?;
-    let index = catalog.vector_index_for(&pattern.table, &pattern.column)?;
-    let entries = index.entries();
-    let source = MorselSource::with_batch_size(entries.len(), batch);
-    if source.morsel_count() < 2 {
-        return serial();
-    }
-    let query = kath_vector::embed_query(&pattern.query);
-    let run = run_morsels_guarded(&source, threads, guard, |m| {
-        Ok(top_k_entries(&entries[m.start..m.end], &query, pattern.k))
     })
-    .map_err(SqlError::Storage)?;
-    let worker_ms = run.worker_ms.clone();
-    let merge_started = Instant::now();
-    let candidates: Vec<(usize, f32)> = run.outputs.into_iter().flatten().collect();
-    let mut positions: Vec<usize> = merge_top_k(candidates, pattern.k)
-        .into_iter()
-        .map(|(pos, _)| pos)
-        .collect();
-    if positions.len() < pattern.k {
-        // Pad with unscored rows in row order, exactly like the serial
-        // search (and the full-sort fallback's NULL-score tail).
-        let missing = pattern.k - positions.len();
-        positions.extend(index.unscored().iter().copied().take(missing));
-    }
-    // The serial tail over k rows: rank-order scan → projection → limit.
-    let mut op: Box<dyn Operator> =
-        Box::new(IndexScan::new(Arc::clone(&table), positions).with_batch_size(batch));
-    if let Some(outputs) = projection_outputs(select, op.schema())? {
-        op = Box::new(Project::new(op, outputs)?);
-    }
-    op = Box::new(Limit::new(op, pattern.k));
-    let (out, batches) =
-        collect_batched_guarded(output_name, op, guard).map_err(SqlError::Storage)?;
-    let stats = SelectStats {
-        batches,
-        workers: worker_ms.len(),
-        worker_ms,
-        merge_ms: merge_started.elapsed().as_secs_f64() * 1000.0,
-        compiled: false,
-        compile_ms: 0.0,
-    };
-    Ok((out, stats))
 }
 
 /// The non-aggregate projection list of a SELECT resolved against the
@@ -1398,45 +1204,6 @@ fn sort_before_project(sort_keys: &[SortKey], outputs: &[(String, Expr)]) -> boo
         && sort_keys
             .iter()
             .any(|k| !outputs.iter().any(|(n, _)| *n == k.column))
-}
-
-/// The access path for the FROM table: an [`IndexScan`] when an equality
-/// conjunct of the WHERE clause hits a catalog index, a [`TableScan`]
-/// otherwise. The batch size of the mode is applied to the scan, which
-/// pass-through operators inherit.
-fn leading_scan(
-    catalog: &Catalog,
-    select: &Select,
-    mode: ExecMode,
-    guard: &QueryGuard,
-) -> Result<Box<dyn Operator>, SqlError> {
-    let table = catalog.get(&select.from)?;
-    let batch = mode.batch_size();
-    if let Some(w) = &select.where_clause {
-        if let Some((column, value)) = equality_target(w, &select.from, table.schema()) {
-            if let Some(ix) = catalog.index_on(&select.from, &column) {
-                let positions = ix.lookup(&value).to_vec();
-                let scan = IndexScan::new(table, positions).with_guard(guard.clone());
-                return Ok(match batch {
-                    Some(n) => Box::new(scan.with_batch_size(n)),
-                    None => Box::new(scan),
-                });
-            }
-        }
-    }
-    let mut scan = TableScan::new(table).with_guard(guard.clone());
-    // Zone-map prune hints are safe only on join-free plans (see
-    // `prune_conjuncts`).
-    if select.joins.is_empty() {
-        if let Some(w) = &select.where_clause {
-            let schema = catalog.get(&select.from)?.schema().clone();
-            scan = scan.with_prune_hint(&prune_conjuncts(w, &select.from, &schema));
-        }
-    }
-    Ok(match batch {
-        Some(n) => Box::new(scan.with_batch_size(n)),
-        None => Box::new(scan),
-    })
 }
 
 /// Finds a `column = literal` conjunct of `predicate` over a column of the
@@ -1543,7 +1310,15 @@ struct AggSpec {
 
 fn aggregate_spec(select: &Select) -> Result<AggSpec, SqlError> {
     let mut aggregates = Vec::new();
-    let mut group_names = select.group_by.clone();
+    // A key written twice groups once, wherever the repeat stands (the
+    // output schema is the keys then the aggregates, and a schema holds
+    // each name once).
+    let mut group_names: Vec<String> = Vec::with_capacity(select.group_by.len());
+    for key in &select.group_by {
+        if !group_names.contains(key) {
+            group_names.push(key.clone());
+        }
+    }
 
     for item in &select.items {
         match item {
@@ -1607,20 +1382,10 @@ fn aggregate_spec(select: &Select) -> Result<AggSpec, SqlError> {
     }
 
     // GROUP BY columns not in the SELECT list are still legal keys.
-    group_names.dedup();
     Ok(AggSpec {
         group_names,
         aggregates,
     })
-}
-
-fn plan_aggregate(
-    input: Box<dyn Operator>,
-    select: &Select,
-) -> Result<Box<dyn Operator>, SqlError> {
-    let spec = aggregate_spec(select)?;
-    let agg = HashAggregate::new(input, spec.group_names, spec.aggregates)?;
-    Ok(Box::new(agg))
 }
 
 fn orient_on(
@@ -1757,6 +1522,28 @@ fn parse_type(ty: &str) -> Result<DataType, SqlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `select` the way production does — through the one entry point,
+    /// the drive picked by `(mode, threads)` — interpreted and unguarded.
+    fn run(
+        c: &Catalog,
+        select: &Select,
+        mode: ExecMode,
+        threads: usize,
+        vector: VectorMode,
+    ) -> Result<(Table, SelectStats), SqlError> {
+        let guard = QueryGuard::unlimited();
+        run_select_auto_guarded(
+            c,
+            select,
+            "out",
+            mode,
+            threads,
+            vector,
+            CompileMode::Off,
+            &guard,
+        )
+    }
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1974,10 +1761,11 @@ mod tests {
             "SELECT year, COUNT(*) AS n FROM films GROUP BY year ORDER BY year",
             "SELECT DISTINCT year FROM films ORDER BY year LIMIT 2",
         ] {
-            let volcano = execute_with(&mut c.clone(), sql, "out", ExecMode::Volcano).unwrap();
+            let select = crate::parser::parse_select(sql).unwrap();
+            let (volcano, _) = run(&c, &select, ExecMode::Volcano, 1, VectorMode::Auto).unwrap();
             for bs in [1usize, 2, 1024] {
-                let batched =
-                    execute_with(&mut c.clone(), sql, "out", ExecMode::Batched(bs)).unwrap();
+                let (batched, _) =
+                    run(&c, &select, ExecMode::Batched(bs), 1, VectorMode::Auto).unwrap();
                 assert_eq!(batched, volcano, "{sql} (batch {bs})");
             }
         }
@@ -2030,14 +1818,14 @@ mod tests {
     }
 
     #[test]
-    fn run_select_with_reports_batches() {
+    fn serial_run_reports_batches() {
         let c = catalog();
         let select = crate::parser::parse_select("SELECT title FROM films").unwrap();
-        let (t, batches) = run_select_with(&c, &select, "out", ExecMode::Batched(2)).unwrap();
+        let (t, stats) = run(&c, &select, ExecMode::Batched(2), 1, VectorMode::Auto).unwrap();
         assert_eq!(t.len(), 4);
-        assert_eq!(batches, 2);
-        let (_, batches) = run_select_with(&c, &select, "out", ExecMode::Volcano).unwrap();
-        assert_eq!(batches, 0);
+        assert_eq!(stats.batches, 2);
+        let (_, stats) = run(&c, &select, ExecMode::Volcano, 1, VectorMode::Auto).unwrap();
+        assert_eq!(stats.batches, 0);
     }
 
     /// A catalog big enough that parallel runs split into several morsels
@@ -2078,10 +1866,10 @@ mod tests {
             let select = crate::parser::parse_select(sql).unwrap();
             for batch in [32usize, 1024] {
                 let mode = ExecMode::Batched(batch);
-                let (serial, _) = run_select_with(&c, &select, "out", mode).unwrap();
+                let (serial, _) = run(&c, &select, mode, 1, VectorMode::Auto).unwrap();
                 for threads in [1usize, 2, 3, 8] {
                     let (parallel, stats) =
-                        run_select_parallel(&c, &select, "out", mode, threads).unwrap();
+                        run(&c, &select, mode, threads, VectorMode::Auto).unwrap();
                     assert_eq!(parallel, serial, "{sql} (batch {batch}, threads {threads})");
                     if threads > 1 && batch == 32 {
                         assert!(stats.workers > 1, "{sql}: expected parallel run");
@@ -2102,9 +1890,9 @@ mod tests {
         // The equality conjunct narrows to 8 candidate positions; batch
         // size 1 keeps the morsels small enough that even this tiny
         // candidate set still splits across workers.
-        let (serial, _) = run_select_with(&c, &select, "out", ExecMode::Batched(1)).unwrap();
+        let (serial, _) = run(&c, &select, ExecMode::Batched(1), 1, VectorMode::Auto).unwrap();
         let (parallel, stats) =
-            run_select_parallel(&c, &select, "out", ExecMode::Batched(1), 4).unwrap();
+            run(&c, &select, ExecMode::Batched(1), 4, VectorMode::Auto).unwrap();
         assert_eq!(parallel, serial);
         assert!(stats.workers > 1, "index path should still parallelize");
     }
@@ -2119,12 +1907,12 @@ mod tests {
             "SELECT 100 / (year - 1950) AS q FROM films WHERE year = 1950 LIMIT 0",
         )
         .unwrap();
-        let (t, stats) = run_select_parallel(&c, &select, "out", ExecMode::Batched(16), 8).unwrap();
+        let (t, stats) = run(&c, &select, ExecMode::Batched(16), 8, VectorMode::Auto).unwrap();
         assert_eq!(t.len(), 0);
         assert_eq!(stats.workers, 1, "lazy LIMIT must stay serial");
 
         let select = crate::parser::parse_select("SELECT * FROM films").unwrap();
-        let (_, stats) = run_select_parallel(&c, &select, "out", ExecMode::Volcano, 8).unwrap();
+        let (_, stats) = run(&c, &select, ExecMode::Volcano, 8, VectorMode::Auto).unwrap();
         assert_eq!(stats.workers, 1, "Volcano mode is the serial baseline");
     }
 
@@ -2141,9 +1929,9 @@ mod tests {
         )
         .unwrap();
         let mode = ExecMode::Batched(32);
-        let (serial, _) = run_select_with(&c, &select, "out", mode).unwrap();
+        let (serial, _) = run(&c, &select, mode, 1, VectorMode::Auto).unwrap();
         for threads in [2usize, 4] {
-            let (parallel, _) = run_select_parallel(&c, &select, "out", mode, threads).unwrap();
+            let (parallel, _) = run(&c, &select, mode, threads, VectorMode::Auto).unwrap();
             assert_eq!(parallel, serial, "threads {threads}");
         }
         // And with DISTINCT stacked on top (still the serial operator tail).
@@ -2151,8 +1939,8 @@ mod tests {
             "SELECT DISTINCT 100 / (year - 1950) AS q FROM films ORDER BY year DESC LIMIT 3",
         )
         .unwrap();
-        let (serial, _) = run_select_with(&c, &select, "out", mode).unwrap();
-        let (parallel, _) = run_select_parallel(&c, &select, "out", mode, 4).unwrap();
+        let (serial, _) = run(&c, &select, mode, 1, VectorMode::Auto).unwrap();
+        let (parallel, _) = run(&c, &select, mode, 4, VectorMode::Auto).unwrap();
         assert_eq!(parallel, serial);
     }
 
@@ -2161,16 +1949,16 @@ mod tests {
         let c = wide_catalog();
         let select =
             crate::parser::parse_select("SELECT MAX(id) AS m FROM films ORDER BY m").unwrap();
-        let serial_ok = run_select_with(&c, &select, "out", ExecMode::Batched(16)).is_ok();
-        let parallel_ok = run_select_parallel(&c, &select, "out", ExecMode::Batched(16), 4).is_ok();
+        let serial_ok = run(&c, &select, ExecMode::Batched(16), 1, VectorMode::Auto).is_ok();
+        let parallel_ok = run(&c, &select, ExecMode::Batched(16), 4, VectorMode::Auto).is_ok();
         assert_eq!(serial_ok, parallel_ok);
 
         let bad = crate::parser::parse_select(
             "SELECT title FROM films WHERE 1 / (year - 1950) > 0 ORDER BY title",
         )
         .unwrap();
-        let serial = run_select_with(&c, &bad, "out", ExecMode::Batched(16));
-        let parallel = run_select_parallel(&c, &bad, "out", ExecMode::Batched(16), 4);
+        let serial = run(&c, &bad, ExecMode::Batched(16), 1, VectorMode::Auto);
+        let parallel = run(&c, &bad, ExecMode::Batched(16), 4, VectorMode::Auto);
         assert!(serial.is_err());
         assert!(parallel.is_err(), "parallel must fail when serial fails");
     }
@@ -2215,8 +2003,10 @@ mod tests {
     #[test]
     fn vector_pattern_detection_and_gates() {
         let c = vector_catalog(12);
+        let docs = c.get("docs").unwrap();
         let matches = |sql: &str| {
-            vector_topk_pattern(&c, &crate::parser::parse_select(sql).unwrap()).is_some()
+            let select = crate::parser::parse_select(sql).unwrap();
+            vector_choice(&select, &docs, VectorMode::Auto).is_some()
         };
         assert!(matches(VECTOR_SQL));
         assert!(matches(
@@ -2243,11 +2033,12 @@ mod tests {
     fn vector_choice_follows_cardinality_and_mode() {
         let choice = |c: &Catalog, vector| {
             let select = crate::parser::parse_select(VECTOR_SQL).unwrap();
-            vector_plan_choice(c, &select, vector).map(|(pattern, strategy)| {
-                assert_eq!(pattern.table, "docs");
-                assert_eq!(pattern.column, "emb");
-                assert_eq!(pattern.k, 4);
-                strategy
+            let plan = plan_select(c, &select, vector).unwrap();
+            assert_eq!(plan.table.name(), "docs");
+            plan.vector.map(|v| {
+                assert_eq!(v.column, "emb");
+                assert_eq!(v.k, 4);
+                v.strategy
             })
         };
         let small = vector_catalog(12);
@@ -2271,15 +2062,15 @@ mod tests {
             ExecMode::Batched(7),
             ExecMode::Batched(1024),
         ] {
-            let (fallback, _) = run_select_opt(&c, &select, "out", mode, VectorMode::Off).unwrap();
+            let (fallback, _) = run(&c, &select, mode, 1, VectorMode::Off).unwrap();
             assert_eq!(fallback.len(), 4);
             for vector in [VectorMode::Auto, VectorMode::Flat] {
-                let (fast, _) = run_select_opt(&c, &select, "out", mode, vector).unwrap();
+                let (fast, _) = run(&c, &select, mode, 1, vector).unwrap();
                 assert_eq!(fast, fallback, "{mode:?} {vector:?}");
             }
         }
         // The winners are actually the violent documents.
-        let (t, _) = run_select_with(&c, &select, "out", ExecMode::default()).unwrap();
+        let (t, _) = run(&c, &select, ExecMode::default(), 1, VectorMode::Auto).unwrap();
         for row in t.rows() {
             let body = row[1].as_str().unwrap();
             assert!(
@@ -2305,8 +2096,8 @@ mod tests {
         )
         .unwrap();
         let mode = ExecMode::default();
-        let (fallback, _) = run_select_opt(&c, &select, "out", mode, VectorMode::Off).unwrap();
-        let (fast, _) = run_select_opt(&c, &select, "out", mode, VectorMode::Flat).unwrap();
+        let (fallback, _) = run(&c, &select, mode, 1, VectorMode::Off).unwrap();
+        let (fast, _) = run(&c, &select, mode, 1, VectorMode::Flat).unwrap();
         assert_eq!(fast, fallback);
         assert_eq!(fast.len(), 4);
         assert_eq!(fast.cell(3, "id").unwrap(), &Value::Int(100));
@@ -2317,22 +2108,17 @@ mod tests {
         let c = vector_catalog(300);
         let select = crate::parser::parse_select(VECTOR_SQL).unwrap();
         let mode = ExecMode::Batched(32);
-        let (serial, _) = run_select_opt(&c, &select, "out", mode, VectorMode::Flat).unwrap();
+        let (serial, _) = run(&c, &select, mode, 1, VectorMode::Flat).unwrap();
         for threads in [2usize, 4, 8] {
-            let (parallel, stats) =
-                run_select_parallel_opt(&c, &select, "out", mode, threads, VectorMode::Flat)
-                    .unwrap();
+            let (parallel, stats) = run(&c, &select, mode, threads, VectorMode::Flat).unwrap();
             assert_eq!(parallel, serial, "threads {threads}");
             assert!(stats.workers > 1, "expected a parallel run");
             assert_eq!(stats.worker_ms.len(), stats.workers);
         }
         // IVF and Volcano fall back to the serial driver.
-        let (_, stats) =
-            run_select_parallel_opt(&c, &select, "out", mode, 4, VectorMode::Ivf).unwrap();
+        let (_, stats) = run(&c, &select, mode, 4, VectorMode::Ivf).unwrap();
         assert_eq!(stats.workers, 1);
-        let (_, stats) =
-            run_select_parallel_opt(&c, &select, "out", ExecMode::Volcano, 4, VectorMode::Flat)
-                .unwrap();
+        let (_, stats) = run(&c, &select, ExecMode::Volcano, 4, VectorMode::Flat).unwrap();
         assert_eq!(stats.workers, 1);
     }
 
@@ -2345,14 +2131,14 @@ mod tests {
             "SELECT id FROM docs WHERE id < 4 ORDER BY SIMILARITY(emb, 'gun fight') DESC LIMIT 2",
         )
         .unwrap();
-        let (t, _) = run_select_with(&c, &select, "out", ExecMode::default()).unwrap();
+        let (t, _) = run(&c, &select, ExecMode::default(), 1, VectorMode::Auto).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.cell(0, "id").unwrap(), &Value::Int(0)); // the gun-fight doc
         assert!(!t.schema().names().iter().any(|n| n.starts_with("__sort")));
         // Arithmetic expression keys work too.
         let select =
             crate::parser::parse_select("SELECT id FROM docs ORDER BY 0 - id ASC LIMIT 3").unwrap();
-        let (t, _) = run_select_with(&c, &select, "out", ExecMode::default()).unwrap();
+        let (t, _) = run(&c, &select, ExecMode::default(), 1, VectorMode::Auto).unwrap();
         assert_eq!(t.cell(0, "id").unwrap(), &Value::Int(9));
         // A SELECT-list alias mixed with an expression key resolves to the
         // aliased expression (as it would on the plain sort path alone).
@@ -2360,7 +2146,7 @@ mod tests {
             "SELECT id + 1 AS d FROM docs ORDER BY d ASC, 0 - id DESC LIMIT 3",
         )
         .unwrap();
-        let (t, _) = run_select_with(&c, &select, "out", ExecMode::default()).unwrap();
+        let (t, _) = run(&c, &select, ExecMode::default(), 1, VectorMode::Auto).unwrap();
         assert_eq!(t.cell(0, "d").unwrap(), &Value::Int(1));
         assert_eq!(t.schema().names(), vec!["d"]);
         // And aggregation rejects expression keys loudly.
@@ -2369,7 +2155,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            run_select_with(&c, &select, "out", ExecMode::default()),
+            run(&c, &select, ExecMode::default(), 1, VectorMode::Auto),
             Err(SqlError::Unsupported(_))
         ));
     }

@@ -12,13 +12,34 @@
 //! 3. **Recall**: the approximate IVF implementation keeps recall@10 ≥ 0.9
 //!    against the exact Flat scan on seeded clustered corpora.
 
-use kath_sql::{execute, parse_select, run_select_opt, run_select_parallel_opt};
-use kath_storage::{encode_embedding, Catalog, ExecMode, Value, VectorMode, VectorStrategy};
+use kath_sql::{execute, parse_select, run_select_auto_guarded, Select};
+use kath_storage::{
+    encode_embedding, Catalog, CompileMode, ExecMode, QueryGuard, Table, Value, VectorMode,
+    VectorStrategy,
+};
 use kath_vector::{embed_query, normalize, seeded_unit_vector};
 use proptest::prelude::*;
 
 /// One generated row: a cell-kind roll and a seed payload.
 type RowSeed = (u8, u64);
+
+/// Runs `select` through the one entry point; `(mode, threads)` pick the
+/// drive, as they do in production.
+fn run(c: &Catalog, select: &Select, mode: ExecMode, threads: usize, vector: VectorMode) -> Table {
+    let guard = QueryGuard::unlimited();
+    run_select_auto_guarded(
+        c,
+        select,
+        "out",
+        mode,
+        threads,
+        vector,
+        CompileMode::Off,
+        &guard,
+    )
+    .unwrap()
+    .0
+}
 
 fn corpus_catalog(rows: &[RowSeed]) -> Catalog {
     let mut c = Catalog::new();
@@ -75,11 +96,10 @@ proptest! {
             queries[qseed as usize]
         );
         let select = parse_select(&sql).unwrap();
-        let (fallback, _) =
-            run_select_opt(&c, &select, "out", ExecMode::Batched(16), VectorMode::Off).unwrap();
+        let fallback = run(&c, &select, ExecMode::Batched(16), 1, VectorMode::Off);
         for mode in [ExecMode::Volcano, ExecMode::Batched(3), ExecMode::Batched(1024)] {
             for vector in [VectorMode::Auto, VectorMode::Flat, VectorMode::Ivf] {
-                let (fast, _) = run_select_opt(&c, &select, "out", mode, vector).unwrap();
+                let fast = run(&c, &select, mode, 1, vector);
                 // IVF is approximate: it may pick different rows, but must
                 // still return a validly-ranked result of the same size; the
                 // exact modes must match bit for bit.
@@ -106,9 +126,8 @@ proptest! {
         let select = parse_select(&sql).unwrap();
         // Batch 8 splits even small corpora into several morsels.
         let mode = ExecMode::Batched(8);
-        let (serial, _) = run_select_opt(&c, &select, "out", mode, VectorMode::Flat).unwrap();
-        let (parallel, _) =
-            run_select_parallel_opt(&c, &select, "out", mode, threads, VectorMode::Flat).unwrap();
+        let serial = run(&c, &select, mode, 1, VectorMode::Flat);
+        let parallel = run(&c, &select, mode, threads, VectorMode::Flat);
         prop_assert_eq!(parallel, serial, "threads {}", threads);
     }
 }

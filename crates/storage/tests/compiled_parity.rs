@@ -6,7 +6,7 @@
 //! SQL-expressible plans — projections (bare `*`, column subsets, computed
 //! expressions), WHERE trees over AND/OR/NOT/IS NULL with mixed-type
 //! comparisons, optional equi-joins — the compiled drive
-//! (`run_select_auto` with [`CompileMode::On`]) must produce the same
+//! (`run_select_auto_guarded` with [`CompileMode::On`]) must produce the same
 //! table, row for row and byte for byte, as the interpreted drive
 //! ([`CompileMode::Off`]) — or both must fail. The sweep covers batch
 //! sizes 1/3/1024 and 1/2/8 workers over both resident and paged tables
@@ -14,9 +14,9 @@
 //! and plans the compiler cannot express (aggregates, DISTINCT, ORDER BY,
 //! LIMIT) must report `compiled == false` while still agreeing on rows.
 
-use kath_sql::{parse_select, run_select_auto};
+use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
-    Catalog, Column, CompileMode, DataType, ExecMode, Schema, Table, Value, VectorMode,
+    Catalog, Column, CompileMode, DataType, ExecMode, QueryGuard, Schema, Table, Value, VectorMode,
 };
 use proptest::prelude::*;
 
@@ -247,7 +247,7 @@ fn run(
     compile: CompileMode,
 ) -> Result<(Table, bool), kath_sql::SqlError> {
     let select = parse_select(sql).expect("generated SQL parses");
-    run_select_auto(
+    run_select_auto_guarded(
         catalog,
         &select,
         "out",
@@ -255,6 +255,7 @@ fn run(
         threads,
         VectorMode::Off,
         compile,
+        &QueryGuard::unlimited(),
     )
     .map(|(t, stats)| (t, stats.compiled))
 }
