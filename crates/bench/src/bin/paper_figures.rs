@@ -58,7 +58,7 @@ fn main() {
             }
         }
         // Cap at a figure-sized excerpt.
-        println!("{}", shown.sample(14).render());
+        println!("{}", shown.sample(14).expect("resident rows").render());
         println!("(total lineage edges this session: {})\n", lineage.len());
     }
 

@@ -671,10 +671,10 @@ impl KathDB {
         (io.describe(), io.fault_stats())
     }
 
-    /// Builds (or refreshes) the derived vector index over `table.column`,
-    /// returning `(scored entries, unscored rows)`. The planner derives
-    /// indexes on demand, so this is only needed to warm one up eagerly
-    /// (e.g. from the REPL's `\vindex build`).
+    /// Builds (if the current table value has none yet) the vector index
+    /// over `table.column`, returning `(scored entries, unscored rows)`.
+    /// The planner derives indexes on demand, so this is only needed to
+    /// warm one up eagerly (e.g. from the REPL's `\vindex build`).
     pub fn build_vector_index(
         &mut self,
         table: &str,
@@ -690,20 +690,19 @@ impl KathDB {
         self.ctx.catalog.drop_vector_index(table, column)
     }
 
-    /// Every derived vector index: `(table, column, scored, unscored)`.
+    /// Every vector index built for a current table value:
+    /// `(table, column, scored, unscored)`.
     pub fn vector_index_status(&self) -> Vec<(String, String, usize, usize)> {
+        let snapshot = self.ctx.catalog.snapshot();
         let mut out = Vec::new();
-        let names: Vec<String> = self.ctx.catalog.table_names();
-        for table in names {
-            for column in self.ctx.catalog.vector_indexed_columns(&table) {
-                if let Some(ix) = self.ctx.catalog.vector_index_on(&table, &column) {
-                    out.push((
-                        table.clone(),
-                        column,
-                        ix.entries().len(),
-                        ix.unscored().len(),
-                    ));
-                }
+        for table in snapshot.table_names() {
+            for ix in snapshot.get(table).iter().flat_map(|t| t.vector_indexes()) {
+                out.push((
+                    table.to_string(),
+                    ix.column().to_string(),
+                    ix.entries().len(),
+                    ix.unscored().len(),
+                ));
             }
         }
         out
@@ -1488,8 +1487,8 @@ mod tests {
             assert_eq!(db.sql(sql).unwrap(), baseline, "{mode:?}");
         }
         db.set_vector_mode(VectorMode::Auto);
-        // Inserts invalidate the derived index lazily: a new best match is
-        // visible to the very next query.
+        // An insert makes a new table value with no index yet: a new best
+        // match is visible to the very next query.
         db.sql("INSERT INTO notes VALUES (5, 'shootout', EMBED('shootout'))")
             .unwrap();
         let top = db.sql(sql).unwrap();

@@ -162,7 +162,8 @@ impl ExecContext {
     pub fn adopt(&mut self, published: &Published) {
         self.table_lids
             .insert(published.table.name().to_string(), published.lid);
-        self.catalog.swap_in_identical(Arc::clone(&published.table));
+        self.catalog
+            .register_or_replace(Arc::clone(&published.table));
     }
 
     /// The record of `output`, if running `func_id` with `body` now would

@@ -24,6 +24,9 @@
 //!    while another lock is held adds an edge *held → acquired*.
 //! 4. The edge set must be consistent with the declared order and
 //!    acyclic; re-acquiring a held lock is reported as a self-deadlock.
+//! 5. The model only sees what is declared, so it must be **complete**:
+//!    in the analysed files, a struct field whose type is `Mutex<…>` or
+//!    `RwLock<…>` and that no `[[lock]]` entry names is a finding.
 //!
 //! The analysis is lexical and over-approximate in the safe direction for
 //! a total order: a spurious *forward* edge is harmless, and the files it
@@ -125,6 +128,7 @@ pub fn run(files: &[&Lexed], config: &Config) -> (Vec<Finding>, Vec<Edge>) {
     let mut fns: Vec<FnInfo> = Vec::new();
     for (file_idx, lexed) in files.iter().enumerate() {
         extract_fns(lexed, file_idx, config, &mut fns);
+        findings.extend(undeclared_lock_fields(lexed, config));
     }
     let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (i, f) in fns.iter().enumerate() {
@@ -224,6 +228,74 @@ pub fn run(files: &[&Lexed], config: &Config) -> (Vec<Finding>, Vec<Edge>) {
         });
     }
     (findings, edges)
+}
+
+/// Lock-typed struct fields of `lexed` that `lint.toml` does not declare: a
+/// lock outside the model is a lock whose order nothing checks. A field is
+/// an identifier directly inside a `struct … { }` body followed by a single
+/// `:`; its type counts when the path before the first `<` ends in `Mutex`
+/// or `RwLock` (`parking_lot::RwLock<…>` included).
+fn undeclared_lock_fields(lexed: &Lexed, config: &Config) -> Vec<Finding> {
+    let toks = &lexed.tokens;
+    let mut findings = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !is_ident(toks, i, "struct") || lexed.is_test_line(toks[i].line) {
+            i += 1;
+            continue;
+        }
+        // The body `{` — or no body at all (`struct A;`, `struct A(T);`).
+        let mut k = i + 1;
+        while k < toks.len() && !matches!(toks[k].tok, Tok::Punct('{' | ';' | '(')) {
+            k += 1;
+        }
+        if !is_punct(toks, k, '{') {
+            i = k.max(i + 1);
+            continue;
+        }
+        let mut depth = 0i32;
+        while k < toks.len() {
+            match toks[k].tok {
+                Tok::Punct('{' | '(' | '[' | '<') => depth += 1,
+                // `->` in a `fn(..) -> T` field type closes nothing.
+                Tok::Punct('>') if is_punct(toks, k - 1, '-') => {}
+                Tok::Punct('}' | ')' | ']' | '>') => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+            let field = ident_at(toks, k).filter(|_| {
+                depth == 1 && is_punct(toks, k + 1, ':') && !is_punct(toks, k + 2, ':')
+            });
+            if let Some(field) = field {
+                let mut t = k + 2;
+                while ident_at(toks, t).is_some() && is_punct(toks, t + 1, ':') {
+                    t += 3; // `path::`
+                }
+                let lock_typed = matches!(ident_at(toks, t), Some("Mutex" | "RwLock"))
+                    && is_punct(toks, t + 1, '<');
+                let declared = config
+                    .locks
+                    .iter()
+                    .any(|s| s.file == lexed.path && s.field == field);
+                if lock_typed && !declared {
+                    findings.push(Finding {
+                        pass: PASS,
+                        file: lexed.path.clone(),
+                        line: toks[k].line,
+                        message: format!(
+                            "field `{field}` is a lock that no [[lock]] entry in lint.toml \
+                             declares — name it and give it a place in [lock-order]"
+                        ),
+                    });
+                }
+            }
+            k += 1;
+        }
+        i = k + 1;
+    }
+    findings
 }
 
 /// Extracts function bodies, direct acquisition sites, and call sites.

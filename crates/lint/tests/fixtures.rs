@@ -257,6 +257,59 @@ fn lock_order_test_code_is_exempt() {
     assert_eq!(pass_lines(&findings, "lock-order"), vec![]);
 }
 
+#[test]
+fn lock_order_undeclared_lock_field_is_flagged() {
+    // `gamma` and `delta` are locks the model was never told about; a
+    // `let` of lock type, a parameter, and a plain field are not fields of
+    // lock type.
+    let src = "pub struct S {\n\
+               \x20   alpha: Mutex<u8>,\n\
+               \x20   pub(crate) gamma: parking_lot::RwLock<Vec<u8>>,\n\
+               \x20   plain: Arc<Vec<u8>>,\n\
+               \x20   #[allow(dead_code)]\n\
+               \x20   delta: Mutex<Box<dyn Fn(&u8) -> u8>>,\n\
+               }\n\
+               pub struct Unit;\n\
+               pub struct Tuple(Mutex<u8>);\n\
+               pub fn f(m: Mutex<u8>) {\n\
+               \x20   let local: Mutex<u8> = m;\n\
+               }\n";
+    let findings = lint(&[("crates/x/src/l.rs", src)], LOCK_CONFIG);
+    let lines = pass_lines(&findings, "lock-order");
+    assert_eq!(
+        lines,
+        vec![
+            ("crates/x/src/l.rs".to_string(), 3),
+            ("crates/x/src/l.rs".to_string(), 6),
+        ]
+    );
+    assert!(findings[0].message.contains("`gamma`"), "{}", findings[0]);
+}
+
+#[test]
+fn lock_order_declared_and_test_only_lock_fields_are_clean() {
+    let src = "struct S {\n\
+               \x20   alpha: Mutex<u8>,\n\
+               \x20   beta: std::sync::Mutex<u8>,\n\
+               }\n\
+               #[cfg(test)]\nmod tests {\n\
+               \x20   struct Fake {\n\
+               \x20       gamma: Mutex<u8>,\n\
+               \x20   }\n\
+               }\n";
+    // The same field name in a file that declares no such lock is still a
+    // finding: declarations are per (file, field).
+    let other = "struct T {\n    alpha: Mutex<u8>,\n}\n";
+    let findings = lint(
+        &[("crates/x/src/l.rs", src), ("crates/x/src/other.rs", other)],
+        LOCK_CONFIG,
+    );
+    assert_eq!(
+        pass_lines(&findings, "lock-order"),
+        vec![("crates/x/src/other.rs".to_string(), 2)]
+    );
+}
+
 // ───────────────────────────── atomics ─────────────────────────────────
 
 #[test]

@@ -95,7 +95,7 @@ pub fn compile(
         (logical.clone(), Vec::new())
     };
 
-    let mut sample_ctx = build_sample_ctx(ctx, opts.sample_size);
+    let mut sample_ctx = build_sample_ctx(ctx, opts.sample_size)?;
     let mut physical = PhysicalPlan::default();
     let mut critiques = Vec::new();
     let mut selections = Vec::new();
@@ -372,19 +372,20 @@ fn agreement(reference: &Table, candidate: &Table) -> f64 {
 }
 
 /// Builds the profiling context: sampled base tables, full media, fresh
-/// lineage with recording off.
-fn build_sample_ctx(ctx: &ExecContext, sample_size: usize) -> ExecContext {
+/// lineage with recording off. A table whose first rows cannot be read
+/// fails the compile with the storage error.
+fn build_sample_ctx(ctx: &ExecContext, sample_size: usize) -> Result<ExecContext, ExecError> {
     let mut sample = ExecContext::new(ctx.llm.clone());
     sample.lineage = LineageStore::with_policy(LineagePolicy::Off);
     sample.media = ctx.media.clone();
     for name in ctx.catalog.table_names() {
         if let Ok(table) = ctx.catalog.get(&name) {
-            let mut t = table.sample(sample_size);
+            let mut t = table.sample(sample_size)?;
             t.set_name(&name);
             sample.catalog.register_or_replace(t);
         }
     }
-    sample
+    Ok(sample)
 }
 
 /// Forks the sample context for one candidate profile run. The catalog is
@@ -632,7 +633,7 @@ mod tests {
     #[test]
     fn sampled_tables_bound_profiling_cost() {
         let ctx = full_ctx();
-        let sample = build_sample_ctx(&ctx, 2);
+        let sample = build_sample_ctx(&ctx, 2).unwrap();
         assert_eq!(sample.catalog.get("movie_table").unwrap().len(), 2);
         assert_eq!(
             sample.catalog.get("movie_table").unwrap().name(),

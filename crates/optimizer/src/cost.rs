@@ -1,13 +1,16 @@
 //! The unified cost model (§1: "compare alternatives for the same sub-task
 //! under a unified cost model, optimizing query accuracy and token cost").
 //!
-//! Profiled sample costs are extrapolated to full-table cardinalities using
-//! classical selectivity estimates from `kath-storage` statistics.
+//! Profiled sample costs are extrapolated linearly to the row counts of the
+//! catalog's full tables; relational pipelines add a per-row, per-batch and
+//! cold-page term. Nothing here reads column statistics. The choices the
+//! executor makes by itself — compiled or interpreted
+//! (`kath_storage::compile_pays_off`), Flat or IVF
+//! (`kath_storage::preferred_vector_strategy`) — are priced where they are
+//! decided, in `kath_storage`.
 
 use kath_fao::{FunctionBody, FunctionRegistry};
-use kath_storage::{
-    compile_pays_off, vector_search_cost, Catalog, ExecMode, VectorStrategy, DEFAULT_BATCH_SIZE,
-};
+use kath_storage::{Catalog, ExecMode, DEFAULT_BATCH_SIZE};
 
 /// A cost estimate for one function or a whole plan.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -87,20 +90,6 @@ pub fn parallel_overhead_ms(rows: usize, mode: ExecMode, workers: usize) -> f64 
     relational_overhead_ms(rows, mode) / w + (w - 1.0) * WORKER_STARTUP_MS
 }
 
-/// A physical execution strategy: how the pipeline spine is driven, by how
-/// many workers, and whether its pipelines run closure-compiled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecStrategy {
-    /// Tuple-at-a-time vs batch-at-a-time.
-    pub mode: ExecMode,
-    /// Degree of morsel parallelism (1 = serial).
-    pub workers: usize,
-    /// Whether eligible pipelines run as fused compiled kernels instead of
-    /// interpreted operators (only meaningful for batched modes — the
-    /// compiled drive is batch-at-a-time by construction).
-    pub compiled: bool,
-}
-
 /// The cheapest degree of parallelism for `rows` rows in `mode`, searched
 /// up to `max_workers` (the host's cores, typically). The curve is convex —
 /// per-worker startup cost against the divided per-morsel win — so the
@@ -120,111 +109,12 @@ pub fn preferred_parallelism(rows: usize, mode: ExecMode) -> usize {
     preferred_parallelism_capped(rows, mode, kath_storage::host_parallelism())
 }
 
-/// Generalizes [`preferred_exec_mode`] to a `(mode, workers, compiled)`
-/// choice from cardinality: pick the cheaper spine protocol, the
-/// break-even worker count for it (capped at `max_workers`), and whether
-/// compiling the pipeline's kernels pays for itself. Volcano pipelines
-/// never parallelize or compile — the row protocol is the serial
-/// compatibility baseline. The compile choice delegates to the single
-/// decision rule in [`kath_storage::compile_pays_off`] — the same rule the
-/// SQL driver's `auto` mode consults at runtime — so the cost model and
-/// the executor can never disagree (the consistency test below pins that
-/// the serial ms estimates' argmin still matches the shared rule).
-pub fn preferred_exec_strategy(rows: usize, max_workers: usize) -> ExecStrategy {
-    let mode = preferred_exec_mode(rows);
-    let (workers, compiled) = match mode {
-        ExecMode::Volcano => (1, false),
-        batched => (
-            preferred_parallelism_capped(rows, batched, max_workers),
-            compile_pays_off(rows),
-        ),
-    };
-    ExecStrategy {
-        mode,
-        workers,
-        compiled,
-    }
-}
-
-/// One-time serial cost of compiling a query's expression kernels into
-/// fused pipeline closures, in milliseconds: walking the expression trees,
-/// resolving column ordinals, allocating the closure tree. Paid once per
-/// query regardless of cardinality or worker count — the term that keeps
-/// tiny tables interpreted.
-pub const COMPILE_SETUP_MS: f64 = 0.06;
-
-/// Per-value touch cost of a compiled pipeline, in milliseconds. Compiled
-/// kernels skip the per-batch expression-tree walk and name resolution
-/// that [`VALUE_TOUCH_MS`] folds in, so the per-value price is lower.
-pub const COMPILED_VALUE_TOUCH_MS: f64 = 1e-5;
-
-/// Per-batch overhead of a compiled pipeline, in milliseconds: one fused
-/// `process` call instead of one virtual `next_batch` dispatch per
-/// operator ([`BATCH_OVERHEAD_MS`]).
-pub const COMPILED_BATCH_OVERHEAD_MS: f64 = 1e-3;
-
-/// Estimated overhead of pushing `rows` rows through a **compiled** fused
-/// pipeline at the given batch size with `workers`-way morsel parallelism:
-/// the one-time [`COMPILE_SETUP_MS`] (serial — one compilation serves all
-/// workers), the divided per-value/per-batch work, and the usual
-/// per-worker startup. Compare against [`parallel_overhead_ms`] to price
-/// the compiled-vs-interpreted choice; the serial (`workers == 1`)
-/// crossover is exactly [`kath_storage::COMPILE_BREAK_EVEN_ROWS`].
-pub fn compiled_pipeline_ms(rows: usize, batch: usize, workers: usize) -> f64 {
-    let w = workers.max(1) as f64;
-    let batches = rows.div_ceil(batch.max(1)).max(1) as f64;
-    COMPILE_SETUP_MS
-        + (rows as f64 * COMPILED_VALUE_TOUCH_MS + batches * COMPILED_BATCH_OVERHEAD_MS) / w
-        + (w - 1.0) * WORKER_STARTUP_MS
-}
-
 /// Milliseconds to decode one compressed column page into its in-memory
 /// columnar form on a buffer-pool miss: CRC verification, dictionary /
 /// run-length / bit-packing expansion, and the `ColumnVector` build. Pool
 /// hits skip this entirely, so this constant prices the **cold** path — the
 /// conservative bound physical selection should plan against.
 pub const PAGE_DECODE_MS: f64 = 0.02;
-
-/// Estimated wall-clock of scanning a paged table: the relational overhead
-/// of the rows that survive zone-map pruning, plus one [`PAGE_DECODE_MS`]
-/// per column page that must actually be decoded. `pages` counts the total
-/// column pages the scan would touch; `pruned` of them are skipped via zone
-/// maps *before* decompression, so they cost nothing — which is exactly why
-/// the estimate rewards predicates the zone maps can prune on.
-pub fn paged_scan_ms(rows: usize, pages: usize, pruned: usize, mode: ExecMode) -> f64 {
-    let live = pages.saturating_sub(pruned);
-    let live_rows = if pages == 0 {
-        rows
-    } else {
-        ((rows as f64) * (live as f64) / (pages as f64)).ceil() as usize
-    };
-    relational_overhead_ms(live_rows, mode) + live as f64 * PAGE_DECODE_MS
-}
-
-/// Milliseconds per scored candidate of a vector similarity search: one
-/// 64-dimension f32 cosine in a tight loop.
-pub const VECTOR_SCORE_MS: f64 = 2e-5;
-
-/// Estimated wall-clock of one top-k similarity query over `rows` indexed
-/// vectors under `strategy` — the paper's flagship physical choice (§4):
-/// the *same* logical operator implemented exactly-but-linearly (Flat) or
-/// approximately-but-sublinearly (IVF). Scales the storage layer's
-/// unit-free scoring-work model ([`kath_storage::vector_search_cost`]) by
-/// [`VECTOR_SCORE_MS`].
-pub fn estimate_vector_search_ms(rows: usize, strategy: VectorStrategy) -> f64 {
-    vector_search_cost(rows, strategy) * VECTOR_SCORE_MS
-}
-
-/// The cheaper vector-search implementation for `rows` vectors: delegates
-/// to the single decision rule in [`kath_storage::preferred_vector_strategy`]
-/// (the one the SQL planner consults), so the planner's per-query choice
-/// and the cost model can never diverge. The consistency test below pins
-/// that the ms estimates' argmin still matches this rule — if the ms model
-/// ever gains a strategy-specific term, that test forces the shared rule
-/// to move with it.
-pub fn preferred_vector_strategy(rows: usize) -> VectorStrategy {
-    kath_storage::preferred_vector_strategy(rows)
-}
 
 /// Estimates the cost of executing a function's active version over its
 /// full inputs, by scaling the sample profile linearly in input rows (model
@@ -259,51 +149,25 @@ pub fn estimate_function(
 }
 
 /// [`estimate_function`] plus the execution-mode-dependent relational
-/// overhead for bodies that run an operator pipeline (SQL, map, filter).
-/// Model-call bodies are mode-independent: their per-row token cost dwarfs
-/// iteration overhead.
+/// overhead for bodies that run an operator pipeline (SQL, map, filter),
+/// priced serial and interpreted. Model-call bodies are mode-independent:
+/// their per-row token cost dwarfs iteration overhead. Token cost and
+/// accuracy are unaffected — the mode changes wall-clock, never results.
 pub fn estimate_function_in_mode(
     registry: &FunctionRegistry,
     catalog: &Catalog,
     func_id: &str,
     mode: ExecMode,
 ) -> Option<CostEstimate> {
-    estimate_function_in_strategy(
-        registry,
-        catalog,
-        func_id,
-        ExecStrategy {
-            mode,
-            workers: 1,
-            compiled: false,
-        },
-    )
-}
-
-/// [`estimate_function_in_mode`] generalized to a full [`ExecStrategy`]:
-/// for SQL bodies — the only ones the parallel and compiled drivers run —
-/// the relational overhead divides across the strategy's workers (plus
-/// per-worker startup), and a compiled strategy prices the fused-kernel
-/// overhead ([`compiled_pipeline_ms`]) instead. Map/filter bodies stay
-/// row-at-a-time for row-level lineage and are priced serially and
-/// interpreted **regardless of the strategy** — the executor never
-/// compiles or parallelizes them, and the estimate must agree with that
-/// fallback rule. Token cost and accuracy are unaffected — physical
-/// strategy changes wall-clock, never results.
-pub fn estimate_function_in_strategy(
-    registry: &FunctionRegistry,
-    catalog: &Catalog,
-    func_id: &str,
-    strategy: ExecStrategy,
-) -> Option<CostEstimate> {
     let mut est = estimate_function(registry, catalog, func_id)?;
     let entry = registry.get(func_id).ok()?;
     let body = &entry.active_version().body;
-    let (workers, compilable) = match body {
-        FunctionBody::Sql { .. } => (strategy.workers, true),
-        FunctionBody::MapExpr { .. } | FunctionBody::FilterExpr { .. } => (1, false),
-        _ => return Some(est),
-    };
+    if !matches!(
+        body,
+        FunctionBody::Sql { .. } | FunctionBody::MapExpr { .. } | FunctionBody::FilterExpr { .. }
+    ) {
+        return Some(est);
+    }
     let mut rows = 0usize;
     let mut cold_pages = 0usize;
     for name in body.inputs() {
@@ -317,12 +181,7 @@ pub fn estimate_function_in_strategy(
             }
         }
     }
-    est.runtime_ms += match strategy.mode.batch_size() {
-        Some(batch) if strategy.compiled && compilable => {
-            compiled_pipeline_ms(rows, batch, workers)
-        }
-        _ => parallel_overhead_ms(rows, strategy.mode, workers),
-    } + (cold_pages as f64 * PAGE_DECODE_MS) / workers.max(1) as f64;
+    est.runtime_ms += relational_overhead_ms(rows, mode) + cold_pages as f64 * PAGE_DECODE_MS;
     Some(est)
 }
 
@@ -462,92 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_cost_model_agrees_with_the_planner_rule() {
-        // Flat is cheap while small, IVF wins at scale…
-        assert_eq!(preferred_vector_strategy(100), VectorStrategy::Flat);
-        assert_eq!(preferred_vector_strategy(100_000), VectorStrategy::Ivf);
-        assert!(
-            estimate_vector_search_ms(100_000, VectorStrategy::Ivf)
-                < estimate_vector_search_ms(100_000, VectorStrategy::Flat) / 2.0
-        );
-        // …and the ms estimates' argmin coincides with the shared decision
-        // rule at every cardinality (guards future strategy-specific terms
-        // in the ms model drifting away from the planner's rule).
-        for rows in (0..300_000).step_by(1111) {
-            let cheaper_ms = if estimate_vector_search_ms(rows, VectorStrategy::Ivf)
-                < estimate_vector_search_ms(rows, VectorStrategy::Flat)
-            {
-                VectorStrategy::Ivf
-            } else {
-                VectorStrategy::Flat
-            };
-            assert_eq!(
-                cheaper_ms,
-                preferred_vector_strategy(rows),
-                "divergence at {rows} rows"
-            );
-        }
-    }
-
-    #[test]
-    fn strategy_generalizes_mode_choice() {
-        let s = preferred_exec_strategy(100_000, 8);
-        assert!(matches!(s.mode, ExecMode::Batched(_)));
-        assert!(s.workers > 1, "large scans should parallelize: {s:?}");
-        assert!(s.compiled, "large scans amortize compilation: {s:?}");
-        let tiny = preferred_exec_strategy(1, 8);
-        assert_eq!(tiny.mode, ExecMode::Volcano);
-        assert_eq!(tiny.workers, 1, "Volcano stays serial");
-        assert!(!tiny.compiled, "Volcano never compiles");
-    }
-
-    #[test]
-    fn strategy_aware_estimate_divides_sql_overhead_only() {
-        let (mut registry, catalog) = setup();
-        registry.register(
-            FunctionSignature::new("q", "selects", vec!["t".into()], "o_sql"),
-            FunctionBody::Sql {
-                query: "SELECT x FROM t".into(),
-                dedup_key: None,
-            },
-            "initial",
-        );
-        registry
-            .set_profile(
-                "q",
-                1,
-                ProfileStats {
-                    runtime_ms: 2.0,
-                    tokens: 0,
-                    rows_in: 4,
-                    rows_out: 4,
-                    accuracy: Some(1.0),
-                },
-            )
-            .unwrap();
-        let strat = |workers| ExecStrategy {
-            mode: ExecMode::Batched(1024),
-            workers,
-            compiled: false,
-        };
-        // workers == 1 is exactly the mode-only estimate.
-        let serial = estimate_function_in_strategy(&registry, &catalog, "q", strat(1)).unwrap();
-        let mode_only =
-            estimate_function_in_mode(&registry, &catalog, "q", ExecMode::Batched(1024)).unwrap();
-        assert!((serial.runtime_ms - mode_only.runtime_ms).abs() < 1e-12);
-        // SQL bodies divide their relational overhead across workers…
-        let wide = estimate_function_in_strategy(&registry, &catalog, "q", strat(4)).unwrap();
-        assert_eq!(wide.tokens, serial.tokens);
-        assert_eq!(wide.accuracy, serial.accuracy);
-        assert!(wide.runtime_ms != serial.runtime_ms);
-        // …but map/filter bodies stay row-at-a-time (row-level lineage) and
-        // are priced serially at any worker count.
-        let map_serial = estimate_function_in_strategy(&registry, &catalog, "f", strat(1)).unwrap();
-        let map_wide = estimate_function_in_strategy(&registry, &catalog, "f", strat(4)).unwrap();
-        assert_eq!(map_wide.runtime_ms, map_serial.runtime_ms);
-    }
-
-    #[test]
     fn mode_aware_estimate_adds_relational_overhead() {
         let (registry, catalog) = setup();
         let base = estimate_function(&registry, &catalog, "f").unwrap();
@@ -562,24 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_scan_estimate_rewards_zone_map_pruning() {
-        let batched = ExecMode::Batched(1024);
-        // Pruning pages strictly lowers the estimate…
-        let cold = paged_scan_ms(100_000, 25, 0, batched);
-        let pruned = paged_scan_ms(100_000, 25, 20, batched);
-        assert!(pruned < cold / 2.0, "pruned={pruned}ms cold={cold}ms");
-        // …and an all-pruned scan costs essentially nothing.
-        let none = paged_scan_ms(100_000, 25, 25, batched);
-        assert!(none <= relational_overhead_ms(0, batched) + 1e-12);
-        // A paged scan is never cheaper than the pure in-memory overhead of
-        // the rows it actually produces: decoding has a price.
-        assert!(cold > relational_overhead_ms(100_000, batched));
-        // Degenerate page counts do not divide by zero.
-        assert!(paged_scan_ms(10, 0, 0, batched).is_finite());
-    }
-
-    #[test]
-    fn paged_inputs_add_decode_cost_that_parallelism_divides() {
+    fn paged_inputs_add_decode_cost() {
         let (mut registry, catalog) = setup();
         registry.register(
             FunctionSignature::new("q", "selects", vec!["t".into()], "o_sql"),
@@ -602,12 +358,8 @@ mod tests {
                 },
             )
             .unwrap();
-        let strat = |workers| ExecStrategy {
-            mode: ExecMode::Batched(1024),
-            workers,
-            compiled: false,
-        };
-        let resident = estimate_function_in_strategy(&registry, &catalog, "q", strat(1)).unwrap();
+        let batched = ExecMode::Batched(1024);
+        let resident = estimate_function_in_mode(&registry, &catalog, "q", batched).unwrap();
 
         // Re-register the same table paged with tiny pages: same rows, but
         // the estimate must now carry a per-page decode term.
@@ -617,7 +369,7 @@ mod tests {
         let pages = paged.paged().unwrap().page_count();
         assert!(pages > 1);
         paged_catalog.register(paged).unwrap();
-        let cold = estimate_function_in_strategy(&registry, &paged_catalog, "q", strat(1)).unwrap();
+        let cold = estimate_function_in_mode(&registry, &paged_catalog, "q", batched).unwrap();
         let expected_extra = pages as f64 * PAGE_DECODE_MS; // one Int column
         assert!(
             (cold.runtime_ms - resident.runtime_ms - expected_extra).abs() < 1e-9,
@@ -626,120 +378,7 @@ mod tests {
             resident.runtime_ms,
             expected_extra
         );
-        // Workers decode distinct pages concurrently, so the decode term
-        // (the paged-minus-resident delta at a fixed worker count) divides.
-        let wide = estimate_function_in_strategy(&registry, &paged_catalog, "q", strat(4)).unwrap();
-        let resident_wide =
-            estimate_function_in_strategy(&registry, &catalog, "q", strat(4)).unwrap();
-        let wide_decode = wide.runtime_ms - resident_wide.runtime_ms;
-        assert!(
-            (wide_decode - expected_extra / 4.0).abs() < 1e-9,
-            "4-way decode term {wide_decode} != {}",
-            expected_extra / 4.0
-        );
-        assert_eq!(wide.tokens, cold.tokens);
-    }
-
-    #[test]
-    fn compile_choice_agrees_with_executor_rule() {
-        use kath_storage::COMPILE_BREAK_EVEN_ROWS;
-        let batched = ExecMode::Batched(DEFAULT_BATCH_SIZE);
-        // The cost model's serial ms comparison and the shared runtime rule
-        // (`compile_pays_off`) must pick the same side at every cardinality
-        // — this is the optimizer↔executor agreement the auto mode relies
-        // on. The sweep's step skips the exact break-even row count, where
-        // the two sides tie in exact arithmetic (checked separately below).
-        for rows in (0..300_000).step_by(1111) {
-            let compiled_ms = compiled_pipeline_ms(rows, DEFAULT_BATCH_SIZE, 1);
-            let interpreted_ms = parallel_overhead_ms(rows, batched, 1);
-            assert_eq!(
-                compiled_ms < interpreted_ms,
-                compile_pays_off(rows),
-                "divergence at {rows} rows: compiled={compiled_ms}ms interpreted={interpreted_ms}ms"
-            );
-            // The full strategy chooser exposes exactly that rule whenever
-            // it picks a batched spine.
-            let s = preferred_exec_strategy(rows, 8);
-            assert_eq!(
-                s.compiled,
-                matches!(s.mode, ExecMode::Batched(_)) && compile_pays_off(rows),
-                "strategy divergence at {rows} rows: {s:?}"
-            );
-        }
-        // At the break-even point the two estimates tie exactly and the
-        // rule stays interpreted (strict `>`): compare approximately, never
-        // by ordering, so float noise can't flip the assertion.
-        let tie_compiled = compiled_pipeline_ms(COMPILE_BREAK_EVEN_ROWS, DEFAULT_BATCH_SIZE, 1);
-        let tie_interp = parallel_overhead_ms(COMPILE_BREAK_EVEN_ROWS, batched, 1);
-        assert!(
-            (tie_compiled - tie_interp).abs() < 1e-9,
-            "break-even should tie: compiled={tie_compiled}ms interpreted={tie_interp}ms"
-        );
-        assert!(!compile_pays_off(COMPILE_BREAK_EVEN_ROWS));
-    }
-
-    #[test]
-    fn compiled_strategies_price_the_executor_fallbacks() {
-        let (mut registry, catalog) = setup();
-        registry.register(
-            FunctionSignature::new("q", "selects", vec!["t".into()], "o_sql"),
-            FunctionBody::Sql {
-                query: "SELECT x FROM t".into(),
-                dedup_key: None,
-            },
-            "initial",
-        );
-        registry
-            .set_profile(
-                "q",
-                1,
-                ProfileStats {
-                    runtime_ms: 2.0,
-                    tokens: 0,
-                    rows_in: 4,
-                    rows_out: 4,
-                    accuracy: Some(1.0),
-                },
-            )
-            .unwrap();
-        let strat = |compiled| ExecStrategy {
-            mode: ExecMode::Batched(1024),
-            workers: 1,
-            compiled,
-        };
-        // SQL bodies are compilable: the compiled strategy swaps the
-        // interpreted overhead for the fused-kernel term exactly.
-        let interp = estimate_function_in_strategy(&registry, &catalog, "q", strat(false)).unwrap();
-        let compiled =
-            estimate_function_in_strategy(&registry, &catalog, "q", strat(true)).unwrap();
-        let rows = catalog.get("t").unwrap().len();
-        let expected = compiled_pipeline_ms(rows, 1024, 1)
-            - parallel_overhead_ms(rows, ExecMode::Batched(1024), 1);
-        assert!(
-            (compiled.runtime_ms - interp.runtime_ms - expected).abs() < 1e-9,
-            "compiled={} interpreted={}",
-            compiled.runtime_ms,
-            interp.runtime_ms
-        );
-        assert_eq!(compiled.tokens, interp.tokens);
-        assert_eq!(compiled.accuracy, interp.accuracy);
-        // Map/filter bodies never compile in the executor (row-level
-        // lineage), so a compiled strategy must price them identically to
-        // the interpreted one — this is the fallback-agreement bugfix.
-        let m_interp = estimate_function_in_strategy(&registry, &catalog, "f", strat(false));
-        let m_compiled = estimate_function_in_strategy(&registry, &catalog, "f", strat(true));
-        assert_eq!(m_interp, m_compiled);
-        // A Volcano strategy flagged compiled is meaningless (the compiled
-        // drive is batch-at-a-time); it must price as plain Volcano.
-        let volcano = |compiled| ExecStrategy {
-            mode: ExecMode::Volcano,
-            workers: 1,
-            compiled,
-        };
-        assert_eq!(
-            estimate_function_in_strategy(&registry, &catalog, "q", volcano(false)),
-            estimate_function_in_strategy(&registry, &catalog, "q", volcano(true)),
-        );
+        assert_eq!(cold.tokens, resident.tokens);
     }
 
     #[test]

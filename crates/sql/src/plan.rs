@@ -661,12 +661,12 @@ pub fn run_select_auto_guarded(
             }
         }
         if threads > 1 && !plan.serial_only() {
-            if let Some(done) = drive_morsels(catalog, &plan, output_name, batch, threads, guard)? {
+            if let Some(done) = drive_morsels(&plan, output_name, batch, threads, guard)? {
                 return Ok(done);
             }
         }
     }
-    drive_serial(catalog, &plan, output_name, mode, guard)
+    drive_serial(&plan, output_name, mode, guard)
 }
 
 /// The serial operator tree: one pull-based pipeline, drained row- or
@@ -674,7 +674,6 @@ pub fn run_select_auto_guarded(
 /// (periodic deadline/cancel checks as rows stream) and on the root drain
 /// (row/byte budget charges on produced output).
 fn drive_serial(
-    catalog: &Catalog,
     plan: &SelectPlan,
     output_name: &str,
     mode: ExecMode,
@@ -689,7 +688,7 @@ fn drive_serial(
         })
     };
     let op: Box<dyn Operator> = if let Some(v) = &plan.vector {
-        let index = catalog.vector_index_for(plan.table.name(), &v.column)?;
+        let index = plan.table.vector_index(&v.column)?;
         let query = kath_vector::embed_query(&v.query);
         let table = Arc::clone(&plan.table);
         plan.project(Box::new(VectorTopK::new(
@@ -755,7 +754,6 @@ fn merge_runs(outputs: Vec<(Vec<Row>, usize)>, key_idx: &[(usize, bool)]) -> (Ve
 /// Every merge step consumes per-morsel outputs in scan order, so the
 /// result is independent of worker count and scheduling.
 fn drive_morsels(
-    catalog: &Catalog,
     plan: &SelectPlan,
     output_name: &str,
     batch: usize,
@@ -764,7 +762,7 @@ fn drive_morsels(
 ) -> Result<Option<(Table, SelectStats)>, SqlError> {
     let mode = ExecMode::Batched(batch);
     if let Some(v) = &plan.vector {
-        let index = catalog.vector_index_for(plan.table.name(), &v.column)?;
+        let index = plan.table.vector_index(&v.column)?;
         let entries = index.entries();
         let source = MorselSource::with_batch_size(entries.len(), batch);
         if source.morsel_count() < 2 {

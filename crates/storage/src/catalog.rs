@@ -4,76 +4,37 @@
 //! catalog as additional context", §2.1) and owns the small set of database
 //! utilities — row sampler, joinability tester — that the plan verifier's
 //! tool user invokes (§4).
+//!
+//! A catalog is a plain value: names bound to immutable, `Arc`-shared
+//! tables, plus which columns are to be served by a hash index. Everything
+//! computed from a table's rows (hash indexes, vector indexes, statistics)
+//! lives on that [`Table`] value, so no `&self` method here writes to the
+//! catalog, and a clone is a copy of two small maps.
 
 use crate::pool::BufferPool;
 use crate::{HashIndex, StorageError, Table, TableStats, Value, VectorIndex};
-use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Per-table vector-index registrations: column → fresh index, or `None`
-/// when invalidated and awaiting its lazy rebuild.
-type VectorIndexSlots = BTreeMap<String, Option<Arc<VectorIndex>>>;
-
-/// Named table registry with statistics and secondary indexes.
+/// Named table registry with secondary-index registrations.
 ///
-/// Indexes (created via [`Catalog::create_index`]) and cached statistics
-/// (via [`Catalog::analyze`]) are *maintained*, not just stored — but
-/// **lazily**: replacing a table through [`Catalog::register_or_replace`] —
-/// the path every SQL `INSERT` and re-materialization takes — only marks
-/// the table's derived state stale (O(1)); the rebuild happens on the first
-/// index or statistics consumer. A loop of N single-row INSERTs therefore
-/// costs one rebuild instead of N (the eager scheme made bulk loads
-/// quadratic), while consumers still never observe a stale index or stale
-/// row counts.
-#[derive(Debug)]
+/// Replacing a table through [`Catalog::register_or_replace`] — the path
+/// every SQL `INSERT` and re-materialization takes — binds the name to a new
+/// table value and nothing else: the new value has no derived state until a
+/// consumer asks for some, so a loop of N single-row INSERTs followed by one
+/// indexed lookup builds one index, and the replaced value's indexes go
+/// with it (or keep answering for an older snapshot that still holds it).
+#[derive(Debug, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
     // The buffer pool every paged table of this catalog reads through;
     // shared (not deep-cloned) across catalog clones so staged recovery
     // and the live catalog see one set of counters and one budget.
     pool: Arc<BufferPool>,
-    // table -> column -> index. Interior mutability: lazily rebuilt from
-    // read-path consumers (`index_on`, `stats`, …) that take `&self`.
-    indexes: RwLock<BTreeMap<String, BTreeMap<String, Arc<HashIndex>>>>,
-    // table -> column -> vector similarity index. Derived state like the
-    // hash indexes: built on first use (`vector_index_for`), marked stale
-    // on replace — and *invalidated* (value set to None), not eagerly
-    // rebuilt, by the stale refresh: re-embedding a column is O(n·dim), so
-    // only the next similarity query pays for it, never an unrelated
-    // stats/index consumer. Purely in-memory, so crash recovery needs no
-    // on-disk vector format (the first query after a restart rebuilds
-    // from the recovered rows).
-    vindexes: RwLock<BTreeMap<String, VectorIndexSlots>>,
-    // Cached statistics for analyzed tables.
-    stats_cache: RwLock<BTreeMap<String, TableStats>>,
-    // Tables whose derived state (indexes + cached stats) is out of date.
-    stale: RwLock<BTreeSet<String>>,
-    // Diagnostic: how many lazy rebuilds have run (regression tests assert
-    // bulk-insert loops trigger one, not N).
-    rebuilds: AtomicUsize,
-}
-
-impl Clone for Catalog {
-    fn clone(&self) -> Self {
-        // Each lock is taken and released in turn (never nested) so a clone
-        // can never deadlock against a refresh holding the locks in its own
-        // order.
-        let indexes = self.indexes.read().clone();
-        let vindexes = self.vindexes.read().clone();
-        let stats_cache = self.stats_cache.read().clone();
-        let stale = self.stale.read().clone();
-        Self {
-            tables: self.tables.clone(),
-            pool: Arc::clone(&self.pool),
-            indexes: RwLock::new(indexes),
-            vindexes: RwLock::new(vindexes),
-            stats_cache: RwLock::new(stats_cache),
-            stale: RwLock::new(stale),
-            rebuilds: AtomicUsize::new(self.rebuilds.load(Ordering::Relaxed)), // lint: relaxed-ok — telemetry counter; no memory is published under it
-        }
-    }
+    // table -> the columns `create_index` registered: those whose equality
+    // predicates the SQL layer answers from the table's hash index. A
+    // registration lasts until its table is dropped.
+    indexed: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Result of the joinability tester utility (§4): how well two columns join.
@@ -94,11 +55,7 @@ impl Default for Catalog {
         Self {
             tables: BTreeMap::new(),
             pool: Arc::new(BufferPool::from_env()),
-            indexes: RwLock::default(),
-            vindexes: RwLock::default(),
-            stats_cache: RwLock::default(),
-            stale: RwLock::default(),
-            rebuilds: AtomicUsize::new(0),
+            indexed: BTreeMap::new(),
         }
     }
 }
@@ -119,118 +76,36 @@ impl Catalog {
         self.pool.set_budget(pages);
     }
 
-    /// Converts `name` to the paged representation in place. Contents are
-    /// unchanged, so derived state (indexes, stats) is *not* marked stale.
-    /// Returns whether a conversion happened (false if already paged).
+    /// Converts `name` to the paged representation in place. The rows are
+    /// unchanged, so the paged table keeps the derived state of the
+    /// resident one. Returns whether a conversion happened (false if
+    /// already paged).
     pub fn page_table(&mut self, name: &str, page_rows: usize) -> Result<bool, StorageError> {
         let table = self.get(name)?;
         if table.is_paged() {
             return Ok(false);
         }
-        let paged = table.to_paged(&self.pool, page_rows)?;
-        self.tables.insert(name.to_string(), Arc::new(paged));
+        self.register_or_replace(table.to_paged(&self.pool, page_rows)?);
         Ok(true)
-    }
-
-    /// Swaps in a logically-identical replacement for an existing table
-    /// (e.g. the paged version produced by a checkpoint). Unlike
-    /// [`Catalog::register_or_replace`] this does not mark derived state
-    /// stale — the contents are the same rows, so indexes stay valid.
-    pub fn swap_in_identical(&mut self, table: Arc<Table>) {
-        self.tables.insert(table.name().to_string(), table);
     }
 
     /// Registers a table; fails if the name is taken.
     pub fn register(&mut self, table: Table) -> Result<Arc<Table>, StorageError> {
-        let name = table.name().to_string();
-        if self.tables.contains_key(&name) {
-            return Err(StorageError::TableExists(name));
+        if self.tables.contains_key(table.name()) {
+            return Err(StorageError::TableExists(table.name().to_string()));
         }
-        let arc = Arc::new(table);
-        self.tables.insert(name, Arc::clone(&arc));
-        Ok(arc)
+        Ok(self.register_or_replace(table))
     }
 
-    /// Registers or replaces a table (used when a repaired function version
-    /// re-materializes its output, and by SQL `INSERT`). Existing secondary
-    /// indexes and cached statistics are **marked stale** and rebuilt
-    /// lazily on their next consumer, so bulk-insert loops pay one rebuild
-    /// instead of one per replacement.
-    pub fn register_or_replace(&mut self, table: Table) -> Arc<Table> {
-        let name = table.name().to_string();
-        let arc = Arc::new(table);
-        self.tables.insert(name.clone(), Arc::clone(&arc));
-        let has_derived = self.indexes.read().contains_key(&name)
-            || self.vindexes.read().contains_key(&name)
-            || self.stats_cache.read().contains_key(&name);
-        if has_derived {
-            self.stale.write().insert(name);
-        }
-        arc
-    }
-
-    /// Rebuilds indexes and cached stats of `name` from its current
-    /// contents, if they are stale. Indexes whose column no longer exists
-    /// are dropped. Every derived-state consumer calls this first, so a
-    /// stale index or stale row count is never observable: the stale
-    /// marker stays write-locked for the whole rebuild, making a
-    /// concurrent consumer wait for fresh state instead of racing past a
-    /// cleared flag into the old one.
-    fn refresh_if_stale(&self, name: &str) {
-        let mut stale = self.stale.write();
-        if !stale.remove(name) {
-            return;
-        }
-        let Some(table) = self.tables.get(name).cloned() else {
-            return;
-        };
-        self.rebuilds.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — telemetry counter; no memory is published under it
-        self.rebuild_indexes(name, &table);
-        self.invalidate_vector_indexes(name);
-        let mut stats = self.stats_cache.write();
-        if stats.contains_key(name) {
-            stats.insert(name.to_string(), TableStats::collect(&table));
-        }
-    }
-
-    /// Rebuilds every index of `name` against `table`, dropping indexes
-    /// whose column no longer exists.
-    fn rebuild_indexes(&self, name: &str, table: &Table) {
-        if let Some(cols) = self.indexes.write().get_mut(name) {
-            let rebuilt: BTreeMap<String, Arc<HashIndex>> = cols
-                .keys()
-                .filter_map(|c| {
-                    HashIndex::build(table, c)
-                        .ok()
-                        .map(|ix| (c.clone(), Arc::new(ix)))
-                })
-                .collect();
-            *cols = rebuilt;
-        }
-    }
-
-    /// Invalidates every vector index of `name`, keeping the registrations
-    /// so the next similarity query (the only consumer that needs them)
-    /// rebuilds on demand. Rebuilding here eagerly would charge the full
-    /// O(rows·dim) re-embedding to whatever unrelated stats or hash-index
-    /// consumer happened to settle the stale marker.
-    fn invalidate_vector_indexes(&self, name: &str) {
-        if let Some(cols) = self.vindexes.write().get_mut(name) {
-            for slot in cols.values_mut() {
-                *slot = None;
-            }
-        }
-    }
-
-    /// Number of tables whose derived state awaits a lazy rebuild.
-    pub fn pending_refreshes(&self) -> usize {
-        self.stale.read().len()
-    }
-
-    /// How many lazy derived-state rebuilds have run so far (diagnostic;
-    /// regression tests assert bulk loads trigger one, not one per INSERT).
-    pub fn derived_rebuilds(&self) -> usize {
-        self.rebuilds.load(Ordering::Relaxed) // lint: relaxed-ok — telemetry counter; no memory is published under it
+    /// Binds the table's name to this table value, replacing any earlier
+    /// one (used when a repaired function version re-materializes its
+    /// output, by SQL `INSERT`, and — passing the `Arc` another catalog
+    /// already holds — to share a table without copying it).
+    pub fn register_or_replace(&mut self, table: impl Into<Arc<Table>>) -> Arc<Table> {
+        let table = table.into();
+        self.tables
+            .insert(table.name().to_string(), Arc::clone(&table));
+        table
     }
 
     /// Fetches a table by name.
@@ -246,145 +121,64 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Drops a table along with its indexes and cached statistics.
+    /// Drops a table along with its index registrations; its derived state
+    /// dies with the table value.
     pub fn drop_table(&mut self, name: &str) -> Result<(), StorageError> {
-        self.indexes.write().remove(name);
-        self.vindexes.write().remove(name);
-        self.stats_cache.write().remove(name);
-        self.stale.write().remove(name);
+        self.indexed.remove(name);
         self.tables
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// Builds (or rebuilds) a hash index over `table.column`, used by the
-    /// SQL layer to serve equality predicates without a full scan.
+    /// Registers a hash index over `table.column`, used by the SQL layer to
+    /// serve equality predicates without a full scan, and builds it for the
+    /// current rows so a bad column fails here.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), StorageError> {
-        let t = self.get(table)?;
-        let ix = HashIndex::build(&t, column)?;
-        self.indexes
-            .write()
-            .entry(table.to_string())
-            .or_default()
-            .insert(column.to_string(), Arc::new(ix));
+        self.get(table)?.hash_index(column)?;
+        let columns = self.indexed.entry(table.to_string()).or_default();
+        columns.insert(column.to_string());
         Ok(())
     }
 
-    /// The hash index over `table.column`, if one was created (stale
-    /// indexes are rebuilt first).
+    /// The hash index over `table.column` of the table's current rows, if
+    /// one was created (and the column still exists).
     pub fn index_on(&self, table: &str, column: &str) -> Option<Arc<HashIndex>> {
-        self.refresh_if_stale(table);
-        self.indexes.read().get(table)?.get(column).cloned()
+        if !self.indexed.get(table)?.contains(column) {
+            return None;
+        }
+        self.tables.get(table)?.hash_index(column).ok()
     }
 
-    /// Columns of `table` that carry a secondary index (a pending refresh
-    /// is settled first so indexes over dropped columns are not listed).
+    /// Columns of `table` that carry a secondary index (registrations over
+    /// a column the current table no longer has are not listed).
     pub fn indexed_columns(&self, table: &str) -> Vec<String> {
-        self.refresh_if_stale(table);
-        self.indexes
-            .read()
-            .get(table)
-            .map(|cols| cols.keys().cloned().collect())
-            .unwrap_or_default()
+        let (Some(current), Some(columns)) = (self.tables.get(table), self.indexed.get(table))
+        else {
+            return Vec::new();
+        };
+        let has = |c: &&String| current.schema().resolve(c).is_ok();
+        columns.iter().filter(has).cloned().collect()
     }
 
-    /// Builds (or refreshes) the vector similarity index over
-    /// `table.column`, deriving it on first use: the planner calls this
-    /// when it lowers an `ORDER BY SIMILARITY(...) DESC LIMIT k` pattern,
-    /// so no explicit DDL is needed. The index is catalog derived state —
-    /// marked stale by inserts/replacements, rebuilt lazily, dropped with
-    /// the table, and rebuilt from recovered rows after a crash.
+    /// The vector similarity index over `table.column`, derived on first
+    /// use: the planner calls this when it lowers an
+    /// `ORDER BY SIMILARITY(...) DESC LIMIT k` pattern, so no explicit DDL
+    /// is needed (see [`Table::vector_index`]).
     pub fn vector_index_for(
         &self,
         table: &str,
         column: &str,
     ) -> Result<Arc<VectorIndex>, StorageError> {
-        self.refresh_if_stale(table);
-        if let Some(Some(ix)) = self
-            .vindexes
-            .read()
-            .get(table)
-            .and_then(|cols| cols.get(column))
-        {
-            return Ok(Arc::clone(ix));
-        }
-        let t = self.get(table)?;
-        let built = Arc::new(VectorIndex::build(&t, column)?);
-        let mut w = self.vindexes.write();
-        let slot = w
-            .entry(table.to_string())
-            .or_default()
-            .entry(column.to_string())
-            .or_insert(None);
-        // A racing builder may have won; keep the first fresh one.
-        if slot.is_none() {
-            *slot = Some(built);
-        }
-        Ok(Arc::clone(slot.as_ref().expect("slot filled above")))
-    }
-
-    /// The vector index over `table.column` if one has been derived and
-    /// is fresh (stale state settled first); never builds — an
-    /// invalidated registration reports `None` until the next similarity
-    /// query rebuilds it.
-    pub fn vector_index_on(&self, table: &str, column: &str) -> Option<Arc<VectorIndex>> {
-        self.refresh_if_stale(table);
-        self.vindexes.read().get(table)?.get(column)?.clone()
+        self.get(table)?.vector_index(column)
     }
 
     /// Drops the derived vector index over `table.column`; returns whether
     /// one existed.
-    pub fn drop_vector_index(&mut self, table: &str, column: &str) -> bool {
-        let mut w = self.vindexes.write();
-        let Some(cols) = w.get_mut(table) else {
-            return false;
-        };
-        let existed = cols.remove(column).is_some();
-        if cols.is_empty() {
-            w.remove(table);
-        }
-        existed
-    }
-
-    /// Columns of `table` with a vector-index registration (fresh or
-    /// awaiting lazy rebuild).
-    pub fn vector_indexed_columns(&self, table: &str) -> Vec<String> {
-        self.refresh_if_stale(table);
-        self.vindexes
-            .read()
+    pub fn drop_vector_index(&self, table: &str, column: &str) -> bool {
+        self.tables
             .get(table)
-            .map(|cols| cols.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Collects and caches statistics for `table`. Subsequent catalog
-    /// mutations of the table keep the cache fresh (rebuilt lazily on the
-    /// next statistics consumer).
-    pub fn analyze(&mut self, table: &str) -> Result<TableStats, StorageError> {
-        let t = self.get(table)?;
-        // Settle only the index half of any pending refresh — the stats
-        // half would collect the very statistics this call is about to
-        // collect anyway, and a full refresh would scan the table twice.
-        let mut stale = self.stale.write();
-        if stale.remove(table) {
-            self.rebuilds.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — telemetry counter; no memory is published under it
-            self.rebuild_indexes(table, &t);
-            self.invalidate_vector_indexes(table);
-        }
-        let stats = TableStats::collect(t.as_ref());
-        self.stats_cache
-            .write()
-            .insert(table.to_string(), stats.clone());
-        drop(stale);
-        Ok(stats)
-    }
-
-    /// Cached statistics for `table`, if it has been analyzed (refreshed
-    /// first when the table changed since).
-    pub fn cached_stats(&self, table: &str) -> Option<TableStats> {
-        self.refresh_if_stale(table);
-        self.stats_cache.read().get(table).cloned()
+            .is_some_and(|t| t.drop_vector_index(column))
     }
 
     /// All table names, sorted.
@@ -414,20 +208,17 @@ impl Catalog {
 
     /// The rows-sampler utility (§4): first `n` rows of a table.
     pub fn sample_rows(&self, name: &str, n: usize) -> Result<Table, StorageError> {
-        Ok(self.get(name)?.sample(n))
+        self.get(name)?.sample(n)
     }
 
-    /// Statistics for a table: the maintained cache when the table has been
-    /// analyzed, otherwise collected on the spot.
+    /// Statistics for a table (collected once per table value).
     pub fn stats(&self, name: &str) -> Result<TableStats, StorageError> {
-        if let Some(cached) = self.cached_stats(name) {
-            return Ok(cached);
-        }
-        Ok(TableStats::collect(self.get(name)?.as_ref()))
+        Ok(self.get(name)?.stats().clone())
     }
 
     /// The joinability tester utility (§4): measures how `left.left_col`
-    /// joins against `right.right_col`.
+    /// joins against `right.right_col`. Streams the two columns, so a paged
+    /// table is read a page at a time and a read fault is an error.
     pub fn joinability(
         &self,
         left: &str,
@@ -437,22 +228,24 @@ impl Catalog {
     ) -> Result<Joinability, StorageError> {
         let lt = self.get(left)?;
         let rt = self.get(right)?;
-        let li = lt.schema().resolve(left_col)?;
-        let ri = rt.schema().resolve(right_col)?;
+        lt.schema().resolve(left_col)?;
 
-        let mut right_counts: std::collections::HashMap<Value, usize> =
-            std::collections::HashMap::new();
-        for row in rt.rows() {
-            if !row[ri].is_null() {
-                *right_counts.entry(row[ri].clone()).or_insert(0) += 1;
+        let mut right_counts: HashMap<Value, usize> = HashMap::new();
+        rt.for_each_in_column(right_col, |_, key| {
+            if !key.is_null() {
+                *right_counts.entry(key.clone()).or_insert(0) += 1;
             }
-        }
-        let mut left_keys: std::collections::HashSet<Value> = std::collections::HashSet::new();
-        for row in lt.rows() {
-            if !row[li].is_null() {
-                left_keys.insert(row[li].clone());
+            Ok(())
+        })?;
+        let mut left_keys: HashSet<Value> = HashSet::new();
+        let mut estimated_rows = 0.0;
+        lt.for_each_in_column(left_col, |_, key| {
+            if !key.is_null() {
+                estimated_rows += right_counts.get(key).copied().unwrap_or(0) as f64;
+                left_keys.insert(key.clone());
             }
-        }
+            Ok(())
+        })?;
         let overlapping = left_keys
             .iter()
             .filter(|k| right_counts.contains_key(k))
@@ -462,16 +255,9 @@ impl Catalog {
         } else {
             overlapping as f64 / left_keys.len() as f64
         };
-        let right_unique = right_counts.values().all(|&c| c <= 1);
-        let estimated_rows: f64 = lt
-            .rows()
-            .iter()
-            .filter(|r| !r[li].is_null())
-            .map(|r| right_counts.get(&r[li]).copied().unwrap_or(0) as f64)
-            .sum();
         Ok(Joinability {
             key_overlap,
-            right_unique,
+            right_unique: right_counts.values().all(|&c| c <= 1),
             estimated_rows,
         })
     }
@@ -542,6 +328,26 @@ mod tests {
     }
 
     #[test]
+    fn joinability_streams_paged_tables_a_page_at_a_time() {
+        let mut c = catalog();
+        let resident = c.joinability("films", "id", "posters", "film_id").unwrap();
+        c.set_pool_budget(1);
+        c.page_table("films", 1).unwrap();
+        c.page_table("posters", 1).unwrap();
+        assert_eq!(
+            c.joinability("films", "id", "posters", "film_id").unwrap(),
+            resident
+        );
+        // One column of each table was read: 3 + 3 one-row pages, not the
+        // 12 a full materialization of both decodes.
+        assert_eq!(c.pool().status().misses, 6);
+        assert!(matches!(
+            c.joinability("films", "nope", "posters", "film_id"),
+            Err(StorageError::UnknownColumn(_))
+        ));
+    }
+
+    #[test]
     fn describe_lists_all_tables() {
         let d = catalog().describe();
         assert!(d.contains("films"));
@@ -583,26 +389,29 @@ mod tests {
     fn bulk_replace_defers_rebuilds_until_first_consumer() {
         let mut c = catalog();
         c.create_index("films", "id").unwrap();
-        c.analyze("films").unwrap();
-        assert_eq!(c.derived_rebuilds(), 0);
-        // A bulk-insert-style loop: N replacements, zero rebuilds.
+        let first = c.index_on("films", "id").unwrap();
+        // A bulk-insert-style loop: N replacements, zero builds — every
+        // replaced table value dies with nothing derived from it.
+        let mut replaced = Vec::new();
         for i in 0..100i64 {
             let mut grown = (*c.get("films").unwrap()).clone();
             grown
                 .push(vec![(100 + i).into(), format!("t{i}").into()])
                 .unwrap();
-            c.register_or_replace(grown);
+            replaced.push(Arc::downgrade(&c.register_or_replace(grown)));
         }
-        assert_eq!(c.derived_rebuilds(), 0, "replacements must not rebuild");
-        assert_eq!(c.pending_refreshes(), 1);
-        // First consumer settles the debt exactly once and sees fresh state.
+        let current = replaced.pop().unwrap();
+        assert!(replaced.iter().all(|t| t.upgrade().is_none()));
+        // The first consumer builds once and sees the current rows; the
+        // second gets the very same index, and so do the statistics.
         let ix = c.index_on("films", "id").unwrap();
         assert_eq!(ix.lookup(&Value::Int(199)), &[102]);
-        assert_eq!(c.derived_rebuilds(), 1);
-        assert_eq!(c.pending_refreshes(), 0);
-        // Stats consumers see the refreshed cache too, without extra work.
-        assert_eq!(c.cached_stats("films").unwrap().rows, 103);
-        assert_eq!(c.derived_rebuilds(), 1);
+        assert!(!Arc::ptr_eq(&ix, &first));
+        assert!(Arc::ptr_eq(&ix, &c.index_on("films", "id").unwrap()));
+        let table = current.upgrade().unwrap();
+        assert!(Arc::ptr_eq(&ix, &table.hash_index("id").unwrap()));
+        assert_eq!(c.stats("films").unwrap().rows, 103);
+        assert!(std::ptr::eq(table.stats(), c.get("films").unwrap().stats()));
     }
 
     #[test]
@@ -610,21 +419,47 @@ mod tests {
         let mut c = catalog();
         let grown = (*c.get("films").unwrap()).clone();
         c.register_or_replace(grown);
-        assert_eq!(c.pending_refreshes(), 0);
+        assert!(c.index_on("films", "id").is_none());
+        assert!(c.indexed_columns("films").is_empty());
+        assert!(c.get("films").unwrap().vector_indexes().is_empty());
     }
 
     #[test]
     fn analyzed_stats_refresh_on_replace() {
         let mut c = catalog();
-        let before = c.analyze("films").unwrap();
-        assert_eq!(before.rows, 3);
+        assert_eq!(c.stats("films").unwrap().rows, 3);
         let mut grown = (*c.get("films").unwrap()).clone();
         grown.push(vec![9i64.into(), "D".into()]).unwrap();
         c.register_or_replace(grown);
-        // The cache was refreshed, not served stale.
-        assert_eq!(c.cached_stats("films").unwrap().rows, 4);
+        // The new table value has its own statistics, never the old ones.
         assert_eq!(c.stats("films").unwrap().rows, 4);
         assert_eq!(c.stats("films").unwrap().column("id").unwrap().ndv, 4);
+    }
+
+    #[test]
+    fn same_rows_share_derived_state_and_clones_are_lock_free() {
+        let mut c = catalog();
+        c.create_index("films", "id").unwrap();
+        let ix = c.index_on("films", "id").unwrap();
+        // An older version of the catalog answers from the same index…
+        let older = c.clone();
+        // …paging the table keeps it (same rows)…
+        assert!(c.page_table("films", 2).unwrap());
+        assert!(c.get("films").unwrap().is_paged());
+        assert!(Arc::ptr_eq(&ix, &c.index_on("films", "id").unwrap()));
+        assert!(Arc::ptr_eq(&ix, &older.index_on("films", "id").unwrap()));
+        // …and so does handing the same `Arc<Table>` to another catalog.
+        let mut other = Catalog::new();
+        other.register_or_replace(c.get("films").unwrap());
+        other.create_index("films", "id").unwrap();
+        assert!(Arc::ptr_eq(&ix, &other.index_on("films", "id").unwrap()));
+        // A renamed clone still has these rows; a grown one does not.
+        let mut renamed = (*c.get("films").unwrap()).clone();
+        renamed.set_name("films2");
+        assert!(Arc::ptr_eq(&ix, &renamed.hash_index("id").unwrap()));
+        renamed.push(vec![9i64.into(), "D".into()]).unwrap();
+        assert!(!Arc::ptr_eq(&ix, &renamed.hash_index("id").unwrap()));
+        assert_eq!(ix.lookup(&Value::Int(9)), &[] as &[usize]);
     }
 
     fn docs_catalog() -> Catalog {
@@ -651,12 +486,16 @@ mod tests {
         use crate::{encode_embedding, VectorStrategy};
         use kath_vector::seeded_unit_vector;
         let mut c = docs_catalog();
-        assert!(c.vector_index_on("docs", "emb").is_none());
+        assert!(c.get("docs").unwrap().vector_indexes().is_empty());
         let ix = c.vector_index_for("docs", "emb").unwrap();
         assert_eq!(ix.rows(), 20);
-        assert_eq!(c.vector_indexed_columns("docs"), vec!["emb"]);
-        // Replacing the table marks the derived index stale; the next
-        // consumer sees the new row without an explicit rebuild call.
+        assert!(Arc::ptr_eq(
+            &ix,
+            &c.vector_index_for("docs", "emb").unwrap()
+        ));
+        assert_eq!(c.get("docs").unwrap().vector_indexes()[0].column(), "emb");
+        // A replaced table has no index until the next similarity consumer
+        // asks, and that consumer sees the new row.
         let mut grown = (*c.get("docs").unwrap()).clone();
         grown
             .push(vec![
@@ -665,15 +504,13 @@ mod tests {
             ])
             .unwrap();
         c.register_or_replace(grown);
-        assert_eq!(c.pending_refreshes(), 1);
-        // Settling the stale marker only *invalidates* the vector index —
-        // the O(rows·dim) rebuild is deferred to the next similarity
-        // consumer, not charged to whoever touches derived state first.
-        assert!(c.vector_index_on("docs", "emb").is_none());
-        assert_eq!(c.vector_indexed_columns("docs"), vec!["emb"]);
+        // An unrelated stats or hash-index consumer never pays the
+        // O(rows·dim) build.
+        c.stats("docs").unwrap();
+        assert!(c.get("docs").unwrap().vector_indexes().is_empty());
         let ix = c.vector_index_for("docs", "emb").unwrap();
         assert_eq!(ix.rows(), 21);
-        assert!(c.vector_index_on("docs", "emb").is_some());
+        assert_eq!(c.get("docs").unwrap().vector_indexes().len(), 1);
         let top = ix.search(&seeded_unit_vector(51), 21, VectorStrategy::Flat);
         assert!(top.contains(&20), "new row must be indexed: {top:?}");
     }
@@ -687,21 +524,26 @@ mod tests {
         c.vector_index_for("docs", "emb").unwrap();
         assert!(c.drop_vector_index("docs", "emb"));
         assert!(!c.drop_vector_index("docs", "emb"));
-        assert!(c.vector_index_on("docs", "emb").is_none());
-        // Dropping the table clears any derived vector state.
-        c.vector_index_for("docs", "emb").unwrap();
+        assert!(!c.drop_vector_index("missing", "emb"));
+        assert!(c.get("docs").unwrap().vector_indexes().is_empty());
+        // Dropping the table discards its derived vector state with it.
+        let ix = Arc::downgrade(&c.vector_index_for("docs", "emb").unwrap());
         c.drop_table("docs").unwrap();
-        assert!(c.vector_index_on("docs", "emb").is_none());
-        assert!(c.vector_indexed_columns("docs").is_empty());
+        assert!(ix.upgrade().is_none());
+        assert!(c.vector_index_for("docs", "emb").is_err());
     }
 
     #[test]
     fn drop_clears_indexes_and_stats() {
         let mut c = catalog();
         c.create_index("films", "id").unwrap();
-        c.analyze("films").unwrap();
+        let films = c.get("films").unwrap();
         c.drop_table("films").unwrap();
         assert!(c.index_on("films", "id").is_none());
-        assert!(c.cached_stats("films").is_none());
+        assert!(c.stats("films").is_err());
+        // A table re-created under the name starts without the index.
+        c.register((*films).clone()).unwrap();
+        assert!(c.index_on("films", "id").is_none());
+        assert!(c.indexed_columns("films").is_empty());
     }
 }

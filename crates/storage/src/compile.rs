@@ -290,11 +290,6 @@ impl CompiledPipeline {
         Some(CompiledPipeline { filter, outputs })
     }
 
-    /// Whether the pipeline has a compiled filter kernel.
-    pub fn has_filter(&self) -> bool {
-        self.filter.is_some()
-    }
-
     /// Pushes one batch through the fused pipeline. `Ok(None)` means the
     /// filter dropped every row (the caller keeps pulling, exactly like the
     /// interpreted `Filter` loop).
@@ -468,7 +463,6 @@ mod tests {
             ),
         ];
         let p = CompiledPipeline::compile(&s, Some(&filter), Some(&outputs)).unwrap();
-        assert!(p.has_filter());
         let out = p.process(batch()).unwrap().unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.row(0), vec![Value::Int(1991), Value::Int(1992)]);

@@ -35,7 +35,7 @@
 use crate::io::{with_retry, Io, RetryPolicy};
 use crate::page::ZoneMap;
 use crate::paged::{PagedTable, RecoveredPage};
-use crate::persist::{decode_table, dtype_from_tag, dtype_tag, get_str, put_str};
+use crate::persist::{dtype_from_tag, dtype_tag, get_str, put_str};
 use crate::pool::BufferPool;
 use crate::wal::{crc32, filter_committed, Wal, WalRecord};
 use crate::{Column, Schema, StorageError, Table, DEFAULT_PAGE_ROWS};
@@ -790,9 +790,12 @@ fn load_snapshot(
         let fields: Vec<&str> = line.split_whitespace().collect();
         match fields.as_slice() {
             ["epoch", _] => {}
-            ["table", file, len, crc]
-            | ["ptable", file, len, crc]
-            | ["functions", file, len, crc] => {
+            ["table", ..] => {
+                return Err(corrupt(format!(
+                    "unsupported whole-table manifest line '{line}'"
+                )))
+            }
+            ["ptable", file, len, crc] | ["functions", file, len, crc] => {
                 let want_len: usize = len
                     .parse()
                     .map_err(|_| corrupt(format!("bad length in manifest line '{line}'")))?;
@@ -807,9 +810,6 @@ fn load_snapshot(
                 }
                 if line.starts_with("ptable ") {
                     tables.push(parse_kmeta(&bytes)?.into_table(io, root, pool)?);
-                } else if line.starts_with("table ") {
-                    // Legacy whole-table snapshots (pre-paged format).
-                    tables.push(decode_table(&bytes)?);
                 } else {
                     functions_json = Some(String::from_utf8(bytes).map_err(|_| {
                         corrupt("snapshot functions.json is not utf-8".to_string())
@@ -1200,8 +1200,9 @@ mod tests {
 
     #[test]
     fn legacy_table_manifest_lines_still_load() {
-        // A snapshot written in the pre-paged whole-table format must still
-        // recover (mixed-version directories after an upgrade).
+        // No checkpoint of this repository wrote the pre-paged whole-table
+        // `table <file>.ktbl` line; a manifest carrying one is refused with
+        // a typed error rather than half-supported.
         let dir = tmp("legacy");
         std::fs::create_dir_all(dir.join("wal")).unwrap();
         std::fs::create_dir_all(dir.join("snapshots").join("000001")).unwrap();
@@ -1218,10 +1219,13 @@ mod tests {
         manifest.push_str(&format!("crc {}\n", crc32(manifest.as_bytes())));
         std::fs::write(snap.join("MANIFEST"), manifest).unwrap();
         std::fs::write(segment_path(&dir, 1), b"").unwrap();
-        let (_, rec) = Durability::open(&dir, &pool()).unwrap();
-        assert_eq!(rec.snapshot_epoch, 1);
-        assert_eq!(rec.tables, vec![t]);
-        assert!(!rec.tables[0].is_paged());
+        let Err(err) = Durability::open(&dir, &pool()) else {
+            panic!("a whole-table manifest line must be refused");
+        };
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("unsupported")),
+            "{err:?}"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,7 +1,8 @@
 //! Secondary indexes over tables.
 //!
-//! KathDB materializes every intermediate view (§3); hash and sorted indexes
-//! make lineage lookups (`lid -> row`) and range predicates cheap.
+//! KathDB materializes every intermediate view (§3); a hash index makes
+//! equality lookups (`lid -> row`, `WHERE col = literal`) cheap. An index
+//! is built from one table value and owned by it ([`Table::hash_index`]).
 
 use crate::{StorageError, Table, Value};
 use std::collections::HashMap;
@@ -46,63 +47,6 @@ impl HashIndex {
     }
 }
 
-/// A sorted index supporting range scans.
-#[derive(Debug, Clone)]
-pub struct SortedIndex {
-    column: String,
-    // (value, row position) sorted by value's total order.
-    entries: Vec<(Value, usize)>,
-}
-
-impl SortedIndex {
-    /// Builds the index over one column of `table`. NULLs are not indexed.
-    /// Streams page by page on paged tables (bounded by the pool budget).
-    pub fn build(table: &Table, column: &str) -> Result<Self, StorageError> {
-        let mut entries: Vec<(Value, usize)> = Vec::new();
-        table.for_each_in_column(column, |pos, v| {
-            if !v.is_null() {
-                entries.push((v.clone(), pos));
-            }
-            Ok(())
-        })?;
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(Self {
-            column: column.to_string(),
-            entries,
-        })
-    }
-
-    /// The indexed column.
-    pub fn column(&self) -> &str {
-        &self.column
-    }
-
-    /// Row positions with `low <= value <= high` (either bound optional).
-    pub fn range(&self, low: Option<&Value>, high: Option<&Value>) -> Vec<usize> {
-        let start = match low {
-            None => 0,
-            Some(lo) => self
-                .entries
-                .partition_point(|(v, _)| v.total_cmp(lo) == std::cmp::Ordering::Less),
-        };
-        let end = match high {
-            None => self.entries.len(),
-            Some(hi) => self
-                .entries
-                .partition_point(|(v, _)| v.total_cmp(hi) != std::cmp::Ordering::Greater),
-        };
-        self.entries[start..end.max(start)]
-            .iter()
-            .map(|(_, p)| *p)
-            .collect()
-    }
-
-    /// Row positions equal to `value`.
-    pub fn lookup(&self, value: &Value) -> Vec<usize> {
-        self.range(Some(value), Some(value))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,37 +80,8 @@ mod tests {
     }
 
     #[test]
-    fn sorted_index_range() {
-        let t = table();
-        let ix = SortedIndex::build(&t, "year").unwrap();
-        let got = ix.range(Some(&Value::Int(1988)), Some(&Value::Int(1991)));
-        assert_eq!(got, vec![1, 0, 3]);
-        let all = ix.range(None, None);
-        assert_eq!(all.len(), 4);
-        let upper = ix.range(Some(&Value::Int(1992)), None);
-        assert_eq!(upper, vec![4]);
-    }
-
-    #[test]
-    fn sorted_index_point_lookup() {
-        let t = table();
-        let ix = SortedIndex::build(&t, "year").unwrap();
-        assert_eq!(ix.lookup(&Value::Int(1991)), vec![0, 3]);
-        assert!(ix.lookup(&Value::Int(1800)).is_empty());
-    }
-
-    #[test]
-    fn empty_range_when_bounds_cross() {
-        let t = table();
-        let ix = SortedIndex::build(&t, "year").unwrap();
-        let got = ix.range(Some(&Value::Int(2005)), Some(&Value::Int(1990)));
-        assert!(got.is_empty());
-    }
-
-    #[test]
     fn unknown_column_is_error() {
         let t = table();
         assert!(HashIndex::build(&t, "nope").is_err());
-        assert!(SortedIndex::build(&t, "nope").is_err());
     }
 }

@@ -47,7 +47,7 @@ pub use guard::{
     batch_footprint, row_footprint, value_footprint, CancelToken, GuardSpec, QueryGuard,
     GUARD_CHECK_INTERVAL,
 };
-pub use index::{HashIndex, SortedIndex};
+pub use index::HashIndex;
 pub use io::{
     is_transient, with_retry, FaultKind, FaultPlan, FaultStats, FaultyIo, Io, IoBackend, IoOp,
     RealIo, RetryPolicy, FAULTS_ENV,
@@ -59,15 +59,12 @@ pub use morsel::{
 pub use ops::{
     cmp_rows, col_cmp, collect, collect_batched, collect_batched_guarded, collect_guarded,
     merge_sorted_runs, resolve_sort_keys, sort_rows, AggFunc, Aggregate, Distinct, Filter,
-    HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, NestedLoopJoin, Operator,
-    PartialAggregate, Project, Sort, SortKey, TableScan, UnionAll,
+    HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Operator, PartialAggregate,
+    Project, Sort, SortKey, TableScan,
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
 pub use paged::{PageBacking, PageSlot, PageWriteStats, PagedTable, RecoveredPage};
-pub use persist::{
-    atomic_write, atomic_write_with, decode_table, encode_table, load_table, load_table_with,
-    save_table, save_table_with,
-};
+pub use persist::{atomic_write, atomic_write_with, decode_table, encode_table};
 pub use pool::{BufferPool, PageKey, PoolStatus, DEFAULT_POOL_PAGES, POOL_PAGES_ENV};
 pub use schema::{Column, Schema};
 pub use stats::{ColumnStats, TableStats};

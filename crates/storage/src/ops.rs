@@ -743,68 +743,6 @@ impl Operator for HashJoin {
     }
 }
 
-/// Nested-loop join with an arbitrary predicate over the concatenated row.
-pub struct NestedLoopJoin {
-    left: Box<dyn Operator>,
-    right_rows: Vec<Row>,
-    predicate: Expr,
-    schema: Schema,
-    current_left: Option<Row>,
-    right_cursor: usize,
-}
-
-impl NestedLoopJoin {
-    /// Joins on any predicate; the right side is materialized.
-    pub fn new(
-        left: Box<dyn Operator>,
-        mut right: Box<dyn Operator>,
-        predicate: Expr,
-    ) -> Result<Self, StorageError> {
-        let schema = left.schema().join(right.schema(), "right");
-        let mut right_rows = Vec::new();
-        while let Some(batch) = right.next_batch()? {
-            right_rows.extend(batch.into_rows());
-        }
-        Ok(Self {
-            left,
-            right_rows,
-            predicate,
-            schema,
-            current_left: None,
-            right_cursor: 0,
-        })
-    }
-}
-
-impl Operator for NestedLoopJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        loop {
-            if self.current_left.is_none() {
-                self.current_left = self.left.next()?;
-                self.right_cursor = 0;
-                if self.current_left.is_none() {
-                    return Ok(None);
-                }
-            }
-            let lrow = self.current_left.as_ref().expect("set above").clone();
-            while self.right_cursor < self.right_rows.len() {
-                let rrow = &self.right_rows[self.right_cursor];
-                self.right_cursor += 1;
-                let mut joined = lrow.clone();
-                joined.extend(rrow.iter().cloned());
-                if self.predicate.eval(&joined, &self.schema)?.is_truthy() {
-                    return Ok(Some(joined));
-                }
-            }
-            self.current_left = None;
-        }
-    }
-}
-
 /// Aggregate functions supported by [`HashAggregate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
@@ -1340,60 +1278,6 @@ impl Operator for Distinct {
     }
 }
 
-/// UNION ALL of two schema-compatible inputs.
-pub struct UnionAll {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    left_done: bool,
-}
-
-impl UnionAll {
-    /// Concatenates two inputs; arities must match.
-    pub fn new(left: Box<dyn Operator>, right: Box<dyn Operator>) -> Result<Self, StorageError> {
-        if left.schema().arity() != right.schema().arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: left.schema().arity(),
-                got: right.schema().arity(),
-            });
-        }
-        Ok(Self {
-            left,
-            right,
-            left_done: false,
-        })
-    }
-}
-
-impl Operator for UnionAll {
-    fn schema(&self) -> &Schema {
-        self.left.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        if !self.left_done {
-            if let Some(row) = self.left.next()? {
-                return Ok(Some(row));
-            }
-            self.left_done = true;
-        }
-        self.right.next()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        if !self.left_done {
-            if let Some(batch) = self.left.next_batch()? {
-                return Ok(Some(batch));
-            }
-            self.left_done = true;
-        }
-        self.right.next_batch()
-    }
-
-    fn batch_capacity(&self) -> usize {
-        self.left.batch_capacity()
-    }
-}
-
 /// Convenience: builds a comparison predicate `col op lit`.
 pub fn col_cmp(col: &str, op: BinOp, v: impl Into<Value>) -> Expr {
     Expr::col(col).bin(op, Expr::lit(v))
@@ -1516,19 +1400,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_join_with_predicate() {
-        let pred = Expr::col("id").eq(Expr::col("film_id"));
-        let j = NestedLoopJoin::new(
-            Box::new(TableScan::new(films())),
-            Box::new(TableScan::new(posters())),
-            pred,
-        )
-        .unwrap();
-        let t = collect("j", Box::new(j)).unwrap();
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
     fn aggregate_group_by() {
         let agg = HashAggregate::new(
             Box::new(TableScan::new(films())),
@@ -1638,25 +1509,17 @@ mod tests {
         assert_eq!(t.cell(1, "id").unwrap(), &Value::Int(4));
     }
 
-    #[test]
-    fn distinct_and_union() {
-        let u = UnionAll::new(
-            Box::new(TableScan::new(films())),
-            Box::new(TableScan::new(films())),
-        )
-        .unwrap();
-        let d = Distinct::new(Box::new(u));
-        let t = collect("d", Box::new(d)).unwrap();
-        assert_eq!(t.len(), 4);
+    /// `films()` followed by `films()` again: every row twice.
+    fn films_twice() -> Arc<Table> {
+        let twice = [films().rows(), films().rows()].concat();
+        Arc::new(Table::from_rows("ff", films().schema().clone(), twice).unwrap())
     }
 
     #[test]
-    fn union_rejects_arity_mismatch() {
-        let r = UnionAll::new(
-            Box::new(TableScan::new(films())),
-            Box::new(TableScan::new(posters())),
-        );
-        assert!(r.is_err());
+    fn distinct_and_union() {
+        let d = Distinct::new(Box::new(TableScan::new(films_twice())));
+        let t = collect("d", Box::new(d)).unwrap();
+        assert_eq!(t.len(), 4);
     }
 
     /// Builds the scan→filter→project pipeline with a given scan batch size.
@@ -1838,14 +1701,8 @@ mod tests {
     #[test]
     fn batched_distinct_dedupes_across_batches() {
         let mk = || {
-            let u = Box::new(
-                UnionAll::new(
-                    Box::new(TableScan::new(films()).with_batch_size(3)),
-                    Box::new(TableScan::new(films()).with_batch_size(3)),
-                )
-                .unwrap(),
-            );
-            Box::new(Distinct::new(u))
+            let scan = TableScan::new(films_twice()).with_batch_size(3);
+            Box::new(Distinct::new(Box::new(scan)))
         };
         let row = collect("out", mk()).unwrap();
         let (bat, batches) = collect_batched("out", mk()).unwrap();

@@ -4,9 +4,9 @@
 //! browser can show "the materialized view it came from" (§5) across
 //! sessions, and the durability subsystem snapshots every catalog table in
 //! this format at each checkpoint. The format is a simple length-prefixed
-//! layout with a magic header, version byte, and — since format version 2 —
-//! a CRC32 trailer over the entire encoding, so a torn or bit-flipped
-//! snapshot file is detected instead of decoded into wrong rows.
+//! layout with a magic header, version byte, and a CRC32 trailer over the
+//! entire encoding, so a torn or bit-flipped snapshot file is detected
+//! instead of decoded into wrong rows.
 
 use crate::io::{with_retry, Io, RetryPolicy};
 use crate::wal::crc32;
@@ -43,35 +43,26 @@ pub fn encode_table(table: &Table) -> Result<Bytes, StorageError> {
     Ok(buf.freeze())
 }
 
-/// Decodes a table from the binary format. Accepts both v1 (no trailer,
-/// written by earlier KathDB versions) and v2 (CRC32 trailer, verified
-/// before any byte of the payload is interpreted).
+/// Decodes a table from the binary format (KTBL v2 only — the one version
+/// this repository ever wrote to disk). The CRC32 trailer is verified
+/// before any byte of the payload is interpreted.
 pub fn decode_table(data: &[u8]) -> Result<Table, StorageError> {
     let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
     if data.len() < 5 || &data[..4] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version = data[4];
-    let body = match version {
-        1 => &data[5..],
-        2 => {
-            if data.len() < 9 {
-                return Err(corrupt("truncated checksum trailer"));
-            }
-            let (payload, trailer) = data.split_at(data.len() - 4);
-            let stored = u32::from_be_bytes(trailer.try_into().expect("4-byte trailer"));
-            if crc32(payload) != stored {
-                return Err(corrupt("table checksum mismatch"));
-            }
-            &payload[5..]
-        }
-        _ => return Err(corrupt("unsupported format version")),
-    };
-    decode_body(body)
-}
-
-fn decode_body(mut data: &[u8]) -> Result<Table, StorageError> {
-    let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
+    if data[4] != FORMAT_VERSION {
+        return Err(corrupt("unsupported format version"));
+    }
+    if data.len() < 9 {
+        return Err(corrupt("truncated checksum trailer"));
+    }
+    let (payload, trailer) = data.split_at(data.len() - 4);
+    let stored = u32::from_be_bytes(trailer.try_into().expect("4-byte trailer"));
+    if crc32(payload) != stored {
+        return Err(corrupt("table checksum mismatch"));
+    }
+    let mut data = &payload[5..];
     let name = get_str(&mut data)?;
     if data.remaining() < 4 {
         return Err(corrupt("truncated column count"));
@@ -158,27 +149,6 @@ pub fn atomic_write_with(io: &Io, path: &Path, bytes: &[u8]) -> Result<(), Stora
     }
     let _ = io.fsync_dir(&dir);
     Ok(())
-}
-
-/// Writes a table to `path` atomically (temp file + fsync + rename).
-pub fn save_table(table: &Table, path: &Path) -> Result<(), StorageError> {
-    save_table_with(&Io::real(), table, path)
-}
-
-/// [`save_table`] through an explicit [`Io`] handle.
-pub fn save_table_with(io: &Io, table: &Table, path: &Path) -> Result<(), StorageError> {
-    atomic_write_with(io, path, &encode_table(table)?)
-}
-
-/// Reads a table from `path`.
-pub fn load_table(path: &Path) -> Result<Table, StorageError> {
-    load_table_with(&Io::real(), path)
-}
-
-/// [`load_table`] through an explicit [`Io`] handle.
-pub fn load_table_with(io: &Io, path: &Path) -> Result<Table, StorageError> {
-    let data = io.read(path)?;
-    decode_table(&data)
 }
 
 pub(crate) fn dtype_tag(d: DataType) -> u8 {
@@ -348,14 +318,17 @@ mod tests {
         assert_eq!(back, t);
     }
 
+    fn load(path: &Path) -> Table {
+        decode_table(&std::fs::read(path).unwrap()).unwrap()
+    }
+
     #[test]
     fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("kathdb_persist_test");
         let path = dir.join("films.ktbl");
         let t = table();
-        save_table(&t, &path).unwrap();
-        let back = load_table(&path).unwrap();
-        assert_eq!(back, t);
+        atomic_write(&path, &encode_table(&t).unwrap()).unwrap();
+        assert_eq!(load(&path), t);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -364,12 +337,13 @@ mod tests {
         let dir = std::env::temp_dir().join("kathdb_persist_atomic_test");
         let path = dir.join("films.ktbl");
         let t = table();
-        save_table(&t, &path).unwrap();
+        let bytes = encode_table(&t).unwrap();
+        atomic_write(&path, &bytes).unwrap();
         // Overwrite in place: still exactly one file, still decodable.
-        save_table(&t, &path).unwrap();
+        atomic_write(&path, &bytes).unwrap();
         let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(entries.len(), 1, "temp file left behind");
-        assert_eq!(load_table(&path).unwrap(), t);
+        assert_eq!(load(&path), t);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -381,7 +355,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("films.ktbl");
         let t = table();
-        save_table(&t, &path).unwrap();
+        let bytes = encode_table(&t).unwrap();
+        atomic_write(&path, &bytes).unwrap();
         let io = Io::real();
         for kind in [FaultKind::Permanent, FaultKind::Enospc] {
             for op in [IoOp::Write, IoOp::Rename] {
@@ -391,19 +366,19 @@ mod tests {
                         .on_ops(&[op]),
                 );
                 assert!(matches!(
-                    save_table_with(&io, &t, &path),
+                    atomic_write_with(&io, &path, &bytes),
                     Err(StorageError::Io(_))
                 ));
                 io.clear_faults();
                 // The old contents survive and no temp file is left behind.
-                assert_eq!(load_table(&path).unwrap(), t);
+                assert_eq!(load(&path), t);
                 assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
             }
         }
         // A transient write fault is retried away.
         io.install_faults(FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]));
-        save_table_with(&io, &t, &path).unwrap();
-        assert_eq!(load_table(&path).unwrap(), t);
+        atomic_write_with(&io, &path, &bytes).unwrap();
+        assert_eq!(load(&path), t);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -441,13 +416,16 @@ mod tests {
 
     #[test]
     fn decodes_v1_tables_without_trailer() {
-        let t = table();
-        // A v1 encoding is the v2 encoding minus the trailer, with the
-        // version byte rewritten.
-        let v2 = encode_table(&t).unwrap();
+        // No writer in this repository produced the trailer-less version 1
+        // (the v2 encoding minus the trailer, version byte rewritten), so
+        // it is refused by version, not decoded unverified.
+        let v2 = encode_table(&table()).unwrap();
         let mut v1 = v2[..v2.len() - 4].to_vec();
         v1[4] = 1;
-        assert_eq!(decode_table(&v1).unwrap(), t);
+        assert!(matches!(
+            decode_table(&v1),
+            Err(StorageError::Corrupt(m)) if m.contains("unsupported")
+        ));
     }
 
     #[test]

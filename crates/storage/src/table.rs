@@ -10,12 +10,68 @@
 //! `rows()`/`row()` accessors stay infallible by lazily materializing a
 //! paged table's row cache on first use — hot paths (scans, index builds)
 //! use the page-aware fallible accessors instead and never pay for that.
+//!
+//! A table registered in a catalog is never mutated again, so everything
+//! derived from its rows — hash indexes, vector indexes, statistics — is
+//! owned by the table value itself ([`Table::hash_index`],
+//! [`Table::vector_index`], [`Table::stats`]): built at most once, on first
+//! use, shared by every clone and every catalog version that holds the same
+//! rows, and dropped with the last of them. It cannot be stale because what
+//! it was computed from cannot change; a mutated clone starts with none.
 
 use crate::paged::PagedTable;
 use crate::pool::BufferPool;
-use crate::{Row, Schema, StorageError, Value};
+use crate::{HashIndex, Row, Schema, StorageError, TableStats, Value, VectorIndex};
+use parking_lot::RwLock;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+
+/// Column → the one value built from that column of one table's rows.
+struct PerColumn<T> {
+    built: RwLock<BTreeMap<String, Arc<T>>>,
+}
+
+impl<T> Default for PerColumn<T> {
+    fn default() -> Self {
+        Self {
+            built: RwLock::default(),
+        }
+    }
+}
+
+impl<T> PerColumn<T> {
+    /// The value for `column`, built on first use. `build` scans the table
+    /// and so runs with no lock held; when two callers race, the first
+    /// insert wins and both get that one.
+    fn get_or_build(
+        &self,
+        column: &str,
+        build: impl FnOnce() -> Result<T, StorageError>,
+    ) -> Result<Arc<T>, StorageError> {
+        if let Some(found) = self.built.read().get(column) {
+            return Ok(Arc::clone(found));
+        }
+        let fresh = Arc::new(build()?);
+        let mut built = self.built.write();
+        Ok(Arc::clone(built.entry(column.to_string()).or_insert(fresh)))
+    }
+}
+
+/// What a table value owns besides its rows (see the module docs).
+#[derive(Default)]
+struct Derived {
+    hash: PerColumn<HashIndex>,
+    vector: PerColumn<VectorIndex>,
+    stats: OnceLock<TableStats>,
+}
+
+impl fmt::Debug for Derived {
+    /// Opaque: a table's debug form is its rows, not its indexes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Derived").finish_non_exhaustive()
+    }
+}
 
 #[derive(Debug)]
 enum Repr {
@@ -47,11 +103,15 @@ pub struct Table {
     name: String,
     schema: Schema,
     repr: Repr,
+    // Shared by clones and by the paged form of the same rows; replaced by
+    // an empty one when the rows change (`push`).
+    derived: Arc<Derived>,
 }
 
 impl PartialEq for Table {
     /// Logical equality: same name, schema, and row contents — a paged
-    /// table equals its resident counterpart.
+    /// table equals its resident counterpart. Derived state is not part of
+    /// it.
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.schema == other.schema
@@ -67,6 +127,7 @@ impl Table {
             name: name.into(),
             schema,
             repr: Repr::Resident(Vec::new()),
+            derived: Arc::default(),
         }
     }
 
@@ -92,6 +153,7 @@ impl Table {
                 pages,
                 cache: OnceLock::new(),
             },
+            derived: Arc::default(),
         }
     }
 
@@ -137,7 +199,8 @@ impl Table {
         }
     }
 
-    /// Converts to the paged representation (no-op if already paged).
+    /// Converts to the paged representation (no-op if already paged). The
+    /// rows are the same, so the result shares this table's derived state.
     pub fn to_paged(
         &self,
         pool: &Arc<BufferPool>,
@@ -148,7 +211,10 @@ impl Table {
             Repr::Resident(rows) => {
                 let pages =
                     PagedTable::from_rows(self.schema.clone(), rows, Arc::clone(pool), page_rows)?;
-                Ok(Table::from_paged(self.name.clone(), Arc::new(pages)))
+                Ok(Table {
+                    derived: Arc::clone(&self.derived),
+                    ..Table::from_paged(self.name.clone(), Arc::new(pages))
+                })
             }
         }
     }
@@ -233,10 +299,15 @@ impl Table {
 
     /// Appends a validated row. A paged table materializes back to
     /// resident first: mutation works on rows, and the next checkpoint
-    /// re-pages the result.
+    /// re-pages the result. The rows change, so this value lets go of the
+    /// derived state it shared with the table it was cloned from.
     pub fn push(&mut self, row: Row) -> Result<(), StorageError> {
         self.schema.check_row(&row)?;
         self.make_resident()?.push(row);
+        match Arc::get_mut(&mut self.derived) {
+            Some(own) => *own = Derived::default(),
+            None => self.derived = Arc::default(),
+        }
         Ok(())
     }
 
@@ -264,13 +335,49 @@ impl Table {
     }
 
     /// The first `n` rows, as a new table (the "rows sampler" database
-    /// utility owned by the plan verifier's tool user, §4).
-    pub fn sample(&self, n: usize) -> Table {
-        Table {
+    /// utility owned by the plan verifier's tool user, §4). Reads only the
+    /// pages those rows live on.
+    pub fn sample(&self, n: usize) -> Result<Table, StorageError> {
+        let rows = (0..n.min(self.len()))
+            .filter_map(|i| self.row_at(i).transpose())
+            .collect::<Result<Vec<Row>, _>>()?;
+        Ok(Table {
             name: format!("{}_sample", self.name),
             schema: self.schema.clone(),
-            repr: Repr::Resident(self.rows().iter().take(n).cloned().collect()),
-        }
+            repr: Repr::Resident(rows),
+            derived: Arc::default(),
+        })
+    }
+
+    /// The hash index over `column` of these rows, built on first use.
+    pub fn hash_index(&self, column: &str) -> Result<Arc<HashIndex>, StorageError> {
+        let build = || HashIndex::build(self, column);
+        self.derived.hash.get_or_build(column, build)
+    }
+
+    /// The vector similarity index over `column` of these rows, built on
+    /// first use (by the first `ORDER BY SIMILARITY(..) DESC LIMIT k` that
+    /// reads this table value). Purely in-memory: after a crash the first
+    /// similarity query builds it again from the recovered rows.
+    pub fn vector_index(&self, column: &str) -> Result<Arc<VectorIndex>, StorageError> {
+        let build = || VectorIndex::build(self, column);
+        self.derived.vector.get_or_build(column, build)
+    }
+
+    /// The vector indexes built so far, by column.
+    pub fn vector_indexes(&self) -> Vec<Arc<VectorIndex>> {
+        self.derived.vector.built.read().values().cloned().collect()
+    }
+
+    /// Forgets the vector index over `column`; returns whether one had been
+    /// built. The next similarity query builds it again.
+    pub fn drop_vector_index(&self, column: &str) -> bool {
+        self.derived.vector.built.write().remove(column).is_some()
+    }
+
+    /// Exact statistics of these rows, collected on first use.
+    pub fn stats(&self) -> &TableStats {
+        self.derived.stats.get_or_init(|| TableStats::collect(self))
     }
 
     /// Finds the first row index where `column == value`.
@@ -369,8 +476,64 @@ mod tests {
     #[test]
     fn sample_truncates() {
         let t = movies();
-        assert_eq!(t.sample(1).len(), 1);
-        assert_eq!(t.sample(10).len(), 2);
+        assert_eq!(t.sample(1).unwrap().len(), 1);
+        assert_eq!(t.sample(10).unwrap().len(), 2);
+    }
+
+    /// 10 000 two-column rows paged behind a 2-page pool, with every page
+    /// on disk so a read has to go through the I/O seam.
+    fn big_paged(tag: &str) -> (Table, Arc<BufferPool>, crate::Io, std::path::PathBuf) {
+        let schema = Schema::of(&[("id", DataType::Int), ("year", DataType::Int)]);
+        let rows = (0..10_000i64).map(|i| vec![Value::Int(i), Value::Int(1900 + i % 100)]);
+        let resident = Table::from_rows("big", schema, rows.collect()).unwrap();
+        let io = crate::Io::real();
+        let pool = Arc::new(BufferPool::with_budget_io(2, io.clone()));
+        let paged = resident.to_paged(&pool, 1024).unwrap();
+        let dir = std::env::temp_dir().join(format!("kathdb_table_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        paged.paged().unwrap().write_durable(&dir).unwrap();
+        pool.reset_counters();
+        (paged, pool, io, dir)
+    }
+
+    fn row_cache_is_empty(t: &Table) -> bool {
+        matches!(&t.repr, Repr::Paged { cache, .. } if cache.get().is_none())
+    }
+
+    #[test]
+    fn sampling_a_paged_table_reads_one_page_per_column() {
+        let (paged, pool, _io, dir) = big_paged("sample");
+        let sample = paged.sample(5).unwrap();
+        assert!(!sample.is_paged());
+        assert_eq!(sample.name(), "big_sample");
+        let ids: Vec<i64> = sample
+            .rows()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        // One decode per column (page 0 of each), not the 20 pages of the
+        // table, and nothing pinned for the table's lifetime.
+        assert_eq!(pool.status().misses, 2);
+        assert!(row_cache_is_empty(&paged));
+        assert_eq!(paged.sample(20_000).unwrap().len(), 10_000);
+        assert!(row_cache_is_empty(&paged));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn sampling_through_a_read_fault_is_a_typed_error() {
+        use crate::{FaultKind, FaultPlan};
+        let (paged, pool, io, dir) = big_paged("fault");
+        // Push page 0 of both columns out of the 2-page pool.
+        paged.row_at(9_999).unwrap();
+        io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]));
+        assert!(matches!(paged.sample(5), Err(StorageError::Io(_))));
+        io.clear_faults();
+        assert_eq!(paged.sample(5).unwrap().len(), 5);
+        assert!(pool.status().misses > 0);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! readers take an O(1) [`SharedCatalog::snapshot`] and run entire queries
 //! against that frozen version while writers publish new versions —
 //! copy-on-write at the catalog level (a shallow [`Catalog::clone`]: table
-//! `Arc`s and derived-state maps, never row data), never in place. Writers
-//! serialize on a commit mutex; durability is amortized by a group-commit
-//! protocol:
+//! `Arc`s and index registrations, never row data and no lock), never in
+//! place. A published version is never written through: what readers derive
+//! from a table (indexes, statistics) lives on the shared, immutable
+//! [`Table`] value, not in the catalog. Writers serialize on a commit mutex;
+//! durability is amortized by a group-commit protocol:
 //!
 //! 1. Under the commit lock, a committer applies its records to a clone of
 //!    the *logical head* (the newest version, durable or not), appends the
@@ -42,6 +44,7 @@ use crate::vecindex::VectorIndex;
 use crate::wal::WalRecord;
 use crate::StorageError;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -228,6 +231,35 @@ impl SharedCatalog {
         st
     }
 
+    /// The one place a new version is made: `catalog` becomes the logical
+    /// head, and either waits on the pending list for the group fsync that
+    /// covers `end_lsn` or — with nothing to make durable — is published
+    /// to readers at once.
+    fn install(&self, st: &mut CommitState, catalog: Catalog, end_lsn: Option<u64>) {
+        let next = CatalogRef {
+            version: st.head.version + 1,
+            inner: Arc::new(catalog),
+        };
+        st.head = next.clone();
+        match end_lsn {
+            Some(lsn) => st.pending.push_back((lsn, next)),
+            None => *self.inner.current.write() = next,
+        }
+    }
+
+    /// Applies `f` to a copy of the head of a drained `st` and publishes
+    /// the result; on `Err` the copy is discarded and nothing changes.
+    fn publish_on<T, E>(
+        &self,
+        st: &mut CommitState,
+        f: impl FnOnce(&mut Catalog) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut work = (*st.head.inner).clone();
+        let out = f(&mut work)?;
+        self.install(st, work, None);
+        Ok(out)
+    }
+
     /// Commits `records` atomically: applies them to a copy of the logical
     /// head via `apply`, appends them to the WAL (framed in
     /// `Begin..Commit` when `framed`, bare otherwise), and returns once
@@ -254,16 +286,7 @@ impl SharedCatalog {
             while st.syncing || !st.pending.is_empty() {
                 st = self.wait(st);
             }
-            let mut work = (*st.head.inner).clone();
-            let out = apply(&mut work)?;
-            let version = st.head.version + 1;
-            let new_ref = CatalogRef {
-                version,
-                inner: Arc::new(work),
-            };
-            st.head = new_ref.clone();
-            *self.inner.current.write() = new_ref;
-            return Ok(out);
+            return self.publish_on(&mut st, apply);
         }
 
         // Apply against the logical head first: a conflicting or invalid
@@ -291,13 +314,7 @@ impl SharedCatalog {
         if framed {
             st.next_txid += 1;
         }
-        let version = st.head.version + 1;
-        let new_ref = CatalogRef {
-            version,
-            inner: Arc::new(work),
-        };
-        st.head = new_ref.clone();
-        st.pending.push_back((end_lsn, new_ref));
+        self.install(&mut st, work, Some(end_lsn));
 
         if !st.group_commit {
             // Per-statement durability: fsync under the lock. This is the
@@ -401,33 +418,16 @@ impl SharedCatalog {
     /// index builds — state that is derivable and therefore not
     /// write-ahead logged) as a new version.
     pub fn publish<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
-        let mut st = self.lock_drained();
-        let mut work = (*st.head.inner).clone();
-        let out = f(&mut work);
-        let version = st.head.version + 1;
-        let new_ref = CatalogRef {
-            version,
-            inner: Arc::new(work),
-        };
-        st.head = new_ref.clone();
-        *self.inner.current.write() = new_ref;
-        out
+        match self.try_publish(|c| Ok::<T, Infallible>(f(c))) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
     }
 
     /// [`SharedCatalog::publish`] for fallible mutations: on `Err` the
     /// working copy is discarded and no version is published.
     pub fn try_publish<T, E>(&self, f: impl FnOnce(&mut Catalog) -> Result<T, E>) -> Result<T, E> {
-        let mut st = self.lock_drained();
-        let mut work = (*st.head.inner).clone();
-        let out = f(&mut work)?;
-        let version = st.head.version + 1;
-        let new_ref = CatalogRef {
-            version,
-            inner: Arc::new(work),
-        };
-        st.head = new_ref.clone();
-        *self.inner.current.write() = new_ref;
-        Ok(out)
+        self.publish_on(&mut self.lock_drained(), f)
     }
 
     // ---- durability management -------------------------------------------
@@ -436,7 +436,10 @@ impl SharedCatalog {
     /// logged through it. `recovered_max_txid` seeds the txid allocator
     /// above every id already in the log.
     pub fn attach(&self, dur: Durability, recovered_max_txid: u64) {
-        let mut st = self.lock_drained();
+        Self::attach_to(&mut self.lock_drained(), dur, recovered_max_txid);
+    }
+
+    fn attach_to(st: &mut CommitState, dur: Durability, recovered_max_txid: u64) {
         st.durable_lsn = dur.wal_tail();
         st.durable_records = dur.wal_record_count();
         st.next_txid = recovered_max_txid + 1;
@@ -484,19 +487,8 @@ impl SharedCatalog {
     /// directory (the tail end of `KathDB::open_dir`).
     pub fn install_recovered(&self, catalog: Catalog, dur: Durability, recovered_max_txid: u64) {
         let mut st = self.lock_drained();
-        let version = st.head.version + 1;
-        let new_ref = CatalogRef {
-            version,
-            inner: Arc::new(catalog),
-        };
-        st.head = new_ref.clone();
-        *self.inner.current.write() = new_ref;
-        st.durable_lsn = dur.wal_tail();
-        st.durable_records = dur.wal_record_count();
-        st.next_txid = recovered_max_txid + 1;
-        st.group_fsyncs = 0;
-        st.group_commits = 0;
-        st.dur = Some(dur);
+        self.install(&mut st, catalog, None);
+        Self::attach_to(&mut st, dur, recovered_max_txid);
     }
 
     /// Replaces the entire state with `catalog` and no durable directory
@@ -504,13 +496,7 @@ impl SharedCatalog {
     /// restored).
     pub fn install_plain(&self, catalog: Catalog) {
         let mut st = self.lock_drained();
-        let version = st.head.version + 1;
-        let new_ref = CatalogRef {
-            version,
-            inner: Arc::new(catalog),
-        };
-        st.head = new_ref.clone();
-        *self.inner.current.write() = new_ref;
+        self.install(&mut st, catalog, None);
         st.durable_lsn = 0;
         st.durable_records = 0;
         st.dur = None;
@@ -540,19 +526,13 @@ impl SharedCatalog {
         let (tail, record_count) = (dur.wal_tail(), dur.wal_record_count());
         st.durable_lsn = tail;
         st.durable_records = record_count;
-        // Swap the paged representations in (identical contents, so
-        // derived state stays valid) and publish.
+        // Publish the paged representations: the same rows, so each shares
+        // the derived state of the table it replaces.
         let mut work = (*st.head.inner).clone();
         for t in paged {
-            work.swap_in_identical(t);
+            work.register_or_replace(t);
         }
-        let version = st.head.version + 1;
-        let new_ref = CatalogRef {
-            version,
-            inner: Arc::new(work),
-        };
-        st.head = new_ref.clone();
-        *self.inner.current.write() = new_ref;
+        self.install(&mut st, work, None);
         Ok(epoch)
     }
 
@@ -630,11 +610,6 @@ impl SharedCatalog {
         self.snapshot().stats(name)
     }
 
-    /// [`Catalog::cached_stats`] against the current snapshot.
-    pub fn cached_stats(&self, name: &str) -> Option<TableStats> {
-        self.snapshot().cached_stats(name)
-    }
-
     /// [`Catalog::joinability`] against the current snapshot.
     pub fn joinability(
         &self,
@@ -666,24 +641,10 @@ impl SharedCatalog {
         self.snapshot().vector_index_for(table, column)
     }
 
-    /// [`Catalog::vector_index_on`] against the current snapshot.
-    pub fn vector_index_on(&self, table: &str, column: &str) -> Option<Arc<VectorIndex>> {
-        self.snapshot().vector_index_on(table, column)
-    }
-
-    /// [`Catalog::vector_indexed_columns`] against the current snapshot.
-    pub fn vector_indexed_columns(&self, table: &str) -> Vec<String> {
-        self.snapshot().vector_indexed_columns(table)
-    }
-
-    /// [`Catalog::pending_refreshes`] against the current snapshot.
-    pub fn pending_refreshes(&self) -> usize {
-        self.snapshot().pending_refreshes()
-    }
-
-    /// [`Catalog::derived_rebuilds`] against the current snapshot.
-    pub fn derived_rebuilds(&self) -> usize {
-        self.snapshot().derived_rebuilds()
+    /// [`Catalog::drop_vector_index`] against the current snapshot (the
+    /// index lives on the table value, so no version is published).
+    pub fn drop_vector_index(&self, table: &str, column: &str) -> bool {
+        self.snapshot().drop_vector_index(table, column)
     }
 
     /// The buffer pool shared by every version of this catalog.
@@ -705,7 +666,7 @@ impl SharedCatalog {
     }
 
     /// [`Catalog::register_or_replace`] as a published version.
-    pub fn register_or_replace(&self, table: Table) -> Arc<Table> {
+    pub fn register_or_replace(&self, table: impl Into<Arc<Table>>) -> Arc<Table> {
         self.publish(|c| c.register_or_replace(table))
     }
 
@@ -719,24 +680,9 @@ impl SharedCatalog {
         self.try_publish(|c| c.create_index(table, column))
     }
 
-    /// [`Catalog::analyze`] as a published version.
-    pub fn analyze(&self, table: &str) -> Result<TableStats, StorageError> {
-        self.try_publish(|c| c.analyze(table))
-    }
-
     /// [`Catalog::page_table`] as a published version.
     pub fn page_table(&self, name: &str, page_rows: usize) -> Result<bool, StorageError> {
         self.try_publish(|c| c.page_table(name, page_rows))
-    }
-
-    /// [`Catalog::swap_in_identical`] as a published version.
-    pub fn swap_in_identical(&self, table: Arc<Table>) {
-        self.publish(|c| c.swap_in_identical(table))
-    }
-
-    /// [`Catalog::drop_vector_index`] as a published version.
-    pub fn drop_vector_index(&self, table: &str, column: &str) -> bool {
-        self.publish(|c| c.drop_vector_index(table, column))
     }
 }
 

@@ -7,9 +7,11 @@
 //! (§4). Embeddings live in ordinary `Value::Blob` cells as little-endian
 //! `f32` vectors ([`encode_embedding`]/[`decode_embedding`]), so they ride
 //! the existing persistence, WAL, and snapshot formats unchanged —
-//! durability needs no new on-disk format. The derived search structures
-//! ([`VectorIndex`]) are catalog state, rebuilt lazily after inserts,
-//! drops, and crash recovery.
+//! durability needs no new on-disk format. The derived search structure
+//! ([`VectorIndex`]) is owned by the immutable table value it was built
+//! from ([`Table::vector_index`]): built by the first similarity query on
+//! that value, shared by every catalog version holding it, and built anew
+//! for the table an insert or crash recovery produces.
 
 use crate::ops::IndexScan;
 use crate::{DataType, Operator, Row, RowBatch, Schema, StorageError, Table, Value};

@@ -1,0 +1,273 @@
+//! Derived state belongs to the table value it was computed from.
+//!
+//! Random schedules of everything that binds a table name to a value —
+//! INSERT (clone + push + replace), paging in place, a checkpoint-style
+//! swap of the same rows, drop + re-create — interleaved with
+//! `create_index`, retained snapshots and lookups, checked against an
+//! oracle that knows nothing about indexes: a linear scan of *that
+//! snapshot's* table. Plus one real-thread run of index builds racing
+//! commits.
+
+use kath_storage::*;
+use kath_vector::seeded_unit_vector;
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+
+/// Keys are drawn from `0..KEYS` (and NULL) so lookups hit several rows.
+const KEYS: i64 = 6;
+
+fn schema() -> Schema {
+    Schema::of(&[("k", DataType::Int), ("emb", DataType::Blob)])
+}
+
+fn row(k: Option<i64>) -> Row {
+    let seed = k.unwrap_or(KEYS) as u64;
+    vec![
+        k.map_or(Value::Null, Value::Int),
+        Value::Blob(encode_embedding(&seeded_unit_vector(seed))),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    CreateIndex,
+    Insert(Option<i64>),
+    PageInPlace(usize),
+    SwapSameRows(usize),
+    DropAndRecreate(Vec<Option<i64>>),
+    RetainSnapshot,
+    Lookup,
+}
+
+fn arb_key() -> impl Strategy<Value = Option<i64>> {
+    prop::option::of(0..KEYS)
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        Just(Step::CreateIndex),
+        arb_key().prop_map(Step::Insert),
+        arb_key().prop_map(Step::Insert),
+        arb_key().prop_map(Step::Insert),
+        (1usize..5).prop_map(Step::PageInPlace),
+        (1usize..5).prop_map(Step::SwapSameRows),
+        prop::collection::vec(arb_key(), 0..4).prop_map(Step::DropAndRecreate),
+        Just(Step::RetainSnapshot),
+        Just(Step::Lookup),
+    ]
+}
+
+/// The naive oracle: positions of `key` by scanning the table's rows.
+fn scan_positions(table: &Table, key: &Value) -> Vec<usize> {
+    let mut hits = Vec::new();
+    for i in 0..table.len() {
+        let row = table.row_at(i).unwrap().unwrap();
+        if !key.is_null() && &row[0] == key {
+            hits.push(i);
+        }
+    }
+    hits
+}
+
+/// A catalog version as it looked when it was retained.
+struct Retained {
+    version: CatalogRef,
+    table: Arc<Table>,
+    registered: bool,
+}
+
+/// Every derived-state consumer of `seen.version` answers for
+/// `seen.table` — the rows that version froze — whatever happened since.
+fn check_version(seen: &Retained) -> Result<(), TestCaseError> {
+    let now = seen.version.get("t").unwrap();
+    prop_assert!(
+        Arc::ptr_eq(&now, &seen.table),
+        "a version changed its table"
+    );
+    let index = seen.version.index_on("t", "k");
+    prop_assert_eq!(index.is_some(), seen.registered);
+    // Registered or not, the table value answers for its own rows.
+    let own = seen.table.hash_index("k").unwrap();
+    if let Some(index) = &index {
+        prop_assert!(Arc::ptr_eq(index, &own));
+        let again = seen.version.index_on("t", "k").unwrap();
+        prop_assert!(Arc::ptr_eq(index, &again));
+    }
+    for key in (0..KEYS)
+        .map(Value::Int)
+        .chain([Value::Null, Value::Int(KEYS)])
+    {
+        prop_assert_eq!(own.lookup(&key), scan_positions(&seen.table, &key));
+    }
+    let vector = seen.version.vector_index_for("t", "emb").unwrap();
+    prop_assert_eq!(vector.rows(), seen.table.len());
+    prop_assert!(Arc::ptr_eq(
+        &vector,
+        &seen.table.vector_index("emb").unwrap()
+    ));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_version_answers_for_its_own_rows(
+        seed_rows in prop::collection::vec(arb_key(), 0..6),
+        steps in prop::collection::vec(arb_step(), 1..40),
+    ) {
+        let shared = SharedCatalog::new();
+        let seed = Table::from_rows("t", schema(), seed_rows.into_iter().map(row).collect());
+        shared.register(seed.unwrap()).unwrap();
+        let mut registered = false;
+        let mut retained: Vec<Retained> = Vec::new();
+        let retain = |registered: bool| {
+            let version = shared.snapshot();
+            let table = version.get("t").unwrap();
+            Retained { version, table, registered }
+        };
+        for step in steps {
+            match step {
+                Step::CreateIndex => {
+                    shared.create_index("t", "k").unwrap();
+                    prop_assert!(shared.create_index("t", "nope").is_err());
+                    registered = true;
+                }
+                Step::Insert(k) => {
+                    let before = shared.get("t").unwrap();
+                    let old_index = before.hash_index("k").unwrap();
+                    shared.publish(|c| {
+                        let mut grown = (*c.get("t").unwrap()).clone();
+                        grown.push(row(k)).unwrap();
+                        c.register_or_replace(grown);
+                    });
+                    // The grown table is a new value with its own index.
+                    let after = shared.get("t").unwrap();
+                    prop_assert_eq!(after.len(), before.len() + 1);
+                    prop_assert!(!Arc::ptr_eq(&old_index, &after.hash_index("k").unwrap()));
+                }
+                Step::PageInPlace(page_rows) => {
+                    let index = shared.get("t").unwrap().hash_index("k").unwrap();
+                    let vector = shared.vector_index_for("t", "emb").unwrap();
+                    shared.page_table("t", page_rows).unwrap();
+                    let paged = shared.get("t").unwrap();
+                    prop_assert!(paged.is_paged());
+                    prop_assert!(Arc::ptr_eq(&index, &paged.hash_index("k").unwrap()));
+                    prop_assert!(Arc::ptr_eq(&vector, &paged.vector_index("emb").unwrap()));
+                }
+                Step::SwapSameRows(page_rows) => {
+                    // What a checkpoint does: page the head's table and
+                    // hand the catalog that `Arc`.
+                    let table = shared.get("t").unwrap();
+                    let index = table.hash_index("k").unwrap();
+                    let paged = Arc::new(table.to_paged(&shared.pool(), page_rows).unwrap());
+                    let installed = shared.register_or_replace(Arc::clone(&paged));
+                    prop_assert!(Arc::ptr_eq(&installed, &paged));
+                    prop_assert!(Arc::ptr_eq(&shared.get("t").unwrap(), &paged));
+                    prop_assert!(Arc::ptr_eq(&index, &paged.hash_index("k").unwrap()));
+                }
+                Step::DropAndRecreate(keys) => {
+                    let old = shared.get("t").unwrap();
+                    let old_index = old.hash_index("k").unwrap();
+                    shared.drop_table("t").unwrap();
+                    prop_assert!(shared.index_on("t", "k").is_none());
+                    let fresh = Table::from_rows("t", schema(), keys.into_iter().map(row).collect());
+                    shared.register(fresh.unwrap()).unwrap();
+                    registered = false;
+                    // Same name, new value: never its predecessor's index.
+                    prop_assert!(shared.index_on("t", "k").is_none());
+                    prop_assert!(shared.indexed_columns("t").is_empty());
+                    let new_index = shared.get("t").unwrap().hash_index("k").unwrap();
+                    prop_assert!(!Arc::ptr_eq(&old_index, &new_index));
+                }
+                Step::RetainSnapshot => retained.push(retain(registered)),
+                Step::Lookup => {
+                    check_version(&retain(registered))?;
+                    for seen in &retained {
+                        check_version(seen)?;
+                    }
+                }
+            }
+        }
+        retained.push(retain(registered));
+        for seen in &retained {
+            check_version(seen)?;
+        }
+    }
+}
+
+/// A reader keeps asking for the index of whatever version is current while
+/// a writer commits 100 single-row INSERTs into the same large table. Every
+/// INSERT makes a new table value, so the reader's builds overlap the
+/// commits; each index must describe exactly the rows of the snapshot it
+/// was asked through, and the writer must get all 100 commits in.
+#[test]
+fn index_builds_race_commits_without_mixing_versions() {
+    const BASE: i64 = 20_000;
+    const INSERTS: i64 = 100;
+    let wide = Schema::of(&[("k", DataType::Int)]);
+    let rows = (0..BASE).map(|i| vec![Value::Int(i)]).collect();
+    let shared = SharedCatalog::new();
+    shared
+        .register(Table::from_rows("big", wide, rows).unwrap())
+        .unwrap();
+    shared.create_index("big", "k").unwrap();
+
+    let start = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let builds = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            start.wait();
+            let mut builds = 0usize;
+            let mut last_len = 0usize;
+            loop {
+                // Read the flag first: the pass after the writer finished
+                // sees the final version.
+                let finished = done.load(Ordering::SeqCst);
+                let snapshot = shared.snapshot();
+                let table = snapshot.get("big").unwrap();
+                let index = snapshot.index_on("big", "k").unwrap();
+                let n = table.len();
+                assert!(n >= last_len, "versions went backwards");
+                // Keys are row positions: the newest row of this snapshot
+                // is indexed, the next commit's row is not.
+                assert_eq!(index.distinct_keys(), n);
+                assert_eq!(index.lookup(&Value::Int(n as i64 - 1)), &[n - 1]);
+                assert_eq!(index.lookup(&Value::Int(n as i64)), &[] as &[usize]);
+                assert!(Arc::ptr_eq(&index, &table.hash_index("k").unwrap()));
+                builds += usize::from(n != last_len);
+                last_len = n;
+                if finished {
+                    return (builds, n);
+                }
+            }
+        });
+        let writer = scope.spawn(|| {
+            start.wait();
+            for i in 0..INSERTS {
+                shared.publish(|c| {
+                    let mut grown = (*c.get("big").unwrap()).clone();
+                    grown.push(vec![Value::Int(BASE + i)]).unwrap();
+                    c.register_or_replace(grown);
+                });
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        writer.join().expect("writer panicked");
+        reader.join().expect("reader panicked")
+    });
+    let (builds, seen_len) = builds;
+    assert!(builds >= 1);
+    assert_eq!(
+        seen_len as i64,
+        BASE + INSERTS,
+        "reader's last pass saw every commit"
+    );
+    let head = shared.snapshot();
+    assert_eq!(head.get("big").unwrap().len() as i64, BASE + INSERTS);
+    let index = head.index_on("big", "k").unwrap();
+    for i in 0..INSERTS {
+        assert_eq!(index.lookup(&Value::Int(BASE + i)), &[(BASE + i) as usize]);
+    }
+}
