@@ -117,11 +117,7 @@ fn main() {
         let mut paged_catalog = Catalog::new();
         let pool = std::sync::Arc::clone(paged_catalog.pool());
         paged_catalog
-            .register(
-                table
-                    .to_paged(&pool, DEFAULT_PAGE_ROWS)
-                    .expect("pages encode"),
-            )
+            .register(table.seal(&pool, DEFAULT_PAGE_ROWS).expect("pages encode"))
             .expect("fresh catalog");
 
         for sel in SELECTIVITIES {

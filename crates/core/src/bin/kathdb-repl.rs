@@ -253,11 +253,13 @@ fn main() {
             _ if line == "\\pool" => {
                 let p = db.pool_status();
                 println!(
-                    "buffer pool: {}/{} page(s) resident (~{} bytes), {} dirty page(s)",
+                    "buffer pool: {}/{} page(s) resident (~{} bytes), {} dirty page(s), \
+                     {} unsaved tail row(s)",
                     p.resident_pages,
                     p.budget_pages,
                     p.resident_bytes,
-                    db.dirty_pages()
+                    db.dirty_pages(),
+                    db.unsaved_tail_rows()
                 );
                 println!(
                     "counters: {} hit(s), {} miss(es), {} eviction(s), {} zone-map skip(s)",

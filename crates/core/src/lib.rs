@@ -517,25 +517,38 @@ impl KathDB {
         self.ctx.catalog.set_pool_budget(pages);
     }
 
-    /// Converts a catalog table to the out-of-core paged representation
-    /// (compressed column pages served through the buffer pool). Contents
-    /// are identical afterwards; returns whether a conversion happened
-    /// (`false` if the table was already paged). Checkpoints do this
+    /// Seals a catalog table: its rows move into compressed column pages
+    /// served through the buffer pool (the out-of-core form). Contents are
+    /// identical afterwards; returns whether anything was sealed (`false`
+    /// if the table was already all pages). Checkpoints do this
     /// automatically for every table.
     pub fn page_table(&mut self, name: &str) -> Result<bool, KathError> {
         Ok(self.ctx.catalog.page_table(name, DEFAULT_PAGE_ROWS)?)
     }
 
-    /// Total dirty (not yet checkpointed) pages across paged catalog
-    /// tables; resident tables are entirely "dirty" but not counted here.
-    pub fn dirty_pages(&self) -> usize {
+    /// Sums `f` over the tables of the current catalog version.
+    fn sum_over_tables(&self, f: impl Fn(&Table) -> usize) -> usize {
         let snapshot = self.ctx.catalog.snapshot();
-        snapshot
-            .table_names()
+        let names = snapshot.table_names();
+        names
             .iter()
             .filter_map(|n| snapshot.get(n).ok())
-            .filter_map(|t| t.paged().map(|p| p.dirty_pages()))
+            .map(|t| f(&t))
             .sum()
+    }
+
+    /// Total dirty pages across catalog tables: sealed, but not yet written
+    /// by a checkpoint. Rows still in a table's tail are in no page at all;
+    /// [`KathDB::unsaved_tail_rows`] counts those.
+    pub fn dirty_pages(&self) -> usize {
+        self.sum_over_tables(|t| t.paged().map_or(0, |p| p.dirty_pages()))
+    }
+
+    /// Total rows in table tails across the catalog: loaded or inserted
+    /// since their table was last sealed, so in no page a checkpoint wrote
+    /// (on a durable directory the WAL is what holds them).
+    pub fn unsaved_tail_rows(&self) -> usize {
+        self.sum_over_tables(|t| t.tail().len())
     }
 
     /// Logs the function registry to the WAL when it changed since the last
@@ -1200,11 +1213,15 @@ mod tests {
             "SELECT COUNT(*) AS n FROM big WHERE grp = 'g3'",
         ];
         let resident: Vec<Table> = queries.iter().map(|q| db.sql(q).unwrap()).collect();
+        // The ninth INSERT filled a page of tail, which sealed the 4500 rows
+        // there were (two in-memory pages per column); the tenth is the tail.
+        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (6, 500));
 
         // Attaching a durable dir checkpoints the pre-existing state, which
-        // swaps every table to its paged representation.
+        // seals every table and writes its pages.
         db.open_dir(&dir).unwrap();
         assert!(db.context().catalog.get("big").unwrap().is_paged());
+        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (0, 0));
         let first = db.durability_status().unwrap().last_checkpoint.unwrap();
         assert!(first.pages_written >= 6, "3 columns x 2 pages: {first:?}");
 
@@ -1222,7 +1239,9 @@ mod tests {
         // One appended row dirties only the tail page of each column, so
         // the second checkpoint is incremental: strictly fewer bytes.
         db.sql("INSERT INTO big VALUES (5000, 'g0', 1.5)").unwrap();
+        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (0, 1));
         db.checkpoint().unwrap();
+        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (0, 0));
         let second = db.durability_status().unwrap().last_checkpoint.unwrap();
         assert!(second.bytes_written > 0);
         assert!(

@@ -174,9 +174,10 @@ pub fn estimate_function_in_mode(
         if let Ok(t) = catalog.get(&name) {
             rows += t.len();
             if let Some(pt) = t.paged() {
-                // A pipeline over a paged input may have to decode every
-                // column page of that table on a cold buffer pool; resident
-                // tables contribute nothing here.
+                // A pipeline over an input with a sealed part may have to
+                // decode every column page of it on a cold buffer pool;
+                // tail rows (and so never-sealed tables) contribute nothing
+                // here.
                 cold_pages += pt.page_count() * pt.schema().arity();
             }
         }
@@ -365,7 +366,7 @@ mod tests {
         // the estimate must now carry a per-page decode term.
         let mut paged_catalog = Catalog::new();
         let t = catalog.get("t").unwrap();
-        let paged = t.to_paged(paged_catalog.pool(), 16).unwrap();
+        let paged = t.seal(paged_catalog.pool(), 16).unwrap();
         let pages = paged.paged().unwrap().page_count();
         assert!(pages > 1);
         paged_catalog.register(paged).unwrap();
@@ -379,6 +380,20 @@ mod tests {
             expected_extra
         );
         assert_eq!(cold.tokens, resident.tokens);
+
+        // A row inserted after the sealing sits in the tail: against the
+        // same rows never sealed, the estimate differs by exactly the
+        // sealed part's pages.
+        let mut grown = (*paged_catalog.get("t").unwrap()).clone();
+        grown.push(vec![1i64.into()]).unwrap();
+        assert_eq!(grown.tail().len(), 1);
+        let mut flat_catalog = Catalog::new();
+        let flat = Table::from_rows("t", grown.schema().clone(), grown.rows().to_vec());
+        flat_catalog.register(flat.unwrap()).unwrap();
+        paged_catalog.register_or_replace(grown);
+        let mixed = estimate_function_in_mode(&registry, &paged_catalog, "q", batched).unwrap();
+        let flat = estimate_function_in_mode(&registry, &flat_catalog, "q", batched).unwrap();
+        assert!((mixed.runtime_ms - flat.runtime_ms - expected_extra).abs() < 1e-9);
     }
 
     #[test]

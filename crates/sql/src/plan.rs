@@ -152,12 +152,7 @@ pub fn apply_mutation(
             Ok(Table::new(output_name, Schema::of(&[])))
         }
         WalRecord::Insert { table, rows } => {
-            let existing = catalog.get(table)?;
-            let mut new_table = (*existing).clone();
-            for row in rows {
-                new_table.push(row.clone())?;
-            }
-            catalog.register_or_replace(new_table);
+            catalog.append_rows(table, rows)?;
             let mut summary =
                 Table::new(output_name, Schema::of(&[("rows_inserted", DataType::Int)]));
             summary.push(vec![Value::Int(rows.len() as i64)])?;
@@ -477,8 +472,9 @@ impl SelectPlan {
     }
 
     /// The source rows as morsels for a drive that splits them among
-    /// workers. Full scans of a paged table align morsels to page
-    /// boundaries so no two workers decode the same column page.
+    /// workers. Full scans of a table with a sealed part align morsels to
+    /// page boundaries so no two workers decode the same column page (the
+    /// tail rows after it just fall into the last morsels).
     fn morsel_source(&self, batch: usize) -> MorselSource {
         match (&self.access, self.table.paged()) {
             (Access::Scan { .. }, Some(pt)) => {

@@ -6,8 +6,9 @@
 //!    (including a GROUP BY key written twice), sort before/after the
 //!    projection, expression sort, DISTINCT, lazy LIMIT, vector top-k —
 //!    runs under `(Volcano | Batched 1/3/1024) × threads 1/2/8 ×
-//!    CompileMode Off/On/Auto` over resident and paged tables, and every
-//!    run equals the Volcano reference.
+//!    CompileMode Off/On/Auto` over resident tables, paged tables, and
+//!    tables paged and then INSERTed into (sealed pages followed by a row
+//!    tail), and every run equals the Volcano reference.
 //! 2. **Error parity.** A statement that cannot be planned fails with the
 //!    same `SqlError` under every combination: planning runs once, before
 //!    any drive is chosen.
@@ -38,8 +39,13 @@ const COMPILE: [CompileMode; 3] = [CompileMode::Off, CompileMode::On, CompileMod
 /// `films` (600 rows, hash index on `year`), `posters` (a third of the
 /// films), `docs` (60 embedded phrases, two without an embedding) and
 /// `big` (just past the compile break-even) — resident in the first
-/// catalog, paged seven rows to a page in the second.
-fn catalogs() -> (Catalog, Catalog) {
+/// catalog, paged seven rows to a page in the second, and in the third the
+/// first three fifths paged and the rest INSERTed afterwards in two
+/// statements: the first fills pages of tail and so is sealed in turn, the
+/// second leaves five rows of tail — behind a short last page, except in
+/// `films` whose 595 sealed rows fill theirs — with the boundary inside a
+/// morsel.
+fn catalogs() -> (Catalog, Catalog, Catalog) {
     let mut resident = Catalog::new();
     for ddl in [
         "CREATE TABLE films (id INT, title STR, year INT, score FLOAT)",
@@ -104,12 +110,26 @@ fn catalogs() -> (Catalog, Catalog) {
     let pool = Arc::clone(paged.pool());
     for name in ["films", "posters", "docs", "big"] {
         let t = resident.get(name).unwrap();
-        paged.register(t.to_paged(&pool, 7).unwrap()).unwrap();
+        paged.register(t.seal(&pool, 7).unwrap()).unwrap();
     }
-    for c in [&mut resident, &mut paged] {
+    let mut split = Catalog::new();
+    let pool = Arc::clone(split.pool());
+    for name in ["films", "posters", "docs", "big"] {
+        let t = resident.get(name).unwrap();
+        let (head, tail) = t.rows().split_at(t.len() * 3 / 5);
+        let head = Table::from_rows(name, t.schema().clone(), head.to_vec()).unwrap();
+        split.register(head.seal(&pool, 7).unwrap()).unwrap();
+        let (bulk, last) = tail.split_at(tail.len() - 5);
+        split.append_rows(name, bulk).unwrap();
+        split.append_rows(name, last).unwrap();
+        let t = split.get(name).unwrap();
+        assert_eq!(t.tail(), last);
+        assert_eq!(t.paged().map(|p| p.len()), Some(t.len() - 5));
+    }
+    for c in [&mut resident, &mut paged, &mut split] {
         c.create_index("films", "year").unwrap();
     }
-    (resident, paged)
+    (resident, paged, split)
 }
 
 fn run(
@@ -132,10 +152,15 @@ fn reference(c: &Catalog, sql: &str, vector: VectorMode) -> Result<Table, SqlErr
 
 /// Calls `check` once per `(backing, mode, threads, compile)` combination.
 fn sweep(
-    catalogs: &(Catalog, Catalog),
+    catalogs: &(Catalog, Catalog, Catalog),
     mut check: impl FnMut(&str, &Catalog, ExecMode, usize, CompileMode),
 ) {
-    for (backing, c) in [("resident", &catalogs.0), ("paged", &catalogs.1)] {
+    let backings = [
+        ("resident", &catalogs.0),
+        ("paged", &catalogs.1),
+        ("paged then inserted into", &catalogs.2),
+    ];
+    for (backing, c) in backings {
         for mode in MODES {
             for threads in THREADS {
                 for compile in COMPILE {
@@ -348,7 +373,7 @@ fn planning_errors_are_the_same_on_every_drive() {
 
 #[test]
 fn float_sum_and_avg_are_stable_across_worker_counts_and_close_to_serial() {
-    let (resident, _) = catalogs();
+    let (resident, ..) = catalogs();
     let sql =
         "SELECT year, SUM(score) AS s, AVG(score) AS a FROM films GROUP BY year ORDER BY year";
     // Batch 3 splits the 600 rows into 50 morsels of per-morsel partial sums.

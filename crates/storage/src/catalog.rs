@@ -12,7 +12,9 @@
 //! catalog, and a clone is a copy of two small maps.
 
 use crate::pool::BufferPool;
-use crate::{HashIndex, StorageError, Table, TableStats, Value, VectorIndex};
+use crate::{
+    HashIndex, Row, StorageError, Table, TableStats, Value, VectorIndex, DEFAULT_PAGE_ROWS,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -76,16 +78,17 @@ impl Catalog {
         self.pool.set_budget(pages);
     }
 
-    /// Converts `name` to the paged representation in place. The rows are
-    /// unchanged, so the paged table keeps the derived state of the
-    /// resident one. Returns whether a conversion happened (false if
-    /// already paged).
+    /// Seals `name` in place: its tail moves into compressed column pages
+    /// (see [`Table::seal`]; `page_rows` applies to a table sealed for the
+    /// first time). The rows are unchanged, so the sealed table keeps the
+    /// derived state of the one it replaces. Returns whether anything was
+    /// sealed (false if the table was already all pages).
     pub fn page_table(&mut self, name: &str, page_rows: usize) -> Result<bool, StorageError> {
         let table = self.get(name)?;
-        if table.is_paged() {
+        if table.is_paged() && table.tail().is_empty() {
             return Ok(false);
         }
-        self.register_or_replace(table.to_paged(&self.pool, page_rows)?);
+        self.register_or_replace(table.seal(&self.pool, page_rows)?);
         Ok(true)
     }
 
@@ -106,6 +109,28 @@ impl Catalog {
         self.tables
             .insert(table.name().to_string(), Arc::clone(&table));
         table
+    }
+
+    /// Appends `rows` to table `name` as a new table value: the INSERT
+    /// primitive, live and on WAL replay. The new value shares every sealed
+    /// page of the one it replaces and copies only its tail. A tail that
+    /// reaches a full page (the sealed part's page size, else
+    /// [`DEFAULT_PAGE_ROWS`]) is sealed in turn, so an INSERT costs at most
+    /// a page of rows however long the table is — and decodes at most the
+    /// short last page, when it seals.
+    pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> Result<Arc<Table>, StorageError> {
+        let existing = self.get(name)?;
+        let mut grown = (*existing).clone();
+        for row in rows {
+            grown.push(row.clone())?;
+        }
+        let page_rows = existing
+            .paged()
+            .map_or(DEFAULT_PAGE_ROWS, |pages| pages.page_rows());
+        if grown.tail().len() >= page_rows {
+            grown = grown.seal(&self.pool, page_rows)?;
+        }
+        Ok(self.register_or_replace(grown))
     }
 
     /// Fetches a table by name.
@@ -213,7 +238,7 @@ impl Catalog {
 
     /// Statistics for a table (collected once per table value).
     pub fn stats(&self, name: &str) -> Result<TableStats, StorageError> {
-        Ok(self.get(name)?.stats().clone())
+        Ok(self.get(name)?.stats()?.clone())
     }
 
     /// The joinability tester utility (§4): measures how `left.left_col`
@@ -411,7 +436,8 @@ mod tests {
         let table = current.upgrade().unwrap();
         assert!(Arc::ptr_eq(&ix, &table.hash_index("id").unwrap()));
         assert_eq!(c.stats("films").unwrap().rows, 103);
-        assert!(std::ptr::eq(table.stats(), c.get("films").unwrap().stats()));
+        let bound = c.get("films").unwrap();
+        assert!(std::ptr::eq(table.stats().unwrap(), bound.stats().unwrap()));
     }
 
     #[test]

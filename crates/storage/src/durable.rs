@@ -17,11 +17,13 @@
 //!       functions.json
 //! ```
 //!
-//! Checkpoint `N` converts every table to its paged representation and
-//! writes only the pages whose content-addressed file does not already
-//! exist — unchanged pages from earlier checkpoints are referenced, not
-//! rewritten, which makes checkpoints incremental: after a small INSERT
-//! only the dirty tail pages hit disk. The per-snapshot `tN.kmeta`
+//! Checkpoint `N` seals every table — the rows inserted since the last
+//! checkpoint (the table's tail) plus its short last page are encoded, every
+//! full page is shared as it is — and writes only the pages whose
+//! content-addressed file does not already exist. Unchanged pages from
+//! earlier checkpoints are referenced, not rewritten or even re-encoded,
+//! which makes checkpoints incremental: after a small INSERT only the last
+//! page of each column hits disk. The per-snapshot `tN.kmeta`
 //! descriptors and the self-checksummed manifest then commit atomically
 //! via temp-dir rename, the WAL rotates to segment `N`, state older than
 //! `N-1` is pruned, and pages no retained snapshot references are swept.
@@ -357,17 +359,18 @@ impl Durability {
         self.wal.rewind(len, records);
     }
 
-    /// Writes an incremental checkpoint: every table is converted to its
-    /// paged representation (a cheap no-op for tables still paged from the
-    /// last checkpoint), dirty pages land in the shared content-addressed
-    /// `pages/` store, and the per-table descriptors + manifest commit via
-    /// temp dir + fsync + atomic rename. The WAL then rotates to a new
-    /// segment, state older than the previous epoch is pruned, and
-    /// unreferenced pages are swept.
+    /// Writes an incremental checkpoint: every table is sealed (nothing to
+    /// do for a table with no rows since the last checkpoint; otherwise the
+    /// short last page and the tail are encoded and every full page is
+    /// shared, see [`Table::seal`]), pages not yet in the shared
+    /// content-addressed `pages/` store land there, and the per-table
+    /// descriptors + manifest commit via temp dir + fsync + atomic rename.
+    /// The WAL then rotates to a new segment, state older than the previous
+    /// epoch is pruned, and unreferenced pages are swept.
     ///
-    /// Returns the new epoch and the paged form of each input table (same
+    /// Returns the new epoch and the sealed form of each input table (same
     /// order) so the caller can swap them into its catalog — the rows are
-    /// identical, only the representation changed.
+    /// identical, only the tail moved into pages.
     pub fn checkpoint(
         &mut self,
         tables: &[Arc<Table>],
@@ -393,13 +396,13 @@ impl Durability {
         let mut manifest = format!("{MANIFEST_MAGIC}\nepoch {next}\n");
         let mut paged_out = Vec::with_capacity(tables.len());
         for (i, table) in tables.iter().enumerate() {
-            let paged = if table.is_paged() {
+            let paged = if table.is_paged() && table.tail().is_empty() {
                 Arc::clone(table)
             } else {
-                Arc::new(table.to_paged(pool, DEFAULT_PAGE_ROWS)?)
+                Arc::new(table.seal(pool, DEFAULT_PAGE_ROWS)?)
             };
             let pt = paged.paged().ok_or_else(|| {
-                StorageError::Corrupt("checkpoint produced a non-paged table".to_string())
+                StorageError::Corrupt("checkpoint produced an unsealed table".to_string())
             })?;
             let w = pt.write_durable(&pages)?;
             stats.pages_written += w.pages_written;
@@ -1233,7 +1236,7 @@ mod tests {
     fn kmeta_round_trips() {
         let pl = pool();
         let t = kv_table(&[(1, "a"), (2, "b"), (3, "c")]);
-        let paged = t.to_paged(&pl, 2).unwrap();
+        let paged = t.seal(&pl, 2).unwrap();
         let pt = paged.paged().unwrap();
         let bytes = encode_kmeta("kv", pt).unwrap();
         let doc = parse_kmeta(&bytes).unwrap();

@@ -108,10 +108,12 @@ pub fn collect_batched_guarded(
 /// Full scan over a shared table (optionally restricted to a row range, the
 /// unit a [`crate::MorselSource`] hands to parallel workers).
 ///
-/// On a paged table the scan walks page by page through the buffer pool,
-/// and prune hints (sargable `column <op> literal` conjuncts from the WHERE
-/// clause above) let it skip whole pages whose zone map proves no row can
-/// match — before the page is ever decoded.
+/// The sealed part of the table is walked page by page through the buffer
+/// pool, and prune hints (sargable `column <op> literal` conjuncts from the
+/// WHERE clause above) let the scan skip whole pages whose zone map proves
+/// no row can match — before the page is ever decoded. The tail rows follow,
+/// transposed into batches; no batch spans a page boundary or the boundary
+/// between the sealed part and the tail.
 pub struct TableScan {
     table: Arc<Table>,
     cursor: usize,
@@ -165,7 +167,7 @@ impl TableScan {
     /// Attaches zone-map prune hints: `column <op> literal` conjuncts that
     /// the plan's filter will apply anyway. Pages a hint proves empty are
     /// skipped without decoding. Unknown columns are ignored (no hint).
-    /// Only meaningful on paged tables; resident scans ignore hints.
+    /// Only sealed pages have zone maps; tail rows ignore hints.
     pub fn with_prune_hint(mut self, hints: &[(String, BinOp, Value)]) -> Self {
         let schema = self.table.schema();
         self.prune = hints
@@ -178,7 +180,7 @@ impl TableScan {
     /// Restricts the scan to the given column ordinals (full-table
     /// ordinals, in output order): the scan's schema becomes the
     /// projection, and rows and batches carry only the selected columns —
-    /// on a paged table, unselected columns' pages are never even decoded.
+    /// unselected columns' sealed pages are never even decoded.
     /// Zone-map prune hints keep addressing full-table ordinals (zone maps
     /// are consulted without decoding) and are unaffected.
     pub fn with_columns(mut self, ordinals: &[usize]) -> Self {
@@ -195,11 +197,45 @@ impl TableScan {
         }
     }
 
-    /// Whether page `p` is provably empty under the prune hints.
-    fn page_pruned(&self, pages: &crate::PagedTable, p: usize) -> bool {
-        self.prune
-            .iter()
-            .any(|(c, op, lit)| !pages.zone(*c, p).may_match(*op, lit))
+    /// The full-table ordinals of the columns the scan produces.
+    fn selected(&self) -> Vec<usize> {
+        match &self.columns {
+            Some((ords, _)) => ords.clone(),
+            None => (0..self.table.schema().arity()).collect(),
+        }
+    }
+
+    /// With the cursor inside the sealed part: moves it past every page the
+    /// prune hints prove empty and returns `(page, first row of the page,
+    /// end of the scan's rows within it)` for the page it lands in, or
+    /// `None` once it has left the sealed part or the range.
+    fn next_sealed_page(&mut self, pages: &crate::PagedTable) -> Option<(usize, usize, usize)> {
+        let sealed_end = self.end.min(pages.len());
+        while self.cursor < sealed_end {
+            let p = self.cursor / pages.page_rows();
+            let (pstart, pend) = pages.page_bounds(p);
+            let upper = pend.min(sealed_end);
+            let pruned = self
+                .prune
+                .iter()
+                .any(|(c, op, lit)| !pages.zone(*c, p).may_match(*op, lit));
+            if !pruned {
+                return Some((p, pstart, upper));
+            }
+            pages.note_zone_skip();
+            self.cursor = upper;
+        }
+        None
+    }
+
+    /// The scan's remaining tail rows, up to `limit` of them, once the
+    /// cursor is past the sealed part; advances the cursor over them.
+    fn take_tail(&mut self, limit: usize) -> &[Row] {
+        let base = self.table.sealed_len();
+        let from = self.cursor.max(base);
+        let to = (from + limit).min(self.end).max(from);
+        self.cursor = to;
+        &self.table.tail()[from - base..to - base]
     }
 }
 
@@ -214,59 +250,29 @@ impl Operator for TableScan {
     fn next(&mut self) -> Result<Option<Row>, StorageError> {
         self.guard.check_periodic(self.cursor)?;
         if let Some(pages) = self.table.paged().cloned() {
-            loop {
-                if self.cursor >= self.end {
-                    return Ok(None);
-                }
-                let p = self.cursor / pages.page_rows();
-                let (_, pend) = pages.page_bounds(p);
-                let upper = pend.min(self.end);
-                if self.page_pruned(&pages, p) {
-                    pages.note_zone_skip();
-                    self.cursor = upper;
-                    continue;
-                }
+            if self.next_sealed_page(&pages).is_some() {
                 let row = pages.row_at(self.cursor)?;
                 self.cursor += 1;
                 return Ok(row.map(|r| self.project_row(r)));
             }
         }
-        if self.cursor >= self.end {
-            return Ok(None);
-        }
-        let row = self.table.row(self.cursor).cloned();
-        if row.is_some() {
-            self.cursor += 1;
-        }
+        let row = self.take_tail(1).first().cloned();
         Ok(row.map(|r| self.project_row(r)))
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         self.guard.check()?;
         if let Some(pages) = self.table.paged().cloned() {
-            loop {
-                if self.cursor >= self.end {
-                    return Ok(None);
-                }
-                let p = self.cursor / pages.page_rows();
-                let (pstart, pend) = pages.page_bounds(p);
-                let upper = pend.min(self.end);
-                if self.page_pruned(&pages, p) {
-                    pages.note_zone_skip();
-                    self.cursor = upper;
-                    continue;
-                }
+            if let Some((p, pstart, upper)) = self.next_sealed_page(&pages) {
                 // Batches never span pages, so a batch is a slice of one
                 // decoded page per column (or the whole page, zero-slice).
                 let take_end = (self.cursor + self.batch_size).min(upper);
-                let selected: Vec<usize> = match &self.columns {
-                    Some((ords, _)) => ords.clone(),
-                    None => (0..pages.schema().arity()).collect(),
-                };
+                let whole = self.cursor == pstart && take_end == pages.page_bounds(p).1;
+                let selected = self.selected();
                 let mut columns = Vec::with_capacity(selected.len());
                 for c in selected {
                     let page = pages.column_page(c, p)?;
-                    columns.push(if self.cursor == pstart && take_end == pend {
+                    columns.push(if whole {
                         (*page).clone()
                     } else {
                         ColumnVector::from_values(
@@ -282,20 +288,14 @@ impl Operator for TableScan {
                 ));
             }
         }
-        let rows = &self.table.rows()[..self.end];
-        if self.cursor >= rows.len() {
+        let selected = self.selected();
+        let slice = self.take_tail(self.batch_size);
+        if slice.is_empty() {
             return Ok(None);
         }
-        let end = (self.cursor + self.batch_size).min(rows.len());
-        let slice = &rows[self.cursor..end];
-        self.cursor = end;
         // Build columns directly from the row slice: one Value clone per
         // cell, no intermediate row vector. Only selected columns are built
         // under a column restriction.
-        let selected: Vec<usize> = match &self.columns {
-            Some((ords, _)) => ords.clone(),
-            None => (0..self.table.schema().arity()).collect(),
-        };
         let columns: Vec<ColumnVector> = selected
             .into_iter()
             .map(|c| ColumnVector::from_values(slice.iter().map(|r| r[c].clone()).collect()))

@@ -1,14 +1,22 @@
-//! Page-backed tables: the out-of-core representation behind [`Table`].
+//! Sealed pages: the out-of-core part of a [`crate::Table`].
 //!
 //! A [`PagedTable`] holds one compressed page per (column, row group)
 //! instead of resident rows. Pages live either in memory ([`PageBacking::Mem`],
 //! freshly encoded and not yet checkpointed — the *dirty* state) or on disk
-//! ([`PageBacking::File`], durable and content-addressed). Decoded pages are
-//! cached in the shared [`BufferPool`]; dropping a paged table evicts its
-//! pages. Checkpoints call [`PagedTable::write_durable`], which writes only
-//! pages whose content-addressed file does not already exist — that is the
-//! whole incremental-checkpoint mechanism: unchanged pages are recognized by
-//! name (`{crc32}{fnv1a64}.kpg`) and skipped.
+//! ([`PageBacking::File`], durable and content-addressed). Every page is
+//! full except possibly the last of each column, so a row position maps to
+//! its page by division.
+//!
+//! Slots are immutable and individually `Arc`-shared: the sealed part that
+//! follows another one ([`PagedTable::extended`]) holds the *same* slot for
+//! every full page and encodes only the short last page plus the rows being
+//! sealed. Decoded pages are cached in the shared [`BufferPool`] under the
+//! slot's own id, so a page shared by many table versions is decoded once,
+//! and leaves the pool when its slot is dropped with the last of them.
+//! Checkpoints call [`PagedTable::write_durable`], which writes only pages
+//! whose content-addressed file does not already exist — that is the whole
+//! incremental-checkpoint mechanism: unchanged pages are recognized by name
+//! (`{crc32}{fnv1a64}.kpg`) and skipped.
 
 use crate::io::{with_retry, Io, RetryPolicy};
 use crate::page::{decode_page, encode_page, ZoneMap};
@@ -21,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_SLOT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// FNV-1a 64-bit hash; paired with CRC32 to content-address page files.
 fn fnv1a64(data: &[u8]) -> u64 {
@@ -43,29 +51,46 @@ pub enum PageBacking {
 }
 
 /// One compressed column page plus the metadata needed to find, verify,
-/// and prune it without decoding.
+/// and prune it without decoding. Immutable once made (only where its bytes
+/// live changes), so every table version that contains the page holds the
+/// same slot.
 #[derive(Debug)]
 pub struct PageSlot {
+    // Process-unique; the page's buffer-pool key.
+    id: u64,
     zone: ZoneMap,
     rows: u32,
     len: u32,
     crc: u32,
     fnv: u64,
     backing: RwLock<PageBacking>,
+    pool: Arc<BufferPool>,
 }
 
 impl PageSlot {
-    fn from_bytes(bytes: Bytes, zone: ZoneMap) -> Self {
-        let crc = crc32(&bytes);
-        let fnv = fnv1a64(&bytes);
-        Self {
+    fn new(
+        zone: ZoneMap,
+        (len, crc, fnv): (u32, u32, u64),
+        backing: PageBacking,
+        pool: &Arc<BufferPool>,
+    ) -> Arc<Self> {
+        Arc::new(Self {
+            id: NEXT_SLOT_ID.fetch_add(1, Ordering::Relaxed), // lint: relaxed-ok — unique-ID tick; the RMW alone guarantees uniqueness
             rows: zone.rows,
-            len: bytes.len() as u32,
+            len,
             crc,
             fnv,
             zone,
-            backing: RwLock::new(PageBacking::Mem(bytes)),
-        }
+            backing: RwLock::new(backing),
+            pool: Arc::clone(pool),
+        })
+    }
+
+    /// Encodes `values` as one fresh in-memory (dirty) page.
+    fn encode(values: &[Value], pool: &Arc<BufferPool>) -> Result<Arc<Self>, StorageError> {
+        let (bytes, zone) = encode_page(values)?;
+        let address = (bytes.len() as u32, crc32(&bytes), fnv1a64(&bytes));
+        Ok(Self::new(zone, address, PageBacking::Mem(bytes), pool))
     }
 
     /// The content-addressed durable file name of this page.
@@ -103,6 +128,14 @@ impl PageSlot {
         matches!(*self.backing.read(), PageBacking::Mem(_))
     }
 
+    /// The decoded page, via the buffer pool.
+    fn decoded(&self) -> Result<Arc<ColumnVector>, StorageError> {
+        self.pool.get_or_load(PageKey(self.id), || {
+            let bytes = self.encoded_bytes(self.pool.io())?;
+            Ok(Arc::new(decode_page(&bytes)?))
+        })
+    }
+
     fn encoded_bytes(&self, io: &Io) -> Result<Bytes, StorageError> {
         let backing = self.backing.read();
         match &*backing {
@@ -126,6 +159,14 @@ impl PageSlot {
                 Ok(Bytes::from(data))
             }
         }
+    }
+}
+
+impl Drop for PageSlot {
+    /// The last table holding the page is gone: its decoded copy must not
+    /// be stranded in the pool.
+    fn drop(&mut self) {
+        self.pool.evict(PageKey(self.id));
     }
 }
 
@@ -157,16 +198,16 @@ pub struct PageWriteStats {
     pub bytes_total: u64,
 }
 
-/// A table stored as fixed-size compressed column pages, read through the
-/// shared buffer pool.
+/// Rows stored as fixed-size compressed column pages, read through the
+/// shared buffer pool: the sealed part of a [`crate::Table`].
 #[derive(Debug)]
 pub struct PagedTable {
-    id: u64,
     schema: Schema,
     rows: usize,
     page_rows: usize,
-    // columns[c][p] = page p of column c.
-    columns: Vec<Vec<PageSlot>>,
+    // columns[c][p] = page p of column c; every page holds `page_rows` rows
+    // except possibly the last.
+    columns: Vec<Vec<Arc<PageSlot>>>,
     pool: Arc<BufferPool>,
 }
 
@@ -179,29 +220,57 @@ impl PagedTable {
         pool: Arc<BufferPool>,
         page_rows: usize,
     ) -> Result<Self, StorageError> {
-        let page_rows = page_rows.max(1);
-        let ncols = schema.columns().len();
-        let page_count = rows.len().div_ceil(page_rows);
-        let mut columns: Vec<Vec<PageSlot>> =
-            (0..ncols).map(|_| Vec::with_capacity(page_count)).collect();
-        let mut scratch: Vec<Value> = Vec::with_capacity(page_rows);
-        for p in 0..page_count {
-            let start = p * page_rows;
-            let end = (start + page_rows).min(rows.len());
+        let empty = Self {
+            columns: vec![Vec::new(); schema.arity()],
+            schema,
+            rows: 0,
+            page_rows: page_rows.max(1),
+            pool,
+        };
+        empty.extended(rows)
+    }
+
+    /// These pages followed by `tail`, as a new sealed part: every full
+    /// page is the *same* slot (shared, not copied or re-encoded); only the
+    /// rows of a short last page and `tail` are encoded. Identical rows
+    /// give identical page bytes, so the result names the same
+    /// content-addressed files as paging all the rows from scratch.
+    pub(crate) fn extended(&self, tail: &[Row]) -> Result<Self, StorageError> {
+        let full = self.rows / self.page_rows;
+        let base = full * self.page_rows;
+        let total = self.rows + tail.len();
+        // The short last page, decoded (one page per column through the pool).
+        let short: Vec<Arc<ColumnVector>> = if base < self.rows {
+            (0..self.columns.len())
+                .map(|c| self.column_page(c, full))
+                .collect::<Result<_, _>>()?
+        } else {
+            Vec::new()
+        };
+        let mut columns: Vec<Vec<Arc<PageSlot>>> = self
+            .columns
+            .iter()
+            .map(|slots| slots[..full].to_vec())
+            .collect();
+        let mut scratch: Vec<Value> = Vec::with_capacity(self.page_rows);
+        let mut start = base;
+        while start < total {
+            let end = (start + self.page_rows).min(total);
             for (c, slots) in columns.iter_mut().enumerate() {
                 scratch.clear();
-                scratch.extend(rows[start..end].iter().map(|r| r[c].clone()));
-                let (bytes, zone) = encode_page(&scratch)?;
-                slots.push(PageSlot::from_bytes(bytes, zone));
+                scratch.extend((start..end.min(self.rows)).map(|pos| short[c].value(pos - base)));
+                let from_tail = &tail[start.max(self.rows) - self.rows..end - self.rows];
+                scratch.extend(from_tail.iter().map(|r| r[c].clone()));
+                slots.push(PageSlot::encode(&scratch, &self.pool)?);
             }
+            start = end;
         }
         Ok(Self {
-            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed), // lint: relaxed-ok — unique-ID tick; the RMW alone guarantees uniqueness
-            schema,
-            rows: rows.len(),
-            page_rows,
+            schema: self.schema.clone(),
+            rows: total,
+            page_rows: self.page_rows,
             columns,
-            pool,
+            pool: Arc::clone(&self.pool),
         })
     }
 
@@ -228,30 +297,20 @@ impl PagedTable {
             .map(|slots| {
                 slots
                     .into_iter()
-                    .map(|r| PageSlot {
-                        rows: r.zone.rows,
-                        len: r.len,
-                        crc: r.crc,
-                        fnv: r.fnv,
-                        zone: r.zone,
-                        backing: RwLock::new(PageBacking::File(r.path)),
+                    .map(|r| {
+                        let address = (r.len, r.crc, r.fnv);
+                        PageSlot::new(r.zone, address, PageBacking::File(r.path), &pool)
                     })
                     .collect()
             })
             .collect();
         Ok(Self {
-            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed), // lint: relaxed-ok — unique-ID tick; the RMW alone guarantees uniqueness
             schema,
             rows,
             page_rows,
             columns,
             pool,
         })
-    }
-
-    /// Process-unique table id (the buffer-pool namespace).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Table schema.
@@ -295,8 +354,9 @@ impl PagedTable {
         self.columns[c][p].zone()
     }
 
-    /// The page slot for column `c`, page `p`.
-    pub fn slot(&self, c: usize, p: usize) -> &PageSlot {
+    /// The page slot for column `c`, page `p`. Two sealed parts that share
+    /// the page return the same `Arc`.
+    pub fn slot(&self, c: usize, p: usize) -> &Arc<PageSlot> {
         &self.columns[c][p]
     }
 
@@ -321,16 +381,7 @@ impl PagedTable {
 
     /// The decoded page `p` of column `c`, via the buffer pool.
     pub fn column_page(&self, c: usize, p: usize) -> Result<Arc<ColumnVector>, StorageError> {
-        let slot = &self.columns[c][p];
-        let key = PageKey {
-            table: self.id,
-            column: c as u32,
-            page: p as u32,
-        };
-        self.pool.get_or_load(key, || {
-            let bytes = slot.encoded_bytes(self.pool.io())?;
-            Ok(Arc::new(decode_page(&bytes)?))
-        })
+        self.columns[c][p].decoded()
     }
 
     /// The row at position `i`, or `None` past the end. Touches one page
@@ -409,12 +460,6 @@ impl PagedTable {
     }
 }
 
-impl Drop for PagedTable {
-    fn drop(&mut self) {
-        self.pool.evict_table(self.id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,6 +513,30 @@ mod tests {
         pt.materialize().unwrap();
         assert!(pool.status().resident_pages > 0);
         drop(pt);
+        assert_eq!(pool.status().resident_pages, 0);
+    }
+
+    #[test]
+    fn shared_pages_are_decoded_once_and_evicted_with_their_last_holder() {
+        let pool = Arc::new(BufferPool::with_budget(64));
+        let data = rows(100);
+        let first = PagedTable::from_rows(schema(), &data[..70], Arc::clone(&pool), 32).unwrap();
+        let second = first.extended(&data[70..]).unwrap();
+        assert_eq!((first.page_count(), second.page_count()), (3, 4));
+        // Sealing read the short last page of each column and nothing else.
+        assert_eq!(pool.status().misses, 2);
+        assert_eq!(first.materialize().unwrap(), data[..70]);
+        assert_eq!(second.materialize().unwrap(), data);
+        // 2 columns x (2 shared full pages + first's short page + second's
+        // two new pages), each decoded exactly once.
+        assert_eq!(pool.status().misses, 10);
+        assert_eq!(pool.status().resident_pages, 10);
+        // Dropping the older part evicts only the page nobody else holds.
+        drop(first);
+        assert_eq!(pool.status().resident_pages, 8);
+        assert_eq!(second.materialize().unwrap(), data);
+        assert_eq!(pool.status().misses, 10);
+        drop(second);
         assert_eq!(pool.status().resident_pages, 0);
     }
 
@@ -563,7 +632,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "kathdb-paged-test-{}-{}",
             std::process::id(),
-            NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)
+            NEXT_SLOT_ID.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
         dir

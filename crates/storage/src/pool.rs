@@ -1,13 +1,16 @@
 //! Buffer pool: a bounded LRU cache of decoded column pages.
 //!
-//! Every paged table reads its column pages through a shared
+//! Every sealed table part reads its column pages through a shared
 //! [`BufferPool`]. The pool caches *decoded* pages (`Arc<ColumnVector>`)
 //! under a page-count budget; when the budget is exceeded the
 //! least-recently-used unpinned page is evicted and must be re-decoded (or
-//! re-read from disk) on the next touch. The budget comes from
-//! `KATHDB_POOL_PAGES` (default 4096 pages) or [`BufferPool::set_budget`].
-//! Hit/miss/eviction and zone-map-skip counters feed `\pool` in the REPL
-//! and `durability_status()` in the facade.
+//! re-read from disk) on the next touch. A page is cached under its own
+//! identity ([`PageKey`]), not its table's: the versions of a table share
+//! their sealed pages, so a page they share is decoded once for all of
+//! them and leaves the pool when the last of them lets go of it. The
+//! budget comes from `KATHDB_POOL_PAGES` (default 4096 pages) or
+//! [`BufferPool::set_budget`]. Hit/miss/eviction and zone-map-skip counters
+//! feed `\pool` in the REPL and `durability_status()` in the facade.
 
 use crate::io::Io;
 use crate::ColumnVector;
@@ -23,16 +26,10 @@ pub const POOL_PAGES_ENV: &str = "KATHDB_POOL_PAGES";
 /// Default pool budget in pages when `KATHDB_POOL_PAGES` is unset.
 pub const DEFAULT_POOL_PAGES: usize = 4096;
 
-/// Identity of one column page of one paged table.
+/// Identity of one sealed column page: the process-unique id minted with
+/// its [`crate::PageSlot`], whichever tables hold that slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PageKey {
-    /// Process-unique id of the owning [`crate::PagedTable`].
-    pub table: u64,
-    /// Column ordinal within the table.
-    pub column: u32,
-    /// Page ordinal within the column.
-    pub page: u32,
-}
+pub struct PageKey(pub u64);
 
 struct Entry {
     col: Arc<ColumnVector>,
@@ -200,11 +197,11 @@ impl BufferPool {
         }
     }
 
-    /// Drops every resident page of `table` (called when a paged table is
-    /// dropped so its slots are not stranded in the pool).
-    pub fn evict_table(&self, table: u64) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|k, _| k.table != table);
+    /// Drops the decoded copy of page `key`, if resident (called when the
+    /// last table holding the page's slot goes, so it is not stranded in
+    /// the pool).
+    pub(crate) fn evict(&self, key: PageKey) {
+        self.inner.lock().map.remove(&key);
     }
 
     /// Records a page skipped via its zone map (pruned before decode).
@@ -260,11 +257,7 @@ mod tests {
     }
 
     fn key(p: u32) -> PageKey {
-        PageKey {
-            table: 1,
-            column: 0,
-            page: p,
-        }
+        PageKey(p as u64)
     }
 
     #[test]
@@ -328,21 +321,14 @@ mod tests {
     }
 
     #[test]
-    fn evict_table_clears_only_that_table() {
+    fn evict_clears_only_that_page() {
         let pool = BufferPool::with_budget(8);
         pool.get_or_load(key(0), || Ok(page(&[1]))).unwrap();
-        pool.get_or_load(
-            PageKey {
-                table: 2,
-                column: 0,
-                page: 0,
-            },
-            || Ok(page(&[2])),
-        )
-        .unwrap();
-        pool.evict_table(1);
-        let s = pool.status();
-        assert_eq!(s.resident_pages, 1);
+        pool.get_or_load(key(1), || Ok(page(&[2]))).unwrap();
+        pool.evict(key(0));
+        assert_eq!(pool.status().resident_pages, 1);
+        pool.get_or_load(key(1), || panic!("1 should be resident"))
+            .unwrap();
     }
 
     #[test]

@@ -44,45 +44,43 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Collects exact statistics by scanning the table once.
-    pub fn collect(table: &Table) -> Self {
-        let arity = table.schema().arity();
-        let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); arity];
-        let mut nulls = vec![0usize; arity];
-        let mut mins: Vec<Option<Value>> = vec![None; arity];
-        let mut maxs: Vec<Option<Value>> = vec![None; arity];
-        for row in table.rows() {
-            for (i, v) in row.iter().enumerate() {
+    /// Collects exact statistics by streaming each column once: a sealed
+    /// part is read a page at a time through the pool, never materialized,
+    /// and a page that cannot be read is an error.
+    pub fn collect(table: &Table) -> Result<Self, StorageError> {
+        let mut columns = Vec::with_capacity(table.schema().arity());
+        for column in table.schema().columns() {
+            let mut distinct: HashSet<Value> = HashSet::new();
+            let mut stats = ColumnStats {
+                name: column.name.clone(),
+                ndv: 0,
+                null_count: 0,
+                min: None,
+                max: None,
+            };
+            table.for_each_in_column(&column.name, |_, v| {
                 if v.is_null() {
-                    nulls[i] += 1;
-                    continue;
+                    stats.null_count += 1;
+                    return Ok(());
                 }
-                distinct[i].insert(v.clone());
-                if mins[i].as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
-                    mins[i] = Some(v.clone());
+                if stats.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
+                    stats.min = Some(v.clone());
                 }
-                if maxs[i].as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
-                    maxs[i] = Some(v.clone());
+                if stats.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
+                    stats.max = Some(v.clone());
                 }
-            }
+                if !distinct.contains(v) {
+                    distinct.insert(v.clone());
+                }
+                Ok(())
+            })?;
+            stats.ndv = distinct.len();
+            columns.push(stats);
         }
-        let columns = table
-            .schema()
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ColumnStats {
-                name: c.name.clone(),
-                ndv: distinct[i].len(),
-                null_count: nulls[i],
-                min: mins[i].clone(),
-                max: maxs[i].clone(),
-            })
-            .collect();
-        Self {
+        Ok(Self {
             rows: table.len(),
             columns,
-        }
+        })
     }
 
     /// Stats for a named column.
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn collect_counts_ndv_nulls_min_max() {
-        let s = TableStats::collect(&table());
+        let s = TableStats::collect(&table()).unwrap();
         assert_eq!(s.rows, 4);
         let year = s.column("year").unwrap();
         assert_eq!(year.ndv, 2);
@@ -141,14 +139,14 @@ mod tests {
 
     #[test]
     fn eq_selectivity() {
-        let s = TableStats::collect(&table());
+        let s = TableStats::collect(&table()).unwrap();
         let id = s.column("id").unwrap();
         assert!((id.eq_selectivity() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn join_cardinality_estimate() {
-        let s = TableStats::collect(&table());
+        let s = TableStats::collect(&table()).unwrap();
         // Self-join on id: 4*4/4 = 4.
         let est = s.join_cardinality("id", &s, "id").unwrap();
         assert!((est - 4.0).abs() < 1e-9);
@@ -158,7 +156,7 @@ mod tests {
     fn empty_table_stats() {
         let schema = Schema::of(&[("x", DataType::Int)]);
         let t = Table::new("e", schema);
-        let s = TableStats::collect(&t);
+        let s = TableStats::collect(&t).unwrap();
         assert_eq!(s.rows, 0);
         assert_eq!(s.column("x").unwrap().ndv, 0);
         assert_eq!(s.column("x").unwrap().eq_selectivity(), 0.0);

@@ -3,13 +3,19 @@
 //! Every intermediate result in a KathDB pipeline is materialized as a table
 //! so that lineage can reference it (§3) and the explainer can show it (§5).
 //!
-//! A table is either *resident* (plain `Vec<Row>`, the shape every operator
-//! was written against) or *paged* (a [`PagedTable`] of compressed column
-//! pages read through the buffer pool). Tables become paged at checkpoint
-//! and recovery; mutation materializes them back to resident. The legacy
-//! `rows()`/`row()` accessors stay infallible by lazily materializing a
-//! paged table's row cache on first use — hot paths (scans, index builds)
-//! use the page-aware fallible accessors instead and never pay for that.
+//! A table has one shape: an optional *sealed* part — `Arc`-shared
+//! compressed column pages read through the buffer pool, zone maps and
+//! content addressing included ([`PagedTable`]) — followed by a *tail* of
+//! plain rows. A table nobody sealed is all tail (a `Vec<Row>`, the shape
+//! every operator was written against). [`Table::seal`] moves the tail into
+//! pages; it is what `Catalog::page_table`, a checkpoint and an INSERT that
+//! fills a page of tail call, and recovery hands back tables that are all
+//! sealed. [`Table::push`] appends to the tail and never decodes a page;
+//! `clone` shares the sealed part and copies only the tail, so a one-row
+//! INSERT costs the tail, not the table. The legacy `rows()`/`row()`
+//! accessors stay infallible by lazily materializing a row cache when there
+//! is a sealed part — hot paths (scans, index builds, statistics) use the
+//! page-aware fallible accessors instead and never pay for that.
 //!
 //! A table registered in a catalog is never mutated again, so everything
 //! derived from its rows — hash indexes, vector indexes, statistics — is
@@ -73,45 +79,41 @@ impl fmt::Debug for Derived {
     }
 }
 
+/// A named, schema-checked collection of rows: sealed pages, then a tail.
 #[derive(Debug)]
-enum Repr {
-    Resident(Vec<Row>),
-    Paged {
-        pages: Arc<PagedTable>,
-        // Lazily materialized rows for the legacy `rows()` accessor.
-        cache: OnceLock<Vec<Row>>,
-    },
-}
-
-impl Clone for Repr {
-    fn clone(&self) -> Self {
-        match self {
-            Repr::Resident(rows) => Repr::Resident(rows.clone()),
-            // Cloning a paged table shares the page set; the row cache is
-            // per-clone so an un-materialized clone stays lightweight.
-            Repr::Paged { pages, .. } => Repr::Paged {
-                pages: Arc::clone(pages),
-                cache: OnceLock::new(),
-            },
-        }
-    }
-}
-
-/// A named, schema-checked collection of rows, resident or page-backed.
-#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    repr: Repr,
-    // Shared by clones and by the paged form of the same rows; replaced by
+    // Rows `0..sealed.len()`, shared with every version made from this one.
+    sealed: Option<Arc<PagedTable>>,
+    // Rows `sealed.len()..len()`.
+    tail: Vec<Row>,
+    // Lazily materialized rows for the legacy `rows()` accessor; used only
+    // when there is a sealed part (an all-tail table lends its tail).
+    cache: OnceLock<Vec<Row>>,
+    // Shared by clones and by the sealed form of the same rows; replaced by
     // an empty one when the rows change (`push`).
     derived: Arc<Derived>,
 }
 
+impl Clone for Table {
+    /// Shares the sealed part and copies the tail. The row cache is
+    /// per-clone so an un-materialized clone stays lightweight.
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            sealed: self.sealed.clone(),
+            tail: self.tail.clone(),
+            cache: OnceLock::new(),
+            derived: Arc::clone(&self.derived),
+        }
+    }
+}
+
 impl PartialEq for Table {
-    /// Logical equality: same name, schema, and row contents — a paged
-    /// table equals its resident counterpart. Derived state is not part of
-    /// it.
+    /// Logical equality: same name, schema, and row contents, wherever the
+    /// seal boundary falls. Derived state is not part of it.
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.schema == other.schema
@@ -126,7 +128,9 @@ impl Table {
         Self {
             name: name.into(),
             schema,
-            repr: Repr::Resident(Vec::new()),
+            sealed: None,
+            tail: Vec::new(),
+            cache: OnceLock::new(),
             derived: Arc::default(),
         }
     }
@@ -144,16 +148,11 @@ impl Table {
         Ok(t)
     }
 
-    /// Wraps an existing paged representation as a table.
+    /// Wraps existing sealed pages as a table with an empty tail.
     pub fn from_paged(name: impl Into<String>, pages: Arc<PagedTable>) -> Self {
         Self {
-            name: name.into(),
-            schema: pages.schema().clone(),
-            repr: Repr::Paged {
-                pages,
-                cache: OnceLock::new(),
-            },
-            derived: Arc::default(),
+            sealed: Some(Arc::clone(&pages)),
+            ..Table::new(name, pages.schema().clone())
         }
     }
 
@@ -173,12 +172,14 @@ impl Table {
         &self.schema
     }
 
+    /// Rows in the sealed part: the position of the first tail row.
+    pub(crate) fn sealed_len(&self) -> usize {
+        self.sealed.as_ref().map_or(0, |pages| pages.len())
+    }
+
     /// Row count.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Resident(rows) => rows.len(),
-            Repr::Paged { pages, .. } => pages.len(),
-        }
+        self.sealed_len() + self.tail.len()
     }
 
     /// Whether the table has no rows.
@@ -186,56 +187,67 @@ impl Table {
         self.len() == 0
     }
 
-    /// Whether the table is page-backed (vs fully resident).
+    /// Whether the table has a sealed (page-backed) part.
     pub fn is_paged(&self) -> bool {
-        matches!(self.repr, Repr::Paged { .. })
+        self.sealed.is_some()
     }
 
-    /// The paged representation, when the table is page-backed.
+    /// The sealed part: rows `0..paged.len()`, when anything sealed them.
     pub fn paged(&self) -> Option<&Arc<PagedTable>> {
-        match &self.repr {
-            Repr::Paged { pages, .. } => Some(pages),
-            Repr::Resident(_) => None,
-        }
+        self.sealed.as_ref()
     }
 
-    /// Converts to the paged representation (no-op if already paged). The
-    /// rows are the same, so the result shares this table's derived state.
-    pub fn to_paged(
-        &self,
-        pool: &Arc<BufferPool>,
-        page_rows: usize,
-    ) -> Result<Table, StorageError> {
-        match &self.repr {
-            Repr::Paged { .. } => Ok(self.clone()),
-            Repr::Resident(rows) => {
-                let pages =
-                    PagedTable::from_rows(self.schema.clone(), rows, Arc::clone(pool), page_rows)?;
-                Ok(Table {
-                    derived: Arc::clone(&self.derived),
-                    ..Table::from_paged(self.name.clone(), Arc::new(pages))
-                })
+    /// The rows after the sealed part, positions `len() - tail().len()..`:
+    /// every row pushed since the table was last sealed (all of them for a
+    /// table nobody sealed).
+    pub fn tail(&self) -> &[Row] {
+        &self.tail
+    }
+
+    /// The same rows with the tail moved into sealed pages — the one seal
+    /// routine behind `Catalog::page_table`, checkpoints and the INSERT
+    /// path's full-tail rule. Every full page already sealed is shared with
+    /// `self`; only a short last page and the tail are encoded (so sealing
+    /// an empty tail encodes nothing). `pool` and `page_rows` apply when
+    /// this is the first sealing; afterwards the sealed part keeps its own.
+    /// The rows are the same, so the result shares this table's derived
+    /// state.
+    pub fn seal(&self, pool: &Arc<BufferPool>, page_rows: usize) -> Result<Table, StorageError> {
+        let sealed = match &self.sealed {
+            Some(pages) if self.tail.is_empty() => Arc::clone(pages),
+            Some(pages) => Arc::new(pages.extended(&self.tail)?),
+            None => {
+                let schema = self.schema.clone();
+                let pool = Arc::clone(pool);
+                Arc::new(PagedTable::from_rows(schema, &self.tail, pool, page_rows)?)
             }
-        }
+        };
+        Ok(Table {
+            derived: Arc::clone(&self.derived),
+            ..Table::from_paged(self.name.clone(), sealed)
+        })
     }
 
-    /// All rows. On a paged table this materializes (and caches) every row
-    /// on first use — hot paths should prefer [`Table::row_at`],
+    /// All rows. With a sealed part this materializes (and caches) every
+    /// row on first use — hot paths should prefer [`Table::row_at`],
     /// [`Table::for_each_in_column`], or page-level access via
-    /// [`Table::paged`].
+    /// [`Table::paged`] and [`Table::tail`]. An all-tail table lends its
+    /// tail.
     ///
     /// # Panics
-    /// Panics if a paged table's backing pages cannot be read (missing or
-    /// corrupt page files). Fallible callers should use [`Table::row_at`].
+    /// Panics if a sealed page cannot be read (missing or corrupt page
+    /// files). Fallible callers should use [`Table::row_at`].
     pub fn rows(&self) -> &[Row] {
-        match &self.repr {
-            Repr::Resident(rows) => rows,
-            Repr::Paged { pages, cache } => cache.get_or_init(|| {
-                pages
-                    .materialize()
-                    .expect("paged table backing pages unreadable")
-            }),
-        }
+        let Some(pages) = &self.sealed else {
+            return &self.tail;
+        };
+        self.cache.get_or_init(|| {
+            let mut rows = pages
+                .materialize()
+                .expect("paged table backing pages unreadable");
+            rows.extend_from_slice(&self.tail);
+            rows
+        })
     }
 
     /// A row by position (legacy infallible accessor; see [`Table::rows`]).
@@ -243,67 +255,47 @@ impl Table {
         self.rows().get(idx)
     }
 
-    /// A row by position without forcing full materialization; reads
-    /// through the buffer pool on a paged table.
+    /// A row by position without forcing full materialization; reads a
+    /// sealed row through the buffer pool.
     pub fn row_at(&self, idx: usize) -> Result<Option<Row>, StorageError> {
-        match &self.repr {
-            Repr::Resident(rows) => Ok(rows.get(idx).cloned()),
-            Repr::Paged { pages, cache } => match cache.get() {
-                Some(rows) => Ok(rows.get(idx).cloned()),
-                None => pages.row_at(idx),
-            },
+        match (&self.sealed, self.cache.get()) {
+            (Some(pages), None) if idx < pages.len() => pages.row_at(idx),
+            (Some(_), Some(rows)) => Ok(rows.get(idx).cloned()),
+            _ => Ok(self.tail.get(idx - self.sealed_len()).cloned()),
         }
     }
 
     /// Streams `(row position, value)` over one column without
-    /// materializing rows; on a paged table this touches one page at a
-    /// time, so index builds stay within the pool budget.
+    /// materializing rows; the sealed part is touched one page at a time,
+    /// so index builds stay within the pool budget.
     pub fn for_each_in_column<F>(&self, column: &str, mut f: F) -> Result<(), StorageError>
     where
         F: FnMut(usize, &Value) -> Result<(), StorageError>,
     {
         let c = self.schema.resolve(column)?;
-        match &self.repr {
-            Repr::Resident(rows) => {
-                for (pos, row) in rows.iter().enumerate() {
-                    f(pos, &row[c])?;
-                }
-                Ok(())
+        let (base, rest) = match (&self.sealed, self.cache.get()) {
+            (Some(_), Some(rows)) => (0, rows.as_slice()),
+            (Some(pages), None) => {
+                pages.for_each_in_column(c, &mut f)?;
+                (pages.len(), self.tail.as_slice())
             }
-            Repr::Paged { pages, cache } => match cache.get() {
-                Some(rows) => {
-                    for (pos, row) in rows.iter().enumerate() {
-                        f(pos, &row[c])?;
-                    }
-                    Ok(())
-                }
-                None => pages.for_each_in_column(c, f),
-            },
+            (None, _) => (0, self.tail.as_slice()),
+        };
+        for (i, row) in rest.iter().enumerate() {
+            f(base + i, &row[c])?;
         }
+        Ok(())
     }
 
-    /// Ensures the table is resident, materializing pages if needed.
-    fn make_resident(&mut self) -> Result<&mut Vec<Row>, StorageError> {
-        if let Repr::Paged { pages, cache } = &mut self.repr {
-            let rows = match cache.take() {
-                Some(rows) => rows,
-                None => pages.materialize()?,
-            };
-            self.repr = Repr::Resident(rows);
-        }
-        match &mut self.repr {
-            Repr::Resident(rows) => Ok(rows),
-            Repr::Paged { .. } => unreachable!("made resident above"),
-        }
-    }
-
-    /// Appends a validated row. A paged table materializes back to
-    /// resident first: mutation works on rows, and the next checkpoint
-    /// re-pages the result. The rows change, so this value lets go of the
-    /// derived state it shared with the table it was cloned from.
+    /// Appends a validated row to the tail. The sealed part is neither read
+    /// nor copied. The rows change, so this value lets go of the derived
+    /// state it shared with the table it was cloned from.
     pub fn push(&mut self, row: Row) -> Result<(), StorageError> {
         self.schema.check_row(&row)?;
-        self.make_resident()?.push(row);
+        self.tail.push(row);
+        if self.sealed.is_some() {
+            self.cache = OnceLock::new();
+        }
         match Arc::get_mut(&mut self.derived) {
             Some(own) => *own = Derived::default(),
             None => self.derived = Arc::default(),
@@ -319,7 +311,9 @@ impl Table {
         Ok(())
     }
 
-    /// Reads one cell by row index and column name.
+    /// Reads one cell by row index and column name. Returns a borrow, so it
+    /// goes through [`Table::rows`] (and its row cache when there is a
+    /// sealed part); use [`Table::row_at`] to read sealed rows in place.
     pub fn cell(&self, row: usize, column: &str) -> Result<&Value, StorageError> {
         let c = self.schema.resolve(column)?;
         self.rows()
@@ -328,7 +322,8 @@ impl Table {
             .ok_or_else(|| StorageError::Eval(format!("row {row} out of bounds")))
     }
 
-    /// All values of one column.
+    /// All values of one column. Returns borrows, so it goes through
+    /// [`Table::rows`]; [`Table::for_each_in_column`] streams instead.
     pub fn column_values(&self, column: &str) -> Result<Vec<&Value>, StorageError> {
         let c = self.schema.resolve(column)?;
         Ok(self.rows().iter().map(|r| &r[c]).collect())
@@ -342,10 +337,8 @@ impl Table {
             .filter_map(|i| self.row_at(i).transpose())
             .collect::<Result<Vec<Row>, _>>()?;
         Ok(Table {
-            name: format!("{}_sample", self.name),
-            schema: self.schema.clone(),
-            repr: Repr::Resident(rows),
-            derived: Arc::default(),
+            tail: rows,
+            ..Table::new(format!("{}_sample", self.name), self.schema.clone())
         })
     }
 
@@ -375,15 +368,28 @@ impl Table {
         self.derived.vector.built.write().remove(column).is_some()
     }
 
-    /// Exact statistics of these rows, collected on first use.
-    pub fn stats(&self) -> &TableStats {
-        self.derived.stats.get_or_init(|| TableStats::collect(self))
+    /// Exact statistics of these rows, collected on first use by streaming
+    /// each column (a sealed page that cannot be read is an error, and
+    /// nothing is kept).
+    pub fn stats(&self) -> Result<&TableStats, StorageError> {
+        if let Some(stats) = self.derived.stats.get() {
+            return Ok(stats);
+        }
+        let fresh = TableStats::collect(self)?;
+        Ok(self.derived.stats.get_or_init(|| fresh))
     }
 
-    /// Finds the first row index where `column == value`.
+    /// Finds the first row index where `column == value`, streaming the
+    /// column.
     pub fn find(&self, column: &str, value: &Value) -> Result<Option<usize>, StorageError> {
-        let c = self.schema.resolve(column)?;
-        Ok(self.rows().iter().position(|r| &r[c] == value))
+        let mut found = None;
+        self.for_each_in_column(column, |pos, v| {
+            if found.is_none() && v == value {
+                found = Some(pos);
+            }
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     /// Renders the table as an aligned ASCII grid, the way the paper's
@@ -488,7 +494,7 @@ mod tests {
         let resident = Table::from_rows("big", schema, rows.collect()).unwrap();
         let io = crate::Io::real();
         let pool = Arc::new(BufferPool::with_budget_io(2, io.clone()));
-        let paged = resident.to_paged(&pool, 1024).unwrap();
+        let paged = resident.seal(&pool, 1024).unwrap();
         let dir = std::env::temp_dir().join(format!("kathdb_table_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -498,7 +504,7 @@ mod tests {
     }
 
     fn row_cache_is_empty(t: &Table) -> bool {
-        matches!(&t.repr, Repr::Paged { cache, .. } if cache.get().is_none())
+        t.is_paged() && t.cache.get().is_none()
     }
 
     #[test]
@@ -548,7 +554,7 @@ mod tests {
     fn paged_table_is_logically_equal() {
         let t = movies();
         let pool = Arc::new(BufferPool::with_budget(8));
-        let paged = t.to_paged(&pool, 1).unwrap();
+        let paged = t.seal(&pool, 1).unwrap();
         assert!(paged.is_paged());
         assert!(!t.is_paged());
         assert_eq!(paged, t);
@@ -561,22 +567,106 @@ mod tests {
     }
 
     #[test]
-    fn push_on_paged_materializes() {
+    fn push_on_paged_shares_the_sealed_part() {
         let t = movies();
         let pool = Arc::new(BufferPool::with_budget(8));
-        let mut paged = t.to_paged(&pool, 1).unwrap();
-        paged.push(vec!["New".into(), Value::Int(2000)]).unwrap();
-        assert!(!paged.is_paged());
-        assert_eq!(paged.len(), 3);
-        assert_eq!(paged.rows()[..2], t.rows()[..]);
+        let paged = t.seal(&pool, 1).unwrap();
+        let mut pushed = paged.clone();
+        pushed.push(vec!["New".into(), Value::Int(2000)]).unwrap();
+        // The sealed part is the same object, untouched and undecoded; the
+        // new row is the whole tail.
+        assert!(Arc::ptr_eq(pushed.paged().unwrap(), paged.paged().unwrap()));
+        assert_eq!(pool.status().misses, 0);
+        assert_eq!(pushed.tail(), [vec!["New".into(), Value::Int(2000)]]);
+        assert_eq!(pushed.len(), 3);
+        assert_eq!(pushed.rows()[..2], t.rows()[..]);
+        assert_eq!(pushed.row_at(2).unwrap().unwrap(), pushed.tail()[0]);
+        assert_eq!(paged.len(), 2);
+    }
+
+    #[test]
+    fn sealing_again_shares_full_pages_and_encodes_the_rest() {
+        let schema = Schema::of(&[("id", DataType::Int)]);
+        let rows = |r: std::ops::Range<i64>| r.map(|i| vec![Value::Int(i)]).collect::<Vec<_>>();
+        let pool = Arc::new(BufferPool::with_budget(8));
+        let first = Table::from_rows("t", schema.clone(), rows(0..10))
+            .unwrap()
+            .seal(&pool, 4)
+            .unwrap();
+        let mut grown = first.clone();
+        grown.extend(rows(10..13)).unwrap();
+        // The page-size argument only matters for the first sealing.
+        let second = grown.seal(&pool, 1000).unwrap();
+        assert!(second.tail().is_empty());
+        let (a, b) = (first.paged().unwrap(), second.paged().unwrap());
+        assert_eq!((a.page_count(), b.page_count()), (3, 4));
+        assert!(Arc::ptr_eq(a.slot(0, 0), b.slot(0, 0)));
+        assert!(Arc::ptr_eq(a.slot(0, 1), b.slot(0, 1)));
+        assert!(!Arc::ptr_eq(a.slot(0, 2), b.slot(0, 2)));
+        // Same bytes as paging all thirteen rows from scratch.
+        let scratch = Table::from_rows("t", schema, rows(0..13))
+            .unwrap()
+            .seal(&pool, 4)
+            .unwrap();
+        for p in 0..4 {
+            let fresh = scratch.paged().unwrap().slot(0, p);
+            assert_eq!(b.slot(0, p).file_name(), fresh.file_name());
+        }
+        assert_eq!(second, scratch);
+        // Nothing to seal: the sealed part is shared whole.
+        let again = second.seal(&pool, 4).unwrap();
+        assert!(Arc::ptr_eq(again.paged().unwrap(), b));
+    }
+
+    #[test]
+    fn stats_and_find_stream_a_sealed_table() {
+        use crate::{FaultKind, FaultPlan};
+        let (paged, pool, io, dir) = big_paged("stats");
+        assert_eq!(paged.find("id", &Value::Int(9_000)).unwrap(), Some(9_000));
+        let stats = paged.stats().unwrap();
+        assert_eq!(stats.rows, 10_000);
+        let (id, year) = (&stats.columns[0], &stats.columns[1]);
+        assert_eq!((id.ndv, id.null_count), (10_000, 0));
+        assert_eq!(id.min, Some(Value::Int(0)));
+        assert_eq!(id.max, Some(Value::Int(9_999)));
+        assert_eq!((year.ndv, year.null_count), (100, 0));
+        assert_eq!(year.min, Some(Value::Int(1900)));
+        assert_eq!(year.max, Some(Value::Int(1999)));
+        // Streamed through the 2-page pool; nothing pinned on the table.
+        assert!(row_cache_is_empty(&paged));
+        assert!(pool.status().resident_pages <= 2);
+        // A clone has no statistics yet once its rows change: collecting
+        // them through a read fault is a typed error, and a later attempt
+        // succeeds.
+        let mut grown = paged.clone();
+        grown
+            .push(vec![Value::Int(10_000), Value::Int(2000)])
+            .unwrap();
+        io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]));
+        assert!(matches!(grown.stats(), Err(StorageError::Io(_))));
+        assert!(matches!(
+            grown.find("id", &Value::Int(3)),
+            Err(StorageError::Io(_))
+        ));
+        io.clear_faults();
+        assert_eq!(grown.stats().unwrap().rows, 10_001);
+        assert_eq!(grown.stats().unwrap().columns[1].ndv, 101);
+        assert!(row_cache_is_empty(&grown));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn for_each_in_column_streams_both_reprs() {
         let t = movies();
         let pool = Arc::new(BufferPool::with_budget(8));
-        let paged = t.to_paged(&pool, 1).unwrap();
-        for table in [&t, &paged] {
+        let paged = t.seal(&pool, 1).unwrap();
+        // All tail, all sealed, and one sealed row followed by one tail row.
+        let mut split = Table::from_rows("movies", t.schema().clone(), t.rows()[..1].to_vec())
+            .unwrap()
+            .seal(&pool, 1)
+            .unwrap();
+        split.push(t.rows()[1].clone()).unwrap();
+        for table in [&t, &paged, &split] {
             let mut seen = Vec::new();
             table
                 .for_each_in_column("year", |pos, v| {
@@ -587,8 +677,9 @@ mod tests {
             assert_eq!(
                 seen,
                 vec![(0, Value::Int(1991)), (1, Value::Int(1988))],
-                "repr paged={}",
-                table.is_paged()
+                "sealed={} tail={}",
+                table.is_paged(),
+                table.tail().len()
             );
         }
         assert!(t.for_each_in_column("nope", |_, _| Ok(())).is_err());

@@ -72,6 +72,47 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     })
 }
 
+/// Opens `dir` as a durable shared catalog the way the facade does:
+/// snapshot tables (all sealed), then the committed WAL records replayed
+/// through [`Catalog::append_rows`], the call live INSERTs make. With a
+/// `plan`, its faults hit the open and the replay alike.
+fn open_shared(
+    dir: &std::path::Path,
+    plan: Option<FaultPlan>,
+) -> Result<SharedCatalog, StorageError> {
+    let shared = SharedCatalog::new();
+    let pool = shared.pool();
+    if let Some(plan) = plan {
+        pool.io().install_faults(plan);
+    }
+    let (dur, rec) = Durability::open(dir, &pool)?;
+    let mut catalog = shared.snapshot().catalog().clone();
+    for table in rec.tables {
+        catalog.register_or_replace(table);
+    }
+    for record in rec.wal_records {
+        match record {
+            WalRecord::CreateTable(t) => drop(catalog.register_or_replace(t)),
+            WalRecord::Insert { table, rows } => drop(catalog.append_rows(&table, &rows)?),
+            other => panic!("unexpected record {other:?}"),
+        }
+    }
+    shared.install_recovered(catalog, dur, rec.max_txid);
+    Ok(shared)
+}
+
+/// One durable single-row INSERT into `kv`.
+fn insert_shared(shared: &SharedCatalog, k: i64, v: &str) -> Result<(), StorageError> {
+    let rows = [vec![Value::Int(k), Value::Str(v.to_string())]];
+    shared.submit(&[insert(k, v)], false, |c| {
+        c.append_rows("kv", &rows).map(drop)
+    })
+}
+
+fn typed(e: &StorageError) -> bool {
+    matches!(e, StorageError::Io(_) | StorageError::Corrupt(_))
+}
+
 /// Case budget: 48 by default (fast enough for tier-1), deepened in CI's
 /// chaos leg via `PROPTEST_CASES`.
 fn cases() -> u32 {
@@ -137,6 +178,93 @@ proptest! {
             prop_assert_eq!(row, &vec![Value::Int(*k), Value::Str(v.clone())],
                 "recovered state is not the committed prefix");
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The same invariant for a table that is mostly sealed pages: a
+    /// checkpointed base, then INSERTs with checkpoints in between, so the
+    /// faults land on checkpoints that seal only a tail (decode the short
+    /// last page, encode, write two pages, commit the manifest), on the
+    /// INSERT path's own sealing of a full tail, and — with the faults
+    /// still on at reopen — on recovery and on replay into sealed tables.
+    /// Every failure is typed, and once the faults clear the directory
+    /// holds the acknowledged rows plus at most the one in flight.
+    #[test]
+    fn faults_between_checkpoints_recover_acknowledged_rows(
+        base in 0usize..12,
+        kvs in prop::collection::vec((any::<i64>(), "[a-z]{0,6}"), 1..14),
+        plan in arb_plan(),
+        page_rows in 2usize..5,
+        ckpt_every in 2usize..6,
+    ) {
+        let dir = tmp("sealed");
+        // Fault-free baseline: `base` logged rows, paged small, checkpointed.
+        let all: Vec<(i64, String)> = (0..base as i64)
+            .map(|k| (k, format!("b{k}")))
+            .chain(kvs.iter().cloned())
+            .collect();
+        let want: Vec<Row> = all
+            .iter()
+            .map(|(k, v)| vec![Value::Int(*k), Value::Str(v.clone())])
+            .collect();
+        let shared = open_shared(&dir, None).unwrap();
+        let create = [WalRecord::CreateTable(Table::new("kv", kv_schema()))];
+        shared
+            .submit(&create, false, |c| c.register(Table::new("kv", kv_schema())).map(drop))
+            .unwrap();
+        for (k, v) in &all[..base] {
+            insert_shared(&shared, *k, v).unwrap();
+        }
+        shared.page_table("kv", page_rows).unwrap();
+        shared.checkpoint(None).unwrap();
+
+        shared.pool().io().install_faults(plan.clone());
+        let mut acked = base;
+        for (i, (k, v)) in kvs.iter().enumerate() {
+            if i > 0 && i % ckpt_every == 0 {
+                // On failure either nothing changed or the handle is
+                // poisoned and refuses further appends.
+                match shared.checkpoint(None) {
+                    Ok(_) => prop_assert!(shared.get("kv").unwrap().tail().is_empty()),
+                    Err(e) => prop_assert!(typed(&e), "untyped failure: {e}"),
+                }
+            }
+            match insert_shared(&shared, *k, v) {
+                Ok(()) => acked += 1,
+                Err(e) => {
+                    prop_assert!(typed(&e), "untyped failure: {e}");
+                    break;
+                }
+            }
+        }
+        // What readers see never ran ahead of what was acknowledged.
+        prop_assert_eq!(shared.get("kv").unwrap().len(), acked);
+        drop(shared);
+
+        // Reopen with the faults still on: recovery and replay either work
+        // or fail typed — and when they work, the rows are the prefix.
+        let check = |shared: &SharedCatalog| -> Result<(), TestCaseError> {
+            let kv = shared.get("kv").unwrap();
+            prop_assert!(
+                kv.len() >= acked && kv.len() <= acked + 1,
+                "recovered {} rows, acknowledged {acked}", kv.len()
+            );
+            for (i, row) in want[..kv.len()].iter().enumerate() {
+                match kv.row_at(i) {
+                    Ok(got) => prop_assert_eq!(got.as_ref(), Some(row)),
+                    Err(e) => prop_assert!(typed(&e), "untyped failure: {e}"),
+                }
+            }
+            Ok(())
+        };
+        match open_shared(&dir, Some(plan)) {
+            Ok(faulty) => check(&faulty)?,
+            Err(e) => prop_assert!(typed(&e), "untyped failure: {e}"),
+        }
+        let clean = open_shared(&dir, None).unwrap();
+        check(&clean)?;
+        let kv = clean.get("kv").unwrap();
+        prop_assert_eq!(kv.rows(), &want[..kv.len()]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

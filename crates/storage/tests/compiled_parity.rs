@@ -219,23 +219,37 @@ fn render_query(items: &Items, filt: &Option<FilterSpec>, join: bool, arity: usi
     sql
 }
 
-/// Registers `t1` (and `t2` when joining) resident, and paged clones in a
-/// second catalog so the same query sweeps both backings.
-fn catalogs(t1: &Table, t2: &Table, join: bool) -> (Catalog, Catalog) {
+/// Registers `t1` (and `t2` when joining) in three catalogs so the same
+/// query sweeps every backing: resident; paged, seven rows to a page; and
+/// paged except for the last three rows, which are INSERTed afterwards —
+/// sealed pages followed by a row tail. The resident catalog comes first.
+fn catalogs(t1: &Table, t2: &Table, join: bool) -> [(&'static str, Catalog); 3] {
     let mut resident = Catalog::new();
-    resident.register(t1.clone()).expect("fresh catalog");
     let mut paged = Catalog::new();
-    let pool = std::sync::Arc::clone(paged.pool());
-    paged
-        .register(t1.to_paged(&pool, 7).expect("pages encode"))
-        .expect("fresh catalog");
-    if join {
-        resident.register(t2.clone()).expect("fresh name");
+    let mut split = Catalog::new();
+    for t in [t1, t2].into_iter().take(if join { 2 } else { 1 }) {
+        resident.register(t.clone()).expect("fresh name");
+        let pool = std::sync::Arc::clone(paged.pool());
         paged
-            .register(t2.to_paged(&pool, 7).expect("pages encode"))
+            .register(t.seal(&pool, 7).expect("pages encode"))
             .expect("fresh name");
+        let (head, tail) = t.rows().split_at(t.len().saturating_sub(3));
+        let head = Table::from_rows(t.name(), t.schema().clone(), head.to_vec());
+        let pool = std::sync::Arc::clone(split.pool());
+        split
+            .register(
+                head.expect("typed rows")
+                    .seal(&pool, 7)
+                    .expect("pages encode"),
+            )
+            .expect("fresh name");
+        split.append_rows(t.name(), tail).expect("typed rows");
     }
-    (resident, paged)
+    [
+        ("resident", resident),
+        ("paged", paged),
+        ("paged then inserted into", split),
+    ]
 }
 
 /// Runs one query in one catalog under the given knobs.
@@ -262,12 +276,15 @@ fn run(
 
 /// Asserts compiled == interpreted over the full (batch, threads, backing)
 /// sweep for one query, returning whether any run actually compiled.
-fn assert_parity(resident: &Catalog, paged: &Catalog, sql: &str) -> Result<bool, TestCaseError> {
+fn assert_parity(
+    backings: &[(&'static str, Catalog); 3],
+    sql: &str,
+) -> Result<bool, TestCaseError> {
     // The canonical reference: serial interpreted execution at the default
     // batch size on the resident table.
-    let reference = run(resident, sql, 1024, 1, CompileMode::Off);
+    let reference = run(&backings[0].1, sql, 1024, 1, CompileMode::Off);
     let mut any_compiled = false;
-    for (label, catalog) in [("resident", resident), ("paged", paged)] {
+    for (label, catalog) in backings {
         for batch in [1usize, 3, 1024] {
             for threads in [1usize, 2, 8] {
                 let compiled = run(catalog, sql, batch, threads, CompileMode::On);
@@ -327,8 +344,7 @@ proptest! {
         let t1 = build_table("t1", 'c', &types[..arity], &rows);
         let t2 = build_table("t2", 'd', &types[..arity], &rows2);
         let sql = render_query(&items, &filt, join, arity);
-        let (resident, paged) = catalogs(&t1, &t2, join);
-        assert_parity(&resident, &paged, &sql)?;
+        assert_parity(&catalogs(&t1, &t2, join), &sql)?;
     }
 
     #[test]
@@ -345,8 +361,7 @@ proptest! {
         let t1 = build_table("t1", 'c', &types[..arity], &rows);
         let t2 = build_table("t2", 'd', &types[..arity], &rows);
         let sql = render_query(&items, &filt, false, arity);
-        let (resident, paged) = catalogs(&t1, &t2, false);
-        assert_parity(&resident, &paged, &sql)?;
+        assert_parity(&catalogs(&t1, &t2, false), &sql)?;
     }
 
     #[test]
@@ -370,8 +385,7 @@ proptest! {
             Fallback::OrderBy => format!("SELECT * FROM t1{where_sql} ORDER BY c0"),
             Fallback::Aggregate => format!("SELECT COUNT(*) AS n FROM t1{where_sql}"),
         };
-        let (resident, paged) = catalogs(&t1, &t2, false);
-        let any_compiled = assert_parity(&resident, &paged, &sql)?;
+        let any_compiled = assert_parity(&catalogs(&t1, &t2, false), &sql)?;
         // The compiler must decline every one of these shapes — even with
         // compilation forced on, the stats report the interpreted drive.
         prop_assert!(!any_compiled, "uncompilable shape reported compiled: {}", sql);

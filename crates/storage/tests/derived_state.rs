@@ -161,7 +161,7 @@ proptest! {
                     // hand the catalog that `Arc`.
                     let table = shared.get("t").unwrap();
                     let index = table.hash_index("k").unwrap();
-                    let paged = Arc::new(table.to_paged(&shared.pool(), page_rows).unwrap());
+                    let paged = Arc::new(table.seal(&shared.pool(), page_rows).unwrap());
                     let installed = shared.register_or_replace(Arc::clone(&paged));
                     prop_assert!(Arc::ptr_eq(&installed, &paged));
                     prop_assert!(Arc::ptr_eq(&shared.get("t").unwrap(), &paged));

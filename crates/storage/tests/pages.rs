@@ -9,7 +9,9 @@
 //!    integers, and mixed-type pages that fall back to raw.
 //! 2. **Pool-size independence** — a paged table behind a pool capped at
 //!    1–4 pages returns exactly the same rows as one behind an effectively
-//!    unbounded pool. Eviction pressure changes wall-clock, never results.
+//!    unbounded pool, and so does one paged and then INSERTed into (sealed
+//!    pages followed by a row tail) and the re-sealing of that. Eviction
+//!    pressure changes wall-clock, never results.
 
 use kath_storage::*;
 use proptest::prelude::*;
@@ -114,6 +116,7 @@ proptest! {
         rows in prop::collection::vec((any::<i64>(), "[a-d]{0,3}"), 1..300),
         budget in 1usize..5,
         page_rows in 8usize..40,
+        cut in 0usize..300,
     ) {
         let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Str)]);
         let data: Vec<Row> = rows
@@ -124,18 +127,32 @@ proptest! {
         reference.extend(data.clone()).unwrap();
 
         let starved_pool = Arc::new(BufferPool::with_budget(budget));
-        let starved = reference.to_paged(&starved_pool, page_rows).unwrap();
+        let starved = reference.seal(&starved_pool, page_rows).unwrap();
         let roomy_pool = Arc::new(BufferPool::with_budget(1_000_000));
-        let roomy = reference.to_paged(&roomy_pool, page_rows).unwrap();
+        let roomy = reference.seal(&roomy_pool, page_rows).unwrap();
+        // The third backing: the first `cut` rows paged behind the starved
+        // pool, the rest pushed after them; and that table sealed again,
+        // which shares its full pages and re-encodes the short one.
+        let (head, tail) = data.split_at(cut % (data.len() + 1));
+        let mut split = Table::from_rows("t", schema, head.to_vec())
+            .unwrap()
+            .seal(&starved_pool, page_rows)
+            .unwrap();
+        split.extend(tail.to_vec()).unwrap();
+        prop_assert_eq!(split.tail(), tail);
+        let resealed = split.seal(&starved_pool, page_rows).unwrap();
+        prop_assert!(resealed.tail().is_empty());
 
         for (i, want) in data.iter().enumerate() {
-            let a = starved.row_at(i).unwrap().expect("in bounds");
-            let b = roomy.row_at(i).unwrap().expect("in bounds");
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(&a, want);
+            for table in [&starved, &roomy, &split, &resealed] {
+                let got = table.row_at(i).unwrap().expect("in bounds");
+                prop_assert_eq!(&got, want);
+            }
         }
-        prop_assert_eq!(starved.rows(), reference.rows());
-        prop_assert_eq!(roomy.rows(), reference.rows());
+        for table in [&starved, &roomy, &split, &resealed] {
+            prop_assert_eq!(table.row_at(data.len()).unwrap(), None);
+            prop_assert_eq!(table.rows(), reference.rows());
+        }
 
         let total_pages = 2 * data.len().div_ceil(page_rows);
         if total_pages > budget {
