@@ -2,11 +2,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-check bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
+.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
-verify: fmt build test clippy lint bench-no-run bench-check recovery-smoke chaos-smoke session-smoke examples
+verify: fmt build test clippy lint bench-no-run bench-check bench-repeat recovery-smoke chaos-smoke session-smoke examples
 
 build:
 	$(CARGO) build --release
@@ -29,6 +29,14 @@ bench-no-run:
 # of all four workloads with their oracles.
 bench-check:
 	$(CARGO) test -q --manifest-path benchmark/Cargo.toml
+
+# The repo benchmark's own determinism check: every workload twice from one
+# seed; each result digest and each exact count (rows, statements, zone
+# skips, checkpoint pages) must agree between the two runs. A drive whose
+# answer or whose counted work depends on scheduling fails here, not in a
+# perf comparison later.
+bench-repeat:
+	$(CARGO) run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-repeat
 
 # Quick end-to-end runs of the perf benches (small corpora, few reps):
 # prove the morsel-parallel, durable-recovery, vector-search, paged

@@ -15,9 +15,8 @@ use kath_storage::{
     preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded, sort_rows, top_k_entries,
     AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, CompiledPipeline, DataType, Distinct,
     ExecMode, Expr, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel,
-    MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row, RowBatch, Schema, Sort,
-    SortKey, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK,
-    WalRecord,
+    MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row, Schema, Sort, SortKey,
+    StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK, WalRecord,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -229,17 +228,22 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, started.elapsed().as_secs_f64() * 1000.0)
 }
 
-/// How the FROM table is read.
+/// How the FROM table is read. Every variant is a shortcut past rows the
+/// WHERE clause would drop anyway, so all of them are taken only when no
+/// conjunct of the clause can raise ([`Expr::cannot_raise`]): skipping a
+/// row whose evaluation would have failed turns an error into an answer.
 enum Access {
-    /// Every row. On a join-free plan the sargable WHERE conjuncts ride
-    /// along, so a paged scan can skip whole pages by zone map (see
-    /// [`prune_conjuncts`]).
+    /// Every row, less what the prune hints rule out: the sargable WHERE
+    /// conjuncts over FROM-table columns ([`prune_conjuncts`]), with which
+    /// a scan skips sealed pages by zone map and drops failing rows before
+    /// it materializes them. A superset pre-filter — the full `filter`
+    /// still runs above, after the joins.
     Scan {
         prune_hints: Vec<(String, BinOp, Value)>,
     },
-    /// The candidate positions of a hash-index hit on an equality conjunct
-    /// of the WHERE clause. They are a superset of the matches, so the full
-    /// predicate still applies.
+    /// The candidate positions of a hash-index hit on an equality hint.
+    /// They are a superset of the matches, so the full predicate still
+    /// applies.
     Index(Arc<Vec<usize>>),
 }
 
@@ -247,11 +251,17 @@ enum Access {
 /// accumulated so far, `right_col` to the table this step builds on.
 struct JoinStep {
     right: Arc<Table>,
+    /// The needed columns of `right` (its own ordinals): what the build
+    /// side scans and keeps.
+    right_columns: Vec<usize>,
     left_col: String,
-    /// Ordinal of `left_col` in the accumulated left row.
+    /// Ordinal of `left_col` among the needed columns accumulated so far.
     left_key: usize,
     right_col: String,
     kind: JoinKind,
+    /// Schema of the step's output: the needed columns of the full joined
+    /// schema up to and including `right`'s.
+    schema: Schema,
 }
 
 /// What becomes of the joined, filtered rows.
@@ -264,13 +274,12 @@ enum Shape {
     /// drops (standard SQL behaviour), after it otherwise.
     Rows { sort_before: bool },
     /// At least one ORDER BY key is a computed expression: rows are
-    /// extended to `ext` (the input columns plus one hidden column per
-    /// computed key), sorted on the plan's sort keys, and projected `back`
-    /// to the requested outputs. This is the general-sort fallback the
-    /// vector top-k path is benchmarked against — and the semantics it
-    /// must reproduce exactly.
+    /// extended by one `hidden` column per computed key, sorted on the
+    /// plan's sort keys, and projected `back` to the requested outputs.
+    /// This is the general-sort fallback the vector top-k path is
+    /// benchmarked against — and the semantics it must reproduce exactly.
     ExprSort {
-        ext: Vec<(String, Expr)>,
+        hidden: Vec<(String, Expr)>,
         back: Vec<(String, Expr)>,
     },
 }
@@ -303,8 +312,15 @@ struct SelectPlan {
     table: Arc<Table>,
     access: Access,
     joins: Vec<JoinStep>,
-    /// Schema of the rows after the join chain; `filter`, `outputs` and
-    /// the aggregate spec resolve against it.
+    /// The columns the statement reads — filter, join keys, outputs, group
+    /// keys, aggregate inputs, sort keys; all of them for `SELECT *` — as
+    /// ascending ordinals of the full joined schema (FROM table's columns,
+    /// then each joined table's). No scan on any drive produces another
+    /// column, and no operator carries one.
+    needed: Vec<usize>,
+    /// Schema of the rows after the join chain: the `needed` columns of
+    /// the full joined schema, under the names they have there. `filter`,
+    /// `outputs` and the aggregate spec resolve against it by name.
     joined: Schema,
     filter: Option<Expr>,
     shape: Shape,
@@ -334,34 +350,25 @@ fn plan_select(
     vector: VectorMode,
 ) -> Result<SelectPlan, SqlError> {
     let table = catalog.get(&select.from)?;
-    let predicate = select.where_clause.as_ref();
-    let index_hit = predicate
-        .and_then(|w| equality_target(w, &select.from, table.schema()))
-        .and_then(|(column, value)| {
-            let index = catalog.index_on(&select.from, &column)?;
-            Some(Arc::new(index.lookup(&value).to_vec()))
-        });
-    let access = match (index_hit, predicate) {
-        (Some(positions), _) => Access::Index(positions),
-        (None, Some(w)) if select.joins.is_empty() => Access::Scan {
-            prune_hints: prune_conjuncts(w, &select.from, table.schema()),
-        },
-        (None, _) => Access::Scan {
-            prune_hints: Vec::new(),
-        },
-    };
+    let from_arity = table.schema().arity();
 
-    let mut joined = table.schema().clone();
+    // The statement resolves against the full joined schema; what the plan
+    // keeps of it is its projection onto the needed columns, decided last.
+    let mut full = table.schema().clone();
     let mut joins = Vec::with_capacity(select.joins.len());
+    let mut join_keys = Vec::with_capacity(2 * select.joins.len());
     for j in &select.joins {
         let right = catalog.get(&j.table)?;
         // The ON pair may be written either way round; figure out which
         // side belongs to the accumulated left rows.
-        let (left_col, right_col) = orient_on(&joined, right.schema(), &j.on_left, &j.on_right)?;
-        let left_key = joined.resolve(&left_col)?;
-        joined = joined.join(right.schema(), "right");
+        let (left_col, right_col) = orient_on(&full, right.schema(), &j.on_left, &j.on_right)?;
+        let left_key = full.resolve(&left_col)?;
+        join_keys.push(left_key);
+        join_keys.push(full.arity() + right.schema().resolve(&right_col)?);
+        full = full.join(right.schema(), "right");
         joins.push(JoinStep {
             right,
+            right_columns: Vec::new(),
             left_col,
             left_key,
             right_col,
@@ -370,9 +377,14 @@ fn plan_select(
             } else {
                 JoinKind::Inner
             },
+            schema: full.clone(),
         });
     }
-    let filter = predicate.map(|w| to_expr(w, &joined)).transpose()?;
+    let filter = select
+        .where_clause
+        .as_ref()
+        .map(|w| to_expr(w, &full))
+        .transpose()?;
 
     let grouped = select_has_agg(select) || !select.group_by.is_empty();
     let (shape, outputs, sort_keys, out_schema) = match plain_sort_keys(select) {
@@ -382,25 +394,25 @@ fn plan_select(
             ))
         }
         Some(sort_keys) if grouped => {
-            let spec = aggregate_spec(select)?;
+            let spec = aggregate_spec(select, &full)?;
             let out_schema =
-                PartialAggregate::new(&joined, &spec.group_names, spec.aggregates.clone())?
+                PartialAggregate::new(&full, &spec.group_names, spec.aggregates.clone())?
                     .schema()
                     .clone();
             resolve_sort_keys(&out_schema, &sort_keys)?;
             (Shape::Aggregate(spec), None, sort_keys, out_schema)
         }
         Some(sort_keys) => {
-            let outputs = projection_outputs(select, &joined)?;
+            let outputs = projection_outputs(select, &full)?;
             let sort_before = outputs
                 .as_ref()
                 .is_some_and(|outs| sort_before_project(&sort_keys, outs));
             if sort_before {
-                resolve_sort_keys(&joined, &sort_keys)?;
+                resolve_sort_keys(&full, &sort_keys)?;
             }
             let out_schema = match &outputs {
-                Some(outs) => Project::output_schema(&joined, outs)?,
-                None => joined.clone(),
+                Some(outs) => Project::output_schema(&full, outs)?,
+                None => full.clone(),
             };
             if !sort_before {
                 resolve_sort_keys(&out_schema, &sort_keys)?;
@@ -408,19 +420,61 @@ fn plan_select(
             (Shape::Rows { sort_before }, outputs, sort_keys, out_schema)
         }
         None => {
-            let outputs = projection_outputs(select, &joined)?;
+            let outputs = projection_outputs(select, &full)?;
             let (shape, sort_keys, out_schema) =
-                plan_expression_sort(select, &joined, outputs.as_deref())?;
+                plan_expression_sort(select, &full, outputs.as_deref())?;
             (shape, outputs, sort_keys, out_schema)
         }
     };
+
+    // The access path: one gate, then hints, then an index over one of them.
+    let prune_hints = match &filter {
+        Some(pred) if pred.cannot_raise() => prune_conjuncts(pred, &full, from_arity),
+        _ => Vec::new(),
+    };
+    let equalities = prune_hints.iter().filter(|(_, op, _)| *op == BinOp::Eq);
+    let index_hit = equalities.into_iter().find_map(|(column, _, value)| {
+        let index = catalog.index_on(&select.from, column)?;
+        Some(Arc::new(index.lookup(value).to_vec()))
+    });
+    let access = match index_hit {
+        Some(positions) => Access::Index(positions),
+        None => Access::Scan { prune_hints },
+    };
+
+    // Narrow the plan to the columns the statement reads. Every schema
+    // below is a projection of `full`, never a join of pruned schemas:
+    // `Schema::join` prefixes a right-side name only when the left side
+    // still holds its namesake, so re-joining would rebind `right.x` to `x`
+    // wherever the left `x` was pruned.
+    let needed = needed_columns(
+        &full,
+        from_arity,
+        join_keys,
+        filter.as_ref(),
+        &shape,
+        outputs.as_deref(),
+        &sort_keys,
+    );
+    let kept_below = |ordinal: usize| needed.partition_point(|&c| c < ordinal);
+    for step in &mut joins {
+        // `step.schema` is still the full schema through this step, so the
+        // right table's columns are its last ones.
+        let end = step.schema.arity();
+        let base = end - step.right.schema().arity();
+        let right = &needed[kept_below(base)..kept_below(end)];
+        step.right_columns = right.iter().map(|c| c - base).collect();
+        step.left_key = kept_below(step.left_key);
+        step.schema = full.project(&needed[..kept_below(end)]);
+    }
 
     let vector = vector_choice(select, &table, vector);
     Ok(SelectPlan {
         table,
         access,
         joins,
-        joined,
+        joined: full.project(&needed),
+        needed,
         filter,
         shape,
         outputs,
@@ -430,6 +484,47 @@ fn plan_select(
         limit: select.limit,
         vector,
     })
+}
+
+/// The ordinals of `full` the statement reads, ascending: the join keys and
+/// every column the filter, the outputs, the shape or a sort key names.
+/// `SELECT *` reads them all. A name that is not a column of `full` — an
+/// output alias or a hidden sort column among the sort keys — names no
+/// input and is skipped; an alias that happens to equal a column's name
+/// keeps that column, which costs a copy and changes nothing.
+fn needed_columns(
+    full: &Schema,
+    from_arity: usize,
+    join_keys: Vec<usize>,
+    filter: Option<&Expr>,
+    shape: &Shape,
+    outputs: Option<&[(String, Expr)]>,
+    sort_keys: &[SortKey],
+) -> Vec<usize> {
+    let mut names: Vec<String> = sort_keys.iter().map(|k| k.column.clone()).collect();
+    let mut exprs: Vec<&Expr> = filter.into_iter().collect();
+    match (shape, outputs) {
+        (Shape::Aggregate(spec), _) => {
+            names.extend(spec.group_names.iter().cloned());
+            names.extend(spec.aggregates.iter().filter_map(|a| a.column.clone()));
+        }
+        (_, None) => return (0..full.arity()).collect(),
+        (Shape::Rows { .. }, Some(outputs)) => exprs.extend(outputs.iter().map(|(_, e)| e)),
+        (Shape::ExprSort { hidden, .. }, Some(outputs)) => {
+            exprs.extend(outputs.iter().chain(hidden).map(|(_, e)| e));
+        }
+    }
+    names.extend(exprs.into_iter().flat_map(Expr::referenced_columns));
+    let mut needed = join_keys;
+    needed.extend(names.iter().filter_map(|n| full.index_of(n)));
+    // A batch's row count is the length of its columns, so a scan that
+    // feeds `COUNT(*)` alone still has to produce one.
+    if from_arity > 0 && !needed.iter().any(|&c| c < from_arity) {
+        needed.push(0);
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    needed
 }
 
 impl SelectPlan {
@@ -484,21 +579,29 @@ impl SelectPlan {
         }
     }
 
-    /// Materializes every join's build side (the hash table over its right
-    /// table): the pipeline breaker a drive pays before it streams.
+    /// Materializes every join's build side (the hash table over the
+    /// needed columns of its right table): the pipeline breaker a drive
+    /// pays before it streams.
     fn build_joins(&self) -> Result<Vec<Arc<JoinBuild>>, StorageError> {
         self.joins
             .iter()
             .map(|j| {
-                let right = Box::new(TableScan::new(Arc::clone(&j.right)));
-                Ok(Arc::new(JoinBuild::build(right, &j.right_col)?))
+                let right = TableScan::new(Arc::clone(&j.right)).with_columns(&j.right_columns);
+                Ok(Arc::new(JoinBuild::build(Box::new(right), &j.right_col)?))
             })
             .collect()
     }
 
-    /// A scan of rows `[start, end)` of the FROM table with the prune
-    /// hints attached. `batch` is the mode's batch size, which pass-through
-    /// operators inherit (`None` = Volcano: the scan keeps its default).
+    /// The needed columns of the FROM table: what its scan produces.
+    fn scan_columns(&self) -> &[usize] {
+        let from_arity = self.table.schema().arity();
+        &self.needed[..self.needed.partition_point(|&c| c < from_arity)]
+    }
+
+    /// A scan of rows `[start, end)` of the FROM table, restricted to the
+    /// needed columns, with the prune hints attached. `batch` is the mode's
+    /// batch size, which pass-through operators inherit (`None` = Volcano:
+    /// the scan keeps its default).
     fn table_scan(
         &self,
         prune_hints: &[(String, BinOp, Value)],
@@ -508,6 +611,7 @@ impl SelectPlan {
     ) -> TableScan {
         let scan = TableScan::new(Arc::clone(&self.table))
             .with_range(start, end)
+            .with_columns(self.scan_columns())
             .with_prune_hint(prune_hints)
             .with_guard(guard);
         match batch {
@@ -531,6 +635,7 @@ impl SelectPlan {
             }
             Access::Index(positions) => {
                 let scan = IndexScan::new(Arc::clone(&self.table), positions[start..end].to_vec())
+                    .with_columns(self.scan_columns())
                     .with_guard(guard);
                 match batch {
                     Some(n) => Box::new(scan.with_batch_size(n)),
@@ -539,12 +644,8 @@ impl SelectPlan {
             }
         };
         for (j, build) in self.joins.iter().zip(builds) {
-            op = Box::new(HashJoin::from_build(
-                op,
-                Arc::clone(build),
-                &j.left_col,
-                j.kind,
-            )?);
+            let join = HashJoin::from_build(op, Arc::clone(build), &j.left_col, j.kind)?;
+            op = Box::new(join.with_schema(j.schema.clone()));
         }
         if let Some(pred) = &self.filter {
             op = Box::new(Filter::new(op, pred.clone()));
@@ -701,8 +802,8 @@ fn drive_serial(
             )?))?,
             Shape::Rows { sort_before: true } => plan.project(sort(op)?)?,
             Shape::Rows { sort_before: false } => sort(plan.project(op)?)?,
-            Shape::ExprSort { ext, back } => {
-                let extended = Box::new(Project::new(op, ext.clone())?);
+            Shape::ExprSort { hidden, back } => {
+                let extended = Box::new(Project::new(op, extended(&plan.joined, hidden))?);
                 Box::new(Project::new(sort(extended)?, back.clone())?)
             }
         }
@@ -896,14 +997,13 @@ fn drive_morsels(
     )))
 }
 
-/// The compiled fused drive: each morsel runs one tight loop —
-/// zone-map-pruned page-range scan, hash-join probes against shared build
-/// sides, then the fused filter→project pipeline — with no per-operator
-/// `next_batch` dispatch between them. `None` when an expression is
-/// outside the compilable subset (never an error: the caller runs an
-/// interpreted drive over the same plan). Results are identical to the
-/// interpreted drives, serial and parallel (morsel outputs concatenate in
-/// scan order).
+/// The compiled fused drive: each morsel runs one tight loop — pruned
+/// scan, columnar hash-join probes against shared build sides, then the
+/// fused filter→project pipeline — with no per-operator `next_batch`
+/// dispatch between them. `None` when an expression is outside the
+/// compilable subset (never an error: the caller runs an interpreted drive
+/// over the same plan). Results are identical to the interpreted drives,
+/// serial and parallel (morsel outputs concatenate in scan order).
 fn drive_compiled(
     plan: &SelectPlan,
     output_name: &str,
@@ -914,34 +1014,8 @@ fn drive_compiled(
     let Access::Scan { prune_hints } = &plan.access else {
         return Ok(None);
     };
-    // Column pruning: on join-free plans with an explicit projection, the
-    // scan only materializes the columns the predicate and outputs read —
-    // on a paged table, unread columns' pages are never decoded. The
-    // pipeline then compiles against the pruned schema.
-    let mut scan_columns = None;
-    let mut compile_schema = plan.joined.clone();
-    if plan.joins.is_empty() {
-        if let Some(outs) = &plan.outputs {
-            let mut needed: Vec<usize> = outs
-                .iter()
-                .flat_map(|(_, e)| e.referenced_columns())
-                .chain(plan.filter.iter().flat_map(Expr::referenced_columns))
-                .filter_map(|name| plan.joined.index_of(&name))
-                .collect();
-            needed.sort_unstable();
-            needed.dedup();
-            if !needed.is_empty() && needed.len() < plan.joined.arity() {
-                compile_schema = plan.joined.project(&needed);
-                scan_columns = Some(needed);
-            }
-        }
-    }
     let (pipeline, compile_ms) = timed(|| {
-        CompiledPipeline::compile(
-            &compile_schema,
-            plan.filter.as_ref(),
-            plan.outputs.as_deref(),
-        )
+        CompiledPipeline::compile(&plan.joined, plan.filter.as_ref(), plan.outputs.as_deref())
     });
     let Some(pipeline) = pipeline else {
         return Ok(None);
@@ -954,49 +1028,18 @@ fn drive_compiled(
     // batch) and is charged for every output batch the pipeline emits.
     let work = |start: usize, end: usize| -> Result<(Vec<Row>, usize), StorageError> {
         let mut scan = plan.table_scan(prune_hints, (start, end), Some(batch), guard.clone());
-        if let Some(cols) = &scan_columns {
-            scan = scan.with_columns(cols);
-        }
         let mut rows: Vec<Row> = Vec::new();
         let mut batches = 0usize;
-        while let Some(b) = scan.next_batch()? {
-            let b = if plan.joins.is_empty() {
-                b
-            } else {
-                // Row-wise probes, forward match order — exactly the
-                // interpreted HashJoin's output order and NULL handling
-                // (NULL keys never match; LEFT pads the build arity).
-                let mut cur: Vec<Row> = b.into_rows();
-                for (j, build) in plan.joins.iter().zip(&builds) {
-                    let mut next = Vec::with_capacity(cur.len());
-                    for lrow in cur {
-                        match build.matches(&lrow[j.left_key]) {
-                            Some(rrows) => {
-                                for rrow in rrows {
-                                    let mut joined = lrow.clone();
-                                    joined.extend(rrow.iter().cloned());
-                                    next.push(joined);
-                                }
-                            }
-                            None => {
-                                if j.kind == JoinKind::Left {
-                                    let mut joined = lrow;
-                                    joined.extend(std::iter::repeat_n(
-                                        Value::Null,
-                                        build.right_arity(),
-                                    ));
-                                    next.push(joined);
-                                }
-                            }
-                        }
-                    }
-                    cur = next;
+        'scan: while let Some(mut b) = scan.next_batch()? {
+            // One uncapped probe per join takes the whole batch through:
+            // the interpreted HashJoin's output order and NULL handling,
+            // from the routine it calls too.
+            for (j, build) in plan.joins.iter().zip(&builds) {
+                match build.probe(&b, j.left_key, j.kind, &mut 0, usize::MAX)? {
+                    Some(joined) => b = joined,
+                    None => continue 'scan,
                 }
-                if cur.is_empty() {
-                    continue;
-                }
-                RowBatch::from_rows(plan.joined.arity(), cur)
-            };
+            }
             if let Some(out) = pipeline.process(b)? {
                 guard.charge_batch(&out)?;
                 batches += 1;
@@ -1071,6 +1114,14 @@ fn passthrough(schema: &Schema) -> Vec<(String, Expr)> {
         .collect()
 }
 
+/// The projection an expression sort runs on: every column of `schema`
+/// passed through, then the hidden sort columns.
+fn extended(schema: &Schema, hidden: &[(String, Expr)]) -> Vec<(String, Expr)> {
+    let mut ext = passthrough(schema);
+    ext.extend_from_slice(hidden);
+    ext
+}
+
 /// Plans ORDER BY with computed (non-column) keys as a
 /// [`Shape::ExprSort`], returning it with the sort keys over the extended
 /// schema and the result schema. `outputs` is the SELECT list (`None` for
@@ -1084,11 +1135,11 @@ fn plan_expression_sort(
         Some(outs) => outs.to_vec(),
         None => passthrough(base),
     };
-    let mut ext = passthrough(base);
+    let mut hidden = Vec::new();
     let mut sort_keys = Vec::with_capacity(select.order_by.len());
-    let mut hidden = |expr: Expr, i: usize, desc: bool, sort_keys: &mut Vec<SortKey>| {
+    let mut hide = |expr: Expr, i: usize, desc: bool, sort_keys: &mut Vec<SortKey>| {
         let name = hidden_sort_name(base, i);
-        ext.push((name.clone(), expr));
+        hidden.push((name.clone(), expr));
         sort_keys.push(SortKey { column: name, desc });
     };
     for (i, key) in select.order_by.iter().enumerate() {
@@ -1098,19 +1149,19 @@ fn plan_expression_sort(
             // the aliased expression computes the identical value) — or an
             // input column the projection drops.
             Some(c) => match back.iter().find(|(n, _)| n == c) {
-                Some((_, aliased)) => hidden(aliased.clone(), i, key.desc, &mut sort_keys),
+                Some((_, aliased)) => hide(aliased.clone(), i, key.desc, &mut sort_keys),
                 None => sort_keys.push(SortKey {
                     column: c.to_string(),
                     desc: key.desc,
                 }),
             },
-            None => hidden(to_expr(&key.expr, base)?, i, key.desc, &mut sort_keys),
+            None => hide(to_expr(&key.expr, base)?, i, key.desc, &mut sort_keys),
         }
     }
-    let ext_schema = Project::output_schema(base, &ext)?;
+    let ext_schema = Project::output_schema(base, &extended(base, &hidden))?;
     resolve_sort_keys(&ext_schema, &sort_keys)?;
     let out_schema = Project::output_schema(&ext_schema, &back)?;
-    Ok((Shape::ExprSort { ext, back }, sort_keys, out_schema))
+    Ok((Shape::ExprSort { hidden, back }, sort_keys, out_schema))
 }
 
 /// The vector access path for this SELECT, if it matches the top-k pattern
@@ -1200,96 +1251,47 @@ fn sort_before_project(sort_keys: &[SortKey], outputs: &[(String, Expr)]) -> boo
             .any(|k| !outputs.iter().any(|(n, _)| *n == k.column))
 }
 
-/// Finds a `column = literal` conjunct of `predicate` over a column of the
-/// FROM table (qualifier absent or equal to `from`). The index candidate
-/// set is a superset of the predicate's matches, so callers must still
-/// apply the full predicate.
-fn equality_target(predicate: &SqlExpr, from: &str, schema: &Schema) -> Option<(String, Value)> {
-    match predicate {
-        SqlExpr::Binary(SqlBinOp::And, l, r) => {
-            equality_target(l, from, schema).or_else(|| equality_target(r, from, schema))
-        }
-        SqlExpr::Binary(SqlBinOp::Eq, l, r) => {
-            let col_lit = |a: &SqlExpr, b: &SqlExpr| -> Option<(String, Value)> {
-                let SqlExpr::Column(qualifier, column) = a else {
-                    return None;
-                };
-                if qualifier.as_deref().is_some_and(|q| q != from) {
-                    return None;
-                }
-                schema.index_of(column)?;
-                literal_value(b).map(|v| (column.clone(), v))
-            };
-            col_lit(l, r).or_else(|| col_lit(r, l))
-        }
-        _ => None,
-    }
-}
-
-/// Collects sargable `column <op> literal` conjuncts of the WHERE clause
-/// over the FROM table, as zone-map prune hints for a paged [`TableScan`].
-/// Pruning drops whole pages before the filter runs, so hints are only
-/// attached to join-free plans — there the WHERE clause applies directly
-/// to scan output, and a page no conjunct can match contributes no rows.
-/// (After a join, column names bind ambiguously and a dropped left row
-/// could still matter to a LEFT OUTER result shape.)
+/// Collects the sargable `column <op> literal` conjuncts of the lowered
+/// WHERE clause whose column is one of the FROM table's — an ordinal of
+/// `full` below `from_arity`, under the name the filter itself resolved —
+/// as prune hints for the FROM scan and candidates for an index hit.
+///
+/// WHERE runs after the joins, and a FROM-side row that fails such a
+/// conjunct fails it in every joined row it contributes — matched, or
+/// NULL-padded by a LEFT join — so dropping it before the probe changes no
+/// result, for INNER and LEFT alike.
 fn prune_conjuncts(
-    predicate: &SqlExpr,
-    from: &str,
-    schema: &Schema,
+    predicate: &Expr,
+    full: &Schema,
+    from_arity: usize,
 ) -> Vec<(String, BinOp, Value)> {
-    fn walk(e: &SqlExpr, from: &str, schema: &Schema, out: &mut Vec<(String, BinOp, Value)>) {
-        let SqlExpr::Binary(op, l, r) = e else {
-            return;
-        };
-        if *op == SqlBinOp::And {
-            walk(l, from, schema, out);
-            walk(r, from, schema, out);
-            return;
-        }
-        let bin = match op {
-            SqlBinOp::Eq => BinOp::Eq,
-            SqlBinOp::Ne => BinOp::Ne,
-            SqlBinOp::Lt => BinOp::Lt,
-            SqlBinOp::Le => BinOp::Le,
-            SqlBinOp::Gt => BinOp::Gt,
-            SqlBinOp::Ge => BinOp::Ge,
-            _ => return,
-        };
-        let col_side = |a: &SqlExpr, b: &SqlExpr, op: BinOp| {
-            let SqlExpr::Column(qualifier, column) = a else {
-                return None;
-            };
-            if qualifier.as_deref().is_some_and(|q| q != from) {
-                return None;
-            }
-            schema.index_of(column)?;
-            literal_value(b).map(|v| (column.clone(), op, v))
-        };
-        // `lit <op> col` reads as `col <flipped-op> lit`.
-        let flipped = match bin {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::Le => BinOp::Ge,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::Ge => BinOp::Le,
-            other => other,
-        };
-        if let Some(hint) = col_side(l, r, bin).or_else(|| col_side(r, l, flipped)) {
-            out.push(hint);
-        }
+    let Expr::Bin(op, l, r) = predicate else {
+        return Vec::new();
+    };
+    if *op == BinOp::And {
+        let mut hints = prune_conjuncts(l, full, from_arity);
+        hints.extend(prune_conjuncts(r, full, from_arity));
+        return hints;
     }
-    let mut out = Vec::new();
-    walk(predicate, from, schema, &mut out);
-    out
-}
-
-fn literal_value(e: &SqlExpr) -> Option<Value> {
-    match e {
-        SqlExpr::Int(i) => Some(Value::Int(*i)),
-        SqlExpr::Float(f) => Some(Value::Float(*f)),
-        SqlExpr::Str(s) => Some(Value::Str(s.clone())),
-        SqlExpr::Bool(b) => Some(Value::Bool(*b)),
-        _ => None,
+    // `lit <op> col` reads as `col <flipped-op> lit`.
+    let flipped = match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => *other,
+    };
+    let hint = match (l.as_ref(), r.as_ref()) {
+        (Expr::Col(column), Expr::Lit(lit)) => (column, *op, lit),
+        (Expr::Lit(lit), Expr::Col(column)) => (column, flipped, lit),
+        _ => return Vec::new(),
+    };
+    let (column, op, lit) = hint;
+    let from_side = full.index_of(column).is_some_and(|c| c < from_arity);
+    if op.is_comparison() && from_side && !lit.is_null() {
+        vec![(column.clone(), op, lit.clone())]
+    } else {
+        Vec::new()
     }
 }
 
@@ -1302,7 +1304,7 @@ struct AggSpec {
     aggregates: Vec<Aggregate>,
 }
 
-fn aggregate_spec(select: &Select) -> Result<AggSpec, SqlError> {
+fn aggregate_spec(select: &Select, schema: &Schema) -> Result<AggSpec, SqlError> {
     let mut aggregates = Vec::new();
     // A key written twice groups once, wherever the repeat stands (the
     // output schema is the keys then the aggregates, and a schema holds
@@ -1324,7 +1326,9 @@ fn aggregate_spec(select: &Select) -> Result<AggSpec, SqlError> {
             SelectItem::Expr(SqlExpr::Agg(agg, arg), alias) => {
                 let column = match arg.as_deref() {
                     None => None,
-                    Some(SqlExpr::Column(_, c)) => Some(c.clone()),
+                    Some(SqlExpr::Column(q, c)) => {
+                        Some(resolve_name(schema, &(q.clone(), c.clone()))?)
+                    }
                     Some(other) => {
                         return Err(SqlError::Unsupported(format!(
                             "aggregate over expression '{other}' (use a plain column)"

@@ -142,3 +142,55 @@ fn guarded_results_match_unguarded_results_on_every_drive() {
         assert_eq!(out.rows(), baseline.rows(), "{}: rows diverged", drive.0);
     }
 }
+
+/// A hint nothing survives: `v` runs 0..97, so row hints drop every batch
+/// of a resident table and zone maps every page of a sealed one.
+const ALL_PRUNED: &str = "SELECT id FROM t WHERE v < 0";
+
+#[test]
+fn a_scan_whose_rows_are_all_pruned_still_answers_to_the_guard() {
+    let resident = catalog(4000);
+    let mut paged = Catalog::new();
+    let sealed = resident.get("t").unwrap().seal(paged.pool(), 64).unwrap();
+    paged.register(sealed).unwrap();
+    for c in [&resident, &paged] {
+        for drive in DRIVES {
+            let expired = QueryGuard::unlimited().with_timeout(Duration::ZERO);
+            let token = CancelToken::new();
+            token.cancel();
+            let cancelled = QueryGuard::unlimited().with_cancel(token);
+            for guard in [expired, cancelled] {
+                let err = run(c, ALL_PRUNED, drive, &guard).unwrap_err();
+                assert!(
+                    matches!(&err, SqlError::Storage(StorageError::Cancelled(_))),
+                    "{}: expected Cancelled, got {err:?}",
+                    drive.0
+                );
+            }
+            let ok = run(c, ALL_PRUNED, drive, &QueryGuard::unlimited()).unwrap();
+            assert_eq!(ok.len(), 0, "{}", drive.0);
+        }
+    }
+}
+
+#[test]
+fn a_deadline_trips_inside_a_scan_that_yields_no_batch() {
+    // One `next_batch` call walks every row of this scan without handing a
+    // batch to the drain loop above it, so only the check the scan makes
+    // per skipped run can see the deadline pass. At one row per run the
+    // walk takes far longer than the 100 µs the guard allows; a run
+    // that completed with zero rows would mean the scan never looked.
+    let c = catalog(100_000);
+    for (label, threads, compile) in [
+        ("batched", 1, CompileMode::Off),
+        ("compiled", 1, CompileMode::On),
+    ] {
+        let drive = (label, ExecMode::Batched(1), threads, compile);
+        let guard = QueryGuard::unlimited().with_timeout(Duration::from_micros(100));
+        let err = run(&c, ALL_PRUNED, &drive, &guard).unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Storage(StorageError::Cancelled(_))),
+            "{label}: expected Cancelled, got {err:?}"
+        );
+    }
+}

@@ -19,6 +19,16 @@
 //! 4. **The float-aggregate contract.** A float `SUM`/`AVG` on the morsel
 //!    drive is the same bits at every worker count ≥ 2 and agrees with the
 //!    serial sum to a relative 1e-9.
+//! 5. **Late materialization.** Statements that lean on column pruning and
+//!    row-level prune hints — hints under INNER and LEFT joins, a hint
+//!    column the SELECT list drops, a name both join sides carry, the right
+//!    one of a colliding pair read while the left one is pruned, a hint
+//!    column with NULLs, a hint nothing survives — equal rows computed by a
+//!    plain Rust loop over the generated data, so the check does not rest
+//!    on the Volcano reference sharing the planner's column list.
+//! 6. **Run-time error parity.** A WHERE clause that raises on some row
+//!    raises on every backing and drive: no access-path shortcut (index
+//!    hit, zone-map page skip, row hint) may step over the failing row.
 
 use kath_sql::{execute, parse_select, run_select_auto_guarded, SelectStats, SqlError};
 use kath_storage::{
@@ -36,31 +46,10 @@ const MODES: [ExecMode; 4] = [
 const THREADS: [usize; 3] = [1, 2, 8];
 const COMPILE: [CompileMode; 3] = [CompileMode::Off, CompileMode::On, CompileMode::Auto];
 
-/// `films` (600 rows, hash index on `year`), `posters` (a third of the
-/// films), `docs` (60 embedded phrases, two without an embedding) and
-/// `big` (just past the compile break-even) — resident in the first
-/// catalog, paged seven rows to a page in the second, and in the third the
-/// first three fifths paged and the rest INSERTed afterwards in two
-/// statements: the first fills pages of tail and so is sealed in turn, the
-/// second leaves five rows of tail — behind a short last page, except in
-/// `films` whose 595 sealed rows fill theirs — with the boundary inside a
-/// morsel.
-fn catalogs() -> (Catalog, Catalog, Catalog) {
-    let mut resident = Catalog::new();
-    for ddl in [
-        "CREATE TABLE films (id INT, title STR, year INT, score FLOAT)",
-        "CREATE TABLE posters (film_id INT, boring BOOL)",
-        "CREATE TABLE docs (id INT, body STR, emb BLOB)",
-        "CREATE TABLE big (id INT, v INT)",
-    ] {
-        execute(&mut resident, ddl, "x").unwrap();
-    }
-    let fill = |c: &mut Catalog, name: &str, rows: Vec<Vec<Value>>| {
-        let mut t = (*c.get(name).unwrap()).clone();
-        t.extend(rows).unwrap();
-        c.register_or_replace(t);
-    };
-    let films = (0..600i64)
+/// The generated `films` rows: `(id, title, year, score)`, every eleventh
+/// score NULL.
+fn film_rows() -> Vec<Vec<Value>> {
+    (0..600i64)
         .map(|i| {
             let score = if i % 11 == 0 {
                 Value::Null
@@ -74,13 +63,62 @@ fn catalogs() -> (Catalog, Catalog, Catalog) {
                 score,
             ]
         })
-        .collect();
-    fill(&mut resident, "films", films);
-    let posters = (0..600i64)
+        .collect()
+}
+
+/// The generated `posters` rows: `(film_id, boring)`, one per third film.
+fn poster_rows() -> Vec<Vec<Value>> {
+    (0..600i64)
         .filter(|i| i % 3 == 0)
         .map(|i| vec![Value::Int(i), Value::Bool(i % 2 == 0)])
-        .collect();
-    fill(&mut resident, "posters", posters);
+        .collect()
+}
+
+/// The generated `remakes` rows: `(id, title, film_id)` — `id` and `title`
+/// collide with `films`; films 0..50 have two remakes, 50..100 one.
+fn remake_rows() -> Vec<Vec<Value>> {
+    (0..150i64)
+        .map(|i| {
+            vec![
+                Value::Int(1000 + i),
+                Value::Str(format!("remake {}", i % 5)),
+                Value::Int(i % 100),
+            ]
+        })
+        .collect()
+}
+
+const TABLES: [&str; 5] = ["films", "posters", "remakes", "docs", "big"];
+
+/// `films` (600 rows, hash index on `year`), `posters` (a third of the
+/// films), `remakes` (150 rows sharing two column names with `films`),
+/// `docs` (60 embedded phrases, two without an embedding) and `big` (just
+/// past the compile break-even, hash index on `v`) — resident in the first
+/// catalog, paged seven rows to a page in the second, and in the third the
+/// first three fifths paged and the rest INSERTed afterwards in two
+/// statements: the first fills pages of tail and so is sealed in turn, the
+/// second leaves five rows of tail — behind a short last page, except in
+/// `films` whose 595 sealed rows fill theirs — with the boundary inside a
+/// morsel.
+fn catalogs() -> (Catalog, Catalog, Catalog) {
+    let mut resident = Catalog::new();
+    for ddl in [
+        "CREATE TABLE films (id INT, title STR, year INT, score FLOAT)",
+        "CREATE TABLE posters (film_id INT, boring BOOL)",
+        "CREATE TABLE remakes (id INT, title STR, film_id INT)",
+        "CREATE TABLE docs (id INT, body STR, emb BLOB)",
+        "CREATE TABLE big (id INT, v INT)",
+    ] {
+        execute(&mut resident, ddl, "x").unwrap();
+    }
+    let fill = |c: &mut Catalog, name: &str, rows: Vec<Vec<Value>>| {
+        let mut t = (*c.get(name).unwrap()).clone();
+        t.extend(rows).unwrap();
+        c.register_or_replace(t);
+    };
+    fill(&mut resident, "films", film_rows());
+    fill(&mut resident, "posters", poster_rows());
+    fill(&mut resident, "remakes", remake_rows());
     let phrases = [
         "gun fight at the warehouse",
         "a calm walk in the garden",
@@ -108,13 +146,13 @@ fn catalogs() -> (Catalog, Catalog, Catalog) {
 
     let mut paged = Catalog::new();
     let pool = Arc::clone(paged.pool());
-    for name in ["films", "posters", "docs", "big"] {
+    for name in TABLES {
         let t = resident.get(name).unwrap();
         paged.register(t.seal(&pool, 7).unwrap()).unwrap();
     }
     let mut split = Catalog::new();
     let pool = Arc::clone(split.pool());
-    for name in ["films", "posters", "docs", "big"] {
+    for name in TABLES {
         let t = resident.get(name).unwrap();
         let (head, tail) = t.rows().split_at(t.len() * 3 / 5);
         let head = Table::from_rows(name, t.schema().clone(), head.to_vec()).unwrap();
@@ -128,6 +166,7 @@ fn catalogs() -> (Catalog, Catalog, Catalog) {
     }
     for c in [&mut resident, &mut paged, &mut split] {
         c.create_index("films", "year").unwrap();
+        c.create_index("big", "v").unwrap();
     }
     (resident, paged, split)
 }
@@ -246,32 +285,232 @@ fn corpus() -> Vec<Stmt> {
     ]
 }
 
+/// Runs `stmt` under every combination: each run returns the rows of
+/// `want`, and compiles exactly when the statement is documented to.
+fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), stmt: &Stmt, want: &Table) {
+    let sql = stmt.sql;
+    let from = parse_select(sql).unwrap().from;
+    let pays_off = catalogs.0.get(&from).unwrap().len() > COMPILE_BREAK_EVEN_ROWS;
+    sweep(catalogs, |label, c, mode, threads, compile| {
+        let (got, stats) = run(c, sql, mode, threads, VectorMode::Auto, compile)
+            .unwrap_or_else(|e| panic!("{sql} ({label}): {e}"));
+        assert_eq!(&got, want, "{sql} ({label})");
+        let asked = match compile {
+            CompileMode::Off => false,
+            CompileMode::On => true,
+            CompileMode::Auto => pays_off,
+        };
+        let batched = mode != ExecMode::Volcano;
+        assert_eq!(
+            stats.compiled,
+            stmt.compilable && batched && asked,
+            "{sql} ({label}): compiled drive eligibility"
+        );
+        if !batched {
+            assert_eq!((stats.workers, stats.batches), (1, 0), "{sql} ({label})");
+        }
+    });
+}
+
 #[test]
 fn every_combination_equals_the_volcano_reference_and_compiles_as_documented() {
     let catalogs = catalogs();
     for stmt in corpus() {
-        let sql = stmt.sql;
-        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
-        let from = parse_select(sql).unwrap().from;
-        let pays_off = catalogs.0.get(&from).unwrap().len() > COMPILE_BREAK_EVEN_ROWS;
+        let want = reference(&catalogs.0, stmt.sql, VectorMode::Auto).expect(stmt.sql);
+        check_everywhere(&catalogs, &stmt, &want);
+    }
+}
+
+/// `films ⋈ other ON films.id = other[key]`, by nested loops in scan order
+/// (so matches come in build order); `keep` sees the film before the join,
+/// `pick` builds the output row from the film and its match (`None`: the
+/// NULL pad of a LEFT join, which an INNER join does not emit).
+fn nested_loop_join(
+    other: &[Vec<Value>],
+    key: usize,
+    left_outer: bool,
+    keep: impl Fn(&[Value]) -> bool,
+    pick: impl Fn(&[Value], Option<&[Value]>) -> Vec<Value>,
+) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    for film in film_rows().iter().filter(|f| keep(f)) {
+        let before = out.len();
+        for o in other.iter().filter(|o| o[key] == film[0]) {
+            out.push(pick(film, Some(o)));
+        }
+        if left_outer && out.len() == before {
+            out.push(pick(film, None));
+        }
+    }
+    out
+}
+
+/// Statements whose plans lean on late materialization, each with the rows
+/// a plain Rust loop over the generated data says it returns.
+fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
+    let year = |f: &[Value]| f[2].as_int().unwrap();
+    let id = |f: &[Value]| f[0].as_int().unwrap();
+    let or_null = |o: Option<&[Value]>, c: usize| o.map_or(Value::Null, |o| o[c].clone());
+    let title_boring = |f: &[Value], p: Option<&[Value]>| vec![f[1].clone(), or_null(p, 1)];
+    let (posters, remakes) = (poster_rows(), remake_rows());
+    let films_where = |keep: &dyn Fn(&[Value]) -> bool, cols: &[usize]| -> Vec<Vec<Value>> {
+        film_rows()
+            .iter()
+            .filter(|f| keep(f))
+            .map(|f| cols.iter().map(|&c| f[c].clone()).collect())
+            .collect()
+    };
+    vec![
+        // A FROM-side sargable conjunct under an INNER and a LEFT join; the
+        // SELECT list drops its column.
+        (
+            compiles(
+                "SELECT title, boring FROM films JOIN posters ON films.id = posters.film_id \
+                 WHERE year >= 1990",
+            ),
+            nested_loop_join(&posters, 0, false, |f| year(f) >= 1990, title_boring),
+        ),
+        (
+            compiles(
+                "SELECT title, boring FROM films LEFT JOIN posters \
+                 ON films.id = posters.film_id WHERE year >= 1990",
+            ),
+            nested_loop_join(&posters, 0, true, |f| year(f) >= 1990, title_boring),
+        ),
+        // The same with the conjunct's column in the SELECT list, beside a
+        // conjunct over the build side (no hint: it is not a FROM column).
+        (
+            compiles(
+                "SELECT id, year, boring FROM films LEFT JOIN posters \
+                 ON films.id = posters.film_id WHERE 1995 > year AND boring = FALSE",
+            ),
+            nested_loop_join(
+                &posters,
+                0,
+                true,
+                |f| year(f) < 1995,
+                |f, p| vec![f[0].clone(), f[2].clone(), or_null(p, 1)],
+            )
+            .into_iter()
+            .filter(|row| row[2] == Value::Bool(false))
+            .collect(),
+        ),
+        // `id` is a column of both sides: unqualified it is the FROM
+        // table's, and the hint lands there. Films 0..50 match twice.
+        (
+            compiles(
+                "SELECT id, right.id AS rid, title, right.title AS rtitle FROM films JOIN remakes \
+                 ON films.id = remakes.film_id WHERE id < 70 AND id >= 30",
+            ),
+            nested_loop_join(
+                &remakes,
+                2,
+                false,
+                |f| (30..70).contains(&id(f)),
+                |f, r| vec![f[0].clone(), or_null(r, 0), f[1].clone(), or_null(r, 1)],
+            ),
+        ),
+        // Only the right one of a colliding pair is read: the left `title`
+        // is pruned, and `right.title` must not rebind to it.
+        (
+            compiles(
+                "SELECT right.title FROM films LEFT JOIN remakes \
+                 ON films.id = remakes.film_id WHERE year > 1985 AND id < 200",
+            ),
+            nested_loop_join(
+                &remakes,
+                2,
+                true,
+                |f| year(f) > 1985 && id(f) < 200,
+                |_, r| vec![or_null(r, 1)],
+            ),
+        ),
+        // An aggregate above the join reads two build columns and no FROM
+        // column but the key the hint is on.
+        (
+            interpreted(
+                "SELECT film_id, COUNT(*) AS n, MIN(right.title) AS first FROM films \
+                 JOIN remakes ON films.id = remakes.film_id WHERE id >= 40 \
+                 GROUP BY film_id ORDER BY film_id",
+            ),
+            (40..100i64)
+                .map(|film| {
+                    let of_film: Vec<_> = remakes
+                        .iter()
+                        .filter(|r| r[2] == Value::Int(film))
+                        .collect();
+                    let first = of_film.iter().map(|r| r[1].as_str().unwrap()).min();
+                    vec![
+                        Value::Int(film),
+                        Value::Int(of_film.len() as i64),
+                        Value::Str(first.unwrap().to_string()),
+                    ]
+                })
+                .collect(),
+        ),
+        // A hint column that is NULL in some rows: NULL fails the hint as
+        // it fails the filter.
+        (
+            compiles("SELECT id, title FROM films WHERE score > 30.5"),
+            films_where(&|f| f[3].as_f64().is_some_and(|s| s > 30.5), &[0, 1]),
+        ),
+        (
+            interpreted("SELECT id FROM films WHERE score <= 2.0 ORDER BY id DESC"),
+            films_where(&|f| f[3].as_f64().is_some_and(|s| s <= 2.0), &[0])
+                .into_iter()
+                .rev()
+                .collect(),
+        ),
+        // A hint no row survives although every page's zone map admits it
+        // ('film 35' sorts between 'film 3' and 'film 4'): every batch of
+        // every page and of the tail is skipped.
+        (
+            compiles("SELECT id, year FROM films WHERE title = 'film 35'"),
+            Vec::new(),
+        ),
+        (
+            interpreted("SELECT COUNT(*) AS n, MAX(id) AS m FROM films WHERE title = 'film 35'"),
+            vec![vec![Value::Int(0), Value::Null]],
+        ),
+        // No column is read at all: the scan still counts rows.
+        (
+            interpreted("SELECT COUNT(*) AS n FROM posters"),
+            vec![vec![Value::Int(200)]],
+        ),
+    ]
+}
+
+#[test]
+fn late_materialization_returns_what_a_plain_rust_filter_returns() {
+    let catalogs = catalogs();
+    for (stmt, rows) in late_materialization_corpus() {
+        let want = reference(&catalogs.0, stmt.sql, VectorMode::Auto).expect(stmt.sql);
+        assert_eq!(want.rows(), rows, "{}: reference vs plain filter", stmt.sql);
+        check_everywhere(&catalogs, &stmt, &want);
+    }
+}
+
+#[test]
+fn a_where_clause_that_raises_raises_on_every_backing_and_drive() {
+    let catalogs = catalogs();
+    // Row 2600 of `big` divides by zero. `id <= 10` would let zone maps and
+    // row hints step over it, `v = 99` (no such value) an index hit: none
+    // may, because the first conjunct can raise.
+    for sql in [
+        "SELECT id FROM big WHERE 1 / (id - 2600) <= 0 AND id <= 10",
+        "SELECT id FROM big WHERE 1 / (id - 2600) <= 0 AND v = 99",
+    ] {
+        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect_err(sql);
+        assert_eq!(
+            want,
+            SqlError::Storage(StorageError::Eval("division by zero".into())),
+            "{sql}"
+        );
         sweep(&catalogs, |label, c, mode, threads, compile| {
-            let (got, stats) = run(c, sql, mode, threads, VectorMode::Auto, compile)
-                .unwrap_or_else(|e| panic!("{sql} ({label}): {e}"));
+            let got = run(c, sql, mode, threads, VectorMode::Auto, compile)
+                .map(|(t, _)| t.len())
+                .expect_err(&format!("{sql} ({label})"));
             assert_eq!(got, want, "{sql} ({label})");
-            let asked = match compile {
-                CompileMode::Off => false,
-                CompileMode::On => true,
-                CompileMode::Auto => pays_off,
-            };
-            let batched = mode != ExecMode::Volcano;
-            assert_eq!(
-                stats.compiled,
-                stmt.compilable && batched && asked,
-                "{sql} ({label}): compiled drive eligibility"
-            );
-            if !batched {
-                assert_eq!((stats.workers, stats.batches), (1, 0), "{sql} ({label})");
-            }
         });
     }
 }

@@ -9,7 +9,8 @@
 //! as the compatibility baseline; parity tests assert both produce
 //! identical results.
 
-use crate::{DataType, Row, StorageError, Value};
+use crate::{cmp_int_f64, DataType, Row, StorageError, Value};
+use std::cmp::Ordering;
 
 /// Default number of rows per batch. Large enough to amortize per-batch
 /// overhead, small enough that a batch's columns stay cache-resident.
@@ -137,6 +138,11 @@ impl ColumnData {
             ColumnData::Mixed(v) => v.len(),
         }
     }
+}
+
+/// The positions a filter mask keeps, ascending.
+fn kept_positions(mask: &[bool]) -> Vec<usize> {
+    (0..mask.len()).filter(|&i| mask[i]).collect()
 }
 
 /// One column of a [`RowBatch`]: a typed vector plus a null bitmap. The
@@ -348,32 +354,75 @@ impl ColumnVector {
         mask
     }
 
+    /// SQL comparison of slot `i` with a literal, read in place: the same
+    /// answer as `self.value(i).sql_cmp(lit)` without building the value.
+    pub fn sql_cmp_at(&self, i: usize, lit: &Value) -> Option<Ordering> {
+        if self.nulls.is_null(i) {
+            return None;
+        }
+        match (&self.data, lit) {
+            (ColumnData::Int(v), Value::Int(b)) => Some(v[i].cmp(b)),
+            (ColumnData::Int(v), Value::Float(b)) => cmp_int_f64(v[i], *b),
+            (ColumnData::Float(v), Value::Float(b)) => v[i].partial_cmp(b),
+            (ColumnData::Float(v), Value::Int(b)) => cmp_int_f64(*b, v[i]).map(Ordering::reverse),
+            (ColumnData::Str(v), Value::Str(b)) => Some(v[i].cmp(b)),
+            (ColumnData::Bool(v), Value::Bool(b)) => Some(v[i].cmp(b)),
+            (ColumnData::Mixed(v), _) => v[i].sql_cmp(lit),
+            _ => None,
+        }
+    }
+
+    /// The slots `idx` yields, in that order, as a new column of the same
+    /// payload kind; `None` yields a NULL slot. The one typed copy routine
+    /// behind [`ColumnVector::slice`], [`ColumnVector::gather`],
+    /// [`ColumnVector::gather_padded`] and [`ColumnVector::filter`].
+    fn take(&self, idx: impl ExactSizeIterator<Item = Option<usize>> + Clone) -> ColumnVector {
+        fn pick<T: Clone + Default>(v: &[T], idx: impl Iterator<Item = Option<usize>>) -> Vec<T> {
+            idx.map(|i| i.map_or_else(T::default, |i| v[i].clone()))
+                .collect()
+        }
+        let nulls = if !self.nulls.any_null() && idx.clone().all(|i| i.is_some()) {
+            NullBitmap::all_valid(idx.len())
+        } else {
+            let mut nulls = NullBitmap::new();
+            for i in idx.clone() {
+                nulls.push(i.is_none_or(|i| self.nulls.is_null(i)));
+            }
+            nulls
+        };
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(pick(v, idx)),
+            ColumnData::Float(v) => ColumnData::Float(pick(v, idx)),
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, idx)),
+            ColumnData::Str(v) => ColumnData::Str(pick(v, idx)),
+            ColumnData::Mixed(v) => ColumnData::Mixed(
+                idx.map(|i| i.map_or(Value::Null, |i| v[i].clone()))
+                    .collect(),
+            ),
+        };
+        ColumnVector { data, nulls }
+    }
+
+    /// Slots `[start, end)` as a new column.
+    pub fn slice(&self, start: usize, end: usize) -> ColumnVector {
+        self.take((start..end).map(Some))
+    }
+
+    /// The slots at `idx`, in that order (any order, repeats allowed).
+    pub fn gather(&self, idx: &[usize]) -> ColumnVector {
+        self.take(idx.iter().copied().map(Some))
+    }
+
+    /// [`ColumnVector::gather`] where `None` stands for a NULL slot — the
+    /// build side of a left join's unmatched rows.
+    pub fn gather_padded(&self, idx: &[Option<usize>]) -> ColumnVector {
+        self.take(idx.iter().copied())
+    }
+
     /// A new column keeping only slots where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> ColumnVector {
         debug_assert_eq!(mask.len(), self.len());
-        let keep = |i: &usize| mask[*i];
-        let mut nulls = NullBitmap::new();
-        for i in (0..self.len()).filter(keep) {
-            nulls.push(self.nulls.is_null(i));
-        }
-        let data = match &self.data {
-            ColumnData::Int(v) => {
-                ColumnData::Int((0..v.len()).filter(keep).map(|i| v[i]).collect())
-            }
-            ColumnData::Float(v) => {
-                ColumnData::Float((0..v.len()).filter(keep).map(|i| v[i]).collect())
-            }
-            ColumnData::Bool(v) => {
-                ColumnData::Bool((0..v.len()).filter(keep).map(|i| v[i]).collect())
-            }
-            ColumnData::Str(v) => {
-                ColumnData::Str((0..v.len()).filter(keep).map(|i| v[i].clone()).collect())
-            }
-            ColumnData::Mixed(v) => {
-                ColumnData::Mixed((0..v.len()).filter(keep).map(|i| v[i].clone()).collect())
-            }
-        };
-        ColumnVector { data, nulls }
+        self.gather(&kept_positions(mask))
     }
 
     /// All values, reconstructed.
@@ -500,13 +549,17 @@ impl RowBatch {
             .collect()
     }
 
+    /// The rows at `idx`, in that order (any order, repeats allowed).
+    pub fn gather(&self, idx: &[usize]) -> RowBatch {
+        RowBatch {
+            columns: self.columns.iter().map(|c| c.gather(idx)).collect(),
+            rows: idx.len(),
+        }
+    }
+
     /// A new batch keeping only rows where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> RowBatch {
-        let rows = mask.iter().filter(|m| **m).count();
-        RowBatch {
-            columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
-            rows,
-        }
+        self.gather(&kept_positions(mask))
     }
 }
 

@@ -129,18 +129,6 @@ const COMPILABLE_CALLS: &[&str] = &[
     "lower", "upper", "length", "abs", "round", "contains", "coalesce", "min2", "max2", "clamp01",
 ];
 
-fn cmp_bool(op: BinOp, ord: std::cmp::Ordering) -> bool {
-    match op {
-        BinOp::Eq => ord.is_eq(),
-        BinOp::Ne => !ord.is_eq(),
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Le => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Ge => ord.is_ge(),
-        _ => unreachable!("cmp_bool only handles comparisons"),
-    }
-}
-
 fn compile_kernel(expr: &Expr, schema: &Schema) -> Option<Kernel> {
     match expr {
         Expr::Col(name) => {
@@ -171,16 +159,12 @@ fn compile_kernel(expr: &Expr, schema: &Schema) -> Option<Kernel> {
             }))
         }
         Expr::Bin(op, l, r) => {
-            let is_cmp = matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            );
             // The hot filter shape — `int_column <cmp> int_literal` — gets a
             // dedicated kernel: no right-hand column materialization at all.
             // The payload check happens per batch (a column declared Int can
             // still arrive as a mixed `Any` payload); mismatches take the
             // general kernel with an identical result.
-            if is_cmp {
+            if op.is_comparison() {
                 if let (Expr::Col(name), Expr::Lit(Value::Int(k))) = (l.as_ref(), r.as_ref()) {
                     let idx = schema.resolve(name).ok()?;
                     let (op, k) = (*op, *k);
@@ -193,7 +177,7 @@ fn compile_kernel(expr: &Expr, schema: &Schema) -> Option<Kernel> {
                             for (i, x) in xs.iter().enumerate() {
                                 let null = col.is_null(i);
                                 nulls.push(null);
-                                out.push(!null && cmp_bool(op, x.cmp(&k)));
+                                out.push(!null && op.holds(x.cmp(&k)));
                             }
                             return Ok(ColumnVector::from_parts(ColumnData::Bool(out), nulls));
                         }

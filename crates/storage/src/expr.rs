@@ -5,6 +5,7 @@
 
 use crate::batch::{ColumnData, ColumnVector, NullBitmap, RowBatch};
 use crate::{Row, Schema, StorageError, Value};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Binary operators.
@@ -36,6 +37,28 @@ pub enum BinOp {
     And,
     /// `OR`
     Or,
+}
+
+impl BinOp {
+    /// Whether this is one of the six comparison operators.
+    pub fn is_comparison(self) -> bool {
+        use BinOp::*;
+        matches!(self, Eq | Ne | Lt | Le | Gt | Ge)
+    }
+
+    /// Whether the comparison holds between operands ordered `ord`; `false`
+    /// for an operator that is not a comparison.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            BinOp::Eq => ord.is_eq(),
+            BinOp::Ne => ord.is_ne(),
+            BinOp::Lt => ord.is_lt(),
+            BinOp::Le => ord.is_le(),
+            BinOp::Gt => ord.is_gt(),
+            BinOp::Ge => ord.is_ge(),
+            _ => false,
+        }
+    }
 }
 
 impl fmt::Display for BinOp {
@@ -271,6 +294,26 @@ impl Expr {
         out
     }
 
+    /// Whether evaluation can never raise, whatever the row: the expression
+    /// is built only from columns, literals (a negated number is one),
+    /// comparisons, `AND`/`OR`/`NOT` and `IS NULL` (a mismatched or NULL
+    /// comparison is NULL, not an error). Arithmetic, negation and calls
+    /// can raise — division by zero, a mistyped operand — so skipping a row
+    /// they would have seen can turn an error into an answer.
+    pub fn cannot_raise(&self) -> bool {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => true,
+            Expr::Bin(op, l, r) => {
+                (op.is_comparison() || matches!(op, BinOp::And | BinOp::Or))
+                    && l.cannot_raise()
+                    && r.cannot_raise()
+            }
+            Expr::Not(e) | Expr::IsNull(e) => e.cannot_raise(),
+            Expr::Neg(e) => matches!(e.as_ref(), Expr::Lit(Value::Int(_) | Value::Float(_))),
+            Expr::Call(..) => false,
+        }
+    }
+
     fn collect_columns(&self, out: &mut Vec<String>) {
         match self {
             Expr::Col(n) => out.push(n.clone()),
@@ -414,16 +457,7 @@ pub(crate) fn eval_bin_batch(
     let n = l.len();
     debug_assert_eq!(n, r.len());
 
-    let cmp_bool = |ord: std::cmp::Ordering| match op {
-        Eq => ord.is_eq(),
-        Ne => !ord.is_eq(),
-        Lt => ord.is_lt(),
-        Le => ord.is_le(),
-        Gt => ord.is_gt(),
-        Ge => ord.is_ge(),
-        _ => unreachable!(),
-    };
-    let is_cmp = matches!(op, Eq | Ne | Lt | Le | Gt | Ge);
+    let is_cmp = op.is_comparison();
 
     // Int ⊗ Int: integral arithmetic and total comparisons.
     if let (Some(a), Some(b)) = (l.as_ints(), r.as_ints()) {
@@ -433,7 +467,7 @@ pub(crate) fn eval_bin_batch(
             for i in 0..n {
                 let null = l.is_null(i) || r.is_null(i);
                 nulls.push(null);
-                out.push(!null && cmp_bool(a[i].cmp(&b[i])));
+                out.push(!null && op.holds(a[i].cmp(&b[i])));
             }
             return Ok(ColumnVector::from_parts(ColumnData::Bool(out), nulls));
         }
@@ -471,13 +505,13 @@ pub(crate) fn eval_bin_batch(
     // element — widening ints through `numeric_at` would collapse values
     // above 2^53 and disagree with the row path's `sql_cmp`.
     if is_cmp {
-        let int_float: Option<Vec<Option<std::cmp::Ordering>>> =
+        let int_float: Option<Vec<Option<Ordering>>> =
             if let (Some(a), Some(b)) = (l.as_ints(), r.as_floats()) {
                 Some((0..n).map(|i| crate::cmp_int_f64(a[i], b[i])).collect())
             } else if let (Some(a), Some(b)) = (l.as_floats(), r.as_ints()) {
                 Some(
                     (0..n)
-                        .map(|i| crate::cmp_int_f64(b[i], a[i]).map(std::cmp::Ordering::reverse))
+                        .map(|i| crate::cmp_int_f64(b[i], a[i]).map(Ordering::reverse))
                         .collect(),
                 )
             } else {
@@ -490,7 +524,7 @@ pub(crate) fn eval_bin_batch(
                 match ord.filter(|_| !l.is_null(i) && !r.is_null(i)) {
                     Some(o) => {
                         nulls.push(false);
-                        out.push(cmp_bool(o));
+                        out.push(op.holds(o));
                     }
                     None => {
                         nulls.push(true);
@@ -514,7 +548,7 @@ pub(crate) fn eval_bin_batch(
                         match a.partial_cmp(&b) {
                             Some(ord) => {
                                 nulls.push(false);
-                                out.push(cmp_bool(ord));
+                                out.push(op.holds(ord));
                             }
                             None => {
                                 nulls.push(true);
@@ -566,7 +600,7 @@ pub(crate) fn eval_bin_batch(
             for i in 0..n {
                 let null = l.is_null(i) || r.is_null(i);
                 nulls.push(null);
-                out.push(!null && cmp_bool(a[i].cmp(&b[i])));
+                out.push(!null && op.holds(a[i].cmp(&b[i])));
             }
             return Ok(ColumnVector::from_parts(ColumnData::Bool(out), nulls));
         }
@@ -596,18 +630,10 @@ pub(crate) fn eval_bin_batch(
 fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, StorageError> {
     use BinOp::*;
     // Comparisons: SQL semantics — NULL operand yields NULL.
-    if matches!(op, Eq | Ne | Lt | Le | Gt | Ge) {
+    if op.is_comparison() {
         return Ok(match l.sql_cmp(r) {
             None => Value::Null,
-            Some(ord) => Value::Bool(match op {
-                Eq => ord.is_eq(),
-                Ne => !ord.is_eq(),
-                Lt => ord.is_lt(),
-                Le => ord.is_le(),
-                Gt => ord.is_gt(),
-                Ge => ord.is_ge(),
-                _ => unreachable!(),
-            }),
+            Some(ord) => Value::Bool(op.holds(ord)),
         });
     }
     if l.is_null() || r.is_null() {

@@ -111,40 +111,75 @@ pub fn collect_batched_guarded(
 /// The sealed part of the table is walked page by page through the buffer
 /// pool, and prune hints (sargable `column <op> literal` conjuncts from the
 /// WHERE clause above) let the scan skip whole pages whose zone map proves
-/// no row can match — before the page is ever decoded. The tail rows follow,
-/// transposed into batches; no batch spans a page boundary or the boundary
-/// between the sealed part and the tail.
+/// no row can match — before the page is ever decoded. The tail rows follow;
+/// no batch spans a page boundary or the boundary between the sealed part
+/// and the tail.
+///
+/// Batches are materialized late: the hints are evaluated first, on the
+/// hint columns alone, and the selected columns are copied only at the
+/// positions that survive — typed slices and gathers of the decoded pages,
+/// a transposition of the surviving tail rows. A run of rows with no
+/// survivor copies nothing and yields no batch. The hints are a superset
+/// pre-filter: the plan's filter above still runs on what comes out.
 pub struct TableScan {
     table: Arc<Table>,
     cursor: usize,
     end: usize,
     batch_size: usize,
-    // (column ordinal, op, literal) conjuncts for zone-map pruning.
-    // Ordinals stay full-table even under a column restriction.
+    // (column ordinal, op, literal) conjuncts: zone-map pruning of pages
+    // and row pruning inside batches. Ordinals stay full-table even under
+    // a column restriction.
     prune: Vec<(usize, BinOp, Value)>,
-    // Selected full-table column ordinals + the projected output schema,
-    // when the scan is restricted to a column subset.
-    columns: Option<(Vec<usize>, Schema)>,
+    columns: Selected,
     guard: QueryGuard,
+}
+
+/// The columns a scan produces, as full-table ordinals in output order:
+/// all of the table's, or the restriction `with_columns` asked for together
+/// with the schema it projects.
+struct Selected {
+    ordinals: Vec<usize>,
+    // `None`: every column, the table's own schema.
+    schema: Option<Schema>,
+}
+
+impl Selected {
+    fn all(table: &Table) -> Self {
+        Self {
+            ordinals: (0..table.schema().arity()).collect(),
+            schema: None,
+        }
+    }
+
+    fn only(table: &Table, ordinals: &[usize]) -> Self {
+        Self {
+            ordinals: ordinals.to_vec(),
+            schema: Some(table.schema().project(ordinals)),
+        }
+    }
+
+    fn schema<'a>(&'a self, table: &'a Table) -> &'a Schema {
+        self.schema.as_ref().unwrap_or(table.schema())
+    }
 }
 
 impl TableScan {
     /// Scans `table` from the first row.
     pub fn new(table: Arc<Table>) -> Self {
-        let end = table.len();
         Self {
-            table,
             cursor: 0,
-            end,
+            end: table.len(),
             batch_size: DEFAULT_BATCH_SIZE,
             prune: Vec::new(),
-            columns: None,
+            columns: Selected::all(&table),
             guard: QueryGuard::unlimited(),
+            table,
         }
     }
 
     /// Attaches a [`QueryGuard`]: deadline/cancellation is checked
-    /// periodically in `next()` and once per `next_batch()`, so a
+    /// periodically in `next()` and once per batch-sized run of rows in
+    /// `next_batch()` (whether or not the run yields a batch), so a
     /// long-running scan aborts mid-stream instead of at drain time.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
@@ -164,10 +199,12 @@ impl TableScan {
         self
     }
 
-    /// Attaches zone-map prune hints: `column <op> literal` conjuncts that
-    /// the plan's filter will apply anyway. Pages a hint proves empty are
-    /// skipped without decoding. Unknown columns are ignored (no hint).
-    /// Only sealed pages have zone maps; tail rows ignore hints.
+    /// Attaches prune hints: `column <op> literal` conjuncts that the
+    /// plan's filter will apply anyway. Pages a hint's zone map proves
+    /// empty are skipped without decoding, and `next_batch` drops the rows
+    /// of the remaining pages and of the tail that fail a hint before it
+    /// copies anything else of them; `next()` yields every row of an
+    /// unpruned page. Unknown columns are ignored (no hint).
     pub fn with_prune_hint(mut self, hints: &[(String, BinOp, Value)]) -> Self {
         let schema = self.table.schema();
         self.prune = hints
@@ -180,29 +217,12 @@ impl TableScan {
     /// Restricts the scan to the given column ordinals (full-table
     /// ordinals, in output order): the scan's schema becomes the
     /// projection, and rows and batches carry only the selected columns —
-    /// unselected columns' sealed pages are never even decoded.
-    /// Zone-map prune hints keep addressing full-table ordinals (zone maps
-    /// are consulted without decoding) and are unaffected.
+    /// unselected columns' sealed pages are never even decoded (a hint
+    /// column that is not selected is decoded for the hint alone).
+    /// Prune hints keep addressing full-table ordinals and are unaffected.
     pub fn with_columns(mut self, ordinals: &[usize]) -> Self {
-        let schema = self.table.schema().project(ordinals);
-        self.columns = Some((ordinals.to_vec(), schema));
+        self.columns = Selected::only(&self.table, ordinals);
         self
-    }
-
-    /// Projects a fetched full-arity row down to the selected columns.
-    fn project_row(&self, row: Row) -> Row {
-        match &self.columns {
-            Some((ords, _)) => ords.iter().map(|&c| row[c].clone()).collect(),
-            None => row,
-        }
-    }
-
-    /// The full-table ordinals of the columns the scan produces.
-    fn selected(&self) -> Vec<usize> {
-        match &self.columns {
-            Some((ords, _)) => ords.clone(),
-            None => (0..self.table.schema().arity()).collect(),
-        }
     }
 
     /// With the cursor inside the sealed part: moves it past every page the
@@ -229,80 +249,108 @@ impl TableScan {
     }
 
     /// The scan's remaining tail rows, up to `limit` of them, once the
-    /// cursor is past the sealed part; advances the cursor over them.
-    fn take_tail(&mut self, limit: usize) -> &[Row] {
+    /// cursor is past the sealed part, as a range of [`Table::tail`];
+    /// advances the cursor over them.
+    fn take_tail(&mut self, limit: usize) -> std::ops::Range<usize> {
         let base = self.table.sealed_len();
         let from = self.cursor.max(base);
         let to = (from + limit).min(self.end).max(from);
         self.cursor = to;
-        &self.table.tail()[from - base..to - base]
+        from - base..to - base
+    }
+
+    /// The next batch-sized run of the rows `next_sealed_page` found, as
+    /// the batch of its hint survivors (`None` when there are none). Hint
+    /// columns are decoded first; the selected ones only if a row survives.
+    fn sealed_batch(
+        &mut self,
+        pages: &crate::PagedTable,
+        (p, pstart, upper): (usize, usize, usize),
+    ) -> Result<Option<RowBatch>, StorageError> {
+        // Batches never span pages, so a batch is cut from one decoded page
+        // per column; positions are offsets into that page.
+        let from = self.cursor - pstart;
+        let to = (self.cursor + self.batch_size).min(upper) - pstart;
+        self.cursor = pstart + to;
+        let mut keep: Vec<usize> = (from..to).collect();
+        for (c, op, lit) in &self.prune {
+            let page = pages.column_page(*c, p)?;
+            keep.retain(|&i| page.sql_cmp_at(i, lit).is_some_and(|ord| op.holds(ord)));
+            if keep.is_empty() {
+                return Ok(None);
+            }
+        }
+        let mut columns = Vec::with_capacity(self.columns.ordinals.len());
+        for &c in &self.columns.ordinals {
+            let page = pages.column_page(c, p)?;
+            columns.push(if keep.len() == to - from {
+                page.slice(from, to)
+            } else {
+                page.gather(&keep)
+            });
+        }
+        RowBatch::from_columns(columns).map(Some)
     }
 }
 
 impl Operator for TableScan {
     fn schema(&self) -> &Schema {
-        match &self.columns {
-            Some((_, schema)) => schema,
-            None => self.table.schema(),
-        }
+        self.columns.schema(&self.table)
     }
 
     fn next(&mut self) -> Result<Option<Row>, StorageError> {
         self.guard.check_periodic(self.cursor)?;
-        if let Some(pages) = self.table.paged().cloned() {
-            if self.next_sealed_page(&pages).is_some() {
-                let row = pages.row_at(self.cursor)?;
-                self.cursor += 1;
-                return Ok(row.map(|r| self.project_row(r)));
-            }
+        let sealed = match self.table.paged().cloned() {
+            Some(pages) => self.next_sealed_page(&pages).is_some(),
+            None => false,
+        };
+        if sealed {
+            self.cursor += 1;
+        } else if self.take_tail(1).is_empty() {
+            return Ok(None);
         }
-        let row = self.take_tail(1).first().cloned();
-        Ok(row.map(|r| self.project_row(r)))
+        let columns = self.columns.ordinals.iter().copied();
+        self.table.cells_at(self.cursor - 1, columns)
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        self.guard.check()?;
-        if let Some(pages) = self.table.paged().cloned() {
-            if let Some((p, pstart, upper)) = self.next_sealed_page(&pages) {
-                // Batches never span pages, so a batch is a slice of one
-                // decoded page per column (or the whole page, zero-slice).
-                let take_end = (self.cursor + self.batch_size).min(upper);
-                let whole = self.cursor == pstart && take_end == pages.page_bounds(p).1;
-                let selected = self.selected();
-                let mut columns = Vec::with_capacity(selected.len());
-                for c in selected {
-                    let page = pages.column_page(c, p)?;
-                    columns.push(if whole {
-                        (*page).clone()
-                    } else {
-                        ColumnVector::from_values(
-                            (self.cursor - pstart..take_end - pstart)
-                                .map(|i| page.value(i))
-                                .collect(),
-                        )
-                    });
+        // One iteration per batch-sized run of rows; a run no row of which
+        // survives the hints yields nothing and the loop moves on.
+        loop {
+            self.guard.check()?;
+            if let Some(pages) = self.table.paged().cloned() {
+                if let Some(page) = self.next_sealed_page(&pages) {
+                    match self.sealed_batch(&pages, page)? {
+                        Some(batch) => return Ok(Some(batch)),
+                        None => continue,
+                    }
                 }
-                self.cursor = take_end;
-                return Ok(Some(
-                    RowBatch::from_columns(columns).expect("columns share the page slice length"),
-                ));
             }
+            let run = self.take_tail(self.batch_size);
+            if run.is_empty() {
+                return Ok(None);
+            }
+            // The hints are read in place: one `Value` clone per selected
+            // cell of a surviving row, none for the rest.
+            let rows: Vec<&Row> = self.table.tail()[run]
+                .iter()
+                .filter(|row| {
+                    self.prune
+                        .iter()
+                        .all(|(c, op, lit)| row[*c].sql_cmp(lit).is_some_and(|ord| op.holds(ord)))
+                })
+                .collect();
+            if rows.is_empty() {
+                continue;
+            }
+            let columns = self
+                .columns
+                .ordinals
+                .iter()
+                .map(|&c| ColumnVector::from_values(rows.iter().map(|r| r[c].clone()).collect()))
+                .collect();
+            return RowBatch::from_columns(columns).map(Some);
         }
-        let selected = self.selected();
-        let slice = self.take_tail(self.batch_size);
-        if slice.is_empty() {
-            return Ok(None);
-        }
-        // Build columns directly from the row slice: one Value clone per
-        // cell, no intermediate row vector. Only selected columns are built
-        // under a column restriction.
-        let columns: Vec<ColumnVector> = selected
-            .into_iter()
-            .map(|c| ColumnVector::from_values(slice.iter().map(|r| r[c].clone()).collect()))
-            .collect();
-        Ok(Some(
-            RowBatch::from_columns(columns).expect("columns share the slice length"),
-        ))
     }
 
     fn batch_capacity(&self) -> usize {
@@ -318,6 +366,7 @@ pub struct IndexScan {
     positions: Vec<usize>,
     cursor: usize,
     batch_size: usize,
+    columns: Selected,
     guard: QueryGuard,
 }
 
@@ -325,11 +374,12 @@ impl IndexScan {
     /// Scans `table` at `positions`, in the given order.
     pub fn new(table: Arc<Table>, positions: Vec<usize>) -> Self {
         Self {
-            table,
             positions,
             cursor: 0,
             batch_size: DEFAULT_BATCH_SIZE,
+            columns: Selected::all(&table),
             guard: QueryGuard::unlimited(),
+            table,
         }
     }
 
@@ -339,16 +389,29 @@ impl IndexScan {
         self
     }
 
+    /// Restricts the scan to the given column ordinals, as
+    /// [`TableScan::with_columns`] does: only those cells are read.
+    pub fn with_columns(mut self, ordinals: &[usize]) -> Self {
+        self.columns = Selected::only(&self.table, ordinals);
+        self
+    }
+
     /// Attaches a [`QueryGuard`] checked as the scan advances.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
     }
+
+    fn fetch(&self, pos: usize) -> Result<Row, StorageError> {
+        self.table
+            .cells_at(pos, self.columns.ordinals.iter().copied())?
+            .ok_or_else(|| StorageError::Eval(format!("index position {pos} out of bounds")))
+    }
 }
 
 impl Operator for IndexScan {
     fn schema(&self) -> &Schema {
-        self.table.schema()
+        self.columns.schema(&self.table)
     }
 
     fn next(&mut self) -> Result<Option<Row>, StorageError> {
@@ -357,10 +420,7 @@ impl Operator for IndexScan {
             return Ok(None);
         };
         self.cursor += 1;
-        self.table
-            .row_at(pos)?
-            .map(Some)
-            .ok_or_else(|| StorageError::Eval(format!("index position {pos} out of bounds")))
+        self.fetch(pos).map(Some)
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
@@ -369,16 +429,12 @@ impl Operator for IndexScan {
             return Ok(None);
         }
         let end = (self.cursor + self.batch_size).min(self.positions.len());
-        let mut rows = Vec::with_capacity(end - self.cursor);
-        for &pos in &self.positions[self.cursor..end] {
-            let row = self
-                .table
-                .row_at(pos)?
-                .ok_or_else(|| StorageError::Eval(format!("index position {pos} out of bounds")))?;
-            rows.push(row);
-        }
+        let rows = self.positions[self.cursor..end]
+            .iter()
+            .map(|&pos| self.fetch(pos))
+            .collect::<Result<Vec<Row>, _>>()?;
         self.cursor = end;
-        Ok(Some(RowBatch::from_rows(self.table.schema().arity(), rows)))
+        Ok(Some(RowBatch::from_rows(self.schema().arity(), rows)))
     }
 
     fn batch_capacity(&self) -> usize {
@@ -540,13 +596,17 @@ pub enum JoinKind {
     Left,
 }
 
-/// The materialized build side of a [`HashJoin`]: the hash table plus the
-/// right schema. Building it once and sharing it behind an `Arc` is what
-/// lets parallel workers probe the same table from independent per-morsel
+/// The materialized build side of a [`HashJoin`]: the build rows in
+/// columnar form, the hash table from key to their positions, and the right
+/// schema. Building it once and sharing it behind an `Arc` is what lets
+/// parallel workers probe the same table from independent per-morsel
 /// pipelines (the build is the pipeline breaker; the probe is streaming).
 #[derive(Debug)]
 pub struct JoinBuild {
-    map: HashMap<Value, Vec<Row>>,
+    // Key -> positions in `rows` of the build rows holding it, build order.
+    map: HashMap<Value, Vec<usize>>,
+    // The build rows with a non-NULL key.
+    rows: RowBatch,
     right_schema: Schema,
 }
 
@@ -556,7 +616,8 @@ impl JoinBuild {
     pub fn build(mut right: Box<dyn Operator>, right_col: &str) -> Result<Self, StorageError> {
         let right_key = right.schema().resolve(right_col)?;
         let right_schema = right.schema().clone();
-        let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
+        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
+        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); right_schema.arity()];
         // Build side drains batch-wise; all operators support next_batch.
         while let Some(batch) = right.next_batch()? {
             for i in 0..batch.num_rows() {
@@ -564,18 +625,27 @@ impl JoinBuild {
                 if key.is_null() {
                     continue;
                 }
-                map.entry(key).or_default().push(batch.row(i));
+                map.entry(key).or_default().push(columns[right_key].len());
+                for (kept, column) in columns.iter_mut().zip(batch.columns()) {
+                    kept.push(column.value(i));
+                }
             }
         }
-        Ok(Self { map, right_schema })
+        let columns = columns.into_iter().map(ColumnVector::from_values);
+        Ok(Self {
+            map,
+            rows: RowBatch::from_columns(columns.collect())?,
+            right_schema,
+        })
     }
 
-    /// The build rows matching `key` (NULL never matches).
-    pub fn matches(&self, key: &Value) -> Option<&Vec<Row>> {
+    /// The positions of the build rows matching `key`, in build order
+    /// (NULL never matches).
+    fn matches(&self, key: &Value) -> Option<&[usize]> {
         if key.is_null() {
             None
         } else {
-            self.map.get(key)
+            self.map.get(key).map(Vec::as_slice)
         }
     }
 
@@ -584,9 +654,51 @@ impl JoinBuild {
         &self.right_schema
     }
 
-    /// Arity of the build side (NULL padding width for left joins).
-    pub fn right_arity(&self) -> usize {
-        self.right_schema.arity()
+    /// The one probe routine, columnar: looks the keys of `left` rows
+    /// `*cursor..` up straight from column `key`, pairs each left position
+    /// with its matching build rows in forward match order (a left row
+    /// without a match pairs once with a NULL pad under [`JoinKind::Left`],
+    /// not at all under [`JoinKind::Inner`]; a NULL key never matches), and
+    /// assembles the joined batch by typed gather — left columns at the
+    /// left positions, then build columns at the matched ones.
+    ///
+    /// Stops taking left rows once `cap` pairs are recorded — one row's
+    /// match list is the only unbounded unit — and leaves `*cursor` at the
+    /// first left row not yet probed. `None`: the rest of `left` produced
+    /// no output.
+    pub fn probe(
+        &self,
+        left: &RowBatch,
+        key: usize,
+        kind: JoinKind,
+        cursor: &mut usize,
+        cap: usize,
+    ) -> Result<Option<RowBatch>, StorageError> {
+        let keys = left.column(key);
+        let mut left_at: Vec<usize> = Vec::new();
+        let mut build_at: Vec<Option<usize>> = Vec::new();
+        while *cursor < left.num_rows() && left_at.len() < cap {
+            let i = *cursor;
+            *cursor += 1;
+            match self.matches(&keys.value(i)) {
+                Some(hits) => {
+                    left_at.extend(std::iter::repeat_n(i, hits.len()));
+                    build_at.extend(hits.iter().copied().map(Some));
+                }
+                None if kind == JoinKind::Left => {
+                    left_at.push(i);
+                    build_at.push(None);
+                }
+                None => {}
+            }
+        }
+        if left_at.is_empty() {
+            return Ok(None);
+        }
+        let left_columns = left.columns().iter().map(|c| c.gather(&left_at));
+        let build_columns = self.rows.columns().iter();
+        let build_columns = build_columns.map(|c| c.gather_padded(&build_at));
+        RowBatch::from_columns(left_columns.chain(build_columns).collect()).map(Some)
     }
 }
 
@@ -637,6 +749,16 @@ impl HashJoin {
             lcursor: 0,
         })
     }
+
+    /// Names the output columns as `schema` does (same arity, same order).
+    /// A plan whose inputs were pruned out of a wider join passes the wide
+    /// schema's projection: joining the pruned schemas afresh would prefix
+    /// a right-side name only if its left-side namesake survived pruning.
+    pub fn with_schema(mut self, schema: Schema) -> Self {
+        debug_assert_eq!(schema.arity(), self.schema.arity());
+        self.schema = schema;
+        self
+    }
 }
 
 impl Operator for HashJoin {
@@ -669,16 +791,16 @@ impl Operator for HashJoin {
                 },
             };
             match self.built.matches(&lrow[self.left_key]) {
-                Some(rrows) => {
-                    for rrow in rrows.iter().rev() {
+                Some(hits) => {
+                    for &hit in hits.iter().rev() {
                         let mut out = lrow.clone();
-                        out.extend(rrow.iter().cloned());
+                        out.extend(self.built.rows.row(hit));
                         self.pending.push(out);
                     }
                 }
                 None if self.kind == JoinKind::Left => {
-                    let mut out = lrow.clone();
-                    out.extend(std::iter::repeat_n(Value::Null, self.built.right_arity()));
+                    let mut out = lrow;
+                    out.resize(self.schema.arity(), Value::Null);
                     self.pending.push(out);
                 }
                 None => continue,
@@ -687,54 +809,29 @@ impl Operator for HashJoin {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
+        // Rows a prior next() staged come first, in pop order.
+        if !self.pending.is_empty() {
+            let rows = self.pending.drain(..).rev().collect();
+            return Ok(Some(RowBatch::from_rows(self.schema.arity(), rows)));
+        }
+        // An output batch is cut from one left batch, `batch_capacity` left
+        // matches at a time, so it stays near the configured capacity even
+        // when keys fan out.
         let cap = self.batch_capacity();
-        let mut out: Vec<Row> = Vec::new();
-        // Drain rows a prior next() staged, preserving pop order.
-        while let Some(row) = self.pending.pop() {
-            out.push(row);
-        }
-        // Probe left rows one at a time so output batches stay near the
-        // configured capacity even when keys fan out (one row's match list
-        // is the only unbounded unit, exactly as on the row path).
-        while out.len() < cap {
-            let exhausted = match &self.lbatch {
-                Some(b) => self.lcursor >= b.num_rows(),
-                None => true,
-            };
-            if exhausted {
-                match self.left.next_batch()? {
-                    Some(b) => {
-                        self.lbatch = Some(b);
-                        self.lcursor = 0;
-                    }
-                    None => break,
+        loop {
+            if let Some(left) = &self.lbatch {
+                let probed =
+                    self.built
+                        .probe(left, self.left_key, self.kind, &mut self.lcursor, cap)?;
+                if probed.is_some() {
+                    return Ok(probed);
                 }
             }
-            let lbatch = self.lbatch.as_ref().expect("refilled above");
-            let i = self.lcursor;
-            self.lcursor += 1;
-            let keys = lbatch.column(self.left_key);
-            match self.built.matches(&keys.value(i)) {
-                Some(rrows) => {
-                    let lrow = lbatch.row(i);
-                    for rrow in rrows {
-                        let mut joined = lrow.clone();
-                        joined.extend(rrow.iter().cloned());
-                        out.push(joined);
-                    }
-                }
-                None if self.kind == JoinKind::Left => {
-                    let mut joined = lbatch.row(i);
-                    joined.extend(std::iter::repeat_n(Value::Null, self.built.right_arity()));
-                    out.push(joined);
-                }
-                None => {}
+            self.lbatch = self.left.next_batch()?;
+            self.lcursor = 0;
+            if self.lbatch.is_none() {
+                return Ok(None);
             }
-        }
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::from_rows(self.schema.arity(), out)))
         }
     }
 
@@ -940,23 +1037,29 @@ impl PartialAggregate {
     }
 
     /// Folds one batch into the partial. Group keys and aggregate inputs
-    /// are read straight out of the batch columns.
+    /// are read straight out of the batch columns; the key is filled into
+    /// one scratch vector and looked up borrowed, and an owned key is made
+    /// only the first time a group appears.
     pub fn absorb(&mut self, batch: &RowBatch) {
+        let agg_idx = &self.agg_idx;
+        let mut key: Vec<Value> = Vec::with_capacity(self.key_idx.len());
         for r in 0..batch.num_rows() {
-            let key: Vec<Value> = self
-                .key_idx
-                .iter()
-                .map(|&i| batch.column(i).value(r))
-                .collect();
-            let n_aggs = self.aggregates.len();
-            let entry = self.groups.entry(key.clone()).or_insert_with(|| {
-                self.order.push(key);
-                (0, vec![AggState::new(); n_aggs])
-            });
-            entry.0 += 1;
-            for (state, idx) in entry.1.iter_mut().zip(&self.agg_idx) {
-                if let Some(i) = idx {
-                    state.update(&batch.column(*i).value(r));
+            key.clear();
+            key.extend(self.key_idx.iter().map(|&i| batch.column(i).value(r)));
+            let fold = |(n, states): &mut (i64, Vec<AggState>)| {
+                *n += 1;
+                for (state, idx) in states.iter_mut().zip(agg_idx) {
+                    if let Some(i) = idx {
+                        state.update(&batch.column(*i).value(r));
+                    }
+                }
+            };
+            match self.groups.get_mut(key.as_slice()) {
+                Some(group) => fold(group),
+                None => {
+                    self.order.push(key.clone());
+                    let fresh = (0, vec![AggState::new(); self.aggregates.len()]);
+                    fold(self.groups.entry(key.clone()).or_insert(fresh));
                 }
             }
         }
@@ -1624,6 +1727,225 @@ mod tests {
         // row overshoots per batch, so every batch stays under 8 + 25 rows
         // and the stream needs many batches.
         assert!(batches >= 1000 / (8 + 25), "only {batches} batches");
+    }
+
+    /// A build side over `k` = 1, 1, NULL, 2 (tagged a–d) and a left batch
+    /// with keys 1, NULL, 3, 2.
+    fn probe_fixture() -> (JoinBuild, RowBatch) {
+        let schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);
+        let rows = vec![
+            vec![1i64.into(), "a".into()],
+            vec![1i64.into(), "b".into()],
+            vec![Value::Null, "c".into()],
+            vec![2i64.into(), "d".into()],
+        ];
+        let right = Arc::new(Table::from_rows("r", schema, rows).unwrap());
+        let build = JoinBuild::build(Box::new(TableScan::new(right)), "k").unwrap();
+        let left = RowBatch::from_rows(
+            2,
+            vec![
+                vec!["w".into(), 1i64.into()],
+                vec!["x".into(), Value::Null],
+                vec!["y".into(), 3i64.into()],
+                vec!["z".into(), 2i64.into()],
+            ],
+        );
+        (build, left)
+    }
+
+    #[test]
+    fn probe_pairs_left_rows_with_build_rows_in_match_order() {
+        let (build, left) = probe_fixture();
+        let row = |l: &str, k: Value, r: Option<(i64, &str)>| -> Row {
+            let (rk, tag) = r.map_or((Value::Null, Value::Null), |(k, t)| (k.into(), t.into()));
+            vec![l.into(), k, rk, tag]
+        };
+        // INNER: forward match order; neither a NULL key nor the build
+        // side's NULL-keyed row ever matches.
+        let mut cursor = 0;
+        let inner = build
+            .probe(&left, 1, JoinKind::Inner, &mut cursor, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(cursor, 4);
+        assert_eq!(
+            inner.to_rows(),
+            vec![
+                row("w", 1i64.into(), Some((1, "a"))),
+                row("w", 1i64.into(), Some((1, "b"))),
+                row("z", 2i64.into(), Some((2, "d"))),
+            ]
+        );
+        // LEFT: an unmatched row pads the build side's arity with NULLs.
+        let left_join = build
+            .probe(&left, 1, JoinKind::Left, &mut 0, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(left_join.num_columns(), 4);
+        assert_eq!(
+            left_join.to_rows(),
+            vec![
+                row("w", 1i64.into(), Some((1, "a"))),
+                row("w", 1i64.into(), Some((1, "b"))),
+                row("x", Value::Null, None),
+                row("y", 3i64.into(), None),
+                row("z", 2i64.into(), Some((2, "d"))),
+            ]
+        );
+    }
+
+    #[test]
+    fn probe_stops_at_the_cap_and_resumes_from_the_cursor() {
+        let (build, left) = probe_fixture();
+        // Cap 1: the first left row's two matches overshoot together (one
+        // row's match list is never split), then the cursor carries on.
+        let mut cursor = 0;
+        let mut sizes = Vec::new();
+        let mut rows = Vec::new();
+        while let Some(b) = build
+            .probe(&left, 1, JoinKind::Left, &mut cursor, 1)
+            .unwrap()
+        {
+            sizes.push((b.num_rows(), cursor));
+            rows.extend(b.to_rows());
+        }
+        assert_eq!(sizes, vec![(2, 1), (1, 2), (1, 3), (1, 4)]);
+        let whole = build
+            .probe(&left, 1, JoinKind::Left, &mut 0, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(rows, whole.to_rows());
+        // INNER from row 1 on: rows 1 and 2 match nothing, so the call runs
+        // on to row 3; past the end there is nothing left.
+        let mut cursor = 1;
+        let b = build
+            .probe(&left, 1, JoinKind::Inner, &mut cursor, 1)
+            .unwrap()
+            .unwrap();
+        assert_eq!((b.num_rows(), cursor), (1, 4));
+        assert!(build
+            .probe(&left, 1, JoinKind::Inner, &mut cursor, 1)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn join_hands_rows_staged_by_next_to_next_batch_in_order() {
+        // next() stages a left row's whole match list; a next_batch() after
+        // it must drain the rest before probing on.
+        let (build, left) = probe_fixture();
+        let left_table = Arc::new(
+            Table::from_rows(
+                "l",
+                Schema::of(&[("name", DataType::Str), ("k", DataType::Int)]),
+                left.to_rows(),
+            )
+            .unwrap(),
+        );
+        let build = Arc::new(build);
+        let mk = || {
+            let scan = Box::new(TableScan::new(Arc::clone(&left_table)).with_batch_size(2));
+            HashJoin::from_build(scan, Arc::clone(&build), "k", JoinKind::Left).unwrap()
+        };
+        let want = collect("j", Box::new(mk())).unwrap();
+        let mut join = mk();
+        let mut got = vec![join.next().unwrap().unwrap()];
+        while let Some(b) = join.next_batch().unwrap() {
+            got.extend(b.into_rows());
+        }
+        assert_eq!(got, want.rows());
+    }
+
+    /// 10 rows `(k, v)`: `k` = 0..10, `v` NULL on every third row, else
+    /// `k * 10` — the first 6 sealed three to a page, the last 4 in the tail.
+    fn sealed_then_tail() -> Arc<Table> {
+        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let row = |k: i64| -> Row {
+            let v = if k % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Int(k * 10)
+            };
+            vec![Value::Int(k), v]
+        };
+        let head = Table::from_rows("t", schema, (0..6).map(row).collect()).unwrap();
+        let pool = Arc::new(crate::BufferPool::with_budget(64));
+        let mut t = head.seal(&pool, 3).unwrap();
+        t.extend((6..10).map(row)).unwrap();
+        Arc::new(t)
+    }
+
+    fn batches_of(mut scan: TableScan) -> Vec<Vec<Row>> {
+        let mut out = Vec::new();
+        while let Some(b) = scan.next_batch().unwrap() {
+            assert!(b.num_rows() > 0, "batches are never empty");
+            out.push(b.to_rows());
+        }
+        out
+    }
+
+    #[test]
+    fn prune_hints_drop_rows_inside_pages_and_the_tail() {
+        let t = sealed_then_tail();
+        let hint = |col: &str, op, lit: i64| vec![(col.to_string(), op, Value::Int(lit))];
+        for bs in [1usize, 2, 1024] {
+            let scan = || TableScan::new(Arc::clone(&t)).with_batch_size(bs);
+            // A hint on a column with NULLs: NULL fails it, as it fails the
+            // filter above. The survivors straddle the seal boundary.
+            let got = batches_of(scan().with_prune_hint(&hint("v", BinOp::Ge, 40)));
+            let want: Vec<Row> = t
+                .rows()
+                .iter()
+                .filter(|r| r[1].as_int().is_some_and(|v| v >= 40))
+                .cloned()
+                .collect();
+            assert_eq!(got.concat(), want, "batch size {bs}");
+            // The hint column need not be selected to be read.
+            let got = batches_of(scan().with_columns(&[0]).with_prune_hint(&hint(
+                "v",
+                BinOp::Lt,
+                50,
+            )));
+            let want: Vec<Row> = [1i64, 2, 4].iter().map(|&k| vec![Value::Int(k)]).collect();
+            assert_eq!(got.concat(), want, "batch size {bs}");
+            // Two hints: both must hold.
+            let mut both = hint("k", BinOp::Gt, 4);
+            both.extend(hint("v", BinOp::Ne, 70));
+            let got = batches_of(scan().with_prune_hint(&both));
+            let ks: Vec<Value> = got.concat().into_iter().map(|r| r[0].clone()).collect();
+            assert_eq!(ks, vec![Value::Int(5), Value::Int(8)], "batch size {bs}");
+            // No survivor anywhere: every run is skipped, none yields an
+            // empty batch, and the scan ends. Page 1's zone map admits the
+            // hint (40 ≤ 45 ≤ 50) and the tail has none, so dropping their
+            // rows is the row hints' doing.
+            let none = batches_of(scan().with_prune_hint(&hint("v", BinOp::Eq, 45)));
+            assert!(none.is_empty(), "batch size {bs}");
+        }
+        // Volcano `next()` prunes pages only: it yields every row of a page
+        // the zone map admits, and the filter above does the rest.
+        let mut scan = TableScan::new(Arc::clone(&t)).with_prune_hint(&hint("k", BinOp::Ge, 4));
+        let mut ks = Vec::new();
+        while let Some(row) = scan.next().unwrap() {
+            ks.push(row[0].as_int().unwrap());
+        }
+        assert_eq!(ks, vec![3, 4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn a_pruned_run_decodes_no_selected_page() {
+        // `v = 45` fails page 0's zone map (max 20) and passes page 1's
+        // (40 ≤ 45 ≤ 50), where no row holds it: of page 1 the hint
+        // column is decoded and the selected column `k` is not.
+        let t = sealed_then_tail();
+        let pool = Arc::clone(t.paged().unwrap().pool());
+        let misses = || pool.status().misses;
+        let before = misses();
+        let hint = vec![("v".to_string(), BinOp::Eq, Value::Int(45))];
+        let scan = TableScan::new(Arc::clone(&t))
+            .with_columns(&[0])
+            .with_prune_hint(&hint);
+        assert!(batches_of(scan).is_empty());
+        assert_eq!(misses() - before, 1, "only page 1 of `v` is decoded");
     }
 
     #[test]

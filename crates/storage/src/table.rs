@@ -258,11 +258,23 @@ impl Table {
     /// A row by position without forcing full materialization; reads a
     /// sealed row through the buffer pool.
     pub fn row_at(&self, idx: usize) -> Result<Option<Row>, StorageError> {
-        match (&self.sealed, self.cache.get()) {
-            (Some(pages), None) if idx < pages.len() => pages.row_at(idx),
-            (Some(_), Some(rows)) => Ok(rows.get(idx).cloned()),
-            _ => Ok(self.tail.get(idx - self.sealed_len()).cloned()),
-        }
+        self.cells_at(idx, 0..self.schema.arity())
+    }
+
+    /// [`Table::row_at`] restricted to the cells at `columns` (full-table
+    /// ordinals, in that order): a sealed row is read through those
+    /// columns' pages alone.
+    pub(crate) fn cells_at(
+        &self,
+        idx: usize,
+        columns: impl IntoIterator<Item = usize>,
+    ) -> Result<Option<Row>, StorageError> {
+        let resident = match (&self.sealed, self.cache.get()) {
+            (Some(pages), None) if idx < pages.len() => return pages.cells_at(idx, columns),
+            (Some(_), Some(rows)) => rows.get(idx),
+            _ => self.tail.get(idx - self.sealed_len()),
+        };
+        Ok(resident.map(|row| columns.into_iter().map(|c| row[c].clone()).collect()))
     }
 
     /// Streams `(row position, value)` over one column without

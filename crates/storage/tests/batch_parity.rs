@@ -3,11 +3,15 @@
 //! and group collisions, sometimes empty) and random operator plans, the
 //! Volcano `next()` drive and the columnar `next_batch()` drive at several
 //! batch sizes must produce the same table — or both fail.
+//!
+//! Underneath them, the typed copy primitives late materialization stands
+//! on — `ColumnVector::{slice, gather, gather_padded, filter, sql_cmp_at}` —
+//! must agree with `value(i)` slot by slot for every payload kind.
 
 use kath_storage::{
-    col_cmp, collect, collect_batched, AggFunc, Aggregate, BinOp, Distinct, Expr, Filter,
-    HashAggregate, HashJoin, JoinKind, Limit, Operator, Project, Schema, Sort, SortKey,
-    StorageError, Table, TableScan, Value,
+    col_cmp, collect, collect_batched, AggFunc, Aggregate, BinOp, ColumnData, ColumnVector,
+    Distinct, Expr, Filter, HashAggregate, HashJoin, JoinKind, Limit, Operator, Project, Schema,
+    Sort, SortKey, StorageError, Table, TableScan, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -280,8 +284,100 @@ fn run_batched(
     collect_batched("out", build_plan(t1, t2, ops, tail, batch)?).map(|(t, _)| t)
 }
 
+/// A column of payload kind `kind` (0–3: the typed kinds, a third of the
+/// slots NULL; 4: blobs; 5: two types mixed) from cell seeds.
+fn column_of(kind: u8, cells: &[CellSeed]) -> ColumnVector {
+    let typed = [ColType::Int, ColType::Float, ColType::Str, ColType::Bool];
+    let values = cells.iter().map(|&(roll, k)| match kind {
+        0..=3 => cell(typed[kind as usize], (roll, k)),
+        4 if roll % 3 == 0 => Value::Null,
+        4 => Value::Blob(vec![roll, k as u8]),
+        _ if roll % 2 == 0 => Value::Int(k),
+        _ => Value::Str(format!("s{k}")),
+    });
+    ColumnVector::from_values(values.collect())
+}
+
+/// `got` holds exactly the slots of `col` that `want` lists (`None`: NULL),
+/// in the same payload kind.
+fn assert_slots(got: &ColumnVector, col: &ColumnVector, want: &[Option<usize>]) {
+    assert_eq!(got.len(), want.len());
+    let mut nulls = 0;
+    for (k, slot) in want.iter().enumerate() {
+        let value = slot.map_or(Value::Null, |i| col.value(i));
+        assert_eq!(got.value(k), value, "slot {k} <- {slot:?}");
+        assert_eq!(got.is_null(k), value.is_null(), "slot {k} nullness");
+        nulls += usize::from(value.is_null());
+    }
+    assert_eq!(got.null_count(), nulls);
+    assert_eq!(
+        std::mem::discriminant(got.data()),
+        std::mem::discriminant(col.data()),
+        "payload kind"
+    );
+    // Moving the values out agrees with reading them in place.
+    assert_eq!(got.clone().into_values(), got.to_values());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn slice_and_gather_agree_with_value_slot_by_slot(
+        kind in 0u8..6,
+        // Up to 200 slots: NULLs on both sides of the 64- and 128-slot
+        // bitmap word boundaries.
+        cells in prop::collection::vec((any::<u8>(), -4i64..5), 0..200),
+        picks in prop::collection::vec(any::<u16>(), 0..80),
+        bounds in (any::<u16>(), any::<u16>()),
+        lit in -4i64..5,
+    ) {
+        let col = column_of(kind, &cells);
+        let n = col.len();
+        if let ColumnData::Mixed(_) = col.data() {
+            prop_assert!(kind >= 4 || (0..n).all(|i| col.is_null(i)));
+        }
+
+        // Out-of-order, repeating (and, for an empty column, empty) picks.
+        let idx: Vec<usize> = picks.iter().filter(|_| n > 0).map(|&p| p as usize % n).collect();
+        let some: Vec<Option<usize>> = idx.iter().copied().map(Some).collect();
+        assert_slots(&col.gather(&idx), &col, &some);
+        assert_slots(&col.gather(&[]), &col, &[]);
+
+        // Every third pick becomes a NULL pad; an empty column is all pads.
+        let padded: Vec<Option<usize>> = picks
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| (n > 0 && k % 3 != 0).then(|| p as usize % n))
+            .collect();
+        assert_slots(&col.gather_padded(&padded), &col, &padded);
+
+        let (a, b) = (bounds.0 as usize % (n + 1), bounds.1 as usize % (n + 1));
+        let (start, end) = (a.min(b), a.max(b));
+        let range: Vec<Option<usize>> = (start..end).map(Some).collect();
+        assert_slots(&col.slice(start, end), &col, &range);
+        assert_slots(&col.slice(0, n), &col, &(0..n).map(Some).collect::<Vec<_>>());
+
+        let mask: Vec<bool> = (0..n).map(|i| picks.get(i % picks.len().max(1)).is_some_and(|p| p % 2 == 0)).collect();
+        let kept: Vec<Option<usize>> = (0..n).filter(|&i| mask[i]).map(Some).collect();
+        assert_slots(&col.filter(&mask), &col, &kept);
+
+        // The in-place comparison is `sql_cmp` of the rebuilt value, for a
+        // literal of every type.
+        let lits = [
+            Value::Int(lit),
+            Value::Float(lit as f64 * 0.5),
+            Value::Str(format!("s{lit}")),
+            Value::Bool(lit % 2 == 0),
+            Value::Blob(vec![3, lit as u8]),
+            Value::Null,
+        ];
+        for lit in &lits {
+            for i in 0..n {
+                prop_assert_eq!(col.sql_cmp_at(i, lit), col.value(i).sql_cmp(lit), "slot {} vs {:?}", i, lit);
+            }
+        }
+    }
 
     #[test]
     fn batched_matches_row_for_random_plans(
