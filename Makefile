@@ -39,8 +39,8 @@ bench-repeat:
 	$(CARGO) run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-repeat
 
 # Quick end-to-end runs of the perf benches (small corpora, few reps):
-# prove the morsel-parallel, durable-recovery, vector-search, paged
-# out-of-core storage, compiled-pipeline, fault-guard and
+# the six binaries prove the morsel-parallel, durable-recovery,
+# vector-search, paged out-of-core storage, fault-guard and
 # concurrent-transaction paths still run and still emit their JSON. The
 # smoke results land under target/bench-smoke/, so the committed
 # BENCH_*.json baselines change only when someone runs a full bench on
@@ -52,7 +52,6 @@ bench-smoke:
 	$(CARGO) run -q --release -p kath_bench --bin recovery_bench -- --quick --out $(BENCH_SMOKE)/BENCH_recovery.json
 	$(CARGO) run -q --release -p kath_bench --bin vector_bench -- --quick --out $(BENCH_SMOKE)/BENCH_vector.json
 	$(CARGO) run -q --release -p kath_bench --bin storage_bench -- --quick --out $(BENCH_SMOKE)/BENCH_storage.json
-	$(CARGO) run -q --release -p kath_bench --bin compiled_bench -- --quick --out $(BENCH_SMOKE)/BENCH_compiled.json
 	$(CARGO) run -q --release -p kath_bench --bin fault_bench -- --quick --out $(BENCH_SMOKE)/BENCH_faults.json
 	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick --out $(BENCH_SMOKE)/BENCH_txn.json
 

@@ -32,10 +32,6 @@
 //!   batch size (columnar batch-at-a-time vs row-at-a-time Volcano),
 //! - `\threads <n>` / `\threads auto` — tune morsel-driven intra-query
 //!   parallelism (results are identical at any setting),
-//! - `\compile on|off|auto` — pipeline compilation policy: fuse eligible
-//!   scan→filter→project pipelines into compiled closures (auto = compile
-//!   when the cost model's break-even rule says the one-time compilation
-//!   amortizes; results are identical in every mode),
 //! - `\vindex` — vector-search status; `\vindex auto|off|flat|ivf` picks
 //!   the access path for `ORDER BY SIMILARITY(col, 'text') DESC LIMIT k`
 //!   (auto = cost model chooses exact Flat vs approximate IVF per query);
@@ -50,7 +46,7 @@
 
 use kath_data::{generate_corpus, mmqa_small, CorpusSpec};
 use kath_model::StdioChannel;
-use kath_storage::{CompileMode, ExecMode, VectorMode};
+use kath_storage::{ExecMode, VectorMode};
 use kathdb::KathDB;
 use std::io::{BufRead, Write};
 
@@ -61,15 +57,6 @@ fn vector_label(mode: VectorMode) -> &'static str {
         VectorMode::Off => "off (full-sort fallback plan)",
         VectorMode::Flat => "flat (exact linear scan)",
         VectorMode::Ivf => "ivf (approximate cluster probing)",
-    }
-}
-
-/// Renders the compilation policy the way `\compile` reports it.
-fn compile_label(mode: CompileMode) -> &'static str {
-    match mode {
-        CompileMode::Auto => "auto (cost model compiles when it amortizes)",
-        CompileMode::On => "on (compile every eligible pipeline)",
-        CompileMode::Off => "off (interpreted operators only)",
     }
 }
 
@@ -120,7 +107,7 @@ fn main() {
                      \\sessions | \\open <dir> | \\checkpoint | \\wal | \
                      \\pool [<pages>] | \\explain <question> | \\lineage | \
                      \\functions | \\tables | \\tokens | \\batch <n>|off|auto | \
-                     \\threads <n>|auto | \\compile on|off|auto | \
+                     \\threads <n>|auto | \
                      \\vindex [auto|off|flat|ivf | build <t> <c> | drop <t> <c>] | \
                      \\timeout <ms>|off | \\faults <spec>|off|show | \\quit\n\
                      anything else is parsed as a natural-language query"
@@ -320,24 +307,6 @@ fn main() {
                     _ => println!("usage: \\threads <workers> | \\threads auto"),
                 },
             },
-            _ if line == "\\compile" => {
-                println!("compilation: {}", compile_label(db.compile_mode()));
-            }
-            Some(("\\compile", rest)) if !rest.is_empty() => match rest {
-                "on" => {
-                    db.set_compile_mode(CompileMode::On);
-                    println!("compilation: {}", compile_label(db.compile_mode()));
-                }
-                "off" => {
-                    db.set_compile_mode(CompileMode::Off);
-                    println!("compilation: {}", compile_label(db.compile_mode()));
-                }
-                "auto" => {
-                    db.set_compile_mode(CompileMode::Auto);
-                    println!("compilation: {}", compile_label(db.compile_mode()));
-                }
-                _ => println!("usage: \\compile on | \\compile off | \\compile auto"),
-            },
             _ if line == "\\vindex" => {
                 println!("vector access path: {}", vector_label(db.vector_mode()));
                 let status = db.vector_index_status();
@@ -446,10 +415,9 @@ fn main() {
                 Ok(result) => {
                     println!("{}", result.display_table().render());
                     println!(
-                        "plan timings ({}, {} worker(s), compile {}):",
+                        "plan timings ({}, {} worker(s)):",
                         mode_label(db.context().exec_mode),
-                        db.context().threads,
-                        db.compile_mode()
+                        db.context().threads
                     );
                     for t in &result.exec.timings {
                         let parallel = if t.workers > 1 {
@@ -457,20 +425,14 @@ fn main() {
                         } else {
                             String::new()
                         };
-                        let compiled = if t.compiled {
-                            format!("  [compiled in {:.2} ms]", t.compile_ms)
-                        } else {
-                            String::new()
-                        };
                         let reused = if t.reused { "  [reused]" } else { "" };
                         println!(
-                            "  {:<28} {:>9.2} ms  {:>6} rows  {:>4} batches{}{}{}",
+                            "  {:<28} {:>9.2} ms  {:>6} rows  {:>4} batches{}{}",
                             t.func_id,
                             t.elapsed_ms,
                             t.rows_out,
                             t.batches_out,
                             parallel,
-                            compiled,
                             reused
                         );
                     }

@@ -241,21 +241,13 @@ impl KathDB {
     /// A fresh instance with the given model seed.
     ///
     /// The `KATHDB_THREADS` environment variable, when set, pins the degree
-    /// of parallelism for the instance (`auto` or `0` keep cost-model
-    /// selection) — the knob CI uses to run the whole suite serially and
-    /// 4-wide. `KATHDB_POOL_PAGES` caps the buffer pool at that many
-    /// decoded column pages (minimum 1) — the knob CI uses for its
-    /// low-memory leg; results are identical at any budget.
-    /// `KATHDB_COMPILE` (`on`/`off`/`auto`) sets the default
-    /// pipeline-compilation policy — the knob CI uses to keep the
-    /// interpreted operators independently exercised; results are
-    /// identical in every mode.
+    /// of parallelism for the instance and for every [`Session`] (`auto` or
+    /// `0` keep cost-model selection) — the knob CI uses to run the whole
+    /// suite serially and 4-wide. `KATHDB_POOL_PAGES` caps the buffer pool
+    /// at that many decoded column pages (minimum 1) — the knob CI uses for
+    /// its low-memory leg; results are identical at any budget.
     pub fn new(seed: u64) -> Self {
         let meter = TokenMeter::new();
-        let pinned_threads = std::env::var("KATHDB_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n > 0);
         Self {
             ctx: ExecContext::new(SimLlm::new(seed, meter)),
             registry: FunctionRegistry::new(),
@@ -264,7 +256,7 @@ impl KathDB {
             compile_options: CompileOptions::default(),
             semantic_checks: true,
             pinned_exec_mode: None,
-            pinned_threads,
+            pinned_threads: session::threads_from_env(),
             durability: None,
             txn: None,
         }
@@ -380,7 +372,6 @@ impl KathDB {
             pinned_exec_mode: self.pinned_exec_mode,
             pinned_threads: self.pinned_threads,
             vector_mode: self.ctx.vector_mode,
-            compile: self.ctx.compile,
         };
         session::run_statement(&self.ctx.catalog, &mut self.txn, settings, sql)
     }
@@ -429,10 +420,10 @@ impl KathDB {
     }
 
     /// A new concurrent session over this database's shared catalog: its
-    /// own guard settings and cancel token, its own exec/vector/compile
-    /// pins, its own transactions — reading MVCC snapshots and committing
-    /// through the same group-commit WAL as everyone else. Sessions are
-    /// `Send`: hand them to worker threads.
+    /// own guard settings and cancel token, its own exec/vector pins, its
+    /// own transactions — reading MVCC snapshots and committing through the
+    /// same group-commit WAL as everyone else. Sessions are `Send`: hand
+    /// them to worker threads.
     pub fn session(&self) -> Session {
         Session::new(self.ctx.catalog.clone())
     }
@@ -604,20 +595,14 @@ impl KathDB {
         self.ctx.vector_mode
     }
 
-    /// Sets the pipeline-compilation policy for SQL queries: `Auto` (the
-    /// default — compile exactly when the cost model's break-even rule says
-    /// the one-time kernel compilation amortizes over the input
-    /// cardinality), `On` (compile every eligible plan), or `Off` (always
-    /// the interpreted operators). Plans the compiler cannot express —
-    /// aggregates, ORDER BY, DISTINCT, LIMIT, vector top-k, index-hit
-    /// scans, model-backed calls — fall back to interpreted execution under
-    /// every policy, and compiled results are byte-identical to interpreted
-    /// ones at any batch size or worker count.
+    /// Stores `mode`, which the engine ignores: there is no compiled drive.
+    /// The setter stays for the repo benchmark, which calls it.
     pub fn set_compile_mode(&mut self, mode: CompileMode) {
         self.ctx.compile = mode;
     }
 
-    /// The active pipeline-compilation policy.
+    /// The stored value of [`KathDB::set_compile_mode`]; kept for the repo
+    /// benchmark, which prints it.
     pub fn compile_mode(&self) -> CompileMode {
         self.ctx.compile
     }
@@ -625,9 +610,8 @@ impl KathDB {
     /// Sets (or clears) the per-query wall-clock timeout. A query that
     /// outlives it aborts mid-scan with
     /// [`StorageError::Cancelled`] on whichever drive is running —
-    /// Volcano, batched, morsel-parallel, or compiled — with partial
-    /// state dropped and the catalog untouched; the next statement runs
-    /// normally. The deadline is minted fresh at each statement's start.
+    /// Volcano, batched or morsel-parallel — with partial state dropped
+    /// and the catalog untouched; the next statement runs normally. The deadline is minted fresh at each statement's start.
     pub fn set_query_timeout(&mut self, timeout: Option<std::time::Duration>) {
         self.ctx.limits.timeout = timeout;
     }

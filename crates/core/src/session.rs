@@ -112,7 +112,17 @@ pub(crate) struct SqlSettings<'a> {
     pub pinned_exec_mode: Option<ExecMode>,
     pub pinned_threads: Option<usize>,
     pub vector_mode: VectorMode,
-    pub compile: CompileMode,
+}
+
+/// The worker count `KATHDB_THREADS` pins for every handle a process makes
+/// — facade and sessions alike — or `None` for the cost model's choice.
+pub(crate) fn threads_from_env() -> Option<usize> {
+    parse_threads(std::env::var("KATHDB_THREADS").ok().as_deref())
+}
+
+/// A positive integer pins; `0`, `auto`, anything else and unset do not.
+fn parse_threads(raw: Option<&str>) -> Option<usize> {
+    raw?.parse().ok().filter(|n| *n > 0)
 }
 
 /// Mode + parallelism for one statement: the handle's pins, or the cost
@@ -195,7 +205,7 @@ pub(crate) fn run_statement(
         mode,
         threads,
         settings.vector_mode,
-        settings.compile,
+        CompileMode::Off,
         &settings.limits.guard(),
     );
     rearm_cancel(settings.limits);
@@ -212,7 +222,6 @@ pub struct Session {
     pinned_exec_mode: Option<ExecMode>,
     pinned_threads: Option<usize>,
     vector_mode: VectorMode,
-    compile: CompileMode,
     txn: Option<TxnStage>,
 }
 
@@ -223,9 +232,8 @@ impl Session {
             shared,
             limits: GuardSpec::default(),
             pinned_exec_mode: None,
-            pinned_threads: None,
+            pinned_threads: threads_from_env(),
             vector_mode: VectorMode::default(),
-            compile: CompileMode::from_env(),
             txn: None,
         }
     }
@@ -239,7 +247,6 @@ impl Session {
             pinned_exec_mode: self.pinned_exec_mode,
             pinned_threads: self.pinned_threads,
             vector_mode: self.vector_mode,
-            compile: self.compile,
         };
         run_statement(&self.shared, &mut self.txn, settings, sql)
     }
@@ -331,11 +338,6 @@ impl Session {
     pub fn set_vector_mode(&mut self, mode: VectorMode) {
         self.vector_mode = mode;
     }
-
-    /// Sets this session's pipeline-compilation policy.
-    pub fn set_compile_mode(&mut self, mode: CompileMode) {
-        self.compile = mode;
-    }
 }
 
 impl Drop for Session {
@@ -355,6 +357,14 @@ mod tests {
     #[test]
     fn sessions_are_send() {
         assert_send::<Session>();
+    }
+
+    #[test]
+    fn only_a_positive_thread_count_pins() {
+        assert_eq!(parse_threads(Some("4")), Some(4));
+        for unpinned in [Some("0"), Some("auto"), Some(""), None] {
+            assert_eq!(parse_threads(unpinned), None, "{unpinned:?}");
+        }
     }
 
     #[test]

@@ -93,14 +93,8 @@ pub struct ExecContext {
     /// the row count and a tested recall floor instead — the §4
     /// accuracy-for-cost trade, made per query.
     pub vector_mode: VectorMode,
-    /// Whether SQL bodies may lower eligible scan→filter→project (and
-    /// post-join-build) pipelines into fused compiled closures. `Auto` (the
-    /// default) compiles only when the cost model's break-even rule says
-    /// compilation amortizes over the table's cardinality; `On`/`Off` force
-    /// the choice. Plans the compiler can't express (aggregates, ORDER BY,
-    /// vector top-k, model-backed calls, index hits) always fall back to
-    /// the interpreted operators, and compiled results are byte-identical
-    /// to interpreted ones at any batch size or worker count.
+    /// Stored and ignored: there is no compiled drive. The field stays
+    /// for the repo benchmark, which reads it.
     pub compile: CompileMode,
     /// Session-level query limits — timeout, row/byte budgets, and the
     /// shared cancellation token. Each statement mints a fresh
@@ -124,7 +118,7 @@ impl ExecContext {
             exec_mode: ExecMode::default(),
             threads: 1,
             vector_mode: VectorMode::default(),
-            compile: CompileMode::from_env(),
+            compile: CompileMode::Off,
             limits: GuardSpec::default(),
             materializations: HashMap::new(),
         }

@@ -51,11 +51,6 @@ pub struct NodeTiming {
     pub worker_ms: Vec<f64>,
     /// Milliseconds the deterministic merge step took (0.0 when serial).
     pub merge_ms: f64,
-    /// Whether the node's streaming phase ran as a fused compiled pipeline.
-    pub compiled: bool,
-    /// Milliseconds spent compiling the node's kernels (0.0 when
-    /// interpreted).
-    pub compile_ms: f64,
     /// Whether the node did not run: its output was still the one an
     /// earlier question on this context materialized.
     pub reused: bool,
@@ -155,8 +150,6 @@ impl ExecutionEngine {
                 workers: outcome.workers,
                 worker_ms: outcome.worker_ms,
                 merge_ms: outcome.merge_ms,
-                compiled: outcome.compiled,
-                compile_ms: outcome.compile_ms,
                 reused: outcome.reused,
             });
             final_table = Some(outcome.table);

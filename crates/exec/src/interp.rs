@@ -41,12 +41,6 @@ pub struct ExecOutcome {
     /// Milliseconds spent in the deterministic parallel merge step (0.0
     /// when serial).
     pub merge_ms: f64,
-    /// Whether the body's streaming phase ran as a fused compiled pipeline
-    /// (false for interpreted, non-relational, or fallback plans).
-    pub compiled: bool,
-    /// Milliseconds spent compiling the pipeline's kernels (0.0 when
-    /// interpreted).
-    pub compile_ms: f64,
     /// Whether the body did not run: the monitor served the output an
     /// earlier question materialized (see [`crate::ExecContext::reusable`]).
     pub reused: bool,
@@ -66,8 +60,6 @@ impl ExecOutcome {
             workers: 1,
             worker_ms: Vec::new(),
             merge_ms: 0.0,
-            compiled: false,
-            compile_ms: 0.0,
             reused: false,
         }
     }
@@ -280,12 +272,9 @@ fn exec_sql(
         .iter()
         .map(|t| snapshot.get(t).map(|t| t.len()).unwrap_or(0))
         .sum();
-    // The auto driver picks the physical drive from the context's knobs:
-    // a fused compiled pipeline where the plan is compilable and the
-    // compile mode (or its cost rule, under `Auto`) says it pays off, a
-    // morsel-parallel interpreted drive when the context asks for threads,
-    // serial interpreted otherwise. Results are identical across all three
-    // by construction.
+    // The one entry point picks the drive from the context's knobs: the
+    // morsel drive when the context asks for threads, the serial operator
+    // tree otherwise. Results are identical on both.
     let guard = ctx.limits.guard();
     let (mut table, stats) = kath_sql::run_select_auto_guarded(
         &snapshot,
@@ -332,8 +321,6 @@ fn exec_sql(
         workers: stats.workers.max(1),
         worker_ms: stats.worker_ms,
         merge_ms: stats.merge_ms,
-        compiled: stats.compiled,
-        compile_ms: stats.compile_ms,
         reused: false,
     })
 }

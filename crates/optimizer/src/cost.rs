@@ -3,10 +3,9 @@
 //!
 //! Profiled sample costs are extrapolated linearly to the row counts of the
 //! catalog's full tables; relational pipelines add a per-row, per-batch and
-//! cold-page term. Nothing here reads column statistics. The choices the
-//! executor makes by itself — compiled or interpreted
-//! (`kath_storage::compile_pays_off`), Flat or IVF
-//! (`kath_storage::preferred_vector_strategy`) — are priced where they are
+//! cold-page term. Nothing here reads column statistics. The choice the
+//! executor makes by itself — Flat or IVF
+//! (`kath_storage::preferred_vector_strategy`) — is priced where it is
 //! decided, in `kath_storage`.
 
 use kath_fao::{FunctionBody, FunctionRegistry};

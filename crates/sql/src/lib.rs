@@ -12,9 +12,9 @@
 //! log them write-ahead.
 //!
 //! There is one way to run a SELECT: [`run_select_auto_guarded`] plans the
-//! statement once and picks the drive — serial operator tree, morsel
-//! drive, or compiled fused drive — from `(mode, threads, compile)` and
-//! the plan's shape (docs/execution.md, "One plan, three drives").
+//! statement once and picks the drive — serial operator tree or morsel
+//! drive — from `(mode, threads)` and the plan's shape
+//! (docs/execution.md, "One plan, two drives").
 //! [`execute`] is the convenience for statement text with defaults.
 //!
 //! The `ORDER BY SIMILARITY(col, 'query') DESC LIMIT k` shape is

@@ -4,19 +4,19 @@
 //! can contain a SQL query over a table").
 //!
 //! A SELECT is lowered exactly once, by `plan_select`, into a flat
-//! `SelectPlan`; [`run_select_auto_guarded`] then picks one of three
-//! drives that read it — the serial operator tree, the morsel drive, or the
-//! compiled fused drive (docs/execution.md, "One plan, three drives").
+//! `SelectPlan`; [`run_select_auto_guarded`] then picks one of two drives
+//! that read it — the serial operator tree or the morsel drive
+//! (docs/execution.md, "One plan, two drives").
 
 use crate::ast::*;
 use crate::parser::{parse_statement, SqlParseError};
 use kath_storage::{
-    collect_batched_guarded, collect_guarded, compile_pays_off, merge_sorted_runs, merge_top_k,
+    collect_batched_guarded, collect_guarded, merge_sorted_runs, merge_top_k,
     preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded, sort_rows, top_k_entries,
-    AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, CompiledPipeline, DataType, Distinct,
-    ExecMode, Expr, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel,
-    MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row, Schema, Sort, SortKey,
-    StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK, WalRecord,
+    AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, DataType, Distinct, ExecMode, Expr,
+    Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel, MorselSource,
+    Operator, PartialAggregate, Project, QueryGuard, Row, Schema, Sort, SortKey, StorageError,
+    Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK, WalRecord,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -185,43 +185,38 @@ pub struct SelectStats {
     /// Milliseconds the deterministic merge step (partial-aggregate merge,
     /// sorted-run merge, distinct/limit finishing) took.
     pub merge_ms: f64,
-    /// Whether the streaming phase ran as a fused compiled pipeline
-    /// (closure-compiled kernels) instead of interpreted operators.
+    /// Always `false`: there is no compiled drive. Kept for the repo
+    /// benchmark, which reads it.
     pub compiled: bool,
-    /// Milliseconds spent compiling the pipeline's expression kernels
-    /// (0 for interpreted runs).
+    /// Always `0.0`: nothing is compiled. Kept for the repo benchmark.
     pub compile_ms: f64,
 }
 
 impl SelectStats {
-    /// Stats of a serial interpreted run that produced `batches` batches.
+    /// Stats of a serial run that produced `batches` batches.
     pub fn serial(batches: usize) -> Self {
         Self {
             batches,
             workers: 1,
-            worker_ms: Vec::new(),
-            merge_ms: 0.0,
-            compiled: false,
-            compile_ms: 0.0,
+            ..Self::default()
         }
     }
 
-    /// Stats of an interpreted morsel run: one `worker_ms` entry per worker.
+    /// Stats of a morsel run: one `worker_ms` entry per worker.
     fn morsels(batches: usize, worker_ms: Vec<f64>, merge_ms: f64) -> Self {
         Self {
             batches,
             workers: worker_ms.len(),
             worker_ms,
             merge_ms,
-            compiled: false,
-            compile_ms: 0.0,
+            ..Self::default()
         }
     }
 }
 
 /// Runs `f` and returns its result with the wall-clock milliseconds it
 /// took. The only clock read in this file: it feeds
-/// [`SelectStats::merge_ms`] and [`SelectStats::compile_ms`], never a row.
+/// [`SelectStats::merge_ms`], never a row.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let started = Instant::now();
     let out = f();
@@ -255,8 +250,6 @@ struct JoinStep {
     /// side scans and keeps.
     right_columns: Vec<usize>,
     left_col: String,
-    /// Ordinal of `left_col` among the needed columns accumulated so far.
-    left_key: usize,
     right_col: String,
     kind: JoinKind,
     /// Schema of the step's output: the needed columns of the full joined
@@ -299,11 +292,11 @@ struct VectorTopk {
     strategy: VectorStrategy,
 }
 
-/// A SELECT lowered against one catalog snapshot: everything the three
-/// drives need and nothing materialized. Join build sides, vector-index
-/// handles and compiled kernels are made by the drive that uses them, so a
-/// statement that ends up on the serial drive never pays for state only
-/// another drive would have shared.
+/// A SELECT lowered against one catalog snapshot: everything the two
+/// drives need and nothing materialized. Join build sides and vector-index
+/// handles are made by the drive that uses them, so a statement that ends
+/// up on the serial drive never pays for state only the morsel drive would
+/// have shared.
 ///
 /// The subset has no subqueries, so a statement is exactly one scan, a
 /// join chain, an optional filter, one optional breaker, DISTINCT and
@@ -362,15 +355,13 @@ fn plan_select(
         // The ON pair may be written either way round; figure out which
         // side belongs to the accumulated left rows.
         let (left_col, right_col) = orient_on(&full, right.schema(), &j.on_left, &j.on_right)?;
-        let left_key = full.resolve(&left_col)?;
-        join_keys.push(left_key);
+        join_keys.push(full.resolve(&left_col)?);
         join_keys.push(full.arity() + right.schema().resolve(&right_col)?);
         full = full.join(right.schema(), "right");
         joins.push(JoinStep {
             right,
             right_columns: Vec::new(),
             left_col,
-            left_key,
             right_col,
             kind: if j.left_outer {
                 JoinKind::Left
@@ -464,7 +455,6 @@ fn plan_select(
         let base = end - step.right.schema().arity();
         let right = &needed[kept_below(base)..kept_below(end)];
         step.right_columns = right.iter().map(|c| c - base).collect();
-        step.left_key = kept_below(step.left_key);
         step.schema = full.project(&needed[..kept_below(end)]);
     }
 
@@ -544,19 +534,6 @@ impl SelectPlan {
         }
     }
 
-    /// Plans the compiled fused drive can run: a streaming scan → probe →
-    /// filter → project pipeline. Blocking operators, DISTINCT and lazy
-    /// `LIMIT` stay on the interpreted operators; an index hit is already
-    /// sub-linear. Whether every expression compiles is the compiler's
-    /// call ([`CompiledPipeline::compile`]), made by the drive.
-    fn compilable(&self) -> bool {
-        matches!(self.access, Access::Scan { .. })
-            && matches!(self.shape, Shape::Rows { .. })
-            && self.sort_keys.is_empty()
-            && !self.distinct
-            && self.limit.is_none()
-    }
-
     /// How many source rows the access path yields: the FROM table's row
     /// range, or the candidate positions of an index hit.
     fn source_rows(&self) -> usize {
@@ -598,30 +575,10 @@ impl SelectPlan {
         &self.needed[..self.needed.partition_point(|&c| c < from_arity)]
     }
 
-    /// A scan of rows `[start, end)` of the FROM table, restricted to the
-    /// needed columns, with the prune hints attached. `batch` is the mode's
-    /// batch size, which pass-through operators inherit (`None` = Volcano:
-    /// the scan keeps its default).
-    fn table_scan(
-        &self,
-        prune_hints: &[(String, BinOp, Value)],
-        (start, end): (usize, usize),
-        batch: Option<usize>,
-        guard: QueryGuard,
-    ) -> TableScan {
-        let scan = TableScan::new(Arc::clone(&self.table))
-            .with_range(start, end)
-            .with_columns(self.scan_columns())
-            .with_prune_hint(prune_hints)
-            .with_guard(guard);
-        match batch {
-            Some(n) => scan.with_batch_size(n),
-            None => scan,
-        }
-    }
-
-    /// The streaming phase over source rows `[start, end)`: access path →
-    /// join probes against `builds` → filter.
+    /// The streaming phase over source rows `[start, end)`: access path
+    /// (restricted to the needed columns) → join probes against `builds` →
+    /// filter. `batch` is the mode's batch size, which pass-through
+    /// operators inherit (`None` = Volcano: the scan keeps its default).
     fn stream(
         &self,
         (start, end): (usize, usize),
@@ -631,7 +588,15 @@ impl SelectPlan {
     ) -> Result<Box<dyn Operator>, StorageError> {
         let mut op: Box<dyn Operator> = match &self.access {
             Access::Scan { prune_hints } => {
-                Box::new(self.table_scan(prune_hints, (start, end), batch, guard))
+                let scan = TableScan::new(Arc::clone(&self.table))
+                    .with_range(start, end)
+                    .with_columns(self.scan_columns())
+                    .with_prune_hint(prune_hints)
+                    .with_guard(guard);
+                match batch {
+                    Some(n) => Box::new(scan.with_batch_size(n)),
+                    None => Box::new(scan),
+                }
             }
             Access::Index(positions) => {
                 let scan = IndexScan::new(Arc::clone(&self.table), positions[start..end].to_vec())
@@ -683,8 +648,15 @@ impl SelectPlan {
         }
     }
 
-    /// [`SelectPlan::finish`] for rows a morsel merge already holds.
-    fn finish_rows(&self, mut rows: Vec<Row>, output_name: &str) -> Result<Table, StorageError> {
+    /// [`SelectPlan::finish`] for rows a morsel merge already holds: like
+    /// the root drain, it charges `guard` for the rows that are left after
+    /// DISTINCT and LIMIT, never for the ones they drop.
+    fn finish_rows(
+        &self,
+        mut rows: Vec<Row>,
+        output_name: &str,
+        guard: &QueryGuard,
+    ) -> Result<Table, StorageError> {
         if self.distinct {
             let mut seen = std::collections::HashSet::new();
             rows.retain(|row| seen.insert(row.clone()));
@@ -692,28 +664,26 @@ impl SelectPlan {
         if let Some(n) = self.limit {
             rows.truncate(n);
         }
+        for row in &rows {
+            guard.charge_row(row)?;
+        }
         Table::from_rows(output_name, self.out_schema.clone(), rows)
     }
 }
 
-/// Runs a SELECT under the engine's full physical strategy — the
-/// `(mode, dop, compiled)` triple — and under a [`QueryGuard`]. This is
-/// the one way to run a SELECT: the facade, sessions and the SQL nodes of
-/// an NL plan all come through here.
+/// Runs a SELECT under the engine's physical strategy — the `(mode, dop)`
+/// pair — and under a [`QueryGuard`]. This is the one way to run a SELECT:
+/// the facade, sessions and the SQL nodes of an NL plan all come through
+/// here. `_compile` is ignored: there is no compiled drive; the parameter
+/// stays for the repo benchmark, which passes it.
 ///
 /// The statement is planned once; predicates on the plan then pick the
-/// drive, in this order:
+/// drive:
 ///
-/// 1. the **compiled fused drive**, when `mode` is batched, `compile`
-///    selects it ([`CompileMode::Auto`] consults the shared break-even
-///    rule [`kath_storage::compile_pays_off`] on the FROM table's
-///    cardinality — the same rule the optimizer's strategy choice prices)
-///    and the plan is a streaming scan → probe → filter → project pipeline
-///    whose expressions all compile;
-/// 2. the **morsel drive**, when `mode` is batched, `threads > 1`, the
+/// 1. the **morsel drive**, when `mode` is batched, `threads > 1`, the
 ///    plan is not serial-only (expression sort, lazy `LIMIT`, IVF probe)
 ///    and its source splits into at least two morsels;
-/// 3. the **serial operator tree** otherwise — always in
+/// 2. the **serial operator tree** otherwise — always in
 ///    [`ExecMode::Volcano`], the row-at-a-time reference.
 ///
 /// Every drive returns the rows, in the order, of the serial operator
@@ -731,9 +701,10 @@ impl SelectPlan {
 /// ([`StorageError::Cancelled`] / [`StorageError::Budget`]) on every
 /// drive: the leading scan checks deadline and cancellation as rows
 /// stream, workers re-check between morsels (the earliest morsel's error
-/// wins, see [`kath_storage::run_morsels_guarded`]), and produced output
-/// is charged against the row/byte budgets. `stats` reports which drive
-/// actually ran.
+/// wins, see [`kath_storage::run_morsels_guarded`]), and the statement's
+/// result rows — what is left after DISTINCT and LIMIT — are charged
+/// against the row/byte budgets, so a budget trips or not whatever the
+/// worker count. `stats` reports which drive actually ran.
 #[allow(clippy::too_many_arguments)]
 pub fn run_select_auto_guarded(
     catalog: &Catalog,
@@ -742,21 +713,11 @@ pub fn run_select_auto_guarded(
     mode: ExecMode,
     threads: usize,
     vector: VectorMode,
-    compile: CompileMode,
+    _compile: CompileMode,
     guard: &QueryGuard,
 ) -> Result<(Table, SelectStats), SqlError> {
     let plan = plan_select(catalog, select, vector)?;
     if let Some(batch) = mode.batch_size() {
-        let attempt = match compile {
-            CompileMode::Off => false,
-            CompileMode::On => true,
-            CompileMode::Auto => compile_pays_off(plan.table.len()),
-        };
-        if attempt && plan.compilable() {
-            if let Some(done) = drive_compiled(&plan, output_name, batch, threads, guard)? {
-                return Ok(done);
-            }
-        }
         if threads > 1 && !plan.serial_only() {
             if let Some(done) = drive_morsels(&plan, output_name, batch, threads, guard)? {
                 return Ok(done);
@@ -810,24 +771,6 @@ fn drive_serial(
     };
     let (out, batches) = plan.finish(op, output_name, mode, guard)?;
     Ok((out, SelectStats::serial(batches)))
-}
-
-/// Sums the batch counts of per-morsel row runs and joins the runs, which
-/// arrive in scan order: concatenated, or — when the workers sorted them —
-/// merged by the stable k-way merge that reproduces a serial stable sort.
-fn merge_runs(outputs: Vec<(Vec<Row>, usize)>, key_idx: &[(usize, bool)]) -> (Vec<Row>, usize) {
-    let mut batches = 0;
-    let mut runs = Vec::with_capacity(outputs.len());
-    for (rows, b) in outputs {
-        batches += b;
-        runs.push(rows);
-    }
-    let rows = if key_idx.is_empty() {
-        runs.into_iter().flatten().collect()
-    } else {
-        merge_sorted_runs(runs, key_idx)
-    };
-    (rows, batches)
 }
 
 /// The morsel drive: intra-query parallelism over `threads` workers, or
@@ -926,14 +869,10 @@ fn drive_morsels(
                     batches += b;
                 }
                 let (schema, mut rows) = acc.finish();
-                // Aggregation's root-level output is the merged group rows.
-                for row in &rows {
-                    guard.charge_row(row)?;
-                }
                 if !plan.sort_keys.is_empty() {
                     sort_rows(&mut rows, &resolve_sort_keys(&schema, &plan.sort_keys)?);
                 }
-                Ok((plan.finish_rows(rows, output_name)?, batches))
+                Ok((plan.finish_rows(rows, output_name, guard)?, batches))
             };
             (run.worker_ms, timed(merge))
         }
@@ -948,6 +887,11 @@ fn drive_morsels(
                 &plan.out_schema
             };
             let key_idx = resolve_sort_keys(run_schema, &plan.sort_keys)?;
+            // With no projection, DISTINCT or LIMIT still to come, every
+            // row a worker emits is a result row: charging per batch then
+            // aborts an over-budget scan midway. Otherwise the tail charges
+            // what survives, as the serial root does.
+            let workers_emit_result = !*sort_before && !plan.distinct && plan.limit.is_none();
             let run = run_morsels_guarded(&source, threads, guard, |m| {
                 let mut op = stream(m)?;
                 if !*sort_before {
@@ -956,10 +900,7 @@ fn drive_morsels(
                 let (mut rows, mut batches) = (Vec::new(), 0);
                 while let Some(b) = op.next_batch()? {
                     batches += 1;
-                    // Budgets are charged per produced batch so a tripped
-                    // budget aborts mid-scan — except here, where the
-                    // serial tail below charges the same rows at the root.
-                    if !*sort_before {
+                    if workers_emit_result {
                         guard.charge_batch(&b)?;
                     }
                     rows.extend(b.into_rows());
@@ -970,9 +911,21 @@ fn drive_morsels(
                 Ok((rows, batches))
             })?;
             let merge = || -> Result<(Table, usize), StorageError> {
-                let (rows, batches) = merge_runs(run.outputs, &key_idx);
+                // The runs arrive in scan order: concatenated, or — when
+                // the workers sorted them — merged by the stable k-way merge
+                // that reproduces a serial stable sort.
+                let (runs, counts): (Vec<Vec<Row>>, Vec<usize>) = run.outputs.into_iter().unzip();
+                let batches: usize = counts.iter().sum();
+                let rows = if key_idx.is_empty() {
+                    runs.into_iter().flatten().collect()
+                } else {
+                    merge_sorted_runs(runs, &key_idx)
+                };
                 if !*sort_before {
-                    return Ok((plan.finish_rows(rows, output_name)?, batches));
+                    // Rows the workers charged are not charged again.
+                    let charged = QueryGuard::unlimited();
+                    let tail_guard = if workers_emit_result { &charged } else { guard };
+                    return Ok((plan.finish_rows(rows, output_name, tail_guard)?, batches));
                 }
                 // The projection comes AFTER the blocking sort here, so
                 // under a LIMIT the serial drive evaluates it only for the
@@ -995,80 +948,6 @@ fn drive_morsels(
         out,
         SelectStats::morsels(batches, worker_ms, merge_ms),
     )))
-}
-
-/// The compiled fused drive: each morsel runs one tight loop — pruned
-/// scan, columnar hash-join probes against shared build sides, then the
-/// fused filter→project pipeline — with no per-operator `next_batch`
-/// dispatch between them. `None` when an expression is outside the
-/// compilable subset (never an error: the caller runs an interpreted drive
-/// over the same plan). Results are identical to the interpreted drives,
-/// serial and parallel (morsel outputs concatenate in scan order).
-fn drive_compiled(
-    plan: &SelectPlan,
-    output_name: &str,
-    batch: usize,
-    threads: usize,
-    guard: &QueryGuard,
-) -> Result<Option<(Table, SelectStats)>, SqlError> {
-    let Access::Scan { prune_hints } = &plan.access else {
-        return Ok(None);
-    };
-    let (pipeline, compile_ms) = timed(|| {
-        CompiledPipeline::compile(&plan.joined, plan.filter.as_ref(), plan.outputs.as_deref())
-    });
-    let Some(pipeline) = pipeline else {
-        return Ok(None);
-    };
-    // Only now pay for the build sides: the pipeline is known compilable.
-    let builds = plan.build_joins()?;
-
-    // One worker's fused loop over one claimed row range. The guard rides
-    // on the scan (checked once per fused-loop iteration, i.e. per input
-    // batch) and is charged for every output batch the pipeline emits.
-    let work = |start: usize, end: usize| -> Result<(Vec<Row>, usize), StorageError> {
-        let mut scan = plan.table_scan(prune_hints, (start, end), Some(batch), guard.clone());
-        let mut rows: Vec<Row> = Vec::new();
-        let mut batches = 0usize;
-        'scan: while let Some(mut b) = scan.next_batch()? {
-            // One uncapped probe per join takes the whole batch through:
-            // the interpreted HashJoin's output order and NULL handling,
-            // from the routine it calls too.
-            for (j, build) in plan.joins.iter().zip(&builds) {
-                match build.probe(&b, j.left_key, j.kind, &mut 0, usize::MAX)? {
-                    Some(joined) => b = joined,
-                    None => continue 'scan,
-                }
-            }
-            if let Some(out) = pipeline.process(b)? {
-                guard.charge_batch(&out)?;
-                batches += 1;
-                rows.extend(out.into_rows());
-            }
-        }
-        Ok((rows, batches))
-    };
-    let compiled = |stats: SelectStats| SelectStats {
-        compiled: true,
-        compile_ms,
-        ..stats
-    };
-
-    // Morsel-parallel when there is enough work to split.
-    let source = plan.morsel_source(batch);
-    if threads > 1 && source.morsel_count() >= 2 {
-        let run = run_morsels_guarded(&source, threads, guard, |m| work(m.start, m.end))?;
-        let (merged, merge_ms) = timed(|| {
-            let (rows, batches) = merge_runs(run.outputs, &[]);
-            Table::from_rows(output_name, plan.out_schema.clone(), rows).map(|out| (out, batches))
-        });
-        let (out, batches) = merged?;
-        let stats = SelectStats::morsels(batches, run.worker_ms, merge_ms);
-        return Ok(Some((out, compiled(stats))));
-    }
-    let (rows, batches) = work(0, plan.source_rows())?;
-    let out = Table::from_rows(output_name, plan.out_schema.clone(), rows)?;
-    Ok(Some((out, compiled(SelectStats::serial(batches)))))
 }
 
 /// Whether any SELECT item carries an aggregate call.
@@ -1522,7 +1401,7 @@ mod tests {
     use super::*;
 
     /// Runs `select` the way production does — through the one entry point,
-    /// the drive picked by `(mode, threads)` — interpreted and unguarded.
+    /// the drive picked by `(mode, threads)` — unguarded.
     fn run(
         c: &Catalog,
         select: &Select,

@@ -1,18 +1,18 @@
-//! Property tests: the fused compiled pipeline drive is observationally
-//! identical to interpreted execution, at every batch size and worker
-//! count.
+//! Property tests: the batch and morsel drives are observationally
+//! identical to the Volcano row drive, at every batch size and worker
+//! count, on every backing.
 //!
 //! For random NULL-heavy tables (sometimes empty) and random
 //! SQL-expressible plans — projections (bare `*`, column subsets, computed
 //! expressions), WHERE trees over AND/OR/NOT/IS NULL with mixed-type
-//! comparisons, optional equi-joins — the compiled drive
-//! (`run_select_auto_guarded` with [`CompileMode::On`]) must produce the same
-//! table, row for row and byte for byte, as the interpreted drive
-//! ([`CompileMode::Off`]) — or both must fail. The sweep covers batch
-//! sizes 1/3/1024 and 1/2/8 workers over both resident and paged tables
-//! (so the CI low-memory leg exercises a starved buffer pool underneath),
-//! and plans the compiler cannot express (aggregates, DISTINCT, ORDER BY,
-//! LIMIT) must report `compiled == false` while still agreeing on rows.
+//! comparisons, optional equi-joins, and the blocking or lazy shapes
+//! (LIMIT, DISTINCT, ORDER BY, an aggregate) — every run of
+//! `run_select_auto_guarded` must produce the same table, row for row and
+//! byte for byte, as [`ExecMode::Volcano`] on the resident catalog, whose
+//! scan, filter and projection evaluate row by row, through none of the
+//! batch kernels the judged runs share — or both must fail. The sweep covers batch sizes 1/3/1024 and 1/2/8 workers over resident
+//! tables, paged tables and tables paged and then INSERTed into (so the CI
+//! low-memory leg exercises a starved buffer pool underneath).
 
 use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
@@ -95,7 +95,7 @@ impl CmpSpec {
 }
 
 /// The WHERE tree: up to two comparison leaves under AND/OR, optionally
-/// negated — the short-circuit shapes the compiler fuses.
+/// negated — the short-circuit shapes.
 #[derive(Debug, Clone)]
 struct FilterSpec {
     first: CmpSpec,
@@ -148,16 +148,6 @@ impl Items {
     }
 }
 
-/// A plan shape the compiler must decline: parity still holds, but the
-/// stats must report the interpreted fallback.
-#[derive(Debug, Clone, Copy)]
-enum Fallback {
-    Limit,
-    Distinct,
-    OrderBy,
-    Aggregate,
-}
-
 fn arb_type() -> impl Strategy<Value = ColType> {
     prop_oneof![
         Just(ColType::Int),
@@ -199,23 +189,33 @@ fn arb_items() -> impl Strategy<Value = Items> {
     ]
 }
 
-fn arb_fallback() -> impl Strategy<Value = Fallback> {
-    prop_oneof![
-        Just(Fallback::Limit),
-        Just(Fallback::Distinct),
-        Just(Fallback::OrderBy),
-        Just(Fallback::Aggregate),
-    ]
-}
-
-fn render_query(items: &Items, filt: &Option<FilterSpec>, join: bool, arity: usize) -> String {
-    let mut sql = format!("SELECT {} FROM t1", items.render(arity, 'c'));
+/// `shape` picks what the statement does past the streaming pipeline: a
+/// breaker the morsel drive merges (1 DISTINCT, 2 an aggregate, 3 a sort), a
+/// lazy LIMIT, which stays serial (4), or nothing (anything else).
+fn render_query(
+    items: &Items,
+    filt: &Option<FilterSpec>,
+    join: bool,
+    arity: usize,
+    shape: usize,
+) -> String {
+    let list = match shape {
+        1 => "DISTINCT c0".to_string(),
+        2 => "COUNT(*) AS n".to_string(),
+        _ => items.render(arity, 'c'),
+    };
+    let mut sql = format!("SELECT {list} FROM t1");
     if join {
         sql.push_str(" JOIN t2 ON t1.c0 = t2.d0");
     }
     if let Some(f) = filt {
         sql.push_str(&format!(" WHERE {}", f.render(arity, 'c')));
     }
+    sql.push_str(match shape {
+        3 => " ORDER BY c0",
+        4 => " LIMIT 3",
+        _ => "",
+    });
     sql
 }
 
@@ -252,86 +252,67 @@ fn catalogs(t1: &Table, t2: &Table, join: bool) -> [(&'static str, Catalog); 3] 
     ]
 }
 
-/// Runs one query in one catalog under the given knobs.
+/// Runs one query in one catalog on the drive `(mode, threads)` picks.
 fn run(
     catalog: &Catalog,
     sql: &str,
-    batch: usize,
+    mode: ExecMode,
     threads: usize,
-    compile: CompileMode,
-) -> Result<(Table, bool), kath_sql::SqlError> {
+) -> Result<Table, kath_sql::SqlError> {
     let select = parse_select(sql).expect("generated SQL parses");
     run_select_auto_guarded(
         catalog,
         &select,
         "out",
-        ExecMode::Batched(batch),
+        mode,
         threads,
         VectorMode::Off,
-        compile,
+        CompileMode::Off,
         &QueryGuard::unlimited(),
     )
-    .map(|(t, stats)| (t, stats.compiled))
+    .map(|(t, _stats)| t)
 }
 
-/// Asserts compiled == interpreted over the full (batch, threads, backing)
-/// sweep for one query, returning whether any run actually compiled.
-fn assert_parity(
-    backings: &[(&'static str, Catalog); 3],
-    sql: &str,
-) -> Result<bool, TestCaseError> {
-    // The canonical reference: serial interpreted execution at the default
-    // batch size on the resident table.
-    let reference = run(&backings[0].1, sql, 1024, 1, CompileMode::Off);
-    let mut any_compiled = false;
+/// Asserts every run of the (batch, threads, backing) sweep equals the
+/// Volcano reference for one query.
+fn assert_parity(backings: &[(&'static str, Catalog); 3], sql: &str) -> Result<(), TestCaseError> {
+    // The reference: the serial row drive on the resident table.
+    let reference = run(&backings[0].1, sql, ExecMode::Volcano, 1);
     for (label, catalog) in backings {
         for batch in [1usize, 3, 1024] {
             for threads in [1usize, 2, 8] {
-                let compiled = run(catalog, sql, batch, threads, CompileMode::On);
-                let interp = run(catalog, sql, batch, threads, CompileMode::Off);
-                match (&reference, &compiled, &interp) {
-                    (Ok((want, _)), Ok((got_c, was_compiled)), Ok((got_i, _))) => {
-                        prop_assert_eq!(
-                            want,
-                            got_c,
-                            "compiled diverged ({label}, batch {}, {} workers): {}",
-                            batch,
-                            threads,
-                            sql
-                        );
-                        prop_assert_eq!(
-                            want,
-                            got_i,
-                            "interpreted diverged ({label}, batch {}, {} workers): {}",
-                            batch,
-                            threads,
-                            sql
-                        );
-                        any_compiled |= was_compiled;
-                    }
+                let got = run(catalog, sql, ExecMode::Batched(batch), threads);
+                match (&reference, &got) {
+                    (Ok(want), Ok(got)) => prop_assert_eq!(
+                        want,
+                        got,
+                        "diverged ({label}, batch {}, {} workers): {}",
+                        batch,
+                        threads,
+                        sql
+                    ),
                     // A plan that fails (e.g. `+ 1` over a Bool column) must
                     // fail on every drive.
-                    (Err(_), Err(_), Err(_)) => {}
-                    (r, c, i) => prop_assert!(
+                    (Err(_), Err(_)) => {}
+                    (r, g) => prop_assert!(
                         false,
                         "drives disagreed on failure ({label}, batch {batch}, {threads} workers) \
-                         for {sql}: reference={:?} compiled={:?} interpreted={:?}",
+                         for {sql}: reference={:?} got={:?}",
                         r.is_ok(),
-                        c.is_ok(),
-                        i.is_ok()
+                        g.is_ok()
                     ),
                 }
             }
         }
     }
-    Ok(any_compiled)
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn compiled_matches_interpreted_for_random_plans(
+    fn batch_and_morsel_drives_match_volcano_for_random_plans(
         types in (arb_type(), arb_type(), arb_type(), arb_type()),
         arity in 1usize..5,
         rows in prop::collection::vec(arb_row_seed(), 0..48),
@@ -339,93 +320,30 @@ proptest! {
         items in arb_items(),
         filt in arb_filter(),
         join in any::<bool>(),
+        shape in 0usize..8,
     ) {
         let types = [types.0, types.1, types.2, types.3];
         let t1 = build_table("t1", 'c', &types[..arity], &rows);
         let t2 = build_table("t2", 'd', &types[..arity], &rows2);
-        let sql = render_query(&items, &filt, join, arity);
+        let sql = render_query(&items, &filt, join, arity, shape);
         assert_parity(&catalogs(&t1, &t2, join), &sql)?;
     }
 
     #[test]
-    fn compiled_matches_interpreted_on_all_null_tables(
+    fn batch_and_morsel_drives_match_volcano_on_all_null_tables(
         types in (arb_type(), arb_type(), arb_type(), arb_type()),
         arity in 1usize..5,
         n_rows in 0usize..6,
         items in arb_items(),
         filt in arb_filter(),
+        shape in 0usize..8,
     ) {
         let types = [types.0, types.1, types.2, types.3];
         // Roll 0 forces NULL in every cell.
         let rows: Vec<RowSeed> = vec![((0, 0), (0, 0), (0, 0), (0, 0)); n_rows];
         let t1 = build_table("t1", 'c', &types[..arity], &rows);
         let t2 = build_table("t2", 'd', &types[..arity], &rows);
-        let sql = render_query(&items, &filt, false, arity);
+        let sql = render_query(&items, &filt, false, arity, shape);
         assert_parity(&catalogs(&t1, &t2, false), &sql)?;
     }
-
-    #[test]
-    fn uncompilable_plans_fall_back_and_still_agree(
-        types in (arb_type(), arb_type(), arb_type(), arb_type()),
-        arity in 1usize..5,
-        rows in prop::collection::vec(arb_row_seed(), 0..32),
-        filt in arb_filter(),
-        fallback in arb_fallback(),
-    ) {
-        let types = [types.0, types.1, types.2, types.3];
-        let t1 = build_table("t1", 'c', &types[..arity], &rows);
-        let t2 = build_table("t2", 'd', &types[..arity], &rows);
-        let where_sql = filt
-            .as_ref()
-            .map(|f| format!(" WHERE {}", f.render(arity, 'c')))
-            .unwrap_or_default();
-        let sql = match fallback {
-            Fallback::Limit => format!("SELECT * FROM t1{where_sql} LIMIT 3"),
-            Fallback::Distinct => format!("SELECT DISTINCT c0 FROM t1{where_sql}"),
-            Fallback::OrderBy => format!("SELECT * FROM t1{where_sql} ORDER BY c0"),
-            Fallback::Aggregate => format!("SELECT COUNT(*) AS n FROM t1{where_sql}"),
-        };
-        let any_compiled = assert_parity(&catalogs(&t1, &t2, false), &sql)?;
-        // The compiler must decline every one of these shapes — even with
-        // compilation forced on, the stats report the interpreted drive.
-        prop_assert!(!any_compiled, "uncompilable shape reported compiled: {}", sql);
-    }
-}
-
-/// A deterministic smoke check that the compiled path actually engages:
-/// with compilation forced on, a plain scan→filter→project plan must
-/// report `compiled == true` (otherwise the proptests above would pass
-/// vacuously by never taking the compiled branch).
-#[test]
-fn forced_compilation_engages_on_a_plain_pipeline() {
-    let schema = Schema::of(&[("c0", DataType::Int), ("c1", DataType::Str)]);
-    let mut t = Table::new("t1", schema);
-    for i in 0..100 {
-        t.push(vec![Value::Int(i), Value::Str(format!("s{i}"))])
-            .expect("typed row");
-    }
-    let mut catalog = Catalog::new();
-    catalog.register(t).expect("fresh catalog");
-    let (out, compiled) = run(
-        &catalog,
-        "SELECT c0, c0 + 1 AS bumped FROM t1 WHERE c0 > 10",
-        1024,
-        1,
-        CompileMode::On,
-    )
-    .expect("plan runs");
-    assert!(compiled, "forced compilation must engage");
-    assert_eq!(out.len(), 89);
-    // And `Off` (the CI leg's env default cannot override an explicit
-    // argument) stays interpreted while agreeing on rows.
-    let (out_i, compiled_i) = run(
-        &catalog,
-        "SELECT c0, c0 + 1 AS bumped FROM t1 WHERE c0 > 10",
-        1024,
-        1,
-        CompileMode::Off,
-    )
-    .expect("plan runs");
-    assert!(!compiled_i);
-    assert_eq!(out, out_i);
 }

@@ -1,9 +1,9 @@
 //! Query-guard acceptance tests: deadline, cancellation, and budgets
-//! abort every physical drive — Volcano, batched, morsel-parallel, and
-//! compiled — with the same typed error, and leave the catalog ready for
-//! the next query.
+//! abort every physical drive — Volcano, batched and morsel-parallel —
+//! with the same typed error, and leave the catalog ready for the next
+//! query.
 
-use kath_sql::{parse_select, run_select_auto_guarded, SqlError};
+use kath_sql::{parse_select, run_select_auto_guarded, SelectStats, SqlError};
 use kath_storage::{
     CancelToken, Catalog, CompileMode, DataType, ExecMode, QueryGuard, Schema, StorageError, Table,
     Value, VectorMode,
@@ -22,27 +22,22 @@ fn catalog(rows: usize) -> Catalog {
     c
 }
 
-/// The four drives as (label, mode, threads, compile) strategy triples.
-/// `CompileMode::On` forces the fused drive for the compilable query below.
-const DRIVES: &[(&str, ExecMode, usize, CompileMode)] = &[
-    ("volcano", ExecMode::Volcano, 1, CompileMode::Off),
-    ("batched", ExecMode::Batched(128), 1, CompileMode::Off),
-    ("parallel", ExecMode::Batched(128), 4, CompileMode::Off),
-    ("compiled", ExecMode::Batched(128), 1, CompileMode::On),
-    (
-        "compiled-parallel",
-        ExecMode::Batched(128),
-        4,
-        CompileMode::On,
-    ),
+/// The drives as (label, mode, threads) strategies: the serial tree row-
+/// and batch-at-a-time, and the morsel drive at two worker counts.
+type Drive = (&'static str, ExecMode, usize);
+const DRIVES: &[Drive] = &[
+    ("volcano", ExecMode::Volcano, 1),
+    ("batched", ExecMode::Batched(128), 1),
+    ("2 workers", ExecMode::Batched(128), 2),
+    ("4 workers", ExecMode::Batched(128), 4),
 ];
 
-fn run(
+fn run_with_stats(
     c: &Catalog,
     query: &str,
-    drive: &(&str, ExecMode, usize, CompileMode),
+    drive: &Drive,
     guard: &QueryGuard,
-) -> Result<Table, SqlError> {
+) -> Result<(Table, SelectStats), SqlError> {
     let select = parse_select(query).unwrap();
     run_select_auto_guarded(
         c,
@@ -51,10 +46,13 @@ fn run(
         drive.1,
         drive.2,
         VectorMode::Auto,
-        drive.3,
+        CompileMode::Off,
         guard,
     )
-    .map(|(t, _)| t)
+}
+
+fn run(c: &Catalog, query: &str, drive: &Drive, guard: &QueryGuard) -> Result<Table, SqlError> {
+    run_with_stats(c, query, drive, guard).map(|(t, _)| t)
 }
 
 #[test]
@@ -112,6 +110,42 @@ fn row_budget_trips_with_a_typed_error_on_every_drive() {
         // A budget large enough for the whole result never trips.
         let guard = QueryGuard::unlimited().with_row_budget(4000);
         assert_eq!(run(&c, query, drive, &guard).unwrap().len(), 4000);
+    }
+}
+
+#[test]
+fn a_row_budget_meters_the_result_not_the_rows_below_distinct_and_limit() {
+    // `v` is `id % 97`: 97 distinct values and 97 groups over 4000 rows.
+    let c = catalog(4000);
+    // (statement, result rows, a budget the result fits but the rows below
+    // DISTINCT/LIMIT do not, a budget the result does not fit)
+    let cases = [
+        ("SELECT DISTINCT v FROM t ORDER BY v", 97, 100, 96),
+        ("SELECT id, v FROM t ORDER BY v DESC, id LIMIT 5", 5, 100, 4),
+        (
+            "SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY n DESC, v LIMIT 5",
+            5,
+            50,
+            4,
+        ),
+    ];
+    for (query, result_rows, fits, too_small) in cases {
+        let want = run(&c, query, &DRIVES[0], &QueryGuard::unlimited()).unwrap();
+        assert_eq!(want.len(), result_rows, "{query}");
+        for drive in DRIVES {
+            let guard = QueryGuard::unlimited().with_row_budget(fits);
+            let (got, stats) = run_with_stats(&c, query, drive, &guard)
+                .unwrap_or_else(|e| panic!("{query} ({}, budget {fits}): {e}", drive.0));
+            assert_eq!(got.rows(), want.rows(), "{query} ({})", drive.0);
+            assert_eq!(stats.workers, drive.2, "{query}: which drive ran");
+            let guard = QueryGuard::unlimited().with_row_budget(too_small);
+            let err = run(&c, query, drive, &guard).unwrap_err();
+            assert!(
+                matches!(&err, SqlError::Storage(StorageError::Budget(_))),
+                "{query} ({}, budget {too_small}): expected Budget, got {err:?}",
+                drive.0
+            );
+        }
     }
 }
 
@@ -181,16 +215,11 @@ fn a_deadline_trips_inside_a_scan_that_yields_no_batch() {
     // walk takes far longer than the 100 µs the guard allows; a run
     // that completed with zero rows would mean the scan never looked.
     let c = catalog(100_000);
-    for (label, threads, compile) in [
-        ("batched", 1, CompileMode::Off),
-        ("compiled", 1, CompileMode::On),
-    ] {
-        let drive = (label, ExecMode::Batched(1), threads, compile);
-        let guard = QueryGuard::unlimited().with_timeout(Duration::from_micros(100));
-        let err = run(&c, ALL_PRUNED, &drive, &guard).unwrap_err();
-        assert!(
-            matches!(&err, SqlError::Storage(StorageError::Cancelled(_))),
-            "{label}: expected Cancelled, got {err:?}"
-        );
-    }
+    let drive = ("batched", ExecMode::Batched(1), 1);
+    let guard = QueryGuard::unlimited().with_timeout(Duration::from_micros(100));
+    let err = run(&c, ALL_PRUNED, &drive, &guard).unwrap_err();
+    assert!(
+        matches!(&err, SqlError::Storage(StorageError::Cancelled(_))),
+        "expected Cancelled, got {err:?}"
+    );
 }

@@ -5,35 +5,31 @@
 //!    scan, index hit, inner/left join, aggregate with and without GROUP BY
 //!    (including a GROUP BY key written twice), sort before/after the
 //!    projection, expression sort, DISTINCT, lazy LIMIT, vector top-k —
-//!    runs under `(Volcano | Batched 1/3/1024) × threads 1/2/8 ×
-//!    CompileMode Off/On/Auto` over resident tables, paged tables, and
-//!    tables paged and then INSERTed into (sealed pages followed by a row
-//!    tail), and every run equals the Volcano reference.
+//!    runs under `(Volcano | Batched 1/3/1024) × threads 1/2/8` over
+//!    resident tables, paged tables, and tables paged and then INSERTed
+//!    into (sealed pages followed by a row tail), and every run equals the
+//!    Volcano reference.
 //! 2. **Error parity.** A statement that cannot be planned fails with the
 //!    same `SqlError` under every combination: planning runs once, before
 //!    any drive is chosen.
-//! 3. **Compile eligibility.** `stats.compiled` is true exactly for the
-//!    shapes docs/execution.md ("Compiled query pipelines") lists as
-//!    compilable, so the plan's predicate cannot drift from its
-//!    documentation.
-//! 4. **The float-aggregate contract.** A float `SUM`/`AVG` on the morsel
+//! 3. **The float-aggregate contract.** A float `SUM`/`AVG` on the morsel
 //!    drive is the same bits at every worker count ≥ 2 and agrees with the
 //!    serial sum to a relative 1e-9.
-//! 5. **Late materialization.** Statements that lean on column pruning and
+//! 4. **Late materialization.** Statements that lean on column pruning and
 //!    row-level prune hints — hints under INNER and LEFT joins, a hint
 //!    column the SELECT list drops, a name both join sides carry, the right
 //!    one of a colliding pair read while the left one is pruned, a hint
 //!    column with NULLs, a hint nothing survives — equal rows computed by a
 //!    plain Rust loop over the generated data, so the check does not rest
 //!    on the Volcano reference sharing the planner's column list.
-//! 6. **Run-time error parity.** A WHERE clause that raises on some row
+//! 5. **Run-time error parity.** A WHERE clause that raises on some row
 //!    raises on every backing and drive: no access-path shortcut (index
 //!    hit, zone-map page skip, row hint) may step over the failing row.
 
 use kath_sql::{execute, parse_select, run_select_auto_guarded, SelectStats, SqlError};
 use kath_storage::{
     encode_embedding, Catalog, CompileMode, ExecMode, QueryGuard, StorageError, Table, Value,
-    VectorMode, COMPILE_BREAK_EVEN_ROWS,
+    VectorMode,
 };
 use std::sync::Arc;
 
@@ -44,7 +40,6 @@ const MODES: [ExecMode; 4] = [
     ExecMode::Batched(1024),
 ];
 const THREADS: [usize; 3] = [1, 2, 8];
-const COMPILE: [CompileMode; 3] = [CompileMode::Off, CompileMode::On, CompileMode::Auto];
 
 /// The generated `films` rows: `(id, title, year, score)`, every eleventh
 /// score NULL.
@@ -92,14 +87,13 @@ const TABLES: [&str; 5] = ["films", "posters", "remakes", "docs", "big"];
 
 /// `films` (600 rows, hash index on `year`), `posters` (a third of the
 /// films), `remakes` (150 rows sharing two column names with `films`),
-/// `docs` (60 embedded phrases, two without an embedding) and `big` (just
-/// past the compile break-even, hash index on `v`) — resident in the first
-/// catalog, paged seven rows to a page in the second, and in the third the
-/// first three fifths paged and the rest INSERTed afterwards in two
-/// statements: the first fills pages of tail and so is sealed in turn, the
-/// second leaves five rows of tail — behind a short last page, except in
-/// `films` whose 595 sealed rows fill theirs — with the boundary inside a
-/// morsel.
+/// `docs` (60 embedded phrases, two without an embedding) and `big` (5 200
+/// rows, hash index on `v`) — resident in the first catalog, paged seven
+/// rows to a page in the second, and in the third the first three fifths
+/// paged and the rest INSERTed afterwards in two statements: the first
+/// fills pages of tail and so is sealed in turn, the second leaves five
+/// rows of tail — behind a short last page, except in `films` whose 595
+/// sealed rows fill theirs — with the boundary inside a morsel.
 fn catalogs() -> (Catalog, Catalog, Catalog) {
     let mut resident = Catalog::new();
     for ddl in [
@@ -139,7 +133,7 @@ fn catalogs() -> (Catalog, Catalog, Catalog) {
         })
         .collect();
     fill(&mut resident, "docs", docs);
-    let big = (0..COMPILE_BREAK_EVEN_ROWS as i64 + 200)
+    let big = (0..5200i64)
         .map(|i| vec![Value::Int(i), Value::Int(i % 97)])
         .collect();
     fill(&mut resident, "big", big);
@@ -177,22 +171,22 @@ fn run(
     mode: ExecMode,
     threads: usize,
     vector: VectorMode,
-    compile: CompileMode,
 ) -> Result<(Table, SelectStats), SqlError> {
     let select = parse_select(sql).expect("corpus statement parses");
     let guard = QueryGuard::unlimited();
+    let compile = CompileMode::Off;
     run_select_auto_guarded(c, &select, "out", mode, threads, vector, compile, &guard)
 }
 
-/// The Volcano reference: row-at-a-time, serial, interpreted, resident.
+/// The Volcano reference: row-at-a-time, serial, resident.
 fn reference(c: &Catalog, sql: &str, vector: VectorMode) -> Result<Table, SqlError> {
-    run(c, sql, ExecMode::Volcano, 1, vector, CompileMode::Off).map(|(t, _)| t)
+    run(c, sql, ExecMode::Volcano, 1, vector).map(|(t, _)| t)
 }
 
-/// Calls `check` once per `(backing, mode, threads, compile)` combination.
+/// Calls `check` once per `(backing, mode, threads)` combination.
 fn sweep(
     catalogs: &(Catalog, Catalog, Catalog),
-    mut check: impl FnMut(&str, &Catalog, ExecMode, usize, CompileMode),
+    mut check: impl FnMut(&str, &Catalog, ExecMode, usize),
 ) {
     let backings = [
         ("resident", &catalogs.0),
@@ -202,122 +196,76 @@ fn sweep(
     for (backing, c) in backings {
         for mode in MODES {
             for threads in THREADS {
-                for compile in COMPILE {
-                    let label = format!("{backing} {mode:?} threads {threads} compile {compile}");
-                    check(&label, c, mode, threads, compile);
-                }
+                let label = format!("{backing} {mode:?} threads {threads}");
+                check(&label, c, mode, threads);
             }
         }
-    }
-}
-
-/// One corpus statement: its text, and whether docs/execution.md lists its
-/// shape as compilable.
-struct Stmt {
-    sql: &'static str,
-    compilable: bool,
-}
-
-const fn compiles(sql: &'static str) -> Stmt {
-    Stmt {
-        sql,
-        compilable: true,
-    }
-}
-
-const fn interpreted(sql: &'static str) -> Stmt {
-    Stmt {
-        sql,
-        compilable: false,
     }
 }
 
 const VECTOR_SQL: &str =
     "SELECT id, body FROM docs ORDER BY SIMILARITY(emb, 'shootout weapon') DESC LIMIT 4";
 
-fn corpus() -> Vec<Stmt> {
+fn corpus() -> Vec<&'static str> {
     vec![
-        // Streaming scan → probe → filter → project pipelines: compilable.
-        compiles("SELECT * FROM films"),
-        compiles("SELECT title, year FROM films WHERE year >= 1988"),
-        compiles("SELECT title, 2030 - year AS age FROM films WHERE id % 3 = 0"),
-        compiles("SELECT id, v FROM big WHERE v < 9"),
-        compiles(
-            "SELECT title, boring FROM films JOIN posters ON films.id = posters.film_id \
-             WHERE boring = TRUE",
-        ),
-        compiles("SELECT title, boring FROM films LEFT JOIN posters ON posters.film_id = films.id"),
+        // Streaming scan → probe → filter → project pipelines.
+        "SELECT * FROM films",
+        "SELECT title, year FROM films WHERE year >= 1988",
+        "SELECT title, 2030 - year AS age FROM films WHERE id % 3 = 0",
+        "SELECT id, v FROM big WHERE v < 9",
+        "SELECT title, boring FROM films JOIN posters ON films.id = posters.film_id \
+         WHERE boring = TRUE",
+        "SELECT title, boring FROM films LEFT JOIN posters ON posters.film_id = films.id",
         // Index hit: the equality conjunct reads candidate positions.
-        interpreted("SELECT title FROM films WHERE year = 1991 AND id > 1"),
-        // Model-backed call: outside the compiler's scalar whitelist.
-        interpreted("SELECT id, SIMILARITY(body, 'gun') AS s FROM docs WHERE id < 20"),
+        "SELECT title FROM films WHERE year = 1991 AND id > 1",
+        // Model-backed call.
+        "SELECT id, SIMILARITY(body, 'gun') AS s FROM docs WHERE id < 20",
         // Aggregates, with and without GROUP BY.
-        interpreted(
-            "SELECT COUNT(*) AS n, MIN(title) AS t, MAX(year) AS y, SUM(id) AS s FROM films",
-        ),
-        interpreted("SELECT COUNT(*) AS n, MAX(v) AS m FROM big WHERE v > 3"),
-        interpreted(
-            "SELECT year, COUNT(*) AS n, AVG(id) AS a FROM films WHERE id % 2 = 0 \
-             GROUP BY year ORDER BY n DESC, year LIMIT 5",
-        ),
+        "SELECT COUNT(*) AS n, MIN(title) AS t, MAX(year) AS y, SUM(id) AS s FROM films",
+        "SELECT COUNT(*) AS n, MAX(v) AS m FROM big WHERE v > 3",
+        "SELECT year, COUNT(*) AS n, AVG(id) AS a FROM films WHERE id % 2 = 0 \
+         GROUP BY year ORDER BY n DESC, year LIMIT 5",
         // A GROUP BY key written twice groups once, adjacent or not.
-        interpreted("SELECT year, COUNT(*) AS n FROM films GROUP BY year, year ORDER BY year"),
-        interpreted(
-            "SELECT year, title, COUNT(*) AS n FROM films GROUP BY year, title, year \
-             ORDER BY year, title",
-        ),
+        "SELECT year, COUNT(*) AS n FROM films GROUP BY year, year ORDER BY year",
+        "SELECT year, title, COUNT(*) AS n FROM films GROUP BY year, title, year \
+         ORDER BY year, title",
         // Sort after the projection (on an alias), before it (on a dropped
         // column), and before it under a LIMIT whose tail stays lazy: the
         // projection divides by zero for the year-1950 rows, which sort last.
-        interpreted("SELECT title, 2030 - year AS age FROM films ORDER BY age, title"),
-        interpreted("SELECT title FROM films WHERE year > 1960 ORDER BY year DESC, id ASC"),
-        interpreted("SELECT 100 / (year - 1950) AS q FROM films ORDER BY year DESC LIMIT 5"),
-        interpreted("SELECT * FROM films ORDER BY year, id"),
+        "SELECT title, 2030 - year AS age FROM films ORDER BY age, title",
+        "SELECT title FROM films WHERE year > 1960 ORDER BY year DESC, id ASC",
+        "SELECT 100 / (year - 1950) AS q FROM films ORDER BY year DESC LIMIT 5",
+        "SELECT * FROM films ORDER BY year, id",
         // Expression sort on hidden columns.
-        interpreted("SELECT id FROM films ORDER BY 0 - id LIMIT 7"),
-        interpreted("SELECT * FROM films WHERE id < 50 ORDER BY id % 7, id"),
+        "SELECT id FROM films ORDER BY 0 - id LIMIT 7",
+        "SELECT * FROM films WHERE id < 50 ORDER BY id % 7, id",
         // DISTINCT, alone and over a sort.
-        interpreted("SELECT DISTINCT year FROM films"),
-        interpreted("SELECT DISTINCT year FROM films ORDER BY year DESC LIMIT 5"),
+        "SELECT DISTINCT year FROM films",
+        "SELECT DISTINCT year FROM films ORDER BY year DESC LIMIT 5",
         // Lazy LIMIT: rows past the limit are never evaluated.
-        interpreted("SELECT 100 / (year - 1950) AS q FROM films WHERE year = 1950 LIMIT 0"),
-        interpreted("SELECT title FROM films LIMIT 9"),
+        "SELECT 100 / (year - 1950) AS q FROM films WHERE year = 1950 LIMIT 0",
+        "SELECT title FROM films LIMIT 9",
     ]
 }
 
-/// Runs `stmt` under every combination: each run returns the rows of
-/// `want`, and compiles exactly when the statement is documented to.
-fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), stmt: &Stmt, want: &Table) {
-    let sql = stmt.sql;
-    let from = parse_select(sql).unwrap().from;
-    let pays_off = catalogs.0.get(&from).unwrap().len() > COMPILE_BREAK_EVEN_ROWS;
-    sweep(catalogs, |label, c, mode, threads, compile| {
-        let (got, stats) = run(c, sql, mode, threads, VectorMode::Auto, compile)
+/// Runs `sql` under every combination: each run returns the rows of `want`.
+fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), sql: &str, want: &Table) {
+    sweep(catalogs, |label, c, mode, threads| {
+        let (got, stats) = run(c, sql, mode, threads, VectorMode::Auto)
             .unwrap_or_else(|e| panic!("{sql} ({label}): {e}"));
         assert_eq!(&got, want, "{sql} ({label})");
-        let asked = match compile {
-            CompileMode::Off => false,
-            CompileMode::On => true,
-            CompileMode::Auto => pays_off,
-        };
-        let batched = mode != ExecMode::Volcano;
-        assert_eq!(
-            stats.compiled,
-            stmt.compilable && batched && asked,
-            "{sql} ({label}): compiled drive eligibility"
-        );
-        if !batched {
+        if mode == ExecMode::Volcano {
             assert_eq!((stats.workers, stats.batches), (1, 0), "{sql} ({label})");
         }
     });
 }
 
 #[test]
-fn every_combination_equals_the_volcano_reference_and_compiles_as_documented() {
+fn every_combination_equals_the_volcano_reference() {
     let catalogs = catalogs();
-    for stmt in corpus() {
-        let want = reference(&catalogs.0, stmt.sql, VectorMode::Auto).expect(stmt.sql);
-        check_everywhere(&catalogs, &stmt, &want);
+    for sql in corpus() {
+        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
+        check_everywhere(&catalogs, sql, &want);
     }
 }
 
@@ -347,7 +295,7 @@ fn nested_loop_join(
 
 /// Statements whose plans lean on late materialization, each with the rows
 /// a plain Rust loop over the generated data says it returns.
-fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
+fn late_materialization_corpus() -> Vec<(&'static str, Vec<Vec<Value>>)> {
     let year = |f: &[Value]| f[2].as_int().unwrap();
     let id = |f: &[Value]| f[0].as_int().unwrap();
     let or_null = |o: Option<&[Value]>, c: usize| o.map_or(Value::Null, |o| o[c].clone());
@@ -364,26 +312,20 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
         // A FROM-side sargable conjunct under an INNER and a LEFT join; the
         // SELECT list drops its column.
         (
-            compiles(
-                "SELECT title, boring FROM films JOIN posters ON films.id = posters.film_id \
-                 WHERE year >= 1990",
-            ),
+            "SELECT title, boring FROM films JOIN posters ON films.id = posters.film_id \
+             WHERE year >= 1990",
             nested_loop_join(&posters, 0, false, |f| year(f) >= 1990, title_boring),
         ),
         (
-            compiles(
-                "SELECT title, boring FROM films LEFT JOIN posters \
-                 ON films.id = posters.film_id WHERE year >= 1990",
-            ),
+            "SELECT title, boring FROM films LEFT JOIN posters \
+             ON films.id = posters.film_id WHERE year >= 1990",
             nested_loop_join(&posters, 0, true, |f| year(f) >= 1990, title_boring),
         ),
         // The same with the conjunct's column in the SELECT list, beside a
         // conjunct over the build side (no hint: it is not a FROM column).
         (
-            compiles(
-                "SELECT id, year, boring FROM films LEFT JOIN posters \
-                 ON films.id = posters.film_id WHERE 1995 > year AND boring = FALSE",
-            ),
+            "SELECT id, year, boring FROM films LEFT JOIN posters \
+             ON films.id = posters.film_id WHERE 1995 > year AND boring = FALSE",
             nested_loop_join(
                 &posters,
                 0,
@@ -398,10 +340,8 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
         // `id` is a column of both sides: unqualified it is the FROM
         // table's, and the hint lands there. Films 0..50 match twice.
         (
-            compiles(
-                "SELECT id, right.id AS rid, title, right.title AS rtitle FROM films JOIN remakes \
-                 ON films.id = remakes.film_id WHERE id < 70 AND id >= 30",
-            ),
+            "SELECT id, right.id AS rid, title, right.title AS rtitle FROM films JOIN remakes \
+             ON films.id = remakes.film_id WHERE id < 70 AND id >= 30",
             nested_loop_join(
                 &remakes,
                 2,
@@ -413,10 +353,8 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
         // Only the right one of a colliding pair is read: the left `title`
         // is pruned, and `right.title` must not rebind to it.
         (
-            compiles(
-                "SELECT right.title FROM films LEFT JOIN remakes \
-                 ON films.id = remakes.film_id WHERE year > 1985 AND id < 200",
-            ),
+            "SELECT right.title FROM films LEFT JOIN remakes \
+             ON films.id = remakes.film_id WHERE year > 1985 AND id < 200",
             nested_loop_join(
                 &remakes,
                 2,
@@ -428,11 +366,9 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
         // An aggregate above the join reads two build columns and no FROM
         // column but the key the hint is on.
         (
-            interpreted(
-                "SELECT film_id, COUNT(*) AS n, MIN(right.title) AS first FROM films \
-                 JOIN remakes ON films.id = remakes.film_id WHERE id >= 40 \
-                 GROUP BY film_id ORDER BY film_id",
-            ),
+            "SELECT film_id, COUNT(*) AS n, MIN(right.title) AS first FROM films \
+             JOIN remakes ON films.id = remakes.film_id WHERE id >= 40 \
+             GROUP BY film_id ORDER BY film_id",
             (40..100i64)
                 .map(|film| {
                     let of_film: Vec<_> = remakes
@@ -451,11 +387,11 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
         // A hint column that is NULL in some rows: NULL fails the hint as
         // it fails the filter.
         (
-            compiles("SELECT id, title FROM films WHERE score > 30.5"),
+            "SELECT id, title FROM films WHERE score > 30.5",
             films_where(&|f| f[3].as_f64().is_some_and(|s| s > 30.5), &[0, 1]),
         ),
         (
-            interpreted("SELECT id FROM films WHERE score <= 2.0 ORDER BY id DESC"),
+            "SELECT id FROM films WHERE score <= 2.0 ORDER BY id DESC",
             films_where(&|f| f[3].as_f64().is_some_and(|s| s <= 2.0), &[0])
                 .into_iter()
                 .rev()
@@ -465,16 +401,16 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
         // ('film 35' sorts between 'film 3' and 'film 4'): every batch of
         // every page and of the tail is skipped.
         (
-            compiles("SELECT id, year FROM films WHERE title = 'film 35'"),
+            "SELECT id, year FROM films WHERE title = 'film 35'",
             Vec::new(),
         ),
         (
-            interpreted("SELECT COUNT(*) AS n, MAX(id) AS m FROM films WHERE title = 'film 35'"),
+            "SELECT COUNT(*) AS n, MAX(id) AS m FROM films WHERE title = 'film 35'",
             vec![vec![Value::Int(0), Value::Null]],
         ),
         // No column is read at all: the scan still counts rows.
         (
-            interpreted("SELECT COUNT(*) AS n FROM posters"),
+            "SELECT COUNT(*) AS n FROM posters",
             vec![vec![Value::Int(200)]],
         ),
     ]
@@ -483,10 +419,10 @@ fn late_materialization_corpus() -> Vec<(Stmt, Vec<Vec<Value>>)> {
 #[test]
 fn late_materialization_returns_what_a_plain_rust_filter_returns() {
     let catalogs = catalogs();
-    for (stmt, rows) in late_materialization_corpus() {
-        let want = reference(&catalogs.0, stmt.sql, VectorMode::Auto).expect(stmt.sql);
-        assert_eq!(want.rows(), rows, "{}: reference vs plain filter", stmt.sql);
-        check_everywhere(&catalogs, &stmt, &want);
+    for (sql, rows) in late_materialization_corpus() {
+        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
+        assert_eq!(want.rows(), rows, "{sql}: reference vs plain filter");
+        check_everywhere(&catalogs, sql, &want);
     }
 }
 
@@ -506,8 +442,8 @@ fn a_where_clause_that_raises_raises_on_every_backing_and_drive() {
             SqlError::Storage(StorageError::Eval("division by zero".into())),
             "{sql}"
         );
-        sweep(&catalogs, |label, c, mode, threads, compile| {
-            let got = run(c, sql, mode, threads, VectorMode::Auto, compile)
+        sweep(&catalogs, |label, c, mode, threads| {
+            let got = run(c, sql, mode, threads, VectorMode::Auto)
                 .map(|(t, _)| t.len())
                 .expect_err(&format!("{sql} ({label})"));
             assert_eq!(got, want, "{sql} ({label})");
@@ -528,14 +464,10 @@ fn vector_topk_equals_its_reference_under_every_combination() {
             assert_eq!(want, full_sort, "{vector:?}");
         }
         assert_eq!(want.len(), full_sort.len(), "{vector:?}");
-        sweep(&catalogs, |label, c, mode, threads, compile| {
-            let (got, stats) = run(c, VECTOR_SQL, mode, threads, vector, compile)
+        sweep(&catalogs, |label, c, mode, threads| {
+            let (got, _) = run(c, VECTOR_SQL, mode, threads, vector)
                 .unwrap_or_else(|e| panic!("{vector:?} ({label}): {e}"));
             assert_eq!(got, want, "{vector:?} ({label})");
-            assert!(
-                !stats.compiled,
-                "{vector:?} ({label}): top-k never compiles"
-            );
         });
     }
 }
@@ -600,8 +532,8 @@ fn planning_errors_are_the_same_on_every_drive() {
         for vector in [VectorMode::Off, VectorMode::Flat, VectorMode::Ivf] {
             let want = reference(&catalogs.0, sql, vector).expect_err(sql);
             assert!(expected(&want), "{sql}: unexpected error {want:?}");
-            sweep(&catalogs, |label, c, mode, threads, compile| {
-                let got = run(c, sql, mode, threads, vector, compile)
+            sweep(&catalogs, |label, c, mode, threads| {
+                let got = run(c, sql, mode, threads, vector)
                     .map(|(t, _)| t)
                     .expect_err(sql);
                 assert_eq!(got, want, "{sql} ({vector:?}, {label})");
@@ -617,17 +549,7 @@ fn float_sum_and_avg_are_stable_across_worker_counts_and_close_to_serial() {
         "SELECT year, SUM(score) AS s, AVG(score) AS a FROM films GROUP BY year ORDER BY year";
     // Batch 3 splits the 600 rows into 50 morsels of per-morsel partial sums.
     let mode = ExecMode::Batched(3);
-    let run_at = |mode, threads| {
-        run(
-            &resident,
-            sql,
-            mode,
-            threads,
-            VectorMode::Auto,
-            CompileMode::Off,
-        )
-        .unwrap()
-    };
+    let run_at = |mode, threads| run(&resident, sql, mode, threads, VectorMode::Auto).unwrap();
     let (two, stats) = run_at(mode, 2);
     assert!(stats.workers > 1, "expected the morsel drive");
     let (eight, _) = run_at(mode, 8);

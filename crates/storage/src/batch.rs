@@ -48,6 +48,16 @@ impl Default for ExecMode {
     }
 }
 
+/// What is left of the deleted compiled drive's policy: one value, which
+/// the engine stores and ignores. It exists only because the repo benchmark
+/// (`benchmark/`) spells it; it goes when that package can be edited.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CompileMode {
+    /// No pipeline is compiled: every SELECT runs the interpreted operators.
+    #[default]
+    Off,
+}
+
 /// A packed validity bitmap: bit `i` is set when slot `i` is NULL.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NullBitmap {

@@ -235,29 +235,30 @@ impl Expr {
             Expr::Call(name, args) if name == "similarity" && args.len() == 2 => {
                 // Batched similarity kernel: the query side is typically a
                 // literal — decode/embed it once per batch, not once per row.
-                let query: Option<Option<Vec<f32>>> = match &args[1] {
-                    Expr::Lit(v) => Some(similarity_arg(v)?),
-                    _ => None,
-                };
+                enum Query {
+                    Literal(Option<Vec<f32>>),
+                    Column(ColumnVector),
+                }
                 let a = args[0].eval_batch(batch, schema)?;
-                let b = match &query {
-                    Some(_) => None,
-                    None => Some(args[1].eval_batch(batch, schema)?),
+                let query = match &args[1] {
+                    Expr::Lit(v) => Query::Literal(similarity_arg(v)?),
+                    other => Query::Column(other.eval_batch(batch, schema)?),
                 };
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
-                    let av = similarity_arg(&a.value(i))?;
-                    let score = match (&av, &query, &b) {
-                        (None, _, _) => Value::Null,
-                        (Some(x), Some(Some(q)), _) => similarity_score(x, q),
-                        (Some(_), Some(None), _) => Value::Null,
-                        (Some(x), None, Some(col)) => match similarity_arg(&col.value(i))? {
-                            Some(y) => similarity_score(x, &y),
-                            None => Value::Null,
-                        },
-                        (Some(_), None, None) => unreachable!("query or column is set"),
+                    let Some(x) = similarity_arg(&a.value(i))? else {
+                        out.push(Value::Null);
+                        continue;
                     };
-                    out.push(score);
+                    let decoded;
+                    let y = match &query {
+                        Query::Literal(q) => q.as_ref(),
+                        Query::Column(col) => {
+                            decoded = similarity_arg(&col.value(i))?;
+                            decoded.as_ref()
+                        }
+                    };
+                    out.push(y.map_or(Value::Null, |y| similarity_score(&x, y)));
                 }
                 Ok(ColumnVector::from_values(out))
             }
@@ -272,11 +273,7 @@ impl Expr {
     }
 
     /// Row-at-a-time evaluation over a batch (exact-semantics fallback).
-    pub(crate) fn eval_rows(
-        &self,
-        batch: &RowBatch,
-        schema: &Schema,
-    ) -> Result<ColumnVector, StorageError> {
+    fn eval_rows(&self, batch: &RowBatch, schema: &Schema) -> Result<ColumnVector, StorageError> {
         let mut out = Vec::with_capacity(batch.num_rows());
         for i in 0..batch.num_rows() {
             out.push(self.eval(&batch.row(i), schema)?);
@@ -333,9 +330,8 @@ impl Expr {
 }
 
 /// `NOT` over an evaluated operand column: three-valued negation (NULL
-/// stays NULL). Shared by the batch evaluator and compiled kernels so the
-/// two paths cannot drift.
-pub(crate) fn not_kernel(v: &ColumnVector) -> ColumnVector {
+/// stays NULL).
+fn not_kernel(v: &ColumnVector) -> ColumnVector {
     let truthy = v.truthy_mask();
     let mut nulls = NullBitmap::new();
     let mut out = Vec::with_capacity(truthy.len());
@@ -349,7 +345,7 @@ pub(crate) fn not_kernel(v: &ColumnVector) -> ColumnVector {
 
 /// Arithmetic negation over an evaluated operand column, with Int/Float
 /// fast paths and a per-value fallback for mixed columns.
-pub(crate) fn neg_kernel(v: &ColumnVector) -> Result<ColumnVector, StorageError> {
+fn neg_kernel(v: &ColumnVector) -> Result<ColumnVector, StorageError> {
     match v.data() {
         ColumnData::Int(xs) => Ok(ColumnVector::from_parts(
             ColumnData::Int(xs.iter().map(|x| -x).collect()),
@@ -376,19 +372,15 @@ pub(crate) fn neg_kernel(v: &ColumnVector) -> Result<ColumnVector, StorageError>
 }
 
 /// `IS NULL` over an evaluated operand column: always-valid booleans.
-pub(crate) fn is_null_kernel(v: &ColumnVector) -> ColumnVector {
+fn is_null_kernel(v: &ColumnVector) -> ColumnVector {
     let n = v.len();
     let out: Vec<bool> = (0..n).map(|i| v.is_null(i)).collect();
     ColumnVector::from_parts(ColumnData::Bool(out), NullBitmap::all_valid(n))
 }
 
 /// A scalar function applied row-wise over already-evaluated argument
-/// columns (the general `Call` path both evaluators share).
-pub(crate) fn call_kernel(
-    name: &str,
-    cols: &[ColumnVector],
-    n: usize,
-) -> Result<ColumnVector, StorageError> {
+/// columns (the general `Call` path).
+fn call_kernel(name: &str, cols: &[ColumnVector], n: usize) -> Result<ColumnVector, StorageError> {
     let mut out = Vec::with_capacity(n);
     let mut vals: Vec<Value> = Vec::with_capacity(cols.len());
     for i in 0..n {
@@ -401,7 +393,7 @@ pub(crate) fn call_kernel(
 
 /// Element-wise three-valued `AND`/`OR` over two evaluated operand columns.
 /// Mirrors the collapse rules of [`Expr::eval`] exactly.
-pub(crate) fn combine_logical(op: BinOp, l: &ColumnVector, r: &ColumnVector) -> ColumnVector {
+fn combine_logical(op: BinOp, l: &ColumnVector, r: &ColumnVector) -> ColumnVector {
     let n = l.len();
     let lt = l.truthy_mask();
     let rt = r.truthy_mask();
@@ -448,7 +440,7 @@ fn is_numeric(c: &ColumnVector) -> bool {
 /// Element-wise binary operation over two operand columns, with typed fast
 /// paths for Int/Int, numeric, and Str/Str operands; everything else falls
 /// back to [`eval_bin`] per element (identical semantics either way).
-pub(crate) fn eval_bin_batch(
+fn eval_bin_batch(
     op: BinOp,
     l: &ColumnVector,
     r: &ColumnVector,

@@ -1,5 +1,5 @@
 //! Per-query guardrails: deadline, cooperative cancellation, and row/byte
-//! budgets, enforced uniformly across all four query drives.
+//! budgets, enforced uniformly across the query drives.
 //!
 //! A [`QueryGuard`] is built once per statement (from the session-level
 //! [`GuardSpec`]) and threaded through the drive that runs it:
@@ -12,13 +12,14 @@
 //! - **Batch**: the guarded batched collector checks before every
 //!   `next_batch()` and charges each produced batch.
 //! - **Morsel-parallel**: workers check between morsels (claim, check,
-//!   work), and the per-worker scans carry the guard too.
-//! - **Compiled**: the fused loop checks once per scan batch and charges
-//!   pipeline output rows.
+//!   work); the merged result is charged after DISTINCT/LIMIT, and workers
+//!   charge per batch mid-scan only when every row they emit is a result
+//!   row.
 //!
 //! Budgets meter **produced** (root-level) rows and bytes — the work a
-//! client would receive — not intermediate operator traffic. A tripped
-//! guard surfaces as a typed [`StorageError::Cancelled`] or
+//! client would receive — not intermediate operator traffic, so whether a
+//! budget trips does not depend on the worker count. A tripped guard
+//! surfaces as a typed [`StorageError::Cancelled`] or
 //! [`StorageError::Budget`]; partial results are dropped on the unwind
 //! path and no catalog state is touched, so the next query on the same
 //! catalog runs normally.

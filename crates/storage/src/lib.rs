@@ -13,7 +13,6 @@
 
 mod batch;
 mod catalog;
-mod compile;
 mod durable;
 mod error;
 mod expr;
@@ -34,12 +33,10 @@ mod value;
 mod vecindex;
 mod wal;
 
-pub use batch::{ColumnData, ColumnVector, ExecMode, NullBitmap, RowBatch, DEFAULT_BATCH_SIZE};
-pub use catalog::{Catalog, Joinability};
-pub use compile::{
-    compile_pays_off, CompileMode, CompiledExpr, CompiledPipeline, COMPILE_BREAK_EVEN_ROWS,
-    COMPILE_ENV,
+pub use batch::{
+    ColumnData, ColumnVector, CompileMode, ExecMode, NullBitmap, RowBatch, DEFAULT_BATCH_SIZE,
 };
+pub use catalog::{Catalog, Joinability};
 pub use durable::{CheckpointStats, Durability, DurabilityStatus, Recovered};
 pub use error::StorageError;
 pub use expr::{BinOp, Expr};
