@@ -2,7 +2,11 @@
 //! parallel execution.
 //!
 //! Runs the scan → filter → aggregate pipeline over the scale corpus at
-//! every (threads × batch size) point, and writes `BENCH_parallel.json` at
+//! every (threads × batch size) point, then the fan-out of a semantic node
+//! (`semantic_series`: `gen_excitement_score`, a `ConceptScore` body through
+//! `execute_body`, over the 1 000-plot generated corpus at each thread
+//! count, beside 1 000 one-shot `SimLlm::concept_score` calls — the loop
+//! the node's prepare phase replaced), and writes `BENCH_parallel.json` at
 //! the repo root so future PRs can diff performance instead of guessing:
 //!
 //! ```sh
@@ -19,10 +23,16 @@
 //! JSON, `speedups_meaningful: false`): threads time-slicing one core
 //! cannot support a parallel-speedup claim.
 
-use kath_data::{generate_corpus, CorpusSpec};
+use kath_data::{generate_corpus, CorpusSpec, MmqaCorpus};
+use kath_exec::{execute_body, ExecContext};
+use kath_fao::FunctionBody;
 use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_model::{SimLlm, TokenMeter};
 use kath_sql::{parse_select, run_select_auto_guarded};
-use kath_storage::{host_parallelism, Catalog, CompileMode, ExecMode, QueryGuard, VectorMode};
+use kath_storage::{
+    host_parallelism, Catalog, CompileMode, DataType, ExecMode, QueryGuard, Schema, Table, Value,
+    VectorMode,
+};
 use std::time::Instant;
 
 const QUERY: &str = "SELECT year, COUNT(*) AS n, AVG(id) AS avg_id FROM movie_table \
@@ -30,6 +40,10 @@ const QUERY: &str = "SELECT year, COUNT(*) AS n, AVG(id) AS avg_id FROM movie_ta
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
 const BATCH_POINTS: [usize; 2] = [1, 1024];
+
+/// The semantic series' corpus: the repo benchmark's `nl_flagship` size.
+const SEMANTIC_ROWS: usize = 1000;
+const CLARIFICATION: &str = "The movie plot contains scenes that are uncommon in real life";
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -42,6 +56,98 @@ fn median(mut xs: Vec<f64>) -> f64 {
     } else {
         (xs[n / 2 - 1] + xs[n / 2]) / 2.0
     }
+}
+
+/// A speedup is only a claim when the host can actually run workers
+/// concurrently; with one core the ratio is noise.
+fn speedup(baseline_ms: f64, median_ms: f64) -> Json {
+    if host_parallelism() > 1 && median_ms > 0.0 {
+        Json::Num(baseline_ms / median_ms)
+    } else {
+        Json::Null
+    }
+}
+
+/// The fan-out of one semantic node: `gen_excitement_score` over the plots
+/// of `corpus` at every thread point. Thread points alternate within a rep,
+/// so a slow stretch of the host lands on all of them.
+fn semantic_series(corpus: &MmqaCorpus, reps: usize) -> Json {
+    let llm = SimLlm::new(42, TokenMeter::new());
+    let keywords = llm.generate_keywords(CLARIFICATION);
+    let rows = corpus
+        .documents
+        .iter()
+        .enumerate()
+        .map(|(i, d)| vec![Value::Int(i as i64), Value::Str(d.text.clone())])
+        .collect();
+    let schema = Schema::of(&[("id", DataType::Int), ("chars", DataType::Str)]);
+    let plots = Table::from_rows("plots", schema, rows).expect("plots table builds");
+    let body = FunctionBody::ConceptScore {
+        input: "plots".into(),
+        text_column: "chars".into(),
+        keywords: keywords.clone(),
+        output_column: "excitement_score".into(),
+    };
+
+    let mut one_shot_ms = Vec::with_capacity(reps);
+    let mut node_ms = vec![Vec::with_capacity(reps); THREAD_POINTS.len()];
+    let mut workers = [0usize; THREAD_POINTS.len()];
+    for _ in 0..reps {
+        let started = Instant::now();
+        let mut sum = 0.0;
+        for d in &corpus.documents {
+            sum += llm.concept_score(&d.text, &keywords);
+        }
+        std::hint::black_box(sum);
+        one_shot_ms.push(started.elapsed().as_secs_f64() * 1000.0);
+
+        for (point, threads) in THREAD_POINTS.into_iter().enumerate() {
+            let mut ctx = ExecContext::new(llm.clone());
+            ctx.ingest_table(plots.clone(), "bench://plots")
+                .expect("plots ingest");
+            ctx.threads = threads;
+            let started = Instant::now();
+            let outcome = execute_body(&mut ctx, "gen_excitement_score", 1, &body, "scored")
+                .expect("semantic node runs");
+            node_ms[point].push(started.elapsed().as_secs_f64() * 1000.0);
+            assert_eq!(outcome.table.len(), corpus.documents.len());
+            workers[point] = outcome.workers;
+        }
+    }
+
+    let one_shot_ms = median(one_shot_ms);
+    eprintln!(
+        "{} one-shot concept_score calls: median {one_shot_ms:8.2} ms",
+        corpus.documents.len()
+    );
+    let medians: Vec<f64> = node_ms.into_iter().map(median).collect();
+    let mut series = Vec::new();
+    for (point, threads) in THREAD_POINTS.into_iter().enumerate() {
+        let median_ms = medians[point];
+        eprintln!(
+            "gen_excitement_score, threads {threads} ({} worker(s)): median {median_ms:8.2} ms",
+            workers[point]
+        );
+        let mut entry = JsonMap::new();
+        entry.insert("threads", Json::Num(threads as f64));
+        entry.insert("workers", Json::Num(workers[point] as f64));
+        entry.insert("median_ms", Json::Num(median_ms));
+        entry.insert(
+            "ms_per_row",
+            Json::Num(median_ms / corpus.documents.len().max(1) as f64),
+        );
+        entry.insert("speedup", speedup(medians[0], median_ms));
+        series.push(Json::Object(entry));
+    }
+    let mut report = JsonMap::new();
+    report.insert("node", Json::Str("gen_excitement_score".into()));
+    report.insert("body", Json::Str("ConceptScore via execute_body".into()));
+    report.insert("rows", Json::Num(corpus.documents.len() as f64));
+    report.insert("keywords", Json::Num(keywords.len() as f64));
+    report.insert("reps", Json::Num(reps as f64));
+    report.insert("one_shot_concept_score_ms", Json::Num(one_shot_ms));
+    report.insert("series", Json::Array(series));
+    Json::Object(report)
 }
 
 fn main() {
@@ -106,19 +212,13 @@ fn main() {
                 .find(|(b, _)| *b == batch)
                 .map(|(_, ms)| *ms)
                 .unwrap_or(median_ms);
-            // A speedup is only a claim when the host can actually run
-            // workers concurrently; with one core the ratio is noise.
-            let speedup = if hp > 1 && median_ms > 0.0 {
-                Some(baseline / median_ms)
-            } else {
-                None
-            };
+            let speedup = speedup(baseline, median_ms);
             match speedup {
-                Some(s) => eprintln!(
+                Json::Num(s) => eprintln!(
                     "threads {threads} × batch {batch:>4}: median {median_ms:8.2} ms \
                      (speedup {s:4.2}x, {check_rows} result rows)"
                 ),
-                None => eprintln!(
+                _ => eprintln!(
                     "threads {threads} × batch {batch:>4}: median {median_ms:8.2} ms \
                      ({check_rows} result rows)"
                 ),
@@ -127,10 +227,19 @@ fn main() {
             point.insert("threads", Json::Num(threads as f64));
             point.insert("batch", Json::Num(batch as f64));
             point.insert("median_ms", Json::Num(median_ms));
-            point.insert("speedup", speedup.map(Json::Num).unwrap_or(Json::Null));
+            point.insert("speedup", speedup);
             series.push(Json::Object(point));
         }
     }
+
+    eprintln!("generating the {SEMANTIC_ROWS}-plot corpus for the semantic series…");
+    let semantic = semantic_series(
+        &generate_corpus(&CorpusSpec {
+            movies: SEMANTIC_ROWS,
+            ..Default::default()
+        }),
+        if quick { 3 } else { 25 },
+    );
 
     let mut report = JsonMap::new();
     report.insert("bench", Json::Str("parallel_scan_filter_aggregate".into()));
@@ -141,6 +250,7 @@ fn main() {
     report.insert("host_parallelism", Json::Num(hp as f64));
     report.insert("speedups_meaningful", Json::Bool(hp > 1));
     report.insert("series", Json::Array(series));
+    report.insert("semantic_series", semantic);
     let rendered = to_string_pretty(&Json::Object(report));
     std::fs::write(&out_path, rendered + "\n").expect("report writes");
     eprintln!("wrote {out_path}");

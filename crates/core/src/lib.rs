@@ -611,7 +611,13 @@ impl KathDB {
     /// outlives it aborts mid-scan with
     /// [`StorageError::Cancelled`] on whichever drive is running —
     /// Volcano, batched or morsel-parallel — with partial state dropped
-    /// and the catalog untouched; the next statement runs normally. The deadline is minted fresh at each statement's start.
+    /// and the catalog untouched; the next statement runs normally. The
+    /// deadline is minted fresh at each statement's start — for an NL
+    /// [`KathDB::query`], at the start of each node of its plan, SQL or
+    /// semantic (a model-call node checks it between morsels of 64 rows),
+    /// where a trip ends the query with [`ExecError::Guard`] carrying that
+    /// same typed error: the monitor does not mistake it for a fault to
+    /// repair.
     pub fn set_query_timeout(&mut self, timeout: Option<std::time::Duration>) {
         self.ctx.limits.timeout = timeout;
     }
@@ -706,23 +712,27 @@ impl KathDB {
     }
 
     /// Pins the degree of intra-query parallelism: SQL pipelines run their
-    /// streaming phase with `n` morsel workers (min 1). Results are
-    /// identical to serial execution at any setting.
+    /// streaming phase, and the semantic nodes of an NL plan their per-row
+    /// model calls, with `n` morsel workers (min 1). Results — answers,
+    /// lineage, token totals, repairs — are identical to serial execution
+    /// at any setting.
     pub fn set_parallelism(&mut self, n: usize) {
         self.pinned_threads = Some(n.max(1));
     }
 
     /// Reverts to cost-model-driven parallelism (the default): each query
     /// weighs per-worker startup cost against the per-morsel win over its
-    /// own input cardinality, capped at the host's cores.
+    /// own input cardinality and, for an NL plan, over the profiled cost of
+    /// its model-call nodes, capped at the host's cores.
     pub fn auto_parallelism(&mut self) {
         self.pinned_threads = None;
     }
 
-    /// The degree of parallelism the next query will run with. Under auto
-    /// selection this previews the choice from current catalog
-    /// cardinalities; the per-query decision uses the compiled plan's own
-    /// input cardinality.
+    /// The degree of parallelism the next SQL statement will run with.
+    /// Under auto selection this previews the choice from current catalog
+    /// cardinalities; an NL query decides from its compiled plan's own
+    /// input cardinality and model-call estimates (see
+    /// `QueryResult.exec.timings` for what each node then used).
     pub fn threads(&self) -> usize {
         self.sql_strategy().1
     }
@@ -738,8 +748,11 @@ impl KathDB {
     }
 
     /// Degree-of-parallelism selection for one compiled plan: the pinned
-    /// value, or the cost model's break-even worker count for the plan's
-    /// largest input cardinality in the chosen mode.
+    /// value, or the larger of two cost-model choices — the break-even
+    /// worker count for the plan's largest input cardinality in the chosen
+    /// mode (its relational pipelines), and the cheapest fan-out for its
+    /// costliest profiled model-call node, whose compute phase divides
+    /// over workers whatever the row count.
     fn select_parallelism(&self, plan: &PhysicalPlan, mode: ExecMode) -> usize {
         if let Some(n) = self.pinned_threads {
             return n;
@@ -749,16 +762,26 @@ impl KathDB {
         }
         let snapshot = self.ctx.catalog.snapshot();
         let mut max_input_rows = 0usize;
+        let mut max_model_ms = 0.0f64;
         for node in &plan.nodes {
-            if let Ok(entry) = self.registry.get(&node.func_id) {
-                for input in entry.active_version().body.inputs() {
-                    if let Ok(t) = snapshot.get(&input) {
-                        max_input_rows = max_input_rows.max(t.len());
-                    }
+            let Ok(entry) = self.registry.get(&node.func_id) else {
+                continue;
+            };
+            let body = &entry.active_version().body;
+            for input in body.inputs() {
+                if let Ok(t) = snapshot.get(&input) {
+                    max_input_rows = max_input_rows.max(t.len());
                 }
             }
+            if body.calls_model() {
+                let estimate =
+                    kath_optimizer::estimate_function(&self.registry, &snapshot, &node.func_id);
+                max_model_ms = max_model_ms.max(estimate.map_or(0.0, |e| e.runtime_ms));
+            }
         }
-        kath_optimizer::preferred_parallelism(max_input_rows, mode)
+        let cores = kath_storage::host_parallelism();
+        kath_optimizer::preferred_parallelism_capped(max_input_rows, mode, cores)
+            .max(kath_optimizer::preferred_fanout_capped(max_model_ms, cores))
     }
 
     /// The execution mode the next query will run with. Under auto

@@ -75,14 +75,20 @@ pub struct ExecContext {
     /// Table-level lid of every materialized table.
     pub table_lids: HashMap<String, i64>,
     /// How relational (SQL) function bodies drive their operator pipelines:
-    /// batch-at-a-time (default) or tuple-at-a-time Volcano. Row-level
-    /// lineage is unaffected — SQL bodies record table-level edges, and the
-    /// narrow per-row transforms stay row-accurate regardless of mode.
+    /// batch-at-a-time (default) or tuple-at-a-time Volcano. Semantic bodies
+    /// (the narrow transforms, the view populations) have no pipeline to
+    /// pull and ignore it. Row-level lineage is unaffected either way — SQL
+    /// bodies record table-level edges, and semantic bodies stamp their
+    /// rows serially, in input order, after computing them.
     pub exec_mode: ExecMode,
-    /// Degree of intra-query parallelism for relational pipelines: workers
-    /// that claim morsels of a SQL body's streaming phase. `1` (the
-    /// default) runs serially; higher values only take effect in batched
-    /// mode, and results are identical to serial execution at any setting.
+    /// Degree of intra-query parallelism: workers that claim morsels of a
+    /// SQL body's streaming phase (batched mode only) or of a semantic
+    /// body's compute phase — per-row model calls, 64 rows a morsel (an
+    /// expression body splits like a SELECT, 4 096 rows a morsel).
+    /// `1` (the default) runs on the calling thread and spawns nothing.
+    /// Answers, lids, lineage rows, token totals, failed rows and repairs
+    /// are identical at any setting; only [`ExecOutcome::workers`] and the
+    /// timings tell.
     pub threads: usize,
     /// Vector access-path policy for SQL bodies: whether (and how) the
     /// `ORDER BY SIMILARITY(...) DESC LIMIT k` pattern lowers to the top-k
@@ -97,10 +103,11 @@ pub struct ExecContext {
     /// for the repo benchmark, which reads it.
     pub compile: CompileMode,
     /// Session-level query limits — timeout, row/byte budgets, and the
-    /// shared cancellation token. Each statement mints a fresh
-    /// [`kath_storage::QueryGuard`] from this spec (`limits.guard()`), so
-    /// the deadline restarts per statement while the cancel token is shared
-    /// with whoever holds a handle to it.
+    /// shared cancellation token. Each statement — and each node of an NL
+    /// plan, SQL or semantic — mints a fresh [`kath_storage::QueryGuard`]
+    /// from this spec (`limits.guard()`), so the deadline restarts per
+    /// statement or node while the cancel token is shared with whoever
+    /// holds a handle to it. A trip surfaces as [`ExecError::Guard`].
     pub limits: GuardSpec,
     /// One record per node output, keyed by the output's name.
     materializations: HashMap<String, Materialization>,

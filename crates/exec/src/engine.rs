@@ -42,14 +42,17 @@ pub struct NodeTiming {
     pub elapsed_ms: f64,
     /// Rows in the node's output.
     pub rows_out: usize,
-    /// Batches the node's operator pipeline produced (0 when the node ran
-    /// tuple-at-a-time or is not relational).
+    /// Batches the node's operator pipeline produced (0 when the node is
+    /// not relational or ran under Volcano).
     pub batches_out: usize,
-    /// Workers that drove the node's streaming phase (1 when serial).
+    /// Workers that drove the node's streaming phase — a SQL node's morsel
+    /// pipelines, a semantic node's compute phase (1 when serial).
     pub workers: usize,
     /// Busy milliseconds per worker, in worker order (empty when serial).
     pub worker_ms: Vec<f64>,
-    /// Milliseconds the deterministic merge step took (0.0 when serial).
+    /// Milliseconds of the single-threaded step after the workers: a SQL
+    /// node's deterministic merge (0.0 when serial), a semantic node's
+    /// in-order stamp phase.
     pub merge_ms: f64,
     /// Whether the node did not run: its output was still the one an
     /// earlier question on this context materialized.
@@ -265,7 +268,7 @@ mod tests {
         assert!(report.anomalies.is_empty());
         assert_eq!(report.timings.len(), 2);
         // The SQL node ran batched (default mode) and reported its batches;
-        // the narrow map node stays row-at-a-time for row-level lineage.
+        // the narrow map node has no operator pipeline to batch.
         assert_eq!(report.timings[0].batches_out, 0);
         assert!(report.timings[1].batches_out >= 1);
         // The final table keeps per-row lids for explanation (Fig. 6).

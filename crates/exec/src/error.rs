@@ -1,5 +1,6 @@
 //! Execution errors, split along the paper's syntactic/semantic line (§2.3).
 
+use kath_storage::StorageError;
 use std::fmt;
 
 /// A fatal (whole-node) execution error. Per-row failures are *not* errors:
@@ -7,6 +8,12 @@ use std::fmt;
 /// keep flowing (§5).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
+    /// A query guard tripped while a node ran — the deadline passed, the
+    /// cancel token fired, or a row/byte budget ran out. Carries the
+    /// storage layer's typed [`StorageError::Cancelled`] /
+    /// [`StorageError::Budget`] as it was raised. Not a fault of the
+    /// function: the monitor hands it back untouched instead of repairing.
+    Guard(StorageError),
     /// SQL parse/plan/execution failure.
     Sql(String),
     /// Storage-layer failure (schema, unknown table/column).
@@ -33,6 +40,7 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ExecError::Guard(e) => write!(f, "{e}"),
             ExecError::Sql(m) => write!(f, "sql error: {m}"),
             ExecError::Storage(m) => write!(f, "storage error: {m}"),
             ExecError::Expr(m) => write!(f, "expression error: {m}"),
@@ -55,13 +63,21 @@ impl std::error::Error for ExecError {}
 
 impl From<kath_sql::SqlError> for ExecError {
     fn from(e: kath_sql::SqlError) -> Self {
-        ExecError::Sql(e.to_string())
+        match e {
+            kath_sql::SqlError::Storage(
+                e @ (StorageError::Cancelled(_) | StorageError::Budget(_)),
+            ) => ExecError::Guard(e),
+            e => ExecError::Sql(e.to_string()),
+        }
     }
 }
 
-impl From<kath_storage::StorageError> for ExecError {
-    fn from(e: kath_storage::StorageError) -> Self {
-        ExecError::Storage(e.to_string())
+impl From<StorageError> for ExecError {
+    fn from(e: StorageError) -> Self {
+        match e {
+            StorageError::Cancelled(_) | StorageError::Budget(_) => ExecError::Guard(e),
+            e => ExecError::Storage(e.to_string()),
+        }
     }
 }
 

@@ -5,15 +5,31 @@
 //! dependency pattern allows (§3): narrow bodies stamp every output tuple
 //! with a fresh `lid` whose parent is the input tuple's `lid`; wide bodies
 //! record table-level edges only.
+//!
+//! Every body that works item by item — the narrow transforms and both
+//! view populations — runs in three phases (docs/execution.md, "Semantic
+//! nodes"): **prepare** what is constant for the node once (keyword
+//! embeddings, the vision model, the lowered expression, column ordinals),
+//! **compute** the items in morsels on `ctx.threads` workers under the
+//! context's guard ([`compute_in_morsels`]; pure but for the commutative
+//! token meter), then **stamp** serially in input order: lids, lineage
+//! edges, output rows, failed rows. Nothing a caller can observe depends on
+//! the worker count or the morsel size.
 
 use crate::{id_from_uri, ExecContext, ExecError, Published};
 use kath_fao::{FunctionBody, VisionImpl};
 use kath_lineage::DataKind;
-use kath_media::{Image, MediaFormat};
-use kath_model::{SimOcr, SimVlm, VlmCascade};
-use kath_multimodal::{populate_document, populate_image, SceneGraphViews, TextGraphViews};
-use kath_storage::{Column, DataType, Row, Schema, Table, Value};
+use kath_media::{Image, MediaError, MediaFormat};
+use kath_model::{SimLlm, SimOcr, SimVlm, VlmCascade};
+use kath_multimodal::{
+    emit_document, emit_frame, extract_document, SceneGraphViews, TextGraphViews,
+};
+use kath_storage::{
+    run_morsels_guarded, Column, DataType, MorselSource, Row, Schema, Table, Value,
+    DEFAULT_BATCH_SIZE, MORSEL_BATCHES,
+};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The result of executing one function body.
 #[derive(Debug)]
@@ -31,15 +47,17 @@ pub struct ExecOutcome {
     pub failed_rows: Vec<(String, String)>,
     /// Input rows consumed.
     pub rows_in: usize,
-    /// Batches the body's operator pipeline produced (0 when the body ran
-    /// tuple-at-a-time or is not relational).
+    /// Batches the body's operator pipeline produced (0 when the body is
+    /// not relational or ran under Volcano).
     pub batches_out: usize,
-    /// Workers that drove the body's streaming phase (1 when serial).
+    /// Workers that drove the body's streaming phase — a SQL body's
+    /// morsel pipelines, a semantic body's compute phase (1 when serial).
     pub workers: usize,
     /// Per-worker busy milliseconds (empty when serial).
     pub worker_ms: Vec<f64>,
-    /// Milliseconds spent in the deterministic parallel merge step (0.0
-    /// when serial).
+    /// Milliseconds of the single-threaded step after the workers: a SQL
+    /// body's deterministic merge (0.0 when serial), a semantic body's
+    /// in-order stamp phase.
     pub merge_ms: f64,
     /// Whether the body did not run: the monitor served the output an
     /// earlier question materialized (see [`crate::ExecContext::reusable`]).
@@ -89,34 +107,40 @@ pub fn execute_body(
             output_column,
         } => {
             let parsed = kath_sql::parse_expr(expr).map_err(|e| ExecError::Expr(e.to_string()))?;
+            let table = ctx.catalog.get(input)?;
+            let schema = table.schema();
+            let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string());
             narrow_transform(
                 ctx,
                 func_id,
                 ver_id,
-                input,
+                &table,
                 output_name,
                 &[(output_column.as_str(), DataType::Any)],
-                |row, schema| {
-                    let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string())?;
-                    let v = lowered.eval(row, schema).map_err(|e| e.to_string())?;
-                    Ok(Some(vec![v]))
+                EXPR_MORSEL_ROWS,
+                |row| {
+                    let v = lowered.as_ref()?.eval(row, schema);
+                    Ok(Some(vec![v.map_err(|e| e.to_string())?]))
                 },
             )
         }
         FunctionBody::FilterExpr { input, predicate } => {
             let parsed =
                 kath_sql::parse_expr(predicate).map_err(|e| ExecError::Expr(e.to_string()))?;
+            let table = ctx.catalog.get(input)?;
+            let schema = table.schema();
+            let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string());
             narrow_transform(
                 ctx,
                 func_id,
                 ver_id,
-                input,
+                &table,
                 output_name,
                 &[],
-                |row, schema| {
-                    let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string())?;
-                    let keep = lowered.eval(row, schema).map_err(|e| e.to_string())?;
-                    Ok(if keep.is_truthy() { Some(vec![]) } else { None })
+                EXPR_MORSEL_ROWS,
+                |row| {
+                    let keep = lowered.as_ref()?.eval(row, schema);
+                    Ok(keep.map_err(|e| e.to_string())?.is_truthy().then(Vec::new))
                 },
             )
         }
@@ -126,20 +150,21 @@ pub fn execute_body(
             keywords,
             output_column,
         } => {
+            let table = ctx.catalog.get(input)?;
+            let idx = column_ordinal(table.schema(), text_column);
             let llm = ctx.llm.clone();
+            let scorer = llm.concept_scorer(keywords);
             narrow_transform(
                 ctx,
                 func_id,
                 ver_id,
-                input,
+                &table,
                 output_name,
                 &[(output_column.as_str(), DataType::Float)],
-                |row, schema| {
-                    let idx = schema
-                        .index_of(text_column)
-                        .ok_or_else(|| format!("unknown column '{text_column}'"))?;
-                    let score = match row[idx].as_str() {
-                        Some(text) => llm.concept_score(text, keywords),
+                SEMANTIC_MORSEL_ROWS,
+                |row| {
+                    let score = match row[*idx.as_ref()?].as_str() {
+                        Some(text) => scorer.score(text),
                         None => 0.0,
                     };
                     Ok(Some(vec![Value::Float(score)]))
@@ -154,36 +179,32 @@ pub fn execute_body(
             threshold,
             convert_unsupported,
         } => {
-            let llm = ctx.llm.clone();
+            let table = ctx.catalog.get(input)?;
+            let idx = column_ordinal(table.schema(), uri_column);
             let media = ctx.media.clone();
-            let implementation = *implementation;
-            let threshold = *threshold;
-            let convert = *convert_unsupported;
+            let interest = VisualInterest::new(*implementation, &ctx.llm);
             narrow_transform(
                 ctx,
                 func_id,
                 ver_id,
-                input,
+                &table,
                 output_name,
                 &[(output_column.as_str(), DataType::Bool)],
-                move |row, schema| {
-                    let idx = schema
-                        .index_of(uri_column)
-                        .ok_or_else(|| format!("unknown column '{uri_column}'"))?;
-                    let uri = row[idx]
+                SEMANTIC_MORSEL_ROWS,
+                |row| {
+                    let uri = row[*idx.as_ref()?]
                         .as_str()
                         .ok_or_else(|| format!("NULL media uri in '{uri_column}'"))?;
                     let image = media.image(uri).map_err(|e| e.to_string())?;
                     let decoded: Image;
-                    let image = if !image.format.is_supported() && convert {
+                    let image = if !image.format.is_supported() && *convert_unsupported {
                         decoded = image.convert_to(MediaFormat::Png);
                         &decoded
                     } else {
                         image
                     };
-                    let interest =
-                        visual_interest(image, implementation, &llm).map_err(|e| e.to_string())?;
-                    Ok(Some(vec![Value::Bool(interest <= threshold)]))
+                    let interest = interest.of(image).map_err(|e| e.to_string())?;
+                    Ok(Some(vec![Value::Bool(interest <= *threshold)]))
                 },
             )
         }
@@ -203,53 +224,84 @@ pub fn execute_body(
     }
 }
 
+/// The ordinal of `column` in `schema`, or the message every row of a node
+/// that names a missing column fails with (the repair path reads it).
+fn column_ordinal(schema: &Schema, column: &str) -> Result<usize, String> {
+    schema
+        .index_of(column)
+        .ok_or_else(|| format!("unknown column '{column}'"))
+}
+
 /// The "visual interest" measure behind `classify_boring`: vivid colors,
 /// object count, and action (saliency), exactly the features the paper's
 /// sketch step names ("lacks vivid colors, few objects, little action").
-/// Different physical implementations see different evidence.
+/// Different physical implementations see different evidence. The one-shot
+/// form of what a `VisualClassify` node prepares once for all its images.
 pub fn visual_interest(
     image: &Image,
     implementation: VisionImpl,
-    llm: &kath_model::SimLlm,
-) -> Result<f64, kath_media::MediaError> {
-    let meter = llm.meter().clone();
-    let seed = llm.seed();
-    let exciting_classes = llm.knowledge().exciting_object_classes();
-    let from_detections = |dets: &[kath_model::Detection]| {
+    llm: &SimLlm,
+) -> Result<f64, MediaError> {
+    VisualInterest::new(implementation, llm).of(image)
+}
+
+/// One implementation choice of [`visual_interest`], with everything that
+/// does not depend on the image built once: the vision model (and its meter
+/// handle) and the knowledge base's exciting object classes.
+struct VisualInterest {
+    eye: Eye,
+    exciting_classes: Vec<String>,
+}
+
+/// The model a [`VisionImpl`] looks through.
+enum Eye {
+    Vlm(SimVlm),
+    Cascade(VlmCascade),
+    Ocr(SimOcr),
+}
+
+impl VisualInterest {
+    fn new(implementation: VisionImpl, llm: &SimLlm) -> Self {
+        let meter = llm.meter().clone();
+        let seed = llm.seed();
+        Self {
+            eye: match implementation {
+                VisionImpl::VlmAccurate => Eye::Vlm(SimVlm::accurate(seed, meter)),
+                VisionImpl::VlmCheap => Eye::Vlm(SimVlm::cheap(seed, meter)),
+                VisionImpl::Cascade => Eye::Cascade(VlmCascade::new(seed, meter, 0.8)),
+                VisionImpl::Ocr => Eye::Ocr(SimOcr::new(meter)),
+            },
+            exciting_classes: llm.knowledge().exciting_object_classes(),
+        }
+    }
+
+    fn of(&self, image: &Image) -> Result<f64, MediaError> {
+        let dets = match &self.eye {
+            Eye::Vlm(vlm) => vlm.detect(image)?,
+            Eye::Cascade(cascade) => cascade.detect(image)?.0,
+            Eye::Ocr(ocr) => {
+                // OCR sees only legible text: a crude proxy (titles on busy
+                // posters tend to be loud), deliberately less accurate.
+                let texts = ocr.read_text(image)?;
+                let text_len: usize = texts.iter().map(String::len).sum();
+                let interest = 0.15 + 0.05 * texts.len() as f64 + 0.002 * text_len as f64;
+                return Ok(interest.clamp(0.0, 1.0));
+            }
+        };
         let count_term = (dets.len() as f64 / 4.0).min(1.0);
         let action_term = if dets.is_empty() {
             0.0
         } else {
             dets.iter().map(|d| d.confidence).sum::<f64>() / dets.len() as f64
         };
-        let exciting_bonus = if dets.iter().any(|d| exciting_classes.contains(&d.class)) {
-            0.25
-        } else {
-            0.0
-        };
-        (0.40 * image.colorfulness() + 0.25 * count_term + 0.20 * action_term + exciting_bonus)
-            .clamp(0.0, 1.0)
-    };
-    match implementation {
-        VisionImpl::VlmAccurate => {
-            let dets = SimVlm::accurate(seed, meter).detect(image)?;
-            Ok(from_detections(&dets))
-        }
-        VisionImpl::VlmCheap => {
-            let dets = SimVlm::cheap(seed, meter).detect(image)?;
-            Ok(from_detections(&dets))
-        }
-        VisionImpl::Cascade => {
-            let (dets, _escalated) = VlmCascade::new(seed, meter, 0.8).detect(image)?;
-            Ok(from_detections(&dets))
-        }
-        VisionImpl::Ocr => {
-            // OCR sees only legible text: a crude proxy (titles on busy
-            // posters tend to be loud), deliberately less accurate.
-            let texts = SimOcr::new(meter).read_text(image)?;
-            let text_len: usize = texts.iter().map(String::len).sum();
-            Ok((0.15 + 0.05 * texts.len() as f64 + 0.002 * text_len as f64).clamp(0.0, 1.0))
-        }
+        let exciting = dets
+            .iter()
+            .any(|d| self.exciting_classes.contains(&d.class));
+        let exciting_bonus = if exciting { 0.25 } else { 0.0 };
+        Ok(
+            (0.40 * image.colorfulness() + 0.25 * count_term + 0.20 * action_term + exciting_bonus)
+                .clamp(0.0, 1.0),
+        )
     }
 }
 
@@ -343,33 +395,107 @@ fn dedup_by_key(table: &Table, key: &str) -> Result<Table, ExecError> {
     Ok(out)
 }
 
-/// Shared implementation of narrow (row-level) transforms.
+/// Items per morsel of a semantic node's compute phase: a 1 000-row node
+/// splits into 16 claims, enough to balance two to eight workers, while a
+/// claim (one atomic add, one guard check) stays noise against 64 model
+/// calls. A constant, not a setting: the stamp phase walks the input in
+/// order whatever the morsels were, so nothing observable depends on it.
+const SEMANTIC_MORSEL_ROWS: usize = 64;
+
+/// Rows per morsel of an expression body (`MapExpr`, `FilterExpr`): the
+/// relational morsel at the default batch size. A row costs such a body
+/// what it costs a SQL projection — a fraction of a microsecond, not a
+/// model call — so it splits where a SELECT over the same table would: a
+/// 1 000-row node declines to fan out by itself, exactly as the SQL nodes
+/// beside it do (spawning for it measured +0.1 ms on a 0.7 ms node).
+const EXPR_MORSEL_ROWS: usize = MORSEL_BATCHES * DEFAULT_BATCH_SIZE;
+
+/// A finished compute phase: one output per item, in input order.
+struct ComputeRun<T> {
+    computed: Vec<T>,
+    /// Busy milliseconds per worker.
+    worker_ms: Vec<f64>,
+}
+
+/// The compute phase of every per-item model loop: `compute` over `items` in
+/// morsels of `morsel_rows`, claimed by `ctx.threads` workers (one worker is
+/// the calling thread and spawns nothing) under a guard minted from
+/// `ctx.limits`, which is checked before each morsel — a passed deadline or
+/// a fired cancel token aborts the node with [`ExecError::Guard`] before
+/// anything is stamped or published. `compute` must be pure but for the
+/// token meter, whose totals are sums and so independent of the order the
+/// workers charge it in.
+fn compute_in_morsels<I: Sync, T: Send>(
+    ctx: &ExecContext,
+    items: &[I],
+    morsel_rows: usize,
+    compute: impl Fn(&I) -> T + Sync,
+) -> Result<ComputeRun<T>, ExecError> {
+    let source = MorselSource::new(items.len(), morsel_rows);
+    let run = run_morsels_guarded(&source, ctx.threads, &ctx.limits.guard(), |m| {
+        Ok(items[m.start..m.end]
+            .iter()
+            .map(&compute)
+            .collect::<Vec<_>>())
+    })?;
+    Ok(ComputeRun {
+        computed: run.outputs.into_iter().flatten().collect(),
+        worker_ms: run.worker_ms,
+    })
+}
+
+impl ExecOutcome {
+    /// The outcome of a semantic body: `outcome` with the compute phase's
+    /// workers and the stamp phase that began at `stamp_started`.
+    fn fanned_out(self, worker_ms: Vec<f64>, stamp_started: Instant) -> Self {
+        let workers = worker_ms.len().max(1);
+        Self {
+            workers,
+            worker_ms: if workers > 1 { worker_ms } else { Vec::new() },
+            merge_ms: stamp_started.elapsed().as_secs_f64() * 1000.0,
+            ..self
+        }
+    }
+}
+
+/// What a narrow transform computes for one input row: the values it
+/// appends (`Some`), nothing because the row is dropped (`None`), or the
+/// row's failure message.
+type Computed = Result<Option<Vec<Value>>, String>;
+
+/// Shared implementation of narrow (row-level) transforms: `compute` runs
+/// over the input in morsels of `morsel_rows`; the stamp phase then gives
+/// every row it kept a fresh lid whose parent is the input row's, in input
+/// order.
+#[allow(clippy::too_many_arguments)]
 fn narrow_transform(
     ctx: &mut ExecContext,
     func_id: &str,
     ver_id: u32,
-    input: &str,
+    input: &Table,
     output_name: &str,
     new_columns: &[(&str, DataType)],
-    mut row_fn: impl FnMut(&Row, &Schema) -> Result<Option<Vec<Value>>, String>,
+    morsel_rows: usize,
+    compute: impl Fn(&Row) -> Computed + Sync,
 ) -> Result<ExecOutcome, ExecError> {
-    let input_table = ctx.catalog.get(input)?;
-    let in_schema = input_table.schema().clone();
-    let lid_idx = in_schema.index_of("lid");
-    let mut out_schema = in_schema.clone();
+    let rows = input.rows();
+    let run = compute_in_morsels(ctx, rows, morsel_rows, compute)?;
+
+    let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
+    let lid_idx = input.schema().index_of("lid");
+    let mut out_schema = input.schema().clone();
     if lid_idx.is_none() {
         out_schema = out_schema.with_column(Column::new("lid", DataType::Int));
     }
     for (name, dtype) in new_columns {
         out_schema = out_schema.with_column(Column::new(*name, *dtype));
     }
-    let parent_table_lid = ctx.table_lid(input);
+    let parent_table_lid = ctx.table_lid(input.name());
 
     let mut out = Table::new(output_name, out_schema);
     let mut failed_rows = Vec::new();
-    let rows_in = input_table.len();
-    for row in input_table.rows() {
-        match row_fn(row, &in_schema) {
+    for (row, computed) in rows.iter().zip(run.computed) {
+        match computed {
             Err(msg) => {
                 let desc = row.iter().map(Value::render).collect::<Vec<_>>().join(", ");
                 failed_rows.push((desc, msg));
@@ -402,11 +528,23 @@ fn narrow_transform(
         ver_id,
         DataKind::Table,
     )?;
-    // Narrow transforms run row-at-a-time so lineage stays row-accurate.
+    let table = ctx.materialize(out, output_lid);
     Ok(ExecOutcome {
         failed_rows,
-        ..ExecOutcome::serial(ctx.materialize(out, output_lid), output_lid, rows_in)
-    })
+        ..ExecOutcome::serial(table, output_lid, rows.len())
+    }
+    .fanned_out(run.worker_ms, stamp_started))
+}
+
+/// One modality's views, populated and stamped but not yet published.
+struct PopulatedViews {
+    /// Lineage root of the media collection.
+    root: i64,
+    views: Vec<Table>,
+    rows_in: usize,
+    failed_rows: Vec<(String, String)>,
+    worker_ms: Vec<f64>,
+    stamp_started: Instant,
 }
 
 fn exec_view_populate(
@@ -418,126 +556,177 @@ fn exec_view_populate(
     convert_unsupported: bool,
     output_name: &str,
 ) -> Result<ExecOutcome, ExecError> {
-    let mut failed_rows: Vec<(String, String)> = Vec::new();
-    let mut summary = Table::new(
-        output_name,
-        Schema::of(&[("view", DataType::Str), ("rows", DataType::Int)]),
-    );
-    let mut views_out = Vec::new();
-    let rows_in;
-    // The collections as they are now (shared, not copied): the scene half
-    // replaces images in `ctx.media` while it walks them.
-    let media = ctx.media.clone();
-
-    match modality {
-        "text" => {
-            let root = ctx.ingest_media_root("collection://documents")?;
-            let mut views = TextGraphViews::empty();
-            let docs = media.documents();
-            rows_in = docs.len();
-            let llm = ctx.llm.clone();
-            for (i, doc) in docs.iter().enumerate() {
-                let did = id_from_uri(&doc.uri).unwrap_or(i as i64);
-                let lineage = &mut ctx.lineage;
-                let mut next_lid = || {
-                    let l = lineage.alloc_lid();
-                    let _ = lineage.record(l, Some(root), None, func_id, ver_id, DataKind::Row);
-                    l
-                };
-                if let Err(e) = populate_document(&mut views, did, doc, &llm, &mut next_lid) {
-                    failed_rows.push((doc.uri.clone(), e.to_string()));
-                }
-            }
-            for table in [
-                views.entities,
-                views.mentions,
-                views.relationships,
-                views.attributes,
-                views.texts,
-            ] {
-                let lid = ctx.lineage.alloc_lid();
-                ctx.lineage
-                    .record(lid, Some(root), None, func_id, ver_id, DataKind::Table)?;
-                summary.push(vec![
-                    Value::Str(table.name().to_string()),
-                    Value::Int(table.len() as i64),
-                ])?;
-                views_out.push(Published {
-                    table: ctx.materialize(table, lid),
-                    lid,
-                });
-            }
-        }
-        "scene" => {
-            let root = ctx.ingest_media_root("collection://images")?;
-            let mut views = SceneGraphViews::empty();
-            let meter = ctx.llm.meter().clone();
-            let seed = ctx.llm.seed();
-            let vlm = match implementation {
-                VisionImpl::VlmCheap => SimVlm::cheap(seed, meter),
-                // OCR/cascade don't apply to full scene extraction; the
-                // accurate VLM is the reference implementation.
-                _ => SimVlm::accurate(seed, meter),
-            };
-            let images = media.images();
-            rows_in = images.len();
-            for (i, image) in images.iter().enumerate() {
-                let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
-                let converted;
-                let img = if !image.format.is_supported() && convert_unsupported {
-                    converted = image.convert_to(MediaFormat::Png);
-                    // The conversion step replaces the undecodable file with
-                    // a decodable copy; later operators resolve the new URI
-                    // and re-runs do not see the original twice.
-                    ctx.media.remove_image(&image.uri);
-                    ctx.media.add_image(converted.clone());
-                    &converted
-                } else {
-                    image
-                };
-                let lineage = &mut ctx.lineage;
-                let mut next_lid = || {
-                    let l = lineage.alloc_lid();
-                    let _ = lineage.record(l, Some(root), None, func_id, ver_id, DataKind::Row);
-                    l
-                };
-                if let Err(e) = populate_image(&mut views, vid, img, &vlm, &mut next_lid) {
-                    failed_rows.push((image.uri.clone(), e.to_string()));
-                }
-            }
-            for table in [
-                views.objects,
-                views.relationships,
-                views.attributes,
-                views.frames,
-            ] {
-                let lid = ctx.lineage.alloc_lid();
-                ctx.lineage
-                    .record(lid, Some(root), None, func_id, ver_id, DataKind::Table)?;
-                summary.push(vec![
-                    Value::Str(table.name().to_string()),
-                    Value::Int(table.len() as i64),
-                ])?;
-                views_out.push(Published {
-                    table: ctx.materialize(table, lid),
-                    lid,
-                });
-            }
-        }
+    let populated = match modality {
+        "text" => populate_text_views(ctx, func_id, ver_id)?,
+        "scene" => populate_scene_views(ctx, func_id, ver_id, implementation, convert_unsupported)?,
         other => {
             return Err(ExecError::Media(format!(
                 "unknown view modality '{other}' (expected 'text' or 'scene')"
             )))
         }
-    }
+    };
 
+    let mut summary = Table::new(
+        output_name,
+        Schema::of(&[("view", DataType::Str), ("rows", DataType::Int)]),
+    );
+    let mut views_out = Vec::new();
+    for table in populated.views {
+        let lid = ctx.lineage.alloc_lid();
+        ctx.lineage.record(
+            lid,
+            Some(populated.root),
+            None,
+            func_id,
+            ver_id,
+            DataKind::Table,
+        )?;
+        summary.push(vec![
+            Value::Str(table.name().to_string()),
+            Value::Int(table.len() as i64),
+        ])?;
+        views_out.push(Published {
+            table: ctx.materialize(table, lid),
+            lid,
+        });
+    }
     let output_lid = ctx.lineage.alloc_lid();
     ctx.lineage
         .record(output_lid, None, None, func_id, ver_id, DataKind::Table)?;
+    let summary = ctx.materialize(summary, output_lid);
     Ok(ExecOutcome {
         side_outputs: views_out,
+        failed_rows: populated.failed_rows,
+        ..ExecOutcome::serial(summary, output_lid, populated.rows_in)
+    }
+    .fanned_out(populated.worker_ms, populated.stamp_started))
+}
+
+/// A view population's lid allocator: every view row is a child of the
+/// media collection's root.
+fn row_lids<'a>(
+    ctx: &'a mut ExecContext,
+    root: i64,
+    func_id: &'a str,
+    ver_id: u32,
+) -> impl FnMut() -> i64 + 'a {
+    move || {
+        let l = ctx.lineage.alloc_lid();
+        let _ = ctx
+            .lineage
+            .record(l, Some(root), None, func_id, ver_id, DataKind::Row);
+        l
+    }
+}
+
+/// The text half: documents are extracted in morsels, then emitted in
+/// document order.
+fn populate_text_views(
+    ctx: &mut ExecContext,
+    func_id: &str,
+    ver_id: u32,
+) -> Result<PopulatedViews, ExecError> {
+    let media = ctx.media.clone();
+    let docs = media.documents();
+    let run = compute_in_morsels(ctx, &docs, SEMANTIC_MORSEL_ROWS, |doc| {
+        extract_document(doc, &ctx.llm)
+    })?;
+
+    let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
+    let root = ctx.ingest_media_root("collection://documents")?;
+    let mut views = TextGraphViews::empty();
+    let mut failed_rows = Vec::new();
+    let mut next_lid = row_lids(ctx, root, func_id, ver_id);
+    for (i, (doc, extraction)) in docs.iter().zip(&run.computed).enumerate() {
+        let did = id_from_uri(&doc.uri).unwrap_or(i as i64);
+        if let Err(e) = emit_document(&mut views, did, doc, extraction, &mut next_lid) {
+            failed_rows.push((doc.uri.clone(), e.to_string()));
+        }
+    }
+    Ok(PopulatedViews {
+        root,
+        views: vec![
+            views.entities,
+            views.mentions,
+            views.relationships,
+            views.attributes,
+            views.texts,
+        ],
+        rows_in: docs.len(),
         failed_rows,
-        ..ExecOutcome::serial(ctx.materialize(summary, output_lid), output_lid, rows_in)
+        worker_ms: run.worker_ms,
+        stamp_started,
+    })
+}
+
+/// The scene half: images are converted (when the body says so) and run
+/// through the vision model in morsels; the stamp phase, in image order,
+/// swaps each converted image into `ctx.media` and emits its detections.
+fn populate_scene_views(
+    ctx: &mut ExecContext,
+    func_id: &str,
+    ver_id: u32,
+    implementation: VisionImpl,
+    convert_unsupported: bool,
+) -> Result<PopulatedViews, ExecError> {
+    let meter = ctx.llm.meter().clone();
+    let seed = ctx.llm.seed();
+    let vlm = match implementation {
+        VisionImpl::VlmCheap => SimVlm::cheap(seed, meter),
+        // OCR/cascade don't apply to full scene extraction; the
+        // accurate VLM is the reference implementation.
+        _ => SimVlm::accurate(seed, meter),
+    };
+    // The collection as it is now (shared, not copied): the stamp phase
+    // replaces images in `ctx.media` while it walks this one.
+    let media = ctx.media.clone();
+    let images = media.images();
+    let run = compute_in_morsels(ctx, &images, SEMANTIC_MORSEL_ROWS, |image| {
+        let converted = (!image.format.is_supported() && convert_unsupported)
+            .then(|| image.convert_to(MediaFormat::Png));
+        vlm.detect(converted.as_ref().unwrap_or(image))
+            .map(|detections| (converted, detections))
+    })?;
+
+    let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
+    let root = ctx.ingest_media_root("collection://images")?;
+    let mut views = SceneGraphViews::empty();
+    let mut failed_rows = Vec::new();
+    for (i, (image, computed)) in images.iter().zip(run.computed).enumerate() {
+        let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
+        let emitted = match computed {
+            Err(e) => Err(e.to_string()),
+            Ok((converted, detections)) => {
+                let decodable = converted.as_ref().unwrap_or(image);
+                let mut next_lid = row_lids(ctx, root, func_id, ver_id);
+                let emitted = emit_frame(&mut views, vid, 0, decodable, &detections, &mut next_lid);
+                drop(next_lid);
+                if let Some(converted) = converted {
+                    // The conversion step replaces the undecodable file with
+                    // a decodable copy; later operators resolve the new URI
+                    // and re-runs do not see the original twice.
+                    ctx.media.remove_image(&image.uri);
+                    ctx.media.add_image(converted);
+                }
+                emitted.map_err(|e| e.to_string())
+            }
+        };
+        if let Err(msg) = emitted {
+            failed_rows.push((image.uri.clone(), msg));
+        }
+    }
+    Ok(PopulatedViews {
+        root,
+        views: vec![
+            views.objects,
+            views.relationships,
+            views.attributes,
+            views.frames,
+        ],
+        rows_in: images.len(),
+        failed_rows,
+        worker_ms: run.worker_ms,
+        stamp_started,
     })
 }
 
@@ -545,7 +734,8 @@ fn exec_view_populate(
 mod tests {
     use super::*;
     use kath_media::{BBox, Color, Document, ImageObject};
-    use kath_model::{SimLlm, TokenMeter};
+    use kath_model::TokenMeter;
+    use kath_storage::StorageError;
 
     fn ctx() -> ExecContext {
         let mut ctx = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
@@ -959,5 +1149,366 @@ mod tests {
         let ocr_b = visual_interest(&boring, VisionImpl::Ocr, &llm).unwrap();
         let ocr_e = visual_interest(&exciting, VisionImpl::Ocr, &llm).unwrap();
         assert!((ocr_e - ocr_b).abs() < 0.15);
+    }
+
+    /// `rows` plots, every third one exciting.
+    fn plots_ctx(rows: i64) -> ExecContext {
+        let mut c = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
+        let mut plots = Table::new(
+            "plots",
+            Schema::of(&[("id", DataType::Int), ("chars", DataType::Str)]),
+        );
+        for i in 0..rows {
+            let text = if i % 3 == 0 {
+                format!("A gun fight and a murder on plane {i}.")
+            } else {
+                format!("Tea in quiet garden {i}. A calm walk home.")
+            };
+            plots.push(vec![i.into(), text.into()]).unwrap();
+        }
+        c.ingest_table(plots, "d").unwrap();
+        c
+    }
+
+    fn excitement_body() -> FunctionBody {
+        FunctionBody::ConceptScore {
+            input: "plots".into(),
+            text_column: "chars".into(),
+            keywords: vec!["gun".into(), "murder".into(), "attack".into()],
+            output_column: "excitement_score".into(),
+        }
+    }
+
+    #[test]
+    fn a_semantic_node_answers_to_the_deadline_and_publishes_nothing() {
+        let mut c = plots_ctx(1000);
+        c.limits.timeout = Some(std::time::Duration::ZERO);
+        let lineage_rows = c.lineage.len();
+        for threads in [1usize, 4] {
+            c.threads = threads;
+            let err = execute_body(
+                &mut c,
+                "gen_excitement_score",
+                1,
+                &excitement_body(),
+                "scored",
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, ExecError::Guard(StorageError::Cancelled(m)) if m == "deadline exceeded"),
+                "{err:?}"
+            );
+            assert!(!c.catalog.contains("scored"));
+            assert_eq!(c.table_lid("scored"), None);
+            assert_eq!(c.lineage.len(), lineage_rows);
+            // The guard is checked before the first morsel: no model call.
+            assert_eq!(c.llm.meter().usage().calls, 0);
+        }
+        // The view populations stand behind the same guard.
+        c.media
+            .add_document(Document::new("doc://plot/1", "A gun fight erupts."));
+        c.media.add_image(boring_poster("file://posters/1.png"));
+        for modality in ["text", "scene"] {
+            let body = FunctionBody::ViewPopulate {
+                modality: modality.into(),
+                implementation: VisionImpl::VlmAccurate,
+                convert_unsupported: false,
+            };
+            let err = execute_body(&mut c, "populate_views", 1, &body, "views").unwrap_err();
+            assert!(matches!(err, ExecError::Guard(StorageError::Cancelled(_))));
+            assert_eq!(
+                c.lineage.len(),
+                lineage_rows,
+                "no media root for {modality}"
+            );
+        }
+        c.limits.timeout = None;
+        let out = execute_body(
+            &mut c,
+            "gen_excitement_score",
+            1,
+            &excitement_body(),
+            "scored",
+        )
+        .unwrap();
+        assert_eq!(out.table.len(), 1000);
+    }
+
+    #[test]
+    fn a_cancel_fired_from_another_thread_aborts_the_node_mid_run() {
+        use std::sync::mpsc::channel;
+        let mut c = plots_ctx(200);
+        let table = c.catalog.get("plots").unwrap();
+        let token = c.limits.cancel.clone();
+        // Row 0 tells the canceller the node is running and waits until the
+        // token has fired, so the cancel lands strictly inside the run:
+        // after the first morsel was claimed, before the second is.
+        let (running_tx, running_rx) = channel::<()>();
+        let (fired_tx, fired_rx) = channel::<()>();
+        let (running_tx, fired_rx) = (
+            std::sync::Mutex::new(running_tx),
+            std::sync::Mutex::new(fired_rx),
+        );
+        let scored = std::sync::atomic::AtomicUsize::new(0);
+        let result = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                running_rx.recv().unwrap();
+                token.cancel();
+                fired_tx.send(()).unwrap();
+            });
+            narrow_transform(
+                &mut c,
+                "gen_excitement_score",
+                1,
+                &table,
+                "scored",
+                &[("excitement_score", DataType::Float)],
+                SEMANTIC_MORSEL_ROWS,
+                |row| {
+                    if row[0] == Value::Int(0) {
+                        running_tx.lock().unwrap().send(()).unwrap();
+                        fired_rx.lock().unwrap().recv().unwrap();
+                    }
+                    scored.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    Ok(Some(vec![Value::Float(0.5)]))
+                },
+            )
+        });
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Guard(StorageError::Cancelled(m)) if m == "cancel token fired"),
+            "{err:?}"
+        );
+        // Exactly the first morsel ran; nothing was stamped or published.
+        assert_eq!(scored.into_inner(), SEMANTIC_MORSEL_ROWS);
+        assert!(!c.catalog.contains("scored"));
+    }
+
+    #[test]
+    fn semantic_nodes_report_their_workers_and_stamp_time() {
+        let mut serial_ctx = plots_ctx(300);
+        let serial = execute_body(
+            &mut serial_ctx,
+            "gen_excitement_score",
+            1,
+            &excitement_body(),
+            "scored",
+        )
+        .unwrap();
+        assert_eq!((serial.workers, serial.worker_ms.len()), (1, 0));
+        let mut par_ctx = plots_ctx(300);
+        par_ctx.threads = 3;
+        let parallel = execute_body(
+            &mut par_ctx,
+            "gen_excitement_score",
+            1,
+            &excitement_body(),
+            "scored",
+        )
+        .unwrap();
+        assert_eq!((parallel.workers, parallel.worker_ms.len()), (3, 3));
+        assert!(parallel.merge_ms > 0.0);
+        assert_eq!(parallel.table, serial.table);
+        assert_eq!(
+            par_ctx.llm.meter().usage(),
+            serial_ctx.llm.meter().usage(),
+            "token totals are sums: the order workers charge in cannot show"
+        );
+        // One morsel's worth of rows never spawns, whatever `threads` says.
+        let mut small = plots_ctx(SEMANTIC_MORSEL_ROWS as i64);
+        small.threads = 8;
+        let out = execute_body(
+            &mut small,
+            "gen_excitement_score",
+            1,
+            &excitement_body(),
+            "scored",
+        )
+        .unwrap();
+        assert_eq!(out.workers, 1);
+    }
+
+    #[test]
+    fn an_unknown_column_still_fails_every_row() {
+        let mut c = plots_ctx(3);
+        let body = FunctionBody::ConceptScore {
+            input: "plots".into(),
+            text_column: "plot".into(),
+            keywords: vec!["gun".into()],
+            output_column: "s".into(),
+        };
+        let out = execute_body(&mut c, "score", 1, &body, "o").unwrap();
+        assert!(out.table.is_empty());
+        assert_eq!(out.failed_rows.len(), 3);
+        assert!(out
+            .failed_rows
+            .iter()
+            .all(|(_, e)| e == "unknown column 'plot'"));
+        let body = FunctionBody::MapExpr {
+            input: "plots".into(),
+            expr: "no_such_column + 1".into(),
+            output_column: "y".into(),
+        };
+        let out = execute_body(&mut c, "map", 1, &body, "o2").unwrap();
+        assert_eq!(out.failed_rows.len(), 3);
+        assert!(
+            out.failed_rows[0].1.contains("no_such_column"),
+            "{:?}",
+            out.failed_rows[0]
+        );
+    }
+
+    mod stamp_order {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What a run of the routine left behind, `ts` aside.
+        #[derive(Debug, PartialEq)]
+        struct Observed {
+            rows: Vec<Row>,
+            failed_rows: Vec<(String, String)>,
+            output_lid: i64,
+            /// `(lid, parent_lid, func_id, ver_id, kind)` of every edge the run recorded.
+            edges: Vec<(i64, Option<i64>, String, u32, DataKind)>,
+        }
+
+        /// Input rows `(id, lid?, tag)`: with `with_lids` every row carries
+        /// its own lid, so parents are row-level.
+        fn input_ctx(mask: &[u8], with_lids: bool) -> ExecContext {
+            let mut c = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
+            let mut columns = vec![("id", DataType::Int), ("tag", DataType::Str)];
+            if with_lids {
+                columns.insert(1, ("lid", DataType::Int));
+            }
+            let mut t = Table::new("t", Schema::of(&columns));
+            for (i, m) in mask.iter().enumerate() {
+                let mut row: Row = vec![(i as i64).into(), format!("tag{m}").into()];
+                if with_lids {
+                    let lid = c.lineage.alloc_lid();
+                    row.insert(1, lid.into());
+                }
+                t.push(row).unwrap();
+            }
+            c.ingest_table(t, "u").unwrap();
+            c
+        }
+
+        /// Keep, drop or fail by the row's mask byte.
+        fn by_mask(mask: &[u8]) -> impl Fn(&Row) -> Computed + Sync + '_ {
+            |row| {
+                let i = row[0].as_int().unwrap() as usize;
+                match mask[i] % 3 {
+                    0 => Ok(Some(vec![Value::Int(mask[i] as i64 * 7)])),
+                    1 => Ok(None),
+                    _ => Err(format!("row {i} failed with {}", mask[i])),
+                }
+            }
+        }
+
+        fn observe(c: &ExecContext, before: usize, out: ExecOutcome) -> Observed {
+            Observed {
+                rows: out.table.rows().to_vec(),
+                failed_rows: out.failed_rows,
+                output_lid: out.output_lid,
+                edges: c.lineage.entries()[before..]
+                    .iter()
+                    .map(|e| {
+                        (
+                            e.lid,
+                            e.parent_lid,
+                            e.func_id.clone(),
+                            e.ver_id,
+                            e.data_type,
+                        )
+                    })
+                    .collect(),
+            }
+        }
+
+        /// The routine as one plain loop: what every worker count and morsel
+        /// size must reproduce.
+        fn serial_loop(mask: &[u8], with_lids: bool) -> Observed {
+            let mut c = input_ctx(mask, with_lids);
+            let before = c.lineage.len();
+            let input = c.catalog.get("t").unwrap();
+            let table_lid = c.table_lid("t");
+            let lid_idx = input.schema().index_of("lid");
+            let compute = by_mask(mask);
+            let (mut rows, mut failed_rows, mut edges) = (Vec::new(), Vec::new(), Vec::new());
+            for row in input.rows() {
+                match compute(row) {
+                    Err(msg) => {
+                        let desc = row.iter().map(Value::render).collect::<Vec<_>>().join(", ");
+                        failed_rows.push((desc, msg));
+                    }
+                    Ok(None) => {}
+                    Ok(Some(extra)) => {
+                        let lid = c.lineage.alloc_lid();
+                        let parent = lid_idx.and_then(|i| row[i].as_int()).or(table_lid);
+                        edges.push((lid, parent, "f".to_string(), 3, DataKind::Row));
+                        let mut out = row.clone();
+                        match lid_idx {
+                            Some(i) => out[i] = Value::Int(lid),
+                            None => out.push(Value::Int(lid)),
+                        }
+                        out.extend(extra);
+                        rows.push(out);
+                    }
+                }
+            }
+            let output_lid = c.lineage.alloc_lid();
+            edges.push((output_lid, table_lid, "f".to_string(), 3, DataKind::Table));
+            assert_eq!(c.lineage.len(), before, "the oracle records nothing itself");
+            Observed {
+                rows,
+                failed_rows,
+                output_lid,
+                edges,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn every_worker_count_and_morsel_size_stamps_like_one_serial_loop(
+                mask in prop::collection::vec(any::<u8>(), 0..300),
+                with_lids in any::<bool>(),
+            ) {
+                let expected = serial_loop(&mask, with_lids);
+                for morsel_rows in [1usize, 7, 4096] {
+                    for workers in [1usize, 2, 8] {
+                        let mut c = input_ctx(&mask, with_lids);
+                        c.threads = workers;
+                        let before = c.lineage.len();
+                        let input = c.catalog.get("t").unwrap();
+                        let out = narrow_transform(
+                            &mut c,
+                            "f",
+                            3,
+                            &input,
+                            "o",
+                            &[("x", DataType::Int)],
+                            morsel_rows,
+                            by_mask(&mask),
+                        )
+                        .unwrap();
+                        prop_assert_eq!(out.rows_in, mask.len());
+                        prop_assert_eq!(
+                            out.workers,
+                            workers.min(mask.len().div_ceil(morsel_rows)).max(1)
+                        );
+                        let observed = observe(&c, before, out);
+                        prop_assert_eq!(
+                            &observed,
+                            &expected,
+                            "morsel_rows {} workers {}",
+                            morsel_rows,
+                            workers
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -90,7 +90,8 @@ impl<'a> Monitor<'a> {
     }
 
     /// Executes the active version of `func_id`, running the repair loop on
-    /// syntactic faults. Returns the final outcome and any repairs made.
+    /// syntactic faults. Returns the final outcome and any repairs made. A
+    /// tripped query guard ([`ExecError::Guard`]) is returned as it is.
     pub fn execute_with_repair(
         &self,
         ctx: &mut ExecContext,
@@ -116,6 +117,10 @@ impl<'a> Monitor<'a> {
                     let err = outcome.failed_rows[0].1.clone();
                     (err, outcome.table.len(), outcome.failed_rows.len())
                 }
+                // A tripped guard says the caller ran out of time or budget
+                // (or cancelled), not that the function is wrong: no
+                // diagnosis call, no notification, no new version.
+                Err(e @ ExecError::Guard(_)) => return Err(e),
                 Err(e) => (e.to_string(), 0, 0),
             };
 
@@ -606,5 +611,102 @@ mod tests {
         registry.rollback("classify_boring", 1).unwrap();
         let (third, repairs) = run(&mut registry);
         assert_eq!((third.reused, repairs.len()), (false, 1));
+    }
+
+    #[test]
+    fn a_tripped_guard_is_returned_untouched_not_repaired() {
+        let mut ctx = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
+        ctx.ingest_table(two_rows("t"), "u").unwrap();
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            FunctionSignature::new("copy_t", "copy", vec!["t".into()], "o"),
+            FunctionBody::Sql {
+                query: "SELECT * FROM t".into(),
+                dedup_key: None,
+            },
+            "initial",
+        );
+        registry.register(
+            FunctionSignature::new("double", "doubles", vec!["t".into()], "d"),
+            FunctionBody::MapExpr {
+                input: "t".into(),
+                expr: "id * 2".into(),
+                output_column: "twice".into(),
+            },
+            "initial",
+        );
+        let channel = ScriptedChannel::new(Vec::<String>::new());
+        let monitor = Monitor::new(channel.as_ref());
+        ctx.limits.timeout = Some(std::time::Duration::ZERO);
+        for (func, output) in [("copy_t", "o"), ("double", "d")] {
+            let err = monitor
+                .execute_with_repair(&mut ctx, &mut registry, func, output)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ExecError::Guard(kath_storage::StorageError::Cancelled(_))
+                ),
+                "{func}: {err:?}"
+            );
+            // No diagnosis call, no message to the user, no new version,
+            // no table, nothing to reuse.
+            assert_eq!(ctx.llm.meter().usage().calls, 0);
+            assert!(channel.transcript().is_empty());
+            assert_eq!(registry.get(func).unwrap().versions.len(), 1);
+            assert!(!ctx.catalog.contains(output));
+            let body = registry.get(func).unwrap().active_version().body.clone();
+            assert!(ctx.reusable(func, &body, output).is_none());
+        }
+        // A row budget trips the same way.
+        ctx.limits.timeout = None;
+        ctx.limits.row_budget = Some(1);
+        let err = monitor
+            .execute_with_repair(&mut ctx, &mut registry, "copy_t", "o")
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ExecError::Guard(kath_storage::StorageError::Budget(_))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(ctx.llm.meter().usage().calls, 0);
+        // With the limits lifted the same handle runs, records and reuses.
+        ctx.limits.row_budget = None;
+        assert!(!run_copy(&mut ctx, &mut registry));
+        assert!(run_copy(&mut ctx, &mut registry));
+    }
+
+    #[test]
+    fn an_aborted_node_forgets_its_earlier_record() {
+        let mut ctx = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
+        ctx.ingest_table(two_rows("t"), "u").unwrap();
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            FunctionSignature::new("double", "doubles", vec!["t".into()], "d"),
+            FunctionBody::MapExpr {
+                input: "t".into(),
+                expr: "id * 2".into(),
+                output_column: "twice".into(),
+            },
+            "initial",
+        );
+        let monitor = Monitor::new(&SilentChannel);
+        let mut run =
+            |ctx: &mut ExecContext| monitor.execute_with_repair(ctx, &mut registry, "double", "d");
+        assert!(!run(&mut ctx).unwrap().0.reused);
+        assert!(run(&mut ctx).unwrap().0.reused);
+        // A new input makes the node run; the deadline aborts that run.
+        ctx.catalog.register_or_replace(two_rows("t"));
+        ctx.limits.timeout = Some(std::time::Duration::ZERO);
+        assert!(matches!(run(&mut ctx), Err(ExecError::Guard(_))));
+        ctx.limits.timeout = None;
+        let (rerun, _) = run(&mut ctx).unwrap();
+        assert!(
+            !rerun.reused,
+            "an aborted run must not pass for the record before it"
+        );
+        assert!(run(&mut ctx).unwrap().0.reused);
     }
 }

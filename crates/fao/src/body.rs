@@ -134,6 +134,18 @@ impl FunctionBody {
         }
     }
 
+    /// Whether the body's per-item work is a model call (concept scoring,
+    /// visual classification, view population) rather than an operator
+    /// pipeline or an expression: the cost model prices the two apart.
+    pub fn calls_model(&self) -> bool {
+        !matches!(
+            self,
+            FunctionBody::Sql { .. }
+                | FunctionBody::MapExpr { .. }
+                | FunctionBody::FilterExpr { .. }
+        )
+    }
+
     /// The input table names this body reads.
     pub fn inputs(&self) -> Vec<String> {
         match self {

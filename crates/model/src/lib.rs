@@ -26,6 +26,6 @@ pub use channel::{
     ScriptedChannel, SilentChannel, StdioChannel, TranscriptChannel, TranscriptTurn, UserChannel,
 };
 pub use knowledge::{KnowledgeBase, SUBJECTIVE_TERMS};
-pub use llm::{Clarification, FaultPlan, SimLlm, Verdict};
+pub use llm::{Clarification, ConceptScorer, FaultPlan, SimLlm, Verdict};
 pub use token::{approx_tokens, TokenMeter, Usage};
 pub use vision::{Detection, SimOcr, SimVlm, VlmCascade};

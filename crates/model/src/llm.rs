@@ -7,7 +7,7 @@
 //! scoring direction) the critic/repair loops must catch (§4, §5).
 
 use crate::{KnowledgeBase, TokenMeter};
-use kath_vector::{cosine, fnv1a, TextEmbedder};
+use kath_vector::{cosine, fnv1a, Embedding, TextEmbedder};
 
 /// A clarification question raised by the reviewer agent (§5).
 #[derive(Debug, Clone, PartialEq)]
@@ -119,39 +119,19 @@ impl SimLlm {
     /// Scores how strongly `text` evokes the concept captured by `keywords`
     /// using embedding similarity, in `[0,1]`. This is the body of
     /// `gen_excitement_score` (§6 step 4): embed keywords, embed text
-    /// entities, aggregate similarity.
+    /// entities, aggregate similarity. The one-shot form of
+    /// [`SimLlm::concept_scorer`]: same score, same meter charge.
     pub fn concept_score(&self, text: &str, keywords: &[String]) -> f64 {
-        if keywords.is_empty() || text.trim().is_empty() {
-            self.meter.charge(text, "0");
-            return 0.0;
+        self.concept_scorer(keywords).score(text)
+    }
+
+    /// Prepares [`SimLlm::concept_score`] for many texts against one keyword
+    /// list: the keywords are embedded here, once, instead of once per text.
+    pub fn concept_scorer(&self, keywords: &[String]) -> ConceptScorer<'_> {
+        ConceptScorer {
+            llm: self,
+            kw_vecs: keywords.iter().map(|k| self.embedder.embed(k)).collect(),
         }
-        let kw_vecs: Vec<_> = keywords.iter().map(|k| self.embedder.embed(k)).collect();
-        // Per-sentence max similarity, averaged with a soft-max emphasis on
-        // the strongest scenes, then squashed to [0,1].
-        let sentences: Vec<&str> = text
-            .split(['.', '!', '?'])
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let mut best: f64 = 0.0;
-        let mut sum: f64 = 0.0;
-        let mut n = 0usize;
-        for s in &sentences {
-            let sv = self.embedder.embed(s);
-            let m = kw_vecs
-                .iter()
-                .map(|kv| cosine(&sv, kv) as f64)
-                .fold(0.0f64, f64::max);
-            best = best.max(m);
-            sum += m;
-            n += 1;
-        }
-        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
-        // 0.7·peak + 0.3·mean, clamped. Peaks matter: one gunfight makes a
-        // plot exciting even if the rest is quiet.
-        let score = (0.7 * best + 0.3 * mean).clamp(0.0, 1.0);
-        self.meter.charge(text, "score");
-        score
     }
 
     /// Critic pass over a score column (§4): checks that the produced scores
@@ -243,6 +223,55 @@ impl SimLlm {
     }
 }
 
+/// One keyword list, embedded once, scoring any number of texts
+/// ([`SimLlm::concept_scorer`]). Every [`ConceptScorer::score`] is one model
+/// call on the meter, exactly as [`SimLlm::concept_score`] charges it, so a
+/// node that scores a thousand plots reports the thousand calls it made.
+/// Shared by reference across workers: scoring reads the embeddings and
+/// only ever adds to the (commutative) meter.
+#[derive(Debug)]
+pub struct ConceptScorer<'a> {
+    llm: &'a SimLlm,
+    kw_vecs: Vec<Embedding>,
+}
+
+impl ConceptScorer<'_> {
+    /// The concept score of `text` in `[0,1]`.
+    pub fn score(&self, text: &str) -> f64 {
+        let meter = &self.llm.meter;
+        if self.kw_vecs.is_empty() || text.trim().is_empty() {
+            meter.charge(text, "0");
+            return 0.0;
+        }
+        // Per-sentence max similarity, averaged with a soft-max emphasis on
+        // the strongest scenes, then squashed to [0,1].
+        let sentences = text
+            .split(['.', '!', '?'])
+            .map(str::trim)
+            .filter(|s| !s.is_empty());
+        let mut best: f64 = 0.0;
+        let mut sum: f64 = 0.0;
+        let mut n = 0usize;
+        for s in sentences {
+            let sv = self.llm.embedder.embed(s);
+            let m = self
+                .kw_vecs
+                .iter()
+                .map(|kv| cosine(&sv, kv) as f64)
+                .fold(0.0f64, f64::max);
+            best = best.max(m);
+            sum += m;
+            n += 1;
+        }
+        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+        // 0.7·peak + 0.3·mean, clamped. Peaks matter: one gunfight makes a
+        // plot exciting even if the rest is quiet.
+        let score = (0.7 * best + 0.3 * mean).clamp(0.0, 1.0);
+        meter.charge(text, "score");
+        score
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +316,60 @@ mod tests {
         let m = llm();
         assert_eq!(m.concept_score("", &["gun".into()]), 0.0);
         assert_eq!(m.concept_score("anything", &[]), 0.0);
+    }
+
+    /// `concept_score` as it was before the keywords were hoisted: embeds
+    /// them on every call. The oracle for the prepared scorer.
+    fn concept_score_embedding_keywords_per_call(m: &SimLlm, text: &str, kws: &[String]) -> f64 {
+        if kws.is_empty() || text.trim().is_empty() {
+            m.meter().charge(text, "0");
+            return 0.0;
+        }
+        let kw_vecs: Vec<_> = kws.iter().map(|k| m.embedder().embed(k)).collect();
+        let (mut best, mut sum, mut n) = (0.0f64, 0.0f64, 0usize);
+        for s in text.split(['.', '!', '?']).map(str::trim) {
+            if s.is_empty() {
+                continue;
+            }
+            let sv = m.embedder().embed(s);
+            let sim = kw_vecs
+                .iter()
+                .map(|kv| cosine(&sv, kv) as f64)
+                .fold(0.0f64, f64::max);
+            best = best.max(sim);
+            sum += sim;
+            n += 1;
+        }
+        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+        m.meter().charge(text, "score");
+        (0.7 * best + 0.3 * mean).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn concept_scorer_equals_concept_score_in_bits_and_meter() {
+        let keywords = llm().generate_keywords("scenes that are uncommon in real life");
+        let corpus = kath_data::mmqa_small();
+        let mut texts: Vec<&str> = corpus.documents.iter().map(|d| d.text.as_str()).collect();
+        texts.extend(["", "   ", "no terminator", "?!."]);
+        for kws in [keywords.as_slice(), &[]] {
+            let (oracle, one_shot, prepared) = (llm(), llm(), llm());
+            let scorer = prepared.concept_scorer(kws);
+            // Preparing is not a model call.
+            assert_eq!(prepared.meter().usage(), crate::Usage::default());
+            for text in &texts {
+                let calls = oracle.meter().usage().calls;
+                let expected = concept_score_embedding_keywords_per_call(&oracle, text, kws);
+                let a = one_shot.concept_score(text, kws);
+                let b = scorer.score(text);
+                assert_eq!(a.to_bits(), expected.to_bits(), "one-shot, text {text:?}");
+                assert_eq!(b.to_bits(), expected.to_bits(), "prepared, text {text:?}");
+                // Prompt tokens, completion tokens and calls, all three.
+                let charged = oracle.meter().usage();
+                assert_eq!(charged.calls, calls + 1);
+                assert_eq!(one_shot.meter().usage(), charged, "one-shot, text {text:?}");
+                assert_eq!(prepared.meter().usage(), charged, "prepared, text {text:?}");
+            }
+        }
     }
 
     #[test]

@@ -45,12 +45,11 @@ impl TokenMeter {
         Self::default()
     }
 
-    /// Charges one model call with the given prompt/completion texts.
+    /// Charges one model call with the given prompt/completion texts. The
+    /// texts are counted before the lock is taken: workers scoring rows
+    /// side by side hold it for three additions, not for a pass over a plot.
     pub fn charge(&self, prompt: &str, completion: &str) {
-        let mut u = self.inner.lock();
-        u.prompt_tokens += approx_tokens(prompt);
-        u.completion_tokens += approx_tokens(completion);
-        u.calls += 1;
+        self.charge_raw(approx_tokens(prompt), approx_tokens(completion));
     }
 
     /// Charges raw token counts (used by vision calls where the "prompt" is

@@ -11,12 +11,12 @@ mod scene_graph;
 mod text_graph;
 
 pub use scene_graph::{
-    attributes_schema as scene_attributes_schema, frames_schema, objects_schema, populate_image,
-    populate_video, relationships_schema as scene_relationships_schema, SceneGraphError,
-    SceneGraphViews,
+    attributes_schema as scene_attributes_schema, emit_frame, frames_schema, objects_schema,
+    populate_image, populate_video, relationships_schema as scene_relationships_schema,
+    SceneGraphError, SceneGraphViews,
 };
 pub use text_graph::{
-    attributes_schema as text_attributes_schema, entities_schema, mentions_schema,
-    populate_document, relationships_schema as text_relationships_schema, texts_schema,
-    TextGraphViews,
+    attributes_schema as text_attributes_schema, emit_document, entities_schema, extract_document,
+    mentions_schema, populate_document, relationships_schema as text_relationships_schema,
+    texts_schema, DocumentExtraction, TextGraphViews,
 };

@@ -5,7 +5,7 @@
 //! `Attributes`, `Frames` — with images treated as single-frame videos.
 
 use kath_media::{Image, Video};
-use kath_model::SimVlm;
+use kath_model::{Detection, SimVlm};
 use kath_storage::{DataType, Schema, StorageError, Table, Value};
 
 /// The exact `Objects` schema of Table 1:
@@ -159,7 +159,23 @@ fn populate_frame(
     next_lid: &mut impl FnMut() -> i64,
 ) -> Result<usize, SceneGraphError> {
     let detections = vlm.detect(image)?;
+    Ok(emit_frame(views, vid, fid, image, &detections, next_lid)?)
+}
 
+/// Writes what a vision model detected in frame `fid` of `vid` into the
+/// views — the half of population that follows the model call
+/// (`SimVlm::detect`), so frames can be detected in any order (or on several
+/// workers) and emitted one by one: the frame row, each object with its
+/// attributes, then the relationships. `next_lid` allocates one lineage id
+/// per view row, in that order. Returns the detection count.
+pub fn emit_frame(
+    views: &mut SceneGraphViews,
+    vid: i64,
+    fid: i64,
+    image: &Image,
+    detections: &[Detection],
+    next_lid: &mut impl FnMut() -> i64,
+) -> Result<usize, StorageError> {
     views.frames.push(vec![
         Value::Int(vid),
         Value::Int(fid),
@@ -173,7 +189,7 @@ fn populate_frame(
     // offset past the track range.
     let mut oid_of_index: Vec<Option<i64>> = vec![None; image.objects.len()];
     let mut next_seq = 10_000i64 + fid * 1_000;
-    for det in &detections {
+    for det in detections {
         // Find the descriptor index this detection came from (first
         // unclaimed object with the same class and box).
         let idx = image.objects.iter().enumerate().position(|(i, o)| {

@@ -7,7 +7,7 @@
 //! avoid double counting.
 
 use kath_media::Document;
-use kath_model::ner::{extract_mentions, resolve_entities};
+use kath_model::ner::{extract_mentions, resolve_entities, ResolvedEntity};
 use kath_model::SimLlm;
 use kath_storage::{DataType, Schema, StorageError, Table, Value};
 
@@ -107,52 +107,47 @@ const RELATION_PATTERNS: [(&str, &str); 6] = [
     ("met", "met"),
 ];
 
-/// Populates the text-graph views for one document identified by `did`.
-/// Entity resolution and class assignment run through the simulated model's
-/// NER stack; `next_lid` allocates lineage ids. Returns the entity count.
-pub fn populate_document(
-    views: &mut TextGraphViews,
-    did: i64,
-    doc: &Document,
-    llm: &SimLlm,
-    next_lid: &mut impl FnMut() -> i64,
-) -> Result<usize, StorageError> {
+/// What the NER stack and the verb patterns read out of one document: the
+/// model half of [`populate_document`]. It is a pure function of the
+/// document — no view, no lid — so documents can be extracted in any order
+/// (or on several workers) before [`emit_document`] writes them one by one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DocumentExtraction {
+    entities: Vec<ResolvedEntity>,
+    /// Relationships and attributes in the order their view rows are
+    /// emitted: sentence by sentence, a sentence's relationships first.
+    facts: Vec<SentenceFact>,
+}
+
+/// One relationship or attribute found in sentence `sid`.
+#[derive(Debug, Clone, PartialEq)]
+enum SentenceFact {
+    Relationship {
+        sid: usize,
+        eid_i: usize,
+        pid: &'static str,
+        eid_j: usize,
+    },
+    /// A `movie_budget` attribute of entity `eid`.
+    Budget {
+        sid: usize,
+        eid: usize,
+        amount: String,
+    },
+}
+
+/// Extracts one document: mentions, resolved entities (class assignment
+/// runs through the simulated model's NER stack), verb-pattern relationships
+/// and attributes.
+pub fn extract_document(doc: &Document, llm: &SimLlm) -> DocumentExtraction {
     let sentences = doc.sentences();
     let mentions = extract_mentions(&sentences);
     let entities = resolve_entities(mentions, llm.knowledge());
 
-    views.texts.push(vec![
-        Value::Int(did),
-        Value::Int(next_lid()),
-        Value::Str(doc.text.clone()),
-    ])?;
-
-    let mut mid = 0i64;
-    for ent in &entities {
-        views.entities.push(vec![
-            Value::Int(did),
-            Value::Int(ent.id as i64),
-            Value::Int(next_lid()),
-            Value::Str(ent.class.clone()),
-        ])?;
-        for m in &ent.mentions {
-            views.mentions.push(vec![
-                Value::Int(did),
-                Value::Int(m.sentence as i64),
-                Value::Int(mid),
-                Value::Int(next_lid()),
-                Value::Int(ent.id as i64),
-                Value::Int(m.span1 as i64),
-                Value::Int(m.span2 as i64),
-            ])?;
-            mid += 1;
-        }
-    }
-
     // Relationships: verb patterns between two entity mentions within one
     // sentence, in textual order. Mention spans are document offsets; the
     // verb position is sentence-local, so shift by the sentence start.
-    let mut rid = 0i64;
+    let mut facts = Vec::new();
     for (si, (sstart, _send, stext)) in sentences.iter().enumerate() {
         let lower = stext.to_lowercase();
         // Non-pronoun mentions of this sentence as (local offset, eid).
@@ -178,18 +173,14 @@ pub fn populate_document(
                 .filter(|(off, _)| *off > vpos)
                 .min_by_key(|(off, _)| *off)
                 .map(|(_, id)| *id);
-            if let (Some(ei), Some(ej)) = (subj, obj) {
-                if ei != ej {
-                    views.relationships.push(vec![
-                        Value::Int(did),
-                        Value::Int(si as i64),
-                        Value::Int(rid),
-                        Value::Int(next_lid()),
-                        Value::Int(ei as i64),
-                        Value::Str(pid.to_string()),
-                        Value::Int(ej as i64),
-                    ])?;
-                    rid += 1;
+            if let (Some(eid_i), Some(eid_j)) = (subj, obj) {
+                if eid_i != eid_j {
+                    facts.push(SentenceFact::Relationship {
+                        sid: si,
+                        eid_i,
+                        pid,
+                        eid_j,
+                    });
                 }
             }
         }
@@ -205,19 +196,100 @@ pub fn populate_document(
                 .min_by_key(|(off, _)| *off)
                 .map(|(_, id)| *id);
             if let (Some(eid), false) = (first, amount.is_empty()) {
-                views.attributes.push(vec![
-                    Value::Int(did),
-                    Value::Int(si as i64),
-                    Value::Int(eid as i64),
-                    Value::Int(next_lid()),
-                    Value::Str("movie_budget".to_string()),
-                    Value::Str(amount),
-                ])?;
+                facts.push(SentenceFact::Budget {
+                    sid: si,
+                    eid,
+                    amount,
+                });
             }
         }
     }
+    DocumentExtraction { entities, facts }
+}
 
-    Ok(entities.len())
+/// Writes one extracted document into the views as document `did`: the
+/// text row, then each entity with its mentions, then the sentence facts.
+/// `next_lid` allocates one lineage id per view row, in that order. Returns
+/// the entity count.
+pub fn emit_document(
+    views: &mut TextGraphViews,
+    did: i64,
+    doc: &Document,
+    extraction: &DocumentExtraction,
+    next_lid: &mut impl FnMut() -> i64,
+) -> Result<usize, StorageError> {
+    views.texts.push(vec![
+        Value::Int(did),
+        Value::Int(next_lid()),
+        Value::Str(doc.text.clone()),
+    ])?;
+
+    let mut mid = 0i64;
+    for ent in &extraction.entities {
+        views.entities.push(vec![
+            Value::Int(did),
+            Value::Int(ent.id as i64),
+            Value::Int(next_lid()),
+            Value::Str(ent.class.clone()),
+        ])?;
+        for m in &ent.mentions {
+            views.mentions.push(vec![
+                Value::Int(did),
+                Value::Int(m.sentence as i64),
+                Value::Int(mid),
+                Value::Int(next_lid()),
+                Value::Int(ent.id as i64),
+                Value::Int(m.span1 as i64),
+                Value::Int(m.span2 as i64),
+            ])?;
+            mid += 1;
+        }
+    }
+
+    let mut rid = 0i64;
+    for fact in &extraction.facts {
+        match fact {
+            SentenceFact::Relationship {
+                sid,
+                eid_i,
+                pid,
+                eid_j,
+            } => {
+                views.relationships.push(vec![
+                    Value::Int(did),
+                    Value::Int(*sid as i64),
+                    Value::Int(rid),
+                    Value::Int(next_lid()),
+                    Value::Int(*eid_i as i64),
+                    Value::Str(pid.to_string()),
+                    Value::Int(*eid_j as i64),
+                ])?;
+                rid += 1;
+            }
+            SentenceFact::Budget { sid, eid, amount } => views.attributes.push(vec![
+                Value::Int(did),
+                Value::Int(*sid as i64),
+                Value::Int(*eid as i64),
+                Value::Int(next_lid()),
+                Value::Str("movie_budget".to_string()),
+                Value::Str(amount.clone()),
+            ])?,
+        }
+    }
+
+    Ok(extraction.entities.len())
+}
+
+/// Populates the text-graph views for one document identified by `did`:
+/// [`extract_document`], then [`emit_document`].
+pub fn populate_document(
+    views: &mut TextGraphViews,
+    did: i64,
+    doc: &Document,
+    llm: &SimLlm,
+    next_lid: &mut impl FnMut() -> i64,
+) -> Result<usize, StorageError> {
+    emit_document(views, did, doc, &extract_document(doc, llm), next_lid)
 }
 
 #[cfg(test)]

@@ -79,27 +79,40 @@ pub fn preferred_exec_mode(rows: usize) -> ExecMode {
 /// enough morsels to pay for itself.
 pub const WORKER_STARTUP_MS: f64 = 0.05;
 
+/// Estimated wall-clock of `serial_ms` of divisible work split over
+/// `workers`: the work divides across them; each worker past the first adds
+/// [`WORKER_STARTUP_MS`]. `workers == 1` is `serial_ms` exactly.
+pub fn fanned_out_ms(serial_ms: f64, workers: usize) -> f64 {
+    let w = workers.max(1) as f64;
+    serial_ms / w + (w - 1.0) * WORKER_STARTUP_MS
+}
+
+/// The cheapest worker count for `serial_ms` of divisible work, searched up
+/// to `max_workers` (the host's cores, typically). The curve is convex —
+/// per-worker startup cost against the divided win — so the argmin is the
+/// break-even point the morsel literature predicts: 1 for small work,
+/// rising with it. This is the rule for a profiled model-call node, whose
+/// estimate ([`estimate_function`]) is per-row work that morsels divide;
+/// [`preferred_parallelism_capped`] applies it to a relational pipeline.
+pub fn preferred_fanout_capped(serial_ms: f64, max_workers: usize) -> usize {
+    (1..=max_workers.max(1))
+        .min_by(|a, b| fanned_out_ms(serial_ms, *a).total_cmp(&fanned_out_ms(serial_ms, *b)))
+        .unwrap_or(1)
+}
+
 /// Estimated overhead of pushing `rows` rows through a relational pipeline
-/// in `mode` with `workers`-way morsel parallelism: the per-morsel work
-/// divides across workers; each worker past the first adds
-/// [`WORKER_STARTUP_MS`]. `workers == 1` degenerates to
+/// in `mode` with `workers`-way morsel parallelism ([`fanned_out_ms`] of the
+/// serial overhead). `workers == 1` degenerates to
 /// [`relational_overhead_ms`] exactly.
 pub fn parallel_overhead_ms(rows: usize, mode: ExecMode, workers: usize) -> f64 {
-    let w = workers.max(1) as f64;
-    relational_overhead_ms(rows, mode) / w + (w - 1.0) * WORKER_STARTUP_MS
+    fanned_out_ms(relational_overhead_ms(rows, mode), workers)
 }
 
 /// The cheapest degree of parallelism for `rows` rows in `mode`, searched
-/// up to `max_workers` (the host's cores, typically). The curve is convex —
-/// per-worker startup cost against the divided per-morsel win — so the
-/// argmin is the break-even point the morsel literature predicts: 1 for
-/// small inputs, rising with cardinality.
+/// up to `max_workers`: [`preferred_fanout_capped`] of the pipeline's
+/// serial overhead.
 pub fn preferred_parallelism_capped(rows: usize, mode: ExecMode, max_workers: usize) -> usize {
-    (1..=max_workers.max(1))
-        .min_by(|a, b| {
-            parallel_overhead_ms(rows, mode, *a).total_cmp(&parallel_overhead_ms(rows, mode, *b))
-        })
-        .unwrap_or(1)
+    preferred_fanout_capped(relational_overhead_ms(rows, mode), max_workers)
 }
 
 /// [`preferred_parallelism_capped`] with the host's available parallelism
@@ -161,10 +174,7 @@ pub fn estimate_function_in_mode(
     let mut est = estimate_function(registry, catalog, func_id)?;
     let entry = registry.get(func_id).ok()?;
     let body = &entry.active_version().body;
-    if !matches!(
-        body,
-        FunctionBody::Sql { .. } | FunctionBody::MapExpr { .. } | FunctionBody::FilterExpr { .. }
-    ) {
+    if body.calls_model() {
         return Some(est);
     }
     let mut rows = 0usize;
@@ -318,6 +328,20 @@ mod tests {
         // The cap is respected.
         assert!(preferred_parallelism_capped(10_000_000, batched, 4) <= 4);
         assert!(preferred_parallelism(100, batched) >= 1);
+    }
+
+    #[test]
+    fn fanout_follows_the_estimate_and_the_cap() {
+        // Break-even: a second worker pays once the work exceeds twice its
+        // startup cost.
+        assert_eq!(preferred_fanout_capped(1.9 * WORKER_STARTUP_MS, 8), 1);
+        assert_eq!(preferred_fanout_capped(2.1 * WORKER_STARTUP_MS, 2), 2);
+        // 30 ms of model calls want every core offered, and no more.
+        assert_eq!(preferred_fanout_capped(30.0, 2), 2);
+        assert_eq!(preferred_fanout_capped(30.0, 8), 8);
+        assert_eq!(preferred_fanout_capped(30.0, 0), 1);
+        assert_eq!(fanned_out_ms(30.0, 1), 30.0);
+        assert!((fanned_out_ms(30.0, 2) - (15.0 + WORKER_STARTUP_MS)).abs() < 1e-12);
     }
 
     #[test]
