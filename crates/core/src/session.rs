@@ -56,11 +56,6 @@ impl TxnStage {
         self.base_version
     }
 
-    /// The number of mutations staged so far.
-    pub fn staged_records(&self) -> usize {
-        self.staged.len()
-    }
-
     /// The working catalog — the session's own SELECTs read this
     /// (read-your-writes); no other session can see it.
     pub(crate) fn working(&self) -> &Catalog {

@@ -3,8 +3,7 @@
 //!
 //! Profiled sample costs are extrapolated linearly to the row counts of the
 //! catalog's full tables; relational pipelines add a per-row, per-batch and
-//! cold-page term. Nothing here reads column statistics. The choice the
-//! executor makes by itself — Flat or IVF
+//! cold-page term. The choice the executor makes by itself — Flat or IVF
 //! (`kath_storage::preferred_vector_strategy`) — is priced where it is
 //! decided, in `kath_storage`.
 
@@ -195,28 +194,6 @@ pub fn estimate_function_in_mode(
     Some(est)
 }
 
-/// Estimates a whole plan: tokens/runtime add, accuracies multiply (§4's
-/// observation that more, smaller functions compound accuracy differently
-/// than few large ones).
-pub fn estimate_plan(
-    registry: &FunctionRegistry,
-    catalog: &Catalog,
-    func_ids: &[String],
-) -> CostEstimate {
-    let mut total = CostEstimate {
-        accuracy: 1.0,
-        ..Default::default()
-    };
-    for f in func_ids {
-        if let Some(e) = estimate_function(registry, catalog, f) {
-            total.tokens += e.tokens;
-            total.runtime_ms += e.runtime_ms;
-            total.accuracy *= e.accuracy;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,36 +242,6 @@ mod tests {
         assert!((e.runtime_ms - 50.0).abs() < 1e-9);
         assert_eq!(e.accuracy, 0.9);
         assert!(e.scalar() > 1000.0);
-    }
-
-    #[test]
-    fn plan_estimate_compounds_accuracy() {
-        let (mut registry, catalog) = setup();
-        registry.register(
-            FunctionSignature::new("g", "maps", vec!["t".into()], "o2"),
-            FunctionBody::MapExpr {
-                input: "t".into(),
-                expr: "x * 2".into(),
-                output_column: "z".into(),
-            },
-            "initial",
-        );
-        registry
-            .set_profile(
-                "g",
-                1,
-                ProfileStats {
-                    runtime_ms: 1.0,
-                    tokens: 10,
-                    rows_in: 4,
-                    rows_out: 4,
-                    accuracy: Some(0.8),
-                },
-            )
-            .unwrap();
-        let e = estimate_plan(&registry, &catalog, &["f".into(), "g".into()]);
-        assert!((e.accuracy - 0.72).abs() < 1e-9);
-        assert!(e.tokens > 1000.0);
     }
 
     #[test]
@@ -431,8 +378,5 @@ mod tests {
             "initial",
         );
         assert!(estimate_function(&registry, &catalog, "h").is_none());
-        let e = estimate_plan(&registry, &catalog, &["h".into()]);
-        assert_eq!(e.tokens, 0.0);
-        assert_eq!(e.accuracy, 1.0);
     }
 }

@@ -223,25 +223,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, started.elapsed().as_secs_f64() * 1000.0)
 }
 
-/// How the FROM table is read. Every variant is a shortcut past rows the
-/// WHERE clause would drop anyway, so all of them are taken only when no
-/// conjunct of the clause can raise ([`Expr::cannot_raise`]): skipping a
-/// row whose evaluation would have failed turns an error into an answer.
-enum Access {
-    /// Every row, less what the prune hints rule out: the sargable WHERE
-    /// conjuncts over FROM-table columns ([`prune_conjuncts`]), with which
-    /// a scan skips sealed pages by zone map and drops failing rows before
-    /// it materializes them. A superset pre-filter — the full `filter`
-    /// still runs above, after the joins.
-    Scan {
-        prune_hints: Vec<(String, BinOp, Value)>,
-    },
-    /// The candidate positions of a hash-index hit on an equality hint.
-    /// They are a superset of the matches, so the full predicate still
-    /// applies.
-    Index(Arc<Vec<usize>>),
-}
-
 /// One step of the join chain, oriented: `left_col` belongs to the rows
 /// accumulated so far, `right_col` to the table this step builds on.
 struct JoinStep {
@@ -303,7 +284,16 @@ struct VectorTopk {
 /// LIMIT — a flat struct holds it; there is no operator tree to walk.
 struct SelectPlan {
     table: Arc<Table>,
-    access: Access,
+    /// How the FROM scan reads less than every row: the sargable WHERE
+    /// conjuncts over FROM-table columns ([`prune_conjuncts`]), with which
+    /// it skips sealed pages by zone map and drops failing rows before it
+    /// materializes them. A superset pre-filter — the full `filter` still
+    /// runs above, after the joins. A hint is a shortcut past rows the
+    /// WHERE clause would drop anyway, so there are hints only when no
+    /// conjunct of the clause can raise ([`Expr::cannot_raise`]): skipping
+    /// a row whose evaluation would have failed turns an error into an
+    /// answer.
+    prune_hints: Vec<(String, BinOp, Value)>,
     joins: Vec<JoinStep>,
     /// The columns the statement reads — filter, join keys, outputs, group
     /// keys, aggregate inputs, sort keys; all of them for `SELECT *` — as
@@ -418,19 +408,9 @@ fn plan_select(
         }
     };
 
-    // The access path: one gate, then hints, then an index over one of them.
     let prune_hints = match &filter {
         Some(pred) if pred.cannot_raise() => prune_conjuncts(pred, &full, from_arity),
         _ => Vec::new(),
-    };
-    let equalities = prune_hints.iter().filter(|(_, op, _)| *op == BinOp::Eq);
-    let index_hit = equalities.into_iter().find_map(|(column, _, value)| {
-        let index = catalog.index_on(&select.from, column)?;
-        Some(Arc::new(index.lookup(value).to_vec()))
-    });
-    let access = match index_hit {
-        Some(positions) => Access::Index(positions),
-        None => Access::Scan { prune_hints },
     };
 
     // Narrow the plan to the columns the statement reads. Every schema
@@ -461,7 +441,7 @@ fn plan_select(
     let vector = vector_choice(select, &table, vector);
     Ok(SelectPlan {
         table,
-        access,
+        prune_hints,
         joins,
         joined: full.project(&needed),
         needed,
@@ -534,25 +514,15 @@ impl SelectPlan {
         }
     }
 
-    /// How many source rows the access path yields: the FROM table's row
-    /// range, or the candidate positions of an index hit.
-    fn source_rows(&self) -> usize {
-        match &self.access {
-            Access::Scan { .. } => self.table.len(),
-            Access::Index(positions) => positions.len(),
-        }
-    }
-
-    /// The source rows as morsels for a drive that splits them among
-    /// workers. Full scans of a table with a sealed part align morsels to
-    /// page boundaries so no two workers decode the same column page (the
-    /// tail rows after it just fall into the last morsels).
+    /// The FROM table's rows as morsels for a drive that splits them among
+    /// workers. A table with a sealed part aligns morsels to page
+    /// boundaries so no two workers decode the same column page (the tail
+    /// rows after it just fall into the last morsels).
     fn morsel_source(&self, batch: usize) -> MorselSource {
-        match (&self.access, self.table.paged()) {
-            (Access::Scan { .. }, Some(pt)) => {
-                MorselSource::with_batch_size_aligned(self.source_rows(), batch, pt.page_rows())
-            }
-            _ => MorselSource::with_batch_size(self.source_rows(), batch),
+        let rows = self.table.len();
+        match self.table.paged() {
+            Some(pt) => MorselSource::with_batch_size_aligned(rows, batch, pt.page_rows()),
+            None => MorselSource::with_batch_size(rows, batch),
         }
     }
 
@@ -575,10 +545,11 @@ impl SelectPlan {
         &self.needed[..self.needed.partition_point(|&c| c < from_arity)]
     }
 
-    /// The streaming phase over source rows `[start, end)`: access path
-    /// (restricted to the needed columns) → join probes against `builds` →
-    /// filter. `batch` is the mode's batch size, which pass-through
-    /// operators inherit (`None` = Volcano: the scan keeps its default).
+    /// The streaming phase over FROM-table rows `[start, end)`: scan
+    /// (restricted to the needed columns, pruned by the hints) → join
+    /// probes against `builds` → filter. `batch` is the mode's batch size,
+    /// which pass-through operators inherit (`None` = Volcano: the scan
+    /// keeps its default).
     fn stream(
         &self,
         (start, end): (usize, usize),
@@ -586,27 +557,14 @@ impl SelectPlan {
         builds: &[Arc<JoinBuild>],
         guard: QueryGuard,
     ) -> Result<Box<dyn Operator>, StorageError> {
-        let mut op: Box<dyn Operator> = match &self.access {
-            Access::Scan { prune_hints } => {
-                let scan = TableScan::new(Arc::clone(&self.table))
-                    .with_range(start, end)
-                    .with_columns(self.scan_columns())
-                    .with_prune_hint(prune_hints)
-                    .with_guard(guard);
-                match batch {
-                    Some(n) => Box::new(scan.with_batch_size(n)),
-                    None => Box::new(scan),
-                }
-            }
-            Access::Index(positions) => {
-                let scan = IndexScan::new(Arc::clone(&self.table), positions[start..end].to_vec())
-                    .with_columns(self.scan_columns())
-                    .with_guard(guard);
-                match batch {
-                    Some(n) => Box::new(scan.with_batch_size(n)),
-                    None => Box::new(scan),
-                }
-            }
+        let scan = TableScan::new(Arc::clone(&self.table))
+            .with_range(start, end)
+            .with_columns(self.scan_columns())
+            .with_prune_hint(&self.prune_hints)
+            .with_guard(guard);
+        let mut op: Box<dyn Operator> = match batch {
+            Some(n) => Box::new(scan.with_batch_size(n)),
+            None => Box::new(scan),
         };
         for (j, build) in self.joins.iter().zip(builds) {
             let join = HashJoin::from_build(op, Arc::clone(build), &j.left_col, j.kind)?;
@@ -754,7 +712,7 @@ fn drive_serial(
         )))?
     } else {
         let builds = plan.build_joins()?;
-        let op = plan.stream((0, plan.source_rows()), batch, &builds, guard.clone())?;
+        let op = plan.stream((0, plan.table.len()), batch, &builds, guard.clone())?;
         match &plan.shape {
             Shape::Aggregate(spec) => sort(Box::new(HashAggregate::new(
                 op,
@@ -1133,7 +1091,7 @@ fn sort_before_project(sort_keys: &[SortKey], outputs: &[(String, Expr)]) -> boo
 /// Collects the sargable `column <op> literal` conjuncts of the lowered
 /// WHERE clause whose column is one of the FROM table's — an ordinal of
 /// `full` below `from_arity`, under the name the filter itself resolved —
-/// as prune hints for the FROM scan and candidates for an index hit.
+/// as prune hints for the FROM scan.
 ///
 /// WHERE runs after the joins, and a FROM-side row that fails such a
 /// conjunct fails it in every joined row it contributes — matched, or
@@ -1649,52 +1607,6 @@ mod tests {
     }
 
     #[test]
-    fn equality_predicate_uses_index_with_same_result() {
-        let mut c = catalog();
-        let unindexed =
-            execute(&mut c, "SELECT title FROM films WHERE year = 1991", "out").unwrap();
-        c.create_index("films", "year").unwrap();
-        let indexed = execute(&mut c, "SELECT title FROM films WHERE year = 1991", "out").unwrap();
-        assert_eq!(indexed, unindexed);
-        assert_eq!(indexed.len(), 2);
-
-        // Compound predicates still narrow via the equality conjunct and
-        // re-apply the rest.
-        let t = execute(
-            &mut c,
-            "SELECT title FROM films WHERE year = 1991 AND id > 1",
-            "out",
-        )
-        .unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.cell(0, "title").unwrap().as_str(), Some("Night Chase"));
-
-        // Non-equality predicates fall back to the scan.
-        let t = execute(&mut c, "SELECT title FROM films WHERE year > 1988", "out").unwrap();
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn index_survives_insert() {
-        let mut c = catalog();
-        c.create_index("films", "year").unwrap();
-        execute(
-            &mut c,
-            "INSERT INTO films VALUES (5, 'Late Entry', 1991)",
-            "x",
-        )
-        .unwrap();
-        let t = execute(
-            &mut c,
-            "SELECT title FROM films WHERE year = 1991 ORDER BY title",
-            "out",
-        )
-        .unwrap();
-        assert_eq!(t.len(), 3, "{}", t.render());
-        assert_eq!(t.cell(1, "title").unwrap().as_str(), Some("Late Entry"));
-    }
-
-    #[test]
     fn serial_run_reports_batches() {
         let c = catalog();
         let select = crate::parser::parse_select("SELECT title FROM films").unwrap();
@@ -1758,20 +1670,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_select_uses_index_positions() {
+    fn equality_with_range_prunes_on_every_drive() {
+        // Sealed pages of 32 rows, then a one-row tail.
         let mut c = wide_catalog();
-        c.create_index("films", "year").unwrap();
+        c.page_table("films", 32).unwrap();
+        let late = "INSERT INTO films VALUES (400, 'Late Entry', 1991)";
+        execute(&mut c, late, "x").unwrap();
+        let films = c.get("films").unwrap();
+        assert!(films.is_paged());
+        assert_eq!(films.tail().len(), 1);
+
         let select =
             crate::parser::parse_select("SELECT title FROM films WHERE year = 1991 AND id > 1")
                 .unwrap();
-        // The equality conjunct narrows to 8 candidate positions; batch
-        // size 1 keeps the morsels small enough that even this tiny
-        // candidate set still splits across workers.
-        let (serial, _) = run(&c, &select, ExecMode::Batched(1), 1, VectorMode::Auto).unwrap();
-        let (parallel, stats) =
-            run(&c, &select, ExecMode::Batched(1), 4, VectorMode::Auto).unwrap();
-        assert_eq!(parallel, serial);
-        assert!(stats.workers > 1, "index path should still parallelize");
+        let (volcano, _) = run(&c, &select, ExecMode::Volcano, 1, VectorMode::Auto).unwrap();
+        // Film 4, the six generated ones (id % 60 = 41) and the tail row;
+        // film 1 fails `id > 1`.
+        assert_eq!(volcano.len(), 8, "{}", volcano.render());
+        for (mode, threads) in [
+            (ExecMode::Volcano, 1),
+            (ExecMode::Batched(8), 1),
+            (ExecMode::Batched(8), 4),
+        ] {
+            let before = c.pool().status().zone_skips;
+            let (got, stats) = run(&c, &select, mode, threads, VectorMode::Auto).unwrap();
+            assert_eq!(got, volcano, "{mode:?}, {threads} threads");
+            assert_eq!(
+                stats.workers > 1,
+                threads > 1,
+                "{mode:?}, {threads} threads"
+            );
+            assert!(
+                c.pool().status().zone_skips > before,
+                "{mode:?}, {threads} threads: no page skipped"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! drive it picks is invisible in the answer.
 //!
 //! 1. **Result parity.** A statement corpus covering every plan shape —
-//!    scan, index hit, inner/left join, aggregate with and without GROUP BY
-//!    (including a GROUP BY key written twice), sort before/after the
+//!    scan, point read, inner/left join, aggregate with and without GROUP
+//!    BY (including a GROUP BY key written twice), sort before/after the
 //!    projection, expression sort, DISTINCT, lazy LIMIT, vector top-k —
 //!    runs under `(Volcano | Batched 1/3/1024) × threads 1/2/8` over
 //!    resident tables, paged tables, and tables paged and then INSERTed
@@ -23,8 +23,8 @@
 //!    plain Rust loop over the generated data, so the check does not rest
 //!    on the Volcano reference sharing the planner's column list.
 //! 5. **Run-time error parity.** A WHERE clause that raises on some row
-//!    raises on every backing and drive: no access-path shortcut (index
-//!    hit, zone-map page skip, row hint) may step over the failing row.
+//!    raises on every backing and drive: no access-path shortcut (zone-map
+//!    page skip, row hint) may step over the failing row.
 
 use kath_sql::{execute, parse_select, run_select_auto_guarded, SelectStats, SqlError};
 use kath_storage::{
@@ -85,15 +85,15 @@ fn remake_rows() -> Vec<Vec<Value>> {
 
 const TABLES: [&str; 5] = ["films", "posters", "remakes", "docs", "big"];
 
-/// `films` (600 rows, hash index on `year`), `posters` (a third of the
-/// films), `remakes` (150 rows sharing two column names with `films`),
-/// `docs` (60 embedded phrases, two without an embedding) and `big` (5 200
-/// rows, hash index on `v`) — resident in the first catalog, paged seven
-/// rows to a page in the second, and in the third the first three fifths
-/// paged and the rest INSERTed afterwards in two statements: the first
-/// fills pages of tail and so is sealed in turn, the second leaves five
-/// rows of tail — behind a short last page, except in `films` whose 595
-/// sealed rows fill theirs — with the boundary inside a morsel.
+/// `films` (600 rows), `posters` (a third of the films), `remakes` (150
+/// rows sharing two column names with `films`), `docs` (60 embedded
+/// phrases, two without an embedding) and `big` (5 200 rows) — resident in
+/// the first catalog, paged seven rows to a page in the second, and in the
+/// third the first three fifths paged and the rest INSERTed afterwards in
+/// two statements: the first fills pages of tail and so is sealed in turn,
+/// the second leaves five rows of tail — behind a short last page, except
+/// in `films` whose 595 sealed rows fill theirs — with the boundary inside
+/// a morsel.
 fn catalogs() -> (Catalog, Catalog, Catalog) {
     let mut resident = Catalog::new();
     for ddl in [
@@ -158,10 +158,6 @@ fn catalogs() -> (Catalog, Catalog, Catalog) {
         assert_eq!(t.tail(), last);
         assert_eq!(t.paged().map(|p| p.len()), Some(t.len() - 5));
     }
-    for c in [&mut resident, &mut paged, &mut split] {
-        c.create_index("films", "year").unwrap();
-        c.create_index("big", "v").unwrap();
-    }
     (resident, paged, split)
 }
 
@@ -216,7 +212,7 @@ fn corpus() -> Vec<&'static str> {
         "SELECT title, boring FROM films JOIN posters ON films.id = posters.film_id \
          WHERE boring = TRUE",
         "SELECT title, boring FROM films LEFT JOIN posters ON posters.film_id = films.id",
-        // Index hit: the equality conjunct reads candidate positions.
+        // Point read: the equality conjunct is a prune hint like any other.
         "SELECT title FROM films WHERE year = 1991 AND id > 1",
         // Model-backed call.
         "SELECT id, SIMILARITY(body, 'gun') AS s FROM docs WHERE id < 20",
@@ -430,8 +426,8 @@ fn late_materialization_returns_what_a_plain_rust_filter_returns() {
 fn a_where_clause_that_raises_raises_on_every_backing_and_drive() {
     let catalogs = catalogs();
     // Row 2600 of `big` divides by zero. `id <= 10` would let zone maps and
-    // row hints step over it, `v = 99` (no such value) an index hit: none
-    // may, because the first conjunct can raise.
+    // row hints step over it, `v = 99` (no such value) would let them drop
+    // every row: neither may, because the first conjunct can raise.
     for sql in [
         "SELECT id FROM big WHERE 1 / (id - 2600) <= 0 AND id <= 10",
         "SELECT id FROM big WHERE 1 / (id - 2600) <= 0 AND v = 99",

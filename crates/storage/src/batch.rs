@@ -305,14 +305,6 @@ impl ColumnVector {
         }
     }
 
-    /// The `bool` slice when this is a Bool column.
-    pub fn as_bools(&self) -> Option<&[bool]> {
-        match &self.data {
-            ColumnData::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The string slice when this is a Str column.
     pub fn as_strs(&self) -> Option<&[String]> {
         match &self.data {

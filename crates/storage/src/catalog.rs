@@ -6,26 +6,24 @@
 //! tool user invokes (§4).
 //!
 //! A catalog is a plain value: names bound to immutable, `Arc`-shared
-//! tables, plus which columns are to be served by a hash index. Everything
-//! computed from a table's rows (hash indexes, vector indexes, statistics)
-//! lives on that [`Table`] value, so no `&self` method here writes to the
-//! catalog, and a clone is a copy of two small maps.
+//! tables. What is computed from a table's rows (its vector indexes) lives
+//! on that [`Table`] value, so no `&self` method here writes to the
+//! catalog, and a clone is a copy of one small map.
 
 use crate::pool::BufferPool;
-use crate::{
-    HashIndex, Row, StorageError, Table, TableStats, Value, VectorIndex, DEFAULT_PAGE_ROWS,
-};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use crate::{Row, StorageError, Table, Value, VectorIndex, DEFAULT_PAGE_ROWS};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Named table registry with secondary-index registrations.
+/// Named table registry.
 ///
 /// Replacing a table through [`Catalog::register_or_replace`] — the path
 /// every SQL `INSERT` and re-materialization takes — binds the name to a new
 /// table value and nothing else: the new value has no derived state until a
 /// consumer asks for some, so a loop of N single-row INSERTs followed by one
-/// indexed lookup builds one index, and the replaced value's indexes go
-/// with it (or keep answering for an older snapshot that still holds it).
+/// similarity query builds one vector index, and the replaced value's
+/// indexes go with it (or keep answering for an older snapshot that still
+/// holds it).
 #[derive(Debug, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
@@ -33,10 +31,6 @@ pub struct Catalog {
     // shared (not deep-cloned) across catalog clones so staged recovery
     // and the live catalog see one set of counters and one budget.
     pool: Arc<BufferPool>,
-    // table -> the columns `create_index` registered: those whose equality
-    // predicates the SQL layer answers from the table's hash index. A
-    // registration lasts until its table is dropped.
-    indexed: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Result of the joinability tester utility (§4): how well two columns join.
@@ -57,7 +51,6 @@ impl Default for Catalog {
         Self {
             tables: BTreeMap::new(),
             pool: Arc::new(BufferPool::from_env()),
-            indexed: BTreeMap::new(),
         }
     }
 }
@@ -146,44 +139,12 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Drops a table along with its index registrations; its derived state
-    /// dies with the table value.
+    /// Drops a table; its derived state dies with the table value.
     pub fn drop_table(&mut self, name: &str) -> Result<(), StorageError> {
-        self.indexed.remove(name);
         self.tables
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-    }
-
-    /// Registers a hash index over `table.column`, used by the SQL layer to
-    /// serve equality predicates without a full scan, and builds it for the
-    /// current rows so a bad column fails here.
-    pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), StorageError> {
-        self.get(table)?.hash_index(column)?;
-        let columns = self.indexed.entry(table.to_string()).or_default();
-        columns.insert(column.to_string());
-        Ok(())
-    }
-
-    /// The hash index over `table.column` of the table's current rows, if
-    /// one was created (and the column still exists).
-    pub fn index_on(&self, table: &str, column: &str) -> Option<Arc<HashIndex>> {
-        if !self.indexed.get(table)?.contains(column) {
-            return None;
-        }
-        self.tables.get(table)?.hash_index(column).ok()
-    }
-
-    /// Columns of `table` that carry a secondary index (registrations over
-    /// a column the current table no longer has are not listed).
-    pub fn indexed_columns(&self, table: &str) -> Vec<String> {
-        let (Some(current), Some(columns)) = (self.tables.get(table), self.indexed.get(table))
-        else {
-            return Vec::new();
-        };
-        let has = |c: &&String| current.schema().resolve(c).is_ok();
-        columns.iter().filter(has).cloned().collect()
     }
 
     /// The vector similarity index over `table.column`, derived on first
@@ -234,11 +195,6 @@ impl Catalog {
     /// The rows-sampler utility (§4): first `n` rows of a table.
     pub fn sample_rows(&self, name: &str, n: usize) -> Result<Table, StorageError> {
         self.get(name)?.sample(n)
-    }
-
-    /// Statistics for a table (collected once per table value).
-    pub fn stats(&self, name: &str) -> Result<TableStats, StorageError> {
-        Ok(self.get(name)?.stats()?.clone())
     }
 
     /// The joinability tester utility (§4): measures how `left.left_col`
@@ -387,34 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn create_index_and_lookup() {
-        let mut c = catalog();
-        c.create_index("posters", "film_id").unwrap();
-        let ix = c.index_on("posters", "film_id").unwrap();
-        assert_eq!(ix.lookup(&Value::Int(1)), &[0, 1]);
-        assert!(c.index_on("posters", "uri").is_none());
-        assert!(c.index_on("films", "id").is_none());
-        assert_eq!(c.indexed_columns("posters"), vec!["film_id"]);
-        assert!(c.create_index("posters", "nope").is_err());
-        assert!(c.create_index("missing", "x").is_err());
-    }
-
-    #[test]
-    fn replace_rebuilds_indexes() {
-        let mut c = catalog();
-        c.create_index("films", "id").unwrap();
-        let mut grown = (*c.get("films").unwrap()).clone();
-        grown.push(vec![9i64.into(), "D".into()]).unwrap();
-        c.register_or_replace(grown);
-        let ix = c.index_on("films", "id").unwrap();
-        assert_eq!(ix.lookup(&Value::Int(9)), &[3]);
-    }
-
-    #[test]
     fn bulk_replace_defers_rebuilds_until_first_consumer() {
         let mut c = catalog();
-        c.create_index("films", "id").unwrap();
-        let first = c.index_on("films", "id").unwrap();
+        let first = c.vector_index_for("films", "title").unwrap();
         // A bulk-insert-style loop: N replacements, zero builds — every
         // replaced table value dies with nothing derived from it.
         let mut replaced = Vec::new();
@@ -428,16 +359,16 @@ mod tests {
         let current = replaced.pop().unwrap();
         assert!(replaced.iter().all(|t| t.upgrade().is_none()));
         // The first consumer builds once and sees the current rows; the
-        // second gets the very same index, and so do the statistics.
-        let ix = c.index_on("films", "id").unwrap();
-        assert_eq!(ix.lookup(&Value::Int(199)), &[102]);
+        // second gets the very same index.
+        let ix = c.vector_index_for("films", "title").unwrap();
+        assert_eq!(ix.rows(), 103);
         assert!(!Arc::ptr_eq(&ix, &first));
-        assert!(Arc::ptr_eq(&ix, &c.index_on("films", "id").unwrap()));
+        assert!(Arc::ptr_eq(
+            &ix,
+            &c.vector_index_for("films", "title").unwrap()
+        ));
         let table = current.upgrade().unwrap();
-        assert!(Arc::ptr_eq(&ix, &table.hash_index("id").unwrap()));
-        assert_eq!(c.stats("films").unwrap().rows, 103);
-        let bound = c.get("films").unwrap();
-        assert!(std::ptr::eq(table.stats().unwrap(), bound.stats().unwrap()));
+        assert!(Arc::ptr_eq(&ix, &table.vector_index("title").unwrap()));
     }
 
     #[test]
@@ -445,47 +376,32 @@ mod tests {
         let mut c = catalog();
         let grown = (*c.get("films").unwrap()).clone();
         c.register_or_replace(grown);
-        assert!(c.index_on("films", "id").is_none());
-        assert!(c.indexed_columns("films").is_empty());
         assert!(c.get("films").unwrap().vector_indexes().is_empty());
-    }
-
-    #[test]
-    fn analyzed_stats_refresh_on_replace() {
-        let mut c = catalog();
-        assert_eq!(c.stats("films").unwrap().rows, 3);
-        let mut grown = (*c.get("films").unwrap()).clone();
-        grown.push(vec![9i64.into(), "D".into()]).unwrap();
-        c.register_or_replace(grown);
-        // The new table value has its own statistics, never the old ones.
-        assert_eq!(c.stats("films").unwrap().rows, 4);
-        assert_eq!(c.stats("films").unwrap().column("id").unwrap().ndv, 4);
     }
 
     #[test]
     fn same_rows_share_derived_state_and_clones_are_lock_free() {
         let mut c = catalog();
-        c.create_index("films", "id").unwrap();
-        let ix = c.index_on("films", "id").unwrap();
+        let ix = c.vector_index_for("films", "title").unwrap();
+        let index_of = |c: &Catalog| c.vector_index_for("films", "title").unwrap();
         // An older version of the catalog answers from the same index…
         let older = c.clone();
         // …paging the table keeps it (same rows)…
         assert!(c.page_table("films", 2).unwrap());
         assert!(c.get("films").unwrap().is_paged());
-        assert!(Arc::ptr_eq(&ix, &c.index_on("films", "id").unwrap()));
-        assert!(Arc::ptr_eq(&ix, &older.index_on("films", "id").unwrap()));
+        assert!(Arc::ptr_eq(&ix, &index_of(&c)));
+        assert!(Arc::ptr_eq(&ix, &index_of(&older)));
         // …and so does handing the same `Arc<Table>` to another catalog.
         let mut other = Catalog::new();
         other.register_or_replace(c.get("films").unwrap());
-        other.create_index("films", "id").unwrap();
-        assert!(Arc::ptr_eq(&ix, &other.index_on("films", "id").unwrap()));
+        assert!(Arc::ptr_eq(&ix, &index_of(&other)));
         // A renamed clone still has these rows; a grown one does not.
         let mut renamed = (*c.get("films").unwrap()).clone();
         renamed.set_name("films2");
-        assert!(Arc::ptr_eq(&ix, &renamed.hash_index("id").unwrap()));
+        assert!(Arc::ptr_eq(&ix, &renamed.vector_index("title").unwrap()));
         renamed.push(vec![9i64.into(), "D".into()]).unwrap();
-        assert!(!Arc::ptr_eq(&ix, &renamed.hash_index("id").unwrap()));
-        assert_eq!(ix.lookup(&Value::Int(9)), &[] as &[usize]);
+        assert!(!Arc::ptr_eq(&ix, &renamed.vector_index("title").unwrap()));
+        assert_eq!(ix.rows(), 3);
     }
 
     fn docs_catalog() -> Catalog {
@@ -530,9 +446,6 @@ mod tests {
             ])
             .unwrap();
         c.register_or_replace(grown);
-        // An unrelated stats or hash-index consumer never pays the
-        // O(rows·dim) build.
-        c.stats("docs").unwrap();
         assert!(c.get("docs").unwrap().vector_indexes().is_empty());
         let ix = c.vector_index_for("docs", "emb").unwrap();
         assert_eq!(ix.rows(), 21);
@@ -557,19 +470,5 @@ mod tests {
         c.drop_table("docs").unwrap();
         assert!(ix.upgrade().is_none());
         assert!(c.vector_index_for("docs", "emb").is_err());
-    }
-
-    #[test]
-    fn drop_clears_indexes_and_stats() {
-        let mut c = catalog();
-        c.create_index("films", "id").unwrap();
-        let films = c.get("films").unwrap();
-        c.drop_table("films").unwrap();
-        assert!(c.index_on("films", "id").is_none());
-        assert!(c.stats("films").is_err());
-        // A table re-created under the name starts without the index.
-        c.register((*films).clone()).unwrap();
-        assert!(c.index_on("films", "id").is_none());
-        assert!(c.indexed_columns("films").is_empty());
     }
 }

@@ -1202,7 +1202,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_table_manifest_lines_still_load() {
+    fn whole_table_manifest_lines_are_refused() {
         // No checkpoint of this repository wrote the pre-paged whole-table
         // `table <file>.ktbl` line; a manifest carrying one is refused with
         // a typed error rather than half-supported.

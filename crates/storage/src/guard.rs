@@ -6,9 +6,8 @@
 //!
 //! - **Volcano**: [`crate::collect`]'s guarded variant checks before every
 //!   `next()` and charges each produced row; long scans additionally check
-//!   inside [`crate::TableScan`]/[`crate::IndexScan`] every
-//!   [`GUARD_CHECK_INTERVAL`] rows, so a blocking `Sort`/`Aggregate` above
-//!   the scan still aborts mid-scan.
+//!   inside [`crate::TableScan`] every [`GUARD_CHECK_INTERVAL`] rows, so a
+//!   blocking `Sort`/`Aggregate` above the scan still aborts mid-scan.
 //! - **Batch**: the guarded batched collector checks before every
 //!   `next_batch()` and charges each produced batch.
 //! - **Morsel-parallel**: workers check between morsels (claim, check,

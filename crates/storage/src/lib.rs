@@ -5,9 +5,9 @@
 //! is represented as relational views, and every FAO ultimately reads and
 //! writes tables. This crate is that relational foundation: typed values,
 //! schemas, in-memory tables, scalar expressions, volcano-style operators,
-//! secondary indexes, statistics, a system catalog (with the verifier's
-//! database utilities), binary persistence, and the durability subsystem
-//! (write-ahead log + checkpointed snapshots + crash recovery).
+//! a system catalog (with the verifier's database utilities), binary
+//! persistence, and the durability subsystem (write-ahead log +
+//! checkpointed snapshots + crash recovery).
 
 #![warn(missing_docs)]
 
@@ -17,7 +17,6 @@ mod durable;
 mod error;
 mod expr;
 mod guard;
-mod index;
 mod io;
 mod morsel;
 mod ops;
@@ -26,7 +25,6 @@ mod paged;
 mod persist;
 mod pool;
 mod schema;
-mod stats;
 mod table;
 mod txn;
 mod value;
@@ -44,7 +42,6 @@ pub use guard::{
     batch_footprint, row_footprint, value_footprint, CancelToken, GuardSpec, QueryGuard,
     GUARD_CHECK_INTERVAL,
 };
-pub use index::HashIndex;
 pub use io::{
     is_transient, with_retry, FaultKind, FaultPlan, FaultStats, FaultyIo, Io, IoBackend, IoOp,
     RealIo, RetryPolicy, FAULTS_ENV,
@@ -64,7 +61,6 @@ pub use paged::{PageBacking, PageSlot, PageWriteStats, PagedTable, RecoveredPage
 pub use persist::{atomic_write, atomic_write_with, decode_table, encode_table};
 pub use pool::{BufferPool, PageKey, PoolStatus, DEFAULT_POOL_PAGES, POOL_PAGES_ENV};
 pub use schema::{Column, Schema};
-pub use stats::{ColumnStats, TableStats};
 pub use table::Table;
 pub use txn::{CatalogRef, SharedCatalog};
 pub use value::{cmp_int_f64, DataType, Row, Value};

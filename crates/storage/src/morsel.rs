@@ -54,7 +54,7 @@ impl Morsel {
 /// Hands out fixed-size row ranges of a scan via an atomic cursor.
 ///
 /// The source is shape-agnostic: `total` may count table rows (for a
-/// [`crate::TableScan`]) or index positions (for a [`crate::IndexScan`]).
+/// [`crate::TableScan`]) or a vector index's scored entries.
 #[derive(Debug)]
 pub struct MorselSource {
     total: usize,
@@ -110,11 +110,6 @@ impl MorselSource {
     /// Total number of morsels the source will hand out.
     pub fn morsel_count(&self) -> usize {
         self.total.div_ceil(self.morsel_rows)
-    }
-
-    /// Total rows across all morsels.
-    pub fn total_rows(&self) -> usize {
-        self.total
     }
 }
 

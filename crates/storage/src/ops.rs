@@ -358,28 +358,23 @@ impl Operator for TableScan {
     }
 }
 
-/// Scan over an explicit list of row positions of a table — the access path
-/// a secondary index produces for equality predicates. Positions must be in
-/// ascending order when scan-equivalent output order matters.
+/// Scan over an explicit list of row positions of a table, in the given
+/// order — how the vector top-k fetches its k winners in rank order.
 pub struct IndexScan {
     table: Arc<Table>,
     positions: Vec<usize>,
     cursor: usize,
     batch_size: usize,
-    columns: Selected,
-    guard: QueryGuard,
 }
 
 impl IndexScan {
     /// Scans `table` at `positions`, in the given order.
     pub fn new(table: Arc<Table>, positions: Vec<usize>) -> Self {
         Self {
+            table,
             positions,
             cursor: 0,
             batch_size: DEFAULT_BATCH_SIZE,
-            columns: Selected::all(&table),
-            guard: QueryGuard::unlimited(),
-            table,
         }
     }
 
@@ -389,33 +384,19 @@ impl IndexScan {
         self
     }
 
-    /// Restricts the scan to the given column ordinals, as
-    /// [`TableScan::with_columns`] does: only those cells are read.
-    pub fn with_columns(mut self, ordinals: &[usize]) -> Self {
-        self.columns = Selected::only(&self.table, ordinals);
-        self
-    }
-
-    /// Attaches a [`QueryGuard`] checked as the scan advances.
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = guard;
-        self
-    }
-
     fn fetch(&self, pos: usize) -> Result<Row, StorageError> {
         self.table
-            .cells_at(pos, self.columns.ordinals.iter().copied())?
+            .row_at(pos)?
             .ok_or_else(|| StorageError::Eval(format!("index position {pos} out of bounds")))
     }
 }
 
 impl Operator for IndexScan {
     fn schema(&self) -> &Schema {
-        self.columns.schema(&self.table)
+        self.table.schema()
     }
 
     fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        self.guard.check_periodic(self.cursor)?;
         let Some(&pos) = self.positions.get(self.cursor) else {
             return Ok(None);
         };
@@ -424,7 +405,6 @@ impl Operator for IndexScan {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        self.guard.check()?;
         if self.cursor >= self.positions.len() {
             return Ok(None);
         }
@@ -2046,17 +2026,14 @@ mod tests {
     #[test]
     fn index_scan_yields_positions_in_order() {
         let t = films();
-        let ix = crate::HashIndex::build(&t, "year").unwrap();
-        let positions = ix.lookup(&Value::Int(1991)).to_vec();
-        let scan = Box::new(IndexScan::new(Arc::clone(&t), positions));
+        let scan = Box::new(IndexScan::new(Arc::clone(&t), vec![0, 3]));
         let got = collect("hits", scan).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got.cell(0, "id").unwrap(), &Value::Int(1));
         assert_eq!(got.cell(1, "id").unwrap(), &Value::Int(4));
 
         // Batched drive produces the same table.
-        let ix_positions = ix.lookup(&Value::Int(1991)).to_vec();
-        let scan = Box::new(IndexScan::new(t, ix_positions).with_batch_size(1));
+        let scan = Box::new(IndexScan::new(t, vec![0, 3]).with_batch_size(1));
         let (bat, batches) = collect_batched("hits", scan).unwrap();
         assert_eq!(bat, got);
         assert_eq!(batches, 2);

@@ -14,62 +14,30 @@
 //! `clone` shares the sealed part and copies only the tail, so a one-row
 //! INSERT costs the tail, not the table. The legacy `rows()`/`row()`
 //! accessors stay infallible by lazily materializing a row cache when there
-//! is a sealed part — hot paths (scans, index builds, statistics) use the
-//! page-aware fallible accessors instead and never pay for that.
+//! is a sealed part — hot paths (scans, index builds) use the page-aware
+//! fallible accessors instead and never pay for that.
 //!
-//! A table registered in a catalog is never mutated again, so everything
-//! derived from its rows — hash indexes, vector indexes, statistics — is
-//! owned by the table value itself ([`Table::hash_index`],
-//! [`Table::vector_index`], [`Table::stats`]): built at most once, on first
-//! use, shared by every clone and every catalog version that holds the same
-//! rows, and dropped with the last of them. It cannot be stale because what
-//! it was computed from cannot change; a mutated clone starts with none.
+//! A table registered in a catalog is never mutated again, so what is
+//! derived from its rows — a vector index per searched column — is owned by
+//! the table value itself ([`Table::vector_index`]): built at most once, on
+//! first use, shared by every clone and every catalog version that holds
+//! the same rows, and dropped with the last of them. It cannot be stale
+//! because what it was computed from cannot change; a mutated clone starts
+//! with none.
 
 use crate::paged::PagedTable;
 use crate::pool::BufferPool;
-use crate::{HashIndex, Row, Schema, StorageError, TableStats, Value, VectorIndex};
+use crate::{Row, Schema, StorageError, Value, VectorIndex};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Column → the one value built from that column of one table's rows.
-struct PerColumn<T> {
-    built: RwLock<BTreeMap<String, Arc<T>>>,
-}
-
-impl<T> Default for PerColumn<T> {
-    fn default() -> Self {
-        Self {
-            built: RwLock::default(),
-        }
-    }
-}
-
-impl<T> PerColumn<T> {
-    /// The value for `column`, built on first use. `build` scans the table
-    /// and so runs with no lock held; when two callers race, the first
-    /// insert wins and both get that one.
-    fn get_or_build(
-        &self,
-        column: &str,
-        build: impl FnOnce() -> Result<T, StorageError>,
-    ) -> Result<Arc<T>, StorageError> {
-        if let Some(found) = self.built.read().get(column) {
-            return Ok(Arc::clone(found));
-        }
-        let fresh = Arc::new(build()?);
-        let mut built = self.built.write();
-        Ok(Arc::clone(built.entry(column.to_string()).or_insert(fresh)))
-    }
-}
-
-/// What a table value owns besides its rows (see the module docs).
+/// What a table value owns besides its rows (see the module docs): column
+/// → the vector index built from that column of these rows.
 #[derive(Default)]
 struct Derived {
-    hash: PerColumn<HashIndex>,
-    vector: PerColumn<VectorIndex>,
-    stats: OnceLock<TableStats>,
+    built: RwLock<BTreeMap<String, Arc<VectorIndex>>>,
 }
 
 impl fmt::Debug for Derived {
@@ -354,41 +322,30 @@ impl Table {
         })
     }
 
-    /// The hash index over `column` of these rows, built on first use.
-    pub fn hash_index(&self, column: &str) -> Result<Arc<HashIndex>, StorageError> {
-        let build = || HashIndex::build(self, column);
-        self.derived.hash.get_or_build(column, build)
-    }
-
     /// The vector similarity index over `column` of these rows, built on
     /// first use (by the first `ORDER BY SIMILARITY(..) DESC LIMIT k` that
     /// reads this table value). Purely in-memory: after a crash the first
-    /// similarity query builds it again from the recovered rows.
+    /// similarity query builds it again from the recovered rows. The build
+    /// scans the table and so runs with no lock held; when two callers
+    /// race, the first insert wins and both get that one.
     pub fn vector_index(&self, column: &str) -> Result<Arc<VectorIndex>, StorageError> {
-        let build = || VectorIndex::build(self, column);
-        self.derived.vector.get_or_build(column, build)
+        if let Some(found) = self.derived.built.read().get(column) {
+            return Ok(Arc::clone(found));
+        }
+        let fresh = Arc::new(VectorIndex::build(self, column)?);
+        let mut built = self.derived.built.write();
+        Ok(Arc::clone(built.entry(column.to_string()).or_insert(fresh)))
     }
 
     /// The vector indexes built so far, by column.
     pub fn vector_indexes(&self) -> Vec<Arc<VectorIndex>> {
-        self.derived.vector.built.read().values().cloned().collect()
+        self.derived.built.read().values().cloned().collect()
     }
 
     /// Forgets the vector index over `column`; returns whether one had been
     /// built. The next similarity query builds it again.
     pub fn drop_vector_index(&self, column: &str) -> bool {
-        self.derived.vector.built.write().remove(column).is_some()
-    }
-
-    /// Exact statistics of these rows, collected on first use by streaming
-    /// each column (a sealed page that cannot be read is an error, and
-    /// nothing is kept).
-    pub fn stats(&self) -> Result<&TableStats, StorageError> {
-        if let Some(stats) = self.derived.stats.get() {
-            return Ok(stats);
-        }
-        let fresh = TableStats::collect(self)?;
-        Ok(self.derived.stats.get_or_init(|| fresh))
+        self.derived.built.write().remove(column).is_some()
     }
 
     /// Finds the first row index where `column == value`, streaming the
@@ -631,38 +588,27 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_find_stream_a_sealed_table() {
+    fn find_streams_a_sealed_table() {
         use crate::{FaultKind, FaultPlan};
-        let (paged, pool, io, dir) = big_paged("stats");
+        let (paged, pool, io, dir) = big_paged("find");
         assert_eq!(paged.find("id", &Value::Int(9_000)).unwrap(), Some(9_000));
-        let stats = paged.stats().unwrap();
-        assert_eq!(stats.rows, 10_000);
-        let (id, year) = (&stats.columns[0], &stats.columns[1]);
-        assert_eq!((id.ndv, id.null_count), (10_000, 0));
-        assert_eq!(id.min, Some(Value::Int(0)));
-        assert_eq!(id.max, Some(Value::Int(9_999)));
-        assert_eq!((year.ndv, year.null_count), (100, 0));
-        assert_eq!(year.min, Some(Value::Int(1900)));
-        assert_eq!(year.max, Some(Value::Int(1999)));
+        assert_eq!(paged.find("year", &Value::Int(2000)).unwrap(), None);
         // Streamed through the 2-page pool; nothing pinned on the table.
         assert!(row_cache_is_empty(&paged));
         assert!(pool.status().resident_pages <= 2);
-        // A clone has no statistics yet once its rows change: collecting
-        // them through a read fault is a typed error, and a later attempt
-        // succeeds.
+        // A grown clone streams its sealed part and then its tail; through
+        // a read fault that is a typed error, and a later attempt succeeds.
         let mut grown = paged.clone();
         grown
             .push(vec![Value::Int(10_000), Value::Int(2000)])
             .unwrap();
         io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]));
-        assert!(matches!(grown.stats(), Err(StorageError::Io(_))));
         assert!(matches!(
             grown.find("id", &Value::Int(3)),
             Err(StorageError::Io(_))
         ));
         io.clear_faults();
-        assert_eq!(grown.stats().unwrap().rows, 10_001);
-        assert_eq!(grown.stats().unwrap().columns[1].ndv, 101);
+        assert_eq!(grown.find("year", &Value::Int(2000)).unwrap(), Some(10_000));
         assert!(row_cache_is_empty(&grown));
         let _ = std::fs::remove_dir_all(dir);
     }

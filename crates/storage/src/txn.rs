@@ -5,10 +5,10 @@
 //! readers take an O(1) [`SharedCatalog::snapshot`] and run entire queries
 //! against that frozen version while writers publish new versions —
 //! copy-on-write at the catalog level (a shallow [`Catalog::clone`]: table
-//! `Arc`s and index registrations, never row data and no lock), never in
-//! place. A published version is never written through: what readers derive
-//! from a table (indexes, statistics) lives on the shared, immutable
-//! [`Table`] value, not in the catalog. Writers serialize on a commit mutex;
+//! `Arc`s, never row data and no lock), never in place. A published version
+//! is never written through: what readers derive from a table (its vector
+//! indexes) lives on the shared, immutable [`Table`] value, not in the
+//! catalog. Writers serialize on a commit mutex;
 //! durability is amortized by a group-commit protocol:
 //!
 //! 1. Under the commit lock, a committer applies its records to a clone of
@@ -35,10 +35,8 @@
 
 use crate::catalog::{Catalog, Joinability};
 use crate::durable::{Durability, DurabilityStatus};
-use crate::index::HashIndex;
 use crate::io::with_retry;
 use crate::pool::BufferPool;
-use crate::stats::TableStats;
 use crate::table::Table;
 use crate::vecindex::VectorIndex;
 use crate::wal::WalRecord;
@@ -110,6 +108,16 @@ struct CommitState {
     /// Commits those fsyncs acknowledged (mean group size =
     /// `group_commits / group_fsyncs`).
     group_commits: u64,
+}
+
+impl CommitState {
+    /// The attached durable directory, or the typed error a commit or a
+    /// checkpoint reports when there is none (any more).
+    fn attached(&mut self) -> Result<&mut Durability, StorageError> {
+        self.dur
+            .as_mut()
+            .ok_or_else(|| StorageError::Io("no durable directory attached".to_string()))
+    }
 }
 
 struct SharedInner {
@@ -298,7 +306,7 @@ impl SharedCatalog {
         // contiguous write so a crash can never interleave two
         // transactions' frames.
         let txid = st.next_txid;
-        let dur = st.dur.as_mut().expect("checked above");
+        let dur = st.attached()?;
         let append = if framed {
             let begin = WalRecord::Begin(txid);
             let commit = WalRecord::Commit(txid);
@@ -319,10 +327,12 @@ impl SharedCatalog {
         if !st.group_commit {
             // Per-statement durability: fsync under the lock. This is the
             // baseline group commit is measured against.
-            let res = st.dur.as_ref().expect("attached").sync_wal();
-            return match res {
-                Ok(()) => {
-                    let records_now = st.dur.as_ref().expect("attached").wal_record_count();
+            let synced = st.attached().and_then(|dur| {
+                dur.sync_wal()?;
+                Ok(dur.wal_record_count())
+            });
+            return match synced {
+                Ok(records_now) => {
                     self.advance_durable(&mut st, end_lsn, records_now);
                     self.inner.cv.notify_all();
                     Ok(out)
@@ -352,11 +362,11 @@ impl SharedCatalog {
                 // Leader: capture the tail, fsync *outside* the lock so
                 // other committers keep appending meanwhile — that overlap
                 // is what batches their commits into the next fsync.
-                st.syncing = true;
-                let dur = st.dur.as_ref().expect("attached");
+                let dur = st.attached()?;
                 let target_lsn = dur.wal_tail();
                 let target_records = dur.wal_record_count();
                 let (io, path, retry) = dur.wal_sync_handles();
+                st.syncing = true;
                 drop(st);
                 let res = with_retry(&retry, || io.fsync(&path)).map_err(StorageError::from);
                 st = self.lock();
@@ -414,9 +424,9 @@ impl SharedCatalog {
         }
     }
 
-    /// Publishes an infallible non-logged mutation (materializations,
-    /// index builds — state that is derivable and therefore not
-    /// write-ahead logged) as a new version.
+    /// Publishes an infallible non-logged mutation (materializations —
+    /// state that is derivable and therefore not write-ahead logged) as a
+    /// new version.
     pub fn publish<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
         match self.try_publish(|c| Ok::<T, Infallible>(f(c))) {
             Ok(out) => out,
@@ -457,11 +467,6 @@ impl SharedCatalog {
         st.dur.take()
     }
 
-    /// Whether a durable directory is attached.
-    pub fn is_durable(&self) -> bool {
-        self.lock().dur.is_some()
-    }
-
     /// Records appended to the active WAL segment since open or the last
     /// checkpoint (0 when not durable).
     pub fn wal_appended(&self) -> u64 {
@@ -491,28 +496,12 @@ impl SharedCatalog {
         Self::attach_to(&mut st, dur, recovered_max_txid);
     }
 
-    /// Replaces the entire state with `catalog` and no durable directory
-    /// (used when an `open_dir` attempt fails and the pre-open state is
-    /// restored).
-    pub fn install_plain(&self, catalog: Catalog) {
-        let mut st = self.lock_drained();
-        self.install(&mut st, catalog, None);
-        st.durable_lsn = 0;
-        st.durable_records = 0;
-        st.dur = None;
-    }
-
     /// Checkpoints the published state through the attached durable
     /// directory: waits for in-flight commits to drain, snapshots every
     /// table, rotates the WAL, and publishes the paged table
     /// representations the checkpoint produced. Returns the new epoch.
     pub fn checkpoint(&self, functions_json: Option<&str>) -> Result<u64, StorageError> {
         let mut st = self.lock_drained();
-        if st.dur.is_none() {
-            return Err(StorageError::Io(
-                "no durable directory attached".to_string(),
-            ));
-        }
         let head = st.head.clone();
         let tables: Vec<Arc<Table>> = head
             .table_names()
@@ -520,7 +509,7 @@ impl SharedCatalog {
             .filter_map(|n| head.get(n).ok())
             .collect();
         let pool = Arc::clone(head.pool());
-        let dur = st.dur.as_mut().expect("checked above");
+        let dur = st.attached()?;
         let (epoch, paged) = dur.checkpoint(&tables, &pool, functions_json)?;
         // The WAL rotated: the new segment starts empty and durable.
         let (tail, record_count) = (dur.wal_tail(), dur.wal_record_count());
@@ -605,11 +594,6 @@ impl SharedCatalog {
         self.snapshot().sample_rows(name, n)
     }
 
-    /// [`Catalog::stats`] against the current snapshot.
-    pub fn stats(&self, name: &str) -> Result<TableStats, StorageError> {
-        self.snapshot().stats(name)
-    }
-
     /// [`Catalog::joinability`] against the current snapshot.
     pub fn joinability(
         &self,
@@ -620,16 +604,6 @@ impl SharedCatalog {
     ) -> Result<Joinability, StorageError> {
         self.snapshot()
             .joinability(left, left_col, right, right_col)
-    }
-
-    /// [`Catalog::index_on`] against the current snapshot.
-    pub fn index_on(&self, table: &str, column: &str) -> Option<Arc<HashIndex>> {
-        self.snapshot().index_on(table, column)
-    }
-
-    /// [`Catalog::indexed_columns`] against the current snapshot.
-    pub fn indexed_columns(&self, table: &str) -> Vec<String> {
-        self.snapshot().indexed_columns(table)
     }
 
     /// [`Catalog::vector_index_for`] against the current snapshot.
@@ -673,11 +647,6 @@ impl SharedCatalog {
     /// [`Catalog::drop_table`] as a published version.
     pub fn drop_table(&self, name: &str) -> Result<(), StorageError> {
         self.try_publish(|c| c.drop_table(name))
-    }
-
-    /// [`Catalog::create_index`] as a published version.
-    pub fn create_index(&self, table: &str, column: &str) -> Result<(), StorageError> {
-        self.try_publish(|c| c.create_index(table, column))
     }
 
     /// [`Catalog::page_table`] as a published version.

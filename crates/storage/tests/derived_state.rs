@@ -2,11 +2,11 @@
 //!
 //! Random schedules of everything that binds a table name to a value —
 //! INSERT (clone + push + replace), paging in place, a checkpoint-style
-//! swap of the same rows, drop + re-create — interleaved with
-//! `create_index`, retained snapshots and lookups, checked against an
-//! oracle that knows nothing about indexes: a linear scan of *that
-//! snapshot's* table. Plus one real-thread run of index builds racing
-//! commits.
+//! swap of the same rows, drop + re-create — interleaved with retained
+//! snapshots and similarity lookups through the table's vector index,
+//! checked against an oracle that knows nothing about indexes: a linear
+//! scan of *that snapshot's* table. Plus one real-thread run of index
+//! builds racing commits.
 
 use kath_storage::*;
 use kath_vector::seeded_unit_vector;
@@ -21,17 +21,19 @@ fn schema() -> Schema {
     Schema::of(&[("k", DataType::Int), ("emb", DataType::Blob)])
 }
 
+/// Rows with the same key carry the same embedding, so the nearest
+/// neighbours of a key's embedding are exactly the rows with that key; a
+/// NULL key has no embedding.
 fn row(k: Option<i64>) -> Row {
-    let seed = k.unwrap_or(KEYS) as u64;
+    let embedded = |k: i64| Value::Blob(encode_embedding(&seeded_unit_vector(k as u64)));
     vec![
         k.map_or(Value::Null, Value::Int),
-        Value::Blob(encode_embedding(&seeded_unit_vector(seed))),
+        k.map_or(Value::Null, embedded),
     ]
 }
 
 #[derive(Debug, Clone)]
 enum Step {
-    CreateIndex,
     Insert(Option<i64>),
     PageInPlace(usize),
     SwapSameRows(usize),
@@ -46,7 +48,6 @@ fn arb_key() -> impl Strategy<Value = Option<i64>> {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        Just(Step::CreateIndex),
         arb_key().prop_map(Step::Insert),
         arb_key().prop_map(Step::Insert),
         arb_key().prop_map(Step::Insert),
@@ -63,7 +64,7 @@ fn scan_positions(table: &Table, key: &Value) -> Vec<usize> {
     let mut hits = Vec::new();
     for i in 0..table.len() {
         let row = table.row_at(i).unwrap().unwrap();
-        if !key.is_null() && &row[0] == key {
+        if &row[0] == key {
             hits.push(i);
         }
     }
@@ -74,38 +75,28 @@ fn scan_positions(table: &Table, key: &Value) -> Vec<usize> {
 struct Retained {
     version: CatalogRef,
     table: Arc<Table>,
-    registered: bool,
 }
 
-/// Every derived-state consumer of `seen.version` answers for
-/// `seen.table` — the rows that version froze — whatever happened since.
+/// The vector index of `seen.version` answers for `seen.table` — the rows
+/// that version froze — whatever happened since.
 fn check_version(seen: &Retained) -> Result<(), TestCaseError> {
     let now = seen.version.get("t").unwrap();
     prop_assert!(
         Arc::ptr_eq(&now, &seen.table),
         "a version changed its table"
     );
-    let index = seen.version.index_on("t", "k");
-    prop_assert_eq!(index.is_some(), seen.registered);
-    // Registered or not, the table value answers for its own rows.
-    let own = seen.table.hash_index("k").unwrap();
-    if let Some(index) = &index {
-        prop_assert!(Arc::ptr_eq(index, &own));
-        let again = seen.version.index_on("t", "k").unwrap();
-        prop_assert!(Arc::ptr_eq(index, &again));
+    let index = seen.version.vector_index_for("t", "emb").unwrap();
+    let own = seen.table.vector_index("emb").unwrap();
+    prop_assert!(Arc::ptr_eq(&index, &own));
+    prop_assert_eq!(index.rows(), seen.table.len());
+    prop_assert_eq!(index.unscored(), scan_positions(&seen.table, &Value::Null));
+    // `KEYS` itself is a key no row has.
+    for k in 0..=KEYS {
+        let hits = scan_positions(&seen.table, &Value::Int(k));
+        let query = seeded_unit_vector(k as u64);
+        let found = index.search(&query, hits.len(), VectorStrategy::Flat);
+        prop_assert_eq!(found, hits, "key {}", k);
     }
-    for key in (0..KEYS)
-        .map(Value::Int)
-        .chain([Value::Null, Value::Int(KEYS)])
-    {
-        prop_assert_eq!(own.lookup(&key), scan_positions(&seen.table, &key));
-    }
-    let vector = seen.version.vector_index_for("t", "emb").unwrap();
-    prop_assert_eq!(vector.rows(), seen.table.len());
-    prop_assert!(Arc::ptr_eq(
-        &vector,
-        &seen.table.vector_index("emb").unwrap()
-    ));
     Ok(())
 }
 
@@ -120,23 +111,17 @@ proptest! {
         let shared = SharedCatalog::new();
         let seed = Table::from_rows("t", schema(), seed_rows.into_iter().map(row).collect());
         shared.register(seed.unwrap()).unwrap();
-        let mut registered = false;
         let mut retained: Vec<Retained> = Vec::new();
-        let retain = |registered: bool| {
+        let retain = || {
             let version = shared.snapshot();
             let table = version.get("t").unwrap();
-            Retained { version, table, registered }
+            Retained { version, table }
         };
         for step in steps {
             match step {
-                Step::CreateIndex => {
-                    shared.create_index("t", "k").unwrap();
-                    prop_assert!(shared.create_index("t", "nope").is_err());
-                    registered = true;
-                }
                 Step::Insert(k) => {
                     let before = shared.get("t").unwrap();
-                    let old_index = before.hash_index("k").unwrap();
+                    let old_index = before.vector_index("emb").unwrap();
                     shared.publish(|c| {
                         let mut grown = (*c.get("t").unwrap()).clone();
                         grown.push(row(k)).unwrap();
@@ -145,52 +130,48 @@ proptest! {
                     // The grown table is a new value with its own index.
                     let after = shared.get("t").unwrap();
                     prop_assert_eq!(after.len(), before.len() + 1);
-                    prop_assert!(!Arc::ptr_eq(&old_index, &after.hash_index("k").unwrap()));
+                    prop_assert!(!Arc::ptr_eq(&old_index, &after.vector_index("emb").unwrap()));
                 }
                 Step::PageInPlace(page_rows) => {
-                    let index = shared.get("t").unwrap().hash_index("k").unwrap();
-                    let vector = shared.vector_index_for("t", "emb").unwrap();
+                    let index = shared.vector_index_for("t", "emb").unwrap();
                     shared.page_table("t", page_rows).unwrap();
                     let paged = shared.get("t").unwrap();
                     prop_assert!(paged.is_paged());
-                    prop_assert!(Arc::ptr_eq(&index, &paged.hash_index("k").unwrap()));
-                    prop_assert!(Arc::ptr_eq(&vector, &paged.vector_index("emb").unwrap()));
+                    prop_assert!(Arc::ptr_eq(&index, &paged.vector_index("emb").unwrap()));
                 }
                 Step::SwapSameRows(page_rows) => {
                     // What a checkpoint does: page the head's table and
                     // hand the catalog that `Arc`.
                     let table = shared.get("t").unwrap();
-                    let index = table.hash_index("k").unwrap();
+                    let index = table.vector_index("emb").unwrap();
                     let paged = Arc::new(table.seal(&shared.pool(), page_rows).unwrap());
                     let installed = shared.register_or_replace(Arc::clone(&paged));
                     prop_assert!(Arc::ptr_eq(&installed, &paged));
                     prop_assert!(Arc::ptr_eq(&shared.get("t").unwrap(), &paged));
-                    prop_assert!(Arc::ptr_eq(&index, &paged.hash_index("k").unwrap()));
+                    prop_assert!(Arc::ptr_eq(&index, &paged.vector_index("emb").unwrap()));
                 }
                 Step::DropAndRecreate(keys) => {
-                    let old = shared.get("t").unwrap();
-                    let old_index = old.hash_index("k").unwrap();
+                    let old_index = shared.vector_index_for("t", "emb").unwrap();
                     shared.drop_table("t").unwrap();
-                    prop_assert!(shared.index_on("t", "k").is_none());
+                    prop_assert!(shared.vector_index_for("t", "emb").is_err());
                     let fresh = Table::from_rows("t", schema(), keys.into_iter().map(row).collect());
                     shared.register(fresh.unwrap()).unwrap();
-                    registered = false;
-                    // Same name, new value: never its predecessor's index.
-                    prop_assert!(shared.index_on("t", "k").is_none());
-                    prop_assert!(shared.indexed_columns("t").is_empty());
-                    let new_index = shared.get("t").unwrap().hash_index("k").unwrap();
+                    // Same name, new value: nothing built yet, and never
+                    // its predecessor's index.
+                    prop_assert!(shared.get("t").unwrap().vector_indexes().is_empty());
+                    let new_index = shared.vector_index_for("t", "emb").unwrap();
                     prop_assert!(!Arc::ptr_eq(&old_index, &new_index));
                 }
-                Step::RetainSnapshot => retained.push(retain(registered)),
+                Step::RetainSnapshot => retained.push(retain()),
                 Step::Lookup => {
-                    check_version(&retain(registered))?;
+                    check_version(&retain())?;
                     for seen in &retained {
                         check_version(seen)?;
                     }
                 }
             }
         }
-        retained.push(retain(registered));
+        retained.push(retain());
         for seen in &retained {
             check_version(seen)?;
         }
@@ -204,15 +185,18 @@ proptest! {
 /// was asked through, and the writer must get all 100 commits in.
 #[test]
 fn index_builds_race_commits_without_mixing_versions() {
-    const BASE: i64 = 20_000;
-    const INSERTS: i64 = 100;
-    let wide = Schema::of(&[("k", DataType::Int)]);
-    let rows = (0..BASE).map(|i| vec![Value::Int(i)]).collect();
+    const BASE: u64 = 4_000;
+    const INSERTS: u64 = 100;
+    // Every row has an embedding of its own, seeded by its position.
+    let embedded = |i: u64| vec![Value::Blob(encode_embedding(&seeded_unit_vector(i)))];
+    let nearest =
+        |index: &VectorIndex, i: u64| index.search(&seeded_unit_vector(i), 1, VectorStrategy::Flat);
+    let schema = Schema::of(&[("emb", DataType::Blob)]);
+    let rows = (0..BASE).map(embedded).collect();
     let shared = SharedCatalog::new();
     shared
-        .register(Table::from_rows("big", wide, rows).unwrap())
+        .register(Table::from_rows("big", schema, rows).unwrap())
         .unwrap();
-    shared.create_index("big", "k").unwrap();
 
     let start = Barrier::new(2);
     let done = AtomicBool::new(false);
@@ -227,15 +211,14 @@ fn index_builds_race_commits_without_mixing_versions() {
                 let finished = done.load(Ordering::SeqCst);
                 let snapshot = shared.snapshot();
                 let table = snapshot.get("big").unwrap();
-                let index = snapshot.index_on("big", "k").unwrap();
+                let index = snapshot.vector_index_for("big", "emb").unwrap();
                 let n = table.len();
                 assert!(n >= last_len, "versions went backwards");
-                // Keys are row positions: the newest row of this snapshot
-                // is indexed, the next commit's row is not.
-                assert_eq!(index.distinct_keys(), n);
-                assert_eq!(index.lookup(&Value::Int(n as i64 - 1)), &[n - 1]);
-                assert_eq!(index.lookup(&Value::Int(n as i64)), &[] as &[usize]);
-                assert!(Arc::ptr_eq(&index, &table.hash_index("k").unwrap()));
+                // The newest row of this snapshot is indexed, the next
+                // commit's row is not.
+                assert_eq!((index.rows(), index.entries().len()), (n, n));
+                assert_eq!(nearest(&index, n as u64 - 1), [n - 1]);
+                assert!(Arc::ptr_eq(&index, &table.vector_index("emb").unwrap()));
                 builds += usize::from(n != last_len);
                 last_len = n;
                 if finished {
@@ -248,7 +231,7 @@ fn index_builds_race_commits_without_mixing_versions() {
             for i in 0..INSERTS {
                 shared.publish(|c| {
                     let mut grown = (*c.get("big").unwrap()).clone();
-                    grown.push(vec![Value::Int(BASE + i)]).unwrap();
+                    grown.push(embedded(BASE + i)).unwrap();
                     c.register_or_replace(grown);
                 });
             }
@@ -260,14 +243,14 @@ fn index_builds_race_commits_without_mixing_versions() {
     let (builds, seen_len) = builds;
     assert!(builds >= 1);
     assert_eq!(
-        seen_len as i64,
+        seen_len as u64,
         BASE + INSERTS,
         "reader's last pass saw every commit"
     );
     let head = shared.snapshot();
-    assert_eq!(head.get("big").unwrap().len() as i64, BASE + INSERTS);
-    let index = head.index_on("big", "k").unwrap();
-    for i in 0..INSERTS {
-        assert_eq!(index.lookup(&Value::Int(BASE + i)), &[(BASE + i) as usize]);
+    assert_eq!(head.get("big").unwrap().len() as u64, BASE + INSERTS);
+    let index = head.vector_index_for("big", "emb").unwrap();
+    for i in BASE..BASE + INSERTS {
+        assert_eq!(nearest(&index, i), [i as usize]);
     }
 }
