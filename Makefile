@@ -44,7 +44,8 @@ bench-repeat:
 # concurrent-transaction paths still run and still emit their JSON. The
 # smoke results land under target/bench-smoke/, so the committed
 # BENCH_*.json baselines change only when someone runs a full bench on
-# purpose.
+# purpose. Every report must carry the shared header (`host`, `quick`,
+# `reps`) that `kath_bench::write_report` stamps.
 BENCH_SMOKE := target/bench-smoke
 bench-smoke:
 	mkdir -p $(BENCH_SMOKE)
@@ -54,6 +55,12 @@ bench-smoke:
 	$(CARGO) run -q --release -p kath_bench --bin storage_bench -- --quick --out $(BENCH_SMOKE)/BENCH_storage.json
 	$(CARGO) run -q --release -p kath_bench --bin fault_bench -- --quick --out $(BENCH_SMOKE)/BENCH_faults.json
 	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick --out $(BENCH_SMOKE)/BENCH_txn.json
+	for r in parallel recovery vector storage faults txn; do \
+		for key in host quick reps; do \
+			grep -q "\"$$key\":" $(BENCH_SMOKE)/BENCH_$$r.json \
+				|| { echo "BENCH_$$r.json lacks $$key"; exit 1; }; \
+		done; \
+	done
 
 # Crash-recovery smoke: a child process populates a durable DB (WAL-logged
 # inserts around a checkpoint) and dies via abort(); the parent reopens and

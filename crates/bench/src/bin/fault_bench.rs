@@ -23,7 +23,8 @@
 //! acknowledged row survives. Timings land in the JSON for trend diffs —
 //! thresholds are targets, not assertions (CI machines jitter).
 
-use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_bench::{median, write_report, BenchArgs};
+use kath_json::{Json, JsonMap};
 use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
     BufferPool, Catalog, CompileMode, DataType, Durability, ExecMode, FaultKind, FaultPlan, Io,
@@ -31,19 +32,6 @@ use kath_storage::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
 
 fn bench_table(rows: usize) -> Table {
     let schema = Schema::of(&[
@@ -188,13 +176,7 @@ fn durable_round_trip(records: usize, faults: Option<FaultPlan>) -> (f64, f64, u
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
+    let BenchArgs { quick, out } = BenchArgs::parse("BENCH_faults.json");
     let (scan_rows, wal_records, reps) = if quick {
         (100_000, 200, 3)
     } else {
@@ -239,12 +221,7 @@ fn main() {
     recovery_leg.insert("faulty_recover_ms", Json::Num(faulty_recover_ms));
 
     let mut report = JsonMap::new();
-    report.insert("bench", Json::Str("fault_injection_and_guard".into()));
-    report.insert("reps", Json::Num(reps as f64));
-    report.insert("quick", Json::Bool(quick));
     report.insert("guard_overhead", Json::Object(guard_leg));
     report.insert("recovery_under_faults", Json::Object(recovery_leg));
-    let rendered = to_string_pretty(&Json::Object(report));
-    std::fs::write(&out_path, rendered + "\n").expect("report writes");
-    eprintln!("wrote {out_path}");
+    write_report(&out, "fault_injection_and_guard", quick, reps, report);
 }

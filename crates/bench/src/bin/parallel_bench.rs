@@ -23,10 +23,11 @@
 //! JSON, `speedups_meaningful: false`): threads time-slicing one core
 //! cannot support a parallel-speedup claim.
 
+use kath_bench::{median, write_report, BenchArgs};
 use kath_data::{generate_corpus, CorpusSpec, MmqaCorpus};
 use kath_exec::{execute_body, ExecContext};
 use kath_fao::FunctionBody;
-use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_json::{Json, JsonMap};
 use kath_model::{SimLlm, TokenMeter};
 use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
@@ -44,19 +45,6 @@ const BATCH_POINTS: [usize; 2] = [1, 1024];
 /// The semantic series' corpus: the repo benchmark's `nl_flagship` size.
 const SEMANTIC_ROWS: usize = 1000;
 const CLARIFICATION: &str = "The movie plot contains scenes that are uncommon in real life";
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
 
 /// A speedup is only a claim when the host can actually run workers
 /// concurrently; with one core the ratio is noise.
@@ -151,13 +139,7 @@ fn semantic_series(corpus: &MmqaCorpus, reps: usize) -> Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_parallel.json".to_string());
+    let BenchArgs { quick, out } = BenchArgs::parse("BENCH_parallel.json");
     let (rows, reps) = if quick { (10_000, 3) } else { (100_000, 5) };
 
     // State the host's parallelism up front: every speedup below is only
@@ -242,16 +224,11 @@ fn main() {
     );
 
     let mut report = JsonMap::new();
-    report.insert("bench", Json::Str("parallel_scan_filter_aggregate".into()));
     report.insert("query", Json::Str(QUERY.into()));
     report.insert("corpus_rows", Json::Num(rows as f64));
-    report.insert("reps", Json::Num(reps as f64));
-    report.insert("quick", Json::Bool(quick));
     report.insert("host_parallelism", Json::Num(hp as f64));
     report.insert("speedups_meaningful", Json::Bool(hp > 1));
     report.insert("series", Json::Array(series));
     report.insert("semantic_series", semantic);
-    let rendered = to_string_pretty(&Json::Object(report));
-    std::fs::write(&out_path, rendered + "\n").expect("report writes");
-    eprintln!("wrote {out_path}");
+    write_report(&out, "parallel_scan_filter_aggregate", quick, reps, report);
 }

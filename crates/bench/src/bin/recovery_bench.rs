@@ -31,8 +31,8 @@
 //! fast enough for CI (fsync dominates, so even quick runs measure real
 //! I/O).
 
-use kath_bench::host_fingerprint;
-use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_bench::{median, write_report, BenchArgs};
+use kath_json::{Json, JsonMap};
 use kath_storage::{DataType, Schema, Table, Value};
 use kathdb::KathDB;
 use std::path::PathBuf;
@@ -196,27 +196,8 @@ fn scan_series(rows: usize, reps: usize) -> Vec<Json> {
 }
 
 /// Median of already-collected samples, in the unit they were taken.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_recovery.json".to_string());
+    let BenchArgs { quick, out } = BenchArgs::parse("BENCH_recovery.json");
     let (inserts, age_points): (usize, Vec<usize>) = if quick {
         (64, vec![0, 32, 128])
     } else {
@@ -272,18 +253,12 @@ fn main() {
     }
 
     let mut report = JsonMap::new();
-    report.insert("bench", Json::Str("durability_recovery".into()));
-    report.insert("quick", Json::Bool(quick));
-    report.insert("host", host_fingerprint());
     report.insert("inserts", Json::Num(inserts as f64));
-    report.insert("reps", Json::Num(reps as f64));
     report.insert("size_series", Json::Array(size_series));
     report.insert("scan_series", Json::Array(scans));
     report.insert("replay_series", Json::Array(series));
-    let rendered = to_string_pretty(&Json::Object(report));
-    std::fs::write(&out_path, rendered + "\n").expect("report writes");
+    write_report(&out, "durability_recovery", quick, reps, report);
     let _ = std::fs::remove_dir_all(
         std::env::temp_dir().join(format!("kathdb_recovery_bench_{}", std::process::id())),
     );
-    eprintln!("wrote {out_path}");
 }

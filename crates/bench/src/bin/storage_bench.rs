@@ -19,8 +19,9 @@
 //! cargo run --release -p kath_bench --bin storage_bench -- --out custom.json
 //! ```
 
+use kath_bench::{median, write_report, BenchArgs};
 use kath_data::{generate_corpus, CorpusSpec};
-use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_json::{Json, JsonMap};
 use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
     encode_page, page_encoding_name, BufferPool, Catalog, CompileMode, Durability, ExecMode,
@@ -38,19 +39,6 @@ const BENCH_PAGE_ROWS: usize = 1024;
 
 /// Pool budgets to sweep, in pages: starved, modest, effectively unbounded.
 const POOL_POINTS: [usize; 3] = [2, 16, 1_000_000];
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
 
 /// Approximate in-memory bytes of one value — the honest denominator for a
 /// compression ratio (the encoded page is the numerator).
@@ -92,13 +80,7 @@ fn time_query(catalog: &Catalog, reps: usize) -> (f64, Table) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_storage.json".to_string());
+    let BenchArgs { quick, out } = BenchArgs::parse("BENCH_storage.json");
     let (rows, reps) = if quick { (10_000, 3) } else { (100_000, 5) };
 
     eprintln!("generating the {rows}-row scale corpus…");
@@ -240,16 +222,11 @@ fn main() {
     }
 
     let mut report = JsonMap::new();
-    report.insert("bench", Json::Str("paged_columnar_storage".into()));
     report.insert("query", Json::Str(QUERY.into()));
     report.insert("corpus_rows", Json::Num(rows as f64));
     report.insert("page_rows", Json::Num(BENCH_PAGE_ROWS as f64));
-    report.insert("reps", Json::Num(reps as f64));
-    report.insert("quick", Json::Bool(quick));
     report.insert("scan", Json::Array(scan_series));
     report.insert("checkpoint", Json::Object(checkpoint));
     report.insert("encodings", Json::Array(encodings));
-    let rendered = to_string_pretty(&Json::Object(report));
-    std::fs::write(&out_path, rendered + "\n").expect("report writes");
-    eprintln!("wrote {out_path}");
+    write_report(&out, "paged_columnar_storage", quick, reps, report);
 }

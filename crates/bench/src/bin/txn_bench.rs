@@ -23,7 +23,8 @@
 //! before its timing is trusted. Timings land in the JSON for trend
 //! diffs — thresholds are targets, not assertions (CI machines jitter).
 
-use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_bench::{write_report, BenchArgs};
+use kath_json::{Json, JsonMap};
 use kathdb::KathDB;
 use std::time::Instant;
 
@@ -97,13 +98,7 @@ fn snapshot_qps(sessions: usize, per_session: usize, rows: usize) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_txn.json".to_string());
+    let BenchArgs { quick, out } = BenchArgs::parse("BENCH_txn.json");
     let writer_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 16, 64] };
     let session_counts: &[usize] = if quick { &[1, 8] } else { &[1, 8, 64] };
     let (inserts_per_writer, reads_per_session, read_rows) = if quick {
@@ -144,11 +139,7 @@ fn main() {
     }
 
     let mut report = JsonMap::new();
-    report.insert("bench", Json::Str("transactions_and_sessions".into()));
-    report.insert("quick", Json::Bool(quick));
     report.insert("durable_inserts", Json::Array(write_legs));
     report.insert("snapshot_reads", Json::Array(read_legs));
-    let rendered = to_string_pretty(&Json::Object(report));
-    std::fs::write(&out_path, rendered + "\n").expect("report writes");
-    eprintln!("wrote {out_path}");
+    write_report(&out, "transactions_and_sessions", quick, 1, report);
 }

@@ -20,7 +20,8 @@
 //! cargo run --release -p kath_bench --bin vector_bench -- --out custom.json
 //! ```
 
-use kath_json::{to_string_pretty, Json, JsonMap};
+use kath_bench::{median, write_report, BenchArgs};
+use kath_json::{Json, JsonMap};
 use kath_sql::{execute, parse_select, run_select_auto_guarded};
 use kath_storage::{
     encode_embedding, Catalog, CompileMode, ExecMode, QueryGuard, Value, VectorMode, VectorStrategy,
@@ -34,19 +35,6 @@ const QUERIES: [&str; 3] = [
     "calm quiet tea garden",
     "love wedding kiss",
 ];
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
 
 /// splitmix64 — deterministic phrase sampling.
 fn mix(mut z: u64) -> u64 {
@@ -94,13 +82,7 @@ fn corpus_catalog(rows: usize) -> Catalog {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_vector.json".to_string());
+    let BenchArgs { quick, out } = BenchArgs::parse("BENCH_vector.json");
     let (sizes, reps) = if quick {
         (vec![500usize, 4000], 5)
     } else {
@@ -195,7 +177,6 @@ fn main() {
     }
 
     let mut report = JsonMap::new();
-    report.insert("bench", Json::Str("vector_topk_similarity".into()));
     report.insert(
         "query_shape",
         Json::Str(format!(
@@ -204,14 +185,10 @@ fn main() {
     );
     report.insert("dim", Json::Num(DIM as f64));
     report.insert("k", Json::Num(K as f64));
-    report.insert("reps", Json::Num(reps as f64));
-    report.insert("quick", Json::Bool(quick));
     report.insert(
         "queries",
         Json::Array(QUERIES.iter().map(|q| Json::Str((*q).into())).collect()),
     );
     report.insert("series", Json::Array(series));
-    let rendered = to_string_pretty(&Json::Object(report));
-    std::fs::write(&out_path, rendered + "\n").expect("report writes");
-    eprintln!("wrote {out_path}");
+    write_report(&out, "vector_topk_similarity", quick, reps, report);
 }

@@ -5,7 +5,7 @@
 #![warn(missing_docs)]
 
 use kath_data::{mmqa_small, MmqaCorpus};
-use kath_json::Json;
+use kath_json::{to_string_pretty, Json, JsonMap};
 use kath_model::ScriptedChannel;
 use kathdb::{KathDB, QueryResult};
 use std::sync::Arc;
@@ -75,9 +75,72 @@ pub fn host_fingerprint() -> Json {
     ])
 }
 
+/// The arguments every bench binary takes: `--quick` (the `make bench-smoke`
+/// setting: small inputs, few reps) and `--out <path>`.
+pub struct BenchArgs {
+    /// Whether `--quick` was given.
+    pub quick: bool,
+    /// Where the JSON report goes.
+    pub out: String,
+}
+
+impl BenchArgs {
+    /// Reads them from the process arguments; the report goes to
+    /// `default_out` unless `--out` names another path.
+    pub fn parse(default_out: &str) -> BenchArgs {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let out = args.iter().position(|a| a == "--out");
+        BenchArgs {
+            quick: args.iter().any(|a| a == "--quick"),
+            out: out
+                .and_then(|i| args.get(i + 1).cloned())
+                .unwrap_or_else(|| default_out.to_string()),
+        }
+    }
+}
+
+/// The median of `xs`: 0 for none, the mean of the middle two for an even
+/// count.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// Writes a bench report to `path`: the header every report carries —
+/// `bench`, `quick`, `reps` and `host` ([`host_fingerprint`]) — followed by
+/// `body`'s entries in their order.
+pub fn write_report(path: &str, bench: &str, quick: bool, reps: usize, body: JsonMap) {
+    let mut report = JsonMap::new();
+    report.insert("bench", Json::str(bench));
+    report.insert("quick", Json::Bool(quick));
+    report.insert("reps", Json::Num(reps as f64));
+    report.insert("host", host_fingerprint());
+    for (key, value) in body.iter() {
+        report.insert(key, value.clone());
+    }
+    std::fs::write(path, to_string_pretty(&Json::Object(report)) + "\n").expect("report writes");
+    eprintln!("wrote {path}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_of_none_one_odd_and_even() {
+        assert_eq!(median(vec![]), 0.0);
+        assert_eq!(median(vec![4.0]), 4.0);
+        assert_eq!(median(vec![9.0, 1.0, 5.0]), 5.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
+    }
 
     #[test]
     fn harness_reproduces_fig6() {

@@ -28,8 +28,8 @@
 //! - `\functions` — the versioned function registry,
 //! - `\tables` — the catalog,
 //! - `\tokens` — simulated token usage,
-//! - `\batch <n>` / `\batch off` / `\batch auto` — tune the execution
-//!   batch size (columnar batch-at-a-time vs row-at-a-time Volcano),
+//! - `\batch <n>` / `\batch off` — pin the execution batch size, or pin
+//!   the row-at-a-time Volcano reference drive (unpinned is `\batch 1024`),
 //! - `\threads <n>` / `\threads auto` — tune morsel-driven intra-query
 //!   parallelism (results are identical at any setting),
 //! - `\vindex` — vector-search status; `\vindex auto|off|flat|ivf` picks
@@ -106,7 +106,7 @@ fn main() {
                     "commands: \\sql <query> | \\begin | \\commit | \\rollback | \
                      \\sessions | \\open <dir> | \\checkpoint | \\wal | \
                      \\pool [<pages>] | \\explain <question> | \\lineage | \
-                     \\functions | \\tables | \\tokens | \\batch <n>|off|auto | \
+                     \\functions | \\tables | \\tokens | \\batch <n>|off | \
                      \\threads <n>|auto | \
                      \\vindex [auto|off|flat|ivf | build <t> <c> | drop <t> <c>] | \
                      \\timeout <ms>|off | \\faults <spec>|off|show | \\quit\n\
@@ -276,19 +276,12 @@ fn main() {
                     db.set_exec_mode(ExecMode::Volcano);
                     println!("execution mode: {}", mode_label(db.exec_mode()));
                 }
-                "auto" => {
-                    db.auto_exec_mode();
-                    println!(
-                        "execution mode: auto (currently {})",
-                        mode_label(db.exec_mode())
-                    );
-                }
                 n => match n.parse::<usize>() {
                     Ok(n) if n > 0 => {
-                        db.set_batch_size(n);
+                        db.set_exec_mode(ExecMode::Batched(n));
                         println!("execution mode: {}", mode_label(db.exec_mode()));
                     }
-                    _ => println!("usage: \\batch <rows> | \\batch off | \\batch auto"),
+                    _ => println!("usage: \\batch <rows> | \\batch off"),
                 },
             },
             _ if line == "\\threads" => {

@@ -50,16 +50,17 @@ use kath_fao::FunctionRegistry;
 use kath_json::to_string_pretty;
 use kath_lineage::DataKind;
 use kath_model::{SimLlm, TokenMeter, Usage, UserChannel};
-use kath_optimizer::{compile, preferred_exec_mode, CompileOptions, CompileReport};
+use kath_optimizer::{choose_strategy, compile, CompileOptions, CompileReport};
 use kath_parser::{
     generate_logical_plan, LogicalPlan, NlParser, ParseOutcome, PlanVerifier, VerifierReport,
 };
 use kath_sql::SqlError;
 use kath_storage::{
-    CompileMode, Durability, DurabilityStatus, ExecMode, PoolStatus, StorageError, Table, Value,
-    VectorMode, WalRecord, DEFAULT_PAGE_ROWS,
+    CompileMode, Durability, DurabilityStatus, PoolStatus, StorageError, Table, Value, WalRecord,
+    DEFAULT_PAGE_ROWS,
 };
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
 mod session;
@@ -178,12 +179,11 @@ impl QueryResult {
             return self.table.clone();
         }
         let proj = schema.project(&available.iter().map(|(i, _)| *i).collect::<Vec<_>>());
-        let mut out = Table::new("final_results", proj);
-        for row in self.table.rows() {
-            let cells: Vec<Value> = available.iter().map(|(i, _)| row[*i].clone()).collect();
-            out.push(cells).expect("projection preserves types");
-        }
-        out
+        let project = |row: &Vec<Value>| available.iter().map(|(i, _)| row[*i].clone()).collect();
+        let rows = self.table.rows().iter().map(project).collect();
+        // A projection keeps each value under its own column type, so the
+        // rows validate; were that ever broken, show the table unprojected.
+        Table::from_rows("final_results", proj, rows).unwrap_or_else(|_| self.table.clone())
     }
 
     /// The lid of the top-ranked tuple, if present.
@@ -193,8 +193,17 @@ impl QueryResult {
     }
 }
 
-/// The database façade.
+/// The database façade: the NL pipeline, ingest and durability, over the
+/// [`Session`] it owns and dereferences to — `sql`, transactions, `cancel`,
+/// and the timeout / budget / exec-mode / thread / vector settings with
+/// their getters are that session's, the same type [`KathDB::session`]
+/// hands out.
 pub struct KathDB {
+    /// This handle's SQL side and every per-handle setting. Declared, so
+    /// dropped, before `ctx`: the shared catalog is then freed with `ctx`,
+    /// ahead of the registry and the plan, as it was before the facade
+    /// owned a session.
+    session: Session,
     ctx: ExecContext,
     registry: FunctionRegistry,
     last_plan: Option<PhysicalPlan>,
@@ -205,18 +214,9 @@ pub struct KathDB {
     pub compile_options: CompileOptions,
     /// Run the engine's semantic checks (fan-out detection).
     pub semantic_checks: bool,
-    /// Pinned execution mode; `None` lets the cost model pick per query.
-    pinned_exec_mode: Option<ExecMode>,
-    /// Pinned degree of parallelism; `None` lets the cost model pick per
-    /// query (startup cost per worker vs per-morsel win, capped at the
-    /// host's cores).
-    pinned_threads: Option<usize>,
     /// Durable-storage state when a directory is open (`None` = in-memory
     /// only, the historical behaviour).
     durability: Option<DurableState>,
-    /// The facade's own open transaction (`\begin` … `\commit`), staged
-    /// against the snapshot taken at [`KathDB::begin`].
-    txn: Option<TxnStage>,
 }
 
 /// The function-registry payload as last logged or checkpointed (change
@@ -240,25 +240,22 @@ pub struct RecoveryInfo {
 impl KathDB {
     /// A fresh instance with the given model seed.
     ///
-    /// The `KATHDB_THREADS` environment variable, when set, pins the degree
-    /// of parallelism for the instance and for every [`Session`] (`auto` or
-    /// `0` keep cost-model selection) — the knob CI uses to run the whole
-    /// suite serially and 4-wide. `KATHDB_POOL_PAGES` caps the buffer pool
-    /// at that many decoded column pages (minimum 1) — the knob CI uses for
-    /// its low-memory leg; results are identical at any budget.
+    /// `KATHDB_THREADS` pins the worker count of the instance and of every
+    /// [`Session`] (see `Session::new`, the one place it is read).
+    /// `KATHDB_POOL_PAGES` caps the buffer pool at that many decoded column
+    /// pages (minimum 1) — the knob CI uses for its low-memory leg; results
+    /// are identical at any budget.
     pub fn new(seed: u64) -> Self {
-        let meter = TokenMeter::new();
+        let ctx = ExecContext::new(SimLlm::new(seed, TokenMeter::new()));
         Self {
-            ctx: ExecContext::new(SimLlm::new(seed, meter)),
+            session: Session::new(ctx.catalog.clone()),
+            ctx,
             registry: FunctionRegistry::new(),
             last_plan: None,
             last_reused: Vec::new(),
             compile_options: CompileOptions::default(),
             semantic_checks: true,
-            pinned_exec_mode: None,
-            pinned_threads: session::threads_from_env(),
             durability: None,
-            txn: None,
         }
     }
 
@@ -358,67 +355,6 @@ impl KathDB {
         Ok(FunctionRegistry::from_json(&value)?)
     }
 
-    /// Runs one SQL statement against the catalog. SELECTs execute in the
-    /// active execution mode against one frozen catalog snapshot (or the
-    /// open transaction's working state — read-your-writes) and return the
-    /// result table. CREATE TABLE / INSERT / DROP TABLE autocommit: they
-    /// are validated against the snapshot, made durable through the
-    /// group-commit WAL when a directory is open, and only then published.
-    /// Inside [`KathDB::begin`]…[`KathDB::commit`] mutations stage locally
-    /// instead and hit the log as one framed transaction at commit.
-    pub fn sql(&mut self, sql: &str) -> Result<Table, KathError> {
-        let settings = session::SqlSettings {
-            limits: &self.ctx.limits,
-            pinned_exec_mode: self.pinned_exec_mode,
-            pinned_threads: self.pinned_threads,
-            vector_mode: self.ctx.vector_mode,
-        };
-        session::run_statement(&self.ctx.catalog, &mut self.txn, settings, sql)
-    }
-
-    /// Opens an explicit transaction on this facade: subsequent mutations
-    /// stage against a private copy of the current snapshot (visible to
-    /// this handle's own SELECTs, invisible to every other session) until
-    /// [`KathDB::commit`] publishes them atomically or
-    /// [`KathDB::rollback`] discards them.
-    pub fn begin(&mut self) -> Result<(), KathError> {
-        if self.txn.is_some() {
-            return Err(KathError::Txn(
-                "a transaction is already open (commit or rollback it first)".to_string(),
-            ));
-        }
-        self.txn = Some(TxnStage::new(&self.ctx.catalog.snapshot()));
-        Ok(())
-    }
-
-    /// Commits the open transaction: every staged mutation re-applies to
-    /// the current catalog head (first committer wins on conflicts), the
-    /// records hit the WAL as one `Begin..Commit` frame through the
-    /// group-commit coordinator, and the new version publishes only once
-    /// durable. Returns the number of committed records.
-    pub fn commit(&mut self) -> Result<usize, KathError> {
-        let txn = self
-            .txn
-            .take()
-            .ok_or_else(|| KathError::Txn("no open transaction to commit".to_string()))?;
-        Ok(txn.commit(&self.ctx.catalog)?)
-    }
-
-    /// Discards the open transaction's staged mutations. Returns how many
-    /// records were dropped.
-    pub fn rollback(&mut self) -> Result<usize, KathError> {
-        let txn = self
-            .txn
-            .take()
-            .ok_or_else(|| KathError::Txn("no open transaction to roll back".to_string()))?;
-        Ok(txn.discard())
-    }
-
-    /// Whether an explicit transaction is open on this facade.
-    pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
-    }
-
     /// A new concurrent session over this database's shared catalog: its
     /// own guard settings and cancel token, its own exec/vector pins, its
     /// own transactions — reading MVCC snapshots and committing through the
@@ -428,9 +364,10 @@ impl KathDB {
         Session::new(self.ctx.catalog.clone())
     }
 
-    /// How many [`Session`] handles are currently live.
+    /// How many [`Session`] handles handed out by [`KathDB::session`] are
+    /// currently live (the facade's own is not one of them).
     pub fn sessions(&self) -> usize {
-        self.ctx.catalog.session_count()
+        self.ctx.catalog.session_count() - 1
     }
 
     /// Writes a checkpoint: every catalog table plus the function registry
@@ -546,10 +483,12 @@ impl KathDB {
     /// log/checkpoint (called after every NL query; registries mutate
     /// through compilation and self-repair).
     fn log_registry_if_changed(&mut self) -> Result<(), KathError> {
+        let Some(d) = &self.durability else {
+            return Ok(());
+        };
         let json = to_string_pretty(&self.registry.to_json());
-        match &self.durability {
-            Some(d) if d.functions_json != json => {}
-            _ => return Ok(()),
+        if d.functions_json == json {
+            return Ok(());
         }
         let records = [WalRecord::Functions(json.clone())];
         self.ctx
@@ -559,40 +498,6 @@ impl KathDB {
             d.functions_json = json;
         }
         Ok(())
-    }
-
-    /// Pins the batch size for relational pipelines (batched execution).
-    pub fn set_batch_size(&mut self, rows: usize) {
-        self.pinned_exec_mode = Some(ExecMode::Batched(rows.max(1)));
-    }
-
-    /// Pins an execution mode (`ExecMode::Volcano` forces the row-at-a-time
-    /// compatibility path).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.pinned_exec_mode = Some(mode);
-    }
-
-    /// Reverts to cost-model-driven execution-mode selection (the default):
-    /// each query picks batched or Volcano from the cost estimates of its
-    /// own physical plan.
-    pub fn auto_exec_mode(&mut self) {
-        self.pinned_exec_mode = None;
-    }
-
-    /// Sets the vector access-path policy for SQL similarity queries:
-    /// `Auto` (cost model picks Flat vs IVF per query from catalog
-    /// cardinality — the default), `Off` (always the full-sort plan), or a
-    /// forced `Flat`/`Ivf`. The exact paths (`Off`, `Flat`, and `Auto`
-    /// below the cost crossover) return identical rows; `Ivf` — including
-    /// `Auto` above the crossover — trades exactness for speed: same row
-    /// count, recall-tested (≥ 0.9 @ k=10) but not bit-identical ranking.
-    pub fn set_vector_mode(&mut self, mode: VectorMode) {
-        self.ctx.vector_mode = mode;
-    }
-
-    /// The active vector access-path policy.
-    pub fn vector_mode(&self) -> VectorMode {
-        self.ctx.vector_mode
     }
 
     /// Stores `mode`, which the engine ignores: there is no compiled drive.
@@ -605,49 +510,6 @@ impl KathDB {
     /// benchmark, which prints it.
     pub fn compile_mode(&self) -> CompileMode {
         self.ctx.compile
-    }
-
-    /// Sets (or clears) the per-query wall-clock timeout. A query that
-    /// outlives it aborts mid-scan with
-    /// [`StorageError::Cancelled`] on whichever drive is running —
-    /// Volcano, batched or morsel-parallel — with partial state dropped
-    /// and the catalog untouched; the next statement runs normally. The
-    /// deadline is minted fresh at each statement's start — for an NL
-    /// [`KathDB::query`], at the start of each node of its plan, SQL or
-    /// semantic (a model-call node checks it between morsels of 64 rows),
-    /// where a trip ends the query with [`ExecError::Guard`] carrying that
-    /// same typed error: the monitor does not mistake it for a fault to
-    /// repair.
-    pub fn set_query_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.ctx.limits.timeout = timeout;
-    }
-
-    /// The active per-query timeout, if any.
-    pub fn query_timeout(&self) -> Option<std::time::Duration> {
-        self.ctx.limits.timeout
-    }
-
-    /// Sets (or clears) per-query output budgets: a query that produces
-    /// more than `rows` root-level rows or `bytes` payload bytes aborts
-    /// with [`StorageError::Budget`]. Budgets meter produced output, not
-    /// intermediate operator traffic.
-    pub fn set_query_budget(&mut self, rows: Option<u64>, bytes: Option<u64>) {
-        self.ctx.limits.row_budget = rows;
-        self.ctx.limits.byte_budget = bytes;
-    }
-
-    /// Fires the session cancel token: a query running on another thread
-    /// (via [`KathDB::cancel_handle`]) aborts at its next guard check with
-    /// [`StorageError::Cancelled`]. One-shot — the flag re-arms after the
-    /// cancelled statement returns.
-    pub fn cancel(&self) {
-        self.ctx.limits.cancel.cancel();
-    }
-
-    /// A clonable handle to the session cancel token, for firing
-    /// [`KathDB::cancel`] from another thread while a query runs.
-    pub fn cancel_handle(&self) -> kath_storage::CancelToken {
-        self.ctx.limits.cancel.clone()
     }
 
     /// Installs a fault-injection plan on this database's I/O seam: every
@@ -711,135 +573,26 @@ impl KathDB {
         out
     }
 
-    /// Pins the degree of intra-query parallelism: SQL pipelines run their
-    /// streaming phase, and the semantic nodes of an NL plan their per-row
-    /// model calls, with `n` morsel workers (min 1). Results — answers,
-    /// lineage, token totals, repairs — are identical to serial execution
-    /// at any setting.
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.pinned_threads = Some(n.max(1));
-    }
-
-    /// Reverts to cost-model-driven parallelism (the default): each query
-    /// weighs per-worker startup cost against the per-morsel win over its
-    /// own input cardinality and, for an NL plan, over the profiled cost of
-    /// its model-call nodes, capped at the host's cores.
-    pub fn auto_parallelism(&mut self) {
-        self.pinned_threads = None;
-    }
-
-    /// The degree of parallelism the next SQL statement will run with.
-    /// Under auto selection this previews the choice from current catalog
-    /// cardinalities; an NL query decides from its compiled plan's own
-    /// input cardinality and model-call estimates (see
-    /// `QueryResult.exec.timings` for what each node then used).
-    pub fn threads(&self) -> usize {
-        self.sql_strategy().1
-    }
-
-    /// The `(mode, threads)` a SQL statement issued now would run with:
-    /// the same rule [`KathDB::sql`] and every [`Session`] apply.
-    fn sql_strategy(&self) -> (ExecMode, usize) {
-        session::pick_strategy(
-            &self.ctx.catalog.snapshot(),
-            self.pinned_exec_mode,
-            self.pinned_threads,
-        )
-    }
-
-    /// Degree-of-parallelism selection for one compiled plan: the pinned
-    /// value, or the larger of two cost-model choices — the break-even
-    /// worker count for the plan's largest input cardinality in the chosen
-    /// mode (its relational pipelines), and the cheapest fan-out for its
-    /// costliest profiled model-call node, whose compute phase divides
-    /// over workers whatever the row count.
-    fn select_parallelism(&self, plan: &PhysicalPlan, mode: ExecMode) -> usize {
-        if let Some(n) = self.pinned_threads {
-            return n;
-        }
-        if matches!(mode, ExecMode::Volcano) {
-            return 1;
-        }
+    /// What the strategy rule reads of a compiled plan: the rows of its
+    /// largest node input, and the estimated milliseconds of its costliest
+    /// profiled model-call node, whose compute phase divides over workers
+    /// whatever the row count.
+    fn plan_inputs(&self, plan: &PhysicalPlan) -> (usize, f64) {
         let snapshot = self.ctx.catalog.snapshot();
-        let mut max_input_rows = 0usize;
-        let mut max_model_ms = 0.0f64;
+        let (mut input_rows, mut model_ms) = (0usize, 0.0f64);
         for node in &plan.nodes {
             let Ok(entry) = self.registry.get(&node.func_id) else {
                 continue;
             };
             let body = &entry.active_version().body;
-            for input in body.inputs() {
-                if let Ok(t) = snapshot.get(&input) {
-                    max_input_rows = max_input_rows.max(t.len());
-                }
-            }
+            input_rows = input_rows.max(session::largest_input(&snapshot, body.inputs()));
             if body.calls_model() {
                 let estimate =
                     kath_optimizer::estimate_function(&self.registry, &snapshot, &node.func_id);
-                max_model_ms = max_model_ms.max(estimate.map_or(0.0, |e| e.runtime_ms));
+                model_ms = model_ms.max(estimate.map_or(0.0, |e| e.runtime_ms));
             }
         }
-        let cores = kath_storage::host_parallelism();
-        kath_optimizer::preferred_parallelism_capped(max_input_rows, mode, cores)
-            .max(kath_optimizer::preferred_fanout_capped(max_model_ms, cores))
-    }
-
-    /// The execution mode the next query will run with. Under auto
-    /// selection this previews the choice from current catalog
-    /// cardinalities; the per-query decision additionally weighs the
-    /// compiled plan's own cost estimates (see [`KathDB::query`]).
-    pub fn exec_mode(&self) -> ExecMode {
-        self.sql_strategy().0
-    }
-
-    /// Physical execution-mode selection for one compiled plan: compares
-    /// the cost model's mode-aware estimates (per-row Volcano dispatch vs
-    /// per-batch amortization) summed over the plan's profiled functions;
-    /// falls back to the plan's largest *input* cardinality when no node is
-    /// profiled yet.
-    fn select_exec_mode(&self, plan: &PhysicalPlan) -> ExecMode {
-        if let Some(mode) = self.pinned_exec_mode {
-            return mode;
-        }
-        let batched = ExecMode::default();
-        let snapshot = self.ctx.catalog.snapshot();
-        let (mut volcano_ms, mut batched_ms, mut profiled) = (0.0, 0.0, false);
-        let mut max_input_rows = 0usize;
-        for node in &plan.nodes {
-            let v = kath_optimizer::estimate_function_in_mode(
-                &self.registry,
-                &snapshot,
-                &node.func_id,
-                ExecMode::Volcano,
-            );
-            let b = kath_optimizer::estimate_function_in_mode(
-                &self.registry,
-                &snapshot,
-                &node.func_id,
-                batched,
-            );
-            if let (Some(v), Some(b)) = (v, b) {
-                volcano_ms += v.runtime_ms;
-                batched_ms += b.runtime_ms;
-                profiled = true;
-            }
-            if let Ok(entry) = self.registry.get(&node.func_id) {
-                for input in entry.active_version().body.inputs() {
-                    if let Ok(t) = snapshot.get(&input) {
-                        max_input_rows = max_input_rows.max(t.len());
-                    }
-                }
-            }
-        }
-        if profiled {
-            if batched_ms <= volcano_ms {
-                batched
-            } else {
-                ExecMode::Volcano
-            }
-        } else {
-            preferred_exec_mode(max_input_rows)
-        }
+        (input_rows, model_ms)
     }
 
     /// Ingests an MMQA-like corpus: the base table plus its media. The
@@ -921,12 +674,13 @@ impl KathDB {
             &self.compile_options,
         )?;
 
-        // 4. Execute under the monitor, in the selected execution strategy
-        //    (pinned, or the cost model's mode- and parallelism-aware
-        //    estimate for this plan's profiled functions and input
-        //    cardinalities).
-        self.ctx.exec_mode = self.select_exec_mode(&compile_report.physical);
-        self.ctx.threads = self.select_parallelism(&compile_report.physical, self.ctx.exec_mode);
+        // 4. Execute under the monitor, with this handle's settings and the
+        //    strategy the one rule gives this plan.
+        let (input_rows, model_ms) = self.plan_inputs(&compile_report.physical);
+        (self.ctx.exec_mode, self.ctx.threads) =
+            choose_strategy(self.session.pins, input_rows, model_ms);
+        self.ctx.limits = self.session.limits.clone();
+        self.ctx.vector_mode = self.session.vector_mode;
         let engine = ExecutionEngine {
             semantic_checks: self.semantic_checks,
             ..ExecutionEngine::new()
@@ -1001,11 +755,26 @@ impl KathDB {
     }
 }
 
+impl Deref for KathDB {
+    type Target = Session;
+
+    fn deref(&self) -> &Session {
+        &self.session
+    }
+}
+
+impl DerefMut for KathDB {
+    fn deref_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kath_data::mmqa_small;
     use kath_model::ScriptedChannel;
+    use kath_storage::{ExecMode, VectorMode};
 
     const FLAGSHIP: &str = "Sort the given films in the table by how exciting \
                             they are, but the poster should be 'boring'";
@@ -1376,48 +1145,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_selects_per_plan_not_per_catalog() {
-        // A huge unrelated table must not force batching onto a tiny
-        // query: selection weighs the plan's own inputs and estimates.
+    fn exec_mode_is_the_pin_or_the_default_whatever_the_catalog_holds() {
         let mut db = KathDB::new(42);
+        assert_eq!(db.exec_mode(), ExecMode::default(), "empty catalog");
         db.load_corpus(&mmqa_small()).unwrap();
-        let mut big = Table::new(
-            "unrelated_big",
-            kath_storage::Schema::of(&[("x", kath_storage::DataType::Int)]),
-        );
-        for i in 0..50_000i64 {
-            big.push(vec![i.into()]).unwrap();
-        }
-        db.load_table(big, "bench://unrelated").unwrap();
-        let channel = ScriptedChannel::new([
-            "The movie plot contains scenes that are uncommon in real life",
-            "Oh I prefer a more recent movie as well when scoring",
-            "OK",
-        ]);
-        let result = db.query(FLAGSHIP, channel.as_ref()).unwrap();
-        // The flagship plan never touches unrelated_big; its own nodes are
-        // small, and results match the baseline either way.
-        assert_eq!(
-            result.display_table().cell(0, "title").unwrap().as_str(),
-            Some("Guilty by Suspicion")
-        );
-        let mode = db.context().exec_mode;
-        let plan_rows = 6; // movie_table drives every flagship node
-        assert_eq!(
-            matches!(mode, ExecMode::Batched(_)),
-            matches!(
-                kath_optimizer::preferred_exec_mode(plan_rows),
-                ExecMode::Batched(_)
-            ),
-            "mode {mode:?} ignored the plan's own cardinality"
-        );
-    }
-
-    #[test]
-    fn auto_mode_follows_catalog_cardinality() {
-        let mut db = KathDB::new(42);
-        // Empty catalog: nothing to batch over.
-        assert_eq!(db.exec_mode(), ExecMode::Volcano);
+        assert_eq!(db.exec_mode(), ExecMode::default(), "six rows");
         let mut big = Table::new(
             "big",
             kath_storage::Schema::of(&[("x", kath_storage::DataType::Int)]),
@@ -1426,11 +1158,15 @@ mod tests {
             big.push(vec![i.into()]).unwrap();
         }
         db.load_table(big, "bench://big").unwrap();
-        assert!(matches!(db.exec_mode(), ExecMode::Batched(_)));
-        db.set_batch_size(32);
-        assert_eq!(db.exec_mode(), ExecMode::Batched(32));
-        db.auto_exec_mode();
-        assert!(matches!(db.exec_mode(), ExecMode::Batched(_)));
+        assert_eq!(db.exec_mode(), ExecMode::default(), "10 000 rows");
+        for pin in [
+            ExecMode::Batched(32),
+            ExecMode::Volcano,
+            ExecMode::default(),
+        ] {
+            db.set_exec_mode(pin);
+            assert_eq!(db.exec_mode(), pin);
+        }
     }
 
     #[test]
@@ -1639,6 +1375,33 @@ mod tests {
         handle.cancel();
         assert!(cancelled(&db.sql("SELECT * FROM t").unwrap_err()));
         assert_eq!(db.sql("SELECT * FROM t").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn integer_overflow_is_a_typed_error_on_the_default_and_the_reference_drive() {
+        let mut db = KathDB::new(42);
+        db.sql("CREATE TABLE t (x INT)").unwrap();
+        db.sql("INSERT INTO t VALUES (2), (1)").unwrap();
+        for pin in [ExecMode::default(), ExecMode::Volcano] {
+            db.set_exec_mode(pin);
+            for op in ["/", "%"] {
+                let sql = format!("SELECT (0 - 9223372036854775807 - 1) {op} (0 - x) FROM t");
+                let err = db.sql(&sql).unwrap_err();
+                assert!(
+                    matches!(
+                        &err,
+                        KathError::Sql(SqlError::Storage(StorageError::Eval(m)))
+                            if m == "integer overflow"
+                    ),
+                    "{pin:?} {sql}: {err:?}"
+                );
+            }
+            // The handle survives, and unary minus wraps like `+ - *`.
+            let negated = db
+                .sql("SELECT -(0 - 9223372036854775807 - x) FROM t")
+                .unwrap();
+            assert_eq!(negated.rows()[1], vec![Value::Int(i64::MIN)], "{pin:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Concurrent sessions over one shared, versioned catalog.
 //!
-//! A [`Session`] is an independent handle onto a [`KathDB`]'s shared
-//! catalog: it reads MVCC snapshots (one frozen catalog version per
-//! statement), commits through the same group-commit WAL as every other
-//! session, and carries its **own** guard settings — timeout, budgets,
-//! and a private cancel token, so cancelling one session never aborts
-//! another. Sessions are `Send`: hand them to worker threads and run SQL
-//! concurrently against one database.
+//! A [`Session`] is a handle onto a [`KathDB`]'s shared catalog: it reads
+//! MVCC snapshots (one frozen catalog version per statement), commits
+//! through the same group-commit WAL as every other session, and carries its
+//! **own** settings — timeout, budgets, strategy pins, vector policy and a
+//! private cancel token, so cancelling one session never aborts another.
+//! Sessions are `Send`: hand them to worker threads and run SQL
+//! concurrently against one database. The facade's SQL side *is* a
+//! `Session` — the one it owns and dereferences to — so a setting, a
+//! transaction or a statement behaves the same on either handle because
+//! it is the same code.
 //!
 //! Explicit transactions ([`Session::begin`] … [`Session::commit`]) stage
 //! mutations on a private copy of the begin-time snapshot — visible to the
@@ -25,19 +28,19 @@
 //! [`KathDB`]: crate::KathDB
 
 use crate::KathError;
-use kath_optimizer::{preferred_exec_mode, preferred_parallelism};
+use kath_optimizer::{choose_strategy, StrategyPins};
 use kath_sql::{SqlError, Statement};
 use kath_storage::{
     CancelToken, Catalog, CatalogRef, CompileMode, ExecMode, GuardSpec, SharedCatalog, Table,
     VectorMode, WalRecord,
 };
+use std::time::Duration;
 
 /// A staged transaction: a private working copy of the begin-time
 /// snapshot plus the WAL records to publish at commit.
 pub struct TxnStage {
     work: Catalog,
     staged: Vec<WalRecord>,
-    base_version: u64,
 }
 
 impl TxnStage {
@@ -47,36 +50,24 @@ impl TxnStage {
         Self {
             work: snap.catalog().clone(),
             staged: Vec::new(),
-            base_version: snap.version(),
         }
-    }
-
-    /// The catalog version this transaction's snapshot was taken at.
-    pub fn base_version(&self) -> u64 {
-        self.base_version
-    }
-
-    /// The working catalog — the session's own SELECTs read this
-    /// (read-your-writes); no other session can see it.
-    pub(crate) fn working(&self) -> &Catalog {
-        &self.work
     }
 
     /// Validates `stmt` against the working catalog, applies it there,
     /// and stages its WAL record for commit.
-    pub(crate) fn mutate(&mut self, stmt: &Statement) -> Result<Table, SqlError> {
+    fn mutate(&mut self, stmt: &Statement) -> Result<Table, SqlError> {
         let record = kath_sql::plan_mutation(&self.work, stmt)?;
         let out = kath_sql::apply_mutation(&mut self.work, &record, "sql_result")?;
         self.staged.push(record);
         Ok(out)
     }
 
-    /// Commits the stage: re-applies every staged record to the current
+    /// Publishes the stage: re-applies every staged record to the current
     /// catalog head (first committer wins — a conflicting concurrent
     /// commit fails the re-apply and nothing is logged), writes them as
     /// one framed `Begin..Commit` group through the group-commit
     /// coordinator, and returns once durable. Returns the record count.
-    pub(crate) fn commit(self, shared: &SharedCatalog) -> Result<usize, SqlError> {
+    fn publish(self, shared: &SharedCatalog) -> Result<usize, SqlError> {
         if self.staged.is_empty() {
             return Ok(0);
         }
@@ -89,30 +80,6 @@ impl TxnStage {
         })?;
         Ok(staged.len())
     }
-
-    /// Discards the stage; returns how many records were dropped.
-    pub(crate) fn discard(self) -> usize {
-        self.staged.len()
-    }
-}
-
-/// What a handle — the [`KathDB`] facade or a [`Session`] — brings to one
-/// SQL statement besides its catalog and open transaction.
-///
-/// [`KathDB`]: crate::KathDB
-pub(crate) struct SqlSettings<'a> {
-    /// Each statement mints a fresh guard from this: the deadline restarts
-    /// per statement, while the cancel token is the handle's shared one.
-    pub limits: &'a GuardSpec,
-    pub pinned_exec_mode: Option<ExecMode>,
-    pub pinned_threads: Option<usize>,
-    pub vector_mode: VectorMode,
-}
-
-/// The worker count `KATHDB_THREADS` pins for every handle a process makes
-/// — facade and sessions alike — or `None` for the cost model's choice.
-pub(crate) fn threads_from_env() -> Option<usize> {
-    parse_threads(std::env::var("KATHDB_THREADS").ok().as_deref())
 }
 
 /// A positive integer pins; `0`, `auto`, anything else and unset do not.
@@ -120,26 +87,19 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
     raw?.parse().ok().filter(|n| *n > 0)
 }
 
-/// Mode + parallelism for one statement: the handle's pins, or the cost
-/// model's choice from the largest cardinality in `catalog`.
-pub(crate) fn pick_strategy(
+/// Rows of the largest of `tables` that `catalog` holds (0 when it holds
+/// none of them): the cardinality the strategy rule reads. A statement
+/// passes its own FROM/JOIN tables, an NL plan each node's inputs.
+pub(crate) fn largest_input<S: AsRef<str>>(
     catalog: &Catalog,
-    pinned_exec_mode: Option<ExecMode>,
-    pinned_threads: Option<usize>,
-) -> (ExecMode, usize) {
-    let max_rows = catalog
-        .table_names()
-        .iter()
-        .filter_map(|n| catalog.get(n).ok())
+    tables: impl IntoIterator<Item = S>,
+) -> usize {
+    tables
+        .into_iter()
+        .filter_map(|t| catalog.get(t.as_ref()).ok())
         .map(|t| t.len())
         .max()
-        .unwrap_or(0);
-    let mode = pinned_exec_mode.unwrap_or_else(|| preferred_exec_mode(max_rows));
-    let threads = pinned_threads.unwrap_or_else(|| match mode {
-        ExecMode::Volcano => 1,
-        batched => preferred_parallelism(max_rows, batched),
-    });
-    (mode, threads)
+        .unwrap_or(0)
 }
 
 /// Re-arms a handle's cancel token after a statement settles, so a fired
@@ -150,103 +110,94 @@ pub(crate) fn rearm_cancel(limits: &GuardSpec) {
     }
 }
 
-/// Runs one SQL statement for a handle: the routine behind both
-/// [`KathDB::sql`] and [`Session::sql`]. A SELECT executes against one
-/// frozen catalog snapshot — a single version even while other sessions
-/// commit — or against the open transaction's working state
-/// (read-your-writes), under the strategy [`pick_strategy`] derives from
-/// that same catalog. CREATE TABLE / INSERT / DROP TABLE stage when a
-/// transaction is open; otherwise they autocommit: validated against a
-/// snapshot, made durable through the group-commit WAL when a directory
-/// is open, and only then published.
-///
-/// [`KathDB::sql`]: crate::KathDB::sql
-pub(crate) fn run_statement(
-    shared: &SharedCatalog,
-    txn: &mut Option<TxnStage>,
-    settings: SqlSettings<'_>,
-    sql: &str,
-) -> Result<Table, KathError> {
-    let stmt = kath_sql::parse_statement(sql).map_err(|e| KathError::Sql(e.into()))?;
-    let select = match stmt {
-        Statement::Select(select) => select,
-        stmt => {
-            if let Some(txn) = txn {
-                return Ok(txn.mutate(&stmt)?);
-            }
-            let snapshot = shared.snapshot();
-            let record = kath_sql::plan_mutation(&snapshot, &stmt)?;
-            drop(snapshot);
-            let records = [record];
-            return Ok(shared.submit::<Table, SqlError>(&records, false, |c| {
-                kath_sql::apply_mutation(c, &records[0], "sql_result")
-            })?);
-        }
-    };
-    let snapshot;
-    let catalog: &Catalog = match txn {
-        Some(txn) => txn.working(),
-        None => {
-            snapshot = shared.snapshot();
-            &snapshot
-        }
-    };
-    let (mode, threads) =
-        pick_strategy(catalog, settings.pinned_exec_mode, settings.pinned_threads);
-    let result = kath_sql::run_select_auto_guarded(
-        catalog,
-        &select,
-        "sql_result",
-        mode,
-        threads,
-        settings.vector_mode,
-        CompileMode::Off,
-        &settings.limits.guard(),
-    );
-    rearm_cancel(settings.limits);
-    let (table, _stats) = result?;
-    Ok(table)
-}
-
-/// One concurrent session over a shared catalog. See the module docs.
+/// One handle over a shared catalog. See the module docs.
 pub struct Session {
     shared: SharedCatalog,
-    /// Per-session query limits (own cancel token: cancelling this
-    /// session never touches another).
-    limits: GuardSpec,
-    pinned_exec_mode: Option<ExecMode>,
-    pinned_threads: Option<usize>,
-    vector_mode: VectorMode,
+    /// Each statement mints a fresh guard from this: the deadline restarts
+    /// per statement, while the cancel token is this handle's own.
+    pub(crate) limits: GuardSpec,
+    pub(crate) pins: StrategyPins,
+    pub(crate) vector_mode: VectorMode,
     txn: Option<TxnStage>,
 }
 
 impl Session {
+    /// A handle over `shared`. The `KATHDB_THREADS` environment variable,
+    /// when set to a positive integer, pins its worker count (`auto` or `0`
+    /// keep the rule's choice) — the knob CI uses to run the whole suite
+    /// serially and 4-wide.
     pub(crate) fn new(shared: SharedCatalog) -> Self {
         shared.register_session();
         Self {
             shared,
             limits: GuardSpec::default(),
-            pinned_exec_mode: None,
-            pinned_threads: threads_from_env(),
+            pins: StrategyPins {
+                threads: parse_threads(std::env::var("KATHDB_THREADS").ok().as_deref()),
+                ..StrategyPins::default()
+            },
             vector_mode: VectorMode::default(),
             txn: None,
         }
     }
 
-    /// Runs one SQL statement. SELECTs read a single frozen snapshot (or
-    /// the open transaction's working state); mutations autocommit
-    /// durably, or stage when a transaction is open.
+    /// Runs one SQL statement. A SELECT executes against one frozen catalog
+    /// snapshot — a single version even while other sessions commit — or
+    /// against the open transaction's working state (read-your-writes),
+    /// under the strategy `kath_optimizer::choose_strategy` derives from
+    /// this handle's pins and the statement's own largest FROM/JOIN table
+    /// in that same catalog. CREATE TABLE / INSERT / DROP TABLE stage when
+    /// a transaction is open; otherwise they autocommit: validated against
+    /// a snapshot, made durable through the group-commit WAL when a
+    /// directory is open, and only then published.
     pub fn sql(&mut self, sql: &str) -> Result<Table, KathError> {
-        let settings = SqlSettings {
-            limits: &self.limits,
-            pinned_exec_mode: self.pinned_exec_mode,
-            pinned_threads: self.pinned_threads,
-            vector_mode: self.vector_mode,
+        let stmt = kath_sql::parse_statement(sql).map_err(|e| KathError::Sql(e.into()))?;
+        let select = match stmt {
+            Statement::Select(select) => select,
+            stmt => {
+                if let Some(txn) = &mut self.txn {
+                    return Ok(txn.mutate(&stmt)?);
+                }
+                let snapshot = self.shared.snapshot();
+                let record = kath_sql::plan_mutation(&snapshot, &stmt)?;
+                drop(snapshot);
+                let records = [record];
+                return Ok(self
+                    .shared
+                    .submit::<Table, SqlError>(&records, false, |c| {
+                        kath_sql::apply_mutation(c, &records[0], "sql_result")
+                    })?);
+            }
         };
-        run_statement(&self.shared, &mut self.txn, settings, sql)
+        let snapshot;
+        let catalog: &Catalog = match &self.txn {
+            Some(txn) => &txn.work,
+            None => {
+                snapshot = self.shared.snapshot();
+                &snapshot
+            }
+        };
+        let (mode, threads) =
+            choose_strategy(self.pins, largest_input(catalog, select.tables()), 0.0);
+        let result = kath_sql::run_select_auto_guarded(
+            catalog,
+            &select,
+            "sql_result",
+            mode,
+            threads,
+            self.vector_mode,
+            CompileMode::Off,
+            &self.limits.guard(),
+        );
+        rearm_cancel(&self.limits);
+        let (table, _stats) = result?;
+        Ok(table)
     }
 
-    /// Opens an explicit transaction (errors if one is already open).
+    /// Opens an explicit transaction: subsequent mutations stage against a
+    /// private copy of the current snapshot (visible to this handle's own
+    /// SELECTs, invisible to every other) until [`Session::commit`]
+    /// publishes them atomically or [`Session::rollback`] discards them.
+    /// Errors if one is already open.
     pub fn begin(&mut self) -> Result<(), KathError> {
         if self.txn.is_some() {
             return Err(KathError::Txn(
@@ -257,22 +208,25 @@ impl Session {
         Ok(())
     }
 
-    /// Commits the open transaction; returns the committed record count.
-    pub fn commit(&mut self) -> Result<usize, KathError> {
-        let txn = self
-            .txn
+    fn take_txn(&mut self, verb: &str) -> Result<TxnStage, KathError> {
+        self.txn
             .take()
-            .ok_or_else(|| KathError::Txn("no open transaction to commit".to_string()))?;
-        Ok(txn.commit(&self.shared)?)
+            .ok_or_else(|| KathError::Txn(format!("no open transaction to {verb}")))
     }
 
-    /// Discards the open transaction; returns the dropped record count.
+    /// Commits the open transaction: every staged mutation re-applies to
+    /// the current catalog head (first committer wins on conflicts), the
+    /// records hit the WAL as one `Begin..Commit` frame through the
+    /// group-commit coordinator, and the new version publishes only once
+    /// durable. Returns the number of committed records.
+    pub fn commit(&mut self) -> Result<usize, KathError> {
+        Ok(self.take_txn("commit")?.publish(&self.shared)?)
+    }
+
+    /// Discards the open transaction's staged mutations; returns how many
+    /// records were dropped.
     pub fn rollback(&mut self) -> Result<usize, KathError> {
-        let txn = self
-            .txn
-            .take()
-            .ok_or_else(|| KathError::Txn("no open transaction to roll back".to_string()))?;
-        Ok(txn.discard())
+        Ok(self.take_txn("roll back")?.staged.len())
     }
 
     /// Whether an explicit transaction is open.
@@ -280,58 +234,111 @@ impl Session {
         self.txn.is_some()
     }
 
-    /// The catalog version the next snapshot read would see (or the open
-    /// transaction's base version).
-    pub fn snapshot_version(&self) -> u64 {
-        match &self.txn {
-            Some(txn) => txn.base_version(),
-            None => self.shared.version(),
-        }
-    }
-
-    /// Fires this session's cancel token. One-shot: it re-arms after the
-    /// cancelled statement returns. Other sessions are unaffected — each
-    /// session owns a private token.
+    /// Fires this handle's cancel token: a statement running on another
+    /// thread (via [`Session::cancel_handle`]) aborts at its next guard
+    /// check with `StorageError::Cancelled`. One-shot: the token re-arms
+    /// after the cancelled statement returns. Other handles are unaffected
+    /// — each owns a private token.
     pub fn cancel(&self) {
         self.limits.cancel.cancel();
     }
 
-    /// A clonable handle to **this session's** cancel token, for firing
+    /// A clonable handle to **this handle's** cancel token, for firing
     /// [`Session::cancel`] from another thread while a query runs.
-    /// Firing it never cancels any other session's statement.
     pub fn cancel_handle(&self) -> CancelToken {
         self.limits.cancel.clone()
     }
 
-    /// Sets (or clears) this session's per-query wall-clock timeout.
-    pub fn set_query_timeout(&mut self, timeout: Option<std::time::Duration>) {
+    /// Sets (or clears) the per-query wall-clock timeout. A query that
+    /// outlives it aborts mid-scan with `StorageError::Cancelled` on
+    /// whichever drive is running — Volcano, batched or morsel-parallel —
+    /// with partial state dropped and the catalog untouched; the next
+    /// statement runs normally. The deadline is minted fresh at each
+    /// statement's start — for an NL `KathDB::query`, at the start of each
+    /// node of its plan, SQL or semantic (a model-call node checks it
+    /// between morsels of 64 rows), where a trip ends the query with
+    /// `ExecError::Guard` carrying that same typed error: the monitor does
+    /// not mistake it for a fault to repair.
+    pub fn set_query_timeout(&mut self, timeout: Option<Duration>) {
         self.limits.timeout = timeout;
     }
 
-    /// Sets (or clears) this session's per-query output budgets.
+    /// The active per-query timeout, if any.
+    pub fn query_timeout(&self) -> Option<Duration> {
+        self.limits.timeout
+    }
+
+    /// Sets (or clears) per-query output budgets: a query that produces
+    /// more than `rows` root-level rows or `bytes` payload bytes aborts
+    /// with `StorageError::Budget`. Budgets meter produced output, not
+    /// intermediate operator traffic.
     pub fn set_query_budget(&mut self, rows: Option<u64>, bytes: Option<u64>) {
         self.limits.row_budget = rows;
         self.limits.byte_budget = bytes;
     }
 
-    /// Pins this session's execution mode.
+    /// Pins the execution mode: `ExecMode::Batched(n)` sets the batch size,
+    /// `ExecMode::Volcano` forces the row-at-a-time reference drive, which
+    /// runs under this pin only; `ExecMode::default()` is what an unpinned
+    /// handle runs.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.pinned_exec_mode = Some(mode);
+        self.pins.mode = Some(mode);
     }
 
-    /// Reverts this session to cost-model mode selection.
-    pub fn auto_exec_mode(&mut self) {
-        self.pinned_exec_mode = None;
-    }
-
-    /// Pins this session's degree of parallelism.
+    /// Pins the degree of intra-query parallelism: SQL pipelines run their
+    /// streaming phase, and the semantic nodes of an NL plan their per-row
+    /// model calls, with `n` morsel workers (min 1). Results — answers,
+    /// lineage, token totals, repairs — are identical to serial execution
+    /// at any setting.
     pub fn set_parallelism(&mut self, n: usize) {
-        self.pinned_threads = Some(n.max(1));
+        self.pins.threads = Some(n.max(1));
     }
 
-    /// Sets this session's vector access-path policy.
+    /// Reverts to the rule's worker count (the default): each statement
+    /// weighs per-worker startup cost against the per-morsel win over its
+    /// own input cardinality and, for an NL plan, over the profiled cost of
+    /// its model-call nodes, capped at the host's cores.
+    pub fn auto_parallelism(&mut self) {
+        self.pins.threads = None;
+    }
+
+    /// The strategy a scan of the catalog's largest table would get — what
+    /// [`Session::exec_mode`] and [`Session::threads`] preview. A statement
+    /// decides from its own FROM/JOIN tables and an NL query from its
+    /// compiled plan, by the same rule (see `QueryResult.exec.timings` for
+    /// what each node then used).
+    fn preview(&self) -> (ExecMode, usize) {
+        let snapshot = self.shared.snapshot();
+        let rows = largest_input(&snapshot, snapshot.table_names());
+        choose_strategy(self.pins, rows, 0.0)
+    }
+
+    /// The execution mode statements run in: the pin, else
+    /// `ExecMode::default()`.
+    pub fn exec_mode(&self) -> ExecMode {
+        self.preview().0
+    }
+
+    /// The worker count a scan of the catalog's largest table would run
+    /// with: the pin, else the rule's choice.
+    pub fn threads(&self) -> usize {
+        self.preview().1
+    }
+
+    /// Sets the vector access-path policy for SQL similarity queries:
+    /// `Auto` (cost model picks Flat vs IVF per query from catalog
+    /// cardinality — the default), `Off` (always the full-sort plan), or a
+    /// forced `Flat`/`Ivf`. The exact paths (`Off`, `Flat`, and `Auto`
+    /// below the cost crossover) return identical rows; `Ivf` — including
+    /// `Auto` above the crossover — trades exactness for speed: same row
+    /// count, recall-tested (≥ 0.9 @ k=10) but not bit-identical ranking.
     pub fn set_vector_mode(&mut self, mode: VectorMode) {
         self.vector_mode = mode;
+    }
+
+    /// The active vector access-path policy.
+    pub fn vector_mode(&self) -> VectorMode {
+        self.vector_mode
     }
 }
 
@@ -472,6 +479,122 @@ mod tests {
         db.cancel();
         assert_eq!(a.sql("SELECT * FROM t").unwrap().len(), 3);
         assert_eq!(b.sql("SELECT * FROM t").unwrap().len(), 3);
+    }
+
+    fn int_table(name: &str, rows: i64) -> Table {
+        let mut t = Table::new(
+            name,
+            kath_storage::Schema::of(&[("x", kath_storage::DataType::Int)]),
+        );
+        for i in 0..rows {
+            t.push(vec![i.into()]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn a_statement_is_sized_by_its_own_tables_not_the_catalogs_largest() {
+        let mut db = KathDB::new(42);
+        db.load_table(int_table("small", 6), "test://small")
+            .unwrap();
+        db.load_table(int_table("big", 50_000), "test://big")
+            .unwrap();
+        let snapshot = db.context().catalog.snapshot();
+        let rows = |catalog: &Catalog, sql: &str| {
+            largest_input(catalog, kath_sql::parse_select(sql).unwrap().tables())
+        };
+        assert_eq!(rows(&snapshot, "SELECT * FROM small"), 6);
+        let join = "SELECT small.x FROM small JOIN big ON small.x = big.x";
+        assert_eq!(rows(&snapshot, join), 50_000);
+        assert_eq!(rows(&snapshot, "SELECT * FROM missing"), 0);
+        // The rule keeps six rows on the calling thread and gives the join
+        // what a 50 000-row pipeline earns on this host.
+        let free = StrategyPins::default();
+        let batched = ExecMode::default();
+        assert_eq!(choose_strategy(free, 6, 0.0), (batched, 1));
+        assert_eq!(
+            choose_strategy(free, 50_000, 0.0),
+            (
+                batched,
+                kath_optimizer::preferred_parallelism(50_000, batched)
+            )
+        );
+        // Inside a transaction the statement is sized in the working copy.
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.sql("CREATE TABLE staged (x INT)").unwrap();
+        s.sql("INSERT INTO staged VALUES (1), (2)").unwrap();
+        let work = &s.txn.as_ref().unwrap().work;
+        assert_eq!(rows(work, "SELECT * FROM staged"), 2);
+        assert_eq!(rows(&snapshot, "SELECT * FROM staged"), 0);
+        assert_eq!(s.sql("SELECT * FROM staged").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_sessions_settings_are_its_own() {
+        let mut db = KathDB::new(42);
+        db.load_table(int_table("t", 3), "test://t").unwrap();
+        let mut a = db.session();
+        let mut b = db.session();
+        let all = "SELECT * FROM t";
+        a.set_query_timeout(Some(Duration::ZERO));
+        let err = a.sql(all).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                KathError::Sql(SqlError::Storage(StorageError::Cancelled(_)))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(b.sql(all).unwrap().len(), 3);
+        assert_eq!(db.sql(all).unwrap().len(), 3);
+        assert_eq!(
+            (a.query_timeout(), db.query_timeout()),
+            (Some(Duration::ZERO), None)
+        );
+        a.set_query_timeout(None);
+        a.set_query_budget(Some(2), None);
+        let err = a.sql(all).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                KathError::Sql(SqlError::Storage(StorageError::Budget(_)))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(b.sql(all).unwrap().len(), 3);
+        a.set_query_budget(None, None);
+        // Pins and the vector policy are per handle too; the rows are not.
+        a.set_exec_mode(ExecMode::Volcano);
+        a.set_parallelism(4);
+        a.set_vector_mode(VectorMode::Off);
+        assert_eq!((a.exec_mode(), a.threads()), (ExecMode::Volcano, 4));
+        assert_eq!(a.vector_mode(), VectorMode::Off);
+        assert_eq!(db.exec_mode(), ExecMode::default());
+        assert_eq!(db.vector_mode(), VectorMode::default());
+        assert_eq!(a.sql(all).unwrap(), db.sql(all).unwrap());
+    }
+
+    #[test]
+    fn the_facade_runs_transactions_through_the_session_it_owns() {
+        let mut db = KathDB::new(42);
+        db.sql("CREATE TABLE t (x INT)").unwrap();
+        let mut s = db.session();
+        let handles: [&mut Session; 2] = [&mut db, &mut s];
+        for handle in handles {
+            handle.begin().unwrap();
+            assert!(matches!(handle.begin(), Err(KathError::Txn(_))));
+            handle.sql("INSERT INTO t VALUES (1)").unwrap();
+            assert!(handle.in_transaction());
+            assert_eq!(handle.sql("SELECT * FROM t").unwrap().len(), 1);
+            assert_eq!(handle.rollback().unwrap(), 1);
+            assert!(!handle.in_transaction());
+            assert_eq!(handle.sql("SELECT * FROM t").unwrap().len(), 0);
+            assert!(matches!(handle.commit(), Err(KathError::Txn(_))));
+            assert!(matches!(handle.rollback(), Err(KathError::Txn(_))));
+        }
+        // The facade's own session is not one `session()` handed out.
+        assert_eq!(db.sessions(), 1);
     }
 
     #[test]

@@ -107,7 +107,9 @@ pub struct ExecContext {
     /// plan, SQL or semantic — mints a fresh [`kath_storage::QueryGuard`]
     /// from this spec (`limits.guard()`), so the deadline restarts per
     /// statement or node while the cancel token is shared with whoever
-    /// holds a handle to it. A trip surfaces as [`ExecError::Guard`].
+    /// holds a handle to it. A trip surfaces as [`ExecError::Guard`]. Like
+    /// `exec_mode`, `threads` and `vector_mode`, this is the setting of the
+    /// run in progress: the facade copies its session's here per question.
     pub limits: GuardSpec,
     /// One record per node output, keyed by the output's name.
     materializations: HashMap<String, Materialization>,

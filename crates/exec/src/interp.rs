@@ -314,8 +314,7 @@ fn exec_sql(
     output_name: &str,
 ) -> Result<ExecOutcome, ExecError> {
     let select = kath_sql::parse_select(query).map_err(|e| ExecError::Sql(e.to_string()))?;
-    let mut inputs = vec![select.from.clone()];
-    inputs.extend(select.joins.iter().map(|j| j.table.clone()));
+    let inputs: Vec<&str> = select.tables().collect();
     // One frozen snapshot for the whole statement: cardinality estimates
     // and the scan itself read the same catalog version even while
     // concurrent sessions commit.

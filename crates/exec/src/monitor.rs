@@ -227,17 +227,16 @@ impl<'a> Monitor<'a> {
                 None,
             )));
         };
+        let patched = FunctionBody::Sql {
+            query,
+            dedup_key: Some(key.to_string()),
+        };
         let to_ver = registry.add_version(
             func_id,
-            FunctionBody::Sql {
-                query,
-                dedup_key: Some(key.to_string()),
-            },
+            patched.clone(),
             format!("semantic fix: enforce one match per {key}"),
         )?;
-        let entry = registry.get(func_id)?;
-        let v = entry.version(to_ver).expect("just added").body.clone();
-        let outcome = run_node(ctx, func_id, to_ver, &v, output_name)?;
+        let outcome = run_node(ctx, func_id, to_ver, &patched, output_name)?;
         Ok(Some((
             AnomalyEvent {
                 func_id: func_id.to_string(),

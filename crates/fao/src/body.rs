@@ -150,11 +150,7 @@ impl FunctionBody {
     pub fn inputs(&self) -> Vec<String> {
         match self {
             FunctionBody::Sql { query, .. } => kath_sql::parse_select(query)
-                .map(|s| {
-                    let mut v = vec![s.from.clone()];
-                    v.extend(s.joins.iter().map(|j| j.table.clone()));
-                    v
-                })
+                .map(|s| s.tables().map(str::to_string).collect())
                 .unwrap_or_default(),
             FunctionBody::MapExpr { input, .. }
             | FunctionBody::FilterExpr { input, .. }

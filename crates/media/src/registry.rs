@@ -91,11 +91,6 @@ impl MediaRegistry {
         self.documents.items_mut().insert(doc.uri.clone(), doc);
     }
 
-    /// Registers a video under its URI.
-    pub fn add_video(&mut self, video: Video) {
-        self.videos.items_mut().insert(video.uri.clone(), video);
-    }
-
     /// Removes an image by URI (e.g. after converting it to a new format).
     pub fn remove_image(&mut self, uri: &str) -> Option<Image> {
         self.images.items_mut().remove(uri)

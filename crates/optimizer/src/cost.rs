@@ -99,14 +99,6 @@ pub fn preferred_fanout_capped(serial_ms: f64, max_workers: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Estimated overhead of pushing `rows` rows through a relational pipeline
-/// in `mode` with `workers`-way morsel parallelism ([`fanned_out_ms`] of the
-/// serial overhead). `workers == 1` degenerates to
-/// [`relational_overhead_ms`] exactly.
-pub fn parallel_overhead_ms(rows: usize, mode: ExecMode, workers: usize) -> f64 {
-    fanned_out_ms(relational_overhead_ms(rows, mode), workers)
-}
-
 /// The cheapest degree of parallelism for `rows` rows in `mode`, searched
 /// up to `max_workers`: [`preferred_fanout_capped`] of the pipeline's
 /// serial overhead.
@@ -118,6 +110,43 @@ pub fn preferred_parallelism_capped(rows: usize, mode: ExecMode, max_workers: us
 /// as the cap.
 pub fn preferred_parallelism(rows: usize, mode: ExecMode) -> usize {
     preferred_parallelism_capped(rows, mode, kath_storage::host_parallelism())
+}
+
+/// What a handle pinned of a statement's physical strategy; a `None` half
+/// is left to [`choose_strategy`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StrategyPins {
+    /// The pinned execution mode (`ExecMode::Volcano` is the reference
+    /// drive: it runs only under this pin).
+    pub mode: Option<ExecMode>,
+    /// The pinned worker count.
+    pub threads: Option<usize>,
+}
+
+/// The one strategy rule: `(mode, workers)` for a statement or plan that
+/// reads `input_rows` rows of its largest input and whose costliest
+/// model-call node is estimated at `model_ms` (0 for plain SQL). The mode
+/// is the pin, else the batch drive — never the row protocol by choice.
+/// Workers are the pin, else 1 under a Volcano pin (that drive has no
+/// morsels), else the larger of the break-even counts for the relational
+/// pipeline and for the model calls, capped at the host's cores.
+pub fn choose_strategy(pins: StrategyPins, input_rows: usize, model_ms: f64) -> (ExecMode, usize) {
+    strategy_capped(pins, input_rows, model_ms, kath_storage::host_parallelism())
+}
+
+fn strategy_capped(
+    pins: StrategyPins,
+    input_rows: usize,
+    model_ms: f64,
+    cores: usize,
+) -> (ExecMode, usize) {
+    let mode = pins.mode.unwrap_or_default();
+    let workers = pins.threads.unwrap_or_else(|| match mode {
+        ExecMode::Volcano => 1,
+        batched => preferred_parallelism_capped(input_rows, batched, cores)
+            .max(preferred_fanout_capped(model_ms, cores)),
+    });
+    (mode, workers)
 }
 
 /// Milliseconds to decode one compressed column page into its in-memory
@@ -265,9 +294,8 @@ mod tests {
     fn parallelism_pays_at_scale_but_not_for_small_inputs() {
         let batched = ExecMode::Batched(1024);
         // 100k rows: four workers beat one by well over the startup cost.
-        let serial = parallel_overhead_ms(100_000, batched, 1);
-        let four = parallel_overhead_ms(100_000, batched, 4);
-        assert_eq!(serial, relational_overhead_ms(100_000, batched));
+        let serial = relational_overhead_ms(100_000, batched);
+        let four = fanned_out_ms(serial, 4);
         assert!(four < serial / 2.0, "four={four}ms serial={serial}ms");
         assert!(preferred_parallelism_capped(100_000, batched, 8) > 1);
         // A handful of rows cannot amortize a thread spawn.
@@ -275,6 +303,72 @@ mod tests {
         // The cap is respected.
         assert!(preferred_parallelism_capped(10_000_000, batched, 4) <= 4);
         assert!(preferred_parallelism(100, batched) >= 1);
+    }
+
+    #[test]
+    fn pins_win_and_a_volcano_pin_means_one_worker() {
+        let pinned = StrategyPins {
+            mode: Some(ExecMode::Batched(32)),
+            threads: Some(6),
+        };
+        for rows in [0, 6, 1_000_000] {
+            assert_eq!(
+                strategy_capped(pinned, rows, 30.0, 2),
+                (ExecMode::Batched(32), 6)
+            );
+        }
+        let volcano = StrategyPins {
+            mode: Some(ExecMode::Volcano),
+            threads: None,
+        };
+        assert_eq!(
+            strategy_capped(volcano, 1_000_000, 30.0, 8),
+            (ExecMode::Volcano, 1)
+        );
+        // An explicit worker count survives even there (the drive ignores it).
+        let both = StrategyPins {
+            threads: Some(4),
+            ..volcano
+        };
+        assert_eq!(strategy_capped(both, 6, 0.0, 8), (ExecMode::Volcano, 4));
+    }
+
+    #[test]
+    fn no_pin_never_yields_volcano() {
+        for rows in [0, 1, 6, 1_000_000] {
+            for cores in [1, 2, 8] {
+                let (mode, workers) = strategy_capped(StrategyPins::default(), rows, 0.0, cores);
+                assert_eq!(mode, ExecMode::default(), "{rows} rows");
+                assert!((1..=cores).contains(&workers), "{rows} rows, {cores} cores");
+            }
+            assert_eq!(
+                choose_strategy(StrategyPins::default(), rows, 0.0).0,
+                ExecMode::default()
+            );
+        }
+        // A handful of rows stay on the calling thread.
+        assert_eq!(strategy_capped(StrategyPins::default(), 6, 0.0, 8).1, 1);
+    }
+
+    #[test]
+    fn row_term_and_model_term_combine_by_max_under_the_cap() {
+        let free = StrategyPins::default();
+        let mode = ExecMode::default();
+        let workers = |rows, model_ms, cores| strategy_capped(free, rows, model_ms, cores).1;
+        for (rows, model_ms) in [(6, 30.0), (1_000_000, 0.0), (1_000_000, 0.2), (5_000, 0.3)] {
+            for cores in [1, 2, 4, 16] {
+                let by_rows = preferred_parallelism_capped(rows, mode, cores);
+                let by_model = preferred_fanout_capped(model_ms, cores);
+                let got = workers(rows, model_ms, cores);
+                assert_eq!(got, by_rows.max(by_model), "{rows} rows, {model_ms} ms");
+                assert!(got <= cores);
+            }
+        }
+        // Six rows alone want one worker; a 30 ms model node over them wants
+        // every core; a million rows want more than the 0.2 ms node does.
+        assert_eq!(workers(6, 0.0, 8), 1);
+        assert_eq!(workers(6, 30.0, 8), 8);
+        assert!(workers(1_000_000, 0.2, 16) > preferred_fanout_capped(0.2, 16));
     }
 
     #[test]

@@ -18,9 +18,9 @@ mod rewrite;
 pub use coder::{synthesize, CoderContext, CoderFaults};
 pub use compile::{compile, CompileOptions, CompileReport, CritiqueEvent, SelectionEvent};
 pub use cost::{
-    estimate_function, estimate_function_in_mode, fanned_out_ms, parallel_overhead_ms,
+    choose_strategy, estimate_function, estimate_function_in_mode, fanned_out_ms,
     preferred_exec_mode, preferred_fanout_capped, preferred_parallelism,
-    preferred_parallelism_capped, relational_overhead_ms, CostEstimate, BATCH_OVERHEAD_MS,
-    PAGE_DECODE_MS, ROW_OVERHEAD_MS, VALUE_TOUCH_MS, WORKER_STARTUP_MS,
+    preferred_parallelism_capped, relational_overhead_ms, CostEstimate, StrategyPins,
+    BATCH_OVERHEAD_MS, PAGE_DECODE_MS, ROW_OVERHEAD_MS, VALUE_TOUCH_MS, WORKER_STARTUP_MS,
 };
 pub use rewrite::{eliminate_dead_nodes, predicate_pushdown, rewrite_plan, RewriteEvent};

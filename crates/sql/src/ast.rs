@@ -187,6 +187,13 @@ pub struct Select {
     pub limit: Option<usize>,
 }
 
+impl Select {
+    /// The tables the statement reads: FROM, then each JOIN in order.
+    pub fn tables(&self) -> impl Iterator<Item = &str> {
+        std::iter::once(self.from.as_str()).chain(self.joins.iter().map(|j| j.table.as_str()))
+    }
+}
+
 /// Any supported statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {

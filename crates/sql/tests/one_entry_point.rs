@@ -448,6 +448,29 @@ fn a_where_clause_that_raises_raises_on_every_backing_and_drive() {
 }
 
 #[test]
+fn the_quotient_that_does_not_fit_is_a_typed_error_on_every_backing_and_drive() {
+    let catalogs = catalogs();
+    // Row 4699 of `big` divides `i64::MIN` by -1, one row before row 4700
+    // divides by zero, in the second morsel: every drive reports the first.
+    for op in ["/", "%"] {
+        let sql = format!("SELECT (0 - 9223372036854775807 - 1) {op} (id - 4700) FROM big");
+        let want = SqlError::Storage(StorageError::Eval("integer overflow".into()));
+        sweep(&catalogs, |label, c, mode, threads| {
+            let got = run(c, &sql, mode, threads, VectorMode::Auto)
+                .map(|(t, _)| t.len())
+                .expect_err(&format!("{sql} ({label})"));
+            assert_eq!(got, want, "{sql} ({label})");
+        });
+    }
+    // Unary minus wraps, as `+ - *` do: `-i64::MIN` is `i64::MIN`.
+    let sql = "SELECT id, -(0 - 9223372036854775807 - 1 + v) FROM big WHERE id <= 200";
+    let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
+    assert_eq!(want.rows()[0], vec![Value::Int(0), Value::Int(i64::MIN)]);
+    assert_eq!(want.rows()[1], vec![Value::Int(1), Value::Int(i64::MAX)]);
+    check_everywhere(&catalogs, sql, &want);
+}
+
+#[test]
 fn vector_topk_equals_its_reference_under_every_combination() {
     let catalogs = catalogs();
     let full_sort = reference(&catalogs.0, VECTOR_SQL, VectorMode::Off).unwrap();

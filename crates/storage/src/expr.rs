@@ -178,7 +178,7 @@ impl Expr {
                 }
             }
             Expr::Neg(e) => match e.eval(row, schema)? {
-                Value::Int(i) => Ok(Value::Int(-i)),
+                Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
                 Value::Float(f) => Ok(Value::Float(-f)),
                 Value::Null => Ok(Value::Null),
                 v => Err(StorageError::Eval(format!("cannot negate {v:?}"))),
@@ -218,7 +218,7 @@ impl Expr {
             Expr::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
                 let lv = l.eval_batch(batch, schema)?;
                 match r.eval_batch(batch, schema) {
-                    Ok(rv) => Ok(combine_logical(*op, &lv, &rv)),
+                    Ok(rv) => Ok(combine_logical(*op == BinOp::And, &lv, &rv)),
                     // The row path may short-circuit past the erroring rows
                     // of the right operand; re-run row-wise to find out.
                     Err(_) => self.eval_rows(batch, schema),
@@ -348,7 +348,7 @@ fn not_kernel(v: &ColumnVector) -> ColumnVector {
 fn neg_kernel(v: &ColumnVector) -> Result<ColumnVector, StorageError> {
     match v.data() {
         ColumnData::Int(xs) => Ok(ColumnVector::from_parts(
-            ColumnData::Int(xs.iter().map(|x| -x).collect()),
+            ColumnData::Int(xs.iter().map(|x| x.wrapping_neg()).collect()),
             v.nulls().clone(),
         )),
         ColumnData::Float(xs) => Ok(ColumnVector::from_parts(
@@ -360,7 +360,7 @@ fn neg_kernel(v: &ColumnVector) -> Result<ColumnVector, StorageError> {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 out.push(match v.value(i) {
-                    Value::Int(x) => Value::Int(-x),
+                    Value::Int(x) => Value::Int(x.wrapping_neg()),
                     Value::Float(x) => Value::Float(-x),
                     Value::Null => Value::Null,
                     other => return Err(StorageError::Eval(format!("cannot negate {other:?}"))),
@@ -391,9 +391,10 @@ fn call_kernel(name: &str, cols: &[ColumnVector], n: usize) -> Result<ColumnVect
     Ok(ColumnVector::from_values(out))
 }
 
-/// Element-wise three-valued `AND`/`OR` over two evaluated operand columns.
-/// Mirrors the collapse rules of [`Expr::eval`] exactly.
-fn combine_logical(op: BinOp, l: &ColumnVector, r: &ColumnVector) -> ColumnVector {
+/// Element-wise three-valued `AND` (`and`) or `OR` (`!and`) over two
+/// evaluated operand columns. Mirrors the collapse rules of [`Expr::eval`]
+/// exactly.
+fn combine_logical(and: bool, l: &ColumnVector, r: &ColumnVector) -> ColumnVector {
     let n = l.len();
     let lt = l.truthy_mask();
     let rt = r.truthy_mask();
@@ -401,35 +402,66 @@ fn combine_logical(op: BinOp, l: &ColumnVector, r: &ColumnVector) -> ColumnVecto
     let mut nulls = NullBitmap::new();
     for i in 0..n {
         let (ln, rn) = (l.is_null(i), r.is_null(i));
-        let (cell, is_null) = match op {
-            BinOp::And => {
-                if !ln && !lt[i] {
-                    (false, false)
-                } else if ln || rn {
-                    (false, true)
-                } else {
-                    (lt[i] && rt[i], false)
-                }
+        let (cell, is_null) = if and {
+            if !ln && !lt[i] {
+                (false, false)
+            } else if ln || rn {
+                (false, true)
+            } else {
+                (lt[i] && rt[i], false)
             }
-            BinOp::Or => {
-                if lt[i] {
-                    (true, false)
-                } else if ln || rn {
-                    if rt[i] {
-                        (true, false)
-                    } else {
-                        (false, true)
-                    }
-                } else {
-                    (lt[i] || rt[i], false)
-                }
+        } else if lt[i] {
+            (true, false)
+        } else if ln || rn {
+            if rt[i] {
+                (true, false)
+            } else {
+                (false, true)
             }
-            _ => unreachable!("combine_logical only handles AND/OR"),
+        } else {
+            (lt[i] || rt[i], false)
         };
         out.push(cell);
         nulls.push(is_null);
     }
     ColumnVector::from_parts(ColumnData::Bool(out), nulls)
+}
+
+/// Integer arithmetic, shared by the row path and the batch kernel: `+ - *`
+/// wrap; `/` and `%` raise on a zero divisor and on the one quotient that
+/// does not fit (`i64::MIN / -1`).
+#[inline]
+fn int_arith(op: BinOp, a: i64, b: i64) -> Result<i64, StorageError> {
+    let overflow = || StorageError::Eval("integer overflow".into());
+    match op {
+        BinOp::Add => Ok(a.wrapping_add(b)),
+        BinOp::Sub => Ok(a.wrapping_sub(b)),
+        BinOp::Mul => Ok(a.wrapping_mul(b)),
+        BinOp::Div if b == 0 => Err(StorageError::Eval("division by zero".into())),
+        BinOp::Mod if b == 0 => Err(StorageError::Eval("modulo by zero".into())),
+        BinOp::Div => a.checked_div(b).ok_or_else(overflow),
+        BinOp::Mod => a.checked_rem(b).ok_or_else(overflow),
+        _ => Err(not_arithmetic(op)),
+    }
+}
+
+#[cold]
+fn not_arithmetic(op: BinOp) -> StorageError {
+    StorageError::Eval(format!("{op} is not arithmetic"))
+}
+
+/// Float arithmetic, shared the same way: only a zero divisor raises.
+#[inline]
+fn float_arith(op: BinOp, a: f64, b: f64) -> Result<f64, StorageError> {
+    match op {
+        BinOp::Add => Ok(a + b),
+        BinOp::Sub => Ok(a - b),
+        BinOp::Mul => Ok(a * b),
+        BinOp::Div if b == 0.0 => Err(StorageError::Eval("division by zero".into())),
+        BinOp::Div => Ok(a / b),
+        BinOp::Mod => Ok(a % b),
+        _ => Err(not_arithmetic(op)),
+    }
 }
 
 /// Whether a column is purely numeric (Int or Float payload).
@@ -471,23 +503,13 @@ fn eval_bin_batch(
                 out.push(0);
                 continue;
             }
+            // The three that cannot raise stay in the loop; what can goes
+            // through the rule the row path shares.
             out.push(match op {
                 Add => a[i].wrapping_add(b[i]),
                 Sub => a[i].wrapping_sub(b[i]),
                 Mul => a[i].wrapping_mul(b[i]),
-                Div => {
-                    if b[i] == 0 {
-                        return Err(StorageError::Eval("division by zero".into()));
-                    }
-                    a[i] / b[i]
-                }
-                Mod => {
-                    if b[i] == 0 {
-                        return Err(StorageError::Eval("modulo by zero".into()));
-                    }
-                    a[i] % b[i]
-                }
-                _ => unreachable!(),
+                _ => int_arith(op, a[i], b[i])?,
             });
         }
         return Ok(ColumnVector::from_parts(ColumnData::Int(out), nulls));
@@ -565,14 +587,7 @@ fn eval_bin_batch(
                         Add => a + b,
                         Sub => a - b,
                         Mul => a * b,
-                        Div => {
-                            if b == 0.0 {
-                                return Err(StorageError::Eval("division by zero".into()));
-                            }
-                            a / b
-                        }
-                        Mod => a % b,
-                        _ => unreachable!(),
+                        _ => float_arith(op, a, b)?,
                     });
                 }
                 _ => {
@@ -639,48 +654,13 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, StorageError> {
     }
     // Integer arithmetic stays integral when both sides are ints.
     if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        return match op {
-            Add => Ok(Value::Int(a.wrapping_add(*b))),
-            Sub => Ok(Value::Int(a.wrapping_sub(*b))),
-            Mul => Ok(Value::Int(a.wrapping_mul(*b))),
-            Div => {
-                if *b == 0 {
-                    Err(StorageError::Eval("division by zero".into()))
-                } else {
-                    Ok(Value::Int(a / b))
-                }
-            }
-            Mod => {
-                if *b == 0 {
-                    Err(StorageError::Eval("modulo by zero".into()))
-                } else {
-                    Ok(Value::Int(a % b))
-                }
-            }
-            _ => unreachable!(),
-        };
+        return int_arith(op, *a, *b).map(Value::Int);
     }
-    let (a, b) = match (l.as_f64(), r.as_f64()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(StorageError::Eval(format!(
-                "cannot apply {op} to {l:?} and {r:?}"
-            )))
-        }
-    };
-    match op {
-        Add => Ok(Value::Float(a + b)),
-        Sub => Ok(Value::Float(a - b)),
-        Mul => Ok(Value::Float(a * b)),
-        Div => {
-            if b == 0.0 {
-                Err(StorageError::Eval("division by zero".into()))
-            } else {
-                Ok(Value::Float(a / b))
-            }
-        }
-        Mod => Ok(Value::Float(a % b)),
-        _ => unreachable!(),
+    match (l.as_f64(), r.as_f64()) {
+        (Some(a), Some(b)) => float_arith(op, a, b).map(Value::Float),
+        _ => Err(StorageError::Eval(format!(
+            "cannot apply {op} to {l:?} and {r:?}"
+        ))),
     }
 }
 

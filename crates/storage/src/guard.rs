@@ -71,7 +71,7 @@ impl CancelToken {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct GuardInner {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
@@ -99,25 +99,25 @@ impl QueryGuard {
         self.inner.is_none()
     }
 
-    fn make_mut(&mut self) -> &mut GuardInner {
-        if self.inner.is_none() {
-            self.inner = Some(Arc::new(GuardInner {
-                deadline: None,
-                cancel: None,
-                row_budget: None,
-                byte_budget: None,
-                rows: AtomicU64::new(0),
-                bytes: AtomicU64::new(0),
-            }));
+    /// The guard with `set` applied to its limits. Builders run before the
+    /// guard is shared or charged, so the copy starts its counters at zero.
+    fn with(self, set: impl FnOnce(&mut GuardInner)) -> QueryGuard {
+        let mut inner = self.inner.map_or_else(GuardInner::default, |i| GuardInner {
+            deadline: i.deadline,
+            cancel: i.cancel.clone(),
+            row_budget: i.row_budget,
+            byte_budget: i.byte_budget,
+            ..GuardInner::default()
+        });
+        set(&mut inner);
+        QueryGuard {
+            inner: Some(Arc::new(inner)),
         }
-        // Builders run before the guard is shared, so this never clones.
-        Arc::get_mut(self.inner.as_mut().expect("just set")).expect("unshared during build")
     }
 
     /// Trips with `Cancelled` once `Instant::now()` passes `deadline`.
-    pub fn with_deadline(mut self, deadline: Instant) -> QueryGuard {
-        self.make_mut().deadline = Some(deadline);
-        self
+    pub fn with_deadline(self, deadline: Instant) -> QueryGuard {
+        self.with(|g| g.deadline = Some(deadline))
     }
 
     /// Deadline `timeout` from now. A zero timeout trips on the very first
@@ -127,21 +127,18 @@ impl QueryGuard {
     }
 
     /// Trips with `Cancelled` once `cancel` fires.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> QueryGuard {
-        self.make_mut().cancel = Some(cancel);
-        self
+    pub fn with_cancel(self, cancel: CancelToken) -> QueryGuard {
+        self.with(|g| g.cancel = Some(cancel))
     }
 
     /// Trips with `Budget` after producing more than `rows` rows.
-    pub fn with_row_budget(mut self, rows: u64) -> QueryGuard {
-        self.make_mut().row_budget = Some(rows);
-        self
+    pub fn with_row_budget(self, rows: u64) -> QueryGuard {
+        self.with(|g| g.row_budget = Some(rows))
     }
 
     /// Trips with `Budget` after producing more than `bytes` bytes.
-    pub fn with_byte_budget(mut self, bytes: u64) -> QueryGuard {
-        self.make_mut().byte_budget = Some(bytes);
-        self
+    pub fn with_byte_budget(self, bytes: u64) -> QueryGuard {
+        self.with(|g| g.byte_budget = Some(bytes))
     }
 
     /// Checks cancellation and deadline (not budgets). Call this before
@@ -291,17 +288,15 @@ impl GuardSpec {
     /// Mints the guard for one statement. Unlimited specs still carry the
     /// cancel token, so `cancel()` works even with no timeout set.
     pub fn guard(&self) -> QueryGuard {
-        let mut g = QueryGuard::unlimited().with_cancel(self.cancel.clone());
-        if let Some(t) = self.timeout {
-            g = g.with_timeout(t);
+        QueryGuard {
+            inner: Some(Arc::new(GuardInner {
+                deadline: self.timeout.map(|t| Instant::now() + t),
+                cancel: Some(self.cancel.clone()),
+                row_budget: self.row_budget,
+                byte_budget: self.byte_budget,
+                ..GuardInner::default()
+            })),
         }
-        if let Some(r) = self.row_budget {
-            g = g.with_row_budget(r);
-        }
-        if let Some(b) = self.byte_budget {
-            g = g.with_byte_budget(b);
-        }
-        g
     }
 }
 

@@ -612,13 +612,6 @@ impl Io {
         Io::default()
     }
 
-    /// A handle over an explicit backend.
-    pub fn with_backend(backend: Arc<dyn IoBackend>) -> Io {
-        let io = Io::default();
-        io.set_backend(backend);
-        io
-    }
-
     /// A handle honouring [`FAULTS_ENV`] (test-only): a valid spec installs
     /// a [`FaultyIo`], anything else (unset, empty, `off`) is the real
     /// backend. A malformed spec is reported on stderr and ignored.

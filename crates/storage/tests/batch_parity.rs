@@ -437,3 +437,45 @@ proptest! {
         }
     }
 }
+
+/// `expr` projected over `(c0, c1)` Int rows on the row drive and on the
+/// batch drive at several batch sizes; they must agree before the outcome
+/// is returned.
+fn project_on_both_drives(expr: &Expr, rows: &[(i64, i64)]) -> Result<Vec<Value>, StorageError> {
+    let seeds: Vec<RowSeed> = rows
+        .iter()
+        .map(|(a, b)| ((1, *a), (1, *b), (0, 0), (0, 0)))
+        .collect();
+    let table = build_table("t", &[ColType::Int, ColType::Int], &seeds);
+    let run = |batch: usize, batched: bool| {
+        let scan = Box::new(TableScan::new(Arc::clone(&table)).with_batch_size(batch));
+        let plan = Box::new(Project::new(scan, vec![("v".to_string(), expr.clone())])?);
+        let out = match batched {
+            true => collect_batched("out", plan)?.0,
+            false => collect("out", plan)?,
+        };
+        Ok(out.rows().iter().map(|r| r[0].clone()).collect())
+    };
+    let want: Result<Vec<Value>, StorageError> = run(1024, false);
+    for batch in [1usize, 3, 1024] {
+        assert_eq!(run(batch, true), want, "batch size {batch}: {expr}");
+    }
+    want
+}
+
+#[test]
+fn the_one_quotient_that_does_not_fit_is_a_typed_error_and_negation_wraps() {
+    let c = |i: usize| Expr::col(format!("c{i}"));
+    let overflow = Err(StorageError::Eval("integer overflow".into()));
+    // The failing row comes second: the first divides cleanly.
+    let rows = [(i64::MIN, 2), (i64::MIN, -1)];
+    for op in [BinOp::Div, BinOp::Mod] {
+        assert_eq!(project_on_both_drives(&c(0).bin(op, c(1)), &rows), overflow);
+        let fits = project_on_both_drives(&c(0).bin(op, c(1)), &rows[..1]).unwrap();
+        let want = if op == BinOp::Div { i64::MIN / 2 } else { 0 };
+        assert_eq!(fits, vec![Value::Int(want)]);
+    }
+    // Unary minus follows `+ - *`: it wraps, in every build profile.
+    let negated = project_on_both_drives(&Expr::Neg(Box::new(c(0))), &[(i64::MIN, 0), (7, 0)]);
+    assert_eq!(negated.unwrap(), vec![Value::Int(i64::MIN), Value::Int(-7)]);
+}

@@ -6,11 +6,11 @@
 
 use kath_data::{generate_corpus, mmqa_small, CorpusSpec, MmqaCorpus};
 use kath_exec::{AnomalyEvent, ExecContext, ExecError, RepairEvent};
-use kath_fao::FunctionRegistry;
+use kath_fao::{FunctionBody, FunctionRegistry};
 use kath_model::{ScriptedChannel, SimLlm, TokenMeter, Usage, UserChannel};
 use kath_optimizer::{compile, CompileOptions};
 use kath_parser::{generate_logical_plan, NlParser, PlanVerifier};
-use kath_storage::{CancelToken, Row, StorageError, Table};
+use kath_storage::{CancelToken, ExecMode, Row, StorageError, Table};
 use kathdb::{KathDB, KathError, QueryResult};
 use std::sync::Arc;
 use std::time::Duration;
@@ -132,6 +132,34 @@ fn the_worker_count_shows_in_the_timings_and_nowhere_else() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn every_question_of_an_unpinned_handle_runs_on_the_batch_drive() {
+    let corpus = mmqa_small();
+    let mut unpinned = handle(&corpus);
+    let mut reference = handle(&corpus);
+    reference.set_exec_mode(ExecMode::Volcano);
+    for variant in [0, 1] {
+        let result = ask(&mut unpinned, variant).unwrap();
+        assert_eq!(unpinned.context().exec_mode, ExecMode::default());
+        let mut sql_nodes_run = 0;
+        for node in result.exec.timings.iter().filter(|t| !t.reused) {
+            let entry = unpinned.registry().get(&node.func_id).unwrap();
+            if matches!(entry.active_version().body, FunctionBody::Sql { .. }) {
+                assert!(node.batches_out >= 1, "{} pulled no batch", node.func_id);
+                sql_nodes_run += 1;
+            }
+        }
+        assert!(sql_nodes_run > 0, "question {variant} ran no SQL node");
+        let on_the_reference = ask(&mut reference, variant).unwrap();
+        assert_eq!(reference.context().exec_mode, ExecMode::Volcano);
+        assert_eq!(
+            see(&unpinned, result),
+            see(&reference, on_the_reference),
+            "question {variant}"
+        );
     }
 }
 
