@@ -50,7 +50,9 @@ use kath_fao::FunctionRegistry;
 use kath_json::to_string_pretty;
 use kath_lineage::DataKind;
 use kath_model::{SimLlm, TokenMeter, Usage, UserChannel};
-use kath_optimizer::{choose_strategy, compile, CompileOptions, CompileReport};
+use kath_optimizer::{
+    choose_strategy, compile, estimate_function_over, CompileOptions, CompileReport,
+};
 use kath_parser::{
     generate_logical_plan, LogicalPlan, NlParser, ParseOutcome, PlanVerifier, VerifierReport,
 };
@@ -576,22 +578,25 @@ impl KathDB {
     /// What the strategy rule reads of a compiled plan: the rows of its
     /// largest node input, and the estimated milliseconds of its costliest
     /// profiled model-call node, whose compute phase divides over workers
-    /// whatever the row count.
+    /// whatever the row count. On a first question such a node's input does
+    /// not exist yet; it is priced over that largest input, never over the
+    /// four rows it was profiled on.
     fn plan_inputs(&self, plan: &PhysicalPlan) -> (usize, f64) {
         let snapshot = self.ctx.catalog.snapshot();
-        let (mut input_rows, mut model_ms) = (0usize, 0.0f64);
-        for node in &plan.nodes {
-            let Ok(entry) = self.registry.get(&node.func_id) else {
-                continue;
-            };
-            let body = &entry.active_version().body;
-            input_rows = input_rows.max(session::largest_input(&snapshot, body.inputs()));
-            if body.calls_model() {
-                let estimate =
-                    kath_optimizer::estimate_function(&self.registry, &snapshot, &node.func_id);
-                model_ms = model_ms.max(estimate.map_or(0.0, |e| e.runtime_ms));
-            }
-        }
+        let bodies: Vec<_> = (plan.nodes.iter())
+            .filter_map(|node| Some((node, self.registry.get(&node.func_id).ok()?)))
+            .map(|(node, entry)| (node.func_id.as_str(), &entry.active_version().body))
+            .collect();
+        let input_rows = (bodies.iter())
+            .map(|(_, body)| session::largest_input(&snapshot, body.inputs()))
+            .max()
+            .unwrap_or(0);
+        let model_ms = (bodies.iter())
+            .filter(|(_, body)| body.calls_model())
+            .filter_map(|(func_id, _)| {
+                estimate_function_over(&self.registry, &snapshot, func_id, Some(input_rows))
+            })
+            .fold(0.0, |ms, estimate| estimate.runtime_ms.max(ms));
         (input_rows, model_ms)
     }
 
@@ -789,6 +794,82 @@ mod tests {
         ]);
         let result = db.query(FLAGSHIP, channel.as_ref()).unwrap();
         (db, result)
+    }
+
+    /// The strategy rule's inputs on a fresh handle come from the base
+    /// table, not from the four rows a model-call node was profiled on: its
+    /// input does not exist before the first run.
+    #[test]
+    fn a_first_question_prices_model_nodes_over_the_base_table() {
+        use kath_fao::ProfileStats;
+        use kath_optimizer::{strategy_capped, StrategyPins, WORKER_STARTUP_MS};
+
+        let mut db = KathDB::new(42);
+        let corpus = kath_data::generate_corpus(&kath_data::CorpusSpec {
+            movies: 1000,
+            ..kath_data::CorpusSpec::default()
+        });
+        db.load_corpus(&corpus).unwrap();
+        // Compile as `query` does, and stop before the run.
+        let channel = ScriptedChannel::new([
+            "The movie plot contains scenes that are uncommon in real life",
+            "OK",
+        ]);
+        let parse = NlParser::new(db.ctx.llm.clone()).parse(FLAGSHIP, channel.as_ref());
+        let logical = generate_logical_plan(&parse.sketch, "movie_table");
+        let options = CompileOptions::default();
+        let report = compile(
+            &logical,
+            &db.ctx,
+            &mut db.registry,
+            &parse.clarifications,
+            &options,
+        )
+        .unwrap();
+        let plan = report.physical;
+        assert!(!db.ctx.catalog.contains("films_with_text"));
+
+        // Whatever four calls happened to cost when they were profiled —
+        // here, a tenth of what a second worker must save to pay for itself.
+        let four_calls_ms = 0.2 * WORKER_STARTUP_MS;
+        let profile = |runtime_ms| ProfileStats {
+            runtime_ms,
+            tokens: 40,
+            rows_in: options.sample_size,
+            rows_out: options.sample_size,
+            accuracy: Some(1.0),
+        };
+        for func in ["gen_excitement_score", "classify_boring"] {
+            let ver = db.registry.get(func).unwrap().active_version().ver_id;
+            db.registry
+                .set_profile(func, ver, profile(four_calls_ms))
+                .unwrap();
+        }
+        let (input_rows, model_ms) = db.plan_inputs(&plan);
+        assert_eq!(input_rows, 1000);
+        assert!(model_ms >= 100.0 * four_calls_ms, "{model_ms} ms");
+        assert_eq!(
+            model_ms,
+            four_calls_ms * (1000 / options.sample_size) as f64
+        );
+        let free = StrategyPins::default();
+        assert_eq!(strategy_capped(free, input_rows, model_ms, 2).1, 2);
+        // The sample's own cost would have kept the plan on one thread.
+        assert_eq!(strategy_capped(free, input_rows, four_calls_ms, 2).1, 1);
+
+        // Once the inputs exist they are what the estimate scales by: the
+        // scored table holds every film, the classified one the same.
+        let engine = ExecutionEngine::new();
+        engine
+            .run(&mut db.ctx, &mut db.registry, &plan, channel.as_ref())
+            .unwrap();
+        for func in ["gen_excitement_score", "classify_boring"] {
+            let ver = db.registry.get(func).unwrap().active_version().ver_id;
+            db.registry
+                .set_profile(func, ver, profile(four_calls_ms))
+                .unwrap();
+        }
+        assert_eq!(db.plan_inputs(&plan), (input_rows, model_ms));
     }
 
     fn durable_dir(name: &str) -> std::path::PathBuf {
@@ -1080,7 +1161,7 @@ mod tests {
         }
         let db = KathDB::open(&dir).unwrap();
         let lid = db.context().table_lid("logged").expect("lineage root");
-        let edge = db.context().lineage.edges_of(lid)[0];
+        let edge = &db.context().lineage.edges_of(lid)[0];
         assert!(edge.parent_lid.is_none());
         assert!(edge.src_uri.as_deref().unwrap().starts_with("kathdb://"));
         let _ = std::fs::remove_dir_all(dir);

@@ -290,15 +290,8 @@ pub fn id_from_uri(uri: &str) -> Option<i64> {
             }
         })
         .unwrap_or(uri);
-    let digits: String = stem
-        .chars()
-        .rev()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.chars().rev().collect::<String>().parse().ok()
+    let id = stem.trim_end_matches(|c: char| c.is_ascii_digit()).len();
+    stem[id..].parse().ok()
 }
 
 #[cfg(test)]
@@ -314,7 +307,7 @@ mod tests {
         let lid = ctx.ingest_table(t, "file://data/movies").unwrap();
         assert_eq!(ctx.lineage.len(), 1);
         assert_eq!(ctx.table_lid("movie_table"), Some(lid));
-        let e = ctx.lineage.edges_of(lid)[0];
+        let e = &ctx.lineage.edges_of(lid)[0];
         assert_eq!(e.src_uri.as_deref(), Some("file://data/movies"));
         assert!(e.parent_lid.is_none());
     }

@@ -18,7 +18,7 @@
 
 use crate::{id_from_uri, ExecContext, ExecError, Published};
 use kath_fao::{FunctionBody, VisionImpl};
-use kath_lineage::DataKind;
+use kath_lineage::{DataKind, LineageError, LineageRun};
 use kath_media::{Image, MediaError, MediaFormat};
 use kath_model::{SimLlm, SimOcr, SimVlm, VlmCascade};
 use kath_multimodal::{
@@ -493,6 +493,7 @@ fn narrow_transform(
 
     let mut out = Table::new(output_name, out_schema);
     let mut failed_rows = Vec::new();
+    let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
     for (row, computed) in rows.iter().zip(run.computed) {
         match computed {
             Err(msg) => {
@@ -502,9 +503,7 @@ fn narrow_transform(
             Ok(None) => {}
             Ok(Some(extra)) => {
                 let parent = lid_idx.and_then(|i| row[i].as_int()).or(parent_table_lid);
-                let new_lid = ctx.lineage.alloc_lid();
-                ctx.lineage
-                    .record(new_lid, parent, None, func_id, ver_id, DataKind::Row)?;
+                let new_lid = stamp.record(parent)?;
                 let mut out_row = row.clone();
                 match lid_idx {
                     Some(i) => out_row[i] = Value::Int(new_lid),
@@ -602,19 +601,19 @@ fn exec_view_populate(
 }
 
 /// A view population's lid allocator: every view row is a child of the
-/// media collection's root.
-fn row_lids<'a>(
-    ctx: &'a mut ExecContext,
+/// media collection's root, stamped through the node's one lineage run. The
+/// emitters' allocator cannot fail, so the first lineage error is parked in
+/// `failed` and the population returns it once the walk is over.
+fn row_lids<'a, 's>(
+    stamp: &'a mut LineageRun<'s>,
     root: i64,
-    func_id: &'a str,
-    ver_id: u32,
-) -> impl FnMut() -> i64 + 'a {
+    failed: &'a mut Option<LineageError>,
+) -> impl FnMut() -> i64 + use<'a, 's> {
     move || {
-        let l = ctx.lineage.alloc_lid();
-        let _ = ctx
-            .lineage
-            .record(l, Some(root), None, func_id, ver_id, DataKind::Row);
-        l
+        stamp.record(Some(root)).unwrap_or_else(|e| {
+            failed.get_or_insert(e);
+            root
+        })
     }
 }
 
@@ -635,13 +634,17 @@ fn populate_text_views(
     let root = ctx.ingest_media_root("collection://documents")?;
     let mut views = TextGraphViews::empty();
     let mut failed_rows = Vec::new();
-    let mut next_lid = row_lids(ctx, root, func_id, ver_id);
+    let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
+    let mut stamp_failed = None;
+    let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
     for (i, (doc, extraction)) in docs.iter().zip(&run.computed).enumerate() {
         let did = id_from_uri(&doc.uri).unwrap_or(i as i64);
         if let Err(e) = emit_document(&mut views, did, doc, extraction, &mut next_lid) {
             failed_rows.push((doc.uri.clone(), e.to_string()));
         }
     }
+    drop(next_lid);
+    stamp_failed.map_or(Ok(()), Err)?;
     Ok(PopulatedViews {
         root,
         views: vec![
@@ -691,15 +694,16 @@ fn populate_scene_views(
     let root = ctx.ingest_media_root("collection://images")?;
     let mut views = SceneGraphViews::empty();
     let mut failed_rows = Vec::new();
+    let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
+    let mut stamp_failed = None;
+    let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
     for (i, (image, computed)) in images.iter().zip(run.computed).enumerate() {
         let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
         let emitted = match computed {
             Err(e) => Err(e.to_string()),
             Ok((converted, detections)) => {
                 let decodable = converted.as_ref().unwrap_or(image);
-                let mut next_lid = row_lids(ctx, root, func_id, ver_id);
                 let emitted = emit_frame(&mut views, vid, 0, decodable, &detections, &mut next_lid);
-                drop(next_lid);
                 if let Some(converted) = converted {
                     // The conversion step replaces the undecodable file with
                     // a decodable copy; later operators resolve the new URI
@@ -714,6 +718,8 @@ fn populate_scene_views(
             failed_rows.push((image.uri.clone(), msg));
         }
     }
+    drop(next_lid);
+    stamp_failed.map_or(Ok(()), Err)?;
     Ok(PopulatedViews {
         root,
         views: vec![
@@ -848,7 +854,7 @@ mod tests {
         assert_eq!(distinct.len(), 3, "each tuple needs its own lid");
         // Row-level lineage recorded with the films table as parent.
         for l in distinct {
-            let e = c.lineage.edges_of(l)[0];
+            let e = &c.lineage.edges_of(l)[0];
             assert_eq!(e.data_type, DataKind::Row);
             assert_eq!(e.func_id, "gen_recency_score");
         }
@@ -1117,6 +1123,64 @@ mod tests {
         )
         .unwrap();
         assert!(v2.failed_rows.is_empty());
+    }
+
+    #[test]
+    fn a_stamp_phase_returns_the_lineage_error_and_publishes_nothing() {
+        // A lid recorded ahead of the allocator puts whatever a node stamps
+        // next out of allocation order.
+        let planted = |c: &mut ExecContext| {
+            c.lineage
+                .record(1_000, None, None, "planted", 1, DataKind::Table)
+                .unwrap();
+        };
+        for modality in ["text", "scene"] {
+            let mut c = ctx();
+            c.media.add_document(Document::new("doc://plot/1", "Tea."));
+            c.media.add_image(boring_poster("file://posters/1.png"));
+            planted(&mut c);
+            let body = FunctionBody::ViewPopulate {
+                modality: modality.into(),
+                implementation: VisionImpl::VlmAccurate,
+                convert_unsupported: false,
+            };
+            let err = execute_body(&mut c, "populate_views", 1, &body, "views").unwrap_err();
+            assert!(matches!(err, ExecError::Lineage(_)), "{modality}: {err}");
+            assert!(!c.catalog.contains("views"));
+            assert!(!c.catalog.contains(&format!("{modality}_texts")));
+            assert!(!c.catalog.contains(&format!("{modality}_objects")));
+        }
+
+        // The row allocator of a population parks the store's refusal for
+        // the population to return: once the root is in, this is the only
+        // place a view row's edge can be refused.
+        let mut store = kath_lineage::LineageStore::new();
+        let root = store.alloc_lid();
+        store
+            .record(root, None, None, "ingest_media", 1, DataKind::Table)
+            .unwrap();
+        store
+            .record(50, None, None, "planted", 1, DataKind::Table)
+            .unwrap();
+        let mut stamp = store.run("populate_views", 1, DataKind::Row);
+        let mut failed = None;
+        let mut next_lid = row_lids(&mut stamp, root, &mut failed);
+        next_lid();
+        next_lid();
+        drop(next_lid);
+        assert_eq!(failed, Some(LineageError::OutOfOrder { lid: 2, last: 50 }));
+        assert_eq!(store.len(), 2);
+
+        // A narrow transform propagates the same refusal.
+        let mut c = ctx();
+        planted(&mut c);
+        let body = FunctionBody::FilterExpr {
+            input: "films".into(),
+            predicate: "year >= 1988".into(),
+        };
+        let err = execute_body(&mut c, "filter_recent", 1, &body, "recent").unwrap_err();
+        assert!(matches!(err, ExecError::Lineage(_)), "{err}");
+        assert!(!c.catalog.contains("recent"));
     }
 
     #[test]
@@ -1409,17 +1473,8 @@ mod tests {
                 rows: out.table.rows().to_vec(),
                 failed_rows: out.failed_rows,
                 output_lid: out.output_lid,
-                edges: c.lineage.entries()[before..]
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.lid,
-                            e.parent_lid,
-                            e.func_id.clone(),
-                            e.ver_id,
-                            e.data_type,
-                        )
-                    })
+                edges: (c.lineage.entries().skip(before))
+                    .map(|e| (e.lid, e.parent_lid, e.func_id, e.ver_id, e.data_type))
                     .collect(),
             }
         }

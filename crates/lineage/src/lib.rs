@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use kath_storage::{DataType, Schema, StorageError, Table, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -149,6 +149,14 @@ pub enum LineageError {
         /// Offending parent.
         parent: i64,
     },
+    /// Edges must arrive in allocation order: the lid column is
+    /// non-decreasing, which is what lets a lookup be a binary search.
+    OutOfOrder {
+        /// The lid that arrived late.
+        lid: i64,
+        /// The newest lid already recorded.
+        last: i64,
+    },
     /// Unknown lid queried.
     UnknownLid(i64),
     /// Storage error while rendering.
@@ -164,6 +172,9 @@ impl fmt::Display for LineageError {
                     "lineage edge {lid} -> parent {parent} violates allocation order"
                 )
             }
+            LineageError::OutOfOrder { lid, last } => {
+                write!(f, "lineage edge of lid {lid} recorded after lid {last}")
+            }
             LineageError::UnknownLid(l) => write!(f, "unknown lid {l}"),
             LineageError::Storage(e) => write!(f, "{e}"),
         }
@@ -178,14 +189,24 @@ impl From<StorageError> for LineageError {
     }
 }
 
-/// The provenance store: allocates lids and records edges.
+/// The provenance store: allocates lids and records edges. The relation of
+/// Table 3 is held as one — a vector per column, a row per edge in record
+/// order, `(func_id, ver_id)` interned, `src_uri` beside the columns for the
+/// few roots that have one. [`LineageEntry`] is the row reads hand out.
 #[derive(Debug)]
 pub struct LineageStore {
-    entries: Vec<LineageEntry>,
-    // lid -> indexes of entries with that child lid (multi-parent support).
-    by_lid: HashMap<i64, Vec<usize>>,
-    // parent lid -> indexes of entries pointing at it.
-    by_parent: HashMap<i64, Vec<usize>>,
+    /// Non-decreasing ([`LineageStore::record`] checks it): the edges of a
+    /// lid are one contiguous run of rows, found by binary search.
+    lids: Vec<i64>,
+    parents: Vec<Option<i64>>,
+    /// Index into `funcs`.
+    func_ix: Vec<u32>,
+    kinds: Vec<DataKind>,
+    ts: Vec<f64>,
+    /// Row → `src_uri`, for the rows that have one.
+    src_uris: BTreeMap<usize, String>,
+    /// The distinct `(func_id, ver_id)` pairs, in first-use order.
+    funcs: Vec<(String, u32)>,
     next_lid: i64,
     row_counter: u64,
     /// Recording policy.
@@ -202,45 +223,45 @@ impl Default for LineageStore {
 impl LineageStore {
     /// A fresh store with full recording.
     pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            by_lid: HashMap::new(),
-            by_parent: HashMap::new(),
-            next_lid: 1,
-            row_counter: 0,
-            policy: LineagePolicy::Full,
-            started: Instant::now(), // lint: nondet-ok — lineage-store age telemetry only
-        }
+        Self::with_policy(LineagePolicy::Full)
     }
 
     /// A store with an explicit policy.
     pub fn with_policy(policy: LineagePolicy) -> Self {
         Self {
+            lids: Vec::new(),
+            parents: Vec::new(),
+            func_ix: Vec::new(),
+            kinds: Vec::new(),
+            ts: Vec::new(),
+            src_uris: BTreeMap::new(),
+            funcs: Vec::new(),
+            next_lid: 1,
+            row_counter: 0,
             policy,
-            ..Self::new()
+            started: Instant::now(), // lint: nondet-ok — lineage-store age telemetry only
         }
     }
 
     /// Allocates the next lid (monotonically increasing, §4).
     pub fn alloc_lid(&mut self) -> i64 {
-        let l = self.next_lid;
         self.next_lid += 1;
-        l
+        self.next_lid - 1
     }
 
     /// Number of recorded edges.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lids.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lids.is_empty()
     }
 
     /// Records one edge. Parent lids must be older than the child lid,
-    /// which makes the graph a DAG by construction. Returns whether the
-    /// policy admitted the edge.
+    /// which makes the graph a DAG by construction, and edges must arrive
+    /// in allocation order. Returns whether the policy admitted the edge.
     pub fn record(
         &mut self,
         lid: i64,
@@ -250,115 +271,172 @@ impl LineageStore {
         ver_id: u32,
         data_type: DataKind,
     ) -> Result<bool, LineageError> {
-        if data_type == DataKind::Row {
-            self.row_counter += 1;
+        let run = self.run(func_id, ver_id, data_type);
+        let (func, ts) = (run.func, run.ts);
+        let admitted = self.append(lid, parent_lid, func, data_type, ts)?;
+        if let (true, Some(uri)) = (admitted, src_uri) {
+            self.src_uris.insert(self.len() - 1, uri);
         }
-        // Policy admission runs first: stores used purely for profiling
-        // (policy Off) accept foreign lids without order checks.
-        if !self.policy.admits(data_type, self.row_counter) {
-            return Ok(false);
-        }
-        if let Some(p) = parent_lid {
-            if p >= lid {
-                return Err(LineageError::ParentNotOlder { lid, parent: p });
-            }
-        }
-        let idx = self.entries.len();
-        self.entries.push(LineageEntry {
-            lid,
-            parent_lid,
-            src_uri,
-            func_id: func_id.to_string(),
-            ver_id,
+        Ok(admitted)
+    }
+
+    /// Begins one run — the edges a node stamps in one go, all by `func_id`
+    /// version `ver_id` at one granularity and one `ts`: the function is
+    /// interned (a session names a few dozen) and the clock read here,
+    /// once, and [`LineageRun::record`] only appends to the columns.
+    pub fn run(&mut self, func_id: &str, ver_id: u32, data_type: DataKind) -> LineageRun<'_> {
+        let known = |(f, v): &(String, u32)| f == func_id && *v == ver_id;
+        let func = self.funcs.iter().rposition(known).unwrap_or_else(|| {
+            self.funcs.push((func_id.to_string(), ver_id));
+            self.funcs.len() - 1
+        });
+        LineageRun {
+            func: func as u32,
             data_type,
             ts: self.started.elapsed().as_secs_f64(),
-        });
-        self.by_lid.entry(lid).or_default().push(idx);
-        if let Some(p) = parent_lid {
-            self.by_parent.entry(p).or_default().push(idx);
+            store: self,
         }
+    }
+
+    /// Appends the edge `lid <- parent_lid` if the policy admits it.
+    /// Admission runs first: stores used purely for profiling (policy Off)
+    /// accept foreign lids without order checks.
+    fn append(
+        &mut self,
+        lid: i64,
+        parent_lid: Option<i64>,
+        func: u32,
+        kind: DataKind,
+        ts: f64,
+    ) -> Result<bool, LineageError> {
+        self.row_counter += u64::from(kind == DataKind::Row);
+        if !self.policy.admits(kind, self.row_counter) {
+            return Ok(false);
+        }
+        match (parent_lid, self.lids.last()) {
+            (Some(parent), _) if parent >= lid => {
+                return Err(LineageError::ParentNotOlder { lid, parent })
+            }
+            (_, Some(&last)) if lid < last => return Err(LineageError::OutOfOrder { lid, last }),
+            _ => {}
+        }
+        self.lids.push(lid);
+        self.parents.push(parent_lid);
+        self.func_ix.push(func);
+        self.kinds.push(kind);
+        self.ts.push(ts);
         Ok(true)
     }
 
+    /// The rows whose child is `lid` (one per parent: a handful at most).
+    fn rows_of(&self, lid: i64) -> std::ops::Range<usize> {
+        let start = self.lids.partition_point(|&l| l < lid);
+        let edges = self.lids[start..].iter().take_while(|&&l| l == lid);
+        start..start + edges.count()
+    }
+
+    /// Row `row` of the relation.
+    fn entry(&self, row: usize) -> LineageEntry {
+        let (func_id, ver_id) = self.funcs[self.func_ix[row] as usize].clone();
+        LineageEntry {
+            lid: self.lids[row],
+            parent_lid: self.parents[row],
+            src_uri: self.src_uris.get(&row).cloned(),
+            func_id,
+            ver_id,
+            data_type: self.kinds[row],
+            ts: self.ts[row],
+        }
+    }
+
     /// All edges whose child is `lid` (one per parent).
-    pub fn edges_of(&self, lid: i64) -> Vec<&LineageEntry> {
-        self.by_lid
-            .get(&lid)
-            .map(|ix| ix.iter().map(|&i| &self.entries[i]).collect())
-            .unwrap_or_default()
+    pub fn edges_of(&self, lid: i64) -> Vec<LineageEntry> {
+        self.rows_of(lid).map(|row| self.entry(row)).collect()
     }
 
     /// Parent lids of `lid`.
     pub fn parents(&self, lid: i64) -> Vec<i64> {
-        self.edges_of(lid)
-            .iter()
-            .filter_map(|e| e.parent_lid)
-            .collect()
+        let parents = self.parents[self.rows_of(lid)].iter();
+        parents.flatten().copied().collect()
     }
 
-    /// Child lids derived (directly) from `lid`.
+    /// Child lids derived (directly) from `lid`: a scan of the parent
+    /// column, ascending because the lid column is.
     pub fn children(&self, lid: i64) -> Vec<i64> {
-        let mut out: Vec<i64> = self
-            .by_parent
-            .get(&lid)
-            .map(|ix| ix.iter().map(|&i| self.entries[i].lid).collect())
-            .unwrap_or_default();
-        out.sort_unstable();
+        let edges = self.lids.iter().zip(&self.parents);
+        let edges = edges.filter(|(_, p)| **p == Some(lid));
+        let mut out: Vec<i64> = edges.map(|(l, _)| *l).collect();
         out.dedup();
         out
     }
 
     /// Whether a lid is known.
     pub fn contains(&self, lid: i64) -> bool {
-        self.by_lid.contains_key(&lid)
+        !self.rows_of(lid).is_empty()
     }
 
     /// All edges in insertion order.
-    pub fn entries(&self) -> &[LineageEntry] {
-        &self.entries
+    pub fn entries(&self) -> impl Iterator<Item = LineageEntry> + '_ {
+        (0..self.len()).map(|row| self.entry(row))
     }
 
     /// Full derivation trace of `lid`: the entry's edges plus recursively
     /// traced parents. Terminates because parents are strictly older.
     pub fn trace(&self, lid: i64) -> Result<DerivationTrace, LineageError> {
-        if !self.contains(lid) {
-            return Err(LineageError::UnknownLid(lid));
-        }
-        Ok(self.trace_inner(lid))
+        self.trace_known(lid).ok_or(LineageError::UnknownLid(lid))
     }
 
-    fn trace_inner(&self, lid: i64) -> DerivationTrace {
-        let edges: Vec<LineageEntry> = self.edges_of(lid).into_iter().cloned().collect();
-        let mut parents = Vec::new();
-        for e in &edges {
-            if let Some(p) = e.parent_lid {
-                if self.contains(p) {
-                    parents.push(self.trace_inner(p));
-                }
-            }
+    /// The trace of `lid`, if it is known: one lookup per lid visited.
+    fn trace_known(&self, lid: i64) -> Option<DerivationTrace> {
+        let rows = self.rows_of(lid);
+        if rows.is_empty() {
+            return None;
         }
-        DerivationTrace {
+        let edges: Vec<LineageEntry> = rows.map(|row| self.entry(row)).collect();
+        let parents = edges.iter().filter_map(|e| e.parent_lid);
+        Some(DerivationTrace {
             lid,
+            parents: parents.filter_map(|p| self.trace_known(p)).collect(),
             edges,
-            parents,
-        }
+        })
     }
 
     /// Renders the store as the exact Table 3 relation.
     pub fn as_table(&self) -> Result<Table, LineageError> {
-        let mut t = Table::new("Lineage", lineage_schema());
-        for e in &self.entries {
-            t.push(vec![
+        let row = |e: LineageEntry| {
+            vec![
                 Value::Int(e.lid),
                 e.parent_lid.map(Value::Int).unwrap_or(Value::Null),
-                e.src_uri.clone().map(Value::Str).unwrap_or(Value::Null),
-                Value::Str(e.func_id.clone()),
+                e.src_uri.map(Value::Str).unwrap_or(Value::Null),
+                Value::Str(e.func_id),
                 Value::Int(e.ver_id as i64),
                 Value::Str(e.data_type.to_string()),
                 Value::Float(e.ts),
-            ])?;
-        }
-        Ok(t)
+            ]
+        };
+        let rows = self.entries().map(row).collect();
+        Ok(Table::from_rows("Lineage", lineage_schema(), rows)?)
+    }
+}
+
+/// One [`LineageStore::run`]: every edge it records gets the next lid, the
+/// run's function and the run's `ts`.
+#[derive(Debug)]
+pub struct LineageRun<'a> {
+    store: &'a mut LineageStore,
+    func: u32,
+    data_type: DataKind,
+    ts: f64,
+}
+
+impl LineageRun<'_> {
+    /// Allocates the next lid and records its edge from `parent_lid` under
+    /// the store's policy, with the checks of [`LineageStore::record`].
+    pub fn record(&mut self, parent_lid: Option<i64>) -> Result<i64, LineageError> {
+        let lid = self.store.alloc_lid();
+        let (func, kind) = (self.func, self.data_type);
+        self.store.append(lid, parent_lid, func, kind, self.ts)?;
+        Ok(lid)
     }
 }
 
@@ -555,6 +633,69 @@ mod tests {
     }
 
     #[test]
+    fn edges_must_arrive_in_allocation_order() {
+        let mut s = LineageStore::new();
+        let (a, b) = (s.alloc_lid(), s.alloc_lid());
+        s.record(b, None, None, "f", 1, DataKind::Table).unwrap();
+        // A second edge of the newest lid is in order; an older lid is late.
+        s.record(b, Some(a), None, "f", 1, DataKind::Table).unwrap();
+        assert_eq!(
+            s.record(a, None, None, "f", 1, DataKind::Table),
+            Err(LineageError::OutOfOrder { lid: a, last: b })
+        );
+        assert_eq!(s.len(), 2);
+        // A run allocates past everything recorded, so only a planted lid
+        // can put it out of order.
+        s.record(100, None, None, "f", 1, DataKind::Table).unwrap();
+        let late = s.run("g", 1, DataKind::Row).record(Some(b));
+        assert_eq!(late, Err(LineageError::OutOfOrder { lid: 3, last: 100 }));
+        // A store that records nothing checks nothing.
+        let mut off = LineageStore::with_policy(LineagePolicy::Off);
+        assert_eq!(
+            off.record(9, None, None, "f", 1, DataKind::Table),
+            Ok(false)
+        );
+        assert_eq!(
+            off.record(2, Some(5), None, "f", 1, DataKind::Row),
+            Ok(false)
+        );
+    }
+
+    #[test]
+    fn a_run_is_consecutive_lids_one_function_one_ts() {
+        let mut s = paper_like_store();
+        let before = s.len();
+        let mut run = s.run("gen_excitement_score", 2, DataKind::Row);
+        let lids: Vec<i64> = (0..4).map(|_| run.record(Some(5)).unwrap()).collect();
+        assert_eq!(lids, vec![7, 8, 9, 10]);
+        assert!(matches!(
+            run.record(Some(11)),
+            Err(LineageError::ParentNotOlder {
+                lid: 11,
+                parent: 11
+            })
+        ));
+        assert_eq!(s.alloc_lid(), 12);
+        let stamped: Vec<LineageEntry> = s.entries().skip(before).collect();
+        assert_eq!(stamped.len(), 4);
+        for (e, lid) in stamped.iter().zip(lids) {
+            assert_eq!((e.lid, e.parent_lid, e.ver_id), (lid, Some(5), 2));
+            assert_eq!(e.func_id, "gen_excitement_score");
+            assert_eq!((e.data_type, e.ts), (DataKind::Row, stamped[0].ts));
+            assert_eq!(e.src_uri, None);
+        }
+        assert_eq!(s.children(5), vec![6, 7, 8, 9, 10]);
+        // Sampled(2) keeps every second row edge of a run, as of single records.
+        let mut sampled = LineageStore::with_policy(LineagePolicy::Sampled(2));
+        let mut run = sampled.run("f", 1, DataKind::Row);
+        for _ in 0..5 {
+            run.record(None).unwrap();
+        }
+        let kept: Vec<i64> = sampled.entries().map(|e| e.lid).collect();
+        assert_eq!(kept, vec![2, 4]);
+    }
+
+    #[test]
     fn unknown_lid_errors() {
         let s = paper_like_store();
         assert!(matches!(s.trace(999), Err(LineageError::UnknownLid(999))));
@@ -615,7 +756,7 @@ mod tests {
         let a = s.alloc_lid();
         s.record(a, None, None, "classify_boring", 3, DataKind::Row)
             .unwrap();
-        let e = s.edges_of(a)[0];
+        let e = &s.edges_of(a)[0];
         assert_eq!(e.ver_id, 3);
         assert_eq!(e.func_id, "classify_boring");
     }

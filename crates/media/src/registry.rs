@@ -9,7 +9,7 @@
 //! descriptor.
 
 use crate::{Document, Image, MediaError, Video};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,10 +28,15 @@ pub enum MediaKind {
 /// different contents, even across registries.
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
-/// One collection: its entries by URI and the identity of its contents.
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed) // lint: relaxed-ok — only the uniqueness of the value matters; no memory is published under it
+}
+
+/// One collection: its entries in URI order and the identity of its
+/// contents.
 #[derive(Debug, Clone)]
 struct Collection<T> {
-    items: Arc<HashMap<String, T>>,
+    items: Arc<BTreeMap<String, T>>,
     /// 0 for the empty collection a registry starts with; every mutation
     /// takes a fresh value. A clone keeps the stamp: same contents.
     stamp: u64,
@@ -47,8 +52,8 @@ impl<T> Default for Collection<T> {
 }
 
 impl<T: Clone> Collection<T> {
-    fn items_mut(&mut self) -> &mut HashMap<String, T> {
-        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — only the uniqueness of the value matters; no memory is published under it
+    fn items_mut(&mut self) -> &mut BTreeMap<String, T> {
+        self.stamp = fresh_stamp();
         Arc::make_mut(&mut self.items)
     }
 
@@ -58,11 +63,13 @@ impl<T: Clone> Collection<T> {
             .ok_or_else(|| MediaError::NotFound(uri.to_string()))
     }
 
-    /// Entries sorted by URI for deterministic iteration.
-    fn sorted(&self, uri: impl Fn(&T) -> &str) -> Vec<&T> {
-        let mut v: Vec<&T> = self.items.values().collect();
-        v.sort_by(|a, b| uri(a).cmp(uri(b)));
-        v
+    /// Drops the entries `keep` refuses. Copies the kept ones only, never
+    /// the collection it shares with a clone.
+    fn retain(&mut self, keep: impl Fn(&T) -> bool) {
+        let kept = self.items.iter().filter(|(_, item)| keep(item));
+        let kept = kept.map(|(uri, item)| (uri.clone(), item.clone()));
+        self.items = Arc::new(kept.collect());
+        self.stamp = fresh_stamp();
     }
 }
 
@@ -123,19 +130,30 @@ impl MediaRegistry {
         self.videos.get(uri)
     }
 
-    /// All images, sorted by URI for deterministic iteration.
+    /// All images, in URI order for deterministic iteration.
     pub fn images(&self) -> Vec<&Image> {
-        self.images.sorted(|i| &i.uri)
+        self.images.items.values().collect()
     }
 
-    /// All documents, sorted by URI.
+    /// All documents, in URI order.
     pub fn documents(&self) -> Vec<&Document> {
-        self.documents.sorted(|d| &d.uri)
+        self.documents.items.values().collect()
     }
 
-    /// All videos, sorted by URI.
+    /// All videos, in URI order.
     pub fn videos(&self) -> Vec<&Video> {
-        self.videos.sorted(|v| &v.uri)
+        self.videos.items.values().collect()
+    }
+
+    /// Keeps only the images `keep` accepts (a profiling context samples
+    /// its media the way it samples its tables).
+    pub fn retain_images(&mut self, keep: impl Fn(&Image) -> bool) {
+        self.images.retain(keep);
+    }
+
+    /// Keeps only the documents `keep` accepts.
+    pub fn retain_documents(&mut self, keep: impl Fn(&Document) -> bool) {
+        self.documents.retain(keep);
     }
 
     /// Counts: (images, documents, videos).

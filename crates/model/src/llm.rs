@@ -7,7 +7,8 @@
 //! scoring direction) the critic/repair loops must catch (§4, §5).
 
 use crate::{KnowledgeBase, TokenMeter};
-use kath_vector::{cosine, fnv1a, Embedding, TextEmbedder};
+use kath_vector::{cosine_from_parts, dot, fnv1a, norm, Embedding, TextEmbedder};
+use std::sync::Arc;
 
 /// A clarification question raised by the reviewer agent (§5).
 #[derive(Debug, Clone, PartialEq)]
@@ -41,10 +42,11 @@ pub struct FaultPlan {
     pub assume_one_to_one: bool,
 }
 
-/// The simulated LLM.
+/// The simulated LLM. Cloning shares the knowledge base and the embedder's
+/// tables.
 #[derive(Debug, Clone)]
 pub struct SimLlm {
-    kb: KnowledgeBase,
+    kb: Arc<KnowledgeBase>,
     embedder: TextEmbedder,
     meter: TokenMeter,
     seed: u64,
@@ -55,7 +57,7 @@ pub struct SimLlm {
 impl SimLlm {
     /// Builds a model over the standard knowledge base.
     pub fn new(seed: u64, meter: TokenMeter) -> Self {
-        let kb = KnowledgeBase::new();
+        let kb = Arc::new(KnowledgeBase::new());
         let embedder = TextEmbedder::new(kb.lexicon().clone(), seed);
         Self {
             kb,
@@ -126,11 +128,13 @@ impl SimLlm {
     }
 
     /// Prepares [`SimLlm::concept_score`] for many texts against one keyword
-    /// list: the keywords are embedded here, once, instead of once per text.
+    /// list: the keywords are embedded and their norms taken here, once,
+    /// instead of once per text and once per sentence.
     pub fn concept_scorer(&self, keywords: &[String]) -> ConceptScorer<'_> {
+        let embedded = keywords.iter().map(|k| self.embedder.embed(k));
         ConceptScorer {
             llm: self,
-            kw_vecs: keywords.iter().map(|k| self.embedder.embed(k)).collect(),
+            kw_vecs: embedded.map(|kv| (norm(&kv), kv)).collect(),
         }
     }
 
@@ -232,7 +236,8 @@ impl SimLlm {
 #[derive(Debug)]
 pub struct ConceptScorer<'a> {
     llm: &'a SimLlm,
-    kw_vecs: Vec<Embedding>,
+    /// Each keyword's norm and embedding.
+    kw_vecs: Vec<(f32, Embedding)>,
 }
 
 impl ConceptScorer<'_> {
@@ -254,10 +259,11 @@ impl ConceptScorer<'_> {
         let mut n = 0usize;
         for s in sentences {
             let sv = self.llm.embedder.embed(s);
+            let sn = norm(&sv);
             let m = self
                 .kw_vecs
                 .iter()
-                .map(|kv| cosine(&sv, kv) as f64)
+                .map(|(kn, kv)| cosine_from_parts(dot(&sv, kv), sn, *kn) as f64)
                 .fold(0.0f64, f64::max);
             best = best.max(m);
             sum += m;
@@ -275,6 +281,7 @@ impl ConceptScorer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kath_vector::cosine;
 
     fn llm() -> SimLlm {
         SimLlm::new(42, TokenMeter::new())

@@ -4,12 +4,13 @@
 
 use crate::coder::{synthesize, CoderContext, CoderFaults};
 use crate::rewrite::{rewrite_plan, RewriteEvent};
-use kath_exec::{execute_body, ExecContext, ExecError, PhysicalNode, PhysicalPlan};
+use kath_exec::{execute_body, id_from_uri, ExecContext, ExecError, PhysicalNode, PhysicalPlan};
 use kath_fao::{FunctionBody, FunctionRegistry, FunctionSignature, ProfileStats, VisionImpl};
 use kath_lineage::{LineagePolicy, LineageStore};
 use kath_model::Verdict;
 use kath_parser::{LogicalPlan, StepTag};
 use kath_storage::Table;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,7 +128,8 @@ pub fn compile(
                 // Downstream coding reads the views' schemas. When the
                 // caller's context still holds the views the engine is about
                 // to reuse, the sample context shares those tables;
-                // otherwise it populates its own from the full media store.
+                // otherwise it populates its own from the media its sampled
+                // rows reference.
                 match ctx.reusable(func, &active.body, &output) {
                     Some(record) => {
                         for published in record.outputs() {
@@ -135,6 +137,7 @@ pub fn compile(
                         }
                     }
                     None => {
+                        sample_media(&mut sample_ctx, modality);
                         let _ = execute_body(&mut sample_ctx, func, active.ver_id, &body, &output);
                     }
                 }
@@ -371,9 +374,36 @@ fn agreement(reference: &Table, candidate: &Table) -> f64 {
     matches as f64 / reference.len() as f64
 }
 
-/// Builds the profiling context: sampled base tables, full media, fresh
-/// lineage with recording off. A table whose first rows cannot be read
-/// fails the compile with the storage error.
+/// Samples the media collection the `modality` half populates its views
+/// from, the way the tables were sampled: a document (image) stays when its
+/// URI's id ([`id_from_uri`]) is the `did` (`vid`) of a sampled row — all a
+/// sample join can reach — or when its URI carries no id. A collection no
+/// sampled table keys stays whole.
+fn sample_media(sample: &mut ExecContext, modality: &str) {
+    let column = if modality == "text" { "did" } else { "vid" };
+    let snapshot = sample.catalog.snapshot();
+    let mut ids: Option<HashSet<i64>> = None;
+    for name in snapshot.table_names() {
+        let Ok(table) = snapshot.get(name) else {
+            continue;
+        };
+        if let Some(i) = table.schema().index_of(column) {
+            let keys = table.rows().iter().filter_map(|r| r[i].as_int());
+            ids.get_or_insert_default().extend(keys);
+        }
+    }
+    let Some(ids) = ids else { return };
+    let keep = |uri: &str| id_from_uri(uri).is_none_or(|id| ids.contains(&id));
+    match modality {
+        "text" => sample.media.retain_documents(|d| keep(&d.uri)),
+        _ => sample.media.retain_images(|i| keep(&i.uri)),
+    }
+}
+
+/// Builds the profiling context: sampled base tables, the caller's media
+/// (shared; [`sample_media`] narrows a collection when a population is
+/// about to read it), fresh lineage with recording off. A table whose first
+/// rows cannot be read fails the compile with the storage error.
 fn build_sample_ctx(ctx: &ExecContext, sample_size: usize) -> Result<ExecContext, ExecError> {
     let mut sample = ExecContext::new(ctx.llm.clone());
     sample.lineage = LineageStore::with_policy(LineagePolicy::Off);
@@ -623,11 +653,51 @@ mod tests {
         assert_eq!(registry, registered);
         assert_eq!(first - second, 3);
 
-        // A new image: only the scene half is populated on the sample again.
+        // A new image: only the scene half is populated on the sample again,
+        // from the posters of the three sampled rows — not from the new one,
+        // which no sampled `vid` names.
         ctx.media
             .add_image(Image::new("file://posters/9.png", MediaFormat::Png));
         let (_, third) = compile_calls(&ctx, &mut registry);
-        assert_eq!(third - second, 4);
+        assert_eq!(third - second, 3);
+    }
+
+    /// `movies` films, each with a plot and a poster, every third poster
+    /// vivid; no views yet.
+    fn wide_ctx(movies: i64) -> ExecContext {
+        let mut ctx = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
+        let schema = full_ctx()
+            .catalog
+            .get("movie_table")
+            .unwrap()
+            .schema()
+            .clone();
+        let mut table = Table::new("movie_table", schema);
+        for id in 1..=movies {
+            let row = vec![
+                id.into(),
+                format!("Film {id}").into(),
+                (1960 + id % 60).into(),
+                id.into(),
+                id.into(),
+            ];
+            table.push(row).unwrap();
+            let plot = match id % 2 {
+                0 => "A gun fight and a murder. A man jumped off a plane.",
+                _ => "A calm recovery. Tea in a quiet garden.",
+            };
+            ctx.media
+                .add_document(Document::new(format!("doc://plot/{id}"), plot));
+            let poster = Image::new(format!("file://posters/{id}.png"), MediaFormat::Png);
+            ctx.media.add_image(match id % 3 {
+                0 => poster
+                    .with_color(Color::rgb(230, 30, 30))
+                    .with_object(ImageObject::new("explosion", BBox::new(0.6, 0.1, 0.9, 0.4))),
+                _ => poster.with_color(Color::rgb(110, 110, 110)),
+            });
+        }
+        ctx.ingest_table(table, "file://data/movies").unwrap();
+        ctx
     }
 
     #[test]
@@ -639,8 +709,75 @@ mod tests {
             sample.catalog.get("movie_table").unwrap().name(),
             "movie_table"
         );
-        // Media still fully available for the view-population sample run.
-        assert_eq!(sample.media.counts().0, 3);
+
+        // Media is sampled like the tables: what a compile with no views to
+        // adopt spends on model calls follows `sample_size`, not the size
+        // of the collections.
+        let compile_calls = |movies: i64, sample_size: usize| {
+            let ctx = wide_ctx(movies);
+            let (logical, clars) = flagship_logical(&ctx);
+            let mut registry = FunctionRegistry::new();
+            let opts = CompileOptions {
+                sample_size,
+                ..CompileOptions::default()
+            };
+            let before = ctx.llm.meter().usage().calls;
+            let report = compile(&logical, &ctx, &mut registry, &clars, &opts).unwrap();
+            // Every downstream node is still coded, and OCR still loses.
+            assert_eq!(report.physical.nodes.len(), 12);
+            let chosen = &registry
+                .get("classify_boring")
+                .unwrap()
+                .active_version()
+                .body;
+            assert!(matches!(
+                chosen,
+                FunctionBody::VisualClassify { implementation, .. }
+                    if *implementation != VisionImpl::Ocr
+            ));
+            // The caller's media is untouched.
+            assert_eq!(ctx.media.counts(), (movies as usize, movies as usize, 0));
+            (ctx.llm.meter().usage().calls - before) as usize
+        };
+        let small = compile_calls(40, 4);
+        assert_eq!(compile_calls(1_000, 4), small);
+        assert!(small <= 10 * 4, "{small} calls for 4 sample rows");
+        let double = compile_calls(1_000, 8);
+        assert!(small < double && double <= 10 * 8, "{double} calls for 8");
+    }
+
+    #[test]
+    fn media_no_sampled_row_keys_stays_whole() {
+        // No `did`/`vid` column anywhere: both collections stay as they are.
+        let mut ctx = full_ctx();
+        let mut sample = build_sample_ctx(&ctx, 2).unwrap();
+        let unkeyed = Table::new("movie_table", Schema::of(&[("id", DataType::Int)]));
+        sample.catalog.register_or_replace(unkeyed);
+        sample_media(&mut sample, "text");
+        sample_media(&mut sample, "scene");
+        assert_eq!(sample.media.counts(), (3, 3, 0));
+
+        // Keyed: the media of the two sampled rows, plus whatever carries no
+        // id in its URI.
+        ctx.media
+            .add_image(Image::new("file://posters/cover.png", MediaFormat::Png));
+        let mut sample = build_sample_ctx(&ctx, 2).unwrap();
+        sample_media(&mut sample, "scene");
+        let kept: Vec<&str> = (sample.media.images().iter())
+            .map(|i| i.uri.as_str())
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                "file://posters/1.png",
+                "file://posters/2.png",
+                "file://posters/cover.png"
+            ]
+        );
+        assert_eq!(sample.media.counts().1, 3);
+        sample_media(&mut sample, "text");
+        assert_eq!(sample.media.counts().1, 2);
+        assert_eq!(ctx.media.counts(), (4, 3, 0));
     }
 
     #[test]

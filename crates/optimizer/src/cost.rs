@@ -134,7 +134,8 @@ pub fn choose_strategy(pins: StrategyPins, input_rows: usize, model_ms: f64) -> 
     strategy_capped(pins, input_rows, model_ms, kath_storage::host_parallelism())
 }
 
-fn strategy_capped(
+/// [`choose_strategy`] on a host of `cores` cores.
+pub fn strategy_capped(
     pins: StrategyPins,
     input_rows: usize,
     model_ms: f64,
@@ -159,21 +160,35 @@ pub const PAGE_DECODE_MS: f64 = 0.02;
 /// Estimates the cost of executing a function's active version over its
 /// full inputs, by scaling the sample profile linearly in input rows (model
 /// calls in KathDB are per-row, so linear scaling is the right first-order
-/// model).
+/// model). An input the catalog does not hold counts as the sample did.
 pub fn estimate_function(
     registry: &FunctionRegistry,
     catalog: &Catalog,
     func_id: &str,
 ) -> Option<CostEstimate> {
+    estimate_function_over(registry, catalog, func_id, None)
+}
+
+/// [`estimate_function`] for a node of a plan that has not run yet: an input
+/// no earlier node has materialized is taken to have `pending_rows` rows —
+/// the plan's largest materialized input, the cardinality the strategy rule
+/// already reads — when the caller knows it, and the sample's otherwise.
+pub fn estimate_function_over(
+    registry: &FunctionRegistry,
+    catalog: &Catalog,
+    func_id: &str,
+    pending_rows: Option<usize>,
+) -> Option<CostEstimate> {
     let entry = registry.get(func_id).ok()?;
     let version = entry.active_version();
     let profile = version.profile.as_ref()?;
+    let pending_rows = pending_rows.unwrap_or(profile.rows_in);
     let full_rows: usize = match &version.body {
         FunctionBody::ViewPopulate { .. } => profile.rows_in.max(1),
         body => body
             .inputs()
             .iter()
-            .map(|t| catalog.get(t).map(|t| t.len()).unwrap_or(profile.rows_in))
+            .map(|t| catalog.get(t).map_or(pending_rows, |t| t.len()))
             .sum(),
     };
     let scale = if profile.rows_in == 0 {

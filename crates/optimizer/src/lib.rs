@@ -18,9 +18,10 @@ mod rewrite;
 pub use coder::{synthesize, CoderContext, CoderFaults};
 pub use compile::{compile, CompileOptions, CompileReport, CritiqueEvent, SelectionEvent};
 pub use cost::{
-    choose_strategy, estimate_function, estimate_function_in_mode, fanned_out_ms,
-    preferred_exec_mode, preferred_fanout_capped, preferred_parallelism,
-    preferred_parallelism_capped, relational_overhead_ms, CostEstimate, StrategyPins,
-    BATCH_OVERHEAD_MS, PAGE_DECODE_MS, ROW_OVERHEAD_MS, VALUE_TOUCH_MS, WORKER_STARTUP_MS,
+    choose_strategy, estimate_function, estimate_function_in_mode, estimate_function_over,
+    fanned_out_ms, preferred_exec_mode, preferred_fanout_capped, preferred_parallelism,
+    preferred_parallelism_capped, relational_overhead_ms, strategy_capped, CostEstimate,
+    StrategyPins, BATCH_OVERHEAD_MS, PAGE_DECODE_MS, ROW_OVERHEAD_MS, VALUE_TOUCH_MS,
+    WORKER_STARTUP_MS,
 };
 pub use rewrite::{eliminate_dead_nodes, predicate_pushdown, rewrite_plan, RewriteEvent};

@@ -10,6 +10,10 @@
 //! "shootout") are mutually similar, unrelated words are not — while being
 //! fully deterministic and offline.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
+
 /// Embedding dimensionality.
 pub const DIM: usize = 64;
 
@@ -29,20 +33,24 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Generates a unit vector pseudo-randomly from a seed (splitmix64 stream).
 pub fn seeded_unit_vector(seed: u64) -> Embedding {
+    unit_vector(seed).to_vec()
+}
+
+/// [`seeded_unit_vector`] on the stack.
+fn unit_vector(seed: u64) -> [f32; DIM] {
     let mut state = seed;
-    let mut v: Vec<f32> = (0..DIM)
-        .map(|_| {
-            // splitmix64 step
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
-            // Map to roughly N(0,1) via sum of uniforms (CLT over 2 halves).
-            let u1 = (z >> 11) as f64 / (1u64 << 53) as f64;
-            (u1 - 0.5) as f32
-        })
-        .collect();
+    let mut v = [0.0f32; DIM];
+    for x in &mut v {
+        // splitmix64 step
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^= z >> 31;
+        // Map to roughly N(0,1) via sum of uniforms (CLT over 2 halves).
+        let u1 = (z >> 11) as f64 / (1u64 << 53) as f64;
+        *x = (u1 - 0.5) as f32;
+    }
     normalize(&mut v);
     v
 }
@@ -106,12 +114,24 @@ impl Lexicon {
     }
 }
 
-/// The lexicon-clustered text embedder.
+/// How strongly lexicon terms are pulled to their concept centroid.
+const CLUSTER_STRENGTH: f32 = 0.85;
+
+/// The lexicon-clustered text embedder. Cloning shares its tables.
 #[derive(Debug, Clone)]
 pub struct TextEmbedder {
+    tables: Arc<Tables>,
+}
+
+/// What an embedder reads and never changes.
+#[derive(Debug)]
+struct Tables {
     lexicon: Lexicon,
-    /// How strongly lexicon terms are pulled to their concept centroid.
-    cluster_strength: f32,
+    /// One centroid per lexicon concept, in lexicon order.
+    centroids: Vec<[f32; DIM]>,
+    /// Lexicon term → index of its concept's centroid; a term listed under
+    /// several concepts belongs to the first, as in [`Lexicon::concept_of`].
+    centroid_of: HashMap<String, usize>,
     /// Base seed separating unrelated embedder instances.
     seed: u64,
 }
@@ -119,56 +139,68 @@ pub struct TextEmbedder {
 impl TextEmbedder {
     /// Builds an embedder over `lexicon`.
     pub fn new(lexicon: Lexicon, seed: u64) -> Self {
+        let mut centroids = Vec::new();
+        let mut centroid_of = HashMap::new();
+        for (i, (concept, terms)) in lexicon.concepts.iter().enumerate() {
+            centroids.push(unit_vector(seed ^ fnv1a(concept.as_bytes()) ^ 0xC0FFEE));
+            for term in terms {
+                centroid_of.entry(term.clone()).or_insert(i);
+            }
+        }
         Self {
-            lexicon,
-            cluster_strength: 0.85,
-            seed,
+            tables: Arc::new(Tables {
+                lexicon,
+                centroids,
+                centroid_of,
+                seed,
+            }),
         }
     }
 
     /// Embeds one token.
     pub fn embed_token(&self, token: &str) -> Embedding {
-        let t = token.to_lowercase();
-        let noise = seeded_unit_vector(self.seed ^ fnv1a(t.as_bytes()));
-        match self.lexicon.concept_of(&t) {
-            None => noise,
-            Some(concept) => {
-                let centroid = seeded_unit_vector(self.seed ^ fnv1a(concept.as_bytes()) ^ 0xC0FFEE);
-                let a = self.cluster_strength;
-                let mut v: Vec<f32> = centroid
-                    .iter()
-                    .zip(&noise)
-                    .map(|(c, n)| a * c + (1.0 - a) * n)
-                    .collect();
-                normalize(&mut v);
-                v
+        self.token_vector(token).to_vec()
+    }
+
+    /// [`TextEmbedder::embed_token`] on the stack.
+    fn token_vector(&self, token: &str) -> [f32; DIM] {
+        let tables = &*self.tables;
+        // One lowercase per token, and none for the usual one: ASCII with
+        // no capital in it is borrowed as it is.
+        let lowered = |b: u8| b.is_ascii() && !b.is_ascii_uppercase();
+        let t: Cow<str> = match token.bytes().all(lowered) {
+            true => token.into(),
+            false => token.to_lowercase().into(),
+        };
+        let mut v = unit_vector(tables.seed ^ fnv1a(t.as_bytes()));
+        if let Some(&concept) = tables.centroid_of.get(&*t) {
+            let a = CLUSTER_STRENGTH;
+            for (n, c) in v.iter_mut().zip(&tables.centroids[concept]) {
+                *n = a * c + (1.0 - a) * *n;
             }
+            normalize(&mut v);
         }
+        v
     }
 
     /// Embeds a phrase as the normalized mean of token embeddings.
     /// Empty/whitespace input embeds to the zero vector.
     pub fn embed(&self, text: &str) -> Embedding {
-        let tokens: Vec<&str> = text
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|t| !t.is_empty())
-            .collect();
-        if tokens.is_empty() {
-            return vec![0.0; DIM];
-        }
-        let mut acc = vec![0.0f32; DIM];
-        for t in &tokens {
-            for (a, b) in acc.iter_mut().zip(self.embed_token(t)) {
+        let mut acc = [0.0f32; DIM];
+        let tokens = text.split(|c: char| !c.is_alphanumeric());
+        for t in tokens.filter(|t| !t.is_empty()) {
+            for (a, b) in acc.iter_mut().zip(self.token_vector(t)) {
                 *a += b;
             }
         }
+        // No token leaves the zero vector, which normalizing leaves alone.
         normalize(&mut acc);
-        acc
+        acc.to_vec()
     }
 
     /// The lexicon in use.
     pub fn lexicon(&self) -> &Lexicon {
-        &self.lexicon
+        &self.tables.lexicon
     }
 }
 

@@ -16,4 +16,4 @@ pub use embed::{
     TextEmbedder, DIM, QUERY_EMBED_SEED,
 };
 pub use index::{FlatIndex, Hit, IvfIndex};
-pub use sim::{cosine, dot, l2};
+pub use sim::{cosine, cosine_from_parts, dot, l2, norm};
