@@ -81,6 +81,18 @@ impl NullBitmap {
         }
     }
 
+    /// A bitmap of `len` slots over packed words (bit `i % 64` of word
+    /// `i / 64` set: slot `i` is NULL), as a page stores them. Bits past
+    /// `len` are cleared; missing words read as all-valid.
+    pub(crate) fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(len.div_ceil(64), 0);
+        if let (Some(last), tail @ 1..) = (words.last_mut(), len % 64) {
+            *last &= (1u64 << tail) - 1;
+        }
+        let nulls = words.iter().map(|w| w.count_ones() as usize).sum();
+        Self { words, len, nulls }
+    }
+
     /// Appends one slot.
     pub fn push(&mut self, is_null: bool) {
         let word = self.len / 64;
@@ -122,9 +134,57 @@ impl NullBitmap {
     }
 }
 
+/// The strings of a decoded page, held the way the page stores them: one
+/// UTF-8 buffer and a `(start, len)` span per slot (dictionary and
+/// run-length pages point many slots at one entry). Two allocations
+/// however many rows; a slot becomes a `String` only when it is copied out.
+#[derive(Debug, Clone)]
+pub struct StrBuf {
+    spans: Vec<(u32, u32)>,
+    buf: String,
+}
+
+impl StrBuf {
+    /// Assembles the page form. A span that does not lie in `buf` on
+    /// character boundaries reads as the empty string, never a panic.
+    pub(crate) fn new(spans: Vec<(u32, u32)>, buf: String) -> Self {
+        Self { spans, buf }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The string at slot `i`, read in place.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        let (start, len) = self.spans[i];
+        let start = start as usize;
+        self.buf
+            .get(start..start + len as usize)
+            .unwrap_or_default()
+    }
+
+    /// The strings in slot order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Heap bytes held: the spans and the buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.spans.len() * std::mem::size_of::<(u32, u32)>() + self.buf.len()
+    }
+}
+
 /// The typed payload of a [`ColumnVector`]. NULL slots hold a default
 /// payload; the bitmap is authoritative.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     /// All non-NULL values are `Int`.
     Int(Vec<i64>),
@@ -132,6 +192,11 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// All non-NULL values are `Str`.
     Str(Vec<String>),
+    /// A `Str` column as a decoded page pools it. Only the buffer pool holds
+    /// this form: every copy out of it ([`ColumnVector::slice`],
+    /// [`ColumnVector::gather`]) is a `Str` column, so batches, rows and
+    /// operators never see it. Equal to the `Str` column of the same strings.
+    StrBuf(Box<StrBuf>),
     /// All non-NULL values are `Bool`.
     Bool(Vec<bool>),
     /// Mixed-type or blob-bearing column: values stored as-is.
@@ -144,8 +209,25 @@ impl ColumnData {
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
             ColumnData::Str(v) => v.len(),
+            ColumnData::StrBuf(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Mixed(v) => v.len(),
+        }
+    }
+}
+
+impl PartialEq for ColumnData {
+    fn eq(&self, other: &Self) -> bool {
+        use ColumnData::*;
+        match (self, other) {
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (Mixed(a), Mixed(b)) => a == b,
+            (Str(a), Str(b)) => a == b,
+            (StrBuf(a), StrBuf(b)) => a.iter().eq(b.iter()),
+            (Str(a), StrBuf(b)) | (StrBuf(b), Str(a)) => a.iter().map(String::as_str).eq(b.iter()),
+            _ => false,
         }
     }
 }
@@ -279,6 +361,7 @@ impl ColumnVector {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Str(v) => Value::Str(v[i].clone()),
+            ColumnData::StrBuf(v) => Value::Str(v.get(i).to_owned()),
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Mixed(v) => v[i].clone(),
         }
@@ -368,6 +451,7 @@ impl ColumnVector {
             (ColumnData::Float(v), Value::Float(b)) => v[i].partial_cmp(b),
             (ColumnData::Float(v), Value::Int(b)) => cmp_int_f64(*b, v[i]).map(Ordering::reverse),
             (ColumnData::Str(v), Value::Str(b)) => Some(v[i].cmp(b)),
+            (ColumnData::StrBuf(v), Value::Str(b)) => Some(v.get(i).cmp(b.as_str())),
             (ColumnData::Bool(v), Value::Bool(b)) => Some(v[i].cmp(b)),
             (ColumnData::Mixed(v), _) => v[i].sql_cmp(lit),
             _ => None,
@@ -397,6 +481,10 @@ impl ColumnVector {
             ColumnData::Float(v) => ColumnData::Float(pick(v, idx)),
             ColumnData::Bool(v) => ColumnData::Bool(pick(v, idx)),
             ColumnData::Str(v) => ColumnData::Str(pick(v, idx)),
+            ColumnData::StrBuf(v) => ColumnData::Str(
+                idx.map(|i| i.map_or_else(String::new, |i| v.get(i).to_owned()))
+                    .collect(),
+            ),
             ColumnData::Mixed(v) => ColumnData::Mixed(
                 idx.map(|i| i.map_or(Value::Null, |i| v[i].clone()))
                     .collect(),
@@ -451,6 +539,11 @@ impl ColumnVector {
                 .into_iter()
                 .enumerate()
                 .map(|(i, x)| wrap(i, Value::Str(x)))
+                .collect(),
+            ColumnData::StrBuf(v) => v
+                .iter()
+                .enumerate()
+                .map(|(i, x)| wrap(i, Value::Str(x.to_owned())))
                 .collect(),
             ColumnData::Bool(v) => v
                 .into_iter()

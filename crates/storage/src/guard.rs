@@ -257,6 +257,7 @@ pub fn batch_footprint(batch: &RowBatch) -> u64 {
             ColumnData::Float(v) => 8 * v.len() as u64,
             ColumnData::Bool(v) => 8 * v.len() as u64,
             ColumnData::Str(v) => v.iter().map(|s| 8 + s.len() as u64).sum(),
+            ColumnData::StrBuf(v) => v.iter().map(|s| 8 + s.len() as u64).sum(),
             ColumnData::Mixed(v) => v.iter().map(value_footprint).sum(),
         })
         .sum()

@@ -32,7 +32,8 @@ mod vecindex;
 mod wal;
 
 pub use batch::{
-    ColumnData, ColumnVector, CompileMode, ExecMode, NullBitmap, RowBatch, DEFAULT_BATCH_SIZE,
+    ColumnData, ColumnVector, CompileMode, ExecMode, NullBitmap, RowBatch, StrBuf,
+    DEFAULT_BATCH_SIZE,
 };
 pub use catalog::{Catalog, Joinability};
 pub use durable::{CheckpointStats, Durability, DurabilityStatus, Recovered};

@@ -131,15 +131,21 @@ impl PageSlot {
     /// The decoded page, via the buffer pool.
     fn decoded(&self) -> Result<Arc<ColumnVector>, StorageError> {
         self.pool.get_or_load(PageKey(self.id), || {
-            let bytes = self.encoded_bytes(self.pool.io())?;
-            Ok(Arc::new(decode_page(&bytes)?))
+            self.with_encoded(self.pool.io(), |bytes| decode_page(bytes).map(Arc::new))
         })
     }
 
-    fn encoded_bytes(&self, io: &Io) -> Result<Bytes, StorageError> {
+    /// Runs `f` over the page's encoded bytes: the in-memory copy in place
+    /// (under the backing's read lock, not cloned), or the file's contents
+    /// once they match the descriptor.
+    fn with_encoded<T>(
+        &self,
+        io: &Io,
+        f: impl FnOnce(&[u8]) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
         let backing = self.backing.read();
         match &*backing {
-            PageBacking::Mem(bytes) => Ok(bytes.clone()),
+            PageBacking::Mem(bytes) => f(bytes),
             PageBacking::File(path) => {
                 // One retry on a transient read failure; anything that
                 // persists surfaces as a typed `Io`, and bytes that arrive
@@ -156,7 +162,7 @@ impl PageSlot {
                         path.display()
                     )));
                 }
-                Ok(Bytes::from(data))
+                f(&data)
             }
         }
     }
@@ -455,8 +461,9 @@ impl PagedTable {
                 if io.exists(&path) {
                     stats.pages_reused += 1;
                 } else {
-                    let bytes = slot.encoded_bytes(&io)?;
-                    crate::persist::atomic_write_with(&io, &path, &bytes)?;
+                    slot.with_encoded(&io, |bytes| {
+                        crate::persist::atomic_write_with(&io, &path, bytes)
+                    })?;
                     stats.pages_written += 1;
                     stats.bytes_written += slot.len as u64;
                 }

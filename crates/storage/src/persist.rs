@@ -205,9 +205,14 @@ pub(crate) fn get_str(data: &mut &[u8]) -> Result<String, StorageError> {
     Ok(s)
 }
 
+/// Value tags of the tagged encoding that the page codec also reads in
+/// place (the others are spelled only here).
+pub(crate) const TAG_NULL: u8 = 0;
+pub(crate) const TAG_STR: u8 = 3;
+
 pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) -> Result<(), StorageError> {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => buf.put_u8(TAG_NULL),
         Value::Int(i) => {
             buf.put_u8(1);
             buf.put_i64(*i);
@@ -217,7 +222,7 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) -> Result<(), StorageErro
             buf.put_f64(*f);
         }
         Value::Str(s) => {
-            buf.put_u8(3);
+            buf.put_u8(TAG_STR);
             put_str(buf, s)?;
         }
         Value::Bool(b) => {
@@ -239,7 +244,7 @@ pub(crate) fn get_value(data: &mut &[u8]) -> Result<Value, StorageError> {
         return Err(corrupt("truncated value tag"));
     }
     Ok(match data.get_u8() {
-        0 => Value::Null,
+        TAG_NULL => Value::Null,
         1 => {
             if data.remaining() < 8 {
                 return Err(corrupt("truncated int"));
@@ -252,7 +257,7 @@ pub(crate) fn get_value(data: &mut &[u8]) -> Result<Value, StorageError> {
             }
             Value::Float(data.get_f64())
         }
-        3 => Value::Str(get_str(data)?),
+        TAG_STR => Value::Str(get_str(data)?),
         4 => {
             if !data.has_remaining() {
                 return Err(corrupt("truncated bool"));

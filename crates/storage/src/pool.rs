@@ -4,7 +4,9 @@
 //! [`BufferPool`]. The pool caches *decoded* pages (`Arc<ColumnVector>`)
 //! under a page-count budget; when the budget is exceeded the
 //! least-recently-used unpinned page is evicted and must be re-decoded (or
-//! re-read from disk) on the next touch. A page is cached under its own
+//! re-read from disk) on the next touch. An evicted page is unlinked under
+//! the pool mutex and freed after it is released: the mutex is the one every
+//! other worker's *hit* takes, and a page can be thousands of allocations. A page is cached under its own
 //! identity ([`PageKey`]), not its table's: the versions of a table share
 //! their sealed pages, so a page they share is decoded once for all of
 //! them and leaves the pool when the last of them lets go of it. The
@@ -13,8 +15,7 @@
 //! feed `\pool` in the REPL and `durability_status()` in the facade.
 
 use crate::io::Io;
-use crate::ColumnVector;
-use crate::{StorageError, Value};
+use crate::{ColumnData, ColumnVector, StorageError, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -137,8 +138,8 @@ impl BufferPool {
     /// Re-budgets the pool, evicting down to the new cap immediately.
     pub fn set_budget(&self, pages: usize) {
         self.budget.store(pages.max(1), Ordering::Relaxed); // lint: relaxed-ok — budget is a tuning knob; a stale read only delays eviction by one op
-        let mut inner = self.inner.lock();
-        self.evict_to_budget(&mut inner, None);
+        let victims = self.evict_to_budget(&mut self.inner.lock(), None);
+        drop(victims); // the lock is released: see `evict_to_budget`
     }
 
     /// Returns the decoded page for `key`, loading it with `loader` on a
@@ -163,23 +164,32 @@ impl BufferPool {
         self.misses.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — telemetry counter
         let col = loader()?;
         let bytes = estimate_bytes(&col);
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
+        let victims = {
+            let mut inner = self.inner.lock();
+            inner.tick += 1;
+            let entry = Entry {
                 col: Arc::clone(&col),
                 bytes,
-                last_used: tick,
-            },
-        );
-        self.evict_to_budget(&mut inner, Some(key));
+                last_used: inner.tick,
+            };
+            // A racing loader of the same page may have put its copy in.
+            let replaced = inner.map.insert(key, entry);
+            let mut victims = self.evict_to_budget(&mut inner, Some(key));
+            victims.extend(replaced);
+            victims
+        };
+        drop(victims); // the lock is released: see `evict_to_budget`
         Ok(col)
     }
 
-    fn evict_to_budget(&self, inner: &mut Inner, keep: Option<PageKey>) {
+    /// Unlinks least-recently-used pages until the pool is within budget
+    /// and hands them back: the caller drops them once `inner` is unlocked,
+    /// so freeing what may be the last reference to a page never runs under
+    /// the mutex.
+    #[must_use]
+    fn evict_to_budget(&self, inner: &mut Inner, keep: Option<PageKey>) -> Vec<Entry> {
         let budget = self.budget();
+        let mut victims = Vec::new();
         while inner.map.len() > budget {
             let victim = inner
                 .map
@@ -187,21 +197,22 @@ impl BufferPool {
                 .filter(|(k, _)| Some(**k) != keep)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — telemetry counter
-                }
-                None => break, // only the pinned page remains
-            }
+            // `None`: only the pinned page remains.
+            let Some(entry) = victim.and_then(|k| inner.map.remove(&k)) else {
+                break;
+            };
+            victims.push(entry);
+            self.evictions.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok — telemetry counter
         }
+        victims
     }
 
     /// Drops the decoded copy of page `key`, if resident (called when the
     /// last table holding the page's slot goes, so it is not stranded in
     /// the pool).
     pub(crate) fn evict(&self, key: PageKey) {
-        self.inner.lock().map.remove(&key);
+        let removed = self.inner.lock().map.remove(&key);
+        drop(removed); // after the guard: a temporary of the line above
     }
 
     /// Records a page skipped via its zone map (pruned before decode).
@@ -232,18 +243,24 @@ impl BufferPool {
     }
 }
 
-/// Rough heap footprint of a decoded page, for `resident_bytes` reporting.
+/// Rough heap footprint of a decoded page, for `resident_bytes` reporting,
+/// read off the typed payload in place.
 fn estimate_bytes(col: &ColumnVector) -> usize {
-    let mut bytes = std::mem::size_of::<ColumnVector>() + col.len() / 8;
-    for i in 0..col.len() {
-        bytes += match col.value(i) {
-            Value::Null => 8,
-            Value::Int(_) | Value::Float(_) | Value::Bool(_) => 8,
-            Value::Str(s) => std::mem::size_of::<String>() + s.len(),
-            Value::Blob(b) => std::mem::size_of::<Vec<u8>>() + b.len(),
-        };
-    }
-    bytes
+    let owned = std::mem::size_of::<String>();
+    let payload = match col.data() {
+        ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Bool(_) => 8 * col.len(),
+        ColumnData::Str(v) => v.iter().map(|s| owned + s.len()).sum(),
+        ColumnData::StrBuf(v) => v.heap_bytes(),
+        ColumnData::Mixed(v) => v
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => owned + s.len(),
+                Value::Blob(b) => owned + b.len(),
+                _ => 8,
+            })
+            .sum(),
+    };
+    std::mem::size_of::<ColumnVector>() + col.len() / 8 + payload
 }
 
 #[cfg(test)]
@@ -318,6 +335,34 @@ mod tests {
         pool.set_budget(2);
         assert_eq!(pool.status().resident_pages, 2);
         assert_eq!(pool.budget(), 2);
+    }
+
+    #[test]
+    fn victims_outlive_the_pool_lock() {
+        let pool = BufferPool::with_budget(4);
+        // The pool ends up holding the only strong reference to each page.
+        let pages: Vec<_> = (0..4)
+            .map(|p| {
+                let loaded = page(&[p as i64]);
+                let weak = Arc::downgrade(&loaded);
+                pool.get_or_load(key(p), || Ok(loaded)).unwrap();
+                weak
+            })
+            .collect();
+        let alive = || pages.iter().filter(|w| w.strong_count() > 0).count();
+        pool.budget.store(1, Ordering::Relaxed);
+        let mut inner = pool.inner.lock();
+        let victims = pool.evict_to_budget(&mut inner, None);
+        // Unlinked and counted, but not freed: the mutex is still held here.
+        assert_eq!((victims.len(), inner.map.len(), alive()), (3, 1, 4));
+        drop(inner);
+        drop(victims);
+        assert_eq!(alive(), 1);
+        assert_eq!(pool.status().evictions, 3);
+        // The public paths free what they evict (after unlocking, by the
+        // same hand-off), the replaced copy of a reloaded page included.
+        pool.get_or_load(key(9), || Ok(page(&[9]))).unwrap();
+        assert_eq!(alive(), 0);
     }
 
     #[test]

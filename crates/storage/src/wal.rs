@@ -23,10 +23,14 @@ use crate::{decode_table, Row, StorageError, Table};
 use bytes::{Buf, BufMut, BytesMut};
 use std::path::{Path, PathBuf};
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte table and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight lookups — independent of one another — advance the checksum over
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -39,10 +43,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Encodes one record as a complete WAL frame (header + payload).
@@ -58,11 +72,25 @@ fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, StorageError> {
 }
 
 /// CRC32 (IEEE 802.3 polynomial), the checksum of WAL frames, KTBL v2
-/// trailers, and snapshot manifests.
+/// trailers, snapshot manifests and column pages. Eight bytes a step
+/// (slice-by-8); the ragged tail goes a byte at a time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (words, tail) = data.as_chunks::<8>();
+    for word in words {
+        let x = u64::from_le_bytes(*word) ^ c as u64;
+        c = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][((x >> 24) & 0xFF) as usize]
+            ^ t[3][((x >> 32) & 0xFF) as usize]
+            ^ t[2][((x >> 40) & 0xFF) as usize]
+            ^ t[1][((x >> 48) & 0xFF) as usize]
+            ^ t[0][(x >> 56) as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
