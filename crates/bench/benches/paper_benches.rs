@@ -12,8 +12,8 @@ use kath_model::{ScriptedChannel, SimLlm, TokenMeter};
 use kath_optimizer::{predicate_pushdown, rewrite_plan};
 use kath_parser::{extract_intent, generate_logical_plan, generate_sketch};
 use kath_storage::{
-    col_cmp, collect, collect_batched, BinOp, DataType, Expr, Filter, Operator, Project, Schema,
-    Table, TableScan, DEFAULT_BATCH_SIZE,
+    col_cmp, collect, BinOp, DataType, Expr, Filter, Operator, Project, Schema, Table, TableScan,
+    DEFAULT_BATCH_SIZE,
 };
 use kath_vector::{seeded_unit_vector, FlatIndex, IvfIndex};
 use kathdb::KathDB;
@@ -166,14 +166,13 @@ fn bench_cascade(c: &mut Criterion) {
     g.finish();
 }
 
-/// RQ (execution spine): batch-at-a-time columnar execution vs
-/// tuple-at-a-time Volcano on a `TableScan → Filter → Project` pipeline
-/// over the 100k-row scale corpus, sweeping batch size. The claim under
-/// test: at batch size 1024 the batched drive beats the row drive (per-row
-/// virtual dispatch and per-row name resolution amortize over batches),
-/// while batch size 1 pays the batch overhead per row and loses.
-fn bench_batch_vs_volcano(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batch_vs_volcano");
+/// RQ (execution spine): what the batch size buys on a `TableScan →
+/// Filter → Project` pipeline over the 100k-row scale corpus. The claim
+/// under test: per-batch dispatch and name resolution amortize, so batch
+/// size 1 — one row per pull — pays them per row and loses to 64, which
+/// loses to 1024.
+fn bench_batch_size_sweep(c: &mut Criterion) {
+    let mut g = c.benchmark_group("batch_size_sweep");
     g.sample_size(10);
     let corpus = generate_corpus(&CorpusSpec {
         movies: 100_000,
@@ -197,12 +196,9 @@ fn bench_batch_vs_volcano(c: &mut Criterion) {
             .expect("projection over scan schema"),
         )
     };
-    g.bench_function("volcano_row_at_a_time", |b| {
-        b.iter(|| collect("out", pipeline(DEFAULT_BATCH_SIZE)).unwrap())
-    });
-    for batch in [1usize, 64, 1024] {
+    for batch in [1usize, 64, DEFAULT_BATCH_SIZE] {
         g.bench_function(BenchmarkId::new("batched", batch), |b| {
-            b.iter(|| collect_batched("out", pipeline(batch)).unwrap())
+            b.iter(|| collect("out", pipeline(batch)).unwrap())
         });
     }
     g.finish();
@@ -395,7 +391,7 @@ criterion_group!(
     bench_lineage_overhead,
     bench_fao_granularity,
     bench_cascade,
-    bench_batch_vs_volcano,
+    bench_batch_size_sweep,
     bench_parallel_pipeline,
     bench_rewrites,
     bench_vector_index,

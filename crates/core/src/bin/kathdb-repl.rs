@@ -28,8 +28,8 @@
 //! - `\functions` — the versioned function registry,
 //! - `\tables` — the catalog,
 //! - `\tokens` — simulated token usage,
-//! - `\batch <n>` / `\batch off` — pin the execution batch size, or pin
-//!   the row-at-a-time Volcano reference drive (unpinned is `\batch 1024`),
+//! - `\batch <n>` — pin the execution batch size (unpinned is
+//!   `\batch 1024`),
 //! - `\threads <n>` / `\threads auto` — tune morsel-driven intra-query
 //!   parallelism (results are identical at any setting),
 //! - `\vindex` — vector-search status; `\vindex auto|off|flat|ivf` picks
@@ -62,10 +62,7 @@ fn vector_label(mode: VectorMode) -> &'static str {
 
 /// Renders the active execution mode the way `\batch` reports it.
 fn mode_label(mode: ExecMode) -> String {
-    match mode {
-        ExecMode::Volcano => "row-at-a-time (Volcano)".to_string(),
-        ExecMode::Batched(n) => format!("batch size {n}"),
-    }
+    format!("batch size {}", mode.batch_size())
 }
 
 fn main() {
@@ -106,7 +103,7 @@ fn main() {
                     "commands: \\sql <query> | \\begin | \\commit | \\rollback | \
                      \\sessions | \\open <dir> | \\checkpoint | \\wal | \
                      \\pool [<pages>] | \\explain <question> | \\lineage | \
-                     \\functions | \\tables | \\tokens | \\batch <n>|off | \
+                     \\functions | \\tables | \\tokens | \\batch <n> | \
                      \\threads <n>|auto | \
                      \\vindex [auto|off|flat|ivf | build <t> <c> | drop <t> <c>] | \
                      \\timeout <ms>|off | \\faults <spec>|off|show | \\quit\n\
@@ -271,18 +268,12 @@ fn main() {
             _ if line == "\\batch" => {
                 println!("execution mode: {}", mode_label(db.exec_mode()));
             }
-            Some(("\\batch", rest)) if !rest.is_empty() => match rest {
-                "off" | "volcano" => {
-                    db.set_exec_mode(ExecMode::Volcano);
+            Some(("\\batch", rest)) if !rest.is_empty() => match rest.parse::<usize>() {
+                Ok(n) if n > 0 => {
+                    db.set_exec_mode(ExecMode::Batched(n));
                     println!("execution mode: {}", mode_label(db.exec_mode()));
                 }
-                n => match n.parse::<usize>() {
-                    Ok(n) if n > 0 => {
-                        db.set_exec_mode(ExecMode::Batched(n));
-                        println!("execution mode: {}", mode_label(db.exec_mode()));
-                    }
-                    _ => println!("usage: \\batch <rows> | \\batch off"),
-                },
+                _ => println!("usage: \\batch <rows>"),
             },
             _ if line == "\\threads" => {
                 println!("parallelism: {} worker(s)", db.threads());

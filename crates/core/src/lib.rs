@@ -1198,9 +1198,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_volcano_modes_agree_end_to_end() {
+    fn every_batch_size_agrees_end_to_end() {
         let (_db, baseline) = run_flagship();
-        for mode in [ExecMode::Batched(64), ExecMode::Volcano] {
+        for mode in [ExecMode::Batched(64), ExecMode::Batched(1)] {
             let mut db = KathDB::new(42);
             db.load_corpus(&mmqa_small()).unwrap();
             db.set_exec_mode(mode);
@@ -1216,12 +1216,9 @@ mod tests {
                 baseline.display_table(),
                 "{mode:?} diverged from the default path"
             );
-            // SQL nodes report their batch counts when batched.
+            // SQL nodes report their batch counts.
             let sql_batches: usize = result.exec.timings.iter().map(|t| t.batches_out).sum();
-            match mode {
-                ExecMode::Batched(_) => assert!(sql_batches > 0, "no batches recorded"),
-                ExecMode::Volcano => assert_eq!(sql_batches, 0),
-            }
+            assert!(sql_batches > 0, "{mode:?}: no batches recorded");
         }
     }
 
@@ -1242,7 +1239,7 @@ mod tests {
         assert_eq!(db.exec_mode(), ExecMode::default(), "10 000 rows");
         for pin in [
             ExecMode::Batched(32),
-            ExecMode::Volcano,
+            ExecMode::Batched(1),
             ExecMode::default(),
         ] {
             db.set_exec_mode(pin);
@@ -1291,10 +1288,8 @@ mod tests {
         db.set_parallelism(6);
         assert_eq!(db.threads(), 6);
         db.auto_parallelism();
-        // Auto never exceeds the host's cores, and Volcano pins it to 1.
+        // Auto never exceeds the host's cores.
         assert!(db.threads() <= kath_storage::host_parallelism());
-        db.set_exec_mode(ExecMode::Volcano);
-        assert_eq!(db.threads(), 1);
     }
 
     #[test]
@@ -1459,11 +1454,11 @@ mod tests {
     }
 
     #[test]
-    fn integer_overflow_is_a_typed_error_on_the_default_and_the_reference_drive() {
+    fn integer_overflow_is_a_typed_error_at_every_batch_size() {
         let mut db = KathDB::new(42);
         db.sql("CREATE TABLE t (x INT)").unwrap();
         db.sql("INSERT INTO t VALUES (2), (1)").unwrap();
-        for pin in [ExecMode::default(), ExecMode::Volcano] {
+        for pin in [ExecMode::default(), ExecMode::Batched(1)] {
             db.set_exec_mode(pin);
             for op in ["/", "%"] {
                 let sql = format!("SELECT (0 - 9223372036854775807 - 1) {op} (0 - x) FROM t");

@@ -251,7 +251,7 @@ impl Session {
 
     /// Sets (or clears) the per-query wall-clock timeout. A query that
     /// outlives it aborts mid-scan with `StorageError::Cancelled` on
-    /// whichever drive is running — Volcano, batched or morsel-parallel —
+    /// whichever drive is running — serial or morsel-parallel —
     /// with partial state dropped and the catalog untouched; the next
     /// statement runs normally. The deadline is minted fresh at each
     /// statement's start — for an NL `KathDB::query`, at the start of each
@@ -277,10 +277,8 @@ impl Session {
         self.limits.byte_budget = bytes;
     }
 
-    /// Pins the execution mode: `ExecMode::Batched(n)` sets the batch size,
-    /// `ExecMode::Volcano` forces the row-at-a-time reference drive, which
-    /// runs under this pin only; `ExecMode::default()` is what an unpinned
-    /// handle runs.
+    /// Pins the execution mode: `ExecMode::Batched(n)` sets the batch size;
+    /// `ExecMode::default()` is what an unpinned handle runs.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.pins.mode = Some(mode);
     }
@@ -565,10 +563,10 @@ mod tests {
         assert_eq!(b.sql(all).unwrap().len(), 3);
         a.set_query_budget(None, None);
         // Pins and the vector policy are per handle too; the rows are not.
-        a.set_exec_mode(ExecMode::Volcano);
+        a.set_exec_mode(ExecMode::Batched(1));
         a.set_parallelism(4);
         a.set_vector_mode(VectorMode::Off);
-        assert_eq!((a.exec_mode(), a.threads()), (ExecMode::Volcano, 4));
+        assert_eq!((a.exec_mode(), a.threads()), (ExecMode::Batched(1), 4));
         assert_eq!(a.vector_mode(), VectorMode::Off);
         assert_eq!(db.exec_mode(), ExecMode::default());
         assert_eq!(db.vector_mode(), VectorMode::default());

@@ -74,15 +74,15 @@ pub struct ExecContext {
     pub lineage: LineageStore,
     /// Table-level lid of every materialized table.
     pub table_lids: HashMap<String, i64>,
-    /// How relational (SQL) function bodies drive their operator pipelines:
-    /// batch-at-a-time (default) or tuple-at-a-time Volcano. Semantic bodies
-    /// (the narrow transforms, the view populations) have no pipeline to
-    /// pull and ignore it. Row-level lineage is unaffected either way — SQL
-    /// bodies record table-level edges, and semantic bodies stamp their
-    /// rows serially, in input order, after computing them.
+    /// The batch size relational (SQL) function bodies drive their operator
+    /// pipelines at. Semantic bodies (the narrow transforms, the view
+    /// populations) have no pipeline to pull and ignore it. Row-level
+    /// lineage is unaffected at any setting — SQL bodies record table-level
+    /// edges, and semantic bodies stamp their rows serially, in input
+    /// order, after computing them.
     pub exec_mode: ExecMode,
     /// Degree of intra-query parallelism: workers that claim morsels of a
-    /// SQL body's streaming phase (batched mode only) or of a semantic
+    /// SQL body's streaming phase or of a semantic
     /// body's compute phase — per-row model calls, 64 rows a morsel (an
     /// expression body splits like a SELECT, 4 096 rows a morsel).
     /// `1` (the default) runs on the calling thread and spawns nothing.

@@ -43,7 +43,7 @@ pub struct NodeTiming {
     /// Rows in the node's output.
     pub rows_out: usize,
     /// Batches the node's operator pipeline produced (0 when the node is
-    /// not relational or ran under Volcano).
+    /// not relational).
     pub batches_out: usize,
     /// Workers that drove the node's streaming phase — a SQL node's morsel
     /// pipelines, a semantic node's compute phase (1 when serial).

@@ -48,7 +48,7 @@ pub struct ExecOutcome {
     /// Input rows consumed.
     pub rows_in: usize,
     /// Batches the body's operator pipeline produced (0 when the body is
-    /// not relational or ran under Volcano).
+    /// not relational).
     pub batches_out: usize,
     /// Workers that drove the body's streaming phase — a SQL body's
     /// morsel pipelines, a semantic body's compute phase (1 when serial).

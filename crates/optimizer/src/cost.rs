@@ -28,9 +28,12 @@ impl CostEstimate {
     }
 }
 
-/// Per-row overhead of the Volcano iterator protocol, in milliseconds: one
-/// virtual `next()` dispatch plus per-row expression setup (name resolution,
-/// `Value` matching) for every operator a row passes through.
+/// Per-row overhead of the deleted row-at-a-time protocol, in
+/// milliseconds: one virtual `next()` dispatch plus per-row expression
+/// setup for every operator a row passed through. Kept, with the
+/// `ExecMode::Volcano` arm of [`relational_overhead_ms`],
+/// [`preferred_exec_mode`] and [`estimate_function_in_mode`], for the repo
+/// benchmark (`benchmark/`) only, which still calls them.
 pub const ROW_OVERHEAD_MS: f64 = 4e-4;
 
 /// Per-batch overhead of batched execution, in milliseconds: one virtual
@@ -41,11 +44,10 @@ pub const BATCH_OVERHEAD_MS: f64 = 3e-3;
 pub const VALUE_TOUCH_MS: f64 = 2e-5;
 
 /// Estimated per-operator overhead of pushing `rows` rows through a
-/// relational pipeline in the given execution mode. Volcano pays
-/// [`ROW_OVERHEAD_MS`] per row; batched execution amortizes
-/// [`BATCH_OVERHEAD_MS`] over each batch. Both pay [`VALUE_TOUCH_MS`] per
-/// row. These per-batch vs per-row terms are what lets physical selection
-/// prefer batched implementations as cardinality grows.
+/// relational pipeline in the given execution mode: [`BATCH_OVERHEAD_MS`]
+/// amortized over each batch plus [`VALUE_TOUCH_MS`] per row. The
+/// `ExecMode::Volcano` arm prices the deleted row protocol at
+/// [`ROW_OVERHEAD_MS`] per row instead, for the repo benchmark only.
 pub fn relational_overhead_ms(rows: usize, mode: ExecMode) -> f64 {
     let touch = rows as f64 * VALUE_TOUCH_MS;
     match mode {
@@ -59,9 +61,9 @@ pub fn relational_overhead_ms(rows: usize, mode: ExecMode) -> f64 {
 }
 
 /// The cheaper execution mode for a pipeline over `rows` rows under the
-/// model above, using the default batch size. Tiny inputs stay on the
-/// Volcano path (a whole batch costs more than a handful of `next()`
-/// calls); everything else runs batched.
+/// model above, using the default batch size (tiny inputs price the row
+/// protocol cheaper). Kept for the repo benchmark (`benchmark/`) only:
+/// nothing in the engine chooses a mode.
 pub fn preferred_exec_mode(rows: usize) -> ExecMode {
     let batched = ExecMode::Batched(DEFAULT_BATCH_SIZE);
     if relational_overhead_ms(rows, batched) < relational_overhead_ms(rows, ExecMode::Volcano) {
@@ -116,8 +118,7 @@ pub fn preferred_parallelism(rows: usize, mode: ExecMode) -> usize {
 /// is left to [`choose_strategy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StrategyPins {
-    /// The pinned execution mode (`ExecMode::Volcano` is the reference
-    /// drive: it runs only under this pin).
+    /// The pinned execution mode (batch size).
     pub mode: Option<ExecMode>,
     /// The pinned worker count.
     pub threads: Option<usize>,
@@ -126,10 +127,9 @@ pub struct StrategyPins {
 /// The one strategy rule: `(mode, workers)` for a statement or plan that
 /// reads `input_rows` rows of its largest input and whose costliest
 /// model-call node is estimated at `model_ms` (0 for plain SQL). The mode
-/// is the pin, else the batch drive — never the row protocol by choice.
-/// Workers are the pin, else 1 under a Volcano pin (that drive has no
-/// morsels), else the larger of the break-even counts for the relational
-/// pipeline and for the model calls, capped at the host's cores.
+/// is the pin, else `ExecMode::default()`. Workers are the pin, else the
+/// larger of the break-even counts for the relational pipeline (at the
+/// mode's batch size) and for the model calls, capped at the host's cores.
 pub fn choose_strategy(pins: StrategyPins, input_rows: usize, model_ms: f64) -> (ExecMode, usize) {
     strategy_capped(pins, input_rows, model_ms, kath_storage::host_parallelism())
 }
@@ -142,10 +142,10 @@ pub fn strategy_capped(
     cores: usize,
 ) -> (ExecMode, usize) {
     let mode = pins.mode.unwrap_or_default();
-    let workers = pins.threads.unwrap_or_else(|| match mode {
-        ExecMode::Volcano => 1,
-        batched => preferred_parallelism_capped(input_rows, batched, cores)
-            .max(preferred_fanout_capped(model_ms, cores)),
+    let workers = pins.threads.unwrap_or_else(|| {
+        let batched = ExecMode::Batched(mode.batch_size());
+        preferred_parallelism_capped(input_rows, batched, cores)
+            .max(preferred_fanout_capped(model_ms, cores))
     });
     (mode, workers)
 }
@@ -208,6 +208,7 @@ pub fn estimate_function_over(
 /// priced serial and interpreted. Model-call bodies are mode-independent:
 /// their per-row token cost dwarfs iteration overhead. Token cost and
 /// accuracy are unaffected — the mode changes wall-clock, never results.
+/// Kept for the repo benchmark (`benchmark/`) only.
 pub fn estimate_function_in_mode(
     registry: &FunctionRegistry,
     catalog: &Catalog,
@@ -321,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn pins_win_and_a_volcano_pin_means_one_worker() {
+    fn pins_win() {
         let pinned = StrategyPins {
             mode: Some(ExecMode::Batched(32)),
             threads: Some(6),
@@ -332,20 +333,16 @@ mod tests {
                 (ExecMode::Batched(32), 6)
             );
         }
-        let volcano = StrategyPins {
-            mode: Some(ExecMode::Volcano),
+        // A pinned batch size alone: the rule prices workers at it.
+        let mode_only = StrategyPins {
+            mode: Some(ExecMode::Batched(1)),
             threads: None,
         };
+        let workers = preferred_parallelism_capped(1_000_000, ExecMode::Batched(1), 8);
         assert_eq!(
-            strategy_capped(volcano, 1_000_000, 30.0, 8),
-            (ExecMode::Volcano, 1)
+            strategy_capped(mode_only, 1_000_000, 0.0, 8),
+            (ExecMode::Batched(1), workers)
         );
-        // An explicit worker count survives even there (the drive ignores it).
-        let both = StrategyPins {
-            threads: Some(4),
-            ..volcano
-        };
-        assert_eq!(strategy_capped(both, 6, 0.0, 8), (ExecMode::Volcano, 4));
     }
 
     #[test]

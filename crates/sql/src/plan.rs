@@ -11,12 +11,12 @@
 use crate::ast::*;
 use crate::parser::{parse_statement, SqlParseError};
 use kath_storage::{
-    collect_batched_guarded, collect_guarded, merge_sorted_runs, merge_top_k,
-    preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded, sort_rows, top_k_entries,
-    AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, DataType, Distinct, ExecMode, Expr,
-    Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel, MorselSource,
-    Operator, PartialAggregate, Project, QueryGuard, Row, Schema, Sort, SortKey, StorageError,
-    Table, TableScan, Value, VectorMode, VectorStrategy, VectorTopK, WalRecord,
+    drain_guarded, merge_sorted_runs, merge_top_k, preferred_vector_strategy, resolve_sort_keys,
+    run_morsels_guarded, sort_rows, top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column,
+    CompileMode, DataType, Distinct, ExecMode, Expr, Filter, HashAggregate, HashJoin, IndexScan,
+    JoinBuild, JoinKind, Limit, Morsel, MorselSource, Operator, PartialAggregate, Project,
+    QueryGuard, Row, Schema, Sort, SortKey, StorageError, Table, TableScan, Value, VectorMode,
+    VectorStrategy, VectorTopK, WalRecord,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -175,7 +175,7 @@ pub fn apply_mutation(
 /// Execution statistics of one (possibly parallel) SELECT.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SelectStats {
-    /// Batches the streaming pipelines produced (0 in Volcano mode).
+    /// Batches the streaming pipelines produced.
     pub batches: usize,
     /// Workers that ran the streaming phase (1 for serial execution).
     pub workers: usize,
@@ -548,12 +548,11 @@ impl SelectPlan {
     /// The streaming phase over FROM-table rows `[start, end)`: scan
     /// (restricted to the needed columns, pruned by the hints) → join
     /// probes against `builds` → filter. `batch` is the mode's batch size,
-    /// which pass-through operators inherit (`None` = Volcano: the scan
-    /// keeps its default).
+    /// which pass-through operators inherit.
     fn stream(
         &self,
         (start, end): (usize, usize),
-        batch: Option<usize>,
+        batch: usize,
         builds: &[Arc<JoinBuild>],
         guard: QueryGuard,
     ) -> Result<Box<dyn Operator>, StorageError> {
@@ -561,11 +560,9 @@ impl SelectPlan {
             .with_range(start, end)
             .with_columns(self.scan_columns())
             .with_prune_hint(&self.prune_hints)
+            .with_batch_size(batch)
             .with_guard(guard);
-        let mut op: Box<dyn Operator> = match batch {
-            Some(n) => Box::new(scan.with_batch_size(n)),
-            None => Box::new(scan),
-        };
+        let mut op: Box<dyn Operator> = Box::new(scan);
         for (j, build) in self.joins.iter().zip(builds) {
             let join = HashJoin::from_build(op, Arc::clone(build), &j.left_col, j.kind)?;
             op = Box::new(join.with_schema(j.schema.clone()));
@@ -585,13 +582,11 @@ impl SelectPlan {
     }
 
     /// The root of an operator tree: DISTINCT, LIMIT, then the guarded
-    /// drain into the result table. Returns the batches the root produced
-    /// (0 in Volcano mode, which drains row-at-a-time).
+    /// drain into the result table. Returns the batches the root produced.
     fn finish(
         &self,
         mut op: Box<dyn Operator>,
         output_name: &str,
-        mode: ExecMode,
         guard: &QueryGuard,
     ) -> Result<(Table, usize), StorageError> {
         if self.distinct {
@@ -600,10 +595,7 @@ impl SelectPlan {
         if let Some(n) = self.limit {
             op = Box::new(Limit::new(op, n));
         }
-        match mode {
-            ExecMode::Volcano => Ok((collect_guarded(output_name, op, guard)?, 0)),
-            ExecMode::Batched(_) => collect_batched_guarded(output_name, op, guard),
-        }
+        drain_guarded(output_name, op, guard)
     }
 
     /// [`SelectPlan::finish`] for rows a morsel merge already holds: like
@@ -638,14 +630,14 @@ impl SelectPlan {
 /// The statement is planned once; predicates on the plan then pick the
 /// drive:
 ///
-/// 1. the **morsel drive**, when `mode` is batched, `threads > 1`, the
-///    plan is not serial-only (expression sort, lazy `LIMIT`, IVF probe)
-///    and its source splits into at least two morsels;
-/// 2. the **serial operator tree** otherwise — always in
-///    [`ExecMode::Volcano`], the row-at-a-time reference.
+/// 1. the **morsel drive**, when `threads > 1`, the plan is not
+///    serial-only (expression sort, lazy `LIMIT`, IVF probe) and its
+///    source splits into at least two morsels;
+/// 2. the **serial operator tree** otherwise.
 ///
-/// Every drive returns the rows, in the order, of the serial operator
-/// tree, with one exception: a float `SUM`/`AVG` on the morsel drive adds
+/// `mode` sets the batch size both drives cut. Every drive returns the
+/// rows, in the order, of the serial operator tree, with one exception: a
+/// float `SUM`/`AVG` on the morsel drive adds
 /// per-morsel partial sums, so it can differ from the serial sum in its
 /// last bits (within a relative 1e-9). The morsel partition depends on the
 /// batch size, not on `threads`, so the result is the same bits at every
@@ -675,27 +667,25 @@ pub fn run_select_auto_guarded(
     guard: &QueryGuard,
 ) -> Result<(Table, SelectStats), SqlError> {
     let plan = plan_select(catalog, select, vector)?;
-    if let Some(batch) = mode.batch_size() {
-        if threads > 1 && !plan.serial_only() {
-            if let Some(done) = drive_morsels(&plan, output_name, batch, threads, guard)? {
-                return Ok(done);
-            }
+    let batch = mode.batch_size();
+    if threads > 1 && !plan.serial_only() {
+        if let Some(done) = drive_morsels(&plan, output_name, batch, threads, guard)? {
+            return Ok(done);
         }
     }
-    drive_serial(&plan, output_name, mode, guard)
+    drive_serial(&plan, output_name, batch, guard)
 }
 
-/// The serial operator tree: one pull-based pipeline, drained row- or
-/// batch-at-a-time as `mode` says. The guard rides on the leading scan
-/// (periodic deadline/cancel checks as rows stream) and on the root drain
-/// (row/byte budget charges on produced output).
+/// The serial operator tree: one pull-based pipeline whose sources cut
+/// `batch`-row batches. The guard rides on the leading scan (deadline and
+/// cancel checks as rows stream) and on the root drain (row/byte budget
+/// charges on produced output).
 fn drive_serial(
     plan: &SelectPlan,
     output_name: &str,
-    mode: ExecMode,
+    batch: usize,
     guard: &QueryGuard,
 ) -> Result<(Table, SelectStats), SqlError> {
-    let batch = mode.batch_size();
     let sort = |op: Box<dyn Operator>| -> Result<Box<dyn Operator>, StorageError> {
         Ok(if plan.sort_keys.is_empty() {
             op
@@ -727,7 +717,7 @@ fn drive_serial(
             }
         }
     };
-    let (out, batches) = plan.finish(op, output_name, mode, guard)?;
+    let (out, batches) = plan.finish(op, output_name, guard)?;
     Ok((out, SelectStats::serial(batches)))
 }
 
@@ -758,7 +748,6 @@ fn drive_morsels(
     threads: usize,
     guard: &QueryGuard,
 ) -> Result<Option<(Table, SelectStats)>, SqlError> {
-    let mode = ExecMode::Batched(batch);
     if let Some(v) = &plan.vector {
         let index = plan.table.vector_index(&v.column)?;
         let entries = index.entries();
@@ -786,7 +775,7 @@ fn drive_morsels(
             // The serial tail over k rows: rank-order scan → projection →
             // limit.
             let scan = IndexScan::new(Arc::clone(&plan.table), positions).with_batch_size(batch);
-            plan.finish(plan.project(Box::new(scan))?, output_name, mode, guard)
+            plan.finish(plan.project(Box::new(scan))?, output_name, guard)
         });
         let (out, batches) = tail?;
         return Ok(Some((
@@ -802,14 +791,7 @@ fn drive_morsels(
     let builds = plan.build_joins()?;
     // Workers carry no guard on their scans: `run_morsels_guarded` checks
     // it between morsels.
-    let stream = |m: Morsel| {
-        plan.stream(
-            (m.start, m.end),
-            Some(batch),
-            &builds,
-            QueryGuard::unlimited(),
-        )
-    };
+    let stream = |m: Morsel| plan.stream((m.start, m.end), batch, &builds, QueryGuard::unlimited());
     let (worker_ms, (merged, merge_ms)) = match &plan.shape {
         Shape::Aggregate(spec) => {
             let partial =
@@ -887,13 +869,13 @@ fn drive_morsels(
                 }
                 // The projection comes AFTER the blocking sort here, so
                 // under a LIMIT the serial drive evaluates it only for the
-                // first rows (Limit's lazy row-wise tail). Run the
-                // identical operator tail — Project → Distinct → Limit —
-                // instead of projecting everything eagerly.
+                // first rows (the limit narrows the sort's batches). Run
+                // the identical operator tail — Project → Distinct → Limit
+                // — instead of projecting everything eagerly.
                 let sorted = Table::from_rows("sorted", plan.joined.clone(), rows)?;
                 let scan = TableScan::new(Arc::new(sorted)).with_batch_size(batch);
                 let (out, tail_batches) =
-                    plan.finish(plan.project(Box::new(scan))?, output_name, mode, guard)?;
+                    plan.finish(plan.project(Box::new(scan))?, output_name, guard)?;
                 Ok((out, batches + tail_batches))
             };
             (run.worker_ms, timed(merge))
@@ -1586,7 +1568,7 @@ mod tests {
     }
 
     #[test]
-    fn volcano_and_batched_modes_agree() {
+    fn batch_sizes_agree() {
         let c = catalog();
         for sql in [
             "SELECT * FROM films",
@@ -1597,11 +1579,11 @@ mod tests {
             "SELECT DISTINCT year FROM films ORDER BY year LIMIT 2",
         ] {
             let select = crate::parser::parse_select(sql).unwrap();
-            let (volcano, _) = run(&c, &select, ExecMode::Volcano, 1, VectorMode::Auto).unwrap();
-            for bs in [1usize, 2, 1024] {
+            let (one, _) = run(&c, &select, ExecMode::Batched(1), 1, VectorMode::Auto).unwrap();
+            for bs in [2usize, 1024] {
                 let (batched, _) =
                     run(&c, &select, ExecMode::Batched(bs), 1, VectorMode::Auto).unwrap();
-                assert_eq!(batched, volcano, "{sql} (batch {bs})");
+                assert_eq!(batched, one, "{sql} (batch {bs})");
             }
         }
     }
@@ -1612,9 +1594,7 @@ mod tests {
         let select = crate::parser::parse_select("SELECT title FROM films").unwrap();
         let (t, stats) = run(&c, &select, ExecMode::Batched(2), 1, VectorMode::Auto).unwrap();
         assert_eq!(t.len(), 4);
-        assert_eq!(stats.batches, 2);
-        let (_, stats) = run(&c, &select, ExecMode::Volcano, 1, VectorMode::Auto).unwrap();
-        assert_eq!(stats.batches, 0);
+        assert_eq!((stats.batches, stats.workers), (2, 1));
     }
 
     /// A catalog big enough that parallel runs split into several morsels
@@ -1683,18 +1663,18 @@ mod tests {
         let select =
             crate::parser::parse_select("SELECT title FROM films WHERE year = 1991 AND id > 1")
                 .unwrap();
-        let (volcano, _) = run(&c, &select, ExecMode::Volcano, 1, VectorMode::Auto).unwrap();
+        let (want, _) = run(&c, &select, ExecMode::Batched(1), 1, VectorMode::Auto).unwrap();
         // Film 4, the six generated ones (id % 60 = 41) and the tail row;
         // film 1 fails `id > 1`.
-        assert_eq!(volcano.len(), 8, "{}", volcano.render());
+        assert_eq!(want.len(), 8, "{}", want.render());
         for (mode, threads) in [
-            (ExecMode::Volcano, 1),
+            (ExecMode::Batched(1), 1),
             (ExecMode::Batched(8), 1),
             (ExecMode::Batched(8), 4),
         ] {
             let before = c.pool().status().zone_skips;
             let (got, stats) = run(&c, &select, mode, threads, VectorMode::Auto).unwrap();
-            assert_eq!(got, volcano, "{mode:?}, {threads} threads");
+            assert_eq!(got, want, "{mode:?}, {threads} threads");
             assert_eq!(
                 stats.workers > 1,
                 threads > 1,
@@ -1708,7 +1688,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_select_falls_back_for_lazy_limit_and_volcano() {
+    fn parallel_select_falls_back_for_lazy_limit() {
         let c = wide_catalog();
         // LIMIT without a blocking operator keeps lazy semantics: rows past
         // the limit are never evaluated, so this division by zero (id = 0
@@ -1720,10 +1700,6 @@ mod tests {
         let (t, stats) = run(&c, &select, ExecMode::Batched(16), 8, VectorMode::Auto).unwrap();
         assert_eq!(t.len(), 0);
         assert_eq!(stats.workers, 1, "lazy LIMIT must stay serial");
-
-        let select = crate::parser::parse_select("SELECT * FROM films").unwrap();
-        let (_, stats) = run(&c, &select, ExecMode::Volcano, 8, VectorMode::Auto).unwrap();
-        assert_eq!(stats.workers, 1, "Volcano mode is the serial baseline");
     }
 
     #[test]
@@ -1868,7 +1844,7 @@ mod tests {
         let c = vector_catalog(60);
         let select = crate::parser::parse_select(VECTOR_SQL).unwrap();
         for mode in [
-            ExecMode::Volcano,
+            ExecMode::Batched(1),
             ExecMode::Batched(7),
             ExecMode::Batched(1024),
         ] {
@@ -1925,10 +1901,8 @@ mod tests {
             assert!(stats.workers > 1, "expected a parallel run");
             assert_eq!(stats.worker_ms.len(), stats.workers);
         }
-        // IVF and Volcano fall back to the serial driver.
+        // IVF falls back to the serial driver.
         let (_, stats) = run(&c, &select, mode, 4, VectorMode::Ivf).unwrap();
-        assert_eq!(stats.workers, 1);
-        let (_, stats) = run(&c, &select, ExecMode::Volcano, 4, VectorMode::Flat).unwrap();
         assert_eq!(stats.workers, 1);
     }
 

@@ -1,7 +1,7 @@
 //! Query-guard acceptance tests: deadline, cancellation, and budgets
-//! abort every physical drive — Volcano, batched and morsel-parallel —
-//! with the same typed error, and leave the catalog ready for the next
-//! query.
+//! abort every physical drive — serial at one row and at 128 rows per
+//! batch, and morsel-parallel — with the same typed error, and leave the
+//! catalog ready for the next query.
 
 use kath_sql::{parse_select, run_select_auto_guarded, SelectStats, SqlError};
 use kath_storage::{
@@ -22,11 +22,11 @@ fn catalog(rows: usize) -> Catalog {
     c
 }
 
-/// The drives as (label, mode, threads) strategies: the serial tree row-
-/// and batch-at-a-time, and the morsel drive at two worker counts.
+/// The drives as (label, mode, threads) strategies: the serial tree at one
+/// row and at 128 rows per batch, and the morsel drive at two worker counts.
 type Drive = (&'static str, ExecMode, usize);
 const DRIVES: &[Drive] = &[
-    ("volcano", ExecMode::Volcano, 1),
+    ("one row per batch", ExecMode::Batched(1), 1),
     ("batched", ExecMode::Batched(128), 1),
     ("2 workers", ExecMode::Batched(128), 2),
     ("4 workers", ExecMode::Batched(128), 4),

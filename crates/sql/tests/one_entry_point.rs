@@ -5,10 +5,12 @@
 //!    scan, point read, inner/left join, aggregate with and without GROUP
 //!    BY (including a GROUP BY key written twice), sort before/after the
 //!    projection, expression sort, DISTINCT, lazy LIMIT, vector top-k —
-//!    runs under `(Volcano | Batched 1/3/1024) × threads 1/2/8` over
-//!    resident tables, paged tables, and tables paged and then INSERTed
-//!    into (sealed pages followed by a row tail), and every run equals the
-//!    Volcano reference.
+//!    runs under `Batched 1/3/1024 × threads 1/2/8` over resident tables,
+//!    paged tables, and tables paged and then INSERTed into (sealed pages
+//!    followed by a row tail), and every run returns what the naive
+//!    evaluator in `oracle/` says — or, for a statement calling
+//!    `SIMILARITY`, which it does not evaluate, the serial run with the
+//!    vector access path off.
 //! 2. **Error parity.** A statement that cannot be planned fails with the
 //!    same `SqlError` under every combination: planning runs once, before
 //!    any drive is chosen.
@@ -20,21 +22,24 @@
 //!    column the SELECT list drops, a name both join sides carry, the right
 //!    one of a colliding pair read while the left one is pruned, a hint
 //!    column with NULLs, a hint nothing survives — equal rows computed by a
-//!    plain Rust loop over the generated data, so the check does not rest
-//!    on the Volcano reference sharing the planner's column list.
+//!    plain Rust loop over the generated data, and so does the oracle.
 //! 5. **Run-time error parity.** A WHERE clause that raises on some row
 //!    raises on every backing and drive: no access-path shortcut (zone-map
 //!    page skip, row hint) may step over the failing row.
+//! 6. **Lazy LIMIT.** A LIMIT over a join whose one left row fans out
+//!    evaluates no pair past the limit, whatever the batch size.
+
+mod oracle;
 
 use kath_sql::{execute, parse_select, run_select_auto_guarded, SelectStats, SqlError};
 use kath_storage::{
     encode_embedding, Catalog, CompileMode, ExecMode, QueryGuard, StorageError, Table, Value,
     VectorMode,
 };
+use oracle::Answer;
 use std::sync::Arc;
 
-const MODES: [ExecMode; 4] = [
-    ExecMode::Volcano,
+const MODES: [ExecMode; 3] = [
     ExecMode::Batched(1),
     ExecMode::Batched(3),
     ExecMode::Batched(1024),
@@ -174,9 +179,28 @@ fn run(
     run_select_auto_guarded(c, &select, "out", mode, threads, vector, compile, &guard)
 }
 
-/// The Volcano reference: row-at-a-time, serial, resident.
-fn reference(c: &Catalog, sql: &str, vector: VectorMode) -> Result<Table, SqlError> {
-    run(c, sql, ExecMode::Volcano, 1, vector).map(|(t, _)| t)
+/// What a statement must return.
+enum Reference {
+    /// The oracle's answer.
+    Oracle(Answer),
+    /// For a statement calling `SIMILARITY`, which the oracle does not
+    /// evaluate: the serial run with the vector access path off.
+    Serial(Table),
+}
+
+/// The reference answer of `sql` over the resident catalog `c`.
+fn reference(c: &Catalog, sql: &str) -> Reference {
+    if sql.to_ascii_lowercase().contains("similarity(") {
+        let (table, _) = run(c, sql, ExecMode::default(), 1, VectorMode::Off).expect(sql);
+        return Reference::Serial(table);
+    }
+    let select = parse_select(sql).expect("corpus statement parses");
+    Reference::Oracle(oracle::run(c, &select).unwrap_or_else(|e| panic!("{sql}: {e}")))
+}
+
+/// The serial run with the vector access path `vector`.
+fn serial(c: &Catalog, sql: &str, vector: VectorMode) -> Result<Table, SqlError> {
+    run(c, sql, ExecMode::default(), 1, vector).map(|(t, _)| t)
 }
 
 /// Calls `check` once per `(backing, mode, threads)` combination.
@@ -244,24 +268,27 @@ fn corpus() -> Vec<&'static str> {
     ]
 }
 
-/// Runs `sql` under every combination: each run returns the rows of `want`.
-fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), sql: &str, want: &Table) {
+/// Runs `sql` under every combination: each run returns `want`.
+fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), sql: &str, want: &Reference) {
     sweep(catalogs, |label, c, mode, threads| {
-        let (got, stats) = run(c, sql, mode, threads, VectorMode::Auto)
+        let (got, _) = run(c, sql, mode, threads, VectorMode::Auto)
             .unwrap_or_else(|e| panic!("{sql} ({label}): {e}"));
-        assert_eq!(&got, want, "{sql} ({label})");
-        if mode == ExecMode::Volcano {
-            assert_eq!((stats.workers, stats.batches), (1, 0), "{sql} ({label})");
+        match want {
+            Reference::Oracle(want) => {
+                if let Some(diff) = oracle::mismatch(&got, want) {
+                    panic!("{sql} ({label}): {diff}");
+                }
+            }
+            Reference::Serial(want) => assert_eq!(&got, want, "{sql} ({label})"),
         }
     });
 }
 
 #[test]
-fn every_combination_equals_the_volcano_reference() {
+fn every_combination_equals_the_oracle() {
     let catalogs = catalogs();
     for sql in corpus() {
-        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
-        check_everywhere(&catalogs, sql, &want);
+        check_everywhere(&catalogs, sql, &reference(&catalogs.0, sql));
     }
 }
 
@@ -416,8 +443,11 @@ fn late_materialization_corpus() -> Vec<(&'static str, Vec<Vec<Value>>)> {
 fn late_materialization_returns_what_a_plain_rust_filter_returns() {
     let catalogs = catalogs();
     for (sql, rows) in late_materialization_corpus() {
-        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
-        assert_eq!(want.rows(), rows, "{sql}: reference vs plain filter");
+        let want = reference(&catalogs.0, sql);
+        let Reference::Oracle(answer) = &want else {
+            unreachable!("no SIMILARITY here")
+        };
+        assert_eq!(answer.rows, rows, "{sql}: oracle vs plain filter");
         check_everywhere(&catalogs, sql, &want);
     }
 }
@@ -432,12 +462,10 @@ fn a_where_clause_that_raises_raises_on_every_backing_and_drive() {
         "SELECT id FROM big WHERE 1 / (id - 2600) <= 0 AND id <= 10",
         "SELECT id FROM big WHERE 1 / (id - 2600) <= 0 AND v = 99",
     ] {
-        let want = reference(&catalogs.0, sql, VectorMode::Auto).expect_err(sql);
-        assert_eq!(
-            want,
-            SqlError::Storage(StorageError::Eval("division by zero".into())),
-            "{sql}"
-        );
+        let select = parse_select(sql).unwrap();
+        let oracle = oracle::run(&catalogs.0, &select).map(|a| a.rows.len());
+        assert_eq!(oracle.expect_err(sql), "division by zero", "{sql}");
+        let want = SqlError::Storage(StorageError::Eval("division by zero".into()));
         sweep(&catalogs, |label, c, mode, threads| {
             let got = run(c, sql, mode, threads, VectorMode::Auto)
                 .map(|(t, _)| t.len())
@@ -464,21 +492,24 @@ fn the_quotient_that_does_not_fit_is_a_typed_error_on_every_backing_and_drive() 
     }
     // Unary minus wraps, as `+ - *` do: `-i64::MIN` is `i64::MIN`.
     let sql = "SELECT id, -(0 - 9223372036854775807 - 1 + v) FROM big WHERE id <= 200";
-    let want = reference(&catalogs.0, sql, VectorMode::Auto).expect(sql);
-    assert_eq!(want.rows()[0], vec![Value::Int(0), Value::Int(i64::MIN)]);
-    assert_eq!(want.rows()[1], vec![Value::Int(1), Value::Int(i64::MAX)]);
+    let want = reference(&catalogs.0, sql);
+    let Reference::Oracle(answer) = &want else {
+        unreachable!("no SIMILARITY here")
+    };
+    assert_eq!(answer.rows[0], vec![Value::Int(0), Value::Int(i64::MIN)]);
+    assert_eq!(answer.rows[1], vec![Value::Int(1), Value::Int(i64::MAX)]);
     check_everywhere(&catalogs, sql, &want);
 }
 
 #[test]
 fn vector_topk_equals_its_reference_under_every_combination() {
     let catalogs = catalogs();
-    let full_sort = reference(&catalogs.0, VECTOR_SQL, VectorMode::Off).unwrap();
+    let full_sort = serial(&catalogs.0, VECTOR_SQL, VectorMode::Off).unwrap();
     assert_eq!(full_sort.len(), 4);
     for vector in [VectorMode::Off, VectorMode::Flat, VectorMode::Ivf] {
         // The exact paths reproduce the full-sort plan bit for bit; IVF is
         // approximate, but deterministic: it equals its own serial probe.
-        let want = reference(&catalogs.0, VECTOR_SQL, vector).unwrap();
+        let want = serial(&catalogs.0, VECTOR_SQL, vector).unwrap();
         if vector != VectorMode::Ivf {
             assert_eq!(want, full_sort, "{vector:?}");
         }
@@ -548,8 +579,13 @@ fn planning_errors_are_the_same_on_every_drive() {
         ),
     ];
     for (sql, expected) in cases {
+        let select = parse_select(sql).unwrap();
+        assert!(
+            oracle::run(&catalogs.0, &select).is_err(),
+            "{sql}: the oracle answers"
+        );
         for vector in [VectorMode::Off, VectorMode::Flat, VectorMode::Ivf] {
-            let want = reference(&catalogs.0, sql, vector).expect_err(sql);
+            let want = serial(&catalogs.0, sql, vector).expect_err(sql);
             assert!(expected(&want), "{sql}: unexpected error {want:?}");
             sweep(&catalogs, |label, c, mode, threads| {
                 let got = run(c, sql, mode, threads, vector)
@@ -586,16 +622,74 @@ fn float_sum_and_avg_are_stable_across_worker_counts_and_close_to_serial() {
         "same bits at every worker count ≥ 2"
     );
 
-    let (volcano, _) = run_at(ExecMode::Volcano, 1);
+    // The oracle adds in row order, as the serial drive does: it agrees
+    // with the serial sums bit for bit, and with the morsel drive's within
+    // a relative 1e-9 (`mismatch` allows that on SUM/AVG columns).
+    let want = oracle::run(&resident, &parse_select(sql).unwrap()).unwrap();
+    assert_eq!(want.approx, [false, true, true]);
+    let exact = Answer {
+        approx: vec![false; 3],
+        ..want.clone()
+    };
     let (one, _) = run_at(mode, 1);
-    for serial in [&volcano, &one] {
-        assert_eq!(serial.len(), two.len());
-        for (want, got) in floats(serial).into_iter().zip(floats(&two)) {
-            let (want, got) = (f64::from_bits(want), f64::from_bits(got));
-            assert!(
-                (want - got).abs() <= 1e-9 * want.abs(),
-                "morsel sum {got} vs serial sum {want}"
-            );
+    assert_eq!(oracle::mismatch(&one, &exact), None, "serial sums");
+    assert_eq!(oracle::mismatch(&two, &want), None, "morsel sums");
+}
+
+/// `l` holds one row, `k = 1`; `r` holds 1 030 rows that all match it,
+/// with `v` counting down from 1 029 — so only the last pair has `v = 0`.
+fn fan_out_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    execute(&mut c, "CREATE TABLE l (k INT)", "x").unwrap();
+    execute(&mut c, "CREATE TABLE r (rk INT, v INT)", "x").unwrap();
+    execute(&mut c, "INSERT INTO l VALUES (1)", "x").unwrap();
+    let rows: Vec<Vec<Value>> = (0..1030i64)
+        .map(|i| vec![Value::Int(1), Value::Int(1029 - i)])
+        .collect();
+    c.append_rows("r", &rows).unwrap();
+    c
+}
+
+#[test]
+fn a_limit_evaluates_no_pair_past_it_under_a_fanned_out_join() {
+    let c = fan_out_catalog();
+    // (statement, rows it returns): the zero divisor is pair 1 030, past
+    // every limit here — in the SELECT list, in WHERE, and under DISTINCT,
+    // whose third distinct quotient comes at pair 1 025.
+    let cases = [
+        (
+            "SELECT k, 10 / v AS q FROM l JOIN r ON l.k = r.rk LIMIT 1024",
+            1024,
+        ),
+        (
+            "SELECT k, 10 / v AS q FROM l JOIN r ON l.k = r.rk LIMIT 3",
+            3,
+        ),
+        (
+            "SELECT k FROM l JOIN r ON l.k = r.rk WHERE 10 / v >= 0 LIMIT 3",
+            3,
+        ),
+        (
+            "SELECT DISTINCT k, 10 / v AS q FROM l JOIN r ON l.k = r.rk LIMIT 3",
+            3,
+        ),
+    ];
+    for (sql, len) in cases {
+        let want = oracle::run(&c, &parse_select(sql).unwrap()).expect(sql);
+        assert_eq!(want.rows.len(), len, "{sql}");
+        for mode in MODES {
+            for threads in [1, 2] {
+                let (got, _) = run(&c, sql, mode, threads, VectorMode::Auto)
+                    .unwrap_or_else(|e| panic!("{sql} ({mode:?}, {threads} threads): {e}"));
+                let diff = oracle::mismatch(&got, &want);
+                assert_eq!(diff, None, "{sql} ({mode:?}, {threads} threads)");
+            }
         }
+    }
+    // One pair further, the divisor is evaluated and raises everywhere.
+    let sql = "SELECT k, 10 / v AS q FROM l JOIN r ON l.k = r.rk LIMIT 1030";
+    assert!(oracle::run(&c, &parse_select(sql).unwrap()).is_err());
+    for mode in MODES {
+        assert!(run(&c, sql, mode, 1, VectorMode::Auto).is_err(), "{mode:?}");
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! 1. **Fallback parity**: byte-identical to the full-sort plan
 //!    (`VectorMode::Off`) on arbitrary corpora, including NULL, corrupt,
-//!    and text cells, at any batch size and in Volcano mode.
+//!    and text cells, at any batch size.
 //! 2. **Parallel parity**: the per-morsel top-k drive is byte-identical to
 //!    the serial scan at any worker count.
 //! 3. **Recall**: the approximate IVF implementation keeps recall@10 ≥ 0.9
@@ -97,7 +97,7 @@ proptest! {
         );
         let select = parse_select(&sql).unwrap();
         let fallback = run(&c, &select, ExecMode::Batched(16), 1, VectorMode::Off);
-        for mode in [ExecMode::Volcano, ExecMode::Batched(3), ExecMode::Batched(1024)] {
+        for mode in [ExecMode::Batched(1), ExecMode::Batched(3), ExecMode::Batched(1024)] {
             for vector in [VectorMode::Auto, VectorMode::Flat, VectorMode::Ivf] {
                 let fast = run(&c, &select, mode, 1, vector);
                 // IVF is approximate: it may pick different rows, but must

@@ -1,13 +1,11 @@
 //! Columnar batches for vectorized execution.
 //!
-//! The Volcano `next()` protocol pays a dynamic-dispatch call — and a
+//! A row-at-a-time protocol pays a dynamic-dispatch call — and a
 //! name-based schema resolve inside every expression — per *row*. Batch-at-
-//! a-time execution amortizes both over [`RowBatch::capacity`]-sized chunks:
-//! each column of a batch is one typed, null-bitmap-backed [`ColumnVector`],
-//! so predicate and projection kernels run as tight loops over `i64`/`f64`
-//! slices instead of per-row `Value` matches. The row-at-a-time path stays
-//! as the compatibility baseline; parity tests assert both produce
-//! identical results.
+//! a-time execution amortizes both over batch-sized chunks: each column of
+//! a batch is one typed, null-bitmap-backed [`ColumnVector`], so predicate
+//! and projection kernels run as tight loops over `i64`/`f64` slices
+//! instead of per-row `Value` matches.
 
 use crate::{cmp_int_f64, DataType, Row, StorageError, Value};
 use std::cmp::Ordering;
@@ -16,28 +14,22 @@ use std::cmp::Ordering;
 /// overhead, small enough that a batch's columns stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// How a query pipeline is driven.
-///
-/// The mode governs the protocol the *pipeline spine* is pulled through
-/// (root-to-leaf `next()` vs `next_batch()` calls). Blocking operators
-/// (hash-join build side, aggregate, sort) always materialize their inputs
-/// batch-wise internally — results are identical either way; Volcano is
-/// the per-row-dispatch baseline on the streaming path, not a promise that
-/// no batch is ever formed.
+/// How a query pipeline is driven: the batch size its sources cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Classical tuple-at-a-time Volcano iteration.
+    /// Kept for the repo benchmark (`benchmark/`) only, which still names
+    /// it: runs exactly as `ExecMode::default()`.
     Volcano,
     /// Batch-at-a-time execution with the given batch capacity (≥ 1).
     Batched(usize),
 }
 
 impl ExecMode {
-    /// The batch capacity, or `None` in Volcano mode.
-    pub fn batch_size(&self) -> Option<usize> {
+    /// The batch capacity.
+    pub fn batch_size(&self) -> usize {
         match self {
-            ExecMode::Volcano => None,
-            ExecMode::Batched(n) => Some((*n).max(1)),
+            ExecMode::Volcano => DEFAULT_BATCH_SIZE,
+            ExecMode::Batched(n) => (*n).max(1),
         }
     }
 }
@@ -769,8 +761,9 @@ mod tests {
 
     #[test]
     fn exec_mode_batch_size() {
-        assert_eq!(ExecMode::Volcano.batch_size(), None);
-        assert_eq!(ExecMode::Batched(0).batch_size(), Some(1));
-        assert_eq!(ExecMode::default().batch_size(), Some(DEFAULT_BATCH_SIZE));
+        assert_eq!(ExecMode::Batched(0).batch_size(), 1);
+        assert_eq!(ExecMode::default().batch_size(), DEFAULT_BATCH_SIZE);
+        // The benchmark's alias runs as the default does.
+        assert_eq!(ExecMode::Volcano.batch_size(), DEFAULT_BATCH_SIZE);
     }
 }

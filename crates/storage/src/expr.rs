@@ -145,10 +145,14 @@ impl Expr {
                             return Ok(Value::Bool(false));
                         }
                         let rv = r.eval(row, schema)?;
+                        if !rv.is_null() && !rv.is_truthy() {
+                            // NULL AND FALSE is FALSE, as FALSE AND NULL is.
+                            return Ok(Value::Bool(false));
+                        }
                         if lv.is_null() || rv.is_null() {
                             return Ok(Value::Null);
                         }
-                        return Ok(Value::Bool(lv.is_truthy() && rv.is_truthy()));
+                        return Ok(Value::Bool(true));
                     }
                     BinOp::Or => {
                         if lv.is_truthy() {
@@ -403,7 +407,7 @@ fn combine_logical(and: bool, l: &ColumnVector, r: &ColumnVector) -> ColumnVecto
     for i in 0..n {
         let (ln, rn) = (l.is_null(i), r.is_null(i));
         let (cell, is_null) = if and {
-            if !ln && !lt[i] {
+            if (!ln && !lt[i]) || (!rn && !rt[i]) {
                 (false, false)
             } else if ln || rn {
                 (false, true)

@@ -4,12 +4,11 @@
 //! A [`QueryGuard`] is built once per statement (from the session-level
 //! [`GuardSpec`]) and threaded through the drive that runs it:
 //!
-//! - **Volcano**: [`crate::collect`]'s guarded variant checks before every
-//!   `next()` and charges each produced row; long scans additionally check
-//!   inside [`crate::TableScan`] every [`GUARD_CHECK_INTERVAL`] rows, so a
-//!   blocking `Sort`/`Aggregate` above the scan still aborts mid-scan.
-//! - **Batch**: the guarded batched collector checks before every
-//!   `next_batch()` and charges each produced batch.
+//! - **Serial**: [`crate::drain_guarded`] checks before every
+//!   `next_batch()` and charges each produced batch; the leading
+//!   [`crate::TableScan`] additionally checks once per batch-sized run of
+//!   rows, so a blocking `Sort`/`Aggregate` above the scan still aborts
+//!   mid-scan.
 //! - **Morsel-parallel**: workers check between morsels (claim, check,
 //!   work); the merged result is charged after DISTINCT/LIMIT, and workers
 //!   charge per batch mid-scan only when every row they emit is a result
@@ -33,9 +32,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many rows a scan produces between guard checks. Checks are cheap
-/// (an atomic load; an `Instant::now()` only when a deadline is set), but
-/// per-row checks in the Volcano drive would still be measurable.
+/// How many iterations a row loop runs between guard checks
+/// ([`QueryGuard::check_periodic`]). Checks are cheap (an atomic load; an
+/// `Instant::now()` only when a deadline is set), but per-row checks would
+/// still be measurable.
 pub const GUARD_CHECK_INTERVAL: usize = 128;
 
 /// A shared cancellation flag: clone it, hand it to another thread, and

@@ -4,7 +4,7 @@
 //! the relational model" (§1): every modality — tables, text, images, video —
 //! is represented as relational views, and every FAO ultimately reads and
 //! writes tables. This crate is that relational foundation: typed values,
-//! schemas, in-memory tables, scalar expressions, volcano-style operators,
+//! schemas, in-memory tables, scalar expressions, batch-pulled operators,
 //! a system catalog (with the verifier's database utilities), binary
 //! persistence, and the durability subsystem (write-ahead log +
 //! checkpointed snapshots + crash recovery).
@@ -52,10 +52,9 @@ pub use morsel::{
     MORSEL_BATCHES,
 };
 pub use ops::{
-    cmp_rows, col_cmp, collect, collect_batched, collect_batched_guarded, collect_guarded,
-    merge_sorted_runs, resolve_sort_keys, sort_rows, AggFunc, Aggregate, Distinct, Filter,
-    HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Operator, PartialAggregate,
-    Project, Sort, SortKey, TableScan,
+    cmp_rows, col_cmp, collect, drain_guarded, merge_sorted_runs, resolve_sort_keys, sort_rows,
+    AggFunc, Aggregate, Distinct, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind,
+    Limit, Operator, PartialAggregate, Project, Sort, SortKey, TableScan,
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
 pub use paged::{PageBacking, PageSlot, PageWriteStats, PagedTable, RecoveredPage};

@@ -1,9 +1,9 @@
-//! Volcano-style relational operators.
+//! Relational operators.
 //!
 //! KathDB's FAO bodies compile down to pipelines of these operators; the
-//! classical iterator model gives the system the "clear query semantics and
+//! classical pull model gives the system the "clear query semantics and
 //! high efficiency" of a traditional DBMS (§1) underneath the model-driven
-//! layer.
+//! layer. There is one protocol: an operator hands out columnar batches.
 
 use crate::batch::{ColumnVector, RowBatch, DEFAULT_BATCH_SIZE};
 use crate::guard::QueryGuard;
@@ -12,79 +12,46 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A pull-based relational operator.
+/// A pull-based relational operator, driven a batch at a time.
 ///
-/// Operators can be driven tuple-at-a-time via [`Operator::next`] (the
-/// classical Volcano protocol) or batch-at-a-time via
-/// [`Operator::next_batch`]. The default `next_batch` adapts `next()`, so
-/// every operator supports both; the hot operators ([`TableScan`],
-/// [`Filter`], [`Project`], [`HashJoin`], [`Limit`], [`Distinct`])
-/// override it with native columnar implementations. Both protocols
-/// advance the same stream — switching mid-stream (as [`Limit`] does for
-/// its row-wise tail) continues where the other left off.
+/// Pass-through operators ([`Filter`], [`Project`], [`HashJoin`],
+/// [`Limit`], [`Distinct`]) delegate [`Operator::batch_capacity`] and
+/// [`Operator::narrow`] to their input, so the source's batch size is the
+/// one knob of a pipeline and a `LIMIT` reaches the operator that makes
+/// the rows.
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
-    /// Produces the next row, or `None` when exhausted.
-    fn next(&mut self) -> Result<Option<Row>, StorageError>;
 
-    /// Produces the next batch of up to [`Operator::batch_capacity`] rows,
-    /// or `None` when exhausted. Returned batches are never empty.
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        let cap = self.batch_capacity();
-        let mut rows = Vec::with_capacity(cap);
-        while rows.len() < cap {
-            match self.next()? {
-                Some(row) => rows.push(row),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::from_rows(self.schema().arity(), rows)))
-        }
-    }
+    /// Produces the next batch of at most [`Operator::batch_capacity`]
+    /// rows, or `None` when exhausted. Returned batches are never empty.
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError>;
 
     /// Target rows per batch. Source operators own the setting; pass-through
     /// operators delegate to their input so one knob drives the pipeline.
     fn batch_capacity(&self) -> usize {
         DEFAULT_BATCH_SIZE
     }
+
+    /// Caps every later batch at `rows` rows (at least one); a cap only
+    /// ever narrows. [`Limit`] calls it with the rows it still wants before
+    /// each pull, so no operator beneath it evaluates a row past the limit:
+    /// sources cut their batches to the cap and pass-through operators
+    /// forward it. Every operator of this crate overrides it; the default
+    /// ignores the cap, which leaves a `LIMIT` above such an operator eager.
+    fn narrow(&mut self, _rows: usize) {}
 }
 
 /// Drains an operator into a materialized [`Table`].
 pub fn collect(name: &str, op: Box<dyn Operator>) -> Result<Table, StorageError> {
-    collect_guarded(name, op, &QueryGuard::unlimited())
+    drain_guarded(name, op, &QueryGuard::unlimited()).map(|(table, _)| table)
 }
 
-/// [`collect`] under a [`QueryGuard`]: the guard is checked before every
-/// `next()` (so a 0ms deadline aborts before the first row) and charged
-/// for every produced row.
-pub fn collect_guarded(
-    name: &str,
-    mut op: Box<dyn Operator>,
-    guard: &QueryGuard,
-) -> Result<Table, StorageError> {
-    let mut out = Table::new(name, op.schema().clone());
-    guard.check()?;
-    while let Some(row) = op.next()? {
-        guard.charge_row(&row)?;
-        out.push(row)?;
-        guard.check_periodic(out.len())?;
-    }
-    Ok(out)
-}
-
-/// Drains an operator batch-at-a-time into a materialized [`Table`],
-/// returning the table and the number of batches produced.
-pub fn collect_batched(name: &str, op: Box<dyn Operator>) -> Result<(Table, usize), StorageError> {
-    collect_batched_guarded(name, op, &QueryGuard::unlimited())
-}
-
-/// [`collect_batched`] under a [`QueryGuard`]: checked before every
-/// `next_batch()`, charged per produced batch.
-pub fn collect_batched_guarded(
+/// Drains an operator into a materialized [`Table`] under a [`QueryGuard`],
+/// returning the table and the number of batches produced. The guard is
+/// checked before every `next_batch()` — so a 0 ms deadline aborts before
+/// the first row — and charged for every produced batch.
+pub fn drain_guarded(
     name: &str,
     mut op: Box<dyn Operator>,
     guard: &QueryGuard,
@@ -177,10 +144,9 @@ impl TableScan {
         }
     }
 
-    /// Attaches a [`QueryGuard`]: deadline/cancellation is checked
-    /// periodically in `next()` and once per batch-sized run of rows in
-    /// `next_batch()` (whether or not the run yields a batch), so a
-    /// long-running scan aborts mid-stream instead of at drain time.
+    /// Attaches a [`QueryGuard`]: deadline/cancellation is checked once per
+    /// batch-sized run of rows (whether or not the run yields a batch), so
+    /// a long-running scan aborts mid-stream instead of at drain time.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
@@ -201,10 +167,9 @@ impl TableScan {
 
     /// Attaches prune hints: `column <op> literal` conjuncts that the
     /// plan's filter will apply anyway. Pages a hint's zone map proves
-    /// empty are skipped without decoding, and `next_batch` drops the rows
-    /// of the remaining pages and of the tail that fail a hint before it
-    /// copies anything else of them; `next()` yields every row of an
-    /// unpruned page. Unknown columns are ignored (no hint).
+    /// empty are skipped without decoding, and the rows of the remaining
+    /// pages and of the tail that fail a hint are dropped before anything
+    /// else of them is copied. Unknown columns are ignored (no hint).
     pub fn with_prune_hint(mut self, hints: &[(String, BinOp, Value)]) -> Self {
         let schema = self.table.schema();
         self.prune = hints
@@ -298,21 +263,6 @@ impl Operator for TableScan {
         self.columns.schema(&self.table)
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        self.guard.check_periodic(self.cursor)?;
-        let sealed = match self.table.paged().cloned() {
-            Some(pages) => self.next_sealed_page(&pages).is_some(),
-            None => false,
-        };
-        if sealed {
-            self.cursor += 1;
-        } else if self.take_tail(1).is_empty() {
-            return Ok(None);
-        }
-        let columns = self.columns.ordinals.iter().copied();
-        self.table.cells_at(self.cursor - 1, columns)
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         // One iteration per batch-sized run of rows; a run no row of which
         // survives the hints yields nothing and the loop moves on.
@@ -356,6 +306,10 @@ impl Operator for TableScan {
     fn batch_capacity(&self) -> usize {
         self.batch_size
     }
+
+    fn narrow(&mut self, rows: usize) {
+        self.batch_size = self.batch_size.min(rows.max(1));
+    }
 }
 
 /// Scan over an explicit list of row positions of a table, in the given
@@ -396,14 +350,6 @@ impl Operator for IndexScan {
         self.table.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        let Some(&pos) = self.positions.get(self.cursor) else {
-            return Ok(None);
-        };
-        self.cursor += 1;
-        self.fetch(pos).map(Some)
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         if self.cursor >= self.positions.len() {
             return Ok(None);
@@ -419,6 +365,10 @@ impl Operator for IndexScan {
 
     fn batch_capacity(&self) -> usize {
         self.batch_size
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.batch_size = self.batch_size.min(rows.max(1));
     }
 }
 
@@ -441,28 +391,14 @@ impl Operator for Filter {
         self.input.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        while let Some(row) = self.input.next()? {
-            let keep = self.predicate.eval(&row, self.input.schema())?;
-            if keep.is_truthy() {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         while let Some(batch) = self.input.next_batch()? {
             let keep = self
                 .predicate
                 .eval_batch(&batch, self.input.schema())?
                 .truthy_mask();
-            if keep.iter().all(|k| *k) {
-                // Everything passed: hand the batch through untouched.
-                return Ok(Some(batch));
-            }
-            if keep.iter().any(|k| *k) {
-                return Ok(Some(batch.filter(&keep)));
+            if let Some(kept) = keep_rows(batch, &keep) {
+                return Ok(Some(kept));
             }
         }
         Ok(None)
@@ -470,6 +406,20 @@ impl Operator for Filter {
 
     fn batch_capacity(&self) -> usize {
         self.input.batch_capacity()
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.input.narrow(rows);
+    }
+}
+
+/// The rows of `batch` that `keep` marks: the batch itself, untouched, when
+/// it marks all of them; `None` when it marks none.
+fn keep_rows(batch: RowBatch, keep: &[bool]) -> Option<RowBatch> {
+    if keep.iter().all(|k| *k) {
+        Some(batch)
+    } else {
+        keep.iter().any(|k| *k).then(|| batch.filter(keep))
     }
 }
 
@@ -525,45 +475,29 @@ impl Operator for Project {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        match self.input.next()? {
-            None => Ok(None),
-            Some(row) => {
-                let out: Row = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.eval(&row, self.input.schema()))
-                    .collect::<Result<_, _>>()?;
-                Ok(Some(out))
-            }
-        }
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        match self.input.next_batch()? {
-            None => Ok(None),
-            Some(batch) => {
-                if self.exprs.is_empty() {
-                    // Degenerate arity-0 projection: keep the row count.
-                    return Ok(Some(RowBatch::from_rows(
-                        0,
-                        vec![Vec::new(); batch.num_rows()],
-                    )));
-                }
-                let columns: Vec<_> = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.eval_batch(&batch, self.input.schema()))
-                    .collect::<Result<_, _>>()?;
-                Ok(Some(
-                    RowBatch::from_columns(columns).expect("expressions evaluate one batch"),
-                ))
-            }
+        let Some(batch) = self.input.next_batch()? else {
+            return Ok(None);
+        };
+        if self.exprs.is_empty() {
+            // Degenerate arity-0 projection: keep the row count.
+            let rows = vec![Vec::new(); batch.num_rows()];
+            return Ok(Some(RowBatch::from_rows(0, rows)));
         }
+        let columns: Vec<_> = self
+            .exprs
+            .iter()
+            .map(|e| e.eval_batch(&batch, self.input.schema()))
+            .collect::<Result<_, _>>()?;
+        RowBatch::from_columns(columns).map(Some)
     }
 
     fn batch_capacity(&self) -> usize {
         self.input.batch_capacity()
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.input.narrow(rows);
     }
 }
 
@@ -634,43 +568,45 @@ impl JoinBuild {
         &self.right_schema
     }
 
-    /// The one probe routine, columnar: looks the keys of `left` rows
-    /// `*cursor..` up straight from column `key`, pairs each left position
-    /// with its matching build rows in forward match order (a left row
-    /// without a match pairs once with a NULL pad under [`JoinKind::Left`],
-    /// not at all under [`JoinKind::Inner`]; a NULL key never matches), and
-    /// assembles the joined batch by typed gather — left columns at the
-    /// left positions, then build columns at the matched ones.
+    /// The one probe routine, columnar: looks the keys of `left` rows up
+    /// straight from column `key`, from the position `cursor` holds, pairs
+    /// each left position with its matching build rows in forward match
+    /// order (a left row without a match pairs once with a NULL pad under
+    /// [`JoinKind::Left`], not at all under [`JoinKind::Inner`]; a NULL key
+    /// never matches), and assembles the joined batch by typed gather —
+    /// left columns at the left positions, then build columns at the
+    /// matched ones.
     ///
-    /// Stops taking left rows once `cap` pairs are recorded — one row's
-    /// match list is the only unbounded unit — and leaves `*cursor` at the
-    /// first left row not yet probed. `None`: the rest of `left` produced
-    /// no output.
+    /// `cursor` is `(left row, matches of it already paired)`. The call
+    /// stops at exactly `cap` pairs, in the middle of a match list if need
+    /// be, and leaves `cursor` at the first pair not yet made. `None`: the
+    /// rest of `left` produced no output.
     pub fn probe(
         &self,
         left: &RowBatch,
         key: usize,
         kind: JoinKind,
-        cursor: &mut usize,
+        cursor: &mut (usize, usize),
         cap: usize,
     ) -> Result<Option<RowBatch>, StorageError> {
         let keys = left.column(key);
         let mut left_at: Vec<usize> = Vec::new();
         let mut build_at: Vec<Option<usize>> = Vec::new();
-        while *cursor < left.num_rows() && left_at.len() < cap {
-            let i = *cursor;
-            *cursor += 1;
-            match self.matches(&keys.value(i)) {
-                Some(hits) => {
-                    left_at.extend(std::iter::repeat_n(i, hits.len()));
-                    build_at.extend(hits.iter().copied().map(Some));
-                }
-                None if kind == JoinKind::Left => {
-                    left_at.push(i);
-                    build_at.push(None);
-                }
-                None => {}
+        while cursor.0 < left.num_rows() && left_at.len() < cap {
+            let (i, done) = *cursor;
+            let hits = self.matches(&keys.value(i)).unwrap_or_default();
+            let take = (hits.len() - done).min(cap - left_at.len());
+            left_at.extend(std::iter::repeat_n(i, take));
+            build_at.extend(hits[done..done + take].iter().copied().map(Some));
+            if hits.is_empty() && kind == JoinKind::Left {
+                left_at.push(i);
+                build_at.push(None);
             }
+            *cursor = if done + take < hits.len() {
+                (i, done + take)
+            } else {
+                (i + 1, 0)
+            };
         }
         if left_at.is_empty() {
             return Ok(None);
@@ -689,10 +625,9 @@ pub struct HashJoin {
     left_key: usize,
     built: Arc<JoinBuild>,
     kind: JoinKind,
-    pending: Vec<Row>,
-    // Batched probe state: the current left batch and the next row in it.
+    // Probe state: the current left batch and the probe's cursor in it.
     lbatch: Option<RowBatch>,
-    lcursor: usize,
+    lcursor: (usize, usize),
 }
 
 impl HashJoin {
@@ -724,9 +659,8 @@ impl HashJoin {
             left_key,
             built,
             kind,
-            pending: Vec::new(),
             lbatch: None,
-            lcursor: 0,
+            lcursor: (0, 0),
         })
     }
 
@@ -746,57 +680,10 @@ impl Operator for HashJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        loop {
-            if let Some(row) = self.pending.pop() {
-                return Ok(Some(row));
-            }
-            // Finish any left batch a batched probe started, so switching
-            // protocols mid-stream (e.g. Limit's row-wise tail) loses
-            // nothing.
-            let mut lrow: Option<Row> = None;
-            if let Some(b) = &self.lbatch {
-                if self.lcursor < b.num_rows() {
-                    lrow = Some(b.row(self.lcursor));
-                    self.lcursor += 1;
-                } else {
-                    self.lbatch = None;
-                }
-            }
-            let lrow = match lrow {
-                Some(row) => row,
-                None => match self.left.next()? {
-                    Some(row) => row,
-                    None => return Ok(None),
-                },
-            };
-            match self.built.matches(&lrow[self.left_key]) {
-                Some(hits) => {
-                    for &hit in hits.iter().rev() {
-                        let mut out = lrow.clone();
-                        out.extend(self.built.rows.row(hit));
-                        self.pending.push(out);
-                    }
-                }
-                None if self.kind == JoinKind::Left => {
-                    let mut out = lrow;
-                    out.resize(self.schema.arity(), Value::Null);
-                    self.pending.push(out);
-                }
-                None => continue,
-            }
-        }
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        // Rows a prior next() staged come first, in pop order.
-        if !self.pending.is_empty() {
-            let rows = self.pending.drain(..).rev().collect();
-            return Ok(Some(RowBatch::from_rows(self.schema.arity(), rows)));
-        }
-        // An output batch is cut from one left batch, `batch_capacity` left
-        // matches at a time, so it stays near the configured capacity even
-        // when keys fan out.
+        // An output batch is cut from one left batch, at most
+        // `batch_capacity` pairs at a time, so it never exceeds the
+        // capacity however far keys fan out.
         let cap = self.batch_capacity();
         loop {
             if let Some(left) = &self.lbatch {
@@ -808,7 +695,7 @@ impl Operator for HashJoin {
                 }
             }
             self.lbatch = self.left.next_batch()?;
-            self.lcursor = 0;
+            self.lcursor = (0, 0);
             if self.lbatch.is_none() {
                 return Ok(None);
             }
@@ -817,6 +704,10 @@ impl Operator for HashJoin {
 
     fn batch_capacity(&self) -> usize {
         self.left.batch_capacity()
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.left.narrow(rows);
     }
 }
 
@@ -848,10 +739,29 @@ pub struct Aggregate {
     pub output: String,
 }
 
-/// Hash aggregation with optional GROUP BY keys.
+/// Hash aggregation with optional GROUP BY keys: a pipeline breaker that
+/// consumes its input when built and hands the groups out a batch at a time.
 pub struct HashAggregate {
+    out: Materialized,
+}
+
+/// The output of a pipeline breaker: the rows it holds, handed out in order
+/// at most `batch_size` at a time.
+struct Materialized {
     schema: Schema,
-    results: std::vec::IntoIter<Row>,
+    rows: std::vec::IntoIter<Row>,
+    batch_size: usize,
+}
+
+impl Materialized {
+    fn next_batch(&mut self) -> Option<RowBatch> {
+        let rows: Vec<Row> = self.rows.by_ref().take(self.batch_size).collect();
+        (!rows.is_empty()).then(|| RowBatch::from_rows(self.schema.arity(), rows))
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.batch_size = self.batch_size.min(rows.max(1));
+    }
 }
 
 #[derive(Clone)]
@@ -880,19 +790,25 @@ impl AggState {
         if let Some(f) = v.as_f64() {
             self.sum += f;
         }
-        let better_min = self
+        self.extremes(v, v);
+    }
+
+    /// Takes `lo` as the minimum if it is strictly below the current one
+    /// (the first of equal values stays), and `hi` as the maximum likewise.
+    fn extremes(&mut self, lo: &Value, hi: &Value) {
+        if self
             .min
             .as_ref()
-            .is_none_or(|m| v.total_cmp(m) == Ordering::Less);
-        if better_min {
-            self.min = Some(v.clone());
+            .is_none_or(|m| lo.total_cmp(m) == Ordering::Less)
+        {
+            self.min = Some(lo.clone());
         }
-        let better_max = self
+        if self
             .max
             .as_ref()
-            .is_none_or(|m| v.total_cmp(m) == Ordering::Greater);
-        if better_max {
-            self.max = Some(v.clone());
+            .is_none_or(|m| hi.total_cmp(m) == Ordering::Greater)
+        {
+            self.max = Some(hi.clone());
         }
     }
 
@@ -903,23 +819,8 @@ impl AggState {
     fn absorb(&mut self, other: &AggState) {
         self.count += other.count;
         self.sum += other.sum;
-        if let Some(m) = &other.min {
-            let better = self
-                .min
-                .as_ref()
-                .is_none_or(|cur| m.total_cmp(cur) == Ordering::Less);
-            if better {
-                self.min = Some(m.clone());
-            }
-        }
-        if let Some(m) = &other.max {
-            let better = self
-                .max
-                .as_ref()
-                .is_none_or(|cur| m.total_cmp(cur) == Ordering::Greater);
-            if better {
-                self.max = Some(m.clone());
-            }
+        if let (Some(lo), Some(hi)) = (&other.min, &other.max) {
+            self.extremes(lo, hi);
         }
     }
 
@@ -1109,21 +1010,40 @@ impl HashAggregate {
     ) -> Result<Self, StorageError> {
         let mut partial = PartialAggregate::new(input.schema(), &group_by, aggregates)?;
         partial.consume(input.as_mut())?;
-        let (schema, results) = partial.finish();
+        let (schema, rows) = partial.finish();
         Ok(Self {
-            schema,
-            results: results.into_iter(),
+            out: Materialized {
+                schema,
+                rows: rows.into_iter(),
+                batch_size: input.batch_capacity(),
+            },
         })
+    }
+
+    /// The next group's row, advancing the stream `next_batch` reads. Kept
+    /// for the repo benchmark's aggregation kernel (`benchmark/`) only,
+    /// which drains groups one at a time.
+    #[allow(clippy::should_implement_trait)] // fallible, unlike `Iterator::next`
+    pub fn next(&mut self) -> Result<Option<Row>, StorageError> {
+        Ok(self.out.rows.next())
     }
 }
 
 impl Operator for HashAggregate {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.out.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        Ok(self.results.next())
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
+        Ok(self.out.next_batch())
+    }
+
+    fn batch_capacity(&self) -> usize {
+        self.out.batch_size
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.out.narrow(rows);
     }
 }
 
@@ -1136,10 +1056,10 @@ pub struct SortKey {
     pub desc: bool,
 }
 
-/// Full sort (materializing).
+/// Full sort: a pipeline breaker that sorts its input when built and hands
+/// the rows out a batch at a time.
 pub struct Sort {
-    schema: Schema,
-    rows: std::vec::IntoIter<Row>,
+    out: Materialized,
 }
 
 /// Resolves sort keys into `(column index, descending)` pairs.
@@ -1175,33 +1095,30 @@ pub fn sort_rows(rows: &mut [Row], key_idx: &[(usize, bool)]) {
 /// reproduces exactly the row order of a serial stable sort over the
 /// concatenated input. This is the deterministic merge step of a parallel
 /// sort (each worker sorts its morsel's run; the merge is serial).
-pub fn merge_sorted_runs(runs: Vec<Vec<Row>>, key_idx: &[(usize, bool)]) -> Vec<Row> {
+pub fn merge_sorted_runs(mut runs: Vec<Vec<Row>>, key_idx: &[(usize, bool)]) -> Vec<Row> {
     let total: usize = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<Row>>> = runs
-        .into_iter()
-        .filter(|r| !r.is_empty())
-        .map(|r| r.into_iter().peekable())
-        .collect();
+    // `heads[r]`: the position of run `r`'s next row.
+    let mut heads = vec![0usize; runs.len()];
     let mut out = Vec::with_capacity(total);
-    while !iters.is_empty() {
+    loop {
         // Linear scan over run heads: strictly-less keeps the earliest run
         // on ties (stability). Run counts are small (morsel count), so the
         // scan beats heap bookkeeping for realistic inputs.
-        let mut best = 0usize;
-        for i in 1..iters.len() {
-            let (head, tail) = iters.split_at_mut(i);
-            let candidate = tail[0].peek().expect("empty iterators are dropped");
-            let current = head[best].peek().expect("empty iterators are dropped");
-            if cmp_rows(candidate, current, key_idx) == Ordering::Less {
-                best = i;
+        let mut best: Option<(usize, &Row)> = None;
+        for (r, run) in runs.iter().enumerate() {
+            let Some(head) = run.get(heads[r]) else {
+                continue;
+            };
+            if best.is_none_or(|(_, current)| cmp_rows(head, current, key_idx) == Ordering::Less) {
+                best = Some((r, head));
             }
         }
-        out.push(iters[best].next().expect("peeked above"));
-        if iters[best].peek().is_none() {
-            let _ = iters.remove(best);
-        }
+        let Some((r, _)) = best else {
+            return out;
+        };
+        out.push(std::mem::take(&mut runs[r][heads[r]]));
+        heads[r] += 1;
     }
-    out
 }
 
 impl Sort {
@@ -1215,23 +1132,36 @@ impl Sort {
         }
         sort_rows(&mut rows, &key_idx);
         Ok(Self {
-            schema,
-            rows: rows.into_iter(),
+            out: Materialized {
+                schema,
+                rows: rows.into_iter(),
+                batch_size: input.batch_capacity(),
+            },
         })
     }
 }
 
 impl Operator for Sort {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.out.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        Ok(self.rows.next())
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
+        Ok(self.out.next_batch())
+    }
+
+    fn batch_capacity(&self) -> usize {
+        self.out.batch_size
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.out.narrow(rows);
     }
 }
 
-/// LIMIT n.
+/// LIMIT n. Before each pull it narrows its input to the rows it still
+/// wants, so nothing beneath it evaluates a row past the limit — unless a
+/// breaker (sort, aggregate) beneath it consumed its whole input anyway.
 pub struct Limit {
     input: Box<dyn Operator>,
     remaining: usize,
@@ -1252,62 +1182,23 @@ impl Operator for Limit {
         self.input.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        // While the limit exceeds the batch capacity, whole input batches
-        // are within the limit, so passing them through evaluates exactly
-        // the rows the row path would.
-        if self.remaining >= self.input.batch_capacity() {
-            return match self.input.next_batch()? {
-                None => Ok(None),
-                Some(batch) if batch.num_rows() <= self.remaining => {
-                    self.remaining -= batch.num_rows();
-                    Ok(Some(batch))
-                }
-                Some(batch) => {
-                    // Rare overshoot (join fan-out): keep the first rows.
-                    let mask: Vec<bool> =
-                        (0..batch.num_rows()).map(|i| i < self.remaining).collect();
-                    self.remaining = 0;
-                    Ok(Some(batch.filter(&mask)))
-                }
-            };
-        }
-        // Tail: pull row-wise so nothing past the limit is evaluated —
-        // the lazy semantics a row-driven LIMIT gives (an erroring
-        // expression beyond the limit must stay unreached on both drives).
-        let mut rows = Vec::with_capacity(self.remaining);
-        while rows.len() < self.remaining {
-            match self.input.next()? {
-                Some(row) => rows.push(row),
-                None => break,
-            }
-        }
-        self.remaining -= rows.len();
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch::from_rows(self.input.schema().arity(), rows)))
-        }
+        self.input.narrow(self.remaining);
+        let batch = self.input.next_batch()?;
+        let rows = batch.as_ref().map_or(0, RowBatch::num_rows);
+        self.remaining = self.remaining.saturating_sub(rows);
+        Ok(batch)
     }
 
     fn batch_capacity(&self) -> usize {
         self.input.batch_capacity()
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.input.narrow(rows);
     }
 }
 
@@ -1332,25 +1223,13 @@ impl Operator for Distinct {
         self.input.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        while let Some(row) = self.input.next()? {
-            if self.seen.insert(row.clone()) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         while let Some(batch) = self.input.next_batch()? {
             let fresh: Vec<bool> = (0..batch.num_rows())
                 .map(|i| self.seen.insert(batch.row(i)))
                 .collect();
-            if fresh.iter().all(|k| *k) {
-                return Ok(Some(batch));
-            }
-            if fresh.iter().any(|k| *k) {
-                return Ok(Some(batch.filter(&fresh)));
+            if let Some(kept) = keep_rows(batch, &fresh) {
+                return Ok(Some(kept));
             }
         }
         Ok(None)
@@ -1358,6 +1237,10 @@ impl Operator for Distinct {
 
     fn batch_capacity(&self) -> usize {
         self.input.batch_capacity()
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.input.narrow(rows);
     }
 }
 
@@ -1371,47 +1254,87 @@ mod tests {
     use super::*;
     use crate::DataType;
 
+    /// Drains `op` unguarded: the table and the batches it took.
+    fn drain(op: Box<dyn Operator>) -> (Table, usize) {
+        drain_guarded("out", op, &QueryGuard::unlimited()).unwrap()
+    }
+
+    fn table(columns: &[(&str, DataType)], rows: Vec<Row>) -> Arc<Table> {
+        Arc::new(Table::from_rows("t", Schema::of(columns), rows).unwrap())
+    }
+
+    fn scan(t: &Arc<Table>, batch_size: usize) -> Box<dyn Operator> {
+        Box::new(TableScan::new(Arc::clone(t)).with_batch_size(batch_size))
+    }
+
+    fn join(
+        left: Box<dyn Operator>,
+        right: &Arc<Table>,
+        on: (&str, &str),
+        kind: JoinKind,
+    ) -> Box<dyn Operator> {
+        let right = Box::new(TableScan::new(Arc::clone(right)));
+        Box::new(HashJoin::new(left, right, on.0, on.1, kind).unwrap())
+    }
+
+    fn agg(func: AggFunc, column: Option<&str>, output: &str) -> Aggregate {
+        let column = column.map(str::to_string);
+        Aggregate {
+            func,
+            column,
+            output: output.into(),
+        }
+    }
+
+    fn sort(input: Box<dyn Operator>, column: &str, desc: bool) -> Sort {
+        Sort::new(
+            input,
+            vec![SortKey {
+                column: column.into(),
+                desc,
+            }],
+        )
+        .unwrap()
+    }
+
+    /// `input` projected to `q = 10 / column`.
+    fn divide_ten_by(input: Box<dyn Operator>, column: &str) -> Box<dyn Operator> {
+        let q = Expr::lit(10i64).bin(BinOp::Div, Expr::col(column));
+        Box::new(Project::new(input, vec![("q".into(), q)]).unwrap())
+    }
+
     fn films() -> Arc<Table> {
-        let schema = Schema::of(&[
-            ("id", DataType::Int),
-            ("title", DataType::Str),
-            ("year", DataType::Int),
-        ]);
-        Arc::new(
-            Table::from_rows(
-                "films",
-                schema,
-                vec![
-                    vec![1i64.into(), "Guilty by Suspicion".into(), 1991i64.into()],
-                    vec![2i64.into(), "Clean and Sober".into(), 1988i64.into()],
-                    vec![3i64.into(), "Quiet Days".into(), 1975i64.into()],
-                    vec![4i64.into(), "Night Chase".into(), 1991i64.into()],
-                ],
-            )
-            .unwrap(),
+        let film = |id: i64, title: &str, year: i64| vec![id.into(), title.into(), year.into()];
+        table(
+            &[
+                ("id", DataType::Int),
+                ("title", DataType::Str),
+                ("year", DataType::Int),
+            ],
+            vec![
+                film(1, "Guilty by Suspicion", 1991),
+                film(2, "Clean and Sober", 1988),
+                film(3, "Quiet Days", 1975),
+                film(4, "Night Chase", 1991),
+            ],
         )
     }
 
     fn posters() -> Arc<Table> {
-        let schema = Schema::of(&[("film_id", DataType::Int), ("boring", DataType::Bool)]);
-        Arc::new(
-            Table::from_rows(
-                "posters",
-                schema,
-                vec![
-                    vec![1i64.into(), true.into()],
-                    vec![2i64.into(), true.into()],
-                    vec![4i64.into(), false.into()],
-                ],
-            )
-            .unwrap(),
+        let poster = |id: i64, boring: bool| vec![id.into(), boring.into()];
+        let columns = [("film_id", DataType::Int), ("boring", DataType::Bool)];
+        table(
+            &columns,
+            vec![poster(1, true), poster(2, true), poster(4, false)],
         )
     }
 
     #[test]
     fn scan_filter_project() {
-        let scan = Box::new(TableScan::new(films()));
-        let filt = Box::new(Filter::new(scan, col_cmp("year", BinOp::Ge, 1988i64)));
+        let filt = Box::new(Filter::new(
+            scan(&films(), 1024),
+            col_cmp("year", BinOp::Ge, 1988i64),
+        ));
         let proj = Project::new(filt, vec![("title".into(), Expr::col("title"))]).unwrap();
         let t = collect("recent", Box::new(proj)).unwrap();
         assert_eq!(t.len(), 3);
@@ -1420,37 +1343,18 @@ mod tests {
 
     #[test]
     fn filter_is_subset_of_scan() {
-        let scan = Box::new(TableScan::new(films()));
-        let filt = Filter::new(scan, col_cmp("year", BinOp::Eq, 1991i64));
-        let t = collect("f", Box::new(filt)).unwrap();
+        let filt = Filter::new(scan(&films(), 1024), col_cmp("year", BinOp::Eq, 1991i64));
+        let (t, _) = drain(Box::new(filt));
         assert_eq!(t.len(), 2);
-        for r in t.rows() {
-            assert_eq!(r[2], Value::Int(1991));
-        }
+        assert!(t.rows().iter().all(|r| r[2] == Value::Int(1991)));
     }
 
     #[test]
     fn hash_join_inner_and_left() {
-        let j = HashJoin::new(
-            Box::new(TableScan::new(films())),
-            Box::new(TableScan::new(posters())),
-            "id",
-            "film_id",
-            JoinKind::Inner,
-        )
-        .unwrap();
-        let t = collect("j", Box::new(j)).unwrap();
+        let on = ("id", "film_id");
+        let (t, _) = drain(join(scan(&films(), 1024), &posters(), on, JoinKind::Inner));
         assert_eq!(t.len(), 3); // film 3 has no poster
-
-        let j = HashJoin::new(
-            Box::new(TableScan::new(films())),
-            Box::new(TableScan::new(posters())),
-            "id",
-            "film_id",
-            JoinKind::Left,
-        )
-        .unwrap();
-        let t = collect("j", Box::new(j)).unwrap();
+        let (t, _) = drain(join(scan(&films(), 1024), &posters(), on, JoinKind::Left));
         assert_eq!(t.len(), 4);
         let unmatched = t.rows().iter().find(|r| r[0] == Value::Int(3)).unwrap();
         assert!(unmatched[3].is_null());
@@ -1458,50 +1362,22 @@ mod tests {
 
     #[test]
     fn hash_join_skips_null_keys() {
-        let schema = Schema::of(&[("k", DataType::Int)]);
-        let left = Arc::new(
-            Table::from_rows(
-                "l",
-                schema.clone(),
-                vec![vec![Value::Null], vec![1i64.into()]],
-            )
-            .unwrap(),
+        let keys = table(
+            &[("k", DataType::Int)],
+            vec![vec![Value::Null], vec![1i64.into()]],
         );
-        let right = Arc::new(
-            Table::from_rows("r", schema, vec![vec![Value::Null], vec![1i64.into()]]).unwrap(),
-        );
-        let j = HashJoin::new(
-            Box::new(TableScan::new(left)),
-            Box::new(TableScan::new(right)),
-            "k",
-            "k",
-            JoinKind::Inner,
-        )
-        .unwrap();
-        let t = collect("j", Box::new(j)).unwrap();
+        let (t, _) = drain(join(scan(&keys, 1024), &keys, ("k", "k"), JoinKind::Inner));
         assert_eq!(t.len(), 1); // NULL never equals NULL
     }
 
     #[test]
     fn aggregate_group_by() {
-        let agg = HashAggregate::new(
-            Box::new(TableScan::new(films())),
-            vec!["year".into()],
-            vec![
-                Aggregate {
-                    func: AggFunc::CountStar,
-                    column: None,
-                    output: "n".into(),
-                },
-                Aggregate {
-                    func: AggFunc::Min,
-                    column: Some("title".into()),
-                    output: "first_title".into(),
-                },
-            ],
-        )
-        .unwrap();
-        let t = collect("g", Box::new(agg)).unwrap();
+        let aggs = vec![
+            agg(AggFunc::CountStar, None, "n"),
+            agg(AggFunc::Min, Some("title"), "first"),
+        ];
+        let g = HashAggregate::new(scan(&films(), 1024), vec!["year".into()], aggs).unwrap();
+        let (t, _) = drain(Box::new(g));
         assert_eq!(t.len(), 3);
         let idx = t.find("year", &Value::Int(1991)).unwrap().unwrap();
         assert_eq!(t.cell(idx, "n").unwrap(), &Value::Int(2));
@@ -1509,84 +1385,39 @@ mod tests {
 
     #[test]
     fn aggregate_global_on_empty_input_emits_one_row() {
-        let schema = Schema::of(&[("x", DataType::Int)]);
-        let empty = Arc::new(Table::new("e", schema));
-        let agg = HashAggregate::new(
-            Box::new(TableScan::new(empty)),
-            vec![],
-            vec![
-                Aggregate {
-                    func: AggFunc::CountStar,
-                    column: None,
-                    output: "n".into(),
-                },
-                Aggregate {
-                    func: AggFunc::Sum,
-                    column: Some("x".into()),
-                    output: "s".into(),
-                },
-            ],
-        )
-        .unwrap();
-        let t = collect("g", Box::new(agg)).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.cell(0, "n").unwrap(), &Value::Int(0));
-        assert!(t.cell(0, "s").unwrap().is_null());
+        let empty = table(&[("x", DataType::Int)], Vec::new());
+        let aggs = vec![
+            agg(AggFunc::CountStar, None, "n"),
+            agg(AggFunc::Sum, Some("x"), "s"),
+        ];
+        let (t, _) = drain(Box::new(
+            HashAggregate::new(scan(&empty, 1024), vec![], aggs).unwrap(),
+        ));
+        assert_eq!(t.rows(), [vec![Value::Int(0), Value::Null]]);
     }
 
     #[test]
     fn aggregate_avg_ignores_nulls() {
-        let schema = Schema::of(&[("x", DataType::Int)]);
-        let tbl = Arc::new(
-            Table::from_rows(
-                "t",
-                schema,
-                vec![vec![2i64.into()], vec![Value::Null], vec![4i64.into()]],
-            )
-            .unwrap(),
-        );
-        let agg = HashAggregate::new(
-            Box::new(TableScan::new(tbl)),
-            vec![],
-            vec![Aggregate {
-                func: AggFunc::Avg,
-                column: Some("x".into()),
-                output: "a".into(),
-            }],
-        )
-        .unwrap();
-        let t = collect("g", Box::new(agg)).unwrap();
+        let rows = vec![vec![2i64.into()], vec![Value::Null], vec![4i64.into()]];
+        let t = table(&[("x", DataType::Int)], rows);
+        let aggs = vec![agg(AggFunc::Avg, Some("x"), "a")];
+        let (t, _) = drain(Box::new(
+            HashAggregate::new(scan(&t, 1024), vec![], aggs).unwrap(),
+        ));
         assert_eq!(t.cell(0, "a").unwrap(), &Value::Float(3.0));
     }
 
     #[test]
     fn sort_desc_then_limit() {
-        let sort = Sort::new(
-            Box::new(TableScan::new(films())),
-            vec![SortKey {
-                column: "year".into(),
-                desc: true,
-            }],
-        )
-        .unwrap();
-        let lim = Limit::new(Box::new(sort), 2);
-        let t = collect("top", Box::new(lim)).unwrap();
+        let top = Limit::new(Box::new(sort(scan(&films(), 1024), "year", true)), 2);
+        let (t, _) = drain(Box::new(top));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.cell(0, "year").unwrap(), &Value::Int(1991));
-        assert_eq!(t.cell(1, "year").unwrap(), &Value::Int(1991));
+        assert!(t.rows().iter().all(|r| r[2] == Value::Int(1991)));
     }
 
     #[test]
     fn sort_is_stable() {
-        let sort = Sort::new(
-            Box::new(TableScan::new(films())),
-            vec![SortKey {
-                column: "year".into(),
-                desc: true,
-            }],
-        )
-        .unwrap();
-        let t = collect("s", Box::new(sort)).unwrap();
+        let (t, _) = drain(Box::new(sort(scan(&films(), 1024), "year", true)));
         // ids 1 and 4 both have year 1991; input order 1 then 4 preserved.
         assert_eq!(t.cell(0, "id").unwrap(), &Value::Int(1));
         assert_eq!(t.cell(1, "id").unwrap(), &Value::Int(4));
@@ -1600,25 +1431,21 @@ mod tests {
 
     #[test]
     fn distinct_and_union() {
-        let d = Distinct::new(Box::new(TableScan::new(films_twice())));
-        let t = collect("d", Box::new(d)).unwrap();
+        let (t, _) = drain(Box::new(Distinct::new(scan(&films_twice(), 1024))));
         assert_eq!(t.len(), 4);
     }
 
-    /// Builds the scan→filter→project pipeline with a given scan batch size.
+    /// The scan→filter→project pipeline with a given scan batch size.
     fn pipeline(batch_size: usize) -> Box<dyn Operator> {
-        let scan = Box::new(TableScan::new(films()).with_batch_size(batch_size));
-        let filt = Box::new(Filter::new(scan, col_cmp("year", BinOp::Ge, 1988i64)));
+        let filt = Box::new(Filter::new(
+            scan(&films(), batch_size),
+            col_cmp("year", BinOp::Ge, 1988i64),
+        ));
+        let age = Expr::lit(2026i64).bin(BinOp::Sub, Expr::col("year"));
         Box::new(
             Project::new(
                 filt,
-                vec![
-                    ("title".into(), Expr::col("title")),
-                    (
-                        "age".into(),
-                        Expr::lit(2026i64).bin(BinOp::Sub, Expr::col("year")),
-                    ),
-                ],
+                vec![("title".into(), Expr::col("title")), ("age".into(), age)],
             )
             .unwrap(),
         )
@@ -1626,111 +1453,71 @@ mod tests {
 
     #[test]
     fn batched_pipeline_matches_row_pipeline_at_any_batch_size() {
-        let row_result = collect("r", pipeline(1024)).unwrap();
-        for bs in [1usize, 2, 3, 1024] {
-            let (batched, batches) = collect_batched("r", pipeline(bs)).unwrap();
-            assert_eq!(batched, row_result, "batch size {bs}");
-            assert!(batches >= 1);
+        // Batch size 1 drives the pipeline one row at a time.
+        let (one_at_a_time, batches) = drain(pipeline(1));
+        assert_eq!(batches, 3);
+        let first = vec![Value::Str("Guilty by Suspicion".into()), Value::Int(35)];
+        assert_eq!(one_at_a_time.rows()[0], first);
+        for bs in [2usize, 3, 1024] {
+            assert_eq!(drain(pipeline(bs)).0, one_at_a_time, "batch size {bs}");
         }
     }
 
     #[test]
     fn batched_join_and_aggregate_match_row_path() {
-        let mk_join = || {
-            Box::new(
-                HashJoin::new(
-                    Box::new(TableScan::new(films()).with_batch_size(2)),
-                    Box::new(TableScan::new(posters())),
-                    "id",
-                    "film_id",
-                    JoinKind::Left,
-                )
-                .unwrap(),
-            )
+        // Each plan at batch size 1 (one row at a time) against the same
+        // plan cutting several rows per batch.
+        let on = ("id", "film_id");
+        let mk_join = |bs: usize| join(scan(&films(), bs), &posters(), on, JoinKind::Left);
+        let (row, _) = drain(mk_join(1));
+        assert_eq!(row.len(), 4);
+        assert_eq!(drain(mk_join(2)).0, row);
+        let mk_agg = |bs: usize| {
+            let count = vec![agg(AggFunc::CountStar, None, "n")];
+            Box::new(HashAggregate::new(scan(&films(), bs), vec!["year".into()], count).unwrap())
         };
-        let row = collect("j", mk_join()).unwrap();
-        let (bat, _) = collect_batched("j", mk_join()).unwrap();
-        assert_eq!(row, bat);
-
-        let mk_agg = || {
-            Box::new(
-                HashAggregate::new(
-                    Box::new(TableScan::new(films()).with_batch_size(3)),
-                    vec!["year".into()],
-                    vec![Aggregate {
-                        func: AggFunc::CountStar,
-                        column: None,
-                        output: "n".into(),
-                    }],
-                )
-                .unwrap(),
-            )
-        };
-        let row = collect("g", mk_agg()).unwrap();
-        let (bat, _) = collect_batched("g", mk_agg()).unwrap();
-        assert_eq!(row, bat);
+        let (row, _) = drain(mk_agg(1));
+        assert_eq!(row.len(), 3);
+        assert_eq!(drain(mk_agg(3)).0, row);
     }
 
     #[test]
     fn batched_join_bounds_output_batches_under_fanout() {
         // 40 left rows × 25 matches each = 1000 join rows; with capacity 8
-        // the probe must emit many small batches, not one giant one.
-        let schema = Schema::of(&[("k", DataType::Int)]);
-        let left = Arc::new(
-            Table::from_rows(
-                "l",
-                schema.clone(),
-                (0..40).map(|_| vec![1i64.into()]).collect(),
-            )
-            .unwrap(),
-        );
-        let right = Arc::new(
-            Table::from_rows("r", schema, (0..25).map(|_| vec![1i64.into()]).collect()).unwrap(),
-        );
-        let mk = |bs: usize| {
-            Box::new(
-                HashJoin::new(
-                    Box::new(TableScan::new(Arc::clone(&left)).with_batch_size(bs)),
-                    Box::new(TableScan::new(Arc::clone(&right))),
-                    "k",
-                    "k",
-                    JoinKind::Inner,
-                )
-                .unwrap(),
-            )
-        };
-        let row = collect("j", mk(8)).unwrap();
-        assert_eq!(row.len(), 1000);
-        let (bat, batches) = collect_batched("j", mk(8)).unwrap();
-        assert_eq!(bat, row);
-        // Capacity 8 with 25-row fan-out per probe row: at most one probe
-        // row overshoots per batch, so every batch stays under 8 + 25 rows
-        // and the stream needs many batches.
-        assert!(batches >= 1000 / (8 + 25), "only {batches} batches");
+        // the probe must emit 125 batches of exactly 8, cutting match lists
+        // in the middle, not one giant batch.
+        let ones = |n: usize| table(&[("k", DataType::Int)], vec![vec![1i64.into()]; n]);
+        let (left, right) = (ones(40), ones(25));
+        let mk = |bs: usize| join(scan(&left, bs), &right, ("k", "k"), JoinKind::Inner);
+        let (whole, _) = drain(mk(1024));
+        assert_eq!(whole.len(), 1000);
+        let mut join = mk(8);
+        let mut rows = Vec::new();
+        while let Some(b) = join.next_batch().unwrap() {
+            assert_eq!(b.num_rows(), 8);
+            rows.extend(b.into_rows());
+        }
+        assert_eq!(rows, whole.rows());
     }
 
     /// A build side over `k` = 1, 1, NULL, 2 (tagged a–d) and a left batch
     /// with keys 1, NULL, 3, 2.
     fn probe_fixture() -> (JoinBuild, RowBatch) {
-        let schema = Schema::of(&[("k", DataType::Int), ("tag", DataType::Str)]);
+        let tagged = |k: Value, tag: &str| vec![k, tag.into()];
         let rows = vec![
-            vec![1i64.into(), "a".into()],
-            vec![1i64.into(), "b".into()],
-            vec![Value::Null, "c".into()],
-            vec![2i64.into(), "d".into()],
+            tagged(1i64.into(), "a"),
+            tagged(1i64.into(), "b"),
+            tagged(Value::Null, "c"),
+            tagged(2i64.into(), "d"),
         ];
-        let right = Arc::new(Table::from_rows("r", schema, rows).unwrap());
-        let build = JoinBuild::build(Box::new(TableScan::new(right)), "k").unwrap();
-        let left = RowBatch::from_rows(
-            2,
-            vec![
-                vec!["w".into(), 1i64.into()],
-                vec!["x".into(), Value::Null],
-                vec!["y".into(), 3i64.into()],
-                vec!["z".into(), 2i64.into()],
-            ],
-        );
-        (build, left)
+        let right = table(&[("k", DataType::Int), ("tag", DataType::Str)], rows);
+        let build = JoinBuild::build(scan(&right, 1024), "k").unwrap();
+        let keys = [1i64.into(), Value::Null, 3i64.into(), 2i64.into()];
+        let rows = ["w", "x", "y", "z"]
+            .iter()
+            .zip(keys)
+            .map(|(l, k)| vec![(*l).into(), k]);
+        (build, RowBatch::from_rows(2, rows.collect()))
     }
 
     #[test]
@@ -1742,112 +1529,81 @@ mod tests {
         };
         // INNER: forward match order; neither a NULL key nor the build
         // side's NULL-keyed row ever matches.
-        let mut cursor = 0;
-        let inner = build
-            .probe(&left, 1, JoinKind::Inner, &mut cursor, usize::MAX)
-            .unwrap()
-            .unwrap();
-        assert_eq!(cursor, 4);
-        assert_eq!(
-            inner.to_rows(),
-            vec![
-                row("w", 1i64.into(), Some((1, "a"))),
-                row("w", 1i64.into(), Some((1, "b"))),
-                row("z", 2i64.into(), Some((2, "d"))),
-            ]
+        let mut cursor = (0, 0);
+        let inner = build.probe(&left, 1, JoinKind::Inner, &mut cursor, usize::MAX);
+        assert_eq!(cursor, (4, 0));
+        let (w_a, w_b) = (
+            row("w", 1i64.into(), Some((1, "a"))),
+            row("w", 1i64.into(), Some((1, "b"))),
         );
+        let z_d = row("z", 2i64.into(), Some((2, "d")));
+        let want = vec![w_a.clone(), w_b.clone(), z_d.clone()];
+        assert_eq!(inner.unwrap().unwrap().to_rows(), want);
         // LEFT: an unmatched row pads the build side's arity with NULLs.
-        let left_join = build
-            .probe(&left, 1, JoinKind::Left, &mut 0, usize::MAX)
-            .unwrap()
-            .unwrap();
+        let left_join = build.probe(&left, 1, JoinKind::Left, &mut (0, 0), usize::MAX);
+        let left_join = left_join.unwrap().unwrap();
         assert_eq!(left_join.num_columns(), 4);
+        let pads = [row("x", Value::Null, None), row("y", 3i64.into(), None)];
         assert_eq!(
             left_join.to_rows(),
-            vec![
-                row("w", 1i64.into(), Some((1, "a"))),
-                row("w", 1i64.into(), Some((1, "b"))),
-                row("x", Value::Null, None),
-                row("y", 3i64.into(), None),
-                row("z", 2i64.into(), Some((2, "d"))),
-            ]
+            [vec![w_a, w_b], pads.to_vec(), vec![z_d]].concat()
         );
     }
 
     #[test]
     fn probe_stops_at_the_cap_and_resumes_from_the_cursor() {
         let (build, left) = probe_fixture();
-        // Cap 1: the first left row's two matches overshoot together (one
-        // row's match list is never split), then the cursor carries on.
-        let mut cursor = 0;
-        let mut sizes = Vec::new();
-        let mut rows = Vec::new();
-        while let Some(b) = build
-            .probe(&left, 1, JoinKind::Left, &mut cursor, 1)
-            .unwrap()
-        {
+        let probe = |kind, cursor: &mut (usize, usize), cap| {
+            build.probe(&left, 1, kind, cursor, cap).unwrap()
+        };
+        // Cap 1: the first left row's two matches come one call each (a
+        // match list is cut where the cap falls), then the cursor carries
+        // on past the pads.
+        let mut cursor = (0, 0);
+        let (mut sizes, mut rows) = (Vec::new(), Vec::new());
+        while let Some(b) = probe(JoinKind::Left, &mut cursor, 1) {
             sizes.push((b.num_rows(), cursor));
             rows.extend(b.to_rows());
         }
-        assert_eq!(sizes, vec![(2, 1), (1, 2), (1, 3), (1, 4)]);
-        let whole = build
-            .probe(&left, 1, JoinKind::Left, &mut 0, usize::MAX)
+        assert_eq!(
+            sizes,
+            [
+                (1, (0, 1)),
+                (1, (1, 0)),
+                (1, (2, 0)),
+                (1, (3, 0)),
+                (1, (4, 0))
+            ]
+        );
+        let whole = probe(JoinKind::Left, &mut (0, 0), usize::MAX)
             .unwrap()
-            .unwrap();
-        assert_eq!(rows, whole.to_rows());
+            .to_rows();
+        assert_eq!(rows, whole);
         // INNER from row 1 on: rows 1 and 2 match nothing, so the call runs
         // on to row 3; past the end there is nothing left.
-        let mut cursor = 1;
-        let b = build
-            .probe(&left, 1, JoinKind::Inner, &mut cursor, 1)
-            .unwrap()
-            .unwrap();
-        assert_eq!((b.num_rows(), cursor), (1, 4));
-        assert!(build
-            .probe(&left, 1, JoinKind::Inner, &mut cursor, 1)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn join_hands_rows_staged_by_next_to_next_batch_in_order() {
-        // next() stages a left row's whole match list; a next_batch() after
-        // it must drain the rest before probing on.
-        let (build, left) = probe_fixture();
-        let left_table = Arc::new(
-            Table::from_rows(
-                "l",
-                Schema::of(&[("name", DataType::Str), ("k", DataType::Int)]),
-                left.to_rows(),
-            )
-            .unwrap(),
-        );
-        let build = Arc::new(build);
-        let mk = || {
-            let scan = Box::new(TableScan::new(Arc::clone(&left_table)).with_batch_size(2));
-            HashJoin::from_build(scan, Arc::clone(&build), "k", JoinKind::Left).unwrap()
-        };
-        let want = collect("j", Box::new(mk())).unwrap();
-        let mut join = mk();
-        let mut got = vec![join.next().unwrap().unwrap()];
-        while let Some(b) = join.next_batch().unwrap() {
-            got.extend(b.into_rows());
-        }
-        assert_eq!(got, want.rows());
+        let mut cursor = (1, 0);
+        let b = probe(JoinKind::Inner, &mut cursor, 1).unwrap();
+        assert_eq!((b.num_rows(), cursor), (1, (4, 0)));
+        assert!(probe(JoinKind::Inner, &mut cursor, 1).is_none());
+        // Resuming in the middle of a match list: row 0's second match.
+        let mut cursor = (0, 1);
+        let b = probe(JoinKind::Inner, &mut cursor, 2).unwrap();
+        assert_eq!(b.to_rows(), [&whole[1..2], &whole[4..]].concat());
+        assert_eq!(cursor, (4, 0));
     }
 
     /// 10 rows `(k, v)`: `k` = 0..10, `v` NULL on every third row, else
     /// `k * 10` — the first 6 sealed three to a page, the last 4 in the tail.
     fn sealed_then_tail() -> Arc<Table> {
         let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
-        let row = |k: i64| -> Row {
-            let v = if k % 3 == 0 {
+        let v = |k: i64| {
+            if k % 3 == 0 {
                 Value::Null
             } else {
                 Value::Int(k * 10)
-            };
-            vec![Value::Int(k), v]
+            }
         };
+        let row = |k: i64| -> Row { vec![Value::Int(k), v(k)] };
         let head = Table::from_rows("t", schema, (0..6).map(row).collect()).unwrap();
         let pool = Arc::new(crate::BufferPool::with_budget(64));
         let mut t = head.seal(&pool, 3).unwrap();
@@ -1873,19 +1629,12 @@ mod tests {
             // A hint on a column with NULLs: NULL fails it, as it fails the
             // filter above. The survivors straddle the seal boundary.
             let got = batches_of(scan().with_prune_hint(&hint("v", BinOp::Ge, 40)));
-            let want: Vec<Row> = t
-                .rows()
-                .iter()
-                .filter(|r| r[1].as_int().is_some_and(|v| v >= 40))
-                .cloned()
-                .collect();
+            let at_least_40 = |r: &&Row| r[1].as_int().is_some_and(|v| v >= 40);
+            let want: Vec<Row> = t.rows().iter().filter(at_least_40).cloned().collect();
             assert_eq!(got.concat(), want, "batch size {bs}");
             // The hint column need not be selected to be read.
-            let got = batches_of(scan().with_columns(&[0]).with_prune_hint(&hint(
-                "v",
-                BinOp::Lt,
-                50,
-            )));
+            let only_k = scan().with_columns(&[0]);
+            let got = batches_of(only_k.with_prune_hint(&hint("v", BinOp::Lt, 50)));
             let want: Vec<Row> = [1i64, 2, 4].iter().map(|&k| vec![Value::Int(k)]).collect();
             assert_eq!(got.concat(), want, "batch size {bs}");
             // Two hints: both must hold.
@@ -1901,14 +1650,6 @@ mod tests {
             let none = batches_of(scan().with_prune_hint(&hint("v", BinOp::Eq, 45)));
             assert!(none.is_empty(), "batch size {bs}");
         }
-        // Volcano `next()` prunes pages only: it yields every row of a page
-        // the zone map admits, and the filter above does the rest.
-        let mut scan = TableScan::new(Arc::clone(&t)).with_prune_hint(&hint("k", BinOp::Ge, 4));
-        let mut ks = Vec::new();
-        while let Some(row) = scan.next().unwrap() {
-            ks.push(row[0].as_int().unwrap());
-        }
-        assert_eq!(ks, vec![3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -1930,140 +1671,127 @@ mod tests {
 
     #[test]
     fn batched_limit_stays_lazy_past_the_limit() {
-        // Row 3 divides by zero; LIMIT 2 must never evaluate it, on either
-        // drive and at any batch size.
-        let schema = Schema::of(&[("x", DataType::Int)]);
-        let t = Arc::new(
-            Table::from_rows(
-                "t",
-                schema,
-                vec![
-                    vec![1i64.into()],
-                    vec![2i64.into()],
-                    vec![0i64.into()],
-                    vec![4i64.into()],
-                ],
-            )
-            .unwrap(),
-        );
-        let mk = |bs: usize| {
-            let scan = Box::new(TableScan::new(Arc::clone(&t)).with_batch_size(bs));
-            let proj = Box::new(
-                Project::new(
-                    scan,
-                    vec![("q".into(), Expr::lit(10i64).bin(BinOp::Div, Expr::col("x")))],
-                )
-                .unwrap(),
-            );
-            Box::new(Limit::new(proj, 2))
-        };
-        let row = collect("out", mk(1024)).unwrap();
-        assert_eq!(row.len(), 2);
+        // Row 3 divides by zero; LIMIT 2 must never evaluate it, at any
+        // batch size.
+        let rows = [1i64, 2, 0, 4]
+            .iter()
+            .map(|&x| vec![Value::Int(x)])
+            .collect();
+        let t = table(&[("x", DataType::Int)], rows);
         for bs in [1usize, 2, 1024] {
-            let (bat, _) = collect_batched("out", mk(bs)).unwrap();
-            assert_eq!(bat, row, "batch size {bs}");
+            let (out, _) = drain(Box::new(Limit::new(divide_ten_by(scan(&t, bs), "x"), 2)));
+            assert_eq!(
+                out.rows(),
+                [vec![Value::Int(10)], vec![Value::Int(5)]],
+                "batch size {bs}"
+            );
         }
-        // Without the limit, both drives hit the error.
-        let scan = Box::new(TableScan::new(Arc::clone(&t)));
-        let proj = Box::new(
-            Project::new(
-                scan,
-                vec![("q".into(), Expr::lit(10i64).bin(BinOp::Div, Expr::col("x")))],
-            )
-            .unwrap(),
-        );
-        assert!(collect_batched("out", proj).is_err());
+        // Without the limit, the error is hit.
+        assert!(collect("out", divide_ten_by(scan(&t, 1024), "x")).is_err());
     }
 
     #[test]
-    fn batched_limit_switches_protocols_over_a_join() {
-        // LIMIT pulls whole batches while it can, then switches to the
-        // row-wise tail; HashJoin must hand over its in-progress left
-        // batch instead of dropping it.
-        let mk = |n: usize| {
-            let join = Box::new(
-                HashJoin::new(
-                    Box::new(TableScan::new(films()).with_batch_size(2)),
-                    Box::new(TableScan::new(posters())),
-                    "id",
-                    "film_id",
-                    JoinKind::Left,
-                )
-                .unwrap(),
-            );
-            Box::new(Limit::new(join, n))
+    fn limit_over_a_fanned_out_join_evaluates_no_pair_past_the_limit() {
+        // One left row matches 30 build rows; only the last has `v = 0`, so
+        // a projection of `10 / v` raises on the 30th pair and on no other.
+        let left = table(&[("k", DataType::Int)], vec![vec![1i64.into()]]);
+        let rows = (0..30i64)
+            .map(|i| vec![1i64.into(), (29 - i).into()])
+            .collect();
+        let right = table(&[("rk", DataType::Int), ("v", DataType::Int)], rows);
+        let mk = |bs: usize, n: usize| {
+            let pairs = join(scan(&left, bs), &right, ("k", "rk"), JoinKind::Inner);
+            Box::new(Limit::new(divide_ten_by(pairs, "v"), n))
         };
-        for n in [0usize, 1, 2, 3, 4, 10] {
-            let row = collect("out", mk(n)).unwrap();
-            let (bat, _) = collect_batched("out", mk(n)).unwrap();
-            assert_eq!(bat, row, "limit {n}");
+        for bs in [1usize, 3, 29, 1024] {
+            for n in [0usize, 1, 3, 29] {
+                let want: Vec<Row> = (0..n as i64)
+                    .map(|i| vec![Value::Int(10 / (29 - i))])
+                    .collect();
+                assert_eq!(
+                    drain(mk(bs, n)).0.rows(),
+                    want,
+                    "batch size {bs}, limit {n}"
+                );
+            }
+            assert!(collect("out", mk(bs, 30)).is_err(), "batch size {bs}");
+        }
+        // A LEFT join under a limit returns a prefix of its unlimited rows.
+        let mk = |n: usize| {
+            let pairs = join(
+                scan(&films(), 2),
+                &posters(),
+                ("id", "film_id"),
+                JoinKind::Left,
+            );
+            Box::new(Limit::new(pairs, n))
+        };
+        let (whole, _) = drain(mk(10));
+        assert_eq!(whole.len(), 4);
+        for n in [0usize, 1, 2, 3, 4] {
+            assert_eq!(drain(mk(n)).0.rows(), &whole.rows()[..n], "limit {n}");
         }
     }
 
     #[test]
     fn batched_distinct_dedupes_across_batches() {
-        let mk = || {
-            let scan = TableScan::new(films_twice()).with_batch_size(3);
-            Box::new(Distinct::new(Box::new(scan)))
-        };
-        let row = collect("out", mk()).unwrap();
-        let (bat, batches) = collect_batched("out", mk()).unwrap();
-        assert_eq!(bat, row);
+        let mk = |bs: usize| Box::new(Distinct::new(scan(&films_twice(), bs)));
+        let (bat, batches) = drain(mk(3));
+        assert_eq!(bat, drain(mk(1024)).0);
         assert_eq!(bat.len(), 4);
         assert!(batches >= 2); // second pass is all duplicates, skipped
     }
 
     #[test]
     fn batch_count_tracks_scan_batch_size() {
-        let (_, batches) =
-            collect_batched("r", Box::new(TableScan::new(films()).with_batch_size(2))).unwrap();
-        assert_eq!(batches, 2); // 4 rows / 2 per batch
-        let (_, batches) =
-            collect_batched("r", Box::new(TableScan::new(films()).with_batch_size(1024))).unwrap();
-        assert_eq!(batches, 1);
+        assert_eq!(drain(scan(&films(), 2)).1, 2); // 4 rows / 2 per batch
+        assert_eq!(drain(scan(&films(), 1024)).1, 1);
     }
 
     #[test]
     fn index_scan_yields_positions_in_order() {
         let t = films();
-        let scan = Box::new(IndexScan::new(Arc::clone(&t), vec![0, 3]));
-        let got = collect("hits", scan).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got.cell(0, "id").unwrap(), &Value::Int(1));
-        assert_eq!(got.cell(1, "id").unwrap(), &Value::Int(4));
-
-        // Batched drive produces the same table.
-        let scan = Box::new(IndexScan::new(t, vec![0, 3]).with_batch_size(1));
-        let (bat, batches) = collect_batched("hits", scan).unwrap();
-        assert_eq!(bat, got);
-        assert_eq!(batches, 2);
+        let (got, _) = drain(Box::new(IndexScan::new(Arc::clone(&t), vec![0, 3])));
+        let ids: Vec<&Value> = got.rows().iter().map(|r| &r[0]).collect();
+        assert_eq!(ids, [&Value::Int(1), &Value::Int(4)]);
+        // One position per batch produces the same table.
+        let (bat, batches) = drain(Box::new(IndexScan::new(t, vec![0, 3]).with_batch_size(1)));
+        assert_eq!((bat, batches), (got, 2));
     }
 
     #[test]
     fn batched_filter_skips_empty_batches() {
         // With batch size 1, three of four batches fail the predicate; the
         // batched filter must keep pulling rather than report exhaustion.
-        let scan = Box::new(TableScan::new(films()).with_batch_size(1));
-        let filt = Box::new(Filter::new(scan, col_cmp("year", BinOp::Eq, 1975i64)));
-        let (t, batches) = collect_batched("f", filt).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(batches, 1);
+        let filt = Filter::new(scan(&films(), 1), col_cmp("year", BinOp::Eq, 1975i64));
+        let (t, batches) = drain(Box::new(filt));
+        assert_eq!((t.len(), batches), (1, 1));
     }
 
     #[test]
-    fn default_next_batch_adapts_row_operators() {
-        // Sort has no native next_batch; the default adapter chunks next().
-        let sort = Sort::new(
-            Box::new(TableScan::new(films())),
-            vec![SortKey {
-                column: "year".into(),
-                desc: false,
-            }],
-        )
-        .unwrap();
-        let (t, batches) = collect_batched("s", Box::new(sort)).unwrap();
-        assert_eq!(t.len(), 4);
-        assert_eq!(batches, 1);
+    fn sort_and_aggregate_hand_out_their_rows_a_batch_at_a_time() {
+        // Both breakers cut their rows by the input's batch size, and
+        // narrow to a limit's cap.
+        let (t, batches) = drain(Box::new(sort(scan(&films(), 3), "year", false)));
+        assert_eq!((t.len(), batches), (4, 2));
         assert_eq!(t.cell(0, "year").unwrap(), &Value::Int(1975));
+        let mut narrowed = sort(scan(&films(), 1024), "year", false);
+        narrowed.narrow(1);
+        assert_eq!(narrowed.next_batch().unwrap().unwrap().num_rows(), 1);
+        let top = Limit::new(Box::new(sort(scan(&films(), 1024), "year", false)), 3);
+        assert_eq!(drain(Box::new(top)).1, 1);
+
+        let groups = || {
+            let count = vec![agg(AggFunc::CountStar, None, "n")];
+            HashAggregate::new(scan(&films(), 2), vec!["year".into()], count).unwrap()
+        };
+        let (t, batches) = drain(Box::new(groups()));
+        assert_eq!((t.len(), batches), (3, 2));
+        // Row by row, the inherent `next` reads the same stream.
+        let (mut one_by_one, mut rows) = (groups(), Vec::new());
+        while let Some(row) = one_by_one.next().unwrap() {
+            rows.push(row);
+        }
+        assert_eq!(rows, t.rows());
     }
 }

@@ -393,23 +393,12 @@ impl PagedTable {
     /// The row at position `i`, or `None` past the end. Touches one page
     /// per column through the pool.
     pub fn row_at(&self, i: usize) -> Result<Option<Row>, StorageError> {
-        self.cells_at(i, 0..self.columns.len())
-    }
-
-    /// The cells of row `i` at `columns` (in that order), or `None` past
-    /// the end. Touches one page of each of those columns and no other.
-    pub(crate) fn cells_at(
-        &self,
-        i: usize,
-        columns: impl IntoIterator<Item = usize>,
-    ) -> Result<Option<Row>, StorageError> {
         if i >= self.rows {
             return Ok(None);
         }
         let p = i / self.page_rows;
         let off = i - p * self.page_rows;
-        columns
-            .into_iter()
+        (0..self.columns.len())
             .map(|c| Ok(self.column_page(c, p)?.value(off)))
             .collect::<Result<Row, _>>()
             .map(Some)

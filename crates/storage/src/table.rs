@@ -226,23 +226,12 @@ impl Table {
     /// A row by position without forcing full materialization; reads a
     /// sealed row through the buffer pool.
     pub fn row_at(&self, idx: usize) -> Result<Option<Row>, StorageError> {
-        self.cells_at(idx, 0..self.schema.arity())
-    }
-
-    /// [`Table::row_at`] restricted to the cells at `columns` (full-table
-    /// ordinals, in that order): a sealed row is read through those
-    /// columns' pages alone.
-    pub(crate) fn cells_at(
-        &self,
-        idx: usize,
-        columns: impl IntoIterator<Item = usize>,
-    ) -> Result<Option<Row>, StorageError> {
         let resident = match (&self.sealed, self.cache.get()) {
-            (Some(pages), None) if idx < pages.len() => return pages.cells_at(idx, columns),
+            (Some(pages), None) if idx < pages.len() => return pages.row_at(idx),
             (Some(_), Some(rows)) => rows.get(idx),
             _ => self.tail.get(idx - self.sealed_len()),
         };
-        Ok(resident.map(|row| columns.into_iter().map(|c| row[c].clone()).collect()))
+        Ok(resident.cloned())
     }
 
     /// Streams `(row position, value)` over one column without

@@ -14,7 +14,7 @@
 //! for the table an insert or crash recovery produces.
 
 use crate::ops::IndexScan;
-use crate::{DataType, Operator, Row, RowBatch, Schema, StorageError, Table, Value};
+use crate::{DataType, Operator, RowBatch, Schema, StorageError, Table, Value};
 use kath_vector::{cosine, embed_query, IvfIndex};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -301,16 +301,12 @@ impl VectorTopK {
         query: &[f32],
         k: usize,
         strategy: VectorStrategy,
-        batch_size: Option<usize>,
+        batch_size: usize,
     ) -> Self {
         let positions = index.search(query, k, strategy);
         let result_rows = positions.len();
-        let mut inner = IndexScan::new(table, positions);
-        if let Some(n) = batch_size {
-            inner = inner.with_batch_size(n);
-        }
         Self {
-            inner,
+            inner: IndexScan::new(table, positions).with_batch_size(batch_size),
             strategy,
             result_rows,
         }
@@ -332,16 +328,16 @@ impl Operator for VectorTopK {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        self.inner.next()
-    }
-
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
         self.inner.next_batch()
     }
 
     fn batch_capacity(&self) -> usize {
         self.inner.batch_capacity()
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.inner.narrow(rows);
     }
 }
 
@@ -504,14 +500,7 @@ mod tests {
         let ix = VectorIndex::build(&t, "emb").unwrap();
         let query = seeded_unit_vector(101);
         let want = ix.search(&query, 6, VectorStrategy::Flat);
-        let op = VectorTopK::new(
-            Arc::clone(&t),
-            &ix,
-            &query,
-            6,
-            VectorStrategy::Flat,
-            Some(4),
-        );
+        let op = VectorTopK::new(Arc::clone(&t), &ix, &query, 6, VectorStrategy::Flat, 4);
         assert_eq!(op.strategy(), VectorStrategy::Flat);
         assert_eq!(op.result_rows(), 6);
         let out = collect("top", Box::new(op)).unwrap();

@@ -270,7 +270,7 @@ proptest! {
 
     /// Satellite 3's drive sweep: a file-backed paged table under a
     /// 1-page buffer pool with injected page-read faults. Every drive —
-    /// Volcano, batched and morsel-parallel — either returns exactly the
+    /// serial at two batch sizes, and morsel-parallel — either returns exactly the
     /// fault-free result or a typed Io/Corrupt error. Never a panic, never
     /// a wrong batch; and once the faults clear, the same pool serves
     /// correct results again.
@@ -307,13 +307,9 @@ proptest! {
             }
             Ok(())
         };
-        let volcano = |t: &Arc<Table>| {
-            collect("out", Box::new(TableScan::new(Arc::clone(t))))
+        let serial = |t: &Arc<Table>, batch: usize| {
+            collect("out", Box::new(TableScan::new(Arc::clone(t)).with_batch_size(batch)))
                 .map(|out| out.rows().to_vec())
-        };
-        let batched = |t: &Arc<Table>| {
-            collect_batched("out", Box::new(TableScan::new(Arc::clone(t)).with_batch_size(32)))
-                .map(|(out, _)| out.rows().to_vec())
         };
         let parallel = |t: &Arc<Table>, workers: usize| {
             let pt = t.paged().unwrap();
@@ -328,14 +324,14 @@ proptest! {
             .map(|run| run.outputs.into_iter().flatten().collect::<Vec<Row>>())
         };
         io.install_faults(FaultPlan::probabilistic(seed, p).on_ops(&[IoOp::Read]));
-        check(volcano(&paged))?;
-        check(batched(&paged))?;
+        check(serial(&paged, 1024))?;
+        check(serial(&paged, 32))?;
         check(parallel(&paged, workers))?;
         io.clear_faults();
 
         // Fault-free again: every drive serves the exact table.
-        prop_assert_eq!(volcano(&paged).unwrap(), baseline.clone());
-        prop_assert_eq!(batched(&paged).unwrap(), baseline.clone());
+        prop_assert_eq!(serial(&paged, 1024).unwrap(), baseline.clone());
+        prop_assert_eq!(serial(&paged, 32).unwrap(), baseline.clone());
         prop_assert_eq!(parallel(&paged, workers).unwrap(), baseline);
         let _ = std::fs::remove_dir_all(dir);
     }

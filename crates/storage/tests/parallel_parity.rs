@@ -4,7 +4,7 @@
 //! For random tables (NULL-heavy, tiny value domains for join and group
 //! collisions, sometimes empty) and random plans — a stateless streaming
 //! prefix (filter/project) plus an optional pipeline breaker (sort,
-//! aggregate, shared-build hash join) — the serial operator drive and the
+//! aggregate, shared-build hash join) — the serial batch drain and the
 //! parallel composition (per-morsel pipelines over [`MorselSource`],
 //! thread-local [`PartialAggregate`]s, sorted-run merges, all merged in
 //! morsel order) must produce the same table with the same row order — or
@@ -237,7 +237,7 @@ fn aggregate_of(schema: &Schema, group: u8, func: u8, col: u8) -> (Vec<String>, 
     )
 }
 
-/// The serial reference: one operator chain, tuple-at-a-time collection.
+/// The serial reference: one operator chain, drained batch by batch.
 fn run_serial(
     t1: &Arc<Table>,
     t2: &Arc<Table>,

@@ -124,9 +124,7 @@ fn scan_rows(scan: TableScan) -> Vec<Row> {
 }
 
 fn scan_rows_batched(scan: TableScan, batch: usize) -> Vec<Row> {
-    let scan = scan.with_batch_size(batch);
-    let (out, _) = collect_batched("out", Box::new(scan)).unwrap();
-    out.rows().to_vec()
+    scan_rows(scan.with_batch_size(batch))
 }
 
 /// `table` reads as exactly `want` through every access path. The check

@@ -139,8 +139,9 @@ fn the_worker_count_shows_in_the_timings_and_nowhere_else() {
 fn every_question_of_an_unpinned_handle_runs_on_the_batch_drive() {
     let corpus = mmqa_small();
     let mut unpinned = handle(&corpus);
+    // The reference pins batches of one row.
     let mut reference = handle(&corpus);
-    reference.set_exec_mode(ExecMode::Volcano);
+    reference.set_exec_mode(ExecMode::Batched(1));
     for variant in [0, 1] {
         let result = ask(&mut unpinned, variant).unwrap();
         assert_eq!(unpinned.context().exec_mode, ExecMode::default());
@@ -154,7 +155,7 @@ fn every_question_of_an_unpinned_handle_runs_on_the_batch_drive() {
         }
         assert!(sql_nodes_run > 0, "question {variant} ran no SQL node");
         let on_the_reference = ask(&mut reference, variant).unwrap();
-        assert_eq!(reference.context().exec_mode, ExecMode::Volcano);
+        assert_eq!(reference.context().exec_mode, ExecMode::Batched(1));
         assert_eq!(
             see(&unpinned, result),
             see(&reference, on_the_reference),
