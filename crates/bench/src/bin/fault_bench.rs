@@ -115,8 +115,11 @@ fn durable_round_trip(records: usize, faults: Option<FaultPlan>) -> (f64, f64, u
     let build_started = Instant::now();
     {
         let (mut d, _) = Durability::open(&dir, &pool).expect("durable dir opens");
-        d.log(&WalRecord::CreateTable(Table::new("kv", schema.clone())))
-            .unwrap();
+        d.log(&WalRecord::CreateTable {
+            name: "kv".to_string(),
+            schema: schema.clone(),
+        })
+        .unwrap();
         if let Some(plan) = &faults {
             io.install_faults(plan.clone());
         }
@@ -159,17 +162,14 @@ fn durable_round_trip(records: usize, faults: Option<FaultPlan>) -> (f64, f64, u
     let recover_started = Instant::now();
     let (_, rec) = Durability::open(&dir, &pool2).expect("recovery succeeds");
     let recover_ms = recover_started.elapsed().as_secs_f64() * 1000.0;
-    let mut rows = 0usize;
-    for t in &rec.tables {
-        if t.name() == "kv" {
-            rows += t.len();
-        }
+    let mut catalog = Catalog::new();
+    for t in rec.tables {
+        catalog.register_or_replace(t);
     }
     for r in &rec.wal_records {
-        if let WalRecord::Insert { rows: new, .. } = r {
-            rows += new.len();
-        }
+        catalog.apply(r).expect("recovered records replay");
     }
+    let rows = catalog.get("kv").expect("kv recovered").len();
     assert_eq!(rows, records, "{tag}: acknowledged rows lost in recovery");
     let _ = std::fs::remove_dir_all(dir);
     (build_ms, recover_ms, rows)

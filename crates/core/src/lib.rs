@@ -48,7 +48,6 @@ use kath_exec::{ExecContext, ExecError, ExecReport, ExecutionEngine, PhysicalPla
 use kath_explain::Explainer;
 use kath_fao::FunctionRegistry;
 use kath_json::to_string_pretty;
-use kath_lineage::DataKind;
 use kath_model::{SimLlm, TokenMeter, Usage, UserChannel};
 use kath_optimizer::{
     choose_strategy, compile, estimate_function_over, CompileOptions, CompileReport,
@@ -293,33 +292,34 @@ impl KathDB {
         // exactly as it was, never half-recovered. Only committed WAL
         // records reach us here — `Durability::open` filtered out any
         // framed transaction that never reached its `Commit` marker.
-        let mut catalog = self.ctx.catalog.snapshot().catalog().clone();
+        let mut staged = self.ctx.catalog.snapshot().catalog().clone();
         let mut registry = match &recovered.functions_json {
             Some(json) => Self::registry_from_json(json)?,
             None => self.registry.clone(),
         };
-        let mut restored: Vec<String> = Vec::new();
+        // The directory's history replays on a catalog of its own over this
+        // handle's pool, so a record can only name a table the directory
+        // itself holds.
+        let mut replayed = staged.clone();
+        for name in staged.table_names() {
+            replayed.drop_table(name)?;
+        }
         for table in recovered.tables {
-            restored.push(table.name().to_string());
-            catalog.register_or_replace(table);
+            replayed.register_or_replace(table);
         }
         for record in recovered.wal_records {
             match record {
                 WalRecord::Functions(json) => registry = Self::registry_from_json(&json)?,
-                // Replay tolerates re-creation: the record is newer than
-                // whatever in-memory table holds the name.
-                WalRecord::CreateTable(t) => {
-                    restored.push(t.name().to_string());
-                    catalog.register_or_replace(t);
-                }
-                other => {
-                    kath_sql::apply_mutation(&mut catalog, &other, "recovered").map_err(|e| {
-                        KathError::Storage(StorageError::Corrupt(format!(
-                            "wal record does not apply to recovered state: {e}"
-                        )))
-                    })?;
-                }
+                record => replayed.apply(&record).map_err(|e| {
+                    StorageError::Corrupt(format!(
+                        "wal record does not apply to recovered state: {e}"
+                    ))
+                })?,
             }
+        }
+        // Recovered tables replace same-named in-memory ones.
+        for name in replayed.table_names() {
+            staged.register_or_replace(replayed.get(name)?);
         }
         // Publish the staged state as one new version (readers holding
         // older snapshots are unaffected), then give every restored table
@@ -327,17 +327,12 @@ impl KathDB {
         // directory, whether the table came from the snapshot or the log.
         self.ctx
             .catalog
-            .install_recovered(catalog, inner, recovered.max_txid);
+            .install_recovered(staged, inner, recovered.max_txid);
         self.registry = registry;
-        for name in restored {
-            if self.ctx.catalog.contains(&name) && self.ctx.table_lid(&name).is_none() {
+        for name in replayed.table_names() {
+            if self.ctx.table_lid(name).is_none() {
                 let uri = format!("kathdb://{}/{name}", dir.display());
-                let lid = self.ctx.lineage.alloc_lid();
-                self.ctx
-                    .lineage
-                    .record(lid, None, Some(uri), "ingest", 1, DataKind::Table)
-                    .map_err(|e| KathError::Exec(ExecError::Lineage(e.to_string())))?;
-                self.ctx.table_lids.insert(name, lid);
+                self.ctx.ingest_root(name, &uri)?;
             }
         }
         let functions_json = to_string_pretty(&self.registry.to_json());
@@ -620,8 +615,9 @@ impl KathDB {
     }
 
     /// Ingests an arbitrary base table. When a durable directory is open
-    /// the full contents are logged write-ahead, so the ingest survives a
-    /// crash even before the next checkpoint.
+    /// the ingest is logged write-ahead as one transaction, its CREATE plus
+    /// one INSERT of its rows, so it survives a crash even before the next
+    /// checkpoint — whole or not at all.
     pub fn load_table(&mut self, table: Table, src_uri: &str) -> Result<(), KathError> {
         if self.ctx.catalog.contains(table.name()) {
             return Err(KathError::Storage(StorageError::TableExists(
@@ -629,27 +625,25 @@ impl KathDB {
             )));
         }
         let name = table.name().to_string();
-        let records: Vec<WalRecord> = if self.durability.is_some() {
-            vec![WalRecord::CreateTable(table.clone())]
-        } else {
-            Vec::new()
-        };
+        let mut records = Vec::new();
+        if self.durability.is_some() {
+            records.push(WalRecord::CreateTable {
+                name: name.clone(),
+                schema: table.schema().clone(),
+            });
+            if !table.is_empty() {
+                records.push(WalRecord::Insert {
+                    table: name.clone(),
+                    rows: table.rows().to_vec(),
+                });
+            }
+        }
         self.ctx
             .catalog
-            .submit::<(), StorageError>(&records, false, move |c| c.register(table).map(|_| ()))?;
-        let lid = self.ctx.lineage.alloc_lid();
-        self.ctx
-            .lineage
-            .record(
-                lid,
-                None,
-                Some(src_uri.to_string()),
-                "ingest",
-                1,
-                DataKind::Table,
-            )
-            .map_err(|e| KathError::Exec(ExecError::Lineage(e.to_string())))?;
-        self.ctx.table_lids.insert(name, lid);
+            .submit::<(), StorageError>(&records, records.len() > 1, move |c| {
+                c.register(table).map(drop)
+            })?;
+        self.ctx.ingest_root(&name, src_uri)?;
         Ok(())
     }
 
@@ -779,7 +773,7 @@ mod tests {
     use super::*;
     use kath_data::mmqa_small;
     use kath_model::ScriptedChannel;
-    use kath_storage::{ExecMode, VectorMode};
+    use kath_storage::{DataType, ExecMode, Schema, VectorMode};
 
     const FLAGSHIP: &str = "Sort the given films in the table by how exciting \
                             they are, but the poster should be 'boring'";
@@ -1128,26 +1122,69 @@ mod tests {
         let dir = durable_dir("failedopen");
         {
             // A log that disagrees with its (absent) snapshot: an INSERT
-            // into a table that was never created.
+            // into a table the directory never created, which only the
+            // in-memory handle holds.
             let pool = std::sync::Arc::new(kath_storage::BufferPool::with_budget(16));
             let (mut d, _) = Durability::open(&dir, &pool).unwrap();
             d.log(&WalRecord::Insert {
-                table: "ghost".into(),
+                table: "movie_table".into(),
                 rows: vec![vec![Value::Int(1)]],
             })
             .unwrap();
         }
         let mut db = KathDB::new(42);
         db.load_corpus(&mmqa_small()).unwrap();
-        let tables_before = db.context().catalog.len();
+        let version_before = db.context().catalog.version();
         let functions_before = db.registry().len();
-        assert!(db.open_dir(&dir).is_err());
+        let err = db.open_dir(&dir).unwrap_err();
+        assert!(matches!(err, KathError::Storage(StorageError::Corrupt(_))));
         // No half-recovered state: catalog, registry, and durability are
         // exactly as they were.
-        assert_eq!(db.context().catalog.len(), tables_before);
-        assert!(!db.context().catalog.contains("ghost"));
+        assert_eq!(db.context().catalog.version(), version_before);
         assert_eq!(db.registry().len(), functions_before);
         assert!(db.durability_status().is_none());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn an_in_memory_table_the_log_drops_survives_the_open() {
+        let dir = durable_dir("droppedname");
+        {
+            let mut db = KathDB::open(&dir).unwrap();
+            db.sql("CREATE TABLE t (x INT)").unwrap();
+            db.sql("DROP TABLE t").unwrap();
+        }
+        let mut db = KathDB::new(42);
+        db.sql("CREATE TABLE t (y STR)").unwrap();
+        db.sql("INSERT INTO t VALUES ('mine')").unwrap();
+        db.open_dir(&dir).unwrap();
+        let t = db.sql("SELECT y FROM t").unwrap();
+        assert_eq!(t.cell(0, "y").unwrap().as_str(), Some("mine"));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_torn_ingest_recovers_whole_or_not_at_all() {
+        let dir = durable_dir("torningest");
+        let rows = (0..DEFAULT_PAGE_ROWS as i64 + 100).map(|k| vec![Value::Int(k)]);
+        let big = Table::from_rows("big", Schema::of(&[("k", DataType::Int)]), rows.collect());
+        let big = big.unwrap();
+        let mut db = KathDB::open(&dir).unwrap();
+        db.load_table(big.clone(), "test://big").unwrap();
+        drop(db);
+        // Cut the log at every frame boundary: Begin, CREATE, INSERT, Commit.
+        let segment = active_segment(&dir);
+        let log = std::fs::read(&segment).unwrap();
+        let mut cut = 0;
+        while cut < log.len() {
+            cut += 12 + u32::from_be_bytes(log[cut..cut + 4].try_into().unwrap()) as usize;
+            std::fs::write(&segment, &log[..cut]).unwrap();
+            let recovered = KathDB::open(&dir).unwrap().context().catalog.get("big");
+            match recovered {
+                Ok(t) => assert_eq!(*t, big, "cut at {cut}"),
+                Err(_) => assert!(cut < log.len(), "the whole ingest was lost"),
+            }
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -31,8 +31,8 @@ use crate::KathError;
 use kath_optimizer::{choose_strategy, StrategyPins};
 use kath_sql::{SqlError, Statement};
 use kath_storage::{
-    CancelToken, Catalog, CatalogRef, CompileMode, ExecMode, GuardSpec, SharedCatalog, Table,
-    VectorMode, WalRecord,
+    CancelToken, Catalog, CatalogRef, CompileMode, ExecMode, GuardSpec, SharedCatalog,
+    StorageError, Table, VectorMode, WalRecord,
 };
 use std::time::Duration;
 
@@ -72,11 +72,8 @@ impl TxnStage {
             return Ok(0);
         }
         let staged = self.staged;
-        shared.submit::<(), SqlError>(&staged, true, |c| {
-            for record in &staged {
-                kath_sql::apply_mutation(c, record, "txn_commit")?;
-            }
-            Ok(())
+        shared.submit::<(), StorageError>(&staged, true, |c| {
+            staged.iter().try_for_each(|record| c.apply(record))
         })?;
         Ok(staged.len())
     }

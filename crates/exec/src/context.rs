@@ -137,7 +137,14 @@ impl ExecContext {
     /// single table-level lineage root of §3 ("Ingesting a raw table creates
     /// a single lineage entry with data_type=table").
     pub fn ingest_table(&mut self, table: Table, src_uri: &str) -> Result<i64, ExecError> {
-        let name = table.name().to_string();
+        let table = self.catalog.register(table)?;
+        self.ingest_root(table.name(), src_uri)
+    }
+
+    /// Gives the catalog table `name` its table-level lineage root, read
+    /// from `src_uri`: the one spelling of an ingest's lineage, whether the
+    /// table was loaded or recovered from a durable directory.
+    pub fn ingest_root(&mut self, name: &str, src_uri: &str) -> Result<i64, ExecError> {
         let lid = self.lineage.alloc_lid();
         self.lineage.record(
             lid,
@@ -147,8 +154,7 @@ impl ExecContext {
             1,
             DataKind::Table,
         )?;
-        self.catalog.register(table)?;
-        self.table_lids.insert(name, lid);
+        self.table_lids.insert(name.to_string(), lid);
         Ok(lid)
     }
 

@@ -191,12 +191,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 let mut s = String::new();
                 loop {
                     match bytes.get(pos) {
-                        None => {
-                            return Err(LexError {
-                                offset: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
                         Some(b'\'') if bytes.get(pos + 1) == Some(&b'\'') => {
                             s.push('\'');
                             pos += 2;
@@ -205,13 +199,19 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                             pos += 1;
                             break;
                         }
-                        Some(_) => {
-                            // Collect one UTF-8 character.
-                            let rest = &input[pos..];
-                            let c = rest.chars().next().expect("non-empty");
-                            s.push(c);
-                            pos += c.len_utf8();
-                        }
+                        // Collect one UTF-8 character, if any is left.
+                        _ => match input[pos..].chars().next() {
+                            Some(c) => {
+                                s.push(c);
+                                pos += c.len_utf8();
+                            }
+                            None => {
+                                return Err(LexError {
+                                    offset: start,
+                                    message: "unterminated string literal".into(),
+                                })
+                            }
+                        },
                     }
                 }
                 out.push(Token::Str(s));

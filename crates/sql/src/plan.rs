@@ -103,7 +103,10 @@ pub fn plan_mutation(catalog: &Catalog, stmt: &Statement) -> Result<WalRecord, S
                 .map(|(c, ty)| Ok(Column::new(c.clone(), parse_type(ty)?)))
                 .collect::<Result<Vec<_>, SqlError>>()?;
             let schema = Schema::new(cols).map_err(SqlError::Storage)?;
-            Ok(WalRecord::CreateTable(Table::new(name.clone(), schema)))
+            Ok(WalRecord::CreateTable {
+                name: name.clone(),
+                schema,
+            })
         }
         Statement::Insert { table, rows } => {
             let existing = catalog.get(table)?;
@@ -136,40 +139,31 @@ pub fn plan_mutation(catalog: &Catalog, stmt: &Statement) -> Result<WalRecord, S
     }
 }
 
-/// Applies one logical redo record to the catalog, returning the summary
-/// table `execute` reports. This is the single apply path for live
-/// execution *and* WAL replay, so recovered state is byte-identical to the
-/// pre-crash state by construction.
+/// Applies one statement's redo record to the catalog through
+/// [`Catalog::apply`], returning the summary table `execute` reports: the
+/// rows an INSERT added, or an empty table. Function-registry records and
+/// transaction markers are no statement's effect and are refused.
 pub fn apply_mutation(
     catalog: &mut Catalog,
     record: &WalRecord,
     output_name: &str,
 ) -> Result<Table, SqlError> {
-    match record {
-        WalRecord::CreateTable(t) => {
-            catalog.register(t.clone())?;
-            Ok(Table::new(output_name, Schema::of(&[])))
-        }
-        WalRecord::Insert { table, rows } => {
-            catalog.append_rows(table, rows)?;
-            let mut summary =
-                Table::new(output_name, Schema::of(&[("rows_inserted", DataType::Int)]));
-            summary.push(vec![Value::Int(rows.len() as i64)])?;
-            Ok(summary)
-        }
-        WalRecord::DropTable(name) => {
-            catalog.drop_table(name)?;
-            Ok(Table::new(output_name, Schema::of(&[])))
-        }
-        WalRecord::Functions(_) => Err(SqlError::Unsupported(
-            "function-registry records are applied by the facade, not the catalog".to_string(),
-        )),
-        WalRecord::Begin(_) | WalRecord::Commit(_) | WalRecord::Abort(_) => {
-            Err(SqlError::Unsupported(
-                "transaction markers frame the log; they are not applied".to_string(),
-            ))
-        }
+    if let WalRecord::Functions(_)
+    | WalRecord::Begin(_)
+    | WalRecord::Commit(_)
+    | WalRecord::Abort(_) = record
+    {
+        return Err(SqlError::Unsupported(
+            "function-registry records and transaction markers are not statements".to_string(),
+        ));
     }
+    catalog.apply(record)?;
+    let WalRecord::Insert { rows, .. } = record else {
+        return Ok(Table::new(output_name, Schema::of(&[])));
+    };
+    let mut summary = Table::new(output_name, Schema::of(&[("rows_inserted", DataType::Int)]));
+    summary.push(vec![Value::Int(rows.len() as i64)])?;
+    Ok(summary)
 }
 
 /// Execution statistics of one (possibly parallel) SELECT.

@@ -11,6 +11,7 @@
 //! catalog, and a clone is a copy of one small map.
 
 use crate::pool::BufferPool;
+use crate::wal::WalRecord;
 use crate::{Row, StorageError, Table, Value, VectorIndex, DEFAULT_PAGE_ROWS};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -124,6 +125,27 @@ impl Catalog {
             grown = grown.seal(&self.pool, page_rows)?;
         }
         Ok(self.register_or_replace(grown))
+    }
+
+    /// Applies one redo record: the only code that turns a record into a
+    /// catalog change, live, on WAL replay and in every storage test.
+    /// `CreateTable` registers an empty table (a taken name is
+    /// [`StorageError::TableExists`], so the first committer wins), `Insert`
+    /// is [`Catalog::append_rows`], `DropTable` is [`Catalog::drop_table`].
+    /// `Functions` and the transaction markers change no table.
+    pub fn apply(&mut self, record: &WalRecord) -> Result<(), StorageError> {
+        match record {
+            WalRecord::CreateTable { name, schema } => {
+                self.register(Table::new(name.clone(), schema.clone()))?;
+            }
+            WalRecord::Insert { table, rows } => drop(self.append_rows(table, rows)?),
+            WalRecord::DropTable(name) => self.drop_table(name)?,
+            WalRecord::Functions(_)
+            | WalRecord::Begin(_)
+            | WalRecord::Commit(_)
+            | WalRecord::Abort(_) => {}
+        }
+        Ok(())
     }
 
     /// Fetches a table by name.

@@ -37,10 +37,10 @@
 use crate::io::{with_retry, Io, RetryPolicy};
 use crate::page::ZoneMap;
 use crate::paged::{PagedTable, RecoveredPage};
-use crate::persist::{dtype_from_tag, dtype_tag, get_str, put_str};
+use crate::persist::{get_schema, get_str, put_schema, put_str};
 use crate::pool::BufferPool;
 use crate::wal::{crc32, filter_committed, Wal, WalRecord};
-use crate::{Column, Schema, StorageError, Table, DEFAULT_PAGE_ROWS};
+use crate::{Schema, StorageError, Table, DEFAULT_PAGE_ROWS};
 use bytes::{Buf, BufMut, BytesMut};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -62,9 +62,8 @@ pub struct Recovered {
     /// WAL records logged after the snapshot, in commit order, already
     /// filtered to the committed view: bare (autocommitted) records plus
     /// the contents of `Begin..Commit` spans; aborted and crash-torn open
-    /// transactions are discarded. The caller applies them on top of
-    /// `tables` (the storage layer keeps the apply semantics with the SQL
-    /// layer that produced the records).
+    /// transactions are discarded. The caller replays them on top of
+    /// `tables` through [`crate::Catalog::apply`].
     pub wal_records: Vec<WalRecord>,
     /// Epoch of the snapshot that was loaded (0 = started empty).
     pub snapshot_epoch: u64,
@@ -305,12 +304,17 @@ impl Durability {
     /// checkpoint): the active segment is behind the snapshot's replay
     /// horizon, so an append there would be acknowledged-then-lost.
     pub fn log(&mut self, record: &WalRecord) -> Result<(), StorageError> {
+        self.active_wal()?.append(record)
+    }
+
+    /// The active segment, unless the handle is poisoned.
+    fn active_wal(&mut self) -> Result<&mut Wal, StorageError> {
         if self.poisoned {
             return Err(StorageError::Io(
                 "wal rotation failed after the last checkpoint; reopen the database".to_string(),
             ));
         }
-        self.wal.append(record)
+        Ok(&mut self.wal)
     }
 
     /// Appends a batch of records as one contiguous write **without
@@ -323,12 +327,7 @@ impl Durability {
         &mut self,
         records: impl IntoIterator<Item = &'a WalRecord>,
     ) -> Result<u64, StorageError> {
-        if self.poisoned {
-            return Err(StorageError::Io(
-                "wal rotation failed after the last checkpoint; reopen the database".to_string(),
-            ));
-        }
-        self.wal.append_batch_nosync(records)
+        self.active_wal()?.append_batch_nosync(records)
     }
 
     /// Fsyncs the active segment (acknowledges every batch appended since
@@ -510,11 +509,6 @@ impl Durability {
             group_commits: 0,
         }
     }
-
-    /// The database directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 /// Writes `bytes` and fsyncs, retrying transient faults (the write is
@@ -552,14 +546,8 @@ fn encode_kmeta(name: &str, pt: &PagedTable) -> Result<Vec<u8>, StorageError> {
     let mut buf = BytesMut::new();
     buf.put_slice(KMETA_MAGIC);
     buf.put_u8(KMETA_VERSION);
-    put_str(&mut buf, name)?;
     let schema = pt.schema();
-    buf.put_u32(schema.arity() as u32);
-    for col in schema.columns() {
-        put_str(&mut buf, &col.name)?;
-        buf.put_u8(dtype_tag(col.dtype));
-        buf.put_u8(col.nullable as u8);
-    }
+    put_schema(&mut buf, name, schema)?;
     buf.put_u64(pt.len() as u64);
     buf.put_u32(pt.page_rows() as u32);
     buf.put_u32(pt.page_count() as u32);
@@ -587,39 +575,15 @@ fn parse_kmeta(data: &[u8]) -> Result<KmetaDoc, StorageError> {
     if data[4] != KMETA_VERSION {
         return Err(corrupt("unsupported kmeta version"));
     }
-    let (payload, trailer) = data.split_at(data.len() - 4);
-    let stored = u32::from_be_bytes(
-        trailer
-            .try_into()
-            .map_err(|_| corrupt("kmeta trailer truncated"))?,
-    );
-    if crc32(payload) != stored {
+    let Some((payload, trailer)) = data.split_last_chunk::<4>() else {
+        return Err(corrupt("kmeta trailer truncated"));
+    };
+    if crc32(payload) != u32::from_be_bytes(*trailer) {
         return Err(corrupt("kmeta checksum mismatch"));
     }
     let mut data = &payload[5..];
-    let name = get_str(&mut data)?;
-    if data.remaining() < 4 {
-        return Err(corrupt("truncated kmeta schema"));
-    }
-    let arity = data.get_u32() as usize;
-    if arity > 1 << 16 {
-        return Err(corrupt("implausible kmeta arity"));
-    }
-    let mut cols = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let cname = get_str(&mut data)?;
-        if data.remaining() < 2 {
-            return Err(corrupt("truncated kmeta column"));
-        }
-        let dtype = dtype_from_tag(data.get_u8())?;
-        let col = if data.get_u8() != 0 {
-            Column::new(cname, dtype)
-        } else {
-            Column::required(cname, dtype)
-        };
-        cols.push(col);
-    }
-    let schema = Schema::new(cols)?;
+    let (name, schema) = get_schema(&mut data)?;
+    let arity = schema.arity();
     if data.remaining() < 16 {
         return Err(corrupt("truncated kmeta shape"));
     }
@@ -628,6 +592,12 @@ fn parse_kmeta(data: &[u8]) -> Result<KmetaDoc, StorageError> {
     let page_count = data.get_u32() as usize;
     if page_rows == 0 && page_count > 0 {
         return Err(corrupt("kmeta page_rows is zero"));
+    }
+    // A page entry takes at least 29 bytes (file-name prefix, length, two
+    // checksums, an empty zone map): refuse a count the bytes cannot hold
+    // before reserving room for it.
+    if page_count.saturating_mul(arity).saturating_mul(29) > data.remaining() {
+        return Err(corrupt("implausible kmeta page count"));
     }
     let mut columns = Vec::with_capacity(arity);
     for _ in 0..arity {
@@ -793,11 +763,6 @@ fn load_snapshot(
         let fields: Vec<&str> = line.split_whitespace().collect();
         match fields.as_slice() {
             ["epoch", _] => {}
-            ["table", ..] => {
-                return Err(corrupt(format!(
-                    "unsupported whole-table manifest line '{line}'"
-                )))
-            }
             ["ptable", file, len, crc] | ["functions", file, len, crc] => {
                 let want_len: usize = len
                     .parse()
@@ -828,7 +793,6 @@ fn load_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::encode_table;
     use crate::{DataType, Value};
 
     fn tmp(name: &str) -> PathBuf {
@@ -853,6 +817,13 @@ mod tests {
         .unwrap()
     }
 
+    fn create_kv() -> WalRecord {
+        WalRecord::CreateTable {
+            name: "kv".into(),
+            schema: kv_table(&[]).schema().clone(),
+        }
+    }
+
     #[test]
     fn fresh_directory_starts_empty() {
         let dir = tmp("fresh");
@@ -872,7 +843,7 @@ mod tests {
         let t = kv_table(&[(1, "a"), (2, "b")]);
         {
             let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-            d.log(&WalRecord::CreateTable(t.clone())).unwrap();
+            d.log(&create_kv()).unwrap();
             let (epoch, paged) = d
                 .checkpoint(&[Arc::new(t.clone())], &pl, Some("{\"functions\": []}"))
                 .unwrap();
@@ -958,23 +929,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    #[test]
-    fn corrupt_newest_snapshot_falls_back_to_previous() {
-        let dir = tmp("fallback");
+    /// A directory with snapshot 1 of `kv` = (1, a), then snapshot 2 after
+    /// an INSERT of (2, b); returns it, its pool and snapshot 1's table.
+    fn two_snapshots(name: &str) -> (PathBuf, Arc<BufferPool>, Table) {
+        let dir = tmp(name);
         let pl = pool();
         let t1 = kv_table(&[(1, "a")]);
+        let (mut d, _) = Durability::open(&dir, &pl).unwrap();
+        d.log(&create_kv()).unwrap();
+        d.checkpoint(&[Arc::new(t1.clone())], &pl, None).unwrap();
+        d.log(&WalRecord::Insert {
+            table: "kv".into(),
+            rows: vec![vec![2i64.into(), "b".into()]],
+        })
+        .unwrap();
         let t2 = kv_table(&[(1, "a"), (2, "b")]);
-        {
-            let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-            d.log(&WalRecord::CreateTable(t1.clone())).unwrap();
-            d.checkpoint(&[Arc::new(t1.clone())], &pl, None).unwrap();
-            d.log(&WalRecord::Insert {
-                table: "kv".into(),
-                rows: vec![vec![2i64.into(), "b".into()]],
-            })
-            .unwrap();
-            d.checkpoint(&[Arc::new(t2)], &pl, None).unwrap();
-        }
+        d.checkpoint(&[Arc::new(t2)], &pl, None).unwrap();
+        (dir, pl, t1)
+    }
+
+    #[test]
+    fn corrupt_newest_snapshot_falls_back_to_previous() {
+        let (dir, pl, t1) = two_snapshots("fallback");
         // Corrupt every file of snapshot 2.
         let snap2 = snapshot_dir(&dir, 2);
         for entry in std::fs::read_dir(&snap2).unwrap() {
@@ -996,21 +972,7 @@ mod tests {
 
     #[test]
     fn missing_page_file_fails_verification_and_falls_back() {
-        let dir = tmp("missingpage");
-        let pl = pool();
-        let t1 = kv_table(&[(1, "a")]);
-        let t2 = kv_table(&[(1, "a"), (2, "b")]);
-        {
-            let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-            d.log(&WalRecord::CreateTable(t1.clone())).unwrap();
-            d.checkpoint(&[Arc::new(t1.clone())], &pl, None).unwrap();
-            d.log(&WalRecord::Insert {
-                table: "kv".into(),
-                rows: vec![vec![2i64.into(), "b".into()]],
-            })
-            .unwrap();
-            d.checkpoint(&[Arc::new(t2.clone())], &pl, None).unwrap();
-        }
+        let (dir, pl, t1) = two_snapshots("missingpage");
         // Delete a page referenced only by snapshot 2 (t2's "k" column
         // differs from t1's, so its page file is unique to snapshot 2).
         let kmeta = std::fs::read(snapshot_dir(&dir, 2).join("t0.kmeta")).unwrap();
@@ -1129,7 +1091,7 @@ mod tests {
         let pl = pool();
         let (mut d, _) = Durability::open(&dir, &pl).unwrap();
         let t = kv_table(&[(1, "a")]);
-        d.log(&WalRecord::CreateTable(t.clone())).unwrap();
+        d.log(&create_kv()).unwrap();
         // Make rotation fail after the snapshot rename commits: a
         // directory squats on the new segment's path, so opening it
         // errors. The checkpoint reports the failure…
@@ -1166,7 +1128,7 @@ mod tests {
         };
         {
             let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-            d.log(&WalRecord::CreateTable(kv_table(&[]))).unwrap();
+            d.log(&create_kv()).unwrap();
             // Committed transaction, then a torn one (Begin + record but
             // no Commit — as a crash mid-group-write would leave).
             let committed = [WalRecord::Begin(1), ins(1, "a"), WalRecord::Commit(1)];
@@ -1177,10 +1139,7 @@ mod tests {
             d.sync_wal().unwrap();
         }
         let (mut d, rec) = Durability::open(&dir, &pl).unwrap();
-        assert_eq!(
-            rec.wal_records,
-            vec![WalRecord::CreateTable(kv_table(&[])), ins(1, "a")]
-        );
+        assert_eq!(rec.wal_records, vec![create_kv(), ins(1, "a")]);
         assert_eq!(rec.max_txid, 2);
         assert_eq!(rec.committed_txns, 1);
         assert_eq!(rec.discarded_txns, 1);
@@ -1191,11 +1150,7 @@ mod tests {
         let (_, rec) = Durability::open(&dir, &pl).unwrap();
         assert_eq!(
             rec.wal_records,
-            vec![
-                WalRecord::CreateTable(kv_table(&[])),
-                ins(1, "a"),
-                ins(3, "kept")
-            ]
+            vec![create_kv(), ins(1, "a"), ins(3, "kept")]
         );
         assert_eq!(rec.discarded_txns, 1);
         let _ = std::fs::remove_dir_all(dir);
@@ -1203,22 +1158,17 @@ mod tests {
 
     #[test]
     fn whole_table_manifest_lines_are_refused() {
-        // No checkpoint of this repository wrote the pre-paged whole-table
-        // `table <file>.ktbl` line; a manifest carrying one is refused with
-        // a typed error rather than half-supported.
+        // No checkpoint of this repository wrote a whole-table `table
+        // <file>` line; a manifest carrying one is refused with a typed
+        // error like any other line it does not know.
         let dir = tmp("legacy");
         std::fs::create_dir_all(dir.join("wal")).unwrap();
         std::fs::create_dir_all(dir.join("snapshots").join("000001")).unwrap();
-        let t = kv_table(&[(7, "legacy")]);
-        let bytes = encode_table(&t).unwrap();
+        let bytes = b"a whole table";
         let snap = dir.join("snapshots").join("000001");
-        std::fs::write(snap.join("t0.ktbl"), &bytes).unwrap();
+        std::fs::write(snap.join("t0.tbl"), bytes).unwrap();
         let mut manifest = format!("{MANIFEST_MAGIC}\nepoch 1\n");
-        manifest.push_str(&format!(
-            "table t0.ktbl {} {}\n",
-            bytes.len(),
-            crc32(&bytes)
-        ));
+        manifest.push_str(&format!("table t0.tbl {} {}\n", bytes.len(), crc32(bytes)));
         manifest.push_str(&format!("crc {}\n", crc32(manifest.as_bytes())));
         std::fs::write(snap.join("MANIFEST"), manifest).unwrap();
         std::fs::write(segment_path(&dir, 1), b"").unwrap();
@@ -1226,7 +1176,7 @@ mod tests {
             panic!("a whole-table manifest line must be refused");
         };
         assert!(
-            matches!(&err, StorageError::Corrupt(m) if m.contains("unsupported")),
+            matches!(&err, StorageError::Corrupt(m) if m.contains("unrecognized")),
             "{err:?}"
         );
         let _ = std::fs::remove_dir_all(dir);
@@ -1246,11 +1196,32 @@ mod tests {
         assert_eq!(doc.page_rows, 2);
         assert_eq!(doc.columns.len(), 2);
         assert_eq!(doc.columns[0].len(), 2);
-        // Every bit flip is caught.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 1;
-            assert!(parse_kmeta(&bad).is_err(), "bit flip at {i} undetected");
+        // Every cut and every bit flip is `Corrupt`: the trailer catches
+        // it. Under a re-sealed trailer the parser, the shared schema codec
+        // included, parses or refuses, and never panics or reserves what
+        // the bytes cannot hold.
+        let mutations = |b: &[u8]| {
+            let cuts = (0..b.len()).map(|cut| b[..cut].to_vec());
+            let flips = (0..b.len() * 8).map(|bit| {
+                let mut m = b.to_vec();
+                m[bit / 8] ^= 1 << (bit % 8);
+                m
+            });
+            cuts.chain(flips).collect::<Vec<_>>()
+        };
+        for bad in mutations(&bytes) {
+            assert!(
+                matches!(parse_kmeta(&bad), Err(StorageError::Corrupt(_))),
+                "{bad:?}"
+            );
+        }
+        for mut bad in mutations(&bytes[..bytes.len() - 4]) {
+            bad.extend_from_slice(&crc32(&bad).to_be_bytes());
+            let parsed = parse_kmeta(&bad);
+            assert!(
+                matches!(parsed, Ok(_) | Err(StorageError::Corrupt(_))),
+                "{bad:?}"
+            );
         }
     }
 }

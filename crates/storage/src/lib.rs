@@ -5,8 +5,8 @@
 //! is represented as relational views, and every FAO ultimately reads and
 //! writes tables. This crate is that relational foundation: typed values,
 //! schemas, in-memory tables, scalar expressions, batch-pulled operators,
-//! a system catalog (with the verifier's database utilities), binary
-//! persistence, and the durability subsystem (write-ahead log +
+//! a system catalog (with the verifier's database utilities), compressed
+//! column pages, and the durability subsystem (write-ahead log +
 //! checkpointed snapshots + crash recovery).
 
 #![warn(missing_docs)]
@@ -58,7 +58,7 @@ pub use ops::{
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
 pub use paged::{PageBacking, PageSlot, PageWriteStats, PagedTable, RecoveredPage};
-pub use persist::{atomic_write, atomic_write_with, decode_table, encode_table};
+pub use persist::{atomic_write, atomic_write_with};
 pub use pool::{BufferPool, PageKey, PoolStatus, DEFAULT_POOL_PAGES, POOL_PAGES_ENV};
 pub use schema::{Column, Schema};
 pub use table::Table;

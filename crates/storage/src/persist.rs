@@ -1,108 +1,17 @@
-//! Binary table persistence.
+//! The byte codecs every on-disk format of this crate shares, and the
+//! atomic file write that page files and sidecar files go through.
 //!
-//! KathDB materializes intermediate views and persists them so the lineage
-//! browser can show "the materialized view it came from" (§5) across
-//! sessions, and the durability subsystem snapshots every catalog table in
-//! this format at each checkpoint. The format is a simple length-prefixed
-//! layout with a magic header, version byte, and a CRC32 trailer over the
-//! entire encoding, so a torn or bit-flipped snapshot file is detected
-//! instead of decoded into wrong rows.
+//! A value is a tag byte plus its payload; a string or blob is a `u32`
+//! length prefix plus its bytes; a schema is a table name, a column count,
+//! and per column its name, type tag and nullability. The WAL's records
+//! and the KPGM page descriptors of a checkpoint are spelled in these, and
+//! each format checksums its own frame, so no codec here carries a
+//! checksum of its own.
 
 use crate::io::{with_retry, Io, RetryPolicy};
-use crate::wal::crc32;
-use crate::{Column, DataType, Row, Schema, StorageError, Table, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{Column, DataType, Schema, StorageError, Value};
+use bytes::{Buf, BufMut, BytesMut};
 use std::path::Path;
-
-const MAGIC: &[u8; 4] = b"KTBL";
-const FORMAT_VERSION: u8 = 2;
-
-/// Encodes a table into the KathDB binary table format (KTBL v2: the v1
-/// body followed by a CRC32 trailer over everything before it). Fails with
-/// [`StorageError::TooLarge`] if any string or blob exceeds `u32::MAX`
-/// bytes (the length prefix width) instead of silently truncating.
-pub fn encode_table(table: &Table) -> Result<Bytes, StorageError> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u8(FORMAT_VERSION);
-    put_str(&mut buf, table.name())?;
-    buf.put_u32(table.schema().arity() as u32);
-    for col in table.schema().columns() {
-        put_str(&mut buf, &col.name)?;
-        buf.put_u8(dtype_tag(col.dtype));
-        buf.put_u8(col.nullable as u8);
-    }
-    buf.put_u64(table.len() as u64);
-    for row in table.rows() {
-        for v in row {
-            put_value(&mut buf, v)?;
-        }
-    }
-    let checksum = crc32(&buf);
-    buf.put_u32(checksum);
-    Ok(buf.freeze())
-}
-
-/// Decodes a table from the binary format (KTBL v2 only — the one version
-/// this repository ever wrote to disk). The CRC32 trailer is verified
-/// before any byte of the payload is interpreted.
-pub fn decode_table(data: &[u8]) -> Result<Table, StorageError> {
-    let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
-    if data.len() < 5 || &data[..4] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    if data[4] != FORMAT_VERSION {
-        return Err(corrupt("unsupported format version"));
-    }
-    if data.len() < 9 {
-        return Err(corrupt("truncated checksum trailer"));
-    }
-    let (payload, trailer) = data.split_at(data.len() - 4);
-    let stored = u32::from_be_bytes(trailer.try_into().expect("4-byte trailer"));
-    if crc32(payload) != stored {
-        return Err(corrupt("table checksum mismatch"));
-    }
-    let mut data = &payload[5..];
-    let name = get_str(&mut data)?;
-    if data.remaining() < 4 {
-        return Err(corrupt("truncated column count"));
-    }
-    let arity = data.get_u32() as usize;
-    if arity > 1 << 16 {
-        return Err(corrupt("implausible column count"));
-    }
-    let mut cols = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let cname = get_str(&mut data)?;
-        if data.remaining() < 2 {
-            return Err(corrupt("truncated column descriptor"));
-        }
-        let dtype = dtype_from_tag(data.get_u8())?;
-        let nullable = data.get_u8() != 0;
-        cols.push(Column {
-            name: cname,
-            dtype,
-            nullable,
-        });
-    }
-    let schema = Schema::new(cols)?;
-    if data.remaining() < 8 {
-        return Err(corrupt("truncated row count"));
-    }
-    let rows = data.get_u64() as usize;
-    let mut table = Table::new(name, schema);
-    for _ in 0..rows {
-        let mut row: Row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            row.push(get_value(&mut data)?);
-        }
-        table.push(row)?;
-    }
-    if data.has_remaining() {
-        return Err(corrupt("trailing bytes after table payload"));
-    }
-    Ok(table)
-}
 
 /// Writes `bytes` to `path` atomically: the data goes to a temp file in the
 /// same directory, is fsynced, and is then renamed into place, so a crash
@@ -151,7 +60,7 @@ pub fn atomic_write_with(io: &Io, path: &Path, bytes: &[u8]) -> Result<(), Stora
     Ok(())
 }
 
-pub(crate) fn dtype_tag(d: DataType) -> u8 {
+fn dtype_tag(d: DataType) -> u8 {
     match d {
         DataType::Int => 0,
         DataType::Float => 1,
@@ -162,7 +71,7 @@ pub(crate) fn dtype_tag(d: DataType) -> u8 {
     }
 }
 
-pub(crate) fn dtype_from_tag(t: u8) -> Result<DataType, StorageError> {
+fn dtype_from_tag(t: u8) -> Result<DataType, StorageError> {
     Ok(match t {
         0 => DataType::Int,
         1 => DataType::Float,
@@ -172,6 +81,52 @@ pub(crate) fn dtype_from_tag(t: u8) -> Result<DataType, StorageError> {
         5 => DataType::Any,
         _ => return Err(StorageError::Corrupt(format!("unknown type tag {t}"))),
     })
+}
+
+/// Writes a table name and its schema: the name, the column count, then
+/// per column its name, type tag and nullability.
+pub(crate) fn put_schema(
+    buf: &mut BytesMut,
+    name: &str,
+    schema: &Schema,
+) -> Result<(), StorageError> {
+    put_str(buf, name)?;
+    buf.put_u32(encodable_len("columns", schema.arity())?);
+    for col in schema.columns() {
+        put_str(buf, &col.name)?;
+        buf.put_u8(dtype_tag(col.dtype));
+        buf.put_u8(col.nullable as u8);
+    }
+    Ok(())
+}
+
+/// Reads what [`put_schema`] wrote.
+pub(crate) fn get_schema(data: &mut &[u8]) -> Result<(String, Schema), StorageError> {
+    let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
+    let name = get_str(data)?;
+    if data.remaining() < 4 {
+        return Err(corrupt("truncated column count"));
+    }
+    let arity = data.get_u32() as usize;
+    if arity > 1 << 16 {
+        return Err(corrupt("implausible column count"));
+    }
+    let mut cols = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        let name = get_str(data)?;
+        if data.remaining() < 2 {
+            return Err(corrupt("truncated column descriptor"));
+        }
+        let dtype = dtype_from_tag(data.get_u8())?;
+        let nullable = data.get_u8() != 0;
+        cols.push(Column {
+            name,
+            dtype,
+            nullable,
+        });
+    }
+    let schema = Schema::new(cols).map_err(|e| corrupt(&format!("invalid schema: {e}")))?;
+    Ok((name, schema))
 }
 
 /// Checks that a length fits the u32 prefix of the binary formats; the
@@ -284,71 +239,27 @@ pub(crate) fn get_value(data: &mut &[u8]) -> Result<Value, StorageError> {
 mod tests {
     use super::*;
 
-    fn table() -> Table {
-        let schema = Schema::of(&[
-            ("id", DataType::Int),
-            ("score", DataType::Float),
-            ("title", DataType::Str),
-            ("boring", DataType::Bool),
-            ("pixels", DataType::Blob),
-        ]);
-        Table::from_rows(
-            "films",
-            schema,
-            vec![
-                vec![
-                    1i64.into(),
-                    0.999.into(),
-                    "Guilty by Suspicion".into(),
-                    true.into(),
-                    Value::Blob(vec![1, 2, 3]),
-                ],
-                vec![
-                    2i64.into(),
-                    Value::Null,
-                    "Clean and Sober".into(),
-                    Value::Null,
-                    Value::Blob(vec![]),
-                ],
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let t = table();
-        let bytes = encode_table(&t).unwrap();
-        let back = decode_table(&bytes).unwrap();
-        assert_eq!(back, t);
-    }
-
-    fn load(path: &Path) -> Table {
-        decode_table(&std::fs::read(path).unwrap()).unwrap()
-    }
+    const BYTES: &[u8] = b"films: Guilty by Suspicion, Clean and Sober";
 
     #[test]
     fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("kathdb_persist_test");
-        let path = dir.join("films.ktbl");
-        let t = table();
-        atomic_write(&path, &encode_table(&t).unwrap()).unwrap();
-        assert_eq!(load(&path), t);
+        let path = dir.join("films.bin");
+        atomic_write(&path, BYTES).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), BYTES);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn atomic_save_leaves_no_temp_files() {
         let dir = std::env::temp_dir().join("kathdb_persist_atomic_test");
-        let path = dir.join("films.ktbl");
-        let t = table();
-        let bytes = encode_table(&t).unwrap();
-        atomic_write(&path, &bytes).unwrap();
-        // Overwrite in place: still exactly one file, still decodable.
-        atomic_write(&path, &bytes).unwrap();
+        let path = dir.join("films.bin");
+        atomic_write(&path, BYTES).unwrap();
+        // Overwrite in place: still exactly one file, still the payload.
+        atomic_write(&path, BYTES).unwrap();
         let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(entries.len(), 1, "temp file left behind");
-        assert_eq!(load(&path), t);
+        assert_eq!(std::fs::read(&path).unwrap(), BYTES);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -358,10 +269,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("kathdb_persist_fault_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("films.ktbl");
-        let t = table();
-        let bytes = encode_table(&t).unwrap();
-        atomic_write(&path, &bytes).unwrap();
+        let path = dir.join("films.bin");
+        atomic_write(&path, BYTES).unwrap();
         let io = Io::real();
         for kind in [FaultKind::Permanent, FaultKind::Enospc] {
             for op in [IoOp::Write, IoOp::Rename] {
@@ -371,66 +280,20 @@ mod tests {
                         .on_ops(&[op]),
                 );
                 assert!(matches!(
-                    atomic_write_with(&io, &path, &bytes),
+                    atomic_write_with(&io, &path, b"replacement"),
                     Err(StorageError::Io(_))
                 ));
                 io.clear_faults();
                 // The old contents survive and no temp file is left behind.
-                assert_eq!(load(&path), t);
+                assert_eq!(std::fs::read(&path).unwrap(), BYTES);
                 assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
             }
         }
         // A transient write fault is retried away.
         io.install_faults(FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]));
-        atomic_write_with(&io, &path, &bytes).unwrap();
-        assert_eq!(load(&path), t);
+        atomic_write_with(&io, &path, b"replacement").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"replacement");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn rejects_corruption() {
-        let t = table();
-        let bytes = encode_table(&t).unwrap();
-        // Bad magic.
-        let mut bad = bytes.to_vec();
-        bad[0] = b'X';
-        assert!(decode_table(&bad).is_err());
-        // Truncation at every prefix must error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(decode_table(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // Trailing garbage.
-        let mut long = bytes.to_vec();
-        long.push(0);
-        assert!(decode_table(&long).is_err());
-    }
-
-    #[test]
-    fn any_single_bit_flip_is_detected() {
-        let t = table();
-        let bytes = encode_table(&t).unwrap().to_vec();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 1 << (i % 8);
-            assert!(
-                decode_table(&bad).is_err(),
-                "bit flip at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn decodes_v1_tables_without_trailer() {
-        // No writer in this repository produced the trailer-less version 1
-        // (the v2 encoding minus the trailer, version byte rewritten), so
-        // it is refused by version, not decoded unverified.
-        let v2 = encode_table(&table()).unwrap();
-        let mut v1 = v2[..v2.len() - 4].to_vec();
-        v1[4] = 1;
-        assert!(matches!(
-            decode_table(&v1),
-            Err(StorageError::Corrupt(m)) if m.contains("unsupported")
-        ));
     }
 
     #[test]
@@ -441,12 +304,5 @@ mod tests {
             Err(StorageError::TooLarge { ref what, len })
                 if what == "string" && len == u32::MAX as u64 + 1
         ));
-    }
-
-    #[test]
-    fn empty_table_round_trips() {
-        let t = Table::new("empty", Schema::of(&[("x", DataType::Any)]));
-        let back = decode_table(&encode_table(&t).unwrap()).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -685,19 +685,21 @@ mod tests {
         }
     }
 
-    fn apply(c: &mut Catalog, r: &WalRecord) -> Result<(), StorageError> {
-        match r {
-            WalRecord::CreateTable(t) => c.register(t.clone()).map(|_| ()),
-            WalRecord::Insert { table, rows } => {
-                let mut t = (*c.get(table)?).clone();
-                for row in rows {
-                    t.push(row.clone())?;
-                }
-                c.register_or_replace(t);
-                Ok(())
-            }
-            WalRecord::DropTable(n) => c.drop_table(n),
-            _ => Ok(()),
+    /// Commits `records` through [`Catalog::apply`], as replay applies them.
+    fn commit(
+        shared: &SharedCatalog,
+        records: &[WalRecord],
+        framed: bool,
+    ) -> Result<(), StorageError> {
+        shared.submit(records, framed, |c| {
+            records.iter().try_for_each(|r| c.apply(r))
+        })
+    }
+
+    fn create_kv() -> WalRecord {
+        WalRecord::CreateTable {
+            name: "kv".into(),
+            schema: kv(&[]).schema().clone(),
         }
     }
 
@@ -709,7 +711,7 @@ mod tests {
         assert_eq!(snap.get("kv").unwrap().len(), 1);
         // A later publish is invisible to the held snapshot…
         shared
-            .submit::<(), StorageError>(&[], false, |c| apply(c, &insert(2, "b")))
+            .submit::<(), StorageError>(&[], false, |c| c.apply(&insert(2, "b")))
             .unwrap();
         assert_eq!(snap.get("kv").unwrap().len(), 1);
         // …and visible to a fresh one, under a higher version.
@@ -761,15 +763,11 @@ mod tests {
         let (dur, rec) = Durability::open(&dir, &pool).unwrap();
         assert_eq!(rec.max_txid, 0);
         shared.attach(dur, rec.max_txid);
-        let create = WalRecord::CreateTable(kv(&[]));
-        shared
-            .submit::<(), StorageError>(std::slice::from_ref(&create), false, |c| apply(c, &create))
-            .unwrap();
+        let create = create_kv();
+        commit(&shared, std::slice::from_ref(&create), false).unwrap();
         // A framed two-record transaction.
         let recs = [insert(1, "a"), insert(2, "b")];
-        shared
-            .submit::<(), StorageError>(&recs, true, |c| recs.iter().try_for_each(|r| apply(c, r)))
-            .unwrap();
+        commit(&shared, &recs, true).unwrap();
         assert_eq!(shared.get("kv").unwrap().len(), 2);
         let status = shared.status().unwrap();
         assert!(status.group_fsyncs >= 1);
@@ -794,10 +792,8 @@ mod tests {
         let shared = SharedCatalog::new();
         let (dur, rec) = Durability::open(&dir, &pool).unwrap();
         shared.attach(dur, rec.max_txid);
-        let create = WalRecord::CreateTable(kv(&[]));
-        shared
-            .submit::<(), StorageError>(std::slice::from_ref(&create), false, |c| apply(c, &create))
-            .unwrap();
+        let create = create_kv();
+        commit(&shared, std::slice::from_ref(&create), false).unwrap();
         let v = shared.version();
         // Every fsync fails permanently: the commit must report an error…
         io.install_faults(
@@ -806,8 +802,7 @@ mod tests {
                 .on_ops(&[IoOp::Fsync]),
         );
         let r = insert(1, "lost");
-        let err =
-            shared.submit::<(), StorageError>(std::slice::from_ref(&r), false, |c| apply(c, &r));
+        let err = commit(&shared, std::slice::from_ref(&r), false);
         assert!(err.is_err());
         io.clear_faults();
         // …and leave no trace: version unchanged, reads see no new row.
@@ -816,9 +811,7 @@ mod tests {
         // The coordinator is not poisoned: the next commit succeeds and
         // lands where the rolled-back bytes were.
         let r2 = insert(2, "kept");
-        shared
-            .submit::<(), StorageError>(std::slice::from_ref(&r2), false, |c| apply(c, &r2))
-            .unwrap();
+        commit(&shared, std::slice::from_ref(&r2), false).unwrap();
         assert_eq!(shared.get("kv").unwrap().len(), 1);
         drop(shared);
         let (_, rec) = Durability::open(&dir, &pool).unwrap();
@@ -833,10 +826,8 @@ mod tests {
         let shared = SharedCatalog::new();
         let (dur, rec) = Durability::open(&dir, &pool).unwrap();
         shared.attach(dur, rec.max_txid);
-        let create = WalRecord::CreateTable(kv(&[]));
-        shared
-            .submit::<(), StorageError>(std::slice::from_ref(&create), false, |c| apply(c, &create))
-            .unwrap();
+        let create = create_kv();
+        commit(&shared, std::slice::from_ref(&create), false).unwrap();
         let writers = 8;
         let per_writer = 10;
         let handles: Vec<_> = (0..writers)
@@ -845,11 +836,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..per_writer {
                         let r = insert((w * per_writer + i) as i64, "x");
-                        shared
-                            .submit::<(), StorageError>(std::slice::from_ref(&r), true, |c| {
-                                apply(c, &r)
-                            })
-                            .unwrap();
+                        commit(&shared, std::slice::from_ref(&r), true).unwrap();
                     }
                 })
             })

@@ -18,8 +18,10 @@
 //! fabricates rows and never silently discards acknowledged ones.
 
 use crate::io::{with_retry, Io, RetryPolicy};
-use crate::persist::{encode_table, get_str, get_value, put_str, put_value};
-use crate::{decode_table, Row, StorageError, Table};
+use crate::persist::{
+    encodable_len, get_schema, get_str, get_value, put_schema, put_str, put_value,
+};
+use crate::{Row, Schema, StorageError};
 use bytes::{Buf, BufMut, BytesMut};
 use std::path::{Path, PathBuf};
 
@@ -62,7 +64,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 /// Encodes one record as a complete WAL frame (header + payload).
 fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, StorageError> {
     let payload = record.encode()?;
-    let len_bytes = crate::persist::encodable_len("wal payload", payload.len())?.to_be_bytes();
+    let len_bytes = encodable_len("wal payload", payload.len())?.to_be_bytes();
     let mut frame = Vec::with_capacity(payload.len() + 12);
     frame.extend_from_slice(&len_bytes);
     frame.extend_from_slice(&crc32(&len_bytes).to_be_bytes());
@@ -71,8 +73,8 @@ fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, StorageError> {
     Ok(frame)
 }
 
-/// CRC32 (IEEE 802.3 polynomial), the checksum of WAL frames, KTBL v2
-/// trailers, snapshot manifests and column pages. Eight bytes a step
+/// CRC32 (IEEE 802.3 polynomial), the checksum of WAL frames, page
+/// descriptors, snapshot manifests and column pages. Eight bytes a step
 /// (slice-by-8); the ragged tail goes a byte at a time.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
@@ -98,9 +100,14 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// One logical redo record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// Registers a new table (schema plus any initial rows — SQL `CREATE
-    /// TABLE` logs an empty one, facade ingests log the full contents).
-    CreateTable(Table),
+    /// Registers a new, empty table. An ingest logs this plus one
+    /// [`WalRecord::Insert`] of its rows, framed as one transaction.
+    CreateTable {
+        /// The new table's name.
+        name: String,
+        /// Its schema.
+        schema: Schema,
+    },
     /// Appends rows to an existing table.
     Insert {
         /// Target table name.
@@ -127,29 +134,31 @@ pub enum WalRecord {
     Abort(u64),
 }
 
-const TAG_CREATE: u8 = 1;
 const TAG_INSERT: u8 = 2;
 const TAG_DROP: u8 = 3;
 const TAG_FUNCTIONS: u8 = 4;
 const TAG_BEGIN: u8 = 5;
 const TAG_COMMIT: u8 = 6;
 const TAG_ABORT: u8 = 7;
+/// Tag 1 carried a CREATE with the table's rows inside; a log that holds
+/// one is refused as an unknown tag.
+const TAG_CREATE: u8 = 8;
 
 impl WalRecord {
     /// Encodes the record payload (tag byte + body).
     pub fn encode(&self) -> Result<Vec<u8>, StorageError> {
         let mut buf = BytesMut::new();
         match self {
-            WalRecord::CreateTable(t) => {
+            WalRecord::CreateTable { name, schema } => {
                 buf.put_u8(TAG_CREATE);
-                buf.put_slice(&encode_table(t)?);
+                put_schema(&mut buf, name, schema)?;
             }
             WalRecord::Insert { table, rows } => {
                 buf.put_u8(TAG_INSERT);
                 put_str(&mut buf, table)?;
-                buf.put_u32(crate::persist::encodable_len("rows", rows.len())?);
+                buf.put_u32(encodable_len("rows", rows.len())?);
                 for row in rows {
-                    buf.put_u32(crate::persist::encodable_len("row", row.len())?);
+                    buf.put_u32(encodable_len("row", row.len())?);
                     for v in row {
                         put_value(&mut buf, v)?;
                     }
@@ -186,7 +195,13 @@ impl WalRecord {
             return Err(corrupt("truncated wal record tag"));
         }
         match data.get_u8() {
-            TAG_CREATE => Ok(WalRecord::CreateTable(decode_table(data)?)),
+            TAG_CREATE => {
+                let (name, schema) = get_schema(&mut data)?;
+                if data.has_remaining() {
+                    return Err(corrupt("trailing bytes after wal create record"));
+                }
+                Ok(WalRecord::CreateTable { name, schema })
+            }
             TAG_INSERT => {
                 let table = get_str(&mut data)?;
                 if data.remaining() < 4 {
@@ -531,11 +546,6 @@ impl Wal {
 
     /// Read-only replay of a whole segment file (used for rotated-out
     /// segments during recovery). Missing file = empty segment.
-    pub fn replay_file(path: &Path) -> Result<Vec<WalRecord>, StorageError> {
-        Self::replay_file_with(path, &Io::real())
-    }
-
-    /// [`Wal::replay_file`] through an explicit [`Io`] handle.
     pub fn replay_file_with(path: &Path, io: &Io) -> Result<Vec<WalRecord>, StorageError> {
         let data = io.read_opt(path)?.unwrap_or_default();
         decode_frames(&data).map(|(records, _)| records)
@@ -567,7 +577,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataType, FaultKind, FaultPlan, IoOp, Schema, Value};
+    use crate::{Catalog, Column, DataType, FaultKind, FaultPlan, IoOp, Table, Value};
     use std::fs::OpenOptions;
 
     fn tmp(name: &str) -> PathBuf {
@@ -577,25 +587,59 @@ mod tests {
         dir
     }
 
+    /// A CREATE, an INSERT of every value type (zero-length strings and
+    /// blobs included), a registry record and a DROP. The column names are
+    /// one bit apart, so a flip can make them collide.
     fn sample_records() -> Vec<WalRecord> {
-        let t = Table::from_rows(
-            "kv",
-            Schema::of(&[("k", DataType::Int), ("v", DataType::Str)]),
-            vec![],
-        )
+        let schema = Schema::new(vec![
+            Column::required("c0", DataType::Int),
+            Column::new("c1", DataType::Any),
+        ])
         .unwrap();
+        let values = [
+            Value::Null,
+            Value::Float(-0.125),
+            Value::Str(String::new()),
+            Value::Str("héllo".into()),
+            Value::Bool(true),
+            Value::Blob(Vec::new()),
+            Value::Blob(vec![0, 255, 7]),
+        ];
+        let rows = (i64::MIN..).zip(values).map(|(k, v)| vec![k.into(), v]);
         vec![
-            WalRecord::CreateTable(t),
+            WalRecord::CreateTable {
+                name: "kv".into(),
+                schema,
+            },
             WalRecord::Insert {
                 table: "kv".into(),
-                rows: vec![
-                    vec![1i64.into(), "a".into()],
-                    vec![2i64.into(), Value::Null],
-                ],
+                rows: rows.collect(),
             },
             WalRecord::Functions("{\"functions\": []}".into()),
             WalRecord::DropTable("kv".into()),
         ]
+    }
+
+    /// A segment in a fresh directory holding [`sample_records`]: the
+    /// directory and the segment's path.
+    fn sample_segment(name: &str) -> (PathBuf, PathBuf) {
+        let dir = tmp(name);
+        let path = dir.join("000000.log");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        for r in &sample_records() {
+            wal.append(r).unwrap();
+        }
+        (dir, path)
+    }
+
+    /// One record of every kind.
+    fn every_kind() -> Vec<WalRecord> {
+        let markers = [
+            WalRecord::Begin(1),
+            WalRecord::Commit(1),
+            WalRecord::Abort(u64::MAX),
+        ];
+        sample_records().into_iter().chain(markers).collect()
     }
 
     #[test]
@@ -607,10 +651,85 @@ mod tests {
 
     #[test]
     fn records_encode_decode_round_trip() {
-        for r in sample_records() {
+        for r in every_kind() {
             let bytes = r.encode().unwrap();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), r);
         }
+    }
+
+    /// A log cut at any byte decodes to exactly the records whose frames
+    /// are whole, and reports where the last one ends: the cut frame is a
+    /// torn tail, never an error and never a shorter record.
+    #[test]
+    fn rejects_corruption() {
+        let records = every_kind();
+        let mut log = Vec::new();
+        let mut ends = Vec::new();
+        for r in &records {
+            log.extend(encode_frame(r).unwrap());
+            ends.push(log.len());
+        }
+        for cut in 0..=log.len() {
+            let whole = ends.partition_point(|&end| end <= cut);
+            let valid = whole.checked_sub(1).map_or(0, |last| ends[last]);
+            let (decoded, len) = decode_frames(&log[..cut]).unwrap();
+            assert_eq!(decoded, records[..whole], "cut at {cut}");
+            assert_eq!(len, valid as u64, "cut at {cut}");
+        }
+    }
+
+    /// `bytes` with bit `bit` flipped.
+    fn flipped(bytes: &[u8], bit: usize) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[bit / 8] ^= 1 << (bit % 8);
+        out
+    }
+
+    /// Every single-bit flip of a frame of every kind is `Corrupt`: the
+    /// header checksum guards the length, the payload checksum the rest.
+    #[test]
+    fn any_single_bit_flip_is_detected() {
+        for r in every_kind() {
+            let frame = encode_frame(&r).unwrap();
+            for bit in 0..frame.len() * 8 {
+                let decoded = decode_frames(&flipped(&frame, bit));
+                let detected = matches!(decoded, Err(StorageError::Corrupt(_)));
+                assert!(detected, "{r:?}: flip of bit {bit} went undetected");
+            }
+        }
+    }
+
+    /// The record decoder is total: a payload cut at any byte or with any
+    /// bit flipped (as if re-framed under valid checksums) decodes to some
+    /// record or to `Corrupt`, and never panics.
+    #[test]
+    fn mutated_payloads_decode_or_refuse() {
+        for r in every_kind() {
+            let payload = r.encode().unwrap();
+            let cuts = (0..payload.len()).map(|cut| payload[..cut].to_vec());
+            let flips = (0..payload.len() * 8).map(|bit| flipped(&payload, bit));
+            for bad in cuts.chain(flips) {
+                match WalRecord::decode(&bad) {
+                    Ok(_) | Err(StorageError::Corrupt(_)) => {}
+                    Err(e) => panic!("{r:?}: {e:?} decoding {bad:?}"),
+                }
+            }
+        }
+    }
+
+    /// The CREATE an empty ingest logs replays to an equal empty table.
+    #[test]
+    fn empty_table_round_trips() {
+        let schema = Schema::of(&[("x", DataType::Any)]);
+        let record = WalRecord::CreateTable {
+            name: "empty".into(),
+            schema: schema.clone(),
+        };
+        let back = WalRecord::decode(&record.encode().unwrap()).unwrap();
+        assert_eq!(back, record);
+        let mut catalog = Catalog::new();
+        catalog.apply(&back).unwrap();
+        assert_eq!(*catalog.get("empty").unwrap(), Table::new("empty", schema));
     }
 
     #[test]
@@ -634,15 +753,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_skipped_and_overwritten() {
-        let dir = tmp("torn");
-        let path = dir.join("000000.log");
+        let (dir, path) = sample_segment("torn");
         let records = sample_records();
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
-        }
         // Tear the final record: drop its last 3 bytes.
         let len = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
@@ -664,15 +776,7 @@ mod tests {
 
     #[test]
     fn flipped_length_field_is_corrupt_not_a_silent_tail() {
-        let dir = tmp("lenflip");
-        let path = dir.join("000000.log");
-        let records = sample_records();
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
-        }
+        let (dir, path) = sample_segment("lenflip");
         // Flip a bit in the FIRST frame's length prefix: without a header
         // checksum this would read as a torn tail and silently discard
         // (and truncate away) every fsync-acknowledged record after it.
@@ -687,15 +791,8 @@ mod tests {
 
     #[test]
     fn torn_tail_truncate_failure_is_a_typed_error() {
-        let dir = tmp("torntyped");
-        let path = dir.join("000000.log");
+        let (dir, path) = sample_segment("torntyped");
         let records = sample_records();
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
-        }
         let len = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();
@@ -867,14 +964,7 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_on_complete_frame_is_corrupt() {
-        let dir = tmp("crc");
-        let path = dir.join("000000.log");
-        {
-            let (mut wal, _) = Wal::open(&path).unwrap();
-            for r in sample_records() {
-                wal.append(&r).unwrap();
-            }
-        }
+        let (dir, path) = sample_segment("crc");
         // Flip one payload byte of the *first* frame: still a complete
         // frame, so this is detectable corruption, not a torn tail.
         let mut data = std::fs::read(&path).unwrap();

@@ -36,20 +36,29 @@ fn insert(k: i64, v: &str) -> WalRecord {
     }
 }
 
+fn create_kv() -> WalRecord {
+    WalRecord::CreateTable {
+        name: "kv".to_string(),
+        schema: kv_schema(),
+    }
+}
+
+/// `catalog` with a recovered directory's snapshot tables, then its
+/// committed WAL records replayed through [`Catalog::apply`].
+fn replay(mut catalog: Catalog, rec: Recovered) -> Result<Catalog, StorageError> {
+    for table in rec.tables {
+        catalog.register_or_replace(table);
+    }
+    for record in &rec.wal_records {
+        catalog.apply(record)?;
+    }
+    Ok(catalog)
+}
+
 /// The kv rows a recovered directory holds: snapshot table + WAL replay.
-fn recovered_rows(rec: &Recovered) -> Vec<Row> {
-    let mut rows: Vec<Row> = Vec::new();
-    for t in &rec.tables {
-        if t.name() == "kv" {
-            rows.extend(t.rows().iter().cloned());
-        }
-    }
-    for r in &rec.wal_records {
-        if let WalRecord::Insert { rows: new, .. } = r {
-            rows.extend(new.iter().cloned());
-        }
-    }
-    rows
+fn recovered_rows(rec: Recovered) -> Vec<Row> {
+    let catalog = replay(Catalog::new(), rec).unwrap();
+    catalog.get("kv").unwrap().rows().to_vec()
 }
 
 /// Any mix of fault kinds (the non-zero bitmask picks a non-empty subset)
@@ -74,7 +83,7 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 
 /// Opens `dir` as a durable shared catalog the way the facade does:
 /// snapshot tables (all sealed), then the committed WAL records replayed
-/// through [`Catalog::append_rows`], the call live INSERTs make. With a
+/// through [`Catalog::apply`], the call live statements make. With a
 /// `plan`, its faults hit the open and the replay alike.
 fn open_shared(
     dir: &std::path::Path,
@@ -86,27 +95,20 @@ fn open_shared(
         pool.io().install_faults(plan);
     }
     let (dur, rec) = Durability::open(dir, &pool)?;
-    let mut catalog = shared.snapshot().catalog().clone();
-    for table in rec.tables {
-        catalog.register_or_replace(table);
-    }
-    for record in rec.wal_records {
-        match record {
-            WalRecord::CreateTable(t) => drop(catalog.register_or_replace(t)),
-            WalRecord::Insert { table, rows } => drop(catalog.append_rows(&table, &rows)?),
-            other => panic!("unexpected record {other:?}"),
-        }
-    }
-    shared.install_recovered(catalog, dur, rec.max_txid);
+    let max_txid = rec.max_txid;
+    let catalog = replay(shared.snapshot().catalog().clone(), rec)?;
+    shared.install_recovered(catalog, dur, max_txid);
     Ok(shared)
+}
+
+/// Commits one durable record, applied the way replay applies it.
+fn commit(shared: &SharedCatalog, record: WalRecord) -> Result<(), StorageError> {
+    shared.submit(std::slice::from_ref(&record), false, |c| c.apply(&record))
 }
 
 /// One durable single-row INSERT into `kv`.
 fn insert_shared(shared: &SharedCatalog, k: i64, v: &str) -> Result<(), StorageError> {
-    let rows = [vec![Value::Int(k), Value::Str(v.to_string())]];
-    shared.submit(&[insert(k, v)], false, |c| {
-        c.append_rows("kv", &rows).map(drop)
-    })
+    commit(shared, insert(k, v))
 }
 
 fn typed(e: &StorageError) -> bool {
@@ -141,7 +143,7 @@ proptest! {
         let pool = Arc::new(BufferPool::with_budget_io(4, io.clone()));
         let (mut d, _) = Durability::open(&dir, &pool).unwrap();
         // The baseline commit happens fault-free: CREATE TABLE kv.
-        d.log(&WalRecord::CreateTable(Table::new("kv", kv_schema()))).unwrap();
+        d.log(&create_kv()).unwrap();
 
         io.install_faults(plan);
         let mut acked = 0usize;
@@ -169,7 +171,7 @@ proptest! {
         // Reopen fault-free: recovery must succeed and hold a prefix.
         let pool2 = Arc::new(BufferPool::with_budget(4));
         let (_, rec) = Durability::open(&dir, &pool2).unwrap();
-        let rows = recovered_rows(&rec);
+        let rows = recovered_rows(rec);
         prop_assert!(
             rows.len() >= acked && rows.len() <= acked + 1,
             "recovered {} rows, acknowledged {acked}", rows.len()
@@ -208,10 +210,7 @@ proptest! {
             .map(|(k, v)| vec![Value::Int(*k), Value::Str(v.clone())])
             .collect();
         let shared = open_shared(&dir, None).unwrap();
-        let create = [WalRecord::CreateTable(Table::new("kv", kv_schema()))];
-        shared
-            .submit(&create, false, |c| c.register(Table::new("kv", kv_schema())).map(drop))
-            .unwrap();
+        commit(&shared, create_kv()).unwrap();
         for (k, v) in &all[..base] {
             insert_shared(&shared, *k, v).unwrap();
         }
@@ -291,7 +290,7 @@ proptest! {
         }
         {
             let (mut d, _) = Durability::open(&dir, &pool).unwrap();
-            d.log(&WalRecord::CreateTable(Table::new("kv", kv_schema()))).unwrap();
+            d.log(&create_kv()).unwrap();
             d.checkpoint(&[Arc::new(table.clone())], &pool, None).unwrap();
         }
         let (_, rec) = Durability::open(&dir, &pool).unwrap();

@@ -34,7 +34,10 @@ fn kv_schema() -> Schema {
 
 /// A committed history: CREATE kv, then one single-row INSERT per step.
 fn history(rows: &[(i64, String)]) -> Vec<WalRecord> {
-    let mut records = vec![WalRecord::CreateTable(Table::new("kv", kv_schema()))];
+    let mut records = vec![WalRecord::CreateTable {
+        name: "kv".to_string(),
+        schema: kv_schema(),
+    }];
     for (k, v) in rows {
         records.push(WalRecord::Insert {
             table: "kv".to_string(),
@@ -49,7 +52,7 @@ fn state_after(records: &[WalRecord]) -> Vec<Row> {
     let mut rows = Vec::new();
     for r in records {
         match r {
-            WalRecord::CreateTable(_) => {}
+            WalRecord::CreateTable { .. } => {}
             WalRecord::Insert { rows: new, .. } => rows.extend(new.iter().cloned()),
             _ => unreachable!("history only creates and inserts"),
         }

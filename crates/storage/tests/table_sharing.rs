@@ -50,8 +50,8 @@ fn row(i: usize) -> Row {
 
 /// A durable shared catalog over `dir`, replaying whatever the directory
 /// holds the way the facade does: snapshot tables, then the committed WAL
-/// records through the same `append_rows` live INSERTs use. Returns the
-/// catalog and how many records were replayed.
+/// records through [`Catalog::apply`], the call live statements make.
+/// Returns the catalog and how many records were replayed.
 fn open(dir: &Path) -> (SharedCatalog, usize) {
     let shared = SharedCatalog::new();
     let (dur, rec) = Durability::open(dir, &shared.pool()).unwrap();
@@ -59,36 +59,39 @@ fn open(dir: &Path) -> (SharedCatalog, usize) {
     for table in rec.tables {
         catalog.register_or_replace(table);
     }
-    let replayed = rec.wal_records.len();
-    for record in rec.wal_records {
-        match record {
-            WalRecord::CreateTable(t) => drop(catalog.register_or_replace(t)),
-            WalRecord::Insert { table, rows } => drop(catalog.append_rows(&table, &rows).unwrap()),
-            other => panic!("unexpected record {other:?}"),
-        }
+    for record in &rec.wal_records {
+        catalog.apply(record).unwrap();
     }
     shared.install_recovered(catalog, dur, rec.max_txid);
-    (shared, replayed)
+    (shared, rec.wal_records.len())
+}
+
+/// Commits one durable record, applied the way replay applies it.
+fn commit(shared: &SharedCatalog, record: WalRecord) {
+    shared
+        .submit::<(), StorageError>(std::slice::from_ref(&record), false, |c| c.apply(&record))
+        .unwrap();
 }
 
 /// One durable INSERT of `rows` into `t`.
 fn insert(shared: &SharedCatalog, rows: Vec<Row>) {
-    let records = [WalRecord::Insert {
-        table: "t".into(),
-        rows: rows.clone(),
-    }];
-    shared
-        .submit::<(), StorageError>(&records, false, |c| c.append_rows("t", &rows).map(drop))
-        .unwrap();
+    commit(
+        shared,
+        WalRecord::Insert {
+            table: "t".into(),
+            rows,
+        },
+    );
 }
 
 fn create(shared: &SharedCatalog) {
-    let records = [WalRecord::CreateTable(Table::new("t", schema()))];
-    shared
-        .submit::<(), StorageError>(&records, false, |c| {
-            c.register(Table::new("t", schema())).map(drop)
-        })
-        .unwrap();
+    commit(
+        shared,
+        WalRecord::CreateTable {
+            name: "t".into(),
+            schema: schema(),
+        },
+    );
 }
 
 fn sealed_len(t: &Table) -> usize {
