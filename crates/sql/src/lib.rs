@@ -12,15 +12,15 @@
 //! log them write-ahead.
 //!
 //! There is one way to run a SELECT: [`run_select_auto_guarded`] plans the
-//! statement once and picks the drive — serial operator tree or morsel
-//! drive — from `(mode, threads)` and the plan's shape
-//! (docs/execution.md, "One plan, two drives").
+//! statement once and runs it on the one drive — morsels, a per-morsel
+//! pipeline, one merge, one operator tail — at `(mode, threads)`
+//! (docs/execution.md, "One plan, one drive").
 //! [`execute`] is the convenience for statement text with defaults.
 //!
 //! The `ORDER BY SIMILARITY(col, 'query') DESC LIMIT k` shape is
-//! recognized as the paper's §2.2 similarity search and lowered to a top-k
-//! vector-scan operator whose Flat/IVF implementation the cost model picks
-//! per query from the table's cardinality.
+//! recognized as the paper's §2.2 similarity search and served by a top-k
+//! over the column's vector index, whose Flat/IVF implementation the cost
+//! model picks per query from the table's cardinality.
 
 #![warn(missing_docs)]
 

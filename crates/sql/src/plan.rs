@@ -4,23 +4,23 @@
 //! can contain a SQL query over a table").
 //!
 //! A SELECT is lowered exactly once, by `plan_select`, into a flat
-//! `SelectPlan`; [`run_select_auto_guarded`] then picks one of two drives
-//! that read it — the serial operator tree or the morsel drive
-//! (docs/execution.md, "One plan, two drives").
+//! `SelectPlan`; [`run_select_auto_guarded`] runs it on the one drive:
+//! morsels of its source through a per-morsel pipeline, one merge, one
+//! operator tail (docs/execution.md, "One plan, one drive").
 
 use crate::ast::*;
 use crate::parser::{parse_statement, SqlParseError};
 use kath_storage::{
     drain_guarded, merge_sorted_runs, merge_top_k, preferred_vector_strategy, resolve_sort_keys,
     run_morsels_guarded, sort_rows, top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column,
-    CompileMode, DataType, Distinct, ExecMode, Expr, Filter, HashAggregate, HashJoin, IndexScan,
-    JoinBuild, JoinKind, Limit, Morsel, MorselSource, Operator, PartialAggregate, Project,
-    QueryGuard, Row, Schema, Sort, SortKey, StorageError, Table, TableScan, Value, VectorMode,
-    VectorStrategy, VectorTopK, WalRecord,
+    CompileMode, DataType, Distinct, ExecMode, Expr, Filter, HashJoin, IndexScan, JoinBuild,
+    JoinKind, Limit, Morsel, MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row,
+    RowBatch, Schema, SortKey, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy,
+    WalRecord,
 };
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Errors from SQL execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,10 +59,9 @@ impl From<StorageError> for SqlError {
 
 /// Executes one SQL statement against the catalog. SELECT returns the result
 /// table (named `output_name`); CREATE/INSERT mutate the catalog and return
-/// an empty/affected summary table. SELECTs run serially on the interpreted
-/// operators, batch-at-a-time with the default batch size; callers that
-/// choose a strategy or need a guard parse the statement themselves and
-/// call [`run_select_auto_guarded`].
+/// an empty/affected summary table. SELECTs run on one worker with the
+/// default batch size; callers that choose a strategy or need a guard
+/// parse the statement themselves and call [`run_select_auto_guarded`].
 pub fn execute(catalog: &mut Catalog, sql: &str, output_name: &str) -> Result<Table, SqlError> {
     match parse_statement(sql)? {
         Statement::Select(select) => run_select_auto_guarded(
@@ -166,18 +165,21 @@ pub fn apply_mutation(
     Ok(summary)
 }
 
-/// Execution statistics of one (possibly parallel) SELECT.
+/// Execution statistics of one SELECT.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SelectStats {
-    /// Batches the streaming pipelines produced.
+    /// Batches the per-morsel pipelines produced; for the vector top-k,
+    /// whose morsels score index entries, the batches its index scan
+    /// fetched.
     pub batches: usize,
-    /// Workers that ran the streaming phase (1 for serial execution).
+    /// Workers that ran the morsels (1 when the calling thread ran them
+    /// alone).
     pub workers: usize,
-    /// Wall-clock milliseconds each worker spent in its morsel loop
-    /// (empty for serial execution).
+    /// Wall-clock milliseconds each worker spent in its morsel loop (empty
+    /// when one worker ran).
     pub worker_ms: Vec<f64>,
-    /// Milliseconds the deterministic merge step (partial-aggregate merge,
-    /// sorted-run merge, distinct/limit finishing) took.
+    /// Milliseconds the merge and the tail took: partial-aggregate merge,
+    /// sorted-run merge, then projection, DISTINCT and LIMIT.
     pub merge_ms: f64,
     /// Always `false`: there is no compiled drive. Kept for the repo
     /// benchmark, which reads it.
@@ -187,34 +189,18 @@ pub struct SelectStats {
 }
 
 impl SelectStats {
-    /// Stats of a serial run that produced `batches` batches.
-    pub fn serial(batches: usize) -> Self {
+    /// Stats of a run whose pipelines produced `batches` batches, with one
+    /// `worker_ms` entry per worker when more than one ran.
+    fn new(batches: usize, worker_ms: Vec<f64>, merge_ms: f64) -> Self {
+        let workers = worker_ms.len().max(1);
         Self {
             batches,
-            workers: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Stats of a morsel run: one `worker_ms` entry per worker.
-    fn morsels(batches: usize, worker_ms: Vec<f64>, merge_ms: f64) -> Self {
-        Self {
-            batches,
-            workers: worker_ms.len(),
-            worker_ms,
+            workers,
+            worker_ms: if workers > 1 { worker_ms } else { Vec::new() },
             merge_ms,
             ..Self::default()
         }
     }
-}
-
-/// Runs `f` and returns its result with the wall-clock milliseconds it
-/// took. The only clock read in this file: it feeds
-/// [`SelectStats::merge_ms`], never a row.
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let started = Instant::now();
-    let out = f();
-    (out, started.elapsed().as_secs_f64() * 1000.0)
 }
 
 /// One step of the join chain, oriented: `left_col` belongs to the rows
@@ -234,21 +220,17 @@ struct JoinStep {
 
 /// What becomes of the joined, filtered rows.
 enum Shape {
-    /// GROUP BY / aggregate calls: the one pipeline breaker, whose output
-    /// the plain sort keys then order.
+    /// GROUP BY / aggregate calls: the one breaker whose output the plain
+    /// sort keys then order.
     Aggregate(AggSpec),
-    /// Plain rows through the optional projection. The sort runs before
-    /// the projection when a key names an input column the projection
-    /// drops (standard SQL behaviour), after it otherwise.
-    Rows { sort_before: bool },
-    /// At least one ORDER BY key is a computed expression: rows are
-    /// extended by one `hidden` column per computed key, sorted on the
-    /// plan's sort keys, and projected `back` to the requested outputs.
-    /// This is the general-sort fallback the vector top-k path is
-    /// benchmarked against — and the semantics it must reproduce exactly.
-    ExprSort {
+    /// Plain rows, sorted on the plan's sort keys. The sort runs before the
+    /// projection when a key names an input column the projection drops
+    /// (standard SQL behaviour) or is a computed expression, after it
+    /// otherwise. Each computed key is a `hidden` column the joined rows
+    /// are extended by; the sort reads it and the projection drops it.
+    Rows {
+        sort_before: bool,
         hidden: Vec<(String, Expr)>,
-        back: Vec<(String, Expr)>,
     },
 }
 
@@ -267,11 +249,9 @@ struct VectorTopk {
     strategy: VectorStrategy,
 }
 
-/// A SELECT lowered against one catalog snapshot: everything the two
-/// drives need and nothing materialized. Join build sides and vector-index
-/// handles are made by the drive that uses them, so a statement that ends
-/// up on the serial drive never pays for state only the morsel drive would
-/// have shared.
+/// A SELECT lowered against one catalog snapshot: everything the drive
+/// needs and nothing materialized. Join build sides and vector-index
+/// handles are made when the drive runs.
 ///
 /// The subset has no subqueries, so a statement is exactly one scan, a
 /// join chain, an optional filter, one optional breaker, DISTINCT and
@@ -292,8 +272,8 @@ struct SelectPlan {
     /// The columns the statement reads — filter, join keys, outputs, group
     /// keys, aggregate inputs, sort keys; all of them for `SELECT *` — as
     /// ascending ordinals of the full joined schema (FROM table's columns,
-    /// then each joined table's). No scan on any drive produces another
-    /// column, and no operator carries one.
+    /// then each joined table's). No scan produces another column, and no
+    /// operator carries one.
     needed: Vec<usize>,
     /// Schema of the rows after the join chain: the `needed` columns of
     /// the full joined schema, under the names they have there. `filter`,
@@ -302,10 +282,11 @@ struct SelectPlan {
     filter: Option<Expr>,
     shape: Shape,
     /// The SELECT list as projection outputs; `None` for a bare `SELECT *`
+    /// (every input column passed through when a computed key sorts it)
     /// and for aggregates (whose output is group keys then aggregates).
     outputs: Option<Vec<(String, Expr)>>,
     /// ORDER BY as plain column keys, over whichever schema `shape` sorts
-    /// (hidden column names for [`Shape::ExprSort`]); empty = no sort.
+    /// (hidden column names for computed keys); empty = no sort.
     sort_keys: Vec<SortKey>,
     /// Schema of the result rows.
     out_schema: Schema,
@@ -313,14 +294,14 @@ struct SelectPlan {
     limit: Option<usize>,
     /// Set when the statement matches the vector pattern and the mode
     /// permits the vector path; `shape` then holds the classical plan the
-    /// drives do not run.
+    /// drive does not run.
     vector: Option<VectorTopk>,
 }
 
 /// Lowers `select` against `catalog`. Every planning error a SELECT can
-/// raise is raised here, once, in the order the serial operator tree would
-/// meet it — FROM table, joins left to right, WHERE, then the shape — so a
-/// statement fails the same way whichever drive would have run it.
+/// raise is raised here, once, in the order a pipeline would meet it —
+/// FROM table, joins left to right, WHERE, then the shape — so a statement
+/// fails the same way however it would have been scheduled.
 fn plan_select(
     catalog: &Catalog,
     select: &Select,
@@ -392,13 +373,21 @@ fn plan_select(
             if !sort_before {
                 resolve_sort_keys(&out_schema, &sort_keys)?;
             }
-            (Shape::Rows { sort_before }, outputs, sort_keys, out_schema)
+            let shape = Shape::Rows {
+                sort_before,
+                hidden: Vec::new(),
+            };
+            (shape, outputs, sort_keys, out_schema)
         }
         None => {
             let outputs = projection_outputs(select, &full)?;
-            let (shape, sort_keys, out_schema) =
+            let (hidden, back, sort_keys, out_schema) =
                 plan_expression_sort(select, &full, outputs.as_deref())?;
-            (shape, outputs, sort_keys, out_schema)
+            let shape = Shape::Rows {
+                sort_before: true,
+                hidden,
+            };
+            (shape, Some(back), sort_keys, out_schema)
         }
     };
 
@@ -473,8 +462,7 @@ fn needed_columns(
             names.extend(spec.aggregates.iter().filter_map(|a| a.column.clone()));
         }
         (_, None) => return (0..full.arity()).collect(),
-        (Shape::Rows { .. }, Some(outputs)) => exprs.extend(outputs.iter().map(|(_, e)| e)),
-        (Shape::ExprSort { hidden, .. }, Some(outputs)) => {
+        (Shape::Rows { hidden, .. }, Some(outputs)) => {
             exprs.extend(outputs.iter().chain(hidden).map(|(_, e)| e));
         }
     }
@@ -492,36 +480,34 @@ fn needed_columns(
 }
 
 impl SelectPlan {
-    /// Plans only the serial operator tree can run: an expression sort has
-    /// no morsel drive; an approximate (IVF) vector probe is already
-    /// sublinear and not worth splitting; and a lazy `LIMIT` — one with no
-    /// aggregate or sort beneath it — must not evaluate rows past the
-    /// limit (an erroring expression beyond it stays unreached), which
-    /// only a blocking operator, consuming everything anyway, makes safe
-    /// to do eagerly.
-    fn serial_only(&self) -> bool {
-        match (&self.vector, &self.shape) {
-            (Some(v), _) => v.strategy != VectorStrategy::Flat,
-            (None, Shape::ExprSort { .. }) => true,
-            (None, Shape::Aggregate(_)) => false,
-            (None, Shape::Rows { .. }) => self.limit.is_some() && self.sort_keys.is_empty(),
-        }
+    /// Whether the plan is a lazy `LIMIT`: one with no aggregate or sort
+    /// beneath it, which must not evaluate rows past the limit (an
+    /// erroring expression beyond it stays unreached). It runs as one
+    /// morsel whose pipeline carries DISTINCT and LIMIT, so the pipeline
+    /// stops at the limit.
+    fn lazy_limit(&self) -> bool {
+        matches!(self.shape, Shape::Rows { .. })
+            && self.limit.is_some()
+            && self.sort_keys.is_empty()
     }
 
-    /// The FROM table's rows as morsels for a drive that splits them among
-    /// workers. A table with a sealed part aligns morsels to page
-    /// boundaries so no two workers decode the same column page (the tail
-    /// rows after it just fall into the last morsels).
-    fn morsel_source(&self, batch: usize) -> MorselSource {
-        let rows = self.table.len();
-        match self.table.paged() {
-            Some(pt) => MorselSource::with_batch_size_aligned(rows, batch, pt.page_rows()),
-            None => MorselSource::with_batch_size(rows, batch),
-        }
+    /// The FROM table's rows as the drive's morsels: batch-sized ones at
+    /// more than one worker, on a plan that may read every row — aligned
+    /// to page boundaries on a table with a sealed part, so no two workers
+    /// decode the same column page (the tail rows after it just fall into
+    /// the last morsels) — and one morsel over the whole table otherwise.
+    fn morsel_source(&self, batch: usize, threads: usize) -> MorselSource {
+        let align = self.table.paged().map_or(1, |pt| pt.page_rows());
+        morsels(
+            self.table.len(),
+            batch,
+            align,
+            threads > 1 && !self.lazy_limit(),
+        )
     }
 
     /// Materializes every join's build side (the hash table over the
-    /// needed columns of its right table): the pipeline breaker a drive
+    /// needed columns of its right table): the pipeline breaker the drive
     /// pays before it streams.
     fn build_joins(&self) -> Result<Vec<Arc<JoinBuild>>, StorageError> {
         self.joins
@@ -540,9 +526,10 @@ impl SelectPlan {
     }
 
     /// The streaming phase over FROM-table rows `[start, end)`: scan
-    /// (restricted to the needed columns, pruned by the hints) → join
-    /// probes against `builds` → filter. `batch` is the mode's batch size,
-    /// which pass-through operators inherit.
+    /// (restricted to the needed columns, pruned by the hints, checking
+    /// `guard`'s deadline and cancel token as it reads) → join probes
+    /// against `builds` → filter. `batch` is the mode's batch size, which
+    /// pass-through operators inherit.
     fn stream(
         &self,
         (start, end): (usize, usize),
@@ -575,43 +562,95 @@ impl SelectPlan {
         })
     }
 
-    /// The root of an operator tree: DISTINCT, LIMIT, then the guarded
-    /// drain into the result table. Returns the batches the root produced.
-    fn finish(
-        &self,
-        mut op: Box<dyn Operator>,
-        output_name: &str,
-        guard: &QueryGuard,
-    ) -> Result<(Table, usize), StorageError> {
+    /// `op` under DISTINCT and LIMIT, where the statement has them.
+    fn distinct_limit(&self, mut op: Box<dyn Operator>) -> Box<dyn Operator> {
         if self.distinct {
             op = Box::new(Distinct::new(op));
         }
         if let Some(n) = self.limit {
             op = Box::new(Limit::new(op, n));
         }
-        drain_guarded(output_name, op, guard)
+        op
     }
 
-    /// [`SelectPlan::finish`] for rows a morsel merge already holds: like
-    /// the root drain, it charges `guard` for the rows that are left after
-    /// DISTINCT and LIMIT, never for the ones they drop.
-    fn finish_rows(
+    /// The tail every plan ends in: the merged rows `op` under the SELECT
+    /// list's projection when the sort ran before it (`project`), then
+    /// DISTINCT, LIMIT, and the guarded drain into the result table, which
+    /// charges `guard` for the rows left after DISTINCT and LIMIT — never
+    /// for the ones they drop. A `LIMIT` narrows what it pulls, so the
+    /// projection runs only for the rows it keeps. Returns the batches the
+    /// drain pulled.
+    fn finish(
         &self,
-        mut rows: Vec<Row>,
+        op: Box<dyn Operator>,
+        project: bool,
         output_name: &str,
         guard: &QueryGuard,
-    ) -> Result<Table, StorageError> {
-        if self.distinct {
-            let mut seen = std::collections::HashSet::new();
-            rows.retain(|row| seen.insert(row.clone()));
+    ) -> Result<(Table, usize), StorageError> {
+        let op = if project { self.project(op)? } else { op };
+        drain_guarded(output_name, self.distinct_limit(op), guard)
+    }
+}
+
+/// `rows` source rows as morsels: `batch`-sized runs rounded up to a
+/// multiple of `align` when more than one worker may claim them (`split`),
+/// else one morsel over them all, which the calling thread runs.
+fn morsels(rows: usize, batch: usize, align: usize, split: bool) -> MorselSource {
+    if split {
+        MorselSource::with_batch_size_aligned(rows, batch, align)
+    } else {
+        MorselSource::new(rows, rows)
+    }
+}
+
+/// The merge's output as the tail's source: the morsels' batches in morsel
+/// order, then the rows a sort or an aggregate holds, cut into batches of
+/// at most `cap` rows. A `LIMIT` narrows the cap, so no row past it is
+/// transposed, projected or drained.
+struct Merged {
+    schema: Schema,
+    batches: VecDeque<RowBatch>,
+    rows: std::vec::IntoIter<Row>,
+    cap: usize,
+}
+
+impl Merged {
+    fn new(schema: Schema, batches: VecDeque<RowBatch>, rows: Vec<Row>, cap: usize) -> Box<Self> {
+        let rows = rows.into_iter();
+        Box::new(Self {
+            schema,
+            batches,
+            rows,
+            cap,
+        })
+    }
+}
+
+impl Operator for Merged {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
+        if let Some(batch) = self.batches.pop_front() {
+            if batch.num_rows() <= self.cap {
+                return Ok(Some(batch));
+            }
+            let all: Vec<usize> = (0..batch.num_rows()).collect();
+            let (head, rest) = all.split_at(self.cap);
+            self.batches.push_front(batch.gather(rest));
+            return Ok(Some(batch.gather(head)));
         }
-        if let Some(n) = self.limit {
-            rows.truncate(n);
-        }
-        for row in &rows {
-            guard.charge_row(row)?;
-        }
-        Table::from_rows(output_name, self.out_schema.clone(), rows)
+        let rows: Vec<Row> = self.rows.by_ref().take(self.cap).collect();
+        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(self.schema.arity(), rows)))
+    }
+
+    fn batch_capacity(&self) -> usize {
+        self.cap
+    }
+
+    fn narrow(&mut self, rows: usize) {
+        self.cap = self.cap.min(rows.max(1));
     }
 }
 
@@ -621,34 +660,29 @@ impl SelectPlan {
 /// here. `_compile` is ignored: there is no compiled drive; the parameter
 /// stays for the repo benchmark, which passes it.
 ///
-/// The statement is planned once; predicates on the plan then pick the
-/// drive:
-///
-/// 1. the **morsel drive**, when `threads > 1`, the plan is not
-///    serial-only (expression sort, lazy `LIMIT`, IVF probe) and its
-///    source splits into at least two morsels;
-/// 2. the **serial operator tree** otherwise.
-///
-/// `mode` sets the batch size both drives cut. Every drive returns the
-/// rows, in the order, of the serial operator tree, with one exception: a
-/// float `SUM`/`AVG` on the morsel drive adds
-/// per-morsel partial sums, so it can differ from the serial sum in its
-/// last bits (within a relative 1e-9). The morsel partition depends on the
+/// The statement is planned once and run on the one drive ([`drive`]):
+/// `mode` sets the batch size its pipelines cut and `threads` how many
+/// workers claim its morsels. One worker runs the whole source as one
+/// morsel on the calling thread, so it adds every float `SUM`/`AVG` in row
+/// order. More workers split the source into batch-sized morsels and add
+/// per-morsel partial sums, which can differ from the row-order sum in
+/// their last bits (within a relative 1e-9); the partition depends on the
 /// batch size, not on `threads`, so the result is the same bits at every
-/// worker count ≥ 2. The top-k vector pattern (`ORDER BY SIMILARITY(col,
-/// 'q') DESC LIMIT k`) is an access path of the serial and morsel drives;
-/// `VectorMode::Off` keeps the classical full-sort plan, which returns
-/// identical rows for the exact (Flat) strategy.
+/// worker count ≥ 2. Every other value, and the row order, is the same at
+/// every worker count. The top-k vector pattern (`ORDER BY SIMILARITY(col,
+/// 'q') DESC LIMIT k`) is an access path of the drive; `VectorMode::Off`
+/// keeps the classical full-sort plan, which returns identical rows for
+/// the exact (Flat) strategy.
 ///
-/// Planning errors come from the plan, so they are the same on every
-/// drive; a tripped guard surfaces the identical typed error
-/// ([`StorageError::Cancelled`] / [`StorageError::Budget`]) on every
-/// drive: the leading scan checks deadline and cancellation as rows
-/// stream, workers re-check between morsels (the earliest morsel's error
-/// wins, see [`kath_storage::run_morsels_guarded`]), and the statement's
-/// result rows — what is left after DISTINCT and LIMIT — are charged
-/// against the row/byte budgets, so a budget trips or not whatever the
-/// worker count. `stats` reports which drive actually ran.
+/// Planning errors come from the plan, so they are the same at every
+/// `(mode, threads)`; a tripped guard surfaces the identical typed error
+/// ([`StorageError::Cancelled`] / [`StorageError::Budget`]) everywhere:
+/// every morsel's scan checks deadline and cancellation as rows stream,
+/// workers re-check between morsels (the earliest morsel's error wins, see
+/// [`kath_storage::run_morsels_guarded`]), and the statement's result rows
+/// — what is left after DISTINCT and LIMIT — are charged against the
+/// row/byte budgets, so a budget trips or not whatever the worker count.
+/// `stats` reports how many workers ran.
 #[allow(clippy::too_many_arguments)]
 pub fn run_select_auto_guarded(
     catalog: &Catalog,
@@ -661,227 +695,174 @@ pub fn run_select_auto_guarded(
     guard: &QueryGuard,
 ) -> Result<(Table, SelectStats), SqlError> {
     let plan = plan_select(catalog, select, vector)?;
-    let batch = mode.batch_size();
-    if threads > 1 && !plan.serial_only() {
-        if let Some(done) = drive_morsels(&plan, output_name, batch, threads, guard)? {
-            return Ok(done);
-        }
-    }
-    drive_serial(&plan, output_name, batch, guard)
+    Ok(drive(
+        &plan,
+        output_name,
+        mode.batch_size(),
+        threads,
+        guard,
+    )?)
 }
 
-/// The serial operator tree: one pull-based pipeline whose sources cut
-/// `batch`-row batches. The guard rides on the leading scan (deadline and
-/// cancel checks as rows stream) and on the root drain (row/byte budget
-/// charges on produced output).
-fn drive_serial(
-    plan: &SelectPlan,
-    output_name: &str,
-    batch: usize,
-    guard: &QueryGuard,
-) -> Result<(Table, SelectStats), SqlError> {
-    let sort = |op: Box<dyn Operator>| -> Result<Box<dyn Operator>, StorageError> {
-        Ok(if plan.sort_keys.is_empty() {
-            op
-        } else {
-            Box::new(Sort::new(op, plan.sort_keys.clone())?)
-        })
-    };
-    let op: Box<dyn Operator> = if let Some(v) = &plan.vector {
-        let index = plan.table.vector_index(&v.column)?;
-        let query = kath_vector::embed_query(&v.query);
-        let table = Arc::clone(&plan.table);
-        plan.project(Box::new(VectorTopK::new(
-            table, &index, &query, v.k, v.strategy, batch,
-        )))?
-    } else {
-        let builds = plan.build_joins()?;
-        let op = plan.stream((0, plan.table.len()), batch, &builds, guard.clone())?;
-        match &plan.shape {
-            Shape::Aggregate(spec) => sort(Box::new(HashAggregate::new(
-                op,
-                spec.group_names.clone(),
-                spec.aggregates.clone(),
-            )?))?,
-            Shape::Rows { sort_before: true } => plan.project(sort(op)?)?,
-            Shape::Rows { sort_before: false } => sort(plan.project(op)?)?,
-            Shape::ExprSort { hidden, back } => {
-                let extended = Box::new(Project::new(op, extended(&plan.joined, hidden))?);
-                Box::new(Project::new(sort(extended)?, back.clone())?)
-            }
-        }
-    };
-    let (out, batches) = plan.finish(op, output_name, guard)?;
-    Ok((out, SelectStats::serial(batches)))
-}
-
-/// The morsel drive: intra-query parallelism over `threads` workers, or
-/// `None` when the source has fewer than two morsels to hand out (the
-/// caller runs the serial tree instead).
+/// The drive every SELECT runs on: the plan's source in morsels, each
+/// through its own pipeline, one merge in morsel order, one operator tail.
 ///
-/// The plan is broken at its pipeline breakers. Hash-join **build** sides
-/// are materialized once and shared (`Arc<JoinBuild>`). The **streaming
-/// phase** — scan → join probes → filter → projection — runs per worker:
-/// workers claim fixed-size morsels from an atomic cursor
-/// ([`MorselSource`]) and drive an independent operator pipeline over each
-/// claimed range. **Aggregation** keeps one [`PartialAggregate`] per
-/// morsel, merged in morsel order, which reproduces the serial group
-/// order. **Sorts** become per-morsel sorted runs joined by a stable k-way
-/// merge. DISTINCT and LIMIT finish serially on the merged stream. The
-/// **vector pattern** splits the index's scored entries instead:
-/// per-morsel top-k heaps merge deterministically (score descending, then
-/// row position), and every global winner survives its own morsel's local
-/// top-k, so the merged result is bit-identical to the serial scan.
+/// The **source** is the FROM table's rows ([`SelectPlan::morsel_source`]),
+/// or, for the vector pattern, the scored entries of the column's vector
+/// index. Hash-join **build** sides are materialized once and shared
+/// (`Arc<JoinBuild>`). Each morsel's **pipeline** — scan → join probes →
+/// filter → hidden sort columns → projection — ends in its breaker: one
+/// [`PartialAggregate`] per morsel, merged in morsel order (which
+/// reproduces the row-order group order), or a stably sorted run per
+/// morsel, joined by a stable k-way merge that resolves ties to the
+/// earliest run. The vector pattern keeps a top-k list per morsel instead,
+/// merged by (score descending, row position) and padded with unscored
+/// rows in row order — every global winner survives its own morsel's local
+/// top-k — and fetches the winners with an [`IndexScan`]; an IVF probe,
+/// already sublinear, is one morsel. The merged rows leave through the
+/// **tail** ([`SelectPlan::finish`]).
 ///
-/// Every merge step consumes per-morsel outputs in scan order, so the
-/// result is independent of worker count and scheduling.
-fn drive_morsels(
+/// Every merge consumes per-morsel outputs in scan order, so the result is
+/// independent of worker count and scheduling.
+fn drive(
     plan: &SelectPlan,
     output_name: &str,
     batch: usize,
     threads: usize,
     guard: &QueryGuard,
-) -> Result<Option<(Table, SelectStats)>, SqlError> {
-    if let Some(v) = &plan.vector {
+) -> Result<(Table, SelectStats), StorageError> {
+    let (tail, worker_ms, merge_ms) = if let Some(v) = &plan.vector {
         let index = plan.table.vector_index(&v.column)?;
-        let entries = index.entries();
-        let source = MorselSource::with_batch_size(entries.len(), batch);
-        if source.morsel_count() < 2 {
-            return Ok(None);
-        }
         let query = kath_vector::embed_query(&v.query);
-        let run = run_morsels_guarded(&source, threads, guard, |m| {
-            Ok(top_k_entries(&entries[m.start..m.end], &query, v.k))
-        })?;
-        let (tail, merge_ms) = timed(|| -> Result<(Table, usize), StorageError> {
-            let candidates: Vec<(usize, f32)> = run.outputs.into_iter().flatten().collect();
-            let mut positions: Vec<usize> = merge_top_k(candidates, v.k)
-                .into_iter()
-                .map(|(pos, _)| pos)
-                .collect();
-            if positions.len() < v.k {
-                // Pad with unscored rows in row order, exactly like the
-                // serial search (and the full-sort fallback's NULL-score
-                // tail).
-                let missing = v.k - positions.len();
-                positions.extend(index.unscored().iter().copied().take(missing));
-            }
-            // The serial tail over k rows: rank-order scan → projection →
-            // limit.
+        let fetch = |positions: Vec<usize>| {
             let scan = IndexScan::new(Arc::clone(&plan.table), positions).with_batch_size(batch);
-            plan.finish(plan.project(Box::new(scan))?, output_name, guard)
-        });
-        let (out, batches) = tail?;
-        return Ok(Some((
-            out,
-            SelectStats::morsels(batches, run.worker_ms, merge_ms),
-        )));
-    }
-
-    let source = plan.morsel_source(batch);
-    if source.morsel_count() < 2 {
-        return Ok(None);
-    }
-    let builds = plan.build_joins()?;
-    // Workers carry no guard on their scans: `run_morsels_guarded` checks
-    // it between morsels.
-    let stream = |m: Morsel| plan.stream((m.start, m.end), batch, &builds, QueryGuard::unlimited());
-    let (worker_ms, (merged, merge_ms)) = match &plan.shape {
-        Shape::Aggregate(spec) => {
-            let partial =
-                || PartialAggregate::new(&plan.joined, &spec.group_names, spec.aggregates.clone());
-            let run = run_morsels_guarded(&source, threads, guard, |m| {
-                let mut op = stream(m)?;
-                let mut partial = partial()?;
-                let batches = partial.consume(op.as_mut())?;
-                Ok((partial, batches))
-            })?;
-            let merge = || -> Result<(Table, usize), StorageError> {
-                let (mut acc, mut batches) = (partial()?, 0);
-                for (later, b) in run.outputs {
-                    acc.merge(later);
-                    batches += b;
-                }
-                let (schema, mut rows) = acc.finish();
-                if !plan.sort_keys.is_empty() {
-                    sort_rows(&mut rows, &resolve_sort_keys(&schema, &plan.sort_keys)?);
-                }
-                Ok((plan.finish_rows(rows, output_name, guard)?, batches))
-            };
-            (run.worker_ms, timed(merge))
+            plan.finish(Box::new(scan), true, output_name, guard)
+        };
+        match v.strategy {
+            VectorStrategy::Flat => {
+                let entries = index.entries();
+                let source = morsels(entries.len(), batch, 1, threads > 1);
+                let run = run_morsels_guarded(&source, threads, guard, |m| {
+                    Ok(top_k_entries(&entries[m.start..m.end], &query, v.k))
+                })?;
+                run.merge(|lists| {
+                    let candidates = lists.into_iter().flatten().collect();
+                    let mut positions: Vec<usize> = merge_top_k(candidates, v.k)
+                        .into_iter()
+                        .map(|(pos, _)| pos)
+                        .collect();
+                    // Pad with unscored rows in row order, exactly like the
+                    // full-sort plan's NULL-score tail.
+                    let missing = v.k - positions.len();
+                    positions.extend(index.unscored().iter().copied().take(missing));
+                    fetch(positions)
+                })
+            }
+            VectorStrategy::Ivf => {
+                let one = MorselSource::new(1, 1);
+                let run = run_morsels_guarded(&one, 1, guard, |_| {
+                    Ok(index.search(&query, v.k, VectorStrategy::Ivf))
+                })?;
+                run.merge(|positions| fetch(positions.into_iter().flatten().collect()))
+            }
         }
-        Shape::Rows { sort_before } => {
-            // Workers project as they stream — unless ORDER BY needs
-            // columns the projection drops: then the sorted runs stay
-            // unprojected and the merged rows are projected in sorted
-            // order (exactly the serial operator order).
-            let run_schema = if *sort_before {
-                &plan.joined
-            } else {
-                &plan.out_schema
-            };
-            let key_idx = resolve_sort_keys(run_schema, &plan.sort_keys)?;
-            // With no projection, DISTINCT or LIMIT still to come, every
-            // row a worker emits is a result row: charging per batch then
-            // aborts an over-budget scan midway. Otherwise the tail charges
-            // what survives, as the serial root does.
-            let workers_emit_result = !*sort_before && !plan.distinct && plan.limit.is_none();
-            let run = run_morsels_guarded(&source, threads, guard, |m| {
-                let mut op = stream(m)?;
-                if !*sort_before {
-                    op = plan.project(op)?;
-                }
-                let (mut rows, mut batches) = (Vec::new(), 0);
-                while let Some(b) = op.next_batch()? {
-                    batches += 1;
-                    if workers_emit_result {
-                        guard.charge_batch(&b)?;
-                    }
-                    rows.extend(b.into_rows());
-                }
-                if !key_idx.is_empty() {
-                    sort_rows(&mut rows, &key_idx);
-                }
-                Ok((rows, batches))
-            })?;
-            let merge = || -> Result<(Table, usize), StorageError> {
-                // The runs arrive in scan order: concatenated, or — when
-                // the workers sorted them — merged by the stable k-way merge
-                // that reproduces a serial stable sort.
-                let (runs, counts): (Vec<Vec<Row>>, Vec<usize>) = run.outputs.into_iter().unzip();
-                let batches: usize = counts.iter().sum();
-                let rows = if key_idx.is_empty() {
-                    runs.into_iter().flatten().collect()
-                } else {
-                    merge_sorted_runs(runs, &key_idx)
+    } else {
+        let source = plan.morsel_source(batch, threads);
+        let builds = plan.build_joins()?;
+        let stream = |m: Morsel| plan.stream((m.start, m.end), batch, &builds, guard.clone());
+        match &plan.shape {
+            Shape::Aggregate(spec) => {
+                let partial = || {
+                    PartialAggregate::new(&plan.joined, &spec.group_names, spec.aggregates.clone())
                 };
-                if !*sort_before {
-                    // Rows the workers charged are not charged again.
-                    let charged = QueryGuard::unlimited();
-                    let tail_guard = if workers_emit_result { &charged } else { guard };
-                    return Ok((plan.finish_rows(rows, output_name, tail_guard)?, batches));
-                }
-                // The projection comes AFTER the blocking sort here, so
-                // under a LIMIT the serial drive evaluates it only for the
-                // first rows (the limit narrows the sort's batches). Run
-                // the identical operator tail — Project → Distinct → Limit
-                // — instead of projecting everything eagerly.
-                let sorted = Table::from_rows("sorted", plan.joined.clone(), rows)?;
-                let scan = TableScan::new(Arc::new(sorted)).with_batch_size(batch);
-                let (out, tail_batches) =
-                    plan.finish(plan.project(Box::new(scan))?, output_name, guard)?;
-                Ok((out, batches + tail_batches))
-            };
-            (run.worker_ms, timed(merge))
+                let run = run_morsels_guarded(&source, threads, guard, |m| {
+                    let mut partial = partial()?;
+                    let batches = partial.consume(stream(m)?.as_mut())?;
+                    Ok((partial, batches))
+                })?;
+                run.merge(|partials| -> Result<_, StorageError> {
+                    let (mut acc, mut batches) = (partial()?, 0);
+                    for (later, b) in partials {
+                        acc.merge(later);
+                        batches += b;
+                    }
+                    let (schema, mut rows) = acc.finish();
+                    sort_rows(&mut rows, &resolve_sort_keys(&schema, &plan.sort_keys)?);
+                    let groups = Merged::new(schema, VecDeque::new(), rows, batch);
+                    let (out, _) = plan.finish(groups, false, output_name, guard)?;
+                    Ok((out, batches))
+                })
+            }
+            Shape::Rows {
+                sort_before,
+                hidden,
+            } => {
+                // A morsel's run holds what the sort reads: the joined rows
+                // (extended by the hidden sort columns) when the sort comes
+                // first, the projected rows otherwise.
+                let extend = (!hidden.is_empty()).then(|| extended(&plan.joined, hidden));
+                let run_schema = match (&extend, sort_before) {
+                    (_, false) => plan.out_schema.clone(),
+                    (None, true) => plan.joined.clone(),
+                    (Some(ext), true) => Project::output_schema(&plan.joined, ext)?,
+                };
+                let key_idx = resolve_sort_keys(&run_schema, &plan.sort_keys)?;
+                // Every row a morsel emits is a result row when it is
+                // projected and no DISTINCT or LIMIT is still to come (or
+                // the one morsel of a lazy LIMIT carries both): the morsels
+                // then charge the guard per batch, so an over-budget scan
+                // aborts midway, and the tail charges nothing again.
+                let lazy = plan.lazy_limit();
+                let charged = !sort_before && (lazy || (!plan.distinct && plan.limit.is_none()));
+                let run = run_morsels_guarded(&source, threads, guard, |m| {
+                    let mut op = stream(m)?;
+                    if let Some(ext) = &extend {
+                        op = Box::new(Project::new(op, ext.clone())?);
+                    }
+                    if !sort_before {
+                        op = plan.project(op)?;
+                    }
+                    if lazy {
+                        op = plan.distinct_limit(op);
+                    }
+                    let mut batches = Vec::new();
+                    while let Some(b) = op.next_batch()? {
+                        if charged {
+                            guard.charge_batch(&b)?;
+                        }
+                        batches.push(b);
+                    }
+                    let produced = batches.len();
+                    if key_idx.is_empty() {
+                        return Ok((batches, Vec::new(), produced));
+                    }
+                    let mut run: Vec<Row> =
+                        batches.into_iter().flat_map(RowBatch::into_rows).collect();
+                    sort_rows(&mut run, &key_idx);
+                    Ok((Vec::new(), run, produced))
+                })?;
+                run.merge(|outputs| -> Result<_, StorageError> {
+                    // Unsorted morsels hand over their batches, sorted ones
+                    // their runs: concatenated, or merged by the stable
+                    // k-way merge, in morsel order either way.
+                    let (mut batches, mut runs, mut produced) = (VecDeque::new(), Vec::new(), 0);
+                    for (b, run, n) in outputs {
+                        batches.extend(b);
+                        runs.push(run);
+                        produced += n;
+                    }
+                    let rows = merge_sorted_runs(runs, &key_idx);
+                    let merged = Merged::new(run_schema, batches, rows, batch);
+                    let unlimited = QueryGuard::unlimited();
+                    let tail_guard = if charged { &unlimited } else { guard };
+                    let (out, _) = plan.finish(merged, *sort_before, output_name, tail_guard)?;
+                    Ok((out, produced))
+                })
+            }
         }
-        // Serial only (see `SelectPlan::serial_only`).
-        Shape::ExprSort { .. } => return Ok(None),
     };
-    let (out, batches) = merged?;
-    Ok(Some((
-        out,
-        SelectStats::morsels(batches, worker_ms, merge_ms),
-    )))
+    let (out, batches) = tail?;
+    Ok((out, SelectStats::new(batches, worker_ms, merge_ms)))
 }
 
 /// Whether any SELECT item carries an aggregate call.
@@ -935,15 +916,25 @@ fn extended(schema: &Schema, hidden: &[(String, Expr)]) -> Vec<(String, Expr)> {
     ext
 }
 
-/// Plans ORDER BY with computed (non-column) keys as a
-/// [`Shape::ExprSort`], returning it with the sort keys over the extended
-/// schema and the result schema. `outputs` is the SELECT list (`None` for
-/// `SELECT *`, which projects the input columns back out after the sort).
+/// Plans ORDER BY with computed (non-column) keys: returns the hidden
+/// sort columns, the projection `back` to the result after the sort, the
+/// sort keys over the extended schema and the result schema. `outputs` is
+/// the SELECT list (`None` for `SELECT *`, which projects the input
+/// columns back out after the sort).
+#[allow(clippy::type_complexity)]
 fn plan_expression_sort(
     select: &Select,
     base: &Schema,
     outputs: Option<&[(String, Expr)]>,
-) -> Result<(Shape, Vec<SortKey>, Schema), SqlError> {
+) -> Result<
+    (
+        Vec<(String, Expr)>,
+        Vec<(String, Expr)>,
+        Vec<SortKey>,
+        Schema,
+    ),
+    SqlError,
+> {
     let back = match outputs {
         Some(outs) => outs.to_vec(),
         None => passthrough(base),
@@ -974,7 +965,7 @@ fn plan_expression_sort(
     let ext_schema = Project::output_schema(base, &extended(base, &hidden))?;
     resolve_sort_keys(&ext_schema, &sort_keys)?;
     let out_schema = Project::output_schema(&ext_schema, &back)?;
-    Ok((Shape::ExprSort { hidden, back }, sort_keys, out_schema))
+    Ok((hidden, back, sort_keys, out_schema))
 }
 
 /// The vector access path for this SELECT, if it matches the top-k pattern
@@ -1109,9 +1100,8 @@ fn prune_conjuncts(
 }
 
 /// The validated aggregation shape of a SELECT: GROUP BY keys and
-/// aggregate outputs. Shared by the serial planner (which wraps it in a
-/// [`HashAggregate`]) and the parallel driver (which builds one
-/// [`PartialAggregate`] per morsel from it).
+/// aggregate outputs, from which the drive builds one
+/// [`PartialAggregate`] per morsel.
 struct AggSpec {
     group_names: Vec<String>,
     aggregates: Vec<Aggregate>,
@@ -1895,7 +1885,7 @@ mod tests {
             assert!(stats.workers > 1, "expected a parallel run");
             assert_eq!(stats.worker_ms.len(), stats.workers);
         }
-        // IVF falls back to the serial driver.
+        // An IVF probe is one morsel.
         let (_, stats) = run(&c, &select, mode, 4, VectorMode::Ivf).unwrap();
         assert_eq!(stats.workers, 1);
     }

@@ -435,6 +435,13 @@ fn the_oracle_names_nothing_it_judges() {
         "Sort",
         "SortKey",
         "TableScan",
+        // The vector access path the oracle's `SIMILARITY` judges.
+        "VectorIndex",
+        "VectorTopK",
+        "top_k_entries",
+        "merge_top_k",
+        "decode_embedding",
+        "cosine",
     ];
     const FROM_STORAGE: &[&str] = &["Catalog", "Row", "Table", "Value"];
     let code: Vec<&str> = include_str!("oracle/mod.rs")

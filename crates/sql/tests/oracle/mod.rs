@@ -35,9 +35,18 @@
 //!   while the SELECT list is evaluated after it.
 //!
 //! `SUM`/`AVG` add the numeric inputs as floats in row order (a non-NULL
-//! non-number counts but adds nothing) and are NULL over no input. Scalar
-//! functions are outside the oracle; statements that call them keep an
-//! engine run as their reference.
+//! non-number counts but adds nothing) and are NULL over no input.
+//!
+//! One scalar function is inside it, `SIMILARITY(a, b)`, by the rules of
+//! docs/vector-search.md: a BLOB argument is a little-endian `f32` vector
+//! (NULL when its length is not a multiple of 4), a STR argument is
+//! embedded with `kath_vector::embed_query`, and anything else but NULL
+//! raises. The score is the cosine of the two vectors computed here in
+//! `f32` — 0 against a zero vector — as a float; NULL in, a wrong
+//! dimension or a non-finite score is NULL. Under `ORDER BY … DESC` the
+//! stable sort therefore ranks NULL scores last, in row order. Other
+//! scalar functions are outside the oracle; statements that call them keep
+//! an engine run as their reference.
 
 #![allow(dead_code)]
 
@@ -64,6 +73,7 @@ enum E {
     Not(Box<E>),
     Neg(Box<E>),
     IsNull(Box<E>, bool),
+    Similarity(Box<E>, Box<E>),
 }
 
 /// Rows under names.
@@ -462,7 +472,10 @@ fn bind(e: &SqlExpr, names: &[String]) -> Result<E, String> {
         SqlExpr::Not(x) => E::Not(boxed(x)?),
         SqlExpr::Neg(x) => E::Neg(boxed(x)?),
         SqlExpr::IsNull(x, negated) => E::IsNull(boxed(x)?, *negated),
-        SqlExpr::Call(name, _) => return Err(format!("the oracle has no function {name}")),
+        SqlExpr::Call(name, args) => match (name.as_str(), &args[..]) {
+            ("similarity", [a, b]) => E::Similarity(boxed(a)?, boxed(b)?),
+            _ => return Err(format!("the oracle has no function {name}")),
+        },
         SqlExpr::Agg(..) => return Err("aggregate in scalar position".into()),
     })
 }
@@ -510,7 +523,53 @@ fn eval(e: &E, row: &Row) -> Result<Value, String> {
             },
         },
         E::Bin(op, l, r) => binary(*op, eval(l, row)?, eval(r, row)?)?,
+        E::Similarity(a, b) => similarity(&eval(a, row)?, &eval(b, row)?)?,
     })
+}
+
+/// `SIMILARITY(a, b)`: the cosine of the two arguments' vectors, or NULL.
+fn similarity(a: &Value, b: &Value) -> Result<Value, String> {
+    let (x, y) = (vector_of(a)?, vector_of(b)?);
+    let (Some(x), Some(y)) = (x, y) else {
+        return Ok(Value::Null);
+    };
+    if x.len() != y.len() {
+        return Ok(Value::Null);
+    }
+    let mut dot = 0.0f32;
+    let (mut xx, mut yy) = (0.0f32, 0.0f32);
+    for (p, q) in x.iter().zip(&y) {
+        dot += p * q;
+        xx += p * p;
+        yy += q * q;
+    }
+    let (nx, ny) = (xx.sqrt(), yy.sqrt());
+    if nx == 0.0 || ny == 0.0 {
+        return Ok(Value::Float(0.0));
+    }
+    if !(dot.is_finite() && nx.is_finite() && ny.is_finite()) {
+        return Ok(Value::Null);
+    }
+    let score = (dot / (nx * ny)).clamp(-1.0, 1.0);
+    // A zero score is `0.0`, never `-0.0`.
+    Ok(Value::Float(if score == 0.0 { 0.0 } else { score as f64 }))
+}
+
+/// The vector a `SIMILARITY` argument stands for: `None` for NULL and for
+/// a blob whose length is not a multiple of 4.
+fn vector_of(v: &Value) -> Result<Option<Vec<f32>>, String> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Blob(bytes) if bytes.len() % 4 != 0 => Ok(None),
+        Value::Blob(bytes) => Ok(Some(
+            bytes
+                .chunks(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect(),
+        )),
+        Value::Str(text) => Ok(Some(kath_vector::embed_query(text))),
+        other => Err(format!("similarity expects BLOB or STR, got {other:?}")),
+    }
 }
 
 fn binary(op: SqlBinOp, l: Value, r: Value) -> Result<Value, String> {

@@ -1,16 +1,20 @@
-//! Property tests for the top-k vector operator.
+//! Property tests for the top-k vector access path.
 //!
 //! Three contracts, per the paper's physical-choice story (§4): the vector
-//! operator must be a drop-in physical implementation of `ORDER BY
+//! access path must be a drop-in physical implementation of `ORDER BY
 //! SIMILARITY(...) DESC LIMIT k` —
 //!
-//! 1. **Fallback parity**: byte-identical to the full-sort plan
-//!    (`VectorMode::Off`) on arbitrary corpora, including NULL, corrupt,
+//! 1. **Oracle parity**: the exact paths — the full-sort plan
+//!    (`VectorMode::Off`), the Flat top-k, and `Auto` on a table small
+//!    enough for Flat — return what the naive evaluator in `oracle/`
+//!    says, on arbitrary corpora including NULL, corrupt, wrong-dimension
 //!    and text cells, at any batch size.
-//! 2. **Parallel parity**: the per-morsel top-k drive is byte-identical to
-//!    the serial scan at any worker count.
+//! 2. **Parallel parity**: the per-morsel top-k is byte-identical to the
+//!    one-worker scan at any worker count.
 //! 3. **Recall**: the approximate IVF implementation keeps recall@10 ≥ 0.9
 //!    against the exact Flat scan on seeded clustered corpora.
+
+mod oracle;
 
 use kath_sql::{execute, parse_select, run_select_auto_guarded, Select};
 use kath_storage::{
@@ -77,8 +81,8 @@ fn corpus_catalog(rows: &[RowSeed]) -> Catalog {
 }
 
 proptest! {
-    /// SQL-level fallback parity: with and without the vector operator,
-    /// the query returns the same table — ranked rows, NULL-score tail,
+    /// SQL-level oracle parity: with and without the vector access path,
+    /// the query returns the oracle's rows — ranked rows, NULL-score tail,
     /// ties, everything.
     #[test]
     fn vector_operator_matches_full_sort(
@@ -96,17 +100,18 @@ proptest! {
             queries[qseed as usize]
         );
         let select = parse_select(&sql).unwrap();
-        let fallback = run(&c, &select, ExecMode::Batched(16), 1, VectorMode::Off);
+        let want = oracle::run(&c, &select).unwrap();
         for mode in [ExecMode::Batched(1), ExecMode::Batched(3), ExecMode::Batched(1024)] {
-            for vector in [VectorMode::Auto, VectorMode::Flat, VectorMode::Ivf] {
-                let fast = run(&c, &select, mode, 1, vector);
+            for vector in [VectorMode::Off, VectorMode::Auto, VectorMode::Flat, VectorMode::Ivf] {
+                let got = run(&c, &select, mode, 1, vector);
                 // IVF is approximate: it may pick different rows, but must
-                // still return a validly-ranked result of the same size; the
-                // exact modes must match bit for bit.
+                // still return a result of the same size; the exact modes
+                // must match the oracle bit for bit.
                 if vector == VectorMode::Ivf {
-                    prop_assert_eq!(fast.len(), fallback.len(), "{} ({:?})", &sql, mode);
+                    prop_assert_eq!(got.len(), want.rows.len(), "{} ({:?})", &sql, mode);
                 } else {
-                    prop_assert_eq!(&fast, &fallback, "{} ({:?} {:?})", &sql, mode, vector);
+                    let diff = oracle::mismatch(&got, &want);
+                    prop_assert!(diff.is_none(), "{} ({:?} {:?}): {:?}", &sql, mode, vector, diff);
                 }
             }
         }

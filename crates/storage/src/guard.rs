@@ -4,15 +4,12 @@
 //! A [`QueryGuard`] is built once per statement (from the session-level
 //! [`GuardSpec`]) and threaded through the drive that runs it:
 //!
-//! - **Serial**: [`crate::drain_guarded`] checks before every
-//!   `next_batch()` and charges each produced batch; the leading
-//!   [`crate::TableScan`] additionally checks once per batch-sized run of
-//!   rows, so a blocking `Sort`/`Aggregate` above the scan still aborts
-//!   mid-scan.
-//! - **Morsel-parallel**: workers check between morsels (claim, check,
-//!   work); the merged result is charged after DISTINCT/LIMIT, and workers
-//!   charge per batch mid-scan only when every row they emit is a result
-//!   row.
+//! - workers check between morsels (claim, check, work), and every
+//!   morsel's [`crate::TableScan`] checks once per batch-sized run of rows,
+//!   so a scan under a sort or an aggregate still aborts mid-scan;
+//! - the tail's [`crate::drain_guarded`] checks before every `next_batch()`
+//!   and charges the result rows, after DISTINCT/LIMIT; the morsels charge
+//!   per batch mid-scan instead when every row they emit is a result row.
 //!
 //! Budgets meter **produced** (root-level) rows and bytes — the work a
 //! client would receive — not intermediate operator traffic, so whether a
@@ -31,12 +28,6 @@ use crate::{Row, StorageError, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How many iterations a row loop runs between guard checks
-/// ([`QueryGuard::check_periodic`]). Checks are cheap (an atomic load; an
-/// `Instant::now()` only when a deadline is set), but per-row checks would
-/// still be measurable.
-pub const GUARD_CHECK_INTERVAL: usize = 128;
 
 /// A shared cancellation flag: clone it, hand it to another thread, and
 /// [`CancelToken::cancel`] aborts the running query at its next guard
@@ -142,8 +133,7 @@ impl QueryGuard {
     }
 
     /// Checks cancellation and deadline (not budgets). Call this before
-    /// producing work; interval-check it inside tight loops via
-    /// [`QueryGuard::check_periodic`].
+    /// producing work.
     pub fn check(&self) -> Result<(), StorageError> {
         let Some(inner) = &self.inner else {
             return Ok(());
@@ -159,18 +149,6 @@ impl QueryGuard {
             }
         }
         Ok(())
-    }
-
-    /// [`QueryGuard::check`] every [`GUARD_CHECK_INTERVAL`]-th call site
-    /// iteration (`i` is the loop counter). Checks at `i == 0` so a 0ms
-    /// deadline trips before the first row.
-    #[inline]
-    pub fn check_periodic(&self, i: usize) -> Result<(), StorageError> {
-        if self.inner.is_some() && i.is_multiple_of(GUARD_CHECK_INTERVAL) {
-            self.check()
-        } else {
-            Ok(())
-        }
     }
 
     /// Whether byte accounting is needed (a byte budget is set). Callers
@@ -202,19 +180,6 @@ impl QueryGuard {
             }
         }
         Ok(())
-    }
-
-    /// Charges one produced row.
-    pub fn charge_row(&self, row: &Row) -> Result<(), StorageError> {
-        if self.inner.is_none() {
-            return Ok(());
-        }
-        let bytes = if self.wants_bytes() {
-            row_footprint(row)
-        } else {
-            0
-        };
-        self.charge(1, bytes)
     }
 
     /// Charges one produced batch.
@@ -311,18 +276,12 @@ mod tests {
         assert!(g.is_unlimited());
         g.check().unwrap();
         g.charge(1 << 40, 1 << 40).unwrap();
-        g.check_periodic(0).unwrap();
     }
 
     #[test]
     fn zero_timeout_trips_on_first_check() {
         let g = QueryGuard::unlimited().with_timeout(Duration::ZERO);
         assert!(matches!(g.check(), Err(StorageError::Cancelled(_))));
-        // And via the periodic path at i == 0 too.
-        assert!(matches!(
-            g.check_periodic(0),
-            Err(StorageError::Cancelled(_))
-        ));
     }
 
     #[test]
@@ -349,8 +308,12 @@ mod tests {
         assert!(g.wants_bytes());
         let row: Row = vec![Value::Int(1), Value::Str("abcd".into())];
         assert_eq!(row_footprint(&row), 8 + 8 + 4);
-        g.charge_row(&row).unwrap();
-        assert!(matches!(g.charge_row(&row), Err(StorageError::Budget(_))));
+        let batch = RowBatch::from_rows(2, vec![row]);
+        g.charge_batch(&batch).unwrap();
+        assert!(matches!(
+            g.charge_batch(&batch),
+            Err(StorageError::Budget(_))
+        ));
     }
 
     #[test]
@@ -381,12 +344,5 @@ mod tests {
             spec.guard().check(),
             Err(StorageError::Cancelled(_))
         ));
-    }
-
-    #[test]
-    fn periodic_check_skips_mid_interval() {
-        let g = QueryGuard::unlimited().with_timeout(Duration::ZERO);
-        g.check_periodic(1).unwrap(); // mid-interval: not checked
-        assert!(g.check_periodic(GUARD_CHECK_INTERVAL).is_err());
     }
 }

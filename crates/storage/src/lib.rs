@@ -41,7 +41,6 @@ pub use error::StorageError;
 pub use expr::{BinOp, Expr};
 pub use guard::{
     batch_footprint, row_footprint, value_footprint, CancelToken, GuardSpec, QueryGuard,
-    GUARD_CHECK_INTERVAL,
 };
 pub use io::{
     is_transient, with_retry, FaultKind, FaultPlan, FaultStats, FaultyIo, Io, IoBackend, IoOp,
@@ -54,7 +53,7 @@ pub use morsel::{
 pub use ops::{
     cmp_rows, col_cmp, collect, drain_guarded, merge_sorted_runs, resolve_sort_keys, sort_rows,
     AggFunc, Aggregate, Distinct, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind,
-    Limit, Operator, PartialAggregate, Project, Sort, SortKey, TableScan,
+    Limit, Operator, PartialAggregate, Project, SortKey, TableScan,
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
 pub use paged::{PageBacking, PageSlot, PageWriteStats, PagedTable, RecoveredPage};
@@ -67,6 +66,6 @@ pub use value::{cmp_int_f64, DataType, Row, Value};
 pub use vecindex::{
     decode_embedding, default_nlist, default_nprobe, encode_embedding, merge_top_k,
     preferred_vector_strategy, top_k_entries, vector_search_cost, VectorIndex, VectorMode,
-    VectorStrategy, VectorTopK, IVF_FIXED_COST, VECTOR_INDEX_SEED,
+    VectorStrategy, IVF_FIXED_COST, VECTOR_INDEX_SEED,
 };
 pub use wal::{crc32, filter_committed, FilteredLog, Wal, WalRecord};

@@ -123,6 +123,18 @@ pub struct MorselRun<T> {
     pub worker_ms: Vec<f64>,
 }
 
+impl<T> MorselRun<T> {
+    /// Folds the outputs, in morsel order, with `merge`. Returns what it
+    /// made, each worker's busy milliseconds, and the merge's own
+    /// wall-clock milliseconds.
+    pub fn merge<R>(self, merge: impl FnOnce(Vec<T>) -> R) -> (R, Vec<f64>, f64) {
+        let started = Instant::now(); // lint: nondet-ok — merge-time telemetry; the merged value never depends on it
+        let merged = merge(self.outputs);
+        let merge_ms = started.elapsed().as_secs_f64() * 1000.0;
+        (merged, self.worker_ms, merge_ms)
+    }
+}
+
 /// Runs `work` over every morsel of `source` on `workers` threads
 /// (`std::thread::scope`; the calling thread doubles as worker 0, so
 /// `workers == 1` spawns nothing and degenerates to a serial loop).
@@ -206,10 +218,16 @@ where
     if let Some((_, e)) = failure.into_inner() {
         return Err(e);
     }
+    // With no failure recorded every morsel was claimed and ran, so every
+    // slot is filled; an empty one is reported, not assumed away.
     let outputs = slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every morsel ran to completion"))
-        .collect();
+        .enumerate()
+        .map(|(seq, slot)| {
+            slot.into_inner()
+                .ok_or_else(|| StorageError::Eval(format!("morsel {seq} produced no output")))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(MorselRun {
         outputs,
         worker_ms: timings.into_iter().map(|t| t.into_inner()).collect(),

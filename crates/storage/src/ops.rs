@@ -740,28 +740,12 @@ pub struct Aggregate {
 }
 
 /// Hash aggregation with optional GROUP BY keys: a pipeline breaker that
-/// consumes its input when built and hands the groups out a batch at a time.
+/// consumes its input when built and hands the groups out in order, at most
+/// `batch_size` at a time.
 pub struct HashAggregate {
-    out: Materialized,
-}
-
-/// The output of a pipeline breaker: the rows it holds, handed out in order
-/// at most `batch_size` at a time.
-struct Materialized {
     schema: Schema,
     rows: std::vec::IntoIter<Row>,
     batch_size: usize,
-}
-
-impl Materialized {
-    fn next_batch(&mut self) -> Option<RowBatch> {
-        let rows: Vec<Row> = self.rows.by_ref().take(self.batch_size).collect();
-        (!rows.is_empty()).then(|| RowBatch::from_rows(self.schema.arity(), rows))
-    }
-
-    fn narrow(&mut self, rows: usize) {
-        self.batch_size = self.batch_size.min(rows.max(1));
-    }
 }
 
 #[derive(Clone)]
@@ -1012,11 +996,9 @@ impl HashAggregate {
         partial.consume(input.as_mut())?;
         let (schema, rows) = partial.finish();
         Ok(Self {
-            out: Materialized {
-                schema,
-                rows: rows.into_iter(),
-                batch_size: input.batch_capacity(),
-            },
+            schema,
+            rows: rows.into_iter(),
+            batch_size: input.batch_capacity(),
         })
     }
 
@@ -1025,25 +1007,26 @@ impl HashAggregate {
     /// which drains groups one at a time.
     #[allow(clippy::should_implement_trait)] // fallible, unlike `Iterator::next`
     pub fn next(&mut self) -> Result<Option<Row>, StorageError> {
-        Ok(self.out.rows.next())
+        Ok(self.rows.next())
     }
 }
 
 impl Operator for HashAggregate {
     fn schema(&self) -> &Schema {
-        &self.out.schema
+        &self.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        Ok(self.out.next_batch())
+        let rows: Vec<Row> = self.rows.by_ref().take(self.batch_size).collect();
+        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(self.schema.arity(), rows)))
     }
 
     fn batch_capacity(&self) -> usize {
-        self.out.batch_size
+        self.batch_size
     }
 
     fn narrow(&mut self, rows: usize) {
-        self.out.narrow(rows);
+        self.batch_size = self.batch_size.min(rows.max(1));
     }
 }
 
@@ -1054,12 +1037,6 @@ pub struct SortKey {
     pub column: String,
     /// Descending if true.
     pub desc: bool,
-}
-
-/// Full sort: a pipeline breaker that sorts its input when built and hands
-/// the rows out a batch at a time.
-pub struct Sort {
-    out: Materialized,
 }
 
 /// Resolves sort keys into `(column index, descending)` pairs.
@@ -1118,44 +1095,6 @@ pub fn merge_sorted_runs(mut runs: Vec<Vec<Row>>, key_idx: &[(usize, bool)]) -> 
         };
         out.push(std::mem::take(&mut runs[r][heads[r]]));
         heads[r] += 1;
-    }
-}
-
-impl Sort {
-    /// Sorts `input` by `keys` using the total value order (stable).
-    pub fn new(mut input: Box<dyn Operator>, keys: Vec<SortKey>) -> Result<Self, StorageError> {
-        let schema = input.schema().clone();
-        let key_idx = resolve_sort_keys(&schema, &keys)?;
-        let mut rows = Vec::new();
-        while let Some(batch) = input.next_batch()? {
-            rows.extend(batch.into_rows());
-        }
-        sort_rows(&mut rows, &key_idx);
-        Ok(Self {
-            out: Materialized {
-                schema,
-                rows: rows.into_iter(),
-                batch_size: input.batch_capacity(),
-            },
-        })
-    }
-}
-
-impl Operator for Sort {
-    fn schema(&self) -> &Schema {
-        &self.out.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        Ok(self.out.next_batch())
-    }
-
-    fn batch_capacity(&self) -> usize {
-        self.out.batch_size
-    }
-
-    fn narrow(&mut self, rows: usize) {
-        self.out.narrow(rows);
     }
 }
 
@@ -1286,15 +1225,15 @@ mod tests {
         }
     }
 
-    fn sort(input: Box<dyn Operator>, column: &str, desc: bool) -> Sort {
-        Sort::new(
-            input,
-            vec![SortKey {
-                column: column.into(),
-                desc,
-            }],
-        )
-        .unwrap()
+    /// `t`'s rows stably sorted on `column`, as a table of their own.
+    fn sorted(t: &Arc<Table>, column: &str, desc: bool) -> Arc<Table> {
+        let key = SortKey {
+            column: column.into(),
+            desc,
+        };
+        let mut rows = t.rows().to_vec();
+        sort_rows(&mut rows, &resolve_sort_keys(t.schema(), &[key]).unwrap());
+        Arc::new(Table::from_rows("sorted", t.schema().clone(), rows).unwrap())
     }
 
     /// `input` projected to `q = 10 / column`.
@@ -1409,7 +1348,7 @@ mod tests {
 
     #[test]
     fn sort_desc_then_limit() {
-        let top = Limit::new(Box::new(sort(scan(&films(), 1024), "year", true)), 2);
+        let top = Limit::new(scan(&sorted(&films(), "year", true), 1024), 2);
         let (t, _) = drain(Box::new(top));
         assert_eq!(t.len(), 2);
         assert!(t.rows().iter().all(|r| r[2] == Value::Int(1991)));
@@ -1417,7 +1356,7 @@ mod tests {
 
     #[test]
     fn sort_is_stable() {
-        let (t, _) = drain(Box::new(sort(scan(&films(), 1024), "year", true)));
+        let t = sorted(&films(), "year", true);
         // ids 1 and 4 both have year 1991; input order 1 then 4 preserved.
         assert_eq!(t.cell(0, "id").unwrap(), &Value::Int(1));
         assert_eq!(t.cell(1, "id").unwrap(), &Value::Int(4));
@@ -1769,26 +1708,22 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_aggregate_hand_out_their_rows_a_batch_at_a_time() {
-        // Both breakers cut their rows by the input's batch size, and
-        // narrow to a limit's cap.
-        let (t, batches) = drain(Box::new(sort(scan(&films(), 3), "year", false)));
-        assert_eq!((t.len(), batches), (4, 2));
-        assert_eq!(t.cell(0, "year").unwrap(), &Value::Int(1975));
-        let mut narrowed = sort(scan(&films(), 1024), "year", false);
+    fn aggregate_hands_out_its_rows_a_batch_at_a_time() {
+        // The breaker cuts its groups by the input's batch size, and
+        // narrows to a limit's cap.
+        let groups = |batch_size| {
+            let count = vec![agg(AggFunc::CountStar, None, "n")];
+            HashAggregate::new(scan(&films(), batch_size), vec!["year".into()], count).unwrap()
+        };
+        let (t, batches) = drain(Box::new(groups(2)));
+        assert_eq!((t.len(), batches), (3, 2));
+        let mut narrowed = groups(1024);
         narrowed.narrow(1);
         assert_eq!(narrowed.next_batch().unwrap().unwrap().num_rows(), 1);
-        let top = Limit::new(Box::new(sort(scan(&films(), 1024), "year", false)), 3);
+        let top = Limit::new(Box::new(groups(1024)), 2);
         assert_eq!(drain(Box::new(top)).1, 1);
-
-        let groups = || {
-            let count = vec![agg(AggFunc::CountStar, None, "n")];
-            HashAggregate::new(scan(&films(), 2), vec!["year".into()], count).unwrap()
-        };
-        let (t, batches) = drain(Box::new(groups()));
-        assert_eq!((t.len(), batches), (3, 2));
         // Row by row, the inherent `next` reads the same stream.
-        let (mut one_by_one, mut rows) = (groups(), Vec::new());
+        let (mut one_by_one, mut rows) = (groups(2), Vec::new());
         while let Some(row) = one_by_one.next().unwrap() {
             rows.push(row);
         }

@@ -13,8 +13,7 @@
 //! that value, shared by every catalog version holding it, and built anew
 //! for the table an insert or crash recovery produces.
 
-use crate::ops::IndexScan;
-use crate::{DataType, Operator, RowBatch, Schema, StorageError, Table, Value};
+use crate::{DataType, StorageError, Table, Value};
 use kath_vector::{cosine, embed_query, IvfIndex};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -282,69 +281,10 @@ pub fn merge_top_k(mut candidates: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f
     candidates
 }
 
-/// The top-k vector-scan operator: the physical implementation of
-/// `ORDER BY SIMILARITY(col, 'query') DESC LIMIT k` the planner picks over
-/// a full sort. Runs the (Flat or IVF) index search eagerly at
-/// construction, then streams the winning rows in rank order.
-pub struct VectorTopK {
-    inner: IndexScan,
-    strategy: VectorStrategy,
-    result_rows: usize,
-}
-
-impl VectorTopK {
-    /// Searches `index` (over `table`) for the top `k` rows most similar
-    /// to `query` under `strategy`.
-    pub fn new(
-        table: Arc<Table>,
-        index: &VectorIndex,
-        query: &[f32],
-        k: usize,
-        strategy: VectorStrategy,
-        batch_size: usize,
-    ) -> Self {
-        let positions = index.search(query, k, strategy);
-        let result_rows = positions.len();
-        Self {
-            inner: IndexScan::new(table, positions).with_batch_size(batch_size),
-            strategy,
-            result_rows,
-        }
-    }
-
-    /// The physical strategy this operator ran with.
-    pub fn strategy(&self) -> VectorStrategy {
-        self.strategy
-    }
-
-    /// Number of rows the search selected (≤ k).
-    pub fn result_rows(&self) -> usize {
-        self.result_rows
-    }
-}
-
-impl Operator for VectorTopK {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        self.inner.next_batch()
-    }
-
-    fn batch_capacity(&self) -> usize {
-        self.inner.batch_capacity()
-    }
-
-    fn narrow(&mut self, rows: usize) {
-        self.inner.narrow(rows);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collect, Column};
+    use crate::{Column, Schema};
     use kath_vector::seeded_unit_vector;
 
     #[test]
@@ -492,21 +432,6 @@ mod tests {
             }
         }
         assert_eq!(flips, 1, "strategy choice must cross exactly once");
-    }
-
-    #[test]
-    fn topk_operator_streams_rank_order() {
-        let t = Arc::new(docs_table(40));
-        let ix = VectorIndex::build(&t, "emb").unwrap();
-        let query = seeded_unit_vector(101);
-        let want = ix.search(&query, 6, VectorStrategy::Flat);
-        let op = VectorTopK::new(Arc::clone(&t), &ix, &query, 6, VectorStrategy::Flat, 4);
-        assert_eq!(op.strategy(), VectorStrategy::Flat);
-        assert_eq!(op.result_rows(), 6);
-        let out = collect("top", Box::new(op)).unwrap();
-        let ids: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
-        let want_ids: Vec<i64> = want.into_iter().map(|p| p as i64).collect();
-        assert_eq!(ids, want_ids);
     }
 
     #[test]

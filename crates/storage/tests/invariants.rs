@@ -97,21 +97,18 @@ proptest! {
         prop_assert!(left_t.len() >= inner_t.len());
     }
 
-    /// Sort emits a permutation in nondecreasing key order.
+    /// A sort emits a permutation in nondecreasing key order.
     #[test]
     fn sort_is_ordered_permutation(t in arb_table()) {
-        let arc = Arc::new(t.clone());
-        let s = Sort::new(
-            Box::new(TableScan::new(arc)),
-            vec![SortKey { column: "k".into(), desc: false }],
-        ).unwrap();
-        let out = collect("s", Box::new(s)).unwrap();
+        let key = SortKey { column: "k".into(), desc: false };
+        let mut out = t.rows().to_vec();
+        sort_rows(&mut out, &resolve_sort_keys(t.schema(), &[key]).unwrap());
         prop_assert_eq!(out.len(), t.len());
-        for w in out.rows().windows(2) {
+        for w in out.windows(2) {
             prop_assert!(w[0][1].total_cmp(&w[1][1]) != std::cmp::Ordering::Greater);
         }
         let mut a: Vec<i64> = t.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
-        let mut b: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+        let mut b: Vec<i64> = out.iter().map(|r| r[0].as_int().unwrap()).collect();
         a.sort(); b.sort();
         prop_assert_eq!(a, b);
     }

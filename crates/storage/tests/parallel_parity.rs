@@ -13,8 +13,8 @@
 use kath_storage::{
     col_cmp, collect, merge_sorted_runs, resolve_sort_keys, run_morsels, sort_rows, AggFunc,
     Aggregate, BinOp, Expr, Filter, HashAggregate, HashJoin, JoinBuild, JoinKind, Morsel,
-    MorselSource, Operator, PartialAggregate, Project, Row, Schema, Sort, SortKey, StorageError,
-    Table, TableScan, Value,
+    MorselSource, Operator, PartialAggregate, Project, Row, Schema, SortKey, StorageError, Table,
+    TableScan, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -237,7 +237,8 @@ fn aggregate_of(schema: &Schema, group: u8, func: u8, col: u8) -> (Vec<String>, 
     )
 }
 
-/// The serial reference: one operator chain, drained batch by batch.
+/// The serial reference: one operator chain, drained batch by batch; a
+/// sort breaker is one stable sort of everything the chain drained.
 fn run_serial(
     t1: &Arc<Table>,
     t2: &Arc<Table>,
@@ -251,7 +252,11 @@ fn run_serial(
         _ if op.schema().arity() == 0 => op,
         Breaker::Sort { col, desc } => {
             let key = sort_key_of(op.schema(), *col, *desc);
-            Box::new(Sort::new(op, vec![key])?)
+            let key_idx = resolve_sort_keys(op.schema(), &[key])?;
+            let drained = collect("out", op)?;
+            let mut rows = drained.rows().to_vec();
+            sort_rows(&mut rows, &key_idx);
+            return Table::from_rows("out", drained.schema().clone(), rows);
         }
         Breaker::Aggregate { group, func, col } => {
             let (group_by, aggs) = aggregate_of(op.schema(), *group, *func, *col);
