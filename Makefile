@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures
+.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures prod-loc
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
@@ -105,3 +105,12 @@ examples:
 
 figures:
 	$(CARGO) run -q --release -p kath_bench --bin paper_figures
+
+# Production lines per crate: the lines of each `src/` file above its first
+# `#[cfg(test)]` (the whole file when it has none), summed per crate, then
+# the total.
+prod-loc:
+	@for src in crates/*/src; do \
+		find $$src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' {} \; \
+			| awk -v src=$$src '{ n += $$1 } END { printf "%7d  %s\n", n, src }'; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'

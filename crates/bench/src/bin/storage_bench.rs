@@ -33,8 +33,7 @@ use kath_json::{Json, JsonMap};
 use kath_sql::{parse_select, run_select_auto_guarded};
 use kath_storage::{
     decode_page, encode_page, page_encoding_name, BufferPool, Catalog, CompileMode, DataType,
-    Durability, ExecMode, PagedTable, QueryGuard, Row, Schema, Table, Value, VectorMode,
-    DEFAULT_PAGE_ROWS,
+    Durability, ExecMode, QueryGuard, Row, Schema, Table, Value, VectorMode, DEFAULT_PAGE_ROWS,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -234,13 +233,17 @@ fn codec_series(quick: bool, baseline: Option<&Json>) -> Json {
         ("raw", DataType::Str),
     ]);
     let pool = Arc::new(BufferPool::with_budget(MISS_POOL_PAGES));
-    let table = PagedTable::from_rows(schema, &rows, Arc::clone(&pool), DEFAULT_PAGE_ROWS)
+    let table = Table::from_rows("codec", schema, rows.clone())
+        .and_then(|t| t.seal(&pool, DEFAULT_PAGE_ROWS))
         .expect("codec table pages");
+    let page_count = table.groups().len();
     let mut misses = Vec::new();
     for (c, kind) in CODEC_KINDS.iter().enumerate() {
         let scan = || {
-            for p in 0..table.page_count() {
-                std::hint::black_box(table.column_page(c, p).expect("page loads"));
+            for group in table.groups() {
+                group
+                    .read_column(c, |page| std::hint::black_box(page.len()))
+                    .expect("page loads");
             }
         };
         scan();
@@ -250,10 +253,10 @@ fn codec_series(quick: bool, baseline: Option<&Json>) -> Json {
         let after = pool.status();
         assert_eq!(
             (after.misses - before.misses, after.hits - before.hits),
-            (((scans + 3) * table.page_count()) as u64, 0),
+            (((scans + 3) * page_count) as u64, 0),
             "the {kind} scan was meant to miss on every page"
         );
-        let miss_us = per_scan / table.page_count() as f64 / 1000.0;
+        let miss_us = per_scan / page_count as f64 / 1000.0;
         eprintln!("miss  {kind:>8} (pool {MISS_POOL_PAGES}): {miss_us:7.2} us/page");
         let mut entry = JsonMap::new();
         entry.insert("page", Json::Str(kind.to_string()));

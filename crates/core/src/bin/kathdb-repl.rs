@@ -238,12 +238,12 @@ fn main() {
                 let p = db.pool_status();
                 println!(
                     "buffer pool: {}/{} page(s) resident (~{} bytes), {} dirty page(s), \
-                     {} unsaved tail row(s)",
+                     {} unsaved open row(s)",
                     p.resident_pages,
                     p.budget_pages,
                     p.resident_bytes,
                     db.dirty_pages(),
-                    db.unsaved_tail_rows()
+                    db.unsaved_open_rows()
                 );
                 println!(
                     "counters: {} hit(s), {} miss(es), {} eviction(s), {} zone-map skip(s)",

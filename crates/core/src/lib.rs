@@ -57,8 +57,8 @@ use kath_parser::{
 };
 use kath_sql::SqlError;
 use kath_storage::{
-    CompileMode, Durability, DurabilityStatus, PoolStatus, StorageError, Table, Value, WalRecord,
-    DEFAULT_PAGE_ROWS,
+    CompileMode, Durability, DurabilityStatus, PoolStatus, RowGroup, StorageError, Table, Value,
+    WalRecord, DEFAULT_PAGE_ROWS,
 };
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -190,7 +190,7 @@ impl QueryResult {
     /// The lid of the top-ranked tuple, if present.
     pub fn top_lid(&self) -> Option<i64> {
         let idx = self.table.schema().index_of("lid")?;
-        self.table.rows().first().and_then(|r| r[idx].as_int())
+        self.table.row_at(0).ok().flatten()?[idx].as_int()
     }
 }
 
@@ -463,17 +463,27 @@ impl KathDB {
     }
 
     /// Total dirty pages across catalog tables: sealed, but not yet written
-    /// by a checkpoint. Rows still in a table's tail are in no page at all;
-    /// [`KathDB::unsaved_tail_rows`] counts those.
+    /// by a checkpoint. Rows in a table's open groups are in no page at
+    /// all; [`KathDB::unsaved_open_rows`] counts those.
     pub fn dirty_pages(&self) -> usize {
-        self.sum_over_tables(|t| t.paged().map_or(0, |p| p.dirty_pages()))
+        self.sum_over_tables(|t| {
+            let slots = t.groups().iter().flat_map(|g| match g {
+                RowGroup::Sealed(slots) => slots.as_slice(),
+                RowGroup::Open(_) => &[],
+            });
+            slots.filter(|s| s.is_dirty()).count()
+        })
     }
 
-    /// Total rows in table tails across the catalog: loaded or inserted
-    /// since their table was last sealed, so in no page a checkpoint wrote
-    /// (on a durable directory the WAL is what holds them).
-    pub fn unsaved_tail_rows(&self) -> usize {
-        self.sum_over_tables(|t| t.tail().len())
+    /// Total rows in open groups across the catalog: loaded or inserted
+    /// (or reopened by an INSERT) since their table was last sealed, so in
+    /// no page a checkpoint wrote (on a durable directory the WAL is what
+    /// holds them).
+    pub fn unsaved_open_rows(&self) -> usize {
+        self.sum_over_tables(|t| {
+            let open = t.groups().iter().filter(|g| g.is_open());
+            open.map(RowGroup::rows).sum()
+        })
     }
 
     /// Logs the function registry to the WAL when it changed since the last
@@ -632,9 +642,11 @@ impl KathDB {
                 schema: table.schema().clone(),
             });
             if !table.is_empty() {
+                // `to_rows`, not `rows`: the table registered below keeps
+                // no row cache.
                 records.push(WalRecord::Insert {
                     table: name.clone(),
-                    rows: table.rows().to_vec(),
+                    rows: table.to_rows()?,
                 });
             }
         }
@@ -1064,15 +1076,16 @@ mod tests {
             "SELECT COUNT(*) AS n FROM big WHERE grp = 'g3'",
         ];
         let resident: Vec<Table> = queries.iter().map(|q| db.sql(q).unwrap()).collect();
-        // The ninth INSERT filled a page of tail, which sealed the 4500 rows
-        // there were (two in-memory pages per column); the tenth is the tail.
-        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (6, 500));
+        // The ninth INSERT filled an open group, which sealed the 4500 rows
+        // there were (two in-memory pages per column); the tenth reopened
+        // the short second page: 404 rows of it and its own 500 are open.
+        assert_eq!((db.dirty_pages(), db.unsaved_open_rows()), (3, 904));
 
         // Attaching a durable dir checkpoints the pre-existing state, which
         // seals every table and writes its pages.
         db.open_dir(&dir).unwrap();
         assert!(db.context().catalog.get("big").unwrap().is_paged());
-        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (0, 0));
+        assert_eq!((db.dirty_pages(), db.unsaved_open_rows()), (0, 0));
         let first = db.durability_status().unwrap().last_checkpoint.unwrap();
         assert!(first.pages_written >= 6, "3 columns x 2 pages: {first:?}");
 
@@ -1087,12 +1100,12 @@ mod tests {
         assert!(status.evictions > 0, "no evictions under a 2-page budget");
         assert!(status.resident_pages <= 2, "{status:?}");
 
-        // One appended row dirties only the tail page of each column, so
+        // One appended row reopens only the last page of each column, so
         // the second checkpoint is incremental: strictly fewer bytes.
         db.sql("INSERT INTO big VALUES (5000, 'g0', 1.5)").unwrap();
-        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (0, 1));
+        assert_eq!((db.dirty_pages(), db.unsaved_open_rows()), (0, 905));
         db.checkpoint().unwrap();
-        assert_eq!((db.dirty_pages(), db.unsaved_tail_rows()), (0, 0));
+        assert_eq!((db.dirty_pages(), db.unsaved_open_rows()), (0, 0));
         let second = db.durability_status().unwrap().last_checkpoint.unwrap();
         assert!(second.bytes_written > 0);
         assert!(

@@ -477,8 +477,10 @@ fn narrow_transform(
     morsel_rows: usize,
     compute: impl Fn(&Row) -> Computed + Sync,
 ) -> Result<ExecOutcome, ExecError> {
-    let rows = input.rows();
-    let run = compute_in_morsels(ctx, rows, morsel_rows, compute)?;
+    // Owned, not `rows()`: each kept row moves into the output, and the
+    // input keeps no row cache.
+    let rows = input.to_rows()?;
+    let run = compute_in_morsels(ctx, &rows, morsel_rows, compute)?;
 
     let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
     let lid_idx = input.schema().index_of("lid");
@@ -494,7 +496,7 @@ fn narrow_transform(
     let mut out = Table::new(output_name, out_schema);
     let mut failed_rows = Vec::new();
     let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
-    for (row, computed) in rows.iter().zip(run.computed) {
+    for (row, computed) in rows.into_iter().zip(run.computed) {
         match computed {
             Err(msg) => {
                 let desc = row.iter().map(Value::render).collect::<Vec<_>>().join(", ");
@@ -504,7 +506,7 @@ fn narrow_transform(
             Ok(Some(extra)) => {
                 let parent = lid_idx.and_then(|i| row[i].as_int()).or(parent_table_lid);
                 let new_lid = stamp.record(parent)?;
-                let mut out_row = row.clone();
+                let mut out_row = row;
                 match lid_idx {
                     Some(i) => out_row[i] = Value::Int(new_lid),
                     None => out_row.push(Value::Int(new_lid)),
@@ -529,7 +531,7 @@ fn narrow_transform(
     let table = ctx.materialize(out, output_lid);
     Ok(ExecOutcome {
         failed_rows,
-        ..ExecOutcome::serial(table, output_lid, rows.len())
+        ..ExecOutcome::serial(table, output_lid, input.len())
     }
     .fanned_out(run.worker_ms, stamp_started))
 }

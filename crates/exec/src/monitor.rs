@@ -175,16 +175,17 @@ impl<'a> Monitor<'a> {
         key: &str,
     ) -> Result<Option<(AnomalyEvent, Option<ExecOutcome>)>, ExecError> {
         let table = ctx.catalog.get(output_name)?;
-        let Ok(idx) = table.schema().resolve(key) else {
+        if table.schema().index_of(key).is_none() {
             return Ok(None); // key not present: nothing to check
-        };
+        }
         let mut seen = std::collections::HashSet::new();
         let mut dups = 0usize;
-        for row in table.rows() {
-            if !row[idx].is_null() && !seen.insert(row[idx].clone()) {
+        table.for_each_in_column(key, |_, v| {
+            if !v.is_null() && !seen.insert(v.clone()) {
                 dups += 1;
             }
-        }
+            Ok(())
+        })?;
         if dups == 0 {
             return Ok(None);
         }

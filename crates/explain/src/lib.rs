@@ -254,23 +254,16 @@ impl<'a> Explainer<'a> {
             let Ok(table) = self.catalog.get(&node.output) else {
                 continue;
             };
-            let Some(idx) = table.schema().index_of("lid") else {
+            // One column streamed, then one row read: the output is never
+            // materialized.
+            let Ok(Some(pos)) = table.find("lid", &Value::Int(lid)) else {
                 continue;
             };
-            for row in table.rows() {
-                if row[idx] == Value::Int(lid) {
-                    return Some((
-                        node.output.clone(),
-                        row.clone(),
-                        table
-                            .schema()
-                            .names()
-                            .into_iter()
-                            .map(String::from)
-                            .collect(),
-                    ));
-                }
-            }
+            let Ok(Some(row)) = table.row_at(pos) else {
+                continue;
+            };
+            let names = table.schema().names().into_iter().map(String::from);
+            return Some((node.output.clone(), row, names.collect()));
         }
         None
     }

@@ -8,20 +8,18 @@
 //! a registry (the optimizer does it once per profiled candidate) copies no
 //! descriptor.
 
-use crate::{Document, Image, MediaError, Video};
+use crate::{Document, Image, MediaError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The three media collections of a registry.
+/// The two media collections of a registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediaKind {
     /// Poster images.
     Images,
     /// Text documents (plots).
     Documents,
-    /// Videos.
-    Videos,
 }
 
 /// Source of collection stamps. Process-wide, so one stamp never names two
@@ -78,7 +76,6 @@ impl<T: Clone> Collection<T> {
 pub struct MediaRegistry {
     images: Collection<Image>,
     documents: Collection<Document>,
-    videos: Collection<Video>,
 }
 
 impl MediaRegistry {
@@ -111,7 +108,6 @@ impl MediaRegistry {
         match kind {
             MediaKind::Images => self.images.stamp,
             MediaKind::Documents => self.documents.stamp,
-            MediaKind::Videos => self.videos.stamp,
         }
     }
 
@@ -125,11 +121,6 @@ impl MediaRegistry {
         self.documents.get(uri)
     }
 
-    /// Looks up a video.
-    pub fn video(&self, uri: &str) -> Result<&Video, MediaError> {
-        self.videos.get(uri)
-    }
-
     /// All images, in URI order for deterministic iteration.
     pub fn images(&self) -> Vec<&Image> {
         self.images.items.values().collect()
@@ -138,11 +129,6 @@ impl MediaRegistry {
     /// All documents, in URI order.
     pub fn documents(&self) -> Vec<&Document> {
         self.documents.items.values().collect()
-    }
-
-    /// All videos, in URI order.
-    pub fn videos(&self) -> Vec<&Video> {
-        self.videos.items.values().collect()
     }
 
     /// Keeps only the images `keep` accepts (a profiling context samples
@@ -156,13 +142,9 @@ impl MediaRegistry {
         self.documents.retain(keep);
     }
 
-    /// Counts: (images, documents, videos).
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (
-            self.images.items.len(),
-            self.documents.items.len(),
-            self.videos.items.len(),
-        )
+    /// Counts: (images, documents).
+    pub fn counts(&self) -> (usize, usize) {
+        (self.images.items.len(), self.documents.items.len())
     }
 }
 
@@ -179,7 +161,7 @@ mod tests {
         assert!(r.image("file://p/1.png").is_ok());
         assert!(r.document("doc://1").is_ok());
         assert!(matches!(r.image("nope"), Err(MediaError::NotFound(_))));
-        assert_eq!(r.counts(), (1, 1, 0));
+        assert_eq!(r.counts(), (1, 1));
     }
 
     #[test]

@@ -736,7 +736,7 @@ mod tests {
                     if *implementation != VisionImpl::Ocr
             ));
             // The caller's media is untouched.
-            assert_eq!(ctx.media.counts(), (movies as usize, movies as usize, 0));
+            assert_eq!(ctx.media.counts(), (movies as usize, movies as usize));
             (ctx.llm.meter().usage().calls - before) as usize
         };
         let small = compile_calls(40, 4);
@@ -755,7 +755,7 @@ mod tests {
         sample.catalog.register_or_replace(unkeyed);
         sample_media(&mut sample, "text");
         sample_media(&mut sample, "scene");
-        assert_eq!(sample.media.counts(), (3, 3, 0));
+        assert_eq!(sample.media.counts(), (3, 3));
 
         // Keyed: the media of the two sampled rows, plus whatever carries no
         // id in its URI.
@@ -777,7 +777,7 @@ mod tests {
         assert_eq!(sample.media.counts().1, 3);
         sample_media(&mut sample, "text");
         assert_eq!(sample.media.counts().1, 2);
-        assert_eq!(ctx.media.counts(), (4, 3, 0));
+        assert_eq!(ctx.media.counts(), (4, 3));
     }
 
     #[test]

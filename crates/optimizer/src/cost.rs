@@ -226,13 +226,11 @@ pub fn estimate_function_in_mode(
     for name in body.inputs() {
         if let Ok(t) = catalog.get(&name) {
             rows += t.len();
-            if let Some(pt) = t.paged() {
-                // A pipeline over an input with a sealed part may have to
-                // decode every column page of it on a cold buffer pool;
-                // tail rows (and so never-sealed tables) contribute nothing
-                // here.
-                cold_pages += pt.page_count() * pt.schema().arity();
-            }
+            // A pipeline over an input may have to decode every sealed
+            // column page of it on a cold buffer pool; open groups (and so
+            // never-sealed tables) contribute nothing here.
+            let sealed = t.groups().iter().filter(|g| !g.is_open()).count();
+            cold_pages += sealed * t.schema().arity();
         }
     }
     est.runtime_ms += relational_overhead_ms(rows, mode) + cold_pages as f64 * PAGE_DECODE_MS;
@@ -443,7 +441,7 @@ mod tests {
         let mut paged_catalog = Catalog::new();
         let t = catalog.get("t").unwrap();
         let paged = t.seal(paged_catalog.pool(), 16).unwrap();
-        let pages = paged.paged().unwrap().page_count();
+        let pages = paged.groups().len();
         assert!(pages > 1);
         paged_catalog.register(paged).unwrap();
         let cold = estimate_function_in_mode(&registry, &paged_catalog, "q", batched).unwrap();
@@ -457,12 +455,14 @@ mod tests {
         );
         assert_eq!(cold.tokens, resident.tokens);
 
-        // A row inserted after the sealing sits in the tail: against the
-        // same rows never sealed, the estimate differs by exactly the
-        // sealed part's pages.
+        // A row inserted after the sealing lands in an open group (the
+        // short last page, reopened): against the same rows never sealed,
+        // the estimate differs by exactly the pages still sealed.
         let mut grown = (*paged_catalog.get("t").unwrap()).clone();
         grown.push(vec![1i64.into()]).unwrap();
-        assert_eq!(grown.tail().len(), 1);
+        let sealed = grown.groups().iter().filter(|g| !g.is_open()).count();
+        assert!(grown.groups().last().is_some_and(|g| g.is_open()));
+        let expected_extra = sealed as f64 * PAGE_DECODE_MS;
         let mut flat_catalog = Catalog::new();
         let flat = Table::from_rows("t", grown.schema().clone(), grown.rows().to_vec());
         flat_catalog.register(flat.unwrap()).unwrap();

@@ -12,9 +12,10 @@
 //! LIMIT, a lazy LIMIT, DISTINCT under a LIMIT) — every run of
 //! `run_select_auto_guarded` must return the oracle's column names and
 //! rows, or both must fail. The sweep covers batch sizes 1/3/1024 and
-//! 1/2/8 workers over resident tables, paged tables and tables paged and
-//! then INSERTed into (so the CI low-memory leg exercises a starved buffer
-//! pool underneath).
+//! 1/2/8 workers over resident tables, paged tables, tables paged and then
+//! INSERTed into, and tables whose short last page was reopened and pushed
+//! past into more open groups (so the CI low-memory leg exercises a
+//! starved buffer pool underneath).
 
 mod oracle;
 
@@ -270,14 +271,18 @@ fn arb_query() -> impl Strategy<Value = Query> {
         })
 }
 
-/// Registers `t1` and `t2` in three catalogs so the same query sweeps
-/// every backing: resident; paged, seven rows to a page; and paged except
-/// for the last three rows, which are INSERTed afterwards — sealed pages
-/// followed by a row tail. The resident catalog comes first.
-fn catalogs(t1: &Table, t2: &Table) -> [(&'static str, Catalog); 3] {
+/// Registers `t1` and `t2` in four catalogs so the same query sweeps
+/// every backing: resident; paged, seven rows to a page; paged except for
+/// the last three rows, which are INSERTed afterwards — sealed groups
+/// followed by an open one; and paged three rows to a page up to a short
+/// page of one row, with the rest pushed after it — the short page
+/// reopened, and the open part spanning every group from it on. The
+/// resident catalog comes first.
+fn catalogs(t1: &Table, t2: &Table) -> [(&'static str, Catalog); 4] {
     let mut resident = Catalog::new();
     let mut paged = Catalog::new();
     let mut split = Catalog::new();
+    let mut reopened = Catalog::new();
     for t in [t1, t2] {
         resident.register(t.clone()).expect("fresh name");
         let pool = std::sync::Arc::clone(paged.pool());
@@ -295,11 +300,25 @@ fn catalogs(t1: &Table, t2: &Table) -> [(&'static str, Catalog); 3] {
             )
             .expect("fresh name");
         split.append_rows(t.name(), tail).expect("typed rows");
+        let (head, tail) = t.rows().split_at((t.len() / 12 * 3 + 1).min(t.len()));
+        let head = Table::from_rows(t.name(), t.schema().clone(), head.to_vec());
+        let pool = std::sync::Arc::clone(reopened.pool());
+        let mut pushed = head
+            .expect("typed rows")
+            .seal(&pool, 3)
+            .expect("pages encode");
+        pushed.extend(tail.to_vec()).expect("typed rows");
+        if tail.len() >= 3 {
+            let open = pushed.groups().iter().filter(|g| g.is_open()).count();
+            assert!(open >= 2, "the open part spans {open} group(s)");
+        }
+        reopened.register(pushed).expect("fresh name");
     }
     [
         ("resident", resident),
         ("paged", paged),
         ("paged then inserted into", split),
+        ("paged, reopened and pushed into", reopened),
     ]
 }
 
@@ -326,7 +345,7 @@ fn run(
 
 /// Asserts every run of the (batch, threads, backing) sweep returns what
 /// the oracle says, over the resident rows — or fails where it fails.
-fn assert_parity(backings: &[(&'static str, Catalog); 3], sql: &str) -> Result<(), TestCaseError> {
+fn assert_parity(backings: &[(&'static str, Catalog)], sql: &str) -> Result<(), TestCaseError> {
     let select = parse_select(sql).expect("generated SQL parses");
     let reference = oracle::run(&backings[0].1, &select);
     for (label, catalog) in backings {

@@ -6,11 +6,9 @@
 //!    BY (including a GROUP BY key written twice), sort before/after the
 //!    projection, expression sort, DISTINCT, lazy LIMIT, vector top-k —
 //!    runs under `Batched 1/3/1024 × threads 1/2/8` over resident tables,
-//!    paged tables, and tables paged and then INSERTed into (sealed pages
-//!    followed by a row tail), and every run returns what the naive
-//!    evaluator in `oracle/` says — or, for a statement calling
-//!    `SIMILARITY`, which it does not evaluate, the serial run with the
-//!    vector access path off.
+//!    paged tables, and tables paged and then INSERTed into (sealed groups
+//!    followed by open ones), and every run returns what the naive
+//!    evaluator in `oracle/` says, `SIMILARITY` included.
 //! 2. **Error parity.** A statement that cannot be planned fails with the
 //!    same `SqlError` under every combination: planning runs once, before
 //!    any drive is chosen.
@@ -160,8 +158,8 @@ fn catalogs() -> (Catalog, Catalog, Catalog) {
         split.append_rows(name, bulk).unwrap();
         split.append_rows(name, last).unwrap();
         let t = split.get(name).unwrap();
-        assert_eq!(t.tail(), last);
-        assert_eq!(t.paged().map(|p| p.len()), Some(t.len() - 5));
+        assert!(t.is_paged());
+        assert_eq!(&t.to_rows().unwrap()[t.len() - 5..], last);
     }
     (resident, paged, split)
 }
@@ -179,23 +177,10 @@ fn run(
     run_select_auto_guarded(c, &select, "out", mode, threads, vector, compile, &guard)
 }
 
-/// What a statement must return.
-enum Reference {
-    /// The oracle's answer.
-    Oracle(Answer),
-    /// For a statement calling `SIMILARITY`, which the oracle does not
-    /// evaluate: the serial run with the vector access path off.
-    Serial(Table),
-}
-
-/// The reference answer of `sql` over the resident catalog `c`.
-fn reference(c: &Catalog, sql: &str) -> Reference {
-    if sql.to_ascii_lowercase().contains("similarity(") {
-        let (table, _) = run(c, sql, ExecMode::default(), 1, VectorMode::Off).expect(sql);
-        return Reference::Serial(table);
-    }
+/// The oracle's answer to `sql` over the resident catalog `c`.
+fn reference(c: &Catalog, sql: &str) -> Answer {
     let select = parse_select(sql).expect("corpus statement parses");
-    Reference::Oracle(oracle::run(c, &select).unwrap_or_else(|e| panic!("{sql}: {e}")))
+    oracle::run(c, &select).unwrap_or_else(|e| panic!("{sql}: {e}"))
 }
 
 /// The serial run with the vector access path `vector`.
@@ -269,17 +254,12 @@ fn corpus() -> Vec<&'static str> {
 }
 
 /// Runs `sql` under every combination: each run returns `want`.
-fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), sql: &str, want: &Reference) {
+fn check_everywhere(catalogs: &(Catalog, Catalog, Catalog), sql: &str, want: &Answer) {
     sweep(catalogs, |label, c, mode, threads| {
         let (got, _) = run(c, sql, mode, threads, VectorMode::Auto)
             .unwrap_or_else(|e| panic!("{sql} ({label}): {e}"));
-        match want {
-            Reference::Oracle(want) => {
-                if let Some(diff) = oracle::mismatch(&got, want) {
-                    panic!("{sql} ({label}): {diff}");
-                }
-            }
-            Reference::Serial(want) => assert_eq!(&got, want, "{sql} ({label})"),
+        if let Some(diff) = oracle::mismatch(&got, want) {
+            panic!("{sql} ({label}): {diff}");
         }
     });
 }
@@ -444,10 +424,7 @@ fn late_materialization_returns_what_a_plain_rust_filter_returns() {
     let catalogs = catalogs();
     for (sql, rows) in late_materialization_corpus() {
         let want = reference(&catalogs.0, sql);
-        let Reference::Oracle(answer) = &want else {
-            unreachable!("no SIMILARITY here")
-        };
-        assert_eq!(answer.rows, rows, "{sql}: oracle vs plain filter");
+        assert_eq!(want.rows, rows, "{sql}: oracle vs plain filter");
         check_everywhere(&catalogs, sql, &want);
     }
 }
@@ -493,11 +470,8 @@ fn the_quotient_that_does_not_fit_is_a_typed_error_on_every_backing_and_drive() 
     // Unary minus wraps, as `+ - *` do: `-i64::MIN` is `i64::MIN`.
     let sql = "SELECT id, -(0 - 9223372036854775807 - 1 + v) FROM big WHERE id <= 200";
     let want = reference(&catalogs.0, sql);
-    let Reference::Oracle(answer) = &want else {
-        unreachable!("no SIMILARITY here")
-    };
-    assert_eq!(answer.rows[0], vec![Value::Int(0), Value::Int(i64::MIN)]);
-    assert_eq!(answer.rows[1], vec![Value::Int(1), Value::Int(i64::MAX)]);
+    assert_eq!(want.rows[0], vec![Value::Int(0), Value::Int(i64::MIN)]);
+    assert_eq!(want.rows[1], vec![Value::Int(1), Value::Int(i64::MAX)]);
     check_everywhere(&catalogs, sql, &want);
 }
 

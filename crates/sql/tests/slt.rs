@@ -3,8 +3,9 @@
 //! (values rendered, space-joined; types `I R T B` per column, NULL fits any).
 //! Blank lines end records, `#` starts a comment. Statements build a resident
 //! catalog; each SELECT runs through the oracle and on every backing (resident,
-//! sealed, sealed + tail, the sealed ones also under a 1-page pool) × batch
-//! size 1/3/1024 × 1/2/8 threads.
+//! sealed, sealed + inserted, those two also under a 1-page pool, and sealed
+//! with its short page reopened and pushed past) × batch size 1/3/1024 ×
+//! 1/2/8 threads.
 
 mod oracle;
 
@@ -12,7 +13,8 @@ use kath_sql::{execute, parse_select, run_select_auto_guarded};
 use kath_storage::{Catalog, CompileMode, ExecMode, QueryGuard, Row, Table, Value, VectorMode};
 
 /// The resident catalog, and its tables sealed seven rows to a page (all, or
-/// but for two fifths INSERTed after) under the default pool and a 1-page one.
+/// but for two fifths INSERTed after) under the default pool and a 1-page
+/// one, and sealed three rows to a page with a reopened short page.
 fn backings(resident: &Catalog) -> Vec<(String, Catalog)> {
     let mut out = vec![("resident".to_string(), resident.clone())];
     for (sealed, pool) in [(1.0, None), (1.0, Some(1)), (0.6, None), (0.6, Some(1))] {
@@ -28,6 +30,23 @@ fn backings(resident: &Catalog) -> Vec<(String, Catalog)> {
         pool.into_iter().for_each(|p| c.set_pool_budget(p));
         out.push((format!("{sealed} sealed, pool {pool:?}"), c));
     }
+    // Three rows to a page up to a short page of one row, the rest pushed
+    // after it: the short page is reopened and the open part spans every
+    // group from it on.
+    let mut c = Catalog::new();
+    let pages = c.pool().clone();
+    for name in resident.table_names() {
+        let t = resident.get(name).unwrap();
+        let (head, tail) = t.rows().split_at((t.len() / 12 * 3 + 1).min(t.len()));
+        let head = Table::from_rows(name, t.schema().clone(), head.to_vec()).unwrap();
+        let mut pushed = head.seal(&pages, 3).unwrap();
+        pushed.extend(tail.to_vec()).unwrap();
+        if tail.len() >= 3 {
+            assert!(pushed.groups().iter().filter(|g| g.is_open()).count() >= 2);
+        }
+        c.register(pushed).unwrap();
+    }
+    out.push(("reopened and pushed".to_string(), c));
     out
 }
 

@@ -143,6 +143,12 @@ impl StrBuf {
         Self { spans, buf }
     }
 
+    /// Appends one string at the end of the buffer.
+    fn push(&mut self, s: &str) {
+        self.spans.push((self.buf.len() as u32, s.len() as u32));
+        self.buf.push_str(s);
+    }
+
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -184,8 +190,11 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// All non-NULL values are `Str`.
     Str(Vec<String>),
-    /// A `Str` column as a decoded page pools it. Only the buffer pool holds
-    /// this form: every copy out of it ([`ColumnVector::slice`],
+    /// A `Str` column as a decoded page pools it, as a row group reopened
+    /// from that page keeps it, and as an INSERT's copy of an open group
+    /// makes it: copying the group is two buffer copies, and a push
+    /// appends to the buffer. Only pages and row groups
+    /// hold this form: every copy out of it ([`ColumnVector::slice`],
     /// [`ColumnVector::gather`]) is a `Str` column, so batches, rows and
     /// operators never see it. Equal to the `Str` column of the same strings.
     StrBuf(Box<StrBuf>),
@@ -204,6 +213,18 @@ impl ColumnData {
             ColumnData::StrBuf(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Mixed(v) => v.len(),
+        }
+    }
+
+    /// Appends `n` default (NULL-slot) payloads.
+    fn pad(&mut self, n: usize) {
+        match self {
+            ColumnData::Int(d) => d.resize(d.len() + n, 0),
+            ColumnData::Float(d) => d.resize(d.len() + n, 0.0),
+            ColumnData::Str(d) => d.resize(d.len() + n, String::new()),
+            ColumnData::Bool(d) => d.resize(d.len() + n, false),
+            ColumnData::Mixed(d) => d.resize(d.len() + n, Value::Null),
+            ColumnData::StrBuf(b) => (0..n).for_each(|_| b.push("")),
         }
     }
 }
@@ -240,57 +261,38 @@ pub struct ColumnVector {
 
 impl ColumnVector {
     /// Builds a column from owned values, picking the densest representation
-    /// that round-trips exactly.
+    /// that round-trips exactly: one typed vector when every non-NULL value
+    /// has one type (Int, Float, Str or Bool), raw values otherwise.
     pub fn from_values(values: Vec<Value>) -> Self {
         let mut nulls = NullBitmap::new();
-        let mut tag: Option<DataType> = None;
-        let mut uniform = true;
+        let (mut kind, mut uniform) = (None, true);
         for v in &values {
             nulls.push(v.is_null());
-            if v.is_null() {
-                continue;
-            }
-            let t = v.data_type();
-            match tag {
-                None => tag = Some(t),
-                Some(prev) if prev == t => {}
-                Some(_) => uniform = false,
+            if !v.is_null() {
+                uniform &= *kind.get_or_insert(v.data_type()) == v.data_type();
             }
         }
-        let data = if !uniform {
-            ColumnData::Mixed(values)
-        } else {
-            match tag {
-                Some(DataType::Int) => ColumnData::Int(
-                    values
-                        .into_iter()
-                        .map(|v| v.as_int().unwrap_or_default())
-                        .collect(),
-                ),
-                Some(DataType::Float) => ColumnData::Float(
-                    values
-                        .into_iter()
-                        .map(|v| v.as_f64().unwrap_or_default())
-                        .collect(),
-                ),
-                Some(DataType::Bool) => ColumnData::Bool(
-                    values
-                        .into_iter()
-                        .map(|v| v.as_bool().unwrap_or_default())
-                        .collect(),
-                ),
-                Some(DataType::Str) => ColumnData::Str(
-                    values
-                        .into_iter()
-                        .map(|v| match v {
-                            Value::Str(s) => s,
-                            _ => String::new(),
-                        })
-                        .collect(),
-                ),
-                // All-NULL columns and blobs stay as raw values.
-                _ => ColumnData::Mixed(values),
+        let values = values.into_iter();
+        let data = match kind.filter(|_| uniform) {
+            Some(DataType::Int) => {
+                ColumnData::Int(values.map(|v| v.as_int().unwrap_or(0)).collect())
             }
+            Some(DataType::Float) => {
+                ColumnData::Float(values.map(|v| v.as_f64().unwrap_or(0.0)).collect())
+            }
+            Some(DataType::Bool) => {
+                ColumnData::Bool(values.map(|v| v.as_bool().unwrap_or(false)).collect())
+            }
+            Some(DataType::Str) => ColumnData::Str(
+                values
+                    .map(|v| match v {
+                        Value::Str(s) => s,
+                        _ => String::new(),
+                    })
+                    .collect(),
+            ),
+            // All-NULL columns and blobs stay as raw values.
+            _ => ColumnData::Mixed(values.collect()),
         };
         Self { data, nulls }
     }
@@ -316,6 +318,119 @@ impl ColumnVector {
             _ => ColumnData::Mixed(vec![v.clone(); n]),
         };
         Self { data, nulls }
+    }
+
+    /// Appends one value. A column of NULLs only takes the kind of its
+    /// first other value; a value of another kind than the column's makes
+    /// it `Mixed`.
+    pub(crate) fn push(&mut self, v: Value) {
+        let null = v.is_null();
+        if !null && self.nulls.null_count() == self.len() {
+            let mut data = ColumnVector::repeat(&v, 0).data;
+            data.pad(self.len());
+            self.data = data;
+        }
+        match (&mut self.data, v) {
+            (data, Value::Null) => data.pad(1),
+            (ColumnData::Int(d), Value::Int(x)) => d.push(x),
+            (ColumnData::Float(d), Value::Float(x)) => d.push(x),
+            (ColumnData::Str(d), Value::Str(x)) => d.push(x),
+            (ColumnData::StrBuf(d), Value::Str(x)) => d.push(&x),
+            (ColumnData::Bool(d), Value::Bool(x)) => d.push(x),
+            (ColumnData::Mixed(d), v) => d.push(v),
+            (_, v) => {
+                let mut values = self.to_values();
+                values.push(v);
+                self.data = ColumnData::Mixed(values);
+            }
+        }
+        self.nulls.push(null);
+    }
+
+    /// A copy with room for `rows` slots, so appends up to that many do not
+    /// reallocate. A `Str` column is copied into the one-buffer form
+    /// ([`ColumnData::StrBuf`]; only row groups ask for this copy), so
+    /// copying it again is two buffer copies however many strings it holds.
+    pub(crate) fn copy_with_room(&self, rows: usize) -> ColumnVector {
+        fn room<T: Clone>(v: &[T], rows: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(rows);
+            out.extend_from_slice(v);
+            out
+        }
+        let rows = rows.max(self.len());
+        // An empty buffer with room for `rows` strings of the mean length,
+        // unless that is more than its `u32` spans address.
+        let strs = |used: usize| {
+            let bytes = used + used.div_ceil(self.len().max(1)) * (rows - self.len());
+            (bytes <= u32::MAX as usize).then(|| StrBuf {
+                spans: Vec::with_capacity(rows),
+                buf: String::with_capacity(bytes),
+            })
+        };
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(room(v, rows)),
+            ColumnData::Float(v) => ColumnData::Float(room(v, rows)),
+            ColumnData::Bool(v) => ColumnData::Bool(room(v, rows)),
+            ColumnData::Mixed(v) => ColumnData::Mixed(room(v, rows)),
+            ColumnData::StrBuf(b) => match strs(b.buf.len()) {
+                Some(mut copy) => {
+                    copy.spans.extend_from_slice(&b.spans);
+                    copy.buf.push_str(&b.buf);
+                    ColumnData::StrBuf(Box::new(copy))
+                }
+                None => ColumnData::StrBuf(b.clone()),
+            },
+            ColumnData::Str(v) => match strs(v.iter().map(String::len).sum()) {
+                Some(mut copy) => {
+                    v.iter().for_each(|s| copy.push(s));
+                    ColumnData::StrBuf(Box::new(copy))
+                }
+                None => ColumnData::Str(room(v, rows)),
+            },
+        };
+        let mut nulls = self.nulls.clone();
+        nulls
+            .words
+            .reserve(rows.div_ceil(64).saturating_sub(nulls.words.len()));
+        Self { data, nulls }
+    }
+
+    /// Appends every slot of `other`, moving its payloads in. The column
+    /// keeps its kind when `other`'s slots fit it (or are all NULL), takes
+    /// `other`'s kind while it holds only NULLs itself, and otherwise
+    /// becomes `Mixed`; the values are the same whichever happens.
+    pub(crate) fn extend(&mut self, other: ColumnVector) {
+        use ColumnData::*;
+        let (n, valid) = (other.len(), other.null_count() < other.len());
+        if valid && self.nulls.null_count() == self.len() {
+            let mut data = other.slice(0, 0).data;
+            data.pad(self.len());
+            self.data = data;
+        }
+        let fits = matches!(
+            (&self.data, &other.data),
+            (Int(_), Int(_))
+                | (Float(_), Float(_))
+                | (Bool(_), Bool(_))
+                | (Str(_), Str(_) | StrBuf(_))
+                | (Mixed(_), _)
+        );
+        if valid && !fits {
+            self.data = Mixed(self.to_values());
+        }
+        for i in 0..n {
+            self.nulls.push(other.is_null(i));
+        }
+        match (&mut self.data, other.data) {
+            (Int(a), Int(mut b)) => a.append(&mut b),
+            (Float(a), Float(mut b)) => a.append(&mut b),
+            (Bool(a), Bool(mut b)) => a.append(&mut b),
+            (Str(a), Str(mut b)) => a.append(&mut b),
+            (Str(a), StrBuf(b)) => a.extend(b.iter().map(str::to_owned)),
+            (Mixed(a), data) => a.extend(ColumnVector::from_parts(data, other.nulls).into_values()),
+            // Only NULLs arrive: default payloads of the column's own kind.
+            (data, _) => data.pad(n),
+        }
     }
 
     /// Number of slots.
@@ -608,6 +723,11 @@ impl RowBatch {
         &self.columns
     }
 
+    /// All columns, moved out.
+    pub(crate) fn into_columns(self) -> Vec<ColumnVector> {
+        self.columns
+    }
+
     /// Reconstructs row `i`.
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.value(i)).collect()
@@ -619,18 +739,19 @@ impl RowBatch {
     }
 
     /// Transposes back to rows, moving every value out (no clones).
+    /// `from_columns` gave every column the batch's length, so row `i` is
+    /// slot `i` of each.
     pub fn into_rows(self) -> Vec<Row> {
-        let rows = self.rows;
-        let mut iters: Vec<std::vec::IntoIter<Value>> = self
+        let mut columns: Vec<Vec<Value>> = self
             .columns
             .into_iter()
-            .map(|c| c.into_values().into_iter())
+            .map(ColumnVector::into_values)
             .collect();
-        (0..rows)
-            .map(|_| {
-                iters
+        (0..self.rows)
+            .map(|i| {
+                columns
                     .iter_mut()
-                    .map(|it| it.next().expect("columns share the batch length"))
+                    .map(|c| std::mem::replace(&mut c[i], Value::Null))
                     .collect()
             })
             .collect()
@@ -750,6 +871,40 @@ mod tests {
         let kept = batch.filter(&[true, false, true]);
         assert_eq!(kept.num_rows(), 2);
         assert_eq!(kept.column(0).as_ints(), Some(&[1i64, 3][..]));
+    }
+
+    #[test]
+    fn a_copy_with_room_keeps_the_values_and_takes_pushes() {
+        let s = |x: &str| Value::Str(x.into());
+        let pooled = ColumnVector::from_parts(
+            ColumnData::StrBuf(Box::new(StrBuf::new(
+                vec![(0, 2), (2, 1), (0, 2)],
+                "aab".into(),
+            ))),
+            NullBitmap::all_valid(3),
+        );
+        let columns = [
+            ColumnVector::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]),
+            ColumnVector::from_values(vec![Value::Float(0.5), Value::Null]),
+            ColumnVector::from_values(vec![Value::Bool(true)]),
+            ColumnVector::from_values(vec![Value::Int(1), s("x"), Value::Blob(vec![7])]),
+            ColumnVector::from_values(vec![s("héllo"), Value::Null, s("")]),
+            ColumnVector::from_values(Vec::new()),
+            pooled,
+        ];
+        for column in columns {
+            let mut copy = column.copy_with_room(70);
+            assert_eq!(copy, column);
+            if column.as_strs().is_some() {
+                assert!(matches!(copy.data(), ColumnData::StrBuf(_)), "one buffer");
+            }
+            let mut want = column.to_values();
+            for v in [Value::Null, s("tail"), Value::Int(9)] {
+                copy.push(v.clone());
+                want.push(v);
+            }
+            assert_eq!(copy.to_values(), want);
+        }
     }
 
     #[test]

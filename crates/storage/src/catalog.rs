@@ -12,7 +12,7 @@
 
 use crate::pool::BufferPool;
 use crate::wal::WalRecord;
-use crate::{Row, StorageError, Table, Value, VectorIndex, DEFAULT_PAGE_ROWS};
+use crate::{Row, StorageError, Table, Value, VectorIndex};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -72,14 +72,14 @@ impl Catalog {
         self.pool.set_budget(pages);
     }
 
-    /// Seals `name` in place: its tail moves into compressed column pages
-    /// (see [`Table::seal`]; `page_rows` applies to a table sealed for the
-    /// first time). The rows are unchanged, so the sealed table keeps the
-    /// derived state of the one it replaces. Returns whether anything was
-    /// sealed (false if the table was already all pages).
+    /// Seals `name` in place: its open groups move into compressed column
+    /// pages (see [`Table::seal`]; `page_rows` applies to a table sealed
+    /// for the first time). The rows are unchanged, so the sealed table
+    /// keeps the derived state of the one it replaces. Returns whether
+    /// anything was sealed (false if the table was already all pages).
     pub fn page_table(&mut self, name: &str, page_rows: usize) -> Result<bool, StorageError> {
         let table = self.get(name)?;
-        if table.is_paged() && table.tail().is_empty() {
+        if table.is_paged() && table.open_rows() == 0 {
             return Ok(false);
         }
         self.register_or_replace(table.seal(&self.pool, page_rows)?);
@@ -106,23 +106,15 @@ impl Catalog {
     }
 
     /// Appends `rows` to table `name` as a new table value: the INSERT
-    /// primitive, live and on WAL replay. The new value shares every sealed
-    /// page of the one it replaces and copies only its tail. A tail that
-    /// reaches a full page (the sealed part's page size, else
-    /// [`DEFAULT_PAGE_ROWS`]) is sealed in turn, so an INSERT costs at most
-    /// a page of rows however long the table is — and decodes at most the
-    /// short last page, when it seals.
+    /// primitive, live and on WAL replay. The new value shares every group
+    /// of the one it replaces but the last, which it copies (or reopens)
+    /// to append to; open rows that reach a whole group are sealed, so an
+    /// INSERT costs at most a group of rows however long the table is.
     pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> Result<Arc<Table>, StorageError> {
-        let existing = self.get(name)?;
-        let mut grown = (*existing).clone();
-        for row in rows {
-            grown.push(row.clone())?;
-        }
-        let page_rows = existing
-            .paged()
-            .map_or(DEFAULT_PAGE_ROWS, |pages| pages.page_rows());
-        if grown.tail().len() >= page_rows {
-            grown = grown.seal(&self.pool, page_rows)?;
+        let mut grown = (*self.get(name)?).clone();
+        grown.extend(rows.iter().cloned())?;
+        if grown.open_rows() >= grown.page_rows() {
+            grown = grown.seal(&self.pool, grown.page_rows())?;
         }
         Ok(self.register_or_replace(grown))
     }

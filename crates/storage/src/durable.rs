@@ -36,7 +36,7 @@
 
 use crate::io::{with_retry, Io, RetryPolicy};
 use crate::page::ZoneMap;
-use crate::paged::{PagedTable, RecoveredPage};
+use crate::paged::{write_durable, PageSlot};
 use crate::persist::{get_schema, get_str, put_schema, put_str};
 use crate::pool::BufferPool;
 use crate::wal::{crc32, filter_committed, Wal, WalRecord};
@@ -359,9 +359,9 @@ impl Durability {
     }
 
     /// Writes an incremental checkpoint: every table is sealed (nothing to
-    /// do for a table with no rows since the last checkpoint; otherwise the
-    /// short last page and the tail are encoded and every full page is
-    /// shared, see [`Table::seal`]), pages not yet in the shared
+    /// do for a table with no open group; otherwise the open groups are
+    /// encoded and every sealed one is shared, see [`Table::seal`]), pages
+    /// not yet in the shared
     /// content-addressed `pages/` store land there, and the per-table
     /// descriptors + manifest commit via temp dir + fsync + atomic rename.
     /// The WAL then rotates to a new segment, state older than the previous
@@ -369,7 +369,7 @@ impl Durability {
     ///
     /// Returns the new epoch and the sealed form of each input table (same
     /// order) so the caller can swap them into its catalog — the rows are
-    /// identical, only the tail moved into pages.
+    /// identical, only the open groups moved into pages.
     pub fn checkpoint(
         &mut self,
         tables: &[Arc<Table>],
@@ -395,21 +395,18 @@ impl Durability {
         let mut manifest = format!("{MANIFEST_MAGIC}\nepoch {next}\n");
         let mut paged_out = Vec::with_capacity(tables.len());
         for (i, table) in tables.iter().enumerate() {
-            let paged = if table.is_paged() && table.tail().is_empty() {
+            let paged = if table.is_paged() && table.open_rows() == 0 {
                 Arc::clone(table)
             } else {
                 Arc::new(table.seal(pool, DEFAULT_PAGE_ROWS)?)
             };
-            let pt = paged.paged().ok_or_else(|| {
-                StorageError::Corrupt("checkpoint produced an unsealed table".to_string())
-            })?;
-            let w = pt.write_durable(&pages)?;
+            let w = write_durable(&paged.sealed_pages()?, &pages, pool.io())?;
             stats.pages_written += w.pages_written;
             stats.pages_reused += w.pages_reused;
             stats.bytes_written += w.bytes_written;
             stats.bytes_total += w.bytes_total;
             let file = format!("t{i}.kmeta");
-            let bytes = encode_kmeta(paged.name(), pt)?;
+            let bytes = encode_kmeta(&paged)?;
             write_synced(&self.io, &tmp.join(&file), &bytes)?;
             manifest.push_str(&format!(
                 "ptable {file} {} {}\n",
@@ -542,18 +539,19 @@ struct KmetaDoc {
 /// Serializes one paged table's descriptor: schema, shape, and the
 /// content-addressed page list with per-page verification data and zone
 /// maps. CRC32 trailer, like every binary format in this crate.
-fn encode_kmeta(name: &str, pt: &PagedTable) -> Result<Vec<u8>, StorageError> {
+fn encode_kmeta(table: &Table) -> Result<Vec<u8>, StorageError> {
+    let groups = table.sealed_pages()?;
     let mut buf = BytesMut::new();
     buf.put_slice(KMETA_MAGIC);
     buf.put_u8(KMETA_VERSION);
-    let schema = pt.schema();
-    put_schema(&mut buf, name, schema)?;
-    buf.put_u64(pt.len() as u64);
-    buf.put_u32(pt.page_rows() as u32);
-    buf.put_u32(pt.page_count() as u32);
+    let schema = table.schema();
+    put_schema(&mut buf, table.name(), schema)?;
+    buf.put_u64(table.len() as u64);
+    buf.put_u32(table.page_rows() as u32);
+    buf.put_u32(groups.len() as u32);
     for c in 0..schema.arity() {
-        for p in 0..pt.page_count() {
-            let slot = pt.slot(c, p);
+        for slots in &groups {
+            let slot = &slots[c];
             put_str(&mut buf, &slot.file_name())?;
             buf.put_u32(slot.encoded_len() as u32);
             buf.put_u32(slot.crc());
@@ -639,7 +637,7 @@ impl KmetaDoc {
         pool: &Arc<BufferPool>,
     ) -> Result<Table, StorageError> {
         let pages = pages_dir(root);
-        let mut recovered: Vec<Vec<RecoveredPage>> = Vec::with_capacity(self.columns.len());
+        let mut recovered: Vec<Vec<Arc<PageSlot>>> = Vec::with_capacity(self.columns.len());
         for col in self.columns {
             let mut out = Vec::with_capacity(col.len());
             for (file, len, crc, fnv, zone) in col {
@@ -652,24 +650,12 @@ impl KmetaDoc {
                         "page file {file} fails verification"
                     )));
                 }
-                out.push(RecoveredPage {
-                    path,
-                    len,
-                    crc,
-                    fnv,
-                    zone,
-                });
+                out.push(PageSlot::recovered(path, (len, crc, fnv), zone, pool));
             }
             recovered.push(out);
         }
-        let pt = PagedTable::from_recovered(
-            self.schema,
-            self.rows as usize,
-            self.page_rows as usize,
-            recovered,
-            Arc::clone(pool),
-        )?;
-        Ok(Table::from_paged(self.name, Arc::new(pt)))
+        let shape = (self.rows as usize, self.page_rows as usize);
+        Table::from_recovered(self.name, self.schema, shape, recovered, pool)
     }
 }
 
@@ -881,13 +867,13 @@ mod tests {
         let first = d.status().last_checkpoint.unwrap();
         assert!(first.pages_written > 2);
         assert_eq!(first.pages_reused, 0);
-        // A small INSERT dirties only the tail page of each column.
+        // A small INSERT dirties only the last page of each column.
         let mut t2 = (*paged[0]).clone();
         t2.push(vec![Value::Int(10_000), Value::Str("tail".into())])
             .unwrap();
         d.checkpoint(&[Arc::new(t2)], &pl, None).unwrap();
         let second = d.status().last_checkpoint.unwrap();
-        assert_eq!(second.pages_written, 2, "only the tail page per column");
+        assert_eq!(second.pages_written, 2, "only the last page per column");
         assert!(second.pages_reused >= first.pages_written - 2);
         assert!(
             second.bytes_written < first.bytes_written,
@@ -1187,8 +1173,7 @@ mod tests {
         let pl = pool();
         let t = kv_table(&[(1, "a"), (2, "b"), (3, "c")]);
         let paged = t.seal(&pl, 2).unwrap();
-        let pt = paged.paged().unwrap();
-        let bytes = encode_kmeta("kv", pt).unwrap();
+        let bytes = encode_kmeta(&paged).unwrap();
         let doc = parse_kmeta(&bytes).unwrap();
         assert_eq!(doc.name, "kv");
         assert_eq!(doc.schema, *t.schema());

@@ -56,7 +56,7 @@ pub use ops::{
     Limit, Operator, PartialAggregate, Project, SortKey, TableScan,
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
-pub use paged::{PageBacking, PageSlot, PageWriteStats, PagedTable, RecoveredPage};
+pub use paged::{PageBacking, PageSlot, PageWriteStats, RowGroup};
 pub use persist::{atomic_write, atomic_write_with};
 pub use pool::{BufferPool, PageKey, PoolStatus, DEFAULT_POOL_PAGES, POOL_PAGES_ENV};
 pub use schema::{Column, Schema};

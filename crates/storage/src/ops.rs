@@ -65,9 +65,7 @@ pub fn drain_guarded(
         };
         guard.charge_batch(&batch)?;
         batches += 1;
-        for row in batch.into_rows() {
-            out.push(row)?;
-        }
+        out.append_batch(batch)?;
     }
     Ok((out, batches))
 }
@@ -75,17 +73,16 @@ pub fn drain_guarded(
 /// Full scan over a shared table (optionally restricted to a row range, the
 /// unit a [`crate::MorselSource`] hands to parallel workers).
 ///
-/// The sealed part of the table is walked page by page through the buffer
-/// pool, and prune hints (sargable `column <op> literal` conjuncts from the
-/// WHERE clause above) let the scan skip whole pages whose zone map proves
-/// no row can match — before the page is ever decoded. The tail rows follow;
-/// no batch spans a page boundary or the boundary between the sealed part
-/// and the tail.
+/// The table is walked one row group at a time, and prune hints (sargable
+/// `column <op> literal` conjuncts from the WHERE clause above) let the
+/// scan skip a whole group whose zone maps prove no row can match — a
+/// sealed one before its pages are ever decoded. No batch spans a group
+/// boundary.
 ///
 /// Batches are materialized late: the hints are evaluated first, on the
 /// hint columns alone, and the selected columns are copied only at the
-/// positions that survive — typed slices and gathers of the decoded pages,
-/// a transposition of the surviving tail rows. A run of rows with no
+/// positions that survive — typed slices and gathers of the group's
+/// columns, decoded pages or open columns alike. A run of rows with no
 /// survivor copies nothing and yields no batch. The hints are a superset
 /// pre-filter: the plan's filter above still runs on what comes out.
 pub struct TableScan {
@@ -166,10 +163,10 @@ impl TableScan {
     }
 
     /// Attaches prune hints: `column <op> literal` conjuncts that the
-    /// plan's filter will apply anyway. Pages a hint's zone map proves
-    /// empty are skipped without decoding, and the rows of the remaining
-    /// pages and of the tail that fail a hint are dropped before anything
-    /// else of them is copied. Unknown columns are ignored (no hint).
+    /// plan's filter will apply anyway. Groups a hint's zone map proves
+    /// empty are skipped (a sealed one without decoding), and the rows of the
+    /// remaining groups that fail a hint are dropped before anything else
+    /// of them is copied. Unknown columns are ignored (no hint).
     pub fn with_prune_hint(mut self, hints: &[(String, BinOp, Value)]) -> Self {
         let schema = self.table.schema();
         self.prune = hints
@@ -190,70 +187,43 @@ impl TableScan {
         self
     }
 
-    /// With the cursor inside the sealed part: moves it past every page the
-    /// prune hints prove empty and returns `(page, first row of the page,
-    /// end of the scan's rows within it)` for the page it lands in, or
-    /// `None` once it has left the sealed part or the range.
-    fn next_sealed_page(&mut self, pages: &crate::PagedTable) -> Option<(usize, usize, usize)> {
-        let sealed_end = self.end.min(pages.len());
-        while self.cursor < sealed_end {
-            let p = self.cursor / pages.page_rows();
-            let (pstart, pend) = pages.page_bounds(p);
-            let upper = pend.min(sealed_end);
-            let pruned = self
-                .prune
-                .iter()
-                .any(|(c, op, lit)| !pages.zone(*c, p).may_match(*op, lit));
-            if !pruned {
-                return Some((p, pstart, upper));
-            }
-            pages.note_zone_skip();
+    /// The batch of hint survivors among the next batch-sized run of rows
+    /// of the group the cursor is in (`None` when there are none); advances
+    /// the cursor past the run, or past the whole group when its zone maps
+    /// prove it empty. Hint columns are read first; the selected ones only
+    /// if a row survives.
+    fn group_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
+        let table = Arc::clone(&self.table);
+        let g = self.cursor / table.page_rows();
+        let group = &table.groups()[g];
+        let (start, end) = table.group_bounds(g);
+        let upper = end.min(self.end);
+        if group.prunes(&self.prune) {
             self.cursor = upper;
+            return Ok(None);
         }
-        None
-    }
-
-    /// The scan's remaining tail rows, up to `limit` of them, once the
-    /// cursor is past the sealed part, as a range of [`Table::tail`];
-    /// advances the cursor over them.
-    fn take_tail(&mut self, limit: usize) -> std::ops::Range<usize> {
-        let base = self.table.sealed_len();
-        let from = self.cursor.max(base);
-        let to = (from + limit).min(self.end).max(from);
-        self.cursor = to;
-        from - base..to - base
-    }
-
-    /// The next batch-sized run of the rows `next_sealed_page` found, as
-    /// the batch of its hint survivors (`None` when there are none). Hint
-    /// columns are decoded first; the selected ones only if a row survives.
-    fn sealed_batch(
-        &mut self,
-        pages: &crate::PagedTable,
-        (p, pstart, upper): (usize, usize, usize),
-    ) -> Result<Option<RowBatch>, StorageError> {
-        // Batches never span pages, so a batch is cut from one decoded page
-        // per column; positions are offsets into that page.
-        let from = self.cursor - pstart;
-        let to = (self.cursor + self.batch_size).min(upper) - pstart;
-        self.cursor = pstart + to;
+        // Positions are offsets into the group's columns.
+        let from = self.cursor - start;
+        let to = (self.cursor + self.batch_size).min(upper) - start;
+        self.cursor = start + to;
         let mut keep: Vec<usize> = (from..to).collect();
         for (c, op, lit) in &self.prune {
-            let page = pages.column_page(*c, p)?;
-            keep.retain(|&i| page.sql_cmp_at(i, lit).is_some_and(|ord| op.holds(ord)));
+            group.read_column(*c, |column| {
+                keep.retain(|&i| column.sql_cmp_at(i, lit).is_some_and(|ord| op.holds(ord)))
+            })?;
             if keep.is_empty() {
                 return Ok(None);
             }
         }
-        let mut columns = Vec::with_capacity(self.columns.ordinals.len());
-        for &c in &self.columns.ordinals {
-            let page = pages.column_page(c, p)?;
-            columns.push(if keep.len() == to - from {
-                page.slice(from, to)
-            } else {
-                page.gather(&keep)
-            });
-        }
+        let whole = keep.len() == to - from;
+        let columns = (self.columns.ordinals.iter())
+            .map(|&c| {
+                group.read_column(c, |column| match whole {
+                    true => column.slice(from, to),
+                    false => column.gather(&keep),
+                })
+            })
+            .collect::<Result<_, _>>()?;
         RowBatch::from_columns(columns).map(Some)
     }
 }
@@ -264,42 +234,17 @@ impl Operator for TableScan {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
-        // One iteration per batch-sized run of rows; a run no row of which
-        // survives the hints yields nothing and the loop moves on.
+        // One iteration per batch-sized run of rows (or skipped group); a
+        // run no row of which survives the hints yields nothing and the
+        // loop moves on.
         loop {
             self.guard.check()?;
-            if let Some(pages) = self.table.paged().cloned() {
-                if let Some(page) = self.next_sealed_page(&pages) {
-                    match self.sealed_batch(&pages, page)? {
-                        Some(batch) => return Ok(Some(batch)),
-                        None => continue,
-                    }
-                }
-            }
-            let run = self.take_tail(self.batch_size);
-            if run.is_empty() {
+            if self.cursor >= self.end {
                 return Ok(None);
             }
-            // The hints are read in place: one `Value` clone per selected
-            // cell of a surviving row, none for the rest.
-            let rows: Vec<&Row> = self.table.tail()[run]
-                .iter()
-                .filter(|row| {
-                    self.prune
-                        .iter()
-                        .all(|(c, op, lit)| row[*c].sql_cmp(lit).is_some_and(|ord| op.holds(ord)))
-                })
-                .collect();
-            if rows.is_empty() {
-                continue;
+            if let Some(batch) = self.group_batch()? {
+                return Ok(Some(batch));
             }
-            let columns = self
-                .columns
-                .ordinals
-                .iter()
-                .map(|&c| ColumnVector::from_values(rows.iter().map(|r| r[c].clone()).collect()))
-                .collect();
-            return RowBatch::from_columns(columns).map(Some);
         }
     }
 
@@ -1532,8 +1477,9 @@ mod tests {
     }
 
     /// 10 rows `(k, v)`: `k` = 0..10, `v` NULL on every third row, else
-    /// `k * 10` — the first 6 sealed three to a page, the last 4 in the tail.
-    fn sealed_then_tail() -> Arc<Table> {
+    /// `k * 10` — the first 6 in two sealed groups of three rows, the last
+    /// 4 in two open ones (3 + 1 rows).
+    fn sealed_then_open(pool: &Arc<crate::BufferPool>) -> Arc<Table> {
         let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
         let v = |k: i64| {
             if k % 3 == 0 {
@@ -1544,8 +1490,7 @@ mod tests {
         };
         let row = |k: i64| -> Row { vec![Value::Int(k), v(k)] };
         let head = Table::from_rows("t", schema, (0..6).map(row).collect()).unwrap();
-        let pool = Arc::new(crate::BufferPool::with_budget(64));
-        let mut t = head.seal(&pool, 3).unwrap();
+        let mut t = head.seal(pool, 3).unwrap();
         t.extend((6..10).map(row)).unwrap();
         Arc::new(t)
     }
@@ -1561,7 +1506,7 @@ mod tests {
 
     #[test]
     fn prune_hints_drop_rows_inside_pages_and_the_tail() {
-        let t = sealed_then_tail();
+        let t = sealed_then_open(&Arc::new(crate::BufferPool::with_budget(64)));
         let hint = |col: &str, op, lit: i64| vec![(col.to_string(), op, Value::Int(lit))];
         for bs in [1usize, 2, 1024] {
             let scan = || TableScan::new(Arc::clone(&t)).with_batch_size(bs);
@@ -1584,8 +1529,8 @@ mod tests {
             assert_eq!(ks, vec![Value::Int(5), Value::Int(8)], "batch size {bs}");
             // No survivor anywhere: every run is skipped, none yields an
             // empty batch, and the scan ends. Page 1's zone map admits the
-            // hint (40 ≤ 45 ≤ 50) and the tail has none, so dropping their
-            // rows is the row hints' doing.
+            // hint (40 ≤ 45 ≤ 50) and the open groups have none, so
+            // dropping their rows is the row hints' doing.
             let none = batches_of(scan().with_prune_hint(&hint("v", BinOp::Eq, 45)));
             assert!(none.is_empty(), "batch size {bs}");
         }
@@ -1596,8 +1541,8 @@ mod tests {
         // `v = 45` fails page 0's zone map (max 20) and passes page 1's
         // (40 ≤ 45 ≤ 50), where no row holds it: of page 1 the hint
         // column is decoded and the selected column `k` is not.
-        let t = sealed_then_tail();
-        let pool = Arc::clone(t.paged().unwrap().pool());
+        let pool = Arc::new(crate::BufferPool::with_budget(64));
+        let t = sealed_then_open(&pool);
         let misses = || pool.status().misses;
         let before = misses();
         let hint = vec![("v".to_string(), BinOp::Eq, Value::Int(45))];

@@ -108,6 +108,37 @@ impl ZoneMap {
         scan_page(values).zone
     }
 
+    /// Widens the zone map by one appended value: the map of the values
+    /// plus `v` is what [`ZoneMap::compute`] would find for them.
+    pub(crate) fn widen(&mut self, v: &Value) {
+        let first = self.null_count == self.rows;
+        self.rows += 1;
+        if v.is_null() {
+            self.null_count += 1;
+            return;
+        }
+        if first {
+            (self.min, self.max) = (Some(v.clone()), Some(v.clone()));
+            return;
+        }
+        // An unbounded map stays unbounded.
+        let (Some(lo), Some(hi)) = (&mut self.min, &mut self.max) else {
+            return;
+        };
+        match (v.sql_cmp(lo), v.sql_cmp(hi)) {
+            (Some(below), Some(above)) => {
+                if below == Ordering::Less {
+                    *lo = v.clone();
+                }
+                if above == Ordering::Greater {
+                    *hi = v.clone();
+                }
+            }
+            // Incomparable values (mixed types, NaN): no bound at all.
+            _ => (self.min, self.max) = (None, None),
+        }
+    }
+
     /// Whether any row of the page *may* satisfy `column <op> literal`.
     /// Returns `false` only when the zone map proves no row can: skipping
     /// is then safe because a WHERE conjunct that is false or NULL drops
@@ -804,6 +835,34 @@ mod tests {
         // Empty page has no matching rows.
         let z = ZoneMap::compute(&[]);
         assert!(!z.may_match(BinOp::Eq, &Value::Int(1)));
+    }
+
+    #[test]
+    fn widening_one_value_at_a_time_computes_the_same_zone_map() {
+        let cases: Vec<Vec<Value>> = vec![
+            vec![Value::Int(5), Value::Int(-3), Value::Null, Value::Int(9)],
+            vec![Value::Null, Value::Null, Value::Str("m".into())],
+            vec![
+                Value::Str("b".into()),
+                Value::Str("a".into()),
+                Value::Str("c".into()),
+            ],
+            // Int and Float compare numerically; an equal one keeps the first.
+            vec![Value::Int(1), Value::Float(1.0), Value::Float(0.5)],
+            // NaN and a second type leave the page unbounded for good.
+            vec![Value::Float(1.0), Value::Float(f64::NAN), Value::Float(0.0)],
+            vec![Value::Int(1), Value::Str("a".into()), Value::Int(0)],
+            vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+        ];
+        for values in cases {
+            let mut z = ZoneMap::compute(&[]);
+            for (n, v) in values.iter().enumerate() {
+                z.widen(v);
+                let want = ZoneMap::compute(&values[..=n]);
+                // In debug form, which tells Int(1) from Float(1.0).
+                assert_eq!(format!("{z:?}"), format!("{want:?}"), "{values:?} at {n}");
+            }
+        }
     }
 
     #[test]

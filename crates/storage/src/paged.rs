@@ -1,28 +1,26 @@
-//! Sealed pages: the out-of-core part of a [`crate::Table`].
+//! Row groups: the one shape of a [`crate::Table`]'s rows.
 //!
-//! A [`PagedTable`] holds one compressed page per (column, row group)
-//! instead of resident rows. Pages live either in memory ([`PageBacking::Mem`],
-//! freshly encoded and not yet checkpointed — the *dirty* state) or on disk
-//! ([`PageBacking::File`], durable and content-addressed). Every page is
-//! full except possibly the last of each column, so a row position maps to
-//! its page by division.
+//! A table is a list of [`RowGroup`]s of `page_rows` rows each — every one
+//! full except the last — and a group holds one page per column. An *open*
+//! group is one resident [`ColumnVector`] per column, the shape pushes
+//! append to. A *sealed* group is one compressed page per column
+//! ([`PageSlot`]): in memory ([`PageBacking::Mem`], freshly encoded, the
+//! *dirty* state) or on disk ([`PageBacking::File`], content-addressed),
+//! with a zone map, decoded through the shared [`BufferPool`].
 //!
-//! Slots are immutable and individually `Arc`-shared: the sealed part that
-//! follows another one ([`PagedTable::extended`]) holds the *same* slot for
-//! every full page and encodes only the short last page plus the rows being
-//! sealed. Decoded pages are cached in the shared [`BufferPool`] under the
-//! slot's own id, so a page shared by many table versions is decoded once,
-//! and leaves the pool when its slot is dropped with the last of them.
-//! Checkpoints call [`PagedTable::write_durable`], which writes only pages
-//! whose content-addressed file does not already exist — that is the whole
-//! incremental-checkpoint mechanism: unchanged pages are recognized by name
-//! (`{crc32}{fnv1a64}.kpg`) and skipped.
+//! Slots and open groups are `Arc`-shared, so every table version that
+//! holds a group holds the *same* slots. Decoded pages are cached in the
+//! pool under the slot's own id: a page shared by many table versions is
+//! decoded once, and leaves the pool when its slot is dropped with the last
+//! of them. Checkpoints call [`write_durable`], which writes only pages
+//! whose content-addressed file (`{crc32}{fnv1a64}.kpg`) does not already
+//! exist — that is the whole incremental-checkpoint mechanism.
 
 use crate::io::{with_retry, Io, RetryPolicy};
 use crate::page::{decode_page, encode_page, ZoneMap};
 use crate::pool::{BufferPool, PageKey};
 use crate::wal::crc32;
-use crate::{ColumnVector, Row, Schema, StorageError, Value};
+use crate::{BinOp, ColumnVector, Row, StorageError, Value};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
@@ -84,6 +82,17 @@ impl PageSlot {
             backing: RwLock::new(backing),
             pool: Arc::clone(pool),
         })
+    }
+
+    /// The slot of a page a checkpoint wrote to `path`, as recovery reads
+    /// its `(len, crc, fnv)` address and zone map back.
+    pub(crate) fn recovered(
+        path: PathBuf,
+        address: (u32, u32, u64),
+        zone: ZoneMap,
+        pool: &Arc<BufferPool>,
+    ) -> Arc<Self> {
+        Self::new(zone, address, PageBacking::File(path), pool)
     }
 
     /// Encodes `values` as one fresh in-memory (dirty) page.
@@ -176,22 +185,7 @@ impl Drop for PageSlot {
     }
 }
 
-/// Metadata for one durable page, as read back from checkpoint metadata.
-#[derive(Debug, Clone)]
-pub struct RecoveredPage {
-    /// Path of the content-addressed `.kpg` file.
-    pub path: PathBuf,
-    /// Encoded length in bytes.
-    pub len: u32,
-    /// CRC32 of the encoded bytes.
-    pub crc: u32,
-    /// FNV-1a 64 of the encoded bytes.
-    pub fnv: u64,
-    /// Zone map of the page.
-    pub zone: ZoneMap,
-}
-
-/// Outcome of one [`PagedTable::write_durable`] call.
+/// Outcome of one [`write_durable`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageWriteStats {
     /// Pages newly written this checkpoint.
@@ -204,272 +198,195 @@ pub struct PageWriteStats {
     pub bytes_total: u64,
 }
 
-/// Rows stored as fixed-size compressed column pages, read through the
-/// shared buffer pool: the sealed part of a [`crate::Table`].
-#[derive(Debug)]
-pub struct PagedTable {
-    schema: Schema,
-    rows: usize,
-    page_rows: usize,
-    // columns[c][p] = page p of column c; every page holds `page_rows` rows
-    // except possibly the last.
-    columns: Vec<Vec<Arc<PageSlot>>>,
-    pool: Arc<BufferPool>,
+/// One row group of a table: a page per column, open or sealed (see the
+/// module docs).
+#[derive(Debug, Clone)]
+pub enum RowGroup {
+    /// One compressed page per column, read through the buffer pool.
+    Sealed(Vec<Arc<PageSlot>>),
+    /// One resident column per column; a push copies the group first only
+    /// when another table value shares it.
+    Open(Arc<OpenGroup>),
 }
 
-impl PagedTable {
-    /// Pages `rows` under `schema` into compressed column pages of
-    /// `page_rows` rows each.
-    pub fn from_rows(
-        schema: Schema,
-        rows: &[Row],
-        pool: Arc<BufferPool>,
-        page_rows: usize,
-    ) -> Result<Self, StorageError> {
-        let empty = Self {
-            columns: vec![Vec::new(); schema.arity()],
-            schema,
-            rows: 0,
-            page_rows: page_rows.max(1),
-            pool,
-        };
-        empty.extended(rows)
-    }
+/// The resident columns of an open group and, when it was reopened from
+/// pages, their zone maps: taken over from the pages and widened by every
+/// push, so an INSERT's copy of the group keeps them and a scan skips the
+/// group as it skips a sealed one. A group that was never sealed has none
+/// (building one by pushes pays for no map), and neither has a group a
+/// drain appended to.
+#[derive(Debug, Clone)]
+pub struct OpenGroup {
+    pub(crate) columns: Vec<ColumnVector>,
+    zones: Option<Vec<ZoneMap>>,
+}
 
-    /// These pages followed by `tail`, as a new sealed part: every full
-    /// page is the *same* slot (shared, not copied or re-encoded); only the
-    /// rows of a short last page and `tail` are encoded. Identical rows
-    /// give identical page bytes, so the result names the same
-    /// content-addressed files as paging all the rows from scratch.
-    pub(crate) fn extended(&self, tail: &[Row]) -> Result<Self, StorageError> {
-        let full = self.rows / self.page_rows;
-        let base = full * self.page_rows;
-        let total = self.rows + tail.len();
-        // The short last page, decoded (one page per column through the pool).
-        let short: Vec<Arc<ColumnVector>> = if base < self.rows {
-            (0..self.columns.len())
-                .map(|c| self.column_page(c, full))
-                .collect::<Result<_, _>>()?
-        } else {
-            Vec::new()
-        };
-        let mut columns: Vec<Vec<Arc<PageSlot>>> = self
-            .columns
-            .iter()
-            .map(|slots| slots[..full].to_vec())
-            .collect();
-        let mut scratch: Vec<Value> = Vec::with_capacity(self.page_rows);
-        let mut start = base;
-        while start < total {
-            let end = (start + self.page_rows).min(total);
-            for (c, slots) in columns.iter_mut().enumerate() {
-                scratch.clear();
-                scratch.extend((start..end.min(self.rows)).map(|pos| short[c].value(pos - base)));
-                let from_tail = &tail[start.max(self.rows) - self.rows..end - self.rows];
-                scratch.extend(from_tail.iter().map(|r| r[c].clone()));
-                slots.push(PageSlot::encode(&scratch, &self.pool)?);
-            }
-            start = end;
+impl OpenGroup {
+    /// A group of `arity` empty columns.
+    pub(crate) fn empty(arity: usize) -> Self {
+        let columns = (0..arity).map(|_| ColumnVector::from_values(Vec::new()));
+        Self {
+            columns: columns.collect(),
+            zones: None,
         }
-        Ok(Self {
-            schema: self.schema.clone(),
-            rows: total,
-            page_rows: self.page_rows,
-            columns,
-            pool: Arc::clone(&self.pool),
-        })
     }
 
-    /// Rebuilds a paged table from checkpoint metadata; pages stay on disk
-    /// until first touch, so recovery is O(metadata), not O(data).
-    pub fn from_recovered(
-        schema: Schema,
-        rows: usize,
-        page_rows: usize,
-        columns: Vec<Vec<RecoveredPage>>,
-        pool: Arc<BufferPool>,
-    ) -> Result<Self, StorageError> {
-        let page_rows = page_rows.max(1);
-        let expect_pages = rows.div_ceil(page_rows);
-        if columns.len() != schema.columns().len()
-            || columns.iter().any(|c| c.len() != expect_pages)
-        {
-            return Err(StorageError::Corrupt(
-                "checkpoint page layout does not match table shape".into(),
-            ));
+    /// The copy a push makes of a group another table value holds: room
+    /// for twice its rows, at most `page_rows` (so the pushes after it do
+    /// not reallocate), string columns in one buffer each (see
+    /// [`ColumnVector::copy_with_room`]) and the zone maps as they are.
+    pub(crate) fn copy_for_push(&self, page_rows: usize) -> Self {
+        let rows = (2 * self.rows()).max(16).min(page_rows);
+        Self {
+            columns: self
+                .columns
+                .iter()
+                .map(|c| c.copy_with_room(rows))
+                .collect(),
+            zones: self.zones.clone(),
         }
-        let columns = columns
-            .into_iter()
-            .map(|slots| {
-                slots
-                    .into_iter()
-                    .map(|r| {
-                        let address = (r.len, r.crc, r.fnv);
-                        PageSlot::new(r.zone, address, PageBacking::File(r.path), &pool)
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(Self {
-            schema,
-            rows,
-            page_rows,
-            columns,
-            pool,
-        })
     }
 
-    /// Table schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    /// Rows in the group.
+    pub(crate) fn rows(&self) -> usize {
+        self.columns.first().map_or(0, ColumnVector::len)
     }
 
-    /// Total rows across all pages.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Rows per page.
-    pub fn page_rows(&self) -> usize {
-        self.page_rows
-    }
-
-    /// Pages per column.
-    pub fn page_count(&self) -> usize {
-        self.rows.div_ceil(self.page_rows)
-    }
-
-    /// The shared buffer pool this table reads through.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// Row range `[start, end)` of page `p`.
-    pub fn page_bounds(&self, p: usize) -> (usize, usize) {
-        let start = p * self.page_rows;
-        (start, (start + self.page_rows).min(self.rows))
-    }
-
-    /// Zone map of page `p` of column `c`.
-    pub fn zone(&self, c: usize, p: usize) -> &ZoneMap {
-        self.columns[c][p].zone()
-    }
-
-    /// The page slot for column `c`, page `p`. Two sealed parts that share
-    /// the page return the same `Arc`.
-    pub fn slot(&self, c: usize, p: usize) -> &Arc<PageSlot> {
-        &self.columns[c][p]
-    }
-
-    /// Sum of encoded page sizes in bytes.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.columns.iter().flatten().map(|s| s.len as u64).sum()
-    }
-
-    /// Pages held only in memory (dirty: not yet written durably).
-    pub fn dirty_pages(&self) -> usize {
-        self.columns
-            .iter()
-            .flatten()
-            .filter(|s| s.is_dirty())
-            .count()
-    }
-
-    /// Records that the scan skipped a page via its zone map.
-    pub fn note_zone_skip(&self) {
-        self.pool.note_zone_skip();
-    }
-
-    /// The decoded page `p` of column `c`, via the buffer pool.
-    pub fn column_page(&self, c: usize, p: usize) -> Result<Arc<ColumnVector>, StorageError> {
-        self.columns[c][p].decoded()
-    }
-
-    /// The row at position `i`, or `None` past the end. Touches one page
-    /// per column through the pool.
-    pub fn row_at(&self, i: usize) -> Result<Option<Row>, StorageError> {
-        if i >= self.rows {
-            return Ok(None);
+    /// Appends one row, one value per column, widening its zone maps.
+    pub(crate) fn push_row(&mut self, row: Row) {
+        if let Some(zones) = &mut self.zones {
+            zones.iter_mut().zip(&row).for_each(|(z, v)| z.widen(v));
         }
-        let p = i / self.page_rows;
-        let off = i - p * self.page_rows;
-        (0..self.columns.len())
-            .map(|c| Ok(self.column_page(c, p)?.value(off)))
-            .collect::<Result<Row, _>>()
-            .map(Some)
-    }
-
-    /// Decodes every page back into resident rows (page by page, so peak
-    /// extra memory beyond the output is one row group).
-    pub fn materialize(&self) -> Result<Vec<Row>, StorageError> {
-        let mut rows: Vec<Row> = Vec::with_capacity(self.rows);
-        for p in 0..self.page_count() {
-            let (start, end) = self.page_bounds(p);
-            let cols: Vec<Arc<ColumnVector>> = (0..self.columns.len())
-                .map(|c| self.column_page(c, p))
-                .collect::<Result<_, _>>()?;
-            for off in 0..end - start {
-                rows.push(cols.iter().map(|col| col.value(off)).collect());
-            }
+        for (column, value) in self.columns.iter_mut().zip(row) {
+            column.push(value);
         }
-        Ok(rows)
     }
 
-    /// Streams one column's values as `(row position, value)` without
-    /// materializing rows — the index builders' access path.
-    pub fn for_each_in_column<F>(&self, c: usize, mut f: F) -> Result<(), StorageError>
-    where
-        F: FnMut(usize, &Value) -> Result<(), StorageError>,
-    {
-        for p in 0..self.page_count() {
-            let (start, end) = self.page_bounds(p);
-            let col = self.column_page(c, p)?;
-            for off in 0..end - start {
-                f(start + off, &col.value(off))?;
-            }
+    /// Appends one column part per column, moving them in, and drops the
+    /// zone maps.
+    pub(crate) fn append(&mut self, parts: Vec<ColumnVector>) {
+        self.zones = None;
+        for (column, part) in self.columns.iter_mut().zip(parts) {
+            column.extend(part);
         }
-        Ok(())
+    }
+}
+
+impl RowGroup {
+    /// Runs `f` over column `c` of the group: the decoded page, through
+    /// the buffer pool, or the open column in place.
+    pub fn read_column<T>(
+        &self,
+        c: usize,
+        f: impl FnOnce(&ColumnVector) -> T,
+    ) -> Result<T, StorageError> {
+        match self {
+            RowGroup::Sealed(slots) => Ok(f(slots[c].decoded()?.as_ref())),
+            RowGroup::Open(open) => Ok(f(&open.columns[c])),
+        }
     }
 
-    /// Writes every dirty page into `pages_dir` under its content-addressed
-    /// name, fsynced, and flips its backing to [`PageBacking::File`]. Pages
-    /// whose file already exists (identical content from an earlier
-    /// checkpoint) are skipped — this is what makes checkpoints incremental.
-    pub fn write_durable(&self, pages_dir: &Path) -> Result<PageWriteStats, StorageError> {
-        let io = self.pool.io().clone();
-        let mut stats = PageWriteStats::default();
-        for slots in &self.columns {
-            for slot in slots {
-                stats.bytes_total += slot.len as u64;
-                let path = pages_dir.join(slot.file_name());
-                if io.exists(&path) {
-                    stats.pages_reused += 1;
-                } else {
-                    slot.with_encoded(&io, |bytes| {
-                        crate::persist::atomic_write_with(&io, &path, bytes)
-                    })?;
-                    stats.pages_written += 1;
-                    stats.bytes_written += slot.len as u64;
+    /// Rows in the group.
+    pub fn rows(&self) -> usize {
+        match self {
+            RowGroup::Sealed(slots) => slots.first().map_or(0, |s| s.rows as usize),
+            RowGroup::Open(open) => open.rows(),
+        }
+    }
+
+    /// Whether the group is open: resident columns, not yet sealed.
+    pub fn is_open(&self) -> bool {
+        matches!(self, RowGroup::Open(_))
+    }
+
+    /// The group with its open columns encoded as fresh in-memory pages;
+    /// a sealed group is shared as it is.
+    pub(crate) fn sealed(&self, pool: &Arc<BufferPool>) -> Result<RowGroup, StorageError> {
+        match self {
+            RowGroup::Sealed(_) => Ok(self.clone()),
+            RowGroup::Open(open) => (open.columns.iter())
+                .map(|column| PageSlot::encode(&column.to_values(), pool))
+                .collect::<Result<_, _>>()
+                .map(RowGroup::Sealed),
+        }
+    }
+
+    /// The group as an open one, ready to append to: a sealed group's
+    /// pages are decoded once, through the pool, kept in the form the pool
+    /// holds them, and keep their zone maps.
+    pub(crate) fn reopened(&self) -> Result<OpenGroup, StorageError> {
+        match self {
+            RowGroup::Sealed(slots) => Ok(OpenGroup {
+                columns: (slots.iter())
+                    .map(|slot| slot.decoded().map(Arc::unwrap_or_clone))
+                    .collect::<Result<_, _>>()?,
+                zones: Some(slots.iter().map(|slot| slot.zone.clone()).collect()),
+            }),
+            RowGroup::Open(open) => Ok(OpenGroup::clone(open)),
+        }
+    }
+
+    /// Whether a zone map proves that no row of the group satisfies every
+    /// `(column, op, literal)` hint. A sealed group's skip is counted in
+    /// the pool, whose pages it saves; an open group's is not, and an open
+    /// group without zone maps is never skipped.
+    pub(crate) fn prunes(&self, hints: &[(usize, BinOp, Value)]) -> bool {
+        match self {
+            RowGroup::Sealed(slots) => {
+                let pruned = hints
+                    .iter()
+                    .any(|(c, op, lit)| !slots[*c].zone.may_match(*op, lit));
+                if let (true, Some(slot)) = (pruned, slots.first()) {
+                    slot.pool.note_zone_skip();
                 }
-                let mut backing = slot.backing.write();
-                if matches!(*backing, PageBacking::Mem(_)) {
-                    *backing = PageBacking::File(path);
-                }
+                pruned
+            }
+            RowGroup::Open(open) => open.zones.as_ref().is_some_and(|zones| {
+                (hints.iter()).any(|(c, op, lit)| !zones[*c].may_match(*op, lit))
+            }),
+        }
+    }
+}
+
+/// Writes every dirty page of `groups` (each a sealed group's slots) into
+/// `pages_dir` under its content-addressed name, fsynced, and flips its
+/// backing to [`PageBacking::File`]. Pages whose file already exists
+/// (identical content from an earlier checkpoint) are skipped — this is
+/// what makes checkpoints incremental. Column by column, the order a
+/// checkpoint has always written them in.
+pub(crate) fn write_durable(
+    groups: &[&[Arc<PageSlot>]],
+    pages_dir: &Path,
+    io: &Io,
+) -> Result<PageWriteStats, StorageError> {
+    let mut stats = PageWriteStats::default();
+    let arity = groups.first().map_or(0, |slots| slots.len());
+    for c in 0..arity {
+        for slot in groups.iter().map(|slots| &slots[c]) {
+            stats.bytes_total += slot.len as u64;
+            let path = pages_dir.join(slot.file_name());
+            if io.exists(&path) {
+                stats.pages_reused += 1;
+            } else {
+                slot.with_encoded(io, |bytes| {
+                    crate::persist::atomic_write_with(io, &path, bytes)
+                })?;
+                stats.pages_written += 1;
+                stats.bytes_written += slot.len as u64;
+            }
+            let mut backing = slot.backing.write();
+            if matches!(*backing, PageBacking::Mem(_)) {
+                *backing = PageBacking::File(path);
             }
         }
-        Ok(stats)
     }
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataType, Schema};
+    use crate::{DataType, Row, Schema, Table};
 
     fn schema() -> Schema {
         Schema::of(&[("id", DataType::Int), ("tag", DataType::Str)])
@@ -490,14 +407,77 @@ mod tests {
             .collect()
     }
 
+    /// `data` sealed into pages of `page_rows` rows.
+    fn paged(data: &[Row], pool: &Arc<BufferPool>, page_rows: usize) -> Table {
+        Table::from_rows("t", schema(), data.to_vec())
+            .unwrap()
+            .seal(pool, page_rows)
+            .unwrap()
+    }
+
+    fn dirty_pages(t: &Table) -> usize {
+        let groups = t.sealed_pages().unwrap();
+        groups
+            .iter()
+            .flat_map(|slots| slots.iter())
+            .filter(|s| s.is_dirty())
+            .count()
+    }
+
+    /// Every open group's zone maps, if it has any, against a fresh pass
+    /// over its values.
+    fn assert_exact_zones(t: &Table) {
+        for group in t.groups() {
+            if let RowGroup::Open(open) = group {
+                let columns = open.columns.iter();
+                let fresh: Vec<ZoneMap> =
+                    columns.map(|c| ZoneMap::compute(&c.to_values())).collect();
+                assert!(open.zones.as_ref().is_none_or(|zones| *zones == fresh));
+            }
+        }
+    }
+
+    #[test]
+    fn open_groups_keep_exact_zone_maps_and_prune_like_sealed_ones() {
+        let pool = Arc::new(BufferPool::with_budget(64));
+        // Groups of 4, 4 and 2 rows; the short one is reopened by a push
+        // and takes its pages' maps, which the pushes widen.
+        let mut t = paged(&rows(10), &pool, 4);
+        t.push(vec![Value::Int(-5), Value::Null]).unwrap();
+        t.push(vec![Value::Int(50), Value::Str("zz".into())])
+            .unwrap();
+        // A group that was never sealed has no maps and is never skipped.
+        t.push(vec![Value::Int(7), Value::Str("a".into())]).unwrap();
+        assert!(t.groups()[2].is_open() && t.groups()[3].is_open());
+        assert_exact_zones(&t);
+        let prunes =
+            |t: &Table, g: usize, k: i64| t.groups()[g].prunes(&[(0, BinOp::Eq, Value::Int(k))]);
+        assert!(!prunes(&t, 2, -5) && !prunes(&t, 2, 50));
+        assert!(prunes(&t, 2, -6) && prunes(&t, 2, 51));
+        assert!(!prunes(&t, 3, 7) && !prunes(&t, 3, 50));
+        let skips = pool.status().zone_skips;
+        assert_eq!(skips, 0, "an open group's skip saves no page read");
+
+        // An INSERT's copy keeps the maps; a drain drops them.
+        let mut short = paged(&rows(5), &pool, 4);
+        short.push(vec![Value::Int(-1), Value::Null]).unwrap();
+        let mut copy = short.clone();
+        copy.push(vec![Value::Int(40), Value::Null]).unwrap();
+        assert_exact_zones(&copy);
+        assert!(prunes(&copy, 1, 41) && !prunes(&copy, 1, 40) && prunes(&short, 1, 40));
+        let batch = crate::RowBatch::from_rows(2, vec![vec![Value::Int(99), Value::Null]]);
+        copy.append_batch(batch).unwrap();
+        assert!(!prunes(&copy, 1, 41));
+    }
+
     #[test]
     fn round_trips_through_pages() {
         let pool = Arc::new(BufferPool::with_budget(64));
         let data = rows(1000);
-        let pt = PagedTable::from_rows(schema(), &data, pool, 128).unwrap();
+        let pt = paged(&data, &pool, 128);
         assert_eq!(pt.len(), 1000);
-        assert_eq!(pt.page_count(), 8);
-        assert_eq!(pt.materialize().unwrap(), data);
+        assert_eq!(pt.groups().len(), 8);
+        assert_eq!(pt.to_rows().unwrap(), data);
         assert_eq!(pt.row_at(999).unwrap().unwrap(), data[999]);
         assert_eq!(pt.row_at(1000).unwrap(), None);
     }
@@ -506,17 +486,16 @@ mod tests {
     fn identical_under_tiny_pool() {
         let pool = Arc::new(BufferPool::with_budget(1));
         let data = rows(500);
-        let pt = PagedTable::from_rows(schema(), &data, Arc::clone(&pool), 64).unwrap();
-        assert_eq!(pt.materialize().unwrap(), data);
+        let pt = paged(&data, &pool, 64);
+        assert_eq!(pt.to_rows().unwrap(), data);
         assert!(pool.status().evictions > 0);
     }
 
     #[test]
     fn drop_evicts_pool_entries() {
         let pool = Arc::new(BufferPool::with_budget(64));
-        let data = rows(100);
-        let pt = PagedTable::from_rows(schema(), &data, Arc::clone(&pool), 32).unwrap();
-        pt.materialize().unwrap();
+        let pt = paged(&rows(100), &pool, 32);
+        pt.to_rows().unwrap();
         assert!(pool.status().resident_pages > 0);
         drop(pt);
         assert_eq!(pool.status().resident_pages, 0);
@@ -526,21 +505,25 @@ mod tests {
     fn shared_pages_are_decoded_once_and_evicted_with_their_last_holder() {
         let pool = Arc::new(BufferPool::with_budget(64));
         let data = rows(100);
-        let first = PagedTable::from_rows(schema(), &data[..70], Arc::clone(&pool), 32).unwrap();
-        let second = first.extended(&data[70..]).unwrap();
-        assert_eq!((first.page_count(), second.page_count()), (3, 4));
-        // Sealing read the short last page of each column and nothing else.
+        let first = paged(&data[..70], &pool, 32);
+        let mut grown = first.clone();
+        grown.extend(data[70..].to_vec()).unwrap();
+        let second = grown.seal(&pool, 32).unwrap();
+        drop(grown);
+        assert_eq!((first.groups().len(), second.groups().len()), (3, 4));
+        // Growing reopened the short last page of each column and read
+        // nothing else.
         assert_eq!(pool.status().misses, 2);
-        assert_eq!(first.materialize().unwrap(), data[..70]);
-        assert_eq!(second.materialize().unwrap(), data);
+        assert_eq!(first.to_rows().unwrap(), data[..70]);
+        assert_eq!(second.to_rows().unwrap(), data);
         // 2 columns x (2 shared full pages + first's short page + second's
         // two new pages), each decoded exactly once.
         assert_eq!(pool.status().misses, 10);
         assert_eq!(pool.status().resident_pages, 10);
-        // Dropping the older part evicts only the page nobody else holds.
+        // Dropping the older table evicts only the page nobody else holds.
         drop(first);
         assert_eq!(pool.status().resident_pages, 8);
-        assert_eq!(second.materialize().unwrap(), data);
+        assert_eq!(second.to_rows().unwrap(), data);
         assert_eq!(pool.status().misses, 10);
         drop(second);
         assert_eq!(pool.status().resident_pages, 0);
@@ -551,27 +534,28 @@ mod tests {
         let dir = tempdir();
         let pool = Arc::new(BufferPool::with_budget(64));
         let data = rows(256);
-        let pt = PagedTable::from_rows(schema(), &data, Arc::clone(&pool), 64).unwrap();
-        assert_eq!(pt.dirty_pages(), pt.page_count() * 2);
-        let first = pt.write_durable(&dir).unwrap();
-        assert_eq!(first.pages_written, pt.page_count() * 2);
+        let pt = paged(&data, &pool, 64);
+        let pages = pt.groups().len() * 2;
+        assert_eq!(dirty_pages(&pt), pages);
+        let first = write_durable(&pt.sealed_pages().unwrap(), &dir, pool.io()).unwrap();
+        assert_eq!(first.pages_written, pages);
         assert_eq!(first.pages_reused, 0);
-        assert_eq!(pt.dirty_pages(), 0);
+        assert_eq!(dirty_pages(&pt), 0);
         // Re-paging identical content reuses every file.
-        let pt2 = PagedTable::from_rows(schema(), &data, Arc::clone(&pool), 64).unwrap();
-        let second = pt2.write_durable(&dir).unwrap();
+        let pt2 = paged(&data, &pool, 64);
+        let second = write_durable(&pt2.sealed_pages().unwrap(), &dir, pool.io()).unwrap();
         assert_eq!(second.pages_written, 0);
-        assert_eq!(second.pages_reused, pt.page_count() * 2);
+        assert_eq!(second.pages_reused, pages);
         assert_eq!(second.bytes_written, 0);
         // One appended row dirties only the last page of each column.
         let mut more = data.clone();
         more.push(vec![Value::Int(256), Value::Str("tag0".into())]);
-        let pt3 = PagedTable::from_rows(schema(), &more, Arc::clone(&pool), 64).unwrap();
-        let third = pt3.write_durable(&dir).unwrap();
+        let pt3 = paged(&more, &pool, 64);
+        let third = write_durable(&pt3.sealed_pages().unwrap(), &dir, pool.io()).unwrap();
         assert_eq!(third.pages_written, 2); // last page of each of 2 columns
         assert!(third.bytes_written < first.bytes_written);
         // File-backed pages still materialize correctly.
-        assert_eq!(pt3.materialize().unwrap(), more);
+        assert_eq!(pt3.to_rows().unwrap(), more);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -580,28 +564,26 @@ mod tests {
         let dir = tempdir();
         let pool = Arc::new(BufferPool::with_budget(64));
         let data = rows(200);
-        let pt = PagedTable::from_rows(schema(), &data, Arc::clone(&pool), 64).unwrap();
-        pt.write_durable(&dir).unwrap();
-        let recovered: Vec<Vec<RecoveredPage>> = (0..2)
+        let pt = paged(&data, &pool, 64);
+        write_durable(&pt.sealed_pages().unwrap(), &dir, pool.io()).unwrap();
+        let groups = pt.sealed_pages().unwrap();
+        let recovered: Vec<Vec<Arc<PageSlot>>> = (0..2)
             .map(|c| {
-                (0..pt.page_count())
-                    .map(|p| {
-                        let s = pt.slot(c, p);
-                        RecoveredPage {
-                            path: dir.join(s.file_name()),
-                            len: s.encoded_len() as u32,
-                            crc: s.crc(),
-                            fnv: s.fnv(),
-                            zone: s.zone().clone(),
-                        }
+                groups
+                    .iter()
+                    .map(|slots| {
+                        let s = &slots[c];
+                        let address = (s.encoded_len() as u32, s.crc(), s.fnv());
+                        let path = dir.join(s.file_name());
+                        PageSlot::recovered(path, address, s.zone().clone(), &pool)
                     })
                     .collect()
             })
             .collect();
         let back =
-            PagedTable::from_recovered(schema(), 200, 64, recovered, Arc::clone(&pool)).unwrap();
-        assert_eq!(back.dirty_pages(), 0);
-        assert_eq!(back.materialize().unwrap(), data);
+            Table::from_recovered("t".into(), schema(), (200, 64), recovered, &pool).unwrap();
+        assert_eq!(dirty_pages(&back), 0);
+        assert_eq!(back.to_rows().unwrap(), data);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -612,25 +594,25 @@ mod tests {
         let io = Io::real();
         let pool = Arc::new(BufferPool::with_budget_io(1, io.clone()));
         let data = rows(200);
-        let pt = PagedTable::from_rows(schema(), &data, Arc::clone(&pool), 64).unwrap();
-        pt.write_durable(&dir).unwrap();
+        let pt = paged(&data, &pool, 64);
+        write_durable(&pt.sealed_pages().unwrap(), &dir, pool.io()).unwrap();
         // A transient read fault is retried once and hidden from the scan
         // (budget 1 forces a disk read per page).
         io.install_faults(FaultPlan::at(1, FaultKind::Transient).on_ops(&[IoOp::Read]));
-        assert_eq!(pt.materialize().unwrap(), data);
+        assert_eq!(pt.to_rows().unwrap(), data);
         // A persistent read fault surfaces as Io — never a panic or a
         // wrong batch.
         io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]));
-        assert!(matches!(pt.materialize().unwrap_err(), StorageError::Io(_)));
+        assert!(matches!(pt.to_rows().unwrap_err(), StorageError::Io(_)));
         io.clear_faults();
-        assert_eq!(pt.materialize().unwrap(), data);
+        assert_eq!(pt.to_rows().unwrap(), data);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn shape_mismatch_is_corrupt() {
         let pool = Arc::new(BufferPool::with_budget(4));
-        let err = PagedTable::from_recovered(schema(), 10, 4, vec![], pool).unwrap_err();
+        let err = Table::from_recovered("t".into(), schema(), (10, 4), vec![], &pool).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)));
     }
 

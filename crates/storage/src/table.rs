@@ -3,19 +3,19 @@
 //! Every intermediate result in a KathDB pipeline is materialized as a table
 //! so that lineage can reference it (§3) and the explainer can show it (§5).
 //!
-//! A table has one shape: an optional *sealed* part — `Arc`-shared
-//! compressed column pages read through the buffer pool, zone maps and
-//! content addressing included ([`PagedTable`]) — followed by a *tail* of
-//! plain rows. A table nobody sealed is all tail (a `Vec<Row>`, the shape
-//! every operator was written against). [`Table::seal`] moves the tail into
-//! pages; it is what `Catalog::page_table`, a checkpoint and an INSERT that
-//! fills a page of tail call, and recovery hands back tables that are all
-//! sealed. [`Table::push`] appends to the tail and never decodes a page;
-//! `clone` shares the sealed part and copies only the tail, so a one-row
-//! INSERT costs the tail, not the table. The legacy `rows()`/`row()`
-//! accessors stay infallible by lazily materializing a row cache when there
-//! is a sealed part — hot paths (scans, index builds) use the page-aware
-//! fallible accessors instead and never pay for that.
+//! A table has one shape: a list of row groups ([`RowGroup`]) of
+//! [`Table::page_rows`] rows each, every one full except the last, with one
+//! page per column — open (resident columns, with zone maps when reopened
+//! from pages) or sealed (compressed pages read through the buffer pool, zone maps and
+//! content addressing included). [`Table::push`] appends to the last
+//! group, reopening it (one decode) when it is sealed and short;
+//! [`Table::seal`] encodes every open group straight from its columns and
+//! shares every sealed one — what `Catalog::page_table`, a checkpoint and
+//! an INSERT that fills a group call. `clone` copies no group, and a push
+//! copies the one it appends to only while another table value holds it,
+//! so a one-row INSERT costs a group, not the table. The scan, [`Table::row_at`] and
+//! [`Table::for_each_in_column`] walk the groups alike; `rows()`/`row()`
+//! stay infallible by lazily materializing a row cache hot paths never use.
 //!
 //! A table registered in a catalog is never mutated again, so what is
 //! derived from its rows — a vector index per searched column — is owned by
@@ -25,9 +25,12 @@
 //! because what it was computed from cannot change; a mutated clone starts
 //! with none.
 
-use crate::paged::PagedTable;
+use crate::paged::{OpenGroup, PageSlot, RowGroup};
 use crate::pool::BufferPool;
-use crate::{Row, Schema, StorageError, Value, VectorIndex};
+use crate::{
+    Column, ColumnData, ColumnVector, Row, RowBatch, Schema, StorageError, TableScan, Value,
+    VectorIndex, DEFAULT_PAGE_ROWS,
+};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -47,41 +50,38 @@ impl fmt::Debug for Derived {
     }
 }
 
-/// A named, schema-checked collection of rows: sealed pages, then a tail.
-#[derive(Debug)]
+/// Rows materialized for `rows()`, per table value: a clone starts without.
+#[derive(Debug, Default)]
+struct RowCache(OnceLock<Vec<Row>>);
+
+impl Clone for RowCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// A named, schema-checked collection of rows, held as row groups. A clone
+/// shares every group.
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    // Rows `0..sealed.len()`, shared with every version made from this one.
-    sealed: Option<Arc<PagedTable>>,
-    // Rows `sealed.len()..len()`.
-    tail: Vec<Row>,
-    // Lazily materialized rows for the legacy `rows()` accessor; used only
-    // when there is a sealed part (an all-tail table lends its tail).
-    cache: OnceLock<Vec<Row>>,
+    rows: usize,
+    // Rows per group: every group but the last holds exactly this many.
+    page_rows: usize,
+    groups: Vec<RowGroup>,
+    // The pool sealed pages are encoded into: set by the first seal, which
+    // also fixes `page_rows`.
+    pool: Option<Arc<BufferPool>>,
+    cache: RowCache,
     // Shared by clones and by the sealed form of the same rows; replaced by
     // an empty one when the rows change (`push`).
     derived: Arc<Derived>,
 }
 
-impl Clone for Table {
-    /// Shares the sealed part and copies the tail. The row cache is
-    /// per-clone so an un-materialized clone stays lightweight.
-    fn clone(&self) -> Self {
-        Self {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            sealed: self.sealed.clone(),
-            tail: self.tail.clone(),
-            cache: OnceLock::new(),
-            derived: Arc::clone(&self.derived),
-        }
-    }
-}
-
 impl PartialEq for Table {
-    /// Logical equality: same name, schema, and row contents, wherever the
-    /// seal boundary falls. Derived state is not part of it.
+    /// Logical equality: same name, schema, and row contents, however the
+    /// rows are grouped and sealed. Derived state is not part of it.
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.schema == other.schema
@@ -96,9 +96,11 @@ impl Table {
         Self {
             name: name.into(),
             schema,
-            sealed: None,
-            tail: Vec::new(),
-            cache: OnceLock::new(),
+            rows: 0,
+            page_rows: DEFAULT_PAGE_ROWS,
+            groups: Vec::new(),
+            pool: None,
+            cache: RowCache::default(),
             derived: Arc::default(),
         }
     }
@@ -110,18 +112,41 @@ impl Table {
         rows: Vec<Row>,
     ) -> Result<Self, StorageError> {
         let mut t = Table::new(name, schema);
-        for row in rows {
-            t.push(row)?;
-        }
+        t.extend(rows)?;
         Ok(t)
     }
 
-    /// Wraps existing sealed pages as a table with an empty tail.
-    pub fn from_paged(name: impl Into<String>, pages: Arc<PagedTable>) -> Self {
-        Self {
-            sealed: Some(Arc::clone(&pages)),
-            ..Table::new(name, pages.schema().clone())
+    /// Rebuilds a sealed table from checkpoint metadata (`columns[c][g]`
+    /// is page `g` of column `c`); pages stay on disk until first touch, so
+    /// recovery is O(metadata), not O(data).
+    pub(crate) fn from_recovered(
+        name: String,
+        schema: Schema,
+        (rows, page_rows): (usize, usize),
+        columns: Vec<Vec<Arc<PageSlot>>>,
+        pool: &Arc<BufferPool>,
+    ) -> Result<Self, StorageError> {
+        let page_rows = page_rows.max(1);
+        let groups = rows.div_ceil(page_rows);
+        if columns.len() != schema.arity() || columns.iter().any(|c| c.len() != groups) {
+            return Err(StorageError::Corrupt(
+                "checkpoint page layout does not match table shape".into(),
+            ));
         }
+        let mut slots: Vec<Vec<Arc<PageSlot>>> = vec![Vec::new(); groups];
+        for column in columns {
+            slots
+                .iter_mut()
+                .zip(column)
+                .for_each(|(group, page)| group.push(page));
+        }
+        Ok(Self {
+            rows,
+            page_rows,
+            groups: slots.into_iter().map(RowGroup::Sealed).collect(),
+            pool: Some(Arc::clone(pool)),
+            ..Table::new(name, schema)
+        })
     }
 
     /// Table name.
@@ -140,14 +165,9 @@ impl Table {
         &self.schema
     }
 
-    /// Rows in the sealed part: the position of the first tail row.
-    pub(crate) fn sealed_len(&self) -> usize {
-        self.sealed.as_ref().map_or(0, |pages| pages.len())
-    }
-
     /// Row count.
     pub fn len(&self) -> usize {
-        self.sealed_len() + self.tail.len()
+        self.rows
     }
 
     /// Whether the table has no rows.
@@ -155,134 +175,264 @@ impl Table {
         self.len() == 0
     }
 
-    /// Whether the table has a sealed (page-backed) part.
+    /// Whether the table has been sealed (which fixed its `page_rows`).
     pub fn is_paged(&self) -> bool {
-        self.sealed.is_some()
+        self.pool.is_some()
     }
 
-    /// The sealed part: rows `0..paged.len()`, when anything sealed them.
-    pub fn paged(&self) -> Option<&Arc<PagedTable>> {
-        self.sealed.as_ref()
+    /// Rows per group; every group but the last holds exactly this many.
+    pub fn page_rows(&self) -> usize {
+        self.page_rows
     }
 
-    /// The rows after the sealed part, positions `len() - tail().len()..`:
-    /// every row pushed since the table was last sealed (all of them for a
-    /// table nobody sealed).
-    pub fn tail(&self) -> &[Row] {
-        &self.tail
+    /// The row groups, in row order: group `g` holds rows
+    /// `g * page_rows()..` up to the next group's first.
+    pub fn groups(&self) -> &[RowGroup] {
+        &self.groups
     }
 
-    /// The same rows with the tail moved into sealed pages — the one seal
-    /// routine behind `Catalog::page_table`, checkpoints and the INSERT
-    /// path's full-tail rule. Every full page already sealed is shared with
-    /// `self`; only a short last page and the tail are encoded (so sealing
-    /// an empty tail encodes nothing). `pool` and `page_rows` apply when
-    /// this is the first sealing; afterwards the sealed part keeps its own.
-    /// The rows are the same, so the result shares this table's derived
-    /// state.
+    /// Rows `[start, end)` of group `g`.
+    pub(crate) fn group_bounds(&self, g: usize) -> (usize, usize) {
+        let start = g * self.page_rows;
+        (start, (start + self.page_rows).min(self.rows))
+    }
+
+    /// Rows held in open groups: in no page yet.
+    pub(crate) fn open_rows(&self) -> usize {
+        let open = self.groups.iter().filter(|g| g.is_open());
+        open.map(RowGroup::rows).sum()
+    }
+
+    /// The slots of every group, when all of them are sealed: what a
+    /// checkpoint writes and describes.
+    pub(crate) fn sealed_pages(&self) -> Result<Vec<&[Arc<PageSlot>]>, StorageError> {
+        self.groups
+            .iter()
+            .map(|group| match group {
+                RowGroup::Sealed(slots) => Ok(slots.as_slice()),
+                RowGroup::Open(_) => Err(StorageError::Corrupt(
+                    "checkpoint produced an unsealed table".to_string(),
+                )),
+            })
+            .collect()
+    }
+
+    /// The same rows with every open group encoded straight from its
+    /// columns and every sealed group shared (see the module docs). `pool`
+    /// and `page_rows` apply to the first seal, which re-cuts the groups to
+    /// `page_rows`; afterwards the table keeps its own. The rows are the
+    /// same, so the result shares this table's derived state.
     pub fn seal(&self, pool: &Arc<BufferPool>, page_rows: usize) -> Result<Table, StorageError> {
-        let sealed = match &self.sealed {
-            Some(pages) if self.tail.is_empty() => Arc::clone(pages),
-            Some(pages) => Arc::new(pages.extended(&self.tail)?),
-            None => {
-                let schema = self.schema.clone();
-                let pool = Arc::clone(pool);
-                Arc::new(PagedTable::from_rows(schema, &self.tail, pool, page_rows)?)
-            }
+        let (pool, page_rows) = match &self.pool {
+            Some(own) => (own, self.page_rows),
+            None => (pool, page_rows.max(1)),
         };
-        Ok(Table {
+        let mut sealed = Table {
+            pool: Some(Arc::clone(pool)),
+            page_rows,
             derived: Arc::clone(&self.derived),
-            ..Table::from_paged(self.name.clone(), sealed)
-        })
+            ..Table::new(self.name.clone(), self.schema.clone())
+        };
+        if page_rows == self.page_rows {
+            sealed.rows = self.rows;
+            sealed.groups = self.groups.clone();
+        } else {
+            // Re-cut group by group, sealing each new group once it fills,
+            // so at most one of them is resident at a time.
+            for g in 0..self.groups.len() {
+                sealed.append_columns(self.groups[g].reopened()?.columns)?;
+                sealed.seal_open(sealed.rows / page_rows)?;
+            }
+        }
+        sealed.seal_open(sealed.groups.len())?;
+        Ok(sealed)
     }
 
-    /// All rows. With a sealed part this materializes (and caches) every
-    /// row on first use — hot paths should prefer [`Table::row_at`],
-    /// [`Table::for_each_in_column`], or page-level access via
-    /// [`Table::paged`] and [`Table::tail`]. An all-tail table lends its
-    /// tail.
+    /// Seals the open groups among the first `groups`.
+    fn seal_open(&mut self, groups: usize) -> Result<(), StorageError> {
+        let Some(pool) = self.pool.clone() else {
+            return Ok(());
+        };
+        for group in &mut self.groups[..groups] {
+            if group.is_open() {
+                *group = group.sealed(&pool)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// All rows, materialized group by group and cached on first use — hot
+    /// paths should prefer [`Table::row_at`], [`Table::for_each_in_column`]
+    /// or a `TableScan`.
     ///
     /// # Panics
     /// Panics if a sealed page cannot be read (missing or corrupt page
-    /// files). Fallible callers should use [`Table::row_at`].
+    /// files). Fallible callers should use [`Table::to_rows`].
     pub fn rows(&self) -> &[Row] {
-        let Some(pages) = &self.sealed else {
-            return &self.tail;
-        };
-        self.cache.get_or_init(|| {
-            let mut rows = pages
-                .materialize()
-                .expect("paged table backing pages unreadable");
-            rows.extend_from_slice(&self.tail);
-            rows
+        self.cache.0.get_or_init(|| {
+            self.to_rows()
+                .expect("paged table backing pages unreadable")
         })
     }
 
-    /// A row by position (legacy infallible accessor; see [`Table::rows`]).
+    /// All rows, materialized group by group and not cached: the fallible
+    /// form of [`Table::rows`], for a caller that keeps the rows itself.
+    pub fn to_rows(&self) -> Result<Vec<Row>, StorageError> {
+        let arity = self.schema.arity();
+        let mut rows: Vec<Row> = (0..self.rows).map(|_| Vec::with_capacity(arity)).collect();
+        for (g, group) in self.groups.iter().enumerate() {
+            let (start, end) = self.group_bounds(g);
+            for c in 0..arity {
+                group.read_column(c, |column| {
+                    let rows = rows[start..end].iter_mut().enumerate();
+                    rows.for_each(|(i, row)| row.push(column.value(i)));
+                })?;
+            }
+        }
+        Ok(rows)
+    }
+
+    /// A row by position (infallible accessor; see [`Table::rows`]).
     pub fn row(&self, idx: usize) -> Option<&Row> {
         self.rows().get(idx)
     }
 
-    /// A row by position without forcing full materialization; reads a
-    /// sealed row through the buffer pool.
+    /// A row by position without materializing the table: one page per
+    /// column of the row's group, through the buffer pool when it is sealed.
     pub fn row_at(&self, idx: usize) -> Result<Option<Row>, StorageError> {
-        let resident = match (&self.sealed, self.cache.get()) {
-            (Some(pages), None) if idx < pages.len() => return pages.row_at(idx),
-            (Some(_), Some(rows)) => rows.get(idx),
-            _ => self.tail.get(idx - self.sealed_len()),
-        };
-        Ok(resident.cloned())
+        if idx >= self.rows {
+            return Ok(None);
+        }
+        let (g, i) = (idx / self.page_rows, idx % self.page_rows);
+        (0..self.schema.arity())
+            .map(|c| self.groups[g].read_column(c, |column| column.value(i)))
+            .collect::<Result<Row, _>>()
+            .map(Some)
     }
 
     /// Streams `(row position, value)` over one column without
-    /// materializing rows; the sealed part is touched one page at a time,
-    /// so index builds stay within the pool budget.
+    /// materializing rows, one group at a time, so index builds over
+    /// sealed groups stay within the pool budget.
     pub fn for_each_in_column<F>(&self, column: &str, mut f: F) -> Result<(), StorageError>
     where
         F: FnMut(usize, &Value) -> Result<(), StorageError>,
     {
         let c = self.schema.resolve(column)?;
-        let (base, rest) = match (&self.sealed, self.cache.get()) {
-            (Some(_), Some(rows)) => (0, rows.as_slice()),
-            (Some(pages), None) => {
-                pages.for_each_in_column(c, &mut f)?;
-                (pages.len(), self.tail.as_slice())
-            }
-            (None, _) => (0, self.tail.as_slice()),
-        };
-        for (i, row) in rest.iter().enumerate() {
-            f(base + i, &row[c])?;
+        for (g, group) in self.groups.iter().enumerate() {
+            let (start, end) = self.group_bounds(g);
+            group.read_column(c, |values| {
+                (0..end - start).try_for_each(|i| f(start + i, &values.value(i)))
+            })??;
         }
         Ok(())
     }
 
-    /// Appends a validated row to the tail. The sealed part is neither read
-    /// nor copied. The rows change, so this value lets go of the derived
-    /// state it shared with the table it was cloned from.
-    pub fn push(&mut self, row: Row) -> Result<(), StorageError> {
-        self.schema.check_row(&row)?;
-        self.tail.push(row);
-        if self.sealed.is_some() {
-            self.cache = OnceLock::new();
+    /// The last group when it is open and has room, else a fresh open
+    /// group after the full (or missing) last one: its columns and the rows
+    /// they have room for. A short sealed last group must be reopened
+    /// first ([`Table::reopen_last`]).
+    fn open_last(&mut self) -> Result<(&mut OpenGroup, usize), StorageError> {
+        if self.rows == self.groups.len() * self.page_rows {
+            let empty = OpenGroup::empty(self.schema.arity());
+            self.groups.push(RowGroup::Open(Arc::new(empty)));
         }
+        let room = self.groups.len() * self.page_rows - self.rows;
+        match self.groups.last_mut() {
+            Some(RowGroup::Open(open)) => {
+                if Arc::get_mut(open).is_none() {
+                    *open = Arc::new(open.copy_for_push(self.page_rows));
+                }
+                Ok((Arc::make_mut(open), room))
+            }
+            _ => Err(StorageError::Eval(
+                "the last row group is sealed and was not reopened".into(),
+            )),
+        }
+    }
+
+    /// The rows change: this value lets go of its row cache and of the
+    /// derived state it shared with the table it was cloned from.
+    fn rows_changed(&mut self) {
+        self.cache = RowCache::default();
         match Arc::get_mut(&mut self.derived) {
             Some(own) => *own = Derived::default(),
             None => self.derived = Arc::default(),
         }
+    }
+
+    /// Reopens a short sealed last group — its pages decoded once, through
+    /// the pool — so rows can be appended to it.
+    fn reopen_last(&mut self) -> Result<(), StorageError> {
+        let short = !self.rows.is_multiple_of(self.page_rows);
+        if let Some(last) = self.groups.last_mut().filter(|g| short && !g.is_open()) {
+            *last = RowGroup::Open(Arc::new(last.reopened()?));
+        }
+        Ok(())
+    }
+
+    /// Appends a validated row to the last group, reopening it when it is
+    /// sealed and short.
+    pub fn push(&mut self, row: Row) -> Result<(), StorageError> {
+        self.schema.check_row(&row)?;
+        self.reopen_last()?;
+        self.open_last()?.0.push_row(row);
+        self.rows += 1;
+        self.rows_changed();
         Ok(())
     }
 
     /// Appends many validated rows.
     pub fn extend(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), StorageError> {
-        for row in rows {
-            self.push(row)?;
+        rows.into_iter().try_for_each(|row| self.push(row))
+    }
+
+    /// Appends a batch's columns, checked against the schema once per
+    /// column — the value rule [`Schema::check_row`] applies, read off a
+    /// typed column's kind and value by value for a `Mixed` one.
+    pub(crate) fn append_batch(&mut self, batch: RowBatch) -> Result<(), StorageError> {
+        if batch.num_columns() != self.schema.arity() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.schema.arity(),
+                got: batch.num_columns(),
+            });
+        }
+        for (column, values) in self.schema.columns().iter().zip(batch.columns()) {
+            if let Some(i) = first_misfit(column, values) {
+                return Err(StorageError::TypeMismatch {
+                    column: column.name.clone(),
+                    expected: column.dtype,
+                    got: values.value(i).data_type(),
+                });
+            }
+        }
+        self.append_columns(batch.into_columns())?;
+        self.rows_changed();
+        Ok(())
+    }
+
+    /// Appends `columns` (one per schema column, of one length, unchecked)
+    /// group by group, moving them in; a part that spills past the last
+    /// group's room is copied out first.
+    fn append_columns(&mut self, mut columns: Vec<ColumnVector>) -> Result<(), StorageError> {
+        let mut left = columns.first().map_or(0, ColumnVector::len);
+        while left > 0 {
+            let (open, room) = self.open_last()?;
+            let n = room.min(left);
+            let spill = (n < left).then(|| columns.iter().map(|c| c.slice(n, left)).collect());
+            match n < left {
+                true => open.append(columns.iter().map(|c| c.slice(0, n)).collect()),
+                false => open.append(columns),
+            }
+            self.rows += n;
+            left -= n;
+            columns = spill.unwrap_or_default();
         }
         Ok(())
     }
 
     /// Reads one cell by row index and column name. Returns a borrow, so it
-    /// goes through [`Table::rows`] (and its row cache when there is a
-    /// sealed part); use [`Table::row_at`] to read sealed rows in place.
+    /// goes through [`Table::rows`] and its row cache; use
+    /// [`Table::row_at`] to read a row in place.
     pub fn cell(&self, row: usize, column: &str) -> Result<&Value, StorageError> {
         let c = self.schema.resolve(column)?;
         self.rows()
@@ -300,15 +450,10 @@ impl Table {
 
     /// The first `n` rows, as a new table (the "rows sampler" database
     /// utility owned by the plan verifier's tool user, §4). Reads only the
-    /// pages those rows live on.
+    /// groups those rows live in.
     pub fn sample(&self, n: usize) -> Result<Table, StorageError> {
-        let rows = (0..n.min(self.len()))
-            .filter_map(|i| self.row_at(i).transpose())
-            .collect::<Result<Vec<Row>, _>>()?;
-        Ok(Table {
-            tail: rows,
-            ..Table::new(format!("{}_sample", self.name), self.schema.clone())
-        })
+        let scan = TableScan::new(Arc::new(self.clone())).with_range(0, n);
+        crate::collect(&format!("{}_sample", self.name), Box::new(scan))
     }
 
     /// The vector similarity index over `column` of these rows, built on
@@ -393,6 +538,19 @@ impl Table {
     }
 }
 
+/// A row position of `values` that `column` does not admit, by the rule
+/// [`Schema::check_row`] applies per value: value by value for a `Mixed`
+/// column; for a typed one, whose non-NULL slots share one kind, its first
+/// non-NULL slot and its first NULL stand for the rest.
+fn first_misfit(column: &Column, values: &ColumnVector) -> Option<usize> {
+    let typed = !matches!(values.data(), ColumnData::Mixed(_));
+    let mut seen = [false, false];
+    (0..values.len()).position(|i| {
+        let stood_for = std::mem::replace(&mut seen[usize::from(values.is_null(i))], true);
+        !(typed && stood_for || column.admits(&values.value(i)))
+    })
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {} [{} rows]", self.name, self.schema, self.len())
@@ -456,13 +614,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kathdb_table_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        paged.paged().unwrap().write_durable(&dir).unwrap();
+        let pages = paged.sealed_pages().unwrap();
+        crate::paged::write_durable(&pages, &dir, &io).unwrap();
         pool.reset_counters();
         (paged, pool, io, dir)
     }
 
     fn row_cache_is_empty(t: &Table) -> bool {
-        t.is_paged() && t.cache.get().is_none()
+        t.is_paged() && t.cache.0.get().is_none()
     }
 
     #[test]
@@ -524,6 +683,14 @@ mod tests {
         assert_eq!(paged.render(), t.render());
     }
 
+    /// The page slots of sealed group `g`.
+    fn slots(t: &Table, g: usize) -> &[Arc<PageSlot>] {
+        match &t.groups()[g] {
+            RowGroup::Sealed(slots) => slots,
+            RowGroup::Open(_) => panic!("group {g} is open"),
+        }
+    }
+
     #[test]
     fn push_on_paged_shares_the_sealed_part() {
         let t = movies();
@@ -531,14 +698,22 @@ mod tests {
         let paged = t.seal(&pool, 1).unwrap();
         let mut pushed = paged.clone();
         pushed.push(vec!["New".into(), Value::Int(2000)]).unwrap();
-        // The sealed part is the same object, untouched and undecoded; the
-        // new row is the whole tail.
-        assert!(Arc::ptr_eq(pushed.paged().unwrap(), paged.paged().unwrap()));
+        // Both sealed groups are full: they are the same slots, untouched
+        // and undecoded, and the new row is a group of its own.
+        for g in 0..2 {
+            for (a, b) in slots(&pushed, g).iter().zip(slots(&paged, g)) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        }
         assert_eq!(pool.status().misses, 0);
-        assert_eq!(pushed.tail(), [vec!["New".into(), Value::Int(2000)]]);
+        assert_eq!(pushed.groups().len(), 3);
+        assert!(pushed.groups()[2].is_open());
         assert_eq!(pushed.len(), 3);
         assert_eq!(pushed.rows()[..2], t.rows()[..]);
-        assert_eq!(pushed.row_at(2).unwrap().unwrap(), pushed.tail()[0]);
+        assert_eq!(
+            pushed.row_at(2).unwrap().unwrap(),
+            vec!["New".into(), Value::Int(2000)]
+        );
         assert_eq!(paged.len(), 2);
     }
 
@@ -553,27 +728,30 @@ mod tests {
             .unwrap();
         let mut grown = first.clone();
         grown.extend(rows(10..13)).unwrap();
+        // The short last page was reopened; the full ones are still sealed.
+        assert_eq!(grown.open_rows(), 5);
         // The page-size argument only matters for the first sealing.
         let second = grown.seal(&pool, 1000).unwrap();
-        assert!(second.tail().is_empty());
-        let (a, b) = (first.paged().unwrap(), second.paged().unwrap());
-        assert_eq!((a.page_count(), b.page_count()), (3, 4));
-        assert!(Arc::ptr_eq(a.slot(0, 0), b.slot(0, 0)));
-        assert!(Arc::ptr_eq(a.slot(0, 1), b.slot(0, 1)));
-        assert!(!Arc::ptr_eq(a.slot(0, 2), b.slot(0, 2)));
+        assert_eq!(second.open_rows(), 0);
+        assert_eq!((first.groups().len(), second.groups().len()), (3, 4));
+        assert!(Arc::ptr_eq(&slots(&first, 0)[0], &slots(&second, 0)[0]));
+        assert!(Arc::ptr_eq(&slots(&first, 1)[0], &slots(&second, 1)[0]));
+        assert!(!Arc::ptr_eq(&slots(&first, 2)[0], &slots(&second, 2)[0]));
         // Same bytes as paging all thirteen rows from scratch.
         let scratch = Table::from_rows("t", schema, rows(0..13))
             .unwrap()
             .seal(&pool, 4)
             .unwrap();
-        for p in 0..4 {
-            let fresh = scratch.paged().unwrap().slot(0, p);
-            assert_eq!(b.slot(0, p).file_name(), fresh.file_name());
+        for g in 0..4 {
+            let fresh = &slots(&scratch, g)[0];
+            assert_eq!(slots(&second, g)[0].file_name(), fresh.file_name());
         }
         assert_eq!(second, scratch);
-        // Nothing to seal: the sealed part is shared whole.
+        // Nothing to seal: every group is shared whole.
         let again = second.seal(&pool, 4).unwrap();
-        assert!(Arc::ptr_eq(again.paged().unwrap(), b));
+        for g in 0..4 {
+            assert!(Arc::ptr_eq(&slots(&again, g)[0], &slots(&second, g)[0]));
+        }
     }
 
     #[test]
@@ -585,8 +763,9 @@ mod tests {
         // Streamed through the 2-page pool; nothing pinned on the table.
         assert!(row_cache_is_empty(&paged));
         assert!(pool.status().resident_pages <= 2);
-        // A grown clone streams its sealed part and then its tail; through
-        // a read fault that is a typed error, and a later attempt succeeds.
+        // A grown clone streams its sealed groups and then the one it
+        // reopened; through a read fault that is a typed error, and a later
+        // attempt succeeds.
         let mut grown = paged.clone();
         grown
             .push(vec![Value::Int(10_000), Value::Int(2000)])
@@ -607,7 +786,7 @@ mod tests {
         let t = movies();
         let pool = Arc::new(BufferPool::with_budget(8));
         let paged = t.seal(&pool, 1).unwrap();
-        // All tail, all sealed, and one sealed row followed by one tail row.
+        // All open, all sealed, and one sealed row followed by one open row.
         let mut split = Table::from_rows("movies", t.schema().clone(), t.rows()[..1].to_vec())
             .unwrap()
             .seal(&pool, 1)
@@ -624,9 +803,9 @@ mod tests {
             assert_eq!(
                 seen,
                 vec![(0, Value::Int(1991)), (1, Value::Int(1988))],
-                "sealed={} tail={}",
+                "sealed={} open rows={}",
                 table.is_paged(),
-                table.tail().len()
+                table.open_rows()
             );
         }
         assert!(t.for_each_in_column("nope", |_, _| Ok(())).is_err());

@@ -224,7 +224,7 @@ proptest! {
                 // On failure either nothing changed or the handle is
                 // poisoned and refuses further appends.
                 match shared.checkpoint(None) {
-                    Ok(_) => prop_assert!(shared.get("kv").unwrap().tail().is_empty()),
+                    Ok(_) => prop_assert!(shared.get("kv").unwrap().groups().iter().all(|g| !g.is_open())),
                     Err(e) => prop_assert!(typed(&e), "untyped failure: {e}"),
                 }
             }
@@ -311,8 +311,7 @@ proptest! {
                 .map(|out| out.rows().to_vec())
         };
         let parallel = |t: &Arc<Table>, workers: usize| {
-            let pt = t.paged().unwrap();
-            let source = MorselSource::with_batch_size_aligned(t.len(), 32, pt.page_rows());
+            let source = MorselSource::with_batch_size_aligned(t.len(), 32, t.page_rows());
             run_morsels(&source, workers, |m| {
                 collect(
                     "m",

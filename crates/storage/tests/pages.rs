@@ -10,7 +10,7 @@
 //! 2. **Pool-size independence** — a paged table behind a pool capped at
 //!    1–4 pages returns exactly the same rows as one behind an effectively
 //!    unbounded pool, and so does one paged and then INSERTed into (sealed
-//!    pages followed by a row tail) and the re-sealing of that. Eviction
+//!    groups followed by open ones) and the re-sealing of that. Eviction
 //!    pressure changes wall-clock, never results.
 
 use kath_storage::*;
@@ -131,17 +131,24 @@ proptest! {
         let roomy_pool = Arc::new(BufferPool::with_budget(1_000_000));
         let roomy = reference.seal(&roomy_pool, page_rows).unwrap();
         // The third backing: the first `cut` rows paged behind the starved
-        // pool, the rest pushed after them; and that table sealed again,
-        // which shares its full pages and re-encodes the short one.
+        // pool, the rest pushed after them — the short last page reopened,
+        // every full one still sealed; and that table sealed again, which
+        // shares its full pages and encodes the open groups.
         let (head, tail) = data.split_at(cut % (data.len() + 1));
         let mut split = Table::from_rows("t", schema, head.to_vec())
             .unwrap()
             .seal(&starved_pool, page_rows)
             .unwrap();
         split.extend(tail.to_vec()).unwrap();
-        prop_assert_eq!(split.tail(), tail);
+        let sealed_groups = split.groups().iter().filter(|g| !g.is_open()).count();
+        let full_pages = if tail.is_empty() {
+            head.len().div_ceil(page_rows)
+        } else {
+            head.len() / page_rows
+        };
+        prop_assert_eq!(sealed_groups, full_pages);
         let resealed = split.seal(&starved_pool, page_rows).unwrap();
-        prop_assert!(resealed.tail().is_empty());
+        prop_assert!(resealed.groups().iter().all(|g| !g.is_open()));
 
         for (i, want) in data.iter().enumerate() {
             for table in [&starved, &roomy, &split, &resealed] {

@@ -1,4 +1,4 @@
-//! A table is shared sealed pages plus a row tail.
+//! A table is one list of row groups, sealed or open.
 //!
 //! Random schedules of INSERT / `page_table` / checkpoint / retained
 //! snapshot / crash + reopen on one durable table, against a `Vec<Row>`
@@ -7,13 +7,16 @@
 //!
 //! - every retained snapshot keeps reading exactly its own rows through
 //!   every access path, whatever was committed since;
-//! - consecutive versions share every full sealed page (`Arc::ptr_eq`), an
-//!   INSERT that does not seal shares the whole sealed part and decodes
-//!   nothing, one that does decodes at most the short last page;
+//! - an INSERT replaces at most the last group of its parent and holds
+//!   every other page as the very same `Arc`; it decodes at most the short
+//!   sealed last group it reopens, and nothing else;
 //! - a checkpoint writes at most the pages it had to encode plus the dirty
 //!   ones it inherited, and reuses the rest;
 //! - recovery equals the model, and the directory names the same page files
-//!   and kmeta bytes as paging the same rows from scratch.
+//!   and kmeta bytes as paging the same rows from scratch — as does sealing
+//!   open groups at any point, by page name;
+//! - a drained result is the table row-by-row pushes build, whatever the
+//!   values' mix of types.
 
 use kath_storage::*;
 use proptest::prelude::*;
@@ -94,30 +97,56 @@ fn create(shared: &SharedCatalog) {
     );
 }
 
+/// Rows before the first open group: the sealed prefix.
 fn sealed_len(t: &Table) -> usize {
-    t.len() - t.tail().len()
+    let sealed = t.groups().iter().take_while(|g| !g.is_open()).count();
+    (sealed * t.page_rows()).min(t.len())
 }
 
-/// Pages of `t`'s sealed part that are full, i.e. that any later version
+/// Groups of `t` that are sealed and full, i.e. that any later version
 /// must hold as the very same slots.
 fn full_pages(t: &Table) -> usize {
-    t.paged().map_or(0, |p| p.len() / p.page_rows())
+    let full = if t.len().is_multiple_of(t.page_rows()) {
+        t.groups().len()
+    } else {
+        t.groups().len() - 1
+    };
+    t.groups()[..full]
+        .iter()
+        .take_while(|g| !g.is_open())
+        .count()
+}
+
+/// Whether two groups hold the very same pages or open columns.
+fn same_group(a: &RowGroup, b: &RowGroup) -> bool {
+    match (a, b) {
+        (RowGroup::Sealed(a), RowGroup::Sealed(b)) => {
+            a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
+        }
+        (RowGroup::Open(a), RowGroup::Open(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
+}
+
+/// Dirty page slots of `t`: sealed, not yet written by a checkpoint.
+fn dirty_pages(t: &Table) -> usize {
+    t.groups()
+        .iter()
+        .map(|g| match g {
+            RowGroup::Sealed(slots) => slots.iter().filter(|s| s.is_dirty()).count(),
+            RowGroup::Open(_) => 0,
+        })
+        .sum()
 }
 
 /// `after` follows `before`: every full sealed page is the same slot.
 fn assert_shares_full_pages(before: &Table, after: &Table) -> Result<(), TestCaseError> {
-    let Some(old) = before.paged() else {
-        return Ok(());
-    };
-    let new = after.paged().expect("a sealed part never goes away");
-    prop_assert!(sealed_len(after) >= sealed_len(before));
-    for c in 0..before.schema().arity() {
-        for p in 0..full_pages(before) {
-            prop_assert!(
-                Arc::ptr_eq(old.slot(c, p), new.slot(c, p)),
-                "page {p} of column {c} was copied or re-encoded"
-            );
-        }
+    prop_assert!(sealed_len(after) >= full_pages(before) * before.page_rows());
+    for g in 0..full_pages(before) {
+        prop_assert!(
+            same_group(&before.groups()[g], &after.groups()[g]),
+            "group {g} was copied or re-encoded"
+        );
     }
     Ok(())
 }
@@ -269,53 +298,60 @@ proptest! {
                 Step::Insert(n) => {
                     let n = 1 + n % (3 * page_rows);
                     let rows: Vec<Row> = (model.len()..model.len() + n).map(row).collect();
-                    let misses = pool.status().misses;
+                    let touched = || pool.status().misses + pool.status().hits;
+                    let before_touched = touched();
                     insert(&shared, rows.clone());
-                    let decoded = pool.status().misses - misses;
+                    let read = touched() - before_touched;
                     model.extend(rows);
                     since_checkpoint += 1;
                     let after = shared.get("t").unwrap();
-                    if after.tail().len() == before.tail().len() + n {
-                        // Nothing sealed: the sealed part is the same object
-                        // and not one page of it was looked at.
-                        prop_assert!(Arc::ptr_eq(before.paged().unwrap(), after.paged().unwrap()));
-                        prop_assert_eq!(decoded, 0);
-                    } else {
-                        // The tail filled a page and was sealed: at most the
-                        // short last page of each column was decoded.
-                        prop_assert!(after.tail().is_empty());
-                        prop_assert!(before.tail().len() + n >= page_rows);
-                        prop_assert!(decoded <= 2, "{decoded} pages decoded by one INSERT");
+                    // Every group but the parent's last is the very same
+                    // pages or columns: an INSERT replaces at most one.
+                    let kept = before.groups().len().saturating_sub(1);
+                    for g in 0..kept {
+                        prop_assert!(
+                            same_group(&before.groups()[g], &after.groups()[g]),
+                            "group {g} of {} was replaced", before.groups().len()
+                        );
                     }
+                    // Only a short sealed last group is read (decoded, or
+                    // found in the pool): reopened, one page per column.
+                    let reopens = !before.len().is_multiple_of(page_rows)
+                        && before.groups().last().is_some_and(|g| !g.is_open());
+                    prop_assert_eq!(read, if reopens { 2 } else { 0 });
+                    // Open rows never reach a whole group: they are sealed.
+                    prop_assert!(after.len() - sealed_len(&after) < page_rows);
                     assert_shares_full_pages(&before, &after)?;
                 }
                 Step::PageTable => {
                     let sealed = shared.page_table("t", 1000).unwrap();
-                    prop_assert_eq!(sealed, !before.tail().is_empty());
+                    prop_assert_eq!(sealed, before.groups().iter().any(|g| g.is_open()));
                     let after = shared.get("t").unwrap();
-                    prop_assert!(after.tail().is_empty());
-                    prop_assert_eq!(after.paged().unwrap().page_rows(), page_rows);
+                    prop_assert!(after.groups().iter().all(|g| !g.is_open()));
+                    prop_assert_eq!(after.page_rows(), page_rows);
                     assert_shares_full_pages(&before, &after)?;
                 }
                 Step::Checkpoint => {
                     // What the checkpoint cannot avoid writing: the dirty
                     // full pages it inherits, and whatever it encodes — the
                     // pages from the first non-full one on.
-                    let old = before.paged().unwrap();
-                    let inherited_dirty = (0..2)
-                        .flat_map(|c| (0..full_pages(&before)).map(move |p| (c, p)))
-                        .filter(|&(c, p)| old.slot(c, p).is_dirty())
-                        .count();
+                    let inherited_dirty: usize = before.groups()[..full_pages(&before)]
+                        .iter()
+                        .map(|g| match g {
+                            RowGroup::Sealed(slots) => slots.iter().filter(|s| s.is_dirty()).count(),
+                            RowGroup::Open(_) => 0,
+                        })
+                        .sum();
                     shared.checkpoint(None).unwrap();
                     since_checkpoint = 0;
                     let after = shared.get("t").unwrap();
-                    let new = after.paged().unwrap();
-                    prop_assert!(after.tail().is_empty());
-                    prop_assert_eq!(new.dirty_pages(), 0);
+                    prop_assert!(after.groups().iter().all(|g| !g.is_open()));
+                    prop_assert_eq!(dirty_pages(&after), 0);
                     assert_shares_full_pages(&before, &after)?;
                     let stats = shared.status().unwrap().last_checkpoint.unwrap();
-                    let encoded = 2 * (new.page_count() - full_pages(&before));
-                    prop_assert_eq!(stats.pages_written + stats.pages_reused, 2 * new.page_count());
+                    let pages = after.groups().len();
+                    let encoded = 2 * (pages - full_pages(&before));
+                    prop_assert_eq!(stats.pages_written + stats.pages_reused, 2 * pages);
                     prop_assert!(
                         stats.pages_written <= inherited_dirty + encoded,
                         "{stats:?}: {inherited_dirty} dirty inherited, {encoded} encoded"
@@ -343,7 +379,7 @@ proptest! {
                     if !shared.get("t").unwrap().is_paged() {
                         shared.page_table("t", page_rows).unwrap();
                     }
-                    prop_assert_eq!(shared.get("t").unwrap().paged().unwrap().page_rows(), page_rows);
+                    prop_assert_eq!(shared.get("t").unwrap().page_rows(), page_rows);
                 }
             }
             assert_reads_as(&shared.get("t").unwrap(), &model)?;
@@ -358,8 +394,7 @@ proptest! {
         let scratch_dir = tmp("scratch");
         let (scratch, _) = open(&scratch_dir);
         let all = Table::from_rows("t", schema(), model.clone()).unwrap();
-        let pages = PagedTable::from_rows(schema(), all.rows(), scratch.pool(), page_rows).unwrap();
-        scratch.register(Table::from_paged("t", Arc::new(pages))).unwrap();
+        scratch.register(all.seal(&scratch.pool(), page_rows).unwrap()).unwrap();
         scratch.checkpoint(None).unwrap();
         let (kmeta, pages) = newest_snapshot(&dir);
         let (scratch_kmeta, scratch_pages) = newest_snapshot(&scratch_dir);
@@ -382,7 +417,8 @@ fn dir_has_snapshot(dir: &Path) -> bool {
 }
 
 /// The flat property, by counts, over two decades of table length: a
-/// single-row INSERT shares the whole sealed part and decodes nothing, and
+/// single-row INSERT shares every full page, the first one reopens the
+/// short last page (one decode per column) and the rest decode nothing, and
 /// the checkpoint after a few of them writes one page per column.
 #[test]
 fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
@@ -398,6 +434,7 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         pool.reset_counters();
 
         let sealed = shared.get("t").unwrap();
+        let full = len / PAGE_ROWS;
         let inserted = 10;
         assert!(
             len % PAGE_ROWS + inserted < PAGE_ROWS,
@@ -406,31 +443,29 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         for i in 0..inserted {
             insert(&shared, vec![row(len + i)]);
             let now = shared.get("t").unwrap();
-            assert!(Arc::ptr_eq(now.paged().unwrap(), sealed.paged().unwrap()));
-            assert_eq!(now.tail().len(), i + 1);
+            for g in 0..full {
+                assert!(same_group(&now.groups()[g], &sealed.groups()[g]));
+            }
+            assert_eq!(now.groups().len(), full + 1);
+            assert!(now.groups()[full].is_open());
+            assert_eq!(pool.status().misses, 2, "len {len}: INSERT {i} read pages");
         }
-        let status = pool.status();
-        assert_eq!(
-            (status.misses, status.hits),
-            (0, 0),
-            "len {len}: INSERT read pages"
-        );
+        assert_eq!(pool.status().hits, 0, "len {len}: INSERT read pages");
 
         shared.checkpoint(None).unwrap();
         let stats = shared.status().unwrap().last_checkpoint.unwrap();
         let pages = (len + inserted).div_ceil(PAGE_ROWS);
         assert_eq!(stats.pages_written, 2, "len {len}: {stats:?}");
         assert_eq!(stats.pages_reused, 2 * pages - 2, "len {len}: {stats:?}");
-        // Sealing decoded the short last page of each column, nothing else.
+        // Sealing encoded the open group and decoded nothing.
         assert_eq!(pool.status().misses, 2, "len {len}");
         let after = shared.get("t").unwrap();
-        let (old, new) = (sealed.paged().unwrap(), after.paged().unwrap());
-        for p in 0..len / PAGE_ROWS {
-            assert!(Arc::ptr_eq(old.slot(0, p), new.slot(0, p)));
-            assert!(Arc::ptr_eq(old.slot(1, p), new.slot(1, p)));
+        for g in 0..full {
+            assert!(same_group(&sealed.groups()[g], &after.groups()[g]));
         }
 
-        // A crash now replays nothing; ten more INSERTs replay as ten.
+        // A crash now replays nothing; ten more INSERTs replay as ten, and
+        // replay reads the short last page of each column, nothing else.
         for i in 0..inserted {
             insert(&shared, vec![row(len + inserted + i)]);
         }
@@ -439,14 +474,164 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         assert_eq!(replayed, inserted);
         let recovered = reopened.get("t").unwrap();
         assert_eq!(recovered.len(), len + 2 * inserted);
-        assert_eq!(recovered.tail().len(), inserted);
+        assert_eq!(recovered.groups().len(), full + 1);
+        assert!(recovered.groups()[full].is_open());
         assert_eq!(
             reopened.pool().status().misses,
-            0,
+            2,
             "len {len}: replay read pages"
         );
         let last = recovered.row_at(len + 2 * inserted - 1).unwrap().unwrap();
         assert_eq!(last, row(len + 2 * inserted - 1));
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A value for a column that admits anything: Int and Float (never
+/// widened into each other), NULL, blobs and strings.
+fn arb_any() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-5i64..5).prop_map(Value::Int),
+        (-5i64..5).prop_map(|i| Value::Float(i as f64 / 2.0)),
+        Just(Value::Null),
+        prop::collection::vec(any::<u8>(), 0..4).prop_map(Value::Blob),
+        "[a-c]{0,2}".prop_map(Value::Str),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sealing open groups — after a first seal at `cut`, after INSERTs
+    /// that reopen its short page and fill new groups — names the same
+    /// page files as sealing all the rows from scratch.
+    #[test]
+    fn sealing_open_groups_names_the_pages_a_fresh_seal_does(
+        page_rows in 1usize..6,
+        n in 0usize..40,
+        cut in 0usize..40,
+        reseal in 0usize..40,
+    ) {
+        let pool = Arc::new(BufferPool::with_budget(4));
+        let rows: Vec<Row> = (0..n).map(row).collect();
+        let (cut, reseal) = (cut.min(n), reseal.min(n).max(cut.min(n)));
+        let mut t = Table::from_rows("t", schema(), rows[..cut].to_vec())
+            .unwrap()
+            .seal(&pool, page_rows)
+            .unwrap();
+        t.extend(rows[cut..reseal].to_vec()).unwrap();
+        t = t.seal(&pool, page_rows).unwrap();
+        t.extend(rows[reseal..].to_vec()).unwrap();
+        let sealed = t.seal(&pool, page_rows).unwrap();
+        let scratch = Table::from_rows("t", schema(), rows)
+            .unwrap()
+            .seal(&pool, page_rows)
+            .unwrap();
+        let names = |t: &Table| -> Vec<String> {
+            t.groups()
+                .iter()
+                .flat_map(|g| match g {
+                    RowGroup::Sealed(slots) => slots.iter().map(|s| s.file_name()).collect(),
+                    RowGroup::Open(_) => vec!["open".to_string()],
+                })
+                .collect()
+        };
+        prop_assert_eq!(names(&sealed), names(&scratch));
+        prop_assert_eq!(sealed.to_rows().unwrap(), scratch.to_rows().unwrap());
+    }
+
+    /// Draining a scan appends each batch's columns; the table it builds
+    /// reads exactly as the one row-by-row pushes build, for an `Any`
+    /// column that mixes Int and Float, NULLs, blobs and strings — at any
+    /// batch size, over open and sealed groups.
+    #[test]
+    fn a_drained_result_equals_row_by_row_pushes(
+        values in prop::collection::vec(arb_any(), 0..60),
+        batch in 1usize..9,
+        page_rows in 1usize..7,
+        seal in any::<bool>(),
+    ) {
+        let schema = Schema::of(&[("k", DataType::Int), ("x", DataType::Any)]);
+        let rows: Vec<Row> = values
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| vec![Value::Int(i as i64), x])
+            .collect();
+        let pushed = Table::from_rows("t", schema, rows.clone()).unwrap();
+        let source = if seal {
+            pushed.seal(&Arc::new(BufferPool::with_budget(2)), page_rows).unwrap()
+        } else {
+            pushed.clone()
+        };
+        let scan = TableScan::new(Arc::new(source)).with_batch_size(batch);
+        let drained = collect("t", Box::new(scan)).unwrap();
+        prop_assert_eq!(drained.len(), rows.len());
+        prop_assert_eq!(&drained.to_rows().unwrap(), &rows);
+        for (i, want) in rows.iter().enumerate() {
+            prop_assert_eq!(drained.row_at(i).unwrap(), Some(want.clone()));
+        }
+        let mut seen = Vec::new();
+        drained
+            .for_each_in_column("x", |_, v| {
+                seen.push(v.clone());
+                Ok(())
+            })
+            .unwrap();
+        let want: Vec<Value> = rows.iter().map(|r| r[1].clone()).collect();
+        prop_assert_eq!(seen, want);
+        prop_assert_eq!(&drained, &pushed);
+    }
+}
+
+/// A drained batch is checked against the output schema once per column,
+/// by the rule `check_row` applies to each value.
+#[test]
+fn a_drained_batch_that_misfits_the_schema_is_refused() {
+    use kath_storage::{Operator, RowBatch};
+    struct Batches(Schema, Vec<RowBatch>);
+    impl Operator for Batches {
+        fn schema(&self) -> &Schema {
+            &self.0
+        }
+        fn next_batch(&mut self) -> Result<Option<RowBatch>, StorageError> {
+            Ok(self.1.pop())
+        }
+    }
+    let schema = Schema::new(vec![
+        Column::required("k", DataType::Int),
+        Column::new("f", DataType::Float),
+    ])
+    .unwrap();
+    let batch = |k: Vec<Value>, f: Vec<Value>| {
+        RowBatch::from_columns(vec![
+            ColumnVector::from_values(k),
+            ColumnVector::from_values(f),
+        ])
+        .unwrap()
+    };
+    let drain = |b: RowBatch| collect("t", Box::new(Batches(schema.clone(), vec![b])));
+    // A Float column admits Int and Float values, mixed or not, and NULLs.
+    let fine = batch(
+        vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+        vec![Value::Int(1), Value::Float(0.5), Value::Null],
+    );
+    assert_eq!(drain(fine).unwrap().len(), 3);
+    // A NULL in a NOT NULL column, a string in an Int column, a blob in
+    // the middle of a mixed Float column: each is refused.
+    for bad in [
+        batch(
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Null, Value::Null],
+        ),
+        batch(vec![Value::Str("x".into())], vec![Value::Float(1.0)]),
+        batch(
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+            vec![Value::Int(1), Value::Blob(vec![1]), Value::Float(0.5)],
+        ),
+    ] {
+        assert!(
+            matches!(drain(bad), Err(StorageError::TypeMismatch { .. })),
+            "a misfit was drained"
+        );
     }
 }
