@@ -115,11 +115,12 @@ fn durable_round_trip(records: usize, faults: Option<FaultPlan>) -> (f64, f64, u
     let build_started = Instant::now();
     {
         let (mut d, _) = Durability::open(&dir, &pool).expect("durable dir opens");
-        d.log(&WalRecord::CreateTable {
+        let create = WalRecord::CreateTable {
             name: "kv".to_string(),
             schema: schema.clone(),
-        })
-        .unwrap();
+        };
+        d.log_batch_nosync([&create]).unwrap();
+        d.sync_wal().unwrap();
         if let Some(plan) = &faults {
             io.install_faults(plan.clone());
         }
@@ -141,15 +142,18 @@ fn durable_round_trip(records: usize, faults: Option<FaultPlan>) -> (f64, f64, u
                     io.install_faults(plan.clone());
                 }
             }
-            // Appends rewrite at a fixed offset, so the client-level retry
-            // (on top of the built-in bounded backoff) never duplicates a
-            // record; a 10% schedule occasionally outlasts one bounded run.
+            // A failed append is rolled back to the tail it began at, as a
+            // commit's is, so the client-level retry (on top of the
+            // built-in bounded backoff) never duplicates a record; a 10%
+            // schedule occasionally outlasts one bounded run.
             let record = WalRecord::Insert {
                 table: "kv".to_string(),
                 rows: vec![vec![Value::Int(i as i64), Value::Str(format!("row-{i}"))]],
             };
+            let (tail, count) = (d.wal_tail(), d.wal_record_count());
             let mut attempts = 0;
-            while let Err(e) = d.log(&record) {
+            while let Err(e) = d.log_batch_nosync([&record]).and_then(|_| d.sync_wal()) {
+                d.rewind_wal(tail, count);
                 attempts += 1;
                 assert!(attempts < 100, "append never succeeded: {e}");
             }

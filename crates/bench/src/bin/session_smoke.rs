@@ -158,12 +158,13 @@ fn tear_wal_tail(dir: &std::path::Path) {
     segs.sort();
     let seg = segs.pop().expect("active segment");
     let (mut wal, _) = kath_storage::Wal::open(&seg).expect("segment reopens");
-    wal.append(&WalRecord::Begin(u64::MAX / 2)).unwrap();
-    wal.append(&WalRecord::Insert {
+    let insert = WalRecord::Insert {
         table: "log".into(),
         rows: vec![vec![Value::Int(999), Value::Int(999), Value::Int(0)]],
-    })
-    .unwrap();
+    };
+    wal.append_batch_nosync([&WalRecord::Begin(u64::MAX / 2), &insert])
+        .unwrap();
+    wal.sync().unwrap();
     // No Commit: recovery must discard this transaction entirely.
 }
 

@@ -384,12 +384,13 @@ fn main() {
     // encoding and encoded-vs-in-memory ratio.
     let mut encodings = Vec::new();
     for column in movies.schema().names() {
-        let values: Vec<Value> = movies
-            .column_values(column)
-            .expect("listed column")
-            .into_iter()
-            .cloned()
-            .collect();
+        let mut values: Vec<Value> = Vec::with_capacity(movies.len());
+        movies
+            .for_each_in_column(column, |_, v| {
+                values.push(v.clone());
+                Ok(())
+            })
+            .expect("listed column");
         let mut encoded_bytes = 0usize;
         let raw_bytes: usize = values.iter().map(approx_value_bytes).sum();
         let mut names: Vec<&'static str> = Vec::new();

@@ -180,11 +180,15 @@ impl QueryResult {
             return self.table.clone();
         }
         let proj = schema.project(&available.iter().map(|(i, _)| *i).collect::<Vec<_>>());
-        let project = |row: &Vec<Value>| available.iter().map(|(i, _)| row[*i].clone()).collect();
-        let rows = self.table.rows().iter().map(project).collect();
+        let project = |row: Vec<Value>| available.iter().map(|(i, _)| row[*i].clone()).collect();
         // A projection keeps each value under its own column type, so the
         // rows validate; were that ever broken, show the table unprojected.
-        Table::from_rows("final_results", proj, rows).unwrap_or_else(|_| self.table.clone())
+        let rows = self
+            .table
+            .to_rows()
+            .map(|rows| rows.into_iter().map(project).collect());
+        rows.and_then(|rows| Table::from_rows("final_results", proj, rows))
+            .unwrap_or_else(|_| self.table.clone())
     }
 
     /// The lid of the top-ranked tuple, if present.
@@ -1139,11 +1143,12 @@ mod tests {
             // in-memory handle holds.
             let pool = std::sync::Arc::new(kath_storage::BufferPool::with_budget(16));
             let (mut d, _) = Durability::open(&dir, &pool).unwrap();
-            d.log(&WalRecord::Insert {
+            d.log_batch_nosync([&WalRecord::Insert {
                 table: "movie_table".into(),
                 rows: vec![vec![Value::Int(1)]],
-            })
+            }])
             .unwrap();
+            d.sync_wal().unwrap();
         }
         let mut db = KathDB::new(42);
         db.load_corpus(&mmqa_small()).unwrap();

@@ -19,13 +19,13 @@
 use crate::{id_from_uri, ExecContext, ExecError, Published};
 use kath_fao::{FunctionBody, VisionImpl};
 use kath_lineage::{DataKind, LineageError, LineageRun};
-use kath_media::{Image, MediaError, MediaFormat};
+use kath_media::{Document, Image, MediaError, MediaFormat};
 use kath_model::{SimLlm, SimOcr, SimVlm, VlmCascade};
 use kath_multimodal::{
     emit_document, emit_frame, extract_document, SceneGraphViews, TextGraphViews,
 };
 use kath_storage::{
-    run_morsels_guarded, Column, DataType, MorselSource, Row, Schema, Table, Value,
+    run_morsels_guarded, Column, DataType, Expr, MorselSource, Row, RowBatch, Schema, Table, Value,
     DEFAULT_BATCH_SIZE, MORSEL_BATCHES,
 };
 use std::sync::Arc;
@@ -118,10 +118,7 @@ pub fn execute_body(
                 output_name,
                 &[(output_column.as_str(), DataType::Any)],
                 EXPR_MORSEL_ROWS,
-                |row| {
-                    let v = lowered.as_ref()?.eval(row, schema);
-                    Ok(Some(vec![v.map_err(|e| e.to_string())?]))
-                },
+                |rows| eval_morsel(&lowered, schema, rows, |v| Some(vec![v])),
             )
         }
         FunctionBody::FilterExpr { input, predicate } => {
@@ -138,10 +135,7 @@ pub fn execute_body(
                 output_name,
                 &[],
                 EXPR_MORSEL_ROWS,
-                |row| {
-                    let keep = lowered.as_ref()?.eval(row, schema);
-                    Ok(keep.map_err(|e| e.to_string())?.is_truthy().then(Vec::new))
-                },
+                |rows| eval_morsel(&lowered, schema, rows, |v| v.is_truthy().then(Vec::new)),
             )
         }
         FunctionBody::ConceptScore {
@@ -162,13 +156,13 @@ pub fn execute_body(
                 output_name,
                 &[(output_column.as_str(), DataType::Float)],
                 SEMANTIC_MORSEL_ROWS,
-                |row| {
+                each(|row: &Row| {
                     let score = match row[*idx.as_ref()?].as_str() {
                         Some(text) => scorer.score(text),
                         None => 0.0,
                     };
                     Ok(Some(vec![Value::Float(score)]))
-                },
+                }),
             )
         }
         FunctionBody::VisualClassify {
@@ -191,7 +185,7 @@ pub fn execute_body(
                 output_name,
                 &[(output_column.as_str(), DataType::Bool)],
                 SEMANTIC_MORSEL_ROWS,
-                |row| {
+                each(|row: &Row| {
                     let uri = row[*idx.as_ref()?]
                         .as_str()
                         .ok_or_else(|| format!("NULL media uri in '{uri_column}'"))?;
@@ -205,7 +199,7 @@ pub fn execute_body(
                     };
                     let interest = interest.of(image).map_err(|e| e.to_string())?;
                     Ok(Some(vec![Value::Bool(interest <= *threshold)]))
-                },
+                }),
             )
         }
         FunctionBody::ViewPopulate {
@@ -221,6 +215,39 @@ pub fn execute_body(
             *convert_unsupported,
             output_name,
         ),
+    }
+}
+
+/// One morsel of an expression body (`MapExpr`, `FilterExpr`): `expr`
+/// evaluated once over a batch of the columns it names, each value turned
+/// into its row's outcome by `keep`. Only a morsel whose batch raises is
+/// evaluated again as one-row batches, so each failing row keeps its own
+/// message and the others their values. An expression that did not lower
+/// fails every row with the lowering's message.
+fn eval_morsel(
+    expr: &Result<Expr, String>,
+    schema: &Schema,
+    rows: &[Row],
+    keep: impl Fn(Value) -> Option<Vec<Value>>,
+) -> Vec<Computed> {
+    let expr = match expr {
+        Ok(expr) => expr,
+        Err(msg) => return vec![Err(msg.clone()); rows.len()],
+    };
+    let names = expr.referenced_columns();
+    let columns: Vec<usize> = names.iter().filter_map(|n| schema.index_of(n)).collect();
+    let row = |r: &Row| columns.iter().map(|&c| r[c].clone()).collect();
+    // A batch built from rows keeps their count, even of no column.
+    let batch = RowBatch::from_rows(columns.len(), rows.iter().map(row).collect());
+    let schema = schema.project(&columns);
+    match expr.eval_batch(&batch, &schema) {
+        Ok(values) => (0..rows.len()).map(|i| Ok(keep(values.value(i)))).collect(),
+        Err(_) => (0..rows.len())
+            .map(|i| {
+                let value = expr.eval_batch(&batch.gather(&[i]), &schema);
+                Ok(keep(value.map_err(|e| e.to_string())?.value(0)))
+            })
+            .collect(),
     }
 }
 
@@ -379,16 +406,12 @@ fn exec_sql(
 /// Keeps the first row per key value (the monitor's one-poster-one-movie
 /// patch, §5).
 fn dedup_by_key(table: &Table, key: &str) -> Result<Table, ExecError> {
-    let idx = table
-        .schema()
-        .resolve(key)
-        .map_err(|e| ExecError::Storage(e.to_string()))?;
+    let idx = table.schema().resolve(key)?;
     let mut seen = std::collections::HashSet::new();
     let mut out = Table::new(table.name(), table.schema().clone());
-    for row in table.rows() {
+    for row in table.to_rows()? {
         if seen.insert(row[idx].clone()) {
-            out.push(row.clone())
-                .map_err(|e| ExecError::Storage(e.to_string()))?;
+            out.push(row)?;
         }
     }
     Ok(out)
@@ -409,6 +432,11 @@ const SEMANTIC_MORSEL_ROWS: usize = 64;
 /// beside it do (spawning for it measured +0.1 ms on a 0.7 ms node).
 const EXPR_MORSEL_ROWS: usize = MORSEL_BATCHES * DEFAULT_BATCH_SIZE;
 
+/// The compute of a morsel whose items are independent: `f` on each.
+fn each<I, T>(f: impl Fn(&I) -> T + Sync) -> impl Fn(&[I]) -> Vec<T> + Sync {
+    move |items| items.iter().map(&f).collect()
+}
+
 /// A finished compute phase: one output per item, in input order.
 struct ComputeRun<T> {
     computed: Vec<T>,
@@ -416,26 +444,25 @@ struct ComputeRun<T> {
     worker_ms: Vec<f64>,
 }
 
-/// The compute phase of every per-item model loop: `compute` over `items` in
+/// The compute phase of every item-by-item body: `compute` over `items` in
 /// morsels of `morsel_rows`, claimed by `ctx.threads` workers (one worker is
 /// the calling thread and spawns nothing) under a guard minted from
 /// `ctx.limits`, which is checked before each morsel — a passed deadline or
 /// a fired cancel token aborts the node with [`ExecError::Guard`] before
-/// anything is stamped or published. `compute` must be pure but for the
+/// anything is stamped or published. `compute` takes one morsel and returns
+/// one output per item of it, in order: a model loop maps its items, an
+/// expression body evaluates them as one batch. It must be pure but for the
 /// token meter, whose totals are sums and so independent of the order the
 /// workers charge it in.
 fn compute_in_morsels<I: Sync, T: Send>(
     ctx: &ExecContext,
     items: &[I],
     morsel_rows: usize,
-    compute: impl Fn(&I) -> T + Sync,
+    compute: impl Fn(&[I]) -> Vec<T> + Sync,
 ) -> Result<ComputeRun<T>, ExecError> {
     let source = MorselSource::new(items.len(), morsel_rows);
     let run = run_morsels_guarded(&source, ctx.threads, &ctx.limits.guard(), |m| {
-        Ok(items[m.start..m.end]
-            .iter()
-            .map(&compute)
-            .collect::<Vec<_>>())
+        Ok(compute(&items[m.start..m.end]))
     })?;
     Ok(ComputeRun {
         computed: run.outputs.into_iter().flatten().collect(),
@@ -463,9 +490,9 @@ impl ExecOutcome {
 type Computed = Result<Option<Vec<Value>>, String>;
 
 /// Shared implementation of narrow (row-level) transforms: `compute` runs
-/// over the input in morsels of `morsel_rows`; the stamp phase then gives
-/// every row it kept a fresh lid whose parent is the input row's, in input
-/// order.
+/// over the input in morsels of `morsel_rows`, one [`Computed`] per row; the
+/// stamp phase then gives every row it kept a fresh lid whose parent is the
+/// input row's, in input order.
 #[allow(clippy::too_many_arguments)]
 fn narrow_transform(
     ctx: &mut ExecContext,
@@ -475,7 +502,7 @@ fn narrow_transform(
     output_name: &str,
     new_columns: &[(&str, DataType)],
     morsel_rows: usize,
-    compute: impl Fn(&Row) -> Computed + Sync,
+    compute: impl Fn(&[Row]) -> Vec<Computed> + Sync,
 ) -> Result<ExecOutcome, ExecError> {
     // Owned, not `rows()`: each kept row moves into the output, and the
     // input keeps no row cache.
@@ -628,9 +655,8 @@ fn populate_text_views(
 ) -> Result<PopulatedViews, ExecError> {
     let media = ctx.media.clone();
     let docs = media.documents();
-    let run = compute_in_morsels(ctx, &docs, SEMANTIC_MORSEL_ROWS, |doc| {
-        extract_document(doc, &ctx.llm)
-    })?;
+    let extract = each(|doc: &&Document| extract_document(doc, &ctx.llm));
+    let run = compute_in_morsels(ctx, &docs, SEMANTIC_MORSEL_ROWS, extract)?;
 
     let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
     let root = ctx.ingest_media_root("collection://documents")?;
@@ -685,12 +711,13 @@ fn populate_scene_views(
     // replaces images in `ctx.media` while it walks this one.
     let media = ctx.media.clone();
     let images = media.images();
-    let run = compute_in_morsels(ctx, &images, SEMANTIC_MORSEL_ROWS, |image| {
+    let detect = each(|image: &&Image| {
         let converted = (!image.format.is_supported() && convert_unsupported)
             .then(|| image.convert_to(MediaFormat::Png));
         vlm.detect(converted.as_ref().unwrap_or(image))
             .map(|detections| (converted, detections))
-    })?;
+    });
+    let run = compute_in_morsels(ctx, &images, SEMANTIC_MORSEL_ROWS, detect)?;
 
     let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
     let root = ctx.ingest_media_root("collection://images")?;
@@ -740,7 +767,7 @@ fn populate_scene_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kath_media::{BBox, Color, Document, ImageObject};
+    use kath_media::{BBox, Color, ImageObject};
     use kath_model::TokenMeter;
     use kath_storage::StorageError;
 
@@ -1329,14 +1356,14 @@ mod tests {
                 "scored",
                 &[("excitement_score", DataType::Float)],
                 SEMANTIC_MORSEL_ROWS,
-                |row| {
+                each(|row: &Row| {
                     if row[0] == Value::Int(0) {
                         running_tx.lock().unwrap().send(()).unwrap();
                         fired_rx.lock().unwrap().recv().unwrap();
                     }
                     scored.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     Ok(Some(vec![Value::Float(0.5)]))
-                },
+                }),
             )
         });
         let err = result.unwrap_err();
@@ -1423,6 +1450,66 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_map_expr_that_raises_on_some_rows_fails_only_those_rows() {
+        for threads in [1usize, 2, 8] {
+            let mut c = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
+            c.threads = threads;
+            let xs: Vec<Value> = vec![
+                0i64.into(),
+                1i64.into(),
+                2i64.into(),
+                3i64.into(),
+                "four".into(),
+                Value::Null,
+                6i64.into(),
+                3i64.into(),
+            ];
+            let rows = xs.into_iter().enumerate();
+            let t = Table::from_rows(
+                "xs",
+                Schema::of(&[("id", DataType::Int), ("x", DataType::Any)]),
+                rows.map(|(i, x)| vec![(i as i64).into(), x]).collect(),
+            )
+            .unwrap();
+            c.ingest_table(t, "file://xs").unwrap();
+            let body = FunctionBody::MapExpr {
+                input: "xs".into(),
+                expr: "10 / (x - 3)".into(),
+                output_column: "y".into(),
+            };
+            let out = execute_body(&mut c, "inverse", 1, &body, "ys").unwrap();
+            // Recorded when expression bodies ran one row at a time.
+            let failed =
+                |desc: &str, msg: &str| (desc.to_string(), format!("expression error: {msg}"));
+            assert_eq!(
+                out.failed_rows,
+                vec![
+                    failed("3, 3", "division by zero"),
+                    failed("4, four", "cannot apply - to Str(\"four\") and Int(3)"),
+                    failed("7, 3", "division by zero"),
+                ],
+                "threads {threads}"
+            );
+            let int = |v: i64| Value::Int(v);
+            assert_eq!(
+                out.table.to_rows().unwrap(),
+                vec![
+                    vec![int(0), int(0), int(2), int(-3)],
+                    vec![int(1), int(1), int(3), int(-5)],
+                    vec![int(2), int(2), int(4), int(-10)],
+                    vec![int(5), Value::Null, int(5), Value::Null],
+                    vec![int(6), int(6), int(6), int(3)],
+                ],
+                "threads {threads}"
+            );
+            assert_eq!(out.output_lid, 7);
+            for lid in 2..=6 {
+                assert_eq!(c.lineage.edges_of(lid)[0].parent_lid, Some(1));
+            }
+        }
+    }
+
     mod stamp_order {
         use super::*;
         use proptest::prelude::*;
@@ -1437,17 +1524,26 @@ mod tests {
             edges: Vec<(i64, Option<i64>, String, u32, DataKind)>,
         }
 
-        /// Input rows `(id, lid?, tag)`: with `with_lids` every row carries
-        /// its own lid, so parents are row-level.
+        /// Input rows `(id, lid?, m, tag)`, `m` the row's mask byte: with
+        /// `with_lids` every row carries its own lid, so parents are
+        /// row-level.
         fn input_ctx(mask: &[u8], with_lids: bool) -> ExecContext {
             let mut c = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
-            let mut columns = vec![("id", DataType::Int), ("tag", DataType::Str)];
+            let mut columns = vec![
+                ("id", DataType::Int),
+                ("m", DataType::Int),
+                ("tag", DataType::Str),
+            ];
             if with_lids {
                 columns.insert(1, ("lid", DataType::Int));
             }
             let mut t = Table::new("t", Schema::of(&columns));
             for (i, m) in mask.iter().enumerate() {
-                let mut row: Row = vec![(i as i64).into(), format!("tag{m}").into()];
+                let mut row: Row = vec![
+                    (i as i64).into(),
+                    (*m as i64).into(),
+                    format!("tag{m}").into(),
+                ];
                 if with_lids {
                     let lid = c.lineage.alloc_lid();
                     row.insert(1, lid.into());
@@ -1458,14 +1554,64 @@ mod tests {
             c
         }
 
-        /// Keep, drop or fail by the row's mask byte.
-        fn by_mask(mask: &[u8]) -> impl Fn(&Row) -> Computed + Sync + '_ {
-            |row| {
+        /// The bodies the routine runs: a closure that keeps, drops or
+        /// fails a row by its mask byte, and two expression bodies whose
+        /// division raises on every row with `m % 3 = 1`.
+        #[derive(Debug, Clone, Copy)]
+        enum Body {
+            Mask,
+            Map,
+            Filter,
+        }
+
+        impl Body {
+            fn new_columns(self) -> Vec<(&'static str, DataType)> {
+                match self {
+                    Body::Mask => vec![("x", DataType::Int)],
+                    Body::Map => vec![("x", DataType::Any)],
+                    Body::Filter => vec![],
+                }
+            }
+
+            /// The body's expression, lowered against `schema`.
+            fn lowered(self, schema: &Schema) -> Result<Expr, String> {
+                let text = match self {
+                    Body::Filter => "100 / (m % 3 - 1) > 0",
+                    _ => "100 / (m % 3 - 1)",
+                };
+                let parsed = kath_sql::parse_expr(text).map_err(|e| e.to_string())?;
+                kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string())
+            }
+
+            /// What the body computes for one row, written out by hand.
+            fn expected(self, mask: &[u8], row: &Row) -> Computed {
                 let i = row[0].as_int().unwrap() as usize;
-                match mask[i] % 3 {
-                    0 => Ok(Some(vec![Value::Int(mask[i] as i64 * 7)])),
-                    1 => Ok(None),
-                    _ => Err(format!("row {i} failed with {}", mask[i])),
+                let m = mask[i];
+                let zero = || Err("expression error: division by zero".to_string());
+                match (self, m % 3) {
+                    (Body::Mask, 0) => Ok(Some(vec![Value::Int(m as i64 * 7)])),
+                    (Body::Mask, 1) => Ok(None),
+                    (Body::Mask, _) => Err(format!("row {i} failed with {m}")),
+                    (_, 1) => zero(),
+                    (Body::Map, r) => Ok(Some(vec![Value::Int(100 / (r as i64 - 1))])),
+                    (_, 0) => Ok(None),
+                    (_, _) => Ok(Some(Vec::new())),
+                }
+            }
+
+            /// The body's compute phase over one morsel.
+            fn compute<'a>(
+                self,
+                mask: &'a [u8],
+                schema: &'a Schema,
+            ) -> impl Fn(&[Row]) -> Vec<Computed> + Sync + 'a {
+                let lowered = self.lowered(schema);
+                move |rows| match self {
+                    Body::Mask => rows.iter().map(|r| self.expected(mask, r)).collect(),
+                    Body::Map => eval_morsel(&lowered, schema, rows, |v| Some(vec![v])),
+                    Body::Filter => {
+                        eval_morsel(&lowered, schema, rows, |v| v.is_truthy().then(Vec::new))
+                    }
                 }
             }
         }
@@ -1483,16 +1629,15 @@ mod tests {
 
         /// The routine as one plain loop: what every worker count and morsel
         /// size must reproduce.
-        fn serial_loop(mask: &[u8], with_lids: bool) -> Observed {
+        fn serial_loop(mask: &[u8], with_lids: bool, body: Body) -> Observed {
             let mut c = input_ctx(mask, with_lids);
             let before = c.lineage.len();
             let input = c.catalog.get("t").unwrap();
             let table_lid = c.table_lid("t");
             let lid_idx = input.schema().index_of("lid");
-            let compute = by_mask(mask);
             let (mut rows, mut failed_rows, mut edges) = (Vec::new(), Vec::new(), Vec::new());
-            for row in input.rows() {
-                match compute(row) {
+            for row in input.to_rows().unwrap() {
+                match body.expected(mask, &row) {
                     Err(msg) => {
                         let desc = row.iter().map(Value::render).collect::<Vec<_>>().join(", ");
                         failed_rows.push((desc, msg));
@@ -1523,45 +1668,56 @@ mod tests {
             }
         }
 
+        /// Case budget: 24 by default, deepened through `PROPTEST_CASES`.
+        fn cases() -> u32 {
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(24)
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
+            #![proptest_config(ProptestConfig::with_cases(cases()))]
 
             #[test]
             fn every_worker_count_and_morsel_size_stamps_like_one_serial_loop(
                 mask in prop::collection::vec(any::<u8>(), 0..300),
                 with_lids in any::<bool>(),
             ) {
-                let expected = serial_loop(&mask, with_lids);
-                for morsel_rows in [1usize, 7, 4096] {
-                    for workers in [1usize, 2, 8] {
-                        let mut c = input_ctx(&mask, with_lids);
-                        c.threads = workers;
-                        let before = c.lineage.len();
-                        let input = c.catalog.get("t").unwrap();
-                        let out = narrow_transform(
-                            &mut c,
-                            "f",
-                            3,
-                            &input,
-                            "o",
-                            &[("x", DataType::Int)],
-                            morsel_rows,
-                            by_mask(&mask),
-                        )
-                        .unwrap();
-                        prop_assert_eq!(out.rows_in, mask.len());
-                        prop_assert_eq!(
-                            out.workers,
-                            workers.min(mask.len().div_ceil(morsel_rows)).max(1)
-                        );
-                        let observed = observe(&c, before, out);
-                        prop_assert_eq!(
-                            &observed,
-                            &expected,
-                            "morsel_rows {} workers {}",
-                            morsel_rows,
-                            workers
-                        );
+                for body in [Body::Mask, Body::Map, Body::Filter] {
+                    let expected = serial_loop(&mask, with_lids, body);
+                    for morsel_rows in [1usize, 7, 4096] {
+                        for workers in [1usize, 2, 8] {
+                            let mut c = input_ctx(&mask, with_lids);
+                            c.threads = workers;
+                            let before = c.lineage.len();
+                            let input = c.catalog.get("t").unwrap();
+                            let out = narrow_transform(
+                                &mut c,
+                                "f",
+                                3,
+                                &input,
+                                "o",
+                                &body.new_columns(),
+                                morsel_rows,
+                                body.compute(&mask, input.schema()),
+                            )
+                            .unwrap();
+                            prop_assert_eq!(out.rows_in, mask.len());
+                            prop_assert_eq!(
+                                out.workers,
+                                workers.min(mask.len().div_ceil(morsel_rows)).max(1)
+                            );
+                            let observed = observe(&c, before, out);
+                            prop_assert_eq!(
+                                &observed,
+                                &expected,
+                                "{:?}, morsel_rows {} workers {}",
+                                body,
+                                morsel_rows,
+                                workers
+                            );
+                        }
                     }
                 }
             }

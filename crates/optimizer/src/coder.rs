@@ -130,13 +130,15 @@ pub fn synthesize(
                 .get(&sig.inputs[0])
                 .ok()
                 .and_then(|t| {
-                    let years: Vec<i64> = t
-                        .column_values("year")
-                        .ok()?
-                        .into_iter()
-                        .filter_map(|v| v.as_int())
-                        .collect();
-                    Some((*years.iter().min()?, *years.iter().max()?))
+                    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+                    t.for_each_in_column("year", |_, v| {
+                        if let Some(year) = v.as_int() {
+                            (lo, hi) = (lo.min(year), hi.max(year));
+                        }
+                        Ok(())
+                    })
+                    .ok()?;
+                    (lo <= hi).then_some((lo, hi))
                 })
                 .unwrap_or((1970, 2026));
             let span = (hi - lo).max(1);

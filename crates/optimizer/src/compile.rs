@@ -9,7 +9,7 @@ use kath_fao::{FunctionBody, FunctionRegistry, FunctionSignature, ProfileStats, 
 use kath_lineage::{LineagePolicy, LineageStore};
 use kath_model::Verdict;
 use kath_parser::{LogicalPlan, StepTag};
-use kath_storage::Table;
+use kath_storage::{Table, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -278,15 +278,15 @@ pub fn compile(
         // of a reversed recency score).
         if matches!(node.tag, StepTag::RecencyScore) {
             if let Ok(out) = sample_ctx.catalog.get(&node.signature.output) {
-                let samples: Vec<(f64, f64)> = out
-                    .rows()
-                    .iter()
-                    .filter_map(|r| {
-                        let y = out.schema().index_of("year")?;
-                        let s = out.schema().index_of("recency_score")?;
-                        Some((r[y].as_f64()?, r[s].as_f64()?))
-                    })
-                    .collect();
+                let samples: Vec<(f64, f64)> = match (
+                    read_column(&out, "year"),
+                    read_column(&out, "recency_score"),
+                ) {
+                    (Some(years), Some(scores)) => (years.iter().zip(&scores))
+                        .filter_map(|(y, s)| Some((y.as_f64()?, s.as_f64()?)))
+                        .collect(),
+                    _ => Vec::new(),
+                };
                 let verdict = ctx
                     .llm
                     .critique_monotonic("assign a recency score based on release year", &samples);
@@ -363,15 +363,23 @@ fn agreement(reference: &Table, candidate: &Table) -> f64 {
     if reference.len() != candidate.len() || reference.is_empty() {
         return 0.0;
     }
-    let rc = reference.schema().arity() - 1;
-    let cc = candidate.schema().arity() - 1;
-    let matches = reference
-        .rows()
-        .iter()
-        .zip(candidate.rows())
-        .filter(|(a, b)| a[rc] == b[cc])
-        .count();
+    let last = |t: &Table| read_column(t, &t.schema().columns().last()?.name);
+    let (Some(r), Some(c)) = (last(reference), last(candidate)) else {
+        return 0.0;
+    };
+    let matches = r.iter().zip(&c).filter(|(a, b)| a == b).count();
     matches as f64 / reference.len() as f64
+}
+
+/// The values of `table`'s column `name`, read without materializing rows;
+/// `None` when there is no such column or its pages are unreadable.
+fn read_column(table: &Table, name: &str) -> Option<Vec<Value>> {
+    let mut values = Vec::with_capacity(table.len());
+    let read = table.for_each_in_column(name, |_, v| {
+        values.push(v.clone());
+        Ok(())
+    });
+    read.ok().map(|()| values)
 }
 
 /// Samples the media collection the `modality` half populates its views
@@ -387,8 +395,8 @@ fn sample_media(sample: &mut ExecContext, modality: &str) {
         let Ok(table) = snapshot.get(name) else {
             continue;
         };
-        if let Some(i) = table.schema().index_of(column) {
-            let keys = table.rows().iter().filter_map(|r| r[i].as_int());
+        if let Some(keys) = read_column(&table, column) {
+            let keys = keys.iter().filter_map(Value::as_int);
             ids.get_or_insert_default().extend(keys);
         }
     }

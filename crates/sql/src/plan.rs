@@ -109,15 +109,17 @@ pub fn plan_mutation(catalog: &Catalog, stmt: &Statement) -> Result<WalRecord, S
         }
         Statement::Insert { table, rows } => {
             let existing = catalog.get(table)?;
+            // A value names no column: it is evaluated over one row of none.
             let empty_schema = Schema::of(&[]);
+            let one_row = RowBatch::from_rows(0, vec![Vec::new()]);
+            let value = |e: &SqlExpr| -> Result<Value, SqlError> {
+                Ok(to_expr(e, &empty_schema)?
+                    .eval_batch(&one_row, &empty_schema)?
+                    .value(0))
+            };
             let mut values_rows = Vec::with_capacity(rows.len());
             for row in rows {
-                let values: Vec<Value> = row
-                    .iter()
-                    .map(|e| {
-                        to_expr(e, &empty_schema).and_then(|x| Ok(x.eval(&vec![], &empty_schema)?))
-                    })
-                    .collect::<Result<_, SqlError>>()?;
+                let values: Vec<Value> = row.iter().map(value).collect::<Result<_, _>>()?;
                 // The same arity/type validation `Table::push` applies, so
                 // a logged record can never fail to apply — without
                 // cloning the table just to type-check.

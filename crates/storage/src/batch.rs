@@ -143,10 +143,15 @@ impl StrBuf {
         Self { spans, buf }
     }
 
-    /// Appends one string at the end of the buffer.
-    fn push(&mut self, s: &str) {
-        self.spans.push((self.buf.len() as u32, s.len() as u32));
+    /// Appends one string at the end of the buffer; `false`, appending
+    /// nothing, when its span would end past what a `u32` addresses.
+    fn push(&mut self, s: &str) -> bool {
+        let Some(span) = span(self.buf.len(), s.len()) else {
+            return false;
+        };
+        self.spans.push(span);
         self.buf.push_str(s);
+        true
     }
 
     /// Number of slots.
@@ -178,6 +183,13 @@ impl StrBuf {
     pub fn heap_bytes(&self) -> usize {
         self.spans.len() * std::mem::size_of::<(u32, u32)>() + self.buf.len()
     }
+}
+
+/// The span of `len` bytes appended to a buffer of `used` bytes, or `None`
+/// when it would end past what a `u32` addresses.
+fn span(used: usize, len: usize) -> Option<(u32, u32)> {
+    let end = used.checked_add(len)?;
+    (end <= u32::MAX as usize).then_some((used as u32, len as u32))
 }
 
 /// The typed payload of a [`ColumnVector`]. NULL slots hold a default
@@ -224,7 +236,7 @@ impl ColumnData {
             ColumnData::Str(d) => d.resize(d.len() + n, String::new()),
             ColumnData::Bool(d) => d.resize(d.len() + n, false),
             ColumnData::Mixed(d) => d.resize(d.len() + n, Value::Null),
-            ColumnData::StrBuf(b) => (0..n).for_each(|_| b.push("")),
+            ColumnData::StrBuf(b) => b.spans.resize(b.spans.len() + n, (0, 0)),
         }
     }
 }
@@ -335,7 +347,14 @@ impl ColumnVector {
             (ColumnData::Int(d), Value::Int(x)) => d.push(x),
             (ColumnData::Float(d), Value::Float(x)) => d.push(x),
             (ColumnData::Str(d), Value::Str(x)) => d.push(x),
-            (ColumnData::StrBuf(d), Value::Str(x)) => d.push(&x),
+            (ColumnData::StrBuf(d), Value::Str(x)) => {
+                if !d.push(&x) {
+                    // Past its spans' reach: the `Str` form holds any length.
+                    let mut strs: Vec<String> = d.iter().map(str::to_owned).collect();
+                    strs.push(x);
+                    self.data = ColumnData::Str(strs);
+                }
+            }
             (ColumnData::Bool(d), Value::Bool(x)) => d.push(x),
             (ColumnData::Mixed(d), v) => d.push(v),
             (_, v) => {
@@ -382,7 +401,10 @@ impl ColumnVector {
             },
             ColumnData::Str(v) => match strs(v.iter().map(String::len).sum()) {
                 Some(mut copy) => {
-                    v.iter().for_each(|s| copy.push(s));
+                    // `strs` checked the room for every one of them.
+                    for s in v {
+                        copy.push(s);
+                    }
                     ColumnData::StrBuf(Box::new(copy))
                 }
                 None => ColumnData::Str(room(v, rows)),
@@ -905,6 +927,17 @@ mod tests {
             }
             assert_eq!(copy.to_values(), want);
         }
+    }
+
+    #[test]
+    fn a_span_that_would_pass_the_u32_bound_is_refused() {
+        let max = u32::MAX as usize;
+        assert_eq!(span(0, 5), Some((0, 5)));
+        assert_eq!(span(max - 5, 5), Some((u32::MAX - 5, 5)));
+        assert_eq!(span(max - 5, 6), None);
+        assert_eq!(span(max, 0), Some((u32::MAX, 0)));
+        assert_eq!(span(max + 1, 0), None);
+        assert_eq!(span(usize::MAX, 1), None);
     }
 
     #[test]

@@ -271,7 +271,8 @@ impl Durability {
             // records appended later would be swallowed into it at the
             // next replay.
             if let Some(txid) = filtered.open_txn {
-                wal.append(&WalRecord::Abort(txid))?;
+                wal.append_batch_nosync([&WalRecord::Abort(txid)])?;
+                wal.sync()?;
             }
             return Ok((
                 Self {
@@ -298,16 +299,10 @@ impl Durability {
         }))
     }
 
-    /// Appends one record to the active segment and fsyncs it. Call this
-    /// *before* applying the mutation in memory (write-ahead). Refuses
-    /// once the handle is poisoned (WAL rotation failed after a committed
-    /// checkpoint): the active segment is behind the snapshot's replay
-    /// horizon, so an append there would be acknowledged-then-lost.
-    pub fn log(&mut self, record: &WalRecord) -> Result<(), StorageError> {
-        self.active_wal()?.append(record)
-    }
-
-    /// The active segment, unless the handle is poisoned.
+    /// The active segment, unless the handle is poisoned (WAL rotation
+    /// failed after a committed checkpoint): that segment is behind the
+    /// snapshot's replay horizon, so an append there would be
+    /// acknowledged-then-lost.
     fn active_wal(&mut self) -> Result<&mut Wal, StorageError> {
         if self.poisoned {
             return Err(StorageError::Io(
@@ -803,6 +798,14 @@ mod tests {
         .unwrap()
     }
 
+    /// Logs one record the way a commit does: one write without an fsync,
+    /// then the fsync; when that fails, the tail is rolled back.
+    fn log(d: &mut Durability, record: &WalRecord) -> Result<(), StorageError> {
+        let (tail, records) = (d.wal_tail(), d.wal_record_count());
+        d.log_batch_nosync([record])?;
+        d.sync_wal().inspect_err(|_| d.rewind_wal(tail, records))
+    }
+
     fn create_kv() -> WalRecord {
         WalRecord::CreateTable {
             name: "kv".into(),
@@ -829,17 +832,20 @@ mod tests {
         let t = kv_table(&[(1, "a"), (2, "b")]);
         {
             let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-            d.log(&create_kv()).unwrap();
+            log(&mut d, &create_kv()).unwrap();
             let (epoch, paged) = d
                 .checkpoint(&[Arc::new(t.clone())], &pl, Some("{\"functions\": []}"))
                 .unwrap();
             assert_eq!(epoch, 1);
             assert_eq!(paged.len(), 1);
             assert!(paged[0].is_paged());
-            d.log(&WalRecord::Insert {
-                table: "kv".into(),
-                rows: vec![vec![3i64.into(), "c".into()]],
-            })
+            log(
+                &mut d,
+                &WalRecord::Insert {
+                    table: "kv".into(),
+                    rows: vec![vec![3i64.into(), "c".into()]],
+                },
+            )
             .unwrap();
         }
         let (d, rec) = Durability::open(&dir, &pl).unwrap();
@@ -922,12 +928,15 @@ mod tests {
         let pl = pool();
         let t1 = kv_table(&[(1, "a")]);
         let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-        d.log(&create_kv()).unwrap();
+        log(&mut d, &create_kv()).unwrap();
         d.checkpoint(&[Arc::new(t1.clone())], &pl, None).unwrap();
-        d.log(&WalRecord::Insert {
-            table: "kv".into(),
-            rows: vec![vec![2i64.into(), "b".into()]],
-        })
+        log(
+            &mut d,
+            &WalRecord::Insert {
+                table: "kv".into(),
+                rows: vec![vec![2i64.into(), "b".into()]],
+            },
+        )
         .unwrap();
         let t2 = kv_table(&[(1, "a"), (2, "b")]);
         d.checkpoint(&[Arc::new(t2)], &pl, None).unwrap();
@@ -1077,7 +1086,7 @@ mod tests {
         let pl = pool();
         let (mut d, _) = Durability::open(&dir, &pl).unwrap();
         let t = kv_table(&[(1, "a")]);
-        d.log(&create_kv()).unwrap();
+        log(&mut d, &create_kv()).unwrap();
         // Make rotation fail after the snapshot rename commits: a
         // directory squats on the new segment's path, so opening it
         // errors. The checkpoint reports the failure…
@@ -1090,7 +1099,7 @@ mod tests {
         // Logging now refuses: an append to the old segment would be
         // acknowledged-then-lost behind snapshot 1.
         assert!(matches!(
-            d.log(&WalRecord::DropTable("kv".into())),
+            log(&mut d, &WalRecord::DropTable("kv".into())),
             Err(StorageError::Io(_))
         ));
         // Reopen (after clearing the obstruction) recovers the committed
@@ -1100,7 +1109,7 @@ mod tests {
         let (mut d, rec) = Durability::open(&dir, &pl).unwrap();
         assert_eq!(rec.snapshot_epoch, 1);
         assert_eq!(rec.tables, vec![t]);
-        d.log(&WalRecord::DropTable("kv".into())).unwrap();
+        log(&mut d, &WalRecord::DropTable("kv".into())).unwrap();
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1114,7 +1123,7 @@ mod tests {
         };
         {
             let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-            d.log(&create_kv()).unwrap();
+            log(&mut d, &create_kv()).unwrap();
             // Committed transaction, then a torn one (Begin + record but
             // no Commit — as a crash mid-group-write would leave).
             let committed = [WalRecord::Begin(1), ins(1, "a"), WalRecord::Commit(1)];
@@ -1131,7 +1140,7 @@ mod tests {
         assert_eq!(rec.discarded_txns, 1);
         // The open transaction was sealed with an Abort, so a bare append
         // after recovery is not swallowed into it at the next replay.
-        d.log(&ins(3, "kept")).unwrap();
+        log(&mut d, &ins(3, "kept")).unwrap();
         drop(d);
         let (_, rec) = Durability::open(&dir, &pl).unwrap();
         assert_eq!(

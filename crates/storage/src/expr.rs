@@ -1,10 +1,13 @@
-//! Scalar expressions evaluated against rows.
+//! Scalar expressions evaluated a batch at a time.
 //!
 //! Generated function bodies that are "a SQL query over a table" (§4) bottom
 //! out here: filters, projections, and computed columns are all [`Expr`]s.
+//! There is one evaluator, [`Expr::eval_batch`]: a SELECT, an expression
+//! body (`MapExpr`, `FilterExpr`) and an INSERT's values all run it, and
+//! the naive SQL evaluator of the SQL crate's tests judges it.
 
 use crate::batch::{ColumnData, ColumnVector, NullBitmap, RowBatch};
-use crate::{Row, Schema, StorageError, Value};
+use crate::{Schema, StorageError, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -128,85 +131,14 @@ impl Expr {
         self.bin(BinOp::And, other)
     }
 
-    /// Evaluates against a row positionally aligned with `schema`.
-    pub fn eval(&self, row: &Row, schema: &Schema) -> Result<Value, StorageError> {
-        match self {
-            Expr::Col(name) => {
-                let idx = schema.resolve(name)?;
-                Ok(row[idx].clone())
-            }
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Bin(op, l, r) => {
-                let lv = l.eval(row, schema)?;
-                // Short-circuit AND/OR with SQL three-valued collapse.
-                match op {
-                    BinOp::And => {
-                        if !lv.is_null() && !lv.is_truthy() {
-                            return Ok(Value::Bool(false));
-                        }
-                        let rv = r.eval(row, schema)?;
-                        if !rv.is_null() && !rv.is_truthy() {
-                            // NULL AND FALSE is FALSE, as FALSE AND NULL is.
-                            return Ok(Value::Bool(false));
-                        }
-                        if lv.is_null() || rv.is_null() {
-                            return Ok(Value::Null);
-                        }
-                        return Ok(Value::Bool(true));
-                    }
-                    BinOp::Or => {
-                        if lv.is_truthy() {
-                            return Ok(Value::Bool(true));
-                        }
-                        let rv = r.eval(row, schema)?;
-                        if lv.is_null() || rv.is_null() {
-                            return Ok(if rv.is_truthy() {
-                                Value::Bool(true)
-                            } else {
-                                Value::Null
-                            });
-                        }
-                        return Ok(Value::Bool(lv.is_truthy() || rv.is_truthy()));
-                    }
-                    _ => {}
-                }
-                let rv = r.eval(row, schema)?;
-                eval_bin(*op, &lv, &rv)
-            }
-            Expr::Not(e) => {
-                let v = e.eval(row, schema)?;
-                if v.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(!v.is_truthy()))
-                }
-            }
-            Expr::Neg(e) => match e.eval(row, schema)? {
-                Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                Value::Null => Ok(Value::Null),
-                v => Err(StorageError::Eval(format!("cannot negate {v:?}"))),
-            },
-            Expr::IsNull(e) => Ok(Value::Bool(e.eval(row, schema)?.is_null())),
-            Expr::Call(name, args) => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| a.eval(row, schema))
-                    .collect::<Result<_, _>>()?;
-                eval_call(name, &vals)
-            }
-        }
-    }
-
     /// Evaluates against a whole [`RowBatch`] at once, returning one value
     /// per row as a [`ColumnVector`].
     ///
-    /// Semantics match [`Expr::eval`] row by row exactly — including SQL
-    /// three-valued logic and `AND`/`OR` short-circuiting (a right operand
-    /// that would error only on short-circuited rows does not error here
-    /// either; such expressions fall back to row-at-a-time evaluation).
-    /// Column references resolve once per batch instead of once per row,
-    /// and Int/Float/Str columns run typed kernels.
+    /// SQL three-valued logic throughout. `AND` and `OR` short-circuit per
+    /// row: a right operand is evaluated only on the rows its left operand
+    /// leaves undecided, so one that raises only on decided rows does not
+    /// raise. Column references resolve once per batch, and Int/Float/Str
+    /// columns run typed kernels.
     pub fn eval_batch(
         &self,
         batch: &RowBatch,
@@ -220,13 +152,36 @@ impl Expr {
             }
             Expr::Lit(v) => Ok(ColumnVector::repeat(v, n)),
             Expr::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
+                let and = *op == BinOp::And;
                 let lv = l.eval_batch(batch, schema)?;
-                match r.eval_batch(batch, schema) {
-                    Ok(rv) => Ok(combine_logical(*op == BinOp::And, &lv, &rv)),
-                    // The row path may short-circuit past the erroring rows
-                    // of the right operand; re-run row-wise to find out.
-                    Err(_) => self.eval_rows(batch, schema),
-                }
+                let rv = match r.eval_batch(batch, schema) {
+                    Ok(rv) => rv,
+                    // Maybe it raised only on rows the left operand decides
+                    // (FALSE for AND, TRUE for OR): evaluate it again on the
+                    // others, NULL standing in on the decided ones.
+                    Err(e) => {
+                        let truthy = lv.truthy_mask();
+                        let open = |&i: &usize| match and {
+                            true => truthy[i] || lv.is_null(i),
+                            false => !truthy[i],
+                        };
+                        let undecided: Vec<usize> = (0..n).filter(open).collect();
+                        if undecided.len() == n {
+                            return Err(e);
+                        }
+                        if undecided.is_empty() {
+                            ColumnVector::repeat(&Value::Null, n)
+                        } else {
+                            let rest = r.eval_batch(&batch.gather(&undecided), schema)?;
+                            let mut at = vec![None; n];
+                            for (k, &i) in undecided.iter().enumerate() {
+                                at[i] = Some(k);
+                            }
+                            rest.gather_padded(&at)
+                        }
+                    }
+                };
+                Ok(combine_logical(and, &lv, &rv))
             }
             Expr::Bin(op, l, r) => {
                 let lv = l.eval_batch(batch, schema)?;
@@ -274,15 +229,6 @@ impl Expr {
                 call_kernel(name, &cols, n)
             }
         }
-    }
-
-    /// Row-at-a-time evaluation over a batch (exact-semantics fallback).
-    fn eval_rows(&self, batch: &RowBatch, schema: &Schema) -> Result<ColumnVector, StorageError> {
-        let mut out = Vec::with_capacity(batch.num_rows());
-        for i in 0..batch.num_rows() {
-            out.push(self.eval(&batch.row(i), schema)?);
-        }
-        Ok(ColumnVector::from_values(out))
     }
 
     /// The set of column names this expression reads (used by the optimizer
@@ -396,8 +342,9 @@ fn call_kernel(name: &str, cols: &[ColumnVector], n: usize) -> Result<ColumnVect
 }
 
 /// Element-wise three-valued `AND` (`and`) or `OR` (`!and`) over two
-/// evaluated operand columns. Mirrors the collapse rules of [`Expr::eval`]
-/// exactly.
+/// evaluated operand columns: `FALSE AND x` and `x AND FALSE` are FALSE,
+/// `TRUE OR x` and `x OR TRUE` are TRUE, and any other NULL operand makes
+/// the cell NULL.
 fn combine_logical(and: bool, l: &ColumnVector, r: &ColumnVector) -> ColumnVector {
     let n = l.len();
     let lt = l.truthy_mask();
@@ -431,8 +378,8 @@ fn combine_logical(and: bool, l: &ColumnVector, r: &ColumnVector) -> ColumnVecto
     ColumnVector::from_parts(ColumnData::Bool(out), nulls)
 }
 
-/// Integer arithmetic, shared by the row path and the batch kernel: `+ - *`
-/// wrap; `/` and `%` raise on a zero divisor and on the one quotient that
+/// Integer arithmetic, shared by the typed kernel and the per-value
+/// fallback: `+ - *` wrap; `/` and `%` raise on a zero divisor and on the one quotient that
 /// does not fit (`i64::MIN / -1`).
 #[inline]
 fn int_arith(op: BinOp, a: i64, b: i64) -> Result<i64, StorageError> {
@@ -508,7 +455,7 @@ fn eval_bin_batch(
                 continue;
             }
             // The three that cannot raise stay in the loop; what can goes
-            // through the rule the row path shares.
+            // through the rule the per-value fallback shares.
             out.push(match op {
                 Add => a[i].wrapping_add(b[i]),
                 Sub => a[i].wrapping_sub(b[i]),
@@ -521,7 +468,7 @@ fn eval_bin_batch(
 
     // Int ⊗ Float comparisons: the exact integer-aware compare, element by
     // element — widening ints through `numeric_at` would collapse values
-    // above 2^53 and disagree with the row path's `sql_cmp`.
+    // above 2^53 and disagree with the per-value fallback's `sql_cmp`.
     if is_cmp {
         let int_float: Option<Vec<Option<Ordering>>> =
             if let (Some(a), Some(b)) = (l.as_ints(), r.as_floats()) {
@@ -562,7 +509,7 @@ fn eval_bin_batch(
             for i in 0..n {
                 match (l.numeric_at(i), r.numeric_at(i)) {
                     (Some(a), Some(b)) => {
-                        // NaN comparisons are NULL, as in the row path.
+                        // NaN comparisons are NULL, as in `sql_cmp`.
                         match a.partial_cmp(&b) {
                             Some(ord) => {
                                 nulls.push(false);
@@ -630,7 +577,7 @@ fn eval_bin_batch(
         }
     }
 
-    // General fallback: exact row-path semantics per element.
+    // General fallback: `eval_bin` per element.
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         out.push(eval_bin(op, &l.value(i), &r.value(i))?);
@@ -708,7 +655,8 @@ fn eval_call(name: &str, args: &[Value]) -> Result<Value, StorageError> {
         "abs" => {
             need(1)?;
             match &args[0] {
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+                // Wraps at `i64::MIN`, as negation does.
+                Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
                 Value::Null => Ok(Value::Null),
                 v => Err(StorageError::Eval(format!("abs expects number, got {v:?}"))),
@@ -852,7 +800,7 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DataType;
+    use crate::{DataType, Row};
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -866,63 +814,87 @@ mod tests {
         vec![Value::Int(1991), Value::Float(0.7), "Guilty".into()]
     }
 
+    /// `e` over one row.
+    fn eval_row(e: &Expr, row: Row, schema: &Schema) -> Result<Value, StorageError> {
+        let batch = RowBatch::from_rows(schema.arity(), vec![row]);
+        Ok(e.eval_batch(&batch, schema)?.value(0))
+    }
+
+    /// Asserts `e` over `rows` as one batch yields `want`.
+    fn assert_column(e: &Expr, rows: Vec<Row>, schema: &Schema, want: Vec<Value>) {
+        let batch = RowBatch::from_rows(schema.arity(), rows);
+        let col = e.eval_batch(&batch, schema).unwrap();
+        assert_eq!(col.to_values(), want, "{e}");
+    }
+
     #[test]
     fn arithmetic_and_comparison() {
         let s = schema();
-        let r = row();
         let e = Expr::col("year").bin(BinOp::Add, Expr::lit(9i64));
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Int(2000));
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Int(2000));
         let e = Expr::col("score").bin(BinOp::Mul, Expr::lit(10.0));
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Float(7.0));
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Float(7.0));
         let e = Expr::col("year").bin(BinOp::Ge, Expr::lit(1990i64));
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Bool(true));
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Bool(true));
+        // `abs` wraps at `i64::MIN` as negation does.
+        let e = Expr::Call("abs".into(), vec![Expr::lit(i64::MIN)]);
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Int(i64::MIN));
+        let e = Expr::Neg(Box::new(Expr::lit(i64::MIN)));
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Int(i64::MIN));
     }
 
     #[test]
     fn null_propagation() {
         let s = Schema::of(&[("x", DataType::Int)]);
-        let r = vec![Value::Null];
+        let r = || vec![Value::Null];
         let e = Expr::col("x").bin(BinOp::Add, Expr::lit(1i64));
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Null);
+        assert_eq!(eval_row(&e, r(), &s).unwrap(), Value::Null);
         let e = Expr::col("x").eq(Expr::lit(1i64));
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Null);
+        assert_eq!(eval_row(&e, r(), &s).unwrap(), Value::Null);
         let e = Expr::IsNull(Box::new(Expr::col("x")));
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Bool(true));
+        assert_eq!(eval_row(&e, r(), &s).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn short_circuit_and_or() {
         let s = Schema::of(&[("x", DataType::Int)]);
-        let r = vec![Value::Int(0)];
         // AND with false left never evaluates the erroring right side.
         let bad = Expr::col("x").bin(BinOp::Div, Expr::lit(0i64));
         let e = Expr::col("x").and(bad.clone());
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Bool(false));
+        assert_eq!(
+            eval_row(&e, vec![Value::Int(0)], &s).unwrap(),
+            Value::Bool(false)
+        );
         // OR with true left likewise.
         let e = Expr::lit(true).bin(BinOp::Or, bad);
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Bool(true));
+        assert_eq!(
+            eval_row(&e, vec![Value::Int(0)], &s).unwrap(),
+            Value::Bool(true)
+        );
     }
 
     #[test]
     fn division_by_zero_is_an_error() {
         let s = schema();
         let e = Expr::lit(1i64).bin(BinOp::Div, Expr::lit(0i64));
-        assert!(e.eval(&row(), &s).is_err());
+        assert!(eval_row(&e, row(), &s).is_err());
     }
 
     #[test]
     fn string_functions() {
         let s = schema();
-        let r = row();
         let e = Expr::Call("lower".into(), vec![Expr::col("title")]);
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Str("guilty".into()));
+        assert_eq!(
+            eval_row(&e, row(), &s).unwrap(),
+            Value::Str("guilty".into())
+        );
         let e = Expr::Call(
             "contains".into(),
             vec![Expr::col("title"), Expr::lit("GUIL")],
         );
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Bool(true));
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Bool(true));
         let e = Expr::Call("length".into(), vec![Expr::col("title")]);
-        assert_eq!(e.eval(&r, &s).unwrap(), Value::Int(6));
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Int(6));
     }
 
     #[test]
@@ -933,7 +905,7 @@ mod tests {
         let e = Expr::col("exc")
             .bin(BinOp::Mul, Expr::lit(0.7))
             .bin(BinOp::Add, Expr::col("rec").bin(BinOp::Mul, Expr::lit(0.3)));
-        let v = e.eval(&r, &s).unwrap().as_f64().unwrap();
+        let v = eval_row(&e, r, &s).unwrap().as_f64().unwrap();
         assert!((v - 0.99999992).abs() < 1e-8);
     }
 
@@ -951,8 +923,8 @@ mod tests {
     #[test]
     fn unknown_function_and_column_error() {
         let s = schema();
-        assert!(Expr::Call("nope".into(), vec![]).eval(&row(), &s).is_err());
-        assert!(Expr::col("missing").eval(&row(), &s).is_err());
+        assert!(eval_row(&Expr::Call("nope".into(), vec![]), row(), &s).is_err());
+        assert!(eval_row(&Expr::col("missing"), row(), &s).is_err());
     }
 
     #[test]
@@ -961,81 +933,148 @@ mod tests {
         assert_eq!(e.to_string(), "(year >= 1990)");
     }
 
-    fn batch_of(rows: Vec<Row>, arity: usize) -> RowBatch {
-        RowBatch::from_rows(arity, rows)
-    }
-
-    /// Asserts eval_batch agrees with eval on every row.
-    fn assert_parity(e: &Expr, rows: Vec<Row>, schema: &Schema) {
-        let batch = batch_of(rows.clone(), schema.arity());
-        let col = e.eval_batch(&batch, schema).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(col.value(i), e.eval(row, schema).unwrap(), "row {i}: {e}");
-        }
-    }
-
     #[test]
-    fn batch_eval_matches_row_eval() {
-        let s = Schema::of(&[
-            ("year", DataType::Int),
-            ("score", DataType::Float),
-            ("title", DataType::Str),
-        ]);
+    fn batch_eval_matches_expected_values() {
+        use Value::Null;
+        let s = schema();
         let rows = vec![
             vec![Value::Int(1991), Value::Float(0.7), "Guilty".into()],
-            vec![Value::Null, Value::Float(0.2), "Calm".into()],
-            vec![Value::Int(1975), Value::Null, Value::Null],
+            vec![Null, Value::Float(0.2), "Calm".into()],
+            vec![Value::Int(1975), Null, Null],
         ];
-        let exprs = vec![
-            Expr::col("year").bin(BinOp::Ge, Expr::lit(1988i64)),
-            Expr::col("year").bin(BinOp::Add, Expr::lit(9i64)),
-            Expr::col("score").bin(BinOp::Mul, Expr::lit(10.0)),
-            Expr::col("year").bin(BinOp::Gt, Expr::col("score")),
-            Expr::col("title").eq(Expr::lit("Guilty")),
-            Expr::col("title").bin(BinOp::Add, Expr::lit("!")),
-            Expr::Not(Box::new(Expr::col("year").eq(Expr::lit(1991i64)))),
-            Expr::Neg(Box::new(Expr::col("score"))),
-            Expr::Neg(Box::new(Expr::col("year"))),
-            Expr::IsNull(Box::new(Expr::col("title"))),
-            Expr::Call("lower".into(), vec![Expr::col("title")]),
-            Expr::Call("coalesce".into(), vec![Expr::col("score"), Expr::lit(0.0)]),
-            Expr::col("year")
-                .eq(Expr::lit(1991i64))
-                .and(Expr::col("score").bin(BinOp::Gt, Expr::lit(0.5))),
-            Expr::col("year")
-                .bin(BinOp::Lt, Expr::lit(1980i64))
-                .bin(BinOp::Or, Expr::col("score").bin(BinOp::Gt, Expr::lit(0.5))),
-            Expr::lit(Value::Null).and(Expr::col("year").eq(Expr::lit(1991i64))),
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
+        let int = Value::Int;
+        let float = Value::Float;
+        let str = |s: &str| Value::Str(s.into());
+        let cases = vec![
+            (
+                Expr::col("year").bin(BinOp::Ge, Expr::lit(1988i64)),
+                vec![t.clone(), Null, f.clone()],
+            ),
+            (
+                Expr::col("year").bin(BinOp::Add, Expr::lit(9i64)),
+                vec![int(2000), Null, int(1984)],
+            ),
+            (
+                Expr::col("score").bin(BinOp::Mul, Expr::lit(10.0)),
+                vec![float(7.0), float(2.0), Null],
+            ),
+            (
+                Expr::col("year").bin(BinOp::Gt, Expr::col("score")),
+                vec![t.clone(), Null, Null],
+            ),
+            (
+                Expr::col("title").eq(Expr::lit("Guilty")),
+                vec![t.clone(), f.clone(), Null],
+            ),
+            (
+                Expr::col("title").bin(BinOp::Add, Expr::lit("!")),
+                vec![str("Guilty!"), str("Calm!"), Null],
+            ),
+            (
+                Expr::Not(Box::new(Expr::col("year").eq(Expr::lit(1991i64)))),
+                vec![f.clone(), Null, t.clone()],
+            ),
+            (
+                Expr::Neg(Box::new(Expr::col("score"))),
+                vec![float(-0.7), float(-0.2), Null],
+            ),
+            (
+                Expr::Neg(Box::new(Expr::col("year"))),
+                vec![int(-1991), Null, int(-1975)],
+            ),
+            (
+                Expr::IsNull(Box::new(Expr::col("title"))),
+                vec![f.clone(), f.clone(), t.clone()],
+            ),
+            (
+                Expr::Call("lower".into(), vec![Expr::col("title")]),
+                vec![str("guilty"), str("calm"), Null],
+            ),
+            (
+                Expr::Call("coalesce".into(), vec![Expr::col("score"), Expr::lit(0.0)]),
+                vec![float(0.7), float(0.2), float(0.0)],
+            ),
+            // TRUE AND TRUE, NULL AND FALSE, FALSE AND NULL.
+            (
+                Expr::col("year")
+                    .eq(Expr::lit(1991i64))
+                    .and(Expr::col("score").bin(BinOp::Gt, Expr::lit(0.5))),
+                vec![t.clone(), f.clone(), f.clone()],
+            ),
+            // FALSE OR TRUE, NULL OR FALSE, TRUE OR NULL.
+            (
+                Expr::col("year")
+                    .bin(BinOp::Lt, Expr::lit(1980i64))
+                    .bin(BinOp::Or, Expr::col("score").bin(BinOp::Gt, Expr::lit(0.5))),
+                vec![t.clone(), Null, t.clone()],
+            ),
+            // NULL AND TRUE, NULL AND NULL, NULL AND FALSE.
+            (
+                Expr::lit(Null).and(Expr::col("year").eq(Expr::lit(1991i64))),
+                vec![Null, Null, f.clone()],
+            ),
         ];
-        for e in &exprs {
-            assert_parity(e, rows.clone(), &s);
+        for (e, want) in cases {
+            assert_column(&e, rows.clone(), &s, want);
         }
     }
 
     #[test]
     fn batch_short_circuit_protects_erroring_right_side() {
-        // x = 0 rows are short-circuited past the division; the batch path
-        // must not error where the row path does not.
+        // x = 0 rows are decided before the division; it must not raise on
+        // them, and it must on an undecided one.
         let s = Schema::of(&[("x", DataType::Int)]);
-        let rows = vec![vec![Value::Int(0)], vec![Value::Int(2)]];
-        let e = Expr::col("x").bin(BinOp::Gt, Expr::lit(0i64)).and(
-            Expr::lit(10i64)
-                .bin(BinOp::Div, Expr::col("x"))
-                .bin(BinOp::Gt, Expr::lit(1i64)),
+        let rows = || vec![vec![Value::Int(0)], vec![Value::Int(2)], vec![Value::Null]];
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
+        let positive = Expr::col("x").bin(BinOp::Gt, Expr::lit(0i64));
+        let inverse = Expr::lit(10i64).bin(BinOp::Div, Expr::col("x"));
+        let e = positive
+            .clone()
+            .and(inverse.clone().bin(BinOp::Gt, Expr::lit(1i64)));
+        assert_column(&e, rows(), &s, vec![f.clone(), t.clone(), Value::Null]);
+        let zero = Expr::col("x").eq(Expr::lit(0i64));
+        let e = zero
+            .clone()
+            .bin(BinOp::Or, inverse.clone().bin(BinOp::Lt, Expr::lit(1i64)));
+        assert_column(&e, rows(), &s, vec![t.clone(), f.clone(), Value::Null]);
+        // Nested: the inner AND is evaluated only on the rows the outer one
+        // leaves open, and masks again inside them.
+        let e = Expr::IsNull(Box::new(Expr::col("x"))).bin(
+            BinOp::Or,
+            positive.clone().and(inverse.clone().eq(Expr::lit(5i64))),
         );
-        assert_parity(&e, rows, &s);
+        assert_column(&e, rows(), &s, vec![f.clone(), t.clone(), t.clone()]);
+        // Every row decided: the right operand is not evaluated at all.
+        let e = Expr::lit(false).and(Expr::col("missing"));
+        assert_column(&e, rows(), &s, vec![f.clone(), f.clone(), f.clone()]);
+        // An undecided row raises, also one a NULL left operand left open.
+        let e = Expr::col("x")
+            .bin(BinOp::Ge, Expr::lit(0i64))
+            .and(inverse.clone());
+        let batch = RowBatch::from_rows(1, rows());
+        assert!(e.eval_batch(&batch, &s).is_err());
+        let s = Schema::of(&[("x", DataType::Int), ("y", DataType::Bool)]);
+        let rows = vec![
+            vec![Value::Int(0), Value::Null],
+            vec![Value::Int(2), Value::Bool(false)],
+        ];
+        let batch = RowBatch::from_rows(2, rows);
+        assert!(Expr::col("y")
+            .and(inverse.clone())
+            .eval_batch(&batch, &s)
+            .is_err());
+        let e = Expr::Not(Box::new(Expr::col("y"))).bin(BinOp::Or, inverse);
+        assert!(e.eval_batch(&batch, &s).is_err());
     }
 
     #[test]
     fn batch_division_by_zero_still_errors() {
         let s = Schema::of(&[("x", DataType::Int)]);
-        let batch = batch_of(vec![vec![Value::Int(0)]], 1);
         let e = Expr::lit(1i64).bin(BinOp::Div, Expr::col("x"));
-        assert!(e.eval_batch(&batch, &s).is_err());
-        // But NULL divisor propagates NULL before the zero check, as in the
-        // row path.
-        let batch = batch_of(vec![vec![Value::Null]], 1);
-        assert_eq!(e.eval_batch(&batch, &s).unwrap().value(0), Value::Null);
+        assert!(eval_row(&e, vec![Value::Int(0)], &s).is_err());
+        // But NULL divisor propagates NULL before the zero check.
+        assert_eq!(eval_row(&e, vec![Value::Null], &s).unwrap(), Value::Null);
     }
 
     #[test]
@@ -1046,12 +1085,18 @@ mod tests {
             vec![Value::Float(1.5)],
             vec![Value::Null],
         ];
-        assert_parity(
+        assert_column(
             &Expr::col("v").bin(BinOp::Gt, Expr::lit(2i64)),
             rows.clone(),
             &s,
+            vec![Value::Bool(true), Value::Bool(false), Value::Null],
         );
-        assert_parity(&Expr::col("v").bin(BinOp::Add, Expr::lit(1i64)), rows, &s);
+        assert_column(
+            &Expr::col("v").bin(BinOp::Add, Expr::lit(1i64)),
+            rows,
+            &s,
+            vec![Value::Int(4), Value::Float(2.5), Value::Null],
+        );
     }
 
     #[test]
@@ -1059,23 +1104,23 @@ mod tests {
         use crate::encode_embedding;
         let s = Schema::of(&[("emb", DataType::Blob), ("body", DataType::Str)]);
         let gun = encode_embedding(&kath_vector::embed_query("gun"));
-        let row: Row = vec![Value::Blob(gun), "murder weapon".into()];
+        let row = || -> Row { vec![Value::Blob(gun.clone()), "murder weapon".into()] };
         // Blob vs query text: related concepts score high.
         let e = Expr::Call(
             "similarity".into(),
             vec![Expr::col("emb"), Expr::lit("weapon")],
         );
-        let v = e.eval(&row, &s).unwrap().as_f64().unwrap();
+        let v = eval_row(&e, row(), &s).unwrap().as_f64().unwrap();
         assert!(v > 0.5, "related terms must be similar, got {v}");
         // Str column embeds on the fly.
         let e = Expr::Call(
             "similarity".into(),
             vec![Expr::col("body"), Expr::lit("gun")],
         );
-        assert!(e.eval(&row, &s).unwrap().as_f64().unwrap() > 0.3);
+        assert!(eval_row(&e, row(), &s).unwrap().as_f64().unwrap() > 0.3);
         // EMBED('text') produces exactly the canonical encoding.
         let e = Expr::Call("embed".into(), vec![Expr::lit("weapon")]);
-        let Value::Blob(b) = e.eval(&row, &s).unwrap() else {
+        let Value::Blob(b) = eval_row(&e, row(), &s).unwrap() else {
             panic!("embed must return a blob")
         };
         assert_eq!(b, encode_embedding(&kath_vector::embed_query("weapon")));
@@ -1084,60 +1129,94 @@ mod tests {
             "similarity".into(),
             vec![Expr::lit(Value::Null), Expr::lit("x")],
         );
-        assert_eq!(e.eval(&row, &s).unwrap(), Value::Null);
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Null);
         let e = Expr::Call(
             "similarity".into(),
             vec![Expr::lit(Value::Blob(vec![1, 2, 3])), Expr::lit("x")],
         );
-        assert_eq!(e.eval(&row, &s).unwrap(), Value::Null);
+        assert_eq!(eval_row(&e, row(), &s).unwrap(), Value::Null);
         // Non-embedding operands are type errors.
         let e = Expr::Call("similarity".into(), vec![Expr::lit(1i64), Expr::lit("x")]);
-        assert!(e.eval(&row, &s).is_err());
-        assert!(Expr::Call("embed".into(), vec![Expr::lit(1i64)])
-            .eval(&row, &s)
-            .is_err());
+        assert!(eval_row(&e, row(), &s).is_err());
+        let e = Expr::Call("embed".into(), vec![Expr::lit(1i64)]);
+        assert!(eval_row(&e, row(), &s).is_err());
     }
 
     #[test]
-    fn batch_similarity_kernel_matches_row_path() {
+    fn batch_similarity_kernel_matches_direct_cosine() {
         use crate::encode_embedding;
+        use kath_vector::{cosine, embed_query};
         let s = Schema::of(&[("emb", DataType::Blob), ("body", DataType::Str)]);
         let rows: Vec<Row> = vec![
             vec![
-                Value::Blob(encode_embedding(&kath_vector::embed_query("gun"))),
+                Value::Blob(encode_embedding(&embed_query("gun"))),
                 "murder".into(),
             ],
             vec![Value::Null, "tea".into()],
             vec![Value::Blob(vec![9]), "garden walk".into()], // corrupt blob
             vec![
-                Value::Blob(encode_embedding(&kath_vector::embed_query("tea"))),
+                Value::Blob(encode_embedding(&embed_query("tea"))),
                 Value::Null,
             ],
         ];
-        let exprs = vec![
-            Expr::Call(
-                "similarity".into(),
-                vec![Expr::col("emb"), Expr::lit("weapon")],
+        let cos = |a: &str, b: &str| Value::Float(cosine(&embed_query(a), &embed_query(b)) as f64);
+        let blob = |a: &str| Value::Blob(encode_embedding(&embed_query(a)));
+        let null = Value::Null;
+        let cases = vec![
+            (
+                Expr::Call(
+                    "similarity".into(),
+                    vec![Expr::col("emb"), Expr::lit("weapon")],
+                ),
+                vec![
+                    cos("gun", "weapon"),
+                    null.clone(),
+                    null.clone(),
+                    cos("tea", "weapon"),
+                ],
             ),
-            Expr::Call(
-                "similarity".into(),
-                vec![Expr::col("body"), Expr::lit("calm")],
+            (
+                Expr::Call(
+                    "similarity".into(),
+                    vec![Expr::col("body"), Expr::lit("calm")],
+                ),
+                vec![
+                    cos("murder", "calm"),
+                    cos("tea", "calm"),
+                    cos("garden walk", "calm"),
+                    null.clone(),
+                ],
             ),
-            Expr::Call(
-                "similarity".into(),
-                vec![Expr::col("emb"), Expr::col("body")],
+            (
+                Expr::Call(
+                    "similarity".into(),
+                    vec![Expr::col("emb"), Expr::col("body")],
+                ),
+                vec![
+                    cos("gun", "murder"),
+                    null.clone(),
+                    null.clone(),
+                    null.clone(),
+                ],
             ),
-            Expr::Call("embed".into(), vec![Expr::col("body")]),
+            (
+                Expr::Call("embed".into(), vec![Expr::col("body")]),
+                vec![
+                    blob("murder"),
+                    blob("tea"),
+                    blob("garden walk"),
+                    null.clone(),
+                ],
+            ),
         ];
-        for e in &exprs {
-            assert_parity(e, rows.clone(), &s);
+        for (e, want) in cases {
+            assert_column(&e, rows.clone(), &s, want);
         }
     }
 
     #[test]
     fn batch_int_float_comparison_is_exact() {
-        // The typed Int×Float kernel must agree with the (now precise)
-        // row path above 2^53.
+        // The typed Int×Float kernel compares exactly above 2^53.
         let s = Schema::of(&[("i", DataType::Int), ("f", DataType::Float)]);
         let big = (1i64 << 53) + 1;
         let rows: Vec<Row> = vec![
@@ -1147,23 +1226,35 @@ mod tests {
             vec![Value::Null, Value::Float(0.0)],
             vec![Value::Int(0), Value::Float(f64::NAN)],
         ];
-        for op in [
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-        ] {
-            assert_parity(&Expr::col("i").bin(op, Expr::col("f")), rows.clone(), &s);
-            assert_parity(&Expr::col("f").bin(op, Expr::col("i")), rows.clone(), &s);
+        // `i op f` and `f op i` per row: T(rue), F(alse), N(ULL).
+        let cases = [
+            (BinOp::Eq, "FTFNN", "FTFNN"),
+            (BinOp::Ne, "TFTNN", "TFTNN"),
+            (BinOp::Lt, "FFTNN", "TFFNN"),
+            (BinOp::Le, "FTTNN", "TTFNN"),
+            (BinOp::Gt, "TFFNN", "FFTNN"),
+            (BinOp::Ge, "TTFNN", "FTTNN"),
+        ];
+        let cells = |s: &str| -> Vec<Value> {
+            s.chars()
+                .map(|c| match c {
+                    'T' => Value::Bool(true),
+                    'F' => Value::Bool(false),
+                    _ => Value::Null,
+                })
+                .collect()
+        };
+        for (op, i_f, f_i) in cases {
+            let e = Expr::col("i").bin(op, Expr::col("f"));
+            assert_column(&e, rows.clone(), &s, cells(i_f));
+            let e = Expr::col("f").bin(op, Expr::col("i"));
+            assert_column(&e, rows.clone(), &s, cells(f_i));
         }
     }
 
     #[test]
     fn batch_unknown_column_errors() {
         let s = Schema::of(&[("x", DataType::Int)]);
-        let batch = batch_of(vec![vec![Value::Int(1)]], 1);
-        assert!(Expr::col("missing").eval_batch(&batch, &s).is_err());
+        assert!(eval_row(&Expr::col("missing"), vec![Value::Int(1)], &s).is_err());
     }
 }

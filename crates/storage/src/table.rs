@@ -441,13 +441,6 @@ impl Table {
             .ok_or_else(|| StorageError::Eval(format!("row {row} out of bounds")))
     }
 
-    /// All values of one column. Returns borrows, so it goes through
-    /// [`Table::rows`]; [`Table::for_each_in_column`] streams instead.
-    pub fn column_values(&self, column: &str) -> Result<Vec<&Value>, StorageError> {
-        let c = self.schema.resolve(column)?;
-        Ok(self.rows().iter().map(|r| &r[c]).collect())
-    }
-
     /// The first `n` rows, as a new table (the "rows sampler" database
     /// utility owned by the plan verifier's tool user, §4). Reads only the
     /// groups those rows live in.

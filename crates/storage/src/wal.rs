@@ -476,27 +476,13 @@ impl Wal {
         ))
     }
 
-    /// Appends one record: frame written at the valid tail, then fsynced.
-    /// Only after this returns may the record be applied in memory.
-    /// Transient failures are retried under the segment's [`RetryPolicy`];
-    /// the rewrite targets a fixed offset, so a retry after a short write
-    /// simply overwrites the torn prefix. On failure nothing is
-    /// acknowledged and the valid tail is unchanged — a later append
-    /// overwrites whatever the failed attempt left behind.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
-        let frame = encode_frame(record)?;
-        with_retry(&self.retry, || {
-            self.io.write_at(&self.path, self.len, &frame)?;
-            self.io.fsync(&self.path)
-        })?;
-        self.len += frame.len() as u64;
-        self.records += 1;
-        self.appended += 1;
-        Ok(())
-    }
-
     /// Appends a batch of records as one contiguous write **without
-    /// fsyncing**, returning the new tail offset. The group-commit
+    /// fsyncing**, returning the new tail offset. The write lands at the
+    /// valid tail; transient failures are retried under the segment's
+    /// [`RetryPolicy`], and since the rewrite targets a fixed offset, a
+    /// retry after a short write overwrites the torn prefix. On failure
+    /// nothing is counted and the tail is unchanged, so the next append
+    /// overwrites whatever the failed attempt left behind. The group-commit
     /// coordinator calls this under its commit lock, then fsyncs outside
     /// the lock (one fsync acknowledges every batch appended since the
     /// last one). Until that fsync returns, the records are *not* durable;
@@ -620,6 +606,14 @@ mod tests {
         ]
     }
 
+    /// Appends one record the way a commit does: one write without an
+    /// fsync, then the fsync; when that fails, the tail is rolled back.
+    fn commit(wal: &mut Wal, record: &WalRecord) -> Result<(), StorageError> {
+        let (len, records) = (wal.bytes(), wal.records());
+        wal.append_batch_nosync([record])?;
+        wal.sync().inspect_err(|_| wal.rewind(len, records))
+    }
+
     /// A segment in a fresh directory holding [`sample_records`]: the
     /// directory and the segment's path.
     fn sample_segment(name: &str) -> (PathBuf, PathBuf) {
@@ -627,7 +621,7 @@ mod tests {
         let path = dir.join("000000.log");
         let (mut wal, _) = Wal::open(&path).unwrap();
         for r in &sample_records() {
-            wal.append(r).unwrap();
+            commit(&mut wal, r).unwrap();
         }
         (dir, path)
     }
@@ -741,7 +735,7 @@ mod tests {
             let (mut wal, replayed) = Wal::open(&path).unwrap();
             assert!(replayed.is_empty());
             for r in &records {
-                wal.append(r).unwrap();
+                commit(&mut wal, r).unwrap();
             }
             assert_eq!(wal.records(), records.len() as u64);
         }
@@ -765,7 +759,7 @@ mod tests {
         assert_eq!(replayed, records[..records.len() - 1]);
         // …and the next append overwrites it cleanly.
         let extra = WalRecord::DropTable("other".into());
-        wal.append(&extra).unwrap();
+        commit(&mut wal, &extra).unwrap();
         drop(wal);
         let (_, replayed) = Wal::open(&path).unwrap();
         let mut expected = records[..records.len() - 1].to_vec();
@@ -826,7 +820,7 @@ mod tests {
         // torn prefix at the same offset.
         io.install_faults(FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]));
         for r in &records {
-            wal.append(r).unwrap();
+            commit(&mut wal, r).unwrap();
         }
         io.clear_faults();
         drop(wal);
@@ -842,9 +836,12 @@ mod tests {
         let io = Io::real();
         let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
         let records = sample_records();
-        wal.append(&records[0]).unwrap();
+        commit(&mut wal, &records[0]).unwrap();
         io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Enospc]));
-        assert!(matches!(wal.append(&records[1]), Err(StorageError::Io(_))));
+        assert!(matches!(
+            commit(&mut wal, &records[1]),
+            Err(StorageError::Io(_))
+        ));
         assert_eq!(wal.records(), 1, "failed append must not be counted");
         io.clear_faults();
         // The failed attempt left no acknowledged record behind…
@@ -852,10 +849,24 @@ mod tests {
         let (mut wal, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed, records[..1]);
         // …and the tail is clean for the next append.
-        wal.append(&records[1]).unwrap();
+        commit(&mut wal, &records[1]).unwrap();
+        drop(wal);
+        // A write that lands but whose fsync fails is not acknowledged
+        // either: the tail rolls back, and the next append overwrites it.
+        let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
+        let plan = FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Enospc]);
+        io.install_faults(plan.on_ops(&[IoOp::Fsync]));
+        assert!(matches!(
+            commit(&mut wal, &records[2]),
+            Err(StorageError::Io(_))
+        ));
+        assert_eq!(wal.records(), 2, "an unsynced append must not be counted");
+        io.clear_faults();
+        commit(&mut wal, &records[3]).unwrap();
         drop(wal);
         let (_, replayed) = Wal::open(&path).unwrap();
-        assert_eq!(replayed, records[..2]);
+        let kept = [&records[0], &records[1], &records[3]];
+        assert_eq!(replayed, kept.map(WalRecord::clone));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -947,7 +958,7 @@ mod tests {
         let path = dir.join("000000.log");
         let records = sample_records();
         let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(&records[0]).unwrap();
+        commit(&mut wal, &records[0]).unwrap();
         let (durable_len, durable_records) = (wal.bytes(), wal.records());
         wal.append_batch_nosync(records[1..].iter()).unwrap();
         // Pretend the group fsync failed: roll back to the durable tail.
@@ -955,7 +966,7 @@ mod tests {
         assert_eq!(wal.bytes(), durable_len);
         assert_eq!(wal.records(), durable_records);
         // The next append lands where the discarded batch began.
-        wal.append(&records[3]).unwrap();
+        commit(&mut wal, &records[3]).unwrap();
         drop(wal);
         let (_, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed, vec![records[0].clone(), records[3].clone()]);

@@ -25,6 +25,14 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// Logs one record the way a commit does: one write without an fsync, then
+/// the fsync; when that fails, the tail is rolled back.
+fn log(d: &mut Durability, record: &WalRecord) -> Result<(), StorageError> {
+    let (tail, records) = (d.wal_tail(), d.wal_record_count());
+    d.log_batch_nosync([record])?;
+    d.sync_wal().inspect_err(|_| d.rewind_wal(tail, records))
+}
+
 fn kv_schema() -> Schema {
     Schema::of(&[("k", DataType::Int), ("v", DataType::Str)])
 }
@@ -143,7 +151,7 @@ proptest! {
         let pool = Arc::new(BufferPool::with_budget_io(4, io.clone()));
         let (mut d, _) = Durability::open(&dir, &pool).unwrap();
         // The baseline commit happens fault-free: CREATE TABLE kv.
-        d.log(&create_kv()).unwrap();
+        log(&mut d, &create_kv()).unwrap();
 
         io.install_faults(plan);
         let mut acked = 0usize;
@@ -159,7 +167,7 @@ proptest! {
                 }
                 let _ = d.checkpoint(&[Arc::new(table)], &pool, None);
             }
-            match d.log(&insert(*k, v)) {
+            match log(&mut d, &insert(*k, v)) {
                 Ok(()) => acked += 1,
                 Err(StorageError::Io(_) | StorageError::Corrupt(_)) => break,
                 Err(e) => prop_assert!(false, "untyped failure: {e}"),
@@ -290,7 +298,7 @@ proptest! {
         }
         {
             let (mut d, _) = Durability::open(&dir, &pool).unwrap();
-            d.log(&create_kv()).unwrap();
+            log(&mut d, &create_kv()).unwrap();
             d.checkpoint(&[Arc::new(table.clone())], &pool, None).unwrap();
         }
         let (_, rec) = Durability::open(&dir, &pool).unwrap();

@@ -28,6 +28,14 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// Logs one record the way a commit does: one write without an fsync, then
+/// the fsync; when that fails, the tail is rolled back.
+fn log(d: &mut Durability, record: &WalRecord) -> Result<(), StorageError> {
+    let (tail, records) = (d.wal_tail(), d.wal_record_count());
+    d.log_batch_nosync([record])?;
+    d.sync_wal().inspect_err(|_| d.rewind_wal(tail, records))
+}
+
 fn kv_schema() -> Schema {
     Schema::of(&[("k", DataType::Int), ("v", DataType::Str)])
 }
@@ -63,9 +71,8 @@ fn state_after(records: &[WalRecord]) -> Vec<Row> {
 fn write_wal(path: &Path, records: &[WalRecord]) {
     let (mut wal, replayed) = Wal::open(path).unwrap();
     assert!(replayed.is_empty());
-    for r in records {
-        wal.append(r).unwrap();
-    }
+    wal.append_batch_nosync(records).unwrap();
+    wal.sync().unwrap();
 }
 
 fn arb_rows() -> impl Strategy<Value = Vec<(i64, String)>> {
@@ -137,7 +144,7 @@ proptest! {
         {
             let (mut d, _) = Durability::open(&dir, &pl).unwrap();
             for r in &records {
-                d.log(r).unwrap();
+                log(&mut d, r).unwrap();
             }
             // Snapshot the state, then keep logging on top of it.
             let mut table = Table::new("kv", kv_schema());
@@ -146,7 +153,7 @@ proptest! {
             }
             d.checkpoint(&[Arc::new(table)], &pl, Some("{\"functions\": []}")).unwrap();
             for (k, v) in &extra {
-                d.log(&WalRecord::Insert {
+                log(&mut d, &WalRecord::Insert {
                     table: "kv".to_string(),
                     rows: vec![vec![Value::Int(*k), Value::Str(v.clone())]],
                 }).unwrap();
@@ -211,7 +218,8 @@ fn torn_tail_is_skipped_then_overwritten() {
         table: "kv".to_string(),
         rows: vec![vec![Value::Int(9), Value::Str("z".into())]],
     };
-    wal.append(&replacement).unwrap();
+    wal.append_batch_nosync([&replacement]).unwrap();
+    wal.sync().unwrap();
     drop(wal);
     let (_, after) = Wal::open(&path).unwrap();
     let mut expected = records[..records.len() - 1].to_vec();
@@ -231,17 +239,20 @@ fn checkpoint_plus_tail_reconstructs_committed_state() {
     {
         let (mut d, _) = Durability::open(&dir, &pl).unwrap();
         for r in &records {
-            d.log(r).unwrap();
+            log(&mut d, r).unwrap();
         }
         let mut table = Table::new("kv", kv_schema());
         for row in state_after(&records) {
             table.push(row).unwrap();
         }
         d.checkpoint(&[Arc::new(table)], &pl, None).unwrap();
-        d.log(&WalRecord::Insert {
-            table: "kv".to_string(),
-            rows: vec![vec![Value::Int(3), Value::Str("c".into())]],
-        })
+        log(
+            &mut d,
+            &WalRecord::Insert {
+                table: "kv".to_string(),
+                rows: vec![vec![Value::Int(3), Value::Str("c".into())]],
+            },
+        )
         .unwrap();
     }
     let (_, rec) = Durability::open(&dir, &pl).unwrap();
