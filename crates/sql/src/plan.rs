@@ -11,12 +11,11 @@
 use crate::ast::*;
 use crate::parser::{parse_statement, SqlParseError};
 use kath_storage::{
-    drain_guarded, merge_sorted_runs, merge_top_k, preferred_vector_strategy, resolve_sort_keys,
-    run_morsels_guarded, sort_rows, top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column,
-    CompileMode, DataType, Distinct, ExecMode, Expr, Filter, HashJoin, IndexScan, JoinBuild,
-    JoinKind, Limit, Morsel, MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row,
-    RowBatch, Schema, SortKey, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy,
-    WalRecord,
+    drain_guarded, merge_top_k, preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded,
+    sort_rows, top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, DataType,
+    Distinct, ExecMode, Expr, Filter, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel,
+    MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row, RowBatch, Schema, SortKey,
+    SortedMerge, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, WalRecord,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -609,19 +608,19 @@ fn morsels(rows: usize, batch: usize, align: usize, split: bool) -> MorselSource
 }
 
 /// The merge's output as the tail's source: the morsels' batches in morsel
-/// order, then the rows a sort or an aggregate holds, cut into batches of
-/// at most `cap` rows. A `LIMIT` narrows the cap, so no row past it is
-/// transposed, projected or drained.
-struct Merged {
+/// order, then the rows an aggregate holds or a sort's lazy merge
+/// ([`SortedMerge`]) yields, pulled into batches of at most `cap` rows. A
+/// `LIMIT` narrows the cap, so no row past it is merged, transposed,
+/// projected or drained.
+struct Merged<I> {
     schema: Schema,
     batches: VecDeque<RowBatch>,
-    rows: std::vec::IntoIter<Row>,
+    rows: I,
     cap: usize,
 }
 
-impl Merged {
-    fn new(schema: Schema, batches: VecDeque<RowBatch>, rows: Vec<Row>, cap: usize) -> Box<Self> {
-        let rows = rows.into_iter();
+impl<I: Iterator<Item = Row>> Merged<I> {
+    fn new(schema: Schema, batches: VecDeque<RowBatch>, rows: I, cap: usize) -> Box<Self> {
         Box::new(Self {
             schema,
             batches,
@@ -631,7 +630,7 @@ impl Merged {
     }
 }
 
-impl Operator for Merged {
+impl<I: Iterator<Item = Row>> Operator for Merged<I> {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -717,15 +716,17 @@ pub fn run_select_auto_guarded(
 /// index. Hash-join **build** sides are materialized once and shared
 /// (`Arc<JoinBuild>`). Each morsel's **pipeline** — scan → join probes →
 /// filter → hidden sort columns → projection — ends in its breaker: one
-/// [`PartialAggregate`] per morsel, merged in morsel order (which
-/// reproduces the row-order group order), or a stably sorted run per
-/// morsel, joined by a stable k-way merge that resolves ties to the
-/// earliest run. The vector pattern keeps a top-k list per morsel instead,
-/// merged by (score descending, row position) and padded with unscored
-/// rows in row order — every global winner survives its own morsel's local
-/// top-k — and fetches the winners with an [`IndexScan`]; an IVF probe,
-/// already sublinear, is one morsel. The merged rows leave through the
-/// **tail** ([`SelectPlan::finish`]).
+/// [`PartialAggregate`] per morsel (typed columns folded along per-row
+/// group ids), merged in morsel order (which reproduces the row-order group
+/// order), or a stably sorted run per morsel — cut to its first k rows
+/// under `LIMIT k` without DISTINCT — joined by a lazy stable k-way merge
+/// ([`SortedMerge`]) that resolves ties to the earliest run and that the
+/// tail pulls only as far as its `LIMIT`. The vector pattern keeps a top-k
+/// list per morsel instead, merged by (score descending, row position) and
+/// padded with unscored rows in row order — every global winner survives
+/// its own morsel's local top-k — and fetches the winners with an
+/// [`IndexScan`]; an IVF probe, already sublinear, is one morsel. The
+/// merged rows leave through the **tail** ([`SelectPlan::finish`]).
 ///
 /// Every merge consumes per-morsel outputs in scan order, so the result is
 /// independent of worker count and scheduling.
@@ -793,7 +794,7 @@ fn drive(
                     }
                     let (schema, mut rows) = acc.finish();
                     sort_rows(&mut rows, &resolve_sort_keys(&schema, &plan.sort_keys)?);
-                    let groups = Merged::new(schema, VecDeque::new(), rows, batch);
+                    let groups = Merged::new(schema, VecDeque::new(), rows.into_iter(), batch);
                     let (out, _) = plan.finish(groups, false, output_name, guard)?;
                     Ok((out, batches))
                 })
@@ -819,6 +820,13 @@ fn drive(
                 // aborts midway, and the tail charges nothing again.
                 let lazy = plan.lazy_limit();
                 let charged = !sort_before && (lazy || (!plan.distinct && plan.limit.is_none()));
+                // Under `LIMIT k` and no DISTINCT a sorted run keeps its
+                // first k rows: every row of the result is among the first
+                // k of its own morsel's stable run (the rows ahead of it
+                // there are ahead of it in the merge too), and ties still go
+                // to the earlier morsel. DISTINCT could drop rows the cut
+                // kept and need ones it dropped.
+                let cut = plan.limit.filter(|_| !plan.distinct);
                 let run = run_morsels_guarded(&source, threads, guard, |m| {
                     let mut op = stream(m)?;
                     if let Some(ext) = &extend {
@@ -844,19 +852,21 @@ fn drive(
                     let mut run: Vec<Row> =
                         batches.into_iter().flat_map(RowBatch::into_rows).collect();
                     sort_rows(&mut run, &key_idx);
+                    run.truncate(cut.unwrap_or(usize::MAX));
                     Ok((Vec::new(), run, produced))
                 })?;
                 run.merge(|outputs| -> Result<_, StorageError> {
                     // Unsorted morsels hand over their batches, sorted ones
-                    // their runs: concatenated, or merged by the stable
-                    // k-way merge, in morsel order either way.
+                    // their runs: concatenated, or merged by the stable lazy
+                    // k-way merge, in morsel order either way; the tail
+                    // pulls from the merge only the rows it keeps.
                     let (mut batches, mut runs, mut produced) = (VecDeque::new(), Vec::new(), 0);
                     for (b, run, n) in outputs {
                         batches.extend(b);
                         runs.push(run);
                         produced += n;
                     }
-                    let rows = merge_sorted_runs(runs, &key_idx);
+                    let rows = SortedMerge::new(runs, &key_idx);
                     let merged = Merged::new(run_schema, batches, rows, batch);
                     let unlimited = QueryGuard::unlimited();
                     let tail_guard = if charged { &unlimited } else { guard };

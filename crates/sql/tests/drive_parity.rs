@@ -374,7 +374,7 @@ fn assert_parity(backings: &[(&'static str, Catalog)], sql: &str) -> Result<(), 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn every_drive_matches_the_oracle_for_random_plans(

@@ -192,6 +192,59 @@ fn span(used: usize, len: usize) -> Option<(u32, u32)> {
     (end <= u32::MAX as usize).then_some((used as u32, len as u32))
 }
 
+// What a slot contributes to a group's hash ([`ColumnVector::hash_into`]):
+// a function of its value under `Value`'s equality, whatever the column.
+const NULL_KEY: u64 = 0x6e75_6c6c;
+const BOOL_KEY: u64 = 0xb001;
+const STR_KEY: u64 = 0x5374_7221;
+
+/// The splitmix64 finalizer: every input bit moves every output bit.
+#[inline]
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A number's key: its `f64` bits, `-0.0` read as `0.0` (`-0.0 + 0.0` is
+/// `0.0`), so an `Int` and the `Float` equal to it share one.
+#[inline]
+fn float_key(f: f64) -> u64 {
+    (f + 0.0).to_bits()
+}
+
+/// An integer the `f64` cast rounds (some beyond 2^53) equals no `Float`,
+/// so it keys on its own bits and its neighbours do not all collide.
+#[inline]
+fn int_key(i: i64) -> u64 {
+    let f = i as f64;
+    match f as i64 == i {
+        true => float_key(f),
+        false => i as u64,
+    }
+}
+
+fn bytes_key(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = seed ^ bytes.len() as u64;
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = mix(h ^ u64::from_le_bytes(word));
+    }
+    h
+}
+
+fn value_key(v: &Value) -> u64 {
+    match v {
+        Value::Null => NULL_KEY,
+        Value::Int(i) => int_key(*i),
+        Value::Float(f) => float_key(*f),
+        Value::Str(s) => bytes_key(STR_KEY, s.as_bytes()),
+        Value::Bool(b) => BOOL_KEY + *b as u64,
+        Value::Blob(b) => bytes_key(!STR_KEY, b),
+    }
+}
+
 /// The typed payload of a [`ColumnVector`]. NULL slots hold a default
 /// payload; the bitmap is authoritative.
 #[derive(Debug, Clone)]
@@ -584,6 +637,44 @@ impl ColumnVector {
             (ColumnData::Bool(v), Value::Bool(b)) => Some(v[i].cmp(b)),
             (ColumnData::Mixed(v), _) => v[i].sql_cmp(lit),
             _ => None,
+        }
+    }
+
+    /// `self.value(i).total_cmp(v)`, read in place where the kinds match; a
+    /// string is copied out only against a value of another kind.
+    pub fn cmp_at(&self, i: usize, v: &Value) -> Ordering {
+        if self.nulls.is_null(i) {
+            return Value::Null.total_cmp(v);
+        }
+        match (&self.data, v) {
+            (ColumnData::Int(d), Value::Int(x)) => d[i].cmp(x),
+            (ColumnData::Str(d), Value::Str(x)) => d[i].cmp(x),
+            (ColumnData::StrBuf(d), Value::Str(x)) => d.get(i).cmp(x.as_str()),
+            (ColumnData::Bool(d), Value::Bool(x)) => d[i].cmp(x),
+            (ColumnData::Mixed(d), x) => d[i].total_cmp(x),
+            _ => self.value(i).total_cmp(v),
+        }
+    }
+
+    /// Folds each slot's key hash into `hashes` (`h = mix(h ^ slot)`): one
+    /// match on the payload, then a loop. Slots equal under `Value`'s
+    /// equality fold alike whatever their column's kind — `1` and `1.0`,
+    /// `-0.0` and `0.0`, NULL and NULL, one NaN bit pattern and itself.
+    pub fn hash_into(&self, hashes: &mut [u64]) {
+        fn fold(nulls: &NullBitmap, hashes: &mut [u64], slots: impl Iterator<Item = u64>) {
+            for (i, (h, x)) in hashes.iter_mut().zip(slots).enumerate() {
+                *h = mix(*h ^ if nulls.is_null(i) { NULL_KEY } else { x });
+            }
+        }
+        debug_assert_eq!(hashes.len(), self.len());
+        let (n, h) = (&self.nulls, hashes);
+        match &self.data {
+            ColumnData::Int(v) => fold(n, h, v.iter().map(|&x| int_key(x))),
+            ColumnData::Float(v) => fold(n, h, v.iter().map(|&x| float_key(x))),
+            ColumnData::Str(v) => fold(n, h, v.iter().map(|s| bytes_key(STR_KEY, s.as_bytes()))),
+            ColumnData::StrBuf(v) => fold(n, h, v.iter().map(|s| bytes_key(STR_KEY, s.as_bytes()))),
+            ColumnData::Bool(v) => fold(n, h, v.iter().map(|&b| BOOL_KEY + b as u64)),
+            ColumnData::Mixed(v) => fold(n, h, v.iter().map(value_key)),
         }
     }
 

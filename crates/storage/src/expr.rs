@@ -420,9 +420,27 @@ fn is_numeric(c: &ColumnVector) -> bool {
     matches!(c.data(), ColumnData::Int(_) | ColumnData::Float(_))
 }
 
+/// Comparison `op` of two payloads of one kind under its total order (the
+/// one `sql_cmp` uses for that kind); a NULL operand gives NULL.
+fn cmp_kernel<T: Ord>(
+    op: BinOp,
+    (l, a): (&ColumnVector, &[T]),
+    (r, b): (&ColumnVector, &[T]),
+) -> ColumnVector {
+    let mut nulls = NullBitmap::new();
+    let mut out = Vec::with_capacity(a.len());
+    for i in 0..a.len() {
+        let null = l.is_null(i) || r.is_null(i);
+        nulls.push(null);
+        out.push(!null && op.holds(a[i].cmp(&b[i])));
+    }
+    ColumnVector::from_parts(ColumnData::Bool(out), nulls)
+}
+
 /// Element-wise binary operation over two operand columns, with typed fast
-/// paths for Int/Int, numeric, and Str/Str operands; everything else falls
-/// back to [`eval_bin`] per element (identical semantics either way).
+/// paths for Int/Int, numeric, Str/Str and Bool/Bool operands; everything
+/// else falls back to [`eval_bin`] per element (identical semantics either
+/// way).
 fn eval_bin_batch(
     op: BinOp,
     l: &ColumnVector,
@@ -434,18 +452,22 @@ fn eval_bin_batch(
 
     let is_cmp = op.is_comparison();
 
-    // Int ⊗ Int: integral arithmetic and total comparisons.
+    // Same-kind comparisons: Int, Str and Bool (false < true) each have a
+    // total order.
+    if is_cmp {
+        match (l.data(), r.data()) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => return Ok(cmp_kernel(op, (l, a), (r, b))),
+            (ColumnData::Str(a), ColumnData::Str(b)) => return Ok(cmp_kernel(op, (l, a), (r, b))),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => {
+                return Ok(cmp_kernel(op, (l, a), (r, b)))
+            }
+            _ => {}
+        }
+    }
+
+    // Int ⊗ Int arithmetic.
     if let (Some(a), Some(b)) = (l.as_ints(), r.as_ints()) {
         let mut nulls = NullBitmap::new();
-        if is_cmp {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let null = l.is_null(i) || r.is_null(i);
-                nulls.push(null);
-                out.push(!null && op.holds(a[i].cmp(&b[i])));
-            }
-            return Ok(ColumnVector::from_parts(ColumnData::Bool(out), nulls));
-        }
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let null = l.is_null(i) || r.is_null(i);
@@ -550,18 +572,9 @@ fn eval_bin_batch(
         return Ok(ColumnVector::from_parts(ColumnData::Float(out), nulls));
     }
 
-    // Str ⊗ Str: comparisons and `+` concatenation.
+    // Str ⊗ Str: `+` concatenation.
     if let (Some(a), Some(b)) = (l.as_strs(), r.as_strs()) {
         let mut nulls = NullBitmap::new();
-        if is_cmp {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let null = l.is_null(i) || r.is_null(i);
-                nulls.push(null);
-                out.push(!null && op.holds(a[i].cmp(&b[i])));
-            }
-            return Ok(ColumnVector::from_parts(ColumnData::Bool(out), nulls));
-        }
         if op == Add {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
@@ -1250,6 +1263,40 @@ mod tests {
             let e = Expr::col("f").bin(op, Expr::col("i"));
             assert_column(&e, rows.clone(), &s, cells(f_i));
         }
+    }
+
+    #[test]
+    fn batch_bool_comparison_truth_table() {
+        // Both operands are typed Bool columns: false < true, and a NULL
+        // operand gives NULL.
+        let s = Schema::of(&[("a", DataType::Bool), ("b", DataType::Bool)]);
+        let (t, f, n) = (Value::Bool(true), Value::Bool(false), Value::Null);
+        let rows: Vec<Row> = vec![
+            vec![f.clone(), f.clone()],
+            vec![f.clone(), t.clone()],
+            vec![t.clone(), f.clone()],
+            vec![t.clone(), t.clone()],
+            vec![n.clone(), t.clone()],
+            vec![f.clone(), n.clone()],
+        ];
+        let batch = RowBatch::from_rows(2, rows.clone());
+        assert!(matches!(batch.column(0).data(), ColumnData::Bool(_)));
+        assert!(matches!(batch.column(1).data(), ColumnData::Bool(_)));
+        let cases = [
+            (BinOp::Eq, [&t, &f, &f, &t, &n, &n]),
+            (BinOp::Ne, [&f, &t, &t, &f, &n, &n]),
+            (BinOp::Lt, [&f, &t, &f, &f, &n, &n]),
+            (BinOp::Le, [&t, &t, &f, &t, &n, &n]),
+            (BinOp::Gt, [&f, &f, &t, &f, &n, &n]),
+            (BinOp::Ge, [&t, &f, &t, &t, &n, &n]),
+        ];
+        for (op, want) in cases {
+            let e = Expr::col("a").bin(op, Expr::col("b"));
+            assert_column(&e, rows.clone(), &s, want.map(Value::clone).to_vec());
+        }
+        // Against a literal, as `boring = TRUE` is.
+        let e = Expr::col("a").eq(Expr::lit(true));
+        assert_column(&e, rows, &s, vec![f.clone(), f.clone(), t.clone(), t, n, f]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use morsel::{
 pub use ops::{
     cmp_rows, col_cmp, collect, drain_guarded, merge_sorted_runs, resolve_sort_keys, sort_rows,
     AggFunc, Aggregate, Distinct, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind,
-    Limit, Operator, PartialAggregate, Project, SortKey, TableScan,
+    Limit, Operator, PartialAggregate, Project, SortKey, SortedMerge, TableScan,
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
 pub use paged::{PageBacking, PageSlot, PageWriteStats, RowGroup};

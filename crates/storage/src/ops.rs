@@ -476,24 +476,30 @@ impl JoinBuild {
         let right_key = right.schema().resolve(right_col)?;
         let right_schema = right.schema().clone();
         let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); right_schema.arity()];
-        // Build side drains batch-wise; all operators support next_batch.
+        let empty = || ColumnVector::from_values(Vec::new());
+        let mut columns: Vec<ColumnVector> = (0..right_schema.arity()).map(|_| empty()).collect();
+        // Each batch's rows with a non-NULL key are appended column by
+        // column: the whole batch when every key is there, a gather else.
         while let Some(batch) = right.next_batch()? {
-            for i in 0..batch.num_rows() {
-                let key = batch.column(right_key).value(i);
-                if key.is_null() {
-                    continue;
-                }
-                map.entry(key).or_default().push(columns[right_key].len());
-                for (kept, column) in columns.iter_mut().zip(batch.columns()) {
-                    kept.push(column.value(i));
-                }
+            let keys = batch.column(right_key);
+            let kept: Vec<usize> = (0..batch.num_rows())
+                .filter(|&i| !keys.is_null(i))
+                .collect();
+            let base = columns[right_key].len();
+            for (at, &i) in kept.iter().enumerate() {
+                map.entry(keys.value(i)).or_default().push(base + at);
+            }
+            let batch = match kept.len() == batch.num_rows() {
+                true => batch,
+                false => batch.gather(&kept),
+            };
+            for (column, more) in columns.iter_mut().zip(batch.into_columns()) {
+                column.extend(more);
             }
         }
-        let columns = columns.into_iter().map(ColumnVector::from_values);
         Ok(Self {
             map,
-            rows: RowBatch::from_columns(columns.collect())?,
+            rows: RowBatch::from_columns(columns)?,
             right_schema,
         })
     }
@@ -693,54 +699,18 @@ pub struct HashAggregate {
     batch_size: usize,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct AggState {
     count: i64,
     sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
+    // The minimum and the maximum, each the first of equal values.
+    extremes: [Option<Value>; 2],
 }
 
+/// What a value must compare as to replace `extremes[0]` and `extremes[1]`.
+const WINS: [Ordering; 2] = [Ordering::Less, Ordering::Greater];
+
 impl AggState {
-    fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        self.count += 1;
-        if let Some(f) = v.as_f64() {
-            self.sum += f;
-        }
-        self.extremes(v, v);
-    }
-
-    /// Takes `lo` as the minimum if it is strictly below the current one
-    /// (the first of equal values stays), and `hi` as the maximum likewise.
-    fn extremes(&mut self, lo: &Value, hi: &Value) {
-        if self
-            .min
-            .as_ref()
-            .is_none_or(|m| lo.total_cmp(m) == Ordering::Less)
-        {
-            self.min = Some(lo.clone());
-        }
-        if self
-            .max
-            .as_ref()
-            .is_none_or(|m| hi.total_cmp(m) == Ordering::Greater)
-        {
-            self.max = Some(hi.clone());
-        }
-    }
-
     /// Folds a later partial's state into this one. `other` must cover rows
     /// that come *after* this state's rows in scan order (min/max are order-
     /// free; sums are added in scan order to keep float results stable
@@ -748,49 +718,116 @@ impl AggState {
     fn absorb(&mut self, other: &AggState) {
         self.count += other.count;
         self.sum += other.sum;
-        if let (Some(lo), Some(hi)) = (&other.min, &other.max) {
-            self.extremes(lo, hi);
+        for ((mine, theirs), wins) in self.extremes.iter_mut().zip(&other.extremes).zip(WINS) {
+            if let Some(v) = theirs {
+                if mine.as_ref().is_none_or(|m| v.total_cmp(m) == wins) {
+                    *mine = Some(v.clone());
+                }
+            }
         }
     }
 
     fn finish(&self, func: AggFunc, rows_in_group: i64) -> Value {
+        let [min, max] = &self.extremes;
         match func {
             AggFunc::CountStar => Value::Int(rows_in_group),
             AggFunc::Count => Value::Int(self.count),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
+            AggFunc::Sum | AggFunc::Avg if self.count == 0 => Value::Null,
+            AggFunc::Sum => Value::Float(self.sum),
+            AggFunc::Avg => Value::Float(self.sum / self.count as f64),
+            AggFunc::Min => min.clone().unwrap_or(Value::Null),
+            AggFunc::Max => max.clone().unwrap_or(Value::Null),
         }
     }
 }
 
-/// Thread-local partial state of a hash aggregation: group states keyed by
-/// the group tuple, with first-appearance order tracked for deterministic
-/// output. [`HashAggregate`] is one partial consumed serially; a parallel
+/// Folds one aggregate's input column into its per-group states along
+/// `groups` (row `i` belongs to group `groups[i]`), matched once on the
+/// column's kind: COUNT, SUM and AVG count each non-NULL slot and add the
+/// numeric ones in row order — the float additions a row loop makes — and
+/// MIN and MAX compare in place and copy a value out only when the extreme
+/// changes. A `Mixed` column reads its values one at a time in the same
+/// loop.
+fn fold_column(func: AggFunc, states: &mut [AggState], groups: &[usize], c: &ColumnVector) {
+    fn add(
+        states: &mut [AggState],
+        groups: &[usize],
+        c: &ColumnVector,
+        x: impl Fn(usize) -> Option<f64>,
+    ) {
+        for (i, &g) in groups.iter().enumerate().filter(|&(i, _)| !c.is_null(i)) {
+            states[g].count += 1;
+            if let Some(x) = x(i) {
+                states[g].sum += x;
+            }
+        }
+    }
+    use crate::ColumnData;
+    match (func, c.data()) {
+        (AggFunc::CountStar, _) => {}
+        (AggFunc::Min | AggFunc::Max, _) => {
+            let e = (func == AggFunc::Max) as usize;
+            for (i, &g) in groups.iter().enumerate().filter(|&(i, _)| !c.is_null(i)) {
+                let extreme = &mut states[g].extremes[e];
+                if extreme.as_ref().is_none_or(|m| c.cmp_at(i, m) == WINS[e]) {
+                    *extreme = Some(c.value(i));
+                }
+            }
+        }
+        (_, ColumnData::Int(v)) => add(states, groups, c, |i| Some(v[i] as f64)),
+        (_, ColumnData::Float(v)) => add(states, groups, c, |i| Some(v[i])),
+        (_, ColumnData::Mixed(v)) => add(states, groups, c, |i| v[i].as_f64()),
+        _ => add(states, groups, c, |_| None),
+    }
+}
+
+/// Hashes a `u64` that is already a hash as itself.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl std::hash::Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ b as u64);
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Thread-local partial state of a hash aggregation. Groups are numbered in
+/// order of first appearance, which is the output order; each group keeps
+/// its key, its row count and one state per aggregate (`states[a][g]`).
+/// [`HashAggregate`] is one partial consumed serially; a parallel
 /// aggregation builds one partial per morsel and [`PartialAggregate::merge`]s
 /// them **in morsel order**, which reproduces the exact group order (and
 /// float accumulation order) of a serial run.
+///
+/// A batch is absorbed column by column: the key columns hash every row
+/// into a group id ([`ColumnVector::hash_into`]; a candidate group is
+/// confirmed by comparing each key slot in place with the group's stored
+/// key, and only a group's first row copies its key out), then each
+/// aggregate folds its input column along the group ids by type.
 pub struct PartialAggregate {
     key_idx: Vec<usize>,
     agg_idx: Vec<Option<usize>>,
     aggregates: Vec<Aggregate>,
     schema: Schema,
     global: bool,
-    order: Vec<Vec<Value>>,
-    groups: HashMap<Vec<Value>, (i64, Vec<AggState>)>,
+    // Group ids by hash: the newest group with a hash, and for each group
+    // the one before it with the same hash (`chain`), and its hash.
+    newest: HashMap<u64, usize, std::hash::BuildHasherDefault<Prehashed>>,
+    chain: Vec<Option<usize>>,
+    hashes: Vec<u64>,
+    keys: Vec<Vec<Value>>,
+    rows: Vec<i64>,
+    states: Vec<Vec<AggState>>,
 }
 
 impl PartialAggregate {
@@ -833,11 +870,15 @@ impl PartialAggregate {
         Ok(Self {
             key_idx,
             agg_idx,
+            states: vec![Vec::new(); aggregates.len()],
             aggregates,
             schema,
             global: group_by.is_empty(),
-            order: Vec::new(),
-            groups: HashMap::new(),
+            newest: HashMap::default(),
+            chain: Vec::new(),
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            rows: Vec::new(),
         })
     }
 
@@ -846,31 +887,59 @@ impl PartialAggregate {
         &self.schema
     }
 
-    /// Folds one batch into the partial. Group keys and aggregate inputs
-    /// are read straight out of the batch columns; the key is filled into
-    /// one scratch vector and looked up borrowed, and an owned key is made
-    /// only the first time a group appears.
+    /// The group whose hash is `hash` and whose key `same` accepts; a new
+    /// one keyed `key()` when there is none.
+    fn group(
+        &mut self,
+        hash: u64,
+        same: impl Fn(&[Value]) -> bool,
+        key: impl FnOnce() -> Vec<Value>,
+    ) -> usize {
+        let mut at = self.newest.get(&hash).copied();
+        while let Some(g) = at {
+            if same(&self.keys[g]) {
+                return g;
+            }
+            at = self.chain[g];
+        }
+        let g = self.keys.len();
+        self.chain.push(self.newest.insert(hash, g));
+        self.hashes.push(hash);
+        self.keys.push(key());
+        self.rows.push(0);
+        for states in &mut self.states {
+            states.push(AggState::default());
+        }
+        g
+    }
+
+    /// Folds one batch into the partial: each row's group id from the key
+    /// columns, then every aggregate's input column along those ids.
     pub fn absorb(&mut self, batch: &RowBatch) {
-        let agg_idx = &self.agg_idx;
-        let mut key: Vec<Value> = Vec::with_capacity(self.key_idx.len());
-        for r in 0..batch.num_rows() {
-            key.clear();
-            key.extend(self.key_idx.iter().map(|&i| batch.column(i).value(r)));
-            let fold = |(n, states): &mut (i64, Vec<AggState>)| {
-                *n += 1;
-                for (state, idx) in states.iter_mut().zip(agg_idx) {
-                    if let Some(i) = idx {
-                        state.update(&batch.column(*i).value(r));
-                    }
-                }
-            };
-            match self.groups.get_mut(key.as_slice()) {
-                Some(group) => fold(group),
-                None => {
-                    self.order.push(key.clone());
-                    let fresh = (0, vec![AggState::new(); self.aggregates.len()]);
-                    fold(self.groups.entry(key.clone()).or_insert(fresh));
-                }
+        let n = batch.num_rows();
+        let keys: Vec<&ColumnVector> = self.key_idx.iter().map(|&c| batch.column(c)).collect();
+        let mut hashes = vec![0u64; n];
+        for column in &keys {
+            column.hash_into(&mut hashes);
+        }
+        let groups: Vec<usize> = (hashes.iter().enumerate())
+            .map(|(i, &hash)| {
+                let same =
+                    |key: &[Value]| key.iter().zip(&keys).all(|(v, c)| c.cmp_at(i, v).is_eq());
+                self.group(hash, same, || keys.iter().map(|c| c.value(i)).collect())
+            })
+            .collect();
+        for &g in &groups {
+            self.rows[g] += 1;
+        }
+        for ((agg, idx), states) in self
+            .aggregates
+            .iter()
+            .zip(&self.agg_idx)
+            .zip(&mut self.states)
+        {
+            if let Some(c) = idx {
+                fold_column(agg.func, states, &groups, batch.column(*c));
             }
         }
     }
@@ -890,16 +959,11 @@ impl PartialAggregate {
     /// one. Groups first seen in `later` are appended in their order of
     /// appearance, exactly as a serial pass would have discovered them.
     pub fn merge(&mut self, later: PartialAggregate) {
-        for key in later.order {
-            let (n, states) = &later.groups[&key];
-            let n_aggs = self.aggregates.len();
-            let entry = self.groups.entry(key.clone()).or_insert_with(|| {
-                self.order.push(key);
-                (0, vec![AggState::new(); n_aggs])
-            });
-            entry.0 += *n;
-            for (mine, theirs) in entry.1.iter_mut().zip(states) {
-                mine.absorb(theirs);
+        for (g, key) in later.keys.into_iter().enumerate() {
+            let mine = self.group(later.hashes[g], |k| k == key.as_slice(), || key.clone());
+            self.rows[mine] += later.rows[g];
+            for (states, theirs) in self.states.iter_mut().zip(&later.states) {
+                states[mine].absorb(&theirs[g]);
             }
         }
     }
@@ -908,19 +972,13 @@ impl PartialAggregate {
     /// no group keys, emits a single global row even for empty input, as
     /// SQL does.
     pub fn finish(mut self) -> (Schema, Vec<Row>) {
-        if self.global && self.groups.is_empty() {
-            self.order.push(Vec::new());
-            self.groups.insert(
-                Vec::new(),
-                (0, vec![AggState::new(); self.aggregates.len()]),
-            );
+        if self.global && self.keys.is_empty() {
+            self.group(0, |_| true, Vec::new);
         }
-        let mut results = Vec::with_capacity(self.order.len());
-        for key in &self.order {
-            let (n, states) = &self.groups[key];
-            let mut row = key.clone();
-            for (state, agg) in states.iter().zip(&self.aggregates) {
-                row.push(state.finish(agg.func, *n));
+        let mut results = Vec::with_capacity(self.keys.len());
+        for (g, mut row) in self.keys.into_iter().enumerate() {
+            for (states, agg) in self.states.iter().zip(&self.aggregates) {
+                row.push(states[g].finish(agg.func, self.rows[g]));
             }
             results.push(row);
         }
@@ -1011,35 +1069,65 @@ pub fn sort_rows(rows: &mut [Row], key_idx: &[(usize, bool)]) {
     rows.sort_by(|a, b| cmp_rows(a, b, key_idx));
 }
 
-/// K-way merge of stably-sorted runs into one stably-sorted stream. Runs
-/// must be ordered by the position of their rows in the original input
-/// (run 0 before run 1, …): ties then resolve to the earliest run, which
-/// reproduces exactly the row order of a serial stable sort over the
-/// concatenated input. This is the deterministic merge step of a parallel
-/// sort (each worker sorts its morsel's run; the merge is serial).
-pub fn merge_sorted_runs(mut runs: Vec<Vec<Row>>, key_idx: &[(usize, bool)]) -> Vec<Row> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    // `heads[r]`: the position of run `r`'s next row.
-    let mut heads = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(total);
-    loop {
+/// K-way merge of stably-sorted runs into one stably-sorted stream: a
+/// [`SortedMerge`] collected.
+pub fn merge_sorted_runs(runs: Vec<Vec<Row>>, key_idx: &[(usize, bool)]) -> Vec<Row> {
+    SortedMerge::new(runs, key_idx).collect()
+}
+
+/// The lazy k-way merge of stably-sorted runs: each `next` hands out the
+/// least run head. Runs must be ordered by the position of their rows in
+/// the original input (run 0 before run 1, …): ties then resolve to the
+/// earliest run, which reproduces exactly the row order of a serial stable
+/// sort over the concatenated input. This is the merge step of a parallel
+/// sort (each worker sorts its morsel's run; the merge is serial), and a
+/// consumer that stops after k rows pays for k.
+pub struct SortedMerge {
+    runs: Vec<std::vec::IntoIter<Row>>,
+    // `heads[r]`: run `r`'s next row, `None` once it is spent.
+    heads: Vec<Option<Row>>,
+    key_idx: Vec<(usize, bool)>,
+    left: usize,
+}
+
+impl SortedMerge {
+    /// Merges `runs` under resolved sort keys.
+    pub fn new(runs: Vec<Vec<Row>>, key_idx: &[(usize, bool)]) -> Self {
+        let left = runs.iter().map(Vec::len).sum();
+        let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+        let heads = runs.iter_mut().map(Iterator::next).collect();
+        Self {
+            runs,
+            heads,
+            key_idx: key_idx.to_vec(),
+            left,
+        }
+    }
+}
+
+impl Iterator for SortedMerge {
+    type Item = Row;
+
+    fn next(&mut self) -> Option<Row> {
         // Linear scan over run heads: strictly-less keeps the earliest run
         // on ties (stability). Run counts are small (morsel count), so the
         // scan beats heap bookkeeping for realistic inputs.
         let mut best: Option<(usize, &Row)> = None;
-        for (r, run) in runs.iter().enumerate() {
-            let Some(head) = run.get(heads[r]) else {
+        for (r, head) in self.heads.iter().enumerate() {
+            let Some(head) = head else {
                 continue;
             };
-            if best.is_none_or(|(_, current)| cmp_rows(head, current, key_idx) == Ordering::Less) {
+            if best.is_none_or(|(_, current)| cmp_rows(head, current, &self.key_idx).is_lt()) {
                 best = Some((r, head));
             }
         }
-        let Some((r, _)) = best else {
-            return out;
-        };
-        out.push(std::mem::take(&mut runs[r][heads[r]]));
-        heads[r] += 1;
+        let (r, _) = best?;
+        self.left -= 1;
+        std::mem::replace(&mut self.heads[r], self.runs[r].next())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -1265,6 +1353,144 @@ mod tests {
         assert_eq!(t.len(), 3);
         let idx = t.find("year", &Value::Int(1991)).unwrap().unwrap();
         assert_eq!(t.cell(idx, "n").unwrap(), &Value::Int(2));
+    }
+
+    /// A group-by over column 0 of `rows` as a row loop computes it:
+    /// COUNT(*), then COUNT, SUM, AVG, MIN and MAX of each later column —
+    /// each sum added in row order within a morsel of `morsel` rows, and the
+    /// morsels' sums in morsel order.
+    fn aggregated_by_hand(rows: &[Row], morsel: usize) -> Vec<Row> {
+        type Acc = (i64, f64, Option<Value>, Option<Value>);
+        let inputs = rows[0].len() - 1;
+        let mut groups: Vec<(Value, i64, Vec<Acc>)> = Vec::new();
+        for chunk in rows.chunks(morsel) {
+            let mut sums: Vec<Vec<f64>> = Vec::new();
+            for row in chunk {
+                let g = match groups.iter().position(|(k, ..)| *k == row[0]) {
+                    Some(g) => g,
+                    None => {
+                        groups.push((row[0].clone(), 0, vec![(0, 0.0, None, None); inputs]));
+                        groups.len() - 1
+                    }
+                };
+                sums.resize(groups.len(), vec![0.0; inputs]);
+                groups[g].1 += 1;
+                for (a, v) in row[1..].iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                    let (count, _, lo, hi) = &mut groups[g].2[a];
+                    *count += 1;
+                    if let Some(x) = v.as_f64() {
+                        sums[g][a] += x;
+                    }
+                    if lo.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
+                        *lo = Some(v.clone());
+                    }
+                    if hi.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
+                        *hi = Some(v.clone());
+                    }
+                }
+            }
+            for (g, sums) in sums.into_iter().enumerate() {
+                for (acc, s) in groups[g].2.iter_mut().zip(sums) {
+                    acc.1 += s;
+                }
+            }
+        }
+        let finish = |(key, n, accs): (Value, i64, Vec<Acc>)| {
+            let mut row = vec![key, Value::Int(n)];
+            for (count, sum, lo, hi) in accs {
+                let some = count > 0;
+                let avg = some.then(|| sum / count as f64);
+                row.extend([Value::Int(count), some.then_some(sum).into(), avg.into()]);
+                row.extend([lo.into(), hi.into()]);
+            }
+            row
+        };
+        groups.into_iter().map(finish).collect()
+    }
+
+    #[test]
+    fn partials_fed_any_batching_and_merged_in_morsel_order_match_a_row_loop() {
+        let two53 = 1i64 << 53;
+        // Keys equal as values are one group: 1 and 1.0, -0.0 and 0, 2^53
+        // and 2^53 as a float (but not 2^53 + 1), NaN and itself, NULL.
+        let keys = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::Int(two53 + 1),
+            Value::Float(two53 as f64),
+            Value::Int(two53),
+            Value::Str("1".into()),
+        ];
+        let rows: Vec<Row> = (0..60usize)
+            .map(|i| {
+                let x = match i % 7 {
+                    3 => Value::Null,
+                    _ => Value::Float(0.1 * i as f64 + 1.0 / (i as f64 + 3.0)),
+                };
+                let s = match i % 5 {
+                    2 => Value::Null,
+                    _ => Value::Str(format!("s{}", (i * 7) % 11)),
+                };
+                let m = match i % 4 {
+                    0 => Value::Int(i as i64 - 20),
+                    1 => Value::Float(i as f64 / 3.0),
+                    2 => Value::Str(format!("m{}", i % 6)),
+                    _ => Value::Null,
+                };
+                vec![keys[(i * 3) % keys.len()].clone(), x, s, m]
+            })
+            .collect();
+        let schema = Schema::of(&[
+            ("k", DataType::Any),
+            ("x", DataType::Float),
+            ("s", DataType::Str),
+            ("m", DataType::Any),
+        ]);
+        let partial = || {
+            let mut aggs = vec![agg(AggFunc::CountStar, None, "n")];
+            for c in ["x", "s", "m"] {
+                for func in [
+                    AggFunc::Count,
+                    AggFunc::Sum,
+                    AggFunc::Avg,
+                    AggFunc::Min,
+                    AggFunc::Max,
+                ] {
+                    aggs.push(agg(func, Some(c), &format!("{func:?}_{c}")));
+                }
+            }
+            PartialAggregate::new(&schema, &["k".into()], aggs).unwrap()
+        };
+        // Floats compared bit for bit.
+        let exact = |rows: Vec<Row>| -> Vec<Vec<String>> {
+            let cell = |v: &Value| match v {
+                Value::Float(f) => format!("Float({:x})", f.to_bits()),
+                v => format!("{v:?}"),
+            };
+            rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+        };
+        let one_pass = exact(aggregated_by_hand(&rows, rows.len()));
+        assert_eq!(one_pass.len(), 7, "ten keys, seven groups");
+        for b in [1usize, 3, 1024] {
+            let batches: Vec<RowBatch> = (rows.chunks(b))
+                .map(|c| RowBatch::from_rows(4, c.to_vec()))
+                .collect();
+            let mut one = partial();
+            let mut merged = partial();
+            for batch in &batches {
+                one.absorb(batch);
+                let mut morsel = partial();
+                morsel.absorb(batch);
+                merged.merge(morsel);
+            }
+            assert_eq!(exact(one.finish().1), one_pass, "one pass, batch {b}");
+            let by_morsel = exact(aggregated_by_hand(&rows, b));
+            assert_eq!(exact(merged.finish().1), by_morsel, "merged, batch {b}");
+        }
     }
 
     #[test]

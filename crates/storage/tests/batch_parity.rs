@@ -102,7 +102,7 @@ fn assert_slots(got: &ColumnVector, col: &ColumnVector, want: &[Option<usize>]) 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn slice_and_gather_agree_with_value_slot_by_slot(
