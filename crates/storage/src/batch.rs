@@ -126,11 +126,13 @@ impl NullBitmap {
     }
 }
 
-/// The strings of a decoded page, held the way the page stores them: one
-/// UTF-8 buffer and a `(start, len)` span per slot (dictionary and
-/// run-length pages point many slots at one entry). Two allocations
-/// however many rows; a slot becomes a `String` only when it is copied out.
-#[derive(Debug, Clone)]
+/// The one string payload: one UTF-8 buffer and a `(start, len)` span per
+/// slot. A decoded dictionary or run-length page points many slots at one
+/// entry, and a repeated literal is one copy of its bytes; every copy
+/// (`slice`, `gather`, `filter`, a join's output) writes the bytes it keeps
+/// into one new buffer. Two allocations however many rows; a slot becomes a
+/// `String` only when it is read out as a [`Value`].
+#[derive(Debug, Clone, Default)]
 pub struct StrBuf {
     spans: Vec<(u32, u32)>,
     buf: String,
@@ -143,14 +145,41 @@ impl StrBuf {
         Self { spans, buf }
     }
 
-    /// Appends one string at the end of the buffer; `false`, appending
+    /// An empty buffer with room for `slots` strings of `bytes` bytes in
+    /// all; `None` when its spans could not address that many.
+    fn with_room(slots: usize, bytes: usize) -> Option<Self> {
+        span(0, bytes)?;
+        Some(Self {
+            spans: Vec::with_capacity(slots),
+            buf: String::with_capacity(bytes),
+        })
+    }
+
+    /// Appends one slot, `parts` laid end to end; `false`, appending
     /// nothing, when its span would end past what a `u32` addresses.
-    fn push(&mut self, s: &str) -> bool {
-        let Some(span) = span(self.buf.len(), s.len()) else {
+    fn push(&mut self, parts: &[&str]) -> bool {
+        let len = parts.iter().map(|p| p.len()).sum();
+        let Some(span) = span(self.buf.len(), len) else {
             return false;
         };
         self.spans.push(span);
-        self.buf.push_str(s);
+        parts.iter().for_each(|p| self.buf.push_str(p));
+        true
+    }
+
+    /// Appends every slot of `other`: its buffer once, its spans moved past
+    /// this buffer's bytes (a span that read as empty there still does).
+    /// `false`, appending nothing, when the buffer would outgrow the spans.
+    fn append(&mut self, other: &StrBuf) -> bool {
+        let Some((shift, _)) = span(self.buf.len(), other.buf.len()) else {
+            return false;
+        };
+        let moved = other
+            .spans
+            .iter()
+            .map(|&(s, l)| (s.saturating_add(shift), l));
+        self.spans.extend(moved);
+        self.buf.push_str(&other.buf);
         true
     }
 
@@ -183,6 +212,23 @@ impl StrBuf {
     pub fn heap_bytes(&self) -> usize {
         self.spans.len() * std::mem::size_of::<(u32, u32)>() + self.buf.len()
     }
+}
+
+/// The string payload of `slots` (`None`: a NULL slot), whose lengths add
+/// up to `bytes`, written into one buffer; when its spans could not address
+/// that many bytes, the values as they are — `Mixed`, the way a value of
+/// another kind turns a column.
+fn str_data<'a>(
+    bytes: usize,
+    slots: impl ExactSizeIterator<Item = Option<&'a str>> + Clone,
+) -> ColumnData {
+    if let Some(mut out) = StrBuf::with_room(slots.len(), bytes) {
+        if slots.clone().all(|s| out.push(&[s.unwrap_or_default()])) {
+            return ColumnData::StrBuf(Box::new(out));
+        }
+    }
+    let value = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Str(s.to_owned()));
+    ColumnData::Mixed(slots.map(value).collect())
 }
 
 /// The span of `len` bytes appended to a buffer of `used` bytes, or `None`
@@ -253,15 +299,8 @@ pub enum ColumnData {
     Int(Vec<i64>),
     /// All non-NULL values are `Float`.
     Float(Vec<f64>),
-    /// All non-NULL values are `Str`.
-    Str(Vec<String>),
-    /// A `Str` column as a decoded page pools it, as a row group reopened
-    /// from that page keeps it, and as an INSERT's copy of an open group
-    /// makes it: copying the group is two buffer copies, and a push
-    /// appends to the buffer. Only pages and row groups
-    /// hold this form: every copy out of it ([`ColumnVector::slice`],
-    /// [`ColumnVector::gather`]) is a `Str` column, so batches, rows and
-    /// operators never see it. Equal to the `Str` column of the same strings.
+    /// All non-NULL values are `Str`: one buffer and a span per slot, the
+    /// one form strings take in pages, row groups, batches and operators.
     StrBuf(Box<StrBuf>),
     /// All non-NULL values are `Bool`.
     Bool(Vec<bool>),
@@ -274,7 +313,6 @@ impl ColumnData {
         match self {
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
             ColumnData::StrBuf(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Mixed(v) => v.len(),
@@ -286,7 +324,6 @@ impl ColumnData {
         match self {
             ColumnData::Int(d) => d.resize(d.len() + n, 0),
             ColumnData::Float(d) => d.resize(d.len() + n, 0.0),
-            ColumnData::Str(d) => d.resize(d.len() + n, String::new()),
             ColumnData::Bool(d) => d.resize(d.len() + n, false),
             ColumnData::Mixed(d) => d.resize(d.len() + n, Value::Null),
             ColumnData::StrBuf(b) => b.spans.resize(b.spans.len() + n, (0, 0)),
@@ -302,9 +339,7 @@ impl PartialEq for ColumnData {
             (Float(a), Float(b)) => a == b,
             (Bool(a), Bool(b)) => a == b,
             (Mixed(a), Mixed(b)) => a == b,
-            (Str(a), Str(b)) => a == b,
             (StrBuf(a), StrBuf(b)) => a.iter().eq(b.iter()),
-            (Str(a), StrBuf(b)) | (StrBuf(b), Str(a)) => a.iter().map(String::as_str).eq(b.iter()),
             _ => false,
         }
     }
@@ -337,6 +372,15 @@ impl ColumnVector {
                 uniform &= *kind.get_or_insert(v.data_type()) == v.data_type();
             }
         }
+        if kind.filter(|_| uniform) == Some(DataType::Str) {
+            let slots = values.iter().map(|v| match v {
+                Value::Str(s) => Some(s.as_str()),
+                _ => None,
+            });
+            let bytes = slots.clone().flatten().map(str::len).sum();
+            let data = str_data(bytes, slots);
+            return Self { data, nulls };
+        }
         let values = values.into_iter();
         let data = match kind.filter(|_| uniform) {
             Some(DataType::Int) => {
@@ -348,14 +392,6 @@ impl ColumnVector {
             Some(DataType::Bool) => {
                 ColumnData::Bool(values.map(|v| v.as_bool().unwrap_or(false)).collect())
             }
-            Some(DataType::Str) => ColumnData::Str(
-                values
-                    .map(|v| match v {
-                        Value::Str(s) => s,
-                        _ => String::new(),
-                    })
-                    .collect(),
-            ),
             // All-NULL columns and blobs stay as raw values.
             _ => ColumnData::Mixed(values.collect()),
         };
@@ -379,7 +415,14 @@ impl ColumnVector {
             Value::Int(i) => ColumnData::Int(vec![*i; n]),
             Value::Float(f) => ColumnData::Float(vec![*f; n]),
             Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
-            Value::Str(s) => ColumnData::Str(vec![s.clone(); n]),
+            // One copy of the bytes, `n` spans over it.
+            Value::Str(s) => match span(0, s.len()) {
+                Some(one) => ColumnData::StrBuf(Box::new(StrBuf::new(
+                    vec![one; n],
+                    if n > 0 { s.clone() } else { String::new() },
+                ))),
+                None => ColumnData::Mixed(vec![v.clone(); n]),
+            },
             _ => ColumnData::Mixed(vec![v.clone(); n]),
         };
         Self { data, nulls }
@@ -388,7 +431,7 @@ impl ColumnVector {
     /// Appends one value. A column of NULLs only takes the kind of its
     /// first other value; a value of another kind than the column's makes
     /// it `Mixed`.
-    pub(crate) fn push(&mut self, v: Value) {
+    pub fn push(&mut self, v: Value) {
         let null = v.is_null();
         if !null && self.nulls.null_count() == self.len() {
             let mut data = ColumnVector::repeat(&v, 0).data;
@@ -399,30 +442,29 @@ impl ColumnVector {
             (data, Value::Null) => data.pad(1),
             (ColumnData::Int(d), Value::Int(x)) => d.push(x),
             (ColumnData::Float(d), Value::Float(x)) => d.push(x),
-            (ColumnData::Str(d), Value::Str(x)) => d.push(x),
             (ColumnData::StrBuf(d), Value::Str(x)) => {
-                if !d.push(&x) {
-                    // Past its spans' reach: the `Str` form holds any length.
-                    let mut strs: Vec<String> = d.iter().map(str::to_owned).collect();
-                    strs.push(x);
-                    self.data = ColumnData::Str(strs);
+                if !d.push(&[&x]) {
+                    // Past its spans' reach: the values as they are.
+                    self.push_mixed(Value::Str(x));
                 }
             }
             (ColumnData::Bool(d), Value::Bool(x)) => d.push(x),
             (ColumnData::Mixed(d), v) => d.push(v),
-            (_, v) => {
-                let mut values = self.to_values();
-                values.push(v);
-                self.data = ColumnData::Mixed(values);
-            }
+            (_, v) => self.push_mixed(v),
         }
         self.nulls.push(null);
     }
 
+    /// Turns the payload `Mixed`, `v` appended (the bitmap is the caller's).
+    fn push_mixed(&mut self, v: Value) {
+        let mut values = self.to_values();
+        values.push(v);
+        self.data = ColumnData::Mixed(values);
+    }
+
     /// A copy with room for `rows` slots, so appends up to that many do not
-    /// reallocate. A `Str` column is copied into the one-buffer form
-    /// ([`ColumnData::StrBuf`]; only row groups ask for this copy), so
-    /// copying it again is two buffer copies however many strings it holds.
+    /// reallocate; a string column's copy is two buffer copies however many
+    /// strings it holds.
     pub(crate) fn copy_with_room(&self, rows: usize) -> ColumnVector {
         fn room<T: Clone>(v: &[T], rows: usize) -> Vec<T> {
             let mut out = Vec::with_capacity(rows);
@@ -430,38 +472,19 @@ impl ColumnVector {
             out
         }
         let rows = rows.max(self.len());
-        // An empty buffer with room for `rows` strings of the mean length,
-        // unless that is more than its `u32` spans address.
-        let strs = |used: usize| {
-            let bytes = used + used.div_ceil(self.len().max(1)) * (rows - self.len());
-            (bytes <= u32::MAX as usize).then(|| StrBuf {
-                spans: Vec::with_capacity(rows),
-                buf: String::with_capacity(bytes),
-            })
-        };
         let data = match &self.data {
             ColumnData::Int(v) => ColumnData::Int(room(v, rows)),
             ColumnData::Float(v) => ColumnData::Float(room(v, rows)),
             ColumnData::Bool(v) => ColumnData::Bool(room(v, rows)),
             ColumnData::Mixed(v) => ColumnData::Mixed(room(v, rows)),
-            ColumnData::StrBuf(b) => match strs(b.buf.len()) {
-                Some(mut copy) => {
-                    copy.spans.extend_from_slice(&b.spans);
-                    copy.buf.push_str(&b.buf);
-                    ColumnData::StrBuf(Box::new(copy))
-                }
-                None => ColumnData::StrBuf(b.clone()),
-            },
-            ColumnData::Str(v) => match strs(v.iter().map(String::len).sum()) {
-                Some(mut copy) => {
-                    // `strs` checked the room for every one of them.
-                    for s in v {
-                        copy.push(s);
-                    }
-                    ColumnData::StrBuf(Box::new(copy))
-                }
-                None => ColumnData::Str(room(v, rows)),
-            },
+            ColumnData::StrBuf(b) => {
+                // Room for `rows` strings of the mean length, unless that
+                // is more than the spans address.
+                let used = b.buf.len();
+                let bytes = used + used.div_ceil(self.len().max(1)) * (rows - self.len());
+                let mut copy = StrBuf::with_room(rows, bytes).unwrap_or_default();
+                ColumnData::StrBuf(Box::new(if copy.append(b) { copy } else { (**b).clone() }))
+            }
         };
         let mut nulls = self.nulls.clone();
         nulls
@@ -474,22 +497,24 @@ impl ColumnVector {
     /// keeps its kind when `other`'s slots fit it (or are all NULL), takes
     /// `other`'s kind while it holds only NULLs itself, and otherwise
     /// becomes `Mixed`; the values are the same whichever happens.
-    pub(crate) fn extend(&mut self, other: ColumnVector) {
+    pub fn extend(&mut self, other: ColumnVector) {
         use ColumnData::*;
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
         let (n, valid) = (other.len(), other.null_count() < other.len());
         if valid && self.nulls.null_count() == self.len() {
             let mut data = other.slice(0, 0).data;
             data.pad(self.len());
             self.data = data;
         }
-        let fits = matches!(
-            (&self.data, &other.data),
-            (Int(_), Int(_))
-                | (Float(_), Float(_))
-                | (Bool(_), Bool(_))
-                | (Str(_), Str(_) | StrBuf(_))
-                | (Mixed(_), _)
-        );
+        let fits = match (&self.data, &other.data) {
+            (Int(_), Int(_)) | (Float(_), Float(_)) | (Bool(_), Bool(_)) | (Mixed(_), _) => true,
+            // Past what the buffer's spans address, the values go `Mixed`.
+            (StrBuf(a), StrBuf(b)) => span(a.buf.len(), b.buf.len()).is_some(),
+            _ => false,
+        };
         if valid && !fits {
             self.data = Mixed(self.to_values());
         }
@@ -500,8 +525,10 @@ impl ColumnVector {
             (Int(a), Int(mut b)) => a.append(&mut b),
             (Float(a), Float(mut b)) => a.append(&mut b),
             (Bool(a), Bool(mut b)) => a.append(&mut b),
-            (Str(a), Str(mut b)) => a.append(&mut b),
-            (Str(a), StrBuf(b)) => a.extend(b.iter().map(str::to_owned)),
+            (StrBuf(a), StrBuf(b)) if valid => {
+                let appended = a.append(&b);
+                debug_assert!(appended, "`fits` checked the spans");
+            }
             (Mixed(a), data) => a.extend(ColumnVector::from_parts(data, other.nulls).into_values()),
             // Only NULLs arrive: default payloads of the column's own kind.
             (data, _) => data.pad(n),
@@ -542,7 +569,6 @@ impl ColumnVector {
         match &self.data {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
             ColumnData::StrBuf(v) => Value::Str(v.get(i).to_owned()),
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Mixed(v) => v[i].clone(),
@@ -566,14 +592,6 @@ impl ColumnVector {
     pub fn as_floats(&self) -> Option<&[f64]> {
         match &self.data {
             ColumnData::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The string slice when this is a Str column.
-    pub fn as_strs(&self) -> Option<&[String]> {
-        match &self.data {
-            ColumnData::Str(v) => Some(v),
             _ => None,
         }
     }
@@ -632,7 +650,6 @@ impl ColumnVector {
             (ColumnData::Int(v), Value::Float(b)) => cmp_int_f64(v[i], *b),
             (ColumnData::Float(v), Value::Float(b)) => v[i].partial_cmp(b),
             (ColumnData::Float(v), Value::Int(b)) => cmp_int_f64(*b, v[i]).map(Ordering::reverse),
-            (ColumnData::Str(v), Value::Str(b)) => Some(v[i].cmp(b)),
             (ColumnData::StrBuf(v), Value::Str(b)) => Some(v.get(i).cmp(b.as_str())),
             (ColumnData::Bool(v), Value::Bool(b)) => Some(v[i].cmp(b)),
             (ColumnData::Mixed(v), _) => v[i].sql_cmp(lit),
@@ -648,12 +665,47 @@ impl ColumnVector {
         }
         match (&self.data, v) {
             (ColumnData::Int(d), Value::Int(x)) => d[i].cmp(x),
-            (ColumnData::Str(d), Value::Str(x)) => d[i].cmp(x),
             (ColumnData::StrBuf(d), Value::Str(x)) => d.get(i).cmp(x.as_str()),
             (ColumnData::Bool(d), Value::Bool(x)) => d[i].cmp(x),
             (ColumnData::Mixed(d), x) => d[i].total_cmp(x),
             _ => self.value(i).total_cmp(v),
         }
+    }
+
+    /// Whether slot `i` equals slot `j` of `other` under `Value`'s equality
+    /// (NULL equals NULL, `1` equals `1.0`, `-0.0` equals `0.0`, a NaN
+    /// equals the NaN of its bits), read in place where the kinds match.
+    pub fn eq_at(&self, i: usize, other: &ColumnVector, j: usize) -> bool {
+        use ColumnData::*;
+        match (self.nulls.is_null(i), other.nulls.is_null(j)) {
+            (false, false) => {}
+            (a, b) => return a && b,
+        }
+        match (&self.data, &other.data) {
+            (Int(a), Int(b)) => a[i] == b[j],
+            (Float(a), Float(b)) => a[i] == b[j] || a[i].to_bits() == b[j].to_bits(),
+            (StrBuf(a), StrBuf(b)) => a.get(i) == b.get(j),
+            (Bool(a), Bool(b)) => a[i] == b[j],
+            _ => self.value(i) == other.value(j),
+        }
+    }
+
+    /// Slot-wise string concatenation (`+`) of two string columns, NULL
+    /// where either slot is, written into one buffer; `None` unless both
+    /// are string columns and the buffer's spans address all it holds.
+    pub(crate) fn concat(&self, other: &ColumnVector) -> Option<ColumnVector> {
+        let (ColumnData::StrBuf(a), ColumnData::StrBuf(b)) = (&self.data, &other.data) else {
+            return None;
+        };
+        let (mut nulls, mut out) = (NullBitmap::new(), StrBuf::default());
+        for i in 0..self.len() {
+            let null = self.is_null(i) || other.is_null(i);
+            nulls.push(null);
+            if !out.push(&if null { ["", ""] } else { [a.get(i), b.get(i)] }) {
+                return None;
+            }
+        }
+        Some(Self::from_parts(ColumnData::StrBuf(Box::new(out)), nulls))
     }
 
     /// Folds each slot's key hash into `hashes` (`h = mix(h ^ slot)`): one
@@ -671,7 +723,6 @@ impl ColumnVector {
         match &self.data {
             ColumnData::Int(v) => fold(n, h, v.iter().map(|&x| int_key(x))),
             ColumnData::Float(v) => fold(n, h, v.iter().map(|&x| float_key(x))),
-            ColumnData::Str(v) => fold(n, h, v.iter().map(|s| bytes_key(STR_KEY, s.as_bytes()))),
             ColumnData::StrBuf(v) => fold(n, h, v.iter().map(|s| bytes_key(STR_KEY, s.as_bytes()))),
             ColumnData::Bool(v) => fold(n, h, v.iter().map(|&b| BOOL_KEY + b as u64)),
             ColumnData::Mixed(v) => fold(n, h, v.iter().map(value_key)),
@@ -700,11 +751,10 @@ impl ColumnVector {
             ColumnData::Int(v) => ColumnData::Int(pick(v, idx)),
             ColumnData::Float(v) => ColumnData::Float(pick(v, idx)),
             ColumnData::Bool(v) => ColumnData::Bool(pick(v, idx)),
-            ColumnData::Str(v) => ColumnData::Str(pick(v, idx)),
-            ColumnData::StrBuf(v) => ColumnData::Str(
-                idx.map(|i| i.map_or_else(String::new, |i| v.get(i).to_owned()))
-                    .collect(),
-            ),
+            ColumnData::StrBuf(v) => {
+                let slots = idx.map(|i| i.filter(|&i| !self.nulls.is_null(i)).map(|i| v.get(i)));
+                str_data(slots.clone().flatten().map(str::len).sum(), slots)
+            }
             ColumnData::Mixed(v) => ColumnData::Mixed(
                 idx.map(|i| i.map_or(Value::Null, |i| v[i].clone()))
                     .collect(),
@@ -740,37 +790,11 @@ impl ColumnVector {
         (0..self.len()).map(|i| self.value(i)).collect()
     }
 
-    /// All values, moving payloads out (no clones).
+    /// All values; a `Mixed` payload is moved out (no clones).
     pub fn into_values(self) -> Vec<Value> {
-        let nulls = self.nulls;
-        let wrap = |i: usize, v: Value| if nulls.is_null(i) { Value::Null } else { v };
         match self.data {
-            ColumnData::Int(v) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| wrap(i, Value::Int(x)))
-                .collect(),
-            ColumnData::Float(v) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| wrap(i, Value::Float(x)))
-                .collect(),
-            ColumnData::Str(v) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| wrap(i, Value::Str(x)))
-                .collect(),
-            ColumnData::StrBuf(v) => v
-                .iter()
-                .enumerate()
-                .map(|(i, x)| wrap(i, Value::Str(x.to_owned())))
-                .collect(),
-            ColumnData::Bool(v) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| wrap(i, Value::Bool(x)))
-                .collect(),
             ColumnData::Mixed(v) => v,
+            _ => self.to_values(),
         }
     }
 }
@@ -1008,7 +1032,7 @@ mod tests {
         for column in columns {
             let mut copy = column.copy_with_room(70);
             assert_eq!(copy, column);
-            if column.as_strs().is_some() {
+            if let ColumnData::StrBuf(_) = column.data() {
                 assert!(matches!(copy.data(), ColumnData::StrBuf(_)), "one buffer");
             }
             let mut want = column.to_values();
@@ -1029,6 +1053,31 @@ mod tests {
         assert_eq!(span(max, 0), Some((u32::MAX, 0)));
         assert_eq!(span(max + 1, 0), None);
         assert_eq!(span(usize::MAX, 1), None);
+    }
+
+    #[test]
+    fn strings_past_the_spans_reach_turn_the_column_mixed() {
+        let slots = [Some("a"), None, Some("日本")];
+        let want = vec![
+            Value::Str("a".into()),
+            Value::Null,
+            Value::Str("日本".into()),
+        ];
+        let nulls = NullBitmap::from_words(vec![0b010], 3);
+        // The sizes are synthetic: what `span` decides on, not a buffer.
+        let max = u32::MAX as usize;
+        for (bytes, one_buffer) in [(7, true), (max + 1, false), (usize::MAX, false)] {
+            let data = str_data(bytes, slots.into_iter());
+            assert_eq!(matches!(data, ColumnData::StrBuf(_)), one_buffer, "{bytes}");
+            let mut column = ColumnVector::from_parts(data, nulls.clone());
+            assert_eq!(column.to_values(), want);
+            assert_eq!(column.value(2), want[2]);
+            // A `Mixed` column takes more strings as values.
+            column.push(Value::Str("é".into()));
+            column.extend(ColumnVector::repeat(&Value::Str("x".into()), 2));
+            let more = ["é", "x", "x"].map(|s| Value::Str(s.into()));
+            assert_eq!(column.to_values(), [want.clone(), more.to_vec()].concat());
+        }
     }
 
     #[test]

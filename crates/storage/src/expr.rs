@@ -421,18 +421,20 @@ fn is_numeric(c: &ColumnVector) -> bool {
 }
 
 /// Comparison `op` of two payloads of one kind under its total order (the
-/// one `sql_cmp` uses for that kind); a NULL operand gives NULL.
-fn cmp_kernel<T: Ord>(
+/// one `sql_cmp` uses for that kind), `cmp(i)` ordering slot `i`; a NULL
+/// operand gives NULL.
+fn cmp_kernel(
     op: BinOp,
-    (l, a): (&ColumnVector, &[T]),
-    (r, b): (&ColumnVector, &[T]),
+    l: &ColumnVector,
+    r: &ColumnVector,
+    cmp: impl Fn(usize) -> Ordering,
 ) -> ColumnVector {
     let mut nulls = NullBitmap::new();
-    let mut out = Vec::with_capacity(a.len());
-    for i in 0..a.len() {
+    let mut out = Vec::with_capacity(l.len());
+    for i in 0..l.len() {
         let null = l.is_null(i) || r.is_null(i);
         nulls.push(null);
-        out.push(!null && op.holds(a[i].cmp(&b[i])));
+        out.push(!null && op.holds(cmp(i)));
     }
     ColumnVector::from_parts(ColumnData::Bool(out), nulls)
 }
@@ -456,10 +458,14 @@ fn eval_bin_batch(
     // total order.
     if is_cmp {
         match (l.data(), r.data()) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => return Ok(cmp_kernel(op, (l, a), (r, b))),
-            (ColumnData::Str(a), ColumnData::Str(b)) => return Ok(cmp_kernel(op, (l, a), (r, b))),
+            (ColumnData::Int(a), ColumnData::Int(b)) => {
+                return Ok(cmp_kernel(op, l, r, |i| a[i].cmp(&b[i])))
+            }
+            (ColumnData::StrBuf(a), ColumnData::StrBuf(b)) => {
+                return Ok(cmp_kernel(op, l, r, |i| a.get(i).cmp(b.get(i))))
+            }
             (ColumnData::Bool(a), ColumnData::Bool(b)) => {
-                return Ok(cmp_kernel(op, (l, a), (r, b)))
+                return Ok(cmp_kernel(op, l, r, |i| a[i].cmp(&b[i])))
             }
             _ => {}
         }
@@ -573,20 +579,9 @@ fn eval_bin_batch(
     }
 
     // Str ⊗ Str: `+` concatenation.
-    if let (Some(a), Some(b)) = (l.as_strs(), r.as_strs()) {
-        let mut nulls = NullBitmap::new();
-        if op == Add {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let null = l.is_null(i) || r.is_null(i);
-                nulls.push(null);
-                out.push(if null {
-                    String::new()
-                } else {
-                    format!("{}{}", a[i], b[i])
-                });
-            }
-            return Ok(ColumnVector::from_parts(ColumnData::Str(out), nulls));
+    if op == Add {
+        if let Some(out) = l.concat(r) {
+            return Ok(out);
         }
     }
 

@@ -456,62 +456,86 @@ pub enum JoinKind {
 }
 
 /// The materialized build side of a [`HashJoin`]: the build rows in
-/// columnar form, the hash table from key to their positions, and the right
-/// schema. Building it once and sharing it behind an `Arc` is what lets
-/// parallel workers probe the same table from independent per-morsel
-/// pipelines (the build is the pipeline breaker; the probe is streaming).
+/// columnar form, their distinct keys numbered by a [`KeyIndex`], each
+/// key's build positions, and the right schema. Building it once and
+/// sharing it behind an `Arc` is what lets parallel workers probe the same
+/// table from independent per-morsel pipelines (the build is the pipeline
+/// breaker; the probe is streaming).
 #[derive(Debug)]
 pub struct JoinBuild {
-    // Key -> positions in `rows` of the build rows holding it, build order.
-    map: HashMap<Value, Vec<usize>>,
-    // The build rows with a non-NULL key.
+    // The distinct keys, in order of first appearance.
+    index: KeyIndex,
+    // Key `k`'s build positions, in build order, are
+    // `positions[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<usize>,
+    positions: Vec<usize>,
+    // The build rows, and the key's column in them.
     rows: RowBatch,
+    key: usize,
     right_schema: Schema,
 }
 
 impl JoinBuild {
-    /// Drains `right` into the hash table keyed on `right_col`. NULL keys
-    /// are dropped (they never match in SQL equi-joins).
+    /// Drains `right` into the hash table keyed on `right_col`. The rows
+    /// with a NULL key are kept but never matched (the probe looks no NULL
+    /// up, as SQL equi-joins match no NULL).
     pub fn build(mut right: Box<dyn Operator>, right_col: &str) -> Result<Self, StorageError> {
-        let right_key = right.schema().resolve(right_col)?;
+        let key = right.schema().resolve(right_col)?;
         let right_schema = right.schema().clone();
-        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
         let empty = || ColumnVector::from_values(Vec::new());
         let mut columns: Vec<ColumnVector> = (0..right_schema.arity()).map(|_| empty()).collect();
-        // Each batch's rows with a non-NULL key are appended column by
-        // column: the whole batch when every key is there, a gather else.
         while let Some(batch) = right.next_batch()? {
-            let keys = batch.column(right_key);
-            let kept: Vec<usize> = (0..batch.num_rows())
-                .filter(|&i| !keys.is_null(i))
-                .collect();
-            let base = columns[right_key].len();
-            for (at, &i) in kept.iter().enumerate() {
-                map.entry(keys.value(i)).or_default().push(base + at);
-            }
-            let batch = match kept.len() == batch.num_rows() {
-                true => batch,
-                false => batch.gather(&kept),
-            };
             for (column, more) in columns.iter_mut().zip(batch.into_columns()) {
                 column.extend(more);
             }
         }
+        let rows = RowBatch::from_columns(columns)?;
+        // Each row's key number, a new key confirmed against no earlier
+        // key's first row; then each key's rows laid out contiguously.
+        let keys = rows.column(key);
+        let mut hashes = vec![0u64; rows.num_rows()];
+        keys.hash_into(&mut hashes);
+        let (mut index, mut first) = (KeyIndex::default(), Vec::new());
+        let numbered: Vec<usize> = (hashes.iter().enumerate())
+            .map(|(i, &hash)| {
+                let same = |k: usize| keys.eq_at(i, keys, first[k]);
+                index.find(hash, same).unwrap_or_else(|| {
+                    first.push(i);
+                    index.insert(hash)
+                })
+            })
+            .collect();
+        let mut offsets = vec![0; first.len() + 1];
+        numbered.iter().for_each(|&k| offsets[k + 1] += 1);
+        (1..offsets.len()).for_each(|k| offsets[k] += offsets[k - 1]);
+        let (mut next, mut positions) = (offsets.clone(), vec![0; numbered.len()]);
+        for (i, &k) in numbered.iter().enumerate() {
+            positions[next[k]] = i;
+            next[k] += 1;
+        }
         Ok(Self {
-            map,
-            rows: RowBatch::from_columns(columns)?,
+            index,
+            offsets,
+            positions,
+            rows,
+            key,
             right_schema,
         })
     }
 
-    /// The positions of the build rows matching `key`, in build order
-    /// (NULL never matches).
-    fn matches(&self, key: &Value) -> Option<&[usize]> {
-        if key.is_null() {
-            None
-        } else {
-            self.map.get(key).map(Vec::as_slice)
-        }
+    /// The key number of each slot of `keys`, a probe side's key column:
+    /// the column hashed once, each candidate confirmed against its key's
+    /// first build row in place (NULL never matches).
+    pub(crate) fn key_numbers(&self, keys: &ColumnVector) -> Vec<Option<usize>> {
+        let mut hashes = vec![0u64; keys.len()];
+        keys.hash_into(&mut hashes);
+        let build = self.rows.column(self.key);
+        (hashes.iter().enumerate())
+            .map(|(i, &hash)| {
+                let same = |k: usize| keys.eq_at(i, build, self.positions[self.offsets[k]]);
+                (!keys.is_null(i)).then(|| self.index.find(hash, same))?
+            })
+            .collect()
     }
 
     /// Schema of the build (right) side.
@@ -519,33 +543,34 @@ impl JoinBuild {
         &self.right_schema
     }
 
-    /// The one probe routine, columnar: looks the keys of `left` rows up
-    /// straight from column `key`, from the position `cursor` holds, pairs
-    /// each left position with its matching build rows in forward match
-    /// order (a left row without a match pairs once with a NULL pad under
-    /// [`JoinKind::Left`], not at all under [`JoinKind::Inner`]; a NULL key
-    /// never matches), and assembles the joined batch by typed gather —
-    /// left columns at the left positions, then build columns at the
+    /// The one probe routine, columnar: takes each `left` row's key number
+    /// from `keys` ([`JoinBuild::key_numbers`] of its key column), from the
+    /// position `cursor` holds, pairs each left position with its matching
+    /// build rows in forward match order (a left row without a match pairs
+    /// once with a NULL pad under [`JoinKind::Left`], not at all under
+    /// [`JoinKind::Inner`]), and assembles the joined batch by typed gather
+    /// — left columns at the left positions, then build columns at the
     /// matched ones.
     ///
     /// `cursor` is `(left row, matches of it already paired)`. The call
     /// stops at exactly `cap` pairs, in the middle of a match list if need
     /// be, and leaves `cursor` at the first pair not yet made. `None`: the
     /// rest of `left` produced no output.
-    pub fn probe(
+    pub(crate) fn probe(
         &self,
         left: &RowBatch,
-        key: usize,
+        keys: &[Option<usize>],
         kind: JoinKind,
         cursor: &mut (usize, usize),
         cap: usize,
     ) -> Result<Option<RowBatch>, StorageError> {
-        let keys = left.column(key);
         let mut left_at: Vec<usize> = Vec::new();
         let mut build_at: Vec<Option<usize>> = Vec::new();
         while cursor.0 < left.num_rows() && left_at.len() < cap {
             let (i, done) = *cursor;
-            let hits = self.matches(&keys.value(i)).unwrap_or_default();
+            let hits = keys[i].map_or(&[][..], |k| {
+                &self.positions[self.offsets[k]..self.offsets[k + 1]]
+            });
             let take = (hits.len() - done).min(cap - left_at.len());
             left_at.extend(std::iter::repeat_n(i, take));
             build_at.extend(hits[done..done + take].iter().copied().map(Some));
@@ -576,8 +601,9 @@ pub struct HashJoin {
     left_key: usize,
     built: Arc<JoinBuild>,
     kind: JoinKind,
-    // Probe state: the current left batch and the probe's cursor in it.
-    lbatch: Option<RowBatch>,
+    // Probe state: the current left batch, its rows' key numbers and the
+    // probe's cursor in it.
+    lbatch: Option<(RowBatch, Vec<Option<usize>>)>,
     lcursor: (usize, usize),
 }
 
@@ -637,19 +663,21 @@ impl Operator for HashJoin {
         // capacity however far keys fan out.
         let cap = self.batch_capacity();
         loop {
-            if let Some(left) = &self.lbatch {
-                let probed =
-                    self.built
-                        .probe(left, self.left_key, self.kind, &mut self.lcursor, cap)?;
+            if let Some((left, keys)) = &self.lbatch {
+                let probed = self
+                    .built
+                    .probe(left, keys, self.kind, &mut self.lcursor, cap)?;
                 if probed.is_some() {
                     return Ok(probed);
                 }
             }
-            self.lbatch = self.left.next_batch()?;
-            self.lcursor = (0, 0);
-            if self.lbatch.is_none() {
+            let Some(left) = self.left.next_batch()? else {
+                self.lbatch = None;
                 return Ok(None);
-            }
+            };
+            let keys = self.built.key_numbers(left.column(self.left_key));
+            self.lbatch = Some((left, keys));
+            self.lcursor = (0, 0);
         }
     }
 
@@ -781,6 +809,32 @@ fn fold_column(func: AggFunc, states: &mut [AggState], groups: &[usize], c: &Col
     }
 }
 
+/// Distinct keys numbered in order of first appearance, found by hash: the
+/// newest key with each hash, and for each key the one before it with the
+/// same hash. The caller holds the keys and confirms a candidate.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    newest: HashMap<u64, usize, std::hash::BuildHasherDefault<Prehashed>>,
+    chain: Vec<Option<usize>>,
+    hashes: Vec<u64>,
+}
+
+impl KeyIndex {
+    /// The newest key hashed `hash` that `same` accepts.
+    fn find(&self, hash: u64, same: impl Fn(usize) -> bool) -> Option<usize> {
+        let newest = self.newest.get(&hash).copied();
+        std::iter::successors(newest, |&k| self.chain[k]).find(|&k| same(k))
+    }
+
+    /// Numbers a new key hashed `hash`.
+    fn insert(&mut self, hash: u64) -> usize {
+        let k = self.chain.len();
+        self.chain.push(self.newest.insert(hash, k));
+        self.hashes.push(hash);
+        k
+    }
+}
+
 /// Hashes a `u64` that is already a hash as itself.
 #[derive(Default)]
 struct Prehashed(u64);
@@ -820,11 +874,8 @@ pub struct PartialAggregate {
     aggregates: Vec<Aggregate>,
     schema: Schema,
     global: bool,
-    // Group ids by hash: the newest group with a hash, and for each group
-    // the one before it with the same hash (`chain`), and its hash.
-    newest: HashMap<u64, usize, std::hash::BuildHasherDefault<Prehashed>>,
-    chain: Vec<Option<usize>>,
-    hashes: Vec<u64>,
+    // Group ids by hash, and each group's key.
+    index: KeyIndex,
     keys: Vec<Vec<Value>>,
     rows: Vec<i64>,
     states: Vec<Vec<AggState>>,
@@ -874,9 +925,7 @@ impl PartialAggregate {
             aggregates,
             schema,
             global: group_by.is_empty(),
-            newest: HashMap::default(),
-            chain: Vec::new(),
-            hashes: Vec::new(),
+            index: KeyIndex::default(),
             keys: Vec::new(),
             rows: Vec::new(),
         })
@@ -895,16 +944,10 @@ impl PartialAggregate {
         same: impl Fn(&[Value]) -> bool,
         key: impl FnOnce() -> Vec<Value>,
     ) -> usize {
-        let mut at = self.newest.get(&hash).copied();
-        while let Some(g) = at {
-            if same(&self.keys[g]) {
-                return g;
-            }
-            at = self.chain[g];
+        if let Some(g) = self.index.find(hash, |g| same(&self.keys[g])) {
+            return g;
         }
-        let g = self.keys.len();
-        self.chain.push(self.newest.insert(hash, g));
-        self.hashes.push(hash);
+        let g = self.index.insert(hash);
         self.keys.push(key());
         self.rows.push(0);
         for states in &mut self.states {
@@ -960,7 +1003,8 @@ impl PartialAggregate {
     /// appearance, exactly as a serial pass would have discovered them.
     pub fn merge(&mut self, later: PartialAggregate) {
         for (g, key) in later.keys.into_iter().enumerate() {
-            let mine = self.group(later.hashes[g], |k| k == key.as_slice(), || key.clone());
+            let hash = later.index.hashes[g];
+            let mine = self.group(hash, |k| k == key.as_slice(), || key.clone());
             self.rows[mine] += later.rows[g];
             for (states, theirs) in self.states.iter_mut().zip(&later.states) {
                 states[mine].absorb(&theirs[g]);
@@ -1640,7 +1684,8 @@ mod tests {
         // INNER: forward match order; neither a NULL key nor the build
         // side's NULL-keyed row ever matches.
         let mut cursor = (0, 0);
-        let inner = build.probe(&left, 1, JoinKind::Inner, &mut cursor, usize::MAX);
+        let keys = build.key_numbers(left.column(1));
+        let inner = build.probe(&left, &keys, JoinKind::Inner, &mut cursor, usize::MAX);
         assert_eq!(cursor, (4, 0));
         let (w_a, w_b) = (
             row("w", 1i64.into(), Some((1, "a"))),
@@ -1650,7 +1695,7 @@ mod tests {
         let want = vec![w_a.clone(), w_b.clone(), z_d.clone()];
         assert_eq!(inner.unwrap().unwrap().to_rows(), want);
         // LEFT: an unmatched row pads the build side's arity with NULLs.
-        let left_join = build.probe(&left, 1, JoinKind::Left, &mut (0, 0), usize::MAX);
+        let left_join = build.probe(&left, &keys, JoinKind::Left, &mut (0, 0), usize::MAX);
         let left_join = left_join.unwrap().unwrap();
         assert_eq!(left_join.num_columns(), 4);
         let pads = [row("x", Value::Null, None), row("y", 3i64.into(), None)];
@@ -1663,8 +1708,9 @@ mod tests {
     #[test]
     fn probe_stops_at_the_cap_and_resumes_from_the_cursor() {
         let (build, left) = probe_fixture();
+        let keys = build.key_numbers(left.column(1));
         let probe = |kind, cursor: &mut (usize, usize), cap| {
-            build.probe(&left, 1, kind, cursor, cap).unwrap()
+            build.probe(&left, &keys, kind, cursor, cap).unwrap()
         };
         // Cap 1: the first left row's two matches come one call each (a
         // match list is cut where the cap falls), then the cursor carries

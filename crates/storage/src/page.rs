@@ -244,12 +244,11 @@ fn corrupt(what: &str) -> StorageError {
     StorageError::Corrupt(what.to_string())
 }
 
-/// Decodes a page back to the exact [`ColumnVector`] the resident path
-/// would build from the original values — except that a string page comes
-/// back in its pooled form ([`ColumnData::StrBuf`], equal to and copied out
-/// as the `Str` column). The CRC32 trailer is verified before any payload
-/// byte is interpreted; each encoding then writes its typed payload
-/// directly, and the page's null words become the column's bitmap.
+/// Decodes a page back to a [`ColumnVector`] equal to the one the resident
+/// path would build from the original values. The CRC32 trailer is
+/// verified before any payload byte is interpreted; each encoding then
+/// writes its typed payload directly, and the page's null words become the
+/// column's bitmap.
 pub fn decode_page(data: &[u8]) -> Result<ColumnVector, StorageError> {
     if data.len() < 18 || data[..4] != *PAGE_MAGIC {
         return Err(corrupt("bad page magic"));
@@ -546,7 +545,7 @@ fn decode_bools(
     Ok(ColumnVector::from_parts(ColumnData::Bool(bools), nulls))
 }
 
-/// A decoded string page in its pooled form.
+/// A decoded string page: its spans may share dictionary entries.
 fn str_page(spans: Vec<(u32, u32)>, buf: String, nulls: NullBitmap) -> ColumnVector {
     ColumnVector::from_parts(ColumnData::StrBuf(Box::new(StrBuf::new(spans, buf))), nulls)
 }

@@ -249,7 +249,6 @@ fn estimate_bytes(col: &ColumnVector) -> usize {
     let owned = std::mem::size_of::<String>();
     let payload = match col.data() {
         ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Bool(_) => 8 * col.len(),
-        ColumnData::Str(v) => v.iter().map(|s| owned + s.len()).sum(),
         ColumnData::StrBuf(v) => v.heap_bytes(),
         ColumnData::Mixed(v) => v
             .iter()

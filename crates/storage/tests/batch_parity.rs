@@ -1,8 +1,10 @@
 //! Property tests for the kernels and copy primitives batches stand on:
 //! the typed primitives late materialization uses —
 //! `ColumnVector::{slice, gather, gather_padded, filter, sql_cmp_at}` —
-//! must agree with `value(i)` slot by slot for every payload kind, and an
-//! integer quotient that does not fit is a typed error at every batch size.
+//! must agree with `value(i)` slot by slot for every payload kind, random
+//! sequences of copies and appends over string columns must agree with the
+//! same operations on `Vec<Value>`, and an integer quotient that does not
+//! fit is a typed error at every batch size.
 //! Whole plans are judged against the naive SQL evaluator in
 //! `crates/sql/tests/oracle` by `crates/sql/tests/drive_parity.rs`.
 
@@ -158,6 +160,105 @@ proptest! {
             for i in 0..n {
                 prop_assert_eq!(col.sql_cmp_at(i, lit), col.value(i).sql_cmp(lit), "slot {} vs {:?}", i, lit);
             }
+        }
+    }
+}
+
+/// Strings a buffer must hold byte for byte: empty, ASCII, two-, three- and
+/// four-byte UTF-8, and a prefix of another.
+const STRS: [&str; 7] = ["", "a", "ab", "é", "日本", "🦀x", "héllo"];
+
+/// A string or (one roll in four) NULL.
+fn str_value(roll: u8) -> Value {
+    match roll % 8 {
+        0 | 7 => Value::Null,
+        k => Value::Str(STRS[k as usize].into()),
+    }
+}
+
+/// `col` holds `want`, slot for slot, and reads its strings in place the
+/// way the values compare and hash.
+fn assert_holds(col: &ColumnVector, want: &[Value]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(col.len(), want.len());
+    prop_assert_eq!(&col.to_values(), want);
+    prop_assert_eq!(&col.clone().into_values(), want);
+    prop_assert_eq!(
+        col.null_count(),
+        want.iter().filter(|v| v.is_null()).count()
+    );
+    if want.iter().any(|v| !v.is_null()) {
+        prop_assert!(
+            matches!(col.data(), ColumnData::StrBuf(_)),
+            "one string form"
+        );
+    }
+    let mut hashes = vec![0u64; col.len()];
+    col.hash_into(&mut hashes);
+    for (i, v) in want.iter().enumerate() {
+        for (j, w) in want.iter().enumerate() {
+            prop_assert_eq!(col.eq_at(i, col, j), v == w, "slots {} and {}", i, j);
+            prop_assert!(v != w || hashes[i] == hashes[j], "equal slots hash alike");
+            prop_assert_eq!(col.cmp_at(i, w), v.total_cmp(w));
+            prop_assert_eq!(col.sql_cmp_at(i, w), v.sql_cmp(w));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn string_columns_copy_and_append_as_their_values_do(
+        start in prop::collection::vec(any::<u8>(), 0..12),
+        steps in prop::collection::vec((0u8..7, any::<u8>(), prop::collection::vec(any::<u8>(), 0..12)), 0..16),
+    ) {
+        let values = |rolls: &[u8]| rolls.iter().map(|&r| str_value(r)).collect::<Vec<_>>();
+        let mut want = values(&start);
+        let mut col = ColumnVector::from_values(want.clone());
+        assert_holds(&col, &want)?;
+        for (op, arg, rolls) in steps {
+            let n = want.len();
+            // Positions into the column (repeats, any order); none when empty.
+            let picks: Vec<usize> = rolls.iter().filter(|_| n > 0).map(|&r| r as usize % n).collect();
+            match op {
+                0 => {
+                    col.push(str_value(arg));
+                    want.push(str_value(arg));
+                }
+                1 => {
+                    col.extend(ColumnVector::from_values(values(&rolls)));
+                    want.extend(values(&rolls));
+                }
+                2 => {
+                    let (a, b) = (arg as usize % (n + 1), rolls.len() % (n + 1));
+                    let (a, b) = (a.min(b), a.max(b));
+                    col = col.slice(a, b);
+                    want = want[a..b].to_vec();
+                }
+                3 => {
+                    col = col.gather(&picks);
+                    want = picks.iter().map(|&i| want[i].clone()).collect();
+                }
+                4 => {
+                    let padded: Vec<Option<usize>> = (picks.iter().enumerate())
+                        .map(|(k, &i)| (k % 3 != arg as usize % 3).then_some(i))
+                        .collect();
+                    col = col.gather_padded(&padded);
+                    want = padded.iter().map(|i| i.map_or(Value::Null, |i| want[i].clone())).collect();
+                }
+                5 => {
+                    let mask: Vec<bool> = (0..n).map(|i| rolls.get(i).is_some_and(|r| r % 2 == 0)).collect();
+                    col = col.filter(&mask);
+                    want = (0..n).filter(|&i| mask[i]).map(|i| want[i].clone()).collect();
+                }
+                _ => {
+                    let k = rolls.len();
+                    col.extend(ColumnVector::repeat(&str_value(arg), k));
+                    want.extend(std::iter::repeat_n(str_value(arg), k));
+                }
+            }
+            assert_holds(&col, &want)?;
         }
     }
 }

@@ -58,7 +58,7 @@ fn with_nulls(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn int_pages_round_trip(values in with_nulls(any::<i64>().prop_map(Value::Int), 20)) {

@@ -378,7 +378,7 @@ fn run_parallel(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn parallel_matches_serial_for_random_plans(

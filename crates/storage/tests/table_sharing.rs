@@ -276,7 +276,7 @@ struct Retained {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn versions_share_pages_and_read_their_own_rows(
@@ -500,7 +500,7 @@ fn arb_any() -> impl Strategy<Value = Value> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// Sealing open groups — after a first seal at `cut`, after INSERTs
     /// that reopen its short page and fill new groups — names the same
