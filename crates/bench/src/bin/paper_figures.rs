@@ -100,7 +100,7 @@ fn main() {
 
     if want("--fig6") {
         println!("== Fig. 6: example final output of KathDB ==");
-        println!("{}", result.display_table().render());
+        println!("{}", result.display_table().expect("display").render());
         println!(
             "simulated tokens: {} over {} model calls",
             db.token_usage().total(),

@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn harness_reproduces_fig6() {
         let (_db, result, _) = run_flagship_small();
-        let t = result.display_table();
+        let t = result.display_table().unwrap();
         assert_eq!(
             t.cell(0, "title").unwrap().as_str(),
             Some("Guilty by Suspicion")

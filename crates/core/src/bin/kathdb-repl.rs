@@ -397,7 +397,10 @@ fn main() {
             }
             _ => match db.query(line, &channel) {
                 Ok(result) => {
-                    println!("{}", result.display_table().render());
+                    match result.display_table() {
+                        Ok(table) => println!("{}", table.render()),
+                        Err(e) => println!("error: {e}"),
+                    }
                     println!(
                         "plan timings ({}, {} worker(s)):",
                         mode_label(db.context().exec_mode),

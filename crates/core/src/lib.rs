@@ -36,7 +36,7 @@
 //!     )
 //!     .unwrap();
 //! assert_eq!(
-//!     result.display_table().cell(0, "title").unwrap().as_str(),
+//!     result.display_table().unwrap().cell(0, "title").unwrap().as_str(),
 //!     Some("Guilty by Suspicion")
 //! );
 //! ```
@@ -57,8 +57,8 @@ use kath_parser::{
 };
 use kath_sql::SqlError;
 use kath_storage::{
-    CompileMode, Durability, DurabilityStatus, PoolStatus, RowGroup, StorageError, Table, Value,
-    WalRecord, DEFAULT_PAGE_ROWS,
+    collect, CompileMode, Durability, DurabilityStatus, PoolStatus, RowGroup, StorageError, Table,
+    TableScan, WalRecord, DEFAULT_PAGE_ROWS,
 };
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -167,28 +167,18 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// A presentation view matching Fig. 6: `lid, title, year, final_score,
-    /// boring` (whichever of those exist in the output).
-    pub fn display_table(&self) -> Table {
-        let wanted = ["lid", "title", "year", "final_score", "boring"];
+    /// A presentation view matching Fig. 6: the columns `lid, title, year,
+    /// final_score, boring` the output has, in that order and under their
+    /// own types, or the output as it is when it has none of them.
+    pub fn display_table(&self) -> Result<Table, KathError> {
         let schema = self.table.schema();
-        let available: Vec<(usize, &str)> = wanted
-            .iter()
-            .filter_map(|w| schema.index_of(w).map(|i| (i, *w)))
-            .collect();
-        if available.is_empty() {
-            return self.table.clone();
+        let wanted = ["lid", "title", "year", "final_score", "boring"];
+        let columns: Vec<usize> = wanted.iter().filter_map(|w| schema.index_of(w)).collect();
+        if columns.is_empty() {
+            return Ok(self.table.clone());
         }
-        let proj = schema.project(&available.iter().map(|(i, _)| *i).collect::<Vec<_>>());
-        let project = |row: Vec<Value>| available.iter().map(|(i, _)| row[*i].clone()).collect();
-        // A projection keeps each value under its own column type, so the
-        // rows validate; were that ever broken, show the table unprojected.
-        let rows = self
-            .table
-            .to_rows()
-            .map(|rows| rows.into_iter().map(project).collect());
-        rows.and_then(|rows| Table::from_rows("final_results", proj, rows))
-            .unwrap_or_else(|_| self.table.clone())
+        let scan = TableScan::new(self.table.clone().into()).with_columns(&columns);
+        Ok(collect("final_results", Box::new(scan))?)
     }
 
     /// The lid of the top-ranked tuple, if present.
@@ -789,7 +779,7 @@ mod tests {
     use super::*;
     use kath_data::mmqa_small;
     use kath_model::ScriptedChannel;
-    use kath_storage::{DataType, ExecMode, Schema, VectorMode};
+    use kath_storage::{DataType, ExecMode, Schema, Value, VectorMode};
 
     const FLAGSHIP: &str = "Sort the given films in the table by how exciting \
                             they are, but the poster should be 'boring'";
@@ -987,7 +977,12 @@ mod tests {
         ]);
         let result = db.query(FLAGSHIP, channel.as_ref()).unwrap();
         assert_eq!(
-            result.display_table().cell(0, "title").unwrap().as_str(),
+            result
+                .display_table()
+                .unwrap()
+                .cell(0, "title")
+                .unwrap()
+                .as_str(),
             Some("Guilty by Suspicion")
         );
         let _ = std::fs::remove_dir_all(dir);
@@ -1223,9 +1218,71 @@ mod tests {
     }
 
     #[test]
+    fn the_display_table_projects_the_fig6_columns_in_order() {
+        let (_db, mut result) = run_flagship();
+        // Display columns out of Fig. 6's order, among others.
+        let schema = Schema::of(&[
+            ("boring", DataType::Bool),
+            ("plot", DataType::Str),
+            ("year", DataType::Int),
+            ("final_score", DataType::Any),
+            ("title", DataType::Str),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..9i64)
+            .map(|i| {
+                let score = if i % 2 == 0 {
+                    Value::Float(i as f64 / 10.0)
+                } else {
+                    Value::Int(i)
+                };
+                let title = if i == 4 {
+                    Value::Null
+                } else {
+                    format!("t{i}").into()
+                };
+                vec![
+                    (i % 3 == 0).into(),
+                    format!("p{i}").into(),
+                    (1980 + i).into(),
+                    score,
+                    title,
+                ]
+            })
+            .collect();
+        let resident = Table::from_rows("ranked", schema, rows.clone()).unwrap();
+        let pool = std::sync::Arc::new(kath_storage::BufferPool::with_budget(4));
+        let sealed = resident.seal(&pool, 2).unwrap();
+        assert!(sealed.is_paged() && sealed.groups().len() == 5);
+        let want = Table::from_rows(
+            "final_results",
+            Schema::of(&[
+                ("title", DataType::Str),
+                ("year", DataType::Int),
+                ("final_score", DataType::Any),
+                ("boring", DataType::Bool),
+            ]),
+            rows.into_iter()
+                .map(|r| vec![r[4].clone(), r[2].clone(), r[3].clone(), r[0].clone()])
+                .collect(),
+        )
+        .unwrap();
+        for table in [resident, sealed] {
+            result.table = table;
+            let display = result.display_table().unwrap();
+            // Table equality includes the schema: names, order and types.
+            assert_eq!(display, want, "paged {}", result.table.is_paged());
+        }
+        // None of the five columns: the output as it is.
+        let other = Schema::of(&[("id", DataType::Int), ("plot", DataType::Str)]);
+        result.table =
+            Table::from_rows("other", other, vec![vec![1i64.into(), "p".into()]]).unwrap();
+        assert_eq!(result.display_table().unwrap(), result.table);
+    }
+
+    #[test]
     fn flagship_reproduces_fig6_top_two() {
         let (_db, result) = run_flagship();
-        let display = result.display_table();
+        let display = result.display_table().unwrap();
         assert!(display.len() >= 2, "{}", display.render());
         // Fig. 6: Guilty by Suspicion (1991) then Clean and Sober (1988),
         // both with boring posters.
@@ -1267,8 +1324,8 @@ mod tests {
             ]);
             let result = db.query(FLAGSHIP, channel.as_ref()).unwrap();
             assert_eq!(
-                result.display_table(),
-                baseline.display_table(),
+                result.display_table().unwrap(),
+                baseline.display_table().unwrap(),
                 "{mode:?} diverged from the default path"
             );
             // SQL nodes report their batch counts.
@@ -1317,8 +1374,8 @@ mod tests {
             ]);
             let result = db.query(FLAGSHIP, channel.as_ref()).unwrap();
             assert_eq!(
-                result.display_table(),
-                baseline.display_table(),
+                result.display_table().unwrap(),
+                baseline.display_table().unwrap(),
                 "threads={threads} diverged from the serial baseline"
             );
             // Every timing row reports its worker count (≥ 1); serial and

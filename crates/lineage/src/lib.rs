@@ -10,7 +10,7 @@
 
 #![warn(missing_docs)]
 
-use kath_storage::{DataType, Schema, StorageError, Table, Value};
+use kath_storage::{ColumnVector, DataType, RowBatch, Schema, StorageError, Table, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
@@ -401,21 +401,25 @@ impl LineageStore {
         })
     }
 
-    /// Renders the store as the exact Table 3 relation.
+    /// Renders the store as the exact Table 3 relation, column by column.
     pub fn as_table(&self) -> Result<Table, LineageError> {
-        let row = |e: LineageEntry| {
-            vec![
-                Value::Int(e.lid),
-                e.parent_lid.map(Value::Int).unwrap_or(Value::Null),
-                e.src_uri.map(Value::Str).unwrap_or(Value::Null),
-                Value::Str(e.func_id),
-                Value::Int(e.ver_id as i64),
-                Value::Str(e.data_type.to_string()),
-                Value::Float(e.ts),
-            ]
+        let column = |cell: &dyn Fn(usize) -> Value| {
+            ColumnVector::from_values((0..self.len()).map(cell).collect())
         };
-        let rows = self.entries().map(row).collect();
-        Ok(Table::from_rows("Lineage", lineage_schema(), rows)?)
+        let func = |row: usize| &self.funcs[self.func_ix[row] as usize];
+        let uri = |row| self.src_uris.get(&row).cloned();
+        let columns = vec![
+            column(&|row| self.lids[row].into()),
+            column(&|row| self.parents[row].map_or(Value::Null, Value::Int)),
+            column(&|row| uri(row).map_or(Value::Null, Value::Str)),
+            column(&|row| func(row).0.as_str().into()),
+            column(&|row| func(row).1.into()),
+            column(&|row| self.kinds[row].to_string().into()),
+            column(&|row| self.ts[row].into()),
+        ];
+        let mut table = Table::new("Lineage", lineage_schema());
+        table.append_batch(RowBatch::from_columns(columns)?)?;
+        Ok(table)
     }
 }
 

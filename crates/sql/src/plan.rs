@@ -849,8 +849,7 @@ fn drive(
                     if key_idx.is_empty() {
                         return Ok((batches, Vec::new(), produced));
                     }
-                    let mut run: Vec<Row> =
-                        batches.into_iter().flat_map(RowBatch::into_rows).collect();
+                    let mut run: Vec<Row> = batches.iter().flat_map(RowBatch::to_rows).collect();
                     sort_rows(&mut run, &key_idx);
                     run.truncate(cut.unwrap_or(usize::MAX));
                     Ok((Vec::new(), run, produced))

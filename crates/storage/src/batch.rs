@@ -875,25 +875,6 @@ impl RowBatch {
         (0..self.rows).map(|i| self.row(i)).collect()
     }
 
-    /// Transposes back to rows, moving every value out (no clones).
-    /// `from_columns` gave every column the batch's length, so row `i` is
-    /// slot `i` of each.
-    pub fn into_rows(self) -> Vec<Row> {
-        let mut columns: Vec<Vec<Value>> = self
-            .columns
-            .into_iter()
-            .map(ColumnVector::into_values)
-            .collect();
-        (0..self.rows)
-            .map(|i| {
-                columns
-                    .iter_mut()
-                    .map(|c| std::mem::replace(&mut c[i], Value::Null))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// The rows at `idx`, in that order (any order, repeats allowed).
     pub fn gather(&self, idx: &[usize]) -> RowBatch {
         RowBatch {

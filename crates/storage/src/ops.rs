@@ -1649,7 +1649,7 @@ mod tests {
         let mut rows = Vec::new();
         while let Some(b) = join.next_batch().unwrap() {
             assert_eq!(b.num_rows(), 8);
-            rows.extend(b.into_rows());
+            rows.extend(b.to_rows());
         }
         assert_eq!(rows, whole.rows());
     }

@@ -13,9 +13,9 @@
 //! shares every sealed one — what `Catalog::page_table`, a checkpoint and
 //! an INSERT that fills a group call. `clone` copies no group, and a push
 //! copies the one it appends to only while another table value holds it,
-//! so a one-row INSERT costs a group, not the table. The scan, [`Table::row_at`] and
-//! [`Table::for_each_in_column`] walk the groups alike; `rows()`/`row()`
-//! stay infallible by lazily materializing a row cache hot paths never use.
+//! so a one-row INSERT costs a group, not the table. The scan, `row_at`,
+//! `to_batch` and [`Table::for_each_in_column`] walk the groups alike; the
+//! lazy row cache of `rows()`/`row()` serves display, tests and benchmarks.
 //!
 //! A table registered in a catalog is never mutated again, so what is
 //! derived from its rows — a vector index per searched column — is owned by
@@ -292,6 +292,18 @@ impl Table {
         Ok(rows)
     }
 
+    /// All rows as one batch, each column read group by group: the
+    /// columnar form of [`Table::to_rows`].
+    pub fn to_batch(&self) -> Result<RowBatch, StorageError> {
+        let mut columns = vec![ColumnVector::from_values(Vec::new()); self.schema.arity()];
+        for group in &self.groups {
+            for (c, column) in columns.iter_mut().enumerate() {
+                column.extend(group.read_column(c, ColumnVector::clone)?);
+            }
+        }
+        RowBatch::from_columns(columns)
+    }
+
     /// A row by position (infallible accessor; see [`Table::rows`]).
     pub fn row(&self, idx: usize) -> Option<&Row> {
         self.rows().get(idx)
@@ -389,7 +401,7 @@ impl Table {
     /// Appends a batch's columns, checked against the schema once per
     /// column — the value rule [`Schema::check_row`] applies, read off a
     /// typed column's kind and value by value for a `Mixed` one.
-    pub(crate) fn append_batch(&mut self, batch: RowBatch) -> Result<(), StorageError> {
+    pub fn append_batch(&mut self, batch: RowBatch) -> Result<(), StorageError> {
         if batch.num_columns() != self.schema.arity() {
             return Err(StorageError::ArityMismatch {
                 expected: self.schema.arity(),

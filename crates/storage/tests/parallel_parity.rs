@@ -308,7 +308,7 @@ fn run_parallel(
     let drain = |op: &mut dyn Operator| -> Result<Vec<Row>, StorageError> {
         let mut rows = Vec::new();
         while let Some(b) = op.next_batch()? {
-            rows.extend(b.into_rows());
+            rows.extend(b.to_rows());
         }
         Ok(rows)
     };

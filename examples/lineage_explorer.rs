@@ -45,7 +45,7 @@ fn main() {
     println!("{}", db.explain("Explain the pipeline?").unwrap());
 
     // Fine mode (Fig. 5 right) for every result tuple.
-    let display = result.display_table();
+    let display = result.display_table().expect("display");
     let lid_col = display.schema().index_of("lid").expect("lid column");
     for row in display.rows().iter().take(2) {
         let lid = row[lid_col].as_int().expect("integer lid");

@@ -80,5 +80,5 @@ fn main() {
     }
 
     println!("\n== Final result (Fig. 6) ==");
-    println!("{}", result.display_table().render());
+    println!("{}", result.display_table().expect("display").render());
 }

@@ -33,7 +33,7 @@ fn main() {
         .expect("query runs");
 
     // 4. The final ranked list (Fig. 6).
-    println!("{}", result.display_table().render());
+    println!("{}", result.display_table().expect("display").render());
 
     // 5. One-line explanation of how the winner was derived.
     let lid = result.top_lid().expect("lids present");

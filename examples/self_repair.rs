@@ -69,7 +69,7 @@ fn main() {
     }
 
     println!("\n== Final result (top 5) ==");
-    let display = result.display_table();
+    let display = result.display_table().expect("display");
     println!("{}", display.sample(5).expect("resident rows").render());
     println!(
         "({} result rows; every HEIC poster was classified after the repair)",

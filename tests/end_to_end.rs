@@ -71,7 +71,7 @@ fn fig3_logical_plan_nodes_use_the_exact_json_layout() {
 #[test]
 fn fig6_final_ranking_and_flags() {
     let (_db, result, _) = run_flagship();
-    let display = result.display_table();
+    let display = result.display_table().unwrap();
     // Only boring-poster films survive; vivid ones are filtered.
     let titles: Vec<&str> = display
         .rows()
@@ -111,7 +111,7 @@ fn accuracy_against_planted_ground_truth() {
     // pipeline's boring filter must agree with the ground truth.
     let corpus = mmqa_small();
     let (_db, result, _) = run_flagship();
-    let display = result.display_table();
+    let display = result.display_table().unwrap();
     let expected: Vec<&str> = corpus
         .truth
         .iter()
@@ -206,7 +206,7 @@ fn without_recency_correction_the_plan_is_smaller() {
     assert!(result.logical.node("gen_recency_score").is_none());
     assert!(result.logical.node("combine_score").is_none());
     // Still ranks by excitement and filters boring posters.
-    let display = result.display_table();
+    let display = result.display_table().unwrap();
     assert!(display.len() >= 2);
     let tidx = display.schema().index_of("title").unwrap();
     assert_eq!(

@@ -48,7 +48,7 @@ fn heic_corpus_triggers_repairs_and_still_answers() {
     // (Exactness is not guaranteed: the optimizer may legitimately pick a
     // cheaper vision model that trades a little accuracy for cost — the
     // very trade-off of §4.)
-    let display = result.display_table();
+    let display = result.display_table().unwrap();
     let tidx = display.schema().index_of("title").unwrap();
     let got: Vec<String> = display.rows().iter().map(|r| r[tidx].render()).collect();
     let correct = corpus
@@ -77,7 +77,7 @@ fn injected_reversed_recency_is_caught_by_the_critic() {
     assert_eq!(result.compile.critiques.len(), 1);
     assert_eq!(result.compile.critiques[0].func_id, "gen_recency_score");
     // So the final ranking is still correct: 1991 over 1988.
-    let display = result.display_table();
+    let display = result.display_table().unwrap();
     assert_eq!(
         display.cell(0, "title").unwrap().as_str(),
         Some("Guilty by Suspicion")
@@ -185,6 +185,7 @@ fn determinism_same_seed_same_answer() {
         let channel = ScriptedChannel::new(["uncommon scenes", "OK"]);
         let r = db.query(FLAGSHIP, channel.as_ref()).unwrap();
         r.display_table()
+            .unwrap()
             .rows()
             .iter()
             .map(|row| row[1].render())

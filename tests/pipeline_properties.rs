@@ -33,7 +33,7 @@ proptest! {
         db.load_corpus(&corpus).unwrap();
         let channel = ScriptedChannel::new(["uncommon scenes", "OK"]);
         let result = db.query(FLAGSHIP, channel.as_ref()).unwrap();
-        let display = result.display_table();
+        let display = result.display_table().unwrap();
 
         // 1. Every result row is one of the input movies, at most once.
         let tidx = display.schema().index_of("title").unwrap();
