@@ -45,7 +45,8 @@ bench-repeat:
 # smoke results land under target/bench-smoke/, so the committed
 # BENCH_*.json baselines change only when someone runs a full bench on
 # purpose. Every report must carry the shared header (`host`, `quick`,
-# `reps`) that `kath_bench::write_report` stamps.
+# `reps`) that `kath_bench::write_report` stamps, and the recovery report
+# a number, not `null`, at every first-INSERT-into-unsealed point.
 BENCH_SMOKE := target/bench-smoke
 bench-smoke:
 	mkdir -p $(BENCH_SMOKE)
@@ -61,6 +62,8 @@ bench-smoke:
 				|| { echo "BENCH_$$r.json lacks $$key"; exit 1; }; \
 		done; \
 	done
+	! grep -Eq '"first_insert_into_unsealed_ms": *null' $(BENCH_SMOKE)/BENCH_recovery.json \
+		|| { echo "BENCH_recovery.json has a null first_insert_into_unsealed_ms point"; exit 1; }
 
 # Crash-recovery smoke: a child process populates a durable DB (WAL-logged
 # inserts around a checkpoint) and dies via abort(); the parent reopens and

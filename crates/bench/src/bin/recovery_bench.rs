@@ -7,13 +7,18 @@
 //!    durable (write-ahead logged + fsynced), and the reopen time of the
 //!    durable directory with and without those INSERTs behind the snapshot
 //!    — the difference, per record, is what replaying one costs. A table is
-//!    shared sealed pages plus a row tail, so all three must be flat across
-//!    the three decades; only the snapshot-load floor (`reopen_clean_ms`,
-//!    which verifies every page file) may grow with the table.
-//! 2. **Scans, sealed vs all-tail**: the same range count over the same
-//!    rows, once as a never-sealed table (every batch transposed from rows)
-//!    and once sealed behind the default buffer pool (pages, zone maps), on
-//!    a clustered and on an unclustered column — what reads pay, or gain,
+//!    a list of row groups, and an INSERT shares every group but the last,
+//!    which it copies (or reopens) and seals only if its rows fill it, so
+//!    all three must be flat across the three decades, and so must the
+//!    first INSERT into a bulk-loaded, never-sealed table
+//!    (`first_insert_into_unsealed_ms`); only the snapshot-load floor
+//!    (`reopen_clean_ms`, which verifies every page file) may grow with the
+//!    table.
+//! 2. **Scans, sealed vs all-open**: the same range count over the same
+//!    rows, once as a never-sealed table (open row groups, whose zone maps
+//!    the first hinted scan derives; the key is `all_tail_ms`) and once
+//!    sealed behind the default buffer pool (pages, zone maps), on a
+//!    clustered and on an unclustered column — what reads pay, or gain,
 //!    for the write path's representation.
 //! 3. **Replay time vs snapshot age**: reopen cost as a function of how
 //!    many WAL records accumulated since the last checkpoint. The curve is
@@ -101,17 +106,14 @@ fn time_reopen(dir: &std::path::Path, reps: usize, want_rows: usize) -> f64 {
 
 /// Question 1 at one table size.
 fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
-    // In memory. The first INSERT into a bulk-loaded, never-sealed table is
-    // the one that copies its rows (and, past a page of them, seals them);
-    // it is reported on its own and left out above 100 k rows, where it
-    // would only double the bench's memory.
+    // In memory. The first INSERT into a bulk-loaded, never-sealed table
+    // copies the open last group it appends to and seals nothing it did not
+    // fill; it is reported on its own.
     let mut db = KathDB::new(42);
     db.load_table(big_table(rows), "bench://big").unwrap();
-    let first_unsealed_ms = (rows <= 100_000).then(|| {
-        let started = Instant::now();
-        db.sql(&big_insert(rows)).unwrap();
-        started.elapsed().as_secs_f64() * 1000.0
-    });
+    let started = Instant::now();
+    db.sql(&big_insert(rows)).unwrap();
+    let first_unsealed_ms = started.elapsed().as_secs_f64() * 1000.0;
     db.page_table("big").unwrap();
     let from = db.context().catalog.get("big").unwrap().len();
     let memory_us = time_inserts(&mut db, from, inserts);
@@ -145,7 +147,7 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
         ("durable_us_per_insert", Json::Num(durable_us)),
         (
             "first_insert_into_unsealed_ms",
-            first_unsealed_ms.map_or(Json::Null, Json::Num),
+            Json::Num(first_unsealed_ms),
         ),
         ("reopen_clean_ms", Json::Num(reopen_clean_ms)),
         ("reopen_replay_ms", Json::Num(reopen_replay_ms)),
@@ -155,10 +157,10 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
 }
 
 /// Question 2: median ms of a 1 % range count on the clustered and on the
-/// scattered column, over `rows` rows all-tail and sealed.
+/// scattered column, over `rows` rows all open and sealed.
 fn scan_series(rows: usize, reps: usize) -> Vec<Json> {
-    let mut tail_db = KathDB::new(42);
-    tail_db.load_table(big_table(rows), "bench://big").unwrap();
+    let mut open_db = KathDB::new(42);
+    open_db.load_table(big_table(rows), "bench://big").unwrap();
     let mut sealed_db = KathDB::new(42);
     sealed_db
         .load_table(big_table(rows), "bench://big")
@@ -173,7 +175,7 @@ fn scan_series(rows: usize, reps: usize) -> Vec<Json> {
         point.insert("rows", Json::Num(rows as f64));
         point.insert("predicate", Json::Str(predicate.into()));
         let mut line = format!("  {rows} rows, {predicate} 1% range count:");
-        for (backing, db) in [("all_tail_ms", &mut tail_db), ("sealed_ms", &mut sealed_db)] {
+        for (backing, db) in [("all_tail_ms", &mut open_db), ("sealed_ms", &mut sealed_db)] {
             let mut samples = Vec::with_capacity(reps);
             // One untimed run first: the pool fills, lazy state settles.
             for rep in 0..=reps {
@@ -195,7 +197,6 @@ fn scan_series(rows: usize, reps: usize) -> Vec<Json> {
     series
 }
 
-/// Median of already-collected samples, in the unit they were taken.
 fn main() {
     let BenchArgs { quick, out } = BenchArgs::parse("BENCH_recovery.json");
     let (inserts, age_points): (usize, Vec<usize>) = if quick {
@@ -217,8 +218,8 @@ fn main() {
         .map(|&rows| size_point(rows, inserts, reps))
         .collect();
 
-    // --- 2. scans, sealed vs all-tail --------------------------------------
-    eprintln!("measuring scans over {scan_rows} rows, all-tail vs sealed…");
+    // --- 2. scans, sealed vs all-open --------------------------------------
+    eprintln!("measuring scans over {scan_rows} rows, all-open vs sealed…");
     let scans = scan_series(scan_rows, 2 * reps + 1);
 
     // --- 3. replay time vs snapshot age ---------------------------------

@@ -462,7 +462,7 @@ impl KathDB {
     pub fn dirty_pages(&self) -> usize {
         self.sum_over_tables(|t| {
             let slots = t.groups().iter().flat_map(|g| match g {
-                RowGroup::Sealed(slots) => slots.as_slice(),
+                RowGroup::Sealed(slots) => slots.as_ref(),
                 RowGroup::Open(_) => &[],
             });
             slots.filter(|s| s.is_dirty()).count()
@@ -1075,9 +1075,9 @@ mod tests {
             "SELECT COUNT(*) AS n FROM big WHERE grp = 'g3'",
         ];
         let resident: Vec<Table> = queries.iter().map(|q| db.sql(q).unwrap()).collect();
-        // The ninth INSERT filled an open group, which sealed the 4500 rows
-        // there were (two in-memory pages per column); the tenth reopened
-        // the short second page: 404 rows of it and its own 500 are open.
+        // The ninth INSERT filled the first group and sealed it alone (one
+        // in-memory page per column); its other 404 rows and the tenth's
+        // 500 are in the open second group.
         assert_eq!((db.dirty_pages(), db.unsaved_open_rows()), (3, 904));
 
         // Attaching a durable dir checkpoints the pre-existing state, which

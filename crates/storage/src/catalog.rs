@@ -79,7 +79,7 @@ impl Catalog {
     /// anything was sealed (false if the table was already all pages).
     pub fn page_table(&mut self, name: &str, page_rows: usize) -> Result<bool, StorageError> {
         let table = self.get(name)?;
-        if table.is_paged() && table.open_rows() == 0 {
+        if table.is_sealed() {
             return Ok(false);
         }
         self.register_or_replace(table.seal(&self.pool, page_rows)?);
@@ -108,14 +108,14 @@ impl Catalog {
     /// Appends `rows` to table `name` as a new table value: the INSERT
     /// primitive, live and on WAL replay. The new value shares every group
     /// of the one it replaces but the last, which it copies (or reopens)
-    /// to append to; open rows that reach a whole group are sealed, so an
-    /// INSERT costs at most a group of rows however long the table is.
+    /// to append to, and seals only the groups these rows filled (into the
+    /// catalog's pool if the table has none): a full group stays as it is
+    /// until `page_table` or a checkpoint seals it.
     pub fn append_rows(&mut self, name: &str, rows: &[Row]) -> Result<Arc<Table>, StorageError> {
         let mut grown = (*self.get(name)?).clone();
+        let first = grown.len() / grown.page_rows();
         grown.extend(rows.iter().cloned())?;
-        if grown.open_rows() >= grown.page_rows() {
-            grown = grown.seal(&self.pool, grown.page_rows())?;
-        }
+        grown.seal_groups(first..grown.len() / grown.page_rows(), &self.pool)?;
         Ok(self.register_or_replace(grown))
     }
 
@@ -340,6 +340,49 @@ mod tests {
             c.joinability("films", "nope", "posters", "film_id"),
             Err(StorageError::UnknownColumn(_))
         ));
+    }
+
+    #[test]
+    fn an_insert_seals_only_the_group_it_fills() {
+        use crate::paged::RowGroup;
+        let schema = Schema::of(&[("id", DataType::Int), ("tag", DataType::Str)]);
+        let row = |i: usize| vec![Value::Int(i as i64), Value::Str(format!("t{}", i % 3))];
+        // Four full groups and a last one two rows short, never sealed.
+        let page_rows = crate::DEFAULT_PAGE_ROWS;
+        let loaded = Table::from_rows("t", schema, (0..5 * page_rows - 2).map(row).collect());
+        let mut c = Catalog::new();
+        let parent = c.register(loaded.unwrap()).unwrap();
+        assert_eq!(parent.groups().len(), 5);
+        let pages = |t: &Table| -> usize {
+            let groups = t.groups().iter();
+            groups.map(|g| if g.is_open() { 0 } else { 2 }).sum()
+        };
+        let shares_full_groups = |t: &Table| {
+            (0..4).all(|g| match (&parent.groups()[g], &t.groups()[g]) {
+                (RowGroup::Open(a), RowGroup::Open(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            })
+        };
+        // The first INSERT fills nothing: every full group is the parent's
+        // and no page is encoded.
+        let first = c.append_rows("t", &[row(5 * page_rows - 2)]).unwrap();
+        assert!(shares_full_groups(&first));
+        assert_eq!((pages(&first), first.is_paged()), (0, false));
+        // The INSERT that fills the last group encodes it, one page per
+        // column, and leaves the full groups before it open and shared.
+        let second = c.append_rows("t", &[row(5 * page_rows - 1)]).unwrap();
+        assert!(shares_full_groups(&second));
+        assert_eq!(pages(&second), 2);
+        assert!(!second.groups()[4].is_open() && second.is_paged());
+        assert_eq!(
+            second.to_rows().unwrap(),
+            (0..5 * page_rows).map(row).collect::<Vec<_>>()
+        );
+        // Sealing the table encodes the four groups the INSERTs left open.
+        assert!(c.page_table("t", 7).unwrap());
+        let sealed = c.get("t").unwrap();
+        assert_eq!((pages(&sealed), sealed.page_rows()), (10, page_rows));
+        assert!(!c.page_table("t", 7).unwrap());
     }
 
     #[test]

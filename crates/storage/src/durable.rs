@@ -390,7 +390,7 @@ impl Durability {
         let mut manifest = format!("{MANIFEST_MAGIC}\nepoch {next}\n");
         let mut paged_out = Vec::with_capacity(tables.len());
         for (i, table) in tables.iter().enumerate() {
-            let paged = if table.is_paged() && table.open_rows() == 0 {
+            let paged = if table.is_sealed() {
                 Arc::clone(table)
             } else {
                 Arc::new(table.seal(pool, DEFAULT_PAGE_ROWS)?)

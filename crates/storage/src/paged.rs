@@ -6,7 +6,9 @@
 //! append to. A *sealed* group is one compressed page per column
 //! ([`PageSlot`]): in memory ([`PageBacking::Mem`], freshly encoded, the
 //! *dirty* state) or on disk ([`PageBacking::File`], content-addressed),
-//! with a zone map, decoded through the shared [`BufferPool`].
+//! decoded through the shared [`BufferPool`]. Every group has a zone map
+//! per column whenever a hinted scan asks, so open and sealed groups are
+//! skipped alike (see [`OpenGroup`]).
 //!
 //! Slots and open groups are `Arc`-shared, so every table version that
 //! holds a group holds the *same* slots. Decoded pages are cached in the
@@ -25,7 +27,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 static NEXT_SLOT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -203,22 +205,21 @@ pub struct PageWriteStats {
 #[derive(Debug, Clone)]
 pub enum RowGroup {
     /// One compressed page per column, read through the buffer pool.
-    Sealed(Vec<Arc<PageSlot>>),
+    Sealed(Arc<[Arc<PageSlot>]>),
     /// One resident column per column; a push copies the group first only
     /// when another table value shares it.
     Open(Arc<OpenGroup>),
 }
 
-/// The resident columns of an open group and, when it was reopened from
-/// pages, their zone maps: taken over from the pages and widened by every
-/// push, so an INSERT's copy of the group keeps them and a scan skips the
-/// group as it skips a sealed one. A group that was never sealed has none
-/// (building one by pushes pays for no map), and neither has a group a
-/// drain appended to.
+/// The resident columns of an open group and their zone maps: the pages'
+/// when the group was reopened, else derived from the columns on a hinted
+/// scan's first ask — once for every table value sharing the group. A push
+/// widens them once set, an INSERT's copy keeps them and a drain's append
+/// resets them.
 #[derive(Debug, Clone)]
 pub struct OpenGroup {
     pub(crate) columns: Vec<ColumnVector>,
-    zones: Option<Vec<ZoneMap>>,
+    zones: OnceLock<Vec<ZoneMap>>,
 }
 
 impl OpenGroup {
@@ -227,7 +228,7 @@ impl OpenGroup {
         let columns = (0..arity).map(|_| ColumnVector::from_values(Vec::new()));
         Self {
             columns: columns.collect(),
-            zones: None,
+            zones: OnceLock::new(),
         }
     }
 
@@ -254,7 +255,7 @@ impl OpenGroup {
 
     /// Appends one row, one value per column, widening its zone maps.
     pub(crate) fn push_row(&mut self, row: Row) {
-        if let Some(zones) = &mut self.zones {
+        if let Some(zones) = self.zones.get_mut() {
             zones.iter_mut().zip(&row).for_each(|(z, v)| z.widen(v));
         }
         for (column, value) in self.columns.iter_mut().zip(row) {
@@ -262,10 +263,10 @@ impl OpenGroup {
         }
     }
 
-    /// Appends one column part per column, moving them in, and drops the
+    /// Appends one column part per column, moving them in, and resets the
     /// zone maps.
     pub(crate) fn append(&mut self, parts: Vec<ColumnVector>) {
-        self.zones = None;
+        self.zones.take();
         for (column, part) in self.columns.iter_mut().zip(parts) {
             column.extend(part);
         }
@@ -320,31 +321,35 @@ impl RowGroup {
                 columns: (slots.iter())
                     .map(|slot| slot.decoded().map(Arc::unwrap_or_clone))
                     .collect::<Result<_, _>>()?,
-                zones: Some(slots.iter().map(|slot| slot.zone.clone()).collect()),
+                zones: OnceLock::from(slots.iter().map(|s| s.zone.clone()).collect::<Vec<_>>()),
             }),
             RowGroup::Open(open) => Ok(OpenGroup::clone(open)),
         }
     }
 
+    /// The zone map of column `c`: a sealed group's page's; an open group
+    /// derives every column's on first ask.
+    pub fn zone(&self, c: usize) -> &ZoneMap {
+        match self {
+            RowGroup::Sealed(slots) => &slots[c].zone,
+            RowGroup::Open(open) => &open.zones.get_or_init(|| {
+                let columns = open.columns.iter();
+                columns
+                    .map(|column| ZoneMap::compute(&column.to_values()))
+                    .collect()
+            })[c],
+        }
+    }
+
     /// Whether a zone map proves that no row of the group satisfies every
     /// `(column, op, literal)` hint. A sealed group's skip is counted in
-    /// the pool, whose pages it saves; an open group's is not, and an open
-    /// group without zone maps is never skipped.
+    /// the pool, whose pages it saves; an open group's saves no page read.
     pub(crate) fn prunes(&self, hints: &[(usize, BinOp, Value)]) -> bool {
-        match self {
-            RowGroup::Sealed(slots) => {
-                let pruned = hints
-                    .iter()
-                    .any(|(c, op, lit)| !slots[*c].zone.may_match(*op, lit));
-                if let (true, Some(slot)) = (pruned, slots.first()) {
-                    slot.pool.note_zone_skip();
-                }
-                pruned
-            }
-            RowGroup::Open(open) => open.zones.as_ref().is_some_and(|zones| {
-                (hints.iter()).any(|(c, op, lit)| !zones[*c].may_match(*op, lit))
-            }),
+        let pruned = (hints.iter()).any(|(c, op, lit)| !self.zone(*c).may_match(*op, lit));
+        if let (true, RowGroup::Sealed(slots)) = (pruned, self) {
+            slots[0].pool.note_zone_skip();
         }
+        pruned
     }
 }
 
@@ -425,16 +430,21 @@ mod tests {
     }
 
     /// Every open group's zone maps, if it has any, against a fresh pass
-    /// over its values.
-    fn assert_exact_zones(t: &Table) {
+    /// over its values; returns how many open groups have them.
+    fn assert_exact_zones(t: &Table) -> usize {
+        let mut set = 0;
         for group in t.groups() {
             if let RowGroup::Open(open) = group {
-                let columns = open.columns.iter();
-                let fresh: Vec<ZoneMap> =
-                    columns.map(|c| ZoneMap::compute(&c.to_values())).collect();
-                assert!(open.zones.as_ref().is_none_or(|zones| *zones == fresh));
+                if let Some(zones) = open.zones.get() {
+                    let columns = open.columns.iter();
+                    let fresh: Vec<ZoneMap> =
+                        columns.map(|c| ZoneMap::compute(&c.to_values())).collect();
+                    assert_eq!(*zones, fresh);
+                    set += 1;
+                }
             }
         }
+        set
     }
 
     #[test]
@@ -446,28 +456,40 @@ mod tests {
         t.push(vec![Value::Int(-5), Value::Null]).unwrap();
         t.push(vec![Value::Int(50), Value::Str("zz".into())])
             .unwrap();
-        // A group that was never sealed has no maps and is never skipped.
+        // A group that was never sealed has no map until a scan asks.
         t.push(vec![Value::Int(7), Value::Str("a".into())]).unwrap();
         assert!(t.groups()[2].is_open() && t.groups()[3].is_open());
-        assert_exact_zones(&t);
+        assert_eq!(assert_exact_zones(&t), 1);
         let prunes =
             |t: &Table, g: usize, k: i64| t.groups()[g].prunes(&[(0, BinOp::Eq, Value::Int(k))]);
         assert!(!prunes(&t, 2, -5) && !prunes(&t, 2, 50));
         assert!(prunes(&t, 2, -6) && prunes(&t, 2, 51));
-        assert!(!prunes(&t, 3, 7) && !prunes(&t, 3, 50));
+        // It derives its maps, and is skipped by them.
+        assert!(!prunes(&t, 3, 7) && prunes(&t, 3, 50));
+        assert_eq!(assert_exact_zones(&t), 2);
         let skips = pool.status().zone_skips;
         assert_eq!(skips, 0, "an open group's skip saves no page read");
 
-        // An INSERT's copy keeps the maps; a drain drops them.
+        // An INSERT's copy keeps the maps; a drain resets them, and the
+        // next hinted scan derives them again.
         let mut short = paged(&rows(5), &pool, 4);
         short.push(vec![Value::Int(-1), Value::Null]).unwrap();
         let mut copy = short.clone();
         copy.push(vec![Value::Int(40), Value::Null]).unwrap();
-        assert_exact_zones(&copy);
+        assert_eq!(assert_exact_zones(&copy), 1);
         assert!(prunes(&copy, 1, 41) && !prunes(&copy, 1, 40) && prunes(&short, 1, 40));
         let batch = crate::RowBatch::from_rows(2, vec![vec![Value::Int(99), Value::Null]]);
         copy.append_batch(batch).unwrap();
-        assert!(!prunes(&copy, 1, 41));
+        assert_eq!(assert_exact_zones(&copy), 0);
+        assert!(!prunes(&copy, 1, 99) && prunes(&copy, 1, 100) && prunes(&copy, 1, -2));
+        assert_eq!(assert_exact_zones(&copy), 1);
+
+        // A drained result, never sealed, is skipped like the rest.
+        let scan =
+            crate::TableScan::new(Arc::new(Table::from_rows("t", schema(), rows(10)).unwrap()));
+        let drained = crate::collect("d", Box::new(scan.with_batch_size(3))).unwrap();
+        assert!(!prunes(&drained, 0, 9) && prunes(&drained, 0, 10));
+        assert_eq!(assert_exact_zones(&drained), 1);
     }
 
     #[test]

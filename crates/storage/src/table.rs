@@ -5,15 +5,15 @@
 //!
 //! A table has one shape: a list of row groups ([`RowGroup`]) of
 //! [`Table::page_rows`] rows each, every one full except the last, with one
-//! page per column — open (resident columns, with zone maps when reopened
-//! from pages) or sealed (compressed pages read through the buffer pool, zone maps and
-//! content addressing included). [`Table::push`] appends to the last
-//! group, reopening it (one decode) when it is sealed and short;
-//! [`Table::seal`] encodes every open group straight from its columns and
-//! shares every sealed one — what `Catalog::page_table`, a checkpoint and
-//! an INSERT that fills a group call. `clone` copies no group, and a push
-//! copies the one it appends to only while another table value holds it,
-//! so a one-row INSERT costs a group, not the table. The scan, `row_at`,
+//! page per column — open (resident columns) or sealed (compressed pages
+//! read through the buffer pool), each with zone maps whenever a hinted
+//! scan asks. [`Table::push`] appends to the last group, reopening it (one
+//! decode) when it is sealed and short; [`Table::seal`] encodes every open
+//! group and shares every sealed one — what `Catalog::page_table` and a
+//! checkpoint call — while an INSERT seals only the groups its rows filled
+//! ([`Table::seal_groups`]). `clone` copies no group, and a push copies the
+//! one it appends to only while another table value holds it, so a one-row
+//! INSERT costs a group, not the table. The scan, `row_at`,
 //! `to_batch` and [`Table::for_each_in_column`] walk the groups alike; the
 //! lazy row cache of `rows()`/`row()` serves display, tests and benchmarks.
 //!
@@ -34,6 +34,7 @@ use crate::{
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// What a table value owns besides its rows (see the module docs): column
@@ -140,10 +141,11 @@ impl Table {
                 .zip(column)
                 .for_each(|(group, page)| group.push(page));
         }
+        let groups = slots.into_iter().map(|s| RowGroup::Sealed(s.into()));
         Ok(Self {
             rows,
             page_rows,
-            groups: slots.into_iter().map(RowGroup::Sealed).collect(),
+            groups: groups.collect(),
             pool: Some(Arc::clone(pool)),
             ..Table::new(name, schema)
         })
@@ -180,6 +182,11 @@ impl Table {
         self.pool.is_some()
     }
 
+    /// Whether every row is in a page: sealed once, and no group is open.
+    pub fn is_sealed(&self) -> bool {
+        self.is_paged() && self.groups.iter().all(|g| !g.is_open())
+    }
+
     /// Rows per group; every group but the last holds exactly this many.
     pub fn page_rows(&self) -> usize {
         self.page_rows
@@ -197,19 +204,13 @@ impl Table {
         (start, (start + self.page_rows).min(self.rows))
     }
 
-    /// Rows held in open groups: in no page yet.
-    pub(crate) fn open_rows(&self) -> usize {
-        let open = self.groups.iter().filter(|g| g.is_open());
-        open.map(RowGroup::rows).sum()
-    }
-
     /// The slots of every group, when all of them are sealed: what a
     /// checkpoint writes and describes.
     pub(crate) fn sealed_pages(&self) -> Result<Vec<&[Arc<PageSlot>]>, StorageError> {
         self.groups
             .iter()
             .map(|group| match group {
-                RowGroup::Sealed(slots) => Ok(slots.as_slice()),
+                RowGroup::Sealed(slots) => Ok(slots.as_ref()),
                 RowGroup::Open(_) => Err(StorageError::Corrupt(
                     "checkpoint produced an unsealed table".to_string(),
                 )),
@@ -241,21 +242,25 @@ impl Table {
             // so at most one of them is resident at a time.
             for g in 0..self.groups.len() {
                 sealed.append_columns(self.groups[g].reopened()?.columns)?;
-                sealed.seal_open(sealed.rows / page_rows)?;
+                sealed.seal_groups(0..sealed.rows / page_rows, pool)?;
             }
         }
-        sealed.seal_open(sealed.groups.len())?;
+        sealed.seal_groups(0..sealed.groups.len(), pool)?;
         Ok(sealed)
     }
 
-    /// Seals the open groups among the first `groups`.
-    fn seal_open(&mut self, groups: usize) -> Result<(), StorageError> {
-        let Some(pool) = self.pool.clone() else {
-            return Ok(());
-        };
-        for group in &mut self.groups[..groups] {
+    /// Seals the open groups in `range` in place, into the table's pool —
+    /// `pool` when it has none yet, which makes a non-empty range its first
+    /// seal and fixes `page_rows`.
+    pub(crate) fn seal_groups(
+        &mut self,
+        range: Range<usize>,
+        pool: &Arc<BufferPool>,
+    ) -> Result<(), StorageError> {
+        for group in &mut self.groups[range] {
+            let pool = self.pool.get_or_insert_with(|| Arc::clone(pool));
             if group.is_open() {
-                *group = group.sealed(&pool)?;
+                *group = group.sealed(pool)?;
             }
         }
         Ok(())
@@ -417,6 +422,7 @@ impl Table {
                 });
             }
         }
+        self.reopen_last()?;
         self.append_columns(batch.into_columns())?;
         self.rows_changed();
         Ok(())
@@ -478,7 +484,9 @@ impl Table {
 
     /// The vector indexes built so far, by column.
     pub fn vector_indexes(&self) -> Vec<Arc<VectorIndex>> {
-        self.derived.built.read().values().cloned().collect()
+        let mut built = Vec::new();
+        built.extend(self.derived.built.read().values().cloned());
+        built
     }
 
     /// Forgets the vector index over `column`; returns whether one had been
@@ -734,10 +742,14 @@ mod tests {
         let mut grown = first.clone();
         grown.extend(rows(10..13)).unwrap();
         // The short last page was reopened; the full ones are still sealed.
-        assert_eq!(grown.open_rows(), 5);
+        let open: Vec<bool> = grown.groups().iter().map(RowGroup::is_open).collect();
+        assert_eq!(
+            (open, grown.is_sealed()),
+            (vec![false, false, true, true], false)
+        );
         // The page-size argument only matters for the first sealing.
         let second = grown.seal(&pool, 1000).unwrap();
-        assert_eq!(second.open_rows(), 0);
+        assert!(second.is_sealed());
         assert_eq!((first.groups().len(), second.groups().len()), (3, 4));
         assert!(Arc::ptr_eq(&slots(&first, 0)[0], &slots(&second, 0)[0]));
         assert!(Arc::ptr_eq(&slots(&first, 1)[0], &slots(&second, 1)[0]));
@@ -808,9 +820,9 @@ mod tests {
             assert_eq!(
                 seen,
                 vec![(0, Value::Int(1991)), (1, Value::Int(1988))],
-                "sealed={} open rows={}",
+                "paged={} sealed={}",
                 table.is_paged(),
-                table.open_rows()
+                table.is_sealed()
             );
         }
         assert!(t.for_each_in_column("nope", |_, _| Ok(())).is_err());

@@ -208,20 +208,16 @@ impl VectorIndex {
         if let Some(ix) = self.ivf.read().as_ref() {
             return Arc::clone(ix);
         }
+        // Copied before the slot is locked: only the k-means build runs under it.
+        let entries = self.entries.iter().map(|(pos, v)| (*pos as u64, v.clone()));
+        let entries = entries.collect();
         let mut slot = self.ivf.write();
         if let Some(ix) = slot.as_ref() {
             return Arc::clone(ix);
         }
         let nlist = default_nlist(self.entries.len());
-        let built = Arc::new(IvfIndex::build(
-            self.entries
-                .iter()
-                .map(|(pos, v)| (*pos as u64, v.clone()))
-                .collect(),
-            nlist,
-            default_nprobe(nlist),
-            VECTOR_INDEX_SEED,
-        ));
+        let nprobe = default_nprobe(nlist);
+        let built = Arc::new(IvfIndex::build(entries, nlist, nprobe, VECTOR_INDEX_SEED));
         *slot = Some(Arc::clone(&built));
         built
     }

@@ -16,7 +16,10 @@
 //!   and kmeta bytes as paging the same rows from scratch — as does sealing
 //!   open groups at any point, by page name;
 //! - a drained result is the table row-by-row pushes build, whatever the
-//!   values' mix of types.
+//!   values' mix of types;
+//! - every group, open or sealed, has exact zone maps when a hinted scan
+//!   asks, whatever built it, and a hinted scan returns exactly the rows
+//!   its hint keeps.
 
 use kath_storage::*;
 use proptest::prelude::*;
@@ -117,12 +120,10 @@ fn full_pages(t: &Table) -> usize {
         .count()
 }
 
-/// Whether two groups hold the very same pages or open columns.
+/// Whether two groups hold the very same page list or open columns.
 fn same_group(a: &RowGroup, b: &RowGroup) -> bool {
     match (a, b) {
-        (RowGroup::Sealed(a), RowGroup::Sealed(b)) => {
-            a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
-        }
+        (RowGroup::Sealed(a), RowGroup::Sealed(b)) => Arc::ptr_eq(a, b),
         (RowGroup::Open(a), RowGroup::Open(b)) => Arc::ptr_eq(a, b),
         _ => false,
     }
@@ -319,7 +320,8 @@ proptest! {
                     let reopens = !before.len().is_multiple_of(page_rows)
                         && before.groups().last().is_some_and(|g| !g.is_open());
                     prop_assert_eq!(read, if reopens { 2 } else { 0 });
-                    // Open rows never reach a whole group: they are sealed.
+                    // Every group an INSERT fills is sealed, and this table
+                    // was sealed before its first: no open group is full.
                     prop_assert!(after.len() - sealed_len(&after) < page_rows);
                     assert_shares_full_pages(&before, &after)?;
                 }
@@ -633,5 +635,157 @@ fn a_drained_batch_that_misfits_the_schema_is_refused() {
             matches!(drain(bad), Err(StorageError::TypeMismatch { .. })),
             "a misfit was drained"
         );
+    }
+}
+
+/// One edit of a table held by value (see `zone_maps_are_exact_whatever_built_the_group`).
+#[derive(Debug, Clone)]
+enum Edit {
+    Push(Row),
+    AppendBatch(Vec<Row>),
+    /// `Catalog::append_rows`: seals the groups these rows fill.
+    CatalogAppend(Vec<Row>),
+    /// Keeps the table as it was (checked after every later step), then
+    /// pushes to the copy.
+    CloneThenPush(Row),
+    Seal,
+    PageTable,
+}
+
+/// A value of the `ANY` column: NULL, NaN, ±0.0, Int and Float side by
+/// side, strings.
+fn arb_mixed() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-4i64..4).prop_map(Value::Int),
+        (-4i64..4).prop_map(|i| Value::Float(i as f64 / 2.0)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(0.0)),
+        Just(Value::Null),
+        "[a-c]{0,2}".prop_map(Value::Str),
+    ]
+}
+
+fn arb_mixed_row() -> impl Strategy<Value = Row> {
+    let k = prop_oneof![(-6i64..6).prop_map(Value::Int), Just(Value::Null)];
+    (k, arb_mixed()).prop_map(|(k, x)| vec![k, x])
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    let rows = || prop::collection::vec(arb_mixed_row(), 1..7);
+    prop_oneof![
+        arb_mixed_row().prop_map(Edit::Push),
+        arb_mixed_row().prop_map(Edit::Push),
+        rows().prop_map(Edit::AppendBatch),
+        rows().prop_map(Edit::CatalogAppend),
+        arb_mixed_row().prop_map(Edit::CloneThenPush),
+        Just(Edit::Seal),
+        Just(Edit::PageTable),
+    ]
+}
+
+fn arb_op() -> impl Strategy<Value = BinOp> {
+    prop_oneof![
+        Just(BinOp::Eq),
+        Just(BinOp::Ne),
+        Just(BinOp::Lt),
+        Just(BinOp::Le),
+        Just(BinOp::Gt),
+        Just(BinOp::Ge),
+    ]
+}
+
+/// `t` under the hint `column op lit`: a hinted scan returns exactly the
+/// rows of `want` the filter keeps, and every zone map — the scan asked
+/// every group for its maps, so an open group has derived them — equals a
+/// fresh pass over its group's values.
+fn assert_hinted_scan_and_exact_zones(
+    t: &Table,
+    want: &[Row],
+    (c, op, lit): (usize, BinOp, &Value),
+) -> Result<(), TestCaseError> {
+    let keeps = |r: &Row| r[c].sql_cmp(lit).is_some_and(|ord| op.holds(ord));
+    let kept: Vec<Row> = want.iter().filter(|r| keeps(r)).cloned().collect();
+    let hint = [(["k", "x"][c].to_string(), op, lit.clone())];
+    for batch in [2, 1024] {
+        let scan = TableScan::new(Arc::new(t.clone())).with_prune_hint(&hint);
+        prop_assert_eq!(&scan_rows_batched(scan, batch), &kept);
+    }
+    for (g, group) in t.groups().iter().enumerate() {
+        for c in 0..2 {
+            let fresh = ZoneMap::compute(&group.read_column(c, ColumnVector::to_values).unwrap());
+            prop_assert_eq!(group.zone(c), &fresh, "group {} column {}", g, c);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Random pushes, drains, catalog INSERTs, clone-then-push, seals and
+    /// `page_table` over an `(INT, ANY)` table: after every step, a hinted
+    /// scan of the table and of every copy kept along the way returns
+    /// exactly the rows the hint keeps, and every zone map equals
+    /// `ZoneMap::compute` over its group's values — a reopened group's,
+    /// one a push or a drain built, one an INSERT copied, a sealed one.
+    #[test]
+    fn zone_maps_are_exact_whatever_built_the_group(
+        page_rows in 1usize..6,
+        start_sealed in any::<bool>(),
+        steps in prop::collection::vec(
+            (arb_edit(), 0usize..2, arb_op(), arb_mixed()),
+            1..24,
+        ),
+    ) {
+        let mut catalog = Catalog::new();
+        let schema = Schema::of(&[("k", DataType::Int), ("x", DataType::Any)]);
+        let mut t = Table::new("t", schema);
+        if start_sealed {
+            t = t.seal(catalog.pool(), page_rows).unwrap();
+        }
+        let mut model: Vec<Row> = Vec::new();
+        let mut kept: Vec<(Table, Vec<Row>)> = Vec::new();
+        // Runs `f` on the catalog holding `t`, then takes the table back
+        // as the only holder of its groups.
+        let through_catalog = |catalog: &mut Catalog, t: Table, f: &dyn Fn(&mut Catalog)| {
+            catalog.register_or_replace(t);
+            f(catalog);
+            let back = (*catalog.get("t").unwrap()).clone();
+            catalog.drop_table("t").unwrap();
+            back
+        };
+        for (edit, c, op, lit) in steps {
+            match edit {
+                Edit::Push(row) => {
+                    t.push(row.clone()).unwrap();
+                    model.push(row);
+                }
+                Edit::AppendBatch(rows) => {
+                    t.append_batch(RowBatch::from_rows(2, rows.clone())).unwrap();
+                    model.extend(rows);
+                }
+                Edit::CatalogAppend(rows) => {
+                    let append = |c: &mut Catalog| drop(c.append_rows("t", &rows).unwrap());
+                    t = through_catalog(&mut catalog, t, &append);
+                    model.extend(rows);
+                }
+                Edit::CloneThenPush(row) => {
+                    kept.push((t.clone(), model.clone()));
+                    t.push(row.clone()).unwrap();
+                    model.push(row);
+                }
+                Edit::Seal => t = t.seal(catalog.pool(), page_rows).unwrap(),
+                Edit::PageTable => {
+                    let page = |c: &mut Catalog| assert!(c.page_table("t", page_rows).is_ok());
+                    t = through_catalog(&mut catalog, t, &page);
+                }
+            }
+            prop_assert_eq!(&t.to_rows().unwrap(), &model);
+            assert_hinted_scan_and_exact_zones(&t, &model, (c, op, &lit))?;
+            for (old, rows) in &kept {
+                assert_hinted_scan_and_exact_zones(old, rows, (c, op, &lit))?;
+            }
+        }
     }
 }
