@@ -225,7 +225,7 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
     )
     .expect("bench query parses");
     let mode = kath_storage::ExecMode::Batched(DEFAULT_BATCH_SIZE);
-    // One thread is the serial operator tree; more pick the morsel drive.
+    // One drive: one thread runs it on the caller, more split it in morsels.
     let run = |threads: usize| {
         kath_sql::run_select_auto_guarded(
             &catalog,

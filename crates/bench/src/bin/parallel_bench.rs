@@ -285,8 +285,8 @@ fn main() {
             let mut check_rows = 0usize;
             for _ in 0..reps {
                 let started = Instant::now();
-                // One thread is the serial operator tree; more pick the
-                // morsel drive.
+                // One drive: one thread runs it on the caller, more split
+                // it in morsels.
                 let table = run_select_auto_guarded(
                     &catalog,
                     &select,

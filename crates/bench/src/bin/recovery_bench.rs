@@ -5,8 +5,10 @@
 //! 1. **INSERT and replay cost vs table size**: a single-row INSERT into a
 //!    table that already holds 1 k / 10 k / 100 k / 1 M rows, in memory and
 //!    durable (write-ahead logged + fsynced), and the reopen time of the
-//!    durable directory with and without those INSERTs behind the snapshot
-//!    — the difference, per record, is what replaying one costs. A table is
+//!    durable directory with and without those INSERTs behind the snapshot,
+//!    back to back in each rep: the median per-rep difference, per record,
+//!    is what replaying one costs (`null` when it is not above the clean
+//!    reopens' interquartile range, written beside it). A table is
 //!    a list of row groups, and an INSERT shares every group but the last,
 //!    which it copies (or reopens) and seals only if its rows fill it, so
 //!    all three must be flat across the three decades, and so must the
@@ -90,18 +92,23 @@ fn time_inserts(db: &mut KathDB, from: usize, inserts: usize) -> f64 {
     median(samples)
 }
 
-/// Median ms of `reps` cold opens of `dir` (each handle is dropped without
-/// `close`, so nothing is checkpointed in between), checking the row count.
-fn time_reopen(dir: &std::path::Path, reps: usize, want_rows: usize) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let started = Instant::now();
-        let db = KathDB::open(dir).expect("recovery succeeds");
-        samples.push(started.elapsed().as_secs_f64() * 1000.0);
-        let rows = db.context().catalog.get("big").unwrap().len();
-        assert_eq!(rows, want_rows, "recovery lost rows");
-    }
-    median(samples)
+/// Ms of one cold open of `dir` (the handle is dropped without `close`, so
+/// nothing is checkpointed), checking the row count.
+fn time_reopen(dir: &std::path::Path, want_rows: usize) -> f64 {
+    let started = Instant::now();
+    let db = KathDB::open(dir).expect("recovery succeeds");
+    let ms = started.elapsed().as_secs_f64() * 1000.0;
+    let rows = db.context().catalog.snapshot().get("big").unwrap().len();
+    assert_eq!(rows, want_rows, "recovery lost rows");
+    ms
+}
+
+/// The spread between the medians of the upper and the lower half of `xs`
+/// (the middle sample of an odd count belongs to neither half).
+fn interquartile_range(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let half = xs.len() / 2;
+    median(xs[xs.len() - half..].to_vec()) - median(xs[..half].to_vec())
 }
 
 /// Question 1 at one table size.
@@ -115,31 +122,43 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
     db.sql(&big_insert(rows)).unwrap();
     let first_unsealed_ms = started.elapsed().as_secs_f64() * 1000.0;
     db.page_table("big").unwrap();
-    let from = db.context().catalog.get("big").unwrap().len();
+    let from = db.context().catalog.snapshot().get("big").unwrap().len();
     let memory_us = time_inserts(&mut db, from, inserts);
     drop(db);
 
-    // Durable: load, checkpoint, crash; reopen with nothing to replay;
-    // INSERT; crash; reopen with `inserts` records behind the snapshot.
-    let dir = tmp_dir(&format!("size_{rows}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let mut db = KathDB::open(&dir).expect("durable dir opens");
+    // Durable: two directories hold the same checkpoint (load, checkpoint,
+    // crash), and one of them `inserts` INSERTs logged behind it. Each rep
+    // reopens both back to back, so a pair shares the host's moment.
+    let clean = tmp_dir(&format!("size_{rows}_clean"));
+    let replay = tmp_dir(&format!("size_{rows}_replay"));
+    for dir in [&clean, &replay] {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut db = KathDB::open(dir).expect("durable dir opens");
         db.load_table(big_table(rows), "bench://big").unwrap();
         db.checkpoint().unwrap();
     }
-    let reopen_clean_ms = time_reopen(&dir, reps, rows);
     let durable_us = {
-        let mut db = KathDB::open(&dir).expect("durable dir opens");
+        let mut db = KathDB::open(&replay).expect("durable dir opens");
         time_inserts(&mut db, rows, inserts)
     };
-    let reopen_replay_ms = time_reopen(&dir, reps, rows + inserts);
-    let replay_us = (reopen_replay_ms - reopen_clean_ms).max(0.0) * 1000.0 / inserts as f64;
-    let _ = std::fs::remove_dir_all(&dir);
+    let (mut clean_ms, mut replay_ms, mut diff_ms) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let c = time_reopen(&clean, rows);
+        let r = time_reopen(&replay, rows + inserts);
+        clean_ms.push(c);
+        replay_ms.push(r);
+        diff_ms.push(r - c);
+    }
+    let clean_iqr_ms = interquartile_range(clean_ms.clone());
+    let (reopen_clean_ms, reopen_replay_ms) = (median(clean_ms), median(replay_ms));
+    let diff_ms = median(diff_ms);
+    let replay_us = (diff_ms > clean_iqr_ms).then(|| diff_ms * 1000.0 / inserts as f64);
+    let _ = [&clean, &replay].map(std::fs::remove_dir_all);
+    let replay_json = replay_us.map_or(Json::Null, Json::Num);
     eprintln!(
         "  {rows:>8} rows: INSERT {memory_us:7.1} µs in memory, {durable_us:7.1} µs durable; \
          reopen {reopen_clean_ms:7.2} ms clean, {reopen_replay_ms:7.2} ms with {inserts} records \
-         ({replay_us:6.1} µs/record)"
+         (+{diff_ms:.2} ms per pair, clean IQR {clean_iqr_ms:.2} ms)"
     );
     Json::object([
         ("rows", Json::Num(rows as f64)),
@@ -152,7 +171,8 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
         ("reopen_clean_ms", Json::Num(reopen_clean_ms)),
         ("reopen_replay_ms", Json::Num(reopen_replay_ms)),
         ("replayed_records", Json::Num(inserts as f64)),
-        ("replay_us_per_record", Json::Num(replay_us)),
+        ("reopen_clean_iqr_ms", Json::Num(clean_iqr_ms)),
+        ("replay_us_per_record", replay_json),
     ])
 }
 
@@ -242,7 +262,7 @@ fn main() {
             let started = Instant::now();
             let db = KathDB::open(&dir).expect("recovery succeeds");
             samples.push(started.elapsed().as_secs_f64() * 1000.0);
-            recovered_rows = db.context().catalog.get("kv").unwrap().len();
+            recovered_rows = db.context().catalog.snapshot().get("kv").unwrap().len();
         }
         assert_eq!(recovered_rows, age, "recovery lost rows");
         let median_ms = median(samples);

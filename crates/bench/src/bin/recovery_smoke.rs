@@ -39,9 +39,10 @@ fn crash_child(dir: &str) -> ! {
         .unwrap();
     }
     db.load_table(ingested(), "smoke://ingested").unwrap();
+    let survivors = db.context().catalog.snapshot().get("survivors").unwrap();
     eprintln!(
         "child: {} rows logged, aborting without shutdown",
-        db.context().catalog.get("survivors").unwrap().len()
+        survivors.len()
     );
     std::process::abort();
 }

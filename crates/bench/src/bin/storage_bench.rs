@@ -304,7 +304,7 @@ fn main() {
     for budget in POOL_POINTS {
         let mut catalog = Catalog::new();
         catalog.register(movies.clone()).expect("corpus registers");
-        catalog.set_pool_budget(budget);
+        catalog.pool().set_budget(budget);
         catalog
             .page_table("movie_table", BENCH_PAGE_ROWS)
             .expect("table pages");

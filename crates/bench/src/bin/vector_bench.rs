@@ -99,7 +99,8 @@ fn main() {
         // Derive the index once, timed: this is the one-off cost the first
         // similarity query pays (and re-pays lazily after bulk inserts).
         let build_started = Instant::now();
-        let index = catalog.vector_index_for("docs", "emb").expect("index");
+        let docs = catalog.get("docs").expect("docs table");
+        let index = docs.vector_index("emb").expect("index");
         let index_build_ms = build_started.elapsed().as_secs_f64() * 1000.0;
 
         // Recall@10 of the approximate path against the exact one.

@@ -35,8 +35,9 @@
 //! - `\vindex` — vector-search status; `\vindex auto|off|flat|ivf` picks
 //!   the access path for `ORDER BY SIMILARITY(col, 'text') DESC LIMIT k`
 //!   (auto = cost model chooses exact Flat vs approximate IVF per query);
-//!   `\vindex build <table> <column>` / `\vindex drop <table> <column>`
-//!   warm up or discard a derived vector index,
+//!   `\vindex build <table> <column>` warms up a derived vector index
+//!   (an index over a table value's rows never goes stale, so there is
+//!   nothing to drop: it goes with the table value),
 //! - `\quit` (checkpoints first when a durable directory is open).
 //!
 //! ```sh
@@ -105,7 +106,7 @@ fn main() {
                      \\pool [<pages>] | \\explain <question> | \\lineage | \
                      \\functions | \\tables | \\tokens | \\batch <n> | \
                      \\threads <n>|auto | \
-                     \\vindex [auto|off|flat|ivf | build <t> <c> | drop <t> <c>] | \
+                     \\vindex [auto|off|flat|ivf | build <t> <c>] | \
                      \\timeout <ms>|off | \\faults <spec>|off|show | \\quit\n\
                      anything else is parsed as a natural-language query"
                 );
@@ -137,7 +138,7 @@ fn main() {
                 }
             }
             _ if line == "\\tables" => {
-                print!("{}", db.context().catalog.describe());
+                print!("{}", db.context().catalog.snapshot().describe());
             }
             _ if line == "\\tokens" => {
                 let u = db.token_usage();
@@ -316,17 +317,7 @@ fn main() {
                         ),
                         Err(e) => println!("vindex build failed: {e}"),
                     },
-                    ["drop", table, column] => {
-                        if db.drop_vector_index(table, column) {
-                            println!("dropped vector index on {table}.{column}");
-                        } else {
-                            println!("no vector index on {table}.{column}");
-                        }
-                    }
-                    _ => println!(
-                        "usage: \\vindex [auto|off|flat|ivf | build <table> <column> | \
-                         drop <table> <column>]"
-                    ),
+                    _ => println!("usage: \\vindex [auto|off|flat|ivf | build <table> <column>]"),
                 }
                 if matches!(parts.as_slice(), ["auto" | "off" | "flat" | "ivf"]) {
                     println!("vector access path: {}", vector_label(db.vector_mode()));

@@ -274,9 +274,9 @@ impl KathDB {
     pub fn open_dir(&mut self, dir: impl AsRef<Path>) -> Result<RecoveryInfo, KathError> {
         let dir = dir.as_ref();
         self.close()?;
-        let pre_existing = !self.ctx.catalog.is_empty();
-        let pool = self.ctx.catalog.pool();
-        let (inner, recovered) = Durability::open(dir, &pool)?;
+        let current = self.ctx.catalog.snapshot();
+        let pre_existing = !current.is_empty();
+        let (inner, recovered) = Durability::open(dir, current.pool())?;
         let info = RecoveryInfo {
             snapshot_tables: recovered.tables.len(),
             wal_replayed: recovered.wal_records.len(),
@@ -286,7 +286,7 @@ impl KathDB {
         // exactly as it was, never half-recovered. Only committed WAL
         // records reach us here — `Durability::open` filtered out any
         // framed transaction that never reached its `Commit` marker.
-        let mut staged = self.ctx.catalog.snapshot().catalog().clone();
+        let mut staged = current.catalog().clone();
         let mut registry = match &recovered.functions_json {
             Some(json) => Self::registry_from_json(json)?,
             None => self.registry.clone(),
@@ -433,7 +433,7 @@ impl KathDB {
     /// 1), evicting down immediately if over. Results are unaffected at any
     /// budget — only how much decoded data stays cached.
     pub fn set_pool_budget(&self, pages: usize) {
-        self.ctx.catalog.set_pool_budget(pages);
+        self.ctx.catalog.pool().set_budget(pages);
     }
 
     /// Seals a catalog table: its rows move into compressed column pages
@@ -442,7 +442,8 @@ impl KathDB {
     /// if the table was already all pages). Checkpoints do this
     /// automatically for every table.
     pub fn page_table(&mut self, name: &str) -> Result<bool, KathError> {
-        Ok(self.ctx.catalog.page_table(name, DEFAULT_PAGE_ROWS)?)
+        let catalog = &self.ctx.catalog;
+        Ok(catalog.try_publish(|c| c.page_table(name, DEFAULT_PAGE_ROWS))?)
     }
 
     /// Sums `f` over the tables of the current catalog version.
@@ -546,14 +547,9 @@ impl KathDB {
         table: &str,
         column: &str,
     ) -> Result<(usize, usize), KathError> {
-        let ix = self.ctx.catalog.vector_index_for(table, column)?;
+        let table = self.ctx.catalog.snapshot().get(table)?;
+        let ix = table.vector_index(column)?;
         Ok((ix.entries().len(), ix.unscored().len()))
-    }
-
-    /// Drops the derived vector index over `table.column`; returns whether
-    /// one existed. (It re-derives on the next similarity query.)
-    pub fn drop_vector_index(&mut self, table: &str, column: &str) -> bool {
-        self.ctx.catalog.drop_vector_index(table, column)
     }
 
     /// Every vector index built for a current table value:
@@ -606,7 +602,7 @@ impl KathDB {
     /// the base table was already recovered from disk, only the media
     /// registration runs — the recovered rows win).
     pub fn load_corpus(&mut self, corpus: &MmqaCorpus) -> Result<(), KathError> {
-        if !self.ctx.catalog.contains(corpus.movies.name()) {
+        if !self.ctx.catalog.snapshot().contains(corpus.movies.name()) {
             self.load_table(corpus.movies.clone(), "file://data/movie_table")?;
         }
         for d in &corpus.documents {
@@ -623,7 +619,7 @@ impl KathDB {
     /// one INSERT of its rows, so it survives a crash even before the next
     /// checkpoint — whole or not at all.
     pub fn load_table(&mut self, table: Table, src_uri: &str) -> Result<(), KathError> {
-        if self.ctx.catalog.contains(table.name()) {
+        if self.ctx.catalog.snapshot().contains(table.name()) {
             return Err(KathError::Storage(StorageError::TableExists(
                 table.name().to_string(),
             )));
@@ -827,7 +823,7 @@ mod tests {
         )
         .unwrap();
         let plan = report.physical;
-        assert!(!db.ctx.catalog.contains("films_with_text"));
+        assert!(!db.ctx.catalog.snapshot().contains("films_with_text"));
 
         // Whatever four calls happened to cost when they were profiled —
         // here, a tenth of what a second worker must save to pay for itself.
@@ -940,7 +936,7 @@ mod tests {
             db.sql("DROP TABLE gone").unwrap();
         }
         let mut db = KathDB::open(&dir).unwrap();
-        assert!(!db.context().catalog.contains("gone"));
+        assert!(!db.context().catalog.snapshot().contains("gone"));
         assert!(db.sql("SELECT * FROM gone").is_err());
         let kept = db.sql("SELECT * FROM kept").unwrap();
         assert_eq!(kept.cell(0, "x").unwrap().as_int(), Some(7));
@@ -965,7 +961,8 @@ mod tests {
         let mut db = KathDB::open(&dir).unwrap();
         assert!(db.registry().contains("classify_boring"));
         assert!(db.registry().contains("gen_excitement_score"));
-        assert_eq!(db.context().catalog.get("movie_table").unwrap().len(), 6);
+        let movies = db.context().catalog.snapshot().get("movie_table").unwrap();
+        assert_eq!(movies.len(), 6);
         // The documented restart workflow: load_corpus again to re-register
         // the media descriptors. The recovered base table wins (no
         // TableExists error), and the full NL pipeline runs end to end.
@@ -1000,7 +997,8 @@ mod tests {
             assert_eq!(db.durability_status().unwrap().snapshot_epoch, 1);
         }
         let db = KathDB::open(&dir).unwrap();
-        assert_eq!(db.context().catalog.get("movie_table").unwrap().len(), 6);
+        let movies = db.context().catalog.snapshot().get("movie_table").unwrap();
+        assert_eq!(movies.len(), 6);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1015,7 +1013,7 @@ mod tests {
         // Close is idempotent, and further mutations are in-memory only.
         db.close().unwrap();
         let db2 = KathDB::open(&dir).unwrap();
-        assert!(db2.context().catalog.contains("t"));
+        assert!(db2.context().catalog.snapshot().contains("t"));
         drop(db2);
         // A read-only session writes no new snapshot on close.
         let mut db3 = KathDB::open(&dir).unwrap();
@@ -1083,7 +1081,8 @@ mod tests {
         // Attaching a durable dir checkpoints the pre-existing state, which
         // seals every table and writes its pages.
         db.open_dir(&dir).unwrap();
-        assert!(db.context().catalog.get("big").unwrap().is_paged());
+        let big = db.context().catalog.snapshot().get("big").unwrap();
+        assert!(big.is_paged());
         assert_eq!((db.dirty_pages(), db.unsaved_open_rows()), (0, 0));
         let first = db.durability_status().unwrap().last_checkpoint.unwrap();
         assert!(first.pages_written >= 6, "3 columns x 2 pages: {first:?}");
@@ -1147,13 +1146,13 @@ mod tests {
         }
         let mut db = KathDB::new(42);
         db.load_corpus(&mmqa_small()).unwrap();
-        let version_before = db.context().catalog.version();
+        let version_before = db.context().catalog.snapshot().version();
         let functions_before = db.registry().len();
         let err = db.open_dir(&dir).unwrap_err();
         assert!(matches!(err, KathError::Storage(StorageError::Corrupt(_))));
         // No half-recovered state: catalog, registry, and durability are
         // exactly as they were.
-        assert_eq!(db.context().catalog.version(), version_before);
+        assert_eq!(db.context().catalog.snapshot().version(), version_before);
         assert_eq!(db.registry().len(), functions_before);
         assert!(db.durability_status().is_none());
         let _ = std::fs::remove_dir_all(dir);
@@ -1192,7 +1191,8 @@ mod tests {
         while cut < log.len() {
             cut += 12 + u32::from_be_bytes(log[cut..cut + 4].try_into().unwrap()) as usize;
             std::fs::write(&segment, &log[..cut]).unwrap();
-            let recovered = KathDB::open(&dir).unwrap().context().catalog.get("big");
+            let reopened = KathDB::open(&dir).unwrap().context().catalog.snapshot();
+            let recovered = reopened.get("big");
             match recovered {
                 Ok(t) => assert_eq!(*t, big, "cut at {cut}"),
                 Err(_) => assert!(cut < log.len(), "the whole ingest was lost"),
@@ -1443,9 +1443,8 @@ mod tests {
             .unwrap();
         let top = db.sql(sql).unwrap();
         assert_eq!(top.cell(0, "id").unwrap(), &Value::Int(5));
-        // Index management round-trips.
-        assert!(db.drop_vector_index("notes", "emb"));
-        assert!(!db.drop_vector_index("notes", "emb"));
+        // The query built the new value's index; warming it up again hands
+        // back that one, and a non-embedding column is refused.
         let (scored, unscored) = db.build_vector_index("notes", "emb").unwrap();
         assert_eq!((scored, unscored), (5, 0));
         assert!(db.build_vector_index("notes", "id").is_err());

@@ -137,7 +137,7 @@ impl ExecContext {
     /// single table-level lineage root of §3 ("Ingesting a raw table creates
     /// a single lineage entry with data_type=table").
     pub fn ingest_table(&mut self, table: Table, src_uri: &str) -> Result<i64, ExecError> {
-        let table = self.catalog.register(table)?;
+        let table = self.catalog.try_publish(|c| c.register(table))?;
         self.ingest_root(table.name(), src_uri)
     }
 
@@ -163,7 +163,7 @@ impl ExecContext {
     pub fn materialize(&mut self, table: Table, lid: i64) -> Arc<Table> {
         let name = table.name().to_string();
         self.table_lids.insert(name, lid);
-        self.catalog.register_or_replace(table)
+        self.catalog.publish(|c| c.register_or_replace(table))
     }
 
     /// Publishes a table another context materialized, under the same name
@@ -172,7 +172,7 @@ impl ExecContext {
         self.table_lids
             .insert(published.table.name().to_string(), published.lid);
         self.catalog
-            .register_or_replace(Arc::clone(&published.table));
+            .publish(|c| c.register_or_replace(Arc::clone(&published.table)));
     }
 
     /// The record of `output`, if running `func_id` with `body` now would

@@ -25,11 +25,10 @@ use kath_multimodal::{
     emit_document, emit_frame, extract_document, SceneGraphViews, TextGraphViews,
 };
 use kath_storage::{
-    run_morsels_guarded, Column, ColumnVector, DataType, Expr, MorselSource, RowBatch, Schema,
-    Table, Value, DEFAULT_BATCH_SIZE, MORSEL_BATCHES,
+    run_morsels_guarded, Column, ColumnVector, DataType, Expr, MorselRun, MorselSource, RowBatch,
+    Schema, Table, Value, DEFAULT_BATCH_SIZE, MORSEL_BATCHES,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The result of executing one function body.
 #[derive(Debug)]
@@ -107,7 +106,7 @@ pub fn execute_body(
             output_column,
         } => {
             let parsed = kath_sql::parse_expr(expr).map_err(|e| ExecError::Expr(e.to_string()))?;
-            let table = ctx.catalog.get(input)?;
+            let table = ctx.catalog.snapshot().get(input)?;
             let schema = table.schema();
             let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string());
             narrow_transform(
@@ -124,7 +123,7 @@ pub fn execute_body(
         FunctionBody::FilterExpr { input, predicate } => {
             let parsed =
                 kath_sql::parse_expr(predicate).map_err(|e| ExecError::Expr(e.to_string()))?;
-            let table = ctx.catalog.get(input)?;
+            let table = ctx.catalog.snapshot().get(input)?;
             let schema = table.schema();
             let lowered = kath_sql::to_expr(&parsed, schema).map_err(|e| e.to_string());
             narrow_transform(
@@ -144,7 +143,7 @@ pub fn execute_body(
             keywords,
             output_column,
         } => {
-            let table = ctx.catalog.get(input)?;
+            let table = ctx.catalog.snapshot().get(input)?;
             let llm = ctx.llm.clone();
             let scorer = llm.concept_scorer(keywords);
             narrow_transform(
@@ -169,7 +168,7 @@ pub fn execute_body(
             threshold,
             convert_unsupported,
         } => {
-            let table = ctx.catalog.get(input)?;
+            let table = ctx.catalog.snapshot().get(input)?;
             let media = ctx.media.clone();
             let interest = VisualInterest::new(*implementation, &ctx.llm);
             narrow_transform(
@@ -332,9 +331,8 @@ fn exec_sql(
         .iter()
         .map(|t| snapshot.get(t).map(|t| t.len()).unwrap_or(0))
         .sum();
-    // The one entry point picks the drive from the context's knobs: the
-    // morsel drive when the context asks for threads, the serial operator
-    // tree otherwise. Results are identical on both.
+    // The one drive runs the statement on `ctx.threads` workers (one is the
+    // calling thread); results do not depend on the count.
     let guard = ctx.limits.guard();
     let (mut table, stats) = kath_sql::run_select_auto_guarded(
         &snapshot,
@@ -429,13 +427,6 @@ fn each_value(
     move |morsel| (0..morsel.num_rows()).map(|i| cell(morsel, i)).collect()
 }
 
-/// A finished compute phase: one output per item, in input order.
-struct ComputeRun<T> {
-    computed: Vec<T>,
-    /// Busy milliseconds per worker.
-    worker_ms: Vec<f64>,
-}
-
 /// The compute phase of every item-by-item body: `compute` over `items` in
 /// morsels of `morsel_rows`, claimed by `ctx.threads` workers (one worker is
 /// the calling thread and spawns nothing) under a guard minted from
@@ -445,32 +436,33 @@ struct ComputeRun<T> {
 /// one output per item of it, in order: a model loop maps its items, an
 /// expression body evaluates them as one batch. It must be pure but for the
 /// token meter, whose totals are sums and so independent of the order the
-/// workers charge it in.
+/// workers charge it in. The stamp phase is the run's
+/// [`MorselRun::merge`], which times it; flattened in morsel order, the
+/// outputs are one per item in input order.
 fn compute_in_morsels<I: Sync, T: Send>(
     ctx: &ExecContext,
     items: &[I],
     morsel_rows: usize,
     compute: impl Fn(&[I]) -> Vec<T> + Sync,
-) -> Result<ComputeRun<T>, ExecError> {
+) -> Result<MorselRun<Vec<T>>, ExecError> {
     let source = MorselSource::new(items.len(), morsel_rows);
-    let run = run_morsels_guarded(&source, ctx.threads, &ctx.limits.guard(), |m| {
-        Ok(compute(&items[m.start..m.end]))
-    })?;
-    Ok(ComputeRun {
-        computed: run.outputs.into_iter().flatten().collect(),
-        worker_ms: run.worker_ms,
-    })
+    Ok(run_morsels_guarded(
+        &source,
+        ctx.threads,
+        &ctx.limits.guard(),
+        |m| Ok(compute(&items[m.start..m.end])),
+    )?)
 }
 
 impl ExecOutcome {
-    /// The outcome of a semantic body: `outcome` with the compute phase's
-    /// workers and the stamp phase that began at `stamp_started`.
-    fn fanned_out(self, worker_ms: Vec<f64>, stamp_started: Instant) -> Self {
+    /// The outcome of a semantic body: `self` with the compute phase's
+    /// workers and the stamp phase's milliseconds.
+    fn fanned_out(self, worker_ms: Vec<f64>, merge_ms: f64) -> Self {
         let workers = worker_ms.len().max(1);
         Self {
             workers,
             worker_ms: if workers > 1 { worker_ms } else { Vec::new() },
-            merge_ms: stamp_started.elapsed().as_secs_f64() * 1000.0,
+            merge_ms,
             ..self
         }
     }
@@ -501,77 +493,69 @@ fn narrow_transform(
     let positions: Vec<usize> = (0..columns.num_rows()).collect();
     let morsel = |positions: &[usize]| compute(&columns.gather(positions));
     let run = compute_in_morsels(ctx, &positions, morsel_rows, morsel)?;
+    let (outcome, worker_ms, merge_ms) = run.merge(|outputs| -> Result<_, ExecError> {
+        let lid_idx = input.schema().index_of("lid");
+        let mut out_schema = input.schema().clone();
+        if lid_idx.is_none() {
+            out_schema = out_schema.with_column(Column::new("lid", DataType::Int));
+        }
+        for (name, dtype) in new_columns {
+            out_schema = out_schema.with_column(Column::new(*name, *dtype));
+        }
+        let parent_table_lid = ctx.table_lid(input.name());
 
-    let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
-    let lid_idx = input.schema().index_of("lid");
-    let mut out_schema = input.schema().clone();
-    if lid_idx.is_none() {
-        out_schema = out_schema.with_column(Column::new("lid", DataType::Int));
-    }
-    for (name, dtype) in new_columns {
-        out_schema = out_schema.with_column(Column::new(*name, *dtype));
-    }
-    let parent_table_lid = ctx.table_lid(input.name());
-
-    let (mut kept, mut lids, mut failed_rows) = (Vec::new(), Vec::new(), Vec::new());
-    let mut computed = vec![Vec::new(); new_columns.len()];
-    let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
-    for (i, outcome) in run.computed.into_iter().enumerate() {
-        match outcome {
-            Err(msg) => {
-                let desc = columns.row(i).iter().map(Value::render).collect::<Vec<_>>();
-                failed_rows.push((desc.join(", "), msg));
-            }
-            Ok(None) => {}
-            Ok(Some(values)) => {
-                let parent = lid_idx.and_then(|c| columns.column(c).value(i).as_int());
-                lids.push(Value::Int(stamp.record(parent.or(parent_table_lid))?));
-                kept.push(i);
-                computed.iter_mut().zip(values).for_each(|(c, v)| c.push(v));
+        let (mut kept, mut lids, mut failed_rows) = (Vec::new(), Vec::new(), Vec::new());
+        let mut computed = vec![Vec::new(); new_columns.len()];
+        let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
+        for (i, outcome) in outputs.into_iter().flatten().enumerate() {
+            match outcome {
+                Err(msg) => {
+                    let desc = columns.row(i).iter().map(Value::render).collect::<Vec<_>>();
+                    failed_rows.push((desc.join(", "), msg));
+                }
+                Ok(None) => {}
+                Ok(Some(values)) => {
+                    let parent = lid_idx.and_then(|c| columns.column(c).value(i).as_int());
+                    lids.push(Value::Int(stamp.record(parent.or(parent_table_lid))?));
+                    kept.push(i);
+                    computed.iter_mut().zip(values).for_each(|(c, v)| c.push(v));
+                }
             }
         }
-    }
-    // One append: the input's columns at the kept positions, the lid
-    // column replaced or appended, then the computed columns.
-    let mut out: Vec<_> = columns.columns().iter().map(|c| c.gather(&kept)).collect();
-    let lids = ColumnVector::from_values(lids);
-    match lid_idx {
-        Some(c) => out[c] = lids,
-        None => out.push(lids),
-    }
-    out.extend(computed.into_iter().map(ColumnVector::from_values));
-    let mut table = Table::new(output_name, out_schema);
-    table.append_batch(RowBatch::from_columns(out)?)?;
+        // One append: the input's columns at the kept positions, the lid
+        // column replaced or appended, then the computed columns.
+        let mut out: Vec<_> = columns.columns().iter().map(|c| c.gather(&kept)).collect();
+        let lids = ColumnVector::from_values(lids);
+        match lid_idx {
+            Some(c) => out[c] = lids,
+            None => out.push(lids),
+        }
+        out.extend(computed.into_iter().map(ColumnVector::from_values));
+        let mut table = Table::new(output_name, out_schema);
+        table.append_batch(RowBatch::from_columns(out)?)?;
 
-    // Also record the table-level artifact so downstream wide operators have
-    // a parent to point at.
-    let output_lid = ctx.lineage.alloc_lid();
-    ctx.lineage.record(
-        output_lid,
-        parent_table_lid,
-        None,
-        func_id,
-        ver_id,
-        DataKind::Table,
-    )?;
-    let table = ctx.materialize(table, output_lid);
-    Ok(ExecOutcome {
-        failed_rows,
-        ..ExecOutcome::serial(table, output_lid, input.len())
-    }
-    .fanned_out(run.worker_ms, stamp_started))
+        // Also record the table-level artifact so downstream wide operators
+        // have a parent to point at.
+        let output_lid = ctx.lineage.alloc_lid();
+        ctx.lineage.record(
+            output_lid,
+            parent_table_lid,
+            None,
+            func_id,
+            ver_id,
+            DataKind::Table,
+        )?;
+        let table = ctx.materialize(table, output_lid);
+        Ok(ExecOutcome {
+            failed_rows,
+            ..ExecOutcome::serial(table, output_lid, input.len())
+        })
+    });
+    Ok(outcome?.fanned_out(worker_ms, merge_ms))
 }
 
-/// One modality's views, populated and stamped but not yet published.
-struct PopulatedViews {
-    /// Lineage root of the media collection.
-    root: i64,
-    views: Vec<Table>,
-    rows_in: usize,
-    failed_rows: Vec<(String, String)>,
-    worker_ms: Vec<f64>,
-    stamp_started: Instant,
-}
+/// A view population node: function id, version and output name.
+type ViewNode<'a> = (&'a str, u32, &'a str);
 
 fn exec_view_populate(
     ctx: &mut ExecContext,
@@ -582,31 +566,34 @@ fn exec_view_populate(
     convert_unsupported: bool,
     output_name: &str,
 ) -> Result<ExecOutcome, ExecError> {
-    let populated = match modality {
-        "text" => populate_text_views(ctx, func_id, ver_id)?,
-        "scene" => populate_scene_views(ctx, func_id, ver_id, implementation, convert_unsupported)?,
-        other => {
-            return Err(ExecError::Media(format!(
-                "unknown view modality '{other}' (expected 'text' or 'scene')"
-            )))
-        }
-    };
+    let node = (func_id, ver_id, output_name);
+    match modality {
+        "text" => populate_text_views(ctx, node),
+        "scene" => populate_scene_views(ctx, node, implementation, convert_unsupported),
+        other => Err(ExecError::Media(format!(
+            "unknown view modality '{other}' (expected 'text' or 'scene')"
+        ))),
+    }
+}
 
+/// Publishes a population's stamped views, each with a table-level lid
+/// under the collection's `root`, and its summary table as the node's
+/// output over `rows_in` media items, of which `failed_rows` failed.
+fn publish_views(
+    ctx: &mut ExecContext,
+    (func_id, ver_id, output_name): ViewNode,
+    (root, views, rows_in): (i64, Vec<Table>, usize),
+    failed_rows: Vec<(String, String)>,
+) -> Result<ExecOutcome, ExecError> {
     let mut summary = Table::new(
         output_name,
         Schema::of(&[("view", DataType::Str), ("rows", DataType::Int)]),
     );
     let mut views_out = Vec::new();
-    for table in populated.views {
+    for table in views {
         let lid = ctx.lineage.alloc_lid();
-        ctx.lineage.record(
-            lid,
-            Some(populated.root),
-            None,
-            func_id,
-            ver_id,
-            DataKind::Table,
-        )?;
+        ctx.lineage
+            .record(lid, Some(root), None, func_id, ver_id, DataKind::Table)?;
         summary.push(vec![
             Value::Str(table.name().to_string()),
             Value::Int(table.len() as i64),
@@ -622,10 +609,9 @@ fn exec_view_populate(
     let summary = ctx.materialize(summary, output_lid);
     Ok(ExecOutcome {
         side_outputs: views_out,
-        failed_rows: populated.failed_rows,
-        ..ExecOutcome::serial(summary, output_lid, populated.rows_in)
-    }
-    .fanned_out(populated.worker_ms, populated.stamp_started))
+        failed_rows,
+        ..ExecOutcome::serial(summary, output_lid, rows_in)
+    })
 }
 
 /// A view population's lid allocator: every view row is a child of the
@@ -646,58 +632,50 @@ fn row_lids<'a, 's>(
 }
 
 /// The text half: documents are extracted in morsels, then emitted in
-/// document order.
-fn populate_text_views(
-    ctx: &mut ExecContext,
-    func_id: &str,
-    ver_id: u32,
-) -> Result<PopulatedViews, ExecError> {
+/// document order and published.
+fn populate_text_views(ctx: &mut ExecContext, node: ViewNode) -> Result<ExecOutcome, ExecError> {
     let media = ctx.media.clone();
     let docs = media.documents();
     let extract = |docs: &[&Document]| docs.iter().map(|d| extract_document(d, &ctx.llm)).collect();
     let run = compute_in_morsels(ctx, &docs, SEMANTIC_MORSEL_ROWS, extract)?;
-
-    let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
-    let root = ctx.ingest_media_root("collection://documents")?;
-    let mut views = TextGraphViews::empty();
-    let mut failed_rows = Vec::new();
-    let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
-    let mut stamp_failed = None;
-    let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
-    for (i, (doc, extraction)) in docs.iter().zip(&run.computed).enumerate() {
-        let did = id_from_uri(&doc.uri).unwrap_or(i as i64);
-        if let Err(e) = emit_document(&mut views, did, doc, extraction, &mut next_lid) {
-            failed_rows.push((doc.uri.clone(), e.to_string()));
+    let (outcome, worker_ms, merge_ms) = run.merge(|computed| -> Result<_, ExecError> {
+        let root = ctx.ingest_media_root("collection://documents")?;
+        let mut views = TextGraphViews::empty();
+        let mut failed_rows = Vec::new();
+        let mut stamp = ctx.lineage.run(node.0, node.1, DataKind::Row);
+        let mut stamp_failed = None;
+        let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
+        let extracted = docs.iter().zip(computed.into_iter().flatten());
+        for (i, (doc, extraction)) in extracted.enumerate() {
+            let did = id_from_uri(&doc.uri).unwrap_or(i as i64);
+            if let Err(e) = emit_document(&mut views, did, doc, &extraction, &mut next_lid) {
+                failed_rows.push((doc.uri.clone(), e.to_string()));
+            }
         }
-    }
-    drop(next_lid);
-    stamp_failed.map_or(Ok(()), Err)?;
-    Ok(PopulatedViews {
-        root,
-        views: vec![
+        drop(next_lid);
+        stamp_failed.map_or(Ok(()), Err)?;
+        let views = vec![
             views.entities,
             views.mentions,
             views.relationships,
             views.attributes,
             views.texts,
-        ],
-        rows_in: docs.len(),
-        failed_rows,
-        worker_ms: run.worker_ms,
-        stamp_started,
-    })
+        ];
+        publish_views(ctx, node, (root, views, docs.len()), failed_rows)
+    });
+    Ok(outcome?.fanned_out(worker_ms, merge_ms))
 }
 
 /// The scene half: images are converted (when the body says so) and run
 /// through the vision model in morsels; the stamp phase, in image order,
-/// swaps each converted image into `ctx.media` and emits its detections.
+/// swaps each converted image into `ctx.media` and emits its detections,
+/// then publishes the views.
 fn populate_scene_views(
     ctx: &mut ExecContext,
-    func_id: &str,
-    ver_id: u32,
+    node: ViewNode,
     implementation: VisionImpl,
     convert_unsupported: bool,
-) -> Result<PopulatedViews, ExecError> {
+) -> Result<ExecOutcome, ExecError> {
     let meter = ctx.llm.meter().clone();
     let seed = ctx.llm.seed();
     let vlm = match implementation {
@@ -718,50 +696,47 @@ fn populate_scene_views(
     };
     let detect_all = |images: &[&Image]| images.iter().map(detect).collect();
     let run = compute_in_morsels(ctx, &images, SEMANTIC_MORSEL_ROWS, detect_all)?;
-
-    let stamp_started = Instant::now(); // lint: nondet-ok — stamp-phase timing telemetry in the run report; results never depend on it
-    let root = ctx.ingest_media_root("collection://images")?;
-    let mut views = SceneGraphViews::empty();
-    let mut failed_rows = Vec::new();
-    let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
-    let mut stamp_failed = None;
-    let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
-    for (i, (image, computed)) in images.iter().zip(run.computed).enumerate() {
-        let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
-        let emitted = match computed {
-            Err(e) => Err(e.to_string()),
-            Ok((converted, detections)) => {
-                let decodable = converted.as_ref().unwrap_or(image);
-                let emitted = emit_frame(&mut views, vid, 0, decodable, &detections, &mut next_lid);
-                if let Some(converted) = converted {
-                    // The conversion step replaces the undecodable file with
-                    // a decodable copy; later operators resolve the new URI
-                    // and re-runs do not see the original twice.
-                    ctx.media.remove_image(&image.uri);
-                    ctx.media.add_image(converted);
+    let (outcome, worker_ms, merge_ms) = run.merge(|computed| -> Result<_, ExecError> {
+        let root = ctx.ingest_media_root("collection://images")?;
+        let mut views = SceneGraphViews::empty();
+        let mut failed_rows = Vec::new();
+        let mut stamp = ctx.lineage.run(node.0, node.1, DataKind::Row);
+        let mut stamp_failed = None;
+        let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
+        let detected = images.iter().zip(computed.into_iter().flatten());
+        for (i, (image, computed)) in detected.enumerate() {
+            let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
+            let emitted = match computed {
+                Err(e) => Err(e.to_string()),
+                Ok((converted, detections)) => {
+                    let decodable = converted.as_ref().unwrap_or(image);
+                    let emitted =
+                        emit_frame(&mut views, vid, 0, decodable, &detections, &mut next_lid);
+                    if let Some(converted) = converted {
+                        // The conversion step replaces the undecodable file
+                        // with a decodable copy; later operators resolve the
+                        // new URI and re-runs do not see the original twice.
+                        ctx.media.remove_image(&image.uri);
+                        ctx.media.add_image(converted);
+                    }
+                    emitted.map_err(|e| e.to_string())
                 }
-                emitted.map_err(|e| e.to_string())
+            };
+            if let Err(msg) = emitted {
+                failed_rows.push((image.uri.clone(), msg));
             }
-        };
-        if let Err(msg) = emitted {
-            failed_rows.push((image.uri.clone(), msg));
         }
-    }
-    drop(next_lid);
-    stamp_failed.map_or(Ok(()), Err)?;
-    Ok(PopulatedViews {
-        root,
-        views: vec![
+        drop(next_lid);
+        stamp_failed.map_or(Ok(()), Err)?;
+        let views = vec![
             views.objects,
             views.relationships,
             views.attributes,
             views.frames,
-        ],
-        rows_in: images.len(),
-        failed_rows,
-        worker_ms: run.worker_ms,
-        stamp_started,
-    })
+        ];
+        publish_views(ctx, node, (root, views, images.len()), failed_rows)
+    });
+    Ok(outcome?.fanned_out(worker_ms, merge_ms))
 }
 
 #[cfg(test)]
@@ -824,7 +799,7 @@ mod tests {
         };
         let out = execute_body(&mut c, "select_recent", 1, &body, "recent").unwrap();
         assert_eq!(out.table.len(), 2);
-        assert!(c.catalog.contains("recent"));
+        assert!(c.catalog.snapshot().contains("recent"));
         let edges = c.lineage.edges_of(out.output_lid);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].data_type, DataKind::Table);
@@ -1131,7 +1106,7 @@ mod tests {
             let out = execute_body(&mut c, "dedup", 1, &body, "o").unwrap();
             assert_eq!(positions(&out.table), kept, "{case} through SQL");
         }
-        assert!(dedup_by_key(&ctx().catalog.get("films").unwrap(), "nope").is_err());
+        assert!(dedup_by_key(&ctx().catalog.snapshot().get("films").unwrap(), "nope").is_err());
     }
 
     #[test]
@@ -1160,10 +1135,10 @@ mod tests {
         )
         .unwrap();
         assert!(t.failed_rows.is_empty());
-        assert!(c.catalog.contains("text_texts"));
-        assert_eq!(c.catalog.get("text_texts").unwrap().len(), 2);
+        assert!(c.catalog.snapshot().contains("text_texts"));
+        assert_eq!(c.catalog.snapshot().get("text_texts").unwrap().len(), 2);
         // did comes from the URI convention.
-        let texts = c.catalog.get("text_texts").unwrap();
+        let texts = c.catalog.snapshot().get("text_texts").unwrap();
         assert_eq!(texts.cell(0, "did").unwrap(), &Value::Int(1));
 
         let s = execute_body(
@@ -1179,8 +1154,8 @@ mod tests {
         )
         .unwrap();
         assert!(s.failed_rows.is_empty());
-        assert!(c.catalog.contains("scene_objects"));
-        assert!(c.catalog.get("scene_objects").unwrap().len() >= 4);
+        assert!(c.catalog.snapshot().contains("scene_objects"));
+        assert!(c.catalog.snapshot().get("scene_objects").unwrap().len() >= 4);
     }
 
     #[test]
@@ -1237,9 +1212,12 @@ mod tests {
             };
             let err = execute_body(&mut c, "populate_views", 1, &body, "views").unwrap_err();
             assert!(matches!(err, ExecError::Lineage(_)), "{modality}: {err}");
-            assert!(!c.catalog.contains("views"));
-            assert!(!c.catalog.contains(&format!("{modality}_texts")));
-            assert!(!c.catalog.contains(&format!("{modality}_objects")));
+            assert!(!c.catalog.snapshot().contains("views"));
+            assert!(!c.catalog.snapshot().contains(&format!("{modality}_texts")));
+            assert!(!c
+                .catalog
+                .snapshot()
+                .contains(&format!("{modality}_objects")));
         }
 
         // The row allocator of a population parks the store's refusal for
@@ -1271,7 +1249,7 @@ mod tests {
         };
         let err = execute_body(&mut c, "filter_recent", 1, &body, "recent").unwrap_err();
         assert!(matches!(err, ExecError::Lineage(_)), "{err}");
-        assert!(!c.catalog.contains("recent"));
+        assert!(!c.catalog.snapshot().contains("recent"));
     }
 
     #[test]
@@ -1352,7 +1330,7 @@ mod tests {
                 matches!(&err, ExecError::Guard(StorageError::Cancelled(m)) if m == "deadline exceeded"),
                 "{err:?}"
             );
-            assert!(!c.catalog.contains("scored"));
+            assert!(!c.catalog.snapshot().contains("scored"));
             assert_eq!(c.table_lid("scored"), None);
             assert_eq!(c.lineage.len(), lineage_rows);
             // The guard is checked before the first morsel: no model call.
@@ -1392,7 +1370,7 @@ mod tests {
     fn a_cancel_fired_from_another_thread_aborts_the_node_mid_run() {
         use std::sync::mpsc::channel;
         let mut c = plots_ctx(200);
-        let table = c.catalog.get("plots").unwrap();
+        let table = c.catalog.snapshot().get("plots").unwrap();
         let token = c.limits.cancel.clone();
         // Row 0 tells the canceller the node is running and waits until the
         // token has fired, so the cancel lands strictly inside the run:
@@ -1435,7 +1413,7 @@ mod tests {
         );
         // Exactly the first morsel ran; nothing was stamped or published.
         assert_eq!(scored.into_inner(), SEMANTIC_MORSEL_ROWS);
-        assert!(!c.catalog.contains("scored"));
+        assert!(!c.catalog.snapshot().contains("scored"));
     }
 
     #[test]
@@ -1703,7 +1681,7 @@ mod tests {
         fn serial_loop(mask: &[u8], with_lids: bool, body: Body) -> Observed {
             let mut c = input_ctx(mask, with_lids, false);
             let before = c.lineage.len();
-            let input = c.catalog.get("t").unwrap();
+            let input = c.catalog.snapshot().get("t").unwrap();
             let table_lid = c.table_lid("t");
             let lid_idx = input.schema().index_of("lid");
             let (mut rows, mut failed_rows, mut edges) = (Vec::new(), Vec::new(), Vec::new());
@@ -1753,7 +1731,7 @@ mod tests {
                             let mut c = input_ctx(&mask, with_lids, sealed);
                             c.threads = workers;
                             let before = c.lineage.len();
-                            let input = c.catalog.get("t").unwrap();
+                            let input = c.catalog.snapshot().get("t").unwrap();
                             let out = narrow_transform(
                                 &mut c,
                                 "f",

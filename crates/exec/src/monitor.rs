@@ -174,7 +174,7 @@ impl<'a> Monitor<'a> {
         output_name: &str,
         key: &str,
     ) -> Result<Option<(AnomalyEvent, Option<ExecOutcome>)>, ExecError> {
-        let table = ctx.catalog.get(output_name)?;
+        let table = ctx.catalog.snapshot().get(output_name)?;
         if table.schema().index_of(key).is_none() {
             return Ok(None); // key not present: nothing to check
         }
@@ -556,25 +556,33 @@ mod tests {
         );
         assert!(!run_copy(&mut ctx, &mut registry));
         let lineage_rows = ctx.lineage.len();
-        let output = ctx.catalog.get("o").unwrap();
+        let output = ctx.catalog.snapshot().get("o").unwrap();
         assert!(run_copy(&mut ctx, &mut registry));
         assert_eq!(ctx.lineage.len(), lineage_rows);
-        assert!(Arc::ptr_eq(&output, &ctx.catalog.get("o").unwrap()));
+        assert!(Arc::ptr_eq(
+            &output,
+            &ctx.catalog.snapshot().get("o").unwrap()
+        ));
 
         // The same rows in a new table are a new input.
-        ctx.catalog.register_or_replace(two_rows("t"));
+        ctx.catalog
+            .publish(|c| c.register_or_replace(two_rows("t")));
         assert!(!run_copy(&mut ctx, &mut registry));
         assert!(run_copy(&mut ctx, &mut registry));
 
         // A dropped input that comes back is not the table the run read.
-        ctx.catalog.drop_table("t").unwrap();
-        ctx.catalog.register(two_rows("t")).unwrap();
+        ctx.catalog.try_publish(|c| c.drop_table("t")).unwrap();
+        ctx.catalog
+            .try_publish(|c| c.register(two_rows("t")))
+            .unwrap();
         assert!(!run_copy(&mut ctx, &mut registry));
 
         // Nor is a dropped output that comes back the table the run wrote.
-        let old_output = ctx.catalog.get("o").unwrap();
-        ctx.catalog.drop_table("o").unwrap();
-        ctx.catalog.register(Table::clone(&old_output)).unwrap();
+        let old_output = ctx.catalog.snapshot().get("o").unwrap();
+        ctx.catalog.try_publish(|c| c.drop_table("o")).unwrap();
+        ctx.catalog
+            .try_publish(|c| c.register(Table::clone(&old_output)))
+            .unwrap();
         assert!(!run_copy(&mut ctx, &mut registry));
         assert!(run_copy(&mut ctx, &mut registry));
     }
@@ -654,7 +662,7 @@ mod tests {
             assert_eq!(ctx.llm.meter().usage().calls, 0);
             assert!(channel.transcript().is_empty());
             assert_eq!(registry.get(func).unwrap().versions.len(), 1);
-            assert!(!ctx.catalog.contains(output));
+            assert!(!ctx.catalog.snapshot().contains(output));
             let body = registry.get(func).unwrap().active_version().body.clone();
             assert!(ctx.reusable(func, &body, output).is_none());
         }
@@ -698,7 +706,8 @@ mod tests {
         assert!(!run(&mut ctx).unwrap().0.reused);
         assert!(run(&mut ctx).unwrap().0.reused);
         // A new input makes the node run; the deadline aborts that run.
-        ctx.catalog.register_or_replace(two_rows("t"));
+        ctx.catalog
+            .publish(|c| c.register_or_replace(two_rows("t")));
         ctx.limits.timeout = Some(std::time::Duration::ZERO);
         assert!(matches!(run(&mut ctx), Err(ExecError::Guard(_))));
         ctx.limits.timeout = None;

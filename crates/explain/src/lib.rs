@@ -423,10 +423,10 @@ mod tests {
     #[test]
     fn fine_mode_shows_weighted_sum_with_substituted_values() {
         let (ctx, registry, plan) = setup();
-        let final_table = ctx.catalog.get("combined").unwrap();
+        let snapshot = ctx.catalog.snapshot();
+        let final_table = snapshot.get("combined").unwrap();
         let lid_idx = final_table.schema().index_of("lid").unwrap();
         let lid = final_table.rows()[0][lid_idx].as_int().unwrap();
-        let snapshot = ctx.catalog.snapshot();
         let ex = Explainer::new(&plan, &registry, &ctx.lineage, &snapshot);
         let text = ex.explain_tuple(lid).unwrap();
         // Fig. 5: the weighted sum appears with operand values substituted.
@@ -445,7 +445,7 @@ mod tests {
         assert!(ex
             .answer("Explain the pipeline?")
             .contains("Pipeline overview"));
-        let final_table = ctx.catalog.get("combined").unwrap();
+        let final_table = snapshot.get("combined").unwrap();
         let lid_idx = final_table.schema().index_of("lid").unwrap();
         let lid = final_table.rows()[0][lid_idx].as_int().unwrap();
         let a = ex.answer(&format!("Explain tuple {lid}?"));

@@ -47,6 +47,8 @@ struct FnInfo {
     file: usize,
     body: (usize, usize),
     returns_guard: bool,
+    /// Whether the first parameter is a `self` receiver.
+    takes_self: bool,
     /// Direct acquisition sites: (lock index, token index).
     direct: Vec<(usize, usize)>,
     /// Call sites: (callee name, token index, resolution strictness).
@@ -59,12 +61,16 @@ enum CallKind {
     /// `self.name(…)`, `Self::name(…)`, or a bare `name(…)` — resolve
     /// normally (same-file definitions first, else global).
     Direct,
+    /// A `Type::name(…)` path — the type is not resolved, so resolve only
+    /// when exactly one function of that name exists in scope.
+    UniqueOnly,
     /// A method call on some other receiver (`self.pool.get_or_load(…)`,
     /// `io.write(…)`) — the receiver's type is unknown, so resolve only
-    /// when exactly one function of that name exists in scope. Generic
+    /// when exactly one function of that name takes a `self` receiver (a
+    /// free `fn collect` is never the target of `.collect()`). Generic
     /// collision-prone names (`clone`, `get`, `write`) stay opaque;
     /// distinctive helpers still connect the cross-object chains.
-    UniqueOnly,
+    Method,
 }
 
 /// One acquired-while-held edge with its witness site.
@@ -88,7 +94,8 @@ pub struct Edge {
 
 /// Resolves a callee name from `caller_file`. `Direct` calls prefer
 /// same-file definitions and fall back to every definition in scope;
-/// `UniqueOnly` calls resolve solely when the name is unambiguous.
+/// `UniqueOnly` calls resolve solely when the name is unambiguous, and
+/// `Method` calls when it is among the functions taking `self`.
 fn resolve(
     by_name: &BTreeMap<String, Vec<usize>>,
     fns: &[FnInfo],
@@ -99,12 +106,18 @@ fn resolve(
     let Some(candidates) = by_name.get(name) else {
         return Vec::new();
     };
-    if kind == CallKind::UniqueOnly {
-        return if candidates.len() == 1 {
-            candidates.clone()
+    let only = |picked: Vec<usize>| {
+        if picked.len() == 1 {
+            picked
         } else {
             Vec::new()
-        };
+        }
+    };
+    let methods = || candidates.iter().copied().filter(|&i| fns[i].takes_self);
+    match kind {
+        CallKind::UniqueOnly => return only(candidates.clone()),
+        CallKind::Method => return only(methods().collect()),
+        CallKind::Direct => {}
     }
     let same_file: Vec<usize> = candidates
         .iter()
@@ -370,6 +383,7 @@ fn extract_fns(lexed: &Lexed, file_idx: usize, config: &Config, out: &mut Vec<Fn
             file: file_idx,
             body: (start, end),
             returns_guard,
+            takes_self: takes_self(toks, i + 1),
             direct: Vec::new(),
             calls: Vec::new(),
         };
@@ -390,7 +404,7 @@ fn extract_fns(lexed: &Lexed, file_idx: usize, config: &Config, out: &mut Vec<Fn
                     .iter()
                     .any(|s| s.methods.iter().any(|m| m == callee));
                 match call_kind(toks, k) {
-                    Some(CallKind::UniqueOnly) if primitive => {}
+                    Some(CallKind::UniqueOnly | CallKind::Method) if primitive => {}
                     Some(kind) => info.calls.push((callee.to_string(), k, kind)),
                     None => {}
                 }
@@ -404,10 +418,11 @@ fn extract_fns(lexed: &Lexed, file_idx: usize, config: &Config, out: &mut Vec<Fn
 
 /// Classifies the call whose name sits at `k`, or `None` for a function
 /// definition. `self.name(…)`, `Self::name(…)`, and bare `name(…)` calls
-/// resolve normally; method calls on any other receiver (including
-/// `Type::name(…)` paths) resolve only if the name is unique in scope —
-/// by-name resolution of generic method names (`clone`, `get`, `write`)
-/// would merge unrelated during-sets into phantom held locks.
+/// resolve normally; `Type::name(…)` paths resolve only if the name is
+/// unique in scope, and method calls on any other receiver only if it is
+/// unique among methods — by-name resolution of generic method names
+/// (`clone`, `get`, `write`) would merge unrelated during-sets into
+/// phantom held locks.
 fn call_kind(toks: &[Token], k: usize) -> Option<CallKind> {
     if k == 0 {
         return Some(CallKind::Direct);
@@ -419,7 +434,7 @@ fn call_kind(toks: &[Token], k: usize) -> Option<CallKind> {
         return if k >= 2 && is_ident(toks, k - 2, "self") {
             Some(CallKind::Direct)
         } else {
-            Some(CallKind::UniqueOnly)
+            Some(CallKind::Method)
         };
     }
     if is_punct(toks, k - 1, ':') {
@@ -430,6 +445,32 @@ fn call_kind(toks: &[Token], k: usize) -> Option<CallKind> {
         };
     }
     Some(CallKind::Direct)
+}
+
+/// Whether the function whose name sits at `name_at` takes a `self`
+/// receiver: its first parameter, after any generic list, names `self`.
+fn takes_self(toks: &[Token], name_at: usize) -> bool {
+    let mut j = name_at + 1;
+    if is_punct(toks, j, '<') {
+        let mut depth = 0i32;
+        while j < toks.len() {
+            match toks[j].tok {
+                Tok::Punct('<') => depth += 1,
+                // `->` inside a bound (`F: Fn() -> T`) closes nothing.
+                Tok::Punct('>') if !is_punct(toks, j - 1, '-') => depth -= 1,
+                _ => {}
+            }
+            j += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    is_punct(toks, j, '(')
+        && toks[j + 1..]
+            .iter()
+            .take_while(|t| !matches!(t.tok, Tok::Punct(',' | ')' | ':')))
+            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "self"))
 }
 
 /// Whether tokens at `k` form `field.method(` for a declared lock of this

@@ -227,6 +227,37 @@ fn lock_order_guard_returning_helper_transfers_to_caller() {
 }
 
 #[test]
+fn lock_order_method_calls_resolve_only_to_methods() {
+    // Under `b`, `items.iter().collect()` is an iterator method, never the
+    // free `fn collect` that takes `a`: no edge from it. `self.helper()`
+    // taking `a` under `b` is one, witnessed on its own line.
+    let src = "pub fn collect(s: &S) -> u8 {\n\
+               \x20   let g = s.alpha.lock();\n\
+               \x20   *g\n\
+               }\n\
+               impl S {\n\
+               \x20   pub fn quiet(&self, items: &[u8]) -> Vec<u8> {\n\
+               \x20       let g = self.beta.lock();\n\
+               \x20       let out = items.iter().copied().collect();\n\
+               \x20       drop(g);\n\
+               \x20       out\n\
+               \x20   }\n\
+               \x20   fn helper(&self) {\n\
+               \x20       let g = self.alpha.lock();\n\
+               \x20       drop(g);\n\
+               \x20   }\n\
+               \x20   pub fn loud(&self) {\n\
+               \x20       let g = self.beta.lock();\n\
+               \x20       self.helper();\n\
+               \x20       drop(g);\n\
+               \x20   }\n\
+               }\n";
+    let findings = lint(&[("crates/x/src/l.rs", src)], LOCK_CONFIG);
+    let lines = pass_lines(&findings, "lock-order");
+    assert_eq!(lines, vec![("crates/x/src/l.rs".to_string(), 18)]);
+}
+
+#[test]
 fn lock_order_self_deadlock_is_detected() {
     let src = "impl S {\n\
                \x20   pub fn twice(&self) {\n\

@@ -277,7 +277,8 @@ pub fn compile(
         // Critic: semantic direction check on score functions (§4's example
         // of a reversed recency score).
         if matches!(node.tag, StepTag::RecencyScore) {
-            if let Ok(out) = sample_ctx.catalog.get(&node.signature.output) {
+            let sampled = sample_ctx.catalog.snapshot();
+            if let Ok(out) = sampled.get(&node.signature.output) {
                 let samples: Vec<(f64, f64)> = match (
                     read_column(&out, "year"),
                     read_column(&out, "recency_score"),
@@ -292,9 +293,8 @@ pub fn compile(
                     .critique_monotonic("assign a recency score based on release year", &samples);
                 if let Verdict::Mismatch { hint } = verdict {
                     // Coder retries without the fault; critic re-checks.
-                    let fixed_snapshot = sample_ctx.catalog.snapshot();
                     let fixed_ctx = CoderContext {
-                        catalog: &fixed_snapshot,
+                        catalog: &sampled,
                         clarifications,
                         faults: CoderFaults {
                             reversed_recency: false,
@@ -416,13 +416,18 @@ fn build_sample_ctx(ctx: &ExecContext, sample_size: usize) -> Result<ExecContext
     let mut sample = ExecContext::new(ctx.llm.clone());
     sample.lineage = LineageStore::with_policy(LineagePolicy::Off);
     sample.media = ctx.media.clone();
-    for name in ctx.catalog.table_names() {
-        if let Ok(table) = ctx.catalog.get(&name) {
-            let mut t = table.sample(sample_size)?;
-            t.set_name(&name);
-            sample.catalog.register_or_replace(t);
-        }
+    let snapshot = ctx.catalog.snapshot();
+    let mut sampled = Vec::new();
+    for name in snapshot.table_names() {
+        let mut t = snapshot.get(name)?.sample(sample_size)?;
+        t.set_name(name);
+        sampled.push(t);
     }
+    sample.catalog.publish(|c| {
+        for t in sampled {
+            c.register_or_replace(t);
+        }
+    });
     Ok(sample)
 }
 
@@ -674,12 +679,8 @@ mod tests {
     /// vivid; no views yet.
     fn wide_ctx(movies: i64) -> ExecContext {
         let mut ctx = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
-        let schema = full_ctx()
-            .catalog
-            .get("movie_table")
-            .unwrap()
-            .schema()
-            .clone();
+        let full = full_ctx().catalog.snapshot();
+        let schema = full.get("movie_table").unwrap().schema().clone();
         let mut table = Table::new("movie_table", schema);
         for id in 1..=movies {
             let row = vec![
@@ -712,9 +713,12 @@ mod tests {
     fn sampled_tables_bound_profiling_cost() {
         let ctx = full_ctx();
         let sample = build_sample_ctx(&ctx, 2).unwrap();
-        assert_eq!(sample.catalog.get("movie_table").unwrap().len(), 2);
         assert_eq!(
-            sample.catalog.get("movie_table").unwrap().name(),
+            sample.catalog.snapshot().get("movie_table").unwrap().len(),
+            2
+        );
+        assert_eq!(
+            sample.catalog.snapshot().get("movie_table").unwrap().name(),
             "movie_table"
         );
 
@@ -760,7 +764,7 @@ mod tests {
         let mut ctx = full_ctx();
         let mut sample = build_sample_ctx(&ctx, 2).unwrap();
         let unkeyed = Table::new("movie_table", Schema::of(&[("id", DataType::Int)]));
-        sample.catalog.register_or_replace(unkeyed);
+        sample.catalog.publish(|c| c.register_or_replace(unkeyed));
         sample_media(&mut sample, "text");
         sample_media(&mut sample, "scene");
         assert_eq!(sample.media.counts(), (3, 3));

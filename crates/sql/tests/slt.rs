@@ -27,7 +27,7 @@ fn backings(resident: &Catalog) -> Vec<(String, Catalog)> {
             c.register(head.seal(&pages, 7).unwrap()).unwrap();
             c.append_rows(name, tail).unwrap();
         }
-        pool.into_iter().for_each(|p| c.set_pool_budget(p));
+        pool.into_iter().for_each(|p| c.pool().set_budget(p));
         out.push((format!("{sealed} sealed, pool {pool:?}"), c));
     }
     // Three rows to a page up to a short page of one row, the rest pushed

@@ -169,7 +169,7 @@ fn ivf_recall_at_10_is_at_least_0_9() {
                 .unwrap();
         }
         c.register_or_replace(table);
-        let index = c.vector_index_for("vecs", "emb").unwrap();
+        let index = c.get("vecs").unwrap().vector_index("emb").unwrap();
         let mut total_overlap = 0usize;
         let n_queries = 20u64;
         for q in 0..n_queries {

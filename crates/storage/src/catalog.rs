@@ -12,7 +12,7 @@
 
 use crate::pool::BufferPool;
 use crate::wal::WalRecord;
-use crate::{Row, StorageError, Table, Value, VectorIndex};
+use crate::{Row, StorageError, Table, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -65,11 +65,6 @@ impl Catalog {
     /// The buffer pool shared by this catalog's paged tables.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// Re-budgets the buffer pool (in pages), evicting down immediately.
-    pub fn set_pool_budget(&self, pages: usize) {
-        self.pool.set_budget(pages);
     }
 
     /// Seals `name` in place: its open groups move into compressed column
@@ -159,26 +154,6 @@ impl Catalog {
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-    }
-
-    /// The vector similarity index over `table.column`, derived on first
-    /// use: the planner calls this when it lowers an
-    /// `ORDER BY SIMILARITY(...) DESC LIMIT k` pattern, so no explicit DDL
-    /// is needed (see [`Table::vector_index`]).
-    pub fn vector_index_for(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Result<Arc<VectorIndex>, StorageError> {
-        self.get(table)?.vector_index(column)
-    }
-
-    /// Drops the derived vector index over `table.column`; returns whether
-    /// one existed.
-    pub fn drop_vector_index(&self, table: &str, column: &str) -> bool {
-        self.tables
-            .get(table)
-            .is_some_and(|t| t.drop_vector_index(column))
     }
 
     /// All table names, sorted.
@@ -326,7 +301,7 @@ mod tests {
     fn joinability_streams_paged_tables_a_page_at_a_time() {
         let mut c = catalog();
         let resident = c.joinability("films", "id", "posters", "film_id").unwrap();
-        c.set_pool_budget(1);
+        c.pool().set_budget(1);
         c.page_table("films", 1).unwrap();
         c.page_table("posters", 1).unwrap();
         assert_eq!(
@@ -402,7 +377,7 @@ mod tests {
     #[test]
     fn bulk_replace_defers_rebuilds_until_first_consumer() {
         let mut c = catalog();
-        let first = c.vector_index_for("films", "title").unwrap();
+        let first = c.get("films").unwrap().vector_index("title").unwrap();
         // A bulk-insert-style loop: N replacements, zero builds — every
         // replaced table value dies with nothing derived from it.
         let mut replaced = Vec::new();
@@ -417,12 +392,12 @@ mod tests {
         assert!(replaced.iter().all(|t| t.upgrade().is_none()));
         // The first consumer builds once and sees the current rows; the
         // second gets the very same index.
-        let ix = c.vector_index_for("films", "title").unwrap();
+        let ix = c.get("films").unwrap().vector_index("title").unwrap();
         assert_eq!(ix.rows(), 103);
         assert!(!Arc::ptr_eq(&ix, &first));
         assert!(Arc::ptr_eq(
             &ix,
-            &c.vector_index_for("films", "title").unwrap()
+            &c.get("films").unwrap().vector_index("title").unwrap()
         ));
         let table = current.upgrade().unwrap();
         assert!(Arc::ptr_eq(&ix, &table.vector_index("title").unwrap()));
@@ -439,8 +414,8 @@ mod tests {
     #[test]
     fn same_rows_share_derived_state_and_clones_are_lock_free() {
         let mut c = catalog();
-        let ix = c.vector_index_for("films", "title").unwrap();
-        let index_of = |c: &Catalog| c.vector_index_for("films", "title").unwrap();
+        let ix = c.get("films").unwrap().vector_index("title").unwrap();
+        let index_of = |c: &Catalog| c.get("films").unwrap().vector_index("title").unwrap();
         // An older version of the catalog answers from the same index…
         let older = c.clone();
         // …paging the table keeps it (same rows)…
@@ -486,11 +461,11 @@ mod tests {
         use kath_vector::seeded_unit_vector;
         let mut c = docs_catalog();
         assert!(c.get("docs").unwrap().vector_indexes().is_empty());
-        let ix = c.vector_index_for("docs", "emb").unwrap();
+        let ix = c.get("docs").unwrap().vector_index("emb").unwrap();
         assert_eq!(ix.rows(), 20);
         assert!(Arc::ptr_eq(
             &ix,
-            &c.vector_index_for("docs", "emb").unwrap()
+            &c.get("docs").unwrap().vector_index("emb").unwrap()
         ));
         assert_eq!(c.get("docs").unwrap().vector_indexes()[0].column(), "emb");
         // A replaced table has no index until the next similarity consumer
@@ -504,7 +479,7 @@ mod tests {
             .unwrap();
         c.register_or_replace(grown);
         assert!(c.get("docs").unwrap().vector_indexes().is_empty());
-        let ix = c.vector_index_for("docs", "emb").unwrap();
+        let ix = c.get("docs").unwrap().vector_index("emb").unwrap();
         assert_eq!(ix.rows(), 21);
         assert_eq!(c.get("docs").unwrap().vector_indexes().len(), 1);
         let top = ix.search(&seeded_unit_vector(51), 21, VectorStrategy::Flat);
@@ -514,18 +489,17 @@ mod tests {
     #[test]
     fn vector_index_errors_and_drops() {
         let mut c = docs_catalog();
-        assert!(c.vector_index_for("docs", "id").is_err());
-        assert!(c.vector_index_for("docs", "nope").is_err());
-        assert!(c.vector_index_for("missing", "emb").is_err());
-        c.vector_index_for("docs", "emb").unwrap();
-        assert!(c.drop_vector_index("docs", "emb"));
-        assert!(!c.drop_vector_index("docs", "emb"));
-        assert!(!c.drop_vector_index("missing", "emb"));
-        assert!(c.get("docs").unwrap().vector_indexes().is_empty());
+        let docs = c.get("docs").unwrap();
+        assert!(docs.vector_index("id").is_err());
+        assert!(docs.vector_index("nope").is_err());
+        assert!(c.get("missing").is_err());
+        // A failed build leaves no index behind.
+        assert!(docs.vector_indexes().is_empty());
         // Dropping the table discards its derived vector state with it.
-        let ix = Arc::downgrade(&c.vector_index_for("docs", "emb").unwrap());
+        let ix = Arc::downgrade(&docs.vector_index("emb").unwrap());
+        drop(docs);
         c.drop_table("docs").unwrap();
         assert!(ix.upgrade().is_none());
-        assert!(c.vector_index_for("docs", "emb").is_err());
+        assert!(c.get("docs").is_err());
     }
 }

@@ -31,17 +31,19 @@ use crate::{
     Column, ColumnData, ColumnVector, Row, RowBatch, Schema, StorageError, TableScan, Value,
     VectorIndex, DEFAULT_PAGE_ROWS,
 };
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-/// What a table value owns besides its rows (see the module docs): column
-/// → the vector index built from that column of these rows.
-#[derive(Default)]
-struct Derived {
-    built: RwLock<BTreeMap<String, Arc<VectorIndex>>>,
+/// What a table value owns besides its rows (see the module docs): per
+/// schema column, the vector index built from that column of these rows.
+/// Each slot is written once, by a move of an index built with no lock held.
+struct Derived(Box<[OnceLock<Arc<VectorIndex>>]>);
+
+impl Derived {
+    fn new(arity: usize) -> Arc<Self> {
+        Arc::new(Self((0..arity).map(|_| OnceLock::new()).collect()))
+    }
 }
 
 impl fmt::Debug for Derived {
@@ -95,6 +97,7 @@ impl Table {
     /// An empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Self {
+            derived: Derived::new(schema.arity()),
             name: name.into(),
             schema,
             rows: 0,
@@ -102,7 +105,6 @@ impl Table {
             groups: Vec::new(),
             pool: None,
             cache: RowCache::default(),
-            derived: Arc::default(),
         }
     }
 
@@ -372,8 +374,8 @@ impl Table {
     fn rows_changed(&mut self) {
         self.cache = RowCache::default();
         match Arc::get_mut(&mut self.derived) {
-            Some(own) => *own = Derived::default(),
-            None => self.derived = Arc::default(),
+            Some(own) => own.0.iter_mut().for_each(|slot| drop(slot.take())),
+            None => self.derived = Derived::new(self.schema.arity()),
         }
     }
 
@@ -471,28 +473,25 @@ impl Table {
     /// first use (by the first `ORDER BY SIMILARITY(..) DESC LIMIT k` that
     /// reads this table value). Purely in-memory: after a crash the first
     /// similarity query builds it again from the recovered rows. The build
-    /// scans the table and so runs with no lock held; when two callers
-    /// race, the first insert wins and both get that one.
+    /// scans the table with no lock held; when two callers race, the first
+    /// build to finish is installed and both get that one.
     pub fn vector_index(&self, column: &str) -> Result<Arc<VectorIndex>, StorageError> {
-        if let Some(found) = self.derived.built.read().get(column) {
-            return Ok(Arc::clone(found));
+        let slot = &self.derived.0[self.schema.resolve(column)?];
+        if let Some(built) = slot.get() {
+            return Ok(Arc::clone(built));
         }
         let fresh = Arc::new(VectorIndex::build(self, column)?);
-        let mut built = self.derived.built.write();
-        Ok(Arc::clone(built.entry(column.to_string()).or_insert(fresh)))
+        Ok(Arc::clone(slot.get_or_init(|| fresh)))
     }
 
-    /// The vector indexes built so far, by column.
+    /// The vector indexes built so far, in schema order.
     pub fn vector_indexes(&self) -> Vec<Arc<VectorIndex>> {
-        let mut built = Vec::new();
-        built.extend(self.derived.built.read().values().cloned());
-        built
-    }
-
-    /// Forgets the vector index over `column`; returns whether one had been
-    /// built. The next similarity query builds it again.
-    pub fn drop_vector_index(&self, column: &str) -> bool {
-        self.derived.built.write().remove(column).is_some()
+        self.derived
+            .0
+            .iter()
+            .filter_map(OnceLock::get)
+            .cloned()
+            .collect()
     }
 
     /// Finds the first row index where `column == value`, streaming the

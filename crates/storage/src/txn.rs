@@ -33,12 +33,11 @@
 //! tail rewinds over the unacknowledged bytes, so a later commit
 //! overwrites them — the failure poisons nothing.
 
-use crate::catalog::{Catalog, Joinability};
+use crate::catalog::Catalog;
 use crate::durable::{Durability, DurabilityStatus};
 use crate::io::with_retry;
 use crate::pool::BufferPool;
 use crate::table::Table;
-use crate::vecindex::VectorIndex;
 use crate::wal::WalRecord;
 use crate::StorageError;
 use std::collections::VecDeque;
@@ -197,16 +196,16 @@ impl SharedCatalog {
     }
 
     /// The published catalog version: an O(1) frozen snapshot containing
-    /// every acknowledged commit and nothing else. Queries hold one
-    /// `CatalogRef` for their whole run, so they never observe a torn
-    /// update.
+    /// every acknowledged commit and nothing else — the one read path. A
+    /// reader holds one `CatalogRef` for all it reads, so it never
+    /// observes a torn update.
     pub fn snapshot(&self) -> CatalogRef {
         self.inner.current.read().clone()
     }
 
-    /// The published version number.
-    pub fn version(&self) -> u64 {
-        self.inner.current.read().version()
+    /// The buffer pool shared by every version of this catalog.
+    pub fn pool(&self) -> Arc<BufferPool> {
+        Arc::clone(self.snapshot().pool())
     }
 
     // ---- commit path ------------------------------------------------------
@@ -551,108 +550,6 @@ impl SharedCatalog {
     pub fn session_count(&self) -> usize {
         self.inner.sessions.load(Ordering::Relaxed) // lint: relaxed-ok — session bookkeeping for diagnostics; commit safety rests on the commit mutex
     }
-
-    // ---- read-path passthroughs (each takes one fresh snapshot) ----------
-
-    /// [`Catalog::get`] against the current snapshot.
-    pub fn get(&self, name: &str) -> Result<Arc<Table>, StorageError> {
-        self.snapshot().get(name)
-    }
-
-    /// [`Catalog::contains`] against the current snapshot.
-    pub fn contains(&self, name: &str) -> bool {
-        self.snapshot().contains(name)
-    }
-
-    /// [`Catalog::table_names`] against the current snapshot (owned, since
-    /// the snapshot is released on return).
-    pub fn table_names(&self) -> Vec<String> {
-        self.snapshot()
-            .table_names()
-            .into_iter()
-            .map(str::to_string)
-            .collect()
-    }
-
-    /// [`Catalog::len`] against the current snapshot.
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// [`Catalog::is_empty`] against the current snapshot.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
-    }
-
-    /// [`Catalog::describe`] against the current snapshot.
-    pub fn describe(&self) -> String {
-        self.snapshot().describe()
-    }
-
-    /// [`Catalog::sample_rows`] against the current snapshot.
-    pub fn sample_rows(&self, name: &str, n: usize) -> Result<Table, StorageError> {
-        self.snapshot().sample_rows(name, n)
-    }
-
-    /// [`Catalog::joinability`] against the current snapshot.
-    pub fn joinability(
-        &self,
-        left: &str,
-        left_col: &str,
-        right: &str,
-        right_col: &str,
-    ) -> Result<Joinability, StorageError> {
-        self.snapshot()
-            .joinability(left, left_col, right, right_col)
-    }
-
-    /// [`Catalog::vector_index_for`] against the current snapshot.
-    pub fn vector_index_for(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Result<Arc<VectorIndex>, StorageError> {
-        self.snapshot().vector_index_for(table, column)
-    }
-
-    /// [`Catalog::drop_vector_index`] against the current snapshot (the
-    /// index lives on the table value, so no version is published).
-    pub fn drop_vector_index(&self, table: &str, column: &str) -> bool {
-        self.snapshot().drop_vector_index(table, column)
-    }
-
-    /// The buffer pool shared by every version of this catalog.
-    pub fn pool(&self) -> Arc<BufferPool> {
-        Arc::clone(self.snapshot().pool())
-    }
-
-    /// [`Catalog::set_pool_budget`] (the pool is shared across versions,
-    /// so this affects all of them).
-    pub fn set_pool_budget(&self, pages: usize) {
-        self.snapshot().set_pool_budget(pages);
-    }
-
-    // ---- non-logged mutator passthroughs (each publishes a version) ------
-
-    /// [`Catalog::register`] as a published version.
-    pub fn register(&self, table: Table) -> Result<Arc<Table>, StorageError> {
-        self.try_publish(|c| c.register(table))
-    }
-
-    /// [`Catalog::register_or_replace`] as a published version.
-    pub fn register_or_replace(&self, table: impl Into<Arc<Table>>) -> Arc<Table> {
-        self.publish(|c| c.register_or_replace(table))
-    }
-
-    /// [`Catalog::drop_table`] as a published version.
-    pub fn drop_table(&self, name: &str) -> Result<(), StorageError> {
-        self.try_publish(|c| c.drop_table(name))
-    }
-
-    /// [`Catalog::page_table`] as a published version.
-    pub fn page_table(&self, name: &str, page_rows: usize) -> Result<bool, StorageError> {
-        self.try_publish(|c| c.page_table(name, page_rows))
-    }
 }
 
 #[cfg(test)]
@@ -706,7 +603,7 @@ mod tests {
     #[test]
     fn snapshots_are_frozen_versions() {
         let shared = SharedCatalog::new();
-        shared.register(kv(&[(1, "a")])).unwrap();
+        shared.try_publish(|c| c.register(kv(&[(1, "a")]))).unwrap();
         let snap = shared.snapshot();
         assert_eq!(snap.get("kv").unwrap().len(), 1);
         // A later publish is invisible to the held snapshot…
@@ -728,7 +625,7 @@ mod tests {
         let rows: Vec<(i64, String)> = (0..100_000).map(|i| (i, format!("row-{i}"))).collect();
         let refs: Vec<(i64, &str)> = rows.iter().map(|(k, v)| (*k, v.as_str())).collect();
         let shared = SharedCatalog::new();
-        let live = shared.register(kv(&refs)).unwrap();
+        let live = shared.try_publish(|c| c.register(kv(&refs))).unwrap();
         assert_eq!(live.len(), 100_000);
         let snap = shared.snapshot();
         assert!(
@@ -745,14 +642,18 @@ mod tests {
     #[test]
     fn failed_apply_publishes_nothing() {
         let shared = SharedCatalog::new();
-        shared.register(kv(&[(1, "a")])).unwrap();
-        let v = shared.version();
+        shared.try_publish(|c| c.register(kv(&[(1, "a")]))).unwrap();
+        let v = shared.snapshot().version();
         let err = shared.submit::<(), StorageError>(&[insert(1, "x")], false, |_c| {
             Err(StorageError::UnknownTable("boom".into()))
         });
         assert!(err.is_err());
-        assert_eq!(shared.version(), v, "failed apply must not publish");
-        assert_eq!(shared.get("kv").unwrap().len(), 1);
+        assert_eq!(
+            shared.snapshot().version(),
+            v,
+            "failed apply must not publish"
+        );
+        assert_eq!(shared.snapshot().get("kv").unwrap().len(), 1);
     }
 
     #[test]
@@ -768,7 +669,7 @@ mod tests {
         // A framed two-record transaction.
         let recs = [insert(1, "a"), insert(2, "b")];
         commit(&shared, &recs, true).unwrap();
-        assert_eq!(shared.get("kv").unwrap().len(), 2);
+        assert_eq!(shared.snapshot().get("kv").unwrap().len(), 2);
         let status = shared.status().unwrap();
         assert!(status.group_fsyncs >= 1);
         assert!(status.group_commits >= 1);
@@ -794,7 +695,7 @@ mod tests {
         shared.attach(dur, rec.max_txid);
         let create = create_kv();
         commit(&shared, std::slice::from_ref(&create), false).unwrap();
-        let v = shared.version();
+        let v = shared.snapshot().version();
         // Every fsync fails permanently: the commit must report an error…
         io.install_faults(
             FaultPlan::probabilistic(1, 1.0)
@@ -806,13 +707,13 @@ mod tests {
         assert!(err.is_err());
         io.clear_faults();
         // …and leave no trace: version unchanged, reads see no new row.
-        assert_eq!(shared.version(), v);
-        assert_eq!(shared.get("kv").unwrap().len(), 0);
+        assert_eq!(shared.snapshot().version(), v);
+        assert_eq!(shared.snapshot().get("kv").unwrap().len(), 0);
         // The coordinator is not poisoned: the next commit succeeds and
         // lands where the rolled-back bytes were.
         let r2 = insert(2, "kept");
         commit(&shared, std::slice::from_ref(&r2), false).unwrap();
-        assert_eq!(shared.get("kv").unwrap().len(), 1);
+        assert_eq!(shared.snapshot().get("kv").unwrap().len(), 1);
         drop(shared);
         let (_, rec) = Durability::open(&dir, &pool).unwrap();
         assert_eq!(rec.wal_records, vec![create, r2]);
@@ -844,7 +745,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(shared.get("kv").unwrap().len(), writers * per_writer);
+        assert_eq!(
+            shared.snapshot().get("kv").unwrap().len(),
+            writers * per_writer
+        );
         let status = shared.status().unwrap();
         let commits = (writers * per_writer) as u64 + 1;
         assert_eq!(status.group_commits, commits);
@@ -862,11 +766,15 @@ mod tests {
     #[test]
     fn forks_are_independent() {
         let shared = SharedCatalog::new();
-        shared.register(kv(&[(1, "a")])).unwrap();
+        shared.try_publish(|c| c.register(kv(&[(1, "a")]))).unwrap();
         let fork = shared.fork();
-        fork.register_or_replace(kv(&[(1, "a"), (2, "b")]));
-        assert_eq!(fork.get("kv").unwrap().len(), 2);
-        assert_eq!(shared.get("kv").unwrap().len(), 1, "fork must not leak");
+        fork.publish(|c| c.register_or_replace(kv(&[(1, "a"), (2, "b")])));
+        assert_eq!(fork.snapshot().get("kv").unwrap().len(), 2);
+        assert_eq!(
+            shared.snapshot().get("kv").unwrap().len(),
+            1,
+            "fork must not leak"
+        );
     }
 
     #[test]

@@ -15,8 +15,7 @@
 
 use crate::{DataType, StorageError, Table, Value};
 use kath_vector::{cosine, embed_query, IvfIndex};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Encodes an embedding as little-endian `f32` bytes for a `Value::Blob`.
 pub fn encode_embedding(v: &[f32]) -> Vec<u8> {
@@ -129,8 +128,10 @@ pub struct VectorIndex {
     unscored: Vec<usize>,
     // The IVF structure is built lazily on the first approximate query:
     // small tables answered by the flat scan never pay for k-means. (The
-    // flat scan runs straight over `entries` — no duplicated copy.)
-    ivf: RwLock<Option<Arc<IvfIndex>>>,
+    // flat scan runs straight over `entries` — no duplicated copy.) Written
+    // once: two racing first queries may both run the seeded k-means, and
+    // the first to finish installs its identical result.
+    ivf: OnceLock<IvfIndex>,
 }
 
 impl VectorIndex {
@@ -174,7 +175,7 @@ impl VectorIndex {
             rows: table.len(),
             entries,
             unscored,
-            ivf: RwLock::new(None),
+            ivf: OnceLock::new(),
         })
     }
 
@@ -204,22 +205,15 @@ impl VectorIndex {
         self.ivf_index().nlist()
     }
 
-    fn ivf_index(&self) -> Arc<IvfIndex> {
-        if let Some(ix) = self.ivf.read().as_ref() {
-            return Arc::clone(ix);
+    fn ivf_index(&self) -> &IvfIndex {
+        if let Some(ix) = self.ivf.get() {
+            return ix;
         }
-        // Copied before the slot is locked: only the k-means build runs under it.
         let entries = self.entries.iter().map(|(pos, v)| (*pos as u64, v.clone()));
-        let entries = entries.collect();
-        let mut slot = self.ivf.write();
-        if let Some(ix) = slot.as_ref() {
-            return Arc::clone(ix);
-        }
         let nlist = default_nlist(self.entries.len());
         let nprobe = default_nprobe(nlist);
-        let built = Arc::new(IvfIndex::build(entries, nlist, nprobe, VECTOR_INDEX_SEED));
-        *slot = Some(Arc::clone(&built));
-        built
+        let built = IvfIndex::build(entries.collect(), nlist, nprobe, VECTOR_INDEX_SEED);
+        self.ivf.get_or_init(|| built)
     }
 
     /// Top-k row positions by cosine similarity to `query`, ranked
@@ -402,10 +396,10 @@ mod tests {
     fn ivf_strategy_is_built_lazily_and_searches() {
         let t = docs_table(300);
         let ix = VectorIndex::build(&t, "emb").unwrap();
-        assert!(ix.ivf.read().is_none(), "IVF must not build eagerly");
+        assert!(ix.ivf.get().is_none(), "IVF must not build eagerly");
         let query = seeded_unit_vector(103);
         let approx = ix.search(&query, 5, VectorStrategy::Ivf);
-        assert!(ix.ivf.read().is_some());
+        assert!(ix.ivf.get().is_some());
         assert_eq!(approx.len(), 5);
         // The clustered corpus is easy: IVF agrees with exact on the top hit.
         let exact = ix.search(&query, 5, VectorStrategy::Flat);

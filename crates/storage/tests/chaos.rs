@@ -222,7 +222,7 @@ proptest! {
         for (k, v) in &all[..base] {
             insert_shared(&shared, *k, v).unwrap();
         }
-        shared.page_table("kv", page_rows).unwrap();
+        shared.try_publish(|c| c.page_table("kv", page_rows)).unwrap();
         shared.checkpoint(None).unwrap();
 
         shared.pool().io().install_faults(plan.clone());
@@ -232,7 +232,7 @@ proptest! {
                 // On failure either nothing changed or the handle is
                 // poisoned and refuses further appends.
                 match shared.checkpoint(None) {
-                    Ok(_) => prop_assert!(shared.get("kv").unwrap().groups().iter().all(|g| !g.is_open())),
+                    Ok(_) => prop_assert!(shared.snapshot().get("kv").unwrap().groups().iter().all(|g| !g.is_open())),
                     Err(e) => prop_assert!(typed(&e), "untyped failure: {e}"),
                 }
             }
@@ -245,13 +245,13 @@ proptest! {
             }
         }
         // What readers see never ran ahead of what was acknowledged.
-        prop_assert_eq!(shared.get("kv").unwrap().len(), acked);
+        prop_assert_eq!(shared.snapshot().get("kv").unwrap().len(), acked);
         drop(shared);
 
         // Reopen with the faults still on: recovery and replay either work
         // or fail typed — and when they work, the rows are the prefix.
         let check = |shared: &SharedCatalog| -> Result<(), TestCaseError> {
-            let kv = shared.get("kv").unwrap();
+            let kv = shared.snapshot().get("kv").unwrap();
             prop_assert!(
                 kv.len() >= acked && kv.len() <= acked + 1,
                 "recovered {} rows, acknowledged {acked}", kv.len()
@@ -270,7 +270,7 @@ proptest! {
         }
         let clean = open_shared(&dir, None).unwrap();
         check(&clean)?;
-        let kv = clean.get("kv").unwrap();
+        let kv = clean.snapshot().get("kv").unwrap();
         prop_assert_eq!(kv.rows(), &want[..kv.len()]);
         let _ = std::fs::remove_dir_all(dir);
     }

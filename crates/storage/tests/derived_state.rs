@@ -5,8 +5,9 @@
 //! swap of the same rows, drop + re-create — interleaved with retained
 //! snapshots and similarity lookups through the table's vector index,
 //! checked against an oracle that knows nothing about indexes: a linear
-//! scan of *that snapshot's* table. Plus one real-thread run of index
-//! builds racing commits.
+//! scan of *that snapshot's* table. Every read names its snapshot and every
+//! change is a `publish`. Plus two real-thread runs: index builds racing
+//! commits, and two first IVF searches racing on one fresh index.
 
 use kath_storage::*;
 use kath_vector::seeded_unit_vector;
@@ -71,6 +72,11 @@ fn scan_positions(table: &Table, key: &Value) -> Vec<usize> {
     hits
 }
 
+/// The vector index over `t.emb` of the table `catalog` binds to `t`.
+fn index_of(catalog: &Catalog, t: &str) -> Result<Arc<VectorIndex>, StorageError> {
+    catalog.get(t)?.vector_index("emb")
+}
+
 /// A catalog version as it looked when it was retained.
 struct Retained {
     version: CatalogRef,
@@ -85,7 +91,7 @@ fn check_version(seen: &Retained) -> Result<(), TestCaseError> {
         Arc::ptr_eq(&now, &seen.table),
         "a version changed its table"
     );
-    let index = seen.version.vector_index_for("t", "emb").unwrap();
+    let index = index_of(&seen.version, "t").unwrap();
     let own = seen.table.vector_index("emb").unwrap();
     prop_assert!(Arc::ptr_eq(&index, &own));
     prop_assert_eq!(index.rows(), seen.table.len());
@@ -101,7 +107,7 @@ fn check_version(seen: &Retained) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn every_version_answers_for_its_own_rows(
@@ -110,7 +116,7 @@ proptest! {
     ) {
         let shared = SharedCatalog::new();
         let seed = Table::from_rows("t", schema(), seed_rows.into_iter().map(row).collect());
-        shared.register(seed.unwrap()).unwrap();
+        shared.try_publish(|c| c.register(seed.unwrap())).unwrap();
         let mut retained: Vec<Retained> = Vec::new();
         let retain = || {
             let version = shared.snapshot();
@@ -120,7 +126,7 @@ proptest! {
         for step in steps {
             match step {
                 Step::Insert(k) => {
-                    let before = shared.get("t").unwrap();
+                    let before = shared.snapshot().get("t").unwrap();
                     let old_index = before.vector_index("emb").unwrap();
                     shared.publish(|c| {
                         let mut grown = (*c.get("t").unwrap()).clone();
@@ -128,38 +134,39 @@ proptest! {
                         c.register_or_replace(grown);
                     });
                     // The grown table is a new value with its own index.
-                    let after = shared.get("t").unwrap();
+                    let after = shared.snapshot().get("t").unwrap();
                     prop_assert_eq!(after.len(), before.len() + 1);
                     prop_assert!(!Arc::ptr_eq(&old_index, &after.vector_index("emb").unwrap()));
                 }
                 Step::PageInPlace(page_rows) => {
-                    let index = shared.vector_index_for("t", "emb").unwrap();
-                    shared.page_table("t", page_rows).unwrap();
-                    let paged = shared.get("t").unwrap();
+                    let index = index_of(&shared.snapshot(), "t").unwrap();
+                    shared.try_publish(|c| c.page_table("t", page_rows)).unwrap();
+                    let paged = shared.snapshot().get("t").unwrap();
                     prop_assert!(paged.is_paged());
                     prop_assert!(Arc::ptr_eq(&index, &paged.vector_index("emb").unwrap()));
                 }
                 Step::SwapSameRows(page_rows) => {
                     // What a checkpoint does: page the head's table and
                     // hand the catalog that `Arc`.
-                    let table = shared.get("t").unwrap();
+                    let table = shared.snapshot().get("t").unwrap();
                     let index = table.vector_index("emb").unwrap();
                     let paged = Arc::new(table.seal(&shared.pool(), page_rows).unwrap());
-                    let installed = shared.register_or_replace(Arc::clone(&paged));
+                    let installed = shared.publish(|c| c.register_or_replace(Arc::clone(&paged)));
                     prop_assert!(Arc::ptr_eq(&installed, &paged));
-                    prop_assert!(Arc::ptr_eq(&shared.get("t").unwrap(), &paged));
+                    prop_assert!(Arc::ptr_eq(&shared.snapshot().get("t").unwrap(), &paged));
                     prop_assert!(Arc::ptr_eq(&index, &paged.vector_index("emb").unwrap()));
                 }
                 Step::DropAndRecreate(keys) => {
-                    let old_index = shared.vector_index_for("t", "emb").unwrap();
-                    shared.drop_table("t").unwrap();
-                    prop_assert!(shared.vector_index_for("t", "emb").is_err());
+                    let old_index = index_of(&shared.snapshot(), "t").unwrap();
+                    shared.try_publish(|c| c.drop_table("t")).unwrap();
+                    prop_assert!(index_of(&shared.snapshot(), "t").is_err());
                     let fresh = Table::from_rows("t", schema(), keys.into_iter().map(row).collect());
-                    shared.register(fresh.unwrap()).unwrap();
+                    shared.try_publish(|c| c.register(fresh.unwrap())).unwrap();
                     // Same name, new value: nothing built yet, and never
                     // its predecessor's index.
-                    prop_assert!(shared.get("t").unwrap().vector_indexes().is_empty());
-                    let new_index = shared.vector_index_for("t", "emb").unwrap();
+                    let recreated = shared.snapshot();
+                    prop_assert!(recreated.get("t").unwrap().vector_indexes().is_empty());
+                    let new_index = index_of(&recreated, "t").unwrap();
                     prop_assert!(!Arc::ptr_eq(&old_index, &new_index));
                 }
                 Step::RetainSnapshot => retained.push(retain()),
@@ -194,9 +201,8 @@ fn index_builds_race_commits_without_mixing_versions() {
     let schema = Schema::of(&[("emb", DataType::Blob)]);
     let rows = (0..BASE).map(embedded).collect();
     let shared = SharedCatalog::new();
-    shared
-        .register(Table::from_rows("big", schema, rows).unwrap())
-        .unwrap();
+    let big = Table::from_rows("big", schema, rows).unwrap();
+    shared.try_publish(|c| c.register(big)).unwrap();
 
     let start = Barrier::new(2);
     let done = AtomicBool::new(false);
@@ -211,7 +217,7 @@ fn index_builds_race_commits_without_mixing_versions() {
                 let finished = done.load(Ordering::SeqCst);
                 let snapshot = shared.snapshot();
                 let table = snapshot.get("big").unwrap();
-                let index = snapshot.vector_index_for("big", "emb").unwrap();
+                let index = index_of(&snapshot, "big").unwrap();
                 let n = table.len();
                 assert!(n >= last_len, "versions went backwards");
                 // The newest row of this snapshot is indexed, the next
@@ -249,8 +255,37 @@ fn index_builds_race_commits_without_mixing_versions() {
     );
     let head = shared.snapshot();
     assert_eq!(head.get("big").unwrap().len() as u64, BASE + INSERTS);
-    let index = head.vector_index_for("big", "emb").unwrap();
+    let index = index_of(&head, "big").unwrap();
     for i in BASE..BASE + INSERTS {
         assert_eq!(nearest(&index, i), [i as usize]);
     }
+}
+
+/// Two threads race the first IVF search on one fresh index: both may run
+/// the seeded k-means, one result is installed, and both must answer as
+/// that one does — the same hits, the same cluster count — and as an index
+/// built on its own.
+#[test]
+fn first_ivf_searches_race_to_one_answer() {
+    const ROWS: u64 = 3_000;
+    let schema = Schema::of(&[("emb", DataType::Blob)]);
+    let embedded = |i: u64| vec![Value::Blob(encode_embedding(&seeded_unit_vector(i % 97)))];
+    let table = Table::from_rows("big", schema, (0..ROWS).map(embedded).collect()).unwrap();
+    let query = seeded_unit_vector(42);
+    let race = VectorIndex::build(&table, "emb").unwrap();
+    let start = Barrier::new(2);
+    let search = || {
+        start.wait();
+        (race.search(&query, 10, VectorStrategy::Ivf), race.nlist())
+    };
+    let (first, second) = std::thread::scope(|scope| {
+        let first = scope.spawn(search);
+        let second = scope.spawn(search);
+        (first.join().unwrap(), second.join().unwrap())
+    });
+    assert_eq!(first, second);
+    let alone = VectorIndex::build(&table, "emb").unwrap();
+    let hits = alone.search(&query, 10, VectorStrategy::Ivf);
+    assert_eq!(first, (hits, alone.nlist()));
+    assert_eq!(first.0.len(), 10);
 }

@@ -287,13 +287,13 @@ proptest! {
         let dir = tmp("sched");
         let (mut shared, _) = open(&dir);
         create(&shared);
-        shared.page_table("t", page_rows).unwrap();
+        shared.try_publish(|c| c.page_table("t", page_rows)).unwrap();
         let mut model: Vec<Row> = Vec::new();
         let mut since_checkpoint = 0usize;
         let mut retained: Vec<Retained> = Vec::new();
 
         for step in steps {
-            let before = shared.get("t").unwrap();
+            let before = shared.snapshot().get("t").unwrap();
             let pool = shared.pool();
             match step {
                 Step::Insert(n) => {
@@ -305,7 +305,7 @@ proptest! {
                     let read = touched() - before_touched;
                     model.extend(rows);
                     since_checkpoint += 1;
-                    let after = shared.get("t").unwrap();
+                    let after = shared.snapshot().get("t").unwrap();
                     // Every group but the parent's last is the very same
                     // pages or columns: an INSERT replaces at most one.
                     let kept = before.groups().len().saturating_sub(1);
@@ -326,9 +326,9 @@ proptest! {
                     assert_shares_full_pages(&before, &after)?;
                 }
                 Step::PageTable => {
-                    let sealed = shared.page_table("t", 1000).unwrap();
+                    let sealed = shared.try_publish(|c| c.page_table("t", 1000)).unwrap();
                     prop_assert_eq!(sealed, before.groups().iter().any(|g| g.is_open()));
-                    let after = shared.get("t").unwrap();
+                    let after = shared.snapshot().get("t").unwrap();
                     prop_assert!(after.groups().iter().all(|g| !g.is_open()));
                     prop_assert_eq!(after.page_rows(), page_rows);
                     assert_shares_full_pages(&before, &after)?;
@@ -346,7 +346,7 @@ proptest! {
                         .sum();
                     shared.checkpoint(None).unwrap();
                     since_checkpoint = 0;
-                    let after = shared.get("t").unwrap();
+                    let after = shared.snapshot().get("t").unwrap();
                     prop_assert!(after.groups().iter().all(|g| !g.is_open()));
                     prop_assert_eq!(dirty_pages(&after), 0);
                     assert_shares_full_pages(&before, &after)?;
@@ -378,13 +378,13 @@ proptest! {
                     shared = reopened;
                     // A table that only ever lived in the WAL comes back
                     // unsealed; give it the schedule's page size again.
-                    if !shared.get("t").unwrap().is_paged() {
-                        shared.page_table("t", page_rows).unwrap();
+                    if !shared.snapshot().get("t").unwrap().is_paged() {
+                        shared.try_publish(|c| c.page_table("t", page_rows)).unwrap();
                     }
-                    prop_assert_eq!(shared.get("t").unwrap().page_rows(), page_rows);
+                    prop_assert_eq!(shared.snapshot().get("t").unwrap().page_rows(), page_rows);
                 }
             }
-            assert_reads_as(&shared.get("t").unwrap(), &model)?;
+            assert_reads_as(&shared.snapshot().get("t").unwrap(), &model)?;
             for seen in &retained {
                 assert_reads_as(&seen.table, &seen.rows)?;
             }
@@ -396,7 +396,8 @@ proptest! {
         let scratch_dir = tmp("scratch");
         let (scratch, _) = open(&scratch_dir);
         let all = Table::from_rows("t", schema(), model.clone()).unwrap();
-        scratch.register(all.seal(&scratch.pool(), page_rows).unwrap()).unwrap();
+        let sealed = all.seal(&scratch.pool(), page_rows).unwrap();
+        scratch.try_publish(|c| c.register(sealed)).unwrap();
         scratch.checkpoint(None).unwrap();
         let (kmeta, pages) = newest_snapshot(&dir);
         let (scratch_kmeta, scratch_pages) = newest_snapshot(&scratch_dir);
@@ -429,13 +430,15 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         let dir = tmp("flat");
         let (shared, _) = open(&dir);
         let loaded = Table::from_rows("t", schema(), (0..len).map(row).collect()).unwrap();
-        shared.register(loaded).unwrap();
-        shared.page_table("t", PAGE_ROWS).unwrap();
+        shared.try_publish(|c| c.register(loaded)).unwrap();
+        shared
+            .try_publish(|c| c.page_table("t", PAGE_ROWS))
+            .unwrap();
         shared.checkpoint(None).unwrap();
         let pool = shared.pool();
         pool.reset_counters();
 
-        let sealed = shared.get("t").unwrap();
+        let sealed = shared.snapshot().get("t").unwrap();
         let full = len / PAGE_ROWS;
         let inserted = 10;
         assert!(
@@ -444,7 +447,7 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         );
         for i in 0..inserted {
             insert(&shared, vec![row(len + i)]);
-            let now = shared.get("t").unwrap();
+            let now = shared.snapshot().get("t").unwrap();
             for g in 0..full {
                 assert!(same_group(&now.groups()[g], &sealed.groups()[g]));
             }
@@ -461,7 +464,7 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         assert_eq!(stats.pages_reused, 2 * pages - 2, "len {len}: {stats:?}");
         // Sealing encoded the open group and decoded nothing.
         assert_eq!(pool.status().misses, 2, "len {len}");
-        let after = shared.get("t").unwrap();
+        let after = shared.snapshot().get("t").unwrap();
         for g in 0..full {
             assert!(same_group(&sealed.groups()[g], &after.groups()[g]));
         }
@@ -474,7 +477,7 @@ fn insert_and_checkpoint_cost_the_rows_they_touch_not_the_table() {
         drop((sealed, after, shared));
         let (reopened, replayed) = open(&dir);
         assert_eq!(replayed, inserted);
-        let recovered = reopened.get("t").unwrap();
+        let recovered = reopened.snapshot().get("t").unwrap();
         assert_eq!(recovered.len(), len + 2 * inserted);
         assert_eq!(recovered.groups().len(), full + 1);
         assert!(recovered.groups()[full].is_open());

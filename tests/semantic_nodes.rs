@@ -278,7 +278,7 @@ fn a_cancel_from_another_thread_aborts_the_question_and_rearms() {
         // The first node to run is a semantic one, and it answered: nothing
         // was populated, scored or published.
         assert_eq!(db.token_usage().calls, calls_before_execution(&corpus, 0));
-        assert!(!db.context().catalog.contains("text_texts"));
+        assert!(!db.context().catalog.snapshot().contains("text_texts"));
         // One-shot: the next question on the handle runs every node (an
         // aborted node recorded nothing to reuse) and answers as a fresh
         // handle does.

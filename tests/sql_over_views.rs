@@ -99,7 +99,7 @@ fn text_entities_view_finds_the_director() {
 #[test]
 fn mentions_have_valid_spans_into_texts() {
     let db = db_after_flagship();
-    let catalog = &db.context().catalog;
+    let catalog = db.context().catalog.snapshot();
     let mentions = catalog.get("text_mentions").unwrap();
     let texts = catalog.get("text_texts").unwrap();
     for m in mentions.rows() {
@@ -122,7 +122,7 @@ fn mentions_have_valid_spans_into_texts() {
 #[test]
 fn intermediate_tables_are_inspectable() {
     let db = db_after_flagship();
-    let catalog = &db.context().catalog;
+    let catalog = db.context().catalog.snapshot();
     // The paper's explainability story depends on every intermediate being
     // a materialized view the user can look at.
     for name in [
