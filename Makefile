@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline examples figures prod-loc
+.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline alloc-report examples figures prod-loc
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
@@ -100,6 +100,12 @@ lint:
 # only sanctioned way to change the ratchet (it may only shrink).
 lint-baseline:
 	$(CARGO) run -q --release -p kath_lint --bin kathdb-lint -- --write-baseline
+
+# Allocations per input row and per output row of every statement class of
+# the allocation gate (tests/alloc_complexity.rs), at both of its sizes, with
+# each class's budget. A perf claim about the SELECT path quotes it.
+alloc-report:
+	$(CARGO) test -q --release --test alloc_complexity -- --ignored --nocapture alloc_report
 
 examples:
 	for e in $(EXAMPLES); do \
