@@ -12,10 +12,10 @@ use crate::ast::*;
 use crate::parser::{parse_statement, SqlParseError};
 use kath_storage::{
     drain_guarded, merge_top_k, preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded,
-    sort_rows, top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, DataType,
-    Distinct, ExecMode, Expr, Filter, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel,
-    MorselSource, Operator, PartialAggregate, Project, QueryGuard, Row, RowBatch, Schema, SortKey,
-    SortedMerge, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, WalRecord,
+    top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, DataType, Distinct,
+    ExecMode, Expr, Filter, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel, MorselSource,
+    Operator, PartialAggregate, Project, QueryGuard, RowBatch, RunMerge, Schema, SortKey,
+    SortedRun, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, WalRecord,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -492,6 +492,15 @@ impl SelectPlan {
             && self.sort_keys.is_empty()
     }
 
+    /// How many rows a sorted run keeps: under `LIMIT k` and no DISTINCT
+    /// its first k, since every row of the result is among the first k of
+    /// its own run (the rows ahead of it there are ahead of it in the merge
+    /// too) and ties still go to the earlier run; every row otherwise.
+    /// DISTINCT could drop rows the cut kept and need ones it dropped.
+    fn cut(&self) -> Option<usize> {
+        self.limit.filter(|_| !self.distinct)
+    }
+
     /// The FROM table's rows as the drive's morsels: batch-sized ones at
     /// more than one worker, on a plan that may read every row — aligned
     /// to page boundaries on a sealed table, so no two workers decode the
@@ -608,29 +617,28 @@ fn morsels(rows: usize, batch: usize, align: usize, split: bool) -> MorselSource
 }
 
 /// The merge's output as the tail's source: the morsels' batches in morsel
-/// order, then the rows an aggregate holds or a sort's lazy merge
-/// ([`SortedMerge`]) yields, pulled into batches of at most `cap` rows. A
-/// `LIMIT` narrows the cap, so no row past it is merged, transposed,
-/// projected or drained.
-struct Merged<I> {
+/// order, then the rows of the sorted runs in merge order ([`RunMerge`]),
+/// gathered into batches of at most `cap` rows. A `LIMIT` narrows the cap,
+/// so no row past it is merged, gathered, projected or drained.
+struct Merged {
     schema: Schema,
     batches: VecDeque<RowBatch>,
-    rows: I,
+    runs: RunMerge,
     cap: usize,
 }
 
-impl<I: Iterator<Item = Row>> Merged<I> {
-    fn new(schema: Schema, batches: VecDeque<RowBatch>, rows: I, cap: usize) -> Box<Self> {
+impl Merged {
+    fn new(schema: Schema, batches: VecDeque<RowBatch>, runs: RunMerge, cap: usize) -> Box<Self> {
         Box::new(Self {
             schema,
             batches,
-            rows,
+            runs,
             cap,
         })
     }
 }
 
-impl<I: Iterator<Item = Row>> Operator for Merged<I> {
+impl Operator for Merged {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -645,8 +653,7 @@ impl<I: Iterator<Item = Row>> Operator for Merged<I> {
             self.batches.push_front(batch.gather(rest));
             return Ok(Some(batch.gather(head)));
         }
-        let rows: Vec<Row> = self.rows.by_ref().take(self.cap).collect();
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(self.schema.arity(), rows)))
+        self.runs.next_batch(self.cap)
     }
 
     fn batch_capacity(&self) -> usize {
@@ -792,10 +799,17 @@ fn drive(
                         acc.merge(later);
                         batches += b;
                     }
-                    let (schema, mut rows) = acc.finish();
-                    sort_rows(&mut rows, &resolve_sort_keys(&schema, &plan.sort_keys)?);
-                    let groups = Merged::new(schema, VecDeque::new(), rows.into_iter(), batch);
-                    let (out, _) = plan.finish(groups, false, output_name, guard)?;
+                    let (schema, groups) = acc.finish()?;
+                    let key_idx = resolve_sort_keys(&schema, &plan.sort_keys)?;
+                    let (groups, runs) = match key_idx.is_empty() {
+                        true => (VecDeque::from([groups]), Vec::new()),
+                        false => {
+                            let run = SortedRun::sort(vec![groups], &key_idx, plan.cut());
+                            (VecDeque::new(), vec![run])
+                        }
+                    };
+                    let merged = Merged::new(schema, groups, RunMerge::new(runs, &key_idx), batch);
+                    let (out, _) = plan.finish(merged, false, output_name, guard)?;
                     Ok((out, batches))
                 })
             }
@@ -820,13 +834,6 @@ fn drive(
                 // aborts midway, and the tail charges nothing again.
                 let lazy = plan.lazy_limit();
                 let charged = !sort_before && (lazy || (!plan.distinct && plan.limit.is_none()));
-                // Under `LIMIT k` and no DISTINCT a sorted run keeps its
-                // first k rows: every row of the result is among the first
-                // k of its own morsel's stable run (the rows ahead of it
-                // there are ahead of it in the merge too), and ties still go
-                // to the earlier morsel. DISTINCT could drop rows the cut
-                // kept and need ones it dropped.
-                let cut = plan.limit.filter(|_| !plan.distinct);
                 let run = run_morsels_guarded(&source, threads, guard, |m| {
                     let mut op = stream(m)?;
                     if let Some(ext) = &extend {
@@ -847,26 +854,24 @@ fn drive(
                     }
                     let produced = batches.len();
                     if key_idx.is_empty() {
-                        return Ok((batches, Vec::new(), produced));
+                        return Ok((batches, None, produced));
                     }
-                    let mut run: Vec<Row> = batches.iter().flat_map(RowBatch::to_rows).collect();
-                    sort_rows(&mut run, &key_idx);
-                    run.truncate(cut.unwrap_or(usize::MAX));
-                    Ok((Vec::new(), run, produced))
+                    let run = SortedRun::sort(batches, &key_idx, plan.cut());
+                    Ok((Vec::new(), Some(run), produced))
                 })?;
                 run.merge(|outputs| -> Result<_, StorageError> {
                     // Unsorted morsels hand over their batches, sorted ones
-                    // their runs: concatenated, or merged by the stable lazy
-                    // k-way merge, in morsel order either way; the tail
-                    // pulls from the merge only the rows it keeps.
+                    // their runs: concatenated, or merged by index, in morsel
+                    // order either way; the tail pulls from the merge only
+                    // the rows it keeps.
                     let (mut batches, mut runs, mut produced) = (VecDeque::new(), Vec::new(), 0);
                     for (b, run, n) in outputs {
                         batches.extend(b);
-                        runs.push(run);
+                        runs.extend(run);
                         produced += n;
                     }
-                    let rows = SortedMerge::new(runs, &key_idx);
-                    let merged = Merged::new(run_schema, batches, rows, batch);
+                    let runs = RunMerge::new(runs, &key_idx);
+                    let merged = Merged::new(run_schema, batches, runs, batch);
                     let unlimited = QueryGuard::unlimited();
                     let tail_guard = if charged { &unlimited } else { guard };
                     let (out, _) = plan.finish(merged, *sort_before, output_name, tail_guard)?;

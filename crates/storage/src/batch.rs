@@ -7,6 +7,7 @@
 //! and projection kernels run as tight loops over `i64`/`f64` slices
 //! instead of per-row `Value` matches.
 
+use crate::value::{float_total_cmp, ValueRef};
 use crate::{cmp_int_f64, DataType, Row, StorageError, Value};
 use std::cmp::Ordering;
 
@@ -62,6 +63,14 @@ impl NullBitmap {
     /// An empty bitmap.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty bitmap with room for `slots` pushes.
+    pub fn with_capacity(slots: usize) -> Self {
+        Self {
+            words: Vec::with_capacity(slots.div_ceil(64)),
+            ..Self::default()
+        }
     }
 
     /// An all-valid bitmap of `len` slots.
@@ -407,10 +416,10 @@ impl ColumnVector {
 
     /// A column of `n` copies of `v` (literal broadcast).
     pub fn repeat(v: &Value, n: usize) -> Self {
-        let mut nulls = NullBitmap::new();
-        for _ in 0..n {
-            nulls.push(v.is_null());
-        }
+        let nulls = match v.is_null() {
+            true => NullBitmap::from_words(vec![u64::MAX; n.div_ceil(64)], n),
+            false => NullBitmap::all_valid(n),
+        };
         let data = match v {
             Value::Int(i) => ColumnData::Int(vec![*i; n]),
             Value::Float(f) => ColumnData::Float(vec![*f; n]),
@@ -657,18 +666,47 @@ impl ColumnVector {
         }
     }
 
-    /// `self.value(i).total_cmp(v)`, read in place where the kinds match; a
-    /// string is copied out only against a value of another kind.
-    pub fn cmp_at(&self, i: usize, v: &Value) -> Ordering {
+    /// Slot `i` read in place.
+    #[inline]
+    fn slot(&self, i: usize) -> ValueRef<'_> {
         if self.nulls.is_null(i) {
-            return Value::Null.total_cmp(v);
+            return ValueRef::Null;
         }
-        match (&self.data, v) {
-            (ColumnData::Int(d), Value::Int(x)) => d[i].cmp(x),
-            (ColumnData::StrBuf(d), Value::Str(x)) => d.get(i).cmp(x.as_str()),
-            (ColumnData::Bool(d), Value::Bool(x)) => d[i].cmp(x),
-            (ColumnData::Mixed(d), x) => d[i].total_cmp(x),
-            _ => self.value(i).total_cmp(v),
+        match &self.data {
+            ColumnData::Int(v) => ValueRef::Int(v[i]),
+            ColumnData::Float(v) => ValueRef::Float(v[i]),
+            ColumnData::StrBuf(v) => ValueRef::Str(v.get(i)),
+            ColumnData::Bool(v) => ValueRef::Bool(v[i]),
+            ColumnData::Mixed(v) => v[i].borrowed(),
+        }
+    }
+
+    /// `self.value(i).total_cmp(v)`, read in place.
+    pub fn cmp_at(&self, i: usize, v: &Value) -> Ordering {
+        self.slot(i).total_cmp(v.borrowed())
+    }
+
+    /// `self.value(i).total_cmp(&other.value(j))`, read in place, whatever
+    /// the two columns' kinds.
+    pub fn total_cmp_at(&self, i: usize, other: &ColumnVector, j: usize) -> Ordering {
+        self.slot(i).total_cmp(other.slot(j))
+    }
+
+    /// The order of this column's slots under [`Value::total_cmp`],
+    /// reversed when `desc` (NULLs then come last), with the payload
+    /// matched once here rather than per comparison.
+    pub fn slot_order(&self, desc: bool) -> SlotOrder<'_> {
+        let payload = match &self.data {
+            ColumnData::Int(v) => Payload::Int(v),
+            ColumnData::Float(v) => Payload::Float(v),
+            ColumnData::StrBuf(v) => Payload::Str(v),
+            ColumnData::Bool(v) => Payload::Bool(v),
+            ColumnData::Mixed(_) => Payload::Any(self),
+        };
+        SlotOrder {
+            payload,
+            nulls: self.nulls.any_null().then_some(&self.nulls),
+            desc,
         }
     }
 
@@ -697,7 +735,7 @@ impl ColumnVector {
         let (ColumnData::StrBuf(a), ColumnData::StrBuf(b)) = (&self.data, &other.data) else {
             return None;
         };
-        let (mut nulls, mut out) = (NullBitmap::new(), StrBuf::default());
+        let (mut nulls, mut out) = (NullBitmap::with_capacity(self.len()), StrBuf::default());
         for i in 0..self.len() {
             let null = self.is_null(i) || other.is_null(i);
             nulls.push(null);
@@ -741,7 +779,7 @@ impl ColumnVector {
         let nulls = if !self.nulls.any_null() && idx.clone().all(|i| i.is_some()) {
             NullBitmap::all_valid(idx.len())
         } else {
-            let mut nulls = NullBitmap::new();
+            let mut nulls = NullBitmap::with_capacity(idx.len());
             for i in idx.clone() {
                 nulls.push(i.is_none_or(|i| self.nulls.is_null(i)));
             }
@@ -779,6 +817,68 @@ impl ColumnVector {
         self.take(idx.iter().copied())
     }
 
+    /// The slots `at` names as `(source, slot)` pairs over `sources`, in
+    /// that order, as one new column: typed when every source has one
+    /// payload kind (strings written into one buffer), the values as they
+    /// are otherwise. How a merge gathers rows from several runs.
+    pub fn gather_from(sources: &[&ColumnVector], at: &[(usize, usize)]) -> ColumnVector {
+        fn pick<T: Copy>(parts: Option<Vec<&[T]>>, at: &[(usize, usize)]) -> Option<Vec<T>> {
+            parts.map(|parts| at.iter().map(|&(s, i)| parts[s][i]).collect())
+        }
+        if let [only] = sources {
+            return only.take(at.iter().map(|&(_, i)| Some(i)));
+        }
+        let is_null = |&(s, i): &(usize, usize)| sources[s].is_null(i);
+        let nulls = if sources.iter().all(|s| !s.nulls.any_null()) {
+            NullBitmap::all_valid(at.len())
+        } else {
+            let mut nulls = NullBitmap::with_capacity(at.len());
+            at.iter().for_each(|p| nulls.push(is_null(p)));
+            nulls
+        };
+        let typed = match sources.first().map(|s| &s.data) {
+            Some(ColumnData::Int(_)) => {
+                pick(sources.iter().map(|s| s.as_ints()).collect(), at).map(ColumnData::Int)
+            }
+            Some(ColumnData::Float(_)) => {
+                pick(sources.iter().map(|s| s.as_floats()).collect(), at).map(ColumnData::Float)
+            }
+            Some(ColumnData::Bool(_)) => {
+                let parts = sources.iter().map(|s| match &s.data {
+                    ColumnData::Bool(v) => Some(&v[..]),
+                    _ => None,
+                });
+                pick(parts.collect(), at).map(ColumnData::Bool)
+            }
+            Some(ColumnData::StrBuf(_)) => {
+                let parts = sources.iter().map(|s| match &s.data {
+                    ColumnData::StrBuf(v) => Some(&**v),
+                    _ => None,
+                });
+                parts.collect::<Option<Vec<&StrBuf>>>().map(|parts| {
+                    let slots = at
+                        .iter()
+                        .map(|p| (!is_null(p)).then(|| parts[p.0].get(p.1)));
+                    str_data(slots.clone().flatten().map(str::len).sum(), slots)
+                })
+            }
+            _ => None,
+        };
+        match typed {
+            Some(data) => Self { data, nulls },
+            None => Self::from_values(at.iter().map(|&(s, i)| sources[s].value(i)).collect()),
+        }
+    }
+
+    /// The columns laid end to end, as one new column.
+    pub fn concat_all<'a>(columns: impl IntoIterator<Item = &'a ColumnVector>) -> ColumnVector {
+        let mut out = ColumnVector::from_values(Vec::new());
+        for column in columns {
+            out.extend(column.clone());
+        }
+        out
+    }
+
     /// A new column keeping only slots where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> ColumnVector {
         debug_assert_eq!(mask.len(), self.len());
@@ -795,6 +895,53 @@ impl ColumnVector {
         match self.data {
             ColumnData::Mixed(v) => v,
             _ => self.to_values(),
+        }
+    }
+}
+
+/// A column's typed payload, borrowed for [`SlotOrder`].
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Str(&'a StrBuf),
+    Bool(&'a [bool]),
+    // `Mixed`: each slot read as a value.
+    Any(&'a ColumnVector),
+}
+
+/// The order of one column's slots ([`ColumnVector::slot_order`]): what
+/// `Value::total_cmp` says of two of them, compared in place on the typed
+/// payload — NULL first, `-0.0` equal to `0.0`, NaN after every number —
+/// and reversed for a descending key.
+#[derive(Clone, Copy)]
+pub struct SlotOrder<'a> {
+    payload: Payload<'a>,
+    // `None` when the column has no NULL.
+    nulls: Option<&'a NullBitmap>,
+    desc: bool,
+}
+
+impl SlotOrder<'_> {
+    /// Slot `i` against slot `j`.
+    #[inline]
+    pub fn cmp(&self, i: usize, j: usize) -> Ordering {
+        let ord = match self.nulls.map(|n| (n.is_null(i), n.is_null(j))) {
+            Some((true, true)) => Ordering::Equal,
+            Some((true, false)) => Ordering::Less,
+            Some((false, true)) => Ordering::Greater,
+            _ => match self.payload {
+                Payload::Int(v) => v[i].cmp(&v[j]),
+                Payload::Float(v) => float_total_cmp(v[i], v[j]),
+                Payload::Str(v) => v.get(i).cmp(v.get(j)),
+                Payload::Bool(v) => v[i].cmp(&v[j]),
+                Payload::Any(c) => c.total_cmp_at(i, c, j),
+            },
+        };
+        if self.desc {
+            ord.reverse()
+        } else {
+            ord
         }
     }
 }

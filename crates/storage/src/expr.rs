@@ -8,6 +8,7 @@
 
 use crate::batch::{ColumnData, ColumnVector, NullBitmap, RowBatch};
 use crate::{Schema, StorageError, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -144,17 +145,28 @@ impl Expr {
         batch: &RowBatch,
         schema: &Schema,
     ) -> Result<ColumnVector, StorageError> {
+        self.eval_ref(batch, schema).map(Cow::into_owned)
+    }
+
+    /// [`Expr::eval_batch`] with a column reference read in place: a bare
+    /// column comes back borrowed from `batch`, so an operand or a filter
+    /// predicate that names a column copies nothing.
+    pub(crate) fn eval_ref<'a>(
+        &self,
+        batch: &'a RowBatch,
+        schema: &Schema,
+    ) -> Result<Cow<'a, ColumnVector>, StorageError> {
         let n = batch.num_rows();
-        match self {
+        let owned = match self {
             Expr::Col(name) => {
                 let idx = schema.resolve(name)?;
-                Ok(batch.column(idx).clone())
+                return Ok(Cow::Borrowed(batch.column(idx)));
             }
-            Expr::Lit(v) => Ok(ColumnVector::repeat(v, n)),
+            Expr::Lit(v) => ColumnVector::repeat(v, n),
             Expr::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
                 let and = *op == BinOp::And;
-                let lv = l.eval_batch(batch, schema)?;
-                let rv = match r.eval_batch(batch, schema) {
+                let lv = l.eval_ref(batch, schema)?;
+                let rv = match r.eval_ref(batch, schema) {
                     Ok(rv) => rv,
                     // Maybe it raised only on rows the left operand decides
                     // (FALSE for AND, TRUE for OR): evaluate it again on the
@@ -169,7 +181,7 @@ impl Expr {
                         if undecided.len() == n {
                             return Err(e);
                         }
-                        if undecided.is_empty() {
+                        Cow::Owned(if undecided.is_empty() {
                             ColumnVector::repeat(&Value::Null, n)
                         } else {
                             let rest = r.eval_batch(&batch.gather(&undecided), schema)?;
@@ -178,30 +190,30 @@ impl Expr {
                                 at[i] = Some(k);
                             }
                             rest.gather_padded(&at)
-                        }
+                        })
                     }
                 };
-                Ok(combine_logical(and, &lv, &rv))
+                combine_logical(and, &lv, &rv)
             }
             Expr::Bin(op, l, r) => {
-                let lv = l.eval_batch(batch, schema)?;
-                let rv = r.eval_batch(batch, schema)?;
-                eval_bin_batch(*op, &lv, &rv)
+                let lv = l.eval_ref(batch, schema)?;
+                let rv = r.eval_ref(batch, schema)?;
+                eval_bin_batch(*op, &lv, &rv)?
             }
-            Expr::Not(e) => Ok(not_kernel(&e.eval_batch(batch, schema)?)),
-            Expr::Neg(e) => neg_kernel(&e.eval_batch(batch, schema)?),
-            Expr::IsNull(e) => Ok(is_null_kernel(&e.eval_batch(batch, schema)?)),
+            Expr::Not(e) => not_kernel(&*e.eval_ref(batch, schema)?),
+            Expr::Neg(e) => neg_kernel(&*e.eval_ref(batch, schema)?)?,
+            Expr::IsNull(e) => is_null_kernel(&*e.eval_ref(batch, schema)?),
             Expr::Call(name, args) if name == "similarity" && args.len() == 2 => {
                 // Batched similarity kernel: the query side is typically a
                 // literal — decode/embed it once per batch, not once per row.
-                enum Query {
+                enum Query<'a> {
                     Literal(Option<Vec<f32>>),
-                    Column(ColumnVector),
+                    Column(Cow<'a, ColumnVector>),
                 }
-                let a = args[0].eval_batch(batch, schema)?;
+                let a = args[0].eval_ref(batch, schema)?;
                 let query = match &args[1] {
                     Expr::Lit(v) => Query::Literal(similarity_arg(v)?),
-                    other => Query::Column(other.eval_batch(batch, schema)?),
+                    other => Query::Column(other.eval_ref(batch, schema)?),
                 };
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
@@ -219,16 +231,17 @@ impl Expr {
                     };
                     out.push(y.map_or(Value::Null, |y| similarity_score(&x, y)));
                 }
-                Ok(ColumnVector::from_values(out))
+                ColumnVector::from_values(out)
             }
             Expr::Call(name, args) => {
-                let cols: Vec<ColumnVector> = args
+                let cols: Vec<Cow<'_, ColumnVector>> = args
                     .iter()
-                    .map(|a| a.eval_batch(batch, schema))
+                    .map(|a| a.eval_ref(batch, schema))
                     .collect::<Result<_, _>>()?;
-                call_kernel(name, &cols, n)
+                call_kernel(name, &cols, n)?
             }
-        }
+        };
+        Ok(Cow::Owned(owned))
     }
 
     /// The set of column names this expression reads (used by the optimizer
@@ -283,7 +296,7 @@ impl Expr {
 /// stays NULL).
 fn not_kernel(v: &ColumnVector) -> ColumnVector {
     let truthy = v.truthy_mask();
-    let mut nulls = NullBitmap::new();
+    let mut nulls = NullBitmap::with_capacity(truthy.len());
     let mut out = Vec::with_capacity(truthy.len());
     for (i, t) in truthy.iter().enumerate() {
         let is_null = v.is_null(i);
@@ -330,7 +343,11 @@ fn is_null_kernel(v: &ColumnVector) -> ColumnVector {
 
 /// A scalar function applied row-wise over already-evaluated argument
 /// columns (the general `Call` path).
-fn call_kernel(name: &str, cols: &[ColumnVector], n: usize) -> Result<ColumnVector, StorageError> {
+fn call_kernel(
+    name: &str,
+    cols: &[Cow<'_, ColumnVector>],
+    n: usize,
+) -> Result<ColumnVector, StorageError> {
     let mut out = Vec::with_capacity(n);
     let mut vals: Vec<Value> = Vec::with_capacity(cols.len());
     for i in 0..n {
@@ -350,7 +367,7 @@ fn combine_logical(and: bool, l: &ColumnVector, r: &ColumnVector) -> ColumnVecto
     let lt = l.truthy_mask();
     let rt = r.truthy_mask();
     let mut out = Vec::with_capacity(n);
-    let mut nulls = NullBitmap::new();
+    let mut nulls = NullBitmap::with_capacity(n);
     for i in 0..n {
         let (ln, rn) = (l.is_null(i), r.is_null(i));
         let (cell, is_null) = if and {
@@ -429,7 +446,7 @@ fn cmp_kernel(
     r: &ColumnVector,
     cmp: impl Fn(usize) -> Ordering,
 ) -> ColumnVector {
-    let mut nulls = NullBitmap::new();
+    let mut nulls = NullBitmap::with_capacity(l.len());
     let mut out = Vec::with_capacity(l.len());
     for i in 0..l.len() {
         let null = l.is_null(i) || r.is_null(i);
@@ -473,7 +490,7 @@ fn eval_bin_batch(
 
     // Int ⊗ Int arithmetic.
     if let (Some(a), Some(b)) = (l.as_ints(), r.as_ints()) {
-        let mut nulls = NullBitmap::new();
+        let mut nulls = NullBitmap::with_capacity(n);
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let null = l.is_null(i) || r.is_null(i);
@@ -511,7 +528,7 @@ fn eval_bin_batch(
                 None
             };
         if let Some(ords) = int_float {
-            let mut nulls = NullBitmap::new();
+            let mut nulls = NullBitmap::with_capacity(n);
             let mut out = Vec::with_capacity(n);
             for (i, ord) in ords.into_iter().enumerate() {
                 match ord.filter(|_| !l.is_null(i) && !r.is_null(i)) {
@@ -531,7 +548,7 @@ fn eval_bin_batch(
 
     // Numeric ⊗ numeric with at least one Float side: f64 kernels.
     if is_numeric(l) && is_numeric(r) {
-        let mut nulls = NullBitmap::new();
+        let mut nulls = NullBitmap::with_capacity(n);
         if is_cmp {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {

@@ -141,48 +141,22 @@ impl Value {
 
     /// Total ordering used by ORDER BY and sorted indexes. NULLs sort first,
     /// then by type tag for mismatched types, then by payload. NaN sorts
-    /// after all other floats.
+    /// after all other floats. The rule is [`ValueRef::total_cmp`]'s, which
+    /// a column slot read in place is ordered by too.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) | Value::Float(_) => 2,
-                Value::Str(_) => 3,
-                Value::Blob(_) => 4,
-            }
-        }
-        // Normalize -0.0 to 0.0 so eq/hash/grouping treat them alike.
-        fn norm(f: f64) -> f64 {
-            if f == 0.0 {
-                0.0
-            } else {
-                f
-            }
-        }
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => norm(*a).total_cmp(&norm(*b)),
-            // Int↔Float compares exactly (never through a lossy `as f64`
-            // cast), consistent with `sql_cmp`. Against NaN an integer sits
-            // where its real value would under `f64::total_cmp`: after a
-            // negative NaN, before a positive one.
-            (Int(a), Float(b)) => match cmp_int_f64(*a, *b) {
-                Some(ord) => ord,
-                None if b.is_sign_negative() => Ordering::Greater,
-                None => Ordering::Less,
-            },
-            (Float(a), Int(b)) => match cmp_int_f64(*b, *a).map(Ordering::reverse) {
-                Some(ord) => ord,
-                None if a.is_sign_negative() => Ordering::Less,
-                None => Ordering::Greater,
-            },
-            (Str(a), Str(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Blob(a), Blob(b)) => a.cmp(b),
-            _ => rank(self).cmp(&rank(other)),
+        self.borrowed().total_cmp(other.borrowed())
+    }
+
+    /// The value read in place.
+    #[inline]
+    pub(crate) fn borrowed(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Blob(b) => ValueRef::Blob(b),
         }
     }
 
@@ -203,6 +177,74 @@ impl Value {
             Value::Blob(b) => format!("<{} bytes>", b.len()),
         }
     }
+}
+
+/// A [`Value`] read in place — from an owned value or from a column's
+/// typed payload — carrying the one total order every sort uses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Bool(bool),
+    Blob(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// NULLs first, then by type tag for mismatched types, then by
+    /// payload: `-0.0` equals `0.0`, NaN sorts after every other float (a
+    /// negative NaN before), and Int↔Float compares exactly.
+    #[inline]
+    pub(crate) fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        fn rank(v: ValueRef<'_>) -> u8 {
+            match v {
+                ValueRef::Null => 0,
+                ValueRef::Bool(_) => 1,
+                ValueRef::Int(_) | ValueRef::Float(_) => 2,
+                ValueRef::Str(_) => 3,
+                ValueRef::Blob(_) => 4,
+            }
+        }
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => float_total_cmp(a, b),
+            // Never through a lossy `as f64` cast, consistent with
+            // `sql_cmp`. Against NaN an integer sits where its real value
+            // would under `f64::total_cmp`: after a negative NaN, before a
+            // positive one.
+            (Int(a), Float(b)) => match cmp_int_f64(a, b) {
+                Some(ord) => ord,
+                None if b.is_sign_negative() => Ordering::Greater,
+                None => Ordering::Less,
+            },
+            (Float(a), Int(b)) => match cmp_int_f64(b, a).map(Ordering::reverse) {
+                Some(ord) => ord,
+                None if a.is_sign_negative() => Ordering::Less,
+                None => Ordering::Greater,
+            },
+            (Str(a), Str(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Blob(a), Blob(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+/// Two floats under the total order: `f64::total_cmp` with `-0.0` read as
+/// `0.0`, so eq/hash/grouping treat them alike.
+#[inline]
+pub(crate) fn float_total_cmp(a: f64, b: f64) -> Ordering {
+    fn norm(f: f64) -> f64 {
+        if f == 0.0 {
+            0.0
+        } else {
+            f
+        }
+    }
+    norm(a).total_cmp(&norm(b))
 }
 
 /// Equality for joins/distinct: follows `total_cmp` (so NULL == NULL groups

@@ -345,7 +345,8 @@ fn run_parallel(
             for partial in run.outputs {
                 acc.merge(partial);
             }
-            acc.finish()
+            let (schema, groups) = acc.finish()?;
+            (schema, groups.to_rows())
         }
         Breaker::Join { left, right, outer } => {
             let lcol = col_at(&stream_schema, *left);
