@@ -6,9 +6,11 @@
 //!    table that already holds 1 k / 10 k / 100 k / 1 M rows, in memory and
 //!    durable (write-ahead logged + fsynced), and the reopen time of the
 //!    durable directory with and without those INSERTs behind the snapshot,
-//!    back to back in each rep: the median per-rep difference, per record,
-//!    is what replaying one costs (`null` when it is not above the clean
-//!    reopens' interquartile range, written beside it). A table is
+//!    back to back in each of 21 reps: the median per-rep difference, per
+//!    record, is what replaying one costs — reported when the lower
+//!    quartile of the paired differences (written beside it) is above 0,
+//!    so one slow reopen cannot decide a point, and `null` otherwise. A
+//!    table is
 //!    a list of row groups, and an INSERT shares every group but the last,
 //!    which it copies (or reopens) and seals only if its rows fill it, so
 //!    all three must be flat across the three decades, and so must the
@@ -103,12 +105,11 @@ fn time_reopen(dir: &std::path::Path, want_rows: usize) -> f64 {
     ms
 }
 
-/// The spread between the medians of the upper and the lower half of `xs`
-/// (the middle sample of an odd count belongs to neither half).
-fn interquartile_range(mut xs: Vec<f64>) -> f64 {
+/// The median of the lower half of `xs` (the middle sample of an odd count
+/// belongs to neither half).
+fn lower_quartile(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
-    let half = xs.len() / 2;
-    median(xs[xs.len() - half..].to_vec()) - median(xs[..half].to_vec())
+    median(xs[..xs.len() / 2].to_vec())
 }
 
 /// Question 1 at one table size.
@@ -149,16 +150,18 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
         replay_ms.push(r);
         diff_ms.push(r - c);
     }
-    let clean_iqr_ms = interquartile_range(clean_ms.clone());
+    // Decided on the paired differences: most pairs must show the replay
+    // reopen slower, not the median alone.
+    let diff_q1_ms = lower_quartile(diff_ms.clone());
     let (reopen_clean_ms, reopen_replay_ms) = (median(clean_ms), median(replay_ms));
     let diff_ms = median(diff_ms);
-    let replay_us = (diff_ms > clean_iqr_ms).then(|| diff_ms * 1000.0 / inserts as f64);
+    let replay_us = (diff_q1_ms > 0.0).then(|| diff_ms * 1000.0 / inserts as f64);
     let _ = [&clean, &replay].map(std::fs::remove_dir_all);
     let replay_json = replay_us.map_or(Json::Null, Json::Num);
     eprintln!(
         "  {rows:>8} rows: INSERT {memory_us:7.1} µs in memory, {durable_us:7.1} µs durable; \
          reopen {reopen_clean_ms:7.2} ms clean, {reopen_replay_ms:7.2} ms with {inserts} records \
-         (+{diff_ms:.2} ms per pair, clean IQR {clean_iqr_ms:.2} ms)"
+         (+{diff_ms:.2} ms per pair, lower quartile {diff_q1_ms:+.2} ms)"
     );
     Json::object([
         ("rows", Json::Num(rows as f64)),
@@ -171,7 +174,7 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
         ("reopen_clean_ms", Json::Num(reopen_clean_ms)),
         ("reopen_replay_ms", Json::Num(reopen_replay_ms)),
         ("replayed_records", Json::Num(inserts as f64)),
-        ("reopen_clean_iqr_ms", Json::Num(clean_iqr_ms)),
+        ("replay_diff_q1_ms", Json::Num(diff_q1_ms)),
         ("replay_us_per_record", replay_json),
     ])
 }
@@ -230,12 +233,15 @@ fn main() {
         (&[1_000, 10_000, 100_000, 1_000_000], 100_000)
     };
     let reps = if quick { 3 } else { 5 };
+    // Reopen pairs per table size. At 1 M rows a clean reopen alone varies
+    // by more than the replay costs, so the lower quartile needs many.
+    let pair_reps = if quick { 5 } else { 21 };
 
     // --- 1. INSERT and replay cost vs table size --------------------------
     eprintln!("measuring {inserts} single-row INSERTs and their replay, by table size…");
     let size_series: Vec<Json> = sizes
         .iter()
-        .map(|&rows| size_point(rows, inserts, reps))
+        .map(|&rows| size_point(rows, inserts, pair_reps))
         .collect();
 
     // --- 2. scans, sealed vs all-open --------------------------------------
@@ -275,6 +281,7 @@ fn main() {
 
     let mut report = JsonMap::new();
     report.insert("inserts", Json::Num(inserts as f64));
+    report.insert("reopen_pairs", Json::Num(pair_reps as f64));
     report.insert("size_series", Json::Array(size_series));
     report.insert("scan_series", Json::Array(scans));
     report.insert("replay_series", Json::Array(series));

@@ -725,10 +725,13 @@ pub fn run_select_auto_guarded(
 /// filter → hidden sort columns → projection — ends in its breaker: one
 /// [`PartialAggregate`] per morsel (typed columns folded along per-row
 /// group ids), merged in morsel order (which reproduces the row-order group
-/// order), or a stably sorted run per morsel — cut to its first k rows
-/// under `LIMIT k` without DISTINCT — joined by a lazy stable k-way merge
-/// ([`SortedMerge`]) that resolves ties to the earliest run and that the
-/// tail pulls only as far as its `LIMIT`. The vector pattern keeps a top-k
+/// order), then its groups sorted as one run; or a [`SortedRun`] per
+/// morsel — the morsel's batches kept as columns and a permutation of
+/// their rows sorted on typed key columns, ties in input order, only the k
+/// least selected and sorted under `LIMIT k` without DISTINCT — merged by
+/// index ([`RunMerge`]: a heap of run heads keyed by key slots, then run,
+/// so ties resolve to the earliest run), which gathers rows into batches
+/// only as far as the tail's `LIMIT` asks. The vector pattern keeps a top-k
 /// list per morsel instead, merged by (score descending, row position) and
 /// padded with unscored rows in row order — every global winner survives
 /// its own morsel's local top-k — and fetches the winners with an

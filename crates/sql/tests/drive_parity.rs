@@ -454,6 +454,14 @@ fn the_oracle_names_nothing_it_judges() {
         "Sort",
         "SortKey",
         "TableScan",
+        // The sort of sorted runs and their merge by index.
+        "SortedRun",
+        "RunMerge",
+        "SlotOrder",
+        "slot_order",
+        "total_cmp_at",
+        "gather_from",
+        "concat_all",
         // The vector access path the oracle's `SIMILARITY` judges.
         "VectorIndex",
         "VectorTopK",
