@@ -66,7 +66,7 @@ impl NullBitmap {
     }
 
     /// An empty bitmap with room for `slots` pushes.
-    pub fn with_capacity(slots: usize) -> Self {
+    pub(crate) fn with_capacity(slots: usize) -> Self {
         Self {
             words: Vec::with_capacity(slots.div_ceil(64)),
             ..Self::default()
@@ -688,14 +688,14 @@ impl ColumnVector {
 
     /// `self.value(i).total_cmp(&other.value(j))`, read in place, whatever
     /// the two columns' kinds.
-    pub fn total_cmp_at(&self, i: usize, other: &ColumnVector, j: usize) -> Ordering {
+    pub(crate) fn total_cmp_at(&self, i: usize, other: &ColumnVector, j: usize) -> Ordering {
         self.slot(i).total_cmp(other.slot(j))
     }
 
     /// The order of this column's slots under [`Value::total_cmp`],
     /// reversed when `desc` (NULLs then come last), with the payload
     /// matched once here rather than per comparison.
-    pub fn slot_order(&self, desc: bool) -> SlotOrder<'_> {
+    pub(crate) fn slot_order(&self, desc: bool) -> SlotOrder<'_> {
         let payload = match &self.data {
             ColumnData::Int(v) => Payload::Int(v),
             ColumnData::Float(v) => Payload::Float(v),
@@ -821,7 +821,7 @@ impl ColumnVector {
     /// that order, as one new column: typed when every source has one
     /// payload kind (strings written into one buffer), the values as they
     /// are otherwise. How a merge gathers rows from several runs.
-    pub fn gather_from(sources: &[&ColumnVector], at: &[(usize, usize)]) -> ColumnVector {
+    pub(crate) fn gather_from(sources: &[&ColumnVector], at: &[(usize, usize)]) -> ColumnVector {
         fn pick<T: Copy>(parts: Option<Vec<&[T]>>, at: &[(usize, usize)]) -> Option<Vec<T>> {
             parts.map(|parts| at.iter().map(|&(s, i)| parts[s][i]).collect())
         }
@@ -871,7 +871,9 @@ impl ColumnVector {
     }
 
     /// The columns laid end to end, as one new column.
-    pub fn concat_all<'a>(columns: impl IntoIterator<Item = &'a ColumnVector>) -> ColumnVector {
+    pub(crate) fn concat_all<'a>(
+        columns: impl IntoIterator<Item = &'a ColumnVector>,
+    ) -> ColumnVector {
         let mut out = ColumnVector::from_values(Vec::new());
         for column in columns {
             out.extend(column.clone());
@@ -915,7 +917,7 @@ enum Payload<'a> {
 /// payload — NULL first, `-0.0` equal to `0.0`, NaN after every number —
 /// and reversed for a descending key.
 #[derive(Clone, Copy)]
-pub struct SlotOrder<'a> {
+pub(crate) struct SlotOrder<'a> {
     payload: Payload<'a>,
     // `None` when the column has no NULL.
     nulls: Option<&'a NullBitmap>,
@@ -925,7 +927,7 @@ pub struct SlotOrder<'a> {
 impl SlotOrder<'_> {
     /// Slot `i` against slot `j`.
     #[inline]
-    pub fn cmp(&self, i: usize, j: usize) -> Ordering {
+    pub(crate) fn cmp(&self, i: usize, j: usize) -> Ordering {
         let ord = match self.nulls.map(|n| (n.is_null(i), n.is_null(j))) {
             Some((true, true)) => Ordering::Equal,
             Some((true, false)) => Ordering::Less,

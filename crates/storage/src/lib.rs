@@ -32,7 +32,7 @@ mod vecindex;
 mod wal;
 
 pub use batch::{
-    ColumnData, ColumnVector, CompileMode, ExecMode, NullBitmap, RowBatch, SlotOrder, StrBuf,
+    ColumnData, ColumnVector, CompileMode, ExecMode, NullBitmap, RowBatch, StrBuf,
     DEFAULT_BATCH_SIZE,
 };
 pub use catalog::{Catalog, Joinability};

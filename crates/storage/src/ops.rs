@@ -1278,7 +1278,7 @@ impl RunMerge {
     }
 
     /// Rows not yet handed out.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         (self.runs.iter().zip(&self.next))
             .map(|(run, next)| run.len() - next)
             .sum()
@@ -1333,20 +1333,19 @@ impl RunMerge {
             }
             self.sift_down(0);
         }
-        let Some(shape) = self.runs.iter().find_map(|run| run.batches.first()) else {
-            return Ok(None);
-        };
         if at.is_empty() {
             return Ok(None);
         }
         let sources: Vec<&RowBatch> = self.runs.iter().flat_map(|run| &run.batches).collect();
-        let columns = (0..shape.num_columns()).map(|c| {
-            let column: Vec<&ColumnVector> = sources.iter().map(|s| s.column(c)).collect();
-            ColumnVector::gather_from(&column, &at)
-        });
-        match shape.num_columns() {
+        match sources.first().map_or(0, |b| b.num_columns()) {
             0 => Ok(Some(RowBatch::from_rows(0, vec![Vec::new(); at.len()]))),
-            _ => RowBatch::from_columns(columns.collect()).map(Some),
+            arity => {
+                let columns = (0..arity).map(|c| {
+                    let column: Vec<&ColumnVector> = sources.iter().map(|s| s.column(c)).collect();
+                    ColumnVector::gather_from(&column, &at)
+                });
+                RowBatch::from_columns(columns.collect()).map(Some)
+            }
         }
     }
 }

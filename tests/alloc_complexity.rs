@@ -42,6 +42,10 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, so each upholds `GlobalAlloc`'s contract exactly as `System`
+// does; counting only bumps a thread-local `Cell`, which neither allocates
+// nor unwinds (`try_with` skips a thread whose locals are gone).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
