@@ -5,9 +5,11 @@
 //! 1. **INSERT and replay cost vs table size**: a single-row INSERT into a
 //!    table that already holds 1 k / 10 k / 100 k / 1 M rows, in memory and
 //!    durable (write-ahead logged + fsynced), and the reopen time of the
-//!    durable directory with and without those INSERTs behind the snapshot,
-//!    back to back in each of 21 reps: the median per-rep difference, per
-//!    record, is what replaying one costs — reported when the lower
+//!    durable directory with and without INSERTs behind the snapshot —
+//!    one record per 256 table rows, at least 256, so that the replay
+//!    outweighs the clean reopen's spread at every size — back to back in
+//!    each of 21 reps: the median per-rep difference, per record, is what
+//!    replaying one costs — reported when the lower
 //!    quartile of the paired differences (written beside it) is above 0,
 //!    so one slow reopen cannot decide a point, and `null` otherwise. A
 //!    table is
@@ -112,8 +114,10 @@ fn lower_quartile(mut xs: Vec<f64>) -> f64 {
     median(xs[..xs.len() / 2].to_vec())
 }
 
-/// Question 1 at one table size.
+/// Question 1 at one table size: `inserts` INSERTs timed in memory, and
+/// one durable INSERT per 256 rows, at least `inserts`, timed and replayed.
 fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
+    let records = (rows / 256).max(inserts);
     // In memory. The first INSERT into a bulk-loaded, never-sealed table
     // copies the open last group it appends to and seals nothing it did not
     // fill; it is reported on its own.
@@ -128,7 +132,7 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
     drop(db);
 
     // Durable: two directories hold the same checkpoint (load, checkpoint,
-    // crash), and one of them `inserts` INSERTs logged behind it. Each rep
+    // crash), and one of them `records` INSERTs logged behind it. Each rep
     // reopens both back to back, so a pair shares the host's moment.
     let clean = tmp_dir(&format!("size_{rows}_clean"));
     let replay = tmp_dir(&format!("size_{rows}_replay"));
@@ -140,12 +144,12 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
     }
     let durable_us = {
         let mut db = KathDB::open(&replay).expect("durable dir opens");
-        time_inserts(&mut db, rows, inserts)
+        time_inserts(&mut db, rows, records)
     };
     let (mut clean_ms, mut replay_ms, mut diff_ms) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..reps {
         let c = time_reopen(&clean, rows);
-        let r = time_reopen(&replay, rows + inserts);
+        let r = time_reopen(&replay, rows + records);
         clean_ms.push(c);
         replay_ms.push(r);
         diff_ms.push(r - c);
@@ -155,12 +159,12 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
     let diff_q1_ms = lower_quartile(diff_ms.clone());
     let (reopen_clean_ms, reopen_replay_ms) = (median(clean_ms), median(replay_ms));
     let diff_ms = median(diff_ms);
-    let replay_us = (diff_q1_ms > 0.0).then(|| diff_ms * 1000.0 / inserts as f64);
+    let replay_us = (diff_q1_ms > 0.0).then(|| diff_ms * 1000.0 / records as f64);
     let _ = [&clean, &replay].map(std::fs::remove_dir_all);
     let replay_json = replay_us.map_or(Json::Null, Json::Num);
     eprintln!(
         "  {rows:>8} rows: INSERT {memory_us:7.1} µs in memory, {durable_us:7.1} µs durable; \
-         reopen {reopen_clean_ms:7.2} ms clean, {reopen_replay_ms:7.2} ms with {inserts} records \
+         reopen {reopen_clean_ms:7.2} ms clean, {reopen_replay_ms:7.2} ms with {records} records \
          (+{diff_ms:.2} ms per pair, lower quartile {diff_q1_ms:+.2} ms)"
     );
     Json::object([
@@ -173,7 +177,7 @@ fn size_point(rows: usize, inserts: usize, reps: usize) -> Json {
         ),
         ("reopen_clean_ms", Json::Num(reopen_clean_ms)),
         ("reopen_replay_ms", Json::Num(reopen_replay_ms)),
-        ("replayed_records", Json::Num(inserts as f64)),
+        ("replayed_records", Json::Num(records as f64)),
         ("replay_diff_q1_ms", Json::Num(diff_q1_ms)),
         ("replay_us_per_record", replay_json),
     ])
@@ -233,12 +237,12 @@ fn main() {
         (&[1_000, 10_000, 100_000, 1_000_000], 100_000)
     };
     let reps = if quick { 3 } else { 5 };
-    // Reopen pairs per table size. At 1 M rows a clean reopen alone varies
-    // by more than the replay costs, so the lower quartile needs many.
+    // Reopen pairs per table size. A clean reopen varies from pair to pair,
+    // so the lower quartile of the differences needs many.
     let pair_reps = if quick { 5 } else { 21 };
 
     // --- 1. INSERT and replay cost vs table size --------------------------
-    eprintln!("measuring {inserts} single-row INSERTs and their replay, by table size…");
+    eprintln!("measuring single-row INSERTs and the replay of one per 256 rows, by table size…");
     let size_series: Vec<Json> = sizes
         .iter()
         .map(|&rows| size_point(rows, inserts, pair_reps))

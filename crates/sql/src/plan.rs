@@ -674,13 +674,12 @@ impl Operator for Merged {
 /// The statement is planned once and run on the one drive ([`drive`]):
 /// `mode` sets the batch size its pipelines cut and `threads` how many
 /// workers claim its morsels. One worker runs the whole source as one
-/// morsel on the calling thread, so it adds every float `SUM`/`AVG` in row
-/// order. More workers split the source into batch-sized morsels and add
-/// per-morsel partial sums, which can differ from the row-order sum in
-/// their last bits (within a relative 1e-9); the partition depends on the
-/// batch size, not on `threads`, so the result is the same bits at every
-/// worker count ≥ 2. Every other value, and the row order, is the same at
-/// every worker count. The top-k vector pattern (`ORDER BY SIMILARITY(col,
+/// morsel on the calling thread; more split it into batch-sized morsels.
+/// Every value, and the row order, is the same at every `(mode, threads)`:
+/// a float `SUM` is the `f64` nearest the exact sum of its inputs (ties to
+/// even, an exact zero `+0.0`; a NaN, or both infinities, give NaN, one
+/// infinity gives itself; only the final sum can overflow) and `AVG`
+/// divides it by the count, however the morsels cut. The top-k vector pattern (`ORDER BY SIMILARITY(col,
 /// 'q') DESC LIMIT k`) is an access path of the drive; `VectorMode::Off`
 /// keeps the classical full-sort plan, which returns identical rows for
 /// the exact (Flat) strategy.

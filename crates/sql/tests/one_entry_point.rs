@@ -12,9 +12,9 @@
 //! 2. **Error parity.** A statement that cannot be planned fails with the
 //!    same `SqlError` under every combination: planning runs once, before
 //!    any drive is chosen.
-//! 3. **The float-aggregate contract.** A float `SUM`/`AVG` on the morsel
-//!    drive is the same bits at every worker count ≥ 2 and agrees with the
-//!    serial sum to a relative 1e-9.
+//! 3. **The float-aggregate contract.** A float `SUM`/`AVG` is one bit
+//!    pattern at every backing, batch size and worker count: the oracle's
+//!    exact sum rounded once, which the row-order sum misses.
 //! 4. **Late materialization.** Statements that lean on column pruning and
 //!    row-level prune hints — hints under INNER and LEFT joins, a hint
 //!    column the SELECT list drops, a name both join sides carry, the right
@@ -572,42 +572,34 @@ fn planning_errors_are_the_same_on_every_drive() {
 }
 
 #[test]
-fn float_sum_and_avg_are_stable_across_worker_counts_and_close_to_serial() {
-    let (resident, ..) = catalogs();
+fn float_sum_and_avg_are_one_bit_pattern_everywhere_equal_to_the_oracle() {
+    let catalogs = catalogs();
     let sql =
         "SELECT year, SUM(score) AS s, AVG(score) AS a FROM films GROUP BY year ORDER BY year";
-    // Batch 3 splits the 600 rows into 50 morsels of per-morsel partial sums.
-    let mode = ExecMode::Batched(3);
-    let run_at = |mode, threads| run(&resident, sql, mode, threads, VectorMode::Auto).unwrap();
-    let (two, stats) = run_at(mode, 2);
-    assert!(stats.workers > 1, "expected the morsel drive");
-    let (eight, _) = run_at(mode, 8);
-    let floats = |t: &Table| -> Vec<u64> {
-        t.rows()
-            .iter()
+    let bits = |rows: &[Vec<Value>]| -> Vec<u64> {
+        rows.iter()
             .flat_map(|row| [row[1].as_f64().unwrap(), row[2].as_f64().unwrap()])
             .map(f64::to_bits)
             .collect()
     };
-    assert_eq!(two.len(), 60);
-    assert_eq!(
-        floats(&two),
-        floats(&eight),
-        "same bits at every worker count ≥ 2"
-    );
-
-    // The oracle adds in row order, as the serial drive does: it agrees
-    // with the serial sums bit for bit, and with the morsel drive's within
-    // a relative 1e-9 (`mismatch` allows that on SUM/AVG columns).
-    let want = oracle::run(&resident, &parse_select(sql).unwrap()).unwrap();
-    assert_eq!(want.approx, [false, true, true]);
-    let exact = Answer {
-        approx: vec![false; 3],
-        ..want.clone()
-    };
-    let (one, _) = run_at(mode, 1);
-    assert_eq!(oracle::mismatch(&one, &exact), None, "serial sums");
-    assert_eq!(oracle::mismatch(&two, &want), None, "morsel sums");
+    let want = reference(&catalogs.0, sql);
+    assert_eq!(want.rows.len(), 60);
+    // The test can tell: adding in row order misses the exact sum.
+    let row_order = film_rows().iter().fold(vec![0.0; 60], |mut sums, row| {
+        if let (Value::Int(year), Value::Float(score)) = (&row[2], &row[3]) {
+            sums[(year - 1950) as usize] += score;
+        }
+        sums
+    });
+    let exact: Vec<f64> = want.rows.iter().map(|r| r[1].as_f64().unwrap()).collect();
+    assert_ne!(row_order, exact, "row order is exact here");
+    let mut split = 0;
+    sweep(&catalogs, |label, c, mode, threads| {
+        let (got, stats) = run(c, sql, mode, threads, VectorMode::Auto).unwrap();
+        split += (stats.workers > 1) as usize;
+        assert_eq!(bits(got.rows()), bits(&want.rows), "{label}");
+    });
+    assert!(split > 0, "no run took the morsel drive");
 }
 
 /// `l` holds one row, `k = 1`; `r` holds 1 030 rows that all match it,

@@ -34,8 +34,12 @@
 //!   column sorts before it, and computed keys are evaluated into the sort
 //!   while the SELECT list is evaluated after it.
 //!
-//! `SUM`/`AVG` add the numeric inputs as floats in row order (a non-NULL
-//! non-number counts but adds nothing) and are NULL over no input.
+//! `SUM` is the `f64` nearest the exact sum of the numeric inputs (an
+//! integer taken as the float `as f64` makes of it; ties to even, an exact
+//! zero `+0.0`; a NaN, or both infinities, make NaN, one infinity itself),
+//! computed here with big integers; `AVG` divides that by the count. A
+//! non-NULL non-number counts but adds nothing, and both are NULL over no
+//! input.
 //!
 //! One scalar function is inside it, `SIMILARITY(a, b)`, by the rules of
 //! docs/vector-search.md: a BLOB argument is a little-endian `f32` vector
@@ -54,14 +58,11 @@ use kath_sql::{AggCall, Select, SelectItem, SqlBinOp, SqlExpr};
 use kath_storage::{Catalog, Row, Table, Value};
 use std::cmp::Ordering;
 
-/// What a statement returns: column names, rows in order, and which
-/// columns are float `SUM`/`AVG` outputs — a morsel run may add those in a
-/// different grouping and differ by a relative 1e-9.
+/// What a statement returns: column names and rows in order.
 #[derive(Debug, Clone)]
 pub struct Answer {
     pub names: Vec<String>,
     pub rows: Vec<Row>,
-    pub approx: Vec<bool>,
 }
 
 /// An expression bound to the ordinals of the rows it reads.
@@ -211,12 +212,7 @@ fn lazy_tail(
 }
 
 fn answer(names: Vec<String>, rows: Vec<Row>) -> Answer {
-    let approx = vec![false; names.len()];
-    Answer {
-        names,
-        rows,
-        approx,
-    }
+    Answer { names, rows }
 }
 
 /// The values of `row` at `at`.
@@ -339,7 +335,7 @@ fn has_agg(item: &SelectItem) -> bool {
 #[derive(Clone, Default)]
 struct Acc {
     count: i64,
-    sum: f64,
+    addends: Vec<f64>,
     min: Option<Value>,
     max: Option<Value>,
 }
@@ -416,11 +412,7 @@ fn aggregate(
                 continue;
             };
             acc.count += 1;
-            acc.sum += match v {
-                Value::Int(i) => *i as f64,
-                Value::Float(f) => *f,
-                _ => 0.0,
-            };
+            acc.addends.extend(float(v));
             if acc.min.as_ref().is_none_or(|m| order(v, m).is_lt()) {
                 acc.min = Some(v.clone());
             }
@@ -441,8 +433,8 @@ fn aggregate(
                     AggCall::Count if col.is_none() => Value::Int(n),
                     AggCall::Count => Value::Int(acc.count),
                     AggCall::Sum | AggCall::Avg if none => Value::Null,
-                    AggCall::Sum => Value::Float(acc.sum),
-                    AggCall::Avg => Value::Float(acc.sum / acc.count as f64),
+                    AggCall::Sum => Value::Float(exact_sum(&acc.addends)),
+                    AggCall::Avg => Value::Float(exact_sum(&acc.addends) / acc.count as f64),
                     AggCall::Min => acc.min.unwrap_or(Value::Null),
                     AggCall::Max => acc.max.unwrap_or(Value::Null),
                 });
@@ -452,11 +444,133 @@ fn aggregate(
         .collect();
     let desc: Vec<bool> = select.order_by.iter().map(|k| k.desc).collect();
     sort(&mut rows, |r| pick(r, &sort_at), &desc);
-    let mut out = lazy_tail(&rows, |_| Ok(true), |r| Ok(r.clone()), select, names)?;
-    for (flag, (call, ..)) in out.approx[groups.len()..].iter_mut().zip(&aggs) {
-        *flag = matches!(call, AggCall::Sum | AggCall::Avg);
+    lazy_tail(&rows, |_| Ok(true), |r| Ok(r.clone()), select, names)
+}
+
+/// The `f64` nearest the exact sum of `xs`. Each finite addend is its
+/// integer mantissa times a power of two, so the sum is an integer count
+/// of the least subnormal 2^-1074: the positive and the negative addends
+/// are summed apart as big integers (little-endian `u64` words), the
+/// smaller is subtracted from the larger, and the difference is rounded
+/// by hand into an `f64`'s exponent and fraction fields.
+fn exact_sum(xs: &[f64]) -> f64 {
+    let (up, down) = (xs.contains(&f64::INFINITY), xs.contains(&f64::NEG_INFINITY));
+    if xs.iter().any(|x| x.is_nan()) || (up && down) {
+        return f64::NAN;
     }
-    Ok(out)
+    if up || down {
+        return if up { f64::INFINITY } else { f64::NEG_INFINITY };
+    }
+    let (mut positive, mut negative) = (Vec::new(), Vec::new());
+    for x in xs {
+        let bits = x.to_bits();
+        let (biased, fraction) = ((bits >> 52) & 0x7ff, bits & ((1 << 52) - 1));
+        // A subnormal's mantissa has no hidden bit and counts units of
+        // 2^-1074; a normal one's counts units of 2^(biased - 1075).
+        let (mantissa, shift) = match biased {
+            0 => (fraction, 0),
+            _ => (fraction | (1 << 52), biased - 1),
+        };
+        let side = if x.is_sign_negative() {
+            &mut negative
+        } else {
+            &mut positive
+        };
+        add_shifted(side, mantissa, shift as usize);
+    }
+    if below(&positive, &negative) {
+        -round_units(&subtract(negative, &positive))
+    } else {
+        round_units(&subtract(positive, &negative))
+    }
+}
+
+/// `words += mantissa · 2^shift`.
+fn add_shifted(words: &mut Vec<u64>, mantissa: u64, shift: usize) {
+    let at = shift / 64;
+    let wide = (mantissa as u128) << (shift % 64);
+    let mut carry = 0u128;
+    let mut i = at;
+    for part in [wide as u64, (wide >> 64) as u64] {
+        if words.len() <= i {
+            words.resize(i + 1, 0);
+        }
+        let total = words[i] as u128 + part as u128 + carry;
+        words[i] = total as u64;
+        carry = total >> 64;
+        i += 1;
+    }
+    while carry != 0 {
+        if words.len() <= i {
+            words.push(0);
+        }
+        let total = words[i] as u128 + carry;
+        words[i] = total as u64;
+        carry = total >> 64;
+        i += 1;
+    }
+}
+
+/// The big integer without its leading zero words.
+fn trimmed(words: &[u64]) -> &[u64] {
+    let len = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+    &words[..len]
+}
+
+/// Whether `a < b`.
+fn below(a: &[u64], b: &[u64]) -> bool {
+    let (a, b) = (trimmed(a), trimmed(b));
+    if a.len() != b.len() {
+        return a.len() < b.len();
+    }
+    for i in (0..a.len()).rev() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+    }
+    false
+}
+
+/// `a - b` for `a >= b`.
+fn subtract(mut a: Vec<u64>, b: &[u64]) -> Vec<u64> {
+    let mut borrow = false;
+    for (i, word) in a.iter_mut().enumerate() {
+        let (d, b1) = word.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *word = d;
+        borrow = b1 || b2;
+    }
+    a
+}
+
+/// `n · 2^-1074` as the nearest `f64` (ties to even).
+fn round_units(n: &[u64]) -> f64 {
+    let n = trimmed(n);
+    let bit = |i: usize| (n[i / 64] >> (i % 64)) & 1;
+    let len = match n.last() {
+        None => return 0.0,
+        Some(top) => 64 * n.len() - top.leading_zeros() as usize,
+    };
+    // Below 2^53 units the value is exact, and its bits are the fields of
+    // a subnormal, or of a normal with the least exponent.
+    if len <= 53 {
+        return f64::from_bits(n[0]);
+    }
+    // The top 53 bits, then the half bit and whether anything lies below.
+    let mut q = (len - 53..len).rev().fold(0u64, |q, i| q << 1 | bit(i));
+    let half = bit(len - 54) == 1;
+    let rest = (0..len - 54).any(|i| bit(i) == 1);
+    if half && (rest || q & 1 == 1) {
+        q += 1;
+    }
+    // `q` is the mantissa with its hidden bit: adding it to the exponent
+    // field carries a rounded-up 2^53 into the next binade.
+    let bits = (((len - 53) as u64) << 52) + q;
+    if bits >= 0x7ff << 52 {
+        f64::INFINITY
+    } else {
+        f64::from_bits(bits)
+    }
 }
 
 fn bind(e: &SqlExpr, names: &[String]) -> Result<E, String> {
@@ -696,10 +810,9 @@ fn same_key(a: &Row, b: &Row) -> bool {
     a.iter().zip(b).all(|(x, y)| order(x, y) == Ordering::Equal)
 }
 
-/// Whether two answers' values agree: the same variant and payload;
-/// floats bit for bit (NaN equals NaN), or within a relative 1e-9 where
-/// `approx` allows.
-pub fn same_value(a: &Value, b: &Value, approx: bool) -> bool {
+/// Whether two answers' values agree: the same variant and payload,
+/// floats bit for bit (NaN equals NaN).
+pub fn same_value(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Null, Value::Null) => true,
         (Value::Int(x), Value::Int(y)) => x == y,
@@ -707,9 +820,7 @@ pub fn same_value(a: &Value, b: &Value, approx: bool) -> bool {
         (Value::Str(x), Value::Str(y)) => x == y,
         (Value::Blob(x), Value::Blob(y)) => x == y,
         (Value::Float(x), Value::Float(y)) => {
-            x.to_bits() == y.to_bits()
-                || (x.is_nan() && y.is_nan())
-                || (approx && (x - y).abs() <= 1e-9 * x.abs().max(y.abs()))
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
         }
         _ => false,
     }
@@ -726,13 +837,8 @@ pub fn mismatch(got: &Table, want: &Answer) -> Option<String> {
     if rows.len() != want.rows.len() {
         return Some(format!("{} rows, want {}", rows.len(), want.rows.len()));
     }
-    let agree = |g: &Row, w: &Row| {
-        g.len() == w.len()
-            && g.iter()
-                .zip(w)
-                .zip(&want.approx)
-                .all(|((x, y), a)| same_value(x, y, *a))
-    };
+    let agree =
+        |g: &Row, w: &Row| g.len() == w.len() && g.iter().zip(w).all(|(x, y)| same_value(x, y));
     let (i, (g, w)) = rows
         .iter()
         .zip(&want.rows)

@@ -15,6 +15,7 @@ mod batch;
 mod catalog;
 mod durable;
 mod error;
+mod exact_sum;
 mod expr;
 mod guard;
 mod io;

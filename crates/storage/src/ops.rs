@@ -6,6 +6,7 @@
 //! layer. There is one protocol: an operator hands out columnar batches.
 
 use crate::batch::{ColumnVector, RowBatch, DEFAULT_BATCH_SIZE};
+use crate::exact_sum::ExactSum;
 use crate::guard::QueryGuard;
 use crate::{BinOp, Expr, Row, Schema, StorageError, Table, Value};
 use std::cmp::Ordering;
@@ -765,7 +766,7 @@ pub struct HashAggregate {
 #[derive(Clone, Default)]
 struct AggState {
     count: i64,
-    sum: f64,
+    sum: ExactSum,
     // The minimum and the maximum, each the first of equal values.
     extremes: [Option<Value>; 2],
 }
@@ -775,12 +776,11 @@ const WINS: [Ordering; 2] = [Ordering::Less, Ordering::Greater];
 
 impl AggState {
     /// Folds a later partial's state into this one. `other` must cover rows
-    /// that come *after* this state's rows in scan order (min/max are order-
-    /// free; sums are added in scan order to keep float results stable
-    /// across worker counts).
+    /// that come *after* this state's rows in scan order: of equal extremes
+    /// the first stays. Counts and exact sums merge in any order.
     fn absorb(&mut self, other: &AggState) {
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum.absorb(&other.sum);
         for ((mine, theirs), wins) in self.extremes.iter_mut().zip(&other.extremes).zip(WINS) {
             if let Some(v) = theirs {
                 if mine.as_ref().is_none_or(|m| v.total_cmp(m) == wins) {
@@ -796,8 +796,8 @@ impl AggState {
             AggFunc::CountStar => Value::Int(rows_in_group),
             AggFunc::Count => Value::Int(self.count),
             AggFunc::Sum | AggFunc::Avg if self.count == 0 => Value::Null,
-            AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Avg => Value::Float(self.sum / self.count as f64),
+            AggFunc::Sum => Value::Float(self.sum.rounded()),
+            AggFunc::Avg => Value::Float(self.sum.rounded() / self.count as f64),
             AggFunc::Min => min.clone().unwrap_or(Value::Null),
             AggFunc::Max => max.clone().unwrap_or(Value::Null),
         }
@@ -807,7 +807,7 @@ impl AggState {
 /// Folds one aggregate's input column into its per-group states along
 /// `groups` (row `i` belongs to group `groups[i]`), matched once on the
 /// column's kind: COUNT, SUM and AVG count each non-NULL slot and add the
-/// numeric ones in row order — the float additions a row loop makes — and
+/// numeric ones to the group's [`ExactSum`], and
 /// MIN and MAX compare in place and copy a value out only when the extreme
 /// changes. A `Mixed` column reads its values one at a time in the same
 /// loop.
@@ -821,7 +821,7 @@ fn fold_column(func: AggFunc, states: &mut [AggState], groups: &[usize], c: &Col
         for (i, &g) in groups.iter().enumerate().filter(|&(i, _)| !c.is_null(i)) {
             states[g].count += 1;
             if let Some(x) = x(i) {
-                states[g].sum += x;
+                states[g].sum.add(x);
             }
         }
     }
@@ -900,8 +900,8 @@ impl std::hash::Hasher for Prehashed {
 /// its key, its row count and one state per aggregate (`states[a][g]`).
 /// [`HashAggregate`] is one partial consumed serially; a parallel
 /// aggregation builds one partial per morsel and [`PartialAggregate::merge`]s
-/// them **in morsel order**, which reproduces the exact group order (and
-/// float accumulation order) of a serial run.
+/// them **in morsel order**, which reproduces the exact group order of a
+/// serial run; sums are exact, so their bits never depend on the split.
 ///
 /// A batch is absorbed column by column: the key columns hash every row
 /// into a group id ([`ColumnVector::hash_into`]; a candidate group is
@@ -1709,42 +1709,32 @@ mod tests {
     }
 
     /// A group-by over column 0 of `rows` as a row loop computes it:
-    /// COUNT(*), then COUNT, SUM, AVG, MIN and MAX of each later column —
-    /// each sum added in row order within a morsel of `morsel` rows, and the
-    /// morsels' sums in morsel order.
-    fn aggregated_by_hand(rows: &[Row], morsel: usize) -> Vec<Row> {
-        type Acc = (i64, f64, Option<Value>, Option<Value>);
+    /// COUNT(*), then COUNT, SUM, AVG, MIN and MAX of each later column,
+    /// each sum one [`ExactSum`] over the group's rows.
+    fn aggregated_by_hand(rows: &[Row]) -> Vec<Row> {
+        type Acc = (i64, ExactSum, Option<Value>, Option<Value>);
         let inputs = rows[0].len() - 1;
         let mut groups: Vec<(Value, i64, Vec<Acc>)> = Vec::new();
-        for chunk in rows.chunks(morsel) {
-            let mut sums: Vec<Vec<f64>> = Vec::new();
-            for row in chunk {
-                let g = match groups.iter().position(|(k, ..)| *k == row[0]) {
-                    Some(g) => g,
-                    None => {
-                        groups.push((row[0].clone(), 0, vec![(0, 0.0, None, None); inputs]));
-                        groups.len() - 1
-                    }
-                };
-                sums.resize(groups.len(), vec![0.0; inputs]);
-                groups[g].1 += 1;
-                for (a, v) in row[1..].iter().enumerate().filter(|(_, v)| !v.is_null()) {
-                    let (count, _, lo, hi) = &mut groups[g].2[a];
-                    *count += 1;
-                    if let Some(x) = v.as_f64() {
-                        sums[g][a] += x;
-                    }
-                    if lo.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
-                        *lo = Some(v.clone());
-                    }
-                    if hi.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
-                        *hi = Some(v.clone());
-                    }
+        for row in rows {
+            let g = match groups.iter().position(|(k, ..)| *k == row[0]) {
+                Some(g) => g,
+                None => {
+                    groups.push((row[0].clone(), 0, vec![Default::default(); inputs]));
+                    groups.len() - 1
                 }
-            }
-            for (g, sums) in sums.into_iter().enumerate() {
-                for (acc, s) in groups[g].2.iter_mut().zip(sums) {
-                    acc.1 += s;
+            };
+            groups[g].1 += 1;
+            for (a, v) in row[1..].iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                let (count, sum, lo, hi) = &mut groups[g].2[a];
+                *count += 1;
+                if let Some(x) = v.as_f64() {
+                    sum.add(x);
+                }
+                if lo.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
+                    *lo = Some(v.clone());
+                }
+                if hi.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
+                    *hi = Some(v.clone());
                 }
             }
         }
@@ -1752,8 +1742,9 @@ mod tests {
             let mut row = vec![key, Value::Int(n)];
             for (count, sum, lo, hi) in accs {
                 let some = count > 0;
-                let avg = some.then(|| sum / count as f64);
-                row.extend([Value::Int(count), some.then_some(sum).into(), avg.into()]);
+                let sum = some.then(|| sum.rounded());
+                let avg = sum.map(|s| s / count as f64);
+                row.extend([Value::Int(count), sum.into(), avg.into()]);
                 row.extend([lo.into(), hi.into()]);
             }
             row
@@ -1826,7 +1817,7 @@ mod tests {
             };
             rows.iter().map(|r| r.iter().map(cell).collect()).collect()
         };
-        let one_pass = exact(aggregated_by_hand(&rows, rows.len()));
+        let one_pass = exact(aggregated_by_hand(&rows));
         assert_eq!(one_pass.len(), 7, "ten keys, seven groups");
         for b in [1usize, 3, 1024] {
             let batches: Vec<RowBatch> = (rows.chunks(b))
@@ -1845,10 +1836,9 @@ mod tests {
                 one_pass,
                 "one pass, batch {b}"
             );
-            let by_morsel = exact(aggregated_by_hand(&rows, b));
             assert_eq!(
                 exact(merged.finish().unwrap().1.to_rows()),
-                by_morsel,
+                one_pass,
                 "merged, batch {b}"
             );
         }

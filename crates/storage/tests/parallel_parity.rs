@@ -39,7 +39,8 @@ fn cell(t: ColType, (roll, k): CellSeed) -> Value {
     }
     match t {
         ColType::Int => Value::Int(k),
-        ColType::Float => Value::Float(k as f64 * 0.5),
+        // Halves, and a tenth off them for odd `k`: sums that round.
+        ColType::Float => Value::Float(k as f64 * 0.5 + (k % 2) as f64 * 0.1),
         ColType::Str => Value::Str(format!("s{k}")),
         ColType::Bool => Value::Bool(k % 2 == 0),
     }

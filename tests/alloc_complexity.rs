@@ -6,11 +6,11 @@
 //! timing that drifts with the machine. This binary installs its own
 //! counting allocator (counting per thread, so tests running side by side
 //! do not see each other) and runs each statement class of the repo
-//! benchmark's `sql_resident` round, an `ORDER BY` without `LIMIT`, a
-//! `SELECT DISTINCT` and the first NL question at two sizes: 10 k and
-//! 100 k fact rows, 100 and 1 000 movies. The count of each class's second
-//! run at the large size must stay within its budget of allocations per
-//! 1 024 input rows plus a constant.
+//! benchmark's `sql_resident` round, a float `SUM`/`AVG`, an `ORDER BY`
+//! without `LIMIT`, a `SELECT DISTINCT` and the first NL question at two
+//! sizes: 10 k and 100 k fact rows, 100 and 1 000 movies. The count of
+//! each class's second run at the large size must stay within its budget
+//! of allocations per 1 024 input rows plus a constant.
 //!
 //! A ratio between the two sizes could not tell a per-row cost from a
 //! per-batch one (both grow tenfold), hence the per-row budget. A class
@@ -196,7 +196,7 @@ fn side(rows: usize) -> usize {
     rows / 10
 }
 
-const SQL_CLASSES: [Class; 8] = [
+const SQL_CLASSES: [Class; 9] = [
     Class {
         name: "scan_sel01",
         sql: |rows| {
@@ -223,6 +223,16 @@ const SQL_CLASSES: [Class; 8] = [
                  WHERE id > {} GROUP BY year ORDER BY year",
                 rows / 10
             )
+        },
+        input: fact,
+    },
+    // One-decimal ratings: most additions round, so every group's exact
+    // sum spills out of its plain `f64`.
+    Class {
+        name: "agg_float",
+        sql: |_| {
+            "SELECT studio, SUM(rating) AS s, AVG(rating) AS a FROM movie_table GROUP BY studio"
+                .into()
         },
         input: fact,
     },
