@@ -807,10 +807,9 @@ impl AggState {
 /// Folds one aggregate's input column into its per-group states along
 /// `groups` (row `i` belongs to group `groups[i]`), matched once on the
 /// column's kind: COUNT, SUM and AVG count each non-NULL slot and add the
-/// numeric ones to the group's [`ExactSum`], and
-/// MIN and MAX compare in place and copy a value out only when the extreme
-/// changes. A `Mixed` column reads its values one at a time in the same
-/// loop.
+/// numeric ones to the group's [`ExactSum`], and MIN and MAX compare in
+/// place and copy a value out only when the extreme changes. A `Mixed`
+/// column reads its values one at a time in the same loop.
 fn fold_column(func: AggFunc, states: &mut [AggState], groups: &[usize], c: &ColumnVector) {
     fn add(
         states: &mut [AggState],
