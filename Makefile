@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline alloc-report examples figures prod-loc
+.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline alloc-report parity-deep examples figures prod-loc
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
@@ -106,6 +106,16 @@ lint-baseline:
 # each class's budget. A perf claim about the SELECT path quotes it.
 alloc-report:
 	$(CARGO) test -q --release --test alloc_complexity -- --ignored --nocapture alloc_report
+
+# The oracle suites at 1 024 cases each: random statements against the
+# naive evaluator (drive_parity), the entry-point corpus, sorts, the slt
+# corpus, and the literal-compare kernel against `Value::sql_cmp` and the
+# evaluator (batch_parity). The benchmark's reference digests come from the
+# engine itself, so these suites are what judges which WHERE conjuncts a
+# scan may take out of the filter.
+parity-deep:
+	PROPTEST_CASES=1024 $(CARGO) test -q --release -p kath_sql --test drive_parity --test one_entry_point --test sort_parity --test slt
+	PROPTEST_CASES=1024 $(CARGO) test -q --release -p kath_storage --test batch_parity
 
 examples:
 	for e in $(EXAMPLES); do \

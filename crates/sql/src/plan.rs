@@ -14,11 +14,12 @@ use kath_storage::{
     drain_guarded, merge_top_k, preferred_vector_strategy, resolve_sort_keys, run_morsels_guarded,
     top_k_entries, AggFunc, Aggregate, BinOp, Catalog, Column, CompileMode, DataType, Distinct,
     ExecMode, Expr, Filter, HashJoin, IndexScan, JoinBuild, JoinKind, Limit, Morsel, MorselSource,
-    Operator, PartialAggregate, Project, QueryGuard, RowBatch, RunMerge, Schema, SortKey,
+    Operator, PartialAggregate, Project, QueryGuard, RowBatch, RunMerge, ScanHint, Schema, SortKey,
     SortedRun, StorageError, Table, TableScan, Value, VectorMode, VectorStrategy, WalRecord,
 };
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors from SQL execution.
@@ -211,6 +212,9 @@ struct JoinStep {
     /// The needed columns of `right` (its own ordinals): what the build
     /// side scans and keeps.
     right_columns: Vec<usize>,
+    /// The WHERE conjuncts over `right`'s columns (its own ordinals) that
+    /// its build scan applies ([`push_down`]); an INNER step's only.
+    hints: Vec<ScanHint>,
     left_col: String,
     right_col: String,
     kind: JoinKind,
@@ -259,27 +263,30 @@ struct VectorTopk {
 /// LIMIT — a flat struct holds it; there is no operator tree to walk.
 struct SelectPlan {
     table: Arc<Table>,
-    /// How the FROM scan reads less than every row: the sargable WHERE
-    /// conjuncts over FROM-table columns ([`prune_conjuncts`]), with which
-    /// it skips sealed pages by zone map and drops failing rows before it
-    /// materializes them. A superset pre-filter — the full `filter` still
-    /// runs above, after the joins. A hint is a shortcut past rows the
-    /// WHERE clause would drop anyway, so there are hints only when no
-    /// conjunct of the clause can raise ([`Expr::cannot_raise`]): skipping
-    /// a row whose evaluation would have failed turns an error into an
-    /// answer.
-    prune_hints: Vec<(String, BinOp, Value)>,
+    /// The sargable WHERE conjuncts over FROM-table columns (its own
+    /// ordinals, resolved here), which the FROM scan applies in the
+    /// filter's stead ([`push_down`]): it skips row groups by zone map and
+    /// drops failing rows before it materializes them. They are the
+    /// conjuncts themselves, not a copy of them — `filter` does not hold
+    /// them. A hint runs before the joins and before the rest of the
+    /// clause, so there are hints only when no conjunct of the clause can
+    /// raise ([`Expr::cannot_raise`]): skipping a row whose evaluation
+    /// would have failed turns an error into an answer.
+    hints: Vec<ScanHint>,
     joins: Vec<JoinStep>,
-    /// The columns the statement reads — filter, join keys, outputs, group
-    /// keys, aggregate inputs, sort keys; all of them for `SELECT *` — as
-    /// ascending ordinals of the full joined schema (FROM table's columns,
-    /// then each joined table's). No scan produces another column, and no
-    /// operator carries one.
+    /// The columns the statement reads — residual filter, join keys,
+    /// outputs, group keys, aggregate inputs, sort keys; all of them for
+    /// `SELECT *` — as ascending ordinals of the full joined schema (FROM
+    /// table's columns, then each joined table's). No scan produces another
+    /// column, and no operator carries one; a column only a hint reads is
+    /// read by its scan and copied by none.
     needed: Vec<usize>,
     /// Schema of the rows after the join chain: the `needed` columns of
     /// the full joined schema, under the names they have there. `filter`,
     /// `outputs` and the aggregate spec resolve against it by name.
     joined: Schema,
+    /// What is left of WHERE once the scans took their hints: the residual
+    /// conjuncts, in their order; `None` when the scans took them all.
     filter: Option<Expr>,
     shape: Shape,
     /// The SELECT list as projection outputs; `None` for a bare `SELECT *`
@@ -327,6 +334,7 @@ fn plan_select(
         joins.push(JoinStep {
             right,
             right_columns: Vec::new(),
+            hints: Vec::new(),
             left_col,
             right_col,
             kind: if j.left_outer {
@@ -392,9 +400,27 @@ fn plan_select(
         }
     };
 
-    let prune_hints = match &filter {
-        Some(pred) if pred.cannot_raise() => prune_conjuncts(pred, &full, from_arity),
-        _ => Vec::new(),
+    // The tables whose scans may take a conjunct, as spans of `full`: the
+    // FROM table's and each INNER step's right table's. A LEFT step's
+    // right-side conjunct stays in the filter, which must still drop the
+    // rows whose right side is padded with NULLs.
+    let mut from_hints = Vec::new();
+    let filter = match filter {
+        Some(pred) if pred.cannot_raise() => {
+            let mut spans = vec![Some(0..from_arity)];
+            spans.extend(joins.iter().map(|step| {
+                let end = step.schema.arity();
+                (step.kind == JoinKind::Inner).then(|| end - step.right.schema().arity()..end)
+            }));
+            let (hints, residual) = push_down(pred, &full, &spans);
+            let mut hints = hints.into_iter();
+            from_hints = hints.next().unwrap_or_default();
+            for (step, step_hints) in joins.iter_mut().zip(hints) {
+                step.hints = step_hints;
+            }
+            residual
+        }
+        filter => filter,
     };
 
     // Narrow the plan to the columns the statement reads. Every schema
@@ -425,7 +451,7 @@ fn plan_select(
     let vector = vector_choice(select, &table, vector);
     Ok(SelectPlan {
         table,
-        prune_hints,
+        hints: from_hints,
         joins,
         joined: full.project(&needed),
         needed,
@@ -519,6 +545,26 @@ impl SelectPlan {
         )
     }
 
+    /// How many of `source`'s morsels hold a row of a group whose zone
+    /// maps the hints leave standing ([`kath_storage::RowGroup::may_match`],
+    /// which counts no zone skip): the work a worker can find. The other
+    /// morsels are skipped whole by whichever worker claims them.
+    fn live_morsels(&self, source: &MorselSource) -> usize {
+        let morsels = source.morsel_count();
+        if self.hints.is_empty() || morsels <= 1 {
+            return morsels;
+        }
+        let groups = self.table.groups().iter();
+        let live: Vec<bool> = groups.map(|g| g.may_match(&self.hints)).collect();
+        let (rows, group_rows) = (source.morsel_rows(), self.table.page_rows());
+        let holds_live = |m: &usize| {
+            let (start, end) = (m * rows, ((m + 1) * rows).min(self.table.len()));
+            let touched = live.get(start / group_rows..end.div_ceil(group_rows));
+            touched.is_some_and(|groups| groups.contains(&true))
+        };
+        (0..morsels).filter(holds_live).count()
+    }
+
     /// Materializes every join's build side (the hash table over the
     /// needed columns of its right table): the pipeline breaker the drive
     /// pays before it streams.
@@ -526,7 +572,9 @@ impl SelectPlan {
         self.joins
             .iter()
             .map(|j| {
-                let right = TableScan::new(Arc::clone(&j.right)).with_columns(&j.right_columns);
+                let right = TableScan::new(Arc::clone(&j.right))
+                    .with_columns(&j.right_columns)
+                    .with_hints(&j.hints)?;
                 Ok(Arc::new(JoinBuild::build(Box::new(right), &j.right_col)?))
             })
             .collect()
@@ -539,10 +587,10 @@ impl SelectPlan {
     }
 
     /// The streaming phase over FROM-table rows `[start, end)`: scan
-    /// (restricted to the needed columns, pruned by the hints, checking
+    /// (restricted to the needed columns, applying the hints, checking
     /// `guard`'s deadline and cancel token as it reads) → join probes
-    /// against `builds` → filter. `batch` is the mode's batch size, which
-    /// pass-through operators inherit.
+    /// against `builds` → the residual filter, if any is left. `batch` is
+    /// the mode's batch size, which pass-through operators inherit.
     fn stream(
         &self,
         (start, end): (usize, usize),
@@ -553,7 +601,7 @@ impl SelectPlan {
         let scan = TableScan::new(Arc::clone(&self.table))
             .with_range(start, end)
             .with_columns(self.scan_columns())
-            .with_prune_hint(&self.prune_hints)
+            .with_hints(&self.hints)?
             .with_batch_size(batch)
             .with_guard(guard);
         let mut op: Box<dyn Operator> = Box::new(scan);
@@ -782,6 +830,13 @@ fn drive(
             }
         }
     } else {
+        // No more workers than morsels with work the zone maps leave in
+        // them; a statement left with one such morsel runs on the calling
+        // thread.
+        let threads = match threads {
+            0 | 1 => 1,
+            n => n.min(plan.live_morsels(&plan.morsel_source(batch, n)).max(1)),
+        };
         let source = plan.morsel_source(batch, threads);
         let builds = plan.build_joins()?;
         let stream = |m: Morsel| plan.stream((m.start, m.end), batch, &builds, guard.clone());
@@ -1076,48 +1131,60 @@ fn sort_before_project(sort_keys: &[SortKey], outputs: &[(String, Expr)]) -> boo
             .any(|k| !outputs.iter().any(|(n, _)| *n == k.column))
 }
 
-/// Collects the sargable `column <op> literal` conjuncts of the lowered
-/// WHERE clause whose column is one of the FROM table's — an ordinal of
-/// `full` below `from_arity`, under the name the filter itself resolved —
-/// as prune hints for the FROM scan.
+/// Splits a WHERE clause none of whose conjuncts can raise: each sargable
+/// `column <op> literal` conjunct whose column lies in one of `spans` —
+/// the ordinals of `full` one scan reads, `None` for a table no conjunct
+/// may go to — becomes a hint of that scan, its column an ordinal of the
+/// scan's own table; the others, in their order, are the residual filter
+/// (`None` when none is left). Returns one list of hints per span.
 ///
-/// WHERE runs after the joins, and a FROM-side row that fails such a
-/// conjunct fails it in every joined row it contributes — matched, or
-/// NULL-padded by a LEFT join — so dropping it before the probe changes no
-/// result, for INNER and LEFT alike.
-fn prune_conjuncts(
-    predicate: &Expr,
+/// The clause holds for a joined row exactly when every conjunct does, and
+/// a hint keeps exactly the rows its conjunct holds for (the scan runs the
+/// comparison kernel the filter would). A row of the FROM table that fails
+/// a conjunct fails it in every joined row it contributes — matched, or
+/// padded with NULLs by a LEFT join — and so does a row of an INNER step's
+/// right table, which only ever appears matched. So dropping such rows
+/// from the scans and the conjunct from the filter changes no result.
+fn push_down(
+    pred: Expr,
     full: &Schema,
-    from_arity: usize,
-) -> Vec<(String, BinOp, Value)> {
-    let Expr::Bin(op, l, r) = predicate else {
-        return Vec::new();
-    };
-    if *op == BinOp::And {
-        let mut hints = prune_conjuncts(l, full, from_arity);
-        hints.extend(prune_conjuncts(r, full, from_arity));
-        return hints;
+    spans: &[Option<Range<usize>>],
+) -> (Vec<Vec<ScanHint>>, Option<Expr>) {
+    fn conjuncts(e: Expr, out: &mut Vec<Expr>) {
+        match e {
+            Expr::Bin(BinOp::And, l, r) => {
+                conjuncts(*l, out);
+                conjuncts(*r, out);
+            }
+            other => out.push(other),
+        }
     }
-    // `lit <op> col` reads as `col <flipped-op> lit`.
-    let flipped = match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => *other,
+    // `lit <op> col` reads as `col <flipped op> lit`.
+    let sargable = |e: &Expr| {
+        let Expr::Bin(op, l, r) = e else {
+            return None;
+        };
+        let (column, op, lit) = match (&**l, &**r) {
+            (Expr::Col(column), Expr::Lit(lit)) => (column, *op, lit),
+            (Expr::Lit(lit), Expr::Col(column)) => (column, op.flipped(), lit),
+            _ => return None,
+        };
+        let c = full.index_of(column).filter(|_| op.is_comparison())?;
+        spans.iter().enumerate().find_map(|(scan, span)| {
+            let span = span.as_ref().filter(|span| span.contains(&c))?;
+            Some((scan, (c - span.start, op, lit.clone())))
+        })
     };
-    let hint = match (l.as_ref(), r.as_ref()) {
-        (Expr::Col(column), Expr::Lit(lit)) => (column, *op, lit),
-        (Expr::Lit(lit), Expr::Col(column)) => (column, flipped, lit),
-        _ => return Vec::new(),
-    };
-    let (column, op, lit) = hint;
-    let from_side = full.index_of(column).is_some_and(|c| c < from_arity);
-    if op.is_comparison() && from_side && !lit.is_null() {
-        vec![(column.clone(), op, lit.clone())]
-    } else {
-        Vec::new()
+    let mut all = Vec::new();
+    conjuncts(pred, &mut all);
+    let (mut hints, mut residual) = (vec![Vec::new(); spans.len()], Vec::new());
+    for conjunct in all {
+        match sargable(&conjunct) {
+            Some((scan, hint)) => hints[scan].push(hint),
+            None => residual.push(conjunct),
+        }
     }
+    (hints, residual.into_iter().reduce(Expr::and))
 }
 
 /// The validated aggregation shape of a SELECT: GROUP BY keys and
@@ -1948,6 +2015,153 @@ mod tests {
             run(&c, &select, ExecMode::default(), 1, VectorMode::Auto),
             Err(SqlError::Unsupported(_))
         ));
+    }
+
+    /// The tables of the SQL benchmark classes, with no rows: a plan does
+    /// not depend on them.
+    fn movie_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        for ddl in [
+            "CREATE TABLE movie_table (id INT, title STR, year INT, did INT, vid INT, \
+             rating FLOAT, genre STR, studio STR)",
+            "CREATE TABLE poster_table (vid INT, boring BOOL)",
+        ] {
+            execute(&mut c, ddl, "x").unwrap();
+        }
+        c
+    }
+
+    fn plan_of(c: &Catalog, sql: &str) -> SelectPlan {
+        let select = crate::parser::parse_select(sql).unwrap();
+        plan_select(c, &select, VectorMode::Auto).unwrap()
+    }
+
+    #[test]
+    fn every_sargable_conjunct_is_a_scan_hint_and_leaves_the_filter() {
+        let c = movie_catalog();
+        let (id, year) = (0, 2);
+        for (sql, hints, scanned) in [
+            (
+                "SELECT id, title, year FROM movie_table WHERE id <= 500",
+                vec![(id, BinOp::Le, Value::Int(500))],
+                vec![0, 1, 2],
+            ),
+            (
+                "SELECT id, year - 1960 AS age, rating * 2 AS r2 FROM movie_table \
+                 WHERE year >= 1993",
+                vec![(year, BinOp::Ge, Value::Int(1993))],
+                vec![0, 2, 5],
+            ),
+            // `id` is read by the hint alone, so the scan copies no `id`.
+            (
+                "SELECT year, COUNT(*) AS n, AVG(vid) AS r FROM movie_table \
+                 WHERE id > 5000 GROUP BY year ORDER BY year",
+                vec![(id, BinOp::Gt, Value::Int(5000))],
+                vec![2, 4],
+            ),
+            (
+                "SELECT id, title, year FROM movie_table WHERE year >= 2015 \
+                 ORDER BY year DESC, id LIMIT 100",
+                vec![(year, BinOp::Ge, Value::Int(2015))],
+                vec![0, 1, 2],
+            ),
+            // `lit <op> col` reads as `col <flipped op> lit`.
+            (
+                "SELECT id FROM movie_table WHERE 1993 > year AND id <> 7",
+                vec![
+                    (year, BinOp::Lt, Value::Int(1993)),
+                    (id, BinOp::Ne, Value::Int(7)),
+                ],
+                vec![0],
+            ),
+        ] {
+            let plan = plan_of(&c, sql);
+            assert_eq!(plan.hints, hints, "{sql}");
+            assert!(plan.filter.is_none(), "{sql}: no Filter operator");
+            assert_eq!(plan.scan_columns(), scanned, "{sql}");
+        }
+    }
+
+    #[test]
+    fn an_inner_join_build_takes_its_conjuncts_and_a_left_one_does_not() {
+        let c = movie_catalog();
+        // The benchmark's join: `year` goes to the FROM scan, `boring` to
+        // the build scan of `poster_table`, and nothing is left to filter.
+        let plan = plan_of(
+            &c,
+            "SELECT id, title, boring FROM movie_table \
+             JOIN poster_table ON movie_table.vid = poster_table.vid \
+             WHERE year >= 2010 AND boring = TRUE",
+        );
+        assert_eq!(plan.hints, vec![(2, BinOp::Ge, Value::Int(2010))]);
+        assert_eq!(plan.joins[0].hints, vec![(1, BinOp::Eq, Value::Bool(true))]);
+        assert!(plan.filter.is_none(), "no residual");
+        // Under a LEFT join the right-side conjunct stays in the residual,
+        // which drops the NULL pads; the FROM-side one still goes down.
+        let plan = plan_of(
+            &c,
+            "SELECT id, title, boring FROM movie_table \
+             LEFT JOIN poster_table ON movie_table.vid = poster_table.vid \
+             WHERE year >= 2010 AND boring = TRUE",
+        );
+        assert_eq!(plan.hints, vec![(2, BinOp::Ge, Value::Int(2010))]);
+        assert!(plan.joins[0].hints.is_empty());
+        let boring = Expr::col("boring").eq(Expr::lit(true));
+        assert_eq!(plan.filter, Some(boring));
+        // `right.vid` names the joined table's column, not the FROM one's.
+        let plan = plan_of(
+            &c,
+            "SELECT id FROM movie_table \
+             JOIN poster_table ON movie_table.vid = poster_table.vid \
+             WHERE right.vid < 9 AND vid > 3",
+        );
+        assert_eq!(plan.hints, vec![(4, BinOp::Gt, Value::Int(3))]);
+        assert_eq!(plan.joins[0].hints, vec![(0, BinOp::Lt, Value::Int(9))]);
+        assert!(plan.filter.is_none());
+    }
+
+    #[test]
+    fn a_clause_that_can_raise_keeps_every_conjunct_in_the_filter() {
+        let c = movie_catalog();
+        let sql = "SELECT id FROM movie_table WHERE id <> 5 AND 10 / (id - 5) > 0 AND year > 1";
+        let plan = plan_of(&c, sql);
+        assert!(plan.hints.is_empty());
+        let select = crate::parser::parse_select(sql).unwrap();
+        let full = c.get("movie_table").unwrap().schema().clone();
+        let whole = to_expr(select.where_clause.as_ref().unwrap(), &full).unwrap();
+        assert_eq!(plan.filter, Some(whole));
+        // A conjunct that is no comparison with a literal stays, the
+        // others go.
+        let plan = plan_of(&c, "SELECT id FROM movie_table WHERE year > did AND id > 3");
+        assert_eq!(plan.hints, vec![(0, BinOp::Gt, Value::Int(3))]);
+        assert_eq!(
+            plan.filter,
+            Some(Expr::col("year").bin(BinOp::Gt, Expr::col("did")))
+        );
+    }
+
+    #[test]
+    fn no_worker_starts_for_morsels_the_zone_maps_skip() {
+        // 400 rows sealed 32 to a page; `id` ascends, so `id <= 20` leaves
+        // one page standing and `id > 300` four.
+        let mut c = wide_catalog();
+        c.page_table("films", 32).unwrap();
+        let workers = |sql: &str| {
+            let select = crate::parser::parse_select(sql).unwrap();
+            let (_, stats) = run(&c, &select, ExecMode::Batched(8), 4, VectorMode::Auto).unwrap();
+            stats.workers
+        };
+        let skips = || c.pool().status().zone_skips;
+        let before = skips();
+        let plan = plan_of(&c, "SELECT title FROM films WHERE id <= 20");
+        let source = plan.morsel_source(8, 4);
+        assert_eq!(source.morsel_count(), 13);
+        assert_eq!(plan.live_morsels(&source), 1);
+        assert_eq!(skips(), before, "counting live morsels counts no zone skip");
+        assert_eq!(workers("SELECT title FROM films WHERE id <= 20"), 1);
+        assert_eq!(workers("SELECT title FROM films WHERE id > 300"), 4);
+        assert_eq!(workers("SELECT title FROM films WHERE id > 1000"), 1);
+        assert_eq!(workers("SELECT title FROM films"), 4);
     }
 
     #[test]

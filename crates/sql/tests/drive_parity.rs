@@ -166,6 +166,8 @@ struct Query {
     div: (u8, u8),
     agg_col: u8,
     shape: u8,
+    /// More WHERE conjuncts, rendered, ANDed after the others.
+    extra: Vec<String>,
 }
 
 impl Query {
@@ -182,6 +184,7 @@ impl Query {
             _ => self.items.render(arity, 'c'),
         };
         let mut conjuncts: Vec<String> = self.filt.iter().map(|f| f.render(arity, 'c')).collect();
+        conjuncts.extend(self.extra.iter().cloned());
         match self.div {
             (0, col) => conjuncts.push(format!("{} >= 0", div(col))),
             (1, col) if ![1, 2, 5, 7, 9].contains(&self.shape) => {
@@ -269,6 +272,7 @@ fn arb_query() -> impl Strategy<Value = Query> {
             div,
             agg_col,
             shape,
+            extra: Vec::new(),
         })
 }
 
@@ -388,6 +392,30 @@ proptest! {
         let types = [types.0, types.1, types.2, types.3];
         let t1 = build_table("t1", 'c', &types[..arity], &rows);
         let t2 = build_table("t2", 'd', &types[..arity], &rows2);
+        assert_parity(&catalogs(&t1, &t2), &query.render(arity))?;
+    }
+
+    /// Joined plans with a `column <op> literal` conjunct over each table:
+    /// the FROM one's goes to the FROM scan, an INNER join's right-side one
+    /// to its build scan, a LEFT join's stays in the residual filter.
+    #[test]
+    fn conjuncts_over_either_joined_table_match_the_oracle(
+        types in (arb_type(), arb_type(), arb_type(), arb_type()),
+        arity in 1usize..5,
+        rows in prop::collection::vec(arb_row_seed(), 0..48),
+        rows2 in prop::collection::vec(arb_row_seed(), 0..16),
+        query in arb_query(),
+        sides in (arb_cmp(), arb_cmp(), any::<bool>()),
+    ) {
+        let types = [types.0, types.1, types.2, types.3];
+        let t1 = build_table("t1", 'c', &types[..arity], &rows);
+        let t2 = build_table("t2", 'd', &types[..arity], &rows2);
+        let (left, right, outer) = sides;
+        let query = Query {
+            join: if outer { 2 } else { 1 },
+            extra: vec![left.render(arity, 'c'), right.render(arity, 'd')],
+            ..query
+        };
         assert_parity(&catalogs(&t1, &t2), &query.render(arity))?;
     }
 

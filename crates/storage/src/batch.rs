@@ -8,7 +8,7 @@
 //! instead of per-row `Value` matches.
 
 use crate::value::{float_total_cmp, ValueRef};
-use crate::{cmp_int_f64, DataType, Row, StorageError, Value};
+use crate::{cmp_int_f64, BinOp, DataType, Row, StorageError, Value};
 use std::cmp::Ordering;
 
 /// Default number of rows per batch. Large enough to amortize per-batch
@@ -354,6 +354,33 @@ impl PartialEq for ColumnData {
     }
 }
 
+/// A comparison's outcome for one slot: `Less`, `Equal` and `Greater` rank
+/// 0, 1 and 2, and [`UNKNOWN`] is what SQL calls NULL.
+#[inline(always)]
+fn rank(ord: Option<Ordering>) -> u32 {
+    ord.map_or(UNKNOWN, |o| (o as i32 + 1) as u32)
+}
+
+/// The rank of a comparison that orders nothing.
+const UNKNOWN: u32 = 3;
+
+/// The ranks `op` holds for, as bits: bit `r` is set when `op` holds for
+/// rank `r`. Never [`UNKNOWN`]'s; none for an operator that is not a
+/// comparison.
+fn accepts(op: BinOp) -> u32 {
+    [Ordering::Less, Ordering::Equal, Ordering::Greater]
+        .into_iter()
+        .filter(|&o| op.holds(o))
+        .fold(0, |bits, o| bits | 1 << rank(Some(o)))
+}
+
+/// What runs over one literal comparison ([`ColumnVector::lit_ranks`]):
+/// `rank(i)` is slot `i`'s rank, computed on the typed payload.
+trait RankSink {
+    type Out;
+    fn run(self, rank: impl Fn(usize) -> u32) -> Self::Out;
+}
+
 /// The positions a filter mask keeps, ascending.
 fn kept_positions(mask: &[bool]) -> Vec<usize> {
     (0..mask.len()).filter(|&i| mask[i]).collect()
@@ -648,21 +675,83 @@ impl ColumnVector {
         mask
     }
 
-    /// SQL comparison of slot `i` with a literal, read in place: the same
-    /// answer as `self.value(i).sql_cmp(lit)` without building the value.
-    pub fn sql_cmp_at(&self, i: usize, lit: &Value) -> Option<Ordering> {
-        if self.nulls.is_null(i) {
-            return None;
+    /// Keeps, in order, the positions of `keep` whose slot satisfies
+    /// `slot <op> lit` — `value(i).sql_cmp(lit)` holds `op` — and drops
+    /// the rest: what a scan hint does to a run of rows. The same
+    /// comparison as [`ColumnVector::compare_lit`], compacted without a
+    /// branch per slot.
+    pub fn retain_cmp(&self, op: BinOp, lit: &Value, keep: &mut Vec<usize>) {
+        struct Retain<'a>(u32, &'a mut Vec<usize>);
+        impl RankSink for Retain<'_> {
+            type Out = ();
+            fn run(self, rank: impl Fn(usize) -> u32) {
+                let Retain(accept, keep) = self;
+                let mut kept = 0;
+                for j in 0..keep.len() {
+                    let i = keep[j];
+                    keep[kept] = i;
+                    kept += (accept >> rank(i)) as usize & 1;
+                }
+                keep.truncate(kept);
+            }
         }
+        self.lit_ranks(lit, Retain(accepts(op), keep))
+    }
+
+    /// `slot <op> lit` for every slot, three-valued: TRUE or FALSE where
+    /// `value(i).sql_cmp(lit)` orders the two, NULL where it does not (a
+    /// NULL slot or literal, a NaN, kinds that do not compare). How an
+    /// expression compares a column with a literal.
+    pub fn compare_lit(&self, op: BinOp, lit: &Value) -> ColumnVector {
+        struct Truth(u32, usize);
+        impl RankSink for Truth {
+            type Out = ColumnVector;
+            fn run(self, rank: impl Fn(usize) -> u32) -> ColumnVector {
+                let Truth(accept, n) = self;
+                let (mut out, mut words) = (Vec::with_capacity(n), vec![0u64; n.div_ceil(64)]);
+                for i in 0..n {
+                    let r = rank(i);
+                    out.push((accept >> r) & 1 != 0);
+                    words[i / 64] |= u64::from(r == UNKNOWN) << (i % 64);
+                }
+                ColumnVector::from_parts(ColumnData::Bool(out), NullBitmap::from_words(words, n))
+            }
+        }
+        self.lit_ranks(lit, Truth(accepts(op), self.len()))
+    }
+
+    /// Runs `sink` with slot `i`'s [`rank`] against `lit` under
+    /// [`Value::sql_cmp`]: the payload kind and the literal are matched
+    /// once, so the sink's loop reads one typed payload. A column without
+    /// NULLs never reads its bitmap; one with NULLs ORs each slot's bit in
+    /// as [`UNKNOWN`].
+    fn lit_ranks<S: RankSink>(&self, lit: &Value, sink: S) -> S::Out {
+        fn masked<S: RankSink>(nulls: &NullBitmap, sink: S, rank: impl Fn(usize) -> u32) -> S::Out {
+            if !nulls.any_null() {
+                return sink.run(rank);
+            }
+            let words = &nulls.words;
+            sink.run(|i| rank(i) | (((words[i / 64] >> (i % 64)) as u32 & 1) * UNKNOWN))
+        }
+        let n = &self.nulls;
         match (&self.data, lit) {
-            (ColumnData::Int(v), Value::Int(b)) => Some(v[i].cmp(b)),
-            (ColumnData::Int(v), Value::Float(b)) => cmp_int_f64(v[i], *b),
-            (ColumnData::Float(v), Value::Float(b)) => v[i].partial_cmp(b),
-            (ColumnData::Float(v), Value::Int(b)) => cmp_int_f64(*b, v[i]).map(Ordering::reverse),
-            (ColumnData::StrBuf(v), Value::Str(b)) => Some(v.get(i).cmp(b.as_str())),
-            (ColumnData::Bool(v), Value::Bool(b)) => Some(v[i].cmp(b)),
-            (ColumnData::Mixed(v), _) => v[i].sql_cmp(lit),
-            _ => None,
+            (ColumnData::Int(v), Value::Int(b)) => masked(n, sink, |i| rank(Some(v[i].cmp(b)))),
+            (ColumnData::Int(v), Value::Float(b)) => {
+                masked(n, sink, |i| rank(cmp_int_f64(v[i], *b)))
+            }
+            (ColumnData::Float(v), Value::Float(b)) => {
+                masked(n, sink, |i| rank(v[i].partial_cmp(b)))
+            }
+            (ColumnData::Float(v), Value::Int(b)) => masked(n, sink, |i| {
+                rank(cmp_int_f64(*b, v[i]).map(Ordering::reverse))
+            }),
+            (ColumnData::StrBuf(v), Value::Str(b)) => {
+                masked(n, sink, |i| rank(Some(v.get(i).cmp(b.as_str()))))
+            }
+            (ColumnData::Bool(v), Value::Bool(b)) => masked(n, sink, |i| rank(Some(v[i].cmp(b)))),
+            (ColumnData::Mixed(v), _) => sink.run(|i| rank(v[i].sql_cmp(lit))),
+            // A typed column against a literal of another kind, or NULL.
+            _ => sink.run(|_| UNKNOWN),
         }
     }
 

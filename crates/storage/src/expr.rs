@@ -63,6 +63,18 @@ impl BinOp {
             _ => false,
         }
     }
+
+    /// The operator that holds for `b op' a` exactly when `self` holds for
+    /// `a op b`: `<` and `>`, `<=` and `>=` swap; every other is its own.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for BinOp {
@@ -195,11 +207,22 @@ impl Expr {
                 };
                 combine_logical(and, &lv, &rv)
             }
-            Expr::Bin(op, l, r) => {
-                let lv = l.eval_ref(batch, schema)?;
-                let rv = r.eval_ref(batch, schema)?;
-                eval_bin_batch(*op, &lv, &rv)?
-            }
+            // A comparison with a literal reads the other operand's payload
+            // against the literal itself — the kernel a scan hint runs —
+            // and never broadcasts the literal into a column.
+            Expr::Bin(op, l, r) => match (&**l, &**r) {
+                (_, Expr::Lit(lit)) if op.is_comparison() => {
+                    l.eval_ref(batch, schema)?.compare_lit(*op, lit)
+                }
+                (Expr::Lit(lit), _) if op.is_comparison() => {
+                    r.eval_ref(batch, schema)?.compare_lit(op.flipped(), lit)
+                }
+                _ => {
+                    let lv = l.eval_ref(batch, schema)?;
+                    let rv = r.eval_ref(batch, schema)?;
+                    eval_bin_batch(*op, &lv, &rv)?
+                }
+            },
             Expr::Not(e) => not_kernel(&*e.eval_ref(batch, schema)?),
             Expr::Neg(e) => neg_kernel(&*e.eval_ref(batch, schema)?)?,
             Expr::IsNull(e) => is_null_kernel(&*e.eval_ref(batch, schema)?),

@@ -54,8 +54,8 @@ pub use morsel::{
 pub use ops::{
     cmp_rows, col_cmp, collect, drain_guarded, merge_sorted_runs, resolve_sort_keys, sort_rows,
     AggFunc, Aggregate, Distinct, Filter, HashAggregate, HashJoin, IndexScan, JoinBuild, JoinKind,
-    Limit, Operator, PartialAggregate, Project, RunMerge, SortKey, SortedMerge, SortedRun,
-    TableScan,
+    Limit, Operator, PartialAggregate, Project, RunMerge, ScanHint, SortKey, SortedMerge,
+    SortedRun, TableScan,
 };
 pub use page::{decode_page, encode_page, page_encoding_name, ZoneMap, DEFAULT_PAGE_ROWS};
 pub use paged::{PageBacking, PageSlot, PageWriteStats, RowGroup};

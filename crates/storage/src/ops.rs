@@ -71,30 +71,38 @@ pub fn drain_guarded(
     Ok((out, batches))
 }
 
+/// A WHERE conjunct a [`TableScan`] applies in the filter's stead:
+/// `(column, op, literal)`, `column` an ordinal of the scanned table. A row
+/// passes when `value <op> literal` is TRUE under [`Value::sql_cmp`].
+pub type ScanHint = (usize, BinOp, Value);
+
 /// Full scan over a shared table (optionally restricted to a row range, the
 /// unit a [`crate::MorselSource`] hands to parallel workers).
 ///
-/// The table is walked one row group at a time, and prune hints (sargable
-/// `column <op> literal` conjuncts from the WHERE clause above) let the
-/// scan skip a whole group whose zone maps prove no row can match — a
-/// sealed one before its pages are ever decoded. No batch spans a group
-/// boundary.
+/// The table is walked one row group at a time. Its hints are `column <op>
+/// literal` conjuncts of the WHERE clause above, which the scan applies in
+/// the plan's stead — the plan's filter keeps only the rest. A group whose
+/// zone maps prove no row can satisfy a hint is skipped whole, a sealed
+/// one before its pages are ever decoded. No batch spans a group boundary.
 ///
 /// Batches are materialized late: the hints are evaluated first, on the
-/// hint columns alone, and the selected columns are copied only at the
-/// positions that survive — typed slices and gathers of the group's
-/// columns, decoded pages or open columns alike. A run of rows with no
-/// survivor copies nothing and yields no batch. The hints are a superset
-/// pre-filter: the plan's filter above still runs on what comes out.
+/// hint columns alone, by the one literal-compare kernel expressions use
+/// ([`ColumnVector::retain_cmp`]), and the selected columns are copied
+/// only at the positions that survive — typed slices and gathers of the
+/// group's columns, decoded pages or open columns alike. A run of rows
+/// with no survivor copies nothing and yields no batch.
 pub struct TableScan {
     table: Arc<Table>,
     cursor: usize,
     end: usize,
     batch_size: usize,
     // (column ordinal, op, literal) conjuncts: zone-map pruning of pages
-    // and row pruning inside batches. Ordinals stay full-table even under
-    // a column restriction.
-    prune: Vec<(usize, BinOp, Value)>,
+    // and the rows the scan keeps. Ordinals stay full-table even under a
+    // column restriction.
+    hints: Vec<ScanHint>,
+    // The positions of the current run that pass every hint; reused from
+    // run to run.
+    keep: Vec<usize>,
     columns: Selected,
     guard: QueryGuard,
 }
@@ -135,7 +143,8 @@ impl TableScan {
             cursor: 0,
             end: table.len(),
             batch_size: DEFAULT_BATCH_SIZE,
-            prune: Vec::new(),
+            hints: Vec::new(),
+            keep: Vec::new(),
             columns: Selected::all(&table),
             guard: QueryGuard::unlimited(),
             table,
@@ -163,18 +172,20 @@ impl TableScan {
         self
     }
 
-    /// Attaches prune hints: `column <op> literal` conjuncts that the
-    /// plan's filter will apply anyway. Groups a hint's zone map proves
-    /// empty are skipped (a sealed one without decoding), and the rows of the
-    /// remaining groups that fail a hint are dropped before anything else
-    /// of them is copied. Unknown columns are ignored (no hint).
-    pub fn with_prune_hint(mut self, hints: &[(String, BinOp, Value)]) -> Self {
-        let schema = self.table.schema();
-        self.prune = hints
-            .iter()
-            .filter_map(|(col, op, lit)| schema.index_of(col).map(|c| (c, *op, lit.clone())))
-            .collect();
-        self
+    /// Attaches hints: `(column, op, literal)` conjuncts, `column` a
+    /// full-table ordinal, that the scan applies — it yields exactly the
+    /// rows for which every `value <op> literal` is TRUE. Groups a hint's
+    /// zone map proves empty are skipped (a sealed one without decoding),
+    /// and the rows of the remaining groups that fail a hint are dropped
+    /// before anything else of them is copied. An ordinal past the table's
+    /// columns is an error, never a hint left out.
+    pub fn with_hints(mut self, hints: &[ScanHint]) -> Result<Self, StorageError> {
+        let arity = self.table.schema().arity();
+        if let Some((c, ..)) = hints.iter().find(|(c, ..)| *c >= arity) {
+            return Err(StorageError::UnknownColumn(format!("#{c}")));
+        }
+        self.hints = hints.to_vec();
+        Ok(self)
     }
 
     /// Restricts the scan to the given column ordinals (full-table
@@ -182,7 +193,7 @@ impl TableScan {
     /// projection, and rows and batches carry only the selected columns —
     /// unselected columns' sealed pages are never even decoded (a hint
     /// column that is not selected is decoded for the hint alone).
-    /// Prune hints keep addressing full-table ordinals and are unaffected.
+    /// Hints keep addressing full-table ordinals and are unaffected.
     pub fn with_columns(mut self, ordinals: &[usize]) -> Self {
         self.columns = Selected::only(&self.table, ordinals);
         self
@@ -199,7 +210,7 @@ impl TableScan {
         let group = &table.groups()[g];
         let (start, end) = table.group_bounds(g);
         let upper = end.min(self.end);
-        if group.prunes(&self.prune) {
+        if group.prunes(&self.hints) {
             self.cursor = upper;
             return Ok(None);
         }
@@ -207,11 +218,11 @@ impl TableScan {
         let from = self.cursor - start;
         let to = (self.cursor + self.batch_size).min(upper) - start;
         self.cursor = start + to;
-        let mut keep: Vec<usize> = (from..to).collect();
-        for (c, op, lit) in &self.prune {
-            group.read_column(*c, |column| {
-                keep.retain(|&i| column.sql_cmp_at(i, lit).is_some_and(|ord| op.holds(ord)))
-            })?;
+        let keep = &mut self.keep;
+        keep.clear();
+        keep.extend(from..to);
+        for (c, op, lit) in &self.hints {
+            group.read_column(*c, |column| column.retain_cmp(*op, lit, keep))?;
             if keep.is_empty() {
                 return Ok(None);
             }
@@ -221,7 +232,7 @@ impl TableScan {
             .map(|&c| {
                 group.read_column(c, |column| match whole {
                     true => column.slice(from, to),
-                    false => column.gather(&keep),
+                    false => column.gather(keep),
                 })
             })
             .collect::<Result<_, _>>()?;
@@ -2085,32 +2096,38 @@ mod tests {
     #[test]
     fn prune_hints_drop_rows_inside_pages_and_the_tail() {
         let t = sealed_then_open(&Arc::new(crate::BufferPool::with_budget(64)));
-        let hint = |col: &str, op, lit: i64| vec![(col.to_string(), op, Value::Int(lit))];
+        // Ordinals: `k` is 0, `v` is 1.
+        let hint = |col: usize, op, lit: i64| vec![(col, op, Value::Int(lit))];
         for bs in [1usize, 2, 1024] {
             let scan = || TableScan::new(Arc::clone(&t)).with_batch_size(bs);
             // A hint on a column with NULLs: NULL fails it, as it fails the
             // filter above. The survivors straddle the seal boundary.
-            let got = batches_of(scan().with_prune_hint(&hint("v", BinOp::Ge, 40)));
+            let got = batches_of(scan().with_hints(&hint(1, BinOp::Ge, 40)).unwrap());
             let at_least_40 = |r: &&Row| r[1].as_int().is_some_and(|v| v >= 40);
             let want: Vec<Row> = t.rows().iter().filter(at_least_40).cloned().collect();
             assert_eq!(got.concat(), want, "batch size {bs}");
             // The hint column need not be selected to be read.
             let only_k = scan().with_columns(&[0]);
-            let got = batches_of(only_k.with_prune_hint(&hint("v", BinOp::Lt, 50)));
+            let got = batches_of(only_k.with_hints(&hint(1, BinOp::Lt, 50)).unwrap());
             let want: Vec<Row> = [1i64, 2, 4].iter().map(|&k| vec![Value::Int(k)]).collect();
             assert_eq!(got.concat(), want, "batch size {bs}");
             // Two hints: both must hold.
-            let mut both = hint("k", BinOp::Gt, 4);
-            both.extend(hint("v", BinOp::Ne, 70));
-            let got = batches_of(scan().with_prune_hint(&both));
+            let mut both = hint(0, BinOp::Gt, 4);
+            both.extend(hint(1, BinOp::Ne, 70));
+            let got = batches_of(scan().with_hints(&both).unwrap());
             let ks: Vec<Value> = got.concat().into_iter().map(|r| r[0].clone()).collect();
             assert_eq!(ks, vec![Value::Int(5), Value::Int(8)], "batch size {bs}");
             // No survivor anywhere: every run is skipped, none yields an
             // empty batch, and the scan ends. Page 1's zone map admits the
             // hint (40 ≤ 45 ≤ 50) and the open groups have none, so
             // dropping their rows is the row hints' doing.
-            let none = batches_of(scan().with_prune_hint(&hint("v", BinOp::Eq, 45)));
+            let none = batches_of(scan().with_hints(&hint(1, BinOp::Eq, 45)).unwrap());
             assert!(none.is_empty(), "batch size {bs}");
+            // A hint past the table's columns is refused, not left out.
+            assert!(matches!(
+                scan().with_hints(&hint(2, BinOp::Eq, 45)),
+                Err(StorageError::UnknownColumn(_))
+            ));
         }
     }
 
@@ -2123,10 +2140,11 @@ mod tests {
         let t = sealed_then_open(&pool);
         let misses = || pool.status().misses;
         let before = misses();
-        let hint = vec![("v".to_string(), BinOp::Eq, Value::Int(45))];
+        let hint = [(1, BinOp::Eq, Value::Int(45))];
         let scan = TableScan::new(Arc::clone(&t))
             .with_columns(&[0])
-            .with_prune_hint(&hint);
+            .with_hints(&hint)
+            .unwrap();
         assert!(batches_of(scan).is_empty());
         assert_eq!(misses() - before, 1, "only page 1 of `v` is decoded");
     }

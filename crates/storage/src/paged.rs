@@ -22,7 +22,7 @@ use crate::io::{with_retry, Io, RetryPolicy};
 use crate::page::{decode_page, encode_page, ZoneMap};
 use crate::pool::{BufferPool, PageKey};
 use crate::wal::crc32;
-use crate::{BinOp, ColumnVector, Row, StorageError, Value};
+use crate::{ColumnVector, Row, ScanHint, StorageError, Value};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
@@ -341,11 +341,19 @@ impl RowGroup {
         }
     }
 
+    /// Whether the zone maps leave room for a row of the group that
+    /// satisfies every `(column, op, literal)` hint; `false` only when one
+    /// of them proves that none can. Counts nothing.
+    pub fn may_match(&self, hints: &[ScanHint]) -> bool {
+        (hints.iter()).all(|(c, op, lit)| self.zone(*c).may_match(*op, lit))
+    }
+
     /// Whether a zone map proves that no row of the group satisfies every
-    /// `(column, op, literal)` hint. A sealed group's skip is counted in
-    /// the pool, whose pages it saves; an open group's saves no page read.
-    pub(crate) fn prunes(&self, hints: &[(usize, BinOp, Value)]) -> bool {
-        let pruned = (hints.iter()).any(|(c, op, lit)| !self.zone(*c).may_match(*op, lit));
+    /// hint ([`RowGroup::may_match`]), when a scan is about to read it. A
+    /// sealed group's skip is counted in the pool, whose pages it saves; an
+    /// open group's saves no page read.
+    pub(crate) fn prunes(&self, hints: &[ScanHint]) -> bool {
+        let pruned = !self.may_match(hints);
         if let (true, RowGroup::Sealed(slots)) = (pruned, self) {
             slots[0].pool.note_zone_skip();
         }
@@ -391,7 +399,7 @@ pub(crate) fn write_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataType, Row, Schema, Table};
+    use crate::{BinOp, DataType, Row, Schema, Table};
 
     fn schema() -> Schema {
         Schema::of(&[("id", DataType::Int), ("tag", DataType::Str)])

@@ -165,13 +165,12 @@ impl Value {
         match self {
             Value::Null => "NULL".to_string(),
             Value::Int(i) => i.to_string(),
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1.0e15 {
-                    format!("{:.1}", f)
-                } else {
-                    format!("{}", f)
-                }
-            }
+            // From 1e15 up, the shortest exponent form that reads back as
+            // the same float: `Display` would print every digit (309 for
+            // `f64::MAX`).
+            Value::Float(f) if f.is_finite() && f.abs() >= 1.0e15 => format!("{f:e}"),
+            Value::Float(f) if f.fract() == 0.0 => format!("{f:.1}"),
+            Value::Float(f) => f.to_string(),
             Value::Str(s) => s.clone(),
             Value::Bool(b) => if *b { "True" } else { "False" }.to_string(),
             Value::Blob(b) => format!("<{} bytes>", b.len()),
@@ -496,5 +495,25 @@ mod tests {
         assert_eq!(Value::Float(1.0).render(), "1.0");
         assert_eq!(Value::Int(1991).render(), "1991");
         assert_eq!(Value::Null.render(), "NULL");
+    }
+
+    #[test]
+    fn a_float_from_1e15_up_renders_in_shortest_exponent_form() {
+        for (f, text) in [
+            (f64::MAX, "1.7976931348623157e308"),
+            (-f64::MAX, "-1.7976931348623157e308"),
+            (1.0e15, "1e15"),
+            (-2.5e20, "-2.5e20"),
+            (9007199254740993.0, "9.007199254740992e15"),
+            (999_999_999_999_999.0, "999999999999999.0"),
+            (0.1, "0.1"),
+            (f64::INFINITY, "inf"),
+            (f64::NAN, "NaN"),
+        ] {
+            assert_eq!(Value::Float(f).render(), text);
+            if f.is_finite() {
+                assert_eq!(text.parse::<f64>().unwrap(), f, "{text} reads back");
+            }
+        }
     }
 }

@@ -1,7 +1,11 @@
 //! Property tests for the kernels and copy primitives batches stand on:
 //! the typed primitives late materialization uses —
-//! `ColumnVector::{slice, gather, gather_padded, filter, sql_cmp_at}` —
-//! must agree with `value(i)` slot by slot for every payload kind, random
+//! `ColumnVector::{slice, gather, gather_padded, filter}` — must agree with
+//! `value(i)` slot by slot for every payload kind; the one literal-compare
+//! kernel (`ColumnVector::{retain_cmp, compare_lit}`, which scan hints and
+//! `col <op> literal` expressions both run) must keep exactly the slots
+//! `Value::sql_cmp` says hold, and evaluate as the column-against-column
+//! kernels do; random
 //! sequences of copies and appends over string columns must agree with the
 //! same operations on `Vec<Value>`, and an integer quotient that does not
 //! fit is a typed error at every batch size.
@@ -9,8 +13,8 @@
 //! `crates/sql/tests/oracle` by `crates/sql/tests/drive_parity.rs`.
 
 use kath_storage::{
-    collect, BinOp, ColumnData, ColumnVector, Expr, Project, Schema, StorageError, Table,
-    TableScan, Value,
+    collect, BinOp, ColumnData, ColumnVector, DataType, Expr, Project, RowBatch, Schema,
+    StorageError, Table, TableScan, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -146,8 +150,8 @@ proptest! {
         let kept: Vec<Option<usize>> = (0..n).filter(|&i| mask[i]).map(Some).collect();
         assert_slots(&col.filter(&mask), &col, &kept);
 
-        // The in-place comparison is `sql_cmp` of the rebuilt value, for a
-        // literal of every type.
+        // The literal-compare kernel is `sql_cmp` of the rebuilt value,
+        // for a literal of every type.
         let lits = [
             Value::Int(lit),
             Value::Float(lit as f64 * 0.5),
@@ -157,10 +161,146 @@ proptest! {
             Value::Null,
         ];
         for lit in &lits {
-            for i in 0..n {
-                prop_assert_eq!(col.sql_cmp_at(i, lit), col.value(i).sql_cmp(lit), "slot {} vs {:?}", i, lit);
-            }
+            assert_compares_like_sql_cmp(&col, lit, &idx)?;
         }
+    }
+}
+
+const OPS: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+];
+
+/// The literal-compare kernel against `Value::sql_cmp` and against the
+/// evaluator, for every comparison operator: `retain_cmp` keeps exactly
+/// the positions (of every slot, and of `picks`, in their order, repeats
+/// included) whose value `sql_cmp` orders so that the operator holds;
+/// `compare_lit` is TRUE there, NULL exactly where `sql_cmp` orders
+/// nothing; and `c <op> lit`, `lit <flipped op> c` and `c <op> l` over a
+/// column `l` of the literal repeated — the column-against-column kernels
+/// — evaluate to the same values.
+fn assert_compares_like_sql_cmp(
+    col: &ColumnVector,
+    lit: &Value,
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let n = col.len();
+    let schema = Schema::of(&[("c", DataType::Any), ("l", DataType::Any)]);
+    let batch = RowBatch::from_columns(vec![col.clone(), ColumnVector::repeat(lit, n)])
+        .expect("two columns of one length");
+    for op in OPS {
+        let holds = |i: usize| col.value(i).sql_cmp(lit).is_some_and(|o| op.holds(o));
+        let want: Vec<usize> = (0..n).filter(|&i| holds(i)).collect();
+        let mut kept: Vec<usize> = (0..n).collect();
+        col.retain_cmp(op, lit, &mut kept);
+        prop_assert_eq!(&kept, &want, "{} {:?}", op, lit);
+        let mut kept = picks.to_vec();
+        col.retain_cmp(op, lit, &mut kept);
+        let want: Vec<usize> = picks.iter().copied().filter(|&i| holds(i)).collect();
+        prop_assert_eq!(&kept, &want, "{} {:?} over picks", op, lit);
+
+        let truth = col.compare_lit(op, lit);
+        for i in 0..n {
+            let unknown = col.value(i).sql_cmp(lit).is_none();
+            prop_assert_eq!(truth.is_null(i), unknown, "slot {} {} {:?}", i, op, lit);
+        }
+        let mask: Vec<bool> = (0..n).map(holds).collect();
+        prop_assert_eq!(&truth.truthy_mask(), &mask, "{} {:?}", op, lit);
+        let eval = |e: Expr| {
+            e.eval_batch(&batch, &schema)
+                .expect("comparisons never raise")
+        };
+        let col_lit = eval(Expr::col("c").bin(op, Expr::Lit(lit.clone())));
+        let lit_col = eval(Expr::Lit(lit.clone()).bin(op.flipped(), Expr::col("c")));
+        let col_col = eval(Expr::col("c").bin(op, Expr::col("l")));
+        prop_assert_eq!(&col_lit.truthy_mask(), &mask, "c {} {:?}", op, lit);
+        prop_assert_eq!(
+            col_lit.to_values(),
+            col_col.to_values(),
+            "c {} {:?}",
+            op,
+            lit
+        );
+        prop_assert_eq!(
+            lit_col.to_values(),
+            col_col.to_values(),
+            "{:?} {} c",
+            lit,
+            op.flipped()
+        );
+    }
+    Ok(())
+}
+
+/// The values the literal-compare kernel must order as `sql_cmp` does:
+/// integers on both sides of 2^53 and at the ends of `i64`, floats equal
+/// to some of them, `-0.0` and `0.0`, NaNs of both signs, the infinities,
+/// strings that prefix one another, both booleans and blobs.
+fn edge_values() -> [Vec<Value>; 5] {
+    let two53 = 1i64 << 53;
+    [
+        [0, 1, -1, two53, two53 + 1, i64::MAX, i64::MIN]
+            .map(Value::Int)
+            .to_vec(),
+        [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            two53 as f64,
+            (two53 + 2) as f64,
+            i64::MAX as f64,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]
+        .map(Value::Float)
+        .to_vec(),
+        ["", "a", "ab", "é"].map(|s| Value::Str(s.into())).to_vec(),
+        vec![Value::Bool(false), Value::Bool(true)],
+        vec![
+            Value::Blob(Vec::new()),
+            Value::Blob(vec![1]),
+            Value::Blob(vec![1, 2]),
+        ],
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn the_literal_kernel_keeps_what_sql_cmp_and_the_evaluator_keep(
+        // 0–4: one kind of `edge_values` (a third of the slots NULL);
+        // 5: every kind mixed.
+        kind in 0u8..6,
+        cells in prop::collection::vec((any::<u8>(), any::<u8>()), 0..150),
+        picks in prop::collection::vec(any::<u16>(), 0..40),
+        lit in (any::<u8>(), any::<u8>()),
+    ) {
+        let pools = edge_values();
+        let everything: Vec<Value> = pools.iter().flatten().cloned().collect();
+        let pool = pools.get(kind as usize).unwrap_or(&everything);
+        let values = cells.iter().map(|&(roll, k)| match roll % 3 {
+            0 => Value::Null,
+            _ => pool[k as usize % pool.len()].clone(),
+        });
+        let col = ColumnVector::from_values(values.collect());
+        let n = col.len();
+        let picks: Vec<usize> = picks.iter().filter(|_| n > 0).map(|&p| p as usize % n).collect();
+        // A literal of any kind, NULL included, one time in four of the
+        // column's own kind.
+        let lit = match lit.0 % 8 {
+            0 => Value::Null,
+            1 | 2 => pool[lit.1 as usize % pool.len()].clone(),
+            _ => everything[lit.1 as usize % everything.len()].clone(),
+        };
+        assert_compares_like_sql_cmp(&col, &lit, &picks)?;
     }
 }
 
@@ -199,8 +339,8 @@ fn assert_holds(col: &ColumnVector, want: &[Value]) -> Result<(), TestCaseError>
             prop_assert_eq!(col.eq_at(i, col, j), v == w, "slots {} and {}", i, j);
             prop_assert!(v != w || hashes[i] == hashes[j], "equal slots hash alike");
             prop_assert_eq!(col.cmp_at(i, w), v.total_cmp(w));
-            prop_assert_eq!(col.sql_cmp_at(i, w), v.sql_cmp(w));
         }
+        assert_compares_like_sql_cmp(col, v, &[])?;
     }
     Ok(())
 }

@@ -8,7 +8,10 @@
 //! parallel composition (per-morsel pipelines over [`MorselSource`],
 //! thread-local [`PartialAggregate`]s, sorted-run merges, all merged in
 //! morsel order) must produce the same table with the same row order — or
-//! both must fail.
+//! both must fail. Float aggregates are judged on their own as well: for
+//! non-dyadic floats in groups that span several morsels, SUM and AVG must
+//! be the `f64` nearest the exact sum (computed here in fixed point) at
+//! every morsel cut and worker count.
 
 use kath_storage::{
     col_cmp, collect, merge_sorted_runs, resolve_sort_keys, run_morsels, sort_rows, AggFunc,
@@ -439,6 +442,109 @@ proptest! {
                 (Err(_), Err(_)) => {}
                 _ => prop_assert!(false, "drives disagreed on failure at {} workers", workers),
             }
+        }
+    }
+}
+
+/// 2^70: every float `float_column` makes is a whole multiple of 2^-70.
+const FIXED: f64 = 1180591620717411303424.0;
+
+/// The `x` of row `i` from its seed: NULL one time in seven, else a float
+/// no power of two divides evenly — tenths, thirds, and a billion plus or
+/// minus hundredths, whose sums round at every step.
+fn float_cell((roll, k, kind): (u8, i64, u8)) -> Value {
+    if roll % 7 == 0 {
+        return Value::Null;
+    }
+    let k = k as f64;
+    Value::Float(match kind % 4 {
+        0 => k * 0.1,
+        1 => k / 3.0,
+        2 => 1e9 + k * 0.01,
+        _ => -1e9 - k * 0.01,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn float_aggregates_are_the_exact_sum_at_every_morsel_cut(
+        groups in 1usize..4,
+        cells in prop::collection::vec((any::<u8>(), -60i64..60, any::<u8>()), 30..160),
+        morsel_rows in 1usize..9,
+    ) {
+        let schema = Schema::of(&[
+            ("g", kath_storage::DataType::Int),
+            ("x", kath_storage::DataType::Float),
+        ]);
+        // Rows interleave the groups, so each spans at least three morsels.
+        let rows: Vec<Row> = (cells.iter().enumerate())
+            .map(|(i, &c)| vec![Value::Int((i % groups) as i64), float_cell(c)])
+            .collect();
+        let spans = |g: usize| (g..rows.len()).step_by(groups).map(|i| i / morsel_rows).collect::<std::collections::BTreeSet<_>>().len();
+        prop_assert!((0..groups).all(|g| spans(g) >= 3));
+        let t = Arc::new(Table::from_rows("t", schema.clone(), rows.clone()).unwrap());
+        let x = Some("x".to_string());
+        let agg = |func, output: &str| Aggregate { func, column: x.clone(), output: output.into() };
+        let aggs = vec![
+            agg(AggFunc::Sum, "s"),
+            agg(AggFunc::Avg, "a"),
+            agg(AggFunc::Count, "n"),
+            Aggregate { func: AggFunc::CountStar, column: None, output: "all".into() },
+            agg(AggFunc::Min, "lo"),
+            agg(AggFunc::Max, "hi"),
+        ];
+        let keys = vec!["g".to_string()];
+
+        // The reference: each group's exact sum in fixed point, rounded
+        // once (`i128 as f64` rounds to nearest, ties to even).
+        let mut exact = vec![(0i128, 0i64); groups];
+        for row in &rows {
+            if let (Value::Int(g), Value::Float(x)) = (&row[0], &row[1]) {
+                let fixed = x * FIXED;
+                prop_assert_eq!(fixed.fract(), 0.0, "{} is a multiple of 2^-70", x);
+                exact[*g as usize].0 += fixed as i128;
+                exact[*g as usize].1 += 1;
+            }
+        }
+        let want = |g: usize| -> (Value, Value, Value) {
+            let (sum, n) = exact[g];
+            let sum = sum as f64 / FIXED;
+            match n {
+                0 => (Value::Null, Value::Null, Value::Int(0)),
+                n => (Value::Float(sum), Value::Float(sum / n as f64), Value::Int(n)),
+            }
+        };
+        let bits = |v: &Value| v.as_f64().map(f64::to_bits);
+
+        let scan = Box::new(TableScan::new(Arc::clone(&t)));
+        let serial = collect("out", Box::new(HashAggregate::new(scan, keys.clone(), aggs.clone()).unwrap())).unwrap();
+        prop_assert_eq!(serial.len(), groups);
+        for row in serial.rows() {
+            let g = row[0].as_int().unwrap() as usize;
+            let (s, a, n) = want(g);
+            prop_assert_eq!((bits(&row[1]), bits(&row[2])), (bits(&s), bits(&a)), "group {}: {:?}", g, row);
+            prop_assert_eq!(&row[3], &n);
+        }
+        let source = || MorselSource::new(t.len(), morsel_rows);
+        for workers in [1usize, 2, 8] {
+            let run = run_morsels(&source(), workers, |m| {
+                let scan = TableScan::new(Arc::clone(&t)).with_range(m.start, m.end);
+                let mut partial = PartialAggregate::new(&schema, &keys, aggs.clone())?;
+                partial.consume(&mut scan.with_batch_size(morsel_rows))?;
+                Ok(partial)
+            })
+            .unwrap();
+            let mut acc = PartialAggregate::new(&schema, &keys, aggs.clone()).unwrap();
+            run.outputs.into_iter().for_each(|p| acc.merge(p));
+            let (out_schema, groups_batch) = acc.finish().unwrap();
+            let parallel = Table::from_rows("out", out_schema, groups_batch.to_rows()).unwrap();
+            let same_bits = |t: &Table| -> Vec<Vec<Option<u64>>> {
+                t.rows().iter().map(|r| r.iter().map(bits).collect()).collect()
+            };
+            prop_assert_eq!(&parallel, &serial, "{} workers, morsels of {}", workers, morsel_rows);
+            prop_assert_eq!(same_bits(&parallel), same_bits(&serial));
         }
     }
 }

@@ -211,17 +211,17 @@ fn assert_reads_as(table: &Table, want: &[Row]) -> Result<(), TestCaseError> {
     );
     let only_v: Vec<Row> = want.iter().map(|r| vec![r[1].clone()]).collect();
     prop_assert_eq!(&scan_rows(scan().with_columns(&[1])), &only_v);
-    // Prune hints may skip sealed pages but never a matching row.
+    // A hint (on `k`, ordinal 0) may skip sealed pages; the scan keeps
+    // exactly the rows that satisfy it.
     let cut = Value::Int((n / 2) as i64);
-    let hint = [("k".to_string(), BinOp::Ge, cut.clone())];
-    let matches = |r: &Row| r[0].total_cmp(&cut).is_ge();
+    let hint = [(0, BinOp::Ge, cut.clone())];
+    let matches = |r: &Row| r[0].sql_cmp(&cut).is_some_and(std::cmp::Ordering::is_ge);
     let matching: Vec<Row> = want.iter().filter(|r| matches(r)).cloned().collect();
     for got in [
-        scan_rows(scan().with_prune_hint(&hint)),
-        scan_rows_batched(scan().with_prune_hint(&hint), 3),
+        scan_rows(scan().with_hints(&hint).unwrap()),
+        scan_rows_batched(scan().with_hints(&hint).unwrap(), 3),
     ] {
-        let kept: Vec<Row> = got.into_iter().filter(matches).collect();
-        prop_assert_eq!(&kept, &matching);
+        prop_assert_eq!(&got, &matching);
     }
     // The legacy accessor agrees.
     prop_assert_eq!(t.rows(), want);
@@ -709,9 +709,11 @@ fn assert_hinted_scan_and_exact_zones(
 ) -> Result<(), TestCaseError> {
     let keeps = |r: &Row| r[c].sql_cmp(lit).is_some_and(|ord| op.holds(ord));
     let kept: Vec<Row> = want.iter().filter(|r| keeps(r)).cloned().collect();
-    let hint = [(["k", "x"][c].to_string(), op, lit.clone())];
+    let hint = [(c, op, lit.clone())];
     for batch in [2, 1024] {
-        let scan = TableScan::new(Arc::new(t.clone())).with_prune_hint(&hint);
+        let scan = TableScan::new(Arc::new(t.clone()))
+            .with_hints(&hint)
+            .unwrap();
         prop_assert_eq!(&scan_rows_batched(scan, batch), &kept);
     }
     for (g, group) in t.groups().iter().enumerate() {
