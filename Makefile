@@ -2,11 +2,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke recovery-smoke chaos-smoke session-smoke clippy fmt lint lint-baseline alloc-report parity-deep examples figures prod-loc
+.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke session-smoke clippy fmt lint lint-baseline alloc-report parity-deep examples figures prod-loc
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
-verify: fmt build test clippy lint bench-no-run bench-check bench-repeat recovery-smoke chaos-smoke session-smoke examples
+verify: fmt build test clippy lint bench-no-run bench-check bench-repeat session-smoke examples
 
 build:
 	$(CARGO) build --release
@@ -64,19 +64,6 @@ bench-smoke:
 	done
 	! grep -Eq '"first_insert_into_unsealed_ms": *null' $(BENCH_SMOKE)/BENCH_recovery.json \
 		|| { echo "BENCH_recovery.json has a null first_insert_into_unsealed_ms point"; exit 1; }
-
-# Crash-recovery smoke: a child process populates a durable DB (WAL-logged
-# inserts around a checkpoint) and dies via abort(); the parent reopens and
-# asserts every committed row survived.
-recovery-smoke:
-	$(CARGO) run -q --release -p kath_bench --bin recovery_smoke
-
-# Fault-injection smoke: seeded fault schedules on the I/O seam drive a
-# durable SQL workload; the run asserts every failure is typed and a
-# fault-free reopen recovers exactly the acknowledged prefix, plus a 0ms
-# query-deadline cancellation leg (see docs/robustness.md).
-chaos-smoke:
-	$(CARGO) run -q --release -p kath_bench --bin chaos_smoke
 
 # Concurrent-session smoke: 8 writer sessions commit framed transactions
 # while 8 readers take MVCC snapshots under seeded interleavings; asserts

@@ -34,7 +34,7 @@
 //! disk until first touch — and replays every WAL segment from that epoch
 //! onward, tolerating a torn final record.
 
-use crate::io::{with_retry, Io, RetryPolicy};
+use crate::io::{parent_dir, sync_dir, with_retry, Io, RetryPolicy};
 use crate::page::ZoneMap;
 use crate::paged::{write_durable, PageSlot};
 use crate::persist::{get_schema, get_str, put_schema, put_str};
@@ -191,6 +191,10 @@ impl Durability {
         io.create_dir_all(&dir.join("wal"))?;
         io.create_dir_all(&dir.join("snapshots"))?;
         io.create_dir_all(&pages_dir(dir))?;
+        // The three entries, and the directory's own entry in its parent,
+        // must survive power loss before anything is logged under them.
+        sync_dir(&io, dir)?;
+        sync_dir(&io, parent_dir(dir))?;
         // Clear interrupted checkpoint attempts.
         for path in io.read_dir(&dir.join("snapshots"))? {
             let is_tmp = path
@@ -412,7 +416,7 @@ impl Durability {
         }
         // Page files (and their directory entry) must be durable before the
         // manifest that references them commits.
-        let _ = self.io.fsync_dir(&pages);
+        sync_dir(&self.io, &pages)?;
         if let Some(json) = functions_json {
             let bytes = json.as_bytes();
             write_synced(&self.io, &tmp.join("functions.json"), bytes)?;
@@ -424,20 +428,20 @@ impl Durability {
         }
         manifest.push_str(&format!("crc {}\n", crc32(manifest.as_bytes())));
         write_synced(&self.io, &tmp.join("MANIFEST"), manifest.as_bytes())?;
-        let _ = self.io.fsync_dir(&tmp);
+        sync_dir(&self.io, &tmp)?;
         // The commit point: everything before a failed rename is an
         // uncommitted `.tmp-` directory the next open clears.
-        if let Err(e) = self.io.rename(&tmp, &snapshot_dir(&self.dir, next)) {
-            return Err(e.into());
-        }
-        let _ = self.io.fsync_dir(&snapshots);
+        self.io.rename(&tmp, &snapshot_dir(&self.dir, next))?;
 
-        // Rotate the log: subsequent records belong to the new epoch. The
-        // snapshot is already committed, so a rotation failure poisons the
-        // handle — appending to the *old* segment would acknowledge
-        // records behind the new snapshot's replay horizon (recovery would
-        // silently drop them).
-        match Wal::open_with(&segment_path(&self.dir, next), self.io.clone()) {
+        // Make the rename durable, then rotate the log: subsequent records
+        // belong to the new epoch. The snapshot may already be committed,
+        // so a failure of either poisons the handle — appending to the
+        // *old* segment would acknowledge records behind the new
+        // snapshot's replay horizon (recovery would silently drop them).
+        let rotated = sync_dir(&self.io, &snapshots)
+            .map_err(StorageError::from)
+            .and_then(|()| Wal::open_with(&segment_path(&self.dir, next), self.io.clone()));
+        match rotated {
             Ok((wal, _)) => {
                 self.wal = wal;
                 self.epoch = next;

@@ -3,12 +3,13 @@
 //! [`Io`] handle instead of calling `std::fs` directly.
 //!
 //! The handle dispatches to an [`IoBackend`]: [`RealIo`] (plain `std::fs`)
-//! in production, or a seeded [`FaultyIo`] that injects errors, short
-//! writes, ENOSPC, and fsync failures at chosen or probabilistic operation
-//! counts. The chaos suites drive every fault schedule through the same
-//! code paths a real disk failure would take, so the crash-safety
-//! invariant — *clean error or prefix-of-committed-state, never
-//! panic/corruption/acknowledged-then-lost write* — is tested, not hoped.
+//! in production, or a seeded [`FaultyIo`] in front of it (or of any other
+//! backend) that injects errors, short writes, ENOSPC, and fsync failures
+//! at chosen or probabilistic operation counts. The chaos suites drive
+//! every fault schedule through the same code paths a real disk failure
+//! would take, so the crash-safety invariant — *clean error or
+//! prefix-of-committed-state, never panic/corruption/acknowledged-then-lost
+//! write* — is tested, not hoped.
 //!
 //! Faults are classified **transient** (interrupted/timeout-shaped errors a
 //! retry may clear) or **permanent** (everything else, including ENOSPC).
@@ -169,6 +170,20 @@ pub fn with_retry<T>(policy: &RetryPolicy, mut f: impl FnMut() -> io::Result<T>)
     }
 }
 
+/// Fsyncs a directory under the default [`RetryPolicy`]: the barrier that
+/// makes the entries created, renamed or removed in it survive power loss.
+pub(crate) fn sync_dir(io: &Io, dir: &Path) -> io::Result<()> {
+    with_retry(&RetryPolicy::default(), || io.fsync_dir(dir))
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+pub(crate) fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    }
+}
+
 /// The file operations the durability path performs. Implementations are
 /// path-based (no long-lived handles), which keeps every operation
 /// individually injectable and makes retries idempotent.
@@ -207,6 +222,10 @@ pub trait IoBackend: Send + Sync + fmt::Debug {
     fn describe(&self) -> String;
 }
 
+/// `EINVAL`, which fsync(2) returns for a file that does not support
+/// synchronization (the same value on Linux and the BSDs).
+const EINVAL: i32 = 22;
+
 /// The production backend: plain `std::fs`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealIo;
@@ -238,8 +257,19 @@ impl IoBackend for RealIo {
             .sync_all()
     }
 
+    /// A filesystem that cannot fsync a directory says so with
+    /// `Unsupported` (or `EINVAL`, fsync(2)'s spelling of the same thing);
+    /// that one answer counts as done, since there is no stronger barrier
+    /// to ask for. Every other error is the caller's.
     fn fsync_dir(&self, path: &Path) -> io::Result<()> {
-        std::fs::File::open(path)?.sync_all()
+        match std::fs::File::open(path)?.sync_all() {
+            Err(e)
+                if e.kind() == io::ErrorKind::Unsupported || e.raw_os_error() == Some(EINVAL) =>
+            {
+                Ok(())
+            }
+            res => res,
+        }
     }
 
     fn set_len(&self, path: &Path, len: u64) -> io::Result<()> {
@@ -409,26 +439,26 @@ pub struct FaultStats {
 }
 
 /// A fault-injecting backend: decides per eligible operation (seeded,
-/// deterministic) whether to inject, and otherwise delegates to
-/// [`RealIo`]. Short writes land a prefix of the data before erroring, so
-/// torn frames and torn pages genuinely appear on disk.
+/// deterministic) whether to inject, and otherwise delegates to the
+/// backend it wraps. Short writes land a prefix of the data before
+/// erroring, so torn frames and torn pages genuinely appear on disk.
 #[derive(Debug)]
 pub struct FaultyIo {
     plan: FaultPlan,
-    inner: RealIo,
+    inner: Arc<dyn IoBackend>,
     ops: AtomicU64,
     injected: AtomicU64,
     rng: Mutex<u64>,
 }
 
 impl FaultyIo {
-    /// A backend injecting per `plan`.
-    pub fn new(plan: FaultPlan) -> FaultyIo {
+    /// A backend injecting per `plan` in front of `inner`.
+    pub fn new(plan: FaultPlan, inner: Arc<dyn IoBackend>) -> FaultyIo {
         // SplitMix64 wants a non-zero-ish seed; mix the raw seed once.
         let state = plan.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         FaultyIo {
             plan,
-            inner: RealIo,
+            inner,
             ops: AtomicU64::new(0),
             injected: AtomicU64::new(0),
             rng: Mutex::new(state),
@@ -570,11 +600,12 @@ impl IoBackend for FaultyIo {
 
     fn describe(&self) -> String {
         format!(
-            "faulty (seed={}, p={}, {} chosen op(s), max={:?})",
+            "faulty (seed={}, p={}, {} chosen op(s), max={:?}) over {}",
             self.plan.seed,
             self.plan.probability,
             self.plan.at_ops.len(),
-            self.plan.max_faults
+            self.plan.max_faults,
+            self.inner.describe()
         )
     }
 }
@@ -588,14 +619,23 @@ pub struct Io {
     inner: Arc<IoCell>,
 }
 
+#[derive(Default)]
 struct IoCell {
-    backend: RwLock<Arc<dyn IoBackend>>,
+    backend: RwLock<Backends>,
 }
 
-impl Default for IoCell {
+/// The backend operations run on, and — while a fault schedule is
+/// installed — the backend it wraps, which `clear_faults` restores.
+struct Backends {
+    active: Arc<dyn IoBackend>,
+    unfaulted: Option<Arc<dyn IoBackend>>,
+}
+
+impl Default for Backends {
     fn default() -> Self {
-        IoCell {
-            backend: RwLock::new(Arc::new(RealIo)),
+        Backends {
+            active: Arc::new(RealIo),
+            unfaulted: None,
         }
     }
 }
@@ -631,17 +671,27 @@ impl Io {
 
     /// Swaps in a backend (all sharers of this handle see it immediately).
     pub fn set_backend(&self, backend: Arc<dyn IoBackend>) {
-        *self.inner.backend.write() = backend;
+        *self.inner.backend.write() = Backends {
+            active: backend,
+            unfaulted: None,
+        };
     }
 
-    /// Installs a fresh [`FaultyIo`] running `plan`.
+    /// Installs a fresh [`FaultyIo`] running `plan` over the handle's
+    /// backend (a schedule installed earlier is replaced, not stacked).
     pub fn install_faults(&self, plan: FaultPlan) {
-        self.set_backend(Arc::new(FaultyIo::new(plan)));
+        let mut b = self.inner.backend.write();
+        let base = b.unfaulted.take().unwrap_or_else(|| Arc::clone(&b.active));
+        b.active = Arc::new(FaultyIo::new(plan, Arc::clone(&base)));
+        b.unfaulted = Some(base);
     }
 
-    /// Restores the real backend.
+    /// Restores the backend the fault schedule wrapped.
     pub fn clear_faults(&self) {
-        self.set_backend(Arc::new(RealIo));
+        let mut b = self.inner.backend.write();
+        if let Some(base) = b.unfaulted.take() {
+            b.active = base;
+        }
     }
 
     /// Injection counters, when a fault backend is installed.
@@ -655,7 +705,7 @@ impl Io {
     }
 
     fn backend(&self) -> Arc<dyn IoBackend> {
-        Arc::clone(&self.inner.backend.read())
+        Arc::clone(&self.inner.backend.read().active)
     }
 
     /// Reads a whole file.
@@ -777,6 +827,20 @@ mod tests {
         io.clear_faults();
         assert!(io.fault_stats().is_none());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn faults_wrap_the_backend_once_and_clearing_restores_it() {
+        let io = Io::real();
+        io.install_faults(FaultPlan::at(1, FaultKind::Permanent));
+        io.install_faults(FaultPlan::at(2, FaultKind::Permanent));
+        let described = io.describe();
+        assert!(described.ends_with("over real"), "{described}");
+        assert_eq!(described.matches("faulty").count(), 1, "{described}");
+        io.clear_faults();
+        assert_eq!(io.describe(), "real");
+        io.clear_faults();
+        assert_eq!(io.describe(), "real");
     }
 
     #[test]

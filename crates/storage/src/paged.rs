@@ -142,7 +142,12 @@ impl PageSlot {
     /// The decoded page, via the buffer pool.
     fn decoded(&self) -> Result<Arc<ColumnVector>, StorageError> {
         self.pool.get_or_load(PageKey(self.id), || {
-            self.with_encoded(self.pool.io(), |bytes| decode_page(bytes).map(Arc::new))
+            self.with_encoded(self.pool.io(), |bytes| match decode_page(bytes)? {
+                column if column.len() == self.rows as usize => Ok(Arc::new(column)),
+                _ => Err(StorageError::Corrupt(
+                    "page holds other rows than its zone map says".into(),
+                )),
+            })
         })
     }
 

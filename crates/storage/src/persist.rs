@@ -8,7 +8,7 @@
 //! each format checksums its own frame, so no codec here carries a
 //! checksum of its own.
 
-use crate::io::{with_retry, Io, RetryPolicy};
+use crate::io::{parent_dir, sync_dir, with_retry, Io, RetryPolicy};
 use crate::{Column, DataType, Schema, StorageError, Value};
 use bytes::{Buf, BufMut, BytesMut};
 use std::path::Path;
@@ -16,8 +16,8 @@ use std::path::Path;
 /// Writes `bytes` to `path` atomically: the data goes to a temp file in the
 /// same directory, is fsynced, and is then renamed into place, so a crash
 /// mid-write can never leave a truncated file under the target name. The
-/// containing directory is fsynced best-effort (required for the rename to
-/// be durable on power loss; not supported on every filesystem).
+/// containing directory is then fsynced, so the rename survives power loss
+/// once this returns `Ok`.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     atomic_write_with(&Io::real(), path, bytes)
 }
@@ -26,16 +26,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
 /// and its fsync retry transient faults (the sequence is idempotent — each
 /// attempt recreates the temp file from scratch); the rename is attempted
 /// once, since its failure modes are not transient and a duplicate rename
-/// could clobber a concurrent writer. On any failure the target file is
-/// untouched and the temp file is cleaned up best-effort.
+/// could clobber a concurrent writer. On a failure before the rename the
+/// target file is untouched and the temp file is cleaned up best-effort; a
+/// failed directory fsync after it is returned as it is.
 pub fn atomic_write_with(io: &Io, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => {
-            io.create_dir_all(d)?;
-            d.to_path_buf()
-        }
-        _ => std::path::PathBuf::from("."),
-    };
+    let dir = parent_dir(path);
+    io.create_dir_all(dir)?;
     let file_name = path
         .file_name()
         .ok_or_else(|| StorageError::Io(format!("no file name in {}", path.display())))?;
@@ -56,8 +52,7 @@ pub fn atomic_write_with(io: &Io, path: &Path, bytes: &[u8]) -> Result<(), Stora
         let _ = io.remove_file(&tmp);
         return Err(e.into());
     }
-    let _ = io.fsync_dir(&dir);
-    Ok(())
+    Ok(sync_dir(io, dir)?)
 }
 
 fn dtype_tag(d: DataType) -> u8 {

@@ -131,7 +131,16 @@ impl Table {
     ) -> Result<Self, StorageError> {
         let page_rows = page_rows.max(1);
         let groups = rows.div_ceil(page_rows);
-        if columns.len() != schema.arity() || columns.iter().any(|c| c.len() != groups) {
+        // Every page must hold the rows its group spans: row `i` is read
+        // from page `i / page_rows`.
+        let spans = |g: usize| page_rows.min(rows - g * page_rows);
+        let fits = |c: &Vec<Arc<PageSlot>>| {
+            c.len() == groups
+                && c.iter()
+                    .enumerate()
+                    .all(|(g, p)| p.rows() as usize == spans(g))
+        };
+        if columns.len() != schema.arity() || !columns.iter().all(fits) {
             return Err(StorageError::Corrupt(
                 "checkpoint page layout does not match table shape".into(),
             ));

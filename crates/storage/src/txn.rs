@@ -35,10 +35,9 @@
 
 use crate::catalog::Catalog;
 use crate::durable::{Durability, DurabilityStatus};
-use crate::io::with_retry;
 use crate::pool::BufferPool;
 use crate::table::Table;
-use crate::wal::WalRecord;
+use crate::wal::{sync_segment, WalRecord};
 use crate::StorageError;
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -367,7 +366,7 @@ impl SharedCatalog {
                 let (io, path, retry) = dur.wal_sync_handles();
                 st.syncing = true;
                 drop(st);
-                let res = with_retry(&retry, || io.fsync(&path)).map_err(StorageError::from);
+                let res = sync_segment(&io, &path, &retry);
                 st = self.lock();
                 st.syncing = false;
                 match res {

@@ -165,10 +165,14 @@ impl Value {
         match self {
             Value::Null => "NULL".to_string(),
             Value::Int(i) => i.to_string(),
-            // From 1e15 up, the shortest exponent form that reads back as
-            // the same float: `Display` would print every digit (309 for
-            // `f64::MAX`).
-            Value::Float(f) if f.is_finite() && f.abs() >= 1.0e15 => format!("{f:e}"),
+            // From 1e15 up and below 1e-5, the shortest exponent form that
+            // reads back as the same float: `Display` would print every
+            // digit (309 for `f64::MAX`, 302 for `1e-300`).
+            Value::Float(f)
+                if f.is_finite() && (f.abs() >= 1.0e15 || (*f != 0.0 && f.abs() < 1.0e-5)) =>
+            {
+                format!("{f:e}")
+            }
             Value::Float(f) if f.fract() == 0.0 => format!("{f:.1}"),
             Value::Float(f) => f.to_string(),
             Value::Str(s) => s.clone(),
@@ -507,6 +511,14 @@ mod tests {
             (9007199254740993.0, "9.007199254740992e15"),
             (999_999_999_999_999.0, "999999999999999.0"),
             (0.1, "0.1"),
+            (1e-300, "1e-300"),
+            (-2.5e-7, "-2.5e-7"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (5e-324, "5e-324"),
+            (9.99e-6, "9.99e-6"),
+            (1e-5, "0.00001"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
             (f64::INFINITY, "inf"),
             (f64::NAN, "NaN"),
         ] {

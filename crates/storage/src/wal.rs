@@ -17,7 +17,7 @@
 //! corruption and surfaces as [`StorageError::Corrupt`] — recovery never
 //! fabricates rows and never silently discards acknowledged ones.
 
-use crate::io::{with_retry, Io, RetryPolicy};
+use crate::io::{parent_dir, sync_dir, with_retry, Io, RetryPolicy};
 use crate::persist::{
     encodable_len, get_schema, get_str, get_value, put_schema, put_str, put_value,
 };
@@ -407,6 +407,13 @@ pub fn filter_committed(records: Vec<WalRecord>) -> Result<FilteredLog, StorageE
     Ok(out)
 }
 
+/// Fsyncs a segment file: the one sync a commit waits for, whether it runs
+/// under the commit lock ([`Wal::sync`]) or in a group-commit leader
+/// outside it.
+pub(crate) fn sync_segment(io: &Io, path: &Path, retry: &RetryPolicy) -> Result<(), StorageError> {
+    Ok(with_retry(retry, || io.fsync(path))?)
+}
+
 /// One append-only log segment, fsynced on every append. All file
 /// operations route through the segment's [`Io`] handle, so fault
 /// injection exercises the exact append/repair paths a real disk error
@@ -445,8 +452,11 @@ impl Wal {
             Some(d) => d,
             None => {
                 // Create the (empty) segment eagerly so recovery listings
-                // and chain checks see it.
+                // and chain checks see it, and make its directory entry
+                // durable: an fsync of the file alone does not, so the
+                // commits acknowledged in it could vanish with the entry.
                 io.write_file(path, &[])?;
+                sync_dir(&io, parent_dir(path))?;
                 Vec::new()
             }
         };
@@ -509,7 +519,7 @@ impl Wal {
 
     /// Fsyncs the segment (pairs with [`Wal::append_batch_nosync`]).
     pub fn sync(&self) -> Result<(), StorageError> {
-        Ok(with_retry(&self.retry, || self.io.fsync(&self.path))?)
+        sync_segment(&self.io, &self.path, &self.retry)
     }
 
     /// Clones the handles a group-commit leader needs to fsync this
