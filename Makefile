@@ -2,11 +2,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke session-smoke clippy fmt lint lint-baseline alloc-report parity-deep examples figures prod-loc
+.PHONY: verify build test bench bench-no-run bench-check bench-repeat bench-smoke clippy fmt lint lint-baseline alloc-report parity-deep examples figures prod-loc
 
 EXAMPLES := $(basename $(notdir $(wildcard examples/*.rs)))
 
-verify: fmt build test clippy lint bench-no-run bench-check bench-repeat session-smoke examples
+verify: fmt build test clippy lint bench-no-run bench-check bench-repeat examples
 
 build:
 	$(CARGO) build --release
@@ -64,16 +64,6 @@ bench-smoke:
 	done
 	! grep -Eq '"first_insert_into_unsealed_ms": *null' $(BENCH_SMOKE)/BENCH_recovery.json \
 		|| { echo "BENCH_recovery.json has a null first_insert_into_unsealed_ms point"; exit 1; }
-
-# Concurrent-session smoke: 8 writer sessions commit framed transactions
-# while 8 readers take MVCC snapshots under seeded interleavings; asserts
-# no torn reads (every snapshot is a per-writer committed prefix of
-# complete transactions) and that post-crash recovery — including a
-# hand-torn Begin-without-Commit WAL tail — equals the acked commits
-# exactly (see docs/concurrency.md). CI also runs this under
-# KATHDB_FAULTS as a chaos leg.
-session-smoke:
-	$(CARGO) run -q --release -p kath_bench --bin session_smoke
 
 fmt:
 	$(CARGO) fmt --all --check

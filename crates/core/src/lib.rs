@@ -518,8 +518,7 @@ impl KathDB {
     /// subsequent file operation (WAL appends, checkpoint writes, page
     /// reads) consults the plan and may fail with the injected error.
     /// **Test-only** — for exercising recovery paths from the REPL
-    /// (`\faults`) and the chaos suites; see also the `KATHDB_FAULTS`
-    /// environment variable.
+    /// (`\faults`), the chaos suites and the session simulator.
     pub fn install_faults(&self, plan: kath_storage::FaultPlan) {
         self.ctx.catalog.pool().io().install_faults(plan);
     }

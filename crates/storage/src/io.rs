@@ -18,11 +18,6 @@
 //! transient failures. Both WAL appends (rewrite at a fixed offset) and
 //! checkpoint writes (temp file + atomic rename) are idempotent, so a
 //! retry after a short write cannot duplicate or interleave bytes.
-//!
-//! The `KATHDB_FAULTS` environment variable (test-only; see
-//! `docs/robustness.md`) installs a `FaultyIo` on every
-//! [`Io::from_env`]-constructed handle — the facade's buffer pool and
-//! durability subsystem share one such handle per database.
 
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
@@ -32,11 +27,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Environment variable installing a fault-injection backend on every
-/// [`Io::from_env`] handle. **Test-only**: never set it on a database you
-/// care about. See [`FaultPlan::parse`] for the spec format.
-pub const FAULTS_ENV: &str = "KATHDB_FAULTS";
 
 /// The operation classes a fault schedule can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,8 +358,8 @@ impl FaultPlan {
         self
     }
 
-    /// Parses a `KATHDB_FAULTS` / `\faults` spec: comma-separated `key=value`
-    /// pairs — `seed=<u64>`, `p=<f64>`, `kinds=<k>|<k>…`, `ops=<op>|<op>…`,
+    /// Parses a `\faults` spec: comma-separated `key=value` pairs —
+    /// `seed=<u64>`, `p=<f64>`, `kinds=<k>|<k>…`, `ops=<op>|<op>…`,
     /// `at=<n>:<kind>`, `max=<u64>`. Example:
     /// `seed=42,p=0.05,kinds=transient|enospc,ops=write|fsync`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -650,23 +640,6 @@ impl Io {
     /// A handle over the production backend.
     pub fn real() -> Io {
         Io::default()
-    }
-
-    /// A handle honouring [`FAULTS_ENV`] (test-only): a valid spec installs
-    /// a [`FaultyIo`], anything else (unset, empty, `off`) is the real
-    /// backend. A malformed spec is reported on stderr and ignored.
-    pub fn from_env() -> Io {
-        let io = Io::default();
-        if let Ok(spec) = std::env::var(FAULTS_ENV) {
-            let spec = spec.trim();
-            if !spec.is_empty() && spec != "off" {
-                match FaultPlan::parse(spec) {
-                    Ok(plan) => io.install_faults(plan),
-                    Err(e) => eprintln!("ignoring malformed {FAULTS_ENV}: {e}"),
-                }
-            }
-        }
-        io
     }
 
     /// Swaps in a backend (all sharers of this handle see it immediately).

@@ -45,7 +45,7 @@ pub use guard::{
 };
 pub use io::{
     is_transient, with_retry, FaultKind, FaultPlan, FaultStats, FaultyIo, Io, IoBackend, IoOp,
-    RealIo, RetryPolicy, FAULTS_ENV,
+    RealIo, RetryPolicy,
 };
 pub use morsel::{
     host_parallelism, run_morsels, run_morsels_guarded, Morsel, MorselRun, MorselSource,
@@ -63,7 +63,7 @@ pub use persist::{atomic_write, atomic_write_with};
 pub use pool::{BufferPool, PageKey, PoolStatus, DEFAULT_POOL_PAGES, POOL_PAGES_ENV};
 pub use schema::{Column, Schema};
 pub use table::Table;
-pub use txn::{CatalogRef, SharedCatalog};
+pub use txn::{CatalogRef, Pause, Scheduler, SharedCatalog, VersionEvent};
 pub use value::{cmp_int_f64, DataType, Row, Value};
 pub use vecindex::{
     decode_embedding, default_nlist, default_nprobe, encode_embedding, merge_top_k,

@@ -236,11 +236,11 @@ where
 
 /// The degree of parallelism the host offers (≥ 1). Callers cap their
 /// worker counts here; the cost model uses it as the ceiling for its
-/// degree-of-parallelism choice.
+/// degree-of-parallelism choice. Read once: asking the OS (affinity
+/// mask, cgroup files) takes ≈ 25 µs, and every statement asks.
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ pub struct BufferPool {
     zone_skips: AtomicU64,
     /// The database's I/O seam: page reads, the WAL, and checkpoints of
     /// the catalog owning this pool all share it, so one `\faults` spec
-    /// (or `KATHDB_FAULTS`) covers the whole durability path.
+    /// covers the whole durability path.
     io: Io,
 }
 
@@ -113,15 +113,14 @@ impl BufferPool {
     }
 
     /// A pool budgeted from `KATHDB_POOL_PAGES` (default
-    /// [`DEFAULT_POOL_PAGES`]), with an I/O seam honouring `KATHDB_FAULTS`
-    /// (test-only).
+    /// [`DEFAULT_POOL_PAGES`]) over the real backend.
     pub fn from_env() -> Self {
         let pages = std::env::var(POOL_PAGES_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or(DEFAULT_POOL_PAGES);
-        Self::with_budget_io(pages, Io::from_env())
+        Self::with_budget_io(pages, Io::real())
     }
 
     /// The database's I/O seam (shared by page reads, the WAL, and

@@ -21,8 +21,9 @@
 //!    it captures the current WAL tail, releases the lock, fsyncs, then
 //!    relocks and advances the durable LSN to the captured tail — one
 //!    fsync acknowledges every transaction that appended while the
-//!    previous fsync ran. Followers wait on a condvar until the durable
-//!    LSN covers their commit (or a failed fsync bumps the generation).
+//!    previous fsync ran. Followers wait on a condvar until a leader takes
+//!    their version off the pending list: published, or dropped by a
+//!    failed fsync.
 //! 3. Only then does a pending version become the *published* snapshot
 //!    ([`SharedCatalog::snapshot`]): readers never observe effects of a
 //!    commit that has not been acknowledged as durable, so an
@@ -32,6 +33,10 @@
 //! the logical head returns to the last published version, and the WAL
 //! tail rewinds over the unacknowledged bytes, so a later commit
 //! overwrites them — the failure poisons nothing.
+//!
+//! A [`Scheduler`] (none in production) is called at each [`Pause`], all
+//! reached with no declared lock held, and told each [`VersionEvent`]: the
+//! session simulator (`tests/session_schedules.rs`) runs on it.
 
 use crate::catalog::Catalog;
 use crate::durable::{Durability, DurabilityStatus};
@@ -39,11 +44,45 @@ use crate::pool::BufferPool;
 use crate::table::Table;
 use crate::wal::{sync_segment, WalRecord};
 use crate::StorageError;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+
+/// Where a [`Scheduler`] may pass the turn to another thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pause {
+    /// Before the commit lock is taken.
+    Lock,
+    /// A group-commit leader, unlocked, before its fsync.
+    Sync,
+    /// A durable-LSN or drain wait: unlock, pause, relock, recheck.
+    Wait,
+    /// Before [`SharedCatalog::snapshot`] reads the published version.
+    Snapshot,
+}
+
+/// What happened to a catalog version (told under the commit lock).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VersionEvent {
+    /// The version became the logical head.
+    Install(u64),
+    /// The version became what [`SharedCatalog::snapshot`] hands out.
+    Publish(u64),
+    /// A failed group fsync dropped the unpublished version.
+    Rollback(u64),
+    /// [`SharedCatalog::snapshot`] handed out the version.
+    Read(u64),
+}
+
+/// The scheduler seam, installed with [`SharedCatalog::set_scheduler`].
+pub trait Scheduler: Send + Sync {
+    /// Called at each [`Pause`]; may block until the thread's next turn.
+    fn pause(&self, at: Pause);
+    /// Called at each [`VersionEvent`]; must not block.
+    fn record(&self, event: VersionEvent);
+}
 
 /// One immutable catalog version. Cloning is O(1) (an `Arc` bump + a
 /// counter); the catalog behind it is never mutated — writers publish a
@@ -56,8 +95,8 @@ pub struct CatalogRef {
 }
 
 impl CatalogRef {
-    /// The version number (monotonically increasing per [`SharedCatalog`];
-    /// published versions may skip numbers when a group fsync fails).
+    /// The version number. Each names one catalog: a rolled-back version's
+    /// number is never reused, so published versions may skip numbers.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -92,12 +131,13 @@ struct CommitState {
     durable_records: u64,
     /// Whether a leader is fsyncing outside the lock right now.
     syncing: bool,
-    /// Bumped when a group fsync fails: waiters whose commit was pending
-    /// under the old generation report failure instead of blocking on an
-    /// LSN that will never become durable.
-    gen: u64,
+    /// Versions a failed fsync dropped, until each committer takes its own
+    /// out (a rewound WAL reuses offsets, so LSNs cannot tell).
+    dropped: HashSet<u64>,
     /// Next transaction id for `Begin..Commit` framing.
     next_txid: u64,
+    /// The highest version number made so far (a rollback keeps it).
+    last_version: u64,
     /// When false, every commit fsyncs individually under the commit lock
     /// (the per-statement baseline `txn_bench` compares against).
     group_commit: bool,
@@ -125,6 +165,7 @@ struct SharedInner {
     commit: Mutex<CommitState>,
     cv: Condvar,
     sessions: AtomicUsize,
+    sched: OnceLock<Arc<dyn Scheduler>>,
 }
 
 /// A handle to the shared, versioned catalog. Clones are cheap and all
@@ -173,14 +214,16 @@ impl SharedCatalog {
                     durable_lsn: 0,
                     durable_records: 0,
                     syncing: false,
-                    gen: 0,
+                    dropped: HashSet::new(),
                     next_txid: 1,
+                    last_version: 1,
                     group_commit: true,
                     group_fsyncs: 0,
                     group_commits: 0,
                 }),
                 cv: Condvar::new(),
                 sessions: AtomicUsize::new(0),
+                sched: OnceLock::new(),
             }),
         }
     }
@@ -199,42 +242,72 @@ impl SharedCatalog {
     /// reader holds one `CatalogRef` for all it reads, so it never
     /// observes a torn update.
     pub fn snapshot(&self) -> CatalogRef {
-        self.inner.current.read().clone()
+        let Some(sched) = self.inner.sched.get() else {
+            return self.inner.current.read().clone();
+        };
+        sched.pause(Pause::Snapshot);
+        let snap = self.inner.current.read().clone();
+        sched.record(VersionEvent::Read(snap.version));
+        snap
     }
 
     /// The buffer pool shared by every version of this catalog.
     pub fn pool(&self) -> Arc<BufferPool> {
-        Arc::clone(self.snapshot().pool())
+        Arc::clone(self.inner.current.read().pool())
+    }
+
+    /// Installs the scheduler of every clone of this handle (write once).
+    pub fn set_scheduler(&self, sched: Arc<dyn Scheduler>) -> Result<(), Arc<dyn Scheduler>> {
+        self.inner.sched.set(sched)
+    }
+
+    fn pause(&self, at: Pause) {
+        if let Some(sched) = self.inner.sched.get() {
+            sched.pause(at);
+        }
+    }
+
+    fn record(&self, event: VersionEvent) {
+        if let Some(sched) = self.inner.sched.get() {
+            sched.record(event);
+        }
     }
 
     // ---- commit path ------------------------------------------------------
 
-    /// Locks the commit mutex, recovering from a poisoned lock (a panic in
-    /// an apply closure must not wedge every other session forever — the
-    /// state transitions below are crash-consistent anyway).
-    fn lock(&self) -> MutexGuard<'_, CommitState> {
+    /// Pauses at `at`, then locks the commit mutex, recovering from a
+    /// poisoned lock (a panic in an apply closure must not wedge every
+    /// other session — the state transitions below are crash-consistent).
+    fn lock(&self, at: Pause) -> MutexGuard<'_, CommitState> {
+        self.pause(at);
         self.inner
             .commit
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn wait<'a>(&self, guard: MutexGuard<'a, CommitState>) -> MutexGuard<'a, CommitState> {
-        self.inner
-            .cv
-            .wait(guard)
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Locks the commit mutex once `ready` holds. Under a scheduler a
+    /// waiter unlocks, pauses and relocks instead of sleeping on the
+    /// condvar, so no thread sleeps holding the turn.
+    fn lock_when(&self, ready: impl Fn(&CommitState) -> bool) -> MutexGuard<'_, CommitState> {
+        let mut at = Pause::Lock;
+        loop {
+            let mut st = self.lock(at);
+            while self.inner.sched.get().is_none() && !ready(&st) {
+                st = self.inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            }
+            if ready(&st) {
+                return st;
+            }
+            at = Pause::Wait; // `st` drops: unlock, pause, relock, recheck
+        }
     }
 
-    /// Locks the commit mutex and waits until no fsync is in flight and no
-    /// version is pending (used by non-logged publishes and checkpoints,
-    /// which must build on fully acknowledged state).
+    /// Locks the commit mutex once no fsync is in flight and no version is
+    /// pending (used by non-logged publishes and checkpoints, which must
+    /// build on fully acknowledged state).
     fn lock_drained(&self) -> MutexGuard<'_, CommitState> {
-        let mut st = self.lock();
-        while st.syncing || !st.pending.is_empty() {
-            st = self.wait(st);
-        }
-        st
+        self.lock_when(|st| !st.syncing && st.pending.is_empty())
     }
 
     /// The one place a new version is made: `catalog` becomes the logical
@@ -242,15 +315,22 @@ impl SharedCatalog {
     /// covers `end_lsn` or — with nothing to make durable — is published
     /// to readers at once.
     fn install(&self, st: &mut CommitState, catalog: Catalog, end_lsn: Option<u64>) {
+        st.last_version += 1;
         let next = CatalogRef {
-            version: st.head.version + 1,
+            version: st.last_version,
             inner: Arc::new(catalog),
         };
+        self.record(VersionEvent::Install(next.version));
         st.head = next.clone();
         match end_lsn {
             Some(lsn) => st.pending.push_back((lsn, next)),
-            None => *self.inner.current.write() = next,
+            None => self.publish_version(next),
         }
+    }
+
+    fn publish_version(&self, version: CatalogRef) {
+        self.record(VersionEvent::Publish(version.version));
+        *self.inner.current.write() = version;
     }
 
     /// Applies `f` to a copy of the head of a drained `st` and publishes
@@ -284,14 +364,12 @@ impl SharedCatalog {
     where
         E: From<StorageError>,
     {
-        let mut st = self.lock();
-        if records.is_empty() || st.dur.is_none() {
-            // Nothing to make durable: wait out any in-flight group (a new
-            // version must not expose unacknowledged effects), then apply
-            // and publish immediately.
-            while st.syncing || !st.pending.is_empty() {
-                st = self.wait(st);
-            }
+        // With nothing to make durable, wait out any in-flight group (a new
+        // version must not expose unacknowledged effects), then apply and
+        // publish immediately.
+        let logged = |st: &CommitState| !records.is_empty() && st.dur.is_some();
+        let mut st = self.lock_when(|st| logged(st) || (!st.syncing && st.pending.is_empty()));
+        if !logged(&st) {
             return self.publish_on(&mut st, apply);
         }
 
@@ -321,6 +399,7 @@ impl SharedCatalog {
             st.next_txid += 1;
         }
         self.install(&mut st, work, Some(end_lsn));
+        let mine = st.last_version;
 
         if !st.group_commit {
             // Per-statement durability: fsync under the lock. This is the
@@ -336,25 +415,25 @@ impl SharedCatalog {
                     Ok(out)
                 }
                 Err(e) => {
-                    self.fail_pending(&mut st);
+                    self.fail_pending(&mut st, mine);
                     self.inner.cv.notify_all();
                     Err(e.into())
                 }
             };
         }
 
-        // Group commit: wait for a leader's fsync to cover us, or become
-        // the leader.
-        let my_gen = st.gen;
+        // Group commit: wait until a leader's fsync takes our version off
+        // the pending list, or become the leader.
+        let pending = |st: &CommitState| st.pending.front().is_some_and(|(_, v)| v.version <= mine);
         loop {
-            if st.durable_lsn >= end_lsn {
+            if !pending(&st) {
+                if st.dropped.remove(&mine) {
+                    return Err(StorageError::Io(
+                        "group commit fsync failed; transaction rolled back".to_string(),
+                    )
+                    .into());
+                }
                 return Ok(out);
-            }
-            if st.gen != my_gen {
-                return Err(StorageError::Io(
-                    "group commit fsync failed; transaction rolled back".to_string(),
-                )
-                .into());
             }
             if !st.syncing {
                 // Leader: capture the tail, fsync *outside* the lock so
@@ -366,23 +445,25 @@ impl SharedCatalog {
                 let (io, path, retry) = dur.wal_sync_handles();
                 st.syncing = true;
                 drop(st);
+                self.pause(Pause::Sync);
                 let res = sync_segment(&io, &path, &retry);
-                st = self.lock();
+                st = self.lock(Pause::Lock);
                 st.syncing = false;
                 match res {
                     Ok(()) => {
                         self.advance_durable(&mut st, target_lsn, target_records);
                         self.inner.cv.notify_all();
-                        // Loop: durable_lsn now covers our end_lsn.
+                        // Loop: our version is published now.
                     }
                     Err(e) => {
-                        self.fail_pending(&mut st);
+                        self.fail_pending(&mut st, mine);
                         self.inner.cv.notify_all();
                         return Err(e.into());
                     }
                 }
             } else {
-                st = self.wait(st);
+                drop(st);
+                st = self.lock_when(|st| !st.syncing || !pending(st));
             }
         }
     }
@@ -403,18 +484,23 @@ impl SharedCatalog {
             acked += 1;
         }
         if let Some(v) = published {
-            *self.inner.current.write() = v;
+            self.publish_version(v);
         }
         st.group_fsyncs += 1;
         st.group_commits += acked;
     }
 
     /// Rolls back after a failed fsync: unacknowledged versions are
-    /// dropped, the head returns to the published version, and the WAL
+    /// dropped (the failing committer's own, `mine`, reports the error
+    /// itself), the head returns to the published version, and the WAL
     /// tail rewinds over the unacknowledged bytes.
-    fn fail_pending(&self, st: &mut CommitState) {
-        st.gen += 1;
-        st.pending.clear();
+    fn fail_pending(&self, st: &mut CommitState, mine: u64) {
+        for (_, v) in std::mem::take(&mut st.pending) {
+            self.record(VersionEvent::Rollback(v.version));
+            if v.version != mine {
+                st.dropped.insert(v.version);
+            }
+        }
         st.head = self.inner.current.read().clone();
         let (lsn, records) = (st.durable_lsn, st.durable_records);
         if let Some(dur) = st.dur.as_mut() {
@@ -440,22 +526,6 @@ impl SharedCatalog {
 
     // ---- durability management -------------------------------------------
 
-    /// Attaches a durable directory: subsequent commits are write-ahead
-    /// logged through it. `recovered_max_txid` seeds the txid allocator
-    /// above every id already in the log.
-    pub fn attach(&self, dur: Durability, recovered_max_txid: u64) {
-        Self::attach_to(&mut self.lock_drained(), dur, recovered_max_txid);
-    }
-
-    fn attach_to(st: &mut CommitState, dur: Durability, recovered_max_txid: u64) {
-        st.durable_lsn = dur.wal_tail();
-        st.durable_records = dur.wal_record_count();
-        st.next_txid = recovered_max_txid + 1;
-        st.group_fsyncs = 0;
-        st.group_commits = 0;
-        st.dur = Some(dur);
-    }
-
     /// Detaches and returns the durable directory, if any. Waits for
     /// in-flight commits to drain first.
     pub fn detach(&self) -> Option<Durability> {
@@ -468,7 +538,7 @@ impl SharedCatalog {
     /// Records appended to the active WAL segment since open or the last
     /// checkpoint (0 when not durable).
     pub fn wal_appended(&self) -> u64 {
-        self.lock()
+        self.lock(Pause::Lock)
             .dur
             .as_ref()
             .map(|d| d.appended_records())
@@ -477,7 +547,7 @@ impl SharedCatalog {
 
     /// Durability status with live group-commit counters filled in.
     pub fn status(&self) -> Option<DurabilityStatus> {
-        let st = self.lock();
+        let st = self.lock(Pause::Lock);
         st.dur.as_ref().map(|d| {
             let mut s = d.status();
             s.group_fsyncs = st.group_fsyncs;
@@ -487,11 +557,17 @@ impl SharedCatalog {
     }
 
     /// Replaces the entire state with a recovered catalog + its durable
-    /// directory (the tail end of `KathDB::open_dir`).
+    /// directory (the tail end of `KathDB::open_dir`): later commits are
+    /// write-ahead logged through it, with txids above `recovered_max_txid`.
     pub fn install_recovered(&self, catalog: Catalog, dur: Durability, recovered_max_txid: u64) {
         let mut st = self.lock_drained();
         self.install(&mut st, catalog, None);
-        Self::attach_to(&mut st, dur, recovered_max_txid);
+        st.durable_lsn = dur.wal_tail();
+        st.durable_records = dur.wal_record_count();
+        st.next_txid = recovered_max_txid + 1;
+        st.group_fsyncs = 0;
+        st.group_commits = 0;
+        st.dur = Some(dur);
     }
 
     /// Checkpoints the published state through the attached durable
@@ -530,7 +606,7 @@ impl SharedCatalog {
 
     /// Whether group commit is enabled.
     pub fn group_commit(&self) -> bool {
-        self.lock().group_commit
+        self.lock(Pause::Lock).group_commit
     }
 
     // ---- session accounting ----------------------------------------------
@@ -662,7 +738,7 @@ mod tests {
         let shared = SharedCatalog::new();
         let (dur, rec) = Durability::open(&dir, &pool).unwrap();
         assert_eq!(rec.max_txid, 0);
-        shared.attach(dur, rec.max_txid);
+        shared.install_recovered(Catalog::new(), dur, rec.max_txid);
         let create = create_kv();
         commit(&shared, std::slice::from_ref(&create), false).unwrap();
         // A framed two-record transaction.
@@ -691,7 +767,7 @@ mod tests {
         let pool = Arc::new(BufferPool::with_budget_io(64, io.clone()));
         let shared = SharedCatalog::new();
         let (dur, rec) = Durability::open(&dir, &pool).unwrap();
-        shared.attach(dur, rec.max_txid);
+        shared.install_recovered(Catalog::new(), dur, rec.max_txid);
         let create = create_kv();
         commit(&shared, std::slice::from_ref(&create), false).unwrap();
         let v = shared.snapshot().version();
@@ -713,6 +789,9 @@ mod tests {
         let r2 = insert(2, "kept");
         commit(&shared, std::slice::from_ref(&r2), false).unwrap();
         assert_eq!(shared.snapshot().get("kv").unwrap().len(), 1);
+        // The failed commit made version v + 1 and dropped it; its number
+        // names that catalog alone, so the next commit takes a higher one.
+        assert!(shared.snapshot().version() > v + 1);
         drop(shared);
         let (_, rec) = Durability::open(&dir, &pool).unwrap();
         assert_eq!(rec.wal_records, vec![create, r2]);
@@ -725,7 +804,7 @@ mod tests {
         let pool = Arc::new(BufferPool::with_budget(64));
         let shared = SharedCatalog::new();
         let (dur, rec) = Durability::open(&dir, &pool).unwrap();
-        shared.attach(dur, rec.max_txid);
+        shared.install_recovered(Catalog::new(), dur, rec.max_txid);
         let create = create_kv();
         commit(&shared, std::slice::from_ref(&create), false).unwrap();
         let writers = 8;

@@ -429,6 +429,10 @@ pub struct Wal {
     records: u64,
     /// Records appended through this handle (excludes replayed ones).
     appended: u64,
+    /// Bytes past `len` may be on disk (a failed append or rewind left
+    /// them). The next append truncates them first: written over, a crash
+    /// could tear the two into a whole frame that fails its checksum.
+    stale: bool,
 }
 
 impl Wal {
@@ -481,6 +485,7 @@ impl Wal {
                 len: valid_len,
                 records: records.len() as u64,
                 appended: 0,
+                stale: false,
             },
             records,
         ))
@@ -492,7 +497,8 @@ impl Wal {
     /// [`RetryPolicy`], and since the rewrite targets a fixed offset, a
     /// retry after a short write overwrites the torn prefix. On failure
     /// nothing is counted and the tail is unchanged, so the next append
-    /// overwrites whatever the failed attempt left behind. The group-commit
+    /// truncates whatever the failed attempt left behind, then writes
+    /// there. The group-commit
     /// coordinator calls this under its commit lock, then fsyncs outside
     /// the lock (one fsync acknowledges every batch appended since the
     /// last one). Until that fsync returns, the records are *not* durable;
@@ -510,7 +516,12 @@ impl Wal {
             buf.extend_from_slice(&encode_frame(r)?);
             n += 1;
         }
+        if self.stale {
+            with_retry(&self.retry, || self.io.set_len(&self.path, self.len))?;
+        }
+        self.stale = true;
         with_retry(&self.retry, || self.io.write_at(&self.path, self.len, &buf))?;
+        self.stale = false;
         self.len += buf.len() as u64;
         self.records += n;
         self.appended += n;
@@ -530,14 +541,14 @@ impl Wal {
 
     /// Rolls the in-memory tail back to `(len, records)` after a failed
     /// group fsync, so the next append overwrites the unacknowledged
-    /// bytes. Best-effort truncates the file too (purely cosmetic — the
-    /// bytes past the tail are dead either way, exactly like a torn tail).
+    /// bytes. Truncates the file too; if that fails, the next append
+    /// truncates before it writes.
     pub fn rewind(&mut self, len: u64, records: u64) {
         debug_assert!(len <= self.len && records <= self.records);
         self.appended -= (self.records - records).min(self.appended);
         self.len = len;
         self.records = records;
-        let _ = self.io.set_len(&self.path, len);
+        self.stale = self.io.set_len(&self.path, len).is_err();
     }
 
     /// Read-only replay of a whole segment file (used for rotated-out

@@ -20,6 +20,8 @@
 // Each test binary that includes this module uses a part of it.
 #![allow(dead_code)]
 
+pub mod sched;
+
 use kath_storage::IoBackend;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
