@@ -154,9 +154,10 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// `compile` of the flagship plan on a staged context over `corpus`: once
-/// with no views to adopt (a first question) and once after the plan ran (a
-/// follow-up). Returns both in milliseconds and the first one's model calls.
-fn compile_first_and_followup(corpus: &MmqaCorpus) -> (f64, f64, u64) {
+/// on a fresh registry (a first question) and once after the plan ran (a
+/// follow-up, which installs the first one's compile records). Returns both
+/// in milliseconds and both ones' model calls.
+fn compile_first_and_followup(corpus: &MmqaCorpus) -> (f64, f64, u64, u64) {
     let llm = SimLlm::new(42, TokenMeter::new());
     let mut ctx = ExecContext::new(llm.clone());
     ctx.ingest_table(corpus.movies.clone(), "file://data/movie_table")
@@ -182,10 +183,12 @@ fn compile_first_and_followup(corpus: &MmqaCorpus) -> (f64, f64, u64) {
     ExecutionEngine::new()
         .run(&mut ctx, &mut registry, &plan, channel.as_ref())
         .expect("plan runs");
+    let followup_calls = llm.meter().usage().calls;
     let (followup_ms, report) =
         timed(|| compile(&logical, &ctx, &mut registry, clarifications, &options));
+    let followup_calls = llm.meter().usage().calls - followup_calls;
     assert_eq!(report.expect("plan compiles again").physical, plan);
-    (first_ms, followup_ms, calls)
+    (first_ms, followup_ms, calls, followup_calls)
 }
 
 /// The first question of a fresh handle — the op that is `nl_flagship`'s
@@ -240,9 +243,10 @@ fn first_question_series(corpus: &MmqaCorpus, reps: usize) -> Json {
     }
     let first = median(compiles.iter().map(|c| c.0).collect());
     let followup = median(compiles.iter().map(|c| c.1).collect());
-    let calls = compiles.last().map_or(0, |c| c.2);
+    let (calls, followup_calls) = compiles.last().map_or((0, 0), |c| (c.2, c.3));
     eprintln!(
-        "compile: first question {first:.2} ms ({calls} model calls), follow-up {followup:.2} ms"
+        "compile: first question {first:.2} ms ({calls} model calls), \
+         follow-up {followup:.2} ms ({followup_calls} model calls)"
     );
     Json::object([
         ("question", Json::str("nl_flagship variant 0, fresh handle")),
@@ -251,6 +255,10 @@ fn first_question_series(corpus: &MmqaCorpus, reps: usize) -> Json {
         ("compile_first_ms", Json::Num(first)),
         ("compile_first_model_calls", Json::Num(calls as f64)),
         ("compile_followup_ms", Json::Num(followup)),
+        (
+            "compile_followup_model_calls",
+            Json::Num(followup_calls as f64),
+        ),
         ("series", Json::Array(series)),
     ])
 }

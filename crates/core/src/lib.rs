@@ -204,6 +204,9 @@ pub struct KathDB {
     last_plan: Option<PhysicalPlan>,
     /// Function ids of the nodes of `last_plan` that were reused, not run.
     last_reused: Vec<String>,
+    /// Function ids of the nodes of `last_plan` installed from a compile
+    /// record, not compiled.
+    last_compiled_earlier: Vec<String>,
     /// Compiler options used for subsequent queries (exposed so examples and
     /// benches can inject faults or disable rewrites).
     pub compile_options: CompileOptions,
@@ -248,6 +251,7 @@ impl KathDB {
             registry: FunctionRegistry::new(),
             last_plan: None,
             last_reused: Vec::new(),
+            last_compiled_earlier: Vec::new(),
             compile_options: CompileOptions::default(),
             semantic_checks: true,
             durability: None,
@@ -696,6 +700,7 @@ impl KathDB {
 
         self.last_plan = Some(compile_report.physical.clone());
         self.last_reused = exec_report.reused_nodes().map(str::to_string).collect();
+        self.last_compiled_earlier = compile_report.reused.clone();
         // Compilation and self-repair may have added function versions;
         // make the registry durable before acknowledging the query.
         self.log_registry_if_changed()?;
@@ -715,7 +720,8 @@ impl KathDB {
         let plan = self.last_plan.as_ref().ok_or(KathError::NoQueryRun)?;
         let snapshot = self.ctx.catalog.snapshot();
         let explainer = Explainer::new(plan, &self.registry, &self.ctx.lineage, &snapshot)
-            .with_reused(&self.last_reused);
+            .with_reused(&self.last_reused)
+            .with_compiled_earlier(&self.last_compiled_earlier);
         Ok(explainer.answer(question))
     }
 

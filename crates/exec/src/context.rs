@@ -1,22 +1,13 @@
 //! The execution context: catalog + media + models + lineage.
 
 use crate::{ExecError, ExecOutcome};
-use kath_fao::FunctionBody;
+use kath_fao::{FunctionBody, Published};
 use kath_lineage::{DataKind, LineageStore};
 use kath_media::{MediaKind, MediaRegistry};
 use kath_model::SimLlm;
 use kath_storage::{CompileMode, ExecMode, GuardSpec, SharedCatalog, Table, VectorMode};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A table a node published, with its table-level lid.
-#[derive(Debug, Clone)]
-pub struct Published {
-    /// The table as the catalog holds it.
-    pub table: Arc<Table>,
-    /// Its table-level lid.
-    pub lid: i64,
-}
 
 /// What one node's last clean run read and published: the record a later
 /// question checks before running the node again (docs/execution.md,
@@ -202,6 +193,13 @@ impl ExecContext {
                 .outputs()
                 .all(|p| current(&p.table) && self.table_lid(p.table.name()) == Some(p.lid));
         valid.then_some(record)
+    }
+
+    /// Whether a recorded node run published `name`: an intermediate an
+    /// earlier question left in the catalog, not a base table.
+    pub fn is_node_output(&self, name: &str) -> bool {
+        (self.materializations.values())
+            .any(|record| record.outputs().any(|p| p.table.name() == name))
     }
 
     /// The media collection `body` reads directly, with its current stamp.

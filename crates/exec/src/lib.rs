@@ -14,8 +14,9 @@ mod error;
 mod interp;
 mod monitor;
 
-pub use context::{id_from_uri, ExecContext, Materialization, Published};
+pub use context::{id_from_uri, ExecContext, Materialization};
 pub use engine::{ExecReport, ExecutionEngine, NodeTiming, PhysicalNode, PhysicalPlan};
 pub use error::ExecError;
 pub use interp::{execute_body, visual_interest, ExecOutcome};
+pub use kath_fao::Published;
 pub use monitor::{AnomalyEvent, Monitor, RepairEvent};

@@ -26,6 +26,9 @@ pub struct Explainer<'a> {
     /// Function ids of the plan nodes that did not run for this query: their
     /// outputs were still the ones an earlier question materialized.
     pub reused: &'a [String],
+    /// Function ids of the plan nodes that were not compiled for this query:
+    /// an earlier question's compile record validated.
+    pub compiled_earlier: &'a [String],
 }
 
 impl<'a> Explainer<'a> {
@@ -42,6 +45,7 @@ impl<'a> Explainer<'a> {
             lineage,
             catalog,
             reused: &[],
+            compiled_earlier: &[],
         }
     }
 
@@ -52,9 +56,18 @@ impl<'a> Explainer<'a> {
         self
     }
 
+    /// Names the nodes whose compile the optimizer installed from an
+    /// earlier question's record (`CompileReport::reused`).
+    pub fn with_compiled_earlier(mut self, compiled: &'a [String]) -> Self {
+        self.compiled_earlier = compiled;
+        self
+    }
+
     /// Coarse-grained mode (Fig. 5 left): a numbered overview of every
     /// transformation in the pipeline, including how many versions each
-    /// function went through.
+    /// function went through and, for a node the optimizer chose among
+    /// several implementations, the choice and the sample figures it was
+    /// made on (§5).
     pub fn explain_pipeline(&self) -> String {
         let mut out = String::from("Pipeline overview:\n");
         for (i, node) in self.plan.nodes.iter().enumerate() {
@@ -67,25 +80,60 @@ impl<'a> Explainer<'a> {
                     } else {
                         String::new()
                     };
+                    let compile_note = if self.compiled_earlier.contains(&node.func_id) {
+                        " [compiled in an earlier question; sample inputs unchanged]"
+                    } else {
+                        ""
+                    };
                     let reuse_note = if self.reused.contains(&node.func_id) {
                         " [reused: function and inputs unchanged since an earlier question]"
                     } else {
                         ""
                     };
-                    format!(
-                        "{}: {} — {}{}{}\n",
+                    let mut line = format!(
+                        "{}: {} — {}{}{}{}\n",
                         i + 1,
                         node.func_id,
                         v.body.summarize(),
                         version_note,
+                        compile_note,
                         reuse_note
-                    )
+                    );
+                    line.push_str(&self.explain_decision(&node.func_id));
+                    line
                 }
                 Err(_) => format!("{}: {} (unregistered)\n", i + 1, node.func_id),
             };
             out.push_str(&line);
         }
         out
+    }
+
+    /// The line naming the implementation the optimizer chose for
+    /// `func_id` among several and the figures of the chosen version's
+    /// profile on the sample; empty when it had nothing to choose.
+    fn explain_decision(&self, func_id: &str) -> String {
+        let records = self.registry.compile_records();
+        let Some(decision) = records.latest(func_id).and_then(|r| r.decision.as_ref()) else {
+            return String::new();
+        };
+        let chosen = (self.registry.get(func_id).ok())
+            .and_then(|entry| entry.versions.iter().find(|v| v.body == decision.body));
+        let (Some(version), true) = (chosen, decision.candidates > 1) else {
+            return String::new();
+        };
+        let profile = version.profile.as_ref().unwrap_or(&decision.profile);
+        format!(
+            "   chosen among {} candidates: v{} \"{}\" — on the sample {} row(s) in, {} out, \
+             accuracy {:.2}, cost {:.2}\n",
+            decision.candidates,
+            version.ver_id,
+            version.note,
+            profile.rows_in,
+            profile.rows_out,
+            profile.accuracy.unwrap_or(1.0),
+            profile.cost()
+        )
     }
 
     /// Fine-grained mode (Fig. 5 right): takes a specific `lid`, inspects

@@ -9,9 +9,13 @@
 #![warn(missing_docs)]
 
 mod body;
+mod compiled;
 mod registry;
 mod signature;
 
 pub use body::{BodyError, FunctionBody, VisionImpl};
+pub use compiled::{
+    CompileRecord, CompileRecords, Decision, Published, RecordedCritique, SampledMedia,
+};
 pub use registry::{FunctionEntry, FunctionRegistry, FunctionVersion, ProfileStats, RegistryError};
 pub use signature::{FunctionSignature, SignatureError};

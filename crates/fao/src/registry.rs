@@ -5,7 +5,7 @@
 //! the version ID, leaving earlier versions intact" (§4). Versions enable
 //! precise lineage queries, safe roll-backs, and iterative refinement (§5).
 
-use crate::{FunctionBody, FunctionSignature};
+use crate::{CompileRecords, FunctionBody, FunctionSignature};
 use kath_json::{parse, to_string_pretty, Json};
 use kath_lineage::DependencyPattern;
 use std::collections::BTreeMap;
@@ -124,9 +124,20 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// The registry of all functions of a KathDB instance.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct FunctionRegistry {
     functions: BTreeMap<String, FunctionEntry>,
+    /// What the optimizer decided for each function on its last profiling
+    /// sample. In memory only.
+    compiled: CompileRecords,
+}
+
+/// Two registries are equal when they hold the same functions: what one
+/// remembers of compiling them is not part of them.
+impl PartialEq for FunctionRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.functions == other.functions
+    }
 }
 
 impl FunctionRegistry {
@@ -252,6 +263,16 @@ impl FunctionRegistry {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.functions.is_empty()
+    }
+
+    /// The optimizer's compile records of these functions.
+    pub fn compile_records(&self) -> &CompileRecords {
+        &self.compiled
+    }
+
+    /// The compile records, for the optimizer to take and put back.
+    pub fn compile_records_mut(&mut self) -> &mut CompileRecords {
+        &mut self.compiled
     }
 
     /// Serializes the whole registry to pretty JSON.

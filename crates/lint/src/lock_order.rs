@@ -405,6 +405,10 @@ fn extract_fns(lexed: &Lexed, file_idx: usize, config: &Config, out: &mut Vec<Fn
                     .any(|s| s.methods.iter().any(|m| m == callee));
                 match call_kind(toks, k) {
                     Some(CallKind::UniqueOnly | CallKind::Method) if primitive => {}
+                    // A bare `drop(g)` is the prelude's release, which the
+                    // simulation models — never a call of some `fn drop`
+                    // (an `impl Drop`) that happens to be in scope.
+                    Some(CallKind::Direct) if callee == "drop" && bare_call(toks, k) => {}
                     Some(kind) => info.calls.push((callee.to_string(), k, kind)),
                     None => {}
                 }
@@ -445,6 +449,12 @@ fn call_kind(toks: &[Token], k: usize) -> Option<CallKind> {
         };
     }
     Some(CallKind::Direct)
+}
+
+/// Whether the call whose name sits at `k` is a bare `name(…)`: no
+/// receiver and no path before it.
+fn bare_call(toks: &[Token], k: usize) -> bool {
+    k == 0 || !(is_punct(toks, k - 1, '.') || is_punct(toks, k - 1, ':'))
 }
 
 /// Whether the function whose name sits at `name_at` takes a `self`

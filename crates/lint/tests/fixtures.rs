@@ -258,6 +258,31 @@ fn lock_order_method_calls_resolve_only_to_methods() {
 }
 
 #[test]
+fn lock_order_bare_drop_is_a_release_not_a_call() {
+    // The only `fn drop` in scope (an `impl Drop`) takes `a`. A helper
+    // that releases a guard with `drop(st)` calls nothing, so calling it
+    // under `b` adds no `b → a` edge.
+    let src = "impl Drop for P {\n\
+               \x20   fn drop(&mut self) {\n\
+               \x20       let g = self.alpha.lock();\n\
+               \x20       drop(g);\n\
+               \x20   }\n\
+               }\n\
+               impl S {\n\
+               \x20   fn release(&self, st: Token) {\n\
+               \x20       drop(st);\n\
+               \x20   }\n\
+               \x20   pub fn outer(&self, st: Token) {\n\
+               \x20       let g = self.beta.lock();\n\
+               \x20       self.release(st);\n\
+               \x20       drop(g);\n\
+               \x20   }\n\
+               }\n";
+    let findings = lint(&[("crates/x/src/l.rs", src)], LOCK_CONFIG);
+    assert_eq!(pass_lines(&findings, "lock-order"), vec![]);
+}
+
+#[test]
 fn lock_order_self_deadlock_is_detected() {
     let src = "impl S {\n\
                \x20   pub fn twice(&self) {\n\

@@ -49,7 +49,15 @@ impl<T> Default for Collection<T> {
     }
 }
 
-impl<T: Clone> Collection<T> {
+impl<T: Clone + PartialEq> Collection<T> {
+    /// Whether `other` holds equal entries: by stamp or shared storage
+    /// first, then entry by entry.
+    fn same_items(&self, other: &Self) -> bool {
+        self.stamp == other.stamp
+            || Arc::ptr_eq(&self.items, &other.items)
+            || self.items == other.items
+    }
+
     fn items_mut(&mut self) -> &mut BTreeMap<String, T> {
         self.stamp = fresh_stamp();
         Arc::make_mut(&mut self.items)
@@ -108,6 +116,27 @@ impl MediaRegistry {
         match kind {
             MediaKind::Images => self.images.stamp,
             MediaKind::Documents => self.documents.stamp,
+        }
+    }
+
+    /// Whether one collection of `other` holds the same entries as this
+    /// registry's, compared by value: a collection narrowed or repaired
+    /// into equal entries is the same, whatever its stamp. What the
+    /// optimizer compares before reusing views it populated on sampled
+    /// media.
+    pub fn same_contents(&self, other: &MediaRegistry, kind: MediaKind) -> bool {
+        match kind {
+            MediaKind::Images => self.images.same_items(&other.images),
+            MediaKind::Documents => self.documents.same_items(&other.documents),
+        }
+    }
+
+    /// Takes `from`'s `kind` collection, shared and with its stamp, in
+    /// place of this registry's.
+    pub fn share(&mut self, from: &MediaRegistry, kind: MediaKind) {
+        match kind {
+            MediaKind::Images => self.images = from.images.clone(),
+            MediaKind::Documents => self.documents = from.documents.clone(),
         }
     }
 
@@ -212,6 +241,21 @@ mod tests {
         // Equal contents reached by different registries are still distinct.
         let mut other = MediaRegistry::new();
         other.add_document(Document::new("d", "text"));
+        assert_ne!(other.stamp(MediaKind::Documents), documents);
+        // ... yet hold the same contents, which is what a value check sees.
+        assert!(other.same_contents(&r, MediaKind::Documents));
+        assert!(!other.same_contents(&r, MediaKind::Images));
+        let mut narrowed = r.clone();
+        narrowed.retain_images(|_| true);
+        assert!(narrowed.same_contents(&r, MediaKind::Images));
+        narrowed.add_image(Image::new("a", MediaFormat::Heic));
+        assert!(!narrowed.same_contents(&r, MediaKind::Images));
+        // Sharing one collection takes its stamp and leaves the other.
+        other.share(&narrowed, MediaKind::Images);
+        assert_eq!(
+            other.stamp(MediaKind::Images),
+            narrowed.stamp(MediaKind::Images)
+        );
         assert_ne!(other.stamp(MediaKind::Documents), documents);
     }
 }

@@ -4,13 +4,20 @@
 
 use crate::coder::{synthesize, CoderContext, CoderFaults};
 use crate::rewrite::{rewrite_plan, RewriteEvent};
-use kath_exec::{execute_body, id_from_uri, ExecContext, ExecError, PhysicalNode, PhysicalPlan};
-use kath_fao::{FunctionBody, FunctionRegistry, FunctionSignature, ProfileStats, VisionImpl};
+use kath_exec::{
+    execute_body, id_from_uri, ExecContext, ExecError, ExecOutcome, PhysicalNode, PhysicalPlan,
+    Published,
+};
+use kath_fao::{
+    CompileRecord, CompileRecords, Decision, FunctionBody, FunctionRegistry, FunctionSignature,
+    ProfileStats, RecordedCritique, SampledMedia, VisionImpl,
+};
 use kath_lineage::{LineagePolicy, LineageStore};
+use kath_media::MediaKind;
 use kath_model::Verdict;
-use kath_parser::{LogicalPlan, StepTag};
+use kath_parser::{LogicalNode, LogicalPlan, StepTag};
 use kath_storage::{Table, Value};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,11 +85,21 @@ pub struct CompileReport {
     pub critiques: Vec<CritiqueEvent>,
     /// Implementation selections (one per multi-candidate node).
     pub selections: Vec<SelectionEvent>,
+    /// Function ids of the generated nodes whose compile record validated:
+    /// their recorded decision was installed, nothing was profiled.
+    pub reused: Vec<String>,
 }
 
 /// Compiles a verified logical plan: generates function bodies, profiles
 /// them on samples, lets the critic check semantics, registers everything in
 /// the function registry, and emits the physical plan.
+///
+/// A node the registry's compile records say was compiled over the same
+/// sample inputs — the same node, clarifications and options, and every
+/// sample table its candidates read still the table they read — is not
+/// compiled again: its recorded winner is registered again (which
+/// re-activates the equal version and keeps its profile) and its recorded
+/// sample output published, so its consumers validate too.
 pub fn compile(
     logical: &LogicalPlan,
     ctx: &ExecContext,
@@ -95,19 +112,46 @@ pub fn compile(
     } else {
         (logical.clone(), Vec::new())
     };
+    // The records leave the registry while the nodes register versions,
+    // and come back holding this compile's.
+    let mut records = std::mem::take(registry.compile_records_mut());
+    let mut report = CompileReport {
+        physical: PhysicalPlan::default(),
+        rewrites,
+        critiques: Vec::new(),
+        selections: Vec::new(),
+        reused: Vec::new(),
+    };
+    let compiled = compile_nodes(
+        &logical,
+        ctx,
+        registry,
+        &mut records,
+        clarifications,
+        opts,
+        &mut report,
+    );
+    *registry.compile_records_mut() = records;
+    compiled.map(|()| report)
+}
 
-    let mut sample_ctx = build_sample_ctx(ctx, opts.sample_size)?;
-    let mut physical = PhysicalPlan::default();
-    let mut critiques = Vec::new();
-    let mut selections = Vec::new();
-
+fn compile_nodes(
+    logical: &LogicalPlan,
+    ctx: &ExecContext,
+    registry: &mut FunctionRegistry,
+    records: &mut CompileRecords,
+    clarifications: &[(String, String)],
+    opts: &CompileOptions,
+    report: &mut CompileReport,
+) -> Result<(), ExecError> {
+    let mut sample_ctx = build_sample_ctx(ctx, records, opts.sample_size)?;
     for node in &logical.nodes {
         if node.prewritten {
             // The pre-written view-population function of §6, split into its
             // text and scene halves so each materializes its own views.
-            for (func, modality) in [
-                ("populate_text_views", "text"),
-                ("populate_scene_views", "scene"),
+            for (func, modality, kind) in [
+                ("populate_text_views", "text", MediaKind::Documents),
+                ("populate_scene_views", "scene", MediaKind::Images),
             ] {
                 let body = FunctionBody::ViewPopulate {
                     modality: modality.into(),
@@ -124,24 +168,53 @@ pub fn compile(
                 if !registry.contains(func) {
                     registry.register(sig, body.clone(), "pre-written (§6)");
                 }
-                let active = registry.get(func)?.active_version();
-                // Downstream coding reads the views' schemas. When the
-                // caller's context still holds the views the engine is about
-                // to reuse, the sample context shares those tables;
-                // otherwise it populates its own from the media its sampled
-                // rows reference.
-                match ctx.reusable(func, &active.body, &output) {
-                    Some(record) => {
-                        for published in record.outputs() {
-                            sample_ctx.adopt(published);
-                        }
+                let ver = registry.get(func)?.active_version().ver_id;
+                // Downstream coding reads the views' schemas. The sample
+                // populates its own from the media its sampled rows
+                // reference, and keeps them while those rows are the same
+                // tables and that media holds equal entries — certainly so
+                // while the caller's collection keeps the stamp it was
+                // narrowed from, and otherwise narrowed again and compared.
+                let (keyed, ids) = media_keys(&sample_ctx, modality);
+                let source_stamp = sample_ctx.media.stamp(kind);
+                let same_rows = |r: &CompileRecord| {
+                    r.inputs.len() == keyed.len()
+                        && (r.inputs.iter().zip(&keyed)).all(|(a, b)| Arc::ptr_eq(a, b))
+                };
+                let sampled = (records.find(func, same_rows))
+                    .and_then(|r| r.media.as_mut())
+                    .filter(|m| m.kind == kind);
+                let kept = match sampled {
+                    Some(m) if m.source_stamp == source_stamp => {
+                        sample_ctx.media.share(&m.sample, kind);
+                        true
                     }
-                    None => {
-                        sample_media(&mut sample_ctx, modality);
-                        let _ = execute_body(&mut sample_ctx, func, active.ver_id, &body, &output);
+                    sampled => {
+                        narrow_media(&mut sample_ctx, modality, &keyed, &ids);
+                        let same =
+                            sampled.filter(|m| m.sample.same_contents(&sample_ctx.media, kind));
+                        same.map(|m| m.source_stamp = source_stamp).is_some()
                     }
+                };
+                if let Some(record) = records.latest(func).filter(|_| kept) {
+                    record.outputs.iter().for_each(|p| sample_ctx.adopt(p));
+                } else if let Ok(outcome) = execute_body(&mut sample_ctx, func, ver, &body, &output)
+                {
+                    let media = SampledMedia {
+                        kind,
+                        source_stamp,
+                        sample: sample_ctx.media.clone(),
+                    };
+                    let record = CompileRecord {
+                        context: String::new(),
+                        inputs: keyed,
+                        media: Some(media),
+                        decision: None,
+                        outputs: sample_outputs(&outcome),
+                    };
+                    records.insert(func, record);
                 }
-                physical.nodes.push(PhysicalNode {
+                report.physical.nodes.push(PhysicalNode {
                     func_id: func.into(),
                     output,
                 });
@@ -150,6 +223,39 @@ pub fn compile(
         }
 
         let func_id = node.signature.name.clone();
+        let context = format!("{:?}", (&node.signature, &node.tag, clarifications, opts));
+        let kept = records.find(&func_id, |r| {
+            r.context == context && unchanged(&sample_ctx, &r.inputs)
+        });
+        if let Some(CompileRecord {
+            decision: Some(decision),
+            outputs,
+            ..
+        }) = kept
+        {
+            let ver = install(registry, node, decision, report)?;
+            if let Some(critique) = &decision.critique {
+                let to_ver = registry.register(
+                    node.signature.clone(),
+                    critique.body.clone(),
+                    format!("critic: {}", critique.hint),
+                );
+                report.critiques.push(CritiqueEvent {
+                    func_id: func_id.clone(),
+                    hint: critique.hint.clone(),
+                    from_ver: ver,
+                    to_ver,
+                });
+            }
+            outputs.iter().for_each(|p| sample_ctx.adopt(p));
+            report.reused.push(func_id.clone());
+            report.physical.nodes.push(PhysicalNode {
+                func_id,
+                output: node.signature.output.clone(),
+            });
+            continue;
+        }
+
         let sample_snapshot = sample_ctx.catalog.snapshot();
         let coder_ctx = CoderContext {
             catalog: &sample_snapshot,
@@ -158,6 +264,15 @@ pub fn compile(
         };
         let candidates = synthesize(node, &coder_ctx, &ctx.llm);
         assert!(!candidates.is_empty(), "coder produced no candidates");
+        // Every sample table the coder and the candidates read, as they are
+        // before the node publishes anything.
+        let read: BTreeSet<String> = (node.signature.inputs.iter().cloned())
+            .chain(candidates.iter().flat_map(|(body, _)| body.inputs()))
+            .collect();
+        let inputs: Option<Vec<Arc<Table>>> = (read.iter())
+            .map(|name| sample_snapshot.get(name).ok())
+            .collect();
+        drop(sample_snapshot);
 
         // Profile every candidate on a fork of the sample context.
         let mut profiled: Vec<(FunctionBody, String, ProfileStats, Option<Arc<Table>>)> =
@@ -241,36 +356,22 @@ pub fn compile(
                     .expect("non-empty")
             }
         };
-        let (body, note, stats, _) = profiled.swap_remove(chosen_idx);
-        if candidates.len() > 1 {
-            selections.push(SelectionEvent {
-                func_id: func_id.clone(),
-                chosen: note.clone(),
-                candidates: candidates.len(),
-                cost: stats.cost(),
-                accuracy: stats.accuracy.unwrap_or(1.0),
-            });
-        }
-        let ver = registry.register(node.signature.clone(), body.clone(), note);
-        // A re-activated version keeps the profile it was selected with:
-        // wall-clock jitter on a four-row sample is no new information, and
-        // an unchanged registry is not logged again.
-        if registry
-            .get(&func_id)?
-            .version(ver)
-            .is_some_and(|v| v.profile.is_none())
-        {
-            registry.set_profile(&func_id, ver, stats)?;
-        }
+        let (body, note, profile, _) = profiled.swap_remove(chosen_idx);
+        let mut decision = Decision {
+            body,
+            note,
+            profile,
+            candidates: candidates.len(),
+            critique: None,
+        };
+        let ver = install(registry, node, &decision, report)?;
 
         // Materialize the winner's sample output for downstream nodes.
-        let mut active_body = body;
-        let mut active_ver = ver;
-        let _ = execute_body(
+        let mut materialized = execute_body(
             &mut sample_ctx,
             &func_id,
-            active_ver,
-            &active_body,
+            ver,
+            &decision.body,
             &node.signature.output,
         );
 
@@ -307,37 +408,99 @@ pub fn compile(
                         fixed_body.clone(),
                         format!("critic: {hint}"),
                     )?;
-                    critiques.push(CritiqueEvent {
+                    report.critiques.push(CritiqueEvent {
                         func_id: func_id.clone(),
-                        hint,
-                        from_ver: active_ver,
+                        hint: hint.clone(),
+                        from_ver: ver,
                         to_ver,
                     });
-                    active_body = fixed_body;
-                    active_ver = to_ver;
-                    let _ = execute_body(
+                    materialized = execute_body(
                         &mut sample_ctx,
                         &func_id,
-                        active_ver,
-                        &active_body,
+                        to_ver,
+                        &fixed_body,
                         &node.signature.output,
                     );
+                    decision.critique = Some(RecordedCritique {
+                        hint,
+                        body: fixed_body,
+                    });
                 }
             }
         }
 
-        physical.nodes.push(PhysicalNode {
+        // Record the compile when its inputs and its sample output exist;
+        // otherwise the next question compiles the node again.
+        if let (Some(inputs), Ok(outcome)) = (inputs, materialized) {
+            let record = CompileRecord {
+                context,
+                inputs,
+                media: None,
+                decision: Some(decision),
+                outputs: sample_outputs(&outcome),
+            };
+            records.insert(&func_id, record);
+        }
+        report.physical.nodes.push(PhysicalNode {
             func_id,
             output: node.signature.output.clone(),
         });
     }
+    Ok(())
+}
 
-    Ok(CompileReport {
-        physical,
-        rewrites,
-        critiques,
-        selections,
-    })
+/// Registers `decision`'s winner for `node` — a new version, or the
+/// re-activated equal one, which keeps the profile it was selected with:
+/// wall-clock jitter on a four-row sample is no new information, and an
+/// unchanged registry is not logged again — and reports the selection when
+/// there was one to make. Returns the winner's version.
+fn install(
+    registry: &mut FunctionRegistry,
+    node: &LogicalNode,
+    decision: &Decision,
+    report: &mut CompileReport,
+) -> Result<u32, ExecError> {
+    let func_id = &node.signature.name;
+    let ver = registry.register(
+        node.signature.clone(),
+        decision.body.clone(),
+        decision.note.clone(),
+    );
+    if registry
+        .get(func_id)?
+        .version(ver)
+        .is_some_and(|v| v.profile.is_none())
+    {
+        registry.set_profile(func_id, ver, decision.profile.clone())?;
+    }
+    if decision.candidates > 1 {
+        report.selections.push(SelectionEvent {
+            func_id: func_id.clone(),
+            chosen: decision.note.clone(),
+            candidates: decision.candidates,
+            cost: decision.profile.cost(),
+            accuracy: decision.profile.accuracy.unwrap_or(1.0),
+        });
+    }
+    Ok(ver)
+}
+
+/// Whether every table of `inputs` is still the one the sample catalog
+/// holds under its name.
+fn unchanged(sample: &ExecContext, inputs: &[Arc<Table>]) -> bool {
+    let snapshot = sample.catalog.snapshot();
+    (inputs.iter()).all(|t| (snapshot.get(t.name())).is_ok_and(|now| Arc::ptr_eq(&now, t)))
+}
+
+/// Every table a sample run published, its own output last.
+fn sample_outputs(outcome: &ExecOutcome) -> Vec<Published> {
+    let output = Published {
+        table: Arc::clone(&outcome.table),
+        lid: outcome.output_lid,
+    };
+    (outcome.side_outputs.iter().cloned())
+        .chain([output])
+        .collect()
 }
 
 /// Offline accuracy prior per implementation (the "offline profiling" of
@@ -382,25 +545,39 @@ fn read_column(table: &Table, name: &str) -> Option<Vec<Value>> {
     read.ok().map(|()| values)
 }
 
-/// Samples the media collection the `modality` half populates its views
-/// from, the way the tables were sampled: a document (image) stays when its
-/// URI's id ([`id_from_uri`]) is the `did` (`vid`) of a sampled row — all a
-/// sample join can reach — or when its URI carries no id. A collection no
-/// sampled table keys stays whole.
-fn sample_media(sample: &mut ExecContext, modality: &str) {
+/// The tables whose sampled rows key the media the `modality` half
+/// populates its views from — every one with a `did` (`vid`) column — and
+/// the ids they name.
+fn media_keys(sample: &ExecContext, modality: &str) -> (Vec<Arc<Table>>, HashSet<i64>) {
     let column = if modality == "text" { "did" } else { "vid" };
     let snapshot = sample.catalog.snapshot();
-    let mut ids: Option<HashSet<i64>> = None;
+    let (mut keyed, mut ids) = (Vec::new(), HashSet::new());
     for name in snapshot.table_names() {
         let Ok(table) = snapshot.get(name) else {
             continue;
         };
         if let Some(keys) = read_column(&table, column) {
-            let keys = keys.iter().filter_map(Value::as_int);
-            ids.get_or_insert_default().extend(keys);
+            ids.extend(keys.iter().filter_map(Value::as_int));
+            keyed.push(table);
         }
     }
-    let Some(ids) = ids else { return };
+    (keyed, ids)
+}
+
+/// Samples the media collection the `modality` half populates its views
+/// from, the way the tables were sampled: a document (image) stays when its
+/// URI's id ([`id_from_uri`]) is one of `ids`, the `did` (`vid`) of a
+/// sampled row — all a sample join can reach — or when its URI carries no
+/// id. A collection no sampled table keys stays whole.
+fn narrow_media(
+    sample: &mut ExecContext,
+    modality: &str,
+    keyed: &[Arc<Table>],
+    ids: &HashSet<i64>,
+) {
+    if keyed.is_empty() {
+        return;
+    }
     let keep = |uri: &str| id_from_uri(uri).is_none_or(|id| ids.contains(&id));
     match modality {
         "text" => sample.media.retain_documents(|d| keep(&d.uri)),
@@ -408,20 +585,30 @@ fn sample_media(sample: &mut ExecContext, modality: &str) {
     }
 }
 
-/// Builds the profiling context: sampled base tables, the caller's media
-/// (shared; [`sample_media`] narrows a collection when a population is
-/// about to read it), fresh lineage with recording off. A table whose first
-/// rows cannot be read fails the compile with the storage error.
-fn build_sample_ctx(ctx: &ExecContext, sample_size: usize) -> Result<ExecContext, ExecError> {
+/// Builds the profiling context: the caller's base tables sampled (a
+/// table an earlier question's node published is no input of this plan's
+/// and is left out), the caller's media (shared; [`narrow_media`] narrows a
+/// collection when a population is about to read it), fresh lineage with
+/// recording off. A sample is drawn again only when its table changed
+/// ([`CompileRecords::sample`]). A table whose first rows cannot be read
+/// fails the compile with the storage error.
+fn build_sample_ctx(
+    ctx: &ExecContext,
+    records: &mut CompileRecords,
+    sample_size: usize,
+) -> Result<ExecContext, ExecError> {
     let mut sample = ExecContext::new(ctx.llm.clone());
     sample.lineage = LineageStore::with_policy(LineagePolicy::Off);
     sample.media = ctx.media.clone();
     let snapshot = ctx.catalog.snapshot();
-    let mut sampled = Vec::new();
-    for name in snapshot.table_names() {
-        let mut t = snapshot.get(name)?.sample(sample_size)?;
-        t.set_name(name);
-        sampled.push(t);
+    let names = snapshot.table_names();
+    let base: Vec<&str> = (names.iter().copied())
+        .filter(|name| !ctx.is_node_output(name))
+        .collect();
+    records.retain_samples(|name| base.contains(&name));
+    let mut sampled = Vec::with_capacity(base.len());
+    for name in base {
+        sampled.push(records.sample(&snapshot.get(name)?, sample_size)?);
     }
     sample.catalog.publish(|c| {
         for t in sampled {
@@ -640,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn a_second_compile_shares_the_views_the_engine_left() {
+    fn a_second_compile_installs_what_the_first_decided() {
         let mut ctx = full_ctx();
         let (logical, clars) = flagship_logical(&ctx);
         let mut registry = FunctionRegistry::new();
@@ -648,31 +835,76 @@ mod tests {
         let compile_calls = |ctx: &ExecContext, registry: &mut FunctionRegistry| {
             let before = ctx.llm.meter().usage().calls;
             let report = compile(&logical, ctx, registry, &clars, &opts).unwrap();
-            (report.physical, ctx.llm.meter().usage().calls - before)
+            let calls = ctx.llm.meter().usage().calls - before;
+            (report.physical, calls, report.reused)
         };
 
-        let (plan, first) = compile_calls(&ctx, &mut registry);
+        let (plan, first, reused) = compile_calls(&ctx, &mut registry);
+        assert!(first > 0 && reused.is_empty());
         kath_exec::ExecutionEngine::new()
             .run(&mut ctx, &mut registry, &plan, &kath_model::SilentChannel)
             .unwrap();
         let registered = registry.clone();
 
-        // Nothing changed: both halves' views are adopted, not populated
-        // again (one model call per image; the text half calls no metered
-        // model), and the registry is left exactly as it was, versions and
-        // profiles.
-        let (again, second) = compile_calls(&ctx, &mut registry);
+        // Nothing the sample reads changed — the engine's views and
+        // intermediates are no sample input: no model call, the same plan,
+        // the registry exactly as it was (versions and profiles), and every
+        // generated node installed from its record.
+        let (again, second, reused) = compile_calls(&ctx, &mut registry);
         assert_eq!(again, plan);
         assert_eq!(registry, registered);
-        assert_eq!(first - second, 3);
+        assert_eq!(second, 0);
+        assert_eq!(reused.len(), 10);
 
-        // A new image: only the scene half is populated on the sample again,
-        // from the posters of the three sampled rows — not from the new one,
-        // which no sampled `vid` names.
+        // A new image no sampled `vid` names leaves the sampled media equal
+        // by value, whatever the collection's stamp.
         ctx.media
             .add_image(Image::new("file://posters/9.png", MediaFormat::Png));
-        let (_, third) = compile_calls(&ctx, &mut registry);
-        assert_eq!(third - second, 3);
+        let (_, third, reused) = compile_calls(&ctx, &mut registry);
+        assert_eq!((third, reused.len()), (0, 10));
+
+        // A sampled poster changed by value: the scene half is populated
+        // on the sample again (one model call per sampled poster) and the
+        // nodes that read its views compile again; the text side does not.
+        ctx.media.add_image(
+            Image::new("file://posters/1.png", MediaFormat::Png)
+                .with_color(Color::rgb(230, 30, 30))
+                .with_object(ImageObject::new("explosion", BBox::new(0.6, 0.1, 0.9, 0.4))),
+        );
+        let (_, fourth, reused) = compile_calls(&ctx, &mut registry);
+        assert!(fourth > 3, "{fourth} calls");
+        assert!(reused.iter().any(|f| f == "gen_excitement_score"));
+        assert!(!reused.iter().any(|f| f == "join_image_view"));
+        assert!(!reused.iter().any(|f| f == "classify_boring"));
+    }
+
+    #[test]
+    fn a_changed_clarification_or_base_table_compiles_again() {
+        let ctx = full_ctx();
+        let (logical, clars) = flagship_logical(&ctx);
+        let mut registry = FunctionRegistry::new();
+        let opts = CompileOptions::default();
+        let calls = |ctx: &ExecContext, registry: &mut FunctionRegistry, clars| {
+            let before = ctx.llm.meter().usage().calls;
+            let report = compile(&logical, ctx, registry, clars, &opts).unwrap();
+            (ctx.llm.meter().usage().calls - before, report.reused.len())
+        };
+        let (first, _) = calls(&ctx, &mut registry, &clars);
+
+        // Another clarification is another decision for every node; the
+        // records of the first are kept beside its records, and asking the
+        // first way again installs them.
+        let other = vec![(clars[0].0.clone(), "fast cars".to_string())];
+        assert_eq!(calls(&ctx, &mut registry, &other).1, 0);
+        assert_eq!(calls(&ctx, &mut registry, &clars), (0, 10));
+        assert_eq!(calls(&ctx, &mut registry, &other), (0, 10));
+
+        // A base table that is a new table value is sampled again, and
+        // everything over it compiles as on a fresh registry.
+        let movies = ctx.catalog.snapshot().get("movie_table").unwrap();
+        ctx.catalog
+            .publish(|c| c.register_or_replace((*movies).clone()));
+        assert_eq!(calls(&ctx, &mut registry, &clars), (first, 0));
     }
 
     /// `movies` films, each with a plot and a poster, every third poster
@@ -712,7 +944,7 @@ mod tests {
     #[test]
     fn sampled_tables_bound_profiling_cost() {
         let ctx = full_ctx();
-        let sample = build_sample_ctx(&ctx, 2).unwrap();
+        let sample = build_sample_ctx(&ctx, &mut CompileRecords::default(), 2).unwrap();
         assert_eq!(
             sample.catalog.snapshot().get("movie_table").unwrap().len(),
             2
@@ -722,9 +954,9 @@ mod tests {
             "movie_table"
         );
 
-        // Media is sampled like the tables: what a compile with no views to
-        // adopt spends on model calls follows `sample_size`, not the size
-        // of the collections.
+        // Media is sampled like the tables: what a first compile spends on
+        // model calls follows `sample_size`, not the size of the
+        // collections.
         let compile_calls = |movies: i64, sample_size: usize| {
             let ctx = wide_ctx(movies);
             let (logical, clars) = flagship_logical(&ctx);
@@ -758,11 +990,16 @@ mod tests {
         assert!(small < double && double <= 10 * 8, "{double} calls for 8");
     }
 
+    fn sample_media(sample: &mut ExecContext, modality: &str) {
+        let (keyed, ids) = media_keys(sample, modality);
+        narrow_media(sample, modality, &keyed, &ids);
+    }
+
     #[test]
     fn media_no_sampled_row_keys_stays_whole() {
         // No `did`/`vid` column anywhere: both collections stay as they are.
         let mut ctx = full_ctx();
-        let mut sample = build_sample_ctx(&ctx, 2).unwrap();
+        let mut sample = build_sample_ctx(&ctx, &mut CompileRecords::default(), 2).unwrap();
         let unkeyed = Table::new("movie_table", Schema::of(&[("id", DataType::Int)]));
         sample.catalog.publish(|c| c.register_or_replace(unkeyed));
         sample_media(&mut sample, "text");
@@ -773,7 +1010,7 @@ mod tests {
         // id in its URI.
         ctx.media
             .add_image(Image::new("file://posters/cover.png", MediaFormat::Png));
-        let mut sample = build_sample_ctx(&ctx, 2).unwrap();
+        let mut sample = build_sample_ctx(&ctx, &mut CompileRecords::default(), 2).unwrap();
         sample_media(&mut sample, "scene");
         let kept: Vec<&str> = (sample.media.images().iter())
             .map(|i| i.uri.as_str())

@@ -10,10 +10,11 @@
 //! on that [`Table`] value, so no `&self` method here writes to the
 //! catalog, and a clone is a copy of one small map.
 
+use crate::ops::DistinctKeys;
 use crate::pool::BufferPool;
 use crate::wal::WalRecord;
-use crate::{Row, StorageError, Table, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::{Row, StorageError, Table};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Named table registry.
@@ -200,34 +201,44 @@ impl Catalog {
         let rt = self.get(right)?;
         lt.schema().resolve(left_col)?;
 
-        let mut right_counts: HashMap<Value, usize> = HashMap::new();
-        rt.for_each_in_column(right_col, |_, key| {
-            if !key.is_null() {
-                *right_counts.entry(key.clone()).or_insert(0) += 1;
+        // The right keys numbered as the hash join numbers its build side,
+        // each with its row count; then each left slot looked up. A left
+        // key that matches is told apart by the right key it matches; the
+        // others are numbered apart.
+        let (mut right_keys, mut counts) = (DistinctKeys::default(), Vec::<usize>::new());
+        rt.for_each_column_group(right_col, |keys, rows| {
+            for k in right_keys.number(keys, rows).into_iter().flatten() {
+                if k == counts.len() {
+                    counts.push(0);
+                }
+                counts[k] += 1;
             }
-            Ok(())
         })?;
-        let mut left_keys: HashSet<Value> = HashSet::new();
-        let mut estimated_rows = 0.0;
-        lt.for_each_in_column(left_col, |_, key| {
-            if !key.is_null() {
-                estimated_rows += right_counts.get(key).copied().unwrap_or(0) as f64;
-                left_keys.insert(key.clone());
+        let (mut matched, mut unmatched) = (vec![false; counts.len()], DistinctKeys::default());
+        let (mut estimated_rows, mut overlapping) = (0.0, 0usize);
+        lt.for_each_column_group(left_col, |keys, rows| {
+            let mut missing = Vec::new();
+            for (i, found) in right_keys.find(keys, rows).into_iter().enumerate() {
+                match found {
+                    Some(k) => {
+                        estimated_rows += counts[k] as f64;
+                        overlapping += usize::from(!std::mem::replace(&mut matched[k], true));
+                    }
+                    None if !keys.is_null(i) => missing.push(i),
+                    None => {}
+                }
             }
-            Ok(())
+            if !missing.is_empty() {
+                unmatched.number(&keys.gather(&missing), missing.len());
+            }
         })?;
-        let overlapping = left_keys
-            .iter()
-            .filter(|k| right_counts.contains_key(k))
-            .count();
-        let key_overlap = if left_keys.is_empty() {
-            0.0
-        } else {
-            overlapping as f64 / left_keys.len() as f64
+        let key_overlap = match overlapping + unmatched.len() {
+            0 => 0.0,
+            n => overlapping as f64 / n as f64,
         };
         Ok(Joinability {
             key_overlap,
-            right_unique: right_counts.values().all(|&c| c <= 1),
+            right_unique: counts.iter().all(|&c| c <= 1),
             estimated_rows,
         })
     }
@@ -236,7 +247,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataType, Schema};
+    use crate::{DataType, Schema, Value};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -295,6 +306,69 @@ mod tests {
         assert!((j.key_overlap - 2.0 / 3.0).abs() < 1e-12);
         assert!(!j.right_unique); // film 1 has two posters
         assert_eq!(j.estimated_rows, 3.0);
+    }
+
+    /// `left.k` against `right.k`, resident and in two-row pages (keys
+    /// confirmed across groups).
+    fn join_keys(kind: DataType, left: Vec<Value>, right: Vec<Value>) -> Joinability {
+        let table = |name: &str, keys: Vec<Value>| {
+            let rows = keys.into_iter().map(|k| vec![k]).collect();
+            Table::from_rows(name, Schema::of(&[("k", kind)]), rows).unwrap()
+        };
+        let mut c = Catalog::new();
+        c.register(table("l", left)).unwrap();
+        c.register(table("r", right)).unwrap();
+        let resident = c.joinability("l", "k", "r", "k").unwrap();
+        c.page_table("l", 2).unwrap();
+        c.page_table("r", 2).unwrap();
+        assert_eq!(c.joinability("l", "k", "r", "k").unwrap(), resident);
+        resident
+    }
+
+    #[test]
+    fn joinability_matches_no_null() {
+        let (one, two, three) = (Value::Int(1), Value::Int(2), Value::Int(3));
+        let j = join_keys(
+            DataType::Int,
+            vec![one.clone(), Value::Null, two, Value::Null],
+            vec![Value::Null, one, Value::Null, three],
+        );
+        let expected = Joinability {
+            key_overlap: 0.5,
+            right_unique: true,
+            estimated_rows: 1.0,
+        };
+        assert_eq!(j, expected);
+        let nulls = join_keys(DataType::Int, vec![Value::Null], vec![Value::Null]);
+        assert_eq!((nulls.key_overlap, nulls.estimated_rows), (0.0, 0.0));
+    }
+
+    #[test]
+    fn joinability_counts_duplicate_keys_on_both_sides() {
+        let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect();
+        let j = join_keys(DataType::Int, ints(&[1, 1, 2, 2, 2]), ints(&[1, 1, 1, 2]));
+        let expected = Joinability {
+            key_overlap: 1.0,
+            right_unique: false,
+            estimated_rows: 9.0,
+        };
+        assert_eq!(j, expected);
+    }
+
+    #[test]
+    fn joinability_over_string_keys() {
+        let strs = |v: &[&str]| v.iter().map(|&s| Value::from(s)).collect();
+        let j = join_keys(
+            DataType::Str,
+            strs(&["a", "b", "c", "", "b"]),
+            strs(&["b", "b", "", "d"]),
+        );
+        let expected = Joinability {
+            key_overlap: 0.5,
+            right_unique: false,
+            estimated_rows: 5.0,
+        };
+        assert_eq!(j, expected);
     }
 
     #[test]

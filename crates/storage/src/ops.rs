@@ -858,7 +858,7 @@ fn fold_column(func: AggFunc, states: &mut [AggState], groups: &[usize], c: &Col
 /// newest key with each hash, and for each key the one before it with the
 /// same hash. The caller holds the keys and confirms a candidate.
 #[derive(Debug, Default)]
-struct KeyIndex {
+pub(crate) struct KeyIndex {
     newest: HashMap<u64, usize, std::hash::BuildHasherDefault<Prehashed>>,
     chain: Vec<Option<usize>>,
     hashes: Vec<u64>,
@@ -866,22 +866,91 @@ struct KeyIndex {
 
 impl KeyIndex {
     /// The newest key hashed `hash` that `same` accepts.
-    fn find(&self, hash: u64, same: impl Fn(usize) -> bool) -> Option<usize> {
+    pub(crate) fn find(&self, hash: u64, same: impl Fn(usize) -> bool) -> Option<usize> {
         let newest = self.newest.get(&hash).copied();
         std::iter::successors(newest, |&k| self.chain[k]).find(|&k| same(k))
     }
 
     /// Keys numbered so far.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.chain.len()
     }
 
     /// Numbers a new key hashed `hash`.
-    fn insert(&mut self, hash: u64) -> usize {
+    pub(crate) fn insert(&mut self, hash: u64) -> usize {
         let k = self.chain.len();
         self.chain.push(self.newest.insert(hash, k));
         self.hashes.push(hash);
         k
+    }
+}
+
+/// The distinct non-NULL keys of a column read in parts (a table's groups),
+/// numbered in order of first appearance by typed hash ([`KeyIndex`], the
+/// hash join's numbering): each new key's slot is copied out once, so a
+/// later part confirms its candidates against it in place.
+#[derive(Debug)]
+pub(crate) struct DistinctKeys {
+    index: KeyIndex,
+    keys: ColumnVector,
+}
+
+impl Default for DistinctKeys {
+    fn default() -> Self {
+        Self {
+            index: KeyIndex::default(),
+            keys: ColumnVector::from_values(Vec::new()),
+        }
+    }
+}
+
+impl DistinctKeys {
+    /// Keys numbered so far.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The key number of each of the first `rows` slots of `column`
+    /// (`None` for NULL), numbering the keys not seen before.
+    pub(crate) fn number(&mut self, column: &ColumnVector, rows: usize) -> Vec<Option<usize>> {
+        let hashes = Self::hashes(column);
+        let (known, mut fresh) = (self.index.len(), Vec::new());
+        let numbers = (0..rows)
+            .map(|i| {
+                if column.is_null(i) {
+                    return None;
+                }
+                let same = |k: usize| match k.checked_sub(known) {
+                    None => column.eq_at(i, &self.keys, k),
+                    Some(new) => column.eq_at(i, column, fresh[new]),
+                };
+                let found = self.index.find(hashes[i], same);
+                Some(found.unwrap_or_else(|| {
+                    fresh.push(i);
+                    self.index.insert(hashes[i])
+                }))
+            })
+            .collect();
+        self.keys.extend(column.gather(&fresh));
+        numbers
+    }
+
+    /// The key number of each of the first `rows` slots of `column`, or
+    /// `None` for NULL and for a key not numbered.
+    pub(crate) fn find(&self, column: &ColumnVector, rows: usize) -> Vec<Option<usize>> {
+        let hashes = Self::hashes(column);
+        (0..rows)
+            .map(|i| {
+                let same = |k: usize| column.eq_at(i, &self.keys, k);
+                (!column.is_null(i)).then(|| self.index.find(hashes[i], same))?
+            })
+            .collect()
+    }
+
+    fn hashes(column: &ColumnVector) -> Vec<u64> {
+        let mut hashes = vec![0u64; column.len()];
+        column.hash_into(&mut hashes);
+        hashes
     }
 }
 

@@ -355,6 +355,25 @@ impl Table {
         Ok(())
     }
 
+    /// Runs `f` over one column a group at a time: the group's column
+    /// (a decoded page, or the open column in place) and how many of its
+    /// slots are rows of this table.
+    pub(crate) fn for_each_column_group<F>(
+        &self,
+        column: &str,
+        mut f: F,
+    ) -> Result<(), StorageError>
+    where
+        F: FnMut(&ColumnVector, usize),
+    {
+        let c = self.schema.resolve(column)?;
+        for (g, group) in self.groups.iter().enumerate() {
+            let (start, end) = self.group_bounds(g);
+            group.read_column(c, |values| f(values, end - start))?;
+        }
+        Ok(())
+    }
+
     /// The last group when it is open and has room, else a fresh open
     /// group after the full (or missing) last one: its columns and the rows
     /// they have room for. A short sealed last group must be reopened

@@ -163,6 +163,14 @@ const PARENT_CALLS_TOKENS: [[(u64, u64); 4]; 3] = [
 /// calls and the tokens they were charged; nothing else moved.
 const SAVED: (u64, u64) = (975, 1_111_500);
 
+/// What a later question no longer spends: its compile profiled every node
+/// on the sample again — 33 model calls, 12 175 tokens — and now installs
+/// each unchanged node's recorded decision. A recency question also saves
+/// the critic's check (one call, 11 tokens) once the handle has compiled
+/// that node; the first recency question of a handle still runs it.
+const FOLLOWUP_SAVED: (u64, u64) = (33, 12_175);
+const CRITIC: (u64, u64) = (1, 11);
+
 #[test]
 fn twelve_questions_leave_what_they_left_at_the_parent_commit() {
     let corpus = generate_corpus(&CorpusSpec {
@@ -192,7 +200,14 @@ fn twelve_questions_leave_what_they_left_at_the_parent_commit() {
             );
             assert_eq!(got, *expected, "{at}");
             let (parent_calls, parent_tokens) = PARENT_CALLS_TOKENS[session][position];
-            let saved = if position == 0 { SAVED } else { (0, 0) };
+            let recency_compiled = (0..position).any(|p| (1 + session + p) % VARIANTS.len() == 1);
+            let saved = match position {
+                0 => SAVED,
+                _ if variant == 1 && recency_compiled => {
+                    (FOLLOWUP_SAVED.0 + CRITIC.0, FOLLOWUP_SAVED.1 + CRITIC.1)
+                }
+                _ => FOLLOWUP_SAVED,
+            };
             assert_eq!(seen.model_calls, parent_calls - saved.0, "{at}");
             assert_eq!(seen.tokens, parent_tokens - saved.1, "{at}");
         }
