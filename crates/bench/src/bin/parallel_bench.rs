@@ -9,8 +9,9 @@
 //! the node's prepare phase replaced), then the first question of a fresh
 //! handle (`first_question_ms`: the flagship question on the repo
 //! benchmark's `nl_flagship` corpus at one and two pinned threads — query
-//! wall, per-node and stamp-phase milliseconds, `compile` on a first and on
-//! a follow-up question), and writes
+//! wall, its model calls and lineage rows, per-node and stamp-phase
+//! milliseconds, `compile` on a first and on a follow-up question), and
+//! writes
 //! `BENCH_parallel.json` at the repo root so future PRs can diff
 //! performance instead of guessing:
 //!
@@ -191,35 +192,55 @@ fn compile_first_and_followup(corpus: &MmqaCorpus) -> (f64, f64, u64, u64) {
     (first_ms, followup_ms, calls, followup_calls)
 }
 
+/// One first question: its wall, its node timings, the model calls it made
+/// and the lineage rows it wrote.
+struct FirstQuestion {
+    ms: f64,
+    timings: Vec<NodeTiming>,
+    model_calls: u64,
+    lineage_rows: usize,
+}
+
 /// The first question of a fresh handle — the op that is `nl_flagship`'s
 /// `op_p90_ms`: variant 0 of the repo benchmark (the flagship question, the
 /// clarification, "OK") on its corpus, at one and two pinned threads, which
 /// alternate within a rep. `compile` is timed apart, on a staged context.
+/// Beside the times, each point reports the question's model calls and
+/// lineage rows (the same in every rep).
 fn first_question_series(corpus: &MmqaCorpus, reps: usize) -> Json {
     const THREADS: [usize; 2] = [1, 2];
-    // Per thread point and rep: the query's wall and its node timings.
-    let mut runs: [Vec<(f64, Vec<NodeTiming>)>; 2] = Default::default();
+    let mut runs: [Vec<FirstQuestion>; 2] = Default::default();
     let mut compiles = Vec::with_capacity(reps);
     for _ in 0..reps {
         for (point, threads) in runs.iter_mut().zip(THREADS) {
             let mut db = KathDB::new(42);
             db.load_corpus(corpus).expect("corpus loads");
             db.set_parallelism(threads);
+            let (calls, lineage) = (db.token_usage().calls, db.context().lineage.len());
             let channel = ScriptedChannel::new([CLARIFICATION, "OK"]);
             let (ms, result) = timed(|| db.query(kath_bench::FLAGSHIP_QUERY, channel.as_ref()));
-            point.push((ms, result.expect("first question is answered").exec.timings));
+            point.push(FirstQuestion {
+                ms,
+                timings: result.expect("first question is answered").exec.timings,
+                model_calls: db.token_usage().calls - calls,
+                lineage_rows: db.context().lineage.len() - lineage,
+            });
         }
         compiles.push(compile_first_and_followup(corpus));
     }
 
     let mut series = Vec::new();
     for (point, threads) in runs.iter().zip(THREADS) {
-        let query_ms = median(point.iter().map(|(ms, _)| *ms).collect());
-        eprintln!("first question, threads {threads}: median {query_ms:8.2} ms");
+        let query_ms = median(point.iter().map(|q| q.ms).collect());
+        let (model_calls, lineage_rows) = (point[0].model_calls, point[0].lineage_rows);
+        eprintln!(
+            "first question, threads {threads}: median {query_ms:8.2} ms \
+             ({model_calls} model calls, {lineage_rows} lineage rows)"
+        );
         let (mut nodes, mut stamp_ms_sum) = (JsonMap::new(), 0.0);
-        for (i, node) in point[0].1.iter().enumerate() {
+        for (i, node) in point[0].timings.iter().enumerate() {
             let over_reps = |f: fn(&NodeTiming) -> f64| {
-                median(point.iter().map(|(_, plan)| f(&plan[i])).collect())
+                median(point.iter().map(|q| f(&q.timings[i])).collect())
             };
             let (ms, stamp_ms) = (over_reps(|t| t.elapsed_ms), over_reps(|t| t.merge_ms));
             let (func_id, workers) = (&node.func_id, node.workers);
@@ -237,6 +258,8 @@ fn first_question_series(corpus: &MmqaCorpus, reps: usize) -> Json {
         series.push(Json::object([
             ("threads", Json::Num(threads as f64)),
             ("query_ms", Json::Num(query_ms)),
+            ("model_calls", Json::Num(model_calls as f64)),
+            ("lineage_rows", Json::Num(lineage_rows as f64)),
             ("stamp_ms_sum", Json::Num(stamp_ms_sum)),
             ("nodes", Json::Object(nodes)),
         ]));

@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 use kath_data::MmqaCorpus;
-use kath_exec::{ExecContext, ExecError, ExecReport, ExecutionEngine, PhysicalPlan};
+use kath_exec::{ExecContext, ExecError, ExecReport, ExecutionEngine, PhysicalPlan, RepairEvent};
 use kath_explain::Explainer;
 use kath_fao::FunctionRegistry;
 use kath_json::to_string_pretty;
@@ -207,6 +207,8 @@ pub struct KathDB {
     /// Function ids of the nodes of `last_plan` installed from a compile
     /// record, not compiled.
     last_compiled_earlier: Vec<String>,
+    /// The repairs the monitor made while `last_plan` ran.
+    last_repairs: Vec<RepairEvent>,
     /// Compiler options used for subsequent queries (exposed so examples and
     /// benches can inject faults or disable rewrites).
     pub compile_options: CompileOptions,
@@ -252,6 +254,7 @@ impl KathDB {
             last_plan: None,
             last_reused: Vec::new(),
             last_compiled_earlier: Vec::new(),
+            last_repairs: Vec::new(),
             compile_options: CompileOptions::default(),
             semantic_checks: true,
             durability: None,
@@ -701,6 +704,7 @@ impl KathDB {
         self.last_plan = Some(compile_report.physical.clone());
         self.last_reused = exec_report.reused_nodes().map(str::to_string).collect();
         self.last_compiled_earlier = compile_report.reused.clone();
+        self.last_repairs = exec_report.repairs.clone();
         // Compilation and self-repair may have added function versions;
         // make the registry durable before acknowledging the query.
         self.log_registry_if_changed()?;
@@ -721,7 +725,8 @@ impl KathDB {
         let snapshot = self.ctx.catalog.snapshot();
         let explainer = Explainer::new(plan, &self.registry, &self.ctx.lineage, &snapshot)
             .with_reused(&self.last_reused)
-            .with_compiled_earlier(&self.last_compiled_earlier);
+            .with_compiled_earlier(&self.last_compiled_earlier)
+            .with_repairs(&self.last_repairs);
         Ok(explainer.answer(question))
     }
 

@@ -15,11 +15,18 @@
 //! token meter), then **stamp** serially in input order: lids, lineage
 //! edges, failed rows, then the output as one column gather. Nothing a
 //! caller can observe depends on the worker count or the morsel size.
+//!
+//! The same bodies run over a subset of their items when the monitor
+//! repairs a run some of whose items failed (docs/execution.md,
+//! "Item-granular repair"): the patched body computes and stamps only the
+//! failed positions, and its rows are spliced into the earlier run's tables
+//! in item order ([`ItemPlan`]), so every other row keeps its value and its
+//! lid.
 
 use crate::{id_from_uri, ExecContext, ExecError, Published};
 use kath_fao::{FunctionBody, VisionImpl};
 use kath_lineage::{DataKind, LineageError, LineageRun};
-use kath_media::{Document, Image, MediaError, MediaFormat};
+use kath_media::{Document, Image, MediaError, MediaFormat, MediaKind};
 use kath_model::{SimLlm, SimOcr, SimVlm, VlmCascade};
 use kath_multimodal::{
     emit_document, emit_frame, extract_document, SceneGraphViews, TextGraphViews,
@@ -44,6 +51,10 @@ pub struct ExecOutcome {
     /// already flowed into `table` (§5: "tuples unaffected by the error
     /// continue through the old function definition").
     pub failed_rows: Vec<(String, String)>,
+    /// The position of each failed item among the items the body walks (a
+    /// narrow transform's input rows, a view population's media items),
+    /// ascending, one per entry of `failed_rows`: what a repair re-runs.
+    pub failed_items: Vec<usize>,
     /// Input rows consumed.
     pub rows_in: usize,
     /// Batches the body's operator pipeline produced (0 when the body is
@@ -61,6 +72,31 @@ pub struct ExecOutcome {
     /// Whether the body did not run: the monitor served the output an
     /// earlier question materialized (see [`crate::ExecContext::reusable`]).
     pub reused: bool,
+    /// How a body that works item by item laid out what it built, for a
+    /// repair to splice into (`None` for every other body).
+    pub(crate) items: Option<ItemRun>,
+}
+
+/// What a run over items leaves for a later run over some of them.
+#[derive(Debug)]
+pub(crate) struct ItemRun {
+    source: ItemSource,
+    /// Every table the run built item by item — a narrow transform's
+    /// output, a view population's views in `side_outputs` order — with the
+    /// item each of its rows came from, ascending.
+    built: Vec<(Arc<Table>, Vec<usize>)>,
+}
+
+/// Where a run's items came from: a repair splices into a run only when
+/// its own items are those.
+#[derive(Debug)]
+enum ItemSource {
+    /// A narrow transform's input table, compared by identity.
+    Table(Arc<Table>),
+    /// A view population's media collection, by its stamp when the run
+    /// walked it (in URI order), and the lineage root its view rows hang
+    /// from.
+    Media { stamp: u64, root: i64 },
 }
 
 impl ExecOutcome {
@@ -72,12 +108,14 @@ impl ExecOutcome {
             output_lid,
             side_outputs: Vec::new(),
             failed_rows: Vec::new(),
+            failed_items: Vec::new(),
             rows_in,
             batches_out: 0,
             workers: 1,
             worker_ms: Vec::new(),
             merge_ms: 0.0,
             reused: false,
+            items: None,
         }
     }
 }
@@ -90,6 +128,20 @@ pub fn execute_body(
     ver_id: u32,
     body: &FunctionBody,
     output_name: &str,
+) -> Result<ExecOutcome, ExecError> {
+    execute(ctx, func_id, ver_id, body, output_name, None)
+}
+
+/// [`execute_body`], or — when `repairing` is an earlier run of the node
+/// over the same items, some of which failed — `body` over those items
+/// only, spliced into that run's output (see [`ItemPlan`]).
+pub(crate) fn execute(
+    ctx: &mut ExecContext,
+    func_id: &str,
+    ver_id: u32,
+    body: &FunctionBody,
+    output_name: &str,
+    repairing: Option<&ExecOutcome>,
 ) -> Result<ExecOutcome, ExecError> {
     match body {
         FunctionBody::Sql { query, dedup_key } => exec_sql(
@@ -118,6 +170,7 @@ pub fn execute_body(
                 &[(output_column.as_str(), DataType::Any)],
                 EXPR_MORSEL_ROWS,
                 |morsel| eval_morsel(&lowered, schema, morsel, |v| Some(vec![v])),
+                repairing,
             )
         }
         FunctionBody::FilterExpr { input, predicate } => {
@@ -135,6 +188,7 @@ pub fn execute_body(
                 &[],
                 EXPR_MORSEL_ROWS,
                 |morsel| eval_morsel(&lowered, schema, morsel, |v| v.is_truthy().then(Vec::new)),
+                repairing,
             )
         }
         FunctionBody::ConceptScore {
@@ -158,6 +212,7 @@ pub fn execute_body(
                     let score = text.as_str().map_or(0.0, |text| scorer.score(text));
                     Ok(Some(vec![Value::Float(score)]))
                 }),
+                repairing,
             )
         }
         FunctionBody::VisualClassify {
@@ -194,21 +249,29 @@ pub fn execute_body(
                     let interest = interest.of(image).map_err(|e| e.to_string())?;
                     Ok(Some(vec![Value::Bool(interest <= *threshold)]))
                 }),
+                repairing,
             )
         }
         FunctionBody::ViewPopulate {
             modality,
             implementation,
             convert_unsupported,
-        } => exec_view_populate(
-            ctx,
-            func_id,
-            ver_id,
-            modality,
-            *implementation,
-            *convert_unsupported,
-            output_name,
-        ),
+        } => {
+            let node = (func_id, ver_id, output_name);
+            match modality.as_str() {
+                "text" => populate_text_views(ctx, node, repairing),
+                "scene" => populate_scene_views(
+                    ctx,
+                    node,
+                    *implementation,
+                    *convert_unsupported,
+                    repairing,
+                ),
+                other => Err(ExecError::Media(format!(
+                    "unknown view modality '{other}' (expected 'text' or 'scene')"
+                ))),
+            }
+        }
     }
 }
 
@@ -370,16 +433,11 @@ fn exec_sql(
             .record(output_lid, None, None, func_id, ver_id, DataKind::Table)?;
     }
     Ok(ExecOutcome {
-        table: ctx.materialize(table, output_lid),
-        output_lid,
-        side_outputs: Vec::new(),
-        failed_rows: Vec::new(),
-        rows_in,
         batches_out: stats.batches,
         workers: stats.workers.max(1),
         worker_ms: stats.worker_ms,
         merge_ms: stats.merge_ms,
-        reused: false,
+        ..ExecOutcome::serial(ctx.materialize(table, output_lid), output_lid, rows_in)
     })
 }
 
@@ -456,15 +514,110 @@ fn compute_in_morsels<I: Sync, T: Send>(
 
 impl ExecOutcome {
     /// The outcome of a semantic body: `self` with the compute phase's
-    /// workers and the stamp phase's milliseconds.
-    fn fanned_out(self, worker_ms: Vec<f64>, merge_ms: f64) -> Self {
+    /// workers and the stamp phase's milliseconds. A repair's run adds the
+    /// timings of the run it spliced into, so a repaired node's timings
+    /// cover both.
+    fn fanned_out(self, mut worker_ms: Vec<f64>, merge_ms: f64, plan: &ItemPlan) -> Self {
+        let (earlier_ms, earlier_merge_ms) = plan
+            .earlier
+            .map_or((&[][..], 0.0), |e| (&e.worker_ms[..], e.merge_ms));
+        if worker_ms.len() < earlier_ms.len() {
+            worker_ms.resize(earlier_ms.len(), 0.0);
+        }
+        worker_ms
+            .iter_mut()
+            .zip(earlier_ms)
+            .for_each(|(w, e)| *w += e);
         let workers = worker_ms.len().max(1);
         Self {
             workers,
             worker_ms: if workers > 1 { worker_ms } else { Vec::new() },
-            merge_ms,
+            merge_ms: merge_ms + earlier_merge_ms,
             ..self
         }
+    }
+}
+
+/// The items one run of a body covers: all of them, or — when it repairs an
+/// earlier run over the same items — only the ones that run failed, whose
+/// rows it splices into that run's tables.
+struct ItemPlan<'a> {
+    /// The positions run, ascending.
+    positions: Vec<usize>,
+    /// The run being repaired.
+    earlier: Option<&'a ExecOutcome>,
+    /// How many items there are.
+    count: usize,
+}
+
+impl<'a> ItemPlan<'a> {
+    /// The plan over `count` items of `source`: the failed ones of
+    /// `repairing` if it ran over the same items, else every one.
+    fn new(
+        repairing: Option<&'a ExecOutcome>,
+        count: usize,
+        same_source: impl Fn(&ItemSource) -> bool,
+    ) -> Self {
+        let earlier =
+            repairing.filter(|e| e.items.as_ref().is_some_and(|r| same_source(&r.source)));
+        let positions = match earlier {
+            Some(earlier) => earlier.failed_items.clone(),
+            None => (0..count).collect(),
+        };
+        Self {
+            positions,
+            earlier,
+            count,
+        }
+    }
+
+    /// The lineage root of the media items the earlier run walked.
+    fn media_root(&self) -> Option<i64> {
+        match self.earlier?.items.as_ref()?.source {
+            ItemSource::Media { root, .. } => Some(root),
+            ItemSource::Table(_) => None,
+        }
+    }
+
+    /// Splices `new`, the table this run built as its `t`-th, with the item
+    /// of each row, into the earlier run's `t`-th table: the earlier rows of
+    /// every item this run did not cover keep their place, values and lids,
+    /// this run's rows take the place of the items it covered, and all come
+    /// out in item order. Without an earlier run, `new` as it is.
+    fn splice(
+        &self,
+        t: usize,
+        (new, new_items): (Table, Vec<usize>),
+    ) -> Result<(Table, Vec<usize>), ExecError> {
+        let earlier = self.earlier.and_then(|e| e.items.as_ref()?.built.get(t));
+        let Some((old, old_items)) = earlier else {
+            return Ok((new, new_items));
+        };
+        let redone = |item: &usize| self.positions.binary_search(item).is_ok();
+        let mut kept = (0..old_items.len())
+            .filter(|&r| !redone(&old_items[r]))
+            .peekable();
+        let rows = old_items.len() + new_items.len();
+        let (mut order, mut items) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        for (k, &item) in new_items.iter().enumerate() {
+            while let Some(r) = kept.next_if(|&r| old_items[r] < item) {
+                order.push(r);
+                items.push(old_items[r]);
+            }
+            order.push(old_items.len() + k);
+            items.push(item);
+        }
+        for r in kept {
+            order.push(r);
+            items.push(old_items[r]);
+        }
+        // Both runs' columns end to end, then one gather in item order.
+        let mut columns = old.to_batch()?.into_columns();
+        let fresh = new.to_batch()?.into_columns();
+        columns.iter_mut().zip(fresh).for_each(|(c, f)| c.extend(f));
+        let mut table = Table::new(new.name(), new.schema().clone());
+        table.append_batch(RowBatch::from_columns(columns)?.gather(&order))?;
+        Ok((table, items))
     }
 }
 
@@ -476,23 +629,29 @@ type Computed = Result<Option<Vec<Value>>, String>;
 /// Shared implementation of narrow (row-level) transforms: `compute` runs
 /// over the input's columns in morsels of `morsel_rows` rows, one
 /// [`Computed`] per row; the stamp phase then gives every row it kept a
-/// fresh lid whose parent is the input row's, in input order.
+/// fresh lid whose parent is the input row's, in input order. Repairing an
+/// earlier run over the same input, only the rows it failed run.
 #[allow(clippy::too_many_arguments)]
 fn narrow_transform(
     ctx: &mut ExecContext,
     func_id: &str,
     ver_id: u32,
-    input: &Table,
+    input: &Arc<Table>,
     output_name: &str,
     new_columns: &[(&str, DataType)],
     morsel_rows: usize,
     compute: impl Fn(&RowBatch) -> Vec<Computed> + Sync,
+    repairing: Option<&ExecOutcome>,
 ) -> Result<ExecOutcome, ExecError> {
     // Read once; a morsel is a list of positions, its columns their gather.
     let columns = input.to_batch()?;
-    let positions: Vec<usize> = (0..columns.num_rows()).collect();
+    let plan = ItemPlan::new(
+        repairing,
+        columns.num_rows(),
+        |source| matches!(source, ItemSource::Table(read) if Arc::ptr_eq(read, input)),
+    );
     let morsel = |positions: &[usize]| compute(&columns.gather(positions));
-    let run = compute_in_morsels(ctx, &positions, morsel_rows, morsel)?;
+    let run = compute_in_morsels(ctx, &plan.positions, morsel_rows, morsel)?;
     let (outcome, worker_ms, merge_ms) = run.merge(|outputs| -> Result<_, ExecError> {
         let lid_idx = input.schema().index_of("lid");
         let mut out_schema = input.schema().clone();
@@ -504,14 +663,16 @@ fn narrow_transform(
         }
         let parent_table_lid = ctx.table_lid(input.name());
 
-        let (mut kept, mut lids, mut failed_rows) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut kept, mut lids) = (Vec::new(), Vec::new());
+        let (mut failed_rows, mut failed_items) = (Vec::new(), Vec::new());
         let mut computed = vec![Vec::new(); new_columns.len()];
         let mut stamp = ctx.lineage.run(func_id, ver_id, DataKind::Row);
-        for (i, outcome) in outputs.into_iter().flatten().enumerate() {
+        for (&i, outcome) in plan.positions.iter().zip(outputs.into_iter().flatten()) {
             match outcome {
                 Err(msg) => {
                     let desc = columns.row(i).iter().map(Value::render).collect::<Vec<_>>();
                     failed_rows.push((desc.join(", "), msg));
+                    failed_items.push(i);
                 }
                 Ok(None) => {}
                 Ok(Some(values)) => {
@@ -533,6 +694,7 @@ fn narrow_transform(
         out.extend(computed.into_iter().map(ColumnVector::from_values));
         let mut table = Table::new(output_name, out_schema);
         table.append_batch(RowBatch::from_columns(out)?)?;
+        let (table, rows) = plan.splice(0, (table, kept))?;
 
         // Also record the table-level artifact so downstream wide operators
         // have a parent to point at.
@@ -546,51 +708,73 @@ fn narrow_transform(
             DataKind::Table,
         )?;
         let table = ctx.materialize(table, output_lid);
+        let items = ItemRun {
+            source: ItemSource::Table(Arc::clone(input)),
+            built: vec![(Arc::clone(&table), rows)],
+        };
         Ok(ExecOutcome {
             failed_rows,
-            ..ExecOutcome::serial(table, output_lid, input.len())
+            failed_items,
+            items: Some(items),
+            ..ExecOutcome::serial(table, output_lid, plan.count)
         })
     });
-    Ok(outcome?.fanned_out(worker_ms, merge_ms))
+    Ok(outcome?.fanned_out(worker_ms, merge_ms, &plan))
 }
 
 /// A view population node: function id, version and output name.
 type ViewNode<'a> = (&'a str, u32, &'a str);
 
-fn exec_view_populate(
-    ctx: &mut ExecContext,
-    func_id: &str,
-    ver_id: u32,
-    modality: &str,
-    implementation: VisionImpl,
-    convert_unsupported: bool,
-    output_name: &str,
-) -> Result<ExecOutcome, ExecError> {
-    let node = (func_id, ver_id, output_name);
-    match modality {
-        "text" => populate_text_views(ctx, node),
-        "scene" => populate_scene_views(ctx, node, implementation, convert_unsupported),
-        other => Err(ExecError::Media(format!(
-            "unknown view modality '{other}' (expected 'text' or 'scene')"
-        ))),
+/// What a population's stamp walk records beside its views: the items that
+/// failed, and the item each view row came from.
+struct Walk {
+    failed_rows: Vec<(String, String)>,
+    failed_items: Vec<usize>,
+    /// Per view, the item of each row.
+    rows: Vec<Vec<usize>>,
+}
+
+impl Walk {
+    fn new(views: usize) -> Self {
+        Self {
+            failed_rows: Vec::new(),
+            failed_items: Vec::new(),
+            rows: vec![Vec::new(); views],
+        }
+    }
+
+    /// Item `i` (at `uri`) was emitted into `views`, or failed: every row
+    /// the views gained since the last item is its.
+    fn item(&mut self, i: usize, uri: &str, emitted: Result<(), String>, views: &[&Table]) {
+        for (rows, view) in self.rows.iter_mut().zip(views) {
+            rows.resize(view.len(), i);
+        }
+        if let Err(msg) = emitted {
+            self.failed_rows.push((uri.to_string(), msg));
+            self.failed_items.push(i);
+        }
     }
 }
 
-/// Publishes a population's stamped views, each with a table-level lid
-/// under the collection's `root`, and its summary table as the node's
-/// output over `rows_in` media items, of which `failed_rows` failed.
+/// Publishes a population's stamped views — spliced into the earlier run's
+/// when `plan` repairs one — each with a table-level lid under the
+/// collection's `root`, and its summary table as the node's output over
+/// the plan's media items.
 fn publish_views(
     ctx: &mut ExecContext,
     (func_id, ver_id, output_name): ViewNode,
-    (root, views, rows_in): (i64, Vec<Table>, usize),
-    failed_rows: Vec<(String, String)>,
+    plan: &ItemPlan,
+    (stamp, root): (u64, i64),
+    views: Vec<Table>,
+    walk: Walk,
 ) -> Result<ExecOutcome, ExecError> {
     let mut summary = Table::new(
         output_name,
         Schema::of(&[("view", DataType::Str), ("rows", DataType::Int)]),
     );
-    let mut views_out = Vec::new();
-    for table in views {
+    let (mut views_out, mut built) = (Vec::new(), Vec::new());
+    for (t, view) in views.into_iter().zip(walk.rows).enumerate() {
+        let (table, rows) = plan.splice(t, view)?;
         let lid = ctx.lineage.alloc_lid();
         ctx.lineage
             .record(lid, Some(root), None, func_id, ver_id, DataKind::Table)?;
@@ -598,20 +782,42 @@ fn publish_views(
             Value::Str(table.name().to_string()),
             Value::Int(table.len() as i64),
         ])?;
-        views_out.push(Published {
-            table: ctx.materialize(table, lid),
-            lid,
-        });
+        let table = ctx.materialize(table, lid);
+        built.push((Arc::clone(&table), rows));
+        views_out.push(Published { table, lid });
     }
     let output_lid = ctx.lineage.alloc_lid();
     ctx.lineage
         .record(output_lid, None, None, func_id, ver_id, DataKind::Table)?;
     let summary = ctx.materialize(summary, output_lid);
+    let items = ItemRun {
+        source: ItemSource::Media { stamp, root },
+        built,
+    };
     Ok(ExecOutcome {
         side_outputs: views_out,
-        failed_rows,
-        ..ExecOutcome::serial(summary, output_lid, rows_in)
+        failed_rows: walk.failed_rows,
+        failed_items: walk.failed_items,
+        items: Some(items),
+        ..ExecOutcome::serial(summary, output_lid, plan.count)
     })
+}
+
+/// The plan of a population over the `kind` collection of `media` — `count`
+/// items, walked in URI order — and the collection's stamp.
+fn media_plan<'a>(
+    repairing: Option<&'a ExecOutcome>,
+    media: &kath_media::MediaRegistry,
+    kind: MediaKind,
+    count: usize,
+) -> (ItemPlan<'a>, u64) {
+    let stamp = media.stamp(kind);
+    let plan = ItemPlan::new(
+        repairing,
+        count,
+        |source| matches!(source, ItemSource::Media { stamp: walked, .. } if *walked == stamp),
+    );
+    (plan, stamp)
 }
 
 /// A view population's lid allocator: every view row is a child of the
@@ -633,24 +839,44 @@ fn row_lids<'a, 's>(
 
 /// The text half: documents are extracted in morsels, then emitted in
 /// document order and published.
-fn populate_text_views(ctx: &mut ExecContext, node: ViewNode) -> Result<ExecOutcome, ExecError> {
+fn populate_text_views(
+    ctx: &mut ExecContext,
+    node: ViewNode,
+    repairing: Option<&ExecOutcome>,
+) -> Result<ExecOutcome, ExecError> {
     let media = ctx.media.clone();
     let docs = media.documents();
+    let (plan, stamp) = media_plan(repairing, &media, MediaKind::Documents, docs.len());
+    let chosen: Vec<&Document> = plan.positions.iter().map(|&i| docs[i]).collect();
     let extract = |docs: &[&Document]| docs.iter().map(|d| extract_document(d, &ctx.llm)).collect();
-    let run = compute_in_morsels(ctx, &docs, SEMANTIC_MORSEL_ROWS, extract)?;
+    let run = compute_in_morsels(ctx, &chosen, SEMANTIC_MORSEL_ROWS, extract)?;
     let (outcome, worker_ms, merge_ms) = run.merge(|computed| -> Result<_, ExecError> {
-        let root = ctx.ingest_media_root("collection://documents")?;
+        let root = match plan.media_root() {
+            Some(root) => root,
+            None => ctx.ingest_media_root("collection://documents")?,
+        };
         let mut views = TextGraphViews::empty();
-        let mut failed_rows = Vec::new();
-        let mut stamp = ctx.lineage.run(node.0, node.1, DataKind::Row);
+        let mut walk = Walk::new(5);
+        let mut stamp_run = ctx.lineage.run(node.0, node.1, DataKind::Row);
         let mut stamp_failed = None;
-        let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
-        let extracted = docs.iter().zip(computed.into_iter().flatten());
-        for (i, (doc, extraction)) in extracted.enumerate() {
+        let mut next_lid = row_lids(&mut stamp_run, root, &mut stamp_failed);
+        let extracted = plan.positions.iter().zip(&chosen);
+        for ((&i, doc), extraction) in extracted.zip(computed.into_iter().flatten()) {
             let did = id_from_uri(&doc.uri).unwrap_or(i as i64);
-            if let Err(e) = emit_document(&mut views, did, doc, &extraction, &mut next_lid) {
-                failed_rows.push((doc.uri.clone(), e.to_string()));
-            }
+            let emitted = emit_document(&mut views, did, doc, &extraction, &mut next_lid);
+            let tables = [
+                &views.entities,
+                &views.mentions,
+                &views.relationships,
+                &views.attributes,
+                &views.texts,
+            ];
+            walk.item(
+                i,
+                &doc.uri,
+                emitted.map(drop).map_err(|e| e.to_string()),
+                &tables,
+            );
         }
         drop(next_lid);
         stamp_failed.map_or(Ok(()), Err)?;
@@ -661,20 +887,22 @@ fn populate_text_views(ctx: &mut ExecContext, node: ViewNode) -> Result<ExecOutc
             views.attributes,
             views.texts,
         ];
-        publish_views(ctx, node, (root, views, docs.len()), failed_rows)
+        publish_views(ctx, node, &plan, (stamp, root), views, walk)
     });
-    Ok(outcome?.fanned_out(worker_ms, merge_ms))
+    Ok(outcome?.fanned_out(worker_ms, merge_ms, &plan))
 }
 
 /// The scene half: images are converted (when the body says so) and run
-/// through the vision model in morsels; the stamp phase, in image order,
-/// swaps each converted image into `ctx.media` and emits its detections,
-/// then publishes the views.
+/// through the vision model in morsels; the stamp phase emits their
+/// detections in image order and publishes the views. Each converted image
+/// then replaces its undecodable original in `ctx.media`, once the walk no
+/// longer holds a clone of the collection.
 fn populate_scene_views(
     ctx: &mut ExecContext,
     node: ViewNode,
     implementation: VisionImpl,
     convert_unsupported: bool,
+    repairing: Option<&ExecOutcome>,
 ) -> Result<ExecOutcome, ExecError> {
     let meter = ctx.llm.meter().clone();
     let seed = ctx.llm.seed();
@@ -684,10 +912,11 @@ fn populate_scene_views(
         // accurate VLM is the reference implementation.
         _ => SimVlm::accurate(seed, meter),
     };
-    // The collection as it is now (shared, not copied): the stamp phase
-    // replaces images in `ctx.media` while it walks this one.
+    // The collection as it is now (shared, not copied).
     let media = ctx.media.clone();
     let images = media.images();
+    let (plan, stamp) = media_plan(repairing, &media, MediaKind::Images, images.len());
+    let chosen: Vec<&Image> = plan.positions.iter().map(|&i| images[i]).collect();
     let detect = |image: &&Image| {
         let converted = (!image.format.is_supported() && convert_unsupported)
             .then(|| image.convert_to(MediaFormat::Png));
@@ -695,16 +924,20 @@ fn populate_scene_views(
             .map(|detections| (converted, detections))
     };
     let detect_all = |images: &[&Image]| images.iter().map(detect).collect();
-    let run = compute_in_morsels(ctx, &images, SEMANTIC_MORSEL_ROWS, detect_all)?;
+    let run = compute_in_morsels(ctx, &chosen, SEMANTIC_MORSEL_ROWS, detect_all)?;
+    let mut conversions = Vec::new();
     let (outcome, worker_ms, merge_ms) = run.merge(|computed| -> Result<_, ExecError> {
-        let root = ctx.ingest_media_root("collection://images")?;
+        let root = match plan.media_root() {
+            Some(root) => root,
+            None => ctx.ingest_media_root("collection://images")?,
+        };
         let mut views = SceneGraphViews::empty();
-        let mut failed_rows = Vec::new();
-        let mut stamp = ctx.lineage.run(node.0, node.1, DataKind::Row);
+        let mut walk = Walk::new(4);
+        let mut stamp_run = ctx.lineage.run(node.0, node.1, DataKind::Row);
         let mut stamp_failed = None;
-        let mut next_lid = row_lids(&mut stamp, root, &mut stamp_failed);
-        let detected = images.iter().zip(computed.into_iter().flatten());
-        for (i, (image, computed)) in detected.enumerate() {
+        let mut next_lid = row_lids(&mut stamp_run, root, &mut stamp_failed);
+        let detected = plan.positions.iter().zip(&chosen);
+        for ((&i, image), computed) in detected.zip(computed.into_iter().flatten()) {
             let vid = id_from_uri(&image.uri).unwrap_or(i as i64);
             let emitted = match computed {
                 Err(e) => Err(e.to_string()),
@@ -712,19 +945,17 @@ fn populate_scene_views(
                     let decodable = converted.as_ref().unwrap_or(image);
                     let emitted =
                         emit_frame(&mut views, vid, 0, decodable, &detections, &mut next_lid);
-                    if let Some(converted) = converted {
-                        // The conversion step replaces the undecodable file
-                        // with a decodable copy; later operators resolve the
-                        // new URI and re-runs do not see the original twice.
-                        ctx.media.remove_image(&image.uri);
-                        ctx.media.add_image(converted);
-                    }
-                    emitted.map_err(|e| e.to_string())
+                    conversions.extend(converted.map(|c| (image.uri.clone(), c)));
+                    emitted.map(drop).map_err(|e| e.to_string())
                 }
             };
-            if let Err(msg) = emitted {
-                failed_rows.push((image.uri.clone(), msg));
-            }
+            let tables = [
+                &views.objects,
+                &views.relationships,
+                &views.attributes,
+                &views.frames,
+            ];
+            walk.item(i, &image.uri, emitted, &tables);
         }
         drop(next_lid);
         stamp_failed.map_or(Ok(()), Err)?;
@@ -734,9 +965,20 @@ fn populate_scene_views(
             views.attributes,
             views.frames,
         ];
-        publish_views(ctx, node, (root, views, images.len()), failed_rows)
+        publish_views(ctx, node, &plan, (stamp, root), views, walk)
     });
-    Ok(outcome?.fanned_out(worker_ms, merge_ms))
+    let outcome = outcome?;
+    // The conversion step replaces each undecodable file with its decodable
+    // copy: later operators resolve the new URI, and re-runs do not see the
+    // original twice. With the walk's clone gone the collection is no longer
+    // shared, so the swaps copy no other image.
+    drop((chosen, images));
+    drop(media);
+    for (original, converted) in conversions {
+        ctx.media.remove_image(&original);
+        ctx.media.add_image(converted);
+    }
+    Ok(outcome.fanned_out(worker_ms, merge_ms, &plan))
 }
 
 #[cfg(test)]
@@ -1404,6 +1646,7 @@ mod tests {
                     scored.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     Ok(Some(vec![Value::Float(0.5)]))
                 }),
+                None,
             )
         });
         let err = result.unwrap_err();
@@ -1546,6 +1789,230 @@ mod tests {
             assert_eq!(out.output_lid, 7);
             for lid in 2..=6 {
                 assert_eq!(c.lineage.edges_of(lid)[0].parent_lid, Some(1));
+            }
+        }
+    }
+
+    mod item_repair {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The body kinds a repair re-runs item by item. The expression
+        /// bodies fail on a zero divisor and are patched with `nullif`, the
+        /// vision bodies fail on HEIC and are patched to convert; a concept
+        /// score cannot fail by itself, so its first run is the same node
+        /// with the masked rows failing.
+        #[derive(Debug, Clone, Copy)]
+        enum Kind {
+            Map,
+            Filter,
+            Concept,
+            Classify,
+            Scene,
+        }
+
+        const KINDS: [Kind; 5] = [
+            Kind::Map,
+            Kind::Filter,
+            Kind::Concept,
+            Kind::Classify,
+            Kind::Scene,
+        ];
+
+        /// Item `i` of `mask.len()`: a divisor of 0 and a HEIC poster where
+        /// the mask is set.
+        fn items_ctx(mask: &[bool]) -> ExecContext {
+            let mut c = ExecContext::new(SimLlm::new(7, TokenMeter::new()));
+            let mut t = Table::new(
+                "t",
+                Schema::of(&[
+                    ("id", DataType::Int),
+                    ("x", DataType::Int),
+                    ("plot", DataType::Str),
+                    ("poster", DataType::Str),
+                ]),
+            );
+            for (i, &failing) in mask.iter().enumerate() {
+                let format = if failing {
+                    MediaFormat::Heic
+                } else {
+                    MediaFormat::Png
+                };
+                let uri = format!("file://posters/{i}.{}", format.extension());
+                let poster = if i % 2 == 0 {
+                    exciting_poster(&uri, format)
+                } else {
+                    boring_poster(&uri).convert_to(format)
+                };
+                c.media.add_image(poster);
+                let plot = if i % 3 == 0 {
+                    "A gun fight and a murder."
+                } else {
+                    "Tea."
+                };
+                let x = if failing { 0 } else { i as i64 % 5 + 1 };
+                t.push(vec![(i as i64).into(), x.into(), plot.into(), uri.into()])
+                    .unwrap();
+            }
+            c.ingest_table(t, "u").unwrap();
+            c
+        }
+
+        /// The kind's failing version and its patched one.
+        fn bodies(kind: Kind) -> (FunctionBody, FunctionBody) {
+            let classify = |convert_unsupported| FunctionBody::VisualClassify {
+                input: "t".into(),
+                uri_column: "poster".into(),
+                output_column: "boring".into(),
+                implementation: VisionImpl::VlmAccurate,
+                threshold: 0.4,
+                convert_unsupported,
+            };
+            let scene = |convert_unsupported| FunctionBody::ViewPopulate {
+                modality: "scene".into(),
+                implementation: VisionImpl::VlmAccurate,
+                convert_unsupported,
+            };
+            let map = |expr: &str| FunctionBody::MapExpr {
+                input: "t".into(),
+                expr: expr.into(),
+                output_column: "y".into(),
+            };
+            let filter = |predicate: &str| FunctionBody::FilterExpr {
+                input: "t".into(),
+                predicate: predicate.into(),
+            };
+            let concept = FunctionBody::ConceptScore {
+                input: "t".into(),
+                text_column: "plot".into(),
+                keywords: vec!["gun".into(), "murder".into()],
+                output_column: "s".into(),
+            };
+            match kind {
+                Kind::Map => (map("10.0 / x + id"), map("(10.0 / nullif(x, 0)) + id")),
+                Kind::Filter => (filter("12 / x > 3"), filter("12 / nullif(x, 0) > 3")),
+                Kind::Concept => (concept.clone(), concept),
+                Kind::Classify => (classify(false), classify(true)),
+                Kind::Scene => (scene(false), scene(true)),
+            }
+        }
+
+        /// The first run: the failing version, or for a concept score the
+        /// patched one with the masked rows failing.
+        fn first_run(c: &mut ExecContext, kind: Kind, mask: &[bool]) -> ExecOutcome {
+            let (failing, patched) = bodies(kind);
+            let Kind::Concept = kind else {
+                return execute_body(c, "f", 1, &failing, "o").unwrap();
+            };
+            let FunctionBody::ConceptScore { keywords, .. } = patched else {
+                unreachable!()
+            };
+            let input = c.catalog.snapshot().get("t").unwrap();
+            let llm = c.llm.clone();
+            let scorer = llm.concept_scorer(&keywords);
+            let score = each_value(input.schema(), "plot", |plot| {
+                Ok(Some(vec![Value::Float(
+                    scorer.score(plot.as_str().unwrap()),
+                )]))
+            });
+            let failing = |morsel: &RowBatch| {
+                let ids = (0..morsel.num_rows()).map(|i| morsel.column(0).value(i));
+                let scored = score(morsel).into_iter().zip(ids);
+                let fail = |(s, id): (Computed, Value)| match mask[id.as_int().unwrap() as usize] {
+                    true => Err("injected".to_string()),
+                    false => s,
+                };
+                scored.map(fail).collect()
+            };
+            let columns = [("s", DataType::Float)];
+            narrow_transform(c, "f", 1, &input, "o", &columns, 4, failing, None).unwrap()
+        }
+
+        /// Every table the run built item by item, rows without their lid
+        /// column, and each row's lid.
+        fn built(c: &ExecContext, out: &ExecOutcome) -> Vec<(Vec<Row>, Vec<i64>)> {
+            let tables: Vec<Arc<Table>> = match out.side_outputs.is_empty() {
+                true => vec![Arc::clone(&out.table)],
+                false => out
+                    .side_outputs
+                    .iter()
+                    .map(|p| Arc::clone(&p.table))
+                    .collect(),
+            };
+            let published = |t: &Arc<Table>| c.catalog.snapshot().get(t.name()).unwrap();
+            let split = |t: Arc<Table>| {
+                assert!(Arc::ptr_eq(&t, &published(&t)));
+                let lid = t.schema().index_of("lid").unwrap();
+                let rows = t.to_rows().unwrap();
+                let lids = rows.iter().map(|r| r[lid].as_int().unwrap()).collect();
+                let values = rows.into_iter().map(|mut r| {
+                    r.remove(lid);
+                    r
+                });
+                (values.collect(), lids)
+            };
+            tables.into_iter().map(split).collect()
+        }
+
+        proptest! {
+            #[test]
+            fn a_repair_equals_a_full_run_of_the_patched_body(
+                mask in prop::collection::vec(any::<bool>(), 0..150),
+                threads in 1usize..3,
+            ) {
+                for kind in KINDS {
+                    let (_, patched) = bodies(kind);
+                    let mut full = items_ctx(&mask);
+                    full.threads = threads;
+                    let want = execute_body(&mut full, "f", 2, &patched, "o").unwrap();
+                    prop_assert!(want.failed_rows.is_empty());
+
+                    let mut c = items_ctx(&mask);
+                    c.threads = threads;
+                    // A population's items are the collection in URI order.
+                    let failing: Vec<usize> = match kind {
+                        Kind::Scene => (c.media.images().iter().enumerate())
+                            .filter(|(_, image)| !image.format.is_supported())
+                            .map(|(i, _)| i)
+                            .collect(),
+                        _ => (0..mask.len()).filter(|&i| mask[i]).collect(),
+                    };
+                    let first = first_run(&mut c, kind, &mask);
+                    prop_assert_eq!(&first.failed_items, &failing, "{:?}", kind);
+                    let before = built(&c, &first);
+                    let got = execute(&mut c, "f", 2, &patched, "o", Some(&first)).unwrap();
+                    prop_assert!(got.failed_rows.is_empty() && got.failed_items.is_empty());
+                    prop_assert_eq!(got.rows_in, mask.len());
+
+                    // In values and row order, the spliced tables are the
+                    // full run's, and so is the summary of the views.
+                    let (got_built, want_built) = (built(&c, &got), built(&full, &want));
+                    prop_assert_eq!(got_built.len(), want_built.len());
+                    for (t, ((got_rows, lids), (want_rows, _))) in
+                        got_built.iter().zip(&want_built).enumerate()
+                    {
+                        prop_assert_eq!(got_rows, want_rows, "{:?} table {}", kind, t);
+                        // A row of an item that did not fail keeps its lid
+                        // and its v1 edge; a repaired item's rows are v2's.
+                        let kept: Vec<i64> = before[t].1.clone();
+                        for lid in lids {
+                            let ver = c.lineage.edges_of(*lid)[0].ver_id;
+                            prop_assert_eq!(ver, if kept.contains(lid) { 1 } else { 2 });
+                        }
+                        let redone = lids.iter().filter(|l| !kept.contains(l)).count();
+                        prop_assert_eq!(lids.len() - redone, kept.len(), "{:?}", kind);
+                    }
+                    if let Kind::Scene = kind {
+                        prop_assert_eq!(
+                            got.table.to_rows().unwrap(),
+                            want.table.to_rows().unwrap()
+                        );
+                        prop_assert_eq!(c.media.counts(), full.media.counts());
+                        for image in full.media.images() {
+                            prop_assert_eq!(c.media.image(&image.uri).ok(), Some(image));
+                        }
+                    }
+                }
             }
         }
     }
@@ -1741,6 +2208,7 @@ mod tests {
                                 &body.new_columns(),
                                 morsel_rows,
                                 body.compute(&mask, input.schema()),
+                                None,
                             )
                             .unwrap();
                             prop_assert_eq!(out.rows_in, mask.len());

@@ -3,18 +3,23 @@
 //! Syntactic faults launch the two-agent loop: the *reviewer* diagnoses the
 //! exception, the *rewriter* patches the body, the registry bumps `ver_id`,
 //! and execution resumes — tuples unaffected by the error have already
-//! flowed through the old definition. Semantic anomalies (a join fanning one
-//! poster out to several movies) are explained to the user, who chooses to
-//! accept, adjust, or rewrite.
+//! flowed through the old definition and keep its results: the patched
+//! version runs over the failed items only, spliced back in row order.
+//! Semantic anomalies (a join fanning one poster out to several movies) are
+//! explained to the user, who chooses to accept, adjust, or rewrite.
 //!
 //! Every node passes through [`run_node`] here, which is also where a
 //! follow-up question is spared the nodes it shares with an earlier one: a
 //! node whose body, inputs and outputs are still those of its last clean
 //! run returns that run's output instead of running again.
 
-use crate::{execute_body, ExecContext, ExecError, ExecOutcome};
+use crate::interp::execute;
+use crate::{ExecContext, ExecError, ExecOutcome};
 use kath_fao::{FunctionBody, FunctionRegistry};
 use kath_model::UserChannel;
+use kath_sql::{SqlBinOp, SqlExpr};
+use kath_storage::Table;
+use std::sync::Arc;
 
 /// A completed repair.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,11 +32,42 @@ pub struct RepairEvent {
     pub to_ver: u32,
     /// The reviewer agent's diagnosis.
     pub diagnosis: String,
-    /// Tuples that had already succeeded under the old version and kept
-    /// flowing while the repair happened (§5).
+    /// Items (input rows, media items) that had succeeded under the old
+    /// version and keep its results (§5); 0 when the node failed as a whole.
     pub unaffected_tuples: usize,
-    /// Tuples that had to be reprocessed by the new version.
+    /// Items the new version ran over: the ones that failed.
     pub failed_tuples: usize,
+}
+
+impl RepairEvent {
+    /// "repaired 21 of 1 000 items (v1 → v2); the other 979 kept their v1
+    /// results", or, for a node that failed as a whole, "repaired the whole
+    /// node (v1 → v2)".
+    pub fn summary(&self) -> String {
+        let (from, to) = (self.from_ver, self.to_ver);
+        match self.failed_tuples {
+            0 => format!("repaired the whole node (v{from} → v{to})"),
+            failed => format!(
+                "repaired {} of {} items (v{from} → v{to}); the other {} kept their v{from} results",
+                grouped(failed),
+                grouped(failed + self.unaffected_tuples),
+                grouped(self.unaffected_tuples)
+            ),
+        }
+    }
+}
+
+/// `n` with its thousands set apart by spaces: `1 000`.
+fn grouped(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::with_capacity(digits.len() + digits.len() / 3);
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(' ');
+        }
+        out.push(c);
+    }
+    out
 }
 
 /// A detected semantic anomaly and its resolution.
@@ -49,28 +85,52 @@ pub struct AnomalyEvent {
     pub patched: bool,
 }
 
+/// One run of a node: its outcome, and the tables the node read before its
+/// first attempt (`None` when one of them did not exist or the node did not
+/// run) — what a clean run, or a clean splice, is recorded under.
+struct Attempt {
+    outcome: ExecOutcome,
+    inputs: Option<Vec<Arc<Table>>>,
+}
+
 /// Runs one node: returns the output of its last clean run when that run
 /// would only be repeated ([`ExecContext::reusable`]) — no model call, no
 /// lineage rows, no catalog write — and otherwise executes the body,
 /// recording the run if no row failed. Because a reused producer leaves
 /// its output table in place and a re-executed one publishes a new table,
-/// reuse and re-execution both cascade to consumers by themselves.
+/// reuse and re-execution both cascade to consumers by themselves. With
+/// `repairing`, an earlier attempt some of whose items failed, `body` runs
+/// over those items only and its rows are spliced into that attempt's.
 fn run_node(
     ctx: &mut ExecContext,
     func_id: &str,
     ver_id: u32,
     body: &FunctionBody,
     output_name: &str,
-) -> Result<ExecOutcome, ExecError> {
-    if let Some(record) = ctx.reusable(func_id, body, output_name) {
-        return Ok(record.outcome());
+    repairing: Option<Attempt>,
+) -> Result<Attempt, ExecError> {
+    let (inputs, outcome) = match repairing {
+        Some(Attempt { outcome, inputs }) => {
+            let spliced = execute(ctx, func_id, ver_id, body, output_name, Some(&outcome))?;
+            (inputs, spliced)
+        }
+        None => {
+            if let Some(record) = ctx.reusable(func_id, body, output_name) {
+                let outcome = record.outcome();
+                return Ok(Attempt {
+                    outcome,
+                    inputs: None,
+                });
+            }
+            let inputs = ctx.begin_node(body, output_name);
+            let outcome = execute(ctx, func_id, ver_id, body, output_name, None)?;
+            (inputs, outcome)
+        }
+    };
+    if let (Some(inputs), true) = (&inputs, outcome.failed_rows.is_empty()) {
+        ctx.record_node(func_id, body, output_name, inputs.clone(), &outcome);
     }
-    let inputs = ctx.begin_node(body, output_name);
-    let outcome = execute_body(ctx, func_id, ver_id, body, output_name)?;
-    if let (Some(inputs), true) = (inputs, outcome.failed_rows.is_empty()) {
-        ctx.record_node(func_id, body, output_name, inputs, &outcome);
-    }
-    Ok(outcome)
+    Ok(Attempt { outcome, inputs })
 }
 
 /// The execution monitor.
@@ -92,6 +152,11 @@ impl<'a> Monitor<'a> {
     /// Executes the active version of `func_id`, running the repair loop on
     /// syntactic faults. Returns the final outcome and any repairs made. A
     /// tripped query guard ([`ExecError::Guard`]) is returned as it is.
+    ///
+    /// When some items fail, each repair runs the patched version over
+    /// those items only and splices its rows into the earlier attempt's in
+    /// row order; the other items keep their results and lids (§5). An
+    /// error that fails the whole node re-runs the whole node.
     pub fn execute_with_repair(
         &self,
         ctx: &mut ExecContext,
@@ -101,27 +166,29 @@ impl<'a> Monitor<'a> {
     ) -> Result<(ExecOutcome, Vec<RepairEvent>), ExecError> {
         let mut repairs = Vec::new();
         let mut attempts = 0u32;
+        let mut repairing = None;
         loop {
             let (ver_id, body) = {
                 let entry = registry.get(func_id)?;
                 let v = entry.active_version();
                 (v.ver_id, v.body.clone())
             };
-            let result = run_node(ctx, func_id, ver_id, &body, output_name);
-            let (error_text, unaffected, failed) = match result {
-                Ok(outcome) if outcome.failed_rows.is_empty() => {
-                    return Ok((outcome, repairs));
-                }
-                Ok(outcome) => {
-                    // Row-level faults: the good tuples already flowed.
-                    let err = outcome.failed_rows[0].1.clone();
-                    (err, outcome.table.len(), outcome.failed_rows.len())
-                }
+            let result = run_node(ctx, func_id, ver_id, &body, output_name, repairing.take());
+            let error_text = match result {
+                Ok(attempt) => match attempt.outcome.failed_rows.first() {
+                    None => return Ok((attempt.outcome, repairs)),
+                    // Item-level faults: the good items already flowed.
+                    Some((_, err)) => {
+                        let err = err.clone();
+                        repairing = Some(attempt);
+                        err
+                    }
+                },
                 // A tripped guard says the caller ran out of time or budget
                 // (or cancelled), not that the function is wrong: no
                 // diagnosis call, no notification, no new version.
                 Err(e @ ExecError::Guard(_)) => return Err(e),
-                Err(e) => (e.to_string(), 0, 0),
+                Err(e) => e.to_string(),
             };
 
             attempts += 1;
@@ -145,20 +212,25 @@ impl<'a> Monitor<'a> {
                 });
             };
             let to_ver = registry.add_version(func_id, patched, format!("repair: {diagnosis}"))?;
-            self.channel.notify(&format!(
-                "Repaired {func_id}: v{ver_id} -> v{to_ver} ({diagnosis}); \
-                 {unaffected} unaffected tuple(s) continued, {failed} reprocessed."
-            ));
-            repairs.push(RepairEvent {
+            let (items, failed) = (repairing.as_ref()).map_or((0, 0), |a| {
+                (a.outcome.rows_in, a.outcome.failed_items.len())
+            });
+            let event = RepairEvent {
                 func_id: func_id.to_string(),
                 from_ver: ver_id,
                 to_ver,
                 diagnosis,
-                unaffected_tuples: unaffected,
+                unaffected_tuples: items - failed,
                 failed_tuples: failed,
-            });
-            // Resume from this operator with the new version (re-executes
-            // the node; already-correct tuples recompute identically).
+            };
+            self.channel.notify(&format!(
+                "Repaired {func_id} ({}): {}.",
+                event.diagnosis,
+                event.summary()
+            ));
+            repairs.push(event);
+            // Resume from this operator with the new version: over the
+            // failed items, or over the whole node if it failed as a whole.
         }
     }
 
@@ -237,7 +309,7 @@ impl<'a> Monitor<'a> {
             patched.clone(),
             format!("semantic fix: enforce one match per {key}"),
         )?;
-        let outcome = run_node(ctx, func_id, to_ver, &patched, output_name)?;
+        let outcome = run_node(ctx, func_id, to_ver, &patched, output_name, None)?.outcome;
         Ok(Some((
             AnomalyEvent {
                 func_id: func_id.to_string(),
@@ -285,21 +357,51 @@ fn patch_body(body: &FunctionBody, error_text: &str) -> Option<FunctionBody> {
         };
     }
     if lower.contains("division by zero") {
-        if let FunctionBody::MapExpr {
-            input,
-            expr,
-            output_column,
-        } = body
-        {
-            // Guard the whole expression; the denominator is inside it.
-            return Some(FunctionBody::MapExpr {
+        // NULL for a zero denominator, and nothing else touched: every row
+        // whose divisions all had a nonzero divisor keeps its value.
+        let guard = |text: &str| -> Option<String> {
+            let parsed = kath_sql::parse_expr(text).ok()?;
+            Some(null_if_zero(parsed).to_string())
+        };
+        return match body {
+            FunctionBody::MapExpr {
+                input,
+                expr,
+                output_column,
+            } => Some(FunctionBody::MapExpr {
                 input: input.clone(),
-                expr: format!("coalesce({expr} * 0 + 0.0, 0.0)"),
+                expr: guard(expr)?,
                 output_column: output_column.clone(),
-            });
-        }
+            }),
+            FunctionBody::FilterExpr { input, predicate } => Some(FunctionBody::FilterExpr {
+                input: input.clone(),
+                predicate: guard(predicate)?,
+            }),
+            _ => None,
+        };
     }
     None
+}
+
+/// `expr` with every denominator `d` of a division replaced by
+/// `nullif(d, 0)`.
+fn null_if_zero(expr: SqlExpr) -> SqlExpr {
+    let rec = |e: Box<SqlExpr>| Box::new(null_if_zero(*e));
+    match expr {
+        SqlExpr::Binary(SqlBinOp::Div, l, r) => {
+            let guarded = SqlExpr::Call("nullif".into(), vec![null_if_zero(*r), SqlExpr::Int(0)]);
+            SqlExpr::Binary(SqlBinOp::Div, rec(l), Box::new(guarded))
+        }
+        SqlExpr::Binary(op, l, r) => SqlExpr::Binary(op, rec(l), rec(r)),
+        SqlExpr::Not(e) => SqlExpr::Not(rec(e)),
+        SqlExpr::Neg(e) => SqlExpr::Neg(rec(e)),
+        SqlExpr::IsNull(e, negated) => SqlExpr::IsNull(rec(e), negated),
+        SqlExpr::Call(name, args) => {
+            SqlExpr::Call(name, args.into_iter().map(null_if_zero).collect())
+        }
+        SqlExpr::Agg(agg, arg) => SqlExpr::Agg(agg, arg.map(rec)),
+        leaf => leaf,
+    }
 }
 
 #[cfg(test)]
@@ -308,7 +410,7 @@ mod tests {
     use kath_fao::{FunctionSignature, VisionImpl};
     use kath_media::{BBox, Color, Image, ImageObject, MediaFormat};
     use kath_model::{ScriptedChannel, SilentChannel, SimLlm, TokenMeter};
-    use kath_storage::{DataType, Schema, Table};
+    use kath_storage::{DataType, Schema, Table, Value};
     use std::sync::Arc;
 
     fn ctx_with_posters() -> ExecContext {
@@ -373,6 +475,13 @@ mod tests {
         assert_eq!(repairs[0].unaffected_tuples, 2);
         assert_eq!(repairs[0].failed_tuples, 1);
         assert!(repairs[0].diagnosis.contains("conversion"));
+        // The two PNG rows keep their v1 lids; the HEIC row, third in row
+        // order, is v2's.
+        let lid = outcome.table.schema().index_of("lid").unwrap();
+        let versions: Vec<u32> = (outcome.table.to_rows().unwrap().iter())
+            .map(|row| ctx.lineage.edges_of(row[lid].as_int().unwrap())[0].ver_id)
+            .collect();
+        assert_eq!(versions, [1, 1, 2]);
         // Both versions remain in the registry.
         let entry = registry.get("classify_boring").unwrap();
         assert_eq!(entry.versions.len(), 2);
@@ -403,6 +512,58 @@ mod tests {
         let monitor = Monitor::new(&channel);
         let err = monitor.execute_with_repair(&mut ctx, &mut registry, "bad", "o");
         assert!(matches!(err, Err(ExecError::RepairFailed { .. })));
+    }
+
+    #[test]
+    fn a_zero_divisor_is_repaired_to_null_on_its_row_only() {
+        let mut ctx = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
+        let xs = Table::from_rows(
+            "xs",
+            Schema::of(&[("x", DataType::Int)]),
+            vec![vec![1i64.into()], vec![0i64.into()], vec![4i64.into()]],
+        )
+        .unwrap();
+        ctx.ingest_table(xs, "u").unwrap();
+        let mut registry = FunctionRegistry::new();
+        registry.register(
+            FunctionSignature::new("inverse", "ten over x", vec!["xs".into()], "ys"),
+            FunctionBody::MapExpr {
+                input: "xs".into(),
+                expr: "10.0 / x".into(),
+                output_column: "y".into(),
+            },
+            "initial",
+        );
+        let monitor = Monitor::new(&SilentChannel);
+        let (outcome, repairs) = monitor
+            .execute_with_repair(&mut ctx, &mut registry, "inverse", "ys")
+            .unwrap();
+        let ys: Vec<Value> = (outcome.table.to_rows().unwrap().iter())
+            .map(|r| r[2].clone())
+            .collect();
+        assert_eq!(ys, vec![Value::Float(10.0), Value::Null, Value::Float(2.5)]);
+        assert_eq!(repairs.len(), 1);
+        let repair = &repairs[0];
+        assert_eq!((repair.unaffected_tuples, repair.failed_tuples), (2, 1));
+        assert_eq!(
+            repair.summary(),
+            "repaired 1 of 3 items (v1 → v2); the other 2 kept their v1 results"
+        );
+        let entry = registry.get("inverse").unwrap();
+        assert_eq!((entry.versions.len(), entry.active), (2, 2));
+        let FunctionBody::MapExpr { expr, .. } = &entry.active_version().body else {
+            panic!("the patch keeps the body kind");
+        };
+        assert_eq!(expr, "(10.0 / nullif(x, 0))");
+    }
+
+    #[test]
+    fn counts_print_with_their_thousands_set_apart() {
+        let printed: Vec<String> = [0, 7, 999, 1000, 12_345, 1_000_000]
+            .into_iter()
+            .map(grouped)
+            .collect();
+        assert_eq!(printed, ["0", "7", "999", "1 000", "12 345", "1 000 000"]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 #![warn(missing_docs)]
 
-use kath_exec::PhysicalPlan;
+use kath_exec::{PhysicalPlan, RepairEvent};
 use kath_fao::{FunctionBody, FunctionRegistry};
 use kath_lineage::{LineageError, LineageStore};
 use kath_storage::{Catalog, Value};
@@ -29,6 +29,8 @@ pub struct Explainer<'a> {
     /// Function ids of the plan nodes that were not compiled for this query:
     /// an earlier question's compile record validated.
     pub compiled_earlier: &'a [String],
+    /// The repairs the monitor made while this query ran.
+    pub repairs: &'a [RepairEvent],
 }
 
 impl<'a> Explainer<'a> {
@@ -46,6 +48,7 @@ impl<'a> Explainer<'a> {
             catalog,
             reused: &[],
             compiled_earlier: &[],
+            repairs: &[],
         }
     }
 
@@ -60,6 +63,13 @@ impl<'a> Explainer<'a> {
     /// earlier question's record (`CompileReport::reused`).
     pub fn with_compiled_earlier(mut self, compiled: &'a [String]) -> Self {
         self.compiled_earlier = compiled;
+        self
+    }
+
+    /// Names the repairs the monitor made while the query ran, so the
+    /// pipeline overview can say how many items each one re-ran.
+    pub fn with_repairs(mut self, repairs: &'a [RepairEvent]) -> Self {
+        self.repairs = repairs;
         self
     }
 
@@ -100,6 +110,9 @@ impl<'a> Explainer<'a> {
                         reuse_note
                     );
                     line.push_str(&self.explain_decision(&node.func_id));
+                    for repair in self.repairs.iter().filter(|r| r.func_id == node.func_id) {
+                        line.push_str(&format!("   {}\n", repair.summary()));
+                    }
                     line
                 }
                 Err(_) => format!("{}: {} (unregistered)\n", i + 1, node.func_id),

@@ -54,7 +54,8 @@ pub struct SampledMedia {
     /// The caller's collection stamp it was narrowed from: while the
     /// caller's stamp is this one, narrowing again gives `sample` again.
     pub source_stamp: u64,
-    /// The sample context's media after narrowing, compared by value.
+    /// The sample context's `kind` collection after narrowing, compared by
+    /// value (the other collection is empty).
     pub sample: MediaRegistry,
 }
 

@@ -13,7 +13,7 @@ use kath_fao::{
     ProfileStats, RecordedCritique, SampledMedia, VisionImpl,
 };
 use kath_lineage::{LineagePolicy, LineageStore};
-use kath_media::MediaKind;
+use kath_media::{MediaKind, MediaRegistry};
 use kath_model::Verdict;
 use kath_parser::{LogicalNode, LogicalPlan, StepTag};
 use kath_storage::{Table, Value};
@@ -200,10 +200,15 @@ fn compile_nodes(
                     record.outputs.iter().for_each(|p| sample_ctx.adopt(p));
                 } else if let Ok(outcome) = execute_body(&mut sample_ctx, func, ver, &body, &output)
                 {
+                    // Only the collection it narrowed: the other one is
+                    // still the caller's, and a record holding it would make
+                    // the caller's next write to it copy the whole map.
+                    let mut sample = MediaRegistry::new();
+                    sample.share(&sample_ctx.media, kind);
                     let media = SampledMedia {
                         kind,
                         source_stamp,
-                        sample: sample_ctx.media.clone(),
+                        sample,
                     };
                     let record = CompileRecord {
                         context: String::new(),

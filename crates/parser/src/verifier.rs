@@ -191,14 +191,11 @@ impl<'a> PlanVerifier<'a> {
                     },
                 });
                 // Tool user: sample base relations to confirm they are
-                // non-degenerate (the "rows sampler" utility).
-                if ok && self.catalog.contains(input) {
+                // non-degenerate (the "rows sampler" utility). A sample is
+                // the table's first rows, so its size is a count.
+                if let (true, Ok(table)) = (ok, self.catalog.get(input)) {
                     tools += 1;
-                    let sample = self
-                        .catalog
-                        .sample_rows(input, self.sample_size)
-                        .map(|t| t.len())
-                        .unwrap_or(0);
+                    let sample = table.len().min(self.sample_size);
                     checks.push(Check {
                         name: format!("sampled:{input}"),
                         passed: true,
@@ -371,6 +368,27 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.name.starts_with("joinable:") && c.passed));
+    }
+
+    #[test]
+    fn sampled_checks_count_what_the_rows_sampler_draws() {
+        // A follow-up's catalog: the base relations and an intermediate the
+        // previous question left, larger than a sample.
+        let mut cat = catalog();
+        let rows = (0..7i64).map(|i| vec![i.into()]).collect();
+        let left = Table::from_rows("movie_columns", Schema::of(&[("id", DataType::Int)]), rows);
+        cat.register(left.unwrap()).unwrap();
+        let (_, report) = PlanVerifier::new(&cat).verify(good_plan());
+        let sampled: Vec<&Check> = (report.checks.iter())
+            .filter(|c| c.name.starts_with("sampled:"))
+            .collect();
+        assert!(sampled.iter().any(|c| c.name == "sampled:movie_columns"));
+        for check in sampled {
+            let name = &check.name["sampled:".len()..];
+            let drawn = cat.sample_rows(name, 3).unwrap().len();
+            let detail = format!("sampled {drawn} rows from '{name}'");
+            assert_eq!((check.passed, &check.detail), (true, &detail));
+        }
     }
 
     #[test]

@@ -1099,7 +1099,7 @@ impl RowBatch {
     }
 
     /// All columns, moved out.
-    pub(crate) fn into_columns(self) -> Vec<ColumnVector> {
+    pub fn into_columns(self) -> Vec<ColumnVector> {
         self.columns
     }
 

@@ -114,7 +114,8 @@ pub enum Expr {
     /// `expr IS NULL`
     IsNull(Box<Expr>),
     /// Named scalar function call (`lower`, `upper`, `length`, `abs`,
-    /// `contains`, `coalesce`, `round`, `min2`, `max2`, `clamp01`).
+    /// `contains`, `coalesce`, `nullif`, `round`, `min2`, `max2`,
+    /// `clamp01`).
     Call(String, Vec<Expr>),
 }
 
@@ -738,6 +739,15 @@ fn eval_call(name: &str, args: &[Value]) -> Result<Value, StorageError> {
                 }
             }
             Ok(Value::Null)
+        }
+        "nullif" => {
+            // SQL's NULLIF: NULL where the two are equal, the first
+            // otherwise (a NULL or incomparable pair is not equal).
+            need(2)?;
+            match args[0].sql_cmp(&args[1]) {
+                Some(std::cmp::Ordering::Equal) => Ok(Value::Null),
+                _ => Ok(args[0].clone()),
+            }
         }
         "min2" | "max2" => {
             need(2)?;

@@ -1,8 +1,9 @@
 //! On-the-fly error repair (§5): a corpus whose posters include unsupported
-//! HEIC files. The first execution of `classify_boring` fails on those rows;
-//! the monitor's reviewer diagnoses the exception, the rewriter patches the
-//! function (adding a format-conversion step), the version bumps, and the
-//! pipeline resumes — tuples unaffected by the error kept flowing.
+//! HEIC files. The first execution of `populate_scene_views` fails on those
+//! posters; the monitor's reviewer diagnoses the exception, the rewriter
+//! patches the function (adding a format-conversion step), the version
+//! bumps, and the patched version runs over the failed posters only — the
+//! posters unaffected by the error keep their v1 results.
 //!
 //! ```sh
 //! cargo run --example self_repair
@@ -53,10 +54,16 @@ fn main() {
     }
     for r in &result.exec.repairs {
         println!(
-            "{}: v{} -> v{}\n  diagnosis: {}\n  {} unaffected tuple(s) continued, {} reprocessed",
-            r.func_id, r.from_ver, r.to_ver, r.diagnosis, r.unaffected_tuples, r.failed_tuples
+            "{}: {}\n  diagnosis: {}",
+            r.func_id,
+            r.summary(),
+            r.diagnosis
         );
     }
+    let pipeline = db.explain("explain the pipeline").expect("a query ran");
+    let repaired = pipeline.lines().filter(|l| l.contains("repaired"));
+    println!("\n== What `explain the pipeline` says of it ==");
+    repaired.for_each(|line| println!("{}", line.trim()));
 
     println!("\n== Version history of the repaired functions ==");
     for name in db.registry().names() {
