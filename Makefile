@@ -39,9 +39,9 @@ bench-repeat:
 	$(CARGO) run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-repeat
 
 # Quick end-to-end runs of the perf benches (small corpora, few reps):
-# the six binaries prove the morsel-parallel, durable-recovery,
-# vector-search, paged out-of-core storage, fault-guard and
-# concurrent-transaction paths still run and still emit their JSON. The
+# the five binaries prove the morsel-parallel, durable-recovery,
+# vector-search, paged out-of-core storage and concurrent-transaction
+# paths still run and still emit their JSON. The
 # smoke results land under target/bench-smoke/, so the committed
 # BENCH_*.json baselines change only when someone runs a full bench on
 # purpose. Every report must carry the shared header (`host`, `quick`,
@@ -54,9 +54,8 @@ bench-smoke:
 	$(CARGO) run -q --release -p kath_bench --bin recovery_bench -- --quick --out $(BENCH_SMOKE)/BENCH_recovery.json
 	$(CARGO) run -q --release -p kath_bench --bin vector_bench -- --quick --out $(BENCH_SMOKE)/BENCH_vector.json
 	$(CARGO) run -q --release -p kath_bench --bin storage_bench -- --quick --out $(BENCH_SMOKE)/BENCH_storage.json
-	$(CARGO) run -q --release -p kath_bench --bin fault_bench -- --quick --out $(BENCH_SMOKE)/BENCH_faults.json
 	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick --out $(BENCH_SMOKE)/BENCH_txn.json
-	for r in parallel recovery vector storage faults txn; do \
+	for r in parallel recovery vector storage txn; do \
 		for key in host quick reps; do \
 			grep -q "\"$$key\":" $(BENCH_SMOKE)/BENCH_$$r.json \
 				|| { echo "BENCH_$$r.json lacks $$key"; exit 1; }; \

@@ -107,7 +107,7 @@ fn main() {
                      \\functions | \\tables | \\tokens | \\batch <n> | \
                      \\threads <n>|auto | \
                      \\vindex [auto|off|flat|ivf | build <t> <c>] | \
-                     \\timeout <ms>|off | \\faults <spec>|off|show | \\quit\n\
+                     \\timeout <ms>|off | \\quit\n\
                      anything else is parsed as a natural-language query"
                 );
             }
@@ -341,46 +341,6 @@ fn main() {
                         );
                     }
                     Err(_) => println!("usage: \\timeout <ms> | \\timeout off"),
-                },
-            },
-            _ if line == "\\faults" || line == "\\faults show" => {
-                let (backend, stats) = db.fault_status();
-                println!("io backend: {backend}");
-                if let Some(s) = stats {
-                    println!(
-                        "  {} eligible op(s) seen, {} fault(s) injected",
-                        s.ops, s.injected
-                    );
-                }
-            }
-            Some(("\\faults", rest)) if !rest.is_empty() => match rest {
-                "off" => {
-                    db.clear_faults();
-                    println!("fault injection off (real io backend)");
-                }
-                "show" => {
-                    let (backend, stats) = db.fault_status();
-                    println!("io backend: {backend}");
-                    if let Some(s) = stats {
-                        println!(
-                            "  {} eligible op(s) seen, {} fault(s) injected",
-                            s.ops, s.injected
-                        );
-                    }
-                }
-                spec => match kath_storage::FaultPlan::parse(spec) {
-                    Ok(plan) => {
-                        db.install_faults(plan);
-                        println!(
-                            "fault injection on: {} (test-only; \\faults off to disable)",
-                            db.fault_status().0
-                        );
-                    }
-                    Err(e) => println!(
-                        "bad fault spec: {e}\n\
-                         usage: \\faults seed=<n>,p=<f>[,kinds=a|b][,ops=x|y][,at=<n>:<kind>]\
-                         [,max=<n>] | \\faults off | \\faults show"
-                    ),
                 },
             },
             _ if line.starts_with('\\') => {

@@ -521,29 +521,6 @@ impl KathDB {
         self.ctx.compile
     }
 
-    /// Installs a fault-injection plan on this database's I/O seam: every
-    /// subsequent file operation (WAL appends, checkpoint writes, page
-    /// reads) consults the plan and may fail with the injected error.
-    /// **Test-only** — for exercising recovery paths from the REPL
-    /// (`\faults`), the chaos suites and the session simulator.
-    pub fn install_faults(&self, plan: kath_storage::FaultPlan) {
-        self.ctx.catalog.pool().io().install_faults(plan);
-    }
-
-    /// Removes any installed fault plan (I/O goes back to the real
-    /// backend).
-    pub fn clear_faults(&self) {
-        self.ctx.catalog.pool().io().clear_faults();
-    }
-
-    /// Describes the active I/O backend, with its injected/passed
-    /// operation counters when a fault plan is installed.
-    pub fn fault_status(&self) -> (String, Option<kath_storage::FaultStats>) {
-        let pool = self.ctx.catalog.pool();
-        let io = pool.io();
-        (io.describe(), io.fault_stats())
-    }
-
     /// Builds (if the current table value has none yet) the vector index
     /// over `table.column`, returning `(scored entries, unscored rows)`.
     /// The planner derives indexes on demand, so this is only needed to
@@ -1617,23 +1594,5 @@ mod tests {
         );
         db.set_query_budget(None, None);
         assert_eq!(db.sql("SELECT * FROM t").unwrap().len(), 4);
-    }
-
-    #[test]
-    fn fault_injection_round_trips_through_the_facade() {
-        let mut db = KathDB::new(42);
-        let (backend, stats) = db.fault_status();
-        assert_eq!(backend, "real");
-        assert!(stats.is_none());
-        db.install_faults(kath_storage::FaultPlan::parse("seed=7,p=0.5").unwrap());
-        let (backend, stats) = db.fault_status();
-        assert!(backend.contains("faulty"), "{backend}");
-        assert!(stats.is_some());
-        db.clear_faults();
-        assert_eq!(db.fault_status().0, "real");
-        // The catalog still works after the faulty backend is removed.
-        db.sql("CREATE TABLE t (x INT)").unwrap();
-        db.sql("INSERT INTO t VALUES (1)").unwrap();
-        assert_eq!(db.sql("SELECT * FROM t").unwrap().len(), 1);
     }
 }

@@ -1041,50 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_prune_never_deletes_referenced_pages() {
-        use crate::{FaultPlan, IoOp};
-        let dir = tmp("pruneguard");
-        let io = Io::real();
-        let pl = Arc::new(BufferPool::with_budget_io(64, io.clone()));
-        let (mut d, _) = Durability::open(&dir, &pl).unwrap();
-        let t1 = kv_table(&[(1, "first")]);
-        let t2 = kv_table(&[(2, "second")]);
-        let t3 = kv_table(&[(3, "third")]);
-        d.checkpoint(&[Arc::new(t1)], &pl, None).unwrap();
-        d.checkpoint(&[Arc::new(t2)], &pl, None).unwrap();
-        // Every unlink (snapshot prune, segment prune, orphan sweep) fails:
-        // the checkpoint must still commit and report success…
-        io.install_faults(FaultPlan::probabilistic(3, 1.0).on_ops(&[IoOp::Unlink]));
-        d.checkpoint(&[Arc::new(t3.clone())], &pl, None).unwrap();
-        io.clear_faults();
-        // …and every page referenced by any retained kmeta must survive.
-        let io2 = Io::real();
-        for e in list_epochs(&io2, &dir.join("snapshots"), false).unwrap() {
-            for path in io2.read_dir(&snapshot_dir(&dir, e)).unwrap() {
-                if path.extension().is_some_and(|x| x == "kmeta") {
-                    let doc = parse_kmeta(&std::fs::read(&path).unwrap()).unwrap();
-                    for (file, ..) in doc.columns.iter().flatten() {
-                        assert!(
-                            pages_dir(&dir).join(file).exists(),
-                            "page {file} referenced by snapshot {e} was deleted"
-                        );
-                    }
-                }
-            }
-        }
-        // Reopen recovers the committed state, and the next checkpoint
-        // retries the housekeeping successfully.
-        drop(d);
-        let (mut d, rec) = Durability::open(&dir, &pl).unwrap();
-        assert_eq!(rec.snapshot_epoch, 3);
-        assert_eq!(rec.tables, vec![t3.clone()]);
-        d.checkpoint(&[Arc::new(t3)], &pl, None).unwrap();
-        let snaps = list_epochs(&io2, &dir.join("snapshots"), false).unwrap();
-        assert_eq!(snaps, vec![3, 4], "stale snapshots pruned on retry");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn wal_rotation_failure_poisons_logging_until_reopen() {
         let dir = tmp("rotatepoison");
         let pl = pool();

@@ -21,7 +21,7 @@
 //!
 //! The unlimited guard is a `None` — every check is one branch on an
 //! `Option`, which keeps the overhead of guardrails on un-limited queries
-//! below the noise floor (see `fault_bench`).
+//! below the noise floor (docs/robustness.md, "Query guards").
 
 use crate::batch::{ColumnData, RowBatch};
 use crate::{Row, StorageError, Value};

@@ -43,10 +43,7 @@ pub use expr::{BinOp, Expr};
 pub use guard::{
     batch_footprint, row_footprint, value_footprint, CancelToken, GuardSpec, QueryGuard,
 };
-pub use io::{
-    is_transient, with_retry, FaultKind, FaultPlan, FaultStats, FaultyIo, Io, IoBackend, IoOp,
-    RealIo, RetryPolicy,
-};
+pub use io::{is_transient, with_retry, Io, IoBackend, RealIo, RetryPolicy};
 pub use morsel::{
     host_parallelism, run_morsels, run_morsels_guarded, Morsel, MorselRun, MorselSource,
     MORSEL_BATCHES,

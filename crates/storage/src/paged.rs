@@ -623,28 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn page_reads_retry_once_then_surface_typed_errors() {
-        use crate::{FaultKind, FaultPlan, IoOp};
-        let dir = tempdir();
-        let io = Io::real();
-        let pool = Arc::new(BufferPool::with_budget_io(1, io.clone()));
-        let data = rows(200);
-        let pt = paged(&data, &pool, 64);
-        write_durable(&pt.sealed_pages().unwrap(), &dir, pool.io()).unwrap();
-        // A transient read fault is retried once and hidden from the scan
-        // (budget 1 forces a disk read per page).
-        io.install_faults(FaultPlan::at(1, FaultKind::Transient).on_ops(&[IoOp::Read]));
-        assert_eq!(pt.to_rows().unwrap(), data);
-        // A persistent read fault surfaces as Io — never a panic or a
-        // wrong batch.
-        io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]));
-        assert!(matches!(pt.to_rows().unwrap_err(), StorageError::Io(_)));
-        io.clear_faults();
-        assert_eq!(pt.to_rows().unwrap(), data);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn shape_mismatch_is_corrupt() {
         let pool = Arc::new(BufferPool::with_budget(4));
         let err = Table::from_recovered("t".into(), schema(), (10, 4), vec![], &pool).unwrap_err();

@@ -259,39 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_atomic_write_leaves_target_and_no_temp() {
-        use crate::{FaultKind, FaultPlan, IoOp};
-        let dir =
-            std::env::temp_dir().join(format!("kathdb_persist_fault_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("films.bin");
-        atomic_write(&path, BYTES).unwrap();
-        let io = Io::real();
-        for kind in [FaultKind::Permanent, FaultKind::Enospc] {
-            for op in [IoOp::Write, IoOp::Rename] {
-                io.install_faults(
-                    FaultPlan::probabilistic(1, 1.0)
-                        .with_kinds(&[kind])
-                        .on_ops(&[op]),
-                );
-                assert!(matches!(
-                    atomic_write_with(&io, &path, b"replacement"),
-                    Err(StorageError::Io(_))
-                ));
-                io.clear_faults();
-                // The old contents survive and no temp file is left behind.
-                assert_eq!(std::fs::read(&path).unwrap(), BYTES);
-                assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-            }
-        }
-        // A transient write fault is retried away.
-        io.install_faults(FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]));
-        atomic_write_with(&io, &path, b"replacement").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"replacement");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn oversized_payloads_refuse_to_encode() {
         assert!(encodable_len("string", u32::MAX as usize).is_ok());
         assert!(matches!(

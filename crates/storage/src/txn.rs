@@ -760,45 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn fsync_failure_rolls_back_and_does_not_poison() {
-        use crate::{FaultKind, FaultPlan, IoOp};
-        let dir = tmp("fsyncfail");
-        let io = crate::Io::real();
-        let pool = Arc::new(BufferPool::with_budget_io(64, io.clone()));
-        let shared = SharedCatalog::new();
-        let (dur, rec) = Durability::open(&dir, &pool).unwrap();
-        shared.install_recovered(Catalog::new(), dur, rec.max_txid);
-        let create = create_kv();
-        commit(&shared, std::slice::from_ref(&create), false).unwrap();
-        let v = shared.snapshot().version();
-        // Every fsync fails permanently: the commit must report an error…
-        io.install_faults(
-            FaultPlan::probabilistic(1, 1.0)
-                .with_kinds(&[FaultKind::Enospc])
-                .on_ops(&[IoOp::Fsync]),
-        );
-        let r = insert(1, "lost");
-        let err = commit(&shared, std::slice::from_ref(&r), false);
-        assert!(err.is_err());
-        io.clear_faults();
-        // …and leave no trace: version unchanged, reads see no new row.
-        assert_eq!(shared.snapshot().version(), v);
-        assert_eq!(shared.snapshot().get("kv").unwrap().len(), 0);
-        // The coordinator is not poisoned: the next commit succeeds and
-        // lands where the rolled-back bytes were.
-        let r2 = insert(2, "kept");
-        commit(&shared, std::slice::from_ref(&r2), false).unwrap();
-        assert_eq!(shared.snapshot().get("kv").unwrap().len(), 1);
-        // The failed commit made version v + 1 and dropped it; its number
-        // names that catalog alone, so the next commit takes a higher one.
-        assert!(shared.snapshot().version() > v + 1);
-        drop(shared);
-        let (_, rec) = Durability::open(&dir, &pool).unwrap();
-        assert_eq!(rec.wal_records, vec![create, r2]);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn concurrent_writers_group_their_fsyncs() {
         let dir = tmp("group");
         let pool = Arc::new(BufferPool::with_budget(64));

@@ -584,7 +584,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Catalog, Column, DataType, FaultKind, FaultPlan, IoOp, Table, Value};
+    use crate::{Catalog, Column, DataType, Table, Value};
     use std::fs::OpenOptions;
 
     fn tmp(name: &str) -> PathBuf {
@@ -801,93 +801,6 @@ mod tests {
         assert!(matches!(Wal::open(&path), Err(StorageError::Corrupt(_))));
         // Nothing was truncated: the bytes are still there for forensics.
         assert_eq!(std::fs::read(&path).unwrap().len(), data.len());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn torn_tail_truncate_failure_is_a_typed_error() {
-        let (dir, path) = sample_segment("torntyped");
-        let records = sample_records();
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
-        // Every truncate attempt fails permanently: open must refuse with
-        // a typed error, not proceed with the poisoned tail…
-        let io = Io::real();
-        io.install_faults(FaultPlan::probabilistic(1, 1.0).on_ops(&[IoOp::Truncate]));
-        assert!(matches!(
-            Wal::open_with(&path, io),
-            Err(StorageError::TornTail(_))
-        ));
-        // …and the bytes are untouched for forensics.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), len - 3);
-        // A transient truncate failure is retried away.
-        let io = Io::real();
-        io.install_faults(FaultPlan::at(1, FaultKind::Transient).on_ops(&[IoOp::Truncate]));
-        let (_, replayed) = Wal::open_with(&path, io).unwrap();
-        assert_eq!(replayed, records[..records.len() - 1]);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn append_retries_transient_faults() {
-        let dir = tmp("retryappend");
-        let path = dir.join("000000.log");
-        let io = Io::real();
-        let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
-        let records = sample_records();
-        // A short write tears the first attempt; the retry overwrites the
-        // torn prefix at the same offset.
-        io.install_faults(FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]));
-        for r in &records {
-            commit(&mut wal, r).unwrap();
-        }
-        io.clear_faults();
-        drop(wal);
-        let (_, replayed) = Wal::open(&path).unwrap();
-        assert_eq!(replayed, records);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn append_surfaces_permanent_faults_without_acknowledging() {
-        let dir = tmp("permappend");
-        let path = dir.join("000000.log");
-        let io = Io::real();
-        let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
-        let records = sample_records();
-        commit(&mut wal, &records[0]).unwrap();
-        io.install_faults(FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Enospc]));
-        assert!(matches!(
-            commit(&mut wal, &records[1]),
-            Err(StorageError::Io(_))
-        ));
-        assert_eq!(wal.records(), 1, "failed append must not be counted");
-        io.clear_faults();
-        // The failed attempt left no acknowledged record behind…
-        drop(wal);
-        let (mut wal, replayed) = Wal::open(&path).unwrap();
-        assert_eq!(replayed, records[..1]);
-        // …and the tail is clean for the next append.
-        commit(&mut wal, &records[1]).unwrap();
-        drop(wal);
-        // A write that lands but whose fsync fails is not acknowledged
-        // either: the tail rolls back, and the next append overwrites it.
-        let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
-        let plan = FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Enospc]);
-        io.install_faults(plan.on_ops(&[IoOp::Fsync]));
-        assert!(matches!(
-            commit(&mut wal, &records[2]),
-            Err(StorageError::Io(_))
-        ));
-        assert_eq!(wal.records(), 2, "an unsynced append must not be counted");
-        io.clear_faults();
-        commit(&mut wal, &records[3]).unwrap();
-        drop(wal);
-        let (_, replayed) = Wal::open(&path).unwrap();
-        let kept = [&records[0], &records[1], &records[3]];
-        assert_eq!(replayed, kept.map(WalRecord::clone));
         let _ = std::fs::remove_dir_all(dir);
     }
 

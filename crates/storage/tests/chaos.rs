@@ -1,4 +1,4 @@
-//! Chaos property tests: seeded fault injection on the I/O seam.
+//! Chaos tests: seeded fault injection on the I/O seam.
 //!
 //! The contract under test, for ANY deterministic fault schedule: every
 //! storage operation either succeeds, or fails with a clean typed error —
@@ -6,12 +6,20 @@
 //! of committed state** (at least every acknowledged write, at most one
 //! in-flight unacknowledged one). Never a panic, never corruption served
 //! as data, never an acknowledged-then-lost write.
+//!
+//! The properties come first; then one fixed schedule per durability path
+//! (WAL open and append, atomic writes, group commit, checkpoint
+//! housekeeping, page reads, sampling and lookups); then the fault
+//! injector's own tests.
+
+mod support;
 
 use kath_storage::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use support::faults::{FaultKind, FaultPlan, FaultyIo, IoOp};
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
@@ -100,7 +108,8 @@ fn open_shared(
     let shared = SharedCatalog::new();
     let pool = shared.pool();
     if let Some(plan) = plan {
-        pool.io().install_faults(plan);
+        pool.io()
+            .set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
     }
     let (dur, rec) = Durability::open(dir, &pool)?;
     let max_txid = rec.max_txid;
@@ -153,7 +162,7 @@ proptest! {
         // The baseline commit happens fault-free: CREATE TABLE kv.
         log(&mut d, &create_kv()).unwrap();
 
-        io.install_faults(plan);
+        io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
         let mut acked = 0usize;
         for (i, (k, v)) in kvs.iter().enumerate() {
             if i == ckpt_at {
@@ -173,7 +182,7 @@ proptest! {
                 Err(e) => prop_assert!(false, "untyped failure: {e}"),
             }
         }
-        io.clear_faults();
+        io.set_backend(Arc::new(RealIo));
         drop(d);
 
         // Reopen fault-free: recovery must succeed and hold a prefix.
@@ -225,7 +234,8 @@ proptest! {
         shared.try_publish(|c| c.page_table("kv", page_rows)).unwrap();
         shared.checkpoint(None).unwrap();
 
-        shared.pool().io().install_faults(plan.clone());
+        let faulty = FaultyIo::new(plan.clone(), Arc::new(RealIo));
+        shared.pool().io().set_backend(Arc::new(faulty));
         let mut acked = base;
         for (i, (k, v)) in kvs.iter().enumerate() {
             if i > 0 && i % ckpt_every == 0 {
@@ -329,11 +339,12 @@ proptest! {
             })
             .map(|run| run.outputs.into_iter().flatten().collect::<Vec<Row>>())
         };
-        io.install_faults(FaultPlan::probabilistic(seed, p).on_ops(&[IoOp::Read]));
+        let plan = FaultPlan::probabilistic(seed, p).on_ops(&[IoOp::Read]);
+        io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
         check(serial(&paged, 1024))?;
         check(serial(&paged, 32))?;
         check(parallel(&paged, workers))?;
-        io.clear_faults();
+        io.set_backend(Arc::new(RealIo));
 
         // Fault-free again: every drive serves the exact table.
         prop_assert_eq!(serial(&paged, 1024).unwrap(), baseline.clone());
@@ -341,4 +352,519 @@ proptest! {
         prop_assert_eq!(parallel(&paged, workers).unwrap(), baseline);
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// A fresh, existing directory.
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = tmp(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A CREATE, an INSERT of every value type (zero-length strings and
+/// blobs included), a registry record and a DROP.
+fn sample_records() -> Vec<WalRecord> {
+    let schema = Schema::new(vec![
+        Column::required("c0", DataType::Int),
+        Column::new("c1", DataType::Any),
+    ])
+    .unwrap();
+    let values = [
+        Value::Null,
+        Value::Float(-0.125),
+        Value::Str(String::new()),
+        Value::Str("héllo".into()),
+        Value::Bool(true),
+        Value::Blob(Vec::new()),
+        Value::Blob(vec![0, 255, 7]),
+    ];
+    let rows = (i64::MIN..).zip(values).map(|(k, v)| vec![k.into(), v]);
+    vec![
+        WalRecord::CreateTable {
+            name: "kv".into(),
+            schema,
+        },
+        WalRecord::Insert {
+            table: "kv".into(),
+            rows: rows.collect(),
+        },
+        WalRecord::Functions("{\"functions\": []}".into()),
+        WalRecord::DropTable("kv".into()),
+    ]
+}
+
+/// Appends one record to a bare segment the way a commit does: one write
+/// without an fsync, then the fsync; when that fails, the tail is rolled
+/// back.
+fn append(wal: &mut Wal, record: &WalRecord) -> Result<(), StorageError> {
+    let (len, records) = (wal.bytes(), wal.records());
+    wal.append_batch_nosync([record])?;
+    wal.sync().inspect_err(|_| wal.rewind(len, records))
+}
+
+#[test]
+fn torn_tail_truncate_failure_is_a_typed_error() {
+    let dir = tmp_dir("torntyped");
+    let path = dir.join("000000.log");
+    let records = sample_records();
+    let (mut wal, _) = Wal::open(&path).unwrap();
+    for r in &records {
+        append(&mut wal, r).unwrap();
+    }
+    drop(wal);
+    let len = std::fs::metadata(&path).unwrap().len();
+    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    f.set_len(len - 3).unwrap();
+    drop(f);
+    // Every truncate attempt fails permanently: open must refuse with
+    // a typed error, not proceed with the poisoned tail…
+    let io = Io::real();
+    let plan = FaultPlan::probabilistic(1, 1.0).on_ops(&[IoOp::Truncate]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    assert!(matches!(
+        Wal::open_with(&path, io),
+        Err(StorageError::TornTail(_))
+    ));
+    // …and the bytes are untouched for forensics.
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), len - 3);
+    // A transient truncate failure is retried away.
+    let io = Io::real();
+    let plan = FaultPlan::at(1, FaultKind::Transient).on_ops(&[IoOp::Truncate]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    let (_, replayed) = Wal::open_with(&path, io).unwrap();
+    assert_eq!(replayed, records[..records.len() - 1]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn append_retries_transient_faults() {
+    let dir = tmp_dir("retryappend");
+    let path = dir.join("000000.log");
+    let io = Io::real();
+    let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
+    let records = sample_records();
+    // A short write tears the first attempt; the retry overwrites the
+    // torn prefix at the same offset.
+    let plan = FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    for r in &records {
+        append(&mut wal, r).unwrap();
+    }
+    io.set_backend(Arc::new(RealIo));
+    drop(wal);
+    let (_, replayed) = Wal::open(&path).unwrap();
+    assert_eq!(replayed, records);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn append_surfaces_permanent_faults_without_acknowledging() {
+    let dir = tmp_dir("permappend");
+    let path = dir.join("000000.log");
+    let io = Io::real();
+    let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
+    let records = sample_records();
+    append(&mut wal, &records[0]).unwrap();
+    let enospc = FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Enospc]);
+    io.set_backend(Arc::new(FaultyIo::new(enospc.clone(), Arc::new(RealIo))));
+    assert!(matches!(
+        append(&mut wal, &records[1]),
+        Err(StorageError::Io(_))
+    ));
+    assert_eq!(wal.records(), 1, "failed append must not be counted");
+    io.set_backend(Arc::new(RealIo));
+    // The failed attempt left no acknowledged record behind…
+    drop(wal);
+    let (mut wal, replayed) = Wal::open(&path).unwrap();
+    assert_eq!(replayed, records[..1]);
+    // …and the tail is clean for the next append.
+    append(&mut wal, &records[1]).unwrap();
+    drop(wal);
+    // A write that lands but whose fsync fails is not acknowledged
+    // either: the tail rolls back, and the next append overwrites it.
+    let (mut wal, _) = Wal::open_with(&path, io.clone()).unwrap();
+    io.set_backend(Arc::new(FaultyIo::new(
+        enospc.on_ops(&[IoOp::Fsync]),
+        Arc::new(RealIo),
+    )));
+    assert!(matches!(
+        append(&mut wal, &records[2]),
+        Err(StorageError::Io(_))
+    ));
+    assert_eq!(wal.records(), 2, "an unsynced append must not be counted");
+    io.set_backend(Arc::new(RealIo));
+    append(&mut wal, &records[3]).unwrap();
+    drop(wal);
+    let (_, replayed) = Wal::open(&path).unwrap();
+    let kept = [&records[0], &records[1], &records[3]];
+    assert_eq!(replayed, kept.map(WalRecord::clone));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn failed_atomic_write_leaves_target_and_no_temp() {
+    const BYTES: &[u8] = b"films: Guilty by Suspicion, Clean and Sober";
+    let dir = tmp("atomic");
+    let path = dir.join("films.bin");
+    atomic_write(&path, BYTES).unwrap();
+    let io = Io::real();
+    for kind in [FaultKind::Permanent, FaultKind::Enospc] {
+        for op in [IoOp::Write, IoOp::Rename] {
+            let plan = FaultPlan::probabilistic(1, 1.0)
+                .with_kinds(&[kind])
+                .on_ops(&[op]);
+            io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+            assert!(matches!(
+                atomic_write_with(&io, &path, b"replacement"),
+                Err(StorageError::Io(_))
+            ));
+            io.set_backend(Arc::new(RealIo));
+            // The old contents survive and no temp file is left behind.
+            assert_eq!(std::fs::read(&path).unwrap(), BYTES);
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        }
+    }
+    // A transient write fault is retried away.
+    let plan = FaultPlan::at(1, FaultKind::ShortWrite).on_ops(&[IoOp::Write]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    atomic_write_with(&io, &path, b"replacement").unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), b"replacement");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn fsync_failure_rolls_back_and_does_not_poison() {
+    let dir = tmp("fsyncfail");
+    let io = Io::real();
+    let pool = Arc::new(BufferPool::with_budget_io(64, io.clone()));
+    let shared = SharedCatalog::new();
+    let (dur, rec) = Durability::open(&dir, &pool).unwrap();
+    shared.install_recovered(Catalog::new(), dur, rec.max_txid);
+    commit(&shared, create_kv()).unwrap();
+    let v = shared.snapshot().version();
+    // Every fsync fails permanently: the commit must report an error…
+    let plan = FaultPlan::probabilistic(1, 1.0)
+        .with_kinds(&[FaultKind::Enospc])
+        .on_ops(&[IoOp::Fsync]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    assert!(commit(&shared, insert(1, "lost")).is_err());
+    io.set_backend(Arc::new(RealIo));
+    // …and leave no trace: version unchanged, reads see no new row.
+    assert_eq!(shared.snapshot().version(), v);
+    assert_eq!(shared.snapshot().get("kv").unwrap().len(), 0);
+    // The coordinator is not poisoned: the next commit succeeds and
+    // lands where the rolled-back bytes were.
+    commit(&shared, insert(2, "kept")).unwrap();
+    assert_eq!(shared.snapshot().get("kv").unwrap().len(), 1);
+    // The failed commit made version v + 1 and dropped it; its number
+    // names that catalog alone, so the next commit takes a higher one.
+    assert!(shared.snapshot().version() > v + 1);
+    drop(shared);
+    let (_, rec) = Durability::open(&dir, &pool).unwrap();
+    assert_eq!(rec.wal_records, vec![create_kv(), insert(2, "kept")]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+fn kv_table(rows: &[(i64, &str)]) -> Table {
+    let rows = rows
+        .iter()
+        .map(|(k, v)| vec![Value::Int(*k), Value::Str(v.to_string())]);
+    Table::from_rows("kv", kv_schema(), rows.collect()).unwrap()
+}
+
+/// The numbered snapshots a durable directory retains, ascending.
+fn snapshot_epochs(dir: &Path) -> Vec<u64> {
+    let mut out: Vec<u64> = std::fs::read_dir(dir.join("snapshots"))
+        .unwrap()
+        .filter_map(|e| e.unwrap().file_name().to_str()?.parse().ok())
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// A copy of the directory tree at `from`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).unwrap();
+        }
+    }
+}
+
+#[test]
+fn failed_prune_never_deletes_referenced_pages() {
+    let dir = tmp("pruneguard");
+    let io = Io::real();
+    let pl = Arc::new(BufferPool::with_budget_io(64, io.clone()));
+    let (mut d, _) = Durability::open(&dir, &pl).unwrap();
+    let tables = [
+        kv_table(&[(1, "first")]),
+        kv_table(&[(2, "second")]),
+        kv_table(&[(3, "third")]),
+    ];
+    d.checkpoint(&[Arc::new(tables[0].clone())], &pl, None)
+        .unwrap();
+    d.checkpoint(&[Arc::new(tables[1].clone())], &pl, None)
+        .unwrap();
+    // Every unlink (snapshot prune, segment prune, orphan sweep) fails:
+    // the checkpoint must still commit and report success…
+    let plan = FaultPlan::probabilistic(3, 1.0).on_ops(&[IoOp::Unlink]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    d.checkpoint(&[Arc::new(tables[2].clone())], &pl, None)
+        .unwrap();
+    io.set_backend(Arc::new(RealIo));
+    // …and every retained snapshot still recovers whole: a copy of the
+    // directory without the newer snapshots opens at that epoch and reads
+    // every page it references.
+    let retained = snapshot_epochs(&dir);
+    assert_eq!(
+        retained,
+        vec![1, 2, 3],
+        "the failed prune kept every snapshot"
+    );
+    for &e in &retained {
+        let copy = tmp(&format!("pruneguard_at{e}"));
+        copy_tree(&dir, &copy);
+        for newer in retained.iter().filter(|&&n| n > e) {
+            std::fs::remove_dir_all(copy.join("snapshots").join(format!("{newer:06}"))).unwrap();
+        }
+        let (_, rec) = Durability::open(&copy, &Arc::new(BufferPool::with_budget(64))).unwrap();
+        assert_eq!(rec.snapshot_epoch, e);
+        let rows = rec.tables[0].to_rows();
+        assert_eq!(
+            rows.as_deref().ok(),
+            Some(tables[e as usize - 1].rows()),
+            "a page referenced by snapshot {e} was deleted"
+        );
+        let _ = std::fs::remove_dir_all(copy);
+    }
+    // Reopen recovers the committed state, and the next checkpoint
+    // retries the housekeeping successfully.
+    drop(d);
+    let (mut d, rec) = Durability::open(&dir, &pl).unwrap();
+    assert_eq!(rec.snapshot_epoch, 3);
+    assert_eq!(rec.tables, vec![tables[2].clone()]);
+    d.checkpoint(&[Arc::new(tables[2].clone())], &pl, None)
+        .unwrap();
+    assert_eq!(
+        snapshot_epochs(&dir),
+        vec![3, 4],
+        "stale snapshots pruned on retry"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `table` sealed at `page_rows`, checkpointed into `dir` and recovered
+/// through `pool`: a table whose pages are files read through the pool.
+fn file_backed(dir: &Path, table: Table, page_rows: usize, pool: &Arc<BufferPool>) -> Table {
+    let sealed = table.seal(pool, page_rows).unwrap();
+    let (mut d, _) = Durability::open(dir, pool).unwrap();
+    d.checkpoint(&[Arc::new(sealed)], pool, None).unwrap();
+    drop(d);
+    let (_, rec) = Durability::open(dir, pool).unwrap();
+    let table = rec.tables.into_iter().next().unwrap();
+    assert!(table.is_paged());
+    table
+}
+
+#[test]
+fn page_reads_retry_once_then_surface_typed_errors() {
+    let dir = tmp("pagereads");
+    let io = Io::real();
+    let pool = Arc::new(BufferPool::with_budget_io(1, io.clone()));
+    let schema = Schema::of(&[("id", DataType::Int), ("tag", DataType::Str)]);
+    let data: Vec<Row> = (0..200)
+        .map(|i| {
+            let tag = match i % 7 {
+                0 => Value::Null,
+                _ => Value::Str(format!("tag{}", i % 3)),
+            };
+            vec![Value::Int(i), tag]
+        })
+        .collect();
+    let table = Table::from_rows("t", schema, data.clone()).unwrap();
+    let pt = file_backed(&dir, table, 64, &pool);
+    // A transient read fault is retried once and hidden from the scan
+    // (budget 1 forces a disk read per page).
+    let plan = FaultPlan::at(1, FaultKind::Transient).on_ops(&[IoOp::Read]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    assert_eq!(pt.to_rows().unwrap(), data);
+    // A persistent read fault surfaces as Io — never a panic or a
+    // wrong batch.
+    let plan = FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    assert!(matches!(pt.to_rows().unwrap_err(), StorageError::Io(_)));
+    io.set_backend(Arc::new(RealIo));
+    assert_eq!(pt.to_rows().unwrap(), data);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Sampling, and a lookup on a grown clone (its sealed groups streamed,
+/// then the group it reopened), each through a read fault: a typed
+/// error, and a later attempt succeeds.
+#[test]
+fn sampling_through_a_read_fault_is_a_typed_error() {
+    let dir = tmp("sample");
+    let io = Io::real();
+    let pool = Arc::new(BufferPool::with_budget_io(2, io.clone()));
+    let schema = Schema::of(&[("id", DataType::Int), ("year", DataType::Int)]);
+    let rows = (0..10_000i64).map(|i| vec![Value::Int(i), Value::Int(1900 + i % 100)]);
+    let table = Table::from_rows("big", schema, rows.collect()).unwrap();
+    let paged = file_backed(&dir, table, 1024, &pool);
+    let permanent = FaultPlan::probabilistic(1, 1.0).with_kinds(&[FaultKind::Permanent]);
+    // Push page 0 of both columns out of the 2-page pool.
+    paged.row_at(9_999).unwrap();
+    io.set_backend(Arc::new(FaultyIo::new(permanent.clone(), Arc::new(RealIo))));
+    assert!(matches!(paged.sample(5), Err(StorageError::Io(_))));
+    io.set_backend(Arc::new(RealIo));
+    assert_eq!(paged.sample(5).unwrap().len(), 5);
+    assert!(pool.status().misses > 0);
+
+    let mut grown = paged.clone();
+    grown
+        .push(vec![Value::Int(10_000), Value::Int(2000)])
+        .unwrap();
+    paged.row_at(9_999).unwrap();
+    io.set_backend(Arc::new(FaultyIo::new(permanent, Arc::new(RealIo))));
+    assert!(matches!(
+        grown.find("id", &Value::Int(3)),
+        Err(StorageError::Io(_))
+    ));
+    io.set_backend(Arc::new(RealIo));
+    assert_eq!(grown.find("year", &Value::Int(2000)).unwrap(), Some(10_000));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn chosen_op_injects_exactly_there() {
+    let dir = tmp_dir("chosen");
+    let io = Io::real();
+    let faulty = Arc::new(FaultyIo::new(
+        FaultPlan::at(2, FaultKind::Permanent),
+        Arc::new(RealIo),
+    ));
+    io.set_backend(faulty.clone());
+    let p = dir.join("x");
+    io.write_file(&p, b"1").unwrap(); // op 1: fine
+    let err = io.write_file(&p, b"2").unwrap_err(); // op 2: injected
+    assert!(!is_transient(&err));
+    io.write_file(&p, b"3").unwrap(); // op 3: fine again
+    assert_eq!(faulty.ops(), 3);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn probabilistic_schedule_is_deterministic_per_seed() {
+    let outcomes = |seed: u64| -> Vec<bool> {
+        let dir = tmp_dir(&format!("det{seed}"));
+        let io = Io::real();
+        io.set_backend(Arc::new(FaultyIo::new(
+            FaultPlan::probabilistic(seed, 0.5),
+            Arc::new(RealIo),
+        )));
+        let p = dir.join("x");
+        let v: Vec<bool> = (0..32).map(|_| io.write_file(&p, b"d").is_ok()).collect();
+        let _ = std::fs::remove_dir_all(dir);
+        v
+    };
+    assert_eq!(outcomes(7), outcomes(7));
+    assert_ne!(outcomes(7), outcomes(8), "seeds must differ");
+}
+
+/// The first 64 decisions of seed 7 at p = 0.5, recorded from the injector
+/// whose generator sat behind a lock. Every recorded seed (a replayed
+/// chaos case, a session schedule's seed) names the faults of this
+/// stream; a changed generator would silently re-map them all.
+#[test]
+fn seed_seven_draws_the_recorded_stream() {
+    const RECORDED: &str = "S-TPPS-----E--PS-P-SPE-ST--TP-----TEPE-P-PS---T-E-P---STESSP---S";
+    let faulty = FaultyIo::new(FaultPlan::probabilistic(7, 0.5), Arc::new(RealIo));
+    let drawn: String = (0..64)
+        .map(|_| match faulty.decide(IoOp::Write) {
+            None => '-',
+            Some(FaultKind::Transient) => 'T',
+            Some(FaultKind::Permanent) => 'P',
+            Some(FaultKind::Enospc) => 'E',
+            Some(FaultKind::ShortWrite) => 'S',
+        })
+        .collect();
+    assert_eq!(drawn, RECORDED);
+}
+
+#[test]
+fn short_write_lands_a_prefix() {
+    let dir = tmp_dir("short");
+    let io = Io::real();
+    io.set_backend(Arc::new(FaultyIo::new(
+        FaultPlan::at(1, FaultKind::ShortWrite),
+        Arc::new(RealIo),
+    )));
+    let p = dir.join("x");
+    let err = io.write_file(&p, b"0123456789").unwrap_err();
+    assert!(is_transient(&err), "short writes retry as transient");
+    assert_eq!(std::fs::read(&p).unwrap(), b"01234");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn retry_clears_transient_but_not_permanent() {
+    // What each injected kind surfaces as.
+    assert!(is_transient(&FaultKind::Transient.error()));
+    assert!(is_transient(&FaultKind::ShortWrite.error()));
+    assert!(!is_transient(&FaultKind::Permanent.error()));
+    assert!(!is_transient(&FaultKind::Enospc.error()));
+    let dir = tmp_dir("retry");
+    let io = Io::real();
+    let p = dir.join("x");
+    let policy = RetryPolicy::default();
+    io.set_backend(Arc::new(FaultyIo::new(
+        FaultPlan::at(1, FaultKind::Transient),
+        Arc::new(RealIo),
+    )));
+    with_retry(&policy, || io.write_file(&p, b"ok")).unwrap();
+    assert_eq!(std::fs::read(&p).unwrap(), b"ok");
+    let faulty = Arc::new(FaultyIo::new(
+        FaultPlan::at(1, FaultKind::Enospc),
+        Arc::new(RealIo),
+    ));
+    io.set_backend(faulty.clone());
+    let err = with_retry(&policy, || io.write_file(&p, b"no")).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+    // Exactly one attempt was made: ENOSPC is permanent.
+    assert_eq!(faulty.ops(), 1);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn op_class_restriction_skips_other_ops() {
+    let dir = tmp_dir("class");
+    let io = Io::real();
+    let plan = FaultPlan::probabilistic(1, 1.0).on_ops(&[IoOp::Fsync]);
+    io.set_backend(Arc::new(FaultyIo::new(plan, Arc::new(RealIo))));
+    let p = dir.join("x");
+    io.write_file(&p, b"d").unwrap(); // writes are not eligible
+    assert!(io.fsync(&p).is_err());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn spec_parsing_round_trips() {
+    let plan = FaultPlan::parse("seed=42,p=0.05,kinds=transient|enospc,ops=write|fsync").unwrap();
+    assert_eq!(plan.seed, 42);
+    assert_eq!(plan.probability, 0.05);
+    assert_eq!(plan.kinds, vec![FaultKind::Transient, FaultKind::Enospc]);
+    assert_eq!(plan.ops, vec![IoOp::Write, IoOp::Fsync]);
+    let plan = FaultPlan::parse("at=12:short").unwrap();
+    assert_eq!(plan.at_ops, vec![(12, FaultKind::ShortWrite)]);
+    let plan = FaultPlan::parse("at=3").unwrap();
+    assert_eq!(plan.at_ops, vec![(3, FaultKind::Permanent)]);
+    assert!(FaultPlan::parse("p=2.0").is_err());
+    assert!(FaultPlan::parse("nope=1").is_err());
+    assert!(FaultPlan::parse("p").is_err());
+    assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
 }

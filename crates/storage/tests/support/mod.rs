@@ -1,6 +1,11 @@
-//! `SimDisk`: an in-memory disk that can lose power after any operation.
+//! The test-support simulators: `SimDisk` (this file), an in-memory disk
+//! that can lose power after any operation; [`faults::FaultyIo`], a seeded
+//! fault injector in front of any backend; and [`sched::Sim`], a seeded
+//! scheduler for concurrent sessions. Storage's integration tests include
+//! the directory with `mod support;`, the root crate's with
+//! `#[path = "../crates/storage/tests/support/mod.rs"] mod support;`.
 //!
-//! Every [`IoBackend`] call lands in a *volatile* image at once, the way a
+//! In `SimDisk`, every [`IoBackend`] call lands in a *volatile* image at once, the way a
 //! page cache serves reads. What survives a power loss is the *durable*
 //! image plus some of the volatile operations:
 //!
@@ -20,6 +25,7 @@
 // Each test binary that includes this module uses a part of it.
 #![allow(dead_code)]
 
+pub mod faults;
 pub mod sched;
 
 use kath_storage::IoBackend;
@@ -477,9 +483,5 @@ impl IoBackend for SimDisk {
 
     fn exists(&self, path: &Path) -> bool {
         self.state().live.resolve(path).is_some()
-    }
-
-    fn describe(&self) -> String {
-        "simdisk".to_string()
     }
 }

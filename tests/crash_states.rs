@@ -16,13 +16,15 @@
 //! scales them). The fault schedules at the end run the same disk under
 //! injected I/O errors, then crash it.
 
+#[path = "../crates/storage/tests/support/mod.rs"]
 mod support;
 
-use kath_storage::{DataType, FaultPlan, Row, Schema, StorageError, Table, Value};
+use kath_storage::{DataType, Row, Schema, StorageError, Table, Value};
 use kathdb::{KathDB, KathError};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
+use support::faults::{FaultPlan, FaultyIo};
 use support::{Keep, SimDisk};
 
 const DIR: &str = "/db";
@@ -276,7 +278,11 @@ fn fault_schedules_then_a_crash_keep_the_acknowledged_prefix() {
         db.open_dir(DIR).unwrap();
         // The baseline commit is fault-free; faults start with the data.
         db.sql("CREATE TABLE kv (k INT, v STR)").unwrap();
-        db.install_faults(FaultPlan::parse(&spec).unwrap());
+        let io = db.context().catalog.pool().io().clone();
+        io.set_backend(Arc::new(FaultyIo::new(
+            FaultPlan::parse(&spec).unwrap(),
+            disk.clone(),
+        )));
         let mut acked = 0usize;
         for i in 0..INSERTS {
             if i == CHECKPOINT_AT {
@@ -289,12 +295,7 @@ fn fault_schedules_then_a_crash_keep_the_acknowledged_prefix() {
                 Err(e) => panic!("schedule '{spec}': untyped failure: {e}"),
             }
         }
-        db.clear_faults();
-        assert_eq!(
-            db.fault_status().0,
-            "simdisk",
-            "clear_faults restores the disk"
-        );
+        io.set_backend(disk.clone());
         for keep in [Keep::Durable, Keep::All] {
             let mut db = on_disk(Arc::new(disk.crash(disk.events(), keep)));
             let rows = db
@@ -313,6 +314,20 @@ fn fault_schedules_then_a_crash_keep_the_acknowledged_prefix() {
                     "schedule '{spec}' ({keep:?}): not the committed prefix"
                 );
             }
+        }
+        // With the disk back, the same handle keeps answering, unless the
+        // faults left it poisoned (a WAL rotation failed after a committed
+        // checkpoint), which it says.
+        match db.sql(&format!("INSERT INTO kv VALUES ({INSERTS}, 'after')")) {
+            Ok(_) => {
+                let rows = db.sql("SELECT k FROM kv ORDER BY k").unwrap();
+                assert_eq!(rows.len(), acked + 1, "schedule '{spec}'");
+                assert_eq!(rows.rows()[acked][0], Value::Int(INSERTS as i64));
+            }
+            Err(e) => assert!(
+                e.to_string().contains("reopen the database"),
+                "schedule '{spec}': the restored disk refused an INSERT: {e}"
+            ),
         }
     }
 }

@@ -28,16 +28,16 @@
 //! A failure prints the seed, the step and the hook where it stopped;
 //! `schedule(seed, small(seed))` (or `schedule(seed, WIDE)`) replays it.
 
+#[path = "../crates/storage/tests/support/mod.rs"]
 mod support;
 
-use kath_storage::{
-    BufferPool, Catalog, Durability, FaultPlan, Io, Row, StorageError, VersionEvent,
-};
+use kath_storage::{BufferPool, Catalog, Durability, Io, Row, StorageError, VersionEvent};
 use kathdb::{KathDB, KathError, Session};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
+use support::faults::{FaultPlan, FaultyIo};
 use support::sched::{Entry, Job, Sim, Step};
 use support::{Keep, SimDisk};
 
@@ -252,8 +252,9 @@ fn schedule(seed: u64, shape: Shape) -> Ran {
     assert!(db.context().catalog.set_scheduler(sim.clone()).is_ok());
     let plan = fault_plan(seed);
     let faulty = plan.is_some();
+    let io = db.context().catalog.pool().io().clone();
     if let Some(plan) = plan {
-        db.install_faults(plan);
+        io.set_backend(Arc::new(FaultyIo::new(plan, disk.clone())));
     }
     let log = Arc::new(Mutex::new(Log::default()));
     let mut bodies: Vec<Job> = Vec::new();
@@ -281,7 +282,7 @@ fn schedule(seed: u64, shape: Shape) -> Ran {
         }));
     }
     sim.run(bodies);
-    db.clear_faults();
+    io.set_backend(disk.clone());
     let log = std::mem::take(&mut *log.lock().unwrap());
     let fail = |step: usize, what: String| -> ! {
         let hook = step

@@ -18,6 +18,7 @@
 //! file-system call. `crates/storage/tests/page_format.rs` does the same
 //! for the page codec.
 
+#[path = "../crates/storage/tests/support/mod.rs"]
 mod support;
 
 use kath_storage::{
