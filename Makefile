@@ -39,23 +39,22 @@ bench-repeat:
 	$(CARGO) run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-repeat
 
 # Quick end-to-end runs of the perf benches (small corpora, few reps):
-# the five binaries prove the morsel-parallel, durable-recovery,
-# vector-search, paged out-of-core storage and concurrent-transaction
-# paths still run and still emit their JSON. The
-# smoke results land under target/bench-smoke/, so the committed
-# BENCH_*.json baselines change only when someone runs a full bench on
-# purpose. Every report must carry the shared header (`host`, `quick`,
-# `reps`) that `kath_bench::write_report` stamps, and the recovery report
-# a number, not `null`, at every first-INSERT-into-unsealed point.
+# the four binaries prove the morsel-parallel, durable-recovery,
+# vector-search and concurrent-transaction paths still run and still emit
+# their JSON. A `--quick` run writes its report under target/bench-smoke/
+# (`kath_bench::BenchArgs`), so the committed BENCH_*.json baselines
+# change only when someone runs a full bench on purpose. Every report must
+# carry the shared header (`host`, `quick`, `reps`) that
+# `kath_bench::write_report` stamps, and the recovery report a number, not
+# `null`, at every first-INSERT-into-unsealed point.
 BENCH_SMOKE := target/bench-smoke
 bench-smoke:
-	mkdir -p $(BENCH_SMOKE)
-	$(CARGO) run -q --release -p kath_bench --bin parallel_bench -- --quick --out $(BENCH_SMOKE)/BENCH_parallel.json
-	$(CARGO) run -q --release -p kath_bench --bin recovery_bench -- --quick --out $(BENCH_SMOKE)/BENCH_recovery.json
-	$(CARGO) run -q --release -p kath_bench --bin vector_bench -- --quick --out $(BENCH_SMOKE)/BENCH_vector.json
-	$(CARGO) run -q --release -p kath_bench --bin storage_bench -- --quick --out $(BENCH_SMOKE)/BENCH_storage.json
-	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick --out $(BENCH_SMOKE)/BENCH_txn.json
-	for r in parallel recovery vector storage txn; do \
+	rm -rf $(BENCH_SMOKE)
+	$(CARGO) run -q --release -p kath_bench --bin parallel_bench -- --quick
+	$(CARGO) run -q --release -p kath_bench --bin recovery_bench -- --quick
+	$(CARGO) run -q --release -p kath_bench --bin vector_bench -- --quick
+	$(CARGO) run -q --release -p kath_bench --bin txn_bench -- --quick
+	for r in parallel recovery vector txn; do \
 		for key in host quick reps; do \
 			grep -q "\"$$key\":" $(BENCH_SMOKE)/BENCH_$$r.json \
 				|| { echo "BENCH_$$r.json lacks $$key"; exit 1; }; \

@@ -1,7 +1,9 @@
 //! Criterion benches for the research questions the paper raises (the
 //! quantitative half of DESIGN.md §4). Each group prints the series a
 //! figure/table would plot; absolute numbers are machine-local, the *shape*
-//! (who wins, by what factor) is the claim under test.
+//! (who wins, by what factor) is the claim under test. A group lives here
+//! only while no committed series (a `BENCH_*.json` report or the repo
+//! benchmark) answers its question.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kath_data::{generate_corpus, CorpusSpec};
@@ -11,13 +13,8 @@ use kath_lineage::{LineagePolicy, LineageStore};
 use kath_model::{ScriptedChannel, SimLlm, TokenMeter};
 use kath_optimizer::{predicate_pushdown, rewrite_plan};
 use kath_parser::{extract_intent, generate_logical_plan, generate_sketch};
-use kath_storage::{
-    col_cmp, collect, BinOp, DataType, Expr, Filter, Operator, Project, Schema, Table, TableScan,
-    DEFAULT_BATCH_SIZE,
-};
-use kath_vector::{seeded_unit_vector, FlatIndex, IvfIndex};
+use kath_storage::{DataType, Schema, Table};
 use kathdb::KathDB;
-use std::sync::Arc;
 
 fn ctx_with_films(n: usize, policy: LineagePolicy) -> ExecContext {
     let mut ctx = ExecContext::new(SimLlm::new(42, TokenMeter::new()));
@@ -166,88 +163,6 @@ fn bench_cascade(c: &mut Criterion) {
     g.finish();
 }
 
-/// RQ (execution spine): what the batch size buys on a `TableScan →
-/// Filter → Project` pipeline over the 100k-row scale corpus. The claim
-/// under test: per-batch dispatch and name resolution amortize, so batch
-/// size 1 — one row per pull — pays them per row and loses to 64, which
-/// loses to 1024.
-fn bench_batch_size_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batch_size_sweep");
-    g.sample_size(10);
-    let corpus = generate_corpus(&CorpusSpec {
-        movies: 100_000,
-        ..Default::default()
-    });
-    let table = Arc::new(corpus.movies);
-    let pipeline = |batch: usize| -> Box<dyn Operator> {
-        let scan = Box::new(TableScan::new(Arc::clone(&table)).with_batch_size(batch));
-        let filt = Box::new(Filter::new(scan, col_cmp("year", BinOp::Ge, 1990i64)));
-        Box::new(
-            Project::new(
-                filt,
-                vec![
-                    ("title".into(), Expr::col("title")),
-                    (
-                        "age".into(),
-                        Expr::lit(2026i64).bin(BinOp::Sub, Expr::col("year")),
-                    ),
-                ],
-            )
-            .expect("projection over scan schema"),
-        )
-    };
-    for batch in [1usize, 64, DEFAULT_BATCH_SIZE] {
-        g.bench_function(BenchmarkId::new("batched", batch), |b| {
-            b.iter(|| collect("out", pipeline(batch)).unwrap())
-        });
-    }
-    g.finish();
-}
-
-/// RQ (execution spine): morsel-driven parallelism vs the single-threaded
-/// batched path on the scan → filter → aggregate pipeline over the
-/// 100k-row scale corpus, sweeping worker count at batch size 1024. The
-/// claim under test: with cores available, K workers approach a K× win
-/// once per-worker startup amortizes over the morsel stream (results are
-/// byte-identical to serial at every point — the parity suites prove it).
-fn bench_parallel_pipeline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parallel_pipeline");
-    g.sample_size(10);
-    let corpus = generate_corpus(&CorpusSpec {
-        movies: 100_000,
-        ..Default::default()
-    });
-    let mut catalog = kath_storage::Catalog::new();
-    catalog.register(corpus.movies).expect("corpus registers");
-    let select = kath_sql::parse_select(
-        "SELECT year, COUNT(*) AS n, AVG(id) AS avg_id FROM movie_table \
-         WHERE year >= 1990 GROUP BY year ORDER BY year",
-    )
-    .expect("bench query parses");
-    let mode = kath_storage::ExecMode::Batched(DEFAULT_BATCH_SIZE);
-    // One drive: one thread runs it on the caller, more split it in morsels.
-    let run = |threads: usize| {
-        kath_sql::run_select_auto_guarded(
-            &catalog,
-            &select,
-            "out",
-            mode,
-            threads,
-            kath_storage::VectorMode::Auto,
-            kath_storage::CompileMode::Off,
-            &kath_storage::QueryGuard::unlimited(),
-        )
-        .unwrap()
-    };
-    g.bench_function("serial_batched", |b| b.iter(|| run(1)));
-    for threads in [2usize, 4, 8] {
-        g.bench_function(BenchmarkId::new("threads", threads), |b| {
-            b.iter(|| run(threads))
-        });
-    }
-    g.finish();
-}
-
 /// RQ (§4): do logical rewrites pay? Pushdown + dead-node elimination vs
 /// none, measured as plan-node work on the flagship logical plan.
 fn bench_rewrites(c: &mut Criterion) {
@@ -267,29 +182,6 @@ fn bench_rewrites(c: &mut Criterion) {
     g.bench_function("full_rewrite", |b| {
         b.iter(|| rewrite_plan(plan.clone(), true, true))
     });
-    g.finish();
-}
-
-/// Substrate: flat vs IVF vector search at growing corpus sizes.
-fn bench_vector_index(c: &mut Criterion) {
-    let mut g = c.benchmark_group("vector_index");
-    g.sample_size(20);
-    for n in [1_000usize, 10_000] {
-        let entries: Vec<(u64, Vec<f32>)> =
-            (0..n as u64).map(|i| (i, seeded_unit_vector(i))).collect();
-        let mut flat = FlatIndex::new();
-        for (id, v) in &entries {
-            flat.insert(*id, v.clone());
-        }
-        let ivf = IvfIndex::build(entries, 32, 4, 7);
-        let query = seeded_unit_vector(99);
-        g.bench_function(BenchmarkId::new("flat", n), |b| {
-            b.iter(|| flat.search(&query, 10))
-        });
-        g.bench_function(BenchmarkId::new("ivf", n), |b| {
-            b.iter(|| ivf.search(&query, 10))
-        });
-    }
     g.finish();
 }
 
@@ -365,38 +257,13 @@ fn bench_repair_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// RQ (§5): explanation latency vs lineage volume (full vs sampled lineage).
-fn bench_explain(c: &mut Criterion) {
-    let mut g = c.benchmark_group("explain_latency");
-    g.sample_size(10);
-    for n in [20usize, 100] {
-        let corpus = generate_corpus(&CorpusSpec {
-            movies: n,
-            ..Default::default()
-        });
-        let (db, result, _) = kath_bench::run_flagship(&corpus);
-        let lid = result.top_lid().unwrap();
-        g.bench_function(BenchmarkId::new("explain_tuple", n), |b| {
-            b.iter(|| db.explain(&format!("explain tuple {lid}")).unwrap())
-        });
-        g.bench_function(BenchmarkId::new("explain_pipeline", n), |b| {
-            b.iter(|| db.explain("explain the pipeline").unwrap())
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_lineage_overhead,
     bench_fao_granularity,
     bench_cascade,
-    bench_batch_size_sweep,
-    bench_parallel_pipeline,
     bench_rewrites,
-    bench_vector_index,
     bench_view_population,
     bench_repair_throughput,
-    bench_explain,
 );
 criterion_main!(benches);

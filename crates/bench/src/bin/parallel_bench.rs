@@ -17,7 +17,7 @@
 //!
 //! ```sh
 //! cargo run --release -p kath_bench --bin parallel_bench            # full: 100k rows
-//! cargo run --release -p kath_bench --bin parallel_bench -- --quick # smoke: 10k rows
+//! cargo run --release -p kath_bench --bin parallel_bench -- --quick # smoke: 10k rows, into target/bench-smoke/
 //! cargo run --release -p kath_bench --bin parallel_bench -- --out custom.json
 //! ```
 //!

@@ -33,7 +33,7 @@
 //!
 //! ```sh
 //! cargo run --release -p kath_bench --bin recovery_bench            # full
-//! cargo run --release -p kath_bench --bin recovery_bench -- --quick # smoke
+//! cargo run --release -p kath_bench --bin recovery_bench -- --quick # smoke, into target/bench-smoke/
 //! cargo run --release -p kath_bench --bin recovery_bench -- --out custom.json
 //! ```
 //!

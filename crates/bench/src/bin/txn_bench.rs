@@ -15,7 +15,7 @@
 //!
 //! ```sh
 //! cargo run --release -p kath_bench --bin txn_bench            # full sweep
-//! cargo run --release -p kath_bench --bin txn_bench -- --quick # CI smoke
+//! cargo run --release -p kath_bench --bin txn_bench -- --quick # CI smoke, into target/bench-smoke/
 //! cargo run --release -p kath_bench --bin txn_bench -- --out custom.json
 //! ```
 //!

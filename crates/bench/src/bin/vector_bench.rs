@@ -16,7 +16,7 @@
 //!
 //! ```sh
 //! cargo run --release -p kath_bench --bin vector_bench            # full: 2k + 20k docs
-//! cargo run --release -p kath_bench --bin vector_bench -- --quick # smoke: 500 + 4k docs
+//! cargo run --release -p kath_bench --bin vector_bench -- --quick # smoke: 500 + 4k docs, into target/bench-smoke/
 //! cargo run --release -p kath_bench --bin vector_bench -- --out custom.json
 //! ```
 

@@ -85,16 +85,20 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Reads them from the process arguments; the report goes to
-    /// `default_out` unless `--out` names another path.
+    /// Reads them from the process arguments. Unless `--out` names another
+    /// path, a full run's report goes to `default_out` (the committed report)
+    /// and a `--quick` one to `target/bench-smoke/<default_out>`, so a smoke
+    /// run cannot overwrite a committed report.
     pub fn parse(default_out: &str) -> BenchArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
+        let quick = args.iter().any(|a| a == "--quick");
+        let dir = if quick { "target/bench-smoke/" } else { "" };
         let out = args.iter().position(|a| a == "--out");
         BenchArgs {
-            quick: args.iter().any(|a| a == "--quick"),
+            quick,
             out: out
                 .and_then(|i| args.get(i + 1).cloned())
-                .unwrap_or_else(|| default_out.to_string()),
+                .unwrap_or_else(|| format!("{dir}{default_out}")),
         }
     }
 }
@@ -125,6 +129,9 @@ pub fn write_report(path: &str, bench: &str, quick: bool, reps: usize, body: Jso
     report.insert("host", host_fingerprint());
     for (key, value) in body.iter() {
         report.insert(key, value.clone());
+    }
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("report directory exists");
     }
     std::fs::write(path, to_string_pretty(&Json::Object(report)) + "\n").expect("report writes");
     eprintln!("wrote {path}");

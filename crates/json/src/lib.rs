@@ -182,20 +182,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_object().and_then(|m| m.get(key))
     }
-
-    /// Navigates a `/`-separated path of object keys and array indices,
-    /// e.g. `"inputs/0"`. Used by explanation code to cite plan fragments.
-    pub fn pointer(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
-            cur = match cur {
-                Json::Object(m) => m.get(seg)?,
-                Json::Array(a) => a.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
 }
 
 impl fmt::Display for Json {
@@ -269,20 +255,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.get("a").unwrap().as_i64(), Some(9));
         assert_eq!(m.keys().next(), Some("a"));
-    }
-
-    #[test]
-    fn pointer_navigates_nested_structures() {
-        let v = Json::object([
-            (
-                "inputs",
-                Json::str_array(["films_with_image_scene", "other"]),
-            ),
-            ("meta", Json::object([("depth", Json::from(3i64))])),
-        ]);
-        assert_eq!(v.pointer("inputs/1").and_then(Json::as_str), Some("other"));
-        assert_eq!(v.pointer("meta/depth").and_then(Json::as_i64), Some(3));
-        assert!(v.pointer("meta/missing").is_none());
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub struct BufferPool {
     evictions: AtomicU64,
     zone_skips: AtomicU64,
     /// The database's I/O seam: page reads, the WAL, and checkpoints of
-    /// the catalog owning this pool all share it, so one `\faults` spec
-    /// covers the whole durability path.
+    /// the catalog owning this pool all share it, so the one backend that
+    /// `Io::set_backend` swaps serves the whole durability path.
     io: Io,
 }
 

@@ -3,7 +3,7 @@
 //! KathDB's physical optimizer chooses between implementations of the same
 //! logical operator (§4); for "vector-based similarity search for semantic
 //! keyword matching" (§2.2) the choice is exact-but-linear vs
-//! approximate-but-sublinear, which `bench_vector_index` measures.
+//! approximate-but-sublinear, which `vector_bench` measures (SQL path).
 
 use crate::sim::cosine;
 use std::cmp::Ordering;
