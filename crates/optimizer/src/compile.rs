@@ -14,7 +14,7 @@ use kath_fao::{
 };
 use kath_lineage::{LineagePolicy, LineageStore};
 use kath_media::{MediaKind, MediaRegistry};
-use kath_model::Verdict;
+use kath_model::{SimLlm, Verdict};
 use kath_parser::{LogicalNode, LogicalPlan, StepTag};
 use kath_storage::{Table, Value};
 use std::collections::{BTreeSet, HashSet};
@@ -181,23 +181,31 @@ fn compile_nodes(
                     r.inputs.len() == keyed.len()
                         && (r.inputs.iter().zip(&keyed)).all(|(a, b)| Arc::ptr_eq(a, b))
                 };
-                let sampled = (records.find(func, same_rows))
-                    .and_then(|r| r.media.as_mut())
-                    .filter(|m| m.kind == kind);
+                let sampled = records.find(func, same_rows).and_then(|r| match r {
+                    CompileRecord {
+                        media: Some(m),
+                        outputs,
+                        ..
+                    } if m.kind == kind => Some((m, &*outputs)),
+                    _ => None,
+                });
                 let kept = match sampled {
-                    Some(m) if m.source_stamp == source_stamp => {
+                    Some((m, outputs)) if m.source_stamp == source_stamp => {
                         sample_ctx.media.share(&m.sample, kind);
-                        true
+                        Some(outputs)
                     }
                     sampled => {
                         narrow_media(&mut sample_ctx, modality, &keyed, &ids);
-                        let same =
-                            sampled.filter(|m| m.sample.same_contents(&sample_ctx.media, kind));
-                        same.map(|m| m.source_stamp = source_stamp).is_some()
+                        let same = sampled
+                            .filter(|(m, _)| m.sample.same_contents(&sample_ctx.media, kind));
+                        same.map(|(m, outputs)| {
+                            m.source_stamp = source_stamp;
+                            outputs
+                        })
                     }
                 };
-                if let Some(record) = records.latest(func).filter(|_| kept) {
-                    record.outputs.iter().for_each(|p| sample_ctx.adopt(p));
+                if let Some(outputs) = kept {
+                    outputs.iter().for_each(|p| sample_ctx.adopt(p));
                 } else if let Ok(outcome) = execute_body(&mut sample_ctx, func, ver, &body, &output)
                 {
                     // Only the collection it narrowed: the other one is
@@ -229,220 +237,51 @@ fn compile_nodes(
 
         let func_id = node.signature.name.clone();
         let context = format!("{:?}", (&node.signature, &node.tag, clarifications, opts));
-        let kept = records.find(&func_id, |r| {
+        let found = records.find(&func_id, |r| {
             r.context == context && unchanged(&sample_ctx, &r.inputs)
         });
-        if let Some(CompileRecord {
-            decision: Some(decision),
-            outputs,
-            ..
-        }) = kept
-        {
-            let ver = install(registry, node, decision, report)?;
-            if let Some(critique) = &decision.critique {
-                let to_ver = registry.register(
-                    node.signature.clone(),
-                    critique.body.clone(),
-                    format!("critic: {}", critique.hint),
-                );
-                report.critiques.push(CritiqueEvent {
-                    func_id: func_id.clone(),
-                    hint: critique.hint.clone(),
-                    from_ver: ver,
-                    to_ver,
-                });
+        // A record that validates installs its decision; any other node is
+        // decided now, and both leave through the same tail.
+        let mut fresh = None;
+        let (decision, outputs) = match found {
+            Some(CompileRecord {
+                decision: Some(decision),
+                outputs,
+                ..
+            }) => {
+                report.reused.push(func_id.clone());
+                (&*decision, outputs.as_slice())
             }
-            outputs.iter().for_each(|p| sample_ctx.adopt(p));
-            report.reused.push(func_id.clone());
-            report.physical.nodes.push(PhysicalNode {
-                func_id,
-                output: node.signature.output.clone(),
+            _ => {
+                let (decision, _, outputs) =
+                    fresh.insert(decide(node, &ctx.llm, &sample_ctx, clarifications, opts));
+                (&*decision, outputs.as_slice())
+            }
+        };
+        let ver = install(registry, node, decision, report)?;
+        if let Some(critique) = &decision.critique {
+            let to_ver = registry.register(
+                node.signature.clone(),
+                critique.body.clone(),
+                format!("critic: {}", critique.hint),
+            );
+            report.critiques.push(CritiqueEvent {
+                func_id: func_id.clone(),
+                hint: critique.hint.clone(),
+                from_ver: ver,
+                to_ver,
             });
-            continue;
         }
-
-        let sample_snapshot = sample_ctx.catalog.snapshot();
-        let coder_ctx = CoderContext {
-            catalog: &sample_snapshot,
-            clarifications,
-            faults: opts.faults,
-        };
-        let candidates = synthesize(node, &coder_ctx, &ctx.llm);
-        assert!(!candidates.is_empty(), "coder produced no candidates");
-        // Every sample table the coder and the candidates read, as they are
-        // before the node publishes anything.
-        let read: BTreeSet<String> = (node.signature.inputs.iter().cloned())
-            .chain(candidates.iter().flat_map(|(body, _)| body.inputs()))
-            .collect();
-        let inputs: Option<Vec<Arc<Table>>> = (read.iter())
-            .map(|name| sample_snapshot.get(name).ok())
-            .collect();
-        drop(sample_snapshot);
-
-        // Profile every candidate on a fork of the sample context.
-        let mut profiled: Vec<(FunctionBody, String, ProfileStats, Option<Arc<Table>>)> =
-            Vec::new();
-        for (body, note) in &candidates {
-            let mut fork = fork_ctx(&sample_ctx);
-            let tokens_before = fork.llm.meter().usage().total();
-            let started = Instant::now(); // lint: nondet-ok — candidate profiling wall-clock; ranks compile candidates, not query results
-            let result = execute_body(&mut fork, &func_id, 1, body, &node.signature.output);
-            let runtime_ms = started.elapsed().as_secs_f64() * 1000.0;
-            let tokens = fork.llm.meter().usage().total() - tokens_before;
-            match result {
-                Ok(outcome) if outcome.failed_rows.is_empty() => {
-                    profiled.push((
-                        body.clone(),
-                        note.clone(),
-                        ProfileStats {
-                            runtime_ms,
-                            tokens,
-                            rows_in: outcome.rows_in,
-                            rows_out: outcome.table.len(),
-                            accuracy: None,
-                        },
-                        Some(outcome.table),
-                    ));
-                }
-                // Candidates that fail on the sample are recorded with no
-                // output; the engine's monitor would repair them at run time,
-                // but the optimizer prefers alternatives that just work.
-                _ => profiled.push((
-                    body.clone(),
-                    note.clone(),
-                    ProfileStats {
-                        runtime_ms,
-                        tokens,
-                        rows_in: 0,
-                        rows_out: 0,
-                        accuracy: Some(0.0),
-                    },
-                    None,
-                )),
-            }
-        }
-
-        // Accuracy: agreement with the first (reference) candidate, blended
-        // with an offline prior per implementation. The prior is the paper's
-        // "offline profiling" (§4): small online samples can be degenerate
-        // (e.g. every sampled poster happens to be boring), and the prior
-        // keeps known-weak implementations from slipping through.
-        if let Some(reference) = profiled.first().and_then(|p| p.3.clone()) {
-            let n = profiled.len();
-            for item in profiled.iter_mut().take(n) {
-                let acc = match &item.3 {
-                    Some(out) => 0.5 * agreement(&reference, out) + 0.5 * accuracy_prior(&item.0),
-                    None => 0.0,
-                };
-                item.2.accuracy = Some(acc);
-            }
-        }
-
-        // Select: cheapest candidate meeting the accuracy floor; if none
-        // meets it, the most accurate one.
-        let chosen_idx = {
-            let eligible: Vec<usize> = (0..profiled.len())
-                .filter(|&i| profiled[i].2.accuracy.unwrap_or(1.0) >= opts.accuracy_floor)
-                .collect();
-            if eligible.is_empty() {
-                (0..profiled.len())
-                    .max_by(|&a, &b| {
-                        profiled[a]
-                            .2
-                            .accuracy
-                            .unwrap_or(0.0)
-                            .total_cmp(&profiled[b].2.accuracy.unwrap_or(0.0))
-                    })
-                    .unwrap_or(0)
-            } else {
-                *eligible
-                    .iter()
-                    .min_by(|&&a, &&b| profiled[a].2.cost().total_cmp(&profiled[b].2.cost()))
-                    .expect("non-empty")
-            }
-        };
-        let (body, note, profile, _) = profiled.swap_remove(chosen_idx);
-        let mut decision = Decision {
-            body,
-            note,
-            profile,
-            candidates: candidates.len(),
-            critique: None,
-        };
-        let ver = install(registry, node, &decision, report)?;
-
-        // Materialize the winner's sample output for downstream nodes.
-        let mut materialized = execute_body(
-            &mut sample_ctx,
-            &func_id,
-            ver,
-            &decision.body,
-            &node.signature.output,
-        );
-
-        // Critic: semantic direction check on score functions (§4's example
-        // of a reversed recency score).
-        if matches!(node.tag, StepTag::RecencyScore) {
-            let sampled = sample_ctx.catalog.snapshot();
-            if let Ok(out) = sampled.get(&node.signature.output) {
-                let samples: Vec<(f64, f64)> = match (
-                    read_column(&out, "year"),
-                    read_column(&out, "recency_score"),
-                ) {
-                    (Some(years), Some(scores)) => (years.iter().zip(&scores))
-                        .filter_map(|(y, s)| Some((y.as_f64()?, s.as_f64()?)))
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                let verdict = ctx
-                    .llm
-                    .critique_monotonic("assign a recency score based on release year", &samples);
-                if let Verdict::Mismatch { hint } = verdict {
-                    // Coder retries without the fault; critic re-checks.
-                    let fixed_ctx = CoderContext {
-                        catalog: &sampled,
-                        clarifications,
-                        faults: CoderFaults {
-                            reversed_recency: false,
-                        },
-                    };
-                    let fixed = synthesize(node, &fixed_ctx, &ctx.llm);
-                    let (fixed_body, _) = fixed.into_iter().next().expect("candidate");
-                    let to_ver = registry.add_version(
-                        &func_id,
-                        fixed_body.clone(),
-                        format!("critic: {hint}"),
-                    )?;
-                    report.critiques.push(CritiqueEvent {
-                        func_id: func_id.clone(),
-                        hint: hint.clone(),
-                        from_ver: ver,
-                        to_ver,
-                    });
-                    materialized = execute_body(
-                        &mut sample_ctx,
-                        &func_id,
-                        to_ver,
-                        &fixed_body,
-                        &node.signature.output,
-                    );
-                    decision.critique = Some(RecordedCritique {
-                        hint,
-                        body: fixed_body,
-                    });
-                }
-            }
-        }
-
-        // Record the compile when its inputs and its sample output exist;
-        // otherwise the next question compiles the node again.
-        if let (Some(inputs), Ok(outcome)) = (inputs, materialized) {
+        outputs.iter().for_each(|p| sample_ctx.adopt(p));
+        // Record a fresh compile when its inputs and its sample output
+        // exist; otherwise the next question compiles the node again.
+        if let Some((decision, Some(inputs), outputs)) = fresh.filter(|f| !f.2.is_empty()) {
             let record = CompileRecord {
                 context,
                 inputs,
                 media: None,
                 decision: Some(decision),
-                outputs: sample_outputs(&outcome),
+                outputs,
             };
             records.insert(&func_id, record);
         }
@@ -452,6 +291,130 @@ fn compile_nodes(
         });
     }
     Ok(())
+}
+
+/// Decides `node` on the sample: codes its candidates, profiles each once
+/// on its own fork of `sample`, selects among them and lets the critic
+/// check the winner. Returns the decision, every sample table the coder
+/// and the candidates read (`None` when one is missing), and what the
+/// winner's profile run — or the critic's body's own run — published
+/// (nothing when that run failed).
+fn decide(
+    node: &LogicalNode,
+    llm: &SimLlm,
+    sample: &ExecContext,
+    clarifications: &[(String, String)],
+    opts: &CompileOptions,
+) -> (Decision, Option<Vec<Arc<Table>>>, Vec<Published>) {
+    let snapshot = sample.catalog.snapshot();
+    let coder_ctx = CoderContext {
+        catalog: &snapshot,
+        clarifications,
+        faults: opts.faults,
+    };
+    let candidates = synthesize(node, &coder_ctx, llm);
+    assert!(!candidates.is_empty(), "coder produced no candidates");
+    // Every sample table the coder and the candidates read, as they are
+    // before the node publishes anything.
+    let read: BTreeSet<String> = (node.signature.inputs.iter().cloned())
+        .chain(candidates.iter().flat_map(|(body, _)| body.inputs()))
+        .collect();
+    let inputs: Option<Vec<Arc<Table>>> =
+        (read.iter()).map(|name| snapshot.get(name).ok()).collect();
+
+    // One run of `body` on a fork of the sample context, and its profile.
+    // A run that fails, or fails rows, is profiled with no output: the
+    // engine's monitor would repair it at run time, but the optimizer
+    // prefers alternatives that just work.
+    let profile_run = |body: &FunctionBody| {
+        let mut fork = fork_ctx(sample);
+        let tokens_before = fork.llm.meter().usage().total();
+        let started = Instant::now(); // lint: nondet-ok — candidate profiling wall-clock; ranks compile candidates, not query results
+        let run = execute_body(
+            &mut fork,
+            &node.signature.name,
+            1,
+            body,
+            &node.signature.output,
+        )
+        .ok();
+        let runtime_ms = started.elapsed().as_secs_f64() * 1000.0;
+        let clean = clean_output(&run);
+        let stats = ProfileStats {
+            runtime_ms,
+            tokens: fork.llm.meter().usage().total() - tokens_before,
+            rows_in: clean.map_or(0, |o| o.rows_in),
+            rows_out: clean.map_or(0, |o| o.table.len()),
+            accuracy: clean.is_none().then_some(0.0),
+        };
+        (stats, run)
+    };
+    let mut profiled: Vec<_> = (candidates.into_iter())
+        .map(|(body, note)| {
+            let (stats, run) = profile_run(&body);
+            (body, note, stats, run)
+        })
+        .collect();
+
+    // Accuracy: agreement with the first (reference) candidate, blended
+    // with an offline prior per implementation. The prior is the paper's
+    // "offline profiling" (§4): small online samples can be degenerate
+    // (e.g. every sampled poster happens to be boring), and the prior
+    // keeps known-weak implementations from slipping through.
+    let reference = clean_output(&profiled[0].3).map(|o| Arc::clone(&o.table));
+    if let Some(reference) = reference {
+        for (body, _, stats, run) in &mut profiled {
+            stats.accuracy = Some(clean_output(run).map_or(0.0, |o| {
+                0.5 * agreement(&reference, &o.table) + 0.5 * accuracy_prior(body)
+            }));
+        }
+    }
+
+    // Select: cheapest candidate meeting the accuracy floor; if none
+    // meets it, the most accurate one.
+    let accuracy = |i: &usize, missing: f64| profiled[*i].2.accuracy.unwrap_or(missing);
+    let chosen_idx = (0..profiled.len())
+        .filter(|i| accuracy(i, 1.0) >= opts.accuracy_floor)
+        .min_by(|&a, &b| profiled[a].2.cost().total_cmp(&profiled[b].2.cost()))
+        .or_else(|| {
+            (0..profiled.len()).max_by(|a, b| accuracy(a, 0.0).total_cmp(&accuracy(b, 0.0)))
+        })
+        .unwrap_or(0);
+    let candidates = profiled.len();
+    let (body, note, profile, mut run) = profiled.swap_remove(chosen_idx);
+    let mut decision = Decision {
+        body,
+        note,
+        profile,
+        candidates,
+        critique: None,
+    };
+
+    // Critic: semantic direction check on score functions (§4's example
+    // of a reversed recency score).
+    if let (StepTag::RecencyScore, Some(out)) = (&node.tag, &run) {
+        let column = |name| read_column(&out.table, name).unwrap_or_default();
+        let samples: Vec<(f64, f64)> = (column("year").iter().zip(&column("recency_score")))
+            .filter_map(|(y, s)| Some((y.as_f64()?, s.as_f64()?)))
+            .collect();
+        let verdict =
+            llm.critique_monotonic("assign a recency score based on release year", &samples);
+        if let Verdict::Mismatch { hint } = verdict {
+            // Coder retries without the fault; its body's run is the sample's.
+            let fixed_ctx = CoderContext {
+                faults: CoderFaults {
+                    reversed_recency: false,
+                },
+                ..coder_ctx
+            };
+            let fixed = synthesize(node, &fixed_ctx, llm);
+            let (body, _) = fixed.into_iter().next().expect("candidate");
+            run = profile_run(&body).1;
+            decision.critique = Some(RecordedCritique { hint, body });
+        }
+    }
+    let outputs = run.as_ref().map(sample_outputs).unwrap_or_default();
+    (decision, inputs, outputs)
 }
 
 /// Registers `decision`'s winner for `node` — a new version, or the
@@ -495,6 +458,11 @@ fn install(
 fn unchanged(sample: &ExecContext, inputs: &[Arc<Table>]) -> bool {
     let snapshot = sample.catalog.snapshot();
     (inputs.iter()).all(|t| (snapshot.get(t.name())).is_ok_and(|now| Arc::ptr_eq(&now, t)))
+}
+
+/// The run, when it processed every row.
+fn clean_output(run: &Option<ExecOutcome>) -> Option<&ExecOutcome> {
+    run.as_ref().filter(|o| o.failed_rows.is_empty())
 }
 
 /// Every table a sample run published, its own output last.

@@ -272,4 +272,24 @@ fn a_follow_up_under_a_coder_fault_ends_on_the_critics_body() {
         assert_eq!(again, clean);
         assert_eq!(versions(&staged), (2, true));
     }
+
+    // A one-row INSERT compiles every node again: the faulty winner is v1
+    // again, and the critic's body, equal to v2's, makes v2 active again
+    // instead of adding a third version.
+    let row = vec![
+        Value::Int(10_000),
+        Value::from("Inserted"),
+        Value::Int(2001),
+        Value::Int(10_000),
+        Value::Int(10_000),
+    ];
+    (staged.ctx.catalog)
+        .try_publish(|c| c.append_rows("movie_table", &[row]))
+        .unwrap();
+    let (_, report, _) = staged.ask(VARIANTS[1]);
+    assert!(report.reused.is_empty(), "{:?}", report.reused);
+    let critiques = report.critiques.iter();
+    let steps: Vec<_> = critiques.map(|c| (c.from_ver, c.to_ver)).collect();
+    assert_eq!(steps, [(1, 2)]);
+    assert_eq!(versions(&staged), (2, true));
 }

@@ -182,6 +182,13 @@ const FOLLOWUP_SAVED: (u64, u64) = (33, 12_175);
 /// population ran over all 1 000 posters and now runs over the 21 that
 /// failed. 979 vision calls and the tokens they were charged.
 const REPAIR_SAVED: (u64, u64) = (979, 1_116_060);
+
+/// What a first question's compile no longer spends: it ran each node's
+/// winning candidate again on the sample after profiling it, and now keeps
+/// the winner's profile run — the four sampled rows' model calls of the
+/// excitement score and of the poster classifier, 8 calls and the tokens
+/// they were charged. A follow-up compiles no such node.
+const WINNER_RERUN_SAVED: (u64, u64) = (8, 1_016);
 const CRITIC: (u64, u64) = (1, 11);
 
 #[test]
@@ -215,7 +222,10 @@ fn twelve_questions_leave_what_they_left_at_the_parent_commit() {
             let (parent_calls, parent_tokens) = PARENT_CALLS_TOKENS[session][position];
             let recency_compiled = (0..position).any(|p| (1 + session + p) % VARIANTS.len() == 1);
             let saved = match position {
-                0 => (SAVED.0 + REPAIR_SAVED.0, SAVED.1 + REPAIR_SAVED.1),
+                0 => (
+                    SAVED.0 + REPAIR_SAVED.0 + WINNER_RERUN_SAVED.0,
+                    SAVED.1 + REPAIR_SAVED.1 + WINNER_RERUN_SAVED.1,
+                ),
                 _ if variant == 1 && recency_compiled => {
                     (FOLLOWUP_SAVED.0 + CRITIC.0, FOLLOWUP_SAVED.1 + CRITIC.1)
                 }
