@@ -1,54 +1,13 @@
 //! The execution context: catalog + media + models + lineage.
 
 use crate::{ExecError, ExecOutcome};
-use kath_fao::{FunctionBody, Published};
+use kath_fao::{FunctionBody, Published, Record};
 use kath_lineage::{DataKind, LineageStore};
-use kath_media::{MediaKind, MediaRegistry};
+use kath_media::MediaRegistry;
 use kath_model::SimLlm;
 use kath_storage::{CompileMode, ExecMode, GuardSpec, SharedCatalog, Table, VectorMode};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// What one node's last clean run read and published: the record a later
-/// question checks before running the node again (docs/execution.md,
-/// "Incremental re-execution"). Tables are compared by identity — the
-/// record keeps each `Arc`, so an address cannot be reused while it is
-/// compared — never by content. In memory only.
-#[derive(Debug)]
-pub struct Materialization {
-    func_id: String,
-    body: FunctionBody,
-    /// The tables `body.inputs()` named, in that order.
-    inputs: Vec<Arc<Table>>,
-    /// The media collection the body reads and its stamp after the run (a
-    /// repairing view population replaces images while it runs).
-    media: Option<(MediaKind, u64)>,
-    /// Tables the run published besides its output (a view population's
-    /// views).
-    side_outputs: Vec<Published>,
-    output: Published,
-    rows_in: usize,
-}
-
-impl Materialization {
-    /// Every table the node published, its own output last.
-    pub fn outputs(&self) -> impl Iterator<Item = &Published> {
-        self.side_outputs.iter().chain([&self.output])
-    }
-
-    /// The recorded output, as the outcome of a node that did not run.
-    pub(crate) fn outcome(&self) -> ExecOutcome {
-        ExecOutcome {
-            side_outputs: self.side_outputs.clone(),
-            reused: true,
-            ..ExecOutcome::serial(
-                Arc::clone(&self.output.table),
-                self.output.lid,
-                self.rows_in,
-            )
-        }
-    }
-}
 
 /// Everything a function body needs at runtime.
 pub struct ExecContext {
@@ -102,8 +61,8 @@ pub struct ExecContext {
     /// `exec_mode`, `threads` and `vector_mode`, this is the setting of the
     /// run in progress: the facade copies its session's here per question.
     pub limits: GuardSpec,
-    /// One record per node output, keyed by the output's name.
-    materializations: HashMap<String, Materialization>,
+    /// One record of a clean run per node output, keyed by its name.
+    records: HashMap<String, Record>,
 }
 
 impl ExecContext {
@@ -120,7 +79,7 @@ impl ExecContext {
             vector_mode: VectorMode::default(),
             compile: CompileMode::Off,
             limits: GuardSpec::default(),
-            materializations: HashMap::new(),
+            records: HashMap::new(),
         }
     }
 
@@ -166,54 +125,37 @@ impl ExecContext {
             .publish(|c| c.register_or_replace(Arc::clone(&published.table)));
     }
 
-    /// The record of `output`, if running `func_id` with `body` now would
-    /// repeat the run that made it: the same body, every table the body
-    /// reads still the table that run read, the media collection it reads
-    /// unchanged, and every table it published still in the catalog under
-    /// the lid it was given.
-    pub fn reusable(
-        &self,
+    /// The output of the last clean run into `output` as the outcome of a
+    /// node that did not run, if running `body` now would repeat it
+    /// ([`Record::revalidate`]); what is gone from the catalog comes back.
+    pub(crate) fn reuse(
+        &mut self,
         func_id: &str,
         body: &FunctionBody,
         output: &str,
-    ) -> Option<&Materialization> {
-        let record = self.materializations.get(output)?;
-        if record.func_id != func_id || record.body != *body {
+    ) -> Option<ExecOutcome> {
+        let context = run_context(func_id, body);
+        let snapshot = self.catalog.snapshot();
+        let record = self.records.get_mut(output)?;
+        if !record.revalidate(&context, &snapshot, &self.media, &self.table_lids) {
             return None;
         }
-        let snapshot = self.catalog.snapshot();
-        let current = |table: &Arc<Table>| {
-            snapshot
-                .get(table.name())
-                .is_ok_and(|now| Arc::ptr_eq(&now, table))
-        };
-        let valid = record.inputs.iter().all(current)
-            && record.media == self.media_identity(body)
-            && record
-                .outputs()
-                .all(|p| current(&p.table) && self.table_lid(p.table.name()) == Some(p.lid));
-        valid.then_some(record)
+        let (outputs, rows_in) = (record.outputs.clone(), record.rows_in);
+        (outputs.iter())
+            .filter(|p| !snapshot.contains(p.table.name()))
+            .for_each(|p| self.adopt(p));
+        let (output, side_outputs) = outputs.split_last()?;
+        Some(ExecOutcome {
+            side_outputs: side_outputs.to_vec(),
+            reused: true,
+            ..ExecOutcome::serial(Arc::clone(&output.table), output.lid, rows_in)
+        })
     }
 
     /// Whether a recorded node run published `name`: an intermediate an
     /// earlier question left in the catalog, not a base table.
     pub fn is_node_output(&self, name: &str) -> bool {
-        (self.materializations.values())
-            .any(|record| record.outputs().any(|p| p.table.name() == name))
-    }
-
-    /// The media collection `body` reads directly, with its current stamp.
-    fn media_identity(&self, body: &FunctionBody) -> Option<(MediaKind, u64)> {
-        let kind = match body {
-            FunctionBody::ViewPopulate { modality, .. } if modality == "text" => {
-                MediaKind::Documents
-            }
-            FunctionBody::ViewPopulate { .. } | FunctionBody::VisualClassify { .. } => {
-                MediaKind::Images
-            }
-            _ => return None,
-        };
-        Some((kind, self.media.stamp(kind)))
+        (self.records.values()).any(|record| record.outputs.iter().any(|p| p.table.name() == name))
     }
 
     /// Forgets the record of `output` and returns the tables `body` is
@@ -226,7 +168,7 @@ impl ExecContext {
         body: &FunctionBody,
         output: &str,
     ) -> Option<Vec<Arc<Table>>> {
-        self.materializations.remove(output);
+        self.records.remove(output);
         let snapshot = self.catalog.snapshot();
         body.inputs()
             .iter()
@@ -243,19 +185,27 @@ impl ExecContext {
         inputs: Vec<Arc<Table>>,
         outcome: &ExecOutcome,
     ) {
-        let record = Materialization {
-            func_id: func_id.to_string(),
-            body: body.clone(),
+        let record = self.record(run_context(func_id, body), body, inputs, outcome);
+        self.records.insert(output.to_string(), record);
+    }
+
+    /// The record of a run of `body` over `inputs` under `context` that
+    /// ended in `outcome`, at the current stamp of the media `body` reads.
+    pub fn record(
+        &self,
+        context: String,
+        body: &FunctionBody,
+        inputs: Vec<Arc<Table>>,
+        outcome: &ExecOutcome,
+    ) -> Record {
+        Record {
+            context,
             inputs,
-            media: self.media_identity(body),
-            side_outputs: outcome.side_outputs.clone(),
-            output: Published {
-                table: Arc::clone(&outcome.table),
-                lid: outcome.output_lid,
-            },
+            media: body.media().map(|kind| (kind, self.media.stamp(kind))),
+            outputs: outcome.published(),
             rows_in: outcome.rows_in,
-        };
-        self.materializations.insert(output.to_string(), record);
+            decision: None,
+        }
     }
 
     /// The table-level lid of a materialized table, if known.
@@ -277,6 +227,12 @@ impl ExecContext {
         )?;
         Ok(lid)
     }
+}
+
+/// What a node's run reads besides tables and media, rendered: its
+/// function and its body, so that an equal rendering is the same body.
+fn run_context(func_id: &str, body: &FunctionBody) -> String {
+    format!("{func_id} {body:?}")
 }
 
 /// Extracts the trailing integer id from a media URI, the convention that

@@ -70,7 +70,7 @@ pub struct ExecOutcome {
     /// in-order stamp phase.
     pub merge_ms: f64,
     /// Whether the body did not run: the monitor served the output an
-    /// earlier question materialized (see [`crate::ExecContext::reusable`]).
+    /// earlier question materialized (docs/execution.md, "Incremental re-execution").
     pub reused: bool,
     /// How a body that works item by item laid out what it built, for a
     /// repair to splice into (`None` for every other body).
@@ -91,7 +91,7 @@ pub(crate) struct ItemRun {
 /// its own items are those.
 #[derive(Debug)]
 enum ItemSource {
-    /// A narrow transform's input table, compared by identity.
+    /// A narrow transform's input table, compared by its rows' identity.
     Table(Arc<Table>),
     /// A view population's media collection, by its stamp when the run
     /// walked it (in URI order), and the lineage root its view rows hang
@@ -102,6 +102,17 @@ enum ItemSource {
 impl ExecOutcome {
     /// The outcome of a body that drove no relational pipeline (or did not
     /// run at all): no failed rows, no side outputs, no batch statistics.
+    /// Every table the run published, its own output last.
+    pub fn published(&self) -> Vec<Published> {
+        let output = Published {
+            table: Arc::clone(&self.table),
+            lid: self.output_lid,
+        };
+        (self.side_outputs.iter().cloned())
+            .chain([output])
+            .collect()
+    }
+
     pub(crate) fn serial(table: Arc<Table>, output_lid: i64, rows_in: usize) -> Self {
         Self {
             table,
@@ -648,7 +659,7 @@ fn narrow_transform(
     let plan = ItemPlan::new(
         repairing,
         columns.num_rows(),
-        |source| matches!(source, ItemSource::Table(read) if Arc::ptr_eq(read, input)),
+        |source| matches!(source, ItemSource::Table(read) if read.same_rows(input)),
     );
     let morsel = |positions: &[usize]| compute(&columns.gather(positions));
     let run = compute_in_morsels(ctx, &plan.positions, morsel_rows, morsel)?;

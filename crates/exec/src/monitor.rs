@@ -94,7 +94,7 @@ struct Attempt {
 }
 
 /// Runs one node: returns the output of its last clean run when that run
-/// would only be repeated ([`ExecContext::reusable`]) — no model call, no
+/// would only be repeated ([`kath_fao::Record::revalidate`]) — no model call, no
 /// lineage rows, no catalog write — and otherwise executes the body,
 /// recording the run if no row failed. Because a reused producer leaves
 /// its output table in place and a re-executed one publishes a new table,
@@ -115,8 +115,7 @@ fn run_node(
             (inputs, spliced)
         }
         None => {
-            if let Some(record) = ctx.reusable(func_id, body, output_name) {
-                let outcome = record.outcome();
+            if let Some(outcome) = ctx.reuse(func_id, body, output_name) {
                 return Ok(Attempt {
                     outcome,
                     inputs: None,
@@ -703,7 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn reuse_is_keyed_on_table_identity_not_content() {
+    fn reuse_is_keyed_on_shared_rows_not_equal_content() {
         let mut ctx = ExecContext::new(SimLlm::new(1, TokenMeter::new()));
         ctx.ingest_table(two_rows("t"), "u").unwrap();
         let mut registry = FunctionRegistry::new();
@@ -725,27 +724,47 @@ mod tests {
             &ctx.catalog.snapshot().get("o").unwrap()
         ));
 
-        // The same rows in a new table are a new input.
+        // A clone of the input, and its sealed form, are the rows the run
+        // read: the node is served, and the record takes the catalog's value.
+        let input = ctx.catalog.snapshot().get("t").unwrap();
+        ctx.catalog
+            .publish(|c| c.register_or_replace(Table::clone(&input)));
+        assert!(run_copy(&mut ctx, &mut registry));
+        ctx.catalog.try_publish(|c| c.page_table("t", 1)).unwrap();
+        assert!(run_copy(&mut ctx, &mut registry));
+        assert_eq!(ctx.lineage.len(), lineage_rows);
+
+        // Equal rows built apart are a new input.
         ctx.catalog
             .publish(|c| c.register_or_replace(two_rows("t")));
         assert!(!run_copy(&mut ctx, &mut registry));
         assert!(run_copy(&mut ctx, &mut registry));
 
-        // A dropped input that comes back is not the table the run read.
+        // So is a dropped input that comes back as a fresh value.
         ctx.catalog.try_publish(|c| c.drop_table("t")).unwrap();
         ctx.catalog
             .try_publish(|c| c.register(two_rows("t")))
             .unwrap();
         assert!(!run_copy(&mut ctx, &mut registry));
 
-        // Nor is a dropped output that comes back the table the run wrote.
+        // A dropped output that comes back as a clone is the table the run
+        // wrote; one that does not come back is published from the record.
         let old_output = ctx.catalog.snapshot().get("o").unwrap();
         ctx.catalog.try_publish(|c| c.drop_table("o")).unwrap();
         ctx.catalog
             .try_publish(|c| c.register(Table::clone(&old_output)))
             .unwrap();
-        assert!(!run_copy(&mut ctx, &mut registry));
         assert!(run_copy(&mut ctx, &mut registry));
+        ctx.catalog.try_publish(|c| c.drop_table("o")).unwrap();
+        assert!(run_copy(&mut ctx, &mut registry));
+        let back = ctx.catalog.snapshot().get("o").unwrap();
+        assert!(back.same_rows(&old_output));
+
+        // A fresh value of equal content under the output's name runs it.
+        let rows = old_output.to_rows().unwrap();
+        let equal = Table::from_rows("o", old_output.schema().clone(), rows).unwrap();
+        ctx.catalog.publish(|c| c.register_or_replace(equal));
+        assert!(!run_copy(&mut ctx, &mut registry));
     }
 
     #[test]
@@ -825,7 +844,7 @@ mod tests {
             assert_eq!(registry.get(func).unwrap().versions.len(), 1);
             assert!(!ctx.catalog.snapshot().contains(output));
             let body = registry.get(func).unwrap().active_version().body.clone();
-            assert!(ctx.reusable(func, &body, output).is_none());
+            assert!(ctx.reuse(func, &body, output).is_none());
         }
         // A row budget trips the same way.
         ctx.limits.timeout = None;

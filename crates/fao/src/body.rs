@@ -9,6 +9,7 @@
 
 use kath_json::Json;
 use kath_lineage::DependencyPattern;
+use kath_media::MediaKind;
 use std::fmt;
 
 /// Which vision implementation a visual operator uses — the physical
@@ -157,6 +158,21 @@ impl FunctionBody {
             | FunctionBody::ConceptScore { input, .. }
             | FunctionBody::VisualClassify { input, .. } => vec![input.clone()],
             FunctionBody::ViewPopulate { .. } => vec![],
+        }
+    }
+
+    /// The media collection this body reads directly: documents for the
+    /// text view population, images for the scene one and for the visual
+    /// classifier.
+    pub fn media(&self) -> Option<MediaKind> {
+        match self {
+            FunctionBody::ViewPopulate { modality, .. } if modality == "text" => {
+                Some(MediaKind::Documents)
+            }
+            FunctionBody::ViewPopulate { .. } | FunctionBody::VisualClassify { .. } => {
+                Some(MediaKind::Images)
+            }
+            _ => None,
         }
     }
 

@@ -14,8 +14,6 @@ mod registry;
 mod signature;
 
 pub use body::{BodyError, FunctionBody, VisionImpl};
-pub use compiled::{
-    CompileRecord, CompileRecords, Decision, Published, RecordedCritique, SampledMedia,
-};
+pub use compiled::{CompileRecords, Decision, Published, Record, RecordedCritique};
 pub use registry::{FunctionEntry, FunctionRegistry, FunctionVersion, ProfileStats, RegistryError};
 pub use signature::{FunctionSignature, SignatureError};

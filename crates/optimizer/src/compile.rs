@@ -6,18 +6,17 @@ use crate::coder::{synthesize, CoderContext, CoderFaults};
 use crate::rewrite::{rewrite_plan, RewriteEvent};
 use kath_exec::{
     execute_body, id_from_uri, ExecContext, ExecError, ExecOutcome, PhysicalNode, PhysicalPlan,
-    Published,
 };
 use kath_fao::{
-    CompileRecord, CompileRecords, Decision, FunctionBody, FunctionRegistry, FunctionSignature,
-    ProfileStats, RecordedCritique, SampledMedia, VisionImpl,
+    CompileRecords, Decision, FunctionBody, FunctionRegistry, FunctionSignature, ProfileStats,
+    Record, RecordedCritique, VisionImpl,
 };
 use kath_lineage::{LineagePolicy, LineageStore};
-use kath_media::{MediaKind, MediaRegistry};
+use kath_media::MediaKind;
 use kath_model::{SimLlm, Verdict};
 use kath_parser::{LogicalNode, LogicalPlan, StepTag};
 use kath_storage::{Table, Value};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -169,62 +168,17 @@ fn compile_nodes(
                     registry.register(sig, body.clone(), "pre-written (§6)");
                 }
                 let ver = registry.get(func)?.active_version().ver_id;
-                // Downstream coding reads the views' schemas. The sample
-                // populates its own from the media its sampled rows
-                // reference, and keeps them while those rows are the same
-                // tables and that media holds equal entries — certainly so
-                // while the caller's collection keeps the stamp it was
-                // narrowed from, and otherwise narrowed again and compared.
-                let (keyed, ids) = media_keys(&sample_ctx, modality);
-                let source_stamp = sample_ctx.media.stamp(kind);
-                let same_rows = |r: &CompileRecord| {
-                    r.inputs.len() == keyed.len()
-                        && (r.inputs.iter().zip(&keyed)).all(|(a, b)| Arc::ptr_eq(a, b))
-                };
-                let sampled = records.find(func, same_rows).and_then(|r| match r {
-                    CompileRecord {
-                        media: Some(m),
-                        outputs,
-                        ..
-                    } if m.kind == kind => Some((m, &*outputs)),
-                    _ => None,
-                });
-                let kept = match sampled {
-                    Some((m, outputs)) if m.source_stamp == source_stamp => {
-                        sample_ctx.media.share(&m.sample, kind);
-                        Some(outputs)
-                    }
-                    sampled => {
-                        narrow_media(&mut sample_ctx, modality, &keyed, &ids);
-                        let same = sampled
-                            .filter(|(m, _)| m.sample.same_contents(&sample_ctx.media, kind));
-                        same.map(|(m, outputs)| {
-                            m.source_stamp = source_stamp;
-                            outputs
-                        })
-                    }
-                };
-                if let Some(outputs) = kept {
+                // Downstream coding reads the views' schemas: the sample
+                // populates its own from the media its sampled rows name.
+                let ids = media_keys(&sample_ctx, modality);
+                records.sample_media(&mut sample_ctx.media, kind, ids, id_from_uri);
+                let context = format!("{body:?}");
+                let kept = recorded(records, func, &context, &sample_ctx);
+                if let Some(outputs) = kept.map(|r| r.outputs.clone()) {
                     outputs.iter().for_each(|p| sample_ctx.adopt(p));
                 } else if let Ok(outcome) = execute_body(&mut sample_ctx, func, ver, &body, &output)
                 {
-                    // Only the collection it narrowed: the other one is
-                    // still the caller's, and a record holding it would make
-                    // the caller's next write to it copy the whole map.
-                    let mut sample = MediaRegistry::new();
-                    sample.share(&sample_ctx.media, kind);
-                    let media = SampledMedia {
-                        kind,
-                        source_stamp,
-                        sample,
-                    };
-                    let record = CompileRecord {
-                        context: String::new(),
-                        inputs: keyed,
-                        media: Some(media),
-                        decision: None,
-                        outputs: sample_outputs(&outcome),
-                    };
+                    let record = sample_ctx.record(context, &body, Vec::new(), &outcome);
                     records.insert(func, record);
                 }
                 report.physical.nodes.push(PhysicalNode {
@@ -237,25 +191,27 @@ fn compile_nodes(
 
         let func_id = node.signature.name.clone();
         let context = format!("{:?}", (&node.signature, &node.tag, clarifications, opts));
-        let found = records.find(&func_id, |r| {
-            r.context == context && unchanged(&sample_ctx, &r.inputs)
-        });
+        let found = recorded(records, &func_id, &context, &sample_ctx);
         // A record that validates installs its decision; any other node is
         // decided now, and both leave through the same tail.
         let mut fresh = None;
         let (decision, outputs) = match found {
-            Some(CompileRecord {
+            Some(Record {
                 decision: Some(decision),
                 outputs,
                 ..
             }) => {
                 report.reused.push(func_id.clone());
-                (&*decision, outputs.as_slice())
+                (&*decision, outputs.clone())
             }
             _ => {
-                let (decision, _, outputs) =
-                    fresh.insert(decide(node, &ctx.llm, &sample_ctx, clarifications, opts));
-                (&*decision, outputs.as_slice())
+                let (decision, inputs, run) =
+                    decide(node, &ctx.llm, &sample_ctx, clarifications, opts);
+                let outputs = run.as_ref().map(ExecOutcome::published);
+                let record = (inputs.zip(run))
+                    .map(|(inputs, run)| sample_ctx.record(context, &decision.body, inputs, &run));
+                let (decision, _) = fresh.insert((decision, record));
+                (&*decision, outputs.unwrap_or_default())
             }
         };
         let ver = install(registry, node, decision, report)?;
@@ -275,15 +231,9 @@ fn compile_nodes(
         outputs.iter().for_each(|p| sample_ctx.adopt(p));
         // Record a fresh compile when its inputs and its sample output
         // exist; otherwise the next question compiles the node again.
-        if let Some((decision, Some(inputs), outputs)) = fresh.filter(|f| !f.2.is_empty()) {
-            let record = CompileRecord {
-                context,
-                inputs,
-                media: None,
-                decision: Some(decision),
-                outputs,
-            };
-            records.insert(&func_id, record);
+        if let Some((decision, Some(record))) = fresh {
+            let decision = Some(decision);
+            records.insert(&func_id, Record { decision, ..record });
         }
         report.physical.nodes.push(PhysicalNode {
             func_id,
@@ -296,16 +246,15 @@ fn compile_nodes(
 /// Decides `node` on the sample: codes its candidates, profiles each once
 /// on its own fork of `sample`, selects among them and lets the critic
 /// check the winner. Returns the decision, every sample table the coder
-/// and the candidates read (`None` when one is missing), and what the
-/// winner's profile run — or the critic's body's own run — published
-/// (nothing when that run failed).
+/// and the candidates read (`None` when one is missing), and the winner's
+/// profile run — or the critic's body's own run — when it did not fail.
 fn decide(
     node: &LogicalNode,
     llm: &SimLlm,
     sample: &ExecContext,
     clarifications: &[(String, String)],
     opts: &CompileOptions,
-) -> (Decision, Option<Vec<Arc<Table>>>, Vec<Published>) {
+) -> (Decision, Option<Vec<Arc<Table>>>, Option<ExecOutcome>) {
     let snapshot = sample.catalog.snapshot();
     let coder_ctx = CoderContext {
         catalog: &snapshot,
@@ -413,8 +362,7 @@ fn decide(
             decision.critique = Some(RecordedCritique { hint, body });
         }
     }
-    let outputs = run.as_ref().map(sample_outputs).unwrap_or_default();
-    (decision, inputs, outputs)
+    (decision, inputs, run)
 }
 
 /// Registers `decision`'s winner for `node` — a new version, or the
@@ -453,27 +401,22 @@ fn install(
     Ok(ver)
 }
 
-/// Whether every table of `inputs` is still the one the sample catalog
-/// holds under its name.
-fn unchanged(sample: &ExecContext, inputs: &[Arc<Table>]) -> bool {
+/// The record of `func_id` that still holds over `sample` under `context`
+/// ([`Record::revalidate`]).
+fn recorded<'r>(
+    records: &'r mut CompileRecords,
+    func_id: &str,
+    context: &str,
+    sample: &ExecContext,
+) -> Option<&'r mut Record> {
     let snapshot = sample.catalog.snapshot();
-    (inputs.iter()).all(|t| (snapshot.get(t.name())).is_ok_and(|now| Arc::ptr_eq(&now, t)))
+    let (media, lids) = (&sample.media, &sample.table_lids);
+    records.find(func_id, |r| r.revalidate(context, &snapshot, media, lids))
 }
 
 /// The run, when it processed every row.
 fn clean_output(run: &Option<ExecOutcome>) -> Option<&ExecOutcome> {
     run.as_ref().filter(|o| o.failed_rows.is_empty())
-}
-
-/// Every table a sample run published, its own output last.
-fn sample_outputs(outcome: &ExecOutcome) -> Vec<Published> {
-    let output = Published {
-        table: Arc::clone(&outcome.table),
-        lid: outcome.output_lid,
-    };
-    (outcome.side_outputs.iter().cloned())
-        .chain([output])
-        .collect()
 }
 
 /// Offline accuracy prior per implementation (the "offline profiling" of
@@ -518,52 +461,27 @@ fn read_column(table: &Table, name: &str) -> Option<Vec<Value>> {
     read.ok().map(|()| values)
 }
 
-/// The tables whose sampled rows key the media the `modality` half
-/// populates its views from — every one with a `did` (`vid`) column — and
-/// the ids they name.
-fn media_keys(sample: &ExecContext, modality: &str) -> (Vec<Arc<Table>>, HashSet<i64>) {
+/// The ids that key the media the `modality` half populates its views
+/// from: the `did` (`vid`) of every sampled row of every table with that
+/// column — all a sample join can reach — or `None` when no table has one.
+fn media_keys(sample: &ExecContext, modality: &str) -> Option<BTreeSet<i64>> {
     let column = if modality == "text" { "did" } else { "vid" };
     let snapshot = sample.catalog.snapshot();
-    let (mut keyed, mut ids) = (Vec::new(), HashSet::new());
-    for name in snapshot.table_names() {
-        let Ok(table) = snapshot.get(name) else {
-            continue;
-        };
-        if let Some(keys) = read_column(&table, column) {
-            ids.extend(keys.iter().filter_map(Value::as_int));
-            keyed.push(table);
-        }
-    }
-    (keyed, ids)
-}
-
-/// Samples the media collection the `modality` half populates its views
-/// from, the way the tables were sampled: a document (image) stays when its
-/// URI's id ([`id_from_uri`]) is one of `ids`, the `did` (`vid`) of a
-/// sampled row — all a sample join can reach — or when its URI carries no
-/// id. A collection no sampled table keys stays whole.
-fn narrow_media(
-    sample: &mut ExecContext,
-    modality: &str,
-    keyed: &[Arc<Table>],
-    ids: &HashSet<i64>,
-) {
-    if keyed.is_empty() {
-        return;
-    }
-    let keep = |uri: &str| id_from_uri(uri).is_none_or(|id| ids.contains(&id));
-    match modality {
-        "text" => sample.media.retain_documents(|d| keep(&d.uri)),
-        _ => sample.media.retain_images(|i| keep(&i.uri)),
-    }
+    let names = snapshot.table_names();
+    let mut keyed = (names.iter())
+        .filter_map(|name| read_column(&*snapshot.get(name).ok()?, column))
+        .peekable();
+    keyed.peek()?;
+    Some(keyed.flatten().filter_map(|v| v.as_int()).collect())
 }
 
 /// Builds the profiling context: the caller's base tables sampled (a
 /// table an earlier question's node published is no input of this plan's
-/// and is left out), the caller's media (shared; [`narrow_media`] narrows a
-/// collection when a population is about to read it), fresh lineage with
-/// recording off. A sample is drawn again only when its table changed
-/// ([`CompileRecords::sample`]). A table whose first rows cannot be read
+/// and is left out), the caller's media (shared;
+/// [`CompileRecords::sample_media`] narrows a collection when a population
+/// is about to read it), fresh lineage with recording off. A sample is
+/// drawn again only when its table's rows changed, and kept when its own
+/// did not ([`CompileRecords::sample`]). A table whose first rows cannot be read
 /// fails the compile with the storage error.
 fn build_sample_ctx(
     ctx: &ExecContext,
@@ -872,12 +790,22 @@ mod tests {
         assert_eq!(calls(&ctx, &mut registry, &clars), (0, 10));
         assert_eq!(calls(&ctx, &mut registry, &other), (0, 10));
 
-        // A base table that is a new table value is sampled again, and
-        // everything over it compiles as on a fresh registry.
+        // A base table replaced by another value of the same rows (a
+        // clone, as a checkpoint's sealed form is) keeps its sample, and
+        // every node installs.
         let movies = ctx.catalog.snapshot().get("movie_table").unwrap();
         ctx.catalog
             .publish(|c| c.register_or_replace((*movies).clone()));
-        assert_eq!(calls(&ctx, &mut registry, &clars), (first, 0));
+        assert_eq!(calls(&ctx, &mut registry, &clars), (0, 10));
+
+        // One whose sampled rows differ is sampled again, and everything
+        // over it compiles as on a fresh registry.
+        let rows = movies.to_rows().unwrap()[1..].to_vec();
+        let fewer = Table::from_rows("movie_table", movies.schema().clone(), rows).unwrap();
+        ctx.catalog.publish(|c| c.register_or_replace(fewer));
+        let fresh = calls(&ctx, &mut FunctionRegistry::new(), &clars);
+        assert!(fresh.0 > 0 && fresh.0 < first, "{fresh:?}");
+        assert_eq!(calls(&ctx, &mut registry, &clars), fresh);
     }
 
     /// `movies` films, each with a plot and a poster, every third poster
@@ -964,8 +892,13 @@ mod tests {
     }
 
     fn sample_media(sample: &mut ExecContext, modality: &str) {
-        let (keyed, ids) = media_keys(sample, modality);
-        narrow_media(sample, modality, &keyed, &ids);
+        let kind = match modality {
+            "text" => MediaKind::Documents,
+            _ => MediaKind::Images,
+        };
+        let ids = media_keys(sample, modality);
+        let records = &mut CompileRecords::default();
+        records.sample_media(&mut sample.media, kind, ids, id_from_uri);
     }
 
     #[test]

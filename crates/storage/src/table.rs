@@ -24,6 +24,10 @@
 //! the same rows, and dropped with the last of them. It cannot be stale
 //! because what it was computed from cannot change; a mutated clone starts
 //! with none.
+//! The same shared state is what the engine's and the optimizer's records
+//! mean by "the same rows" ([`Table::same_rows`]): a clone, a seal and a
+//! checkpoint keep it, a push gives the changed value a fresh one, and a
+//! record holds the table it compares, so no other value can take it over.
 
 use crate::paged::{OpenGroup, PageSlot, RowGroup};
 use crate::pool::BufferPool;
@@ -165,6 +169,13 @@ impl Table {
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Whether `other` shares this table's derived state — is a clone or a
+    /// sealed form of it (see the module docs). A pointer comparison: two
+    /// tables built apart are never the same rows, whatever they hold.
+    pub fn same_rows(&self, other: &Table) -> bool {
+        Arc::ptr_eq(&self.derived, &other.derived)
     }
 
     /// Renames the table (used when an intermediate result is registered

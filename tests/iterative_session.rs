@@ -8,7 +8,7 @@ use kath_exec::{ExecContext, ExecReport, ExecutionEngine, PhysicalPlan};
 use kath_fao::{FunctionBody, FunctionRegistry};
 use kath_media::{Document, Image, MediaFormat};
 use kath_model::{ScriptedChannel, SilentChannel, SimLlm, TokenMeter};
-use kath_optimizer::{compile, CompileOptions};
+use kath_optimizer::{compile, CompileOptions, CompileReport};
 use kath_parser::{generate_logical_plan, NlParser, PlanVerifier};
 use kath_storage::Table;
 use kathdb::{KathDB, QueryResult};
@@ -289,23 +289,7 @@ impl Staged {
     }
 
     fn compile(&mut self) -> PhysicalPlan {
-        let (question, replies) = VARIANTS[0];
-        let channel = ScriptedChannel::new(replies.iter().copied());
-        let parse = NlParser::new(self.ctx.llm.clone()).parse(question, channel.as_ref());
-        let logical = generate_logical_plan(&parse.sketch, "movie_table");
-        let snapshot = self.ctx.catalog.snapshot();
-        let (logical, verification) = PlanVerifier::new(&snapshot).verify(logical);
-        assert!(verification.approved);
-        let options = CompileOptions::default();
-        compile(
-            &logical,
-            &self.ctx,
-            &mut self.registry,
-            &parse.clarifications,
-            &options,
-        )
-        .unwrap()
-        .physical
+        compile_plain(&self.ctx, &mut self.registry).1.physical
     }
 
     fn run(&mut self, plan: &PhysicalPlan) -> ExecReport {
@@ -313,6 +297,21 @@ impl Staged {
             .run(&mut self.ctx, &mut self.registry, plan, &SilentChannel)
             .unwrap()
     }
+}
+
+/// Compiles the plain question over `ctx` into `registry`: the model calls
+/// the compile made (the parse's not counted) and its report.
+fn compile_plain(ctx: &ExecContext, registry: &mut FunctionRegistry) -> (u64, CompileReport) {
+    let (question, replies) = VARIANTS[0];
+    let channel = ScriptedChannel::new(replies.iter().copied());
+    let parse = NlParser::new(ctx.llm.clone()).parse(question, channel.as_ref());
+    let logical = generate_logical_plan(&parse.sketch, "movie_table");
+    let snapshot = ctx.catalog.snapshot();
+    let (logical, verification) = PlanVerifier::new(&snapshot).verify(logical);
+    assert!(verification.approved);
+    let (options, before) = (CompileOptions::default(), ctx.llm.meter().usage().calls);
+    let report = compile(&logical, ctx, registry, &parse.clarifications, &options).unwrap();
+    (ctx.llm.meter().usage().calls - before, report)
 }
 
 #[test]
@@ -369,4 +368,65 @@ fn a_new_or_rolled_back_version_reruns_its_node_and_what_reads_it() {
         scored_ids(&edited.final_table),
         scored_ids(&first.final_table)
     );
+}
+
+#[test]
+fn a_checkpoint_or_page_table_between_two_questions_runs_nothing_again() {
+    let dir = std::env::temp_dir().join(format!("kathdb_it_rows_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = KathDB::new(42);
+    db.open_dir(&dir).unwrap();
+    db.load_corpus(&heic_corpus(60)).unwrap();
+    let calls = |db: &KathDB| db.token_usage().calls;
+    // The first repeat may populate a sampled poster the first question's
+    // repair converted; from then on a repeat makes only the parse's calls.
+    let first = ask(&mut db, 0);
+    ask(&mut db, 0);
+    let before = calls(&db);
+    ask(&mut db, 0);
+    let parse_calls = calls(&db) - before;
+    assert!(parse_calls <= 4, "{parse_calls} calls");
+
+    // Both republish every table they touch as its sealed form: the same
+    // rows, so every record of the run and of the compile still holds.
+    for step in ["page_table", "checkpoint"] {
+        let lineage_rows = db.context().lineage.len();
+        match step {
+            "page_table" => assert!(db.page_table("movie_table").unwrap()),
+            _ => db.checkpoint().map(drop).unwrap(),
+        }
+        let before = calls(&db);
+        let again = ask(&mut db, 0);
+        assert_eq!(calls(&db) - before, parse_calls, "after {step}");
+        assert_eq!(reused(&again), PLAIN_PLAN, "after {step}");
+        assert_eq!(again.compile.reused.len(), 7, "after {step}");
+        assert_eq!(answer(&again), answer(&first), "after {step}");
+        assert_eq!(db.context().lineage.len(), lineage_rows, "after {step}");
+    }
+    let movies = db.context().catalog.snapshot().get("movie_table").unwrap();
+    assert!(movies.is_sealed());
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_base_table_whose_sampled_rows_differ_compiles_as_a_fresh_registry_does() {
+    let corpus = mmqa_small();
+    let mut staged = Staged::new(&corpus);
+    let plan = staged.compile();
+    staged.run(&plan);
+
+    // The same movies in reverse order: the sample's first rows are other
+    // films, naming other plots and posters.
+    let movies = staged.ctx.catalog.snapshot().get("movie_table").unwrap();
+    let mut rows = movies.to_rows().unwrap();
+    rows.reverse();
+    let reversed = Table::from_rows("movie_table", movies.schema().clone(), rows).unwrap();
+    (staged.ctx.catalog).publish(|c| c.register_or_replace(reversed));
+
+    let (fresh, _) = compile_plain(&staged.ctx, &mut FunctionRegistry::new());
+    let (calls, report) = compile_plain(&staged.ctx, &mut staged.registry);
+    assert!(fresh > 0);
+    assert_eq!(calls, fresh);
+    assert!(report.reused.is_empty(), "{:?}", report.reused);
 }
