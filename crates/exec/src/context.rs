@@ -61,8 +61,9 @@ pub struct ExecContext {
     /// `exec_mode`, `threads` and `vector_mode`, this is the setting of the
     /// run in progress: the facade copies its session's here per question.
     pub limits: GuardSpec,
-    /// One record of a clean run per node output, keyed by its name.
-    records: HashMap<String, Record>,
+    /// One record of a clean run per node output, keyed by its name, with
+    /// the function and body it ran.
+    records: HashMap<String, Record<(String, FunctionBody)>>,
 }
 
 impl ExecContext {
@@ -134,22 +135,24 @@ impl ExecContext {
         body: &FunctionBody,
         output: &str,
     ) -> Option<ExecOutcome> {
-        let context = run_context(func_id, body);
-        let snapshot = self.catalog.snapshot();
         let record = self.records.get_mut(output)?;
-        if !record.revalidate(&context, &snapshot, &self.media, &self.table_lids) {
+        let snapshot = self.catalog.snapshot();
+        let same_body = record.context.0 == func_id && record.context.1 == *body;
+        if !(same_body && record.revalidate(&snapshot, &self.media, &self.table_lids)) {
             return None;
         }
-        let (outputs, rows_in) = (record.outputs.clone(), record.rows_in);
-        (outputs.iter())
+        let gone: Vec<_> = (record.outputs.iter())
             .filter(|p| !snapshot.contains(p.table.name()))
-            .for_each(|p| self.adopt(p));
-        let (output, side_outputs) = outputs.split_last()?;
-        Some(ExecOutcome {
+            .cloned()
+            .collect();
+        let (output, side_outputs) = record.outputs.split_last()?;
+        let outcome = ExecOutcome {
             side_outputs: side_outputs.to_vec(),
             reused: true,
-            ..ExecOutcome::serial(Arc::clone(&output.table), output.lid, rows_in)
-        })
+            ..ExecOutcome::serial(Arc::clone(&output.table), output.lid, record.rows_in)
+        };
+        gone.iter().for_each(|p| self.adopt(p));
+        Some(outcome)
     }
 
     /// Whether a recorded node run published `name`: an intermediate an
@@ -185,19 +188,20 @@ impl ExecContext {
         inputs: Vec<Arc<Table>>,
         outcome: &ExecOutcome,
     ) {
-        let record = self.record(run_context(func_id, body), body, inputs, outcome);
+        let context = (func_id.to_string(), body.clone());
+        let record = self.record(context, body, inputs, outcome);
         self.records.insert(output.to_string(), record);
     }
 
     /// The record of a run of `body` over `inputs` under `context` that
     /// ended in `outcome`, at the current stamp of the media `body` reads.
-    pub fn record(
+    pub fn record<C>(
         &self,
-        context: String,
+        context: C,
         body: &FunctionBody,
         inputs: Vec<Arc<Table>>,
         outcome: &ExecOutcome,
-    ) -> Record {
+    ) -> Record<C> {
         Record {
             context,
             inputs,
@@ -227,12 +231,6 @@ impl ExecContext {
         )?;
         Ok(lid)
     }
-}
-
-/// What a node's run reads besides tables and media, rendered: its
-/// function and its body, so that an equal rendering is the same body.
-fn run_context(func_id: &str, body: &FunctionBody) -> String {
-    format!("{func_id} {body:?}")
 }
 
 /// Extracts the trailing integer id from a media URI, the convention that

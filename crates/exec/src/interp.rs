@@ -100,8 +100,6 @@ enum ItemSource {
 }
 
 impl ExecOutcome {
-    /// The outcome of a body that drove no relational pipeline (or did not
-    /// run at all): no failed rows, no side outputs, no batch statistics.
     /// Every table the run published, its own output last.
     pub fn published(&self) -> Vec<Published> {
         let output = Published {
@@ -113,6 +111,8 @@ impl ExecOutcome {
             .collect()
     }
 
+    /// The outcome of a body that drove no relational pipeline (or did not
+    /// run at all): no failed rows, no side outputs, no batch statistics.
     pub(crate) fn serial(table: Arc<Table>, output_lid: i64, rows_in: usize) -> Self {
         Self {
             table,

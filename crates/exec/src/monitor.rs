@@ -95,7 +95,8 @@ struct Attempt {
 
 /// Runs one node: returns the output of its last clean run when that run
 /// would only be repeated ([`kath_fao::Record::revalidate`]) — no model call, no
-/// lineage rows, no catalog write — and otherwise executes the body,
+/// lineage rows, and a catalog write only to publish again an output that
+/// was dropped — and otherwise executes the body,
 /// recording the run if no row failed. Because a reused producer leaves
 /// its output table in place and a re-executed one publishes a new table,
 /// reuse and re-execution both cascade to consumers by themselves. With

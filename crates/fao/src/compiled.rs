@@ -47,10 +47,11 @@ pub struct Decision {
 /// One run of a function — a node's over the catalog, or a compile's over
 /// its sample: what it read and what it left.
 #[derive(Debug, Clone)]
-pub struct Record {
-    /// What the run read besides tables and media, rendered (a node's
-    /// function and body; a compile's node, clarifications and options).
-    pub context: String,
+pub struct Record<C = String> {
+    /// What the run read besides tables and media, which its caller
+    /// compares: a node's function and body, or a compile's node,
+    /// clarifications and options, rendered.
+    pub context: C,
     /// The tables it read, in the order it named them.
     pub inputs: Vec<Arc<Table>>,
     /// The media collection it read directly, with its stamp after the run
@@ -65,38 +66,38 @@ pub struct Record {
     pub decision: Option<Decision>,
 }
 
-impl Record {
-    /// Whether running again under `context` would repeat this run: equal
-    /// contexts, every table it read the same rows in `catalog`, its media
-    /// collection at the recorded stamp, and every table it published the
-    /// same rows under its lid in `lids`, or gone (the caller publishes it
-    /// again from the record). If so the record takes `catalog`'s value of
-    /// each table, so it never pins one the catalog replaced by its sealed
-    /// form.
+impl<C> Record<C> {
+    /// Whether running again under an equal context would repeat this run:
+    /// every table it read the same rows in `catalog`, its media collection
+    /// at the recorded stamp, and every table it published the same rows
+    /// under its lid in `lids`, or gone (the caller publishes it again from
+    /// the record). Each table it finds the same rows it swaps for
+    /// `catalog`'s value, so it never pins one the catalog replaced by its
+    /// sealed form.
     pub fn revalidate(
         &mut self,
-        context: &str,
         catalog: &Catalog,
         media: &MediaRegistry,
         lids: &HashMap<String, i64>,
     ) -> bool {
         let stamped = |(kind, stamp): (MediaKind, u64)| media.stamp(kind) == stamp;
-        if self.context != context || !self.media.is_none_or(stamped) {
+        if !self.media.is_none_or(stamped) {
             return false;
         }
-        let now = |t: &Arc<Table>| catalog.get(t.name()).ok().filter(|now| now.same_rows(t));
-        let inputs: Option<Vec<_>> = self.inputs.iter().map(now).collect();
-        let outputs: Option<Vec<_>> = (self.outputs.iter())
-            .map(|p| match catalog.contains(p.table.name()) {
-                false => Some(p.clone()),
-                true => (now(&p.table).filter(|t| lids.get(t.name()) == Some(&p.lid)))
-                    .map(|table| Published { table, lid: p.lid }),
+        // A swapped value holds the same rows, so a record that fails half
+        // way means what it meant before.
+        let current = |t: &mut Arc<Table>| match catalog.get(t.name()) {
+            Ok(now) if now.same_rows(t) => {
+                *t = now;
+                true
+            }
+            _ => false,
+        };
+        self.inputs.iter_mut().all(current)
+            && self.outputs.iter_mut().all(|p| {
+                let name = p.table.name();
+                !catalog.contains(name) || (lids.get(name) == Some(&p.lid) && current(&mut p.table))
             })
-            .collect();
-        let current = inputs.zip(outputs);
-        current
-            .map(|now| (self.inputs, self.outputs) = now)
-            .is_some()
     }
 }
 
@@ -164,8 +165,11 @@ impl CompileRecords {
     /// leaves alone keeps its `Arc`.
     pub fn sample(&mut self, table: &Arc<Table>, size: usize) -> Result<Arc<Table>, StorageError> {
         let name = table.name();
-        let sample = match self.samples.get(name).filter(|kept| kept.size == size) {
-            Some(kept) if kept.source.same_rows(table) => Arc::clone(&kept.sample),
+        let sample = match self.samples.get_mut(name).filter(|kept| kept.size == size) {
+            Some(kept) if kept.source.same_rows(table) => {
+                kept.source = Arc::clone(table);
+                return Ok(Arc::clone(&kept.sample));
+            }
             kept => {
                 let mut drawn = table.sample(size)?;
                 drawn.set_name(name);
